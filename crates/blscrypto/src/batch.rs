@@ -19,14 +19,20 @@
 //! deterministic [`substrate::rng`] — so a batch decision is reproducible
 //! for a given seed, and simcheck's security oracle can replay it exactly.
 //!
-//! Cost: one `G1` 128-bit multiplication per item plus one pairing term per
-//! *distinct* public key (terms with the same key are merged by linearity:
-//! `∏ e(wᵢ·H(mᵢ), pk) = e(Σ wᵢ·H(mᵢ), pk)`), plus a single shared Miller
-//! loop and final exponentiation. For a 64-update batch signed under one
-//! group key this is 2 pairing terms instead of 128.
+//! Cost: every *distinct* message is hashed once. Items whose message no
+//! other item shares cost one `G1` 128-bit multiplication and merge into one
+//! pairing term per distinct public key (`∏ e(wᵢ·H(mᵢ), pk) =
+//! e(Σ wᵢ·H(mᵢ), pk)`); items that share a message merge on the other side
+//! of the pairing into one term per distinct message (`∏ e(wᵢ·H(m), pkᵢ) =
+//! e(H(m), Σ wᵢ·pkᵢ)`, one `G2` 128-bit multiplication each). Then a single
+//! shared Miller loop and final exponentiation. A 64-update batch signed
+//! under one group key is 2 pairing terms instead of 128; four controllers'
+//! receipts for one barrier are 2 terms and one hash instead of 5 and 4.
 
 use crate::bls::{PublicKey, Signature, SIGNATURE_DOMAIN};
-use crate::curves::{hash_to_g1, G1Affine, G1Projective, G2Affine};
+use crate::curves::{
+    hash_to_g1, CurveParams, G1Affine, G1Projective, G2Affine, G2Projective, Projective,
+};
 use crate::pairing::{
     g2_generator_prepared, pairing_product_is_one_prepared, prepare_g2, PreparedG2,
 };
@@ -60,6 +66,15 @@ fn random_weight<R: Rng + ?Sized>(rng: &mut R) -> [u64; 2] {
     }
 }
 
+/// `w·p`, skipping the ladder for the normalized first weight.
+fn scale<C: CurveParams>(p: Projective<C>, w: &[u64; 2]) -> Projective<C> {
+    if *w == [1, 0] {
+        p
+    } else {
+        p.mul_limbs(w)
+    }
+}
+
 /// Verifies a batch of BLS signatures with one pairing-product check.
 ///
 /// Returns `true` for the empty batch (vacuously: there is nothing to
@@ -75,30 +90,56 @@ pub fn batch_verify<R: Rng + ?Sized>(items: &[BatchItem<'_>], rng: &mut R) -> bo
     if items.is_empty() {
         return true;
     }
-    // -Σ wᵢ·σᵢ accumulator and per-distinct-pk Σ wᵢ·H(mᵢ) accumulators.
-    let mut sig_acc = G1Projective::identity();
-    let mut per_pk: Vec<(G2Affine, G1Projective)> = Vec::new();
+    // Items grouped by message: `(message, indices)` in first-seen order.
+    let mut by_msg: Vec<(&[u8], Vec<usize>)> = Vec::new();
     for (i, item) in items.iter().enumerate() {
         if item.pk.0.is_identity() || item.sig.0.is_identity() {
             return false;
         }
-        let w = if i == 0 { [1, 0] } else { random_weight(rng) };
-        let h = hash_to_g1(item.msg, SIGNATURE_DOMAIN).mul_limbs(&w);
-        match per_pk.iter_mut().find(|(pk, _)| *pk == item.pk.0) {
-            Some((_, acc)) => *acc = acc.add(&h),
-            None => per_pk.push((item.pk.0, h)),
+        match by_msg.iter_mut().find(|(m, _)| *m == item.msg) {
+            Some((_, idx)) => idx.push(i),
+            None => by_msg.push((item.msg, vec![i])),
         }
-        sig_acc = sig_acc.add(&item.sig.0.to_projective().mul_limbs(&w));
+    }
+    let weights: Vec<[u64; 2]> = (0..items.len())
+        .map(|i| if i == 0 { [1, 0] } else { random_weight(rng) })
+        .collect();
+    // -Σ wᵢ·σᵢ, the per-distinct-pk Σ wᵢ·H(mᵢ) accumulators (unshared
+    // messages) and the per-shared-message Σ wᵢ·pkᵢ accumulators.
+    let sig_acc = G1Projective::sum(
+        items
+            .iter()
+            .zip(&weights)
+            .map(|(item, w)| scale(item.sig.0.to_projective(), w)),
+    );
+    let mut per_pk: Vec<(G2Affine, G1Projective)> = Vec::new();
+    let mut per_msg: Vec<(G1Affine, G2Affine)> = Vec::new();
+    for (msg, idx) in &by_msg {
+        let h = hash_to_g1(msg, SIGNATURE_DOMAIN);
+        if let [i] = idx[..] {
+            let pk = items[i].pk.0;
+            let h = scale(h, &weights[i]);
+            match per_pk.iter_mut().find(|(k, _)| *k == pk) {
+                Some((_, acc)) => *acc = acc.add(&h),
+                None => per_pk.push((pk, h)),
+            }
+        } else {
+            let pk_acc = G2Projective::sum(
+                idx.iter()
+                    .map(|&i| scale(items[i].pk.0.to_projective(), &weights[i])),
+            );
+            per_msg.push((h.to_affine(), pk_acc.to_affine()));
+        }
     }
     let neg_sig = sig_acc.neg().to_affine();
-    let hashes: Vec<(G1Affine, PreparedG2)> = per_pk
+    let terms: Vec<(G1Affine, PreparedG2)> = per_pk
         .iter()
         .map(|(pk, h)| (h.to_affine(), prepare_g2(pk)))
+        .chain(per_msg.iter().map(|(h, pk)| (*h, prepare_g2(pk))))
         .collect();
-    let mut terms: Vec<(&G1Affine, &PreparedG2)> =
-        hashes.iter().map(|(h, prep)| (h, prep)).collect();
-    terms.push((&neg_sig, g2_generator_prepared()));
-    pairing_product_is_one_prepared(&terms)
+    let mut refs: Vec<(&G1Affine, &PreparedG2)> = terms.iter().map(|(h, q)| (h, q)).collect();
+    refs.push((&neg_sig, g2_generator_prepared()));
+    pairing_product_is_one_prepared(&refs)
 }
 
 #[cfg(test)]
@@ -142,6 +183,31 @@ mod tests {
         // Per-item verification agrees on the culprit.
         assert!(!verify(&items[3].pk, items[3].msg, &items[3].sig));
         assert!(verify(&items[0].pk, items[0].msg, &items[0].sig));
+    }
+
+    #[test]
+    fn shared_message_merges_on_the_key_side() {
+        // Four signers over one message (a barrier's receipts) plus one
+        // unrelated item: accepted; any one signer's signature over another
+        // message, or a signature swapped between two signers, rejects.
+        let mut rng = StdRng::seed_from_u64(0x5a3e);
+        let keys: Vec<SecretKey> = (0..5).map(|_| SecretKey::generate(&mut rng)).collect();
+        let shared = b"receipt".to_vec();
+        let other = b"other".to_vec();
+        let mut items: Vec<BatchItem<'_>> = keys[..4]
+            .iter()
+            .map(|k| BatchItem::new(k.public_key(), &shared, k.sign(&shared)))
+            .collect();
+        items.push(BatchItem::new(keys[4].public_key(), &other, keys[4].sign(&other)));
+        assert!(batch_verify(&items, &mut rng));
+        let mut forged = items.clone();
+        forged[2].sig = keys[2].sign(b"another barrier");
+        assert!(!batch_verify(&forged, &mut rng));
+        let mut swapped = items.clone();
+        swapped.swap(0, 3);
+        assert!(batch_verify(&swapped, &mut rng), "item order is irrelevant");
+        (swapped[0].sig, swapped[1].sig) = (swapped[1].sig, swapped[0].sig);
+        assert!(!batch_verify(&swapped, &mut rng));
     }
 
     #[test]

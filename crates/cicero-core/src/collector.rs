@@ -1,0 +1,371 @@
+//! The optimistic threshold-share collector (paper Fig. 6b, generalized).
+//!
+//! Every place that turns `⌊(n−1)/3⌋+1` share-signed copies of one payload
+//! into one group-key check runs the same policy: bucket shares per
+//! `(key, phase)` and per *identical* payload; once a bucket holds a quorum
+//! of distinct signers, aggregate **all** of them and verify the aggregate
+//! once against the group public key; only if that fails, verify each share
+//! against its Feldman-derived share key, evict and blacklist the culprits,
+//! and wait for honest replacements. The switch (updates, Segway bodies),
+//! the upstream half of the cross-domain handshake (segment reports) and
+//! the aggregator all collect through this one type, so a rogue share costs
+//! every verifier the same and is handled the same.
+//!
+//! Per-share eviction derives share keys from the [`GroupPublic`] the
+//! caller passes. Switches and remote domains only hold the *bootstrap*
+//! commitment: after a reshare the aggregate check still holds (the group
+//! key is invariant), eviction does not (DESIGN.md §3).
+
+use crate::runtime::KeyMaterial;
+use blscrypto::bls::{self, PartialSignature, PublicKey, Signature};
+use blscrypto::dkg::GroupPublic;
+use southbound::codec::Wire;
+use southbound::envelope::signing_digest;
+use southbound::types::Phase;
+use std::collections::BTreeMap;
+use substrate::collections::{DetMap, DetSet};
+
+/// Shares over one payload variant.
+#[derive(Clone, Debug)]
+struct Bucket<T> {
+    payload: T,
+    partials: BTreeMap<u32, PartialSignature>,
+    /// Signers whose share failed individual verification (Byzantine).
+    blacklisted: DetSet<u32>,
+}
+
+/// A verified quorum: the payload, who signed it, and the group signature.
+#[derive(Clone, Debug)]
+pub struct Certificate<T> {
+    /// The certified payload.
+    pub payload: T,
+    /// The signers whose shares were aggregated, ascending.
+    pub signers: Vec<u32>,
+    /// The aggregate (a placeholder when the math is skipped).
+    pub signature: Signature,
+}
+
+/// Outcome of [`QuorumCollector::try_quorum`].
+#[derive(Clone, Debug)]
+pub enum Quorum<T> {
+    /// No payload variant holds `quorum` distinct signers yet.
+    Below,
+    /// The aggregate of `shares` shares did not verify; each share was then
+    /// checked singly, the failing ones evicted and their signers
+    /// blacklisted. The bucket waits for honest replacements.
+    Rejected {
+        /// Shares aggregated, and afterwards verified one by one.
+        shares: usize,
+    },
+    /// The aggregate verified; the whole `(key, phase)` entry is gone.
+    Certified(Certificate<T>),
+}
+
+impl<T> Quorum<T> {
+    /// The work behind this outcome, as `(shares aggregated, signature
+    /// verifications)` — callers price it in their own cost model.
+    pub fn work(&self) -> (u64, u64) {
+        match self {
+            Quorum::Below => (0, 0),
+            Quorum::Rejected { shares } => (*shares as u64, 1 + *shares as u64),
+            Quorum::Certified(cert) => (cert.signers.len() as u64, 1),
+        }
+    }
+}
+
+/// What a quorum is checked against.
+#[derive(Clone, Copy)]
+pub struct Check<'a> {
+    /// Signing-envelope label of the payload.
+    pub label: &'a str,
+    /// Distinct signers required.
+    pub quorum: usize,
+    /// The signing domain's group public key and Feldman commitment;
+    /// `None` skips the curve math (modeled crypto, unauthenticated
+    /// baselines) and certifies on the count alone.
+    pub keys: Option<(&'a PublicKey, &'a GroupPublic)>,
+}
+
+/// Share buckets keyed by `(K, phase)`, one bucket per distinct payload.
+#[derive(Clone, Debug)]
+pub struct QuorumCollector<K, T> {
+    entries: DetMap<(K, Phase), Vec<Bucket<T>>>,
+}
+
+impl<K: Ord + Copy, T: Wire + Eq + Clone> QuorumCollector<K, T> {
+    /// An empty collector.
+    pub fn new() -> Self {
+        QuorumCollector {
+            entries: DetMap::new(),
+        }
+    }
+
+    /// Buckets one share of `payload` under `(key, phase)`. `false` when it
+    /// changed nothing: the signer's share for this payload is already held
+    /// (the first one is kept), or the signer was evicted from this bucket.
+    pub fn offer(&mut self, key: K, phase: Phase, payload: T, partial: PartialSignature) -> bool {
+        let buckets = self.entries.entry((key, phase)).or_default();
+        let bucket = match buckets.iter().position(|b| b.payload == payload) {
+            Some(i) => &mut buckets[i],
+            None => {
+                buckets.push(Bucket {
+                    payload,
+                    partials: BTreeMap::new(),
+                    blacklisted: DetSet::new(),
+                });
+                buckets.last_mut().expect("just pushed")
+            }
+        };
+        if bucket.blacklisted.contains(&partial.index)
+            || bucket.partials.contains_key(&partial.index)
+        {
+            return false;
+        }
+        bucket.partials.insert(partial.index, partial);
+        true
+    }
+
+    /// Most distinct signers any payload variant of `(key, phase)` holds.
+    pub fn have(&self, key: K, phase: Phase) -> usize {
+        self.entries
+            .get(&(key, phase))
+            .and_then(|bs| bs.iter().map(|b| b.partials.len()).max())
+            .unwrap_or(0)
+    }
+
+    /// `(key, phase)` entries in which signer `index` holds a share — what
+    /// one sender has parked here below quorum.
+    pub fn held_by(&self, index: u32) -> usize {
+        self.entries
+            .values()
+            .filter(|bs| bs.iter().any(|b| b.partials.contains_key(&index)))
+            .count()
+    }
+
+    /// Drops every entry of another phase (membership change).
+    pub fn retain_phase(&mut self, phase: Phase) {
+        self.entries.retain(|(_, p), _| *p == phase);
+    }
+
+    /// Aggregate → verify → evict on the first payload variant of
+    /// `(key, phase)` holding a quorum.
+    pub fn try_quorum(&mut self, key: K, phase: Phase, check: Check<'_>) -> Quorum<T> {
+        let Some(bucket) = self
+            .entries
+            .get_mut(&(key, phase))
+            .and_then(|bs| bs.iter_mut().find(|b| b.partials.len() >= check.quorum))
+        else {
+            return Quorum::Below;
+        };
+        let partials: Vec<PartialSignature> = bucket.partials.values().copied().collect();
+        let signature = match check.keys {
+            None => KeyMaterial::dummy_signature(),
+            Some((group_pk, group)) => {
+                let digest = signing_digest(check.label, phase, &bucket.payload);
+                match bls::aggregate(&partials) {
+                    Ok(sig) if bls::verify(group_pk, &digest, &sig) => sig,
+                    _ => {
+                        // Some share is bad: find it, so the bucket can
+                        // complete from honest replacements.
+                        for p in &partials {
+                            let share_pk = group.member_public_key(p.index);
+                            if !bls::verify_partial(&share_pk, &digest, p) {
+                                bucket.blacklisted.insert(p.index);
+                                bucket.partials.remove(&p.index);
+                            }
+                        }
+                        return Quorum::Rejected {
+                            shares: partials.len(),
+                        };
+                    }
+                }
+            }
+        };
+        let payload = bucket.payload.clone();
+        self.entries.remove(&(key, phase));
+        Quorum::Certified(Certificate {
+            payload,
+            signers: partials.iter().map(|p| p.index).collect(),
+            signature,
+        })
+    }
+}
+
+impl<K: Ord + Copy, T: Wire + Eq + Clone> Default for QuorumCollector<K, T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use blscrypto::dkg::{self, DkgOutput};
+    use southbound::types::FlowId;
+    use substrate::rng::{SeedableRng, StdRng};
+
+    const LABEL: &str = "TEST_COLLECTOR";
+    const P0: Phase = Phase(0);
+
+    fn group() -> DkgOutput {
+        dkg::run_trusted_dealer_free(4, 1, &mut StdRng::seed_from_u64(0xc011)).expect("dkg")
+    }
+
+    fn share(out: &DkgOutput, signer: u32, phase: Phase, payload: FlowId) -> PartialSignature {
+        let digest = signing_digest(LABEL, phase, &payload);
+        bls::sign_share(&out.participants[(signer - 1) as usize].share, &digest)
+    }
+
+    /// Runs `try_quorum` with real keys at quorum 2.
+    fn attempt(
+        c: &mut QuorumCollector<u8, FlowId>,
+        out: &DkgOutput,
+        key: u8,
+        phase: Phase,
+    ) -> Quorum<FlowId> {
+        c.try_quorum(
+            key,
+            phase,
+            Check {
+                label: LABEL,
+                quorum: 2,
+                keys: Some((&out.group_public_key, &out.group)),
+            },
+        )
+    }
+
+    #[test]
+    fn duplicate_index_keeps_the_first_share_and_never_counts_twice() {
+        let out = group();
+        let mut c = QuorumCollector::new();
+        let honest = share(&out, 1, P0, FlowId(7));
+        assert!(c.offer(1u8, P0, FlowId(7), honest));
+        // Same signer again — even with different bytes — is a repeat.
+        let other = PartialSignature {
+            index: 1,
+            sig: share(&out, 2, P0, FlowId(7)).sig,
+        };
+        assert!(!c.offer(1, P0, FlowId(7), other));
+        assert_eq!(c.have(1, P0), 1);
+        let q = attempt(&mut c, &out, 1, P0);
+        assert!(matches!(q, Quorum::Below));
+        assert_eq!(q.work(), (0, 0), "below quorum costs nothing");
+        // The kept share is the first one: it completes with signer 2.
+        c.offer(1, P0, FlowId(7), share(&out, 2, P0, FlowId(7)));
+        let q = attempt(&mut c, &out, 1, P0);
+        assert_eq!(q.work(), (2, 1), "two shares aggregated, one verification");
+        let Quorum::Certified(cert) = q else {
+            panic!("two honest shares certify");
+        };
+        assert_eq!(cert.signers, vec![1, 2]);
+        assert_eq!(cert.payload, FlowId(7));
+        let digest = signing_digest(LABEL, P0, &FlowId(7));
+        assert!(bls::verify(&out.group_public_key, &digest, &cert.signature));
+    }
+
+    #[test]
+    fn below_quorum_and_split_payloads_never_certify() {
+        let out = group();
+        let mut c = QuorumCollector::new();
+        // Two signers, two different payloads: one share each.
+        c.offer(1u8, P0, FlowId(1), share(&out, 1, P0, FlowId(1)));
+        c.offer(1, P0, FlowId(2), share(&out, 2, P0, FlowId(2)));
+        assert_eq!(c.have(1, P0), 1);
+        assert!(matches!(attempt(&mut c, &out, 1, P0), Quorum::Below));
+        // Another key's shares do not help either.
+        c.offer(2, P0, FlowId(1), share(&out, 3, P0, FlowId(1)));
+        assert!(matches!(attempt(&mut c, &out, 1, P0), Quorum::Below));
+        assert_eq!(c.have(9, P0), 0);
+    }
+
+    #[test]
+    fn rogue_share_is_evicted_blacklisted_and_a_late_honest_share_completes() {
+        let out = group();
+        let mut c = QuorumCollector::new();
+        // Signer 2 signs a different payload under the right index.
+        let rogue = PartialSignature {
+            index: 2,
+            ..share(&out, 2, P0, FlowId(666))
+        };
+        c.offer(1u8, P0, FlowId(7), share(&out, 1, P0, FlowId(7)));
+        c.offer(1, P0, FlowId(7), rogue);
+        let q = attempt(&mut c, &out, 1, P0);
+        assert!(matches!(q, Quorum::Rejected { shares: 2 }));
+        assert_eq!(
+            q.work(),
+            (2, 3),
+            "one aggregate check plus one fallback check per share"
+        );
+        assert_eq!(c.have(1, P0), 1, "only the honest share survives");
+        // The evicted signer stays out, even with a now-honest share.
+        assert!(!c.offer(1, P0, FlowId(7), share(&out, 2, P0, FlowId(7))));
+        assert!(matches!(attempt(&mut c, &out, 1, P0), Quorum::Below));
+        // A late honest share from someone else completes the quorum.
+        assert!(c.offer(1, P0, FlowId(7), share(&out, 4, P0, FlowId(7))));
+        let Quorum::Certified(cert) = attempt(&mut c, &out, 1, P0) else {
+            panic!("honest quorum certifies after eviction");
+        };
+        assert_eq!(cert.signers, vec![1, 4]);
+        assert_eq!(c.have(1, P0), 0, "certified entries are dropped");
+    }
+
+    #[test]
+    fn phases_bucket_apart_and_prune() {
+        let out = group();
+        let mut c = QuorumCollector::new();
+        c.offer(1u8, P0, FlowId(7), share(&out, 1, P0, FlowId(7)));
+        c.offer(1, Phase(1), FlowId(7), share(&out, 2, Phase(1), FlowId(7)));
+        assert!(matches!(attempt(&mut c, &out, 1, P0), Quorum::Below));
+        assert!(matches!(
+            attempt(&mut c, &out, 1, Phase(1)),
+            Quorum::Below
+        ));
+        c.retain_phase(Phase(1));
+        assert_eq!(c.have(1, P0), 0);
+        assert_eq!(c.have(1, Phase(1)), 1);
+        // A share signed for another phase does not verify in this one.
+        c.offer(1, Phase(1), FlowId(7), share(&out, 3, P0, FlowId(7)));
+        assert!(matches!(
+            attempt(&mut c, &out, 1, Phase(1)),
+            Quorum::Rejected { .. }
+        ));
+        assert_eq!(c.have(1, Phase(1)), 1);
+    }
+
+    #[test]
+    fn skipped_math_certifies_on_the_count_and_reports_the_same_work() {
+        let mut c: QuorumCollector<u8, FlowId> = QuorumCollector::new();
+        let dummy = |index| PartialSignature {
+            index,
+            sig: KeyMaterial::dummy_signature().0,
+        };
+        c.offer(1, P0, FlowId(7), dummy(1));
+        c.offer(1, P0, FlowId(7), dummy(3));
+        let check = Check {
+            label: LABEL,
+            quorum: 2,
+            keys: None,
+        };
+        let q = c.try_quorum(1, P0, check);
+        assert_eq!(q.work(), (2, 1));
+        let Quorum::Certified(cert) = q else {
+            panic!("count alone certifies when the math is skipped");
+        };
+        assert_eq!(cert.signers, vec![1, 3]);
+    }
+
+    #[test]
+    fn held_by_counts_a_signers_open_entries_until_they_certify() {
+        let out = group();
+        let mut c = QuorumCollector::new();
+        for key in 1u8..=3 {
+            c.offer(key, P0, FlowId(7), share(&out, 1, P0, FlowId(7)));
+        }
+        c.offer(1, Phase(1), FlowId(7), share(&out, 1, Phase(1), FlowId(7)));
+        assert_eq!(c.held_by(1), 4);
+        assert_eq!(c.held_by(2), 0);
+        c.offer(2, P0, FlowId(7), share(&out, 2, P0, FlowId(7)));
+        assert!(matches!(attempt(&mut c, &out, 2, P0), Quorum::Certified(_)));
+        assert_eq!(c.held_by(1), 3, "a certified entry no longer counts");
+    }
+}

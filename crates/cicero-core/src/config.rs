@@ -104,8 +104,11 @@ pub struct CostModel {
     /// Amortized per-item cost of *batched* signature verification: one
     /// randomized pairing-product check covers a whole batch
     /// ([`blscrypto::batch`]), so the per-item share is far below
-    /// [`CostModel::bls_verify`]. Charged by the aggregator when it
-    /// validates a quorum of partials before aggregating.
+    /// [`CostModel::bls_verify`]. Charged per receipt by a downstream
+    /// controller settling the boundary-release receipts for one of its
+    /// segment reports in one batch, and per share by the aggregator for
+    /// validating a quorum before relaying it (the rate its Cicero-Agg
+    /// anchor was calibrated with).
     pub batch_verify_per_item: SimDuration,
     /// Controller: signing an update with a key share.
     pub update_sign: SimDuration,
@@ -153,6 +156,12 @@ impl Default for CostModel {
 }
 
 impl CostModel {
+    /// Price of one quorum check ([`crate::collector::Quorum::work`]):
+    /// `aggregated` shares combined, `verified` signature verifications.
+    pub fn quorum_check(&self, (aggregated, verified): (u64, u64)) -> SimDuration {
+        self.aggregate_per_share.saturating_mul(aggregated) + self.bls_verify.saturating_mul(verified)
+    }
+
     /// The cost model with every *cryptographic* term replaced by this
     /// host's measured bench medians (`BENCH_protocol.json`, crypto suite) —
     /// the fast pairing/wNAF/batch implementations, not the paper's PBC

@@ -3,25 +3,24 @@
 //! quorum into one threshold signature, and relays it to the switch.
 
 use super::ControllerActor;
+use crate::collector::{Check, Quorum};
 use crate::msg::Net;
 use crate::obs::Obs;
 use crate::runtime::labels;
-use blscrypto::batch::{batch_verify, BatchItem};
-use blscrypto::bls::{self, PartialSignature, Signature};
 use simnet::node::Host;
-use southbound::envelope::{signing_digest, QuorumSigned, ShareSigned};
-use southbound::types::{NetworkUpdate, Phase};
-use std::collections::BTreeMap;
+use southbound::envelope::{QuorumSigned, ShareSigned};
+use southbound::types::NetworkUpdate;
+use std::sync::Arc;
+use substrate::collections::DetSet;
 
-/// An aggregation bucket at the aggregator controller.
-#[derive(Clone, Debug)]
-pub(super) struct AggBucket {
-    update: NetworkUpdate,
-    phase: Phase,
-    partials: BTreeMap<u32, PartialSignature>,
-    /// The relayed quorum signature, kept so a share retransmission after
-    /// the relay can trigger a re-send (the switch evidently lost it).
-    relayed: Option<QuorumSigned<NetworkUpdate>>,
+/// A relayed quorum signature, kept so a share retransmission after the
+/// relay can trigger a re-send (the switch evidently lost it).
+pub(super) struct Relayed {
+    out: QuorumSigned<NetworkUpdate>,
+    /// Signers whose share has been seen: a second share from one of them
+    /// is a retransmission, a first share from anyone else is the tail of
+    /// the original broadcast.
+    signers: DetSet<u32>,
 }
 
 impl ControllerActor {
@@ -37,108 +36,71 @@ impl ControllerActor {
         if msg.phase != self.view.phase() {
             return;
         }
-        let key = (msg.payload.id, msg.phase);
-        let quorum = self.view.quorum();
-        let buckets = self.agg_buckets.entry(key).or_default();
-        let bucket = match buckets.iter_mut().find(|b| b.update == msg.payload) {
-            Some(b) => b,
-            None => {
-                buckets.push(AggBucket {
-                    update: msg.payload,
-                    phase: msg.phase,
-                    partials: BTreeMap::new(),
-                    relayed: None,
-                });
-                buckets.last_mut().expect("just pushed")
-            }
-        };
-        let fresh = bucket.partials.insert(msg.partial.index, msg.partial).is_none();
-        if let Some(out) = &bucket.relayed {
+        let update = msg.payload;
+        let key = (update.id, msg.phase);
+        let switch = self.shared.dir.switch(update.switch);
+        let delay = self.shared.cfg.costs.aggregator_delay;
+        if let Some(r) = self
+            .relayed
+            .get_mut(&key)
+            .filter(|r| r.out.payload == update)
+        {
             // Already relayed: a *retransmitted* share means the sending
             // controller has not seen an ack, so the switch probably lost
             // the aggregated update — relay it again.
-            if !fresh {
-                ctx.send_delayed(
-                    self.shared.dir.switch(bucket.update.switch),
-                    Net::UpdateAggregated(out.clone()),
-                    self.shared.cfg.costs.aggregator_delay,
-                );
+            if !r.signers.insert(msg.partial.index) {
+                ctx.send_delayed(switch, Net::UpdateAggregated(r.out.clone()), delay);
             }
             return;
         }
-        if bucket.partials.len() < quorum {
-            return;
-        }
-        let partials: Vec<PartialSignature> = bucket.partials.values().copied().collect();
-        let update = bucket.update;
-        let phase = bucket.phase;
-        let msg_id = self.msg_id();
-        // Validate the quorum *before* aggregating: one randomized
-        // pairing-product check over all shares ([`blscrypto::batch`])
-        // instead of a full `bls_verify` per share. A poisoned batch falls
-        // back to per-share verification to evict the culprits, then waits
-        // for honest replacements — without this, one Byzantine share would
-        // make the relayed aggregate fail at the switch forever.
-        ctx.charge_cpu(
-            self.shared
-                .cfg
-                .costs
-                .batch_verify_per_item
-                .saturating_mul(partials.len() as u64),
-        );
-        if self.shared.real_crypto() {
-            let digest = signing_digest(labels::UPDATE, phase, &update);
-            let items: Vec<BatchItem<'_>> = partials
-                .iter()
-                .map(|p| {
-                    BatchItem::new(
-                        self.group.member_public_key(p.index),
-                        &digest,
-                        Signature(p.sig),
-                    )
-                })
-                .collect();
-            if !batch_verify(&items, ctx.rng()) {
-                for p in &partials {
-                    ctx.charge_cpu(self.shared.cfg.costs.bls_verify);
-                    let mpk = self.group.member_public_key(p.index);
-                    if !bls::verify_partial(&mpk, &digest, p) {
-                        if let Some(b) = self
-                            .agg_buckets
-                            .get_mut(&key)
-                            .and_then(|bs| bs.iter_mut().find(|b| b.update == update))
-                        {
-                            b.partials.remove(&p.index);
-                        }
-                    }
-                }
-                return;
-            }
-        }
-        let out = if self.shared.real_crypto() {
-            match QuorumSigned::aggregate(update, phase, msg_id, &partials, quorum - 1) {
-                Ok(q) => q,
-                Err(_) => return,
-            }
-        } else {
-            QuorumSigned {
-                payload: update,
-                phase,
-                msg_id,
-                signature: self.shared.keys.dummy,
-            }
-        };
-        if let Some(b) = self
-            .agg_buckets
-            .get_mut(&key)
-            .and_then(|bs| bs.iter_mut().find(|b| b.update == update))
+        if !self
+            .agg_shares
+            .offer(update.id, msg.phase, update, msg.partial)
         {
-            b.relayed = Some(out.clone());
+            return;
         }
-        ctx.send_delayed(
-            self.shared.dir.switch(update.switch),
-            Net::UpdateAggregated(out),
-            self.shared.cfg.costs.aggregator_delay,
+        // Aggregate, then verify the aggregate about to be relayed — what
+        // the switch will do with it. A poisoned quorum falls back to
+        // per-share verification to evict the culprits, then waits for
+        // honest replacements: one Byzantine share never reaches the
+        // switch, where it would make the relayed aggregate fail forever.
+        let shared = Arc::clone(&self.shared);
+        let costs = &shared.cfg.costs;
+        let check = Check {
+            label: labels::UPDATE,
+            quorum: self.view.quorum(),
+            keys: shared
+                .real_crypto()
+                .then_some((&shared.keys.domains[&self.domain].public_key, &self.group)),
+        };
+        let outcome = self.agg_shares.try_quorum(update.id, msg.phase, check);
+        let (shares, verified) = outcome.work();
+        if shares == 0 {
+            return;
+        }
+        // The aggregator prices its quorum validation at the amortized
+        // per-share rate its Cicero-Agg anchor was calibrated with (its
+        // cores share the work; a switch's single OVS thread pays
+        // `CostModel::quorum_check` instead), plus any fallback checks.
+        self.sig_checks += 1;
+        ctx.charge_cpu(costs.batch_verify_per_item.saturating_mul(shares));
+        ctx.charge_cpu(costs.bls_verify.saturating_mul(verified - 1));
+        let Quorum::Certified(cert) = outcome else {
+            return;
+        };
+        let out = QuorumSigned {
+            payload: cert.payload,
+            phase: msg.phase,
+            msg_id: self.msg_id(),
+            signature: cert.signature,
+        };
+        self.relayed.insert(
+            key,
+            Relayed {
+                out: out.clone(),
+                signers: cert.signers.into_iter().collect(),
+            },
         );
+        ctx.send_delayed(switch, Net::UpdateAggregated(out), delay);
     }
 }

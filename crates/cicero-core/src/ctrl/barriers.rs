@@ -1,25 +1,38 @@
 //! The cross-domain ordering handshake (DESIGN.md §3): barriers held for
-//! foreign segments, segment-applied reports for own segments foreign
-//! updates depend on, boundary-release receipts, and the re-forward /
-//! retransmission loops that keep the handshake live under loss.
+//! foreign segments and released on a *quorum certificate* — threshold
+//! shares of the downstream domain over one segment body, aggregated and
+//! verified once against that domain's group key; share-signed
+//! segment-applied reports for own segments foreign updates depend on;
+//! once-signed boundary-release receipts, batch-verified by the reporter;
+//! and the re-forward / retransmission loops that keep the handshake live
+//! under loss.
 
 use super::ControllerActor;
-use crate::msg::{Net, ReleaseBody, SegmentBody};
+use crate::collector::{Check, Quorum};
+use crate::msg::{Net, ReleaseBody, SegmentBody, WalRecord};
 use crate::obs::Obs;
 use crate::runtime::labels;
+use blscrypto::bls::PartialSignature;
 use controller::pending::RetryPolicy;
 use controller::scheduler::{domain_segments, ScheduledUpdate};
-use simnet::node::Host;
+use simnet::node::{Host, NodeId};
 use simnet::time::{SimDuration, SimTime};
-use southbound::envelope::Signed;
+use southbound::envelope::{verify_signed_batch, ShareSigned, Signed};
 use southbound::types::{ControllerId, DomainId, Event, EventId, NetworkUpdate, UpdateId};
 use std::collections::{BTreeMap, BTreeSet};
-use substrate::collections::DetSet;
+use std::sync::Arc;
+use substrate::collections::{DetMap, DetSet};
 
 /// Synthetic dependency ids standing for "a foreign domain's path segment
 /// has been applied". Real per-event sequence numbers are tiny, so the top
 /// of the `u32` range is free for barriers.
 const BARRIER_SEQ_BASE: u32 = 0xFFFF_0000;
+
+/// Segment reports one downstream controller may have parked here below
+/// quorum. Honest reporters sit far below it (an entry lives only until
+/// f more of its domain report the same segment); it bounds what a
+/// Byzantine one can make an upstream controller remember.
+const MAX_OPEN_REPORTS: usize = 1024;
 
 pub(super) fn barrier_id(event: EventId, segment: u32) -> UpdateId {
     UpdateId {
@@ -29,13 +42,13 @@ pub(super) fn barrier_id(event: EventId, segment: u32) -> UpdateId {
 }
 
 /// What the upstream side of one cross-domain barrier still expects. Set
-/// when local event processing registers the dependency; `SegmentApplied`
-/// reports may legitimately arrive earlier and accumulate in
+/// when local event processing registers the dependency; the downstream
+/// quorum may legitimately certify earlier and wait in
 /// [`BarrierState::signers`] until then.
 pub(super) struct BarrierExpect {
     /// The domain whose segment must apply before the barrier releases.
     downstream: DomainId,
-    /// Distinct downstream reporters required.
+    /// Distinct downstream signers required.
     quorum: usize,
     /// The event, kept for re-forwarding if the downstream domain went
     /// quiet (its copy of the forwarded event may have been lost).
@@ -46,44 +59,56 @@ pub(super) struct BarrierExpect {
     next_due: SimTime,
 }
 
-/// Upstream half of the cross-domain ordering handshake: collects
-/// `SegmentApplied` signers for one `(event, segment)` until a quorum of
-/// the downstream domain has reported, then acks the barrier id.
+/// Upstream half of the cross-domain ordering handshake for one
+/// `(event, segment)`: the verified downstream signers, and the barrier
+/// they release. Shares still below quorum live in the actor's
+/// `seg_shares` collector, not here — they are volatile by design.
+#[derive(Default)]
 pub(super) struct BarrierState {
-    /// Distinct `(domain, controller)` reporters seen (signature-checked).
+    /// `(domain, controller)` signers of a *verified* quorum — every entry
+    /// is in the WAL.
     signers: DetSet<(DomainId, u32)>,
     /// Release condition, once our own schedule registered the dependency.
     expected: Option<BarrierExpect>,
-    /// Set once released; late duplicates are receipted but change nothing.
+    /// Set once released; later shares are receipted but change nothing.
     released: bool,
+    /// Our receipt for the verified quorum: signed once, re-sent as-is.
+    receipt: Option<Signed<ReleaseBody>>,
 }
 
 impl BarrierState {
-    fn new() -> Self {
-        BarrierState {
-            signers: DetSet::new(),
-            expected: None,
-            released: false,
-        }
+    fn certified(&self, domain: DomainId, quorum: usize) -> bool {
+        self.signers.iter().filter(|(d, _)| *d == domain).count() >= quorum
     }
 }
 
 /// Downstream half of the handshake: waits until every update of an own
-/// segment is switch-acked, then reports `SegmentApplied` to each upstream
-/// controller until all of them receipted (or the retry budget is spent).
+/// segment is switch-acked, then reports its threshold share over the
+/// segment to each upstream controller until all of them receipted (or the
+/// retry budget is spent).
 pub(super) struct SegWatch {
     /// Own-segment updates not yet switch-acked.
     pub(super) remaining: DetSet<UpdateId>,
     /// Domains holding a barrier on this segment.
     upstreams: Vec<DomainId>,
+    /// The share-signed report, once the segment drained: signed once,
+    /// retransmitted as-is.
+    pub(super) report: Option<ShareSigned<SegmentBody>>,
     /// `(domain, controller)` targets that have not receipted yet.
     pending_receipts: DetSet<(DomainId, u32)>,
+    /// Unverified receipts from pending targets, checked in one batch when
+    /// the last one arrives or the retry sweep fires.
+    receipts: DetMap<(DomainId, u32), Signed<ReleaseBody>>,
     /// Report attempts spent.
     attempts: u32,
     /// Next retransmission deadline.
     next_due: SimTime,
-    /// Set once the first report went out.
-    pub(super) sending: bool,
+}
+
+impl SegWatch {
+    fn awaiting_receipts(&self) -> bool {
+        self.report.is_some() && !self.pending_receipts.is_empty()
+    }
 }
 
 impl ControllerActor {
@@ -155,10 +180,7 @@ impl ControllerActor {
         for (k, downstream) in barrier_deps {
             let quorum = self.downstream_quorum(downstream);
             let due = now + self.forward_policy().backoff(barrier_id(event.id, k), 1);
-            let st = self
-                .barriers
-                .entry((event.id, k))
-                .or_insert_with(BarrierState::new);
+            let st = self.barriers.entry((event.id, k)).or_default();
             if st.expected.is_none() && !st.released {
                 st.expected = Some(BarrierExpect {
                     downstream,
@@ -171,7 +193,7 @@ impl ControllerActor {
                     next_due: due,
                 });
             }
-            self.check_barrier_release(ctx, (event.id, k));
+            self.check_barrier_release(ctx, (event.id, k), SimDuration::ZERO);
         }
         for (k, ups) in watched {
             let remaining: DetSet<UpdateId> = segs[k as usize]
@@ -186,10 +208,11 @@ impl ControllerActor {
                 SegWatch {
                     remaining,
                     upstreams: ups.into_iter().collect(),
+                    report: None,
                     pending_receipts: DetSet::new(),
+                    receipts: DetMap::new(),
                     attempts: 0,
                     next_due: now,
-                    sending: false,
                 },
             );
             if drained {
@@ -200,7 +223,7 @@ impl ControllerActor {
         projected
     }
 
-    /// Distinct downstream reporters required before a barrier releases:
+    /// Distinct downstream signers required before a barrier releases:
     /// enough that at least one is honest under the mode's fault model.
     fn downstream_quorum(&self, d: DomainId) -> usize {
         if self.shared.cfg.mode.is_cicero() {
@@ -239,41 +262,32 @@ impl ControllerActor {
         }
     }
 
-    /// Acks the barrier id (releasing held boundary updates) once a quorum
-    /// of the expected downstream domain has reported its segment applied.
-    fn check_barrier_release(&mut self, ctx: &mut dyn Host<Net, Obs>, key: (EventId, u32)) {
-        {
-            let Some(st) = self.barriers.get(&key) else {
-                return;
-            };
-            if st.released {
-                return;
-            }
-            let Some(exp) = st.expected.as_ref() else {
-                return;
-            };
-            let have = st
-                .signers
-                .iter()
-                .filter(|(d, _)| *d == exp.downstream)
-                .count();
-            if have < exp.quorum {
-                return;
-            }
+    /// Acks the barrier id (releasing held boundary updates, `extra` late)
+    /// once a verified quorum of the expected downstream domain is on
+    /// record.
+    fn check_barrier_release(
+        &mut self,
+        ctx: &mut dyn Host<Net, Obs>,
+        key: (EventId, u32),
+        extra: SimDuration,
+    ) {
+        let Some(st) = self.barriers.get_mut(&key) else {
+            return;
+        };
+        let ready = st
+            .expected
+            .as_ref()
+            .is_some_and(|exp| st.certified(exp.downstream, exp.quorum));
+        if st.released || !ready {
+            return;
         }
-        if let Some(st) = self.barriers.get_mut(&key) {
-            st.released = true;
-        }
+        st.released = true;
         ctx.observe(Obs::BoundaryReleased {
             domain: self.domain,
             controller: self.id.0,
             event: key.0,
             segment: key.1,
         });
-        let mut extra = SimDuration::ZERO;
-        if self.shared.cfg.mode.is_cicero() {
-            extra = self.shared.cfg.costs.bls_verify;
-        }
         let ready = self.pending.ack(barrier_id(key.0, key.1), ctx.now());
         for u in ready {
             self.send_update_delayed(ctx, u, extra);
@@ -281,8 +295,9 @@ impl ControllerActor {
         self.arm_retry(ctx);
     }
 
-    /// First transmission of a drained segment's report to every controller
-    /// of every upstream domain holding a barrier on it.
+    /// First transmission of a drained segment's report — this
+    /// controller's threshold share over the segment body — to every
+    /// controller of every upstream domain holding a barrier on it.
     pub(super) fn start_segment_report(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
@@ -292,7 +307,7 @@ impl ControllerActor {
             let Some(w) = self.seg_watch.get(&key) else {
                 return;
             };
-            if w.sending {
+            if w.report.is_some() {
                 return;
             }
             w.upstreams
@@ -311,11 +326,10 @@ impl ControllerActor {
             event: key.0,
             segment: key.1,
             domain: self.domain,
-            controller: self.id,
         };
         let signed = self.sign_segment(ctx, body);
         if let Some(w) = self.seg_watch.get_mut(&key) {
-            w.sending = true;
+            w.report = Some(signed.clone());
             w.attempts = 1;
             w.next_due = due;
             w.pending_receipts = targets.iter().map(|&(d, c)| (d, c.0)).collect();
@@ -335,25 +349,35 @@ impl ControllerActor {
         self.arm_retry(ctx);
     }
 
+    /// `true` when handshake messages carry real signatures: the Cicero
+    /// modes under real crypto. Everywhere else the structure is the same
+    /// and the math is skipped.
+    fn handshake_signed(&self) -> bool {
+        self.shared.real_crypto() && self.shared.cfg.mode.is_cicero()
+    }
+
     fn sign_segment(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
         body: SegmentBody,
-    ) -> Signed<SegmentBody> {
+    ) -> ShareSigned<SegmentBody> {
         let phase = self.view.phase();
         let msg_id = self.msg_id();
         if self.shared.cfg.mode.is_cicero() {
             ctx.charge_cpu(self.shared.cfg.costs.event_sign);
         }
-        if self.shared.real_crypto() && self.shared.cfg.mode.is_cicero() {
-            let key = self.identity.as_ref().expect("real mode identity");
-            Signed::sign(labels::SEGMENT, body, phase, msg_id, key)
+        if self.handshake_signed() {
+            let share = self.share.as_ref().expect("real mode share");
+            ShareSigned::sign(labels::SEGMENT, body, phase, msg_id, share)
         } else {
-            Signed {
+            ShareSigned {
                 payload: body,
                 phase,
                 msg_id,
-                signature: self.shared.keys.dummy,
+                partial: PartialSignature {
+                    index: self.id.0,
+                    sig: self.shared.keys.dummy.0,
+                },
             }
         }
     }
@@ -368,7 +392,7 @@ impl ControllerActor {
         if self.shared.cfg.mode.is_cicero() {
             ctx.charge_cpu(self.shared.cfg.costs.event_sign);
         }
-        if self.shared.real_crypto() && self.shared.cfg.mode.is_cicero() {
+        if self.handshake_signed() {
             let key = self.identity.as_ref().expect("real mode identity");
             Signed::sign(labels::RELEASE, body, phase, msg_id, key)
         } else {
@@ -381,70 +405,121 @@ impl ControllerActor {
         }
     }
 
-    /// Handles a downstream controller's segment-applied report.
+    /// Handles a downstream controller's share of a segment report.
+    ///
+    /// A share is only accepted over the authenticated channel of the
+    /// controller whose index it carries, so nobody can occupy (or get
+    /// evicted) another signer's slot. Below quorum the share is only
+    /// bucketed — no crypto, no receipt, so the sender keeps retransmitting
+    /// and a crash here loses nothing it will not re-learn. The share
+    /// completing a quorum triggers the one aggregate verification; its
+    /// signers are logged, receipted and may release the barrier. Every
+    /// later share finds the quorum on record and is answered with the
+    /// cached receipt, no crypto at all.
     pub(super) fn on_segment_applied(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
-        m: Signed<SegmentBody>,
+        from: NodeId,
+        m: ShareSigned<SegmentBody>,
     ) {
         if !self.active {
             return;
         }
         ctx.charge_cpu(self.shared.cfg.costs.ctrl_msg);
         let body = m.payload;
-        if body.controller != ControllerId(m.msg_id.origin) {
+        let signer = m.partial.index;
+        let shared = Arc::clone(&self.shared);
+        let Some(keys) = shared.keys.domains.get(&body.domain) else {
+            return;
+        };
+        let sender = shared.dir.controller_node.get(&(body.domain, ControllerId(signer)));
+        if body.domain == self.domain || m.msg_id.origin != signer || sender != Some(&from) {
             return;
         }
-        if self.shared.cfg.mode.is_cicero() && self.shared.real_crypto() {
-            let pk = self
-                .shared
-                .keys
-                .controller_pk
-                .get(&(body.domain, body.controller));
-            let valid = pk.map(|pk| m.verify(labels::SEGMENT, pk)).unwrap_or(false);
-            if !valid {
+        let key = (body.event, body.segment);
+        let quorum = self.downstream_quorum(body.domain);
+        let mut receipt_to = vec![signer];
+        // Like every controller-side verification, the certificate check
+        // is modeled as latency on what it releases, not serialized CPU
+        // (the paper's controllers are 12-core machines).
+        let mut verify_latency = SimDuration::ZERO;
+        if !self
+            .barriers
+            .get(&key)
+            .is_some_and(|st| st.certified(body.domain, quorum))
+        {
+            let shares = self.seg_shares.entry(body.domain).or_default();
+            if shares.held_by(signer) >= MAX_OPEN_REPORTS
+                || !shares.offer(key, m.phase, body, m.partial)
+            {
                 return;
             }
-        }
-        let fresh = {
-            let st = self
-                .barriers
-                .entry((body.event, body.segment))
-                .or_insert_with(BarrierState::new);
-            st.signers.insert((body.domain, body.controller.0))
-        };
-        if fresh {
-            // A counted signer is a durable fact: a restarted controller
+            let check = Check {
+                label: labels::SEGMENT,
+                quorum,
+                keys: (shared.real_crypto() && shared.cfg.mode.is_cicero())
+                    .then_some((&keys.public_key, &keys.group)),
+            };
+            let outcome = shares.try_quorum(key, m.phase, check);
+            if shared.cfg.mode.is_cicero() {
+                verify_latency = shared.cfg.costs.quorum_check(outcome.work());
+                self.sig_checks += u64::from(!matches!(outcome, Quorum::Below));
+            }
+            let Quorum::Certified(cert) = outcome else {
+                return;
+            };
+            // A verified signer is a durable fact: a restarted controller
             // must not demand the quorum twice (nor release without it).
-            // Logged *before* the receipt goes out — the receipt stops the
+            // Logged *before* any receipt goes out — the receipt stops the
             // downstream retransmitting, so if we crashed after sending but
-            // before logging, the signer would be forgotten with no
+            // before logging, the quorum would be forgotten with no
             // retransmission left to re-teach it.
-            self.log_record(&crate::msg::WalRecord::BarrierSigner {
-                barrier: barrier_id(body.event, body.segment),
-                domain: body.domain,
-                controller: body.controller,
-            });
+            for &c in &cert.signers {
+                if self
+                    .barriers
+                    .entry(key)
+                    .or_default()
+                    .signers
+                    .insert((body.domain, c))
+                {
+                    self.log_record(&WalRecord::BarrierSigner {
+                        barrier: barrier_id(body.event, body.segment),
+                        domain: body.domain,
+                        controller: ControllerId(c),
+                    });
+                }
+            }
+            // Everyone whose share is in the certificate has been waiting.
+            receipt_to = cert.signers;
         }
-        // Receipt unconditionally — it only means "stop retransmitting to
-        // me", never "released" — so duplicates and reports arriving before
-        // our own barrier exists still silence the downstream sender.
-        let receipt = ReleaseBody {
-            event: body.event,
-            segment: body.segment,
-            domain: self.domain,
-            controller: self.id,
+        // The receipt only means "the quorum is on my disk, stop
+        // retransmitting to me", never "released" — so it also answers
+        // shares arriving before our own barrier exists.
+        let receipt = match self.barriers.get(&key).and_then(|st| st.receipt.clone()) {
+            Some(r) => r,
+            None => {
+                let r = self.sign_release(
+                    ctx,
+                    ReleaseBody {
+                        event: body.event,
+                        segment: body.segment,
+                        domain: self.domain,
+                    },
+                );
+                self.barriers.entry(key).or_default().receipt = Some(r.clone());
+                r
+            }
         };
-        let signed = self.sign_release(ctx, receipt);
-        if let Some(&node) = self
-            .shared
-            .dir
-            .controller_node
-            .get(&(body.domain, body.controller))
-        {
-            ctx.send(node, Net::BoundaryRelease(signed));
+        for c in receipt_to {
+            if let Some(&node) = shared
+                .dir
+                .controller_node
+                .get(&(body.domain, ControllerId(c)))
+            {
+                ctx.send(node, Net::BoundaryRelease(receipt.clone()));
+            }
         }
-        self.check_barrier_release(ctx, (body.event, body.segment));
+        self.check_barrier_release(ctx, key, verify_latency);
     }
 
     /// Crash-recovery replay of a logged barrier signer (ctrl/durable.rs).
@@ -456,19 +531,17 @@ impl ControllerActor {
         controller: ControllerId,
     ) {
         let key = (barrier.event, barrier.seq.wrapping_sub(BARRIER_SEQ_BASE));
-        {
-            let st = self.barriers.entry(key).or_insert_with(BarrierState::new);
-            st.signers.insert((domain, controller.0));
-        }
-        self.check_barrier_release(ctx, key);
+        let st = self.barriers.entry(key).or_default();
+        st.signers.insert((domain, controller.0));
+        self.check_barrier_release(ctx, key, SimDuration::ZERO);
     }
 
-    /// Every counted barrier signer, as WAL records (snapshot body).
-    pub(super) fn barrier_signer_records(&self) -> Vec<crate::msg::WalRecord> {
+    /// Every verified barrier signer, as WAL records (snapshot body).
+    pub(super) fn barrier_signer_records(&self) -> Vec<WalRecord> {
         let mut out = Vec::new();
         for (&(event, segment), st) in self.barriers.iter() {
             for &(domain, controller) in st.signers.iter() {
-                out.push(crate::msg::WalRecord::BarrierSigner {
+                out.push(WalRecord::BarrierSigner {
                     barrier: barrier_id(event, segment),
                     domain,
                     controller: ControllerId(controller),
@@ -488,43 +561,126 @@ impl ControllerActor {
             && self
                 .seg_watch
                 .iter()
-                .all(|(_, w)| w.sending && w.pending_receipts.is_empty())
+                .all(|(_, w)| w.report.is_some() && w.pending_receipts.is_empty())
     }
 
-    /// Handles an upstream controller's receipt for our segment report.
+    /// The verified downstream signers on record for barrier `(event,
+    /// segment)`, as `(domain, controller)` (tests).
+    pub fn barrier_signers(&self, event: EventId, segment: u32) -> Vec<(DomainId, u32)> {
+        self.barriers
+            .get(&(event, segment))
+            .map(|st| st.signers.iter().copied().collect())
+            .unwrap_or_default()
+    }
+
+    /// `(barriers released, receipts still awaited for own segment
+    /// reports)` (tests).
+    pub fn handshake_status(&self) -> (usize, usize) {
+        (
+            self.barriers.values().filter(|st| st.released).count(),
+            self.seg_watch
+                .values()
+                .map(|w| w.pending_receipts.len())
+                .sum(),
+        )
+    }
+
+    /// Handles an upstream controller's receipt for our segment report: a
+    /// receipt from a target still pending — over that target's own
+    /// channel — is buffered, and the buffer is verified as one batch once
+    /// every pending target has answered (the retry sweep settles a buffer
+    /// that never fills).
     pub(super) fn on_boundary_release(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
+        from: NodeId,
         m: Signed<ReleaseBody>,
     ) {
         if !self.active {
             return;
         }
         ctx.charge_cpu(self.shared.cfg.costs.ctrl_msg);
-        let body = m.payload;
-        if body.controller != ControllerId(m.msg_id.origin) {
+        let key = (m.payload.event, m.payload.segment);
+        let sender = (m.payload.domain, m.msg_id.origin);
+        let node = (sender.0, ControllerId(sender.1));
+        if self.shared.dir.controller_node.get(&node) != Some(&from) {
             return;
         }
-        if self.shared.cfg.mode.is_cicero() && self.shared.real_crypto() {
-            let pk = self
-                .shared
-                .keys
-                .controller_pk
-                .get(&(body.domain, body.controller));
-            let valid = pk.map(|pk| m.verify(labels::RELEASE, pk)).unwrap_or(false);
-            if !valid {
-                return;
+        let Some(w) = self.seg_watch.get_mut(&key) else {
+            return;
+        };
+        if !w.pending_receipts.contains(&sender) {
+            return;
+        }
+        match w.receipts.get(&sender) {
+            // A retransmission of the buffered receipt.
+            Some(held) if held.signature == m.signature => return,
+            // Two different receipts under one sender: the buffered one may
+            // be a forgery shadowing this one. Settle what is buffered now
+            // (a forgery is thrown out, its sender stays pending), then
+            // buffer the newcomer if its slot is open again.
+            Some(_) => {
+                self.settle_receipts(ctx, key);
+                let Some(w) = self.seg_watch.get_mut(&key) else {
+                    return;
+                };
+                if w.pending_receipts.contains(&sender) {
+                    w.receipts.insert(sender, m);
+                }
+            }
+            None => {
+                w.receipts.insert(sender, m);
             }
         }
-        let key = (body.event, body.segment);
-        let done = match self.seg_watch.get_mut(&key) {
-            Some(w) => {
-                w.pending_receipts.remove(&(body.domain, body.controller.0));
-                w.sending && w.pending_receipts.is_empty()
-            }
-            None => false,
+        if self
+            .seg_watch
+            .get(&key)
+            .is_some_and(|w| w.receipts.len() == w.pending_receipts.len())
+        {
+            self.settle_receipts(ctx, key);
+        }
+    }
+
+    /// Verifies the buffered receipts of one watch — one randomized batch
+    /// check, falling back per item only if the batch is poisoned — and
+    /// stops retransmitting to every target whose receipt verified under
+    /// its claimed sender's identity key.
+    fn settle_receipts(&mut self, ctx: &mut dyn Host<Net, Obs>, key: (EventId, u32)) {
+        let receipts = match self.seg_watch.get_mut(&key) {
+            Some(w) if !w.receipts.is_empty() => std::mem::take(&mut w.receipts),
+            _ => return,
         };
-        if done {
+        let shared = Arc::clone(&self.shared);
+        let costs = &shared.cfg.costs;
+        if shared.cfg.mode.is_cicero() {
+            ctx.charge_cpu(costs.batch_verify_per_item.saturating_mul(receipts.len() as u64));
+            self.sig_checks += 1;
+        }
+        let mut valid: Vec<(DomainId, u32)> = receipts.keys().copied().collect();
+        if self.handshake_signed() {
+            let pks = &shared.keys.controller_pk;
+            let items: Vec<_> = receipts
+                .iter()
+                .filter_map(|(&(d, c), m)| Some((m, *pks.get(&(d, ControllerId(c)))?)))
+                .collect();
+            if items.len() < receipts.len()
+                || !verify_signed_batch(labels::RELEASE, &items, ctx.rng())
+            {
+                ctx.charge_cpu(costs.bls_verify.saturating_mul(items.len() as u64));
+                valid = items
+                    .iter()
+                    .filter(|(m, pk)| m.verify(labels::RELEASE, pk))
+                    .map(|(m, _)| (m.payload.domain, m.msg_id.origin))
+                    .collect();
+            }
+        }
+        let Some(w) = self.seg_watch.get_mut(&key) else {
+            return;
+        };
+        for sender in valid {
+            w.pending_receipts.remove(&sender);
+        }
+        if w.pending_receipts.is_empty() {
             self.seg_watch.remove(&key);
         }
     }
@@ -533,53 +689,43 @@ impl ControllerActor {
     /// awaiting receipts, and (on the forwarding controller) barriers whose
     /// downstream domain may have lost the forwarded event.
     pub(super) fn handshake_next_due(&self) -> Option<SimTime> {
-        let mut due: Option<SimTime> = None;
-        let mut fold = |t: SimTime| {
-            due = Some(match due {
-                Some(d) if d <= t => d,
-                _ => t,
-            });
-        };
-        for w in self.seg_watch.values() {
-            if w.sending && !w.pending_receipts.is_empty() {
-                fold(w.next_due);
-            }
-        }
-        if self.is_lowest() {
-            for st in self.barriers.values() {
-                if st.released {
-                    continue;
-                }
-                if let Some(exp) = st.expected.as_ref() {
-                    fold(exp.next_due);
-                }
-            }
-        }
-        due
+        let reports = self
+            .seg_watch
+            .values()
+            .filter(|w| w.awaiting_receipts())
+            .map(|w| w.next_due);
+        let forwards = self
+            .barriers
+            .values()
+            .filter(|st| self.is_lowest() && !st.released)
+            .filter_map(|st| st.expected.as_ref().map(|exp| exp.next_due));
+        reports.chain(forwards).min()
     }
 
     /// Retransmits overdue handshake traffic (driven by the retry timer).
     pub(super) fn sweep_handshake(&mut self, ctx: &mut dyn Host<Net, Obs>) {
         let now = ctx.now();
         let seg_policy = self.segment_policy();
-        let mut resend: Vec<(EventId, u32)> = Vec::new();
-        let mut give_up: Vec<(EventId, u32)> = Vec::new();
-        for (key, w) in self.seg_watch.iter_mut() {
-            if !w.sending || w.pending_receipts.is_empty() || w.next_due > now {
+        // Receipts buffered for an overdue report are settled first, so
+        // the retransmission only goes to targets that truly never
+        // answered (or answered with a forgery).
+        let overdue: Vec<(EventId, u32)> = self
+            .seg_watch
+            .iter()
+            .filter(|(_, w)| w.awaiting_receipts() && w.next_due <= now)
+            .map(|(k, _)| *k)
+            .collect();
+        for key in overdue {
+            self.settle_receipts(ctx, key);
+            let Some(w) = self.seg_watch.get_mut(&key) else {
                 continue;
-            }
+            };
             if w.attempts >= seg_policy.budget {
-                give_up.push(*key);
+                self.seg_watch.remove(&key);
                 continue;
             }
             w.attempts += 1;
             w.next_due = now + seg_policy.backoff(barrier_id(key.0, key.1), w.attempts);
-            resend.push(*key);
-        }
-        for key in give_up {
-            self.seg_watch.remove(&key);
-        }
-        for key in resend {
             self.resend_segment_report(ctx, key);
         }
         // Barriers still waiting on a quorum: the forwarded event (sent to
@@ -606,16 +752,20 @@ impl ControllerActor {
             }
             for (event_id, d, event, attempt) in forward {
                 let members = self.remote_members.get(&d).cloned().unwrap_or_default();
-                let refwd = Event {
-                    origin: self.domain,
-                    ..event
-                };
+                // One signature for every copy: the digest covers the
+                // event, not the addressee.
+                let signed = self.sign_forward(
+                    ctx,
+                    Event {
+                        origin: self.domain,
+                        ..event
+                    },
+                );
                 for c in members {
                     let Some(&node) = self.shared.dir.controller_node.get(&(d, c)) else {
                         continue;
                     };
-                    let signed = self.sign_forward(ctx, refwd);
-                    ctx.send(node, Net::ForwardedEvent(signed));
+                    ctx.send(node, Net::ForwardedEvent(signed.clone()));
                 }
                 ctx.observe(Obs::ForwardRetransmitted {
                     domain: self.domain,
@@ -627,23 +777,16 @@ impl ControllerActor {
         }
     }
 
-    /// Retransmits a segment report to the targets that have not receipted.
+    /// Retransmits the (already signed) segment report to the targets that
+    /// have not receipted.
     fn resend_segment_report(&mut self, ctx: &mut dyn Host<Net, Obs>, key: (EventId, u32)) {
-        let (targets, attempt) = {
-            let Some(w) = self.seg_watch.get(&key) else {
-                return;
-            };
-            let t: Vec<(DomainId, u32)> = w.pending_receipts.iter().copied().collect();
-            (t, w.attempts)
+        let Some(w) = self.seg_watch.get(&key) else {
+            return;
         };
-        let body = SegmentBody {
-            event: key.0,
-            segment: key.1,
-            domain: self.domain,
-            controller: self.id,
+        let Some(signed) = w.report.as_ref() else {
+            return;
         };
-        let signed = self.sign_segment(ctx, body);
-        for (d, c) in targets {
+        for &(d, c) in w.pending_receipts.iter() {
             let Some(&node) = self
                 .shared
                 .dir
@@ -659,7 +802,7 @@ impl ControllerActor {
             controller: self.id.0,
             event: key.0,
             segment: key.1,
-            attempt,
+            attempt: w.attempts,
         });
     }
 }

@@ -73,6 +73,7 @@ impl ControllerActor {
             return;
         }
         ctx.charge_cpu(self.shared.cfg.costs.ctrl_msg);
+        self.sig_checks += u64::from(self.shared.cfg.mode.is_signed());
         if self.shared.cfg.mode.is_signed() && self.shared.real_crypto() {
             let pk = self.shared.keys.switch_pk.get(&SwitchId(m.msg_id.origin));
             let valid = pk.map(|pk| m.verify(labels::NACK, pk)).unwrap_or(false);

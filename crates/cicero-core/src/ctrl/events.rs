@@ -342,6 +342,7 @@ impl ControllerActor {
         if !self.shared.cfg.mode.is_signed() {
             return true;
         }
+        self.sig_checks += 1;
         // Verification cost is latency, not serialized CPU, on the paper's
         // 12-core controllers: it is folded into the event pipeline delay.
         let _ = &ctx;
@@ -372,10 +373,12 @@ impl ControllerActor {
             return;
         }
         ctx.charge_cpu(self.shared.cfg.costs.ctrl_msg);
-        if !self.verify_event(ctx, &msg, forwarded) {
+        // A replay of a processed event cannot change anything: drop it
+        // before paying for its signature.
+        if self.seen_events.contains(&msg.payload.id) {
             return;
         }
-        if self.seen_events.contains(&msg.payload.id) {
+        if !self.verify_event(ctx, &msg, forwarded) {
             return;
         }
         // Forward to other affected domains at *receipt* rather than after

@@ -168,7 +168,8 @@ impl ControllerActor {
             self.id,
             self.shared.cfg.view_timeout_ticks,
         ));
-        self.agg_buckets.clear();
+        self.agg_shares.retain_phase(self.view.phase());
+        self.relayed.clear();
         ctx.observe(Obs::PhaseChanged {
             domain: self.domain,
             phase: self.view.phase().0,

@@ -11,8 +11,8 @@
 //!
 //! * [`consensus`](self) — driving the PBFT replica and routing its outputs;
 //! * `events` — event processing, cross-domain forwarding, update dispatch;
-//! * `barriers` — the cross-domain ordering handshake (segment reports,
-//!   boundary releases, re-forwards);
+//! * `barriers` — the cross-domain ordering handshake (quorum-certified
+//!   segment reports, boundary-release receipts, re-forwards);
 //! * `aggregate` — the optional aggregator role (controller aggregation);
 //! * `delivery` — the retransmission / NACK reliable-delivery layer;
 //! * `membership` — phase changes with public-key-preserving resharing.
@@ -25,8 +25,9 @@ mod durable;
 mod events;
 mod membership;
 
+use crate::collector::QuorumCollector;
 use crate::config::Mode;
-use crate::msg::{AckBody, Net, OrderedOp, WalRecord};
+use crate::msg::{AckBody, Net, OrderedOp, SegmentBody, WalRecord};
 use crate::obs::Obs;
 use crate::runtime::Shared;
 use barriers::{BarrierState, SegWatch};
@@ -45,14 +46,14 @@ use simnet::node::{Actor, Host, NodeId, TimerToken};
 use simnet::time::SimDuration;
 use southbound::envelope::MsgId;
 use southbound::types::{
-    ControllerId, DomainId, Event, EventId, Phase, SwitchId, UpdateId,
+    ControllerId, DomainId, Event, EventId, NetworkUpdate, Phase, SwitchId, UpdateId,
 };
 use std::collections::BTreeMap;
 use substrate::collections::{DetMap, DetSet};
 use substrate::storage::{DiskHandle, Wal};
 use std::sync::Arc;
 
-use aggregate::AggBucket;
+use aggregate::Relayed;
 
 const TICK: TimerToken = TimerToken(1);
 const HEARTBEAT: TimerToken = TimerToken(2);
@@ -80,11 +81,18 @@ pub struct ControllerActor {
     in_phase_change: bool,
     pending_reshare: Option<PendingReshare>,
     reshare_buf: BTreeMap<Phase, Vec<ReshareDealing>>,
-    agg_buckets: DetMap<(UpdateId, Phase), Vec<AggBucket>>,
+    /// Aggregator role: update shares below quorum.
+    agg_shares: QuorumCollector<UpdateId, NetworkUpdate>,
+    /// Aggregator role: relayed quorum signatures, kept for re-relay.
+    relayed: DetMap<(UpdateId, Phase), Relayed>,
     phase_partials: BTreeMap<Phase, BTreeMap<u32, PartialSignature>>,
     remote_members: BTreeMap<DomainId, Vec<ControllerId>>,
     detector: HeartbeatDetector,
     barriers: DetMap<(EventId, u32), BarrierState>,
+    /// Downstream segment-report shares below quorum, per reporting domain
+    /// and `(event, segment)` — volatile: nothing here was receipted, so
+    /// the senders re-teach it after a crash.
+    seg_shares: BTreeMap<DomainId, QuorumCollector<(EventId, u32), SegmentBody>>,
     seg_watch: DetMap<(EventId, u32), SegWatch>,
     /// Segway mode: per-update gate/notify metadata derived once from the
     /// full schedule at `process_event` time, consumed (and re-consumed on
@@ -97,6 +105,9 @@ pub struct ControllerActor {
     segway_events: DetMap<EventId, (Event, u32)>,
     msg_seq: u64,
     retry_armed: bool,
+    /// Signature checks performed (single, aggregate or batch — each counts
+    /// one), in either crypto mode.
+    sig_checks: u64,
     // ---- durability (ctrl/durable.rs) --------------------------------
     /// Durable storage, when provisioned.
     disk: Option<DiskHandle>,
@@ -174,16 +185,19 @@ impl ControllerActor {
             in_phase_change: false,
             pending_reshare: None,
             reshare_buf: BTreeMap::new(),
-            agg_buckets: DetMap::new(),
+            agg_shares: QuorumCollector::new(),
+            relayed: DetMap::new(),
             phase_partials: BTreeMap::new(),
             remote_members,
             detector,
             barriers: DetMap::new(),
+            seg_shares: BTreeMap::new(),
             seg_watch: DetMap::new(),
             segway_meta: DetMap::new(),
             segway_events: DetMap::new(),
             msg_seq: 0,
             retry_armed: false,
+            sig_checks: 0,
             disk: None,
             wal: None,
             recovered: Vec::new(),
@@ -222,6 +236,13 @@ impl ControllerActor {
     /// The pending-update tracker (watchdog / tests: drain checks).
     pub fn pending(&self) -> &PendingUpdates {
         &self.pending
+    }
+
+    /// Signature checks this controller performed so far — a single
+    /// verify, an aggregate verify and a batch each count one (tests: what
+    /// a duplicate, a late share or a receipt costs).
+    pub fn signature_checks(&self) -> u64 {
+        self.sig_checks
     }
 
     /// Consensus liveness snapshot: `(view, delivered slots, undelivered
@@ -295,7 +316,7 @@ impl ControllerActor {
         let mut drained: Vec<(EventId, u32)> = Vec::new();
         for (key, w) in self.seg_watch.iter_mut() {
             if key.0 == update.event
-                && !w.sending
+                && w.report.is_none()
                 && w.remaining.remove(&update)
                 && w.remaining.is_empty()
             {
@@ -379,7 +400,7 @@ impl Actor<Net, Obs> for ControllerActor {
         }
     }
 
-    fn on_message(&mut self, ctx: &mut dyn Host<Net, Obs>, _from: NodeId, msg: Net) {
+    fn on_message(&mut self, ctx: &mut dyn Host<Net, Obs>, from: NodeId, msg: Net) {
         match msg {
             Net::EventMsg(m) => self.on_event_msg(ctx, m, false),
             Net::ForwardedEvent(m) => self.on_event_msg(ctx, m, true),
@@ -410,11 +431,18 @@ impl Actor<Net, Obs> for ControllerActor {
                     return;
                 }
                 ctx.charge_cpu(self.shared.cfg.costs.ctrl_msg);
+                let body: AckBody = m.payload;
+                // A re-ack of a settled update cannot change anything:
+                // drop it before paying for its signature.
+                if self.pending.is_settled(body.update) {
+                    return;
+                }
                 let mut extra = SimDuration::ZERO;
                 if self.shared.cfg.mode.is_signed() {
                     // Verification latency rides on the released updates
                     // (parallelizable on the controller's cores).
                     extra = self.shared.cfg.costs.bls_verify;
+                    self.sig_checks += 1;
                     if self.shared.real_crypto() {
                         let pk = self
                             .shared
@@ -429,12 +457,11 @@ impl Actor<Net, Obs> for ControllerActor {
                         }
                     }
                 }
-                let body: AckBody = m.payload;
                 self.apply_verified_ack(ctx, body.update, extra);
             }
             Net::UpdateNack(m) => self.on_update_nack(ctx, m),
-            Net::SegmentApplied(m) => self.on_segment_applied(ctx, m),
-            Net::BoundaryRelease(m) => self.on_boundary_release(ctx, m),
+            Net::SegmentApplied(m) => self.on_segment_applied(ctx, from, m),
+            Net::BoundaryRelease(m) => self.on_boundary_release(ctx, from, m),
             Net::UpdateToAggregator(m) => self.on_update_to_aggregator(ctx, m),
             Net::PhasePartial(m) => self.on_phase_partial(ctx, m),
             Net::Heartbeat { from, .. } => {

@@ -7,6 +7,9 @@
 //!   crash-tolerant, Cicero with switch or controller aggregation), the
 //!   crypto execution mode and the calibrated cost model;
 //! * [`msg`] — the protocol message alphabet and the consensus payload;
+//! * [`collector`] — the one optimistic aggregate → verify → evict quorum
+//!   collector the switch, the cross-domain handshake and the aggregator
+//!   share;
 //! * [`switch`] — the switch runtime (paper Fig. 6): table misses raise
 //!   signed events; share-signed updates are buffered until a quorum of
 //!   identical updates, aggregated, verified against the group public key,
@@ -37,6 +40,7 @@
 
 
 pub mod audit;
+pub mod collector;
 pub mod config;
 pub mod ctrl;
 pub mod deploy;
@@ -64,7 +68,8 @@ pub mod prelude {
     };
     pub use crate::msg::{AckBody, Net, OrderedOp, PhaseInfo};
     pub use crate::obs::{
-        check_event_linearizability, check_event_linearizability_with_restarts,
+        check_event_linearizability, check_event_linearizability_with_amnesia,
+        check_event_linearizability_with_restarts,
         delivery_sequences, events_per_domain, flow_latencies,
         retransmit_stats, unique_events, Cdf, Obs, RetransmitStats,
     };

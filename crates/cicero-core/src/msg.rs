@@ -66,22 +66,21 @@ impl Wire for NackBody {
     }
 }
 
-/// A cross-domain handshake report: controller `controller` of domain
-/// `domain` has seen every update of its segment `segment` of event
-/// `event` acknowledged by the segment's switches. Upstream domains whose
-/// boundary updates depend on that segment collect these from a quorum of
-/// distinct downstream controllers before releasing (the handshake's
-/// "downstream applied" half; see DESIGN.md §3).
+/// A cross-domain handshake report: every update of segment `segment` of
+/// event `event`, owned by domain `domain`, has been acknowledged by the
+/// segment's switches. Each downstream controller *share-signs* this body
+/// with its domain threshold share — the body names no controller, so all
+/// shares cover identical bytes and any `⌊(n−1)/3⌋+1` of them aggregate
+/// into one signature under the downstream domain's group key, which is
+/// what an upstream controller checks before releasing (DESIGN.md §3).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SegmentBody {
     /// The event whose update list the segment belongs to.
     pub event: EventId,
     /// The segment's index within the event's full update list.
     pub segment: u32,
-    /// The reporting controller's domain (the segment owner).
+    /// The reporting (segment-owning, downstream) domain.
     pub domain: DomainId,
-    /// The reporting controller.
-    pub controller: ControllerId,
 }
 
 impl Wire for SegmentBody {
@@ -89,22 +88,21 @@ impl Wire for SegmentBody {
         self.event.encode(buf);
         self.segment.encode(buf);
         self.domain.encode(buf);
-        self.controller.encode(buf);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
         Ok(SegmentBody {
             event: EventId::decode(buf)?,
             segment: u32::decode(buf)?,
             domain: DomainId::decode(buf)?,
-            controller: ControllerId::decode(buf)?,
         })
     }
 }
 
-/// The handshake's receipt half: an upstream controller confirms it
-/// received a [`SegmentBody`] report, stopping the downstream domain's
-/// retransmission of it. Idempotent — sent for duplicates and for reports
-/// arriving before (or after) the upstream barrier exists.
+/// The handshake's receipt half: an upstream controller confirms it holds
+/// a *verified, logged* quorum of [`SegmentBody`] shares, stopping the
+/// downstream controllers' retransmission to it. Identity-signed once per
+/// barrier — the signer is the envelope's `msg_id.origin` in `domain` — and
+/// re-sent as-is to late or duplicate reporters.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ReleaseBody {
     /// The event the receipt refers to.
@@ -113,8 +111,6 @@ pub struct ReleaseBody {
     pub segment: u32,
     /// The confirming controller's domain (the upstream domain).
     pub domain: DomainId,
-    /// The confirming controller.
-    pub controller: ControllerId,
 }
 
 impl Wire for ReleaseBody {
@@ -122,14 +118,12 @@ impl Wire for ReleaseBody {
         self.event.encode(buf);
         self.segment.encode(buf);
         self.domain.encode(buf);
-        self.controller.encode(buf);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
         Ok(ReleaseBody {
             event: EventId::decode(buf)?,
             segment: u32::decode(buf)?,
             domain: DomainId::decode(buf)?,
-            controller: ControllerId::decode(buf)?,
         })
     }
 }
@@ -305,8 +299,8 @@ pub enum WalRecord {
     },
     /// A verified acknowledgement completed `update`.
     Acked(UpdateId),
-    /// A distinct downstream signer was counted toward releasing the
-    /// cross-domain barrier `barrier`.
+    /// A downstream signer of the *verified* segment-report quorum counted
+    /// toward releasing the cross-domain barrier `barrier`.
     BarrierSigner {
         /// The synthetic barrier update id.
         barrier: UpdateId,
@@ -610,12 +604,14 @@ pub enum Net {
         /// The other endpoint.
         b: SwitchId,
     },
-    /// Controller → upstream controllers: this domain's segment of an
-    /// event's update list is fully applied (cross-domain ordering
-    /// handshake; retransmitted with backoff until receipted).
-    SegmentApplied(Signed<SegmentBody>),
-    /// Upstream controller → downstream controller: receipt for a
-    /// [`Net::SegmentApplied`] report (stops its retransmission).
+    /// Controller → upstream controllers: this controller's threshold
+    /// share over "this domain's segment of the event's update list is
+    /// fully applied" (cross-domain ordering handshake; retransmitted with
+    /// backoff until receipted).
+    SegmentApplied(ShareSigned<SegmentBody>),
+    /// Upstream controller → downstream controller: receipt for a verified
+    /// quorum of [`Net::SegmentApplied`] shares (stops their
+    /// retransmission to the sender).
     BoundaryRelease(Signed<ReleaseBody>),
     /// Harness → bootstrap controller: propose a membership change.
     MembershipCmd(OrderedOp),
@@ -869,7 +865,6 @@ mod tests {
             event: EventId((7 << 32) | 3),
             segment: 2,
             domain: DomainId(1),
-            controller: ControllerId(4),
         };
         assert_eq!(SegmentBody::from_wire(&s.to_wire()).unwrap(), s);
     }
@@ -880,7 +875,6 @@ mod tests {
             event: EventId(99),
             segment: 0,
             domain: DomainId(0),
-            controller: ControllerId(1),
         };
         assert_eq!(ReleaseBody::from_wire(&r.to_wire()).unwrap(), r);
     }

@@ -374,7 +374,7 @@ pub fn delivery_sequences(
 /// controller must have delivered a *prefix-consistent* sequence of events
 /// (slower controllers may be behind, but never diverge).
 pub fn check_event_linearizability(obs: &[Observation<Obs>]) -> Result<(), String> {
-    check_linearizability_inner(obs, false)
+    check_linearizability_inner(obs, false, &Default::default())
 }
 
 /// [`check_event_linearizability`] for runs with controller restarts. A
@@ -389,39 +389,70 @@ pub fn check_event_linearizability(obs: &[Observation<Obs>]) -> Result<(), Strin
 pub fn check_event_linearizability_with_restarts(
     obs: &[Observation<Obs>],
 ) -> Result<(), String> {
-    check_linearizability_inner(obs, true)
+    check_linearizability_inner(obs, true, &Default::default())
+}
+
+/// [`check_event_linearizability_with_restarts`] for runs in which the
+/// `(domain, controller)` pairs in `amnesiac` came back on a *wiped disk*.
+/// Such a controller is a replacement machine: it may deliver again what
+/// its previous life already had (it delivered alone, crashed, and the
+/// peer it synced from was still behind). Its deliveries are split into
+/// lives at its own `ControllerRecovered` observations and each life is
+/// judged as a restarted controller of its own. Nobody else is exempted: a
+/// controller that restarted with its disk intact is still held to *one*
+/// ordered subsequence across the restart — no duplicate, no reordering.
+pub fn check_event_linearizability_with_amnesia(
+    obs: &[Observation<Obs>],
+    amnesiac: &std::collections::BTreeSet<(DomainId, u32)>,
+) -> Result<(), String> {
+    check_linearizability_inner(obs, true, amnesiac)
 }
 
 fn check_linearizability_inner(
     obs: &[Observation<Obs>],
     allow_restart_gaps: bool,
+    amnesiac: &std::collections::BTreeSet<(DomainId, u32)>,
 ) -> Result<(), String> {
     let mut restarted = std::collections::BTreeSet::new();
-    if allow_restart_gaps {
-        for o in obs {
-            if let Obs::ControllerRecovered {
+    // Current life per amnesiac controller; everyone else stays in life 0.
+    let mut life: std::collections::BTreeMap<(DomainId, u32), u32> =
+        std::collections::BTreeMap::new();
+    let mut seqs: std::collections::BTreeMap<(DomainId, u32, u32), Vec<EventId>> =
+        std::collections::BTreeMap::new();
+    for o in obs {
+        match o.value {
+            Obs::ControllerRecovered {
                 domain, controller, ..
-            } = o.value
-            {
+            } if allow_restart_gaps => {
                 restarted.insert((domain, controller));
+                if amnesiac.contains(&(domain, controller)) {
+                    *life.entry((domain, controller)).or_default() += 1;
+                }
             }
+            Obs::EventDelivered {
+                domain,
+                controller,
+                event,
+            } => {
+                let l = life.get(&(domain, controller)).copied().unwrap_or(0);
+                seqs.entry((domain, controller, l)).or_default().push(event);
+            }
+            _ => {}
         }
     }
-    let seqs = delivery_sequences(obs);
-    let mut by_domain: std::collections::BTreeMap<DomainId, Vec<(&(DomainId, u32), &Vec<EventId>)>> =
+    let mut by_domain: std::collections::BTreeMap<DomainId, Vec<(u32, &Vec<EventId>)>> =
         std::collections::BTreeMap::new();
     for (key, seq) in &seqs {
-        by_domain.entry(key.0).or_default().push((key, seq));
+        by_domain.entry(key.0).or_default().push((key.1, seq));
     }
     for (d, seqs) in by_domain {
         let longest = seqs.iter().map(|(_, s)| *s).max_by_key(|s| s.len()).expect("non-empty");
-        for (key, s) in &seqs {
-            if restarted.contains(*key) {
+        for (c, s) in &seqs {
+            if restarted.contains(&(d, *c)) {
                 if !is_subsequence(s, longest) {
                     return Err(format!(
-                        "domain {d:?}: restarted controller {} delivered {s:?}, not an \
-                         ordered subsequence of {longest:?}",
-                        key.1
+                        "domain {d:?}: restarted controller {c} delivered {s:?}, not an \
+                         ordered subsequence of {longest:?}"
                     ));
                 }
             } else if longest[..s.len()] != s[..] {
@@ -578,5 +609,81 @@ mod tests {
         let counts = events_per_domain(&obs);
         assert_eq!(counts[&DomainId(0)], 2);
         assert_eq!(counts[&DomainId(1)], 1);
+    }
+    /// A delivery trace: `Ok((c, e))` is controller `c` of domain 0
+    /// delivering event `e`, `Err(c)` is `c` completing a recovery.
+    fn trace(steps: &[Result<(u32, u64), u32>]) -> Vec<Observation<Obs>> {
+        let domain = DomainId(0);
+        steps
+            .iter()
+            .map(|s| Observation {
+                at: SimTime::ZERO,
+                node: NodeId(0),
+                value: match *s {
+                    Ok((controller, e)) => Obs::EventDelivered {
+                        domain,
+                        controller,
+                        event: EventId(e),
+                    },
+                    Err(controller) => Obs::ControllerRecovered {
+                        domain,
+                        controller,
+                        peer: 1,
+                        frontier: 0,
+                    },
+                },
+            })
+            .collect()
+    }
+
+    /// Controller 3 delivers 1 alone, restarts, and delivers 1 again with
+    /// the group: legitimate only for a wiped-disk replacement.
+    #[test]
+    fn only_a_wiped_disk_restart_may_deliver_again() {
+        let redelivery = trace(&[
+            Ok((3, 1)),
+            Err(3),
+            Ok((1, 1)),
+            Ok((3, 1)),
+            Ok((1, 2)),
+            Ok((3, 2)),
+        ]);
+        let amnesiac = |c: u32| [(DomainId(0), c)].into_iter().collect();
+        assert!(check_event_linearizability_with_amnesia(&redelivery, &amnesiac(3)).is_ok());
+        // Disk kept (or someone else's disk lost): the duplicate fails.
+        assert!(check_event_linearizability_with_restarts(&redelivery).is_err());
+        assert!(check_event_linearizability_with_amnesia(&redelivery, &amnesiac(1)).is_err());
+        assert!(check_event_linearizability_with_amnesia(&redelivery, &Default::default()).is_err());
+    }
+
+    #[test]
+    fn amnesia_exempts_neither_reordering_nor_fabrication() {
+        let set: std::collections::BTreeSet<_> = [(DomainId(0), 3)].into_iter().collect();
+        // Reordered within the second life.
+        let reordered = trace(&[
+            Ok((1, 1)),
+            Ok((1, 2)),
+            Ok((3, 1)),
+            Err(3),
+            Ok((3, 2)),
+            Ok((3, 1)),
+        ]);
+        assert!(check_event_linearizability_with_amnesia(&reordered, &set).is_err());
+        // An event nobody else delivered, in the second life.
+        let fabricated = trace(&[Ok((1, 1)), Ok((1, 2)), Ok((3, 1)), Err(3), Ok((3, 9))]);
+        assert!(check_event_linearizability_with_amnesia(&fabricated, &set).is_err());
+        // A disk-kept restart is still one ordered sequence across lives:
+        // [1, 3] then [2] is out of order as a whole.
+        let cross_life = trace(&[
+            Ok((1, 1)),
+            Ok((1, 2)),
+            Ok((1, 3)),
+            Ok((3, 1)),
+            Ok((3, 3)),
+            Err(3),
+            Ok((3, 2)),
+        ]);
+        assert!(check_event_linearizability_with_restarts(&cross_life).is_err());
+        assert!(check_event_linearizability_with_amnesia(&cross_life, &Default::default()).is_err());
     }
 }

@@ -7,17 +7,18 @@
 //! goal is "minimal switch instrumentation" — and all heavy operations charge
 //! simulated CPU time so Fig. 11d's utilization comparison is reproducible.
 
+use crate::collector::{Check, Quorum, QuorumCollector};
 use crate::config::{Aggregation, Mode};
 use crate::msg::{AckBody, NackBody, Net, PhaseInfo, ReadyBody, SegwayBody, SwitchWalRecord};
 use crate::obs::Obs;
 use crate::runtime::{labels, Shared};
-use blscrypto::bls::{self, PartialSignature, SecretKey};
+use blscrypto::bls::SecretKey;
 use controller::membership::ControlPlaneView;
 use controller::pending::RetryPolicy;
 use netmodel::flowtable::{FlowTable, Lookup};
 use simnet::node::{Actor, Host, NodeId, TimerToken};
 use simnet::time::{SimDuration, SimTime};
-use southbound::envelope::{signing_digest, verify_signed_batch, MsgId, QuorumSigned, Signed};
+use southbound::envelope::{verify_signed_batch, MsgId, QuorumSigned, ShareSigned, Signed};
 use southbound::types::{
     ControllerId, DomainId, Event, EventId, EventKind, FlowAction, FlowId, FlowMatch,
     HostId, NetworkUpdate, Phase, SwitchId, UpdateKind,
@@ -62,27 +63,6 @@ struct WaitingFlow {
     bytes: u64,
 }
 
-/// A group of identical updates accumulating signature shares.
-#[derive(Clone, Debug)]
-struct QuorumBucket {
-    update: NetworkUpdate,
-    phase: Phase,
-    partials: BTreeMap<u32, PartialSignature>,
-    /// Signers whose partials failed individual verification (Byzantine).
-    blacklisted: DetSet<u32>,
-}
-
-/// A Segway update body accumulating signature shares: the same quorum
-/// logic as [`QuorumBucket`], but over the update *plus* its gate/notify
-/// metadata so a quorum also vouches for the release order.
-#[derive(Clone, Debug)]
-struct SegBucket {
-    body: SegwayBody,
-    phase: Phase,
-    partials: BTreeMap<u32, PartialSignature>,
-    blacklisted: DetSet<u32>,
-}
-
 /// An un-receipted Segway ready message, retransmitted with backoff until
 /// the target switch's signed receipt arrives or the budget runs out.
 #[derive(Clone, Debug)]
@@ -102,7 +82,8 @@ pub struct SwitchActor {
     table: FlowTable,
     waiting: DetMap<FlowMatch, Vec<WaitingFlow>>,
     outstanding: DetSet<FlowMatch>,
-    buckets: DetMap<(southbound::types::UpdateId, Phase), Vec<QuorumBucket>>,
+    /// Update shares below quorum ([`QuorumCollector`] policy).
+    buckets: QuorumCollector<southbound::types::UpdateId, NetworkUpdate>,
     applied: DetSet<southbound::types::UpdateId>,
     /// Signer indices seen per applied update: shares from signers *not*
     /// in here are the tail of the original broadcast (quorum fired before
@@ -117,8 +98,9 @@ pub struct SwitchActor {
     nack_policy: RetryPolicy,
     retry_armed: bool,
     // ----- Segway state (Mode::Segway only) -------------------------------
-    /// Share buckets over `SegwayBody` (update + gate/notify metadata).
-    seg_buckets: DetMap<(southbound::types::UpdateId, Phase), Vec<SegBucket>>,
+    /// Share buckets over `SegwayBody` (update + gate/notify metadata): a
+    /// quorum also vouches for the release order.
+    seg_buckets: QuorumCollector<southbound::types::UpdateId, SegwayBody>,
     /// Quorum-verified bodies whose gates are not all open yet, with the
     /// signer count backing them.
     parked: DetMap<southbound::types::UpdateId, (SegwayBody, u32)>,
@@ -175,7 +157,7 @@ impl SwitchActor {
             table: FlowTable::new(),
             waiting: DetMap::new(),
             outstanding: DetSet::new(),
-            buckets: DetMap::new(),
+            buckets: QuorumCollector::new(),
             applied: DetSet::new(),
             applied_signers: DetMap::new(),
             phase_info,
@@ -186,7 +168,7 @@ impl SwitchActor {
             event_policy,
             nack_policy,
             retry_armed: false,
-            seg_buckets: DetMap::new(),
+            seg_buckets: QuorumCollector::new(),
             parked: DetMap::new(),
             ready_in: DetMap::new(),
             ready_out: DetMap::new(),
@@ -285,11 +267,6 @@ impl SwitchActor {
     fn fresh_event_id(&mut self) -> EventId {
         self.event_seq += 1;
         EventId(((self.id.0 as u64) << 32) | self.event_seq)
-    }
-
-    /// Quorum for update application at the current phase.
-    fn quorum(&self) -> usize {
-        self.phase_info.quorum as usize
     }
 
     /// Where events go: the aggregator (controller aggregation) or the whole
@@ -570,17 +547,11 @@ impl SwitchActor {
         for id in due {
             // The bucket may have reached quorum (applied) or been pruned by
             // a phase change in the meantime.
+            let phase = self.phase_info.phase;
             let have = self
                 .buckets
-                .get(&(id, self.phase_info.phase))
-                .map(|bs| bs.iter().map(|b| b.partials.len()).max().unwrap_or(0))
-                .unwrap_or(0)
-                .max(
-                    self.seg_buckets
-                        .get(&(id, self.phase_info.phase))
-                        .map(|bs| bs.iter().map(|b| b.partials.len()).max().unwrap_or(0))
-                        .unwrap_or(0),
-                );
+                .have(id, phase)
+                .max(self.seg_buckets.have(id, phase));
             if self.applied.contains(&id) || have == 0 {
                 self.nacks.remove(&id);
                 continue;
@@ -646,121 +617,87 @@ impl SwitchActor {
         }
     }
 
-    /// Switch-side aggregation (paper Fig. 6b): buffer share-signed updates
-    /// until a quorum of identical updates, aggregate, verify, apply.
-    fn on_share_signed(
+    /// Common front half of both share paths: re-acks a retransmitted
+    /// share of an applied update, drops shares of another phase or of a
+    /// body already parked on its gates, and starts the NACK clock. `true`
+    /// when the share should be collected.
+    fn admit_share(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
-        msg: southbound::envelope::ShareSigned<NetworkUpdate>,
-    ) {
+        update: NetworkUpdate,
+        phase: Phase,
+        signer: u32,
+    ) -> bool {
         ctx.charge_cpu(self.shared.cfg.costs.switch_msg);
-        if self.applied.contains(&msg.payload.id) {
+        if self.applied.contains(&update.id) {
             let fresh = self
                 .applied_signers
-                .entry(msg.payload.id)
+                .entry(update.id)
                 .or_default()
-                .insert(msg.partial.index);
+                .insert(signer);
             if !fresh {
                 // Second share from the same signer after apply: that
                 // controller is retransmitting, so our ack was lost.
-                self.reack(ctx, msg.payload);
+                self.reack(ctx, update);
             }
-            return;
+            return false;
         }
-        if msg.phase != self.phase_info.phase {
-            return;
+        // A parked body's quorum is already proven; it waits on its gates.
+        if phase != self.phase_info.phase || self.parked.get(&update.id).is_some() {
+            return false;
         }
-        let key = (msg.payload.id, msg.phase);
         if self.shared.cfg.reliability.enabled {
             // Start the NACK clock the moment the first share arrives: if
             // the bucket is still below quorum when it fires, ask the
             // control plane to re-send the missing shares.
-            let due = ctx.now() + self.nack_policy.backoff(msg.payload.id, 1);
-            self.nacks.entry(msg.payload.id).or_insert(NackState {
+            let due = ctx.now() + self.nack_policy.backoff(update.id, 1);
+            self.nacks.entry(update.id).or_insert(NackState {
                 attempts: 0,
                 next_due: due,
             });
             self.arm_retry(ctx);
         }
-        let buckets = self.buckets.entry(key).or_default();
-        let bucket = match buckets.iter_mut().find(|b| b.update == msg.payload) {
-            Some(b) => b,
-            None => {
-                buckets.push(QuorumBucket {
-                    update: msg.payload,
-                    phase: msg.phase,
-                    partials: BTreeMap::new(),
-                    blacklisted: DetSet::new(),
-                });
-                buckets.last_mut().expect("just pushed")
-            }
-        };
-        if bucket.blacklisted.contains(&msg.partial.index) {
-            return;
-        }
-        bucket.partials.insert(msg.partial.index, msg.partial);
-        self.try_quorum(ctx, key);
+        true
     }
 
-    fn try_quorum(
-        &mut self,
-        ctx: &mut dyn Host<Net, Obs>,
-        key: (southbound::types::UpdateId, Phase),
-    ) {
-        let quorum = self.quorum();
-        let Some(buckets) = self.buckets.get_mut(&key) else {
+    /// The quorum check both share paths run under `label`: this domain's
+    /// group key at the current phase's quorum.
+    fn quorum_check<'a>(&self, shared: &'a Shared, label: &'a str) -> Check<'a> {
+        let keys = &shared.keys.domains[&self.domain];
+        Check {
+            label,
+            quorum: self.phase_info.quorum as usize,
+            keys: shared
+                .real_crypto()
+                .then_some((&keys.public_key, &keys.group)),
+        }
+    }
+
+    /// Switch-side aggregation (paper Fig. 6b): buffer share-signed updates
+    /// until a quorum of identical updates, aggregate, verify, apply.
+    fn on_share_signed(&mut self, ctx: &mut dyn Host<Net, Obs>, msg: ShareSigned<NetworkUpdate>) {
+        let (id, phase) = (msg.payload.id, msg.phase);
+        if !self.admit_share(ctx, msg.payload, phase, msg.partial.index)
+            || !self.buckets.offer(id, phase, msg.payload, msg.partial)
+        {
             return;
-        };
-        let Some(idx) = buckets.iter().position(|b| b.partials.len() >= quorum) else {
-            return;
-        };
-        let costs = self.shared.cfg.costs;
-        let real = self.shared.real_crypto();
-        let group = self.shared.keys.domains[&self.domain].clone();
-
-        let bucket = &mut buckets[idx];
-        let partials: Vec<PartialSignature> = bucket.partials.values().copied().collect();
-        ctx.charge_cpu(costs.aggregate_per_share.saturating_mul(partials.len() as u64));
-        ctx.charge_cpu(costs.bls_verify);
-
-        let valid = if real {
-            let digest = signing_digest(labels::UPDATE, bucket.phase, &bucket.update);
-            match bls::aggregate(&partials) {
-                Ok(sig) => {
-                    if bls::verify(&group.public_key, &digest, &sig) {
-                        true
-                    } else {
-                        // Some partial is bad: verify individually, evict
-                        // culprits, and wait for honest replacements.
-                        for p in &partials {
-                            ctx.charge_cpu(costs.bls_verify);
-                            let mpk = group.group.member_public_key(p.index);
-                            if !bls::verify_partial(&mpk, &digest, p) {
-                                bucket.blacklisted.insert(p.index);
-                                bucket.partials.remove(&p.index);
-                            }
-                        }
-                        false
-                    }
-                }
-                Err(_) => false,
-            }
-        } else {
-            true
-        };
-
-        if valid {
-            let update = bucket.update;
-            let signers: DetSet<u32> = bucket.partials.keys().copied().collect();
-            let n_signers = signers.len() as u32;
-            self.buckets.remove(&key);
-            self.applied_signers.insert(update.id, signers);
-            self.apply_update(ctx, update, n_signers);
-        } else {
-            ctx.observe(Obs::UpdateRejected {
+        }
+        let shared = Arc::clone(&self.shared);
+        let check = self.quorum_check(&shared, labels::UPDATE);
+        let outcome = self.buckets.try_quorum(id, phase, check);
+        ctx.charge_cpu(shared.cfg.costs.quorum_check(outcome.work()));
+        match outcome {
+            Quorum::Below => {}
+            Quorum::Rejected { .. } => ctx.observe(Obs::UpdateRejected {
                 switch: self.id,
-                update: key.0,
-            });
+                update: id,
+            }),
+            Quorum::Certified(cert) => {
+                let n_signers = cert.signers.len() as u32;
+                self.applied_signers
+                    .insert(id, cert.signers.into_iter().collect());
+                self.apply_update(ctx, cert.payload, n_signers);
+            }
         }
     }
 
@@ -820,121 +757,34 @@ impl SwitchActor {
 
     /// Segway ingest: same quorum accumulation as [`Self::on_share_signed`],
     /// over the update *plus* its threshold-signed gate/notify metadata.
-    fn on_segway_signed(
-        &mut self,
-        ctx: &mut dyn Host<Net, Obs>,
-        msg: southbound::envelope::ShareSigned<SegwayBody>,
-    ) {
-        ctx.charge_cpu(self.shared.cfg.costs.switch_msg);
-        let id = msg.payload.update.id;
-        if self.applied.contains(&id) {
-            let fresh = self
-                .applied_signers
-                .entry(id)
-                .or_default()
-                .insert(msg.partial.index);
-            if !fresh {
-                self.reack(ctx, msg.payload.update);
-            }
+    fn on_segway_signed(&mut self, ctx: &mut dyn Host<Net, Obs>, msg: ShareSigned<SegwayBody>) {
+        let (id, phase) = (msg.payload.update.id, msg.phase);
+        if !self.admit_share(ctx, msg.payload.update, phase, msg.partial.index)
+            || !self.seg_buckets.offer(id, phase, msg.payload, msg.partial)
+        {
             return;
         }
-        if msg.phase != self.phase_info.phase {
-            return;
-        }
-        if self.parked.get(&id).is_some() {
-            // Quorum already proven; the body is just waiting on its gates.
-            return;
-        }
-        if self.shared.cfg.reliability.enabled {
-            let due = ctx.now() + self.nack_policy.backoff(id, 1);
-            self.nacks.entry(id).or_insert(NackState {
-                attempts: 0,
-                next_due: due,
-            });
-            self.arm_retry(ctx);
-        }
-        let buckets = self.seg_buckets.entry((id, msg.phase)).or_default();
-        let bucket = match buckets.iter_mut().find(|b| b.body == msg.payload) {
-            Some(b) => b,
-            None => {
-                buckets.push(SegBucket {
-                    body: msg.payload,
-                    phase: msg.phase,
-                    partials: BTreeMap::new(),
-                    blacklisted: DetSet::new(),
-                });
-                buckets.last_mut().expect("just pushed")
-            }
-        };
-        if bucket.blacklisted.contains(&msg.partial.index) {
-            return;
-        }
-        bucket.partials.insert(msg.partial.index, msg.partial);
-        self.try_seg_quorum(ctx, (id, msg.phase));
-    }
-
-    fn try_seg_quorum(
-        &mut self,
-        ctx: &mut dyn Host<Net, Obs>,
-        key: (southbound::types::UpdateId, Phase),
-    ) {
-        let quorum = self.quorum();
-        let Some(buckets) = self.seg_buckets.get_mut(&key) else {
-            return;
-        };
-        let Some(idx) = buckets.iter().position(|b| b.partials.len() >= quorum) else {
-            return;
-        };
-        let costs = self.shared.cfg.costs;
-        let real = self.shared.real_crypto();
-        let group = self.shared.keys.domains[&self.domain].clone();
-
-        let bucket = &mut buckets[idx];
-        let partials: Vec<PartialSignature> = bucket.partials.values().copied().collect();
-        ctx.charge_cpu(costs.aggregate_per_share.saturating_mul(partials.len() as u64));
-        ctx.charge_cpu(costs.bls_verify);
-
-        let valid = if real {
-            let digest = signing_digest(labels::SEGWAY, bucket.phase, &bucket.body);
-            match bls::aggregate(&partials) {
-                Ok(sig) => {
-                    if bls::verify(&group.public_key, &digest, &sig) {
-                        true
-                    } else {
-                        for p in &partials {
-                            ctx.charge_cpu(costs.bls_verify);
-                            let mpk = group.group.member_public_key(p.index);
-                            if !bls::verify_partial(&mpk, &digest, p) {
-                                bucket.blacklisted.insert(p.index);
-                                bucket.partials.remove(&p.index);
-                            }
-                        }
-                        false
-                    }
-                }
-                Err(_) => false,
-            }
-        } else {
-            true
-        };
-
-        if valid {
-            let body = bucket.body.clone();
-            let signers: DetSet<u32> = bucket.partials.keys().copied().collect();
-            let n_signers = signers.len() as u32;
-            self.seg_buckets.remove(&key);
-            self.applied_signers.insert(key.0, signers);
-            if self.gates_open(&body) {
-                self.seg_apply(ctx, body, n_signers);
-                self.release_parked(ctx);
-            } else {
-                self.parked.insert(key.0, (body, n_signers));
-            }
-        } else {
-            ctx.observe(Obs::UpdateRejected {
+        let shared = Arc::clone(&self.shared);
+        let check = self.quorum_check(&shared, labels::SEGWAY);
+        let outcome = self.seg_buckets.try_quorum(id, phase, check);
+        ctx.charge_cpu(shared.cfg.costs.quorum_check(outcome.work()));
+        match outcome {
+            Quorum::Below => {}
+            Quorum::Rejected { .. } => ctx.observe(Obs::UpdateRejected {
                 switch: self.id,
-                update: key.0,
-            });
+                update: id,
+            }),
+            Quorum::Certified(cert) => {
+                let n_signers = cert.signers.len() as u32;
+                self.applied_signers
+                    .insert(id, cert.signers.into_iter().collect());
+                if self.gates_open(&cert.payload) {
+                    self.seg_apply(ctx, cert.payload, n_signers);
+                    self.release_parked(ctx);
+                } else {
+                    self.parked.insert(id, (cert.payload, n_signers));
+                }
+            }
         }
     }
 
@@ -1315,8 +1165,8 @@ impl Actor<Net, Obs> for SwitchActor {
                 if valid && m.payload.phase > self.phase_info.phase {
                     self.phase_info = m.payload;
                     // Stale aggregation buckets from the old phase die here.
-                    self.buckets.retain(|(_, p), _| *p == m.payload.phase);
-                    self.seg_buckets.retain(|(_, p), _| *p == m.payload.phase);
+                    self.buckets.retain_phase(m.payload.phase);
+                    self.seg_buckets.retain_phase(m.payload.phase);
                 }
             }
             // Messages not addressed to switches are ignored defensively.

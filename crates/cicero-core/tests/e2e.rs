@@ -440,3 +440,86 @@ fn event_linearizability_holds_under_message_loss() {
     cicero_core::obs::check_event_linearizability(engine.observations())
         .expect("total order must survive message loss");
 }
+
+/// A replayed event and a duplicate acknowledgement are dropped on the
+/// cheap state check, before their signatures are looked at: zero
+/// verifications, no observation, no pending-graph change. A *fresh* event
+/// through the same door is verified — the counter is live.
+#[test]
+fn duplicates_are_dropped_before_their_signatures_are_checked() {
+    use southbound::envelope::{MsgId, Signed};
+    use southbound::types::{ControllerId, DomainId, Event, EventId, EventKind, Phase, UpdateId};
+
+    let (mut engine, topo) = run_mode_to_completion(
+        Mode::Cicero {
+            aggregation: Aggregation::Switch,
+        },
+        CryptoMode::Modeled,
+    );
+    assert_eq!(completed_flows(&engine), vec![FlowId(1)]);
+    let (src, dst) = cross_rack_pair(&topo);
+    let ingress = topo.host(src).unwrap().attached;
+    // The flow's PacketIn was the ingress switch's first event.
+    let event = Event {
+        id: EventId((u64::from(ingress.0) << 32) | 1),
+        kind: EventKind::PacketIn {
+            switch: ingress,
+            flow: FlowId(1),
+            src,
+            dst,
+        },
+        origin: DomainId(0),
+        forwarded: false,
+    };
+    fn envelope<T>(payload: T, origin: u32, seq: u64) -> Signed<T> {
+        Signed {
+            payload,
+            phase: Phase(0),
+            msg_id: MsgId { origin, seq },
+            signature: KeyMaterial::dummy_signature(),
+        }
+    }
+    let ack = cicero_core::msg::AckBody {
+        update: UpdateId {
+            event: event.id,
+            seq: 0,
+        },
+        switch: ingress,
+    };
+    let snapshot = |engine: &mut Engine| -> Vec<(u64, usize, usize)> {
+        (1..=4)
+            .map(|c| {
+                engine.with_controller(DomainId(0), ControllerId(c), |a| {
+                    (
+                        a.signature_checks(),
+                        a.pending().in_flight_count(),
+                        a.pending().waiting_count(),
+                    )
+                })
+            })
+            .collect()
+    };
+    let before = snapshot(&mut engine);
+    assert!(before.iter().all(|&(checks, ..)| checks > 0));
+    let n_obs = engine.observations().len();
+    let at = engine.now() + SimDuration::from_millis(1);
+    for c in 1..=4 {
+        let node = engine.controller_node(DomainId(0), ControllerId(c));
+        engine.inject_raw(at, ENVIRONMENT, node, Net::EventMsg(envelope(event, ingress.0, 900)));
+        engine.inject_raw(at, ENVIRONMENT, node, Net::AckMsg(envelope(ack, ingress.0, 901)));
+    }
+    engine.run(at + SimDuration::from_secs(1));
+    assert_eq!(snapshot(&mut engine), before, "replays must cost and change nothing");
+    assert_eq!(engine.observations().len(), n_obs, "replays must be unobservable");
+
+    let fresh = Event {
+        id: EventId((u64::from(ingress.0) << 32) | 77),
+        kind: EventKind::PolicyChange { policy: 1 },
+        ..event
+    };
+    let at = engine.now() + SimDuration::from_millis(1);
+    let node = engine.controller_node(DomainId(0), ControllerId(1));
+    engine.inject_raw(at, ENVIRONMENT, node, Net::EventMsg(envelope(fresh, ingress.0, 902)));
+    engine.run(at + SimDuration::from_secs(1));
+    assert_eq!(snapshot(&mut engine)[0].0, before[0].0 + 1);
+}

@@ -290,6 +290,14 @@ impl PendingUpdates {
         self.acked.contains(&id)
     }
 
+    /// `true` iff `id` is acknowledged *and* no copy of it is in flight, so
+    /// a further acknowledgement of it can change nothing. (An ack that
+    /// overtook its own update's admission leaves the update in flight
+    /// until a re-ack retires it — that re-ack still matters.)
+    pub fn is_settled(&self, id: UpdateId) -> bool {
+        self.acked.contains(&id) && !self.sent.contains_key(&id)
+    }
+
     /// `true` iff `id` was reported failed.
     pub fn is_failed(&self, id: UpdateId) -> bool {
         self.failed.contains(&id)

@@ -10,7 +10,7 @@ use netmodel::linkload::LinkLoad;
 use netmodel::routing::route;
 use netmodel::topology::Topology;
 use simnet::sim::Observation;
-use southbound::types::{FlowAction, FlowMatch, NextHop, SwitchId};
+use southbound::types::{DomainId, FlowAction, FlowMatch, NextHop, SwitchId};
 use workload::gen::FlowSpec;
 
 /// One invariant violation.
@@ -45,7 +45,7 @@ pub fn check_all(
     security(s, obs, &mut v);
     capacity(s, topo, flows, obs, &mut v);
     liveness(s, report, &mut v);
-    agreement(obs, &mut v);
+    agreement(s, topo, obs, &mut v);
     recovery(s, obs, &mut v);
     telemetry(s, obs, &mut v);
     v
@@ -648,9 +648,34 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
 /// delivered event sequence is a prefix of the longest one. Controllers
 /// that recovered through state sync may have gaps (synced deliveries
 /// are replayed muted), so the restart-aware check is used; on runs
-/// without restarts it degenerates to the strict prefix check.
-fn agreement(obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
-    if let Err(e) = check_event_linearizability_with_restarts(obs) {
+/// without restarts it degenerates to the strict prefix check. The one
+/// controller a fault restarts *with its disk wiped* is a replacement
+/// machine and is judged life by life — it may deliver again what it had
+/// delivered alone before the crash; nobody else is exempted.
+fn agreement(s: &Scenario, topo: &Topology, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
+    if let Err(e) = check_event_linearizability_with_amnesia(obs, &amnesiac(s, topo)) {
         violation(out, "agreement", e);
     }
+}
+
+/// The `(domain, controller)` victims of this scenario's disk-lost
+/// crash-recover faults (same victim mapping as `build_fault_plan`).
+fn amnesiac(s: &Scenario, topo: &Topology) -> std::collections::BTreeSet<(DomainId, u32)> {
+    let domains = s.domain_map(topo).domains();
+    let n = s.controllers_per_domain;
+    s.faults
+        .iter()
+        .filter_map(|f| match *f {
+            Fault::CrashRecoverController {
+                domain,
+                controller,
+                disk_lost: true,
+                ..
+            } if n >= 2 => Some((
+                domains[domain as usize % domains.len()],
+                2 + controller % (n - 1),
+            )),
+            _ => None,
+        })
+        .collect()
 }

@@ -116,26 +116,6 @@ pub fn verify_signed_batch<T: Wire, R: Rng + ?Sized>(
     batch_verify(&items, rng)
 }
 
-/// Batch-verifies threshold-share envelopes against their signers' share
-/// public keys — the aggregator's fast path: one pairing-product check for
-/// a whole quorum of partials instead of a `bls_verify` per share.
-pub fn verify_partial_batch<T: Wire, R: Rng + ?Sized>(
-    label: &str,
-    msgs: &[(&ShareSigned<T>, PublicKey)],
-    rng: &mut R,
-) -> bool {
-    let digests: Vec<[u8; 32]> = msgs
-        .iter()
-        .map(|(m, _)| signing_digest(label, m.phase, &m.payload))
-        .collect();
-    let items: Vec<BatchItem<'_>> = msgs
-        .iter()
-        .zip(digests.iter())
-        .map(|((m, pk), d)| BatchItem::new(*pk, d, Signature(m.partial.sig)))
-        .collect();
-    batch_verify(&items, rng)
-}
-
 /// A payload carrying an *aggregated* threshold signature (controller
 /// aggregation mode, paper §4.2).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -285,47 +265,6 @@ mod tests {
             bad.iter().map(|(m, pk)| (m, *pk)).collect();
         assert!(!verify_signed_batch(LABEL, &bad_refs, &mut rng));
         assert!(!bad[1].0.verify(LABEL, &bad[1].1));
-    }
-
-    #[test]
-    fn batched_partial_verification_agrees_with_per_item() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let out = dkg::run_trusted_dealer_free(4, 1, &mut rng).unwrap();
-        let msgs: Vec<(ShareSigned<FlowId>, PublicKey)> = out.participants[..3]
-            .iter()
-            .map(|p| {
-                let m = ShareSigned::sign(
-                    LABEL,
-                    FlowId(8),
-                    Phase(0),
-                    MsgId {
-                        origin: p.share.index,
-                        seq: 1,
-                    },
-                    &p.share,
-                );
-                let mpk = out.group.member_public_key(p.share.index);
-                (m, mpk)
-            })
-            .collect();
-        let refs: Vec<(&ShareSigned<FlowId>, PublicKey)> =
-            msgs.iter().map(|(m, pk)| (m, *pk)).collect();
-        assert!(verify_partial_batch(LABEL, &refs, &mut rng));
-        // One partial signed over a different payload poisons the batch.
-        let mut bad = msgs.clone();
-        bad[2].0 = ShareSigned {
-            payload: bad[2].0.payload,
-            phase: bad[2].0.phase,
-            msg_id: bad[2].0.msg_id,
-            partial: blscrypto::bls::sign_share(
-                &out.participants[2].share,
-                &signing_digest(LABEL, Phase(0), &FlowId(999)),
-            ),
-        };
-        let bad_refs: Vec<(&ShareSigned<FlowId>, PublicKey)> =
-            bad.iter().map(|(m, pk)| (m, *pk)).collect();
-        assert!(!verify_partial_batch(LABEL, &bad_refs, &mut rng));
-        assert!(!bad[2].0.verify_partial(LABEL, &bad[2].1));
     }
 
     #[test]

@@ -72,23 +72,33 @@ if ! cargo run -q --offline --release -p detlint; then
     exit 1
 fi
 
-echo "== crypto perf regression gate (benchkit compare vs BENCH_protocol.json) =="
-# Re-measure the crypto suite and diff the medians against the recorded
-# baseline: fail on any entry regressing past the tolerance band, on a
-# renamed/vanished entry, or on the absolute paper-level caps —
-# bls_verify ≤ 10 ms and batch_verify_64 amortized ≤ 2 ms per update.
+echo "== perf regression gate (benchkit compare vs BENCH_protocol.json) =="
+# Re-measure the crypto and protocol suites and diff the medians against the
+# recorded baseline: fail on any entry regressing past the tolerance band, on
+# a renamed/vanished entry, or on the absolute caps —
+# bls_verify ≤ 10 ms, batch_verify_64 amortized ≤ 2 ms per update, and one
+# cross-domain boundary's whole handshake (handshake_boundary_n4: 4 report
+# shares, 4 quorum certificates, 4 receipts, 4 receipt batches) ≤ 55 ms. The
+# last one is what keeps the handshake quorum-certified: verifying every
+# report and receipt singly costs ≥ 65 ms on the baseline host, so a change
+# that quietly puts that back fails here in seconds.
 # The band is wide (3x) because this runs on shared/variable hardware; the
 # caps are what the acceptance criteria actually pin. Skip with
 # SKIP_BENCH_GATE=1 (e.g. on heavily loaded CI workers), refresh the
-# baseline with BENCHKIT_OUT=$PWD/BENCH_protocol.json cargo bench -p bench --bench crypto.
+# baseline with BENCHKIT_OUT=$PWD/BENCH_protocol.json cargo bench -p bench --bench <suite>.
 if [ -z "${SKIP_BENCH_GATE:-}" ]; then
     fresh_bench=$(mktemp /tmp/benchkit-fresh.XXXXXX.json)
     BENCHKIT_OUT="$fresh_bench" cargo bench -q --offline -p bench --bench crypto >/dev/null
+    BENCHKIT_OUT="$fresh_bench" cargo bench -q --offline -p bench --bench protocol >/dev/null
     cargo run -q --offline --release -p bench --bin benchgate -- \
         BENCH_protocol.json "$fresh_bench" crypto \
         --tolerance 2.0 \
         --cap bls_verify=10000000 \
         --cap batch_verify_64/64=2000000
+    cargo run -q --offline --release -p bench --bin benchgate -- \
+        BENCH_protocol.json "$fresh_bench" protocol \
+        --tolerance 2.0 \
+        --cap handshake_boundary_n4=55000000
     rm -f "$fresh_bench"
 else
     echo "  skipped (SKIP_BENCH_GATE set)"

@@ -428,3 +428,441 @@ fn replayed_ready_at_the_wrong_victim_is_rejected() {
     );
     assert_eq!(applied(&engine), 0);
 }
+
+// ----- cross-domain handshake: quorum-certified reports, batched receipts -----
+
+mod handshake {
+    use super::*;
+    use cicero_core::msg::{ReleaseBody, SegmentBody};
+    use cicero_core::runtime::SecretStore;
+    use simnet::fault::FaultPlan;
+    use simnet::node::NodeId;
+    use std::sync::OnceLock;
+
+    const SEED: u64 = 0x5e9;
+    const SEGMENT: &str = "CICERO_SEGMENT_V1";
+    const RELEASE: &str = "CICERO_RELEASE_V1";
+
+    /// A two-rack pod split into two domains under real crypto, plus the
+    /// secrets the key ceremony handed its actors (the ceremony is a pure
+    /// function of the seed, so re-running it re-derives them).
+    fn fabric() -> (Engine, Topology, SecretStore) {
+        let mut cfg = EngineConfig::for_mode(Mode::Cicero {
+            aggregation: Aggregation::Switch,
+        });
+        cfg.crypto = CryptoMode::Real;
+        cfg.seed = SEED;
+        let topo = Topology::single_pod(2, 1, 2);
+        let dm = DomainMap::split_racks(&topo, 2);
+        let engine = Engine::build(cfg, topo.clone(), dm, 0);
+        let switches: Vec<SwitchId> = topo.switches().iter().map(|s| s.id).collect();
+        let members = engine.shared().dir.initial_members.clone();
+        let (keys, secrets) = bootstrap_keys(CryptoMode::Real, &switches, &members, SEED);
+        for (d, k) in &keys.domains {
+            assert_eq!(
+                k.public_key,
+                engine.shared().keys.domains[d].public_key,
+                "re-derived ceremony must match the engine's"
+            );
+        }
+        (engine, topo, secrets)
+    }
+
+    /// Injects the one boundary-crossing flow every test drives.
+    fn inject(engine: &mut Engine, topo: &Topology) {
+        let hosts = topo.hosts();
+        let src = hosts[0].id;
+        let dst = hosts
+            .iter()
+            .find(|h| h.attached != hosts[0].attached)
+            .expect("two racks")
+            .id;
+        let start = SimTime::ZERO + SimDuration::from_millis(1);
+        harness::inject_flow(engine, topo, FlowId(1), src, dst, 500, start).expect("routable");
+    }
+
+    /// What an honest run of the fabric looks like: which barrier the flow
+    /// raises, who holds it, and when the first report goes out.
+    #[derive(Clone, Copy, Debug)]
+    struct Probe {
+        event: EventId,
+        segment: u32,
+        down: DomainId,
+        up: DomainId,
+        reported_at: SimTime,
+    }
+
+    fn probe() -> Probe {
+        static PROBE: OnceLock<Probe> = OnceLock::new();
+        *PROBE.get_or_init(|| {
+            let (mut engine, topo, _) = fabric();
+            inject(&mut engine, &topo);
+            engine.run(SimTime::ZERO + SimDuration::from_secs(5));
+            let obs = engine.observations();
+            assert!(completed(&engine), "honest run must converge");
+            let (event, segment, down, reported_at) = obs
+                .iter()
+                .find_map(|o| match o.value {
+                    Obs::SegmentReported {
+                        domain,
+                        event,
+                        segment,
+                        ..
+                    } => Some((event, segment, domain, o.at)),
+                    _ => None,
+                })
+                .expect("a boundary-crossing flow raises a segment report");
+            let up = obs
+                .iter()
+                .find_map(|o| match o.value {
+                    Obs::BoundaryReleased { domain, .. } => Some(domain),
+                    _ => None,
+                })
+                .expect("and a release");
+            assert_ne!(up, down);
+            // Honest cost of the handshake, per controller: one aggregate
+            // check upstream however many shares arrive, one batch check
+            // downstream however many receipts arrive.
+            for c in 1..=4 {
+                let signers =
+                    engine.with_controller(up, ControllerId(c), |a| a.barrier_signers(event, segment));
+                assert_eq!(signers.len(), 2, "exactly the verified quorum is on record");
+            }
+            Probe {
+                event,
+                segment,
+                down,
+                up,
+                reported_at,
+            }
+        })
+    }
+
+    fn completed(engine: &Engine) -> bool {
+        engine
+            .observations()
+            .iter()
+            .any(|o| matches!(o.value, Obs::FlowCompleted { .. }))
+    }
+
+    fn released(engine: &Engine) -> usize {
+        engine
+            .observations()
+            .iter()
+            .filter(|o| matches!(o.value, Obs::BoundaryReleased { .. }))
+            .count()
+    }
+
+    fn body(p: Probe) -> SegmentBody {
+        SegmentBody {
+            event: p.event,
+            segment: p.segment,
+            domain: p.down,
+        }
+    }
+
+    /// Sends `share` from downstream controller `from` to every upstream
+    /// controller at t = 2 ms — long before the honest reports.
+    fn inject_share(engine: &mut Engine, p: Probe, from: u32, share: ShareSigned<SegmentBody>) {
+        let src = engine.controller_node(p.down, ControllerId(from));
+        for c in 1..=4 {
+            engine.inject_raw(
+                SimTime::ZERO + SimDuration::from_millis(2),
+                src,
+                engine.controller_node(p.up, ControllerId(c)),
+                Net::SegmentApplied(share.clone()),
+            );
+        }
+    }
+
+    fn upstream_signers(engine: &mut Engine, p: Probe) -> Vec<Vec<(DomainId, u32)>> {
+        (1..=4)
+            .map(|c| {
+                engine.with_controller(p.up, ControllerId(c), |a| {
+                    a.barrier_signers(p.event, p.segment)
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rogue_segment_share_is_evicted_and_the_barrier_still_releases() {
+        let p = probe();
+        let (mut engine, topo, secrets) = fabric();
+        // Byzantine downstream controller 2: its real share, its own index,
+        // over a *different* body — planted in every upstream bucket.
+        let wrong = SegmentBody {
+            segment: p.segment + 7,
+            ..body(p)
+        };
+        let share = &secrets.domain_dkg[&p.down].participants[1].share;
+        let mut rogue =
+            ShareSigned::sign(SEGMENT, wrong, Phase(0), MsgId { origin: 2, seq: 0xbad }, share);
+        rogue.payload = body(p);
+        inject_share(&mut engine, p, 2, rogue);
+        inject(&mut engine, &topo);
+        engine.run(SimTime::ZERO + SimDuration::from_secs(5));
+        assert!(completed(&engine), "the barrier must release from honest shares");
+        assert_eq!(released(&engine), 4, "every upstream controller releases once");
+        for signers in upstream_signers(&mut engine, p) {
+            assert!(signers.len() >= 2, "a verified quorum is on record: {signers:?}");
+            // Controller 2 also sent an honest share later; it stays out
+            // because the eviction blacklisted its index for this bucket.
+            assert!(
+                !signers.contains(&(p.down, 2)),
+                "the rogue signer must be evicted and blacklisted: {signers:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn f_shares_from_one_domain_never_release_the_barrier() {
+        let p = probe();
+        let (mut engine, topo, _) = fabric();
+        // Only downstream controller 1 (f = 1 of n = 4) reaches the
+        // upstream domain; its share is perfectly valid.
+        let mut plan = FaultPlan::none();
+        for d in 2..=4 {
+            for u in 1..=4 {
+                plan = plan.with_severed_link(
+                    engine.controller_node(p.down, ControllerId(d)),
+                    engine.controller_node(p.up, ControllerId(u)),
+                );
+            }
+        }
+        engine.set_faults(plan);
+        inject(&mut engine, &topo);
+        engine.run(SimTime::ZERO + SimDuration::from_secs(3));
+        assert_eq!(released(&engine), 0, "one signer is below every quorum");
+        assert!(!completed(&engine), "the boundary update stays held");
+        for signers in upstream_signers(&mut engine, p) {
+            assert!(signers.is_empty(), "nothing was certified: {signers:?}");
+        }
+        // Below quorum nothing is receipted, so the lone reporter keeps
+        // retransmitting instead of being silenced.
+        assert!(engine.observations().iter().any(|o| matches!(
+            o.value,
+            Obs::SegmentRetransmitted { controller: 1, .. }
+        )));
+    }
+
+    #[test]
+    fn share_signed_with_another_domains_key_is_rejected() {
+        let p = probe();
+        let (mut engine, topo, secrets) = fabric();
+        // Two shares claiming the downstream domain, signed with the
+        // *upstream* domain's threshold shares: a full quorum by count.
+        for idx in [1u32, 2] {
+            let foreign = &secrets.domain_dkg[&p.up].participants[(idx - 1) as usize].share;
+            let share = ShareSigned::sign(
+                SEGMENT,
+                body(p),
+                Phase(0),
+                MsgId {
+                    origin: idx,
+                    seq: 0xbad,
+                },
+                foreign,
+            );
+            inject_share(&mut engine, p, idx, share);
+        }
+        // They certify nothing, and the honest domain still gets through —
+        // on signers 3 and 4: the forgers burnt indices 1 and 2 for this
+        // bucket, so had their shares counted, 1 or 2 would be on record.
+        inject(&mut engine, &topo);
+        engine.run(SimTime::ZERO + SimDuration::from_secs(5));
+        assert!(completed(&engine));
+        for signers in upstream_signers(&mut engine, p) {
+            assert_eq!(signers, vec![(p.down, 3), (p.down, 4)]);
+        }
+    }
+
+    /// Forged receipts for downstream controller 1, claiming the upstream
+    /// senders in `forge`. Sender 1's is signed with an attacker key
+    /// (wrong signer for `msg_id.origin`); any other sender's is a genuine
+    /// signature of that controller lifted from *another* barrier.
+    fn forged_receipts(p: Probe, secrets: &SecretStore, forge: &[u32]) -> Vec<Signed<ReleaseBody>> {
+        let receipt = ReleaseBody {
+            event: p.event,
+            segment: p.segment,
+            domain: p.up,
+        };
+        forge
+            .iter()
+            .map(|&u| {
+                let msg_id = MsgId {
+                    origin: u,
+                    seq: 0xbad,
+                };
+                if u == 1 {
+                    let attacker = SecretKey::generate(&mut StdRng::seed_from_u64(31));
+                    Signed::sign(RELEASE, receipt, Phase(0), msg_id, &attacker)
+                } else {
+                    let other = ReleaseBody {
+                        segment: p.segment + 1,
+                        ..receipt
+                    };
+                    let key = &secrets.controller_sk[&(p.up, ControllerId(u))];
+                    let mut lifted = Signed::sign(RELEASE, other, Phase(0), msg_id, key);
+                    lifted.payload = receipt;
+                    lifted
+                }
+            })
+            .collect()
+    }
+
+    /// Runs the flow with `forge` forged receipts sprayed at downstream
+    /// controller 1 around its report time, so each forgery takes its
+    /// claimed sender's buffer slot before any honest receipt arrives. With
+    /// `cut`, the forged senders' own links to the victim are down until
+    /// 60 ms after the report, so their honest receipts cannot arrive
+    /// either. Returns the receipts still awaited 50 ms after the report
+    /// and at the end, and whether the report was retransmitted.
+    fn run_with_forged_receipts(forge: &[u32], cut: bool) -> (usize, usize, bool) {
+        let p = probe();
+        let (mut engine, topo, secrets) = fabric();
+        let victim = engine.controller_node(p.down, ControllerId(1));
+        let forged = forged_receipts(p, &secrets, forge);
+        let spray_from = SimTime::from_nanos(p.reported_at.as_nanos() - 500_000);
+        if cut {
+            let mut plan = FaultPlan::none();
+            for &u in forge {
+                plan = plan.with_severed_window(
+                    engine.controller_node(p.up, ControllerId(u)),
+                    victim,
+                    spray_from,
+                    p.reported_at + SimDuration::from_millis(60),
+                );
+            }
+            engine.set_faults(plan);
+        }
+        // One copy every 250 µs: dense enough to land between the report
+        // and the first honest receipt (≈ 1.6 ms later), sparse enough not
+        // to starve the victim's CPU and push the report out of the window.
+        for step in 0..40u64 {
+            let at = spray_from + SimDuration::from_micros(250 * step);
+            for f in &forged {
+                let from: NodeId = engine.controller_node(p.up, ControllerId(f.msg_id.origin));
+                engine.inject_raw(at, from, victim, Net::BoundaryRelease(f.clone()));
+            }
+        }
+        inject(&mut engine, &topo);
+        engine.run(p.reported_at + SimDuration::from_millis(50));
+        let mid = engine.with_controller(p.down, ControllerId(1), |a| a.handshake_status().1);
+        engine.run(SimTime::ZERO + SimDuration::from_secs(5));
+        assert!(completed(&engine));
+        let end = engine.with_controller(p.down, ControllerId(1), |a| a.handshake_status().1);
+        let retransmitted = engine.observations().iter().any(|o| {
+            matches!(
+                o.value,
+                Obs::SegmentRetransmitted { domain, controller: 1, .. } if domain == p.down
+            )
+        });
+        (mid, end, retransmitted)
+    }
+
+    #[test]
+    fn forged_or_replayed_receipts_do_not_silence_retransmission() {
+        // Wrong signer for sender 1, a receipt lifted from another barrier
+        // for sender 2, and no honest receipt from either yet: both claimed
+        // senders stay pending, the report is retransmitted to them, and
+        // once their links heal their cached honest receipts settle it.
+        let (mid, end, retransmitted) = run_with_forged_receipts(&[1, 2], true);
+        assert_eq!(mid, 2, "forged receipts must leave their senders pending");
+        assert!(retransmitted, "unreceipted targets must see the report again");
+        assert_eq!(end, 0, "the honest receipts settle the watch");
+    }
+
+    #[test]
+    fn poisoned_receipt_batch_falls_back_and_accepts_the_honest_receipts() {
+        // One forgery among four buffered receipts fails the batch; the
+        // per-item pass keeps the three honest ones.
+        let (mid, end, retransmitted) = run_with_forged_receipts(&[1], true);
+        assert_eq!(mid, 1, "only the forged sender stays pending");
+        assert!(retransmitted);
+        assert_eq!(end, 0);
+    }
+
+    #[test]
+    fn forged_receipt_cannot_shadow_the_genuine_one() {
+        // The forgeries hold senders 1 and 2's buffer slots when the
+        // genuine receipts arrive. The conflict settles the buffer at once:
+        // the forgeries are thrown out, the genuine receipts take the
+        // slots, and nobody waits out a retransmission round.
+        let (mid, end, retransmitted) = run_with_forged_receipts(&[1, 2], false);
+        assert_eq!(mid, 0, "every genuine receipt must be accepted on arrival");
+        assert!(!retransmitted, "no round may be lost to a forgery");
+        assert_eq!(end, 0);
+    }
+
+    #[test]
+    fn receipt_from_another_nodes_channel_is_dropped_unverified() {
+        // A *valid* receipt of upstream controller 2, delivered over
+        // controller 3's channel: the sender check refuses it before any
+        // crypto, so with 2's own link down its slot stays pending — the
+        // first retry sweep (≈ 150 ms) settles only the other three.
+        let p = probe();
+        let (mut engine, topo, secrets) = fabric();
+        let victim = engine.controller_node(p.down, ControllerId(1));
+        let key = &secrets.controller_sk[&(p.up, ControllerId(2))];
+        let receipt = ReleaseBody {
+            event: p.event,
+            segment: p.segment,
+            domain: p.up,
+        };
+        let genuine = Signed::sign(RELEASE, receipt, Phase(0), MsgId { origin: 2, seq: 1 }, key);
+        engine.set_faults(FaultPlan::none().with_severed_window(
+            engine.controller_node(p.up, ControllerId(2)),
+            victim,
+            SimTime::from_nanos(p.reported_at.as_nanos() - 500_000),
+            p.reported_at + SimDuration::from_millis(300),
+        ));
+        let wrong_channel = engine.controller_node(p.up, ControllerId(3));
+        for step in 0..20u64 {
+            engine.inject_raw(
+                p.reported_at + SimDuration::from_micros(500 * step),
+                wrong_channel,
+                victim,
+                Net::BoundaryRelease(genuine.clone()),
+            );
+        }
+        inject(&mut engine, &topo);
+        engine.run(p.reported_at + SimDuration::from_millis(250));
+        let mid = engine.with_controller(p.down, ControllerId(1), |a| a.handshake_status().1);
+        assert_eq!(mid, 1, "sender 2 stays pending until it answers itself");
+        engine.run(SimTime::ZERO + SimDuration::from_secs(5));
+        let end = engine.with_controller(p.down, ControllerId(1), |a| a.handshake_status().1);
+        assert_eq!(end, 0);
+    }
+
+    #[test]
+    fn one_byzantine_controller_forging_every_index_cannot_block_the_barrier() {
+        let p = probe();
+        let (mut engine, topo, secrets) = fabric();
+        // Byzantine downstream controller 2 plants a bogus share under
+        // *every* index — its own key, a wrong body — in every upstream
+        // bucket, long before the honest reports. Only the one under its
+        // own index is even bucketed (the others do not come over their
+        // claimed signers' channels); that one is evicted by the fallback.
+        let wrong = SegmentBody {
+            segment: p.segment + 7,
+            ..body(p)
+        };
+        let share = &secrets.domain_dkg[&p.down].participants[1].share;
+        for idx in 1..=4u32 {
+            let origin = MsgId { origin: idx, seq: 0xbad };
+            let mut rogue = ShareSigned::sign(SEGMENT, wrong, Phase(0), origin, share);
+            rogue.payload = body(p);
+            rogue.partial.index = idx;
+            inject_share(&mut engine, p, 2, rogue);
+        }
+        inject(&mut engine, &topo);
+        engine.run(SimTime::ZERO + SimDuration::from_secs(5));
+        assert!(completed(&engine), "the barrier must release from honest shares");
+        assert_eq!(released(&engine), 4, "every upstream controller releases once");
+        for signers in upstream_signers(&mut engine, p) {
+            assert!(signers.len() >= 2, "a verified quorum is on record: {signers:?}");
+            assert!(!signers.contains(&(p.down, 2)), "the forger stays out: {signers:?}");
+        }
+    }
+}
