@@ -335,12 +335,12 @@ mod tests {
     #[test]
     fn skipped_math_certifies_on_the_count_and_reports_the_same_work() {
         let mut c: QuorumCollector<u8, FlowId> = QuorumCollector::new();
-        let dummy = |index| PartialSignature {
+        let placeholder = |index| PartialSignature {
             index,
             sig: KeyMaterial::dummy_signature().0,
         };
-        c.offer(1, P0, FlowId(7), dummy(1));
-        c.offer(1, P0, FlowId(7), dummy(3));
+        c.offer(1, P0, FlowId(7), placeholder(1));
+        c.offer(1, P0, FlowId(7), placeholder(3));
         let check = Check {
             label: LABEL,
             quorum: 2,

@@ -1,6 +1,7 @@
 //! Engine configuration: protocol modes, crypto execution modes, and the
 //! calibrated cost model.
 
+use controller::pending::RetryPolicy;
 use simnet::time::SimDuration;
 
 /// Which update protocol runs on the control plane — the four systems the
@@ -239,6 +240,15 @@ impl Default for ReliabilityConfig {
 }
 
 impl ReliabilityConfig {
+    /// The retransmission policy over one of this config's `(base, budget)`
+    /// pairs, jittered by `jitter_seed` (mix in the sender's identity so
+    /// peers do not retransmit in lockstep). With the layer disabled the
+    /// budget is zero: nothing is ever due.
+    pub fn policy(&self, base: SimDuration, budget: u32, jitter_seed: u64) -> RetryPolicy {
+        let budget = if self.enabled { budget } else { 0 };
+        RetryPolicy::new(base, self.retry_max_backoff, budget, jitter_seed)
+    }
+
     /// The no-retransmission control configuration.
     pub fn disabled() -> Self {
         ReliabilityConfig {

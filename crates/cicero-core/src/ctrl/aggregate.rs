@@ -3,14 +3,13 @@
 //! quorum into one threshold signature, and relays it to the switch.
 
 use super::ControllerActor;
-use crate::collector::{Check, Quorum};
+use crate::collector::Quorum;
 use crate::msg::Net;
 use crate::obs::Obs;
 use crate::runtime::labels;
 use simnet::node::Host;
 use southbound::envelope::{QuorumSigned, ShareSigned};
 use southbound::types::NetworkUpdate;
-use std::sync::Arc;
 use substrate::collections::DetSet;
 
 /// A relayed quorum signature, kept so a share retransmission after the
@@ -53,27 +52,21 @@ impl ControllerActor {
             }
             return;
         }
-        if !self
-            .agg_shares
-            .offer(update.id, msg.phase, update, msg.partial)
-        {
-            return;
-        }
         // Aggregate, then verify the aggregate about to be relayed — what
         // the switch will do with it. A poisoned quorum falls back to
         // per-share verification to evict the culprits, then waits for
         // honest replacements: one Byzantine share never reaches the
         // switch, where it would make the relayed aggregate fail forever.
-        let shared = Arc::clone(&self.shared);
-        let costs = &shared.cfg.costs;
-        let check = Check {
-            label: labels::UPDATE,
-            quorum: self.view.quorum(),
-            keys: shared
-                .real_crypto()
-                .then_some((&shared.keys.domains[&self.domain].public_key, &self.group)),
-        };
-        let outcome = self.agg_shares.try_quorum(update.id, msg.phase, check);
+        let phase = msg.phase;
+        let quorum = self.view.quorum();
+        let outcome = self.auth.collect(
+            &mut self.agg_shares,
+            update.id,
+            msg,
+            labels::UPDATE,
+            quorum,
+            self.domain,
+        );
         let (shares, verified) = outcome.work();
         if shares == 0 {
             return;
@@ -82,7 +75,7 @@ impl ControllerActor {
         // per-share rate its Cicero-Agg anchor was calibrated with (its
         // cores share the work; a switch's single OVS thread pays
         // `CostModel::quorum_check` instead), plus any fallback checks.
-        self.sig_checks += 1;
+        let costs = &self.shared.cfg.costs;
         ctx.charge_cpu(costs.batch_verify_per_item.saturating_mul(shares));
         ctx.charge_cpu(costs.bls_verify.saturating_mul(verified - 1));
         let Quorum::Certified(cert) = outcome else {
@@ -90,8 +83,8 @@ impl ControllerActor {
         };
         let out = QuorumSigned {
             payload: cert.payload,
-            phase: msg.phase,
-            msg_id: self.msg_id(),
+            phase,
+            msg_id: self.auth.next_msg_id(),
             signature: cert.signature,
         };
         self.relayed.insert(

@@ -8,19 +8,18 @@
 //! under loss.
 
 use super::ControllerActor;
-use crate::collector::{Check, Quorum};
+use crate::auth::Peer;
+use crate::collector::Quorum;
 use crate::msg::{Net, ReleaseBody, SegmentBody, WalRecord};
 use crate::obs::Obs;
 use crate::runtime::labels;
-use blscrypto::bls::PartialSignature;
-use controller::pending::RetryPolicy;
+use controller::pending::Retry;
 use controller::scheduler::{domain_segments, ScheduledUpdate};
 use simnet::node::{Host, NodeId};
 use simnet::time::{SimDuration, SimTime};
-use southbound::envelope::{verify_signed_batch, ShareSigned, Signed};
+use southbound::envelope::{ShareSigned, Signed};
 use southbound::types::{ControllerId, DomainId, Event, EventId, NetworkUpdate, UpdateId};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 use substrate::collections::{DetMap, DetSet};
 
 /// Synthetic dependency ids standing for "a foreign domain's path segment
@@ -53,10 +52,6 @@ pub(super) struct BarrierExpect {
     /// The event, kept for re-forwarding if the downstream domain went
     /// quiet (its copy of the forwarded event may have been lost).
     event: Event,
-    /// Re-forward attempts spent.
-    attempts: u32,
-    /// Next re-forward deadline.
-    next_due: SimTime,
 }
 
 /// Upstream half of the cross-domain ordering handshake for one
@@ -82,33 +77,26 @@ impl BarrierState {
     }
 }
 
-/// Downstream half of the handshake: waits until every update of an own
-/// segment is switch-acked, then reports its threshold share over the
-/// segment to each upstream controller until all of them receipted (or the
-/// retry budget is spent).
+/// Downstream half of the handshake, first stage: waits until every update
+/// of an own segment is switch-acked.
 pub(super) struct SegWatch {
     /// Own-segment updates not yet switch-acked.
     pub(super) remaining: DetSet<UpdateId>,
     /// Domains holding a barrier on this segment.
     upstreams: Vec<DomainId>,
-    /// The share-signed report, once the segment drained: signed once,
-    /// retransmitted as-is.
-    pub(super) report: Option<ShareSigned<SegmentBody>>,
+}
+
+/// Downstream half, second stage: the drained segment's threshold share,
+/// reported to each upstream controller until all of them receipted (or the
+/// retry budget is spent).
+pub(super) struct SegReport {
+    /// The share-signed report: signed once, retransmitted as-is.
+    report: ShareSigned<SegmentBody>,
     /// `(domain, controller)` targets that have not receipted yet.
     pending_receipts: DetSet<(DomainId, u32)>,
     /// Unverified receipts from pending targets, checked in one batch when
     /// the last one arrives or the retry sweep fires.
     receipts: DetMap<(DomainId, u32), Signed<ReleaseBody>>,
-    /// Report attempts spent.
-    attempts: u32,
-    /// Next retransmission deadline.
-    next_due: SimTime,
-}
-
-impl SegWatch {
-    fn awaiting_receipts(&self) -> bool {
-        self.report.is_some() && !self.pending_receipts.is_empty()
-    }
 }
 
 impl ControllerActor {
@@ -179,19 +167,19 @@ impl ControllerActor {
         let now = ctx.now();
         for (k, downstream) in barrier_deps {
             let quorum = self.downstream_quorum(downstream);
-            let due = now + self.forward_policy().backoff(barrier_id(event.id, k), 1);
             let st = self.barriers.entry((event.id, k)).or_default();
             if st.expected.is_none() && !st.released {
+                let event = Event {
+                    forwarded: true,
+                    ..*event
+                };
                 st.expected = Some(BarrierExpect {
                     downstream,
                     quorum,
-                    event: Event {
-                        forwarded: true,
-                        ..*event
-                    },
-                    attempts: 0,
-                    next_due: due,
+                    event,
                 });
+                self.forwards
+                    .insert((event.id, k), barrier_id(event.id, k), (), now);
             }
             self.check_barrier_release(ctx, (event.id, k), SimDuration::ZERO);
         }
@@ -208,11 +196,6 @@ impl ControllerActor {
                 SegWatch {
                     remaining,
                     upstreams: ups.into_iter().collect(),
-                    report: None,
-                    pending_receipts: DetSet::new(),
-                    receipts: DetMap::new(),
-                    attempts: 0,
-                    next_due: now,
                 },
             );
             if drained {
@@ -221,6 +204,14 @@ impl ControllerActor {
         }
         self.arm_retry(ctx);
         projected
+    }
+
+    /// Sends `msg` to controller `c` of another domain, if the directory
+    /// knows it.
+    fn send_remote(&self, ctx: &mut dyn Host<Net, Obs>, d: DomainId, c: ControllerId, msg: Net) {
+        if let Some(&node) = self.shared.dir.controller_node.get(&(d, c)) {
+            ctx.send(node, msg);
+        }
     }
 
     /// Distinct downstream signers required before a barrier releases:
@@ -233,32 +224,6 @@ impl ControllerActor {
             // Centralized / crash-tolerant controllers never equivocate in
             // the fault model; a single report suffices.
             1
-        }
-    }
-
-    /// Retry policy for barrier re-forwards (event-sized messages).
-    fn forward_policy(&self) -> RetryPolicy {
-        let rel = &self.shared.cfg.reliability;
-        RetryPolicy {
-            base: rel.event_retry_base,
-            max_backoff: rel.retry_max_backoff,
-            budget: if rel.enabled { rel.event_retry_budget } else { 0 },
-            jitter_seed: self.shared.cfg.seed
-                ^ (u64::from(self.domain.0) << 16)
-                ^ u64::from(self.id.0).rotate_left(29),
-        }
-    }
-
-    /// Retry policy for segment-applied reports (controller-to-controller).
-    fn segment_policy(&self) -> RetryPolicy {
-        let rel = &self.shared.cfg.reliability;
-        RetryPolicy {
-            base: rel.retry_base,
-            max_backoff: rel.retry_max_backoff,
-            budget: if rel.enabled { rel.retry_budget } else { 0 },
-            jitter_seed: self.shared.cfg.seed
-                ^ (u64::from(self.domain.0) << 40)
-                ^ u64::from(self.id.0).rotate_left(47),
         }
     }
 
@@ -282,6 +247,7 @@ impl ControllerActor {
             return;
         }
         st.released = true;
+        self.forwards.remove(&key);
         ctx.observe(Obs::BoundaryReleased {
             domain: self.domain,
             controller: self.id.0,
@@ -303,42 +269,40 @@ impl ControllerActor {
         ctx: &mut dyn Host<Net, Obs>,
         key: (EventId, u32),
     ) {
-        let targets: Vec<(DomainId, ControllerId)> = {
-            let Some(w) = self.seg_watch.get(&key) else {
-                return;
-            };
-            if w.report.is_some() {
-                return;
-            }
-            w.upstreams
-                .iter()
-                .flat_map(|&d| {
-                    self.remote_members
-                        .get(&d)
-                        .into_iter()
-                        .flatten()
-                        .map(move |&c| (d, c))
-                })
-                .collect()
+        let Some(w) = self.seg_watch.remove(&key) else {
+            return;
         };
-        let due = ctx.now() + self.segment_policy().backoff(barrier_id(key.0, key.1), 1);
+        let targets: Vec<(DomainId, ControllerId)> = w
+            .upstreams
+            .iter()
+            .flat_map(|&d| {
+                self.remote_members
+                    .get(&d)
+                    .into_iter()
+                    .flatten()
+                    .map(move |&c| (d, c))
+            })
+            .collect();
         let body = SegmentBody {
             event: key.0,
             segment: key.1,
             domain: self.domain,
         };
-        let signed = self.sign_segment(ctx, body);
-        if let Some(w) = self.seg_watch.get_mut(&key) {
-            w.report = Some(signed.clone());
-            w.attempts = 1;
-            w.next_due = due;
-            w.pending_receipts = targets.iter().map(|&(d, c)| (d, c.0)).collect();
+        let cost = self.shared.cfg.costs.event_sign;
+        let signed = self
+            .auth
+            .sign_share(ctx, labels::SEGMENT, body, self.view.phase(), cost);
+        if !targets.is_empty() {
+            let report = SegReport {
+                report: signed.clone(),
+                pending_receipts: targets.iter().map(|&(d, c)| (d, c.0)).collect(),
+                receipts: DetMap::new(),
+            };
+            self.seg_reports
+                .insert(key, barrier_id(key.0, key.1), report, ctx.now());
         }
         for (d, c) in targets {
-            let Some(&node) = self.shared.dir.controller_node.get(&(d, c)) else {
-                continue;
-            };
-            ctx.send(node, Net::SegmentApplied(signed.clone()));
+            self.send_remote(ctx, d, c, Net::SegmentApplied(signed.clone()));
         }
         ctx.observe(Obs::SegmentReported {
             domain: self.domain,
@@ -347,62 +311,6 @@ impl ControllerActor {
             segment: key.1,
         });
         self.arm_retry(ctx);
-    }
-
-    /// `true` when handshake messages carry real signatures: the Cicero
-    /// modes under real crypto. Everywhere else the structure is the same
-    /// and the math is skipped.
-    fn handshake_signed(&self) -> bool {
-        self.shared.real_crypto() && self.shared.cfg.mode.is_cicero()
-    }
-
-    fn sign_segment(
-        &mut self,
-        ctx: &mut dyn Host<Net, Obs>,
-        body: SegmentBody,
-    ) -> ShareSigned<SegmentBody> {
-        let phase = self.view.phase();
-        let msg_id = self.msg_id();
-        if self.shared.cfg.mode.is_cicero() {
-            ctx.charge_cpu(self.shared.cfg.costs.event_sign);
-        }
-        if self.handshake_signed() {
-            let share = self.share.as_ref().expect("real mode share");
-            ShareSigned::sign(labels::SEGMENT, body, phase, msg_id, share)
-        } else {
-            ShareSigned {
-                payload: body,
-                phase,
-                msg_id,
-                partial: PartialSignature {
-                    index: self.id.0,
-                    sig: self.shared.keys.dummy.0,
-                },
-            }
-        }
-    }
-
-    fn sign_release(
-        &mut self,
-        ctx: &mut dyn Host<Net, Obs>,
-        body: ReleaseBody,
-    ) -> Signed<ReleaseBody> {
-        let phase = self.view.phase();
-        let msg_id = self.msg_id();
-        if self.shared.cfg.mode.is_cicero() {
-            ctx.charge_cpu(self.shared.cfg.costs.event_sign);
-        }
-        if self.handshake_signed() {
-            let key = self.identity.as_ref().expect("real mode identity");
-            Signed::sign(labels::RELEASE, body, phase, msg_id, key)
-        } else {
-            Signed {
-                payload: body,
-                phase,
-                msg_id,
-                signature: self.shared.keys.dummy,
-            }
-        }
     }
 
     /// Handles a downstream controller's share of a segment report.
@@ -428,12 +336,13 @@ impl ControllerActor {
         ctx.charge_cpu(self.shared.cfg.costs.ctrl_msg);
         let body = m.payload;
         let signer = m.partial.index;
-        let shared = Arc::clone(&self.shared);
-        let Some(keys) = shared.keys.domains.get(&body.domain) else {
-            return;
-        };
-        let sender = shared.dir.controller_node.get(&(body.domain, ControllerId(signer)));
-        if body.domain == self.domain || m.msg_id.origin != signer || sender != Some(&from) {
+        let sender = (body.domain, ControllerId(signer));
+        let sender = self.shared.dir.controller_node.get(&sender);
+        if !self.shared.keys.domains.contains_key(&body.domain)
+            || body.domain == self.domain
+            || m.msg_id.origin != signer
+            || sender != Some(&from)
+        {
             return;
         }
         let key = (body.event, body.segment);
@@ -449,22 +358,13 @@ impl ControllerActor {
             .is_some_and(|st| st.certified(body.domain, quorum))
         {
             let shares = self.seg_shares.entry(body.domain).or_default();
-            if shares.held_by(signer) >= MAX_OPEN_REPORTS
-                || !shares.offer(key, m.phase, body, m.partial)
-            {
+            if shares.held_by(signer) >= MAX_OPEN_REPORTS {
                 return;
             }
-            let check = Check {
-                label: labels::SEGMENT,
-                quorum,
-                keys: (shared.real_crypto() && shared.cfg.mode.is_cicero())
-                    .then_some((&keys.public_key, &keys.group)),
-            };
-            let outcome = shares.try_quorum(key, m.phase, check);
-            if shared.cfg.mode.is_cicero() {
-                verify_latency = shared.cfg.costs.quorum_check(outcome.work());
-                self.sig_checks += u64::from(!matches!(outcome, Quorum::Below));
-            }
+            let outcome = self
+                .auth
+                .collect(shares, key, m, labels::SEGMENT, quorum, body.domain);
+            verify_latency = self.auth.quorum_cost(&outcome);
             let Quorum::Certified(cert) = outcome else {
                 return;
             };
@@ -498,26 +398,21 @@ impl ControllerActor {
         let receipt = match self.barriers.get(&key).and_then(|st| st.receipt.clone()) {
             Some(r) => r,
             None => {
-                let r = self.sign_release(
-                    ctx,
-                    ReleaseBody {
-                        event: body.event,
-                        segment: body.segment,
-                        domain: self.domain,
-                    },
-                );
+                let release = ReleaseBody {
+                    event: body.event,
+                    segment: body.segment,
+                    domain: self.domain,
+                };
+                let r = self
+                    .auth
+                    .sign(ctx, labels::RELEASE, release, self.view.phase());
                 self.barriers.entry(key).or_default().receipt = Some(r.clone());
                 r
             }
         };
         for c in receipt_to {
-            if let Some(&node) = shared
-                .dir
-                .controller_node
-                .get(&(body.domain, ControllerId(c)))
-            {
-                ctx.send(node, Net::BoundaryRelease(receipt.clone()));
-            }
+            let msg = Net::BoundaryRelease(receipt.clone());
+            self.send_remote(ctx, body.domain, ControllerId(c), msg);
         }
         self.check_barrier_release(ctx, key, verify_latency);
     }
@@ -558,10 +453,8 @@ impl ControllerActor {
         self.barriers
             .iter()
             .all(|(_, st)| st.released || st.expected.is_none())
-            && self
-                .seg_watch
-                .iter()
-                .all(|(_, w)| w.report.is_some() && w.pending_receipts.is_empty())
+            && self.seg_watch.is_empty()
+            && self.seg_reports.is_empty()
     }
 
     /// The verified downstream signers on record for barrier `(event,
@@ -578,9 +471,9 @@ impl ControllerActor {
     pub fn handshake_status(&self) -> (usize, usize) {
         (
             self.barriers.values().filter(|st| st.released).count(),
-            self.seg_watch
+            self.seg_reports
                 .values()
-                .map(|w| w.pending_receipts.len())
+                .map(|r| r.pending_receipts.len())
                 .sum(),
         )
     }
@@ -606,7 +499,7 @@ impl ControllerActor {
         if self.shared.dir.controller_node.get(&node) != Some(&from) {
             return;
         }
-        let Some(w) = self.seg_watch.get_mut(&key) else {
+        let Some(w) = self.seg_reports.get_mut(&key) else {
             return;
         };
         if !w.pending_receipts.contains(&sender) {
@@ -621,7 +514,7 @@ impl ControllerActor {
             // buffer the newcomer if its slot is open again.
             Some(_) => {
                 self.settle_receipts(ctx, key);
-                let Some(w) = self.seg_watch.get_mut(&key) else {
+                let Some(w) = self.seg_reports.get_mut(&key) else {
                     return;
                 };
                 if w.pending_receipts.contains(&sender) {
@@ -633,7 +526,7 @@ impl ControllerActor {
             }
         }
         if self
-            .seg_watch
+            .seg_reports
             .get(&key)
             .is_some_and(|w| w.receipts.len() == w.pending_receipts.len())
         {
@@ -641,47 +534,29 @@ impl ControllerActor {
         }
     }
 
-    /// Verifies the buffered receipts of one watch — one randomized batch
-    /// check, falling back per item only if the batch is poisoned — and
-    /// stops retransmitting to every target whose receipt verified under
-    /// its claimed sender's identity key.
+    /// Verifies the buffered receipts of one report in one batch and stops
+    /// retransmitting to every target whose receipt verified under its
+    /// claimed sender's identity key.
     fn settle_receipts(&mut self, ctx: &mut dyn Host<Net, Obs>, key: (EventId, u32)) {
-        let receipts = match self.seg_watch.get_mut(&key) {
+        let receipts = match self.seg_reports.get_mut(&key) {
             Some(w) if !w.receipts.is_empty() => std::mem::take(&mut w.receipts),
             _ => return,
         };
-        let shared = Arc::clone(&self.shared);
-        let costs = &shared.cfg.costs;
-        if shared.cfg.mode.is_cicero() {
-            ctx.charge_cpu(costs.batch_verify_per_item.saturating_mul(receipts.len() as u64));
-            self.sig_checks += 1;
-        }
-        let mut valid: Vec<(DomainId, u32)> = receipts.keys().copied().collect();
-        if self.handshake_signed() {
-            let pks = &shared.keys.controller_pk;
-            let items: Vec<_> = receipts
-                .iter()
-                .filter_map(|(&(d, c), m)| Some((m, *pks.get(&(d, ControllerId(c)))?)))
-                .collect();
-            if items.len() < receipts.len()
-                || !verify_signed_batch(labels::RELEASE, &items, ctx.rng())
-            {
-                ctx.charge_cpu(costs.bls_verify.saturating_mul(items.len() as u64));
-                valid = items
-                    .iter()
-                    .filter(|(m, pk)| m.verify(labels::RELEASE, pk))
-                    .map(|(m, _)| (m.payload.domain, m.msg_id.origin))
-                    .collect();
-            }
-        }
-        let Some(w) = self.seg_watch.get_mut(&key) else {
+        let items: Vec<(&Signed<ReleaseBody>, Peer)> = receipts
+            .iter()
+            .map(|(&(d, c), m)| (m, Peer::Controller(d, ControllerId(c))))
+            .collect();
+        let verdicts = self.auth.verify_batch(ctx, labels::RELEASE, &items);
+        let Some(w) = self.seg_reports.get_mut(&key) else {
             return;
         };
-        for sender in valid {
-            w.pending_receipts.remove(&sender);
+        for (sender, valid) in receipts.keys().zip(verdicts) {
+            if valid {
+                w.pending_receipts.remove(sender);
+            }
         }
         if w.pending_receipts.is_empty() {
-            self.seg_watch.remove(&key);
+            self.seg_reports.remove(&key);
         }
     }
 
@@ -689,120 +564,85 @@ impl ControllerActor {
     /// awaiting receipts, and (on the forwarding controller) barriers whose
     /// downstream domain may have lost the forwarded event.
     pub(super) fn handshake_next_due(&self) -> Option<SimTime> {
-        let reports = self
-            .seg_watch
-            .values()
-            .filter(|w| w.awaiting_receipts())
-            .map(|w| w.next_due);
-        let forwards = self
-            .barriers
-            .values()
-            .filter(|st| self.is_lowest() && !st.released)
-            .filter_map(|st| st.expected.as_ref().map(|exp| exp.next_due));
-        reports.chain(forwards).min()
+        let forwards = self.forwards.next_due().filter(|_| self.is_lowest());
+        let due = [self.seg_reports.next_due(), forwards];
+        due.into_iter().flatten().min()
     }
 
     /// Retransmits overdue handshake traffic (driven by the retry timer).
     pub(super) fn sweep_handshake(&mut self, ctx: &mut dyn Host<Net, Obs>) {
         let now = ctx.now();
-        let seg_policy = self.segment_policy();
-        // Receipts buffered for an overdue report are settled first, so
-        // the retransmission only goes to targets that truly never
-        // answered (or answered with a forgery).
-        let overdue: Vec<(EventId, u32)> = self
-            .seg_watch
-            .iter()
-            .filter(|(_, w)| w.awaiting_receipts() && w.next_due <= now)
-            .map(|(k, _)| *k)
-            .collect();
-        for key in overdue {
-            self.settle_receipts(ctx, key);
-            let Some(w) = self.seg_watch.get_mut(&key) else {
+        for r in self.seg_reports.sweep(now) {
+            // A report whose budget is spent is abandoned with its watch.
+            let Retry::Resend(key, attempt) = r else {
                 continue;
             };
-            if w.attempts >= seg_policy.budget {
-                self.seg_watch.remove(&key);
-                continue;
-            }
-            w.attempts += 1;
-            w.next_due = now + seg_policy.backoff(barrier_id(key.0, key.1), w.attempts);
-            self.resend_segment_report(ctx, key);
+            // Receipts buffered for an overdue report are settled first, so
+            // the retransmission only goes to targets that truly never
+            // answered (or answered with a forgery).
+            self.settle_receipts(ctx, key);
+            self.resend_segment_report(ctx, key, attempt);
         }
         // Barriers still waiting on a quorum: the forwarded event (sent to
         // one downstream member) may have been lost, or its target crashed.
         // Re-forward to every member of the downstream domain; `seen_events`
         // dedups over there. Stamp our own domain as origin so receivers
         // verify against the actual forwarder's key.
-        if self.is_lowest() {
-            let fwd_policy = self.forward_policy();
-            let mut forward: Vec<(EventId, DomainId, Event, u32)> = Vec::new();
-            for (key, st) in self.barriers.iter_mut() {
-                if st.released {
-                    continue;
-                }
-                let Some(exp) = st.expected.as_mut() else {
-                    continue;
-                };
-                if exp.next_due > now || exp.attempts >= fwd_policy.budget {
-                    continue;
-                }
-                exp.attempts += 1;
-                exp.next_due = now + fwd_policy.backoff(barrier_id(key.0, key.1), exp.attempts);
-                forward.push((key.0, exp.downstream, exp.event, exp.attempts));
+        if !self.is_lowest() {
+            return;
+        }
+        for r in self.forwards.sweep(now) {
+            // Budget spent: the barrier keeps waiting, quietly.
+            let Retry::Resend(key, attempt) = r else {
+                continue;
+            };
+            let Some(exp) = self.barriers.get(&key).and_then(|st| st.expected.as_ref()) else {
+                continue;
+            };
+            let downstream = exp.downstream;
+            let event = Event {
+                origin: self.domain,
+                ..exp.event
+            };
+            // One signature for every copy: the digest covers the event,
+            // not the addressee.
+            let signed = self
+                .auth
+                .sign(ctx, labels::FORWARD, event, self.view.phase());
+            let members = self.remote_members.get(&downstream);
+            for &c in members.into_iter().flatten() {
+                self.send_remote(ctx, downstream, c, Net::ForwardedEvent(signed.clone()));
             }
-            for (event_id, d, event, attempt) in forward {
-                let members = self.remote_members.get(&d).cloned().unwrap_or_default();
-                // One signature for every copy: the digest covers the
-                // event, not the addressee.
-                let signed = self.sign_forward(
-                    ctx,
-                    Event {
-                        origin: self.domain,
-                        ..event
-                    },
-                );
-                for c in members {
-                    let Some(&node) = self.shared.dir.controller_node.get(&(d, c)) else {
-                        continue;
-                    };
-                    ctx.send(node, Net::ForwardedEvent(signed.clone()));
-                }
-                ctx.observe(Obs::ForwardRetransmitted {
-                    domain: self.domain,
-                    controller: self.id.0,
-                    event: event_id,
-                    attempt,
-                });
-            }
+            ctx.observe(Obs::ForwardRetransmitted {
+                domain: self.domain,
+                controller: self.id.0,
+                event: key.0,
+                attempt,
+            });
         }
     }
 
     /// Retransmits the (already signed) segment report to the targets that
-    /// have not receipted.
-    fn resend_segment_report(&mut self, ctx: &mut dyn Host<Net, Obs>, key: (EventId, u32)) {
-        let Some(w) = self.seg_watch.get(&key) else {
-            return;
-        };
-        let Some(signed) = w.report.as_ref() else {
+    /// have not receipted (none left: the report settled meanwhile).
+    fn resend_segment_report(
+        &mut self,
+        ctx: &mut dyn Host<Net, Obs>,
+        key: (EventId, u32),
+        attempt: u32,
+    ) {
+        let Some(w) = self.seg_reports.get(&key) else {
             return;
         };
         for &(d, c) in w.pending_receipts.iter() {
-            let Some(&node) = self
-                .shared
-                .dir
-                .controller_node
-                .get(&(d, ControllerId(c)))
-            else {
-                continue;
-            };
-            ctx.send(node, Net::SegmentApplied(signed.clone()));
+            let msg = Net::SegmentApplied(w.report.clone());
+            self.send_remote(ctx, d, ControllerId(c), msg);
         }
         ctx.observe(Obs::SegmentRetransmitted {
             domain: self.domain,
             controller: self.id.0,
             event: key.0,
             segment: key.1,
-            attempt: w.attempts,
+            attempt,
         });
     }
 }

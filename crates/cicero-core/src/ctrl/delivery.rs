@@ -3,6 +3,7 @@
 //! backoff), handshake sweeps, and NACK-answering state re-sync.
 
 use super::{ControllerActor, RETRY};
+use crate::auth::Peer;
 use crate::msg::{NackBody, Net};
 use crate::obs::Obs;
 use crate::runtime::labels;
@@ -15,14 +16,11 @@ impl ControllerActor {
     /// Arms the retry timer for the earliest in-flight deadline. One timer
     /// is outstanding at a time; it re-arms itself from `on_timer`.
     pub(super) fn arm_retry(&mut self, ctx: &mut dyn Host<Net, Obs>) {
-        if self.retry_armed || !self.shared.cfg.reliability.enabled {
+        if self.retry_armed {
             return;
         }
-        let due = match (self.pending.next_due(), self.handshake_next_due()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        let Some(due) = due else {
+        let due = [self.pending.next_due(), self.handshake_next_due()];
+        let Some(due) = due.into_iter().flatten().min() else {
             return;
         };
         ctx.set_timer(due.since(ctx.now()), RETRY);
@@ -73,16 +71,9 @@ impl ControllerActor {
             return;
         }
         ctx.charge_cpu(self.shared.cfg.costs.ctrl_msg);
-        self.sig_checks += u64::from(self.shared.cfg.mode.is_signed());
-        if self.shared.cfg.mode.is_signed() && self.shared.real_crypto() {
-            let pk = self.shared.keys.switch_pk.get(&SwitchId(m.msg_id.origin));
-            let valid = pk.map(|pk| m.verify(labels::NACK, pk)).unwrap_or(false);
-            if !valid {
-                return;
-            }
-        }
+        let from = SwitchId(m.msg_id.origin);
         let body: NackBody = m.payload;
-        if body.switch != SwitchId(m.msg_id.origin) {
+        if !self.auth.verify(ctx, labels::NACK, &m, Peer::Switch(from)) || body.switch != from {
             return;
         }
         if let Some(u) = self.pending.resync(body.update, ctx.now()) {

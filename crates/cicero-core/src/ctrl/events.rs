@@ -3,15 +3,16 @@
 //! events to other affected domains, and dispatching signed updates.
 
 use super::ControllerActor;
+use crate::auth::Peer;
 use crate::config::{Aggregation, Mode};
 use crate::msg::{Net, SegwayBody};
 use crate::obs::Obs;
 use crate::runtime::labels;
-use blscrypto::bls::PartialSignature;
 use controller::app::NetworkApp;
 use controller::scheduler::ScheduledUpdate;
 use simnet::node::Host;
 use simnet::time::SimDuration;
+use southbound::codec::Wire;
 use southbound::envelope::{ShareSigned, Signed};
 use southbound::types::{ControllerId, Event, EventKind, NetworkUpdate, SwitchId, UpdateId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -90,10 +91,9 @@ impl ControllerActor {
             self.cross_domain_schedule(ctx, &event, &all)
         };
         let ready = self.pending.admit(schedule, ctx.now());
-        let mut pipeline = self.shared.cfg.costs.event_pipeline;
-        if self.shared.cfg.mode.is_signed() {
-            pipeline += self.shared.cfg.costs.bls_verify;
-        }
+        // The event's signature check is latency, not serialized CPU, on the
+        // paper's 12-core controllers: it rides on the pipeline delay.
+        let pipeline = self.shared.cfg.costs.event_pipeline + self.auth.verify_latency();
         for u in ready {
             self.send_update_delayed(ctx, u, pipeline);
         }
@@ -184,7 +184,7 @@ impl ControllerActor {
                 forwarded: true,
                 ..*event
             };
-            let signed = self.sign_forward(ctx, fwd);
+            let signed = self.auth.sign(ctx, labels::FORWARD, fwd, self.view.phase());
             ctx.send(
                 self.shared.dir.controller(d, target),
                 Net::ForwardedEvent(signed),
@@ -221,27 +221,21 @@ impl ControllerActor {
         self.send_forward(ctx, &event);
     }
 
-    pub(super) fn sign_forward(
+    /// Share-signs one outgoing update form. A third of the signing time is
+    /// serialized CPU; all of it is latency on the send, returned added to
+    /// `extra`.
+    fn sign_update<T: Wire>(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
-        event: Event,
-    ) -> Signed<Event> {
+        label: &str,
+        payload: T,
+        extra: SimDuration,
+    ) -> (ShareSigned<T>, SimDuration) {
+        let sign = self.shared.cfg.costs.update_sign;
+        let cpu = SimDuration::from_nanos(sign.as_nanos() / 3);
         let phase = self.view.phase();
-        let msg_id = self.msg_id();
-        if self.shared.cfg.mode.is_signed() {
-            ctx.charge_cpu(self.shared.cfg.costs.event_sign);
-        }
-        if self.shared.real_crypto() && self.shared.cfg.mode.is_signed() {
-            let key = self.identity.as_ref().expect("real mode identity");
-            Signed::sign(labels::FORWARD, event, phase, msg_id, key)
-        } else {
-            Signed {
-                payload: event,
-                phase,
-                msg_id,
-                signature: self.shared.keys.dummy,
-            }
-        }
+        let msg = self.auth.sign_share(ctx, label, payload, phase, cpu);
+        (msg, extra + sign)
     }
 
     pub(super) fn send_update_delayed(
@@ -263,25 +257,7 @@ impl ControllerActor {
                 );
             }
             Mode::Cicero { aggregation } => {
-                let sign = self.shared.cfg.costs.update_sign;
-                ctx.charge_cpu(SimDuration::from_nanos(sign.as_nanos() / 3));
-                let extra = extra + sign;
-                let phase = self.view.phase();
-                let msg_id = self.msg_id();
-                let msg = if self.shared.real_crypto() {
-                    let share = self.share.as_ref().expect("real mode share");
-                    ShareSigned::sign(labels::UPDATE, update, phase, msg_id, share)
-                } else {
-                    ShareSigned {
-                        payload: update,
-                        phase,
-                        msg_id,
-                        partial: PartialSignature {
-                            index: self.id.0,
-                            sig: self.shared.keys.dummy.0,
-                        },
-                    }
-                };
+                let (msg, extra) = self.sign_update(ctx, labels::UPDATE, update, extra);
                 match aggregation {
                     Aggregation::Switch => {
                         ctx.send_delayed(switch_node, Net::UpdateMsg(msg), extra)
@@ -297,9 +273,6 @@ impl ControllerActor {
                 }
             }
             Mode::Segway => {
-                let sign = self.shared.cfg.costs.update_sign;
-                ctx.charge_cpu(SimDuration::from_nanos(sign.as_nanos() / 3));
-                let extra = extra + sign;
                 let (gates, notify) = self
                     .segway_meta
                     .get(&update.id)
@@ -310,55 +283,8 @@ impl ControllerActor {
                     gates,
                     notify,
                 };
-                let phase = self.view.phase();
-                let msg_id = self.msg_id();
-                let msg = if self.shared.real_crypto() {
-                    let share = self.share.as_ref().expect("real mode share");
-                    ShareSigned::sign(labels::SEGWAY, body, phase, msg_id, share)
-                } else {
-                    ShareSigned {
-                        payload: body,
-                        phase,
-                        msg_id,
-                        partial: PartialSignature {
-                            index: self.id.0,
-                            sig: self.shared.keys.dummy.0,
-                        },
-                    }
-                };
+                let (msg, extra) = self.sign_update(ctx, labels::SEGWAY, body, extra);
                 ctx.send_delayed(switch_node, Net::SegwayUpdate(msg), extra);
-            }
-        }
-    }
-
-    // ----- inbound verification ------------------------------------------
-
-    fn verify_event(
-        &mut self,
-        ctx: &mut dyn Host<Net, Obs>,
-        msg: &Signed<Event>,
-        forwarded: bool,
-    ) -> bool {
-        if !self.shared.cfg.mode.is_signed() {
-            return true;
-        }
-        self.sig_checks += 1;
-        // Verification cost is latency, not serialized CPU, on the paper's
-        // 12-core controllers: it is folded into the event pipeline delay.
-        let _ = &ctx;
-        if !self.shared.real_crypto() {
-            return true;
-        }
-        if forwarded {
-            let sender = (msg.payload.origin, ControllerId(msg.msg_id.origin));
-            match self.shared.keys.controller_pk.get(&sender) {
-                Some(pk) => msg.verify(labels::FORWARD, pk),
-                None => false,
-            }
-        } else {
-            match self.shared.keys.switch_pk.get(&SwitchId(msg.msg_id.origin)) {
-                Some(pk) => msg.verify(labels::EVENT, pk),
-                None => false,
             }
         }
     }
@@ -378,7 +304,13 @@ impl ControllerActor {
         if self.seen_events.contains(&msg.payload.id) {
             return;
         }
-        if !self.verify_event(ctx, &msg, forwarded) {
+        let (label, from) = if forwarded {
+            let sender = Peer::Controller(msg.payload.origin, ControllerId(msg.msg_id.origin));
+            (labels::FORWARD, sender)
+        } else {
+            (labels::EVENT, Peer::Switch(SwitchId(msg.msg_id.origin)))
+        };
+        if !self.auth.verify(ctx, label, &msg, from) {
             return;
         }
         // Forward to other affected domains at *receipt* rather than after

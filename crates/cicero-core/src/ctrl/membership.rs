@@ -67,7 +67,9 @@ impl ControllerActor {
                 .collect();
             for d in domains {
                 if let Some(target) = self.remote_members[&d].first().copied() {
-                    let signed = self.sign_forward(ctx, event);
+                    let signed = self
+                        .auth
+                        .sign(ctx, labels::FORWARD, event, self.view.phase());
                     ctx.send(self.shared.dir.controller(d, target), Net::ForwardedEvent(signed));
                 }
             }
@@ -99,7 +101,7 @@ impl ControllerActor {
             self.pending_reshare = Some(PendingReshare {
                 phase: self.view.phase(),
                 need: old_t + 1,
-                old_group: self.group.clone(),
+                old_group: self.auth.group().clone(),
                 new_cfg,
             });
             // Dealers: the lowest old_t + 1 surviving old members.
@@ -109,8 +111,8 @@ impl ControllerActor {
                 .take(old_t + 1)
                 .collect();
             if dealers.contains(&self.id) {
-                let share = self.share.clone().expect("members hold shares");
-                let dealing = deal_reshare_to(&share, new_cfg.t, &new_members, ctx.rng());
+                let share = self.auth.share().expect("members hold shares");
+                let dealing = deal_reshare_to(share, new_cfg.t, &new_members, ctx.rng());
                 let phase = self.view.phase();
                 for &m in self.members().iter() {
                     if m == self.id {
@@ -130,7 +132,8 @@ impl ControllerActor {
         } else {
             // Modeled crypto: the reshare's *timing* is not part of any
             // figure; jump straight to the new phase with placeholder keys.
-            self.group = fake_group(self.view.len() as u32, self.view.threshold_t());
+            let group = fake_group(self.view.len() as u32, self.view.threshold_t());
+            self.auth.rekey(None, group);
             self.finish_phase_change(ctx);
         }
     }
@@ -149,8 +152,7 @@ impl ControllerActor {
         let pr = self.pending_reshare.take().expect("checked above");
         match finalize_reshare(&dealings[..pr.need], &pr.old_group, pr.new_cfg, self.id.0) {
             Ok((share, group)) => {
-                self.share = Some(share);
-                self.group = group;
+                self.auth.rekey(Some(share), group);
                 self.finish_phase_change(ctx);
             }
             Err(_) => {
@@ -183,9 +185,9 @@ impl ControllerActor {
             aggregator: self.view.aggregator(),
         };
         if self.shared.real_crypto() && self.shared.cfg.mode.is_cicero() {
-            let share = self.share.clone().expect("post-reshare share");
-            let msg_id = self.msg_id();
-            let partial = ShareSigned::sign(labels::PHASE, info, info.phase, msg_id, &share);
+            let msg_id = self.auth.next_msg_id();
+            let share = self.auth.share().expect("post-reshare share");
+            let partial = ShareSigned::sign(labels::PHASE, info, info.phase, msg_id, share);
             let agg = self.view.aggregator();
             if agg == self.id {
                 self.on_phase_partial(ctx, partial);
@@ -193,7 +195,7 @@ impl ControllerActor {
                 ctx.send(self.node_of(agg), Net::PhasePartial(partial));
             }
         } else if self.is_lowest() {
-            let msg_id = self.msg_id();
+            let msg_id = self.auth.next_msg_id();
             let notice = QuorumSigned {
                 payload: info,
                 phase: info.phase,
@@ -238,7 +240,7 @@ impl ControllerActor {
             quorum: self.view.quorum() as u32,
             aggregator: self.view.aggregator(),
         };
-        let msg_id = self.msg_id();
+        let msg_id = self.auth.next_msg_id();
         let Ok(notice) =
             QuorumSigned::aggregate(info, phase, msg_id, &partials[..quorum], quorum - 1)
         else {
@@ -265,12 +267,13 @@ impl ControllerActor {
             self.pending_reshare = Some(PendingReshare {
                 phase: self.view.phase(),
                 need: old_t as usize + 1,
-                old_group: self.group.clone(),
+                old_group: self.auth.group().clone(),
                 new_cfg,
             });
             self.try_finalize_reshare(ctx);
         } else {
-            self.group = fake_group(self.view.len() as u32, self.view.threshold_t());
+            let group = fake_group(self.view.len() as u32, self.view.threshold_t());
+            self.auth.rekey(None, group);
             self.finish_phase_change(ctx);
         }
         if self.uses_consensus() {

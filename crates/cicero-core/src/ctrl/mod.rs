@@ -25,12 +25,13 @@ mod durable;
 mod events;
 mod membership;
 
+use crate::auth::{Authenticator, Peer};
 use crate::collector::QuorumCollector;
 use crate::config::Mode;
-use crate::msg::{AckBody, Net, OrderedOp, SegmentBody, WalRecord};
+use crate::msg::{Net, OrderedOp, SegmentBody, WalRecord};
 use crate::obs::Obs;
-use crate::runtime::Shared;
-use barriers::{BarrierState, SegWatch};
+use crate::runtime::{labels, Shared};
+use barriers::{BarrierState, SegReport, SegWatch};
 use bft::message::ReplicaId;
 use bft::replica::Replica;
 use blscrypto::bls::{KeyShare, PartialSignature, SecretKey};
@@ -39,12 +40,11 @@ use blscrypto::reshare::ReshareDealing;
 use controller::app::ShortestPathApp;
 use controller::failure::HeartbeatDetector;
 use controller::membership::ControlPlaneView;
-use controller::pending::{PendingUpdates, RetryPolicy};
+use controller::pending::{PendingUpdates, RetryTable};
 use controller::scheduler::{ReversePathScheduler, UpdateScheduler};
 use membership::PendingReshare;
 use simnet::node::{Actor, Host, NodeId, TimerToken};
 use simnet::time::SimDuration;
-use southbound::envelope::MsgId;
 use southbound::types::{
     ControllerId, DomainId, Event, EventId, NetworkUpdate, Phase, SwitchId, UpdateId,
 };
@@ -65,9 +65,8 @@ pub struct ControllerActor {
     shared: Arc<Shared>,
     domain: DomainId,
     id: ControllerId,
-    identity: Option<SecretKey>,
-    share: Option<KeyShare>,
-    group: GroupPublic,
+    /// Signing identity, threshold key material and verification policy.
+    auth: Authenticator,
     view: ControlPlaneView,
     active: bool,
     replica: Option<Replica<OrderedOp>>,
@@ -89,11 +88,18 @@ pub struct ControllerActor {
     remote_members: BTreeMap<DomainId, Vec<ControllerId>>,
     detector: HeartbeatDetector,
     barriers: DetMap<(EventId, u32), BarrierState>,
+    /// Re-forward clocks of unreleased barriers (driven on the lowest
+    /// controller) for while the downstream domain stays quiet.
+    forwards: RetryTable<(EventId, u32), ()>,
     /// Downstream segment-report shares below quorum, per reporting domain
     /// and `(event, segment)` — volatile: nothing here was receipted, so
     /// the senders re-teach it after a crash.
     seg_shares: BTreeMap<DomainId, QuorumCollector<(EventId, u32), SegmentBody>>,
+    /// Own segments foreign updates depend on, not yet fully switch-acked.
     seg_watch: DetMap<(EventId, u32), SegWatch>,
+    /// Drained own segments' reports, retransmitted until every upstream
+    /// controller receipted.
+    seg_reports: RetryTable<(EventId, u32), SegReport>,
     /// Segway mode: per-update gate/notify metadata derived once from the
     /// full schedule at `process_event` time, consumed (and re-consumed on
     /// retransmission and NACK resync) by `send_update_delayed`.
@@ -103,11 +109,7 @@ pub struct ControllerActor {
     /// a dropped `ForwardedEvent`, so a stuck own update doubles as the
     /// signal (`reforward_segway`).
     segway_events: DetMap<EventId, (Event, u32)>,
-    msg_seq: u64,
     retry_armed: bool,
-    /// Signature checks performed (single, aggregate or batch — each counts
-    /// one), in either crypto mode.
-    sig_checks: u64,
     // ---- durability (ctrl/durable.rs) --------------------------------
     /// Durable storage, when provisioned.
     disk: Option<DiskHandle>,
@@ -138,20 +140,16 @@ impl ControllerActor {
         view: ControlPlaneView,
         active: bool,
     ) -> Self {
-        let group = shared.keys.domains[&domain].group.clone();
         let replica =
             active.then(|| Self::build_replica(&view, id, shared.cfg.view_timeout_ticks));
-        let rel = &shared.cfg.reliability;
-        let policy = RetryPolicy {
-            base: rel.retry_base,
-            max_backoff: rel.retry_max_backoff,
-            budget: if rel.enabled { rel.retry_budget } else { 0 },
-            // Per-controller jitter stream: replicas must not retransmit in
-            // lockstep or every retry wave collides at the switch.
-            jitter_seed: shared.cfg.seed
-                ^ (u64::from(domain.0) << 32)
-                ^ u64::from(id.0).rotate_left(13),
+        let rel = shared.cfg.reliability;
+        // Per-controller jitter streams: replicas must not retransmit in
+        // lockstep or every retry wave collides at the receiver.
+        let jitter = |shift: u32, rot: u32| {
+            shared.cfg.seed ^ (u64::from(domain.0) << shift) ^ u64::from(id.0).rotate_left(rot)
         };
+        let update_policy = |seed| rel.policy(rel.retry_base, rel.retry_budget, seed);
+        let event_policy = |seed| rel.policy(rel.event_retry_base, rel.event_retry_budget, seed);
         let remote_members = shared
             .dir
             .initial_members
@@ -166,18 +164,23 @@ impl ControllerActor {
                 .unwrap_or(SimDuration::from_millis(500)),
         );
         ControllerActor {
+            auth: Authenticator::new(
+                Arc::clone(&shared),
+                Peer::Controller(domain, id),
+                identity,
+                share,
+            ),
+            pending: PendingUpdates::new().with_policy(update_policy(jitter(32, 13))),
+            forwards: RetryTable::new(event_policy(jitter(16, 29))),
+            seg_reports: RetryTable::new(update_policy(jitter(40, 47))),
             shared,
             domain,
             id,
-            identity,
-            share,
-            group,
             view,
             active,
             replica,
             app: ShortestPathApp::new(),
             scheduler: Box::new(ReversePathScheduler),
-            pending: PendingUpdates::new().with_policy(policy),
             seen_events: DetSet::new(),
             forwarded_events: DetSet::new(),
             unprocessed: BTreeMap::new(),
@@ -195,9 +198,7 @@ impl ControllerActor {
             seg_watch: DetMap::new(),
             segway_meta: DetMap::new(),
             segway_events: DetMap::new(),
-            msg_seq: 0,
             retry_armed: false,
-            sig_checks: 0,
             disk: None,
             wal: None,
             recovered: Vec::new(),
@@ -225,7 +226,7 @@ impl ControllerActor {
 
     /// The current group public data (tests: pk invariance).
     pub fn group(&self) -> &GroupPublic {
-        &self.group
+        self.auth.group()
     }
 
     /// `true` while this controller participates in the control plane.
@@ -242,7 +243,7 @@ impl ControllerActor {
     /// verify, an aggregate verify and a batch each count one (tests: what
     /// a duplicate, a late share or a receipt costs).
     pub fn signature_checks(&self) -> u64 {
-        self.sig_checks
+        self.auth.checks()
     }
 
     /// Consensus liveness snapshot: `(view, delivered slots, undelivered
@@ -268,14 +269,6 @@ impl ControllerActor {
             bft::replica::BftConfig::new(members.len() as u32)
                 .with_view_timeout(view_timeout_ticks),
         )
-    }
-
-    fn msg_id(&mut self) -> MsgId {
-        self.msg_seq += 1;
-        MsgId {
-            origin: self.id.0,
-            seq: self.msg_seq,
-        }
     }
 
     fn members(&self) -> Vec<ControllerId> {
@@ -315,11 +308,7 @@ impl ControllerActor {
         // The ack may drain a watched own segment: report upstream.
         let mut drained: Vec<(EventId, u32)> = Vec::new();
         for (key, w) in self.seg_watch.iter_mut() {
-            if key.0 == update.event
-                && w.report.is_none()
-                && w.remaining.remove(&update)
-                && w.remaining.is_empty()
-            {
+            if key.0 == update.event && w.remaining.remove(&update) && w.remaining.is_empty() {
                 drained.push(*key);
             }
         }
@@ -431,33 +420,19 @@ impl Actor<Net, Obs> for ControllerActor {
                     return;
                 }
                 ctx.charge_cpu(self.shared.cfg.costs.ctrl_msg);
-                let body: AckBody = m.payload;
+                let update = m.payload.update;
                 // A re-ack of a settled update cannot change anything:
                 // drop it before paying for its signature.
-                if self.pending.is_settled(body.update) {
+                if self.pending.is_settled(update) {
                     return;
                 }
-                let mut extra = SimDuration::ZERO;
-                if self.shared.cfg.mode.is_signed() {
-                    // Verification latency rides on the released updates
-                    // (parallelizable on the controller's cores).
-                    extra = self.shared.cfg.costs.bls_verify;
-                    self.sig_checks += 1;
-                    if self.shared.real_crypto() {
-                        let pk = self
-                            .shared
-                            .keys
-                            .switch_pk
-                            .get(&SwitchId(m.msg_id.origin));
-                        let valid = pk
-                            .map(|pk| m.verify(crate::runtime::labels::ACK, pk))
-                            .unwrap_or(false);
-                        if !valid {
-                            return;
-                        }
-                    }
+                let from = Peer::Switch(SwitchId(m.msg_id.origin));
+                if !self.auth.verify(ctx, labels::ACK, &m, from) {
+                    return;
                 }
-                self.apply_verified_ack(ctx, body.update, extra);
+                // Verification latency rides on the released updates
+                // (parallelizable on the controller's cores).
+                self.apply_verified_ack(ctx, update, self.auth.verify_latency());
             }
             Net::UpdateNack(m) => self.on_update_nack(ctx, m),
             Net::SegmentApplied(m) => self.on_segment_applied(ctx, from, m),

@@ -7,6 +7,9 @@
 //!   crash-tolerant, Cicero with switch or controller aggregation), the
 //!   crypto execution mode and the calibrated cost model;
 //! * [`msg`] — the protocol message alphabet and the consensus payload;
+//! * [`auth`] — the authentication seam: the one place deciding whether a
+//!   message carries a real signature, a placeholder or none, for every
+//!   sign and verify site of both actors;
 //! * [`collector`] — the one optimistic aggregate → verify → evict quorum
 //!   collector the switch, the cross-domain handshake and the aggregator
 //!   share;
@@ -40,6 +43,7 @@
 
 
 pub mod audit;
+pub mod auth;
 pub mod collector;
 pub mod config;
 pub mod ctrl;

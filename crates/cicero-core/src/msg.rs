@@ -144,6 +144,18 @@ pub struct SegwayBody {
     pub notify: Vec<SwitchId>,
 }
 
+/// `update` with no gates and nobody to notify — what every arrival form
+/// outside Segway amounts to on the switch.
+impl From<NetworkUpdate> for SegwayBody {
+    fn from(update: NetworkUpdate) -> Self {
+        SegwayBody {
+            update,
+            gates: Vec::new(),
+            notify: Vec::new(),
+        }
+    }
+}
+
 impl Wire for SegwayBody {
     fn encode(&self, buf: &mut BytesMut) {
         self.update.encode(buf);

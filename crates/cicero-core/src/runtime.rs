@@ -78,13 +78,12 @@ impl Directory {
         self.switch_node[&id]
     }
 
-    /// Nodes of the given controllers in a domain.
-    pub fn controller_nodes<'a>(
-        &'a self,
-        domain: DomainId,
-        ids: impl IntoIterator<Item = ControllerId> + 'a,
-    ) -> impl Iterator<Item = NodeId> + 'a {
-        ids.into_iter().map(move |c| self.controller(domain, c))
+    /// Nodes of a domain's bootstrap controllers — where its switches send
+    /// their events, acknowledgements and NACKs.
+    pub fn domain_controller_nodes(&self, domain: DomainId) -> Vec<NodeId> {
+        let members = self.initial_members.get(&domain);
+        let nodes = members.into_iter().flatten();
+        nodes.map(|&c| self.controller(domain, c)).collect()
     }
 
     /// All switch nodes of a domain, ascending by switch id.

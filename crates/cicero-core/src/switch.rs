@@ -7,27 +7,27 @@
 //! goal is "minimal switch instrumentation" — and all heavy operations charge
 //! simulated CPU time so Fig. 11d's utilization comparison is reproducible.
 
-use crate::collector::{Check, Quorum, QuorumCollector};
+use crate::auth::{Authenticator, Peer};
+use crate::collector::{Quorum, QuorumCollector};
 use crate::config::{Aggregation, Mode};
 use crate::msg::{AckBody, NackBody, Net, PhaseInfo, ReadyBody, SegwayBody, SwitchWalRecord};
 use crate::obs::Obs;
 use crate::runtime::{labels, Shared};
 use blscrypto::bls::SecretKey;
 use controller::membership::ControlPlaneView;
-use controller::pending::RetryPolicy;
+use controller::pending::{Retry, RetryTable};
 use netmodel::flowtable::{FlowTable, Lookup};
 use simnet::node::{Actor, Host, NodeId, TimerToken};
 use simnet::time::{SimDuration, SimTime};
-use southbound::envelope::{verify_signed_batch, MsgId, QuorumSigned, ShareSigned, Signed};
-use southbound::types::{
-    ControllerId, DomainId, Event, EventId, EventKind, FlowAction, FlowId, FlowMatch,
-    HostId, NetworkUpdate, Phase, SwitchId, UpdateKind,
-};
 use southbound::codec::Wire;
-use std::collections::BTreeMap;
+use southbound::envelope::Signed;
+use southbound::types::{
+    DomainId, Event, EventId, EventKind, FlowAction, FlowId, FlowMatch, HostId, NetworkUpdate,
+    Phase, SwitchId, UpdateId, UpdateKind,
+};
+use std::sync::Arc;
 use substrate::collections::{DetMap, DetSet};
 use substrate::storage::{DiskHandle, Wal};
-use std::sync::Arc;
 
 const RETRY: TimerToken = TimerToken(1);
 
@@ -43,15 +43,6 @@ struct PendingEvent {
     /// (`FlowTeardown`) cancels the retransmission.
     matcher: FlowMatch,
     teardown: bool,
-    attempts: u32,
-    next_due: SimTime,
-}
-
-/// NACK (state re-sync request) state for a below-quorum update bucket.
-#[derive(Clone, Copy, Debug)]
-struct NackState {
-    attempts: u32,
-    next_due: SimTime,
 }
 
 /// A flow parked at its ingress switch until the route is installed.
@@ -69,56 +60,59 @@ struct WaitingFlow {
 struct ReadyOut {
     signed: Signed<ReadyBody>,
     target: NodeId,
-    attempts: u32,
-    next_due: SimTime,
 }
 
 /// The switch actor.
+///
+/// Every update, whatever form it arrives in, takes one path:
+/// *authenticate* (the arrival form's own check, through the
+/// [`Authenticator`]) → *gate* → *apply* → *acknowledge* → *release*. The
+/// four forms differ only in the first stage; each hands on a verified
+/// [`SegwayBody`] — gates and notify list empty outside Segway — and the
+/// number of signers behind it.
 pub struct SwitchActor {
     shared: Arc<Shared>,
     id: SwitchId,
     domain: DomainId,
-    key: Option<SecretKey>,
+    auth: Authenticator,
     table: FlowTable,
     waiting: DetMap<FlowMatch, Vec<WaitingFlow>>,
     outstanding: DetSet<FlowMatch>,
     /// Update shares below quorum ([`QuorumCollector`] policy).
-    buckets: QuorumCollector<southbound::types::UpdateId, NetworkUpdate>,
-    applied: DetSet<southbound::types::UpdateId>,
+    buckets: QuorumCollector<UpdateId, NetworkUpdate>,
+    /// Segway: share buckets over `SegwayBody` (update + gate/notify
+    /// metadata) — a quorum also vouches for the release order.
+    seg_buckets: QuorumCollector<UpdateId, SegwayBody>,
+    applied: DetSet<UpdateId>,
     /// Signer indices seen per applied update: shares from signers *not*
     /// in here are the tail of the original broadcast (quorum fired before
     /// every controller's share landed) and must not trigger re-acks.
-    applied_signers: DetMap<southbound::types::UpdateId, DetSet<u32>>,
+    applied_signers: DetMap<UpdateId, DetSet<u32>>,
     phase_info: PhaseInfo,
     event_seq: u64,
-    msg_seq: u64,
-    pending_events: BTreeMap<EventId, PendingEvent>,
-    nacks: BTreeMap<southbound::types::UpdateId, NackState>,
-    event_policy: RetryPolicy,
-    nack_policy: RetryPolicy,
+    /// Signed events awaiting their effect.
+    pending_events: RetryTable<EventId, PendingEvent>,
+    /// NACK (state re-sync request) clocks of below-quorum share buckets.
+    nacks: RetryTable<UpdateId, ()>,
+    /// Segway: outgoing readies awaiting a receipt, keyed `(gating update,
+    /// target)`.
+    ready_out: RetryTable<(UpdateId, SwitchId), ReadyOut>,
     retry_armed: bool,
-    // ----- Segway state (Mode::Segway only) -------------------------------
-    /// Share buckets over `SegwayBody` (update + gate/notify metadata): a
-    /// quorum also vouches for the release order.
-    seg_buckets: QuorumCollector<southbound::types::UpdateId, SegwayBody>,
-    /// Quorum-verified bodies whose gates are not all open yet, with the
-    /// signer count backing them.
-    parked: DetMap<southbound::types::UpdateId, (SegwayBody, u32)>,
+    /// Verified bodies whose gates are not all open yet, with the signer
+    /// count backing them.
+    parked: DetMap<UpdateId, (SegwayBody, u32)>,
     /// Verified readies received: gating update → switches that announced
     /// applying it (a ready may arrive before its gated body does).
-    ready_in: DetMap<southbound::types::UpdateId, DetSet<SwitchId>>,
-    /// Outgoing readies awaiting a receipt, keyed `(gating update, target)`.
-    ready_out: DetMap<(southbound::types::UpdateId, SwitchId), ReadyOut>,
+    ready_in: DetMap<UpdateId, DetSet<SwitchId>>,
     /// Every `(update, target)` ever released — the exactly-once-release
     /// guard. Survives receipt-driven `ready_out` removal, so duplicated
     /// quorum deliveries and replayed state never re-release a neighbor.
-    ready_sent: DetSet<(southbound::types::UpdateId, SwitchId)>,
-    ready_policy: RetryPolicy,
+    ready_sent: DetSet<(UpdateId, SwitchId)>,
     /// Durable journal (attached by the executor; `None` = diskless).
     wal: Option<Wal>,
     /// Readies the WAL says were sent but never receipted, re-armed for
     /// retransmission on the post-restart `on_start`.
-    recovered_readies: Vec<(southbound::types::UpdateId, SwitchId)>,
+    recovered_readies: Vec<(UpdateId, SwitchId)>,
 }
 
 impl SwitchActor {
@@ -130,50 +124,37 @@ impl SwitchActor {
         key: Option<SecretKey>,
         phase_info: PhaseInfo,
     ) -> Self {
-        let rel = &shared.cfg.reliability;
-        let event_policy = RetryPolicy {
-            base: rel.event_retry_base,
-            max_backoff: rel.retry_max_backoff,
-            budget: if rel.enabled { rel.event_retry_budget } else { 0 },
-            jitter_seed: shared.cfg.seed ^ u64::from(id.0).rotate_left(29),
-        };
-        let nack_policy = RetryPolicy {
-            base: rel.nack_timeout,
-            max_backoff: rel.retry_max_backoff,
-            budget: if rel.enabled { rel.nack_budget } else { 0 },
-            jitter_seed: shared.cfg.seed ^ u64::from(id.0).rotate_left(47),
-        };
-        let ready_policy = RetryPolicy {
-            base: rel.retry_base,
-            max_backoff: rel.retry_max_backoff,
-            budget: if rel.enabled { rel.retry_budget } else { 0 },
-            jitter_seed: shared.cfg.seed ^ u64::from(id.0).rotate_left(13),
+        let rel = shared.cfg.reliability;
+        // One jitter stream per table, so the three clocks never align.
+        let policy = |base, budget, rot: u32| {
+            let jitter_seed = shared.cfg.seed ^ u64::from(id.0).rotate_left(rot);
+            rel.policy(base, budget, jitter_seed)
         };
         SwitchActor {
+            auth: Authenticator::new(Arc::clone(&shared), Peer::Switch(id), key, None),
+            pending_events: RetryTable::new(policy(
+                rel.event_retry_base,
+                rel.event_retry_budget,
+                29,
+            )),
+            nacks: RetryTable::new(policy(rel.nack_timeout, rel.nack_budget, 47)),
+            ready_out: RetryTable::new(policy(rel.retry_base, rel.retry_budget, 13)),
             shared,
             id,
             domain,
-            key,
             table: FlowTable::new(),
             waiting: DetMap::new(),
             outstanding: DetSet::new(),
             buckets: QuorumCollector::new(),
+            seg_buckets: QuorumCollector::new(),
             applied: DetSet::new(),
             applied_signers: DetMap::new(),
             phase_info,
             event_seq: 0,
-            msg_seq: 0,
-            pending_events: BTreeMap::new(),
-            nacks: BTreeMap::new(),
-            event_policy,
-            nack_policy,
             retry_armed: false,
-            seg_buckets: QuorumCollector::new(),
             parked: DetMap::new(),
             ready_in: DetMap::new(),
-            ready_out: DetMap::new(),
             ready_sent: DetSet::new(),
-            ready_policy,
             wal: None,
             recovered_readies: Vec::new(),
         }
@@ -200,7 +181,7 @@ impl SwitchActor {
                 records.push(r);
             }
         }
-        let mut receipted: DetSet<(southbound::types::UpdateId, SwitchId)> = DetSet::new();
+        let mut receipted: DetSet<(UpdateId, SwitchId)> = DetSet::new();
         for r in &records {
             if let SwitchWalRecord::ReadyReceipted { update, to } = r {
                 receipted.insert((*update, *to));
@@ -240,12 +221,6 @@ impl SwitchActor {
         self.pending_events.len() + self.ready_out.len()
     }
 
-    /// Segway readies sent so far, as `(gating update, released switch)` —
-    /// the exactly-once-release set (tests).
-    pub fn readies_sent(&self) -> Vec<(southbound::types::UpdateId, SwitchId)> {
-        self.ready_sent.iter().copied().collect()
-    }
-
     /// Read access to the flow table (tests, examples).
     pub fn table(&self) -> &FlowTable {
         &self.table
@@ -256,14 +231,6 @@ impl SwitchActor {
         self.applied.len()
     }
 
-    fn msg_id(&mut self) -> MsgId {
-        self.msg_seq += 1;
-        MsgId {
-            origin: self.id.0,
-            seq: self.msg_seq,
-        }
-    }
-
     fn fresh_event_id(&mut self) -> EventId {
         self.event_seq += 1;
         EventId(((self.id.0 as u64) << 32) | self.event_seq)
@@ -271,37 +238,13 @@ impl SwitchActor {
 
     /// Where events go: the aggregator (controller aggregation) or the whole
     /// domain control plane.
-    fn event_targets(&self, ctx: &mut dyn Host<Net, Obs>) -> Vec<NodeId> {
-        let _ = ctx;
+    fn event_targets(&self) -> Vec<NodeId> {
         let dir = &self.shared.dir;
         match self.shared.cfg.mode {
             Mode::Cicero {
                 aggregation: Aggregation::Controller,
             } => vec![dir.controller(self.domain, self.phase_info.aggregator)],
-            _ => dir
-                .initial_members
-                .get(&self.domain)
-                .map(|ms| dir.controller_nodes(self.domain, ms.iter().copied()).collect())
-                .unwrap_or_default(),
-        }
-    }
-
-    fn sign_event(&mut self, ctx: &mut dyn Host<Net, Obs>, event: Event) -> Signed<Event> {
-        let phase = self.phase_info.phase;
-        let msg_id = self.msg_id();
-        if self.shared.cfg.mode.is_signed() {
-            ctx.charge_cpu(self.shared.cfg.costs.event_sign);
-        }
-        if self.shared.real_crypto() && self.shared.cfg.mode.is_signed() {
-            let key = self.key.as_ref().expect("real mode has switch keys");
-            Signed::sign(labels::EVENT, event, phase, msg_id, key)
-        } else {
-            Signed {
-                payload: event,
-                phase,
-                msg_id,
-                signature: self.shared.keys.dummy,
-            }
+            _ => dir.domain_controller_nodes(self.domain),
         }
     }
 
@@ -312,8 +255,10 @@ impl SwitchActor {
             origin: self.domain,
             forwarded: false,
         };
-        let signed = self.sign_event(ctx, event);
-        for node in self.event_targets(ctx) {
+        let signed = self
+            .auth
+            .sign(ctx, labels::EVENT, event, self.phase_info.phase);
+        for node in self.event_targets() {
             ctx.send(node, Net::EventMsg(signed.clone()));
         }
         // Track events whose effect we can await locally, for
@@ -327,27 +272,20 @@ impl SwitchActor {
                 _ => None,
             };
             if let Some((matcher, teardown)) = track {
-                let next_due = ctx.now() + self.event_backoff(event.id, 1);
-                self.pending_events.insert(
-                    event.id,
-                    PendingEvent {
-                        signed,
-                        matcher,
-                        teardown,
-                        attempts: 0,
-                        next_due,
-                    },
-                );
+                let pending = PendingEvent {
+                    signed,
+                    matcher,
+                    teardown,
+                };
+                let jitter_id = UpdateId {
+                    event: event.id,
+                    seq: 0,
+                };
+                self.pending_events
+                    .insert(event.id, jitter_id, pending, ctx.now());
                 self.arm_retry(ctx);
             }
         }
-    }
-
-    fn event_backoff(&self, id: EventId, attempt: u32) -> SimDuration {
-        self.event_policy.backoff(
-            southbound::types::UpdateId { event: id, seq: 0 },
-            attempt,
-        )
     }
 
     fn complete_waiters(&mut self, ctx: &mut dyn Host<Net, Obs>, m: FlowMatch) {
@@ -383,244 +321,24 @@ impl SwitchActor {
         }
     }
 
-    /// `signers` is the quorum evidence backing this apply, reported in the
-    /// observation stream for security auditing (see [`Obs::UpdateApplied`]).
-    fn apply_update(
-        &mut self,
-        ctx: &mut dyn Host<Net, Obs>,
-        update: NetworkUpdate,
-        signers: u32,
-    ) {
-        if !self.applied.insert(update.id) {
-            return;
+    // ----- authenticate: the four arrival forms ----------------------------
+
+    /// Front door of the forms that arrive already aggregated (or
+    /// unauthenticated): a copy of an applied update means some controller
+    /// has not seen our acknowledgement. `true` for a first copy.
+    fn first_copy(&mut self, ctx: &mut dyn Host<Net, Obs>, update: NetworkUpdate) -> bool {
+        ctx.charge_cpu(self.shared.cfg.costs.switch_msg);
+        if self.applied.contains(&update.id) {
+            self.reack(ctx, update);
+            return false;
         }
-        self.nacks.remove(&update.id);
-        self.table.apply(&update);
-        self.log_record(&SwitchWalRecord::Applied { update, signers });
-        ctx.observe(Obs::UpdateApplied {
-            switch: self.id,
-            update: update.id,
-            kind: update.kind,
-            signers,
-        });
-        // The update's effect cancels any event retransmission awaiting it.
-        match update.kind {
-            UpdateKind::Install(rule) => self
-                .pending_events
-                .retain(|_, p| p.teardown || p.matcher != rule.matcher),
-            UpdateKind::Remove(matcher) => self
-                .pending_events
-                .retain(|_, p| !p.teardown || p.matcher != matcher),
-        }
-        if let UpdateKind::Install(rule) = update.kind {
-            self.outstanding.remove(&rule.matcher);
-            self.complete_waiters(ctx, rule.matcher);
-        }
-        self.send_ack(ctx, update);
+        true
     }
 
-    fn send_ack(&mut self, ctx: &mut dyn Host<Net, Obs>, update: NetworkUpdate) {
-        let body = AckBody {
-            update: update.id,
-            switch: self.id,
-        };
-        let phase = self.phase_info.phase;
-        let msg_id = self.msg_id();
-        let signed = if self.shared.cfg.mode.is_signed() {
-            ctx.charge_cpu(self.shared.cfg.costs.event_sign);
-            if self.shared.real_crypto() {
-                let key = self.key.as_ref().expect("real mode has switch keys");
-                Signed::sign(labels::ACK, body, phase, msg_id, key)
-            } else {
-                Signed {
-                    payload: body,
-                    phase,
-                    msg_id,
-                    signature: self.shared.keys.dummy,
-                }
-            }
-        } else {
-            Signed {
-                payload: body,
-                phase,
-                msg_id,
-                signature: self.shared.keys.dummy,
-            }
-        };
-        let members: Vec<NodeId> = self
-            .shared
-            .dir
-            .initial_members
-            .get(&self.domain)
-            .map(|ms| {
-                self.shared
-                    .dir
-                    .controller_nodes(self.domain, ms.iter().copied())
-                    .collect()
-            })
-            .unwrap_or_default();
-        for node in members {
-            ctx.send(node, Net::AckMsg(signed.clone()));
-        }
-    }
-
-    /// A duplicate of an already-applied update means some controller has
-    /// not seen our acknowledgement — re-send it (ack-loss recovery).
-    fn reack(&mut self, ctx: &mut dyn Host<Net, Obs>, update: NetworkUpdate) {
-        if !self.shared.cfg.reliability.enabled {
-            return;
-        }
-        ctx.observe(Obs::AckRetransmitted {
-            switch: self.id,
-            update: update.id,
-        });
-        self.send_ack(ctx, update);
-    }
-
-    // ----- reliable delivery (event retransmission + NACKs) ---------------
-
-    /// Arms the retry timer for the earliest pending deadline. One timer is
-    /// outstanding at a time; it re-arms itself from `on_timer`.
-    fn arm_retry(&mut self, ctx: &mut dyn Host<Net, Obs>) {
-        if self.retry_armed || !self.shared.cfg.reliability.enabled {
-            return;
-        }
-        let next = self
-            .pending_events
-            .values()
-            .map(|p| p.next_due)
-            .chain(self.nacks.values().map(|n| n.next_due))
-            .chain(self.ready_out.values().map(|r| r.next_due))
-            .min();
-        let Some(due) = next else {
-            return;
-        };
-        ctx.set_timer(due.since(ctx.now()), RETRY);
-        self.retry_armed = true;
-    }
-
-    fn sweep_pending_events(&mut self, ctx: &mut dyn Host<Net, Obs>, now: SimTime) {
-        let budget = self.shared.cfg.reliability.event_retry_budget;
-        let due: Vec<EventId> = self
-            .pending_events
-            .iter()
-            .filter(|(_, p)| p.next_due <= now)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in due {
-            let p = self.pending_events.get_mut(&id).expect("present");
-            if p.attempts >= budget {
-                self.pending_events.remove(&id);
-                ctx.observe(Obs::EventRetryExhausted {
-                    switch: self.id,
-                    event: id,
-                });
-                continue;
-            }
-            p.attempts += 1;
-            let attempt = p.attempts;
-            let signed = p.signed.clone();
-            let backoff = self.event_backoff(id, attempt + 1);
-            self.pending_events
-                .get_mut(&id)
-                .expect("present")
-                .next_due = now + backoff;
-            ctx.observe(Obs::EventRetransmitted {
-                switch: self.id,
-                event: id,
-                attempt,
-            });
-            for node in self.event_targets(ctx) {
-                ctx.send(node, Net::EventMsg(signed.clone()));
-            }
-        }
-    }
-
-    fn sweep_nacks(&mut self, ctx: &mut dyn Host<Net, Obs>, now: SimTime) {
-        let budget = self.shared.cfg.reliability.nack_budget;
-        let due: Vec<southbound::types::UpdateId> = self
-            .nacks
-            .iter()
-            .filter(|(_, n)| n.next_due <= now)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in due {
-            // The bucket may have reached quorum (applied) or been pruned by
-            // a phase change in the meantime.
-            let phase = self.phase_info.phase;
-            let have = self
-                .buckets
-                .have(id, phase)
-                .max(self.seg_buckets.have(id, phase));
-            if self.applied.contains(&id) || have == 0 {
-                self.nacks.remove(&id);
-                continue;
-            }
-            let st = self.nacks.get_mut(&id).expect("present");
-            if st.attempts >= budget {
-                // Stop NACKing; the controllers' own retransmission (and its
-                // exhaustion report) remains the backstop.
-                self.nacks.remove(&id);
-                continue;
-            }
-            st.attempts += 1;
-            let attempt = st.attempts;
-            st.next_due = now + self.nack_policy.backoff(id, attempt + 1);
-            self.send_nack(ctx, id, have as u32);
-        }
-    }
-
-    fn send_nack(
-        &mut self,
-        ctx: &mut dyn Host<Net, Obs>,
-        update: southbound::types::UpdateId,
-        have: u32,
-    ) {
-        let body = NackBody {
-            update,
-            switch: self.id,
-            have,
-        };
-        let phase = self.phase_info.phase;
-        let msg_id = self.msg_id();
-        let signed = if self.shared.cfg.mode.is_signed() && self.shared.real_crypto() {
-            ctx.charge_cpu(self.shared.cfg.costs.event_sign);
-            let key = self.key.as_ref().expect("real mode has switch keys");
-            Signed::sign(labels::NACK, body, phase, msg_id, key)
-        } else {
-            Signed {
-                payload: body,
-                phase,
-                msg_id,
-                signature: self.shared.keys.dummy,
-            }
-        };
-        ctx.observe(Obs::NackSent {
-            switch: self.id,
-            update,
-            have,
-        });
-        let members: Vec<NodeId> = self
-            .shared
-            .dir
-            .initial_members
-            .get(&self.domain)
-            .map(|ms| {
-                self.shared
-                    .dir
-                    .controller_nodes(self.domain, ms.iter().copied())
-                    .collect()
-            })
-            .unwrap_or_default();
-        for node in members {
-            ctx.send(node, Net::UpdateNack(signed.clone()));
-        }
-    }
-
-    /// Common front half of both share paths: re-acks a retransmitted
-    /// share of an applied update, drops shares of another phase or of a
-    /// body already parked on its gates, and starts the NACK clock. `true`
-    /// when the share should be collected.
+    /// Front door of both share forms: re-acks a retransmitted share of an
+    /// applied update, drops shares of another phase or of a body already
+    /// parked on its gates, and starts the NACK clock. `true` when the
+    /// share should be collected.
     fn admit_share(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
@@ -646,46 +364,25 @@ impl SwitchActor {
         if phase != self.phase_info.phase || self.parked.get(&update.id).is_some() {
             return false;
         }
-        if self.shared.cfg.reliability.enabled {
+        if self.shared.cfg.reliability.enabled && !self.nacks.contains(&update.id) {
             // Start the NACK clock the moment the first share arrives: if
             // the bucket is still below quorum when it fires, ask the
             // control plane to re-send the missing shares.
-            let due = ctx.now() + self.nack_policy.backoff(update.id, 1);
-            self.nacks.entry(update.id).or_insert(NackState {
-                attempts: 0,
-                next_due: due,
-            });
+            self.nacks.insert(update.id, update.id, (), ctx.now());
             self.arm_retry(ctx);
         }
         true
     }
 
-    /// The quorum check both share paths run under `label`: this domain's
-    /// group key at the current phase's quorum.
-    fn quorum_check<'a>(&self, shared: &'a Shared, label: &'a str) -> Check<'a> {
-        let keys = &shared.keys.domains[&self.domain];
-        Check {
-            label,
-            quorum: self.phase_info.quorum as usize,
-            keys: shared
-                .real_crypto()
-                .then_some((&keys.public_key, &keys.group)),
-        }
-    }
-
-    /// Switch-side aggregation (paper Fig. 6b): buffer share-signed updates
-    /// until a quorum of identical updates, aggregate, verify, apply.
-    fn on_share_signed(&mut self, ctx: &mut dyn Host<Net, Obs>, msg: ShareSigned<NetworkUpdate>) {
-        let (id, phase) = (msg.payload.id, msg.phase);
-        if !self.admit_share(ctx, msg.payload, phase, msg.partial.index)
-            || !self.buckets.offer(id, phase, msg.payload, msg.partial)
-        {
-            return;
-        }
-        let shared = Arc::clone(&self.shared);
-        let check = self.quorum_check(&shared, labels::UPDATE);
-        let outcome = self.buckets.try_quorum(id, phase, check);
-        ctx.charge_cpu(shared.cfg.costs.quorum_check(outcome.work()));
+    /// Switch-side aggregation (paper Fig. 6b): what collecting one more
+    /// share of `id` came to — aggregate, verify, hand the body on.
+    fn on_quorum<T: Into<SegwayBody>>(
+        &mut self,
+        ctx: &mut dyn Host<Net, Obs>,
+        id: UpdateId,
+        outcome: Quorum<T>,
+    ) {
+        ctx.charge_cpu(self.auth.quorum_cost(&outcome));
         match outcome {
             Quorum::Below => {}
             Quorum::Rejected { .. } => ctx.observe(Obs::UpdateRejected {
@@ -696,44 +393,12 @@ impl SwitchActor {
                 let n_signers = cert.signers.len() as u32;
                 self.applied_signers
                     .insert(id, cert.signers.into_iter().collect());
-                self.apply_update(ctx, cert.payload, n_signers);
+                self.deliver(ctx, cert.payload.into(), n_signers);
             }
         }
     }
 
-    /// Controller-aggregation path (paper Fig. 7c): single verification of a
-    /// pre-aggregated signature.
-    fn on_quorum_signed(
-        &mut self,
-        ctx: &mut dyn Host<Net, Obs>,
-        msg: QuorumSigned<NetworkUpdate>,
-    ) {
-        ctx.charge_cpu(self.shared.cfg.costs.switch_msg);
-        if self.applied.contains(&msg.payload.id) {
-            self.reack(ctx, msg.payload);
-            return;
-        }
-        ctx.charge_cpu(self.shared.cfg.costs.bls_verify);
-        let valid = if self.shared.real_crypto() {
-            let pk = self.shared.keys.domains[&self.domain].public_key;
-            msg.verify(labels::UPDATE, &pk)
-        } else {
-            true
-        };
-        if valid {
-            // A verified aggregate only exists if exactly `quorum` valid
-            // partials were combined with the right Lagrange weights.
-            let quorum = self.phase_info.quorum;
-            self.apply_update(ctx, msg.payload, quorum);
-        } else {
-            ctx.observe(Obs::UpdateRejected {
-                switch: self.id,
-                update: msg.payload.id,
-            });
-        }
-    }
-
-    // ----- Segway: decentralized release via switch-to-switch readies ------
+    // ----- gate → apply → acknowledge → release ----------------------------
 
     /// Ready-gating is the Segway analogue of the cross-domain ordering
     /// handshake, so the same config knob disables it for control runs
@@ -755,105 +420,14 @@ impl SwitchActor {
         })
     }
 
-    /// Segway ingest: same quorum accumulation as [`Self::on_share_signed`],
-    /// over the update *plus* its threshold-signed gate/notify metadata.
-    fn on_segway_signed(&mut self, ctx: &mut dyn Host<Net, Obs>, msg: ShareSigned<SegwayBody>) {
-        let (id, phase) = (msg.payload.update.id, msg.phase);
-        if !self.admit_share(ctx, msg.payload.update, phase, msg.partial.index)
-            || !self.seg_buckets.offer(id, phase, msg.payload, msg.partial)
-        {
-            return;
-        }
-        let shared = Arc::clone(&self.shared);
-        let check = self.quorum_check(&shared, labels::SEGWAY);
-        let outcome = self.seg_buckets.try_quorum(id, phase, check);
-        ctx.charge_cpu(shared.cfg.costs.quorum_check(outcome.work()));
-        match outcome {
-            Quorum::Below => {}
-            Quorum::Rejected { .. } => ctx.observe(Obs::UpdateRejected {
-                switch: self.id,
-                update: id,
-            }),
-            Quorum::Certified(cert) => {
-                let n_signers = cert.signers.len() as u32;
-                self.applied_signers
-                    .insert(id, cert.signers.into_iter().collect());
-                if self.gates_open(&cert.payload) {
-                    self.seg_apply(ctx, cert.payload, n_signers);
-                    self.release_parked(ctx);
-                } else {
-                    self.parked.insert(id, (cert.payload, n_signers));
-                }
-            }
-        }
-    }
-
-    /// Applies a gated body and releases the switches its threshold-signed
-    /// `notify` list names.
-    fn seg_apply(&mut self, ctx: &mut dyn Host<Net, Obs>, body: SegwayBody, signers: u32) {
-        if self.applied.contains(&body.update.id) {
-            return;
-        }
-        self.apply_update(ctx, body.update, signers);
-        if !self.gating_enabled() {
-            return;
-        }
-        for i in 0..body.notify.len() {
-            let to = body.notify[i];
-            if to == self.id {
-                continue;
-            }
-            // Exactly-once release: a neighbor is released at most once per
-            // gating update no matter how often the quorum re-fires.
-            if !self.ready_sent.insert((body.update.id, to)) {
-                continue;
-            }
-            // Write-ahead: the release is durable before it can be observed,
-            // so a crash between journal and send re-sends (at-least-once on
-            // the wire) rather than re-releasing (exactly-once in the set).
-            self.log_record(&SwitchWalRecord::ReadySent {
-                update: body.update.id,
-                to,
-            });
-            let ready = ReadyBody {
-                update: body.update.id,
-                from: self.id,
-                to,
-            };
-            let phase = self.phase_info.phase;
-            let msg_id = self.msg_id();
-            ctx.charge_cpu(self.shared.cfg.costs.event_sign);
-            let signed = if self.shared.real_crypto() {
-                let key = self.key.as_ref().expect("real mode has switch keys");
-                Signed::sign(labels::READY, ready, phase, msg_id, key)
-            } else {
-                Signed {
-                    payload: ready,
-                    phase,
-                    msg_id,
-                    signature: self.shared.keys.dummy,
-                }
-            };
-            ctx.observe(Obs::ReadySent {
-                from: self.id,
-                to,
-                update: body.update.id,
-            });
-            let target = self.shared.dir.switch(to);
-            ctx.send(target, Net::SegwayReady(signed.clone()));
-            if self.shared.cfg.reliability.enabled {
-                let next_due = ctx.now() + self.ready_policy.backoff(body.update.id, 1);
-                self.ready_out.insert(
-                    (body.update.id, to),
-                    ReadyOut {
-                        signed,
-                        target,
-                        attempts: 0,
-                        next_due,
-                    },
-                );
-                self.arm_retry(ctx);
-            }
+    /// Gate: a verified body goes in once its gates are open, and waits in
+    /// `parked` until then. `signers` is the quorum evidence backing it.
+    fn deliver(&mut self, ctx: &mut dyn Host<Net, Obs>, body: SegwayBody, signers: u32) {
+        if self.gates_open(&body) {
+            self.apply(ctx, body, signers);
+            self.release_parked(ctx);
+        } else {
+            self.parked.insert(body.update.id, (body, signers));
         }
     }
 
@@ -870,70 +444,156 @@ impl SwitchActor {
                 return;
             };
             let (body, signers) = self.parked.remove(&k).expect("just found");
-            self.seg_apply(ctx, body, signers);
+            self.apply(ctx, body, signers);
         }
     }
 
-    /// A neighbor announces it applied a gating update. Verified through
-    /// the batch-verification path with the simulation RNG; rejected when
-    /// the signature fails, the `to` binding names someone else (a replay
-    /// at the wrong victim), or the sender is not the gate's designated
-    /// switch — the latter two structural checks also bite under
+    /// Applies the update, acknowledges it, and releases the switches its
+    /// `notify` list names. `signers` is reported in the observation stream
+    /// for security auditing (see [`Obs::UpdateApplied`]).
+    fn apply(&mut self, ctx: &mut dyn Host<Net, Obs>, body: SegwayBody, signers: u32) {
+        let update = body.update;
+        if !self.applied.insert(update.id) {
+            return;
+        }
+        self.nacks.remove(&update.id);
+        self.table.apply(&update);
+        self.log_record(&SwitchWalRecord::Applied { update, signers });
+        ctx.observe(Obs::UpdateApplied {
+            switch: self.id,
+            update: update.id,
+            kind: update.kind,
+            signers,
+        });
+        // The update's effect cancels any event retransmission awaiting it.
+        match update.kind {
+            UpdateKind::Install(rule) => {
+                self.pending_events
+                    .retain(|_, p| p.teardown || p.matcher != rule.matcher);
+                self.outstanding.remove(&rule.matcher);
+                self.complete_waiters(ctx, rule.matcher);
+            }
+            UpdateKind::Remove(matcher) => self
+                .pending_events
+                .retain(|_, p| !p.teardown || p.matcher != matcher),
+        }
+        self.send_ack(ctx, update);
+        if self.gating_enabled() {
+            for to in body.notify {
+                // Exactly-once release: a neighbor is released at most once
+                // per gating update no matter how often the quorum re-fires.
+                if to != self.id && self.ready_sent.insert((update.id, to)) {
+                    // Write-ahead: the release is durable before it can be
+                    // observed, so a crash between journal and send re-sends
+                    // (at-least-once on the wire) rather than re-releasing
+                    // (exactly-once in the set).
+                    self.log_record(&SwitchWalRecord::ReadySent {
+                        update: update.id,
+                        to,
+                    });
+                    self.send_ready(ctx, update.id, to, true);
+                }
+            }
+            self.arm_retry(ctx);
+        }
+    }
+
+    fn send_ack(&mut self, ctx: &mut dyn Host<Net, Obs>, update: NetworkUpdate) {
+        let body = AckBody {
+            update: update.id,
+            switch: self.id,
+        };
+        let signed = self
+            .auth
+            .sign(ctx, labels::ACK, body, self.phase_info.phase);
+        for node in self.shared.dir.domain_controller_nodes(self.domain) {
+            ctx.send(node, Net::AckMsg(signed.clone()));
+        }
+    }
+
+    /// A duplicate of an already-applied update means some controller has
+    /// not seen our acknowledgement — re-send it (ack-loss recovery).
+    fn reack(&mut self, ctx: &mut dyn Host<Net, Obs>, update: NetworkUpdate) {
+        if !self.shared.cfg.reliability.enabled {
+            return;
+        }
+        ctx.observe(Obs::AckRetransmitted {
+            switch: self.id,
+            update: update.id,
+        });
+        self.send_ack(ctx, update);
+    }
+
+    /// Signs the ready releasing `to` on `update` and keeps it for
+    /// retransmission until receipted (the caller arms the timer once its
+    /// batch is in). A `first` send is announced and goes
+    /// on the wire now; the restart half of crash recovery passes `false`:
+    /// the release already happened in a previous life, so the ready only
+    /// re-enters the retry table and the sweep emits `ReadyRetransmitted`
+    /// like any other retry.
+    fn send_ready(
+        &mut self,
+        ctx: &mut dyn Host<Net, Obs>,
+        update: UpdateId,
+        to: SwitchId,
+        first: bool,
+    ) {
+        let ready = ReadyBody {
+            update,
+            from: self.id,
+            to,
+        };
+        let signed = self
+            .auth
+            .sign(ctx, labels::READY, ready, self.phase_info.phase);
+        let target = self.shared.dir.switch(to);
+        if first {
+            ctx.observe(Obs::ReadySent {
+                from: self.id,
+                to,
+                update,
+            });
+            ctx.send(target, Net::SegwayReady(signed.clone()));
+        }
+        if self.shared.cfg.reliability.enabled {
+            let out = ReadyOut { signed, target };
+            self.ready_out.insert((update, to), update, out, ctx.now());
+        }
+    }
+
+    /// A neighbor announces it applied a gating update. Rejected when the
+    /// `to` binding names someone else (a replay at the wrong victim), the
+    /// signature fails, or the sender is not the gate's designated switch
+    /// — the structural checks also bite under
     /// [`crate::config::CryptoMode::Modeled`], where signatures are vacuous.
     fn on_ready(&mut self, ctx: &mut dyn Host<Net, Obs>, msg: Signed<ReadyBody>) {
         ctx.charge_cpu(self.shared.cfg.costs.switch_msg);
         let body = msg.payload;
-        let reject = |ctx: &mut dyn Host<Net, Obs>, switch: SwitchId| {
+        // If a parked body names a different switch for this gate, the
+        // sender is impersonating the designated releaser.
+        let names_other = |b: &SegwayBody| {
+            let mut gates = b.gates.iter();
+            gates.any(|&(u, s)| u == body.update && s != body.from)
+        };
+        let valid = body.to == self.id
+            && body.from != self.id
+            && self
+                .auth
+                .verify(ctx, labels::READY, &msg, Peer::Switch(body.from))
+            && !self.parked.values().any(|(b, _)| names_other(b));
+        if !valid {
             ctx.observe(Obs::ReadyRejected {
-                switch,
+                switch: self.id,
                 update: body.update,
                 from: body.from,
             });
-        };
-        if body.to != self.id || body.from == self.id {
-            reject(ctx, self.id);
-            return;
-        }
-        ctx.charge_cpu(self.shared.cfg.costs.bls_verify);
-        let valid = if self.shared.real_crypto() {
-            match self.shared.keys.switch_pk.get(&body.from) {
-                Some(&pk) => verify_signed_batch(labels::READY, &[(&msg, pk)], ctx.rng()),
-                None => false,
-            }
-        } else {
-            self.shared.dir.switch_node.contains_key(&body.from)
-        };
-        if !valid {
-            reject(ctx, self.id);
-            return;
-        }
-        // If a parked body names a different switch for this gate, the
-        // sender is impersonating the designated releaser.
-        let impersonated = self.parked.values().any(|(b, _)| {
-            b.gates
-                .iter()
-                .any(|&(u, s)| u == body.update && s != body.from)
-        });
-        if impersonated {
-            reject(ctx, self.id);
             return;
         }
         // Receipt every valid ready (idempotent for duplicates) so the
         // sender stops retransmitting.
-        let phase = self.phase_info.phase;
-        let msg_id = self.msg_id();
-        ctx.charge_cpu(self.shared.cfg.costs.event_sign);
-        let receipt = if self.shared.real_crypto() {
-            let key = self.key.as_ref().expect("real mode has switch keys");
-            Signed::sign(labels::READY_RECEIPT, body, phase, msg_id, key)
-        } else {
-            Signed {
-                payload: body,
-                phase,
-                msg_id,
-                signature: self.shared.keys.dummy,
-            }
-        };
+        let receipt = self
+            .auth
+            .sign(ctx, labels::READY_RECEIPT, body, self.phase_info.phase);
         // The receipt promises the sender it can stop retransmitting, so
         // the accepted ready must be durable before the receipt is sent.
         if self
@@ -956,23 +616,14 @@ impl SwitchActor {
     fn on_ready_ack(&mut self, ctx: &mut dyn Host<Net, Obs>, msg: Signed<ReadyBody>) {
         ctx.charge_cpu(self.shared.cfg.costs.switch_msg);
         let body = msg.payload;
-        if body.from != self.id {
-            return;
-        }
         let key = (body.update, body.to);
-        if self.ready_out.get(&key).is_none() {
+        if body.from != self.id || !self.ready_out.contains(&key) {
             return;
         }
-        ctx.charge_cpu(self.shared.cfg.costs.bls_verify);
-        let valid = if self.shared.real_crypto() {
-            match self.shared.keys.switch_pk.get(&body.to) {
-                Some(pk) => msg.verify(labels::READY_RECEIPT, pk),
-                None => false,
-            }
-        } else {
-            true
-        };
-        if valid {
+        if self
+            .auth
+            .verify(ctx, labels::READY_RECEIPT, &msg, Peer::Switch(body.to))
+        {
             self.ready_out.remove(&key);
             self.log_record(&SwitchWalRecord::ReadyReceipted {
                 update: key.0,
@@ -981,35 +632,100 @@ impl SwitchActor {
         }
     }
 
-    fn sweep_readies(&mut self, ctx: &mut dyn Host<Net, Obs>, now: SimTime) {
-        let budget = self.ready_policy.budget;
-        let due: Vec<(southbound::types::UpdateId, SwitchId)> = self
-            .ready_out
-            .iter()
-            .filter(|(_, r)| r.next_due <= now)
-            .map(|(&k, _)| k)
-            .collect();
-        for key in due {
-            let r = self.ready_out.get_mut(&key).expect("present");
-            if r.attempts >= budget {
-                // Stop retransmitting; the controller's own update retry
-                // (and its exhaustion report) remains the backstop for the
-                // stalled downstream segment.
-                self.ready_out.remove(&key);
+    // ----- reliable delivery: one timer over the three retry tables --------
+
+    /// Arms the retry timer for the earliest pending deadline. One timer is
+    /// outstanding at a time; it re-arms itself from `on_timer`.
+    fn arm_retry(&mut self, ctx: &mut dyn Host<Net, Obs>) {
+        if self.retry_armed {
+            return;
+        }
+        let next = [
+            self.pending_events.next_due(),
+            self.nacks.next_due(),
+            self.ready_out.next_due(),
+        ];
+        let Some(due) = next.into_iter().flatten().min() else {
+            return;
+        };
+        ctx.set_timer(due.since(ctx.now()), RETRY);
+        self.retry_armed = true;
+    }
+
+    fn sweep(&mut self, ctx: &mut dyn Host<Net, Obs>) {
+        let now = ctx.now();
+        for r in self.pending_events.sweep(now) {
+            match r {
+                Retry::Exhausted(event) => ctx.observe(Obs::EventRetryExhausted {
+                    switch: self.id,
+                    event,
+                }),
+                Retry::Resend(event, attempt) => {
+                    ctx.observe(Obs::EventRetransmitted {
+                        switch: self.id,
+                        event,
+                        attempt,
+                    });
+                    let p = self.pending_events.get(&event).expect("resent, so kept");
+                    for node in self.event_targets() {
+                        ctx.send(node, Net::EventMsg(p.signed.clone()));
+                    }
+                }
+            }
+        }
+        for r in self.nacks.sweep(now) {
+            // An exhausted clock just stops NACKing; the controllers' own
+            // retransmission (and its exhaustion report) is the backstop.
+            let Retry::Resend(id, _) = r else {
+                continue;
+            };
+            // The bucket may have reached quorum (applied) or been pruned by
+            // a phase change in the meantime.
+            let phase = self.phase_info.phase;
+            let have = self
+                .buckets
+                .have(id, phase)
+                .max(self.seg_buckets.have(id, phase));
+            if self.applied.contains(&id) || have == 0 {
+                self.nacks.remove(&id);
                 continue;
             }
-            r.attempts += 1;
-            let attempt = r.attempts;
-            let signed = r.signed.clone();
-            let target = r.target;
-            r.next_due = now + self.ready_policy.backoff(key.0, attempt + 1);
+            self.send_nack(ctx, id, have as u32);
+        }
+        for r in self.ready_out.sweep(now) {
+            // An exhausted ready is dropped; the controller's own update
+            // retry (and its exhaustion report) remains the backstop for
+            // the stalled downstream segment.
+            let Retry::Resend(key, attempt) = r else {
+                continue;
+            };
             ctx.observe(Obs::ReadyRetransmitted {
                 from: self.id,
                 to: key.1,
                 update: key.0,
                 attempt,
             });
-            ctx.send(target, Net::SegwayReady(signed));
+            let out = self.ready_out.get(&key).expect("resent, so kept");
+            ctx.send(out.target, Net::SegwayReady(out.signed.clone()));
+        }
+    }
+
+    fn send_nack(&mut self, ctx: &mut dyn Host<Net, Obs>, update: UpdateId, have: u32) {
+        let body = NackBody {
+            update,
+            switch: self.id,
+            have,
+        };
+        let signed = self
+            .auth
+            .sign(ctx, labels::NACK, body, self.phase_info.phase);
+        ctx.observe(Obs::NackSent {
+            switch: self.id,
+            update,
+            have,
+        });
+        for node in self.shared.dir.domain_controller_nodes(self.domain) {
+            ctx.send(node, Net::UpdateNack(signed.clone()));
         }
     }
 
@@ -1066,40 +782,10 @@ impl SwitchActor {
 
 impl Actor<Net, Obs> for SwitchActor {
     fn on_start(&mut self, ctx: &mut dyn Host<Net, Obs>) {
-        // The restart half of crash recovery: resume retransmitting readies
-        // the WAL says were sent but never receipted. No new `ReadySent` is
-        // observed — the release already happened in a previous life; the
-        // sweep emits `ReadyRetransmitted` like any other retry.
-        let pairs = std::mem::take(&mut self.recovered_readies);
-        for (update, to) in pairs {
-            let ready = ReadyBody {
-                update,
-                from: self.id,
-                to,
-            };
-            let phase = self.phase_info.phase;
-            let msg_id = self.msg_id();
-            let signed = if self.shared.real_crypto() {
-                let key = self.key.as_ref().expect("real mode has switch keys");
-                Signed::sign(labels::READY, ready, phase, msg_id, key)
-            } else {
-                Signed {
-                    payload: ready,
-                    phase,
-                    msg_id,
-                    signature: self.shared.keys.dummy,
-                }
-            };
-            let next_due = ctx.now() + self.ready_policy.backoff(update, 1);
-            self.ready_out.insert(
-                (update, to),
-                ReadyOut {
-                    signed,
-                    target: self.shared.dir.switch(to),
-                    attempts: 0,
-                    next_due,
-                },
-            );
+        // Resume retransmitting readies the WAL says were sent but never
+        // receipted.
+        for (update, to) in std::mem::take(&mut self.recovered_readies) {
+            self.send_ready(ctx, update, to, false);
         }
         self.arm_retry(ctx);
     }
@@ -1109,14 +795,12 @@ impl Actor<Net, Obs> for SwitchActor {
             return;
         }
         self.retry_armed = false;
-        let now = ctx.now();
-        self.sweep_pending_events(ctx, now);
-        self.sweep_nacks(ctx, now);
-        self.sweep_readies(ctx, now);
+        self.sweep(ctx);
         self.arm_retry(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut dyn Host<Net, Obs>, _from: NodeId, msg: Net) {
+        let quorum = self.phase_info.quorum as usize;
         match msg {
             Net::FlowArrival {
                 flow,
@@ -1137,31 +821,69 @@ impl Actor<Net, Obs> for SwitchActor {
                     self.raise_event(ctx, EventKind::FlowTeardown { flow, src, dst });
                 }
             }
-            Net::UpdateMsg(m) => self.on_share_signed(ctx, m),
-            Net::UpdateAggregated(m) => self.on_quorum_signed(ctx, m),
-            Net::SegwayUpdate(m) => self.on_segway_signed(ctx, m),
-            Net::SegwayReady(m) => self.on_ready(ctx, m),
-            Net::SegwayReadyAck(m) => self.on_ready_ack(ctx, m),
+            // Unauthenticated baseline: one controller's word.
             Net::UpdatePlain { update, from: _ } => {
-                ctx.charge_cpu(self.shared.cfg.costs.switch_msg);
-                if self.applied.contains(&update.id) {
-                    self.reack(ctx, update);
+                if !self.first_copy(ctx, update) {
+                    return;
+                }
+                self.deliver(ctx, update.into(), 1);
+            }
+            // Controller aggregation (paper Fig. 7c): one verification of a
+            // pre-aggregated signature. A verified aggregate only exists if
+            // `quorum` valid partials were combined with the right Lagrange
+            // weights.
+            Net::UpdateAggregated(m) => {
+                if !self.first_copy(ctx, m.payload) {
+                    return;
+                }
+                if self.auth.verify_group(ctx, labels::UPDATE, &m) {
+                    self.deliver(ctx, m.payload.into(), quorum as u32);
                 } else {
-                    // Unauthenticated baseline: one controller's word.
-                    self.apply_update(ctx, update, 1);
+                    ctx.observe(Obs::UpdateRejected {
+                        switch: self.id,
+                        update: m.payload.id,
+                    });
                 }
             }
+            // Switch aggregation (paper Fig. 6b): buffer share-signed updates
+            // until a quorum of identical updates.
+            Net::UpdateMsg(m) => {
+                let u = m.payload;
+                if self.admit_share(ctx, u, m.phase, m.partial.index) {
+                    let q = self.auth.collect(
+                        &mut self.buckets,
+                        u.id,
+                        m,
+                        labels::UPDATE,
+                        quorum,
+                        self.domain,
+                    );
+                    self.on_quorum(ctx, u.id, q);
+                }
+            }
+            // Segway: the same accumulation, over the update *plus* its
+            // threshold-signed gate/notify metadata.
+            Net::SegwayUpdate(m) => {
+                let u = m.payload.update;
+                if self.admit_share(ctx, u, m.phase, m.partial.index) {
+                    let q = self.auth.collect(
+                        &mut self.seg_buckets,
+                        u.id,
+                        m,
+                        labels::SEGWAY,
+                        quorum,
+                        self.domain,
+                    );
+                    self.on_quorum(ctx, u.id, q);
+                }
+            }
+            Net::SegwayReady(m) => self.on_ready(ctx, m),
+            Net::SegwayReadyAck(m) => self.on_ready_ack(ctx, m),
             Net::LinkDown { a, b } => {
                 self.raise_event(ctx, EventKind::LinkFailure { a, b });
             }
             Net::PhaseNotice(m) => {
-                ctx.charge_cpu(self.shared.cfg.costs.bls_verify);
-                let valid = if self.shared.real_crypto() {
-                    let pk = self.shared.keys.domains[&self.domain].public_key;
-                    m.verify(labels::PHASE, &pk)
-                } else {
-                    true
-                };
+                let valid = self.auth.verify_group(ctx, labels::PHASE, &m);
                 if valid && m.payload.phase > self.phase_info.phase {
                     self.phase_info = m.payload;
                     // Stale aggregation buckets from the old phase die here.
@@ -1182,25 +904,5 @@ pub fn initial_phase_info(view: &ControlPlaneView) -> PhaseInfo {
         phase: view.phase(),
         quorum: view.quorum() as u32,
         aggregator: view.aggregator(),
-    }
-}
-
-/// Initial phase info for baselines without a real membership view
-/// (centralized / crash-tolerant modes).
-pub fn trivial_phase_info(members: u32) -> PhaseInfo {
-    PhaseInfo {
-        phase: Phase(0),
-        quorum: 1,
-        aggregator: ControllerId(1),
-    }
-    .with_members(members)
-}
-
-impl PhaseInfo {
-    fn with_members(mut self, members: u32) -> Self {
-        if members >= 4 {
-            self.quorum = (members - 1) / 3 + 1;
-        }
-        self
     }
 }

@@ -501,3 +501,43 @@ fn downstream_primary_crash_mid_handshake_converges() {
         assert_audit_clean(&engine, &topo, src, dst);
     });
 }
+
+/// A barrier whose re-forward budget is spent must go quiet, not spin: with
+/// every inter-domain controller link dead, the upstream domain re-forwards
+/// the event `event_retry_budget` times and then only waits. (The exhausted
+/// barrier used to keep reporting its stale deadline, re-arming the retry
+/// timer at zero delay forever — simulated time stopped advancing and the
+/// run never returned.)
+#[test]
+fn spent_reforward_budget_goes_quiet_instead_of_spinning() {
+    let mut cfg = EngineConfig::for_mode(Mode::Cicero {
+        aggregation: Aggregation::Switch,
+    });
+    cfg.crypto = CryptoMode::Modeled;
+    cfg.reliability.event_retry_base = SimDuration::from_millis(5);
+    cfg.reliability.event_retry_budget = 3;
+    let topo = Topology::single_pod(2, 1, 2);
+    let dm = DomainMap::split_racks(&topo, 2);
+    let mut engine = Engine::build(cfg, topo.clone(), dm, 0);
+    let mut plan = FaultPlan::none();
+    for a in domain_controller_nodes(&engine, DomainId(0)) {
+        for b in domain_controller_nodes(&engine, DomainId(1)) {
+            plan = plan.with_link_drop_probability(a, b, 1.0);
+        }
+    }
+    engine.set_faults(plan);
+    inject_one_flow(&mut engine, &topo, HostId(2), HostId(0), 1);
+    // Returning at all is the regression check.
+    let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(5));
+    assert!(!report.completed, "downstream never heard of it: {report}");
+    assert_eq!(report.resolved_flows, 0);
+    let attempts: Vec<u32> = engine
+        .observations()
+        .iter()
+        .filter_map(|o| match o.value {
+            Obs::ForwardRetransmitted { attempt, .. } => Some(attempt),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(attempts, vec![1, 2, 3], "budget 3: three re-forwards");
+}

@@ -7,10 +7,11 @@
 //! (§3.3, intra-domain parallelism).
 //!
 //! Release is not delivery: the southbound channel may lose the update or
-//! its acknowledgement. Each released update therefore carries *send
-//! state* — attempt count and next-retry deadline under exponential
-//! backoff with deterministic jitter — and the tracker answers "what is
-//! due for retransmission now?" ([`PendingUpdates::due_retries`]). An
+//! its acknowledgement. Each released update therefore sits in a
+//! [`RetryTable`] — the one retransmission loop every sender in the system
+//! shares: attempt count and next-retry deadline under exponential backoff
+//! with deterministic jitter — and the tracker answers "what is due for
+//! retransmission now?" ([`PendingUpdates::due_retries`]). An
 //! update whose retry budget is exhausted is reported as **failed**
 //! (together with every update transitively depending on it) instead of
 //! silently stalling the dependency graph. Acknowledged updates are kept
@@ -57,6 +58,16 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 impl RetryPolicy {
+    /// A policy from its four parameters (see the field docs).
+    pub fn new(base: SimDuration, max_backoff: SimDuration, budget: u32, jitter_seed: u64) -> Self {
+        RetryPolicy {
+            base,
+            max_backoff,
+            budget,
+            jitter_seed,
+        }
+    }
+
     /// The backoff before retry number `attempt` (1-based) of `id`:
     /// `base * 2^(attempt-1)` capped at `max_backoff`, plus up to +25%
     /// jitter derived deterministically from the policy seed, the update
@@ -81,13 +92,157 @@ impl RetryPolicy {
     }
 }
 
-/// Send state of a released-but-unacknowledged update.
+/// One message awaiting its answer.
 #[derive(Clone, Debug)]
-struct InFlight {
-    update: NetworkUpdate,
-    /// Retransmissions performed so far (the initial send is not counted).
+struct Entry<V> {
+    payload: V,
+    /// Identity the jitter is derived from.
+    id: UpdateId,
+    /// Retransmissions performed so far (the first send is attempt 0).
     attempts: u32,
     next_due: SimTime,
+}
+
+/// What [`RetryTable::sweep`] decided for one overdue entry.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Retry<K> {
+    /// Send entry `.0`'s payload again; this is its retransmission number
+    /// `.1` (1-based — the first send was attempt 0).
+    Resend(K, u32),
+    /// Entry `.0`'s budget is spent: it has been dropped from the table.
+    Exhausted(K),
+}
+
+/// The one retransmission loop: messages sent once and kept until answered,
+/// each re-sent on its [`RetryPolicy`] backoff at most `budget` times.
+///
+/// Every stream counts the same way. The first send is attempt 0 and
+/// happens at [`RetryTable::insert`]; retransmission `k` (1-based) is due
+/// `backoff(id, k)` after the send before it; after `budget`
+/// retransmissions the next deadline reports the entry
+/// [`Retry::Exhausted`] and drops it, so a spent entry never contributes a
+/// deadline again. A zero budget disables the table's clock entirely:
+/// entries are kept, nothing is ever due.
+#[derive(Clone, Debug)]
+pub struct RetryTable<K, V> {
+    policy: RetryPolicy,
+    entries: BTreeMap<K, Entry<V>>,
+}
+
+impl<K: Ord + Copy, V> RetryTable<K, V> {
+    /// An empty table retransmitting under `policy`.
+    pub fn new(policy: RetryPolicy) -> Self {
+        RetryTable {
+            policy,
+            entries: BTreeMap::new(),
+        }
+    }
+
+    /// Records the first send of `payload` at `now` (replacing any entry
+    /// under `key`). `id` seeds the entry's jitter.
+    pub fn insert(&mut self, key: K, id: UpdateId, payload: V, now: SimTime) {
+        let next_due = now + self.policy.backoff(id, 1);
+        self.entries.insert(
+            key,
+            Entry {
+                payload,
+                id,
+                attempts: 0,
+                next_due,
+            },
+        );
+    }
+
+    /// Stops retransmitting `key` (it was answered); returns its payload.
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        self.entries.remove(key).map(|e| e.payload)
+    }
+
+    /// Drops every entry `keep` rejects.
+    pub fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) {
+        self.entries.retain(|k, e| keep(k, &e.payload));
+    }
+
+    /// The payload under `key`.
+    pub fn get(&self, key: &K) -> Option<&V> {
+        self.entries.get(key).map(|e| &e.payload)
+    }
+
+    /// Mutable access to the payload under `key`.
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.entries.get_mut(key).map(|e| &mut e.payload)
+    }
+
+    /// `true` iff `key` is still awaiting its answer.
+    pub fn contains(&self, key: &K) -> bool {
+        self.entries.contains_key(key)
+    }
+
+    /// Entries awaiting an answer.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// `true` iff nothing awaits an answer.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The awaited payloads, in key order.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.entries.values().map(|e| &e.payload)
+    }
+
+    /// Earliest deadline in the table (for timer arming); `None` when the
+    /// table is empty or retransmission is disabled.
+    pub fn next_due(&self) -> Option<SimTime> {
+        if self.policy.budget == 0 {
+            return None;
+        }
+        self.entries.values().map(|e| e.next_due).min()
+    }
+
+    /// Spends one retransmission of `key` at `now` and pushes its deadline
+    /// out by the next backoff. `None` when `key` is absent or its budget
+    /// is already spent.
+    pub fn bump(&mut self, key: &K, now: SimTime) -> Option<u32> {
+        let e = self.entries.get_mut(key)?;
+        if e.attempts >= self.policy.budget {
+            return None;
+        }
+        e.attempts += 1;
+        e.next_due = now + self.policy.backoff(e.id, e.attempts + 1);
+        Some(e.attempts)
+    }
+
+    /// Decides every entry whose deadline is at or before `now`, in key
+    /// order: retransmit it (budget permitting) or drop it as exhausted.
+    pub fn sweep(&mut self, now: SimTime) -> Vec<Retry<K>> {
+        if self.policy.budget == 0 {
+            return Vec::new();
+        }
+        let due: Vec<K> = self
+            .entries
+            .iter()
+            .filter(|(_, e)| e.next_due <= now)
+            .map(|(&k, _)| k)
+            .collect();
+        due.into_iter()
+            .map(|key| match self.bump(&key, now) {
+                Some(attempt) => Retry::Resend(key, attempt),
+                None => {
+                    self.entries.remove(&key);
+                    Retry::Exhausted(key)
+                }
+            })
+            .collect()
+    }
+}
+
+impl<K: Ord + Copy, V> Default for RetryTable<K, V> {
+    fn default() -> Self {
+        RetryTable::new(RetryPolicy::default())
+    }
 }
 
 /// The updates a retry sweep decided on.
@@ -104,9 +259,8 @@ pub struct RetryBatch {
 /// Tracks scheduled updates until acknowledged, with per-update send state.
 #[derive(Clone, Debug, Default)]
 pub struct PendingUpdates {
-    policy: RetryPolicy,
     waiting: BTreeMap<UpdateId, ScheduledUpdate>,
-    sent: BTreeMap<UpdateId, InFlight>,
+    sent: RetryTable<UpdateId, NetworkUpdate>,
     acked: BTreeSet<UpdateId>,
     /// Acknowledged updates kept for re-sync replies.
     completed: BTreeMap<UpdateId, NetworkUpdate>,
@@ -121,13 +275,8 @@ impl PendingUpdates {
 
     /// Sets the retry policy (builder style).
     pub fn with_policy(mut self, policy: RetryPolicy) -> Self {
-        self.policy = policy;
+        self.sent = RetryTable::new(policy);
         self
-    }
-
-    /// The active retry policy.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
     }
 
     /// Admits a schedule; returns the updates that are immediately ready to
@@ -147,8 +296,8 @@ impl PendingUpdates {
     /// ready (recorded as in flight at `now`).
     pub fn ack(&mut self, id: UpdateId, now: SimTime) -> Vec<NetworkUpdate> {
         self.acked.insert(id);
-        if let Some(inf) = self.sent.remove(&id) {
-            self.completed.insert(id, inf.update);
+        if let Some(update) = self.sent.remove(&id) {
+            self.completed.insert(id, update);
         }
         for s in self.waiting.values_mut() {
             s.deps.remove(&id);
@@ -166,14 +315,7 @@ impl PendingUpdates {
         let mut out = Vec::with_capacity(ready_ids.len());
         for id in ready_ids {
             let s = self.waiting.remove(&id).expect("present");
-            self.sent.insert(
-                id,
-                InFlight {
-                    update: s.update,
-                    attempts: 0,
-                    next_due: now + self.policy.backoff(id, 1),
-                },
-            );
+            self.sent.insert(id, id, s.update, now);
             out.push(s.update);
         }
         out
@@ -191,25 +333,15 @@ impl PendingUpdates {
     /// update transitively depending on one — move to the failed set.
     pub fn due_retries(&mut self, now: SimTime) -> RetryBatch {
         let mut batch = RetryBatch::default();
-        if self.policy.budget == 0 {
-            return batch;
-        }
-        let due: Vec<UpdateId> = self
-            .sent
-            .iter()
-            .filter(|(_, inf)| inf.next_due <= now)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in due {
-            let inf = self.sent.get_mut(&id).expect("present");
-            if inf.attempts >= self.policy.budget {
-                self.sent.remove(&id);
-                batch.failed.push(id);
-                continue;
+        for r in self.sent.sweep(now) {
+            match r {
+                Retry::Resend(id, attempt) => {
+                    batch
+                        .resend
+                        .push((self.sent.get(&id).copied().expect("kept"), attempt));
+                }
+                Retry::Exhausted(id) => batch.failed.push(id),
             }
-            inf.attempts += 1;
-            inf.next_due = now + self.policy.backoff(id, inf.attempts + 1);
-            batch.resend.push((inf.update, inf.attempts));
         }
         // Cascade: a waiting update whose dependency failed can never
         // release; fail it too (transitively) so the graph drains into an
@@ -236,10 +368,7 @@ impl PendingUpdates {
     /// arming). `None` when nothing is in flight or retransmission is
     /// disabled.
     pub fn next_due(&self) -> Option<SimTime> {
-        if self.policy.budget == 0 {
-            return None;
-        }
-        self.sent.values().map(|inf| inf.next_due).min()
+        self.sent.next_due()
     }
 
     /// Answers a re-sync request (NACK) for `id`: returns the signed-update
@@ -248,20 +377,11 @@ impl PendingUpdates {
     /// response replaces the next scheduled retransmission) or in the
     /// acknowledged archive (a healed-partition peer re-requesting state).
     pub fn resync(&mut self, id: UpdateId, now: SimTime) -> Option<NetworkUpdate> {
-        if let Some(inf) = self.sent.get_mut(&id) {
-            if self.policy.budget == 0 || inf.attempts >= self.policy.budget {
-                return None;
-            }
-            inf.attempts += 1;
-            inf.next_due = now + self.policy.backoff(id, inf.attempts + 1);
-            return Some(inf.update);
+        if self.sent.contains(&id) {
+            self.sent.bump(&id, now)?;
+            return self.sent.get(&id).copied();
         }
         self.completed.get(&id).copied()
-    }
-
-    /// Updates sent but not yet acknowledged.
-    pub fn in_flight(&self) -> impl Iterator<Item = &UpdateId> {
-        self.sent.keys()
     }
 
     /// Number of updates in flight (sent, unacknowledged).
@@ -295,7 +415,7 @@ impl PendingUpdates {
     /// overtook its own update's admission leaves the update in flight
     /// until a re-ack retires it — that re-ack still matters.)
     pub fn is_settled(&self, id: UpdateId) -> bool {
-        self.acked.contains(&id) && !self.sent.contains_key(&id)
+        self.acked.contains(&id) && !self.sent.contains(&id)
     }
 
     /// `true` iff `id` was reported failed.
@@ -500,5 +620,98 @@ mod tests {
         let b = p.due_retries(far);
         assert!(b.resend.is_empty() && b.failed.is_empty());
         assert_eq!(p.in_flight_count(), 1, "stays in flight forever");
+    }
+
+    fn policy(budget: u32) -> RetryPolicy {
+        RetryPolicy::new(
+            SimDuration::from_millis(10),
+            SimDuration::from_millis(40),
+            budget,
+            3,
+        )
+    }
+
+    fn table(budget: u32) -> RetryTable<u8, &'static str> {
+        RetryTable::new(policy(budget))
+    }
+
+    const ID: UpdateId = UpdateId {
+        event: EventId(5),
+        seq: 1,
+    };
+
+    #[test]
+    fn table_numbers_retransmissions_from_one_on_the_policy_backoff() {
+        let mut t = table(3);
+        let policy = policy(3);
+        t.insert(7, ID, "m", T0);
+        assert!(
+            t.sweep(T0).is_empty(),
+            "the first send is attempt 0, not a retry"
+        );
+        let mut now = T0;
+        for attempt in 1..=3 {
+            // Retransmission k is due backoff(id, k) after the send before it.
+            assert_eq!(t.next_due(), Some(now + policy.backoff(ID, attempt)));
+            now = t.next_due().unwrap();
+            assert_eq!(t.sweep(now), vec![Retry::Resend(7, attempt)]);
+            assert_eq!(t.get(&7), Some(&"m"));
+        }
+    }
+
+    #[test]
+    fn table_exhausts_after_budget_retransmissions_and_goes_quiet() {
+        let mut t = table(2);
+        t.insert(1, ID, "a", T0);
+        let mut resent = 0;
+        loop {
+            let now = t.next_due().expect("a live entry always has a deadline");
+            match t.sweep(now)[..] {
+                [Retry::Resend(1, attempt)] => {
+                    resent += 1;
+                    assert_eq!(attempt, resent);
+                }
+                [Retry::Exhausted(1)] => break,
+                ref other => panic!("unexpected sweep {other:?}"),
+            }
+        }
+        assert_eq!(resent, 2, "budget counts retransmissions");
+        // A spent entry is gone: no deadline, nothing further to sweep.
+        assert!(t.is_empty());
+        assert_eq!(t.next_due(), None);
+        assert!(t.sweep(T0 + SimDuration::from_secs(3600)).is_empty());
+    }
+
+    #[test]
+    fn table_next_due_ignores_exhausted_neighbours_and_answered_entries() {
+        let mut t = table(1);
+        t.insert(1, ID, "old", T0);
+        let later = T0 + SimDuration::from_secs(1);
+        t.insert(2, ID, "new", later);
+        // Entry 1: resend, then exhausted; entry 2 is untouched meanwhile.
+        let due = t.next_due().unwrap();
+        assert_eq!(t.sweep(due), vec![Retry::Resend(1, 1)]);
+        let due = t.next_due().unwrap();
+        assert!(due < later);
+        assert_eq!(t.sweep(due), vec![Retry::Exhausted(1)]);
+        assert_eq!(
+            t.next_due(),
+            Some(later + policy(1).backoff(ID, 1)),
+            "only the live entry contributes a deadline"
+        );
+        assert_eq!(t.remove(&2), Some("new"));
+        assert_eq!(t.next_due(), None);
+    }
+
+    #[test]
+    fn table_bump_spends_budget_and_defers_the_deadline() {
+        let mut t = table(1);
+        t.insert(1, ID, "a", T0);
+        let now = T0 + SimDuration::from_millis(1);
+        assert_eq!(t.bump(&1, now), Some(1));
+        assert_eq!(t.next_due(), Some(now + policy(1).backoff(ID, 2)));
+        assert_eq!(t.bump(&1, now), None, "budget spent");
+        assert_eq!(t.bump(&9, now), None, "absent");
+        assert_eq!(table(0).next_due(), None);
     }
 }

@@ -12,6 +12,7 @@
 //! | `no-unsafe` | the `unsafe` keyword | workspace-wide |
 //! | `panic-policy` | `unwrap()`, reason-less `expect()`, `todo!`/`unimplemented!` | protocol hot paths, non-test code |
 //! | `durable-io-boundary` | `OpenOptions`, `sync_all`, `sync_data` | everywhere except `cicero-node`'s disk boundary |
+//! | `crypto-mode-boundary` | `real_crypto`, `dummy` | everywhere except `cicero-core`'s authentication seam, key ceremony and membership protocol |
 //!
 //! The cross-file protocol-flow rules (`net-variant-unhandled`,
 //! `obs-variant-unaudited`, `wal-variant-unreplayed`,
@@ -46,7 +47,7 @@ impl std::fmt::Display for Finding {
 }
 
 /// Rule ids (also the set of names `detlint::allow` accepts). The first
-/// six are per-file token rules ([`apply_rules`]); the rest are the
+/// seven are per-file token rules ([`apply_rules`]); the rest are the
 /// cross-file protocol-flow rules ([`crate::flow`]).
 pub const RULE_IDS: &[&str] = &[
     "no-random-order-collections",
@@ -55,6 +56,7 @@ pub const RULE_IDS: &[&str] = &[
     "no-unsafe",
     "panic-policy",
     "durable-io-boundary",
+    "crypto-mode-boundary",
     "net-variant-unhandled",
     "obs-variant-unaudited",
     "wal-variant-unreplayed",
@@ -101,6 +103,20 @@ const ENTROPY_ALLOWED: &[&str] = &["crates/substrate/src/rng.rs"];
 /// (and their simulated counterpart) live in exactly one place.
 const DURABLE_IO_ALLOWED: &[&str] = &["crates/cicero-node/src/disk.rs"];
 
+/// The modules allowed to ask whether signatures are real and to mint
+/// placeholder ones: the authentication seam (`auth.rs`) decides it for
+/// every sign/verify site of both actors; `runtime.rs` and `deploy.rs` run
+/// the key ceremony; `ctrl/membership.rs` is a different protocol under
+/// real crypto (share redistribution), not the same steps minus the math.
+/// A `real_crypto()` test or a hand-built placeholder envelope anywhere
+/// else is the per-call-site mode branching the seam replaced.
+const CRYPTO_MODE_ALLOWED: &[&str] = &[
+    "crates/cicero-core/src/auth.rs",
+    "crates/cicero-core/src/runtime.rs",
+    "crates/cicero-core/src/deploy.rs",
+    "crates/cicero-core/src/ctrl/membership.rs",
+];
+
 /// Protocol hot paths where PR 2's explicit-failure style is enforced:
 /// a bare `unwrap()` carries no invariant; `expect("why")` must state one.
 const HOT_PATHS: &[&str] = &[
@@ -140,6 +156,10 @@ fn entropy_allowed(path: &str) -> bool {
 
 fn durable_io_allowed(path: &str) -> bool {
     DURABLE_IO_ALLOWED.contains(&path)
+}
+
+fn crypto_mode_allowed(path: &str) -> bool {
+    CRYPTO_MODE_ALLOWED.contains(&path)
 }
 
 fn is_hot_path(path: &str) -> bool {
@@ -250,6 +270,7 @@ pub fn apply_rules(path: &str, lexed: &Lexed) -> Vec<Finding> {
     let wall_ok = wall_clock_allowed(path);
     let entropy_ok = entropy_allowed(path);
     let durable_ok = durable_io_allowed(path);
+    let crypto_ok = crypto_mode_allowed(path);
     let hot = is_hot_path(path);
     let test_mask = if hot {
         test_region_mask(tokens)
@@ -323,6 +344,17 @@ pub fn apply_rules(path: &str, lexed: &Lexed) -> Vec<Finding> {
                     ),
                     "take a substrate::storage::Disk handle; real files live only in \
                      cicero-node/src/disk.rs",
+                );
+            }
+            "real_crypto" | "dummy" if !crypto_ok => {
+                push(
+                    t.line,
+                    "crypto-mode-boundary",
+                    format!(
+                        "`{id}` decides real vs. placeholder signatures at a call site; \
+                         that decision is confined to the authentication seam"
+                    ),
+                    "sign and verify through cicero_core::auth::Authenticator",
                 );
             }
             "unsafe" => {
@@ -414,6 +446,30 @@ fn persist(f: &std::fs::File) {
             allowed.iter().all(|f| f.rule != "durable-io-boundary"),
             "the disk boundary itself is exempt"
         );
+    }
+
+    #[test]
+    fn crypto_mode_confined_to_the_authentication_seam() {
+        let src = r#"
+fn sign(&self) -> Signature {
+    if self.shared.real_crypto() { self.key.sign(b"m") } else { self.shared.keys.dummy }
+}
+"#;
+        let lexed = lex(src);
+        let flagged = apply_rules("crates/cicero-core/src/switch.rs", &lexed);
+        let hits = flagged
+            .iter()
+            .filter(|f| f.rule == "crypto-mode-boundary")
+            .count();
+        assert_eq!(hits, 2, "real_crypto and dummy both flagged");
+        for allowed in CRYPTO_MODE_ALLOWED {
+            assert!(
+                apply_rules(allowed, &lexed)
+                    .iter()
+                    .all(|f| f.rule != "crypto-mode-boundary"),
+                "{allowed} is exempt"
+            );
+        }
     }
 
     #[test]

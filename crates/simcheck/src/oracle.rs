@@ -309,7 +309,9 @@ fn recovery(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
 /// cross-domain handshake observations must be internally consistent —
 /// every responsive observation is preceded by the stimulus it claims to
 /// answer, exhaustion/terminal observations fire at most once per subject,
-/// and counters carry sane values. This closes the audit loop demanded by
+/// and counters carry sane values: every retransmission stream numbers its
+/// attempts 1, 2, 3, … with no gap (the one numbering of
+/// `controller::pending::RetryTable`). This closes the audit loop demanded by
 /// `detlint`'s `obs-variant-unaudited` rule: an actor emitting one of
 /// these variants with wrong bookkeeping now fails the run instead of
 /// merely skewing a figure.
@@ -322,8 +324,11 @@ fn recovery(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
 /// a restarted switch replays its WAL with no observation muting, so its
 /// trace stays pairable (recovered releases resume as retransmissions of
 /// the pre-crash `ReadySent`, pending events are RAM-only and die with
-/// the first life). Flow resolutions are additionally exempted under
-/// `Fault::Duplicate`, which can legitimately double-fire them.
+/// the first life). The gap-free attempt check is the exception: it is
+/// gated on crash-free runs for both actors, because any restart
+/// legitimately resets the counters. Flow resolutions are additionally
+/// exempted under `Fault::Duplicate`, which can legitimately double-fire
+/// them.
 fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
     let clean_replay = !s.has_crash() && !s.has_crash_recover();
     let no_dup = !s
@@ -352,8 +357,37 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
     let mut denied_once = BTreeSet::new(); // flow
     let mut ready_sent = BTreeSet::new(); // (from, to, update)
     let mut phases: BTreeMap<_, BTreeSet<u64>> = BTreeMap::new();
+    // Highest attempt seen per retransmission stream `(kind, sender + key)`.
+    let mut last_attempt: BTreeMap<(&'static str, String), u32> = BTreeMap::new();
+    // NACK-driven resync replies since the stream's last retransmission:
+    // each spends one attempt number of its update without announcing it.
+    let mut resyncs: BTreeMap<String, u32> = BTreeMap::new();
 
     let bad = |out: &mut Vec<Violation>, detail: String| violation(out, "telemetry", detail);
+    // One stream's next attempt: 1-based always; on crash-free runs also
+    // gap-free — exactly one past the last, where `slack` numbers may have
+    // been spent silently and `shared` streams (several counters behind
+    // one key) may repeat a number but never skip one.
+    let mut numbered = |out: &mut Vec<Violation>,
+                        kind: &'static str,
+                        stream: String,
+                        attempt: u32,
+                        slack: u32,
+                        shared: bool| {
+        let last = last_attempt.entry((kind, stream.clone())).or_insert(0);
+        let floor = if shared { 1 } else { *last + 1 };
+        let in_order = (floor..=*last + 1 + slack).contains(&attempt);
+        if attempt < 1 || (clean_replay && !in_order) {
+            bad(
+                out,
+                format!(
+                    "{kind} retransmission of {stream} numbered {attempt} after {last} \
+                     (attempts are 1-based and gap-free)"
+                ),
+            );
+        }
+        *last = (*last).max(attempt);
+    };
     for o in obs {
         match o.value {
             Obs::FlowCompleted { flow, start } => {
@@ -403,15 +437,9 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
                 update,
                 attempt,
             } => {
-                if attempt < 1 {
-                    bad(
-                        out,
-                        format!(
-                            "domain {domain:?} controller {controller} retransmitted \
-                             {update:?} with attempt {attempt} (1-based counter)"
-                        ),
-                    );
-                }
+                let stream = format!("{domain:?}/{controller} {update:?}");
+                let slack = resyncs.remove(&stream).unwrap_or(0);
+                numbered(out, "update", stream, attempt, slack, false);
             }
             Obs::UpdateRetryExhausted {
                 domain,
@@ -436,16 +464,13 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
                     );
                 }
             }
-            Obs::EventRetransmitted { switch, event, attempt } => {
-                if attempt < 1 {
-                    bad(
-                        out,
-                        format!(
-                            "switch {switch:?} retransmitted event {event:?} with \
-                             attempt {attempt} (1-based counter)"
-                        ),
-                    );
-                }
+            Obs::EventRetransmitted {
+                switch,
+                event,
+                attempt,
+            } => {
+                let stream = format!("{switch:?} {event:?}");
+                numbered(out, "event", stream, attempt, 0, false);
             }
             Obs::EventRetryExhausted { switch, event } => {
                 if !ev_exhausted_once.insert((switch, event)) {
@@ -474,6 +499,9 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
                         ),
                     );
                 }
+                *resyncs
+                    .entry(format!("{domain:?}/{controller} {update:?}"))
+                    .or_insert(0) += 1;
             }
             Obs::SegmentReported {
                 domain,
@@ -500,15 +528,8 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
                 segment,
                 attempt,
             } => {
-                if attempt < 1 {
-                    bad(
-                        out,
-                        format!(
-                            "domain {domain:?} controller {controller} re-reported segment \
-                             {segment} of {event:?} with attempt {attempt} (1-based counter)"
-                        ),
-                    );
-                }
+                let stream = format!("{domain:?}/{controller} {event:?}/{segment}");
+                numbered(out, "segment", stream, attempt, 0, false);
                 if clean_replay && !reported.contains(&(event, segment)) {
                     bad(
                         out,
@@ -566,15 +587,10 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
                 event,
                 attempt,
             } => {
-                if attempt < 1 {
-                    bad(
-                        out,
-                        format!(
-                            "domain {domain:?} controller {controller} re-forwarded \
-                             {event:?} with attempt {attempt} (1-based counter)"
-                        ),
-                    );
-                }
+                // One stream per barrier, but the observation names only
+                // the event: barriers of one event share the key.
+                let stream = format!("{domain:?}/{controller} {event:?}");
+                numbered(out, "forward", stream, attempt, 0, true);
             }
             Obs::ReadySent { from, to, update } => {
                 // At-most-once per (from, to, update) is the *recovery*
@@ -587,15 +603,8 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
                 update,
                 attempt,
             } => {
-                if attempt < 1 {
-                    bad(
-                        out,
-                        format!(
-                            "switch {from:?} retransmitted ready for {update:?} to \
-                             {to:?} with attempt {attempt} (1-based counter)"
-                        ),
-                    );
-                }
+                let stream = format!("{from:?}->{to:?} {update:?}");
+                numbered(out, "ready", stream, attempt, 0, false);
                 if !ready_sent.contains(&(from, to, update)) {
                     bad(
                         out,
@@ -678,4 +687,91 @@ fn amnesiac(s: &Scenario, topo: &Topology) -> std::collections::BTreeSet<(Domain
             _ => None,
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simnet::node::NodeId;
+    use southbound::types::{EventId, UpdateId};
+
+    fn verdicts(faults: Vec<Fault>, values: Vec<Obs>) -> Vec<Violation> {
+        let mut s = Scenario::generate(0);
+        s.faults = faults;
+        let obs: Vec<Observation<Obs>> = values
+            .into_iter()
+            .map(|value| Observation {
+                at: SimTime::ZERO,
+                node: NodeId(0),
+                value,
+            })
+            .collect();
+        let mut out = Vec::new();
+        telemetry(&s, &obs, &mut out);
+        out
+    }
+
+    fn event_rtx(attempt: u32) -> Obs {
+        Obs::EventRetransmitted {
+            switch: SwitchId(3),
+            event: EventId(7),
+            attempt,
+        }
+    }
+
+    #[test]
+    fn attempt_numbering_must_start_at_one_and_leave_no_gap() {
+        assert!(verdicts(vec![], (1..=4).map(event_rtx).collect()).is_empty());
+        // Starting at 2 (the first send counted as an attempt), skipping a
+        // number, and repeating one are all numbering bugs.
+        for wrong in [vec![2, 3], vec![1, 3], vec![1, 1]] {
+            let v = verdicts(vec![], wrong.iter().copied().map(event_rtx).collect());
+            assert_eq!(v.len(), 1, "{wrong:?} must be flagged once: {v:?}");
+            assert_eq!(v[0].oracle, "telemetry");
+        }
+        // A restart legitimately resets the counters.
+        let restart = Fault::CrashRecoverSwitch {
+            switch: 0,
+            at_ms: 10,
+            after_ms: 10,
+        };
+        assert!(verdicts(vec![restart], vec![event_rtx(1), event_rtx(1)]).is_empty());
+    }
+
+    #[test]
+    fn resync_replies_and_shared_forward_keys_explain_their_numbering() {
+        let update = UpdateId {
+            event: EventId(7),
+            seq: 0,
+        };
+        let rtx = |attempt| Obs::UpdateRetransmitted {
+            domain: DomainId(0),
+            controller: 1,
+            update,
+            attempt,
+        };
+        let nack = Obs::NackSent {
+            switch: SwitchId(3),
+            update,
+            have: 1,
+        };
+        let resync = Obs::ResyncReplied {
+            domain: DomainId(0),
+            controller: 1,
+            update,
+        };
+        // A NACK-driven resync reply spends attempt 2 without announcing it.
+        assert!(verdicts(vec![], vec![rtx(1), nack, resync, rtx(3)]).is_empty());
+        assert_eq!(verdicts(vec![], vec![rtx(1), rtx(3)]).len(), 1);
+        // Two barriers of one event re-forward under one key: numbers may
+        // repeat, but never skip.
+        let fwd = |attempt| Obs::ForwardRetransmitted {
+            domain: DomainId(0),
+            controller: 1,
+            event: EventId(7),
+            attempt,
+        };
+        assert!(verdicts(vec![], vec![fwd(1), fwd(1), fwd(2), fwd(2)]).is_empty());
+        assert_eq!(verdicts(vec![], vec![fwd(1), fwd(3)]).len(), 1);
+    }
 }

@@ -156,4 +156,12 @@ echo "== crash-recovery smoke (cicero-node, WAL on real files) =="
 # clean.
 cargo run -q --release --offline -p cicero-node -- examples/node_recovery.json
 
+echo "== lines of code (scripts/loc.sh; printed, not gated) =="
+# src vs. test lines per crate, so a PR's delta and the trend are visible
+# in review. LOC.md is the committed copy; refresh it with --write.
+fresh_loc=$(mktemp /tmp/loc-fresh.XXXXXX.md)
+"$(dirname "$0")/loc.sh" | tee "$fresh_loc" | sed -n '/^| crate/,/^| \*\*total/p'
+cmp -s "$fresh_loc" LOC.md || echo "  note: LOC.md is stale — refresh with scripts/loc.sh --write"
+rm -f "$fresh_loc"
+
 echo "verify.sh: all checks passed"

@@ -56,6 +56,38 @@ fn wall_clock_allowance_is_scoped_to_the_clock_boundary() {
     );
 }
 
+#[test]
+fn crypto_mode_branching_is_confined_to_the_authentication_seam() {
+    // A hand-rolled "real signature or placeholder" decision planted in an
+    // actor — what every sign/verify site used to carry — must fail...
+    let planted = "pub fn sign(&self) -> Signature {\n\
+                       if self.shared.real_crypto() { self.key.sign(b\"m\") }\n\
+                       else { self.shared.keys.dummy }\n\
+                   }\n";
+    for actor in [
+        "crates/cicero-core/src/switch.rs",
+        "crates/cicero-core/src/ctrl/barriers.rs",
+    ] {
+        let hits = detlint::lint_source(actor, planted)
+            .iter()
+            .filter(|f| f.rule == "crypto-mode-boundary")
+            .count();
+        assert_eq!(hits, 2, "both planted tokens flagged in {actor}");
+    }
+    // ...while the seam itself, and membership (a different protocol under
+    // real crypto), may decide.
+    for lawful in [
+        "crates/cicero-core/src/auth.rs",
+        "crates/cicero-core/src/ctrl/membership.rs",
+    ] {
+        let findings = detlint::lint_source(lawful, planted);
+        assert!(
+            findings.iter().all(|f| f.rule != "crypto-mode-boundary"),
+            "{lawful} is inside the boundary: {findings:?}"
+        );
+    }
+}
+
 /// Runs the cross-file pass over a planted mini-workspace.
 fn lint_set(files: &[(&str, &str)]) -> Vec<detlint::Finding> {
     let owned: Vec<(String, String)> = files
