@@ -142,15 +142,16 @@ pub fn fig11d_measured(scale: Scale) -> String {
     spec.flows = scale.flows;
     let topo = netmodel::topology::Topology::single_pod(40, 4, 4);
     for &mode in &ALL_MODES {
-        let run = run_flow_completion_costed(
-            mode,
+        let cfg = EngineConfig {
+            seed: scale.seed,
+            costs: CostModel::measured(),
+            ..EngineConfig::for_mode(mode)
+        };
+        let run = run_flow_completion(
+            cfg,
             &topo,
             controller::policy::DomainMap::single(&topo),
             &spec,
-            true,
-            scale.seed,
-            true,
-            CostModel::measured(),
         );
         let series = &run.mean_switch_cpu;
         let peak = series.iter().cloned().fold(0.0, f64::max);

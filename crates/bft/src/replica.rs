@@ -18,33 +18,23 @@
 
 use crate::message::{BftMessage, BftPayload, Digest, Prepared, ReplicaId, Seq, Slot, View};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use substrate::collections::{DetMap, DetSet};
 
 /// Consensus group parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BftConfig {
     /// Group size.
     pub n: u32,
-    /// Progress-timeout in ticks before a view change is initiated.
-    pub view_timeout_ticks: u32,
 }
+
+/// Progress timeout in ticks before a view change is initiated (BFT-SMaRt's
+/// request-timeout analogue; doubled per consecutive failed view).
+const VIEW_TIMEOUT_TICKS: u32 = 8;
 
 impl BftConfig {
     /// Creates a config; any `n >= 1` is accepted (an `n < 4` group
     /// tolerates zero faults).
     pub fn new(n: u32) -> Self {
-        BftConfig {
-            n,
-            view_timeout_ticks: 8,
-        }
-    }
-
-    /// Overrides the progress timeout (builder style). Lossy deployments
-    /// raise it so benign message loss does not masquerade as a faulty
-    /// primary; a value of `0` is clamped to `1`.
-    pub fn with_view_timeout(mut self, ticks: u32) -> Self {
-        self.view_timeout_ticks = ticks.max(1);
-        self
+        BftConfig { n }
     }
 
     /// Maximum tolerated Byzantine faults `⌊(n-1)/3⌋`.
@@ -146,8 +136,8 @@ pub struct Replica<P> {
     /// Digest → sequence of proposals in the *current view* (cleared on
     /// view entry). Used both for dedup and to re-broadcast a pre-prepare
     /// when a backup re-forwards a request it missed the proposal for.
-    proposed_this_view: DetMap<Digest, Seq>,
-    delivered_digests: DetSet<Digest>,
+    proposed_this_view: BTreeMap<Digest, Seq>,
+    delivered_digests: BTreeSet<Digest>,
     ticks_waiting: u32,
     /// Consecutive view timeouts without delivery progress; exponent of
     /// the current timeout backoff.
@@ -175,8 +165,8 @@ impl<P: BftPayload> Replica<P> {
             entries: BTreeMap::new(),
             last_delivered: 0,
             pending: VecDeque::new(),
-            proposed_this_view: DetMap::new(),
-            delivered_digests: DetSet::new(),
+            proposed_this_view: BTreeMap::new(),
+            delivered_digests: BTreeSet::new(),
             ticks_waiting: 0,
             timeout_shift: 0,
             view_change_votes: BTreeMap::new(),
@@ -304,11 +294,6 @@ impl<P: BftPayload> Replica<P> {
     /// `true` iff this replica is the current primary.
     pub fn is_primary(&self) -> bool {
         self.cfg.primary(self.view) == self.id && !self.in_view_change
-    }
-
-    /// Number of payload-or-noop slots delivered so far.
-    pub fn delivered_count(&self) -> u64 {
-        self.last_delivered
     }
 
     /// Submitted payloads not yet delivered locally (liveness diagnostics).
@@ -608,10 +593,7 @@ impl<P: BftPayload> Replica<P> {
             return Vec::new();
         }
         self.ticks_waiting += 1;
-        let timeout = self
-            .cfg
-            .view_timeout_ticks
-            .saturating_mul(1 << self.timeout_shift.min(5));
+        let timeout = VIEW_TIMEOUT_TICKS.saturating_mul(1 << self.timeout_shift.min(5));
         if self.ticks_waiting <= timeout {
             return Vec::new();
         }

@@ -2,14 +2,14 @@
 //! primaries, Byzantine equivocation, and randomized message schedules.
 
 use bft::prelude::*;
+use std::collections::BTreeSet;
 use substrate::rng::StdRng;
 use substrate::rng::{Rng as _, SeedableRng};
-use substrate::collections::DetSet;
 
 /// In-memory network driving a replica group with controllable scheduling.
 struct TestNet {
     replicas: Vec<Replica<u64>>,
-    crashed: DetSet<u32>,
+    crashed: BTreeSet<u32>,
     queue: Vec<(ReplicaId, ReplicaId, BftMessage<u64>)>,
     delivered: Vec<Vec<(Seq, u64)>>,
 }
@@ -19,7 +19,7 @@ impl TestNet {
         let cfg = BftConfig::new(n);
         TestNet {
             replicas: (0..n).map(|i| Replica::new(ReplicaId(i), cfg)).collect(),
-            crashed: DetSet::new(),
+            crashed: BTreeSet::new(),
             queue: Vec::new(),
             delivered: vec![Vec::new(); n as usize],
         }
@@ -119,8 +119,8 @@ fn benign_total_order() {
     net.drain(&mut None);
     let order = net.assert_agreement();
     assert_eq!(order.len(), 5);
-    let set: DetSet<u64> = order.iter().copied().collect();
-    assert_eq!(set, DetSet::from([100, 200, 300, 400, 500]));
+    let set: BTreeSet<u64> = order.iter().copied().collect();
+    assert_eq!(set, BTreeSet::from([100, 200, 300, 400, 500]));
 }
 
 #[test]
@@ -155,8 +155,8 @@ fn crashed_primary_triggers_view_change() {
     net.drain(&mut None);
     let order = net.assert_agreement();
     assert_eq!(
-        order.iter().copied().collect::<DetSet<_>>(),
-        DetSet::from([42, 43])
+        order.iter().copied().collect::<BTreeSet<_>>(),
+        BTreeSet::from([42, 43])
     );
     // Correct replicas moved past view 0.
     assert!(net.replicas[1].view() > 0);
@@ -259,7 +259,7 @@ fn random_schedules_preserve_agreement() {
         let submitted_at_correct = n_msgs; // submit() ignores crashed nodes
         assert!(order.len() <= submitted_at_correct);
         // No duplicates ever.
-        let set: DetSet<u64> = order.iter().copied().collect();
+        let set: BTreeSet<u64> = order.iter().copied().collect();
         assert_eq!(set.len(), order.len());
     });
 }

@@ -117,11 +117,6 @@ impl BigUint {
         (self.limbs[limb] >> (i % 64)) & 1 == 1
     }
 
-    /// `true` iff the value is even.
-    pub fn is_even(&self) -> bool {
-        !self.bit(0)
-    }
-
     fn normalize(&mut self) {
         while self.limbs.last() == Some(&0) {
             self.limbs.pop();

@@ -539,7 +539,6 @@ pub const X_ABS: u64 = 0xd201_0000_0001_0000;
 
 struct Constants {
     h1: BigUint,
-    h2: BigUint,
     g1: G1Projective,
     g2: G2Projective,
 }
@@ -682,7 +681,7 @@ fn constants() -> &'static Constants {
         assert!(!g2.is_identity(), "G2 generator degenerated");
         assert!(g2.is_torsion_free(), "G2 generator not in r-torsion");
 
-        Constants { h1, h2, g1, g2 }
+        Constants { h1, g1, g2 }
     })
 }
 
@@ -715,16 +714,6 @@ pub fn g1_mul_generator(k: Fr) -> G1Projective {
 /// Fixed-base multiplication `k · G2` using the precomputed generator table.
 pub fn g2_mul_generator(k: Fr) -> G2Projective {
     g2_gen_table().mul(&k.to_raw())
-}
-
-/// The `G1` cofactor `#E(Fp) / r`.
-pub fn g1_cofactor() -> BigUint {
-    constants().h1.clone()
-}
-
-/// The `G2` cofactor `#E'(Fp2) / r`.
-pub fn g2_cofactor() -> BigUint {
-    constants().h2.clone()
 }
 
 /// Hashes an arbitrary message into `G1` (try-and-increment + cofactor

@@ -22,8 +22,7 @@ use blscrypto::dkg::GroupPublic;
 use southbound::codec::Wire;
 use southbound::envelope::signing_digest;
 use southbound::types::Phase;
-use std::collections::BTreeMap;
-use substrate::collections::{DetMap, DetSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Shares over one payload variant.
 #[derive(Clone, Debug)]
@@ -31,7 +30,7 @@ struct Bucket<T> {
     payload: T,
     partials: BTreeMap<u32, PartialSignature>,
     /// Signers whose share failed individual verification (Byzantine).
-    blacklisted: DetSet<u32>,
+    blacklisted: BTreeSet<u32>,
 }
 
 /// A verified quorum: the payload, who signed it, and the group signature.
@@ -89,14 +88,14 @@ pub struct Check<'a> {
 /// Share buckets keyed by `(K, phase)`, one bucket per distinct payload.
 #[derive(Clone, Debug)]
 pub struct QuorumCollector<K, T> {
-    entries: DetMap<(K, Phase), Vec<Bucket<T>>>,
+    entries: BTreeMap<(K, Phase), Vec<Bucket<T>>>,
 }
 
 impl<K: Ord + Copy, T: Wire + Eq + Clone> QuorumCollector<K, T> {
     /// An empty collector.
     pub fn new() -> Self {
         QuorumCollector {
-            entries: DetMap::new(),
+            entries: BTreeMap::new(),
         }
     }
 
@@ -111,7 +110,7 @@ impl<K: Ord + Copy, T: Wire + Eq + Clone> QuorumCollector<K, T> {
                 buckets.push(Bucket {
                     payload,
                     partials: BTreeMap::new(),
-                    blacklisted: DetSet::new(),
+                    blacklisted: BTreeSet::new(),
                 });
                 buckets.last_mut().expect("just pushed")
             }

@@ -189,8 +189,8 @@ impl CostModel {
     }
 }
 
-/// Reliable-delivery knobs: retransmission backoff, retry budgets, NACK
-/// (state re-sync) timing. See DESIGN.md "Reliable delivery under loss".
+/// Reliable-delivery knobs: retransmission bases and retry budgets. See
+/// DESIGN.md "Reliable delivery under loss".
 ///
 /// The paper's southbound channel is TCP, so loss recovery is implicit
 /// there; the reproduction's simulated network loses raw messages, and
@@ -203,17 +203,12 @@ pub struct ReliabilityConfig {
     pub enabled: bool,
     /// Delay before the first retransmission of an unacked update.
     pub retry_base: SimDuration,
-    /// Backoff ceiling for updates, events and NACKs.
-    pub retry_max_backoff: SimDuration,
     /// Retransmissions allowed per update before it is reported failed.
     pub retry_budget: u32,
     /// Delay before a switch re-sends an unanswered signed event.
     pub event_retry_base: SimDuration,
     /// Event retransmissions allowed before the switch gives up.
     pub event_retry_budget: u32,
-    /// How long a switch lets a below-quorum update bucket age before
-    /// NACKing the control plane for the missing shares.
-    pub nack_timeout: SimDuration,
     /// NACKs allowed per update bucket.
     pub nack_budget: u32,
 }
@@ -229,15 +224,16 @@ impl Default for ReliabilityConfig {
         ReliabilityConfig {
             enabled: true,
             retry_base: SimDuration::from_millis(150),
-            retry_max_backoff: SimDuration::from_secs(2),
             retry_budget: 16,
             event_retry_base: SimDuration::from_millis(250),
             event_retry_budget: 16,
-            nack_timeout: SimDuration::from_millis(150),
             nack_budget: 8,
         }
     }
 }
+
+/// Backoff ceiling for updates, events and NACKs.
+const RETRY_MAX_BACKOFF: SimDuration = SimDuration::from_secs(2);
 
 impl ReliabilityConfig {
     /// The retransmission policy over one of this config's `(base, budget)`
@@ -246,7 +242,7 @@ impl ReliabilityConfig {
     /// budget is zero: nothing is ever due.
     pub fn policy(&self, base: SimDuration, budget: u32, jitter_seed: u64) -> RetryPolicy {
         let budget = if self.enabled { budget } else { 0 };
-        RetryPolicy::new(base, self.retry_max_backoff, budget, jitter_seed)
+        RetryPolicy::new(base, RETRY_MAX_BACKOFF, budget, jitter_seed)
     }
 
     /// The no-retransmission control configuration.
@@ -270,15 +266,11 @@ pub struct EngineConfig {
     pub crypto: CryptoMode,
     /// The cost model.
     pub costs: CostModel,
-    /// Host NIC bandwidth in bits/s (transmission-time model).
-    pub host_bandwidth_bps: u64,
     /// When `false`, every flow tears its rules down on completion
     /// (the paper's "unamortized" setup/teardown mode, Fig. 11c).
     pub rule_reuse: bool,
     /// RNG seed (simulation determinism).
     pub seed: u64,
-    /// CPU-utilization bucket width for switch meters (Fig. 11d).
-    pub cpu_bucket: SimDuration,
     /// When `true`, every controller emits an observation for every event
     /// it delivers, letting tests check *event-linearizability* (paper
     /// §4.4): all controllers of a domain process the identical sequence.
@@ -299,18 +291,6 @@ pub struct EngineConfig {
     pub cross_domain_handshake: bool,
     /// Reliable-delivery layer (retransmission, NACK/re-sync) knobs.
     pub reliability: ReliabilityConfig,
-    /// PBFT progress timeout in consensus ticks before a view change
-    /// (BFT-SMaRt's request timeout analogue); lossy soaks raise it so
-    /// benign loss does not masquerade as a faulty primary.
-    pub view_timeout_ticks: u32,
-    /// Liveness-watchdog sampling period for [`crate::engine::Engine::run_reporting`]:
-    /// how often progress is checked against the outstanding-work snapshot.
-    pub watchdog_slice: SimDuration,
-    /// Consecutive progress-free watchdog slices before the run is declared
-    /// stalled. The quiet window (`slices * slice`) must exceed the longest
-    /// retransmission interval (`retry_max_backoff` plus 25% jitter),
-    /// otherwise a healthy backoff pause reads as a stall.
-    pub watchdog_stall_slices: u32,
 }
 
 impl Default for EngineConfig {
@@ -322,17 +302,12 @@ impl Default for EngineConfig {
             controllers_per_domain: 4,
             crypto: CryptoMode::Modeled,
             costs: CostModel::default(),
-            host_bandwidth_bps: 100_000_000,
             rule_reuse: true,
             seed: 1,
-            cpu_bucket: SimDuration::from_secs(1),
             trace_deliveries: false,
             heartbeat: None,
             cross_domain_handshake: true,
             reliability: ReliabilityConfig::default(),
-            view_timeout_ticks: 8,
-            watchdog_slice: SimDuration::from_millis(250),
-            watchdog_stall_slices: 12,
         }
     }
 }
@@ -347,11 +322,14 @@ impl EngineConfig {
         c.mode = mode;
         c
     }
+}
 
-    /// Transmission time of `bytes` at the configured host bandwidth.
-    pub fn tx_time(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_nanos(bytes.saturating_mul(8).saturating_mul(1_000_000_000) / self.host_bandwidth_bps)
-    }
+/// Host NIC bandwidth in bits/s (transmission-time model).
+const HOST_BANDWIDTH_BPS: u64 = 100_000_000;
+
+/// Transmission time of `bytes` at the host NIC bandwidth.
+pub fn tx_time(bytes: u64) -> SimDuration {
+    SimDuration::from_nanos(bytes.saturating_mul(8).saturating_mul(1_000_000_000) / HOST_BANDWIDTH_BPS)
 }
 
 #[cfg(test)]
@@ -393,10 +371,9 @@ mod tests {
 
     #[test]
     fn tx_time_model() {
-        let c = EngineConfig::default();
         // 420 kB at 100 Mb/s = 33.6 ms (the paper's Hadoop mean).
-        assert_eq!(c.tx_time(420_000).as_millis_f64(), 33.6);
-        assert_eq!(c.tx_time(0), SimDuration::ZERO);
+        assert_eq!(tx_time(420_000).as_millis_f64(), 33.6);
+        assert_eq!(tx_time(0), SimDuration::ZERO);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::runtime::labels;
 use simnet::node::Host;
 use southbound::envelope::{QuorumSigned, ShareSigned};
 use southbound::types::NetworkUpdate;
-use substrate::collections::DetSet;
+use std::collections::BTreeSet;
 
 /// A relayed quorum signature, kept so a share retransmission after the
 /// relay can trigger a re-send (the switch evidently lost it).
@@ -19,7 +19,7 @@ pub(super) struct Relayed {
     /// Signers whose share has been seen: a second share from one of them
     /// is a retransmission, a first share from anyone else is the tail of
     /// the original broadcast.
-    signers: DetSet<u32>,
+    signers: BTreeSet<u32>,
 }
 
 impl ControllerActor {

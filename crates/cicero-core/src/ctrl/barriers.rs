@@ -20,7 +20,6 @@ use simnet::time::{SimDuration, SimTime};
 use southbound::envelope::{ShareSigned, Signed};
 use southbound::types::{ControllerId, DomainId, Event, EventId, NetworkUpdate, UpdateId};
 use std::collections::{BTreeMap, BTreeSet};
-use substrate::collections::{DetMap, DetSet};
 
 /// Synthetic dependency ids standing for "a foreign domain's path segment
 /// has been applied". Real per-event sequence numbers are tiny, so the top
@@ -62,7 +61,7 @@ pub(super) struct BarrierExpect {
 pub(super) struct BarrierState {
     /// `(domain, controller)` signers of a *verified* quorum — every entry
     /// is in the WAL.
-    signers: DetSet<(DomainId, u32)>,
+    signers: BTreeSet<(DomainId, u32)>,
     /// Release condition, once our own schedule registered the dependency.
     expected: Option<BarrierExpect>,
     /// Set once released; later shares are receipted but change nothing.
@@ -81,7 +80,7 @@ impl BarrierState {
 /// of an own segment is switch-acked.
 pub(super) struct SegWatch {
     /// Own-segment updates not yet switch-acked.
-    pub(super) remaining: DetSet<UpdateId>,
+    pub(super) remaining: BTreeSet<UpdateId>,
     /// Domains holding a barrier on this segment.
     upstreams: Vec<DomainId>,
 }
@@ -93,10 +92,10 @@ pub(super) struct SegReport {
     /// The share-signed report: signed once, retransmitted as-is.
     report: ShareSigned<SegmentBody>,
     /// `(domain, controller)` targets that have not receipted yet.
-    pending_receipts: DetSet<(DomainId, u32)>,
+    pending_receipts: BTreeSet<(DomainId, u32)>,
     /// Unverified receipts from pending targets, checked in one batch when
     /// the last one arrives or the retry sweep fires.
-    receipts: DetMap<(DomainId, u32), Signed<ReleaseBody>>,
+    receipts: BTreeMap<(DomainId, u32), Signed<ReleaseBody>>,
 }
 
 impl ControllerActor {
@@ -121,7 +120,7 @@ impl ControllerActor {
                 seg_of.insert(id, seg.index);
             }
         }
-        let own_ids: DetSet<UpdateId> = all
+        let own_ids: BTreeSet<UpdateId> = all
             .iter()
             .filter(|u| {
                 self.shared.dir.domain_of_switch.get(&u.switch) == Some(&self.domain)
@@ -131,7 +130,7 @@ impl ControllerActor {
         // Foreign segments our updates depend on → barriers to hold, and
         // own segments foreign updates depend on → watches to report.
         let mut barrier_deps: BTreeMap<u32, DomainId> = BTreeMap::new();
-        let mut watched: BTreeMap<u32, DetSet<DomainId>> = BTreeMap::new();
+        let mut watched: BTreeMap<u32, BTreeSet<DomainId>> = BTreeMap::new();
         let mut projected = Vec::new();
         for s in &full {
             let sd = self
@@ -184,7 +183,7 @@ impl ControllerActor {
             self.check_barrier_release(ctx, (event.id, k), SimDuration::ZERO);
         }
         for (k, ups) in watched {
-            let remaining: DetSet<UpdateId> = segs[k as usize]
+            let remaining: BTreeSet<UpdateId> = segs[k as usize]
                 .updates
                 .iter()
                 .copied()
@@ -296,7 +295,7 @@ impl ControllerActor {
             let report = SegReport {
                 report: signed.clone(),
                 pending_receipts: targets.iter().map(|&(d, c)| (d, c.0)).collect(),
-                receipts: DetMap::new(),
+                receipts: BTreeMap::new(),
             };
             self.seg_reports
                 .insert(key, barrier_id(key.0, key.1), report, ctx.now());

@@ -15,10 +15,13 @@
 //! and re-ack duplicates.
 //!
 //! Snapshots are *compacted logs in the same record alphabet*, written
-//! atomically at quiescent points and followed by a WAL truncate; recovery
-//! therefore has exactly one replay path. A crash between snapshot write
-//! and truncate replays some records twice, which is safe: every replay
-//! step is idempotent (`seen_events`, acked sets, signer sets).
+//! atomically at quiescent points and followed by a WAL truncate, and a
+//! peer's state-sync answer is the same compaction sent over the wire;
+//! recovery therefore has exactly one replay path
+//! ([`ControllerActor::replay`]) for WAL tail, snapshot and state sync. A
+//! crash between snapshot write and truncate replays some records twice,
+//! which is safe: every replay step is idempotent (delivery frontier,
+//! `seen_events`, acked sets, signer sets).
 //!
 //! Known limitation (documented in DESIGN.md §Durability): membership
 //! phase-changes are not re-run during muted replay — the ops are archived
@@ -34,8 +37,7 @@ use bft::replica::JournalRecord;
 use simnet::node::{Host, NodeId, TimerToken};
 use simnet::time::{SimDuration, SimTime};
 use southbound::codec::Wire;
-use southbound::types::{ControllerId, DomainId, UpdateId};
-use substrate::buf::BytesMut;
+use southbound::types::{ControllerId, DomainId};
 use substrate::rng::StdRng;
 use substrate::storage::{read_snapshot, write_snapshot, DiskHandle, Wal};
 
@@ -140,12 +142,6 @@ impl ControllerActor {
         self.recovering
     }
 
-    /// Durability counters: `(wal records since last snapshot, archived
-    /// deliveries)` — tests and the engine watchdog.
-    pub fn durability_stats(&self) -> (usize, usize) {
-        (self.records_since_snapshot, self.delivered_ops.len())
-    }
-
     /// Appends one record to the WAL (no-op without attached storage).
     pub(super) fn log_record(&mut self, rec: &WalRecord) {
         if let Some(w) = self.wal.as_mut() {
@@ -186,17 +182,30 @@ impl ControllerActor {
         self.delivered_ops.last().map(|(s, _)| *s).unwrap_or(0)
     }
 
-    /// Replays the records recovered by [`ControllerActor::attach_disk`]
-    /// through the real handlers under a [`MuteHost`]. Called once from
-    /// `on_start`, before any timer is armed.
-    pub(super) fn replay_recovered(&mut self, ctx: &mut dyn Host<Net, Obs>) {
-        if self.recovered.is_empty() {
-            return;
-        }
-        let records = std::mem::take(&mut self.recovered);
+    /// The one interpreter of [`WalRecord`]s: replays `records` — the
+    /// snapshot plus WAL tail recovered by [`ControllerActor::attach_disk`]
+    /// (from `on_start`, before any timer is armed), or a peer's state-sync
+    /// transfer — through the real handlers under a [`MuteHost`]. With `log`
+    /// every record is appended to the own WAL before it is acted on (peer
+    /// records are not durable here yet; a second crash must replay them
+    /// locally).
+    pub(super) fn replay(
+        &mut self,
+        ctx: &mut dyn Host<Net, Obs>,
+        records: Vec<WalRecord>,
+        log: bool,
+    ) {
         let mut delivered: Vec<(u64, OrderedOp)> = Vec::new();
         let mut mute = MuteHost { inner: ctx };
         for rec in records {
+            if matches!(rec, WalRecord::Deliver { seq, .. } if seq <= self.delivered_frontier()) {
+                // Already archived (snapshot/WAL overlap, or a transfer
+                // that starts below the frontier).
+                continue;
+            }
+            if log {
+                self.log_record(&rec);
+            }
             match rec {
                 WalRecord::Deliver { seq, op } => {
                     self.delivered_ops.push((seq, op.clone()));
@@ -221,6 +230,9 @@ impl ControllerActor {
                     domain,
                     controller,
                 } => {
+                    // Receipted segment reports are never retransmitted,
+                    // so the logged (or a peer's) signer facts are the only
+                    // way to re-learn a quorum counted before the crash.
                     self.restore_barrier_signer(&mut mute, barrier, domain, controller);
                 }
                 WalRecord::BftView(v) => {
@@ -241,14 +253,12 @@ impl ControllerActor {
                 }
             }
         }
+        // Muted replay set the armed flag without a live timer; the caller
+        // re-arms with the real host.
+        self.retry_armed = false;
         if let Some(r) = self.replica.as_mut() {
             r.fast_forward(delivered);
-        }
-        // Muted replay set the armed flag without a live timer; re-arming
-        // happens with the real host once `on_start` proceeds.
-        self.retry_armed = false;
-        // Journal records produced by restore calls are already durable.
-        if let Some(r) = self.replica.as_mut() {
+            // Journal records produced by restore calls are already durable.
             let _ = r.take_journal();
         }
     }
@@ -283,8 +293,27 @@ impl ControllerActor {
         }
     }
 
-    /// Answers a restarted peer's state-sync request with every archived
-    /// delivery past its frontier.
+    /// The log compacted into the record alphabet: every archived delivery
+    /// past consensus sequence `after`, the ack archive, and every counted
+    /// barrier signer. The snapshot body (plus the own BFT journal) and the
+    /// state-sync answer alike.
+    fn compacted_records(&self, after: u64) -> Vec<WalRecord> {
+        let mut out: Vec<WalRecord> = self
+            .delivered_ops
+            .iter()
+            .filter(|(s, _)| *s > after)
+            .map(|(seq, op)| WalRecord::Deliver {
+                seq: *seq,
+                op: op.clone(),
+            })
+            .collect();
+        out.extend(self.pending.acked_ids().map(WalRecord::Acked));
+        out.extend(self.barrier_signer_records());
+        out
+    }
+
+    /// Answers a restarted peer's state-sync request with the compacted
+    /// log past its frontier.
     pub(super) fn on_sync_request(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
@@ -295,95 +324,40 @@ impl ControllerActor {
         if !self.active || self.recovering || domain != self.domain || from == self.id {
             return;
         }
-        let ops: Vec<(u64, OrderedOp)> = self
-            .delivered_ops
-            .iter()
-            .filter(|(s, _)| *s > have)
-            .cloned()
-            .collect();
-        let signers = self
-            .barrier_signer_records()
-            .into_iter()
-            .filter_map(|r| match r {
-                WalRecord::BarrierSigner {
-                    barrier,
-                    domain,
-                    controller,
-                } => Some((barrier, domain, controller)),
-                _ => None,
-            })
-            .collect();
         ctx.send(
             self.node_of(from),
             Net::SyncReply {
                 from: self.id,
-                frontier: self.delivered_frontier(),
-                ops,
-                acked: self.pending.acked_ids().collect(),
-                signers,
+                records: self.compacted_records(have),
             },
         );
     }
 
     /// Completes recovery from the first peer snapshot transfer: the
-    /// missing deliveries are WAL-logged, muted-replayed, and the replica
-    /// fast-forwarded; the peer's ack archive then retires every replayed
-    /// update that was already acknowledged before the crash (without it a
-    /// disk-lost restart would wait forever on acks nobody will re-send);
-    /// finally the controller rejoins consensus and re-arms retransmission
-    /// for everything the replay left in flight.
+    /// transfer is WAL-logged and muted-replayed like the own log — missing
+    /// deliveries, then the peer's ack archive (without it a disk-lost
+    /// restart would wait forever on acks nobody will re-send), then its
+    /// barrier signers; finally the controller rejoins consensus and
+    /// re-arms retransmission for everything the replay left in flight.
     pub(super) fn on_sync_reply(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
         from: ControllerId,
-        ops: Vec<(u64, OrderedOp)>,
-        acked: Vec<UpdateId>,
-        signers: Vec<(UpdateId, DomainId, ControllerId)>,
+        mut records: Vec<WalRecord>,
     ) {
         if !self.recovering {
             return;
         }
-        let mut delivered: Vec<(u64, OrderedOp)> = Vec::new();
-        for (seq, op) in ops {
-            if seq <= self.delivered_frontier() {
-                continue;
-            }
-            self.record_delivery(seq, &op);
-            delivered.push((seq, op.clone()));
-            if let OrderedOp::Event(e) = op {
-                let mut mute = MuteHost { inner: ctx };
-                self.process_event(&mut mute, e);
-            }
-        }
-        let now = ctx.now();
-        for id in acked {
-            // Same treatment as a WAL `Acked` record: retire the update
-            // and drain its dependents; anything the ack releases is
-            // already in the peer's acked set too, so nothing new goes on
-            // the wire here. Logged so a second crash replays it locally.
-            self.log_record(&WalRecord::Acked(id));
-            let _ = self.pending.ack(id, now);
-        }
-        for (barrier, domain, controller) in signers {
-            // Receipted segment reports are never retransmitted to us, so
-            // the peer's signer facts are the only way to re-learn a
-            // quorum counted before the crash. Muted like WAL replay:
-            // updates a release frees re-enter the in-flight set and the
-            // retry timer below re-sends them.
-            self.log_record(&WalRecord::BarrierSigner {
-                barrier,
-                domain,
-                controller,
-            });
-            let mut mute = MuteHost { inner: ctx };
-            self.restore_barrier_signer(&mut mute, barrier, domain, controller);
-        }
-        if let Some(r) = self.replica.as_mut() {
-            r.fast_forward(delivered);
-            let _ = r.take_journal();
-        }
+        // A peer's consensus votes are its own; only the compacted
+        // alphabet is ever adopted from the wire.
+        records.retain(|r| {
+            matches!(
+                r,
+                WalRecord::Deliver { .. } | WalRecord::Acked(_) | WalRecord::BarrierSigner { .. }
+            )
+        });
+        self.replay(ctx, records, true);
         self.recovering = false;
-        self.retry_armed = false;
         self.arm_retry(ctx);
         ctx.observe(Obs::ControllerRecovered {
             domain: self.domain,
@@ -423,19 +397,8 @@ impl ControllerActor {
         {
             return;
         }
-        let mut buf = BytesMut::new();
-        for (seq, op) in &self.delivered_ops {
-            WalRecord::Deliver {
-                seq: *seq,
-                op: op.clone(),
-            }
-            .encode(&mut buf);
-        }
-        let acked: Vec<_> = self.pending.acked_ids().collect();
-        for id in acked {
-            WalRecord::Acked(id).encode(&mut buf);
-        }
-        for rec in self.barrier_signer_records() {
+        let mut buf = Vec::new();
+        for rec in self.compacted_records(0) {
             rec.encode(&mut buf);
         }
         if let Some(r) = self.replica.as_ref() {
@@ -445,7 +408,7 @@ impl ControllerActor {
         }
         let records = self.records_since_snapshot;
         let disk = self.disk.as_ref().expect("wal implies disk");
-        write_snapshot(disk, SNAP_FILE, buf.as_slice());
+        write_snapshot(disk, SNAP_FILE, &buf);
         if let Some(w) = self.wal.as_mut() {
             w.truncate();
         }

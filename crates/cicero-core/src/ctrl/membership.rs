@@ -165,11 +165,7 @@ impl ControllerActor {
     pub(super) fn finish_phase_change(&mut self, ctx: &mut dyn Host<Net, Obs>) {
         self.in_phase_change = false;
         self.active = true;
-        self.replica = Some(Self::build_replica(
-            &self.view,
-            self.id,
-            self.shared.cfg.view_timeout_ticks,
-        ));
+        self.replica = Some(Self::build_replica(&self.view, self.id));
         self.agg_shares.retain_phase(self.view.phase());
         self.relayed.clear();
         ctx.observe(Obs::PhaseChanged {

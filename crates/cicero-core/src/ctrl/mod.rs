@@ -48,8 +48,7 @@ use simnet::time::SimDuration;
 use southbound::types::{
     ControllerId, DomainId, Event, EventId, NetworkUpdate, Phase, SwitchId, UpdateId,
 };
-use std::collections::BTreeMap;
-use substrate::collections::{DetMap, DetSet};
+use std::collections::{BTreeMap, BTreeSet};
 use substrate::storage::{DiskHandle, Wal};
 use std::sync::Arc;
 
@@ -73,8 +72,8 @@ pub struct ControllerActor {
     app: ShortestPathApp,
     scheduler: Box<dyn UpdateScheduler>,
     pending: PendingUpdates,
-    seen_events: DetSet<EventId>,
-    forwarded_events: DetSet<EventId>,
+    seen_events: BTreeSet<EventId>,
+    forwarded_events: BTreeSet<EventId>,
     unprocessed: BTreeMap<[u8; 32], OrderedOp>,
     queued_events: Vec<Event>,
     in_phase_change: bool,
@@ -83,11 +82,11 @@ pub struct ControllerActor {
     /// Aggregator role: update shares below quorum.
     agg_shares: QuorumCollector<UpdateId, NetworkUpdate>,
     /// Aggregator role: relayed quorum signatures, kept for re-relay.
-    relayed: DetMap<(UpdateId, Phase), Relayed>,
+    relayed: BTreeMap<(UpdateId, Phase), Relayed>,
     phase_partials: BTreeMap<Phase, BTreeMap<u32, PartialSignature>>,
     remote_members: BTreeMap<DomainId, Vec<ControllerId>>,
     detector: HeartbeatDetector,
-    barriers: DetMap<(EventId, u32), BarrierState>,
+    barriers: BTreeMap<(EventId, u32), BarrierState>,
     /// Re-forward clocks of unreleased barriers (driven on the lowest
     /// controller) for while the downstream domain stays quiet.
     forwards: RetryTable<(EventId, u32), ()>,
@@ -96,19 +95,19 @@ pub struct ControllerActor {
     /// the senders re-teach it after a crash.
     seg_shares: BTreeMap<DomainId, QuorumCollector<(EventId, u32), SegmentBody>>,
     /// Own segments foreign updates depend on, not yet fully switch-acked.
-    seg_watch: DetMap<(EventId, u32), SegWatch>,
+    seg_watch: BTreeMap<(EventId, u32), SegWatch>,
     /// Drained own segments' reports, retransmitted until every upstream
     /// controller receipted.
     seg_reports: RetryTable<(EventId, u32), SegReport>,
     /// Segway mode: per-update gate/notify metadata derived once from the
     /// full schedule at `process_event` time, consumed (and re-consumed on
     /// retransmission and NACK resync) by `send_update_delayed`.
-    segway_meta: DetMap<UpdateId, (Vec<(UpdateId, SwitchId)>, Vec<SwitchId>)>,
+    segway_meta: BTreeMap<UpdateId, (Vec<(UpdateId, SwitchId)>, Vec<SwitchId>)>,
     /// Segway mode: cross-domain events retained for re-forwarding, with a
     /// re-forward attempt counter. Segway has no handshake sweep to re-drive
     /// a dropped `ForwardedEvent`, so a stuck own update doubles as the
     /// signal (`reforward_segway`).
-    segway_events: DetMap<EventId, (Event, u32)>,
+    segway_events: BTreeMap<EventId, (Event, u32)>,
     retry_armed: bool,
     // ---- durability (ctrl/durable.rs) --------------------------------
     /// Durable storage, when provisioned.
@@ -140,8 +139,7 @@ impl ControllerActor {
         view: ControlPlaneView,
         active: bool,
     ) -> Self {
-        let replica =
-            active.then(|| Self::build_replica(&view, id, shared.cfg.view_timeout_ticks));
+        let replica = active.then(|| Self::build_replica(&view, id));
         let rel = shared.cfg.reliability;
         // Per-controller jitter streams: replicas must not retransmit in
         // lockstep or every retry wave collides at the receiver.
@@ -181,23 +179,23 @@ impl ControllerActor {
             replica,
             app: ShortestPathApp::new(),
             scheduler: Box::new(ReversePathScheduler),
-            seen_events: DetSet::new(),
-            forwarded_events: DetSet::new(),
+            seen_events: BTreeSet::new(),
+            forwarded_events: BTreeSet::new(),
             unprocessed: BTreeMap::new(),
             queued_events: Vec::new(),
             in_phase_change: false,
             pending_reshare: None,
             reshare_buf: BTreeMap::new(),
             agg_shares: QuorumCollector::new(),
-            relayed: DetMap::new(),
+            relayed: BTreeMap::new(),
             phase_partials: BTreeMap::new(),
             remote_members,
             detector,
-            barriers: DetMap::new(),
+            barriers: BTreeMap::new(),
             seg_shares: BTreeMap::new(),
-            seg_watch: DetMap::new(),
-            segway_meta: DetMap::new(),
-            segway_events: DetMap::new(),
+            seg_watch: BTreeMap::new(),
+            segway_meta: BTreeMap::new(),
+            segway_events: BTreeMap::new(),
             retry_armed: false,
             disk: None,
             wal: None,
@@ -246,19 +244,7 @@ impl ControllerActor {
         self.auth.checks()
     }
 
-    /// Consensus liveness snapshot: `(view, delivered slots, undelivered
-    /// submissions)`. `None` when the mode runs without consensus.
-    pub fn consensus_status(&self) -> Option<(u64, u64, usize)> {
-        self.replica
-            .as_ref()
-            .map(|r| (r.view(), r.delivered_count(), r.pending_len()))
-    }
-
-    fn build_replica(
-        view: &ControlPlaneView,
-        id: ControllerId,
-        view_timeout_ticks: u32,
-    ) -> Replica<OrderedOp> {
+    fn build_replica(view: &ControlPlaneView, id: ControllerId) -> Replica<OrderedOp> {
         let members: Vec<ControllerId> = view.members().collect();
         let pos = members
             .iter()
@@ -266,8 +252,7 @@ impl ControllerActor {
             .expect("active controller is a member") as u32;
         Replica::new(
             ReplicaId(pos),
-            bft::replica::BftConfig::new(members.len() as u32)
-                .with_view_timeout(view_timeout_ticks),
+            bft::replica::BftConfig::new(members.len() as u32),
         )
     }
 
@@ -323,7 +308,8 @@ impl Actor<Net, Obs> for ControllerActor {
     fn on_start(&mut self, ctx: &mut dyn Host<Net, Obs>) {
         // Crash recovery first: replay the snapshot + WAL through the real
         // handlers (muted), then resume live operation on recovered state.
-        self.replay_recovered(ctx);
+        let recovered = std::mem::take(&mut self.recovered);
+        self.replay(ctx, recovered, false);
         if self.uses_consensus() {
             ctx.set_timer(TICK_PERIOD, TICK);
         }
@@ -450,9 +436,7 @@ impl Actor<Net, Obs> for ControllerActor {
             Net::SyncRequest { domain, from, have } => {
                 self.on_sync_request(ctx, domain, from, have)
             }
-            Net::SyncReply { from, frontier: _, ops, acked, signers } => {
-                self.on_sync_reply(ctx, from, ops, acked, signers)
-            }
+            Net::SyncReply { from, records } => self.on_sync_reply(ctx, from, records),
             Net::MembershipCmd(op) => {
                 let allowed = match op {
                     OrderedOp::AddController(_) => self.id == self.view.bootstrap(),

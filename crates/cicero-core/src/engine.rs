@@ -50,19 +50,38 @@ impl LatencyModel for ControlLatency {
     }
 }
 
+/// Liveness-watchdog sampling period of [`Engine::run_reporting`]: how
+/// often progress is checked against the outstanding-work snapshot.
+const WATCHDOG_SLICE: SimDuration = SimDuration::from_millis(250);
+/// Consecutive progress-free watchdog slices before the run is declared
+/// stalled. The quiet window (`slices * slice`) must exceed the longest
+/// retransmission interval (the 2 s backoff ceiling plus 25% jitter),
+/// otherwise a healthy backoff pause reads as a stall.
+const WATCHDOG_STALL_SLICES: u32 = 12;
+/// Events one watchdog slice may process; a slice that spends it has
+/// stopped advancing the clock, and the run is reported stalled instead of
+/// spinning forever. A healthy 250 ms slice processes a few thousand events;
+/// the busiest seen over 80,000 fuzzed scenarios and the test suite is
+/// ≈ 114,000 (deliveries queued at a busy node are re-deferred each time
+/// it finishes one, so deep queues cost quadratically many events).
+const SLICE_EVENT_BUDGET: u64 = 1_000_000;
+
 /// The liveness watchdog's verdict on a [`Engine::run_reporting`] run.
 ///
 /// A run *completes* when every injected flow resolved (completed or
 /// denied) and no reliable-delivery work is outstanding anywhere — no
 /// unacked or dependency-blocked update at any controller, no pending
 /// signed event at any switch. It *stalls* when the watchdog sees
-/// [`EngineConfig::watchdog_stall_slices`] consecutive progress-free
-/// slices (or a drained event queue) while work is still outstanding.
+/// `WATCHDOG_STALL_SLICES` consecutive progress-free slices (or a drained
+/// event queue) while work is still outstanding, or when one slice spends
+/// `SLICE_EVENT_BUDGET` events without reaching its end (simulated time
+/// stopped: a zero-delay livelock).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunReport {
     /// All injected flows resolved and the delivery pipeline drained.
     pub completed: bool,
-    /// The watchdog declared the run quiescent-but-undrained.
+    /// The watchdog declared the run quiescent-but-undrained, or
+    /// livelocked at one instant.
     pub stalled: bool,
     /// Simulated time when the run ended.
     pub end: SimTime,
@@ -204,7 +223,6 @@ impl Engine {
         let seed = dep.shared.cfg.seed;
         let mut sim: Simulation<Net, Obs> =
             Simulation::new(seed, ControlLatency { loc: dep.locations });
-        sim.set_cpu_bucket(dep.shared.cfg.cpu_bucket);
 
         let mut controller_nodes = BTreeMap::new();
         let mut switch_nodes = BTreeMap::new();
@@ -391,13 +409,14 @@ impl Engine {
         let _ = self.drive(horizon, false);
     }
 
-    /// Runs with the liveness watchdog: advances in
-    /// [`EngineConfig::watchdog_slice`] steps, declaring the run *complete*
-    /// when all flows resolved and the delivery pipeline drained, and
-    /// *stalled* when [`EngineConfig::watchdog_stall_slices`] consecutive
-    /// slices elapse without a single new observation while work is still
-    /// outstanding. Either way it returns a [`RunReport`] instead of
-    /// silently handing back a half-done simulation.
+    /// Runs with the liveness watchdog: advances in `WATCHDOG_SLICE` steps,
+    /// declaring the run *complete* when all flows resolved and the
+    /// delivery pipeline drained, and *stalled* when
+    /// `WATCHDOG_STALL_SLICES` consecutive slices elapse without a single
+    /// new observation while work is still outstanding, or one slice
+    /// exhausts its `SLICE_EVENT_BUDGET`. Either way it returns a
+    /// [`RunReport`] instead of silently handing back a half-done
+    /// simulation.
     pub fn run_reporting(&mut self, horizon: SimTime) -> RunReport {
         self.drive(horizon, true)
     }
@@ -408,8 +427,6 @@ impl Engine {
     /// with zero flows must still reach the horizon); with it, slices the
     /// run and checks completion/stall between slices.
     fn drive(&mut self, horizon: SimTime, watchdog: bool) -> RunReport {
-        let slice = self.shared.cfg.watchdog_slice;
-        let stall_slices = self.shared.cfg.watchdog_stall_slices.max(1);
         let mut last_obs = self.sim.observations().len();
         let mut quiet: u32 = 0;
         let mut completed = false;
@@ -447,14 +464,22 @@ impl Engine {
                 _ => {}
             }
             cursor = if watchdog {
-                std::cmp::min(cursor + slice, horizon)
+                std::cmp::min(cursor + WATCHDOG_SLICE, horizon)
             } else {
                 horizon
             };
             if let Some(t) = next_restart {
                 cursor = std::cmp::min(cursor, std::cmp::max(t, self.sim.now()));
             }
+            self.sim
+                .set_max_events(if watchdog { SLICE_EVENT_BUDGET } else { u64::MAX });
             self.sim.run_until(cursor);
+            if self.sim.next_event_at().is_some_and(|at| at <= cursor) {
+                // The slice spent its event budget with events still due:
+                // simulated time has stopped advancing.
+                stalled = true;
+                break;
+            }
             self.perform_due_restarts(cursor);
             if watchdog {
                 let n = self.sim.observations().len();
@@ -465,7 +490,7 @@ impl Engine {
                     quiet = 0;
                 } else if n == last_obs {
                     quiet += 1;
-                    if quiet >= stall_slices {
+                    if quiet >= WATCHDOG_STALL_SLICES {
                         stalled = true;
                         break;
                     }
@@ -554,11 +579,6 @@ impl Engine {
         self.sim.delivered_count()
     }
 
-    /// CPU utilization series of a switch (paper Fig. 11d).
-    pub fn switch_cpu(&self, s: SwitchId) -> Vec<f64> {
-        self.sim.cpu_utilization(self.switch_nodes[&s])
-    }
-
     /// Mean CPU utilization across all switches per bucket.
     pub fn mean_switch_cpu(&self) -> Vec<f64> {
         let series: Vec<Vec<f64>> = self
@@ -605,4 +625,49 @@ pub fn default_pod_engine(mode: Mode, crypto: CryptoMode, racks: u16) -> Engine 
     let topo = Topology::single_pod(racks, 4, 4);
     let dm = DomainMap::single(&topo);
     Engine::build(cfg, topo, dm, 0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simnet::node::{Actor, Host, TimerToken};
+    use southbound::types::{FlowId, HostId};
+
+    /// Re-arms a zero-delay timer forever once poked: events keep coming
+    /// but simulated time never advances.
+    struct Spinner;
+
+    impl Actor<Net, Obs> for Spinner {
+        fn on_message(&mut self, ctx: &mut dyn Host<Net, Obs>, _from: NodeId, _msg: Net) {
+            ctx.set_timer(SimDuration::ZERO, TimerToken(0));
+        }
+
+        fn on_timer(&mut self, ctx: &mut dyn Host<Net, Obs>, token: TimerToken) {
+            ctx.set_timer(SimDuration::ZERO, token);
+        }
+    }
+
+    #[test]
+    fn zero_delay_livelock_is_reported_as_a_stall() {
+        let mut engine = default_pod_engine(Mode::Centralized, CryptoMode::Modeled, 2);
+        let spinner = engine.sim.add_node(Spinner);
+        let start = SimTime::ZERO + SimDuration::from_millis(1);
+        // A flow nobody will ever resolve keeps the run from completing.
+        engine.inject_raw(
+            start,
+            simnet::sim::ENVIRONMENT,
+            spinner,
+            Net::FlowArrival {
+                flow: FlowId(1),
+                src: HostId(0),
+                dst: HostId(1),
+                bytes: 1,
+                transit: SimDuration::ZERO,
+                start,
+            },
+        );
+        let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(60));
+        assert!(report.stalled && !report.completed, "{report}");
+        assert_eq!(report.end, start, "time stopped where the spin began");
+    }
 }

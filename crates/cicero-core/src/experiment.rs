@@ -2,7 +2,7 @@
 //! (§6). The `bench` crate's `figures` binary and the integration tests are
 //! thin wrappers over these.
 
-use crate::config::{Aggregation, CostModel, CryptoMode, EngineConfig, Mode};
+use crate::config::{tx_time, Aggregation, CostModel, CryptoMode, EngineConfig, Mode};
 use crate::engine::Engine;
 use crate::msg::Net;
 use crate::obs::{events_per_domain, flow_latencies, Cdf, Obs};
@@ -43,66 +43,17 @@ pub struct FlowRun {
     pub mean_switch_cpu: Vec<f64>,
 }
 
-/// Runs one workload under one mode on the given topology/domain split.
+/// Runs one workload on the given topology/domain split under `cfg` (mode,
+/// seed, rule reuse, cross-domain handshake and cost model are all the
+/// caller's; `cfg.seed` also seeds the workload generator).
 pub fn run_flow_completion(
-    mode: Mode,
+    cfg: EngineConfig,
     topo: &Topology,
     domain_map: DomainMap,
     spec: &WorkloadSpec,
-    rule_reuse: bool,
-    seed: u64,
 ) -> FlowRun {
-    run_flow_completion_with(mode, topo, domain_map, spec, rule_reuse, seed, true)
-}
-
-/// [`run_flow_completion`] with the cross-domain ordering handshake knob
-/// exposed. `cross_domain_handshake = false` reproduces the paper's
-/// behavior, which installs each domain's path segment independently (and
-/// therefore admits transient cross-boundary black holes — see DESIGN.md
-/// §3); `true` is the default, consistency-preserving protocol.
-pub fn run_flow_completion_with(
-    mode: Mode,
-    topo: &Topology,
-    domain_map: DomainMap,
-    spec: &WorkloadSpec,
-    rule_reuse: bool,
-    seed: u64,
-    cross_domain_handshake: bool,
-) -> FlowRun {
-    run_flow_completion_costed(
-        mode,
-        topo,
-        domain_map,
-        spec,
-        rule_reuse,
-        seed,
-        cross_domain_handshake,
-        CostModel::default(),
-    )
-}
-
-/// [`run_flow_completion_with`] with the per-operation [`CostModel`] also
-/// exposed, so figures can be produced under the paper-calibrated defaults
-/// *or* under [`CostModel::measured`] (this host's bench medians for the
-/// fast crypto paths).
-#[allow(clippy::too_many_arguments)]
-pub fn run_flow_completion_costed(
-    mode: Mode,
-    topo: &Topology,
-    domain_map: DomainMap,
-    spec: &WorkloadSpec,
-    rule_reuse: bool,
-    seed: u64,
-    cross_domain_handshake: bool,
-    costs: CostModel,
-) -> FlowRun {
-    let mut cfg = EngineConfig::for_mode(mode);
-    cfg.rule_reuse = rule_reuse;
-    cfg.seed = seed;
-    cfg.crypto = CryptoMode::Modeled;
-    cfg.cross_domain_handshake = cross_domain_handshake;
-    cfg.costs = costs;
-    let mut rng = StdRng::seed_from_u64(seed);
+    let label = cfg.mode.label();
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
     let flows = workload::gen::generate(topo, spec, &mut rng);
     let mut engine = Engine::build(cfg, topo.clone(), domain_map, 0);
     engine.inject_flows(&flows);
@@ -113,7 +64,7 @@ pub fn run_flow_completion_costed(
     engine.run(horizon);
     let obs = engine.observations();
     FlowRun {
-        label: mode.label(),
+        label,
         cdf: Cdf::from_latencies(&flow_latencies(obs)),
         events_per_domain: events_per_domain(obs),
         unique_events: crate::obs::unique_events(obs),
@@ -127,14 +78,12 @@ pub fn fig11_flow_completion(spec: &WorkloadSpec, rule_reuse: bool, seed: u64) -
     ALL_MODES
         .iter()
         .map(|&mode| {
-            run_flow_completion(
-                mode,
-                &topo,
-                DomainMap::single(&topo),
-                spec,
+            let cfg = EngineConfig {
                 rule_reuse,
                 seed,
-            )
+                ..EngineConfig::for_mode(mode)
+            };
+            run_flow_completion(cfg, &topo, DomainMap::single(&topo), spec)
         })
         .collect()
 }
@@ -161,16 +110,12 @@ pub fn fig11d_switch_cpu_measured(seed: u64) -> Vec<(&'static str, Vec<f64>)> {
     ALL_MODES
         .iter()
         .map(|&mode| {
-            let run = run_flow_completion_costed(
-                mode,
-                &topo,
-                DomainMap::single(&topo),
-                &spec,
-                true,
+            let cfg = EngineConfig {
                 seed,
-                true,
-                CostModel::measured(),
-            );
+                costs: CostModel::measured(),
+                ..EngineConfig::for_mode(mode)
+            };
+            let run = run_flow_completion(cfg, &topo, DomainMap::single(&topo), &spec);
             (run.label, run.mean_switch_cpu)
         })
         .collect()
@@ -279,16 +224,13 @@ fn count_applied(obs: &[simnet::sim::Observation<Obs>]) -> usize {
 pub fn fig12b_event_locality(spec: &WorkloadSpec, k: u16, seed: u64) -> Vec<f64> {
     let topo = Topology::single_pod(40, 4, 4);
     let dm = DomainMap::split_racks(&topo, k);
-    let run = run_flow_completion(
-        Mode::Cicero {
-            aggregation: Aggregation::Switch,
-        },
-        &topo,
-        dm,
-        spec,
-        true,
+    let cfg = EngineConfig {
         seed,
-    );
+        ..EngineConfig::for_mode(Mode::Cicero {
+            aggregation: Aggregation::Switch,
+        })
+    };
+    let run = run_flow_completion(cfg, &topo, dm, spec);
     let total = run.unique_events;
     if total == 0 {
         return vec![0.0; k as usize];
@@ -388,7 +330,12 @@ pub fn fig12d_runs(spec: &WorkloadSpec, dcs: u16, seed: u64) -> Vec<(String, Cdf
         ),
     ] {
         let dm = DomainMap::by_pod(&topo);
-        let run = run_flow_completion_with(mode, &topo, dm, spec, true, seed, handshake);
+        let cfg = EngineConfig {
+            seed,
+            cross_domain_handshake: handshake,
+            ..EngineConfig::for_mode(mode)
+        };
+        let run = run_flow_completion(cfg, &topo, dm, spec);
         let _ = &run.label;
         out.push((label.to_string(), run.cdf));
     }
@@ -494,7 +441,7 @@ pub fn flow_setup_latency_ms(mode: Mode, seed: u64) -> f64 {
         );
         engine.run(start + SimDuration::from_secs(5));
         // setup = completion latency - data-plane part.
-        let data_plane = r.latency + cfg.tx_time(bytes);
+        let data_plane = r.latency + tx_time(bytes);
         if let Some(o) = engine
             .observations()
             .iter()

@@ -67,7 +67,7 @@ pub mod prelude {
     pub use crate::experiment::{
         fig11_flow_completion, fig11d_switch_cpu, fig11d_switch_cpu_measured,
         fig12a_update_time, fig12b_event_locality, fig12c_runs, fig12d_runs,
-        flow_setup_latency_ms, run_flow_completion, run_flow_completion_costed,
+        flow_setup_latency_ms, run_flow_completion,
         segway_vs_cicero_md, FlowRun, ModeCost, ALL_MODES,
     };
     pub use crate::msg::{AckBody, Net, OrderedOp, PhaseInfo};

@@ -4,7 +4,6 @@
 use bft::message::{BftMessage, BftPayload, Digest};
 use blscrypto::reshare::ReshareDealing;
 use blscrypto::sha256::sha256_parts;
-use substrate::buf::BytesMut;
 use simnet::time::{SimDuration, SimTime};
 use southbound::codec::{DecodeError, Wire};
 use southbound::envelope::{QuorumSigned, ShareSigned, Signed};
@@ -24,7 +23,7 @@ pub struct AckBody {
 }
 
 impl Wire for AckBody {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         self.update.encode(buf);
         self.switch.encode(buf);
     }
@@ -52,7 +51,7 @@ pub struct NackBody {
 }
 
 impl Wire for NackBody {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         self.update.encode(buf);
         self.switch.encode(buf);
         self.have.encode(buf);
@@ -84,7 +83,7 @@ pub struct SegmentBody {
 }
 
 impl Wire for SegmentBody {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         self.event.encode(buf);
         self.segment.encode(buf);
         self.domain.encode(buf);
@@ -114,7 +113,7 @@ pub struct ReleaseBody {
 }
 
 impl Wire for ReleaseBody {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         self.event.encode(buf);
         self.segment.encode(buf);
         self.domain.encode(buf);
@@ -157,7 +156,7 @@ impl From<NetworkUpdate> for SegwayBody {
 }
 
 impl Wire for SegwayBody {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         self.update.encode(buf);
         (self.gates.len() as u32).encode(buf);
         for (u, s) in &self.gates {
@@ -206,7 +205,7 @@ pub struct ReadyBody {
 }
 
 impl Wire for ReadyBody {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         self.update.encode(buf);
         self.from.encode(buf);
         self.to.encode(buf);
@@ -235,7 +234,7 @@ pub struct PhaseInfo {
 }
 
 impl Wire for PhaseInfo {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         self.phase.encode(buf);
         self.quorum.encode(buf);
         self.aggregator.encode(buf);
@@ -262,7 +261,7 @@ pub enum OrderedOp {
 }
 
 impl Wire for OrderedOp {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             OrderedOp::Event(e) => {
                 0u8.encode(buf);
@@ -346,7 +345,7 @@ pub enum WalRecord {
 }
 
 impl Wire for WalRecord {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             WalRecord::Deliver { seq, op } => {
                 0u8.encode(buf);
@@ -465,7 +464,7 @@ pub enum SwitchWalRecord {
 }
 
 impl Wire for SwitchWalRecord {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             SwitchWalRecord::Applied { update, signers } => {
                 0u8.encode(buf);
@@ -645,26 +644,20 @@ pub enum Net {
         /// Highest consensus sequence in the requester's durable state.
         have: u64,
     },
-    /// Active peer → recovering replica: the delivered-op archive past the
-    /// requester's frontier, plus the ack archive. Without the acks a
-    /// disk-lost restart would replay every synced event as if freshly
-    /// delivered and wait forever for update acknowledgements that were
-    /// consumed before the crash.
+    /// Active peer → recovering replica: the peer's log past the
+    /// requester's frontier, compacted into [`WalRecord`]s exactly as a
+    /// snapshot is (minus the peer's own consensus journal): deliveries
+    /// with `seq > have` in delivery order, then the ack archive — without
+    /// it a disk-lost restart would replay every synced event as if freshly
+    /// delivered and wait forever for acknowledgements consumed before the
+    /// crash — then every counted barrier signer (segment reports are
+    /// retransmitted only to controllers with outstanding receipts, so a
+    /// receipted-then-lost signer fact would otherwise never be re-learned).
     SyncReply {
         /// The answering controller.
         from: ControllerId,
-        /// The answering replica's own delivery frontier.
-        frontier: u64,
-        /// `(seq, op)` pairs with `seq > have`, in delivery order.
-        ops: Vec<(u64, OrderedOp)>,
-        /// Every update id the answering replica has archived an ack for.
-        acked: Vec<UpdateId>,
-        /// Every counted barrier signer `(barrier, domain, controller)`.
-        /// Downstream domains retransmit segment reports only to
-        /// controllers with outstanding receipts, so a receipted-then-lost
-        /// signer fact would otherwise never be re-learned after a
-        /// disk-lost restart and its barrier would never release.
-        signers: Vec<(UpdateId, DomainId, ControllerId)>,
+        /// The compacted log.
+        records: Vec<WalRecord>,
     },
 }
 

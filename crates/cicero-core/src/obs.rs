@@ -329,16 +329,6 @@ pub fn flow_latencies(obs: &[Observation<Obs>]) -> Vec<SimDuration> {
     out
 }
 
-/// Update-application latencies relative to a per-update start map.
-pub fn update_latency(obs: &[Observation<Obs>], injected_at: SimTime) -> Vec<SimDuration> {
-    obs.iter()
-        .filter_map(|o| match o.value {
-            Obs::UpdateApplied { .. } => Some(o.at.since(injected_at)),
-            _ => None,
-        })
-        .collect()
-}
-
 /// Events processed per domain (for the event-locality figure).
 pub fn events_per_domain(obs: &[Observation<Obs>]) -> std::collections::BTreeMap<DomainId, usize> {
     let mut map = std::collections::BTreeMap::new();

@@ -9,7 +9,7 @@
 
 use crate::auth::{Authenticator, Peer};
 use crate::collector::{Quorum, QuorumCollector};
-use crate::config::{Aggregation, Mode};
+use crate::config::{tx_time, Aggregation, Mode};
 use crate::msg::{AckBody, NackBody, Net, PhaseInfo, ReadyBody, SegwayBody, SwitchWalRecord};
 use crate::obs::Obs;
 use crate::runtime::{labels, Shared};
@@ -25,11 +25,15 @@ use southbound::types::{
     DomainId, Event, EventId, EventKind, FlowAction, FlowId, FlowMatch, HostId, NetworkUpdate,
     Phase, SwitchId, UpdateId, UpdateKind,
 };
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use substrate::collections::{DetMap, DetSet};
 use substrate::storage::{DiskHandle, Wal};
 
 const RETRY: TimerToken = TimerToken(1);
+
+/// How long a switch lets a below-quorum update bucket age before NACKing
+/// the control plane for the missing shares.
+const NACK_TIMEOUT: SimDuration = SimDuration::from_millis(150);
 
 /// A signed event the switch keeps for retransmission until its effect is
 /// visible in the flow table (reliable delivery layer). `LinkFailure`
@@ -76,18 +80,18 @@ pub struct SwitchActor {
     domain: DomainId,
     auth: Authenticator,
     table: FlowTable,
-    waiting: DetMap<FlowMatch, Vec<WaitingFlow>>,
-    outstanding: DetSet<FlowMatch>,
+    waiting: BTreeMap<FlowMatch, Vec<WaitingFlow>>,
+    outstanding: BTreeSet<FlowMatch>,
     /// Update shares below quorum ([`QuorumCollector`] policy).
     buckets: QuorumCollector<UpdateId, NetworkUpdate>,
     /// Segway: share buckets over `SegwayBody` (update + gate/notify
     /// metadata) — a quorum also vouches for the release order.
     seg_buckets: QuorumCollector<UpdateId, SegwayBody>,
-    applied: DetSet<UpdateId>,
+    applied: BTreeSet<UpdateId>,
     /// Signer indices seen per applied update: shares from signers *not*
     /// in here are the tail of the original broadcast (quorum fired before
     /// every controller's share landed) and must not trigger re-acks.
-    applied_signers: DetMap<UpdateId, DetSet<u32>>,
+    applied_signers: BTreeMap<UpdateId, BTreeSet<u32>>,
     phase_info: PhaseInfo,
     event_seq: u64,
     /// Signed events awaiting their effect.
@@ -100,14 +104,14 @@ pub struct SwitchActor {
     retry_armed: bool,
     /// Verified bodies whose gates are not all open yet, with the signer
     /// count backing them.
-    parked: DetMap<UpdateId, (SegwayBody, u32)>,
+    parked: BTreeMap<UpdateId, (SegwayBody, u32)>,
     /// Verified readies received: gating update → switches that announced
     /// applying it (a ready may arrive before its gated body does).
-    ready_in: DetMap<UpdateId, DetSet<SwitchId>>,
+    ready_in: BTreeMap<UpdateId, BTreeSet<SwitchId>>,
     /// Every `(update, target)` ever released — the exactly-once-release
     /// guard. Survives receipt-driven `ready_out` removal, so duplicated
     /// quorum deliveries and replayed state never re-release a neighbor.
-    ready_sent: DetSet<(UpdateId, SwitchId)>,
+    ready_sent: BTreeSet<(UpdateId, SwitchId)>,
     /// Durable journal (attached by the executor; `None` = diskless).
     wal: Option<Wal>,
     /// Readies the WAL says were sent but never receipted, re-armed for
@@ -137,24 +141,24 @@ impl SwitchActor {
                 rel.event_retry_budget,
                 29,
             )),
-            nacks: RetryTable::new(policy(rel.nack_timeout, rel.nack_budget, 47)),
+            nacks: RetryTable::new(policy(NACK_TIMEOUT, rel.nack_budget, 47)),
             ready_out: RetryTable::new(policy(rel.retry_base, rel.retry_budget, 13)),
             shared,
             id,
             domain,
             table: FlowTable::new(),
-            waiting: DetMap::new(),
-            outstanding: DetSet::new(),
+            waiting: BTreeMap::new(),
+            outstanding: BTreeSet::new(),
             buckets: QuorumCollector::new(),
             seg_buckets: QuorumCollector::new(),
-            applied: DetSet::new(),
-            applied_signers: DetMap::new(),
+            applied: BTreeSet::new(),
+            applied_signers: BTreeMap::new(),
             phase_info,
             event_seq: 0,
             retry_armed: false,
-            parked: DetMap::new(),
-            ready_in: DetMap::new(),
-            ready_sent: DetSet::new(),
+            parked: BTreeMap::new(),
+            ready_in: BTreeMap::new(),
+            ready_sent: BTreeSet::new(),
             wal: None,
             recovered_readies: Vec::new(),
         }
@@ -181,7 +185,7 @@ impl SwitchActor {
                 records.push(r);
             }
         }
-        let mut receipted: DetSet<(UpdateId, SwitchId)> = DetSet::new();
+        let mut receipted: BTreeSet<(UpdateId, SwitchId)> = BTreeSet::new();
         for r in &records {
             if let SwitchWalRecord::ReadyReceipted { update, to } = r {
                 receipted.insert((*update, *to));
@@ -296,7 +300,7 @@ impl SwitchActor {
         for w in waiters {
             match action {
                 Some(FlowAction::Forward(_)) => {
-                    let delay = w.transit + self.shared.cfg.tx_time(w.bytes);
+                    let delay = w.transit + tx_time(w.bytes);
                     ctx.send_delayed(
                         ctx.id(),
                         Net::FlowDone {
@@ -742,7 +746,7 @@ impl SwitchActor {
         let m = FlowMatch { src, dst };
         match self.table.lookup(m) {
             Lookup::Action(FlowAction::Forward(_)) => {
-                let delay = transit + self.shared.cfg.tx_time(bytes);
+                let delay = transit + tx_time(bytes);
                 ctx.send_delayed(
                     ctx.id(),
                     Net::FlowDone {

@@ -9,7 +9,7 @@ use netmodel::routing::route;
 use netmodel::topology::Topology;
 use simnet::sim::ENVIRONMENT;
 use southbound::types::{FlowId, FlowMatch};
-use substrate::collections::DetSet;
+use std::collections::BTreeSet;
 
 #[test]
 fn random_workloads_complete_and_stay_consistent() {
@@ -62,7 +62,7 @@ fn random_workloads_complete_and_stay_consistent() {
         engine.run(SimTime::ZERO + SimDuration::from_secs(60));
 
         // Every injected flow completed exactly once.
-        let mut completed = DetSet::new();
+        let mut completed = BTreeSet::new();
         for o in engine.observations() {
             if let Obs::FlowCompleted { flow, .. } = o.value {
                 assert!(completed.insert(flow), "flow {flow:?} completed twice");
@@ -73,7 +73,7 @@ fn random_workloads_complete_and_stay_consistent() {
         }
 
         // No update applied twice at any switch.
-        let mut seen = DetSet::new();
+        let mut seen = BTreeSet::new();
         for o in engine.observations() {
             if let Obs::UpdateApplied { switch, update, .. } = o.value {
                 assert!(seen.insert((switch, update)), "duplicate application");

@@ -297,3 +297,92 @@ fn crash_between_share_arrival_and_quorum_releases_exactly_once_after_restart() 
     });
     assert!(signers.len() >= 2, "the re-collected quorum is on record: {signers:?}");
 }
+
+/// What a restarted controller must agree on however it got its state
+/// back: ack archive, barrier signers, delivery frontier, handshake status.
+#[derive(Debug, PartialEq)]
+struct RecoveredState {
+    acked: Vec<UpdateId>,
+    signers: Vec<Vec<(DomainId, u32)>>,
+    frontier: u64,
+    handshake: (usize, usize),
+}
+
+/// Local recovery (snapshot + WAL, topped up by a peer) and pure state sync
+/// (disk wiped) run the same records through the same replay, so the same
+/// controller restarted at the same instant of the same run must end up in
+/// the same state either way — right after the sync and at the end.
+#[test]
+fn state_sync_and_local_recovery_converge() {
+    let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
+    let run = |disk_lost: bool| {
+        let mut cfg = EngineConfig::for_mode(Mode::Cicero {
+            aggregation: Aggregation::Switch,
+        });
+        cfg.crypto = CryptoMode::Modeled;
+        cfg.seed = 31;
+        let topo = Topology::single_pod(2, 1, 2);
+        let dm = DomainMap::split_racks(&topo, 2);
+        let mut engine = Engine::build(cfg, topo.clone(), dm, 0);
+        // Boundary-crossing flows in both directions: the victim's domain
+        // holds barriers for some events and reports segments for others.
+        let hosts = topo.hosts();
+        let (a, b) = (hosts[0].id, hosts[1].id);
+        let far: Vec<HostId> = hosts
+            .iter()
+            .filter(|h| h.attached != hosts[0].attached)
+            .map(|h| h.id)
+            .collect();
+        inject_flow_at(&mut engine, &topo, a, far[0], 1, ms(1));
+        inject_flow_at(&mut engine, &topo, far[1], b, 2, ms(5));
+        inject_flow_at(&mut engine, &topo, b, far[1], 3, ms(40));
+        let domain = engine.shared().dir.domain_of_switch[&topo.host(a).unwrap().attached];
+        let victim = ControllerId(2);
+        let node = engine.controller_node(domain, victim);
+        engine.set_faults(FaultPlan::none().with_crash(ms(45), node));
+        engine.schedule_restart(ms(300), domain, victim, disk_lost);
+
+        let state = |engine: &mut Engine| {
+            let barriers: BTreeSet<_> = engine
+                .observations()
+                .iter()
+                .filter_map(|o| match o.value {
+                    Obs::SegmentReported { event, segment, .. } => Some((event, segment)),
+                    _ => None,
+                })
+                .collect();
+            let frontier = engine
+                .observations()
+                .iter()
+                .find_map(|o| match o.value {
+                    Obs::ControllerRecovered { frontier, .. } => Some(frontier),
+                    _ => None,
+                })
+                .expect("the restarted controller completed its state sync");
+            engine.with_controller(domain, victim, |c| RecoveredState {
+                acked: c.pending().acked_ids().collect(),
+                signers: barriers
+                    .iter()
+                    .map(|&(e, s)| c.barrier_signers(e, s))
+                    .collect(),
+                frontier,
+                handshake: c.handshake_status(),
+            })
+        };
+        engine.run_reporting(ms(350));
+        let synced = state(&mut engine);
+        let report = engine.run_reporting(ms(20_000));
+        assert!(report.completed, "disk_lost={disk_lost}: {report}");
+        assert_exactly_once(&engine);
+        (synced, state(&mut engine))
+    };
+    let (kept_synced, kept_end) = run(false);
+    let (lost_synced, lost_end) = run(true);
+    assert!(!kept_synced.acked.is_empty(), "nothing was acked before the crash");
+    assert!(
+        kept_synced.signers.iter().any(|s| !s.is_empty()),
+        "no barrier signer was on record: the comparison would be vacuous"
+    );
+    assert_eq!(kept_synced, lost_synced, "state right after the sync differs");
+    assert_eq!(kept_end, lost_end, "state at the end of the run differs");
+}

@@ -527,9 +527,15 @@ fn spent_reforward_budget_goes_quiet_instead_of_spinning() {
     }
     engine.set_faults(plan);
     inject_one_flow(&mut engine, &topo, HostId(2), HostId(0), 1);
-    // Returning at all is the regression check.
     let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(5));
     assert!(!report.completed, "downstream never heard of it: {report}");
+    // Quiet, not spinning: the watchdog waited out its quiet window. A
+    // zero-delay re-arm loop is cut off by the slice event budget with the
+    // clock still standing at the instant the budget ran out.
+    assert!(
+        report.end > SimTime::ZERO + SimDuration::from_secs(1),
+        "simulated time stopped: {report}"
+    );
     assert_eq!(report.resolved_flows, 0);
     let attempts: Vec<u32> = engine
         .observations()

@@ -29,11 +29,6 @@ pub struct FirewallPolicy {
 }
 
 impl FirewallPolicy {
-    /// No denied pairs.
-    pub fn allow_all() -> Self {
-        FirewallPolicy::default()
-    }
-
     /// Denies the `(src, dst)` pair.
     pub fn deny(&mut self, m: FlowMatch) -> &mut Self {
         self.denied.insert(m);

@@ -13,7 +13,7 @@
 //! Rules (see [`rules`] for scopes):
 //!
 //! * `no-random-order-collections` — `HashMap`/`HashSet` in deterministic
-//!   crates; use `substrate::collections::{DetMap, DetSet}`.
+//!   crates; use `std::collections::{BTreeMap, BTreeSet}`.
 //! * `no-wall-clock` — `Instant`/`SystemTime`/`thread::spawn` outside the
 //!   benchmark/sync allowlist.
 //! * `no-os-entropy` — any OS randomness outside `substrate::rng`.
@@ -225,7 +225,10 @@ mod tests {
             vec!["no-random-order-collections"; 2]
         );
         assert_eq!(findings[0].line, 1);
-        assert!(findings[0].hint.contains("DetMap"));
+        assert!(findings[0].hint.contains("BTreeMap"));
+        let set = lint_source("crates/bft/src/planted.rs", "struct S { s: HashSet<u32> }");
+        assert_eq!(rules_of(&set), vec!["no-random-order-collections"]);
+        assert!(set[0].hint.contains("BTreeSet"));
     }
 
     #[test]

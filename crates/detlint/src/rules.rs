@@ -299,7 +299,7 @@ pub fn apply_rules(path: &str, lexed: &Lexed) -> Vec<Finding> {
                         "`{id}` iterates in RandomState (per-process random) order; \
                          deterministic crates must not depend on it"
                     ),
-                    "use substrate::collections::DetMap / DetSet (ordered, seed-stable)",
+                    "use std::collections::BTreeMap / BTreeSet (ordered, seed-stable)",
                 );
             }
             "Instant" | "SystemTime" if !wall_ok => {

@@ -1,12 +1,12 @@
 //! The switch flow table: exact-match rules with hit/miss counters.
 
 use southbound::types::{FlowAction, FlowMatch, FlowRule, NetworkUpdate, UpdateKind};
-use substrate::collections::DetMap;
+use std::collections::BTreeMap;
 
 /// A switch's forwarding state.
 #[derive(Clone, Debug, Default)]
 pub struct FlowTable {
-    rules: DetMap<FlowMatch, FlowAction>,
+    rules: BTreeMap<FlowMatch, FlowAction>,
     hits: u64,
     misses: u64,
 }

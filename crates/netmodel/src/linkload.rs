@@ -3,12 +3,12 @@
 
 use crate::topology::Topology;
 use southbound::types::SwitchId;
-use substrate::collections::DetMap;
+use std::collections::BTreeMap;
 
 /// Tracks reserved bandwidth per (undirected) link.
 #[derive(Clone, Debug, Default)]
 pub struct LinkLoad {
-    reserved: DetMap<(SwitchId, SwitchId), u64>,
+    reserved: BTreeMap<(SwitchId, SwitchId), u64>,
 }
 
 fn key(a: SwitchId, b: SwitchId) -> (SwitchId, SwitchId) {

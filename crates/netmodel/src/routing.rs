@@ -8,8 +8,7 @@ use crate::topology::Topology;
 use simnet::time::SimDuration;
 use southbound::types::{HostId, SwitchId};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use substrate::collections::DetMap;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// A host-to-host route: the switch path, `path[0]` being the source ToR.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -46,8 +45,8 @@ fn dijkstra(
     topo: &Topology,
     src: SwitchId,
     avoid: &std::collections::BTreeSet<(SwitchId, SwitchId)>,
-) -> DetMap<SwitchId, (u64, Option<SwitchId>)> {
-    let mut best: DetMap<SwitchId, (u64, Option<SwitchId>)> = DetMap::new();
+) -> BTreeMap<SwitchId, (u64, Option<SwitchId>)> {
+    let mut best: BTreeMap<SwitchId, (u64, Option<SwitchId>)> = BTreeMap::new();
     let mut heap: BinaryHeap<Reverse<(u64, SwitchId, Option<SwitchId>)>> = BinaryHeap::new();
     heap.push(Reverse((0, src, None)));
     while let Some(Reverse((cost, node, pred))) = heap.pop() {

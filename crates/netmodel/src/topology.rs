@@ -10,7 +10,6 @@
 use simnet::time::SimDuration;
 use southbound::types::{HostId, SwitchId};
 use std::collections::BTreeMap;
-use substrate::collections::DetMap;
 
 /// Physical placement of a switch or host.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -89,9 +88,9 @@ pub struct Topology {
     switches: Vec<SwitchInfo>,
     hosts: Vec<HostInfo>,
     links: Vec<Link>,
-    adjacency: DetMap<SwitchId, Vec<(SwitchId, SimDuration)>>,
-    host_index: DetMap<HostId, usize>,
-    switch_index: DetMap<SwitchId, usize>,
+    adjacency: BTreeMap<SwitchId, Vec<(SwitchId, SimDuration)>>,
+    host_index: BTreeMap<HostId, usize>,
+    switch_index: BTreeMap<SwitchId, usize>,
 }
 
 impl Topology {
@@ -216,29 +215,6 @@ impl Topology {
         map
     }
 
-    /// Rebuilds the derived indices (after deserialization).
-    pub fn reindex(&mut self) {
-        self.adjacency.clear();
-        self.switch_index.clear();
-        self.host_index.clear();
-        for (i, s) in self.switches.iter().enumerate() {
-            self.switch_index.insert(s.id, i);
-        }
-        for (i, h) in self.hosts.iter().enumerate() {
-            self.host_index.insert(h.id, i);
-        }
-        for l in self.links.clone() {
-            self.adjacency
-                .entry(l.a)
-                .or_default()
-                .push((l.b, l.latency));
-            self.adjacency
-                .entry(l.b)
-                .or_default()
-                .push((l.a, l.latency));
-        }
-    }
-
     // ---- builders ----------------------------------------------------
 
     /// One Facebook-fabric server pod: `racks` ToR switches each linked to
@@ -297,9 +273,9 @@ pub struct TopologyBuilder {
     topo: Topology,
     next_switch: u32,
     next_host: u32,
-    edges_of_dc: DetMap<u16, Vec<SwitchId>>,
-    spines_of_dc: DetMap<u16, Vec<SwitchId>>,
-    gateway_of_dc: DetMap<u16, SwitchId>,
+    edges_of_dc: BTreeMap<u16, Vec<SwitchId>>,
+    spines_of_dc: BTreeMap<u16, Vec<SwitchId>>,
+    gateway_of_dc: BTreeMap<u16, SwitchId>,
 }
 
 impl Default for TopologyBuilder {
@@ -315,9 +291,9 @@ impl TopologyBuilder {
             topo: Topology::empty(),
             next_switch: 0,
             next_host: 0,
-            edges_of_dc: DetMap::new(),
-            spines_of_dc: DetMap::new(),
-            gateway_of_dc: DetMap::new(),
+            edges_of_dc: BTreeMap::new(),
+            spines_of_dc: BTreeMap::new(),
+            gateway_of_dc: BTreeMap::new(),
         }
     }
 

@@ -1,12 +1,11 @@
-//! Routing determinism over the DetMap-backed topology and Dijkstra state.
+//! Routing determinism over the BTreeMap-backed topology and Dijkstra state.
 //!
-//! Before the `substrate::collections` migration, `Topology::adjacency` and
-//! the Dijkstra `best` map were `HashMap`s: correct within one process, but
-//! with per-process iteration order. Any code that ever iterates them (path
-//! enumeration, tie-breaking, debugging output) could silently produce
-//! different-but-equally-short routes from run to run, breaking seed
-//! replay. This test pins the migrated behaviour: route computation is a
-//! pure function of the topology.
+//! `Topology::adjacency` and the Dijkstra `best` map were once `HashMap`s:
+//! correct within one process, but with per-process iteration order. Any
+//! code that ever iterates them (path enumeration, tie-breaking, debugging
+//! output) could silently produce different-but-equally-short routes from
+//! run to run, breaking seed replay. This test pins the migrated behaviour:
+//! route computation is a pure function of the topology.
 
 use netmodel::routing::{equal_cost_paths, route};
 use netmodel::topology::Topology;

@@ -5,7 +5,18 @@
 //! `no-random-order-collections` rule — a single `HashMap` iteration in a
 //! deterministic crate is precisely the kind of bug that makes this test
 //! flake across processes while passing within one).
+//!
+//! # Golden trace hashes
+//!
+//! The second half pins the FNV-1a hash of the full `Obs` trace of a fixed
+//! set of runs, so "behaviour-identical" is a test a refactor passes or
+//! fails, not a claim proven with scratch builds. The constants were
+//! computed at commit 5b99427 (PR 13). **A hash may only be edited by a PR
+//! that names the behaviour it changed** (which messages, timers or
+//! observations now differ, and why); a refactor that trips one has changed
+//! behaviour and must find out where.
 
+use cicero_core::prelude::*;
 use simcheck::{run_scenario_traced, Scenario};
 
 /// FNV-1a over the Debug rendering: a stable, dependency-free digest that
@@ -106,5 +117,135 @@ fn regenerating_the_scenario_is_also_stable() {
         let a = format!("{:?}", Scenario::generate(seed));
         let b = format!("{:?}", Scenario::generate(seed));
         assert_eq!(a, b, "seed {seed}: scenario generation diverged");
+    }
+}
+
+/// Golden `(seed, trace hash)` pairs per generator class. Between them:
+/// every mode, single- and multi-domain fabrics (all but seeds 2, 6 and 42
+/// split into two domains), loss, duplication, partitions, rogue shares and
+/// readies, a switch restarted from its WAL (`segway` 2, 6), a controller
+/// restarted from its own disk (`recover` 4, 7) and one restarted with its
+/// disk wiped, recovering by state sync (`run` 9, `recover` 0, 9, 42).
+#[allow(clippy::type_complexity)]
+const GOLDEN_SCENARIOS: [(&str, fn(u64) -> Scenario, [(u64, u64); 5]); 4] = [
+    (
+        "run",
+        Scenario::generate,
+        [
+            (0, 0x450677d799184628),
+            (2, 0x2e0801721cf6f9a9),
+            (6, 0x5853bfc85ddecac2),
+            (9, 0xbf0eff5dd6602816),
+            (42, 0xb849b2941908bab4),
+        ],
+    ),
+    (
+        "secure",
+        Scenario::generate_secure,
+        [
+            (1, 0xbd0f53e880a5fd40),
+            (2, 0x669069d619577fa0),
+            (6, 0xac71695329bd12c1),
+            (9, 0x4219c444598ce579),
+            (42, 0xdf79fbb1589ddad2),
+        ],
+    ),
+    (
+        "recover",
+        Scenario::generate_recovery,
+        [
+            (0, 0x73fa09c51261deb8),
+            (4, 0xc930c09ed3e76adc),
+            (7, 0x18b8c7fc60b1b0f5),
+            (9, 0x442ae58a6367ca52),
+            (42, 0x1cab1dd5eb4b85b5),
+        ],
+    ),
+    (
+        "segway",
+        Scenario::generate_segway,
+        [
+            (0, 0x18908406e873e2a4),
+            (2, 0x5647ba190eebd1c0),
+            (3, 0xa3f259c3f9d5876f),
+            (6, 0x534271adaf87c85f),
+            (42, 0xe04311e2a5419d4b),
+        ],
+    ),
+];
+
+#[test]
+fn golden_scenario_trace_hashes() {
+    for (class, generate, seeds) in GOLDEN_SCENARIOS {
+        for (seed, want) in seeds {
+            let (_, obs) = run_scenario_traced(&generate(seed));
+            let got = stable_hash(&format!("{obs:?}"));
+            assert_eq!(
+                got, want,
+                "{class} seed {seed}: trace hash {got:#018x} != golden {want:#018x} \
+                 ({} observations) - behaviour changed; see the file header",
+                obs.len()
+            );
+        }
+    }
+}
+
+/// Golden `Engine` runs outside the fuzzer: twelve Hadoop flows on a
+/// four-rack pod, per mode once loss-free with modeled crypto and once
+/// under 10 % uniform loss with real BLS signatures.
+const GOLDEN_ENGINE: [(Mode, u64, u64); 5] = [
+    (Mode::Centralized, 0x270fa4f5a109907e, 0x3502db11a5156276),
+    (Mode::CrashTolerant, 0xc1113e315b73e5b7, 0xb5765e293ecdbab6),
+    (
+        Mode::Cicero {
+            aggregation: Aggregation::Switch,
+        },
+        0xa0ecc0b5eba17f2d,
+        0x57b56663632fdb5a,
+    ),
+    (
+        Mode::Cicero {
+            aggregation: Aggregation::Controller,
+        },
+        0x00a0aa8913db2270,
+        0x46af7cc012f0797f,
+    ),
+    (Mode::Segway, 0x30cef1f969087d79, 0x8fec822817149f50),
+];
+
+fn engine_trace_hash(mode: Mode, crypto: CryptoMode, drop: f64) -> u64 {
+    use substrate::rng::{SeedableRng, StdRng};
+    let mut cfg = EngineConfig::for_mode(mode);
+    cfg.crypto = crypto;
+    cfg.seed = 11;
+    cfg.trace_deliveries = true;
+    let topo = netmodel::topology::Topology::single_pod(4, 2, 2);
+    let mut spec = workload::spec::hadoop();
+    spec.flows = 12;
+    let flows = workload::gen::generate(&topo, &spec, &mut StdRng::seed_from_u64(11));
+    let dm = controller::policy::DomainMap::single(&topo);
+    let mut engine = Engine::build(cfg, topo, dm, 0);
+    engine.set_faults(simnet::fault::FaultPlan::none().with_drop_probability(drop));
+    engine.inject_flows(&flows);
+    engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(120));
+    stable_hash(&format!("{:?}", engine.observations()))
+}
+
+#[test]
+fn golden_engine_trace_hashes() {
+    for (mode, lossless_modeled, lossy_real) in GOLDEN_ENGINE {
+        for (crypto, drop, want) in [
+            (CryptoMode::Modeled, 0.0, lossless_modeled),
+            (CryptoMode::Real, 0.10, lossy_real),
+        ] {
+            let got = engine_trace_hash(mode, crypto, drop);
+            assert_eq!(
+                got,
+                want,
+                "{} {crypto:?} drop={drop}: trace hash {got:#018x} != golden {want:#018x} \
+                 - behaviour changed; see the file header",
+                mode.label()
+            );
+        }
     }
 }

@@ -13,9 +13,9 @@
 
 use crate::node::NodeId;
 use crate::time::SimTime;
-use substrate::rng::StdRng;
+use std::collections::{BTreeMap, BTreeSet};
 use substrate::rng::Rng as _;
-use substrate::collections::{DetMap, DetSet};
+use substrate::rng::StdRng;
 
 /// A time-bounded partition of one directed link: messages departing in
 /// `[from, until)` are dropped.
@@ -44,13 +44,13 @@ pub struct FaultPlan {
     /// Nodes that crash at a given time.
     pub crashes: Vec<(SimTime, NodeId)>,
     /// Ordered pairs that can never communicate (permanent partition).
-    pub severed: DetSet<(NodeId, NodeId)>,
+    pub severed: BTreeSet<(NodeId, NodeId)>,
     /// Ordered pairs that cannot communicate during bounded windows
     /// (healing partitions).
-    pub severed_windows: DetMap<(NodeId, NodeId), Vec<SeverWindow>>,
+    pub severed_windows: BTreeMap<(NodeId, NodeId), Vec<SeverWindow>>,
     /// Per-directed-link drop probabilities, overriding the uniform
     /// [`FaultPlan::drop_probability`] for that link.
-    pub link_drop: DetMap<(NodeId, NodeId), f64>,
+    pub link_drop: BTreeMap<(NodeId, NodeId), f64>,
 }
 
 impl FaultPlan {

@@ -2,7 +2,7 @@
 
 use crate::node::NodeId;
 use crate::time::SimDuration;
-use substrate::collections::DetMap;
+use std::collections::BTreeMap;
 
 /// Determines the one-way latency of a message between two nodes.
 pub trait LatencyModel: Send {
@@ -29,7 +29,7 @@ impl LatencyModel for UniformLatency {
 #[derive(Clone, Debug, Default)]
 pub struct TableLatency {
     default: SimDuration,
-    pairs: DetMap<(NodeId, NodeId), SimDuration>,
+    pairs: BTreeMap<(NodeId, NodeId), SimDuration>,
 }
 
 impl TableLatency {
@@ -37,7 +37,7 @@ impl TableLatency {
     pub fn new(default: SimDuration) -> Self {
         TableLatency {
             default,
-            pairs: DetMap::new(),
+            pairs: BTreeMap::new(),
         }
     }
 

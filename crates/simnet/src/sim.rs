@@ -17,6 +17,9 @@ use std::collections::BinaryHeap;
 /// The id messages injected by the experiment harness appear to come from.
 pub const ENVIRONMENT: NodeId = NodeId(u32::MAX);
 
+/// CPU-utilization bucket width of every node's meter (Fig. 11d).
+const CPU_BUCKET: SimDuration = SimDuration::from_secs(1);
+
 #[derive(Debug)]
 enum EventKind<M> {
     Deliver { to: NodeId, from: NodeId, msg: M },
@@ -103,7 +106,6 @@ pub struct Simulation<M, O = ()> {
     now: SimTime,
     seq: u64,
     observations: Vec<Observation<O>>,
-    cpu_bucket: SimDuration,
     max_events: u64,
     processed: u64,
     delivered: u64,
@@ -121,7 +123,6 @@ impl<M: Clone + 'static, O: 'static> Simulation<M, O> {
             now: SimTime::ZERO,
             seq: 0,
             observations: Vec::new(),
-            cpu_bucket: SimDuration::from_secs(1),
             max_events: u64::MAX,
             processed: 0,
             delivered: 0,
@@ -141,14 +142,11 @@ impl<M: Clone + 'static, O: 'static> Simulation<M, O> {
         self.faults = faults;
     }
 
-    /// Sets the CPU-utilization bucket width for nodes added afterwards.
-    pub fn set_cpu_bucket(&mut self, width: SimDuration) {
-        self.cpu_bucket = width;
-    }
-
-    /// Caps the number of processed events (guards against livelock bugs).
+    /// Caps the number of events processed from now on (guards against
+    /// livelock bugs: `run_until` returns with events still due once the
+    /// budget is spent).
     pub fn set_max_events(&mut self, max: u64) {
-        self.max_events = max;
+        self.max_events = self.processed.saturating_add(max);
     }
 
     /// Registers an actor, returning its node id (ids are sequential).
@@ -160,7 +158,7 @@ impl<M: Clone + 'static, O: 'static> Simulation<M, O> {
             crashed: false,
             epoch: 0,
             dropped: 0,
-            cpu: CpuMeter::new(self.cpu_bucket),
+            cpu: CpuMeter::new(CPU_BUCKET),
         });
         id
     }
@@ -192,11 +190,6 @@ impl<M: Clone + 'static, O: 'static> Simulation<M, O> {
         self.delivered
     }
 
-    /// Number of registered nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Injects a message from the environment, arriving at exactly `at`.
     pub fn inject(&mut self, at: SimTime, to: NodeId, msg: M) {
         self.inject_from(at, ENVIRONMENT, to, msg);
@@ -221,15 +214,6 @@ impl<M: Clone + 'static, O: 'static> Simulation<M, O> {
     /// drained (no future progress is possible).
     pub fn next_event_at(&self) -> Option<SimTime> {
         self.queue.peek().map(|Reverse(ev)| ev.at)
-    }
-
-    /// Number of queued message deliveries (excludes timers and crashes) —
-    /// a liveness-watchdog signal for "messages still in flight".
-    pub fn queued_deliveries(&self) -> usize {
-        self.queue
-            .iter()
-            .filter(|Reverse(ev)| matches!(ev.kind, EventKind::Deliver { .. }))
-            .count()
     }
 
     /// All observations so far.
@@ -467,15 +451,6 @@ impl<M: Clone + 'static, O: 'static> Simulation<M, O> {
                     self.nodes[idx].crashed = true;
                 }
             }
-        }
-    }
-}
-
-impl<M: Clone + 'static, O: 'static> Simulation<M, O> {
-    /// Injects the same message to many nodes.
-    pub fn inject_all<I: IntoIterator<Item = NodeId>>(&mut self, at: SimTime, to: I, msg: M) {
-        for node in to {
-            self.inject(at, node, msg.clone());
         }
     }
 }

@@ -7,7 +7,7 @@
 //! input (decoding arbitrary bytes never panics — property-tested).
 
 use crate::types::*;
-use substrate::buf::{Buf, BufMut, BytesMut};
+use substrate::buf::{Buf, BufMut};
 
 /// Decoding failure.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -34,7 +34,7 @@ impl std::error::Error for DecodeError {}
 /// Canonical binary encoding.
 pub trait Wire: Sized {
     /// Appends the canonical encoding of `self` to `buf`.
-    fn encode(&self, buf: &mut BytesMut);
+    fn encode(&self, buf: &mut Vec<u8>);
 
     /// Decodes a value, advancing `buf` past it.
     ///
@@ -46,9 +46,9 @@ pub trait Wire: Sized {
 
     /// Convenience: encodes into a fresh buffer.
     fn to_wire(&self) -> Vec<u8> {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         self.encode(&mut buf);
-        buf.to_vec()
+        buf
     }
 
     /// Convenience: decodes requiring the input to be fully consumed.
@@ -75,7 +75,7 @@ fn need(buf: &&[u8], n: usize) -> Result<(), DecodeError> {
 }
 
 impl Wire for u8 {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         buf.put_u8(*self);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
@@ -85,7 +85,7 @@ impl Wire for u8 {
 }
 
 impl Wire for u16 {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         buf.put_u16(*self);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
@@ -95,7 +95,7 @@ impl Wire for u16 {
 }
 
 impl Wire for u32 {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         buf.put_u32(*self);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
@@ -105,7 +105,7 @@ impl Wire for u32 {
 }
 
 impl Wire for u64 {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         buf.put_u64(*self);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
@@ -115,7 +115,7 @@ impl Wire for u64 {
 }
 
 impl Wire for bool {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         buf.put_u8(u8::from(*self));
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
@@ -128,7 +128,7 @@ impl Wire for bool {
 }
 
 impl<const N: usize> Wire for [u8; N] {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         buf.put_slice(self);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
@@ -141,7 +141,7 @@ impl<const N: usize> Wire for [u8; N] {
 }
 
 impl<T: Wire> Wire for Vec<T> {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         (self.len() as u32).encode(buf);
         for item in self {
             item.encode(buf);
@@ -164,7 +164,7 @@ impl<T: Wire> Wire for Vec<T> {
 macro_rules! wire_newtype {
     ($($ty:ident($inner:ty);)*) => {$(
         impl Wire for $ty {
-            fn encode(&self, buf: &mut BytesMut) {
+            fn encode(&self, buf: &mut Vec<u8>) {
                 self.0.encode(buf);
             }
             fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
@@ -185,7 +185,7 @@ wire_newtype! {
 }
 
 impl Wire for UpdateId {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         self.event.encode(buf);
         self.seq.encode(buf);
     }
@@ -198,7 +198,7 @@ impl Wire for UpdateId {
 }
 
 impl Wire for NextHop {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             NextHop::Switch(s) => {
                 0u8.encode(buf);
@@ -220,7 +220,7 @@ impl Wire for NextHop {
 }
 
 impl Wire for FlowMatch {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         self.src.encode(buf);
         self.dst.encode(buf);
     }
@@ -233,7 +233,7 @@ impl Wire for FlowMatch {
 }
 
 impl Wire for FlowAction {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             FlowAction::Forward(n) => {
                 0u8.encode(buf);
@@ -252,7 +252,7 @@ impl Wire for FlowAction {
 }
 
 impl Wire for FlowRule {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         self.matcher.encode(buf);
         self.action.encode(buf);
     }
@@ -265,7 +265,7 @@ impl Wire for FlowRule {
 }
 
 impl Wire for UpdateKind {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             UpdateKind::Install(r) => {
                 0u8.encode(buf);
@@ -287,7 +287,7 @@ impl Wire for UpdateKind {
 }
 
 impl Wire for NetworkUpdate {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         self.id.encode(buf);
         self.switch.encode(buf);
         self.kind.encode(buf);
@@ -302,7 +302,7 @@ impl Wire for NetworkUpdate {
 }
 
 impl Wire for EventKind {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             EventKind::PacketIn {
                 switch,
@@ -374,7 +374,7 @@ impl Wire for EventKind {
 }
 
 impl Wire for Event {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         self.id.encode(buf);
         self.kind.encode(buf);
         self.origin.encode(buf);
@@ -469,7 +469,7 @@ mod tests {
     #[test]
     fn hostile_length_prefix_rejected() {
         // A Vec claiming 2^31 elements with a 6-byte body.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         0x8000_0000u32.encode(&mut buf);
         buf.put_slice(&[0, 0]);
         assert!(Vec::<u64>::from_wire(&buf).is_err());

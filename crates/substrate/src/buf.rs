@@ -1,5 +1,5 @@
-//! Minimal byte-buffer traits for the wire codec: a from-scratch replacement
-//! for the `bytes` crate's `Buf`/`BufMut`/`BytesMut` surface.
+//! Minimal byte-buffer traits for the wire codec: big-endian reads over
+//! `&[u8]` ([`Buf`]) and writes into `Vec<u8>` ([`BufMut`]).
 //!
 //! All multi-byte integers are big-endian (network order), matching the
 //! OpenFlow convention the southbound codec follows.
@@ -112,109 +112,13 @@ impl BufMut for Vec<u8> {
     }
 }
 
-/// A growable, contiguous byte buffer (the encode-side workhorse).
-#[derive(Clone, Default, PartialEq, Eq, Hash)]
-pub struct BytesMut {
-    inner: Vec<u8>,
-}
-
-impl BytesMut {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        BytesMut::default()
-    }
-
-    /// An empty buffer with reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut {
-            inner: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// The contents as a slice.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.inner
-    }
-
-    /// Copies the contents into a fresh `Vec`.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.inner.clone()
-    }
-
-    /// Consumes the buffer, yielding its bytes without copying.
-    pub fn into_vec(self) -> Vec<u8> {
-        self.inner
-    }
-
-    /// Clears the buffer, keeping capacity (encode-loop reuse).
-    pub fn clear(&mut self) {
-        self.inner.clear();
-    }
-
-    /// Appends raw bytes.
-    pub fn extend_from_slice(&mut self, src: &[u8]) {
-        self.inner.extend_from_slice(src);
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.inner.extend_from_slice(src);
-    }
-}
-
-impl std::ops::Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.inner
-    }
-}
-
-impl AsRef<[u8]> for BytesMut {
-    fn as_ref(&self) -> &[u8] {
-        &self.inner
-    }
-}
-
-impl From<Vec<u8>> for BytesMut {
-    fn from(inner: Vec<u8>) -> Self {
-        BytesMut { inner }
-    }
-}
-
-impl From<BytesMut> for Vec<u8> {
-    fn from(b: BytesMut) -> Self {
-        b.inner
-    }
-}
-
-impl std::fmt::Debug for BytesMut {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "BytesMut(")?;
-        for b in &self.inner {
-            write!(f, "{b:02x}")?;
-        }
-        write!(f, ")")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn put_get_round_trip() {
-        let mut buf = BytesMut::new();
+        let mut buf: Vec<u8> = Vec::new();
         buf.put_u8(0xab);
         buf.put_u16(0x1234);
         buf.put_u32(0xdead_beef);
@@ -234,9 +138,9 @@ mod tests {
 
     #[test]
     fn integers_are_big_endian() {
-        let mut buf = BytesMut::new();
+        let mut buf: Vec<u8> = Vec::new();
         buf.put_u32(1);
-        assert_eq!(buf.as_slice(), &[0, 0, 0, 1]);
+        assert_eq!(buf, [0, 0, 0, 1]);
     }
 
     #[test]

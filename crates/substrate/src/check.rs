@@ -96,11 +96,6 @@ impl Gen {
         self.rng.random_range(range)
     }
 
-    /// `low..high` (half-open).
-    pub fn i64_in(&mut self, range: std::ops::Range<i64>) -> i64 {
-        self.rng.random_range(range)
-    }
-
     /// A byte vector with uniform length in `0..=max_len`
     /// (`proptest::collection::vec(any::<u8>(), 0..=max_len)`).
     pub fn bytes(&mut self, max_len: usize) -> Vec<u8> {
@@ -108,12 +103,6 @@ impl Gen {
         let mut out = vec![0u8; len];
         self.rng.fill_bytes(&mut out);
         out
-    }
-
-    /// A vector of generated values with uniform length in `0..=max_len`.
-    pub fn vec_of<T>(&mut self, max_len: usize, mut f: impl FnMut(&mut Gen) -> T) -> Vec<T> {
-        let len = self.rng.random_range(0..max_len + 1);
-        (0..len).map(|_| f(self)).collect()
     }
 
     /// A raw limb array (`any::<[u64; N]>()` — field-element fodder).

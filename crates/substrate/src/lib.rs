@@ -5,15 +5,11 @@
 //!
 //! Modules:
 //!
-//! * [`collections`] — [`collections::DetMap`]/[`collections::DetSet`]:
-//!   iteration-ordered, process-independent replacements for the std hash
-//!   collections (whose `RandomState` seeding breaks seed replay); the
-//!   `detlint` analyzer forbids `HashMap`/`HashSet` in deterministic crates.
 //! * [`rng`] — splitmix64-seeded xoshiro256** generator behind a small
 //!   [`rng::Rng`] trait (`random`, `random_range`, `fill_bytes`, `shuffle`);
 //!   a drop-in for the previous `rand` usage.
-//! * [`buf`] — minimal [`buf::Buf`]/[`buf::BufMut`]/[`buf::BytesMut`] byte
-//!   buffers for the southbound wire codec.
+//! * [`buf`] — minimal [`buf::Buf`]/[`buf::BufMut`] big-endian cursor traits
+//!   over `&[u8]` and `Vec<u8>` for the southbound wire codec.
 //! * [`ser`] — an explicit, proc-macro-free serialization story: a
 //!   [`ser::JsonValue`] tree with an emitter *and* parser, and a
 //!   [`ser::ToJson`] trait implemented manually on config, message, and
@@ -29,6 +25,11 @@
 //!   a pluggable [`storage::Disk`] (in-memory under the simulator, real
 //!   fsync'd files under the threaded runtime).
 //!
+//! What std already provides is used under its std name: ordered maps and
+//! sets are `std::collections::{BTreeMap, BTreeSet}` (the `detlint` analyzer
+//! forbids `HashMap`/`HashSet`, whose `RandomState` seeding breaks seed
+//! replay, in deterministic crates), and an encode buffer is a `Vec<u8>`.
+//!
 //! Determinism is the design center: the same seed always produces the same
 //! byte stream, the same property-test cases, and the same simulated
 //! schedules, on every host, forever.
@@ -39,7 +40,6 @@
 
 pub mod benchkit;
 pub mod buf;
-pub mod collections;
 pub mod check;
 pub mod rng;
 pub mod ser;

@@ -112,7 +112,11 @@ cargo run -q --offline --release -p bench --bin simcheck -- secure 256
 
 echo "== secure-mode crash-recovery sweep (256 seeds) =="
 # generate_recovery already forces Cicero-family modes; 256 seeds of
-# crash-and-restart on top of the secure update path.
+# crash-and-restart on top of the secure update path: every scenario
+# carries exactly one crash-recover fault (a controller killed mid-update
+# and restarted, half the seeds with its disk wiped), and the recovery
+# oracle demands exactly-once update application and a completed state
+# sync per restart on top of the standard invariants.
 cargo run -q --offline --release -p bench --bin simcheck -- recover 256
 
 echo "== segway-mode fuzzer sweep (256 seeds, decentralized execution) =="
@@ -132,13 +136,6 @@ echo "== simulation fuzzer smoke (bounded seed sweep) =="
 # cross-domain ordering handshake is exercised on every invocation.
 cargo run -q --offline --release -p bench --bin simcheck -- run 64
 
-echo "== crash-recovery fuzzer smoke (bounded recovery sweep) =="
-# Every scenario carries exactly one crash-recover fault (a controller
-# killed mid-update and restarted, half the seeds with its disk wiped);
-# the recovery oracle demands exactly-once update application and a
-# completed state sync per restart on top of the standard invariants.
-cargo run -q --offline --release -p bench --bin simcheck -- recover 64
-
 echo "== reliability smoke (scripts/soak.sh quick) =="
 SOAK_QUICK=1 "$(dirname "$0")/soak.sh"
 
@@ -157,11 +154,16 @@ echo "== crash-recovery smoke (cicero-node, WAL on real files) =="
 cargo run -q --release --offline -p cicero-node -- examples/node_recovery.json
 
 echo "== lines of code (scripts/loc.sh; printed, not gated) =="
-# src vs. test lines per crate, so a PR's delta and the trend are visible
-# in review. LOC.md is the committed copy; refresh it with --write.
-fresh_loc=$(mktemp /tmp/loc-fresh.XXXXXX.md)
-"$(dirname "$0")/loc.sh" | tee "$fresh_loc" | sed -n '/^| crate/,/^| \*\*total/p'
-cmp -s "$fresh_loc" LOC.md || echo "  note: LOC.md is stale — refresh with scripts/loc.sh --write"
-rm -f "$fresh_loc"
+# src vs. test lines per crate, each src count with its delta against the
+# committed LOC.md, so a PR's effect and the trend are visible in review.
+# Refresh the committed copy with --write.
+"$(dirname "$0")/loc.sh" | sed -n '/^| crate/,/^| \*\*total/p' | awk -F'|' '
+    function cell(s) { gsub(/[ *]/, "", s); return s }
+    NR == FNR { if (NF == 6) old[cell($2)] = cell($3); next }
+    {
+        k = cell($2); v = cell($3)
+        print $0 ((v ~ /^[0-9]+$/ && k in old) ? sprintf("  (src %+d vs LOC.md)", v - old[k]) : "")
+    }
+' LOC.md -
 
 echo "verify.sh: all checks passed"

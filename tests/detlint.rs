@@ -24,15 +24,18 @@ fn workspace_is_detlint_clean() {
 fn a_planted_violation_would_be_caught() {
     // Guards against the lint going vacuously green (bad scoping, broken
     // lexer): the exact bug class the rule exists for must still trip it.
-    let planted = "use std::collections::HashMap;\n\
-                   pub struct Tbl { m: HashMap<u32, u32> }\n";
-    let findings = detlint::lint_source("crates/netmodel/src/planted.rs", planted);
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.rule == "no-random-order-collections"),
-        "planted HashMap in a deterministic crate was not flagged: {findings:?}"
-    );
+    for (planted, std_type) in [
+        ("pub struct Tbl { m: HashMap<u32, u32> }\n", "BTreeMap"),
+        ("pub struct Seen { s: HashSet<u32> }\n", "BTreeSet"),
+    ] {
+        let findings = detlint::lint_source("crates/netmodel/src/planted.rs", planted);
+        assert!(
+            findings
+                .iter()
+                .any(|f| f.rule == "no-random-order-collections" && f.hint.contains(std_type)),
+            "planted hash collection in a deterministic crate was not flagged: {findings:?}"
+        );
+    }
 }
 
 #[test]

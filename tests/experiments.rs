@@ -82,7 +82,11 @@ fn fig11d_controller_aggregation_halves_switch_cpu() {
     spec.flows = 400;
     let topo = Topology::single_pod(8, 4, 4);
     let total_cpu = |mode| {
-        let run = run_flow_completion(mode, &topo, DomainMap::single(&topo), &spec, true, 7);
+        let cfg = EngineConfig {
+            seed: 7,
+            ..EngineConfig::for_mode(mode)
+        };
+        let run = run_flow_completion(cfg, &topo, DomainMap::single(&topo), &spec);
         run.mean_switch_cpu.iter().sum::<f64>()
     };
     let cicero = total_cpu(Mode::Cicero {
