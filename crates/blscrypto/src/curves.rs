@@ -754,77 +754,7 @@ pub fn hash_to_g1(msg: &[u8], domain: &str) -> G1Projective {
 
 // ----- serialization -------------------------------------------------------
 
-impl Fp {
-    /// `true` iff `self > -self` as big-endian integers (the "sign" bit of
-    /// compressed encodings).
-    fn is_lexicographically_largest(&self) -> bool {
-        self.to_bytes_be() > (-*self).to_bytes_be()
-    }
-}
-
-impl Fp2 {
-    /// Lexicographic order on `(c1, c0)` — the standard convention for
-    /// compressed `G2` encodings.
-    fn is_lexicographically_largest(&self) -> bool {
-        let neg = -*self;
-        (self.c1.to_bytes_be(), self.c0.to_bytes_be())
-            > (neg.c1.to_bytes_be(), neg.c0.to_bytes_be())
-    }
-}
-
-const FLAG_COMPRESSED: u8 = 0b1000_0000;
-const FLAG_INFINITY: u8 = 0b0100_0000;
-const FLAG_SIGN: u8 = 0b0010_0000;
-
 impl G1Affine {
-    /// Compressed size in bytes (x-coordinate + flag bits, as in the
-    /// IETF/Zcash BLS12-381 convention).
-    pub const COMPRESSED_BYTES: usize = 48;
-
-    /// Serializes to the 48-byte compressed form: big-endian `x` with the
-    /// top three bits used as compression / infinity / sign flags.
-    pub fn to_compressed(self) -> [u8; 48] {
-        let mut out = [0u8; 48];
-        if self.infinity {
-            out[0] = FLAG_COMPRESSED | FLAG_INFINITY;
-            return out;
-        }
-        out.copy_from_slice(&self.x.to_bytes_be());
-        out[0] |= FLAG_COMPRESSED;
-        if self.y.is_lexicographically_largest() {
-            out[0] |= FLAG_SIGN;
-        }
-        out
-    }
-
-    /// Deserializes a compressed point, recomputing `y` and validating
-    /// curve membership and `r`-torsion.
-    ///
-    /// # Errors
-    ///
-    /// Returns `None` for malformed flags, non-canonical `x`, x-coordinates
-    /// off the curve, or points outside the prime-order subgroup.
-    pub fn from_compressed(bytes: &[u8; 48]) -> Option<Self> {
-        if bytes[0] & FLAG_COMPRESSED == 0 {
-            return None;
-        }
-        if bytes[0] & FLAG_INFINITY != 0 {
-            // Infinity must have every other bit clear.
-            let mut rest = *bytes;
-            rest[0] &= !(FLAG_COMPRESSED | FLAG_INFINITY);
-            return rest.iter().all(|&b| b == 0).then(G1Affine::identity);
-        }
-        let sign = bytes[0] & FLAG_SIGN != 0;
-        let mut xb = *bytes;
-        xb[0] &= !(FLAG_COMPRESSED | FLAG_INFINITY | FLAG_SIGN);
-        let x = Fp::from_bytes_be(&xb)?;
-        let mut p = G1Affine::from_x(x)?;
-        if p.y.is_lexicographically_largest() != sign {
-            p = p.neg();
-        }
-        p.to_projective().is_torsion_free().then_some(p)
-    }
-
     /// Serialized size in bytes.
     pub const BYTES: usize = 97;
 
@@ -864,52 +794,6 @@ impl G1Affine {
 }
 
 impl G2Affine {
-    /// Compressed size in bytes.
-    pub const COMPRESSED_BYTES: usize = 96;
-
-    /// Serializes to the 96-byte compressed form (`x.c1 || x.c0` big-endian
-    /// with flag bits in the first byte).
-    pub fn to_compressed(self) -> [u8; 96] {
-        let mut out = [0u8; 96];
-        if self.infinity {
-            out[0] = FLAG_COMPRESSED | FLAG_INFINITY;
-            return out;
-        }
-        out.copy_from_slice(&self.x.to_bytes_be());
-        out[0] |= FLAG_COMPRESSED;
-        if self.y.is_lexicographically_largest() {
-            out[0] |= FLAG_SIGN;
-        }
-        out
-    }
-
-    /// Deserializes a compressed point, recomputing `y` and validating
-    /// curve membership and `r`-torsion.
-    ///
-    /// # Errors
-    ///
-    /// Returns `None` for malformed flags, non-canonical coordinates,
-    /// x-coordinates off the curve, or points outside the subgroup.
-    pub fn from_compressed(bytes: &[u8; 96]) -> Option<Self> {
-        if bytes[0] & FLAG_COMPRESSED == 0 {
-            return None;
-        }
-        if bytes[0] & FLAG_INFINITY != 0 {
-            let mut rest = *bytes;
-            rest[0] &= !(FLAG_COMPRESSED | FLAG_INFINITY);
-            return rest.iter().all(|&b| b == 0).then(G2Affine::identity);
-        }
-        let sign = bytes[0] & FLAG_SIGN != 0;
-        let mut xb = *bytes;
-        xb[0] &= !(FLAG_COMPRESSED | FLAG_INFINITY | FLAG_SIGN);
-        let x = Fp2::from_bytes_be(&xb)?;
-        let mut p = G2Affine::from_x(x)?;
-        if p.y.is_lexicographically_largest() != sign {
-            p = p.neg();
-        }
-        p.to_projective().is_torsion_free().then_some(p)
-    }
-
     /// Serialized size in bytes.
     pub const BYTES: usize = 193;
 
@@ -1107,50 +991,7 @@ mod tests {
     }
 
     #[test]
-    fn compressed_round_trips_both_signs() {
-        let mut rng = StdRng::seed_from_u64(0xc0de);
-        for _ in 0..8 {
-            let k = Fr::random(&mut rng);
-            let p = g1_generator().mul_fr(k).to_affine();
-            assert_eq!(G1Affine::from_compressed(&p.to_compressed()).unwrap(), p);
-            assert_eq!(
-                G1Affine::from_compressed(&p.neg().to_compressed()).unwrap(),
-                p.neg()
-            );
-            let q = g2_generator().mul_fr(k).to_affine();
-            assert_eq!(G2Affine::from_compressed(&q.to_compressed()).unwrap(), q);
-            assert_eq!(
-                G2Affine::from_compressed(&q.neg().to_compressed()).unwrap(),
-                q.neg()
-            );
-        }
-        let id = G1Affine::identity();
-        assert_eq!(G1Affine::from_compressed(&id.to_compressed()).unwrap(), id);
-        let id2 = G2Affine::identity();
-        assert_eq!(G2Affine::from_compressed(&id2.to_compressed()).unwrap(), id2);
-    }
-
-    #[test]
-    fn compressed_rejects_malformed_inputs() {
-        let p = g1_generator().to_affine();
-        let good = p.to_compressed();
-        // Missing compression flag.
-        let mut bad = good;
-        bad[0] &= 0b0111_1111;
-        assert!(G1Affine::from_compressed(&bad).is_none());
-        // Infinity with residue bits set.
-        let mut bad = [0u8; 48];
-        bad[0] = 0b1100_0000;
-        bad[40] = 1;
-        assert!(G1Affine::from_compressed(&bad).is_none());
-        // Non-canonical x (>= p).
-        let mut bad = [0xffu8; 48];
-        bad[0] = 0b1000_0000 | bad[0] & 0b0001_1111;
-        assert!(G1Affine::from_compressed(&bad).is_none());
-    }
-
-    #[test]
-    fn compressed_rejects_points_outside_the_subgroup() {
+    fn from_bytes_rejects_points_outside_the_subgroup() {
         // Find a curve point with a small x that is NOT in the r-torsion
         // (the cofactor is > 1, so most curve points are not).
         let mut found = false;
@@ -1158,14 +999,8 @@ mod tests {
             let x = Fp::from_u64(xi);
             if let Some(p) = G1Affine::from_x(x) {
                 if !p.to_projective().is_torsion_free() {
-                    let mut bytes = [0u8; 48];
-                    bytes.copy_from_slice(&p.x.to_bytes_be());
-                    bytes[0] |= 0b1000_0000;
-                    if p.y.to_bytes_be() > (-p.y).to_bytes_be() {
-                        bytes[0] |= 0b0010_0000;
-                    }
                     assert!(
-                        G1Affine::from_compressed(&bytes).is_none(),
+                        G1Affine::from_bytes(&p.to_bytes()).is_none(),
                         "off-subgroup point must be rejected"
                     );
                     found = true;

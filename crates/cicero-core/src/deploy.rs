@@ -1,37 +1,33 @@
-//! Deployment planning shared by every executor: node-id assignment, the
-//! directory, the key ceremony, and actor construction.
+//! The node lifecycle shared by every executor: node-id assignment, the
+//! directory, the key ceremony, and the one function that boots any life
+//! of any node.
 //!
 //! Both the discrete-event engine ([`crate::engine::Engine`]) and the
-//! threaded runtime (`cicero-node`) consume a [`Deployment`]; the plan is a
-//! pure function of `(cfg, topo, domain_map, standby_controllers)`, so the
-//! two executors stand up byte-identical protocol state and differ only in
-//! how they schedule it.
+//! threaded runtime (`cicero-node`) consume a [`Deployment`]. The plan is a
+//! pure function of `(cfg, topo, domain_map, standby_controllers)` and
+//! keeps one [`NodeSeed`] per node id; [`Deployment::boot`] turns a seed
+//! into a ready actor for its first life and for every life after a crash,
+//! so the two executors stand up byte-identical protocol state and differ
+//! only in how they schedule it.
 
 use crate::config::{EngineConfig, Mode};
 use crate::ctrl::ControllerActor;
-use crate::msg::PhaseInfo;
+use crate::msg::Net;
+use crate::obs::Obs;
 use crate::runtime::{bootstrap_keys, Directory, Shared};
 use crate::switch::{initial_phase_info, SwitchActor};
-use blscrypto::bls::KeyShare;
+use blscrypto::bls::{KeyShare, SecretKey};
 use controller::membership::ControlPlaneView;
 use controller::policy::{DomainMap, GlobalDomainPolicy};
-use blscrypto::bls::SecretKey;
 use netmodel::topology::Topology;
-use simnet::node::NodeId;
+use simnet::node::{Actor, Host, NodeId, TimerToken};
 use southbound::types::{ControllerId, DomainId, SwitchId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use substrate::storage::DiskHandle;
 
-/// One planned node: its id plus the constructed protocol actor.
-pub struct PlannedNode {
-    /// The node id the executor must assign to this actor.
-    pub node: NodeId,
-    /// Which actor lives at this node.
-    pub role: NodeRole,
-}
-
-/// The actor occupying a planned node.
+/// The actor occupying a node. Executors schedule it through its
+/// [`Actor`] impl without caring which kind it is.
 pub enum NodeRole {
     /// A domain controller (member or standby).
     Controller {
@@ -51,202 +47,258 @@ pub enum NodeRole {
     },
 }
 
-/// Everything needed to reconstruct one controller actor after a crash
-/// (clones of the key material taken before the originals moved into the
-/// first-life actor).
-#[derive(Clone)]
-pub struct ControllerSeed {
-    /// Per-controller signing identity (real-crypto modes).
-    pub identity: Option<SecretKey>,
-    /// Threshold signature share (Cicero modes).
-    pub share: Option<KeyShare>,
-    /// The initial membership view.
-    pub view: ControlPlaneView,
-    /// Member (`true`) or standby (`false`) at plan time.
-    pub active: bool,
+/// Reliable-delivery work one node still owns: the probe both executors'
+/// convergence watchdogs sum over their live nodes.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Outstanding {
+    /// Updates sent but not yet acknowledged.
+    pub unacked: usize,
+    /// Updates still blocked on dependencies.
+    pub waiting: usize,
+    /// Updates abandoned after retry-budget exhaustion.
+    pub failed: usize,
+    /// Signed events and Segway readies a switch is still retransmitting.
+    pub events: usize,
+    /// Controllers still state-syncing after a restart.
+    pub recovering: usize,
 }
 
-/// Everything needed to reconstruct one switch actor after a restart
-/// (clones of the identity material taken before the originals moved into
-/// the first-life actor). Data-plane recovery is WAL-driven, so the seed
-/// only carries what [`SwitchActor::new`] consumes.
-#[derive(Clone)]
-pub struct SwitchSeed {
-    /// Domain the switch belongs to.
-    pub domain: DomainId,
-    /// Per-switch signing identity (real-crypto modes).
-    pub key: Option<SecretKey>,
-    /// Plan-time control-plane phase info.
-    pub phase: PhaseInfo,
+impl Outstanding {
+    /// Work that keeps a run from being complete. Abandoned updates are
+    /// reported, not waited for: nothing will ever drain them.
+    pub fn blocking(&self) -> usize {
+        self.unacked + self.waiting + self.events + self.recovering
+    }
 }
 
-/// A fully planned deployment: shared runtime context plus every actor in
-/// node-id order, ready for an executor to schedule.
+impl std::ops::AddAssign for Outstanding {
+    fn add_assign(&mut self, o: Outstanding) {
+        self.unacked += o.unacked;
+        self.waiting += o.waiting;
+        self.failed += o.failed;
+        self.events += o.events;
+        self.recovering += o.recovering;
+    }
+}
+
+impl NodeRole {
+    fn actor(&mut self) -> &mut dyn Actor<Net, Obs> {
+        match self {
+            NodeRole::Controller { actor, .. } => actor.as_mut(),
+            NodeRole::Switch { actor, .. } => actor.as_mut(),
+        }
+    }
+
+    /// The reliable-delivery work this node still owns.
+    pub fn outstanding(&self) -> Outstanding {
+        match self {
+            NodeRole::Controller { actor, .. } => {
+                let p = actor.pending();
+                Outstanding {
+                    unacked: p.in_flight_count(),
+                    waiting: p.waiting_count(),
+                    failed: p.failed_count(),
+                    recovering: usize::from(actor.is_recovering()),
+                    ..Outstanding::default()
+                }
+            }
+            NodeRole::Switch { actor, .. } => Outstanding {
+                events: actor.outstanding_event_count(),
+                ..Outstanding::default()
+            },
+        }
+    }
+}
+
+impl Actor<Net, Obs> for NodeRole {
+    fn on_start(&mut self, ctx: &mut dyn Host<Net, Obs>) {
+        self.actor().on_start(ctx);
+    }
+
+    fn on_message(&mut self, ctx: &mut dyn Host<Net, Obs>, from: NodeId, msg: Net) {
+        self.actor().on_message(ctx, from, msg);
+    }
+
+    fn on_timer(&mut self, ctx: &mut dyn Host<Net, Obs>, token: TimerToken) {
+        self.actor().on_timer(ctx, token);
+    }
+}
+
+/// Which life of a node [`Deployment::boot`] is asked for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Life {
+    /// The life the deployment starts with: empty disk, nothing to recover.
+    First,
+    /// A life after a crash. The actor replays its WAL before rejoining
+    /// (a controller then state-syncs the gap from a peer). With
+    /// `disk_lost` the disk is wiped first — a replacement machine: a
+    /// controller recovers from its peers alone, a switch comes back with
+    /// an empty table.
+    Restart {
+        /// Wipe the node's disk before booting.
+        disk_lost: bool,
+    },
+}
+
+/// What the plan keeps of one node so that any of its lives can be booted:
+/// who it is, its secret key material, and its disk once provisioned.
+pub struct NodeSeed {
+    /// The node id the executor must assign to this node's actor.
+    pub node: NodeId,
+    who: Identity,
+    disk: Option<DiskHandle>,
+}
+
+enum Identity {
+    Controller {
+        domain: DomainId,
+        id: ControllerId,
+        /// Per-controller signing identity (real-crypto modes).
+        identity: Option<SecretKey>,
+        /// Threshold signature share (Cicero modes).
+        share: Option<KeyShare>,
+        /// Member (`true`) or standby (`false`) at plan time.
+        active: bool,
+    },
+    Switch {
+        id: SwitchId,
+        /// Per-switch signing identity (real-crypto modes).
+        key: Option<SecretKey>,
+    },
+}
+
+/// A post-build change to every controller (see
+/// [`Deployment::customize_controllers`]).
+type Customize = Box<dyn Fn(&mut ControllerActor) + Send + Sync>;
+
+/// A fully planned deployment: shared runtime context plus one seed per
+/// node, from which an executor boots and re-boots the actors it schedules.
 pub struct Deployment {
     /// Shared immutable runtime context (config, topology, directory, keys).
     pub shared: Arc<Shared>,
     /// `(dc, pod)` location per node id, for latency models.
     pub locations: Vec<(u16, u16)>,
-    /// All actors, sorted by node id (controllers first, then switches).
-    pub nodes: Vec<PlannedNode>,
+    /// One seed per node, indexed by node id (controllers first, then
+    /// switches).
+    pub nodes: Vec<NodeSeed>,
     /// The bootstrap controller's node in each domain (membership commands
     /// are injected here).
     pub bootstrap_nodes: BTreeMap<DomainId, NodeId>,
-    /// Rebuild seeds per controller (crash recovery).
-    pub seeds: BTreeMap<(DomainId, ControllerId), ControllerSeed>,
-    /// Durable disks per controller node, once provisioned.
-    pub disks: BTreeMap<NodeId, DiskHandle>,
-    /// Rebuild seeds per switch (restart recovery).
-    pub switch_seeds: BTreeMap<SwitchId, SwitchSeed>,
-    /// Durable disks per switch node, once provisioned.
-    pub switch_disks: BTreeMap<NodeId, DiskHandle>,
-}
-
-/// The retained slice of a [`Deployment`] an executor needs to rebuild a
-/// crashed controller: seeds, disks, and the shared context. Cheap to
-/// clone out of the deployment before its actors are consumed.
-#[derive(Clone)]
-pub struct RecoveryKit {
-    shared: Arc<Shared>,
-    seeds: BTreeMap<(DomainId, ControllerId), ControllerSeed>,
-    disks: BTreeMap<NodeId, DiskHandle>,
-    switch_seeds: BTreeMap<SwitchId, SwitchSeed>,
-    switch_disks: BTreeMap<NodeId, DiskHandle>,
-    customize: Option<Arc<dyn Fn(&mut ControllerActor) + Send + Sync>>,
-}
-
-impl RecoveryKit {
-    /// Registers a customization re-applied to every actor this kit
-    /// rebuilds, before its WAL replay runs. A deployment whose
-    /// controllers were mutated after planning — a non-default update
-    /// scheduler, extra firewall entries — must register the same
-    /// mutation here, or a restarted controller would rejoin with
-    /// plan-time defaults and silently diverge from its peers (e.g.
-    /// re-deriving a forwarding schedule for a flow the others denied).
-    pub fn on_rebuild(&mut self, f: impl Fn(&mut ControllerActor) + Send + Sync + 'static) {
-        self.customize = Some(Arc::new(f));
-    }
-    /// Rebuilds controller `(d, c)` from its seed and durable disk, in the
-    /// recovering state (WAL replay on start, then peer state sync). With
-    /// `disk_lost`, the disk is wiped first — modeling a replacement
-    /// machine that recovers from peers alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `(d, c)` was not planned or storage was never provisioned.
-    pub fn rebuild(
-        &self,
-        d: DomainId,
-        c: ControllerId,
-        disk_lost: bool,
-    ) -> (NodeId, ControllerActor) {
-        let seed = self.seeds.get(&(d, c)).expect("planned controller");
-        let node = self.shared.dir.controller(d, c);
-        let disk = self
-            .disks
-            .get(&node)
-            .expect("controller storage provisioned")
-            .clone();
-        if disk_lost {
-            disk.lock().wipe();
-        }
-        let mut actor = ControllerActor::new(
-            Arc::clone(&self.shared),
-            d,
-            c,
-            seed.identity.clone(),
-            seed.share.clone(),
-            seed.view.clone(),
-            seed.active,
-        );
-        if let Some(f) = &self.customize {
-            f(&mut actor);
-        }
-        actor.attach_disk(disk, true);
-        (node, actor)
-    }
-
-    /// Rebuilds switch `s` from its seed and durable disk, in the
-    /// recovering state: WAL replay restores the flow table and the
-    /// Segway release/receipt journal, so the new life never re-releases
-    /// a neighbor its previous life already released. The disk survives
-    /// the restart — a switch that loses its disk is a replacement
-    /// machine, which the protocol treats as a fresh (empty-table)
-    /// switch instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` was not planned or switch storage was never
-    /// provisioned.
-    pub fn rebuild_switch(&self, s: SwitchId) -> (NodeId, SwitchActor) {
-        let seed = self.switch_seeds.get(&s).expect("planned switch");
-        let node = self.shared.dir.switch(s);
-        let disk = self
-            .switch_disks
-            .get(&node)
-            .expect("switch storage provisioned")
-            .clone();
-        let mut actor = SwitchActor::new(
-            Arc::clone(&self.shared),
-            s,
-            seed.domain,
-            seed.key.clone(),
-            seed.phase,
-        );
-        actor.attach_disk(disk, true);
-        (node, actor)
-    }
+    customize: Vec<Customize>,
 }
 
 impl Deployment {
-    /// Provisions per-controller durable storage: creates a disk via
-    /// `factory` for every controller, attaches it to the actor (fresh
-    /// boot: empty WAL), and records it for crash-recovery rebuilds.
+    /// Provisions per-controller durable storage: one disk from `factory`
+    /// per controller, attached to every life [`Deployment::boot`] builds.
     pub fn provision_storage<F: FnMut(DomainId, ControllerId) -> DiskHandle>(
         &mut self,
         mut factory: F,
     ) {
-        for n in &mut self.nodes {
-            if let NodeRole::Controller { domain, id, actor } = &mut n.role {
-                let disk = factory(*domain, *id);
-                actor.attach_disk(disk.clone(), false);
-                self.disks.insert(n.node, disk);
+        for seed in &mut self.nodes {
+            if let Identity::Controller { domain, id, .. } = seed.who {
+                seed.disk = Some(factory(domain, id));
             }
         }
     }
 
-    /// Provisions per-switch durable storage: creates a disk via `factory`
-    /// for every switch, attaches it to the actor (fresh boot: empty WAL),
-    /// and records it for restart rebuilds.
+    /// Provisions per-switch durable storage: one disk from `factory` per
+    /// switch, attached to every life [`Deployment::boot`] builds.
     pub fn provision_switch_storage<F: FnMut(SwitchId) -> DiskHandle>(&mut self, mut factory: F) {
-        for n in &mut self.nodes {
-            if let NodeRole::Switch { id, actor } = &mut n.role {
-                let disk = factory(*id);
-                actor.attach_disk(disk.clone(), false);
-                self.switch_disks.insert(n.node, disk);
+        for seed in &mut self.nodes {
+            if let Identity::Switch { id, .. } = seed.who {
+                seed.disk = Some(factory(id));
             }
         }
     }
 
-    /// The rebuild context an executor retains for crash recovery.
-    pub fn recovery_kit(&self) -> RecoveryKit {
-        RecoveryKit {
-            shared: Arc::clone(&self.shared),
-            seeds: self.seeds.clone(),
-            disks: self.disks.clone(),
-            switch_seeds: self.switch_seeds.clone(),
-            switch_disks: self.switch_disks.clone(),
-            customize: None,
+    /// `true` once `node` has a disk, i.e. it can be restarted.
+    pub fn has_storage(&self, node: NodeId) -> bool {
+        self.nodes[node.0 as usize].disk.is_some()
+    }
+
+    /// Registers a change made to every controller actor of every life —
+    /// a non-default update scheduler, extra firewall entries. It runs
+    /// after construction and before WAL replay, so a restarted controller
+    /// re-derives the same schedules its peers committed to.
+    pub fn customize_controllers(
+        &mut self,
+        f: impl Fn(&mut ControllerActor) + Send + Sync + 'static,
+    ) {
+        self.customize.push(Box::new(f));
+    }
+
+    /// Boots one life of `node`: constructs its actor from the seed,
+    /// applies the registered customizations, and attaches its disk. A
+    /// [`Life::Restart`] comes up recovering (and, with `disk_lost`, on a
+    /// wiped disk).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a restart of a node whose storage was never provisioned.
+    pub fn boot(&self, node: NodeId, life: Life) -> NodeRole {
+        let seed = &self.nodes[node.0 as usize];
+        let recovering = life != Life::First;
+        assert!(
+            !recovering || seed.disk.is_some(),
+            "restarting {node} needs provisioned storage"
+        );
+        if let (Life::Restart { disk_lost: true }, Some(disk)) = (life, &seed.disk) {
+            disk.lock().wipe();
+        }
+        let shared = Arc::clone(&self.shared);
+        let domain = match seed.who {
+            Identity::Controller { domain, .. } => domain,
+            Identity::Switch { id, .. } => shared.dir.domain_of_switch[&id],
+        };
+        let view = ControlPlaneView::initial(shared.dir.initial_members[&domain].len() as u32);
+        match &seed.who {
+            Identity::Controller {
+                id,
+                identity,
+                share,
+                active,
+                ..
+            } => {
+                let mut actor = Box::new(ControllerActor::new(
+                    shared,
+                    domain,
+                    *id,
+                    identity.clone(),
+                    share.clone(),
+                    view,
+                    *active,
+                ));
+                for f in &self.customize {
+                    f(&mut actor);
+                }
+                if let Some(disk) = &seed.disk {
+                    actor.attach_disk(disk.clone(), recovering);
+                }
+                NodeRole::Controller {
+                    domain,
+                    id: *id,
+                    actor,
+                }
+            }
+            Identity::Switch { id, key } => {
+                let phase = initial_phase_info(&view);
+                let mut actor =
+                    Box::new(SwitchActor::new(shared, *id, domain, key.clone(), phase));
+                if let Some(disk) = &seed.disk {
+                    actor.attach_disk(disk.clone(), recovering);
+                }
+                NodeRole::Switch { id: *id, actor }
+            }
         }
     }
 }
 
 /// Plans a deployment: assigns node ids (controllers domain-asc/id-asc with
 /// standbys after members, then switches id-asc), runs the key ceremony and
-/// constructs every actor.
+/// keeps one seed per node.
 ///
-/// `standby_controllers` extra controller actors per domain are created
-/// inactive, ready to be admitted by membership commands.
+/// `standby_controllers` extra controllers per domain are planned inactive,
+/// ready to be admitted by membership commands.
 ///
 /// # Panics
 ///
@@ -325,123 +377,54 @@ pub fn plan(
         locations[node.0 as usize] = (s.loc.dc, s.loc.pod);
     }
 
+    // ---- one seed per node, in node-id order -------------------------
+    let mut nodes = Vec::with_capacity(next_node as usize);
+    let mut bootstrap_nodes = BTreeMap::new();
+    for &d in &domains {
+        let bootstrap = ControlPlaneView::initial(controllers_per_domain).bootstrap();
+        bootstrap_nodes.insert(d, dir.controller(d, bootstrap));
+        for c in (1..=controllers_per_domain + standby_controllers).map(ControllerId) {
+            // Standbys hold no key material until a membership change
+            // deals them a share.
+            let active = c.0 <= controllers_per_domain;
+            let share = secrets.domain_dkg.get(&d).filter(|_| active);
+            nodes.push(NodeSeed {
+                node: dir.controller(d, c),
+                who: Identity::Controller {
+                    domain: d,
+                    id: c,
+                    identity: secrets.controller_sk.remove(&(d, c)),
+                    share: share.map(|dkg| dkg.participants[(c.0 - 1) as usize].share.clone()),
+                    active,
+                },
+                disk: None,
+            });
+        }
+    }
+    for s in topo.switches() {
+        nodes.push(NodeSeed {
+            node: dir.switch(s.id),
+            who: Identity::Switch {
+                id: s.id,
+                key: secrets.switch_sk.remove(&s.id),
+            },
+            disk: None,
+        });
+    }
+
     let policy = Arc::new(GlobalDomainPolicy::new(domain_map));
     let shared = Arc::new(Shared {
-        cfg: cfg.clone(),
-        topo: Arc::clone(&topo),
+        cfg,
+        topo,
         policy,
         dir,
         keys,
     });
-
-    // ---- construct actors in node-id order ---------------------------
-    let mut nodes = Vec::with_capacity(next_node as usize);
-    let mut bootstrap_nodes = BTreeMap::new();
-    let mut seeds: BTreeMap<(DomainId, ControllerId), ControllerSeed> = BTreeMap::new();
-    for &d in &domains {
-        let n_members = members_per_domain[&d].len() as u32;
-        let view = ControlPlaneView::initial(n_members);
-        for &c in &members_per_domain[&d] {
-            let identity = secrets.controller_sk.remove(&(d, c));
-            let share: Option<KeyShare> = secrets
-                .domain_dkg
-                .get(&d)
-                .map(|dkg| dkg.participants[(c.0 - 1) as usize].share.clone());
-            seeds.insert(
-                (d, c),
-                ControllerSeed {
-                    identity: identity.clone(),
-                    share: share.clone(),
-                    view: view.clone(),
-                    active: true,
-                },
-            );
-            let actor = ControllerActor::new(
-                Arc::clone(&shared),
-                d,
-                c,
-                identity,
-                share,
-                view.clone(),
-                true,
-            );
-            let node = shared.dir.controller(d, c);
-            if c == view.bootstrap() {
-                bootstrap_nodes.insert(d, node);
-            }
-            nodes.push(PlannedNode {
-                node,
-                role: NodeRole::Controller {
-                    domain: d,
-                    id: c,
-                    actor: Box::new(actor),
-                },
-            });
-        }
-        for extra in 0..standby_controllers {
-            let c = ControllerId(n_members + 1 + extra);
-            seeds.insert(
-                (d, c),
-                ControllerSeed {
-                    identity: None,
-                    share: None,
-                    view: view.clone(),
-                    active: false,
-                },
-            );
-            let actor = ControllerActor::new(
-                Arc::clone(&shared),
-                d,
-                c,
-                None,
-                None,
-                view.clone(),
-                false,
-            );
-            nodes.push(PlannedNode {
-                node: shared.dir.controller(d, c),
-                role: NodeRole::Controller {
-                    domain: d,
-                    id: c,
-                    actor: Box::new(actor),
-                },
-            });
-        }
-    }
-    let mut switch_seeds: BTreeMap<SwitchId, SwitchSeed> = BTreeMap::new();
-    for s in topo.switches() {
-        let d = shared.dir.domain_of_switch[&s.id];
-        let n_members = members_per_domain[&d].len() as u32;
-        let view = ControlPlaneView::initial(n_members);
-        let key = secrets.switch_sk.remove(&s.id);
-        let phase = initial_phase_info(&view);
-        switch_seeds.insert(
-            s.id,
-            SwitchSeed {
-                domain: d,
-                key: key.clone(),
-                phase,
-            },
-        );
-        let actor = SwitchActor::new(Arc::clone(&shared), s.id, d, key, phase);
-        nodes.push(PlannedNode {
-            node: shared.dir.switch(s.id),
-            role: NodeRole::Switch {
-                id: s.id,
-                actor: Box::new(actor),
-            },
-        });
-    }
-    nodes.sort_by_key(|n| n.node.0);
-
     Deployment {
         shared,
         locations,
         nodes,
         bootstrap_nodes,
-        seeds,
-        disks: BTreeMap::new(),
-        switch_seeds,
-        switch_disks: BTreeMap::new(),
+        customize: Vec::new(),
     }
 }

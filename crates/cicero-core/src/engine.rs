@@ -4,13 +4,12 @@
 
 use crate::config::{CryptoMode, EngineConfig, Mode};
 use crate::ctrl::ControllerActor;
-use crate::deploy::{self, NodeRole, RecoveryKit};
+use crate::deploy::{self, Deployment, Life, NodeRole, Outstanding};
 use crate::msg::Net;
-use crate::obs::{retransmit_stats, Obs, RetransmitStats};
+use crate::obs::{resolved_flows, retransmit_stats, Obs, RetransmitStats};
 use crate::runtime::Shared;
 use crate::switch::SwitchActor;
 use controller::policy::DomainMap;
-use netmodel::routing::route;
 use netmodel::telekom;
 use netmodel::topology::Topology;
 use simnet::latency::LatencyModel;
@@ -18,7 +17,6 @@ use simnet::node::NodeId;
 use simnet::sim::{Observation, Simulation};
 use simnet::time::{SimDuration, SimTime};
 use southbound::types::{ControllerId, DomainId, SwitchId};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use workload::gen::FlowSpec;
 
@@ -151,48 +149,19 @@ impl std::fmt::Display for RunReport {
     }
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct Outstanding {
-    unacked: usize,
-    waiting: usize,
-    failed: usize,
-    events: usize,
-    /// Controllers still state-syncing after a restart.
-    recovering: usize,
-}
-
 /// A scheduled node restart (crash-recovery experiments).
 #[derive(Clone, Copy, Debug)]
-enum PlannedRestart {
-    Controller {
-        at: SimTime,
-        domain: DomainId,
-        controller: ControllerId,
-        disk_lost: bool,
-    },
-    Switch {
-        at: SimTime,
-        switch: SwitchId,
-    },
-}
-
-impl PlannedRestart {
-    fn at(&self) -> SimTime {
-        match *self {
-            PlannedRestart::Controller { at, .. } | PlannedRestart::Switch { at, .. } => at,
-        }
-    }
+struct PlannedRestart {
+    at: SimTime,
+    node: NodeId,
+    disk_lost: bool,
 }
 
 /// A fully built deployment ready to run.
 pub struct Engine {
     sim: Simulation<Net, Obs>,
-    shared: Arc<Shared>,
-    switch_nodes: BTreeMap<SwitchId, NodeId>,
-    controller_nodes: BTreeMap<(DomainId, ControllerId), NodeId>,
-    bootstrap_nodes: BTreeMap<DomainId, NodeId>,
+    dep: Deployment,
     injected_flows: usize,
-    kit: RecoveryKit,
     /// Pending node restarts, kept sorted by time.
     restarts: Vec<PlannedRestart>,
 }
@@ -219,82 +188,63 @@ impl Engine {
         // deterministic.
         dep.provision_storage(|_, _| substrate::storage::mem_disk());
         dep.provision_switch_storage(|_| substrate::storage::mem_disk());
-        let kit = dep.recovery_kit();
-        let seed = dep.shared.cfg.seed;
+        let loc = std::mem::take(&mut dep.locations);
         let mut sim: Simulation<Net, Obs> =
-            Simulation::new(seed, ControlLatency { loc: dep.locations });
-
-        let mut controller_nodes = BTreeMap::new();
-        let mut switch_nodes = BTreeMap::new();
-        for planned in dep.nodes {
-            let node = match planned.role {
-                NodeRole::Controller { domain, id, actor } => {
-                    let node = sim.add_node(*actor);
-                    controller_nodes.insert((domain, id), node);
-                    node
-                }
-                NodeRole::Switch { id, actor } => {
-                    let node = sim.add_node(*actor);
-                    switch_nodes.insert(id, node);
-                    node
-                }
-            };
-            assert_eq!(node, planned.node, "node plan mismatch");
+            Simulation::new(dep.shared.cfg.seed, ControlLatency { loc });
+        for seed in &dep.nodes {
+            let node = sim.add_node(dep.boot(seed.node, Life::First));
+            assert_eq!(node, seed.node, "node plan mismatch");
         }
-
         sim.start();
         Engine {
             sim,
-            shared: dep.shared,
-            switch_nodes,
-            controller_nodes,
-            bootstrap_nodes: dep.bootstrap_nodes,
+            dep,
             injected_flows: 0,
-            kit,
             restarts: Vec::new(),
         }
     }
 
     /// The shared runtime context.
     pub fn shared(&self) -> &Arc<Shared> {
-        &self.shared
+        &self.dep.shared
     }
 
     /// The simulation node of a switch.
     pub fn switch_node(&self, s: SwitchId) -> NodeId {
-        self.switch_nodes[&s]
+        self.dep.shared.dir.switch(s)
     }
 
     /// The simulation node of a controller.
     pub fn controller_node(&self, d: DomainId, c: ControllerId) -> NodeId {
-        self.controller_nodes[&(d, c)]
+        self.dep.shared.dir.controller(d, c)
     }
 
     /// Injects the flows of a workload: each arrives at its source's ToR
-    /// switch at its start time, with the route transit latency precomputed
-    /// from the topology (data-plane forwarding is not what the protocol
-    /// measures).
+    /// switch at its start time.
     pub fn inject_flows(&mut self, flows: &[FlowSpec]) {
         for f in flows {
-            let Some(r) = route(&self.shared.topo, f.src, f.dst) else {
-                continue;
-            };
-            let ingress = self.shared.topo.host(f.src).expect("known host").attached;
-            let node = self.switch_nodes[&ingress];
-            self.sim.inject(
-                f.start,
-                node,
-                Net::FlowArrival {
-                    flow: f.id,
-                    src: f.src,
-                    dst: f.dst,
-                    bytes: f.bytes,
-                    transit: r.latency,
-                    start: f.start,
-                },
-            );
-            self.injected_flows += 1;
+            if let Some((node, msg)) = self.dep.shared.flow_arrival(f, f.start) {
+                self.sim.inject(f.start, node, msg);
+                self.injected_flows += 1;
+            }
         }
+    }
+
+    /// Applies `f` to every controller, now and in every later life (see
+    /// [`Deployment::customize_controllers`]): a restarted controller
+    /// carries the same scheduler and firewall as the one that crashed.
+    pub fn customize_controllers(
+        &mut self,
+        f: impl Fn(&mut ControllerActor) + Send + Sync + 'static,
+    ) {
+        for seed in &self.dep.nodes {
+            self.sim.with_actor::<NodeRole, _>(seed.node, |role| {
+                if let NodeRole::Controller { actor, .. } = role {
+                    f(actor);
+                }
+            });
+        }
+        self.dep.customize_controllers(f);
     }
 
     /// Installs a fault plan (message drops/duplicates, scheduled crashes).
@@ -302,62 +252,25 @@ impl Engine {
         self.sim.set_faults(faults);
     }
 
-    /// Schedules controller `(d, c)` to restart at `at` from its durable
-    /// disk (crash it first via the fault plan). With `disk_lost` the disk
-    /// is wiped before reboot: recovery then relies entirely on the peer
-    /// snapshot transfer.
-    pub fn schedule_restart(
-        &mut self,
-        at: SimTime,
-        d: DomainId,
-        c: ControllerId,
-        disk_lost: bool,
-    ) {
-        self.restarts.push(PlannedRestart::Controller {
+    /// Schedules `node` — a controller or a switch — to restart at `at`
+    /// from its durable disk (crash it first via the fault plan): WAL
+    /// replay restores a controller's deliveries and a switch's flow table
+    /// and Segway release journal. With `disk_lost` the disk is wiped
+    /// before reboot (see [`Life::Restart`]).
+    pub fn schedule_restart(&mut self, at: SimTime, node: NodeId, disk_lost: bool) {
+        self.restarts.push(PlannedRestart {
             at,
-            domain: d,
-            controller: c,
+            node,
             disk_lost,
         });
-        self.restarts.sort_by_key(PlannedRestart::at);
+        self.restarts.sort_by_key(|r| r.at);
     }
 
-    /// Schedules switch `s` to restart at `at` from its durable disk
-    /// (crash it first via the fault plan). Switch disks always survive —
-    /// a switch that loses its disk is a replacement machine and models as
-    /// a fresh switch.
-    pub fn schedule_switch_restart(&mut self, at: SimTime, s: SwitchId) {
-        self.restarts.push(PlannedRestart::Switch { at, switch: s });
-        self.restarts.sort_by_key(PlannedRestart::at);
-    }
-
-    /// Registers a customization re-applied to every controller rebuilt
-    /// for a restart (see [`RecoveryKit::on_rebuild`]): harnesses that
-    /// mutate controllers after build — a non-default scheduler, firewall
-    /// entries — must mirror those mutations here or a restarted
-    /// controller rejoins with plan-time defaults.
-    pub fn set_rebuild_hook(
-        &mut self,
-        f: impl Fn(&mut crate::ctrl::ControllerActor) + Send + Sync + 'static,
-    ) {
-        self.kit.on_rebuild(f);
-    }
-
-    /// Rebuilds and revives controller `(d, c)` right now from its durable
-    /// disk (the imperative form of [`Engine::schedule_restart`]).
-    pub fn restart_controller(&mut self, d: DomainId, c: ControllerId, disk_lost: bool) {
-        let (node, actor) = self.kit.rebuild(d, c, disk_lost);
-        self.sim.revive_node(node, actor);
-    }
-
-    /// Rebuilds and revives switch `s` right now from its durable disk
-    /// (the imperative form of [`Engine::schedule_switch_restart`]): WAL
-    /// replay restores the flow table and the Segway release journal, so
-    /// the revived switch never re-releases a neighbor it already
-    /// released.
-    pub fn restart_switch(&mut self, s: SwitchId) {
-        let (node, actor) = self.kit.rebuild_switch(s);
-        self.sim.revive_node(node, actor);
+    /// Reboots and revives `node` right now (the imperative form of
+    /// [`Engine::schedule_restart`]).
+    pub fn restart(&mut self, node: NodeId, disk_lost: bool) {
+        let role = self.dep.boot(node, Life::Restart { disk_lost });
+        self.sim.revive_node(node, role);
     }
 
     /// Performs every scheduled restart due by `cursor`. All events up to
@@ -366,33 +279,24 @@ impl Engine {
     /// not leave a scheduled restart forever in the future).
     fn perform_due_restarts(&mut self, cursor: SimTime) {
         while let Some(&r) = self.restarts.first() {
-            if r.at() > cursor {
+            if r.at > cursor {
                 break;
             }
-            self.sim.advance_to(r.at());
+            self.sim.advance_to(r.at);
             self.restarts.remove(0);
-            match r {
-                PlannedRestart::Controller {
-                    domain,
-                    controller,
-                    disk_lost,
-                    ..
-                } => self.restart_controller(domain, controller, disk_lost),
-                PlannedRestart::Switch { switch, .. } => self.restart_switch(switch),
-            }
+            self.restart(r.node, r.disk_lost);
         }
     }
 
     /// Fails the link `a`–`b` at `at`: switch `a` detects the port-down and
     /// raises a signed `LinkFailure` event (paper Fig. 2 scenario).
     pub fn fail_link(&mut self, at: SimTime, a: SwitchId, b: SwitchId) {
-        let node = self.switch_nodes[&a];
-        self.sim.inject(at, node, Net::LinkDown { a, b });
+        self.sim.inject(at, self.switch_node(a), Net::LinkDown { a, b });
     }
 
     /// Injects a membership command at a domain's bootstrap controller.
     pub fn inject_membership(&mut self, at: SimTime, domain: DomainId, op: crate::msg::OrderedOp) {
-        let node = self.bootstrap_nodes[&domain];
+        let node = self.dep.bootstrap_nodes[&domain];
         self.sim.inject(at, node, Net::MembershipCmd(op));
     }
 
@@ -434,14 +338,8 @@ impl Engine {
         let mut cursor = self.sim.now();
         loop {
             if watchdog && self.restarts.is_empty() {
-                let out = self.snapshot_outstanding();
-                let resolved = self.resolved_flows();
-                if resolved >= self.injected_flows
-                    && out.unacked == 0
-                    && out.waiting == 0
-                    && out.events == 0
-                    && out.recovering == 0
-                {
+                let resolved = resolved_flows(self.sim.observations());
+                if resolved >= self.injected_flows && self.snapshot_outstanding().blocking() == 0 {
                     completed = true;
                     break;
                 }
@@ -451,7 +349,7 @@ impl Engine {
             }
             // A pending scheduled restart keeps the run alive even when the
             // event queue drains: the revived controller creates new events.
-            let next_restart = self.restarts.first().map(PlannedRestart::at);
+            let next_restart = self.restarts.first().map(|r| r.at);
             let restart_pending = next_restart.map(|t| t <= horizon).unwrap_or(false);
             match self.sim.next_event_at() {
                 // Drained queue with outstanding work: nothing will ever
@@ -506,7 +404,7 @@ impl Engine {
             stalled,
             end: self.sim.now(),
             injected_flows: self.injected_flows,
-            resolved_flows: self.resolved_flows(),
+            resolved_flows: resolved_flows(self.sim.observations()),
             unacked_updates: out.unacked,
             waiting_updates: out.waiting,
             failed_updates: out.failed,
@@ -516,54 +414,15 @@ impl Engine {
         }
     }
 
-    fn resolved_flows(&self) -> usize {
-        self.sim
-            .observations()
-            .iter()
-            .filter(|o| {
-                matches!(
-                    o.value,
-                    Obs::FlowCompleted { .. } | Obs::FlowDenied { .. }
-                )
-            })
-            .count()
-    }
-
     fn snapshot_outstanding(&mut self) -> Outstanding {
         // Crashed nodes are excluded: a dead replica's local bookkeeping can
         // never drain, but it is not outstanding protocol work either — its
         // live peers carry the flow to completion.
         let mut out = Outstanding::default();
-        let controllers: Vec<((DomainId, ControllerId), NodeId)> = self
-            .controller_nodes
-            .iter()
-            .map(|(&k, &n)| (k, n))
-            .collect();
-        for ((d, c), node) in controllers {
-            if self.sim.is_crashed(node) {
-                continue;
+        for seed in &self.dep.nodes {
+            if !self.sim.is_crashed(seed.node) {
+                out += self.sim.with_actor::<NodeRole, _>(seed.node, |r| r.outstanding());
             }
-            let (unacked, waiting, failed, recovering) = self.with_controller(d, c, |ca| {
-                let p = ca.pending();
-                (
-                    p.in_flight_count(),
-                    p.waiting_count(),
-                    p.failed_count(),
-                    ca.is_recovering(),
-                )
-            });
-            out.unacked += unacked;
-            out.waiting += waiting;
-            out.failed += failed;
-            out.recovering += usize::from(recovering);
-        }
-        let switches: Vec<(SwitchId, NodeId)> =
-            self.switch_nodes.iter().map(|(&s, &n)| (s, n)).collect();
-        for (s, node) in switches {
-            if self.sim.is_crashed(node) {
-                continue;
-            }
-            out.events += self.with_switch(s, |sw| sw.outstanding_event_count());
         }
         out
     }
@@ -582,7 +441,10 @@ impl Engine {
     /// Mean CPU utilization across all switches per bucket.
     pub fn mean_switch_cpu(&self) -> Vec<f64> {
         let series: Vec<Vec<f64>> = self
-            .switch_nodes
+            .dep
+            .shared
+            .dir
+            .switch_node
             .values()
             .map(|&n| self.sim.cpu_utilization(n))
             .collect();
@@ -597,8 +459,11 @@ impl Engine {
 
     /// Runs `f` against a switch actor (tests).
     pub fn with_switch<R>(&mut self, s: SwitchId, f: impl FnOnce(&mut SwitchActor) -> R) -> R {
-        let node = self.switch_nodes[&s];
-        self.sim.with_actor::<SwitchActor, R>(node, f)
+        let node = self.switch_node(s);
+        self.sim.with_actor::<NodeRole, R>(node, |role| match role {
+            NodeRole::Switch { actor, .. } => f(actor),
+            NodeRole::Controller { .. } => panic!("{node} is not a switch"),
+        })
     }
 
     /// Runs `f` against a controller actor (tests / app configuration).
@@ -608,8 +473,11 @@ impl Engine {
         c: ControllerId,
         f: impl FnOnce(&mut ControllerActor) -> R,
     ) -> R {
-        let node = self.controller_nodes[&(d, c)];
-        self.sim.with_actor::<ControllerActor, R>(node, f)
+        let node = self.controller_node(d, c);
+        self.sim.with_actor::<NodeRole, R>(node, |role| match role {
+            NodeRole::Controller { actor, .. } => f(actor),
+            NodeRole::Switch { .. } => panic!("{node} is not a controller"),
+        })
     }
 
     /// Current simulated time.

@@ -12,7 +12,7 @@ use netmodel::topology::Topology;
 use substrate::rng::StdRng;
 use substrate::rng::SeedableRng;
 use simnet::time::{SimDuration, SimTime};
-use southbound::types::{DomainId, FlowId, HostId};
+use southbound::types::{DomainId, FlowId};
 use std::collections::BTreeMap;
 use workload::spec::WorkloadSpec;
 
@@ -31,7 +31,8 @@ pub const ALL_MODES: [Mode; 4] = [
 /// Result of one flow-completion run.
 #[derive(Clone, Debug)]
 pub struct FlowRun {
-    /// Mode label (paper legend).
+    /// Series label (paper legend): the mode's, unless the figure names
+    /// its series itself.
     pub label: &'static str,
     /// Flow-completion CDF.
     pub cdf: Cdf,
@@ -41,6 +42,9 @@ pub struct FlowRun {
     pub unique_events: usize,
     /// Mean switch CPU utilization series (per CPU bucket).
     pub mean_switch_cpu: Vec<f64>,
+    /// Control-plane messages delivered over the whole run (including
+    /// retransmissions).
+    pub messages: u64,
 }
 
 /// Runs one workload on the given topology/domain split under `cfg` (mode,
@@ -69,6 +73,7 @@ pub fn run_flow_completion(
         events_per_domain: events_per_domain(obs),
         unique_events: crate::obs::unique_events(obs),
         mean_switch_cpu: engine.mean_switch_cpu(),
+        messages: engine.delivered_messages(),
     }
 }
 
@@ -276,19 +281,12 @@ pub fn fig12c_runs(spec: &WorkloadSpec, seed: u64) -> Vec<(String, Cdf)> {
             Aggregation::Controller,
         ),
     ] {
-        let mut cfg = EngineConfig::for_mode(Mode::Cicero { aggregation: agg });
-        cfg.controllers_per_domain = per_domain;
-        cfg.seed = seed;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let flows = workload::gen::generate(&topo, spec, &mut rng);
-        let mut engine = Engine::build(cfg, topo.clone(), dm, 0);
-        engine.inject_flows(&flows);
-        let horizon = flows.last().map(|f| f.start + SimDuration::from_secs(30));
-        engine.run(horizon.unwrap_or(SimTime::ZERO + SimDuration::from_secs(60)));
-        out.push((
-            label.to_string(),
-            Cdf::from_latencies(&flow_latencies(engine.observations())),
-        ));
+        let cfg = EngineConfig {
+            controllers_per_domain: per_domain,
+            seed,
+            ..EngineConfig::for_mode(Mode::Cicero { aggregation: agg })
+        };
+        out.push((label.to_string(), run_flow_completion(cfg, &topo, dm, spec).cdf));
     }
     out
 }
@@ -335,24 +333,9 @@ pub fn fig12d_runs(spec: &WorkloadSpec, dcs: u16, seed: u64) -> Vec<(String, Cdf
             cross_domain_handshake: handshake,
             ..EngineConfig::for_mode(mode)
         };
-        let run = run_flow_completion(cfg, &topo, dm, spec);
-        let _ = &run.label;
-        out.push((label.to_string(), run.cdf));
+        out.push((label.to_string(), run_flow_completion(cfg, &topo, dm, spec).cdf));
     }
     out
-}
-
-/// One series of the Segway comparison: flow-completion CDF plus the
-/// run's total control-plane message cost (deliveries, including
-/// retransmissions).
-#[derive(Clone, Debug)]
-pub struct ModeCost {
-    /// Series label.
-    pub label: String,
-    /// Flow-completion CDF.
-    pub cdf: Cdf,
-    /// Control-plane messages delivered over the whole run.
-    pub messages: u64,
 }
 
 /// The decentralized-execution comparison (ez-Segway-style mode vs the
@@ -363,11 +346,10 @@ pub struct ModeCost {
 /// Segway (all segments pushed at once, gated locally) versus a
 /// round-trip per dependency edge through the control plane, so Segway
 /// completes flows faster; the message counts expose each mode's total
-/// control-plane cost alongside.
-pub fn segway_vs_cicero_md(spec: &WorkloadSpec, dcs: u16, seed: u64) -> Vec<ModeCost> {
+/// control-plane cost alongside ([`FlowRun::messages`]).
+pub fn segway_vs_cicero_md(spec: &WorkloadSpec, dcs: u16, seed: u64) -> Vec<FlowRun> {
     let topo = Topology::multi_dc(dcs, 4, 6, 4, 2, 2, telekom::wan(dcs));
-    let mut out = Vec::new();
-    for (label, mode) in [
+    let series = [
         (
             "Cicero MD",
             Mode::Cicero {
@@ -375,27 +357,20 @@ pub fn segway_vs_cicero_md(spec: &WorkloadSpec, dcs: u16, seed: u64) -> Vec<Mode
             },
         ),
         ("Segway MD", Mode::Segway),
-    ] {
-        let mut cfg = EngineConfig::for_mode(mode);
-        cfg.rule_reuse = true;
-        cfg.seed = seed;
-        cfg.crypto = CryptoMode::Modeled;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let flows = workload::gen::generate(&topo, spec, &mut rng);
-        let mut engine = Engine::build(cfg, topo.clone(), DomainMap::by_pod(&topo), 0);
-        engine.inject_flows(&flows);
-        let horizon = flows
-            .last()
-            .map(|f| f.start + SimDuration::from_secs(30))
-            .unwrap_or(SimTime::ZERO + SimDuration::from_secs(60));
-        engine.run(horizon);
-        out.push(ModeCost {
-            label: label.to_string(),
-            cdf: Cdf::from_latencies(&flow_latencies(engine.observations())),
-            messages: engine.delivered_messages(),
-        });
-    }
-    out
+    ];
+    series
+        .into_iter()
+        .map(|(label, mode)| {
+            let cfg = EngineConfig {
+                rule_reuse: true,
+                seed,
+                crypto: CryptoMode::Modeled,
+                ..EngineConfig::for_mode(mode)
+            };
+            let run = run_flow_completion(cfg, &topo, DomainMap::by_pod(&topo), spec);
+            FlowRun { label, ..run }
+        })
+        .collect()
 }
 
 /// The mean flow *setup* latency of a mode: first-flow completion minus the
@@ -455,7 +430,6 @@ pub fn flow_setup_latency_ms(mode: Mode, seed: u64) -> f64 {
             }
         }
     }
-    let _ = HostId(0);
     if n == 0 {
         f64::NAN
     } else {

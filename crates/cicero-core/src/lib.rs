@@ -62,20 +62,19 @@ pub mod prelude {
         Aggregation, CostModel, CryptoMode, EngineConfig, Mode, ReliabilityConfig,
     };
     pub use crate::ctrl::ControllerActor;
-    pub use crate::deploy::{Deployment, NodeRole, PlannedNode};
+    pub use crate::deploy::{Deployment, Life, NodeRole};
     pub use crate::engine::{default_pod_engine, Engine, RunReport};
     pub use crate::experiment::{
         fig11_flow_completion, fig11d_switch_cpu, fig11d_switch_cpu_measured,
         fig12a_update_time, fig12b_event_locality, fig12c_runs, fig12d_runs,
         flow_setup_latency_ms, run_flow_completion,
-        segway_vs_cicero_md, FlowRun, ModeCost, ALL_MODES,
+        segway_vs_cicero_md, FlowRun, ALL_MODES,
     };
     pub use crate::msg::{AckBody, Net, OrderedOp, PhaseInfo};
     pub use crate::obs::{
         check_event_linearizability, check_event_linearizability_with_amnesia,
-        check_event_linearizability_with_restarts,
         delivery_sequences, events_per_domain, flow_latencies,
-        retransmit_stats, unique_events, Cdf, Obs, RetransmitStats,
+        resolved_flows, retransmit_stats, unique_events, Cdf, Obs, RetransmitStats,
     };
     pub use crate::runtime::{bootstrap_keys, Directory, KeyMaterial, Shared};
     pub use crate::switch::SwitchActor;

@@ -2,16 +2,20 @@
 //! public key material, topology, policies and configuration.
 
 use crate::config::{CryptoMode, EngineConfig};
+use crate::msg::Net;
 use blscrypto::bls::{PublicKey, SecretKey, Signature};
 use blscrypto::curves::G1Affine;
 use blscrypto::dkg::{DkgConfig, DkgOutput, GroupPublic};
 use blscrypto::feldman::Commitment;
 use blscrypto::curves::G2Projective;
 use controller::policy::GlobalDomainPolicy;
+use netmodel::routing::route;
 use netmodel::topology::Topology;
 use substrate::rng::StdRng;
 use substrate::rng::SeedableRng;
+use workload::gen::FlowSpec;
 use simnet::node::NodeId;
+use simnet::time::SimTime;
 use southbound::types::{ControllerId, DomainId, SwitchId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -157,6 +161,29 @@ impl Shared {
     /// `true` when real curve math should execute.
     pub fn real_crypto(&self) -> bool {
         self.cfg.crypto == CryptoMode::Real
+    }
+
+    /// How a workload flow enters the network: the node of its source's
+    /// ToR switch and the `FlowArrival` to deliver there, stamped `start`.
+    /// The route transit latency is precomputed from the topology
+    /// (data-plane forwarding is not what the protocol measures). `None`
+    /// for an unroutable flow.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the flow's source host is not in the topology.
+    pub fn flow_arrival(&self, f: &FlowSpec, start: SimTime) -> Option<(NodeId, Net)> {
+        let r = route(&self.topo, f.src, f.dst)?;
+        let ingress = self.topo.host(f.src).expect("known host").attached;
+        let msg = Net::FlowArrival {
+            flow: f.id,
+            src: f.src,
+            dst: f.dst,
+            bytes: f.bytes,
+            transit: r.latency,
+            start,
+        };
+        Some((self.dir.switch(ingress), msg))
     }
 }
 

@@ -111,12 +111,7 @@ fn run_crash_recover(disk_lost: bool) {
     engine.set_faults(
         FaultPlan::none().with_crash(SimTime::ZERO + SimDuration::from_millis(60), node),
     );
-    engine.schedule_restart(
-        SimTime::ZERO + SimDuration::from_millis(200),
-        victim.0,
-        victim.1,
-        disk_lost,
-    );
+    engine.schedule_restart(SimTime::ZERO + SimDuration::from_millis(200), node, disk_lost);
     let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(20));
     assert!(
         report.completed,
@@ -178,7 +173,7 @@ fn quiescent_controllers_compact_their_wal_into_snapshots() {
             now + SimDuration::from_millis(10 + 10 * i as u64),
         );
     }
-    engine.schedule_restart(now + SimDuration::from_millis(120), victim.0, victim.1, false);
+    engine.schedule_restart(now + SimDuration::from_millis(120), node, false);
     let report = engine.run_reporting(engine.now() + SimDuration::from_secs(20));
     assert!(report.completed, "post-snapshot recovery stalled: {report}");
     assert_eq!(recovered_controllers(&engine), vec![victim.1 .0]);
@@ -230,7 +225,7 @@ fn crash_between_share_arrival_and_quorum_releases_exactly_once_after_restart() 
         );
     }
     engine.set_faults(plan);
-    engine.schedule_restart(ms(300), up, victim, false);
+    engine.schedule_restart(ms(300), victim_node, false);
     inject_flow_at(&mut engine, &topo, src, dst, 1, ms(1));
 
     engine.run(ms(59));
@@ -340,7 +335,7 @@ fn state_sync_and_local_recovery_converge() {
         let victim = ControllerId(2);
         let node = engine.controller_node(domain, victim);
         engine.set_faults(FaultPlan::none().with_crash(ms(45), node));
-        engine.schedule_restart(ms(300), domain, victim, disk_lost);
+        engine.schedule_restart(ms(300), node, disk_lost);
 
         let state = |engine: &mut Engine| {
             let barriers: BTreeSet<_> = engine

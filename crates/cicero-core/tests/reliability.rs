@@ -454,7 +454,7 @@ fn segway_switch_restart_mid_update_releases_exactly_once() {
         let node = engine.switch_node(victim);
         let at = SimTime::ZERO + SimDuration::from_millis(crash_ms);
         engine.set_faults(FaultPlan::none().with_crash(at, node));
-        engine.schedule_switch_restart(at + SimDuration::from_millis(5), victim);
+        engine.schedule_restart(at + SimDuration::from_millis(5), node, false);
         inject_one_flow(&mut engine, &topo, src, dst, 1);
         let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(120));
         assert!(

@@ -16,6 +16,60 @@ use substrate::ser::JsonValue;
 use workload::gen::FlowSpec;
 use workload::spec::LocalityClass;
 
+/// The `cicero-node --help` text.
+pub const USAGE: &str = "\
+cicero-node — run a multi-domain Cicero deployment on real threads
+
+USAGE:
+    cicero-node <config.json>
+    cicero-node --help
+
+The config is a JSON object; every key is optional (defaults in
+parentheses):
+
+    mode                    \"centralized\" | \"crash-tolerant\" |
+                            \"cicero\" | \"cicero-agg\" |
+                            \"segway\"                       (\"cicero\")
+    crypto                  \"modeled\" | \"real\"             (\"modeled\")
+    pods                    pods, one protocol domain each       (2)
+    racks_per_pod           ToR switches per pod                 (2)
+    edges_per_pod           aggregation switches per pod         (2)
+    hosts_per_rack          hosts per ToR                        (2)
+    spines                  spine switches joining the pods      (2)
+    controllers_per_domain  Cicero needs at least 4              (4)
+    seed                    engine seed                          (1)
+    flows                   cross-pod flows to inject            (8)
+    flow_bytes              bytes per flow                       (40000)
+    budget_ms               wall-clock convergence budget        (8000)
+    state_dir               durable WAL/snapshot directory    (in-memory)
+    kill_at_ms              kill one controller at this offset   (never)
+    restart_at_ms           restart it at this offset            (never)
+    disk_lost               wipe its WAL before the restart      (false)
+
+EXAMPLES:
+    cicero-node examples/node_two_domains.json
+    cicero-node examples/node_recovery.json
+";
+
+/// The `mode` names the config accepts, with the mode each selects.
+const MODES: &[(&str, Mode)] = &[
+    ("centralized", Mode::Centralized),
+    ("crash-tolerant", Mode::CrashTolerant),
+    (
+        "cicero",
+        Mode::Cicero {
+            aggregation: Aggregation::Switch,
+        },
+    ),
+    (
+        "cicero-agg",
+        Mode::Cicero {
+            aggregation: Aggregation::Controller,
+        },
+    ),
+    ("segway", Mode::Segway),
+];
+
 /// A parsed deployment spec.
 #[derive(Clone, Debug)]
 pub struct NodeSpec {
@@ -142,16 +196,10 @@ impl NodeSpec {
         let d = NodeSpec::default();
         let mode = match doc.get("mode").and_then(|v| v.as_str()) {
             None => d.mode,
-            Some("centralized") => Mode::Centralized,
-            Some("crash-tolerant") => Mode::CrashTolerant,
-            Some("cicero") => Mode::Cicero {
-                aggregation: Aggregation::Switch,
+            Some(name) => match MODES.iter().find(|(n, _)| *n == name) {
+                Some(&(_, mode)) => mode,
+                None => return Err(format!("unknown mode `{name}`")),
             },
-            Some("cicero-agg") => Mode::Cicero {
-                aggregation: Aggregation::Controller,
-            },
-            Some("segway") => Mode::Segway,
-            Some(other) => return Err(format!("unknown mode `{other}`")),
         };
         let crypto = match doc.get("crypto").and_then(|v| v.as_str()) {
             None => d.crypto,
@@ -356,8 +404,11 @@ mod tests {
     }
 
     #[test]
-    fn parses_segway_mode() {
-        let c = NodeSpec::from_json(r#"{"mode": "segway"}"#).expect("valid spec");
-        assert_eq!(c.mode, Mode::Segway);
+    fn help_lists_every_accepted_mode() {
+        for (name, mode) in MODES {
+            let spec = NodeSpec::from_json(&format!(r#"{{"mode": "{name}"}}"#)).expect("accepted");
+            assert_eq!(spec.mode, *mode);
+            assert!(USAGE.contains(&format!("\"{name}\"")), "--help omits mode {name}");
+        }
     }
 }

@@ -1,11 +1,11 @@
 //! The threaded executor: one OS thread per protocol node, in-process
 //! channels for links, wall-clock timers.
 //!
-//! Each planned actor from [`cicero_core::deploy::plan`] runs its own
-//! thread with a bounded mailbox. A [`ThreadHost`] implements the same
-//! [`Host`] trait the simulator's `Context` does, so the *identical
-//! compiled protocol code* runs here — only the scheduler underneath
-//! differs:
+//! Each node planned by [`cicero_core::deploy::plan`] runs its own thread
+//! with a bounded mailbox, and boots every life of its actor there. A
+//! [`ThreadHost`] implements the same [`Host`] trait the simulator's
+//! `Context` does, so the *identical compiled protocol code* runs here —
+//! only the scheduler underneath differs:
 //!
 //! * **time** comes from the [`WallClock`] epoch (the one wall-clock
 //!   boundary, `clock.rs`);
@@ -19,15 +19,13 @@
 //!   with wall-clock-since-epoch times.
 
 use crate::clock::WallClock;
-use cicero_core::deploy::{Deployment, NodeRole, RecoveryKit};
+use cicero_core::deploy::{Deployment, Life, NodeRole, Outstanding};
 use cicero_core::msg::Net;
-use cicero_core::obs::Obs;
+use cicero_core::obs::{resolved_flows, Obs};
 use cicero_core::runtime::Shared;
-use netmodel::routing::route;
 use simnet::node::{Actor, Host, NodeId, TimerToken};
 use simnet::sim::{Observation, ENVIRONMENT};
 use simnet::time::{SimDuration, SimTime};
-use southbound::types::{ControllerId, DomainId, SwitchId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::mpsc::SyncSender;
@@ -54,16 +52,19 @@ enum Envelope {
         /// The message.
         msg: Net,
     },
-    /// Outstanding-work probe; the node replies with its count of unacked /
-    /// dependency-blocked updates (controller) or pending signed events
-    /// (switch).
-    Probe(SyncSender<usize>),
+    /// Outstanding-work probe; the node replies with
+    /// [`NodeRole::outstanding`].
+    Probe(SyncSender<Outstanding>),
     /// Crash the node: it drops all state and drains its mailbox until a
     /// [`Envelope::Restart`] or [`Envelope::Shutdown`] arrives.
     Kill,
-    /// Revive a killed node with a freshly rebuilt actor (constructed by
-    /// [`RecoveryKit::rebuild`], so it replays its durable WAL on start).
-    Restart(Box<NodeRole>),
+    /// Revive a killed node. Only the flag travels: the node wipes its disk
+    /// (if lost) and boots its next life on its own thread, and only while
+    /// it is dead — the disk is never touched under a running actor.
+    Restart {
+        /// Wipe the disk before booting (replacement machine).
+        disk_lost: bool,
+    },
     /// Stop the node loop.
     Shutdown,
 }
@@ -148,6 +149,7 @@ impl Host<Net, Obs> for ThreadHost<'_> {
 /// Everything one node thread owns.
 struct NodeRunner {
     id: NodeId,
+    dep: Arc<Deployment>,
     role: NodeRole,
     rx: Receiver<Envelope>,
     senders: Arc<Vec<SyncSender<Envelope>>>,
@@ -165,20 +167,6 @@ struct NodeRunner {
 }
 
 impl NodeRunner {
-    /// Unacked/blocked protocol work still owned by this node (the threaded
-    /// analogue of the engine watchdog's outstanding-work snapshot).
-    fn outstanding(&self) -> usize {
-        match &self.role {
-            NodeRole::Controller { actor, .. } => {
-                let p = actor.pending();
-                // A recovering controller holds outstanding work by
-                // definition: it has not finished state sync.
-                p.in_flight_count() + p.waiting_count() + usize::from(actor.is_recovering())
-            }
-            NodeRole::Switch { actor, .. } => actor.outstanding_event_count(),
-        }
-    }
-
     /// Runs a handler and applies its collected effects.
     fn handle(&mut self, f: impl FnOnce(&mut dyn Actor<Net, Obs>, &mut dyn Host<Net, Obs>)) {
         let mut rng = std::mem::replace(&mut self.rng, StdRng::seed_from_u64(0));
@@ -191,10 +179,7 @@ impl NodeRunner {
             observed: Vec::new(),
             crashed: false,
         };
-        match &mut self.role {
-            NodeRole::Controller { actor, .. } => f(actor.as_mut(), &mut host),
-            NodeRole::Switch { actor, .. } => f(actor.as_mut(), &mut host),
-        }
+        f(&mut self.role, &mut host);
         let ThreadHost {
             sent,
             timers,
@@ -317,11 +302,11 @@ impl NodeRunner {
                         self.handle(|a, h| a.on_message(h, from, msg));
                     }
                     Some(Envelope::Probe(reply)) => {
-                        let _ = reply.try_send(self.outstanding());
+                        let _ = reply.try_send(self.role.outstanding());
                     }
                     Some(Envelope::Kill) => self.crashed = true,
-                    // A live node ignores a stray restart.
-                    Some(Envelope::Restart(_)) => {}
+                    // A live node ignores a stray restart, disk and all.
+                    Some(Envelope::Restart { .. }) => {}
                     Some(Envelope::Shutdown) => return,
                 }
             }
@@ -334,14 +319,14 @@ impl NodeRunner {
                         // Dead nodes hold no *outstanding* work (their live
                         // peers carry the protocol), mirroring the engine
                         // watchdog's is_crashed exclusion.
-                        let _ = reply.try_send(0);
+                        let _ = reply.try_send(Outstanding::default());
                     }
                     Ok(Envelope::Msg { .. }) | Ok(Envelope::Kill) => {}
-                    Ok(Envelope::Restart(role)) => {
-                        // Second life: fresh actor (rebuilt from its durable
+                    Ok(Envelope::Restart { disk_lost }) => {
+                        // Next life: fresh actor (booted from its durable
                         // disk), no carried-over timers or delayed sends —
                         // exactly what the simulator's revive_node does.
-                        self.role = *role;
+                        self.role = self.dep.boot(self.id, Life::Restart { disk_lost });
                         self.timers.clear();
                         self.delayed.clear();
                         self.crashed = false;
@@ -393,8 +378,7 @@ impl std::fmt::Display for ThreadedReport {
 
 /// A running threaded deployment: one OS thread per planned node.
 pub struct ThreadedDeployment {
-    shared: Arc<Shared>,
-    kit: RecoveryKit,
+    dep: Arc<Deployment>,
     senders: Arc<Vec<SyncSender<Envelope>>>,
     handles: Vec<JoinHandle<()>>,
     clock: WallClock,
@@ -410,7 +394,7 @@ impl ThreadedDeployment {
         let obs: Arc<Mutex<Vec<Observation<Obs>>>> = Arc::new(Mutex::new(Vec::new()));
         let dropped = Arc::new(Mutex::new(vec![0u64; dep.nodes.len()]));
         let seed = dep.shared.cfg.seed;
-        let kit = dep.recovery_kit();
+        let dep = Arc::new(dep);
 
         let mut senders = Vec::with_capacity(dep.nodes.len());
         let mut receivers = Vec::with_capacity(dep.nodes.len());
@@ -427,32 +411,39 @@ impl ThreadedDeployment {
         let senders = Arc::new(senders);
 
         let mut handles = Vec::with_capacity(dep.nodes.len());
-        for (planned, rx) in dep.nodes.into_iter().zip(receivers) {
-            let runner = NodeRunner {
-                id: planned.node,
-                role: planned.role,
-                rx,
-                senders: Arc::clone(&senders),
-                clock,
-                obs: Arc::clone(&obs),
-                dropped: Arc::clone(&dropped),
-                // Per-node stream derived from the engine seed, mirroring
-                // how the simulator derives per-actor randomness from one
-                // seed (streams differ; determinism per node is what the
-                // protocol needs for e.g. retry jitter).
-                rng: StdRng::seed_from_u64(seed ^ (0x9e37_79b9_7f4a_7c15 ^ u64::from(planned.node.0)).rotate_left(17)),
-                timers: BinaryHeap::new(),
-                delayed: BinaryHeap::new(),
-                seq: 0,
-                crashed: false,
+        for (planned, rx) in dep.nodes.iter().zip(receivers) {
+            let id = planned.node;
+            let (dep, senders) = (Arc::clone(&dep), Arc::clone(&senders));
+            let (obs, dropped) = (Arc::clone(&obs), Arc::clone(&dropped));
+            let boot_and_run = move || {
+                let runner = NodeRunner {
+                    id,
+                    role: dep.boot(id, Life::First),
+                    dep,
+                    rx,
+                    senders,
+                    clock,
+                    obs,
+                    dropped,
+                    // Per-node stream derived from the engine seed, mirroring
+                    // how the simulator derives per-actor randomness from one
+                    // seed (streams differ; determinism per node is what the
+                    // protocol needs for e.g. retry jitter).
+                    rng: StdRng::seed_from_u64(
+                        seed ^ (0x9e37_79b9_7f4a_7c15 ^ u64::from(id.0)).rotate_left(17),
+                    ),
+                    timers: BinaryHeap::new(),
+                    delayed: BinaryHeap::new(),
+                    seq: 0,
+                    crashed: false,
+                };
+                runner.run()
             };
-            let name = format!("cicero-{}", planned.node);
-            handles.push(substrate::sync::spawn(&name, move || runner.run()));
+            handles.push(substrate::sync::spawn(&format!("cicero-{id}"), boot_and_run));
         }
 
         ThreadedDeployment {
-            shared: dep.shared,
-            kit,
+            dep,
             senders,
             handles,
             clock,
@@ -464,32 +455,28 @@ impl ThreadedDeployment {
 
     /// The shared runtime context.
     pub fn shared(&self) -> &Arc<Shared> {
-        &self.shared
+        &self.dep.shared
     }
 
-    /// Kills controller `(d, c)`: its thread drops all state and drains its
-    /// mailbox until restarted. The durable disk survives the kill.
-    pub fn kill_controller(&self, d: DomainId, c: ControllerId) {
-        let node = self.shared.dir.controller(d, c);
+    /// Kills `node` — a controller or a switch: its thread drops all state
+    /// and drains its mailbox until restarted. The durable disk survives
+    /// the kill.
+    pub fn kill(&self, node: NodeId) {
         let _ = self.senders[node.0 as usize].send(Envelope::Kill);
     }
 
-    /// Revives a killed controller with an actor rebuilt from its seed and
-    /// durable disk; it replays its WAL on start and state-syncs from a
-    /// peer. With `disk_lost` the disk is wiped first (replacement machine).
+    /// Revives a killed node with an actor booted from its seed and durable
+    /// disk: it replays its WAL on start (a controller then state-syncs
+    /// from a peer). With `disk_lost` the node wipes its disk first
+    /// (replacement machine). A node that is not dead ignores this.
     ///
     /// # Panics
     ///
-    /// Panics if storage was never provisioned (see
+    /// Panics if the node's storage was never provisioned (see
     /// [`Deployment::provision_storage`]).
-    pub fn restart_controller(&self, d: DomainId, c: ControllerId, disk_lost: bool) {
-        let (node, actor) = self.kit.rebuild(d, c, disk_lost);
-        let role = NodeRole::Controller {
-            domain: d,
-            id: c,
-            actor: Box::new(actor),
-        };
-        let _ = self.senders[node.0 as usize].send(Envelope::Restart(Box::new(role)));
+    pub fn restart(&self, node: NodeId, disk_lost: bool) {
+        assert!(self.dep.has_storage(node), "restarting {node} needs provisioned storage");
+        let _ = self.senders[node.0 as usize].send(Envelope::Restart { disk_lost });
     }
 
     /// Injects flows at their ingress ToR switches, in order. Arrival time
@@ -498,44 +485,19 @@ impl ThreadedDeployment {
     /// switch-local event ids equal to a simulated run of the same flows.
     pub fn inject_flows(&mut self, flows: &[FlowSpec]) {
         for f in flows {
-            let Some(r) = route(&self.shared.topo, f.src, f.dst) else {
+            let Some((node, msg)) = self.dep.shared.flow_arrival(f, self.clock.now()) else {
                 continue;
-            };
-            let ingress: SwitchId = self
-                .shared
-                .topo
-                .host(f.src)
-                .expect("workload host exists in topology")
-                .attached;
-            let node = self.shared.dir.switch(ingress);
-            let msg = Net::FlowArrival {
-                flow: f.id,
-                src: f.src,
-                dst: f.dst,
-                bytes: f.bytes,
-                transit: r.latency,
-                start: self.clock.now(),
             };
             // Blocking send: injection is not a lossy link, and a fresh
             // deployment's mailboxes are empty.
-            if self.senders[node.0 as usize]
-                .send(Envelope::Msg {
-                    from: ENVIRONMENT,
-                    msg,
-                })
-                .is_ok()
-            {
+            let envelope = Envelope::Msg {
+                from: ENVIRONMENT,
+                msg,
+            };
+            if self.senders[node.0 as usize].send(envelope).is_ok() {
                 self.injected_flows += 1;
             }
         }
-    }
-
-    fn resolved_flows(&self) -> usize {
-        self.obs
-            .lock()
-            .iter()
-            .filter(|o| matches!(o.value, Obs::FlowCompleted { .. } | Obs::FlowDenied { .. }))
-            .count()
     }
 
     /// Probes every node for outstanding work; `None` if a probe reply
@@ -552,14 +514,11 @@ impl ThreadedDeployment {
                 Err(std::sync::mpsc::TrySendError::Full(_)) => return None,
             }
         }
-        let mut sum = 0usize;
+        let mut sum = Outstanding::default();
         for prx in replies.into_iter().flatten() {
-            match prx.recv_timeout(std::time::Duration::from_millis(500)) {
-                Ok(n) => sum += n,
-                Err(_) => return None,
-            }
+            sum += prx.recv_timeout(std::time::Duration::from_millis(500)).ok()?;
         }
-        Some(sum)
+        Some(sum.blocking())
     }
 
     /// Polls until every injected flow resolved and two consecutive probes
@@ -571,8 +530,7 @@ impl ThreadedDeployment {
         let mut last_outstanding = 0usize;
         let mut completed = false;
         loop {
-            let resolved = self.resolved_flows();
-            if resolved >= self.injected_flows {
+            if resolved_flows(&self.obs.lock()) >= self.injected_flows {
                 match self.probe_outstanding() {
                     Some(0) => {
                         clean_polls += 1;
@@ -600,7 +558,7 @@ impl ThreadedDeployment {
         ThreadedReport {
             completed,
             injected_flows: self.injected_flows,
-            resolved_flows: self.resolved_flows(),
+            resolved_flows: resolved_flows(&self.obs.lock()),
             outstanding: if completed { 0 } else { last_outstanding },
             dropped_messages: dropped_per_node.iter().sum(),
             dropped_per_node,

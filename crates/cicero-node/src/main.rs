@@ -4,42 +4,10 @@
 #![forbid(unsafe_code)]
 
 use cicero_core::audit::audit_flow;
+use cicero_node::config::USAGE;
 use cicero_node::exec::ThreadedDeployment;
 use cicero_node::NodeSpec;
 use southbound::types::FlowMatch;
-
-const USAGE: &str = "\
-cicero-node — run a multi-domain Cicero deployment on real threads
-
-USAGE:
-    cicero-node <config.json>
-    cicero-node --help
-
-The config is a JSON object; every key is optional (defaults in
-parentheses):
-
-    mode                    \"centralized\" | \"crash-tolerant\" |
-                            \"cicero\" | \"cicero-agg\"        (\"cicero\")
-    crypto                  \"modeled\" | \"real\"             (\"modeled\")
-    pods                    pods, one protocol domain each       (2)
-    racks_per_pod           ToR switches per pod                 (2)
-    edges_per_pod           aggregation switches per pod         (2)
-    hosts_per_rack          hosts per ToR                        (2)
-    spines                  spine switches joining the pods      (2)
-    controllers_per_domain  Cicero needs at least 4              (4)
-    seed                    engine seed                          (1)
-    flows                   cross-pod flows to inject            (8)
-    flow_bytes              bytes per flow                       (40000)
-    budget_ms               wall-clock convergence budget        (8000)
-    state_dir               durable WAL/snapshot directory    (in-memory)
-    kill_at_ms              kill one controller at this offset   (never)
-    restart_at_ms           restart it at this offset            (never)
-    disk_lost               wipe its WAL before the restart      (false)
-
-EXAMPLES:
-    cicero-node examples/node_two_domains.json
-    cicero-node examples/node_recovery.json
-";
 
 fn run() -> Result<(), String> {
     let mut args = std::env::args().skip(1);
@@ -107,11 +75,12 @@ fn run() -> Result<(), String> {
     if let Some(kill_ms) = spec.kill_at_ms {
         let (d, c) = victim.ok_or("kill_at_ms needs a domain with >= 2 controllers")?;
         std::thread::sleep(std::time::Duration::from_millis(kill_ms));
-        deployment.kill_controller(d, c);
+        let node = deployment.shared().dir.controller(d, c);
+        deployment.kill(node);
         println!("killed controller {}.{} at +{kill_ms} ms", d.0, c.0);
         if let Some(restart_ms) = spec.restart_at_ms {
             std::thread::sleep(std::time::Duration::from_millis(restart_ms - kill_ms));
-            deployment.restart_controller(d, c, spec.disk_lost);
+            deployment.restart(node, spec.disk_lost);
             let how = if spec.disk_lost { "wiped disk" } else { "local WAL" };
             println!(
                 "restarted controller {}.{} at +{restart_ms} ms ({how})",

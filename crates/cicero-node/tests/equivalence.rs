@@ -11,14 +11,18 @@
 
 use cicero_core::audit::audit_flow;
 use cicero_core::obs::Obs;
-use cicero_core::prelude::Engine;
+use cicero_core::prelude::{Deployment, Engine};
 use cicero_node::exec::ThreadedDeployment;
 use cicero_node::NodeSpec;
 use simnet::fault::FaultPlan;
+use simnet::node::NodeId;
 use simnet::sim::Observation;
 use simnet::time::{SimDuration, SimTime};
 use southbound::types::{ControllerId, DomainId, FlowMatch, SwitchId, UpdateId};
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use substrate::storage::Disk;
 
 fn spec() -> NodeSpec {
     NodeSpec::from_json(
@@ -64,20 +68,47 @@ fn audit_hazards(obs: &[Observation<Obs>], spec: &NodeSpec) -> usize {
     hazards
 }
 
-#[test]
-fn sim_and_threads_apply_the_same_updates() {
-    let spec = spec();
-
-    // ---- simulated run -----------------------------------------------
+/// The spec's simulated deployment with its workload injected.
+fn simulated(spec: &NodeSpec) -> Engine {
     let topo = spec.topology();
-    let flows = spec.workload(&topo);
     let mut engine = Engine::build(
         spec.engine_config(),
         spec.topology(),
         spec.domain_map(&topo),
         0,
     );
-    engine.inject_flows(&flows);
+    engine.inject_flows(&spec.workload(&topo));
+    engine
+}
+
+/// The spec's deployment plan, storage not yet provisioned.
+fn planned(spec: &NodeSpec) -> Deployment {
+    let topo = spec.topology();
+    cicero_core::deploy::plan(
+        spec.engine_config(),
+        spec.topology(),
+        spec.domain_map(&topo),
+        0,
+    )
+}
+
+/// The spec's threaded deployment, every node on an in-memory disk, with
+/// its workload injected.
+fn threaded(spec: &NodeSpec) -> ThreadedDeployment {
+    let mut dep = planned(spec);
+    dep.provision_storage(|_, _| substrate::storage::mem_disk());
+    dep.provision_switch_storage(|_| substrate::storage::mem_disk());
+    let mut threaded = ThreadedDeployment::launch(dep);
+    threaded.inject_flows(&spec.workload(&spec.topology()));
+    threaded
+}
+
+#[test]
+fn sim_and_threads_apply_the_same_updates() {
+    let spec = spec();
+
+    // ---- simulated run -----------------------------------------------
+    let mut engine = simulated(&spec);
     let sim_report = engine.run_reporting(SimTime::from_nanos(60_000_000_000));
     assert!(
         sim_report.completed,
@@ -95,15 +126,7 @@ fn sim_and_threads_apply_the_same_updates() {
     );
 
     // ---- threaded run ------------------------------------------------
-    let mut dep = cicero_core::deploy::plan(
-        spec.engine_config(),
-        spec.topology(),
-        spec.domain_map(&topo),
-        0,
-    );
-    dep.provision_storage(|_, _| substrate::storage::mem_disk());
-    let mut threaded = ThreadedDeployment::launch(dep);
-    threaded.inject_flows(&flows);
+    let mut threaded = threaded(&spec);
     let report = threaded.run_to_convergence(SimDuration::from_secs(20));
     let obs = threaded.shutdown();
     assert!(report.completed, "threaded run must converge: {report}");
@@ -141,15 +164,7 @@ fn sim_and_threads_agree_in_segway_mode() {
     spec.mode = cicero_core::prelude::Mode::Segway;
 
     // ---- simulated run -----------------------------------------------
-    let topo = spec.topology();
-    let flows = spec.workload(&topo);
-    let mut engine = Engine::build(
-        spec.engine_config(),
-        spec.topology(),
-        spec.domain_map(&topo),
-        0,
-    );
-    engine.inject_flows(&flows);
+    let mut engine = simulated(&spec);
     let sim_report = engine.run_reporting(SimTime::from_nanos(60_000_000_000));
     assert!(
         sim_report.completed,
@@ -164,16 +179,7 @@ fn sim_and_threads_agree_in_segway_mode() {
     assert_eq!(audit_hazards(engine.observations(), &spec), 0);
 
     // ---- threaded run ------------------------------------------------
-    let mut dep = cicero_core::deploy::plan(
-        spec.engine_config(),
-        spec.topology(),
-        spec.domain_map(&topo),
-        0,
-    );
-    dep.provision_storage(|_, _| substrate::storage::mem_disk());
-    dep.provision_switch_storage(|_| substrate::storage::mem_disk());
-    let mut threaded = ThreadedDeployment::launch(dep);
-    threaded.inject_flows(&flows);
+    let mut threaded = threaded(&spec);
     let report = threaded.run_to_convergence(SimDuration::from_secs(20));
     let obs = threaded.shutdown();
     assert!(report.completed, "threaded Segway run must converge: {report}");
@@ -198,73 +204,159 @@ fn recoveries(obs: &[Observation<Obs>]) -> usize {
         .count()
 }
 
-/// Satellite: executor equivalence extends to crash recovery. The same
-/// scenario with the same controller crashed and restarted mid-run must
-/// converge to the same applied-update set with clean audits under both
-/// executors, and the restarted controller must complete state sync under
-/// both. The crash instants are only approximately aligned (wall clock vs
-/// virtual time) — which is the point: the *outcome* may not depend on
-/// where in the run the crash lands.
-#[test]
-fn sim_and_threads_recover_equivalently_after_crash() {
-    let spec = spec();
-    let victim = (DomainId(0), ControllerId(2));
+/// Crashes `victim` 6 ms into the spec's run and restarts it from its disk
+/// at 250 ms, under the simulator and under threads; both runs must finish
+/// and audit clean. The crash instants are only approximately aligned
+/// (wall clock vs virtual time) — which is the point: the *outcome* may not
+/// depend on where in the run the crash lands.
+fn crash_and_restart_on_both(
+    spec: &NodeSpec,
+    victim: impl Fn(&cicero_core::runtime::Shared) -> NodeId,
+) -> [Vec<Observation<Obs>>; 2] {
+    let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
 
-    // ---- simulated crash + restart -----------------------------------
-    let topo = spec.topology();
-    let flows = spec.workload(&topo);
-    let mut engine = Engine::build(
-        spec.engine_config(),
-        spec.topology(),
-        spec.domain_map(&topo),
-        0,
-    );
-    let node = engine.controller_node(victim.0, victim.1);
-    engine.set_faults(
-        FaultPlan::none().with_crash(SimTime::ZERO + SimDuration::from_millis(6), node),
-    );
-    engine.schedule_restart(
-        SimTime::ZERO + SimDuration::from_millis(250),
-        victim.0,
-        victim.1,
-        false,
-    );
-    engine.inject_flows(&flows);
+    let mut engine = simulated(spec);
+    let node = victim(engine.shared());
+    engine.set_faults(FaultPlan::none().with_crash(ms(6), node));
+    engine.schedule_restart(ms(250), node, false);
     let sim_report = engine.run_reporting(SimTime::from_nanos(60_000_000_000));
     assert!(
         sim_report.completed,
         "simulated crash-recover run must complete: {sim_report}"
     );
-    assert_eq!(recoveries(engine.observations()), 1, "sim recovery");
-    assert_eq!(audit_hazards(engine.observations(), &spec), 0);
-    let sim_applied = applied_set(engine.observations());
+    assert_eq!(audit_hazards(engine.observations(), spec), 0);
 
-    // ---- threaded kill + restart -------------------------------------
-    let mut dep = cicero_core::deploy::plan(
-        spec.engine_config(),
-        spec.topology(),
-        spec.domain_map(&topo),
-        0,
-    );
-    dep.provision_storage(|_, _| substrate::storage::mem_disk());
-    let mut threaded = ThreadedDeployment::launch(dep);
-    threaded.inject_flows(&flows);
+    let mut threaded = threaded(spec);
+    let node = victim(threaded.shared());
     std::thread::sleep(std::time::Duration::from_millis(6));
-    threaded.kill_controller(victim.0, victim.1);
+    threaded.kill(node);
     std::thread::sleep(std::time::Duration::from_millis(244));
-    threaded.restart_controller(victim.0, victim.1, false);
+    threaded.restart(node, false);
     let report = threaded.run_to_convergence(SimDuration::from_secs(20));
     let obs = threaded.shutdown();
     assert!(
         report.completed,
         "threaded crash-recover run must converge: {report}"
     );
-    assert_eq!(recoveries(&obs), 1, "threaded recovery");
-    assert_eq!(audit_hazards(&obs, &spec), 0);
-    let thr_applied = applied_set(&obs);
+    assert_eq!(audit_hazards(&obs, spec), 0);
 
+    [engine.observations().to_vec(), obs]
+}
+
+/// Satellite: executor equivalence extends to crash recovery. The same
+/// scenario with the same controller crashed and restarted mid-run must
+/// converge to the same applied-update set with clean audits under both
+/// executors, and the restarted controller must complete state sync under
+/// both.
+#[test]
+fn sim_and_threads_recover_equivalently_after_crash() {
+    let [sim, thr] = crash_and_restart_on_both(&spec(), |shared| {
+        shared.dir.controller(DomainId(0), ControllerId(2))
+    });
+    assert_eq!(recoveries(&sim), 1, "sim recovery");
+    assert_eq!(recoveries(&thr), 1, "threaded recovery");
     assert_eq!(
-        sim_applied, thr_applied,
+        applied_set(&sim),
+        applied_set(&thr),
         "crash recovery must not change the executor-independent outcome"
     );
+}
+
+/// Executor equivalence extends to switch restarts: in Segway mode the
+/// same forwarding (non-ingress) switch crashed and restarted from its WAL
+/// mid-update must leave the same rules installed and the same dependency
+/// edges released — each exactly once, because the release journal
+/// survives the restart — under both executors.
+#[test]
+fn sim_and_threads_recover_a_switch_equivalently() {
+    let mut spec = spec();
+    spec.mode = cicero_core::prelude::Mode::Segway;
+    let topo = spec.topology();
+    let flows = spec.workload(&topo);
+    let ingress: BTreeSet<SwitchId> = flows
+        .iter()
+        .map(|f| topo.host(f.src).expect("workload host exists").attached)
+        .collect();
+    let victim = netmodel::routing::route(&topo, flows[0].src, flows[0].dst)
+        .expect("cross-pod flow is routable")
+        .path
+        .into_iter()
+        .find(|s| !ingress.contains(s))
+        .expect("a cross-pod route has a forwarding switch");
+
+    let [sim, thr] = crash_and_restart_on_both(&spec, |shared| shared.dir.switch(victim));
+    assert_eq!(applied_set(&sim), applied_set(&thr));
+    let released = release_set(&sim);
+    assert!(released.iter().any(|&(from, _, _)| from == victim), "the victim releases neighbors");
+    assert_eq!(released, release_set(&thr));
+    for obs in [&sim, &thr] {
+        let sent = obs.iter().filter(|o| matches!(o.value, Obs::ReadySent { .. })).count();
+        assert_eq!(sent, released.len(), "every edge is released exactly once");
+    }
+}
+
+/// A disk that reports being wiped.
+struct WipeWitness {
+    disk: substrate::storage::MemDisk,
+    wipes: Arc<AtomicUsize>,
+}
+
+impl Disk for WipeWitness {
+    fn read(&self, name: &str) -> Option<Vec<u8>> {
+        self.disk.read(name)
+    }
+    fn write_atomic(&mut self, name: &str, data: &[u8]) {
+        self.disk.write_atomic(name, data);
+    }
+    fn append(&mut self, name: &str, data: &[u8]) {
+        self.disk.append(name, data);
+    }
+    fn remove(&mut self, name: &str) {
+        self.disk.remove(name);
+    }
+    fn wipe(&mut self) {
+        self.wipes.fetch_add(1, Ordering::SeqCst);
+        self.disk.wipe();
+    }
+}
+
+/// A `disk_lost` restart addressed to a controller that was never killed
+/// must leave it alone — its disk is not wiped beneath its open WAL and
+/// its run goes on — while the same restart right behind a kill wipes the
+/// disk exactly once, on the dead node, and the run still converges.
+#[test]
+fn a_restart_only_touches_the_disk_of_a_dead_node() {
+    let spec = spec();
+    let victim = (DomainId(0), ControllerId(2));
+    let wipes = Arc::new(AtomicUsize::new(0));
+    let mut dep = planned(&spec);
+    dep.provision_storage(|d, c| {
+        if (d, c) != victim {
+            return substrate::storage::mem_disk();
+        }
+        substrate::storage::disk_handle(Box::new(WipeWitness {
+            disk: Default::default(),
+            wipes: Arc::clone(&wipes),
+        }))
+    });
+    let node = dep.shared.dir.controller(victim.0, victim.1);
+    let mut threaded = ThreadedDeployment::launch(dep);
+    let flows = spec.workload(&spec.topology());
+    let (first, second) = flows.split_at(flows.len() / 2);
+
+    threaded.inject_flows(first);
+    threaded.restart(node, true);
+    let report = threaded.run_to_convergence(SimDuration::from_secs(20));
+    assert!(report.completed, "a stray restart must not disturb the run: {report}");
+    assert_eq!(wipes.load(Ordering::SeqCst), 0, "disk wiped under a live controller");
+
+    threaded.kill(node);
+    threaded.restart(node, true);
+    threaded.inject_flows(second);
+    let report = threaded.run_to_convergence(SimDuration::from_secs(20));
+    let obs = threaded.shutdown();
+    assert!(report.completed, "kill-then-restart must converge: {report}");
+    assert_eq!(wipes.load(Ordering::SeqCst), 1, "the dead node wipes its lost disk once");
+    assert_eq!(recoveries(&obs), 1, "only the killed life recovers");
+    assert_eq!(audit_hazards(&obs, &spec), 0);
 }

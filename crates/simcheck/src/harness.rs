@@ -11,7 +11,7 @@ use controller::scheduler::UpdateScheduler;
 use netmodel::routing::{route, Route};
 use netmodel::topology::{Location, SwitchRole, Topology};
 use simnet::sim::ENVIRONMENT;
-use southbound::types::{ControllerId, DomainId, FlowId, FlowMatch, HostId, SwitchId};
+use southbound::types::{FlowId, FlowMatch, HostId, SwitchId};
 use substrate::rng::{SeedableRng, StdRng};
 use workload::gen::generate;
 use workload::spec::hadoop;
@@ -55,36 +55,21 @@ pub fn build_engine_cfg(cfg: EngineConfig, topo: &Topology, standby: u32) -> Eng
     Engine::build(cfg, topo.clone(), dm, standby)
 }
 
-/// Installs a fresh scheduler from `make` on every initial member of every
-/// domain.
-pub fn set_schedulers(engine: &mut Engine, make: impl Fn() -> Box<dyn UpdateScheduler>) {
-    let members: Vec<(DomainId, ControllerId)> = engine
-        .shared()
-        .dir
-        .initial_members
-        .iter()
-        .flat_map(|(&d, cs)| cs.iter().map(move |&c| (d, c)))
-        .collect();
-    for (d, c) in members {
-        engine.with_controller(d, c, |ctrl| ctrl.set_scheduler(make()));
-    }
+/// Installs a fresh scheduler from `make` on every controller, in every
+/// life (a controller restarted later gets one too).
+pub fn set_schedulers(
+    engine: &mut Engine,
+    make: impl Fn() -> Box<dyn UpdateScheduler> + Send + Sync + 'static,
+) {
+    engine.customize_controllers(move |ctrl| ctrl.set_scheduler(make()));
 }
 
-/// Installs a firewall deny for `m` on every initial member of every
-/// domain (the policy is replicated state, so all controllers must agree).
+/// Installs a firewall deny for `m` on every controller, in every life
+/// (the policy is replicated state, so all controllers must agree).
 pub fn deny_pair(engine: &mut Engine, m: FlowMatch) {
-    let members: Vec<(DomainId, ControllerId)> = engine
-        .shared()
-        .dir
-        .initial_members
-        .iter()
-        .flat_map(|(&d, cs)| cs.iter().map(move |&c| (d, c)))
-        .collect();
-    for (d, c) in members {
-        engine.with_controller(d, c, |ctrl| {
-            ctrl.app_mut().firewall.deny(m);
-        });
-    }
+    engine.customize_controllers(move |ctrl| {
+        ctrl.app_mut().firewall.deny(m);
+    });
 }
 
 /// Injects one flow at `start` as a raw `FlowArrival` at its ingress

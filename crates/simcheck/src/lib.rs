@@ -122,25 +122,19 @@ fn run_inner(s: &Scenario, handshake: bool) -> (RunOutcome, Vec<Observation<Obs>
     cfg.cross_domain_handshake = handshake;
     let mut engine = Engine::build(cfg, topo.clone(), dm, 0);
 
-    harness::set_schedulers(&mut engine, || s.scheduler.make());
-    for m in s.denied_matches(&topo) {
-        harness::deny_pair(&mut engine, m);
-    }
-    // A controller rebuilt after a crash-recover fault must carry the same
-    // post-build customizations as its first life, or its WAL replay
-    // re-derives different schedules than its peers committed to.
+    // Every life of every controller carries the scenario's scheduler
+    // and firewall: a controller restarted by a crash-recover fault
+    // re-derives the same schedules its peers committed to.
     let sched = s.scheduler;
     let denies = s.denied_matches(&topo);
-    engine.set_rebuild_hook(move |ctrl| {
+    engine.customize_controllers(move |ctrl| {
         ctrl.set_scheduler(sched.make());
         for &m in &denies {
             ctrl.app_mut().firewall.deny(m);
         }
     });
 
-    let plan = build_fault_plan(&engine, s, &topo);
-    engine.set_faults(plan);
-    schedule_restarts(&mut engine, s, &topo);
+    install_faults(&mut engine, s, &topo);
     inject_byzantine(&mut engine, s, &topo);
 
     let flows = s.flow_specs(&topo);
@@ -179,8 +173,12 @@ pub(crate) fn at_ms(ms: u64) -> SimTime {
 }
 
 /// Resolves the scenario's abstract faults against the engine's node
-/// directory into a concrete [`simnet::fault::FaultPlan`].
-fn build_fault_plan(engine: &Engine, s: &Scenario, topo: &Topology) -> simnet::fault::FaultPlan {
+/// directory — each victim once — and installs them: drops, duplicates,
+/// partitions and crashes as a [`simnet::fault::FaultPlan`], and the
+/// restart half of every crash-recover fault `after_ms` after its crash
+/// (the revived node replays its WAL — or, with `disk_lost`, state-syncs a
+/// snapshot from a peer — before rejoining).
+fn install_faults(engine: &mut Engine, s: &Scenario, topo: &Topology) {
     let mut plan = simnet::fault::FaultPlan::none();
     let domains = s.domain_ids(engine);
     let n = s.controllers_per_domain;
@@ -198,30 +196,22 @@ fn build_fault_plan(engine: &Engine, s: &Scenario, topo: &Topology) -> simnet::f
                 controller,
                 at_ms: at,
             } => {
-                if n < 2 {
-                    continue;
+                if let Some((d, c)) = s.crash_victim(&domains, domain, controller) {
+                    plan = plan.with_crash(at_ms(at), engine.controller_node(d, c));
                 }
-                let d = domains[domain as usize % domains.len()];
-                // Never index 1: it may be the bootstrap consensus leader
-                // or the aggregator; crashing it is a liveness question
-                // the generator keeps out of the benign envelope.
-                let c = ControllerId(2 + controller % (n - 1));
-                plan = plan.with_crash(at_ms(at), engine.controller_node(d, c));
             }
             Fault::CrashRecoverController {
                 domain,
                 controller,
                 at_ms: at,
-                ..
+                after_ms,
+                disk_lost,
             } => {
-                // Same victim mapping as a permanent crash; the restart
-                // half is scheduled by `schedule_restarts` below.
-                if n < 2 {
-                    continue;
+                if let Some((d, c)) = s.crash_victim(&domains, domain, controller) {
+                    let node = engine.controller_node(d, c);
+                    plan = plan.with_crash(at_ms(at), node);
+                    engine.schedule_restart(at_ms(at + after_ms), node, disk_lost);
                 }
-                let d = domains[domain as usize % domains.len()];
-                let c = ControllerId(2 + controller % (n - 1));
-                plan = plan.with_crash(at_ms(at), engine.controller_node(d, c));
             }
             Fault::SeverControllers {
                 domain,
@@ -268,20 +258,23 @@ fn build_fault_plan(engine: &Engine, s: &Scenario, topo: &Topology) -> simnet::f
             Fault::CrashRecoverSwitch {
                 switch,
                 at_ms: at,
-                ..
+                after_ms,
             } => {
-                // Same victim mapping as the restart half scheduled by
-                // `schedule_restarts`; skipped when every switch is some
-                // flow's ingress ToR.
+                // Skipped when every switch is some flow's ingress ToR. The
+                // disk always survives: a switch that loses it is a
+                // replacement machine, which the scenario models as a
+                // fresh switch instead.
                 if let Some(v) = switch_restart_victim(s, topo, switch) {
-                    plan = plan.with_crash(at_ms(at), engine.switch_node(v));
+                    let node = engine.switch_node(v);
+                    plan = plan.with_crash(at_ms(at), node);
+                    engine.schedule_restart(at_ms(at + after_ms), node, false);
                 }
             }
             // Handled by inject_byzantine.
             Fault::RogueShares { .. } | Fault::RogueReady { .. } => {}
         }
     }
-    plan
+    engine.set_faults(plan);
 }
 
 /// Resolves a [`Fault::CrashRecoverSwitch`] victim: the abstract index
@@ -311,44 +304,6 @@ fn switch_restart_victim(
         return None;
     }
     Some(candidates[idx as usize % candidates.len()])
-}
-
-/// Schedules the restart half of every crash-recover fault. The crash
-/// itself rides in the fault plan ([`build_fault_plan`], identical victim
-/// mapping); `after_ms` later the engine revives the controller, which
-/// replays its WAL — or, with `disk_lost`, state-syncs a snapshot from a
-/// peer — before rejoining.
-fn schedule_restarts(engine: &mut Engine, s: &Scenario, topo: &Topology) {
-    let domains = s.domain_ids(engine);
-    let n = s.controllers_per_domain;
-    for f in &s.faults {
-        match *f {
-            Fault::CrashRecoverController {
-                domain,
-                controller,
-                at_ms: at,
-                after_ms,
-                disk_lost,
-            } => {
-                if n < 2 {
-                    continue;
-                }
-                let d = domains[domain as usize % domains.len()];
-                let c = ControllerId(2 + controller % (n - 1));
-                engine.schedule_restart(at_ms(at + after_ms), d, c, disk_lost);
-            }
-            Fault::CrashRecoverSwitch {
-                switch,
-                at_ms: at,
-                after_ms,
-            } => {
-                if let Some(v) = switch_restart_victim(s, topo, switch) {
-                    engine.schedule_switch_restart(at_ms(at + after_ms), v);
-                }
-            }
-            _ => {}
-        }
-    }
 }
 
 /// Injects the Byzantine faults.
@@ -460,6 +415,25 @@ fn inject_byzantine(engine: &mut Engine, s: &Scenario, topo: &Topology) {
 // Re-exported for the scenario module (domain resolution shares the
 // engine's authoritative domain list).
 impl Scenario {
+    /// Resolves the victim of a controller crash fault — permanent or
+    /// crash-recover — from its abstract indices, given the scenario's
+    /// domains in build order. Never index 1: it may be the bootstrap
+    /// consensus leader or the aggregator; crashing it is a liveness
+    /// question the generator keeps out of the benign envelope. `None`
+    /// when the domain has no other controller.
+    pub(crate) fn crash_victim(
+        &self,
+        domains: &[southbound::types::DomainId],
+        domain: u16,
+        controller: u32,
+    ) -> Option<(southbound::types::DomainId, ControllerId)> {
+        let n = self.controllers_per_domain;
+        (n >= 2).then(|| {
+            let d = domains[domain as usize % domains.len()];
+            (d, ControllerId(2 + controller % (n - 1)))
+        })
+    }
+
     /// The engine's domain ids, in build order.
     pub fn domain_ids(&self, engine: &Engine) -> Vec<southbound::types::DomainId> {
         engine.shared().policy.domains().domains()

@@ -668,10 +668,9 @@ fn agreement(s: &Scenario, topo: &Topology, obs: &[Observation<Obs>], out: &mut 
 }
 
 /// The `(domain, controller)` victims of this scenario's disk-lost
-/// crash-recover faults (same victim mapping as `build_fault_plan`).
+/// crash-recover faults.
 fn amnesiac(s: &Scenario, topo: &Topology) -> std::collections::BTreeSet<(DomainId, u32)> {
     let domains = s.domain_map(topo).domains();
-    let n = s.controllers_per_domain;
     s.faults
         .iter()
         .filter_map(|f| match *f {
@@ -680,10 +679,7 @@ fn amnesiac(s: &Scenario, topo: &Topology) -> std::collections::BTreeSet<(Domain
                 controller,
                 disk_lost: true,
                 ..
-            } if n >= 2 => Some((
-                domains[domain as usize % domains.len()],
-                2 + controller % (n - 1),
-            )),
+            } => s.crash_victim(&domains, domain, controller).map(|(d, c)| (d, c.0)),
             _ => None,
         })
         .collect()

@@ -153,10 +153,11 @@ echo "== crash-recovery smoke (cicero-node, WAL on real files) =="
 # clean.
 cargo run -q --release --offline -p cicero-node -- examples/node_recovery.json
 
-echo "== lines of code (scripts/loc.sh; printed, not gated) =="
+echo "== lines of code (scripts/loc.sh; sizes printed, staleness gated) =="
 # src vs. test lines per crate, each src count with its delta against the
 # committed LOC.md, so a PR's effect and the trend are visible in review.
-# Refresh the committed copy with --write.
+# The sizes are not a gate; a committed LOC.md that differs from a fresh
+# table is (refresh it with --write).
 "$(dirname "$0")/loc.sh" | sed -n '/^| crate/,/^| \*\*total/p' | awk -F'|' '
     function cell(s) { gsub(/[ *]/, "", s); return s }
     NR == FNR { if (NF == 6) old[cell($2)] = cell($3); next }
@@ -165,5 +166,6 @@ echo "== lines of code (scripts/loc.sh; printed, not gated) =="
         print $0 ((v ~ /^[0-9]+$/ && k in old) ? sprintf("  (src %+d vs LOC.md)", v - old[k]) : "")
     }
 ' LOC.md -
+"$(dirname "$0")/loc.sh" --check
 
 echo "verify.sh: all checks passed"

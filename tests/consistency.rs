@@ -23,7 +23,7 @@ fn run_with_scheduler(sched: Sched) -> Vec<cicero_core::audit::Hazard> {
         CryptoMode::Modeled,
         &topo,
     );
-    harness::set_schedulers(&mut engine, || match sched {
+    harness::set_schedulers(&mut engine, move || match sched {
         Sched::Unordered => Box::new(UnorderedScheduler),
         Sched::ReversePath => Box::new(ReversePathScheduler),
         Sched::DependencyGraph => {
