@@ -57,7 +57,19 @@ impl Mode {
     /// switch traffic (events, acks, NACKs) is signature-checked: Cicero
     /// and Segway. The unauthenticated baselines return `false`.
     pub fn is_signed(&self) -> bool {
-        matches!(self, Mode::Cicero { .. } | Mode::Segway)
+        self.aggregation().is_some()
+    }
+
+    /// Who turns a signed mode's update shares into one group-key check —
+    /// and with that the one form in which an update reaches a switch:
+    /// unauthenticated (`None`), as shares the switch aggregates itself, or
+    /// as the aggregator's quorum signature.
+    pub fn aggregation(&self) -> Option<Aggregation> {
+        match *self {
+            Mode::Centralized | Mode::CrashTolerant => None,
+            Mode::Cicero { aggregation } => Some(aggregation),
+            Mode::Segway => Some(Aggregation::Switch),
+        }
     }
 }
 

@@ -4,18 +4,17 @@
 
 use super::ControllerActor;
 use crate::collector::Quorum;
-use crate::msg::Net;
+use crate::msg::{Net, UpdateBody};
 use crate::obs::Obs;
 use crate::runtime::labels;
 use simnet::node::Host;
 use southbound::envelope::{QuorumSigned, ShareSigned};
-use southbound::types::NetworkUpdate;
 use std::collections::BTreeSet;
 
 /// A relayed quorum signature, kept so a share retransmission after the
 /// relay can trigger a re-send (the switch evidently lost it).
 pub(super) struct Relayed {
-    out: QuorumSigned<NetworkUpdate>,
+    out: QuorumSigned<UpdateBody>,
     /// Signers whose share has been seen: a second share from one of them
     /// is a retransmission, a first share from anyone else is the tail of
     /// the original broadcast.
@@ -26,7 +25,7 @@ impl ControllerActor {
     pub(super) fn on_update_to_aggregator(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
-        msg: ShareSigned<NetworkUpdate>,
+        msg: ShareSigned<UpdateBody>,
     ) {
         if !self.is_lowest() || !self.active {
             return;
@@ -35,14 +34,14 @@ impl ControllerActor {
         if msg.phase != self.view.phase() {
             return;
         }
-        let update = msg.payload;
+        let update = msg.payload.update;
         let key = (update.id, msg.phase);
         let switch = self.shared.dir.switch(update.switch);
         let delay = self.shared.cfg.costs.aggregator_delay;
         if let Some(r) = self
             .relayed
             .get_mut(&key)
-            .filter(|r| r.out.payload == update)
+            .filter(|r| r.out.payload == msg.payload)
         {
             // Already relayed: a *retransmitted* share means the sending
             // controller has not seen an ack, so the switch probably lost

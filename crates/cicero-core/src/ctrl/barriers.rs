@@ -14,11 +14,11 @@ use crate::msg::{Net, ReleaseBody, SegmentBody, WalRecord};
 use crate::obs::Obs;
 use crate::runtime::labels;
 use controller::pending::Retry;
-use controller::scheduler::{domain_segments, ScheduledUpdate};
+use controller::scheduler::{Projected, ScheduledUpdate};
 use simnet::node::{Host, NodeId};
 use simnet::time::{SimDuration, SimTime};
 use southbound::envelope::{ShareSigned, Signed};
-use southbound::types::{ControllerId, DomainId, Event, EventId, NetworkUpdate, UpdateId};
+use southbound::types::{ControllerId, DomainId, Event, EventId, UpdateId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Synthetic dependency ids standing for "a foreign domain's path segment
@@ -99,69 +99,37 @@ pub(super) struct SegReport {
 }
 
 impl ControllerActor {
-    /// Projects the full-event schedule onto this domain. Dependencies on
-    /// foreign updates are rewritten to per-segment barrier ids (acked when
-    /// a quorum of the owning domain reports the segment applied), and
-    /// watches are registered for own segments that foreign updates depend
-    /// on so this controller reports them upstream once they drain.
-    pub(super) fn cross_domain_schedule(
+    /// Every mode but Segway: the controllers enforce the projected
+    /// dependencies themselves. Own prerequisites are held in the
+    /// pending-update tracker; foreign ones become per-segment barrier ids
+    /// (acked when a quorum of the owning domain reports the segment
+    /// applied), and watches are registered for own segments that foreign
+    /// updates wait on, so this controller reports them upstream once they
+    /// drain.
+    pub(super) fn hold_at_controller(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
         event: &Event,
-        all: &[NetworkUpdate],
+        projected: Vec<Projected>,
     ) -> Vec<ScheduledUpdate> {
-        let full = self.scheduler.schedule(all);
-        let segs = domain_segments(all, |s| {
-            self.shared.dir.domain_of_switch.get(&s).copied()
-        });
-        let mut seg_of: BTreeMap<UpdateId, u32> = BTreeMap::new();
-        for seg in &segs {
-            for &id in &seg.updates {
-                seg_of.insert(id, seg.index);
-            }
-        }
-        let own_ids: BTreeSet<UpdateId> = all
-            .iter()
-            .filter(|u| {
-                self.shared.dir.domain_of_switch.get(&u.switch) == Some(&self.domain)
-            })
-            .map(|u| u.id)
-            .collect();
         // Foreign segments our updates depend on → barriers to hold, and
         // own segments foreign updates depend on → watches to report.
         let mut barrier_deps: BTreeMap<u32, DomainId> = BTreeMap::new();
         let mut watched: BTreeMap<u32, BTreeSet<DomainId>> = BTreeMap::new();
-        let mut projected = Vec::new();
-        for s in &full {
-            let sd = self
-                .shared
-                .dir
-                .domain_of_switch
-                .get(&s.update.switch)
-                .copied();
-            if sd == Some(self.domain) {
-                let mut deps = BTreeSet::new();
-                for d in &s.deps {
-                    if own_ids.contains(d) {
-                        deps.insert(*d);
-                    } else if let Some(&k) = seg_of.get(d) {
-                        deps.insert(barrier_id(event.id, k));
-                        barrier_deps.insert(k, segs[k as usize].domain);
-                    }
-                }
-                projected.push(ScheduledUpdate {
-                    update: s.update,
-                    deps,
-                });
-            } else if let Some(upstream) = sd {
-                for d in &s.deps {
-                    if let Some(&k) = seg_of.get(d) {
-                        if segs[k as usize].domain == self.domain {
-                            watched.entry(k).or_default().insert(upstream);
-                        }
-                    }
-                }
+        let mut schedule = Vec::new();
+        for p in &projected {
+            let mut deps: BTreeSet<UpdateId> = p.local.iter().map(|&(u, _)| u).collect();
+            for f in &p.foreign {
+                deps.insert(barrier_id(event.id, f.segment));
+                barrier_deps.insert(f.segment, f.domain);
             }
+            if !p.upstream.is_empty() {
+                watched.entry(p.segment).or_default().extend(&p.upstream);
+            }
+            schedule.push(ScheduledUpdate {
+                update: p.update,
+                deps,
+            });
         }
         let now = ctx.now();
         for (k, downstream) in barrier_deps {
@@ -183,11 +151,10 @@ impl ControllerActor {
             self.check_barrier_release(ctx, (event.id, k), SimDuration::ZERO);
         }
         for (k, ups) in watched {
-            let remaining: BTreeSet<UpdateId> = segs[k as usize]
-                .updates
+            let remaining: BTreeSet<UpdateId> = projected
                 .iter()
-                .copied()
-                .filter(|&id| !self.pending.is_acked(id))
+                .filter(|p| p.segment == k && !self.pending.is_acked(p.update.id))
+                .map(|p| p.update.id)
                 .collect();
             let drained = remaining.is_empty();
             self.seg_watch.insert(
@@ -202,7 +169,7 @@ impl ControllerActor {
             }
         }
         self.arm_retry(ctx);
-        projected
+        schedule
     }
 
     /// Sends `msg` to controller `c` of another domain, if the directory

@@ -5,17 +5,16 @@
 use super::ControllerActor;
 use crate::auth::Peer;
 use crate::config::{Aggregation, Mode};
-use crate::msg::{Net, SegwayBody};
+use crate::msg::{Net, UpdateBody};
 use crate::obs::Obs;
 use crate::runtime::labels;
 use controller::app::NetworkApp;
-use controller::scheduler::ScheduledUpdate;
+use controller::scheduler::{project, Projected, ScheduledUpdate};
 use simnet::node::Host;
 use simnet::time::SimDuration;
-use southbound::codec::Wire;
-use southbound::envelope::{ShareSigned, Signed};
-use southbound::types::{ControllerId, Event, EventKind, NetworkUpdate, SwitchId, UpdateId};
-use std::collections::{BTreeMap, BTreeSet};
+use southbound::envelope::Signed;
+use southbound::types::{ControllerId, Event, EventKind, NetworkUpdate, SwitchId};
+use std::collections::BTreeSet;
 
 impl ControllerActor {
     pub(super) fn process_event(&mut self, ctx: &mut dyn Host<Net, Obs>, event: Event) {
@@ -63,32 +62,35 @@ impl ControllerActor {
         }
         // Compute, schedule and release this domain's updates. The schedule
         // is computed over the *full* update list so dependencies that cross
-        // domain boundaries survive the projection onto this domain; foreign
-        // dependencies become barrier ids released by the cross-domain
-        // handshake (DESIGN.md §3).
+        // domain boundaries survive the projection onto this domain.
         let all = self.app.handle_event(&event, &self.shared.topo);
+        let domain_of = |s: SwitchId| self.shared.dir.domain_of_switch.get(&s).copied();
         let own: Vec<NetworkUpdate> = all
             .iter()
-            .filter(|u| {
-                self.shared.dir.domain_of_switch.get(&u.switch) == Some(&self.domain)
-            })
+            .filter(|u| domain_of(u.switch) == Some(self.domain))
             .copied()
             .collect();
         if own.is_empty() {
             return;
         }
         ctx.charge_cpu(self.shared.cfg.costs.event_process);
+        // The handshake-off control schedules the own updates alone: it
+        // knows no foreign edge to order by, and (unlike a projection with
+        // its foreign edges dropped) chains two own segments of one path.
+        let handshake = self.shared.cfg.cross_domain_handshake;
+        let listed = if handshake { &all } else { &own };
+        let projected = project(&self.scheduler.schedule(listed), domain_of, self.domain);
+        // The mode only chooses who enforces the projected dependencies.
         let schedule = if self.shared.cfg.mode == Mode::Segway {
-            // Segway: one controller round. Dependencies (own and foreign
-            // alike) are compiled into gate/notify metadata and enforced on
-            // the data plane by signed switch-to-switch readies, so every
-            // update is released immediately — no held releases, no
-            // cross-domain handshake.
-            self.segway_schedule(&event, &all)
-        } else if !self.shared.cfg.cross_domain_handshake || own.len() == all.len() {
-            self.scheduler.schedule(&own)
+            if own.len() != all.len() {
+                // Retained so a stuck own update can re-drive the forward
+                // (`reforward_segway`) — Segway has no handshake sweep to
+                // recover a dropped `ForwardedEvent`.
+                self.segway_events.insert(event.id, (event, 0));
+            }
+            self.ship_to_switches(projected)
         } else {
-            self.cross_domain_schedule(ctx, &event, &all)
+            self.hold_at_controller(ctx, &event, projected)
         };
         let ready = self.pending.admit(schedule, ctx.now());
         // The event's signature check is latency, not serialized CPU, on the
@@ -100,51 +102,22 @@ impl ControllerActor {
         self.arm_retry(ctx);
     }
 
-    /// Segway scheduling: runs the scheduler over the *full* update list,
-    /// then projects onto this domain, recording for each own update its
-    /// gates (the updates it waits for, with the switch that will announce
-    /// each) and its notify set (the switches whose updates it gates). The
-    /// returned schedule carries *no* dependencies: ordering moved to the
-    /// data plane, so the controller pushes everything in one round.
-    fn segway_schedule(
-        &mut self,
-        event: &Event,
-        all: &[NetworkUpdate],
-    ) -> Vec<ScheduledUpdate> {
-        let full = self.scheduler.schedule(all);
-        let switch_of: BTreeMap<UpdateId, SwitchId> =
-            all.iter().map(|u| (u.id, u.switch)).collect();
-        let cross_domain = all.iter().any(|u| {
-            self.shared.dir.domain_of_switch.get(&u.switch) != Some(&self.domain)
-        });
-        if cross_domain {
-            // Retained so a stuck own update can re-drive the forward
-            // (`reforward_segway`) — Segway has no handshake sweep to
-            // recover a dropped `ForwardedEvent`.
-            self.segway_events.insert(event.id, (*event, 0));
-        }
+    /// Segway: one controller round. Every dependency, own and foreign
+    /// alike, is shipped in the update's body — `gates` (what it waits for,
+    /// with the switch that will announce each) and `notify` (the switches
+    /// waiting on it) — and enforced on the data plane by signed
+    /// switch-to-switch readies. The returned schedule carries *no*
+    /// dependencies, so everything is released at once: no held releases,
+    /// no cross-domain handshake.
+    fn ship_to_switches(&mut self, projected: Vec<Projected>) -> Vec<ScheduledUpdate> {
         let mut out = Vec::new();
-        for su in &full {
-            if self.shared.dir.domain_of_switch.get(&su.update.switch)
-                != Some(&self.domain)
-            {
-                continue;
-            }
-            let gates: Vec<(UpdateId, SwitchId)> = su
-                .deps
-                .iter()
-                .filter_map(|d| switch_of.get(d).map(|&s| (*d, s)))
-                .collect();
-            let mut notify: Vec<SwitchId> = full
-                .iter()
-                .filter(|v| v.deps.contains(&su.update.id))
-                .map(|v| v.update.switch)
-                .collect();
-            notify.sort();
-            notify.dedup();
-            self.segway_meta.insert(su.update.id, (gates, notify));
+        for p in projected {
+            let mut gates = p.local;
+            gates.extend(p.foreign.iter().map(|f| (f.update, f.switch)));
+            gates.sort();
+            self.shipped.insert(p.update.id, (gates, p.notify));
             out.push(ScheduledUpdate {
-                update: su.update,
+                update: p.update,
                 deps: BTreeSet::new(),
             });
         }
@@ -221,23 +194,10 @@ impl ControllerActor {
         self.send_forward(ctx, &event);
     }
 
-    /// Share-signs one outgoing update form. A third of the signing time is
-    /// serialized CPU; all of it is latency on the send, returned added to
-    /// `extra`.
-    fn sign_update<T: Wire>(
-        &mut self,
-        ctx: &mut dyn Host<Net, Obs>,
-        label: &str,
-        payload: T,
-        extra: SimDuration,
-    ) -> (ShareSigned<T>, SimDuration) {
-        let sign = self.shared.cfg.costs.update_sign;
-        let cpu = SimDuration::from_nanos(sign.as_nanos() / 3);
-        let phase = self.view.phase();
-        let msg = self.auth.sign_share(ctx, label, payload, phase, cpu);
-        (msg, extra + sign)
-    }
-
+    /// Sends `update` to its switch: one body — the update plus whatever
+    /// dependencies were shipped with it — in the envelope the mode uses.
+    /// A third of the share-signing time is serialized CPU; all of it is
+    /// latency on the send, on top of `extra`.
     pub(super) fn send_update_delayed(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
@@ -245,46 +205,25 @@ impl ControllerActor {
         extra: SimDuration,
     ) {
         let switch_node = self.shared.dir.switch(update.switch);
-        match self.shared.cfg.mode {
-            Mode::Centralized | Mode::CrashTolerant => {
-                ctx.send_delayed(
-                    switch_node,
-                    Net::UpdatePlain {
-                        update,
-                        from: self.id,
-                    },
-                    extra,
-                );
-            }
-            Mode::Cicero { aggregation } => {
-                let (msg, extra) = self.sign_update(ctx, labels::UPDATE, update, extra);
-                match aggregation {
-                    Aggregation::Switch => {
-                        ctx.send_delayed(switch_node, Net::UpdateMsg(msg), extra)
-                    }
-                    Aggregation::Controller => {
-                        let agg = self.view.aggregator();
-                        ctx.send_delayed(
-                            self.node_of(agg),
-                            Net::UpdateToAggregator(msg),
-                            extra,
-                        );
-                    }
-                }
-            }
-            Mode::Segway => {
-                let (gates, notify) = self
-                    .segway_meta
-                    .get(&update.id)
-                    .cloned()
-                    .unwrap_or_default();
-                let body = SegwayBody {
-                    update,
-                    gates,
-                    notify,
-                };
-                let (msg, extra) = self.sign_update(ctx, labels::SEGWAY, body, extra);
-                ctx.send_delayed(switch_node, Net::SegwayUpdate(msg), extra);
+        let (gates, notify) = self.shipped.get(&update.id).cloned().unwrap_or_default();
+        let body = UpdateBody {
+            update,
+            gates,
+            notify,
+        };
+        let Some(aggregation) = self.shared.cfg.mode.aggregation() else {
+            ctx.send_delayed(switch_node, Net::UpdatePlain(body), extra);
+            return;
+        };
+        let sign = self.shared.cfg.costs.update_sign;
+        let cpu = SimDuration::from_nanos(sign.as_nanos() / 3);
+        let phase = self.view.phase();
+        let msg = self.auth.sign_share(ctx, labels::UPDATE, body, phase, cpu);
+        match aggregation {
+            Aggregation::Switch => ctx.send_delayed(switch_node, Net::UpdateMsg(msg), extra + sign),
+            Aggregation::Controller => {
+                let agg = self.node_of(self.view.aggregator());
+                ctx.send_delayed(agg, Net::UpdateToAggregator(msg), extra + sign);
             }
         }
     }

@@ -28,7 +28,7 @@ mod membership;
 use crate::auth::{Authenticator, Peer};
 use crate::collector::QuorumCollector;
 use crate::config::Mode;
-use crate::msg::{Net, OrderedOp, SegmentBody, WalRecord};
+use crate::msg::{Net, OrderedOp, SegmentBody, UpdateBody, WalRecord};
 use crate::obs::Obs;
 use crate::runtime::{labels, Shared};
 use barriers::{BarrierState, SegReport, SegWatch};
@@ -46,7 +46,7 @@ use membership::PendingReshare;
 use simnet::node::{Actor, Host, NodeId, TimerToken};
 use simnet::time::SimDuration;
 use southbound::types::{
-    ControllerId, DomainId, Event, EventId, NetworkUpdate, Phase, SwitchId, UpdateId,
+    ControllerId, DomainId, Event, EventId, Phase, SwitchId, UpdateId,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use substrate::storage::{DiskHandle, Wal};
@@ -80,7 +80,7 @@ pub struct ControllerActor {
     pending_reshare: Option<PendingReshare>,
     reshare_buf: BTreeMap<Phase, Vec<ReshareDealing>>,
     /// Aggregator role: update shares below quorum.
-    agg_shares: QuorumCollector<UpdateId, NetworkUpdate>,
+    agg_shares: QuorumCollector<UpdateId, UpdateBody>,
     /// Aggregator role: relayed quorum signatures, kept for re-relay.
     relayed: BTreeMap<(UpdateId, Phase), Relayed>,
     phase_partials: BTreeMap<Phase, BTreeMap<u32, PartialSignature>>,
@@ -99,10 +99,11 @@ pub struct ControllerActor {
     /// Drained own segments' reports, retransmitted until every upstream
     /// controller receipted.
     seg_reports: RetryTable<(EventId, u32), SegReport>,
-    /// Segway mode: per-update gate/notify metadata derived once from the
-    /// full schedule at `process_event` time, consumed (and re-consumed on
-    /// retransmission and NACK resync) by `send_update_delayed`.
-    segway_meta: BTreeMap<UpdateId, (Vec<(UpdateId, SwitchId)>, Vec<SwitchId>)>,
+    /// Dependencies shipped to the switches rather than held here (Segway):
+    /// per-update gate/notify metadata projected once at `process_event`
+    /// time, consumed (and re-consumed on retransmission and NACK resync)
+    /// by `send_update_delayed`.
+    shipped: BTreeMap<UpdateId, (Vec<(UpdateId, SwitchId)>, Vec<SwitchId>)>,
     /// Segway mode: cross-domain events retained for re-forwarding, with a
     /// re-forward attempt counter. Segway has no handshake sweep to re-drive
     /// a dropped `ForwardedEvent`, so a stuck own update doubles as the
@@ -194,7 +195,7 @@ impl ControllerActor {
             barriers: BTreeMap::new(),
             seg_shares: BTreeMap::new(),
             seg_watch: BTreeMap::new(),
-            segway_meta: BTreeMap::new(),
+            shipped: BTreeMap::new(),
             segway_events: BTreeMap::new(),
             retry_armed: false,
             disk: None,

@@ -127,14 +127,16 @@ impl Wire for ReleaseBody {
     }
 }
 
-/// A Segway update: the network update plus the dependency metadata the
-/// scheduler computed for it, threshold-signed *as one body* so a switch
-/// cannot be lied to about what must precede it or whom to release next.
-/// `gates` are the updates that must be applied (and announced by their
-/// switch) before this one may go in; `notify` are the switches waiting on
-/// *this* update, to be released with a signed [`ReadyBody`].
+/// What a switch is asked to apply, in every mode: the network update plus
+/// the dependency metadata the switch itself enforces. Signed modes
+/// threshold-sign it *as one body*, so a switch cannot be lied to about what
+/// must precede the update or whom to release next. `gates` are the updates
+/// that must be applied (and announced by their switch) before this one may
+/// go in; `notify` are the switches waiting on *this* update, to be released
+/// with a signed [`ReadyBody`]. Both are empty wherever the controllers hold
+/// the dependencies themselves (every mode but Segway).
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct SegwayBody {
+pub struct UpdateBody {
     /// The network update itself.
     pub update: NetworkUpdate,
     /// Prerequisites: `(update, the switch that applies it)`.
@@ -143,47 +145,17 @@ pub struct SegwayBody {
     pub notify: Vec<SwitchId>,
 }
 
-/// `update` with no gates and nobody to notify — what every arrival form
-/// outside Segway amounts to on the switch.
-impl From<NetworkUpdate> for SegwayBody {
-    fn from(update: NetworkUpdate) -> Self {
-        SegwayBody {
-            update,
-            gates: Vec::new(),
-            notify: Vec::new(),
-        }
-    }
-}
-
-impl Wire for SegwayBody {
+impl Wire for UpdateBody {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.update.encode(buf);
-        (self.gates.len() as u32).encode(buf);
-        for (u, s) in &self.gates {
-            u.encode(buf);
-            s.encode(buf);
-        }
-        (self.notify.len() as u32).encode(buf);
-        for s in &self.notify {
-            s.encode(buf);
-        }
+        self.gates.encode(buf);
+        self.notify.encode(buf);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        let update = NetworkUpdate::decode(buf)?;
-        let n = u32::decode(buf)?;
-        let mut gates = Vec::with_capacity(n.min(1024) as usize);
-        for _ in 0..n {
-            gates.push((UpdateId::decode(buf)?, SwitchId::decode(buf)?));
-        }
-        let n = u32::decode(buf)?;
-        let mut notify = Vec::with_capacity(n.min(1024) as usize);
-        for _ in 0..n {
-            notify.push(SwitchId::decode(buf)?);
-        }
-        Ok(SegwayBody {
-            update,
-            gates,
-            notify,
+        Ok(UpdateBody {
+            update: NetworkUpdate::decode(buf)?,
+            gates: Vec::decode(buf)?,
+            notify: Vec::decode(buf)?,
         })
     }
 }
@@ -556,22 +528,16 @@ pub enum Net {
         /// The PBFT message.
         msg: Box<BftMessage<OrderedOp>>,
     },
-    /// Controller → switch: a share-signed update (switch aggregation).
-    UpdateMsg(ShareSigned<NetworkUpdate>),
-    /// Controller → switch: an unauthenticated update (centralized /
+    /// Controller → switch: a share-signed update body (switch aggregation
+    /// and Segway — there the body carries gate/notify metadata, and the
+    /// switch gates application on signed neighbor readies instead of
+    /// controller order).
+    UpdateMsg(ShareSigned<UpdateBody>),
+    /// Controller → switch: an unauthenticated update body (centralized /
     /// crash-tolerant baselines).
-    UpdatePlain {
-        /// The update.
-        update: NetworkUpdate,
-        /// Sending controller.
-        from: ControllerId,
-    },
-    /// Controller → aggregator: a share-signed update to aggregate.
-    UpdateToAggregator(ShareSigned<NetworkUpdate>),
-    /// Controller → switch (Segway): a share-signed update *with* its
-    /// gate/notify metadata; the switch quorum-aggregates and then gates
-    /// application on signed neighbor readies instead of controller order.
-    SegwayUpdate(ShareSigned<SegwayBody>),
+    UpdatePlain(UpdateBody),
+    /// Controller → aggregator: a share-signed update body to aggregate.
+    UpdateToAggregator(ShareSigned<UpdateBody>),
     /// Switch → switch (Segway): a signed release — the sender applied the
     /// gating update named inside; retransmitted with backoff until
     /// receipted by a [`Net::SegwayReadyAck`].
@@ -579,8 +545,8 @@ pub enum Net {
     /// Switch → switch (Segway): receipt for a [`Net::SegwayReady`] (the
     /// echoed body, signed by the recipient); stops its retransmission.
     SegwayReadyAck(Signed<ReadyBody>),
-    /// Aggregator → switch: the quorum-aggregated update.
-    UpdateAggregated(QuorumSigned<NetworkUpdate>),
+    /// Aggregator → switch: the quorum-aggregated update body.
+    UpdateAggregated(QuorumSigned<UpdateBody>),
     /// Switch → controller(s): signed application acknowledgement.
     AckMsg(Signed<AckBody>),
     /// Switch → controller(s): signed negative acknowledgement — a share
@@ -758,10 +724,16 @@ mod tests {
         assert_eq!(AckBody::from_wire(&a.to_wire()).unwrap(), a);
     }
 
+    /// The body's encoding is what a quorum of controllers must share-sign
+    /// identically, whatever build each runs: pinned byte for byte.
     #[test]
-    fn segway_body_round_trip() {
-        use southbound::types::{FlowAction, FlowMatch, FlowRule, NetworkUpdate, NextHop, UpdateKind};
-        let b = SegwayBody {
+    fn update_body_golden_bytes_and_round_trip() {
+        use southbound::types::{FlowAction, FlowMatch, FlowRule, NextHop, UpdateKind};
+        fn hex(bytes: &[u8]) -> String {
+            bytes.iter().map(|b| format!("{b:02x}")).collect()
+        }
+        let gate = |seq, s| (UpdateId { event: EventId(9), seq }, SwitchId(s));
+        let b = UpdateBody {
             update: NetworkUpdate {
                 id: UpdateId {
                     event: EventId(9),
@@ -776,31 +748,35 @@ mod tests {
                     action: FlowAction::Forward(NextHop::Switch(SwitchId(4))),
                 }),
             },
-            gates: vec![
-                (
-                    UpdateId {
-                        event: EventId(9),
-                        seq: 3,
-                    },
-                    SwitchId(4),
-                ),
-                (
-                    UpdateId {
-                        event: EventId(9),
-                        seq: 4,
-                    },
-                    SwitchId(5),
-                ),
-            ],
+            gates: vec![gate(3, 4), gate(4, 5), gate(5, 6), gate(6, 7)],
             notify: vec![SwitchId(1), SwitchId(2)],
         };
-        assert_eq!(SegwayBody::from_wire(&b.to_wire()).unwrap(), b);
-        let empty = SegwayBody {
+        assert_eq!(
+            hex(&b.to_wire()),
+            "0000000000000009000000020000000300000000010000000500000000000400000004\
+             000000000000000900000003000000040000000000000009000000040000000500000000\
+             000000090000000500000006000000000000000900000006000000070000000200000001\
+             00000002"
+        );
+        assert_eq!(UpdateBody::from_wire(&b.to_wire()).unwrap(), b);
+        let empty = UpdateBody {
             gates: Vec::new(),
             notify: Vec::new(),
             ..b
         };
-        assert_eq!(SegwayBody::from_wire(&empty.to_wire()).unwrap(), empty);
+        assert_eq!(
+            hex(&empty.to_wire()),
+            "000000000000000900000002000000030000000001000000050000000000040000000000000000"
+        );
+        assert_eq!(UpdateBody::from_wire(&empty.to_wire()).unwrap(), empty);
+        // A length prefix longer than the input is refused before allocating.
+        let mut lying = empty.to_wire();
+        let at = lying.len() - 8;
+        lying[at..at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
+        assert_eq!(
+            UpdateBody::from_wire(&lying),
+            Err(DecodeError::BadLength(u64::from(u32::MAX)))
+        );
     }
 
     #[test]

@@ -26,7 +26,8 @@ pub mod labels {
     pub const EVENT: &str = "CICERO_EVENT_V1";
     /// Controller-forwarded cross-domain events.
     pub const FORWARD: &str = "CICERO_FORWARD_V1";
-    /// Network updates (threshold-signed).
+    /// Update bodies (threshold-signed: the update plus its gate/notify
+    /// metadata, empty outside Segway).
     pub const UPDATE: &str = "CICERO_UPDATE_V1";
     /// Switch acknowledgements.
     pub const ACK: &str = "CICERO_ACK_V1";
@@ -38,8 +39,6 @@ pub mod labels {
     pub const SEGMENT: &str = "CICERO_SEGMENT_V1";
     /// Cross-domain boundary-release receipts.
     pub const RELEASE: &str = "CICERO_RELEASE_V1";
-    /// Segway updates (threshold-signed update + gate/notify metadata).
-    pub const SEGWAY: &str = "CICERO_SEGWAY_UPDATE_V1";
     /// Segway switch-to-switch ready messages (switch identity keys).
     pub const READY: &str = "CICERO_SEGWAY_READY_V1";
     /// Segway ready receipts (stop the sender's retransmission).

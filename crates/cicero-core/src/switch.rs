@@ -10,7 +10,7 @@
 use crate::auth::{Authenticator, Peer};
 use crate::collector::{Quorum, QuorumCollector};
 use crate::config::{tx_time, Aggregation, Mode};
-use crate::msg::{AckBody, NackBody, Net, PhaseInfo, ReadyBody, SegwayBody, SwitchWalRecord};
+use crate::msg::{AckBody, NackBody, Net, PhaseInfo, ReadyBody, SwitchWalRecord, UpdateBody};
 use crate::obs::Obs;
 use crate::runtime::{labels, Shared};
 use blscrypto::bls::SecretKey;
@@ -68,11 +68,11 @@ struct ReadyOut {
 
 /// The switch actor.
 ///
-/// Every update, whatever form it arrives in, takes one path:
-/// *authenticate* (the arrival form's own check, through the
+/// Every update takes one path: *admit* (only the arrival form the run's
+/// mode uses) → *authenticate* (that form's own check, through the
 /// [`Authenticator`]) → *gate* → *apply* → *acknowledge* → *release*. The
-/// four forms differ only in the first stage; each hands on a verified
-/// [`SegwayBody`] — gates and notify list empty outside Segway — and the
+/// three forms differ only in the second stage; each hands on a verified
+/// [`UpdateBody`] — gates and notify list empty outside Segway — and the
 /// number of signers behind it.
 pub struct SwitchActor {
     shared: Arc<Shared>,
@@ -82,11 +82,10 @@ pub struct SwitchActor {
     table: FlowTable,
     waiting: BTreeMap<FlowMatch, Vec<WaitingFlow>>,
     outstanding: BTreeSet<FlowMatch>,
-    /// Update shares below quorum ([`QuorumCollector`] policy).
-    buckets: QuorumCollector<UpdateId, NetworkUpdate>,
-    /// Segway: share buckets over `SegwayBody` (update + gate/notify
-    /// metadata) — a quorum also vouches for the release order.
-    seg_buckets: QuorumCollector<UpdateId, SegwayBody>,
+    /// Update-body shares below quorum ([`QuorumCollector`] policy). The
+    /// body includes the gate/notify metadata, so a quorum also vouches for
+    /// the release order.
+    buckets: QuorumCollector<UpdateId, UpdateBody>,
     applied: BTreeSet<UpdateId>,
     /// Signer indices seen per applied update: shares from signers *not*
     /// in here are the tail of the original broadcast (quorum fired before
@@ -104,7 +103,7 @@ pub struct SwitchActor {
     retry_armed: bool,
     /// Verified bodies whose gates are not all open yet, with the signer
     /// count backing them.
-    parked: BTreeMap<UpdateId, (SegwayBody, u32)>,
+    parked: BTreeMap<UpdateId, (UpdateBody, u32)>,
     /// Verified readies received: gating update → switches that announced
     /// applying it (a ready may arrive before its gated body does).
     ready_in: BTreeMap<UpdateId, BTreeSet<SwitchId>>,
@@ -150,7 +149,6 @@ impl SwitchActor {
             waiting: BTreeMap::new(),
             outstanding: BTreeSet::new(),
             buckets: QuorumCollector::new(),
-            seg_buckets: QuorumCollector::new(),
             applied: BTreeSet::new(),
             applied_signers: BTreeMap::new(),
             phase_info,
@@ -325,7 +323,7 @@ impl SwitchActor {
         }
     }
 
-    // ----- authenticate: the four arrival forms ----------------------------
+    // ----- authenticate: the three arrival forms ---------------------------
 
     /// Front door of the forms that arrive already aggregated (or
     /// unauthenticated): a copy of an applied update means some controller
@@ -339,7 +337,7 @@ impl SwitchActor {
         true
     }
 
-    /// Front door of both share forms: re-acks a retransmitted share of an
+    /// Front door of the share form: re-acks a retransmitted share of an
     /// applied update, drops shares of another phase or of a body already
     /// parked on its gates, and starts the NACK clock. `true` when the
     /// share should be collected.
@@ -378,26 +376,31 @@ impl SwitchActor {
         true
     }
 
+    /// Reports an update refused at the front door or by its form's check.
+    fn reject(&self, ctx: &mut dyn Host<Net, Obs>, update: UpdateId) {
+        ctx.observe(Obs::UpdateRejected {
+            switch: self.id,
+            update,
+        });
+    }
+
     /// Switch-side aggregation (paper Fig. 6b): what collecting one more
     /// share of `id` came to — aggregate, verify, hand the body on.
-    fn on_quorum<T: Into<SegwayBody>>(
+    fn on_quorum(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
         id: UpdateId,
-        outcome: Quorum<T>,
+        outcome: Quorum<UpdateBody>,
     ) {
         ctx.charge_cpu(self.auth.quorum_cost(&outcome));
         match outcome {
             Quorum::Below => {}
-            Quorum::Rejected { .. } => ctx.observe(Obs::UpdateRejected {
-                switch: self.id,
-                update: id,
-            }),
+            Quorum::Rejected { .. } => self.reject(ctx, id),
             Quorum::Certified(cert) => {
                 let n_signers = cert.signers.len() as u32;
                 self.applied_signers
                     .insert(id, cert.signers.into_iter().collect());
-                self.deliver(ctx, cert.payload.into(), n_signers);
+                self.deliver(ctx, cert.payload, n_signers);
             }
         }
     }
@@ -414,7 +417,7 @@ impl SwitchActor {
     /// All of `body`'s gates are open: each prerequisite update was either
     /// applied locally or announced by its designated switch with a
     /// verified ready.
-    fn gates_open(&self, body: &SegwayBody) -> bool {
+    fn gates_open(&self, body: &UpdateBody) -> bool {
         if !self.gating_enabled() {
             return true;
         }
@@ -426,7 +429,7 @@ impl SwitchActor {
 
     /// Gate: a verified body goes in once its gates are open, and waits in
     /// `parked` until then. `signers` is the quorum evidence backing it.
-    fn deliver(&mut self, ctx: &mut dyn Host<Net, Obs>, body: SegwayBody, signers: u32) {
+    fn deliver(&mut self, ctx: &mut dyn Host<Net, Obs>, body: UpdateBody, signers: u32) {
         if self.gates_open(&body) {
             self.apply(ctx, body, signers);
             self.release_parked(ctx);
@@ -455,7 +458,7 @@ impl SwitchActor {
     /// Applies the update, acknowledges it, and releases the switches its
     /// `notify` list names. `signers` is reported in the observation stream
     /// for security auditing (see [`Obs::UpdateApplied`]).
-    fn apply(&mut self, ctx: &mut dyn Host<Net, Obs>, body: SegwayBody, signers: u32) {
+    fn apply(&mut self, ctx: &mut dyn Host<Net, Obs>, body: UpdateBody, signers: u32) {
         let update = body.update;
         if !self.applied.insert(update.id) {
             return;
@@ -575,7 +578,7 @@ impl SwitchActor {
         let body = msg.payload;
         // If a parked body names a different switch for this gate, the
         // sender is impersonating the designated releaser.
-        let names_other = |b: &SegwayBody| {
+        let names_other = |b: &UpdateBody| {
             let mut gates = b.gates.iter();
             gates.any(|&(u, s)| u == body.update && s != body.from)
         };
@@ -685,11 +688,7 @@ impl SwitchActor {
             };
             // The bucket may have reached quorum (applied) or been pruned by
             // a phase change in the meantime.
-            let phase = self.phase_info.phase;
-            let have = self
-                .buckets
-                .have(id, phase)
-                .max(self.seg_buckets.have(id, phase));
+            let have = self.buckets.have(id, self.phase_info.phase);
             if self.applied.contains(&id) || have == 0 {
                 self.nacks.remove(&id);
                 continue;
@@ -805,6 +804,22 @@ impl Actor<Net, Obs> for SwitchActor {
 
     fn on_message(&mut self, ctx: &mut dyn Host<Net, Obs>, _from: NodeId, msg: Net) {
         let quorum = self.phase_info.quorum as usize;
+        // An update is admitted only in the arrival form the run's mode
+        // uses. Each form's check is sound only where it is the mode's own
+        // — a plain update carries no proof at all — so any other form is
+        // somebody going around the quorum, whatever it claims to carry.
+        let form = match &msg {
+            Net::UpdatePlain(b) => Some((b.update.id, None)),
+            Net::UpdateMsg(m) => Some((m.payload.update.id, Some(Aggregation::Switch))),
+            Net::UpdateAggregated(m) => Some((m.payload.update.id, Some(Aggregation::Controller))),
+            _ => None,
+        };
+        if let Some((update, form)) = form {
+            if form != self.shared.cfg.mode.aggregation() {
+                ctx.charge_cpu(self.shared.cfg.costs.switch_msg);
+                return self.reject(ctx, update);
+            }
+        }
         match msg {
             Net::FlowArrival {
                 flow,
@@ -826,55 +841,36 @@ impl Actor<Net, Obs> for SwitchActor {
                 }
             }
             // Unauthenticated baseline: one controller's word.
-            Net::UpdatePlain { update, from: _ } => {
-                if !self.first_copy(ctx, update) {
-                    return;
+            Net::UpdatePlain(body) => {
+                if self.first_copy(ctx, body.update) {
+                    self.deliver(ctx, body, 1);
                 }
-                self.deliver(ctx, update.into(), 1);
             }
             // Controller aggregation (paper Fig. 7c): one verification of a
             // pre-aggregated signature. A verified aggregate only exists if
             // `quorum` valid partials were combined with the right Lagrange
             // weights.
             Net::UpdateAggregated(m) => {
-                if !self.first_copy(ctx, m.payload) {
+                if !self.first_copy(ctx, m.payload.update) {
                     return;
                 }
                 if self.auth.verify_group(ctx, labels::UPDATE, &m) {
-                    self.deliver(ctx, m.payload.into(), quorum as u32);
+                    self.deliver(ctx, m.payload, quorum as u32);
                 } else {
-                    ctx.observe(Obs::UpdateRejected {
-                        switch: self.id,
-                        update: m.payload.id,
-                    });
+                    self.reject(ctx, m.payload.update.id);
                 }
             }
-            // Switch aggregation (paper Fig. 6b): buffer share-signed updates
-            // until a quorum of identical updates.
+            // Switch aggregation (paper Fig. 6b): buffer share-signed bodies
+            // until a quorum of identical ones. Under Segway the body also
+            // carries the threshold-signed gate/notify metadata.
             Net::UpdateMsg(m) => {
-                let u = m.payload;
+                let u = m.payload.update;
                 if self.admit_share(ctx, u, m.phase, m.partial.index) {
                     let q = self.auth.collect(
                         &mut self.buckets,
                         u.id,
                         m,
                         labels::UPDATE,
-                        quorum,
-                        self.domain,
-                    );
-                    self.on_quorum(ctx, u.id, q);
-                }
-            }
-            // Segway: the same accumulation, over the update *plus* its
-            // threshold-signed gate/notify metadata.
-            Net::SegwayUpdate(m) => {
-                let u = m.payload.update;
-                if self.admit_share(ctx, u, m.phase, m.partial.index) {
-                    let q = self.auth.collect(
-                        &mut self.seg_buckets,
-                        u.id,
-                        m,
-                        labels::SEGWAY,
                         quorum,
                         self.domain,
                     );
@@ -892,7 +888,6 @@ impl Actor<Net, Obs> for SwitchActor {
                     self.phase_info = m.payload;
                     // Stale aggregation buckets from the old phase die here.
                     self.buckets.retain_phase(m.payload.phase);
-                    self.seg_buckets.retain_phase(m.payload.phase);
                 }
             }
             // Messages not addressed to switches are ignored defensively.

@@ -235,7 +235,11 @@ fn rogue_controller_update_is_rejected_by_quorum() {
     let ctrl_node = engine.controller_node(southbound::types::DomainId(0), southbound::types::ControllerId(2));
     for fake_index in [1u32, 2, 3] {
         let msg = southbound::envelope::ShareSigned {
-            payload: rogue_update,
+            payload: cicero_core::msg::UpdateBody {
+                update: rogue_update,
+                gates: Vec::new(),
+                notify: Vec::new(),
+            },
             phase: southbound::types::Phase(0),
             msg_id: southbound::envelope::MsgId {
                 origin: 2,

@@ -138,45 +138,112 @@ impl UpdateScheduler for DependencyGraphScheduler {
     }
 }
 
-/// A maximal run of consecutive same-domain updates within one event's
-/// update list (application/path order). Cross-domain ordering operates at
-/// segment granularity: a schedule dependency pointing into a *foreign*
-/// segment is satisfied by that segment's owning domain confirming the
-/// whole segment applied, not by the individual ack (which the upstream
-/// domain never sees).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DomainSegment {
-    /// Position of this segment in list order (0-based). Stable across
-    /// controllers because every controller computes the same full update
-    /// list for an event.
-    pub index: u32,
-    /// The domain owning every switch in the segment.
+/// A prerequisite owned by another domain.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ForeignDep {
+    /// The prerequisite update.
+    pub update: UpdateId,
+    /// The switch that applies it.
+    pub switch: SwitchId,
+    /// Its segment (see [`Projected::segment`]).
+    pub segment: u32,
+    /// The domain owning that segment.
     pub domain: DomainId,
-    /// The segment's update ids, in list order.
-    pub updates: Vec<UpdateId>,
 }
 
-/// Partitions one event's update list into maximal consecutive same-domain
-/// segments — the cross-domain dependency edges a schedule over the full
-/// list induces. Updates on switches `domain_of` cannot place are skipped
-/// (they can never be released anywhere).
-pub fn domain_segments(
-    updates: &[NetworkUpdate],
+/// One update of a domain, with every edge of the full schedule that
+/// touches it — what the domain's controllers need to order the update,
+/// whoever ends up enforcing the order.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Projected {
+    /// The update.
+    pub update: NetworkUpdate,
+    /// Index of the update's *segment*: the maximal run of consecutive
+    /// same-domain updates of the list it lies in, counted in list order.
+    /// Cross-domain ordering works at segment granularity — a dependency
+    /// into a foreign segment is satisfied by its owning domain confirming
+    /// the whole segment applied, not by the individual ack (which the
+    /// depending domain never sees). A path re-entering a domain opens a
+    /// *new* segment, or the revisit would deadlock on its own earlier one.
+    pub segment: u32,
+    /// Prerequisites in the own domain, `(update, its switch)`, ascending.
+    pub local: Vec<(UpdateId, SwitchId)>,
+    /// Prerequisites in other domains, ascending by update.
+    pub foreign: Vec<ForeignDep>,
+    /// Switches holding an update that waits on this one, ascending.
+    pub notify: Vec<SwitchId>,
+    /// Other domains holding an update that waits on this one, ascending.
+    pub upstream: Vec<DomainId>,
+}
+
+/// Projects the schedule of one event's *full* update list onto
+/// `own_domain`. Pure: every controller of every domain computes the same
+/// full schedule, so the projections of all domains partition its edges —
+/// an edge inside a domain is a `local` dep there; an edge across two is a
+/// `foreign` dep on the depending side and a `notify` / `upstream` entry on
+/// the other. Updates on switches `domain_of` cannot place are skipped,
+/// with their edges (they can never be released anywhere).
+pub fn project(
+    full: &[ScheduledUpdate],
     domain_of: impl Fn(SwitchId) -> Option<DomainId>,
-) -> Vec<DomainSegment> {
-    let mut out: Vec<DomainSegment> = Vec::new();
-    for u in updates {
-        let Some(d) = domain_of(u.switch) else {
+    own_domain: DomainId,
+) -> Vec<Projected> {
+    // Where each placeable update lives: (switch, segment, domain).
+    let mut place: BTreeMap<UpdateId, (SwitchId, u32, DomainId)> = BTreeMap::new();
+    let mut last: Option<(u32, DomainId)> = None;
+    for s in full {
+        let Some(domain) = domain_of(s.update.switch) else {
             continue;
         };
-        match out.last_mut() {
-            Some(seg) if seg.domain == d => seg.updates.push(u.id),
-            _ => out.push(DomainSegment {
-                index: out.len() as u32,
-                domain: d,
-                updates: vec![u.id],
-            }),
+        let segment = match last {
+            Some((k, d)) if d == domain => k,
+            Some((k, _)) => k + 1,
+            None => 0,
+        };
+        last = Some((segment, domain));
+        place.insert(s.update.id, (s.update.switch, segment, domain));
+    }
+    let mut out = Vec::new();
+    for s in full {
+        let Some(&(_, segment, domain)) = place.get(&s.update.id) else {
+            continue;
+        };
+        if domain != own_domain {
+            continue;
         }
+        let mut p = Projected {
+            update: s.update,
+            segment,
+            local: Vec::new(),
+            foreign: Vec::new(),
+            notify: Vec::new(),
+            upstream: Vec::new(),
+        };
+        for &update in &s.deps {
+            match place.get(&update) {
+                Some(&(switch, _, d)) if d == own_domain => p.local.push((update, switch)),
+                Some(&(switch, segment, domain)) => p.foreign.push(ForeignDep {
+                    update,
+                    switch,
+                    segment,
+                    domain,
+                }),
+                None => {}
+            }
+        }
+        for v in full.iter().filter(|v| v.deps.contains(&s.update.id)) {
+            if let Some(&(switch, _, d)) = place.get(&v.update.id) {
+                p.notify.push(switch);
+                if d != own_domain {
+                    p.upstream.push(d);
+                }
+            }
+        }
+        p.notify.sort();
+        p.notify.dedup();
+        p.upstream.sort();
+        p.upstream.dedup();
+        out.push(p);
     }
     out
 }
@@ -206,9 +273,7 @@ pub fn is_acyclic(schedule: &[ScheduledUpdate]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use southbound::types::{
-        EventId, FlowAction, FlowMatch, FlowRule, HostId, NextHop, SwitchId,
-    };
+    use southbound::types::{EventId, FlowAction, FlowMatch, FlowRule, HostId, NextHop};
 
     fn updates(n: u32) -> Vec<NetworkUpdate> {
         (0..n)
@@ -299,43 +364,171 @@ mod tests {
         });
     }
 
-    #[test]
-    fn domain_segments_split_at_boundaries() {
-        let us = updates(5);
-        // Switches 0,1 -> domain 0; 2,3 -> domain 1; 4 -> domain 0 again
-        // (a path that re-enters its origin domain must yield a *new*
-        // segment, or a revisit would deadlock on its own earlier segment).
-        let domain_of = |s: SwitchId| {
-            Some(match s.0 {
-                0 | 1 | 4 => DomainId(0),
-                _ => DomainId(1),
-            })
-        };
-        let segs = domain_segments(&us, domain_of);
-        assert_eq!(segs.len(), 3);
-        assert_eq!(segs[0].domain, DomainId(0));
-        assert_eq!(segs[0].updates, vec![us[0].id, us[1].id]);
-        assert_eq!(segs[1].domain, DomainId(1));
-        assert_eq!(segs[1].updates, vec![us[2].id, us[3].id]);
-        assert_eq!(segs[2].domain, DomainId(0));
-        assert_eq!(segs[2].index, 2);
+    fn dep(us: &[NetworkUpdate], i: usize, segment: u32, domain: u16) -> ForeignDep {
+        ForeignDep {
+            update: us[i].id,
+            switch: us[i].switch,
+            segment,
+            domain: DomainId(domain),
+        }
     }
 
     #[test]
-    fn domain_segments_single_domain_is_one_segment() {
+    fn project_single_domain_keeps_every_edge_local() {
         let us = updates(4);
-        let segs = domain_segments(&us, |_| Some(DomainId(3)));
-        assert_eq!(segs.len(), 1);
-        assert_eq!(segs[0].updates.len(), 4);
+        let full = ReversePathScheduler.schedule(&us);
+        let ps = project(&full, |_| Some(DomainId(3)), DomainId(3));
+        assert_eq!(ps.len(), 4);
+        for (i, p) in ps.iter().enumerate() {
+            assert_eq!((p.update, p.segment), (us[i], 0));
+            // The chain edge, with the switch that applies it.
+            let next = us.get(i + 1).map(|u| (u.id, u.switch));
+            assert_eq!(p.local, Vec::from_iter(next));
+            let prev = i.checked_sub(1).map(|j| us[j].switch);
+            assert_eq!(p.notify, Vec::from_iter(prev));
+            assert!(p.foreign.is_empty() && p.upstream.is_empty());
+        }
+        assert!(project(&full, |_| Some(DomainId(3)), DomainId(4)).is_empty());
     }
 
     #[test]
-    fn domain_segments_skip_unmapped_switches() {
+    fn project_three_domain_path() {
+        // A cross-pod path: source pod (switches 0, 1), core (2),
+        // destination pod (3, 4) — three domains, three segments.
+        let us = updates(5);
+        let domain_of = |s: SwitchId| Some(DomainId([0, 0, 1, 2, 2][s.0 as usize]));
+        let full = ReversePathScheduler.schedule(&us);
+        let src = project(&full, domain_of, DomainId(0));
+        assert_eq!(src[0].local, vec![(us[1].id, us[1].switch)]);
+        assert_eq!(src[1].foreign, vec![dep(&us, 2, 1, 1)]);
+        assert!(src[1].local.is_empty() && src[0].foreign.is_empty());
+        assert!(src.iter().all(|p| p.segment == 0 && p.upstream.is_empty()));
+        let core = project(&full, domain_of, DomainId(1));
+        assert_eq!(core.len(), 1);
+        assert_eq!((core[0].update, core[0].segment), (us[2], 1));
+        assert_eq!(core[0].foreign, vec![dep(&us, 3, 2, 2)]);
+        assert_eq!(core[0].notify, vec![us[1].switch]);
+        assert_eq!(core[0].upstream, vec![DomainId(0)]);
+        let dst = project(&full, domain_of, DomainId(2));
+        assert_eq!(dst[0].local, vec![(us[4].id, us[4].switch)]);
+        assert_eq!(dst[0].notify, vec![us[2].switch]);
+        assert_eq!(dst[0].upstream, vec![DomainId(1)]);
+        // The last hop waits on nothing and releases inside its own domain.
+        assert!(dst[1].local.is_empty() && dst[1].foreign.is_empty());
+        assert_eq!(dst[1].notify, vec![us[3].switch]);
+        assert!(dst[1].upstream.is_empty());
+    }
+
+    #[test]
+    fn project_domain_owning_two_segments_of_one_path() {
+        // Switches 0, 1 -> domain 0; 2, 3 -> domain 1; 4 -> domain 0 again:
+        // the re-entry is a *new* segment, so domain 0 both waits on domain
+        // 1 (segment 1) and is waited on by it (segment 2).
+        let us = updates(5);
+        let domain_of = |s: SwitchId| Some(DomainId([0, 0, 1, 1, 0][s.0 as usize]));
+        let full = ReversePathScheduler.schedule(&us);
+        let d0 = project(&full, domain_of, DomainId(0));
+        let segs: Vec<u32> = d0.iter().map(|p| p.segment).collect();
+        assert_eq!(segs, vec![0, 0, 2]);
+        assert_eq!(d0[1].foreign, vec![dep(&us, 2, 1, 1)]);
+        assert_eq!(d0[2].notify, vec![us[3].switch]);
+        assert_eq!(d0[2].upstream, vec![DomainId(1)]);
+        assert!(d0[2].local.is_empty() && d0[2].foreign.is_empty());
+        let d1 = project(&full, domain_of, DomainId(1));
+        assert_eq!(d1[0].local, vec![(us[3].id, us[3].switch)]);
+        assert_eq!(d1[1].foreign, vec![dep(&us, 4, 2, 0)]);
+        assert_eq!(d1[0].upstream, vec![DomainId(0)]);
+        // Scheduling domain 0's updates alone (the handshake-off control)
+        // is a different schedule, not this projection minus its foreign
+        // edges: it chains the two segments directly.
+        let own: Vec<NetworkUpdate> = d0.iter().map(|p| p.update).collect();
+        let alone = project(&ReversePathScheduler.schedule(&own), domain_of, DomainId(0));
+        assert_eq!(alone[1].local, vec![(us[4].id, us[4].switch)]);
+    }
+
+    #[test]
+    fn project_skips_unplaceable_updates_and_their_edges() {
         let us = updates(3);
-        let segs = domain_segments(&us, |s| (s.0 != 1).then_some(DomainId(0)));
-        // Both mapped updates join one domain-0 segment; the orphan is gone.
-        assert_eq!(segs.len(), 1);
-        assert_eq!(segs[0].updates, vec![us[0].id, us[2].id]);
+        let full = ReversePathScheduler.schedule(&us);
+        let ps = project(&full, |s| (s.0 != 1).then_some(DomainId(0)), DomainId(0));
+        assert_eq!(ps.len(), 2);
+        // The orphan neither splits the segment nor gates anyone.
+        for p in ps {
+            assert!(p.segment == 0 && p.local.is_empty() && p.notify.is_empty());
+        }
+    }
+
+    /// The projections onto all domains partition the full schedule: every
+    /// update is owned once, and every edge shows up exactly once as a dep
+    /// — local inside a domain, foreign across two — mirrored by a notify
+    /// entry (and, across domains, an upstream entry) at its other end.
+    #[test]
+    fn projections_partition_the_full_schedule() {
+        substrate::forall!(|g| {
+            let n = g.u32_in(1..12);
+            let mut us = updates(n);
+            // Removals on path switches give the graph scheduler same-switch
+            // edges on top of the chain.
+            for i in 0..g.u32_in(0..3) {
+                us.push(NetworkUpdate {
+                    id: UpdateId {
+                        event: EventId(1),
+                        seq: 100 + i,
+                    },
+                    switch: SwitchId(g.u32_in(0..n)),
+                    kind: UpdateKind::Remove(FlowMatch {
+                        src: HostId(0),
+                        dst: HostId(8),
+                    }),
+                });
+            }
+            let domains = g.u32_in(1..4) as u16;
+            let owner: Vec<u16> = (0..n).map(|_| g.u32_in(0..domains as u32) as u16).collect();
+            let domain_of = |s: SwitchId| Some(DomainId(owner[s.0 as usize]));
+            for full in [
+                ReversePathScheduler.schedule(&us),
+                DependencyGraphScheduler::new().schedule(&us),
+            ] {
+                let by_domain: Vec<Vec<Projected>> = (0..domains)
+                    .map(|d| project(&full, domain_of, DomainId(d)))
+                    .collect();
+                let find = |id: UpdateId| {
+                    let mut hits = by_domain.iter().flatten().filter(|p| p.update.id == id);
+                    let p = hits.next().expect("every update is projected somewhere");
+                    assert!(hits.next().is_none(), "and only once");
+                    p
+                };
+                let mut edges = 0;
+                for s in &full {
+                    let after = find(s.update.id);
+                    let d_after = domain_of(s.update.switch).unwrap();
+                    assert_eq!(after.local.len() + after.foreign.len(), s.deps.len());
+                    edges += s.deps.len();
+                    for &b in &s.deps {
+                        let before = find(b);
+                        let d_before = domain_of(before.update.switch).unwrap();
+                        assert!(before.notify.contains(&s.update.switch));
+                        if d_before == d_after {
+                            assert!(after.local.contains(&(b, before.update.switch)));
+                        } else {
+                            assert!(after.foreign.contains(&ForeignDep {
+                                update: b,
+                                switch: before.update.switch,
+                                segment: before.segment,
+                                domain: d_before,
+                            }));
+                            assert!(before.upstream.contains(&d_after));
+                        }
+                    }
+                }
+                let projected: usize = by_domain
+                    .iter()
+                    .flatten()
+                    .map(|p| p.local.len() + p.foreign.len())
+                    .sum();
+                assert_eq!(projected, edges, "no edge is invented or counted twice");
+            }
+        });
     }
 
     #[test]

@@ -40,16 +40,6 @@ fn is_handler_file(path: &str) -> bool {
     path.contains("/ctrl/") || path.ends_with("switch.rs")
 }
 
-/// The oracle registry: the roots of the `Obs` consumption closure.
-fn is_oracle_file(path: &str) -> bool {
-    path.ends_with("simcheck/src/oracle.rs")
-}
-
-/// The WAL replay site.
-fn is_replay_file(path: &str) -> bool {
-    path.ends_with("ctrl/durable.rs")
-}
-
 /// The threaded runtime the actor-safety rules police.
 fn is_node_file(path: &str) -> bool {
     path.starts_with("crates/cicero-node/")
@@ -77,9 +67,9 @@ const UNDER_LOCK_FORBIDDEN: &[&str] = &["send", "try_send", "recv", "recv_timeou
 pub fn apply_flow_rules(files: &[FileIndex]) -> Vec<Finding> {
     let decls = declared_variants(files);
     let mut out = Vec::new();
-    net_coverage(files, &decls, &mut out);
-    obs_coverage(files, &decls, &mut out);
-    wal_coverage(files, &decls, &mut out);
+    for row in &COVERAGE {
+        coverage(files, &decls, row, &mut out);
+    }
     write_ahead(files, &mut out);
     actor_safety(files, &mut out);
     out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
@@ -123,63 +113,68 @@ fn declared_variants(files: &[FileIndex]) -> BTreeMap<String, Vec<Decl>> {
 // Coverage family
 // ---------------------------------------------------------------------------
 
-fn net_coverage(files: &[FileIndex], decls: &BTreeMap<String, Vec<Decl>>, out: &mut Vec<Finding>) {
-    let Some(variants) = decls.get("Net") else { return };
-    let mut handled: BTreeSet<&str> = BTreeSet::new();
-    let mut constructed: BTreeMap<&str, (&str, u32)> = BTreeMap::new();
-    for f in files {
-        for u in &f.uses {
-            if u.enum_name != "Net" {
-                continue;
-            }
-            if u.is_match_arm {
-                if is_handler_file(&f.path) {
-                    handled.insert(&u.variant);
-                }
-            } else {
-                constructed.entry(&u.variant).or_insert((&f.path, u.line));
-            }
-        }
-    }
-    for v in variants {
-        if handled.contains(v.name.as_str()) {
-            continue;
-        }
-        let Some((cf, cl)) = constructed.get(v.name.as_str()) else { continue };
-        out.push(Finding {
-            file: v.file.clone(),
-            line: v.line,
-            rule: "net-variant-unhandled",
-            message: format!(
-                "`Net::{}` is constructed at {cf}:{cl} but no ctrl/ or switch.rs \
-                 handler has a match arm for it (a catch-all `_` does not count)",
-                v.name
-            ),
-            hint: "add an explicit handler arm in crates/cicero-core/src/ctrl/ or \
-                   switch.rs, or allow at this variant declaration with a reason",
-        });
-    }
+/// One coverage rule: every variant of `enum_name` produced somewhere must
+/// be handled somewhere specific. A finding reads "`Enum::V` is `verb` at
+/// file:line but `gap`".
+struct Coverage {
+    enum_name: &'static str,
+    rule: &'static str,
+    /// Files where a mention handles the variant: as a match arm (a
+    /// catch-all `_` names nothing) or, with `via_calls`, anywhere in one of
+    /// their functions or one transitively called from it (name-based — an
+    /// over-approximation, which for *consumption* is the safe direction).
+    handler: fn(&str) -> bool,
+    via_calls: bool,
+    /// What produces a variant: a non-arm mention as the first argument of
+    /// this call, or (`None`) any non-arm mention.
+    produced_by: Option<&'static str>,
+    verb: &'static str,
+    gap: &'static str,
+    hint: &'static str,
 }
 
-fn obs_coverage(files: &[FileIndex], decls: &BTreeMap<String, Vec<Decl>>, out: &mut Vec<Finding>) {
-    let Some(variants) = decls.get("Obs") else { return };
-    // Emissions: `observe(Obs::V ...)` anywhere.
-    let mut emitted: BTreeMap<&str, (&str, u32)> = BTreeMap::new();
-    for f in files {
-        for u in &f.uses {
-            if u.enum_name != "Obs" || u.is_match_arm || u.token < 2 {
-                continue;
-            }
-            if punct_at(f.tokens, u.token - 1, '(')
-                && ident_at(f.tokens, u.token - 2) == Some("observe")
-            {
-                emitted.entry(&u.variant).or_insert((&f.path, u.line));
-            }
-        }
-    }
-    // Consumption: any `Obs::V` occurrence inside an oracle.rs function or
-    // anything transitively called from one (name-based closure — an
-    // over-approximation, which for *consumption* is the safe direction).
+const COVERAGE: [Coverage; 3] = [
+    Coverage {
+        enum_name: "Net",
+        rule: "net-variant-unhandled",
+        handler: is_handler_file,
+        via_calls: false,
+        produced_by: None,
+        verb: "constructed",
+        gap: "no ctrl/ or switch.rs handler has a match arm for it (a catch-all \
+              `_` does not count)",
+        hint: "add an explicit handler arm in crates/cicero-core/src/ctrl/ or \
+               switch.rs, or allow at this variant declaration with a reason",
+    },
+    // The oracle registry: the roots of the `Obs` consumption closure.
+    Coverage {
+        enum_name: "Obs",
+        rule: "obs-variant-unaudited",
+        handler: |path| path.ends_with("simcheck/src/oracle.rs"),
+        via_calls: true,
+        produced_by: Some("observe"),
+        verb: "emitted",
+        gap: "no oracle in crates/simcheck/src/oracle.rs consumes it",
+        hint: "add an oracle check over the variant (simcheck judges every \
+               run by it), or allow at this variant declaration with a reason",
+    },
+    // The WAL replay site.
+    Coverage {
+        enum_name: "WalRecord",
+        rule: "wal-variant-unreplayed",
+        handler: |path| path.ends_with("ctrl/durable.rs"),
+        via_calls: false,
+        produced_by: None,
+        verb: "appended",
+        gap: "crash recovery in ctrl/durable.rs has no replay arm for it",
+        hint: "replay the record in ctrl/durable.rs (a logged fact that is \
+               not replayed is silently lost on restart), or allow with a reason",
+    },
+];
+
+/// Body token ranges `(file, start, end)` of every function defined in a
+/// `roots` file or transitively called (by name) from one.
+fn call_closure(files: &[FileIndex], roots: fn(&str) -> bool) -> Vec<(usize, usize, usize)> {
     let mut fn_map: BTreeMap<&str, Vec<(usize, usize)>> = BTreeMap::new();
     for (fi, f) in files.iter().enumerate() {
         for (xi, fd) in f.fns.iter().enumerate() {
@@ -188,23 +183,19 @@ fn obs_coverage(files: &[FileIndex], decls: &BTreeMap<String, Vec<Decl>>, out: &
     }
     let mut visited: BTreeSet<&str> = BTreeSet::new();
     let mut queue: Vec<&str> = Vec::new();
-    for f in files.iter().filter(|f| is_oracle_file(&f.path)) {
+    for f in files.iter().filter(|f| roots(&f.path)) {
         for fd in &f.fns {
             if visited.insert(fd.name.as_str()) {
                 queue.push(fd.name.as_str());
             }
         }
     }
-    let mut consumed: BTreeSet<&str> = BTreeSet::new();
+    let mut bodies = Vec::new();
     while let Some(name) = queue.pop() {
         for &(fi, xi) in fn_map.get(name).into_iter().flatten() {
             let f = &files[fi];
             let fd = &f.fns[xi];
-            for u in &f.uses {
-                if u.enum_name == "Obs" && u.token > fd.body_start && u.token < fd.body_end {
-                    consumed.insert(&u.variant);
-                }
-            }
+            bodies.push((fi, fd.body_start, fd.body_end));
             for (callee, _) in calls_in(f.tokens, fd.body_start, fd.body_end) {
                 if let Some((key, _)) = fn_map.get_key_value(callee.as_str()) {
                     if visited.insert(key) {
@@ -214,60 +205,54 @@ fn obs_coverage(files: &[FileIndex], decls: &BTreeMap<String, Vec<Decl>>, out: &
             }
         }
     }
-    for v in variants {
-        if consumed.contains(v.name.as_str()) {
-            continue;
-        }
-        let Some((ef, el)) = emitted.get(v.name.as_str()) else { continue };
-        out.push(Finding {
-            file: v.file.clone(),
-            line: v.line,
-            rule: "obs-variant-unaudited",
-            message: format!(
-                "`Obs::{}` is emitted at {ef}:{el} but no oracle in \
-                 crates/simcheck/src/oracle.rs consumes it",
-                v.name
-            ),
-            hint: "add an oracle check over the variant (simcheck judges every \
-                   run by it), or allow at this variant declaration with a reason",
-        });
-    }
+    bodies
 }
 
-fn wal_coverage(files: &[FileIndex], decls: &BTreeMap<String, Vec<Decl>>, out: &mut Vec<Finding>) {
-    let Some(variants) = decls.get("WalRecord") else { return };
-    let mut replayed: BTreeSet<&str> = BTreeSet::new();
-    let mut appended: BTreeMap<&str, (&str, u32)> = BTreeMap::new();
-    for f in files {
-        for u in &f.uses {
-            if u.enum_name != "WalRecord" {
-                continue;
-            }
-            if u.is_match_arm {
-                if is_replay_file(&f.path) {
-                    replayed.insert(&u.variant);
-                }
+fn coverage(
+    files: &[FileIndex],
+    decls: &BTreeMap<String, Vec<Decl>>,
+    row: &Coverage,
+    out: &mut Vec<Finding>,
+) {
+    let Some(variants) = decls.get(row.enum_name) else { return };
+    let bodies = if row.via_calls { call_closure(files, row.handler) } else { Vec::new() };
+    let mut handled: BTreeSet<&str> = BTreeSet::new();
+    let mut produced: BTreeMap<&str, (&str, u32)> = BTreeMap::new();
+    for (fi, f) in files.iter().enumerate() {
+        for u in f.uses.iter().filter(|u| u.enum_name == row.enum_name) {
+            let in_place = if row.via_calls {
+                let inside = |&(bf, start, end): &_| bf == fi && u.token > start && u.token < end;
+                bodies.iter().any(inside)
             } else {
-                appended.entry(&u.variant).or_insert((&f.path, u.line));
+                u.is_match_arm && (row.handler)(&f.path)
+            };
+            if in_place {
+                handled.insert(&u.variant);
+            }
+            let argument_of = |call| {
+                u.token >= 2
+                    && punct_at(f.tokens, u.token - 1, '(')
+                    && ident_at(f.tokens, u.token - 2) == Some(call)
+            };
+            if !u.is_match_arm && row.produced_by.is_none_or(argument_of) {
+                produced.entry(&u.variant).or_insert((&f.path, u.line));
             }
         }
     }
     for v in variants {
-        if replayed.contains(v.name.as_str()) {
+        if handled.contains(v.name.as_str()) {
             continue;
         }
-        let Some((af, al)) = appended.get(v.name.as_str()) else { continue };
+        let Some((pf, pl)) = produced.get(v.name.as_str()) else { continue };
         out.push(Finding {
             file: v.file.clone(),
             line: v.line,
-            rule: "wal-variant-unreplayed",
+            rule: row.rule,
             message: format!(
-                "`WalRecord::{}` is appended at {af}:{al} but crash recovery in \
-                 ctrl/durable.rs has no replay arm for it",
-                v.name
+                "`{}::{}` is {} at {pf}:{pl} but {}",
+                row.enum_name, v.name, row.verb, row.gap
             ),
-            hint: "replay the record in ctrl/durable.rs (a logged fact that is \
-                   not replayed is silently lost on restart), or allow with a reason",
+            hint: row.hint,
         });
     }
 }

@@ -356,7 +356,11 @@ fn inject_byzantine(engine: &mut Engine, s: &Scenario, topo: &Topology) {
                     from,
                     engine.switch_node(sw),
                     Net::UpdateMsg(ShareSigned {
-                        payload: update,
+                        payload: cicero_core::msg::UpdateBody {
+                            update,
+                            gates: Vec::new(),
+                            notify: Vec::new(),
+                        },
                         phase: southbound::types::Phase(0),
                         msg_id: MsgId {
                             origin: c.0,

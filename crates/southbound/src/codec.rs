@@ -161,6 +161,16 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.0.encode(buf);
+        self.1.encode(buf);
+    }
+    fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+        Ok((A::decode(buf)?, B::decode(buf)?))
+    }
+}
+
 macro_rules! wire_newtype {
     ($($ty:ident($inner:ty);)*) => {$(
         impl Wire for $ty {
@@ -406,6 +416,7 @@ mod tests {
         round_trip(false);
         round_trip([1u8, 2, 3]);
         round_trip(vec![FlowId(1), FlowId(2)]);
+        round_trip(vec![(FlowId(1), SwitchId(2)), (FlowId(3), SwitchId(4))]);
     }
 
     #[test]

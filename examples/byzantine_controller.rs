@@ -16,10 +16,11 @@
 use blscrypto::bls::PartialSignature;
 use blscrypto::curves::g1_generator;
 use cicero::prelude::*;
+use cicero_core::msg::UpdateBody;
 use southbound::envelope::{MsgId, ShareSigned};
 
-fn rogue_update(victim: SwitchId, seq: u32) -> NetworkUpdate {
-    NetworkUpdate {
+fn rogue_update(victim: SwitchId, seq: u32) -> UpdateBody {
+    let update = NetworkUpdate {
         id: UpdateId {
             event: EventId(0xbad),
             seq,
@@ -33,6 +34,11 @@ fn rogue_update(victim: SwitchId, seq: u32) -> NetworkUpdate {
             // The attack: silently blackhole the pair.
             action: FlowAction::Deny,
         }),
+    };
+    UpdateBody {
+        update,
+        gates: Vec::new(),
+        notify: Vec::new(),
     }
 }
 
@@ -75,7 +81,7 @@ fn main() {
             rogue_node,
             engine.switch_node(victim),
             Net::UpdateMsg(ShareSigned {
-                payload: u2,
+                payload: u2.clone(),
                 phase: Phase(0),
                 msg_id: MsgId {
                     origin: 2,

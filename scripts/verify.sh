@@ -73,9 +73,9 @@ if ! cargo run -q --offline --release -p detlint; then
 fi
 
 echo "== perf regression gate (benchkit compare vs BENCH_protocol.json) =="
-# Re-measure the crypto and protocol suites and diff the medians against the
-# recorded baseline: fail on any entry regressing past the tolerance band, on
-# a renamed/vanished entry, or on the absolute caps —
+# Re-measure the crypto, protocol and consensus suites and diff the medians
+# against the recorded baseline: fail on any entry regressing past the
+# tolerance band, on a renamed/vanished entry, or on the absolute caps —
 # bls_verify ≤ 10 ms, batch_verify_64 amortized ≤ 2 ms per update, and one
 # cross-domain boundary's whole handshake (handshake_boundary_n4: 4 report
 # shares, 4 quorum certificates, 4 receipts, 4 receipt batches) ≤ 55 ms. The
@@ -90,6 +90,7 @@ if [ -z "${SKIP_BENCH_GATE:-}" ]; then
     fresh_bench=$(mktemp /tmp/benchkit-fresh.XXXXXX.json)
     BENCHKIT_OUT="$fresh_bench" cargo bench -q --offline -p bench --bench crypto >/dev/null
     BENCHKIT_OUT="$fresh_bench" cargo bench -q --offline -p bench --bench protocol >/dev/null
+    BENCHKIT_OUT="$fresh_bench" cargo bench -q --offline -p bench --bench consensus >/dev/null
     cargo run -q --offline --release -p bench --bin benchgate -- \
         BENCH_protocol.json "$fresh_bench" crypto \
         --tolerance 2.0 \
@@ -99,6 +100,9 @@ if [ -z "${SKIP_BENCH_GATE:-}" ]; then
         BENCH_protocol.json "$fresh_bench" protocol \
         --tolerance 2.0 \
         --cap handshake_boundary_n4=55000000
+    cargo run -q --offline --release -p bench --bin benchgate -- \
+        BENCH_protocol.json "$fresh_bench" consensus \
+        --tolerance 2.0
     rm -f "$fresh_bench"
 else
     echo "  skipped (SKIP_BENCH_GATE set)"

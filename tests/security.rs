@@ -5,6 +5,7 @@
 use blscrypto::bls::{PartialSignature, SecretKey};
 use blscrypto::curves::g1_generator;
 use cicero::prelude::*;
+use cicero_core::msg::UpdateBody;
 use simcheck::harness::{self, applied_count as applied};
 use substrate::rng::{SeedableRng, StdRng};
 use simnet::sim::ENVIRONMENT;
@@ -22,8 +23,8 @@ fn build() -> (Engine, Topology) {
     (engine, topo)
 }
 
-fn rogue_update(victim: SwitchId) -> NetworkUpdate {
-    NetworkUpdate {
+fn rogue_update(victim: SwitchId) -> UpdateBody {
+    let update = NetworkUpdate {
         id: UpdateId {
             event: EventId(0xbad),
             seq: 0,
@@ -36,7 +37,40 @@ fn rogue_update(victim: SwitchId) -> NetworkUpdate {
             },
             action: FlowAction::Deny,
         }),
+    };
+    UpdateBody {
+        update,
+        gates: Vec::new(),
+        notify: Vec::new(),
     }
+}
+
+/// A share of `body` under `index`, not signed by anyone's key share.
+fn rogue_share(body: UpdateBody, index: u32) -> Net {
+    Net::UpdateMsg(ShareSigned {
+        payload: body,
+        phase: Phase(0),
+        msg_id: MsgId {
+            origin: index,
+            seq: 1,
+        },
+        partial: PartialSignature {
+            index,
+            sig: g1_generator().to_affine(),
+        },
+    })
+}
+
+/// An "aggregate" over `body` fabricated with a key of the attacker's own.
+fn forged_aggregate(body: UpdateBody) -> Net {
+    let fake_key = SecretKey::generate(&mut StdRng::seed_from_u64(666));
+    let digest = southbound::envelope::signing_digest("CICERO_UPDATE_V1", Phase(0), &body);
+    Net::UpdateAggregated(QuorumSigned {
+        payload: body,
+        phase: Phase(0),
+        msg_id: MsgId { origin: 1, seq: 1 },
+        signature: fake_key.sign(&digest),
+    })
 }
 
 #[test]
@@ -48,18 +82,57 @@ fn below_quorum_updates_are_never_applied() {
         SimTime::ZERO + SimDuration::from_millis(1),
         rogue,
         engine.switch_node(victim),
-        Net::UpdateMsg(ShareSigned {
-            payload: rogue_update(victim),
-            phase: Phase(0),
-            msg_id: MsgId { origin: 2, seq: 1 },
-            partial: PartialSignature {
-                index: 2,
-                sig: g1_generator().to_affine(),
-            },
-        }),
+        rogue_share(rogue_update(victim), 2),
     );
     engine.run(SimTime::ZERO + SimDuration::from_secs(3));
     assert_eq!(applied(&engine), 0);
+}
+
+/// A switch admits an update only in the arrival form its mode uses. Each
+/// form's check is sound only where it is the mode's own: before this was
+/// enforced, the rogue update of the test above sent as `UpdatePlain` was
+/// applied by a `Cicero` switch on one controller's word (`signers = 1`).
+#[test]
+fn a_switch_admits_only_its_modes_arrival_form() {
+    let cicero = Mode::Cicero {
+        aggregation: Aggregation::Switch,
+    };
+    let cicero_agg = Mode::Cicero {
+        aggregation: Aggregation::Controller,
+    };
+    let plain: fn(UpdateBody) -> Net = Net::UpdatePlain;
+    let share: fn(UpdateBody) -> Net = |body| rogue_share(body, 2);
+    let foreign_forms = [
+        (cicero, "plain", plain),
+        (cicero, "aggregate", forged_aggregate),
+        (cicero_agg, "plain", plain),
+        (cicero_agg, "share", share),
+        (Mode::Segway, "plain", plain),
+        (Mode::Segway, "aggregate", forged_aggregate),
+    ];
+    for (mode, form, envelope) in foreign_forms {
+        let topo = Topology::single_pod(2, 2, 2);
+        let mut engine = harness::build_engine(mode, CryptoMode::Real, &topo);
+        let victim = topo.switches()[2].id;
+        let rogue = engine.controller_node(DomainId(0), ControllerId(2));
+        engine.inject_raw(
+            SimTime::ZERO + SimDuration::from_millis(1),
+            rogue,
+            engine.switch_node(victim),
+            envelope(rogue_update(victim)),
+        );
+        engine.run(SimTime::ZERO + SimDuration::from_secs(3));
+        let case = format!("{} switch, {form} update", mode.label());
+        assert_eq!(applied(&engine), 0, "{case}: applied");
+        let rejected = engine
+            .observations()
+            .iter()
+            .filter(|o| matches!(o.value, Obs::UpdateRejected { switch, .. } if switch == victim))
+            .count();
+        assert_eq!(rejected, 1, "{case}: must be refused at the front door");
+        let rules = engine.with_switch(victim, |s| s.table().len());
+        assert_eq!(rules, 0, "{case}: flow table touched");
+    }
 }
 
 #[test]
@@ -74,7 +147,7 @@ fn forged_quorum_fails_group_key_verification() {
             rogue,
             engine.switch_node(victim),
             Net::UpdateMsg(ShareSigned {
-                payload: update,
+                payload: update.clone(),
                 phase: Phase(0),
                 msg_id: MsgId {
                     origin: 2,
@@ -109,26 +182,12 @@ fn forged_aggregated_update_is_rejected_in_controller_agg_mode() {
     );
     let victim = topo.switches()[2].id;
     // A malicious "aggregator" fabricates an aggregated signature.
-    let mut rng = StdRng::seed_from_u64(666);
-    let fake_key = SecretKey::generate(&mut rng);
-    let update = rogue_update(victim);
-    let digest = southbound::envelope::signing_digest(
-        "CICERO_UPDATE_V1",
-        Phase(0),
-        &update,
-    );
-    let forged = QuorumSigned {
-        payload: update,
-        phase: Phase(0),
-        msg_id: MsgId { origin: 1, seq: 1 },
-        signature: fake_key.sign(&digest),
-    };
     let rogue = engine.controller_node(DomainId(0), ControllerId(1));
     engine.inject_raw(
         SimTime::ZERO + SimDuration::from_millis(1),
         rogue,
         engine.switch_node(victim),
-        Net::UpdateAggregated(forged),
+        forged_aggregate(rogue_update(victim)),
     );
     engine.run(SimTime::ZERO + SimDuration::from_secs(3));
     assert_eq!(applied(&engine), 0);
