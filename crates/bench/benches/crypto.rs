@@ -8,10 +8,10 @@
 //! into the recorded baseline.
 
 use blscrypto::batch::{batch_verify, BatchItem};
-use blscrypto::bls::{self, SecretKey};
+use blscrypto::bls::{self, PreparedKey, SecretKey};
 use blscrypto::curves::{g1_generator, hash_to_g1};
 use blscrypto::dkg;
-use blscrypto::fields::Fr;
+use blscrypto::fields::{Fp, Fr};
 use blscrypto::pairing::{
     final_exponentiation, g2_generator_prepared, miller_loop, multi_miller_loop, pairing,
     prepare_g2,
@@ -68,6 +68,18 @@ fn bench_levers(c: &mut Harness) {
     c.bench_function("final_exp", |bch| {
         bch.iter(|| black_box(final_exponentiation(f)))
     });
+
+    // Field work under every `to_affine` (inversion) and every
+    // `hash_to_g1` attempt (wide reduction, residue test).
+    let x = Fp::random(&mut rng);
+    c.bench_function("fp_invert", |bch| bch.iter(|| black_box(black_box(x).invert())));
+    c.bench_function("fp_is_square", |bch| {
+        bch.iter(|| black_box(black_box(x).is_square()))
+    });
+    let wide = [0xa5u8; 64];
+    c.bench_function("fp_from_bytes_wide_64", |bch| {
+        bch.iter(|| black_box(Fp::from_bytes_wide(black_box(&wide))))
+    });
 }
 
 /// Controller-side aggregate verification: one randomized pairing-product
@@ -99,6 +111,18 @@ fn bench_batch(c: &mut Harness) {
             })
         });
     }
+    // The cross-domain handshake's shape: four signers' receipts for one
+    // barrier — one hash, one G1 and one G2 weight sum, two pairing terms.
+    let shared: Vec<BatchItem<'_>> = keys[..4]
+        .iter()
+        .map(|k| BatchItem::new(k.public_key(), &msgs[0], k.sign(&msgs[0])))
+        .collect();
+    c.bench_function("batch_verify_4_same_msg", |bch| {
+        bch.iter(|| {
+            let mut weights = StdRng::seed_from_u64(9);
+            black_box(batch_verify(&shared, &mut weights))
+        })
+    });
 }
 
 fn bench_bls(c: &mut Harness) {
@@ -110,6 +134,11 @@ fn bench_bls(c: &mut Harness) {
     c.bench_function("bls_sign", |bch| bch.iter(|| black_box(sk.sign(msg))));
     c.bench_function("bls_verify", |bch| {
         bch.iter(|| black_box(bls::verify(&pk, msg, &sig)))
+    });
+    // What a running node pays: the key's line table already built.
+    let prepared = PreparedKey::from(pk);
+    c.bench_function("bls_verify_prepared", |bch| {
+        bch.iter(|| black_box(prepared.verify(msg, &sig)))
     });
 
     // Threshold: 4 shares, quorum 2 (the paper's n=4 control plane).

@@ -20,19 +20,20 @@
 //! for a given seed, and simcheck's security oracle can replay it exactly.
 //!
 //! Cost: every *distinct* message is hashed once. Items whose message no
-//! other item shares cost one `G1` 128-bit multiplication and merge into one
-//! pairing term per distinct public key (`∏ e(wᵢ·H(mᵢ), pk) =
-//! e(Σ wᵢ·H(mᵢ), pk)`); items that share a message merge on the other side
-//! of the pairing into one term per distinct message (`∏ e(wᵢ·H(m), pkᵢ) =
-//! e(H(m), Σ wᵢ·pkᵢ)`, one `G2` 128-bit multiplication each). Then a single
-//! shared Miller loop and final exponentiation. A 64-update batch signed
-//! under one group key is 2 pairing terms instead of 128; four controllers'
-//! receipts for one barrier are 2 terms and one hash instead of 5 and 4.
+//! other item shares merge into one pairing term per distinct public key
+//! (`∏ e(wᵢ·H(mᵢ), pk) = e(Σ wᵢ·H(mᵢ), pk)`); items that share a message
+//! merge on the other side of the pairing into one term per distinct
+//! message (`∏ e(wᵢ·H(m), pkᵢ) = e(H(m), Σ wᵢ·pkᵢ)`). Each weighted sum —
+//! of signatures, of hashes, of keys — is one multi-scalar multiplication
+//! over a single shared 128-step doubling chain
+//! ([`crate::curves::Projective::sum_of_products`]), not a ladder per item.
+//! Then a single shared Miller loop and final exponentiation. A 64-update
+//! batch signed under one group key is 2 pairing terms instead of 128; four
+//! controllers' receipts for one barrier are 2 terms and one hash instead
+//! of 5 and 4.
 
 use crate::bls::{PublicKey, Signature, SIGNATURE_DOMAIN};
-use crate::curves::{
-    hash_to_g1, CurveParams, G1Affine, G1Projective, G2Affine, G2Projective, Projective,
-};
+use crate::curves::{hash_to_g1, G1Affine, G1Projective, G2Affine, G2Projective};
 use crate::pairing::{
     g2_generator_prepared, pairing_product_is_one_prepared, prepare_g2, PreparedG2,
 };
@@ -66,15 +67,6 @@ fn random_weight<R: Rng + ?Sized>(rng: &mut R) -> [u64; 2] {
     }
 }
 
-/// `w·p`, skipping the ladder for the normalized first weight.
-fn scale<C: CurveParams>(p: Projective<C>, w: &[u64; 2]) -> Projective<C> {
-    if *w == [1, 0] {
-        p
-    } else {
-        p.mul_limbs(w)
-    }
-}
-
 /// Verifies a batch of BLS signatures with one pairing-product check.
 ///
 /// Returns `true` for the empty batch (vacuously: there is nothing to
@@ -104,37 +96,39 @@ pub fn batch_verify<R: Rng + ?Sized>(items: &[BatchItem<'_>], rng: &mut R) -> bo
     let weights: Vec<[u64; 2]> = (0..items.len())
         .map(|i| if i == 0 { [1, 0] } else { random_weight(rng) })
         .collect();
-    // -Σ wᵢ·σᵢ, the per-distinct-pk Σ wᵢ·H(mᵢ) accumulators (unshared
-    // messages) and the per-shared-message Σ wᵢ·pkᵢ accumulators.
-    let sig_acc = G1Projective::sum(
-        items
-            .iter()
-            .zip(&weights)
-            .map(|(item, w)| scale(item.sig.0.to_projective(), w)),
-    );
-    let mut per_pk: Vec<(G2Affine, G1Projective)> = Vec::new();
+    // Every weighted sum is one multi-scalar multiplication: -Σ wᵢ·σᵢ, the
+    // per-distinct-pk Σ wᵢ·H(mᵢ) (unshared messages) and the
+    // per-shared-message Σ wᵢ·pkᵢ.
+    let sig_terms: Vec<(G1Projective, &[u64])> = items
+        .iter()
+        .zip(&weights)
+        .map(|(item, w)| (item.sig.0.to_projective(), &w[..]))
+        .collect();
+    let neg_sig = G1Projective::sum_of_products(&sig_terms).neg().to_affine();
+    let mut per_pk: Vec<(G2Affine, Vec<(G1Projective, &[u64])>)> = Vec::new();
     let mut per_msg: Vec<(G1Affine, G2Affine)> = Vec::new();
     for (msg, idx) in &by_msg {
         let h = hash_to_g1(msg, SIGNATURE_DOMAIN);
         if let [i] = idx[..] {
             let pk = items[i].pk.0;
-            let h = scale(h, &weights[i]);
             match per_pk.iter_mut().find(|(k, _)| *k == pk) {
-                Some((_, acc)) => *acc = acc.add(&h),
-                None => per_pk.push((pk, h)),
+                Some((_, hs)) => hs.push((h, &weights[i])),
+                None => per_pk.push((pk, vec![(h, &weights[i])])),
             }
         } else {
-            let pk_acc = G2Projective::sum(
-                idx.iter()
-                    .map(|&i| scale(items[i].pk.0.to_projective(), &weights[i])),
-            );
-            per_msg.push((h.to_affine(), pk_acc.to_affine()));
+            let pk_terms: Vec<(G2Projective, &[u64])> = idx
+                .iter()
+                .map(|&i| (items[i].pk.0.to_projective(), &weights[i][..]))
+                .collect();
+            per_msg.push((
+                h.to_affine(),
+                G2Projective::sum_of_products(&pk_terms).to_affine(),
+            ));
         }
     }
-    let neg_sig = sig_acc.neg().to_affine();
     let terms: Vec<(G1Affine, PreparedG2)> = per_pk
         .iter()
-        .map(|(pk, h)| (h.to_affine(), prepare_g2(pk)))
+        .map(|(pk, hs)| (G1Projective::sum_of_products(hs).to_affine(), prepare_g2(pk)))
         .chain(per_msg.iter().map(|(h, pk)| (*h, prepare_g2(pk))))
         .collect();
     let mut refs: Vec<(&G1Affine, &PreparedG2)> = terms.iter().map(|(h, q)| (h, q)).collect();

@@ -8,9 +8,12 @@
 
 use crate::curves::{g2_mul_generator, hash_to_g1, G1Affine, G1Projective, G2Affine};
 use crate::fields::Fr;
-use crate::pairing::{g2_generator_prepared, pairing_product_is_one_prepared, prepare_g2};
+use crate::pairing::{
+    g2_generator_prepared, pairing_product_is_one_prepared, prepare_g2, PreparedG2,
+};
 use crate::shamir::{lagrange_at_zero, Share};
 use crate::Error;
+use std::sync::OnceLock;
 
 /// Domain-separation tag for message hashing.
 pub const SIGNATURE_DOMAIN: &str = "CICERO_BLS12381_SIG_V1";
@@ -102,18 +105,61 @@ impl Signature {
     }
 }
 
-/// Verifies `e(σ, g2) == e(H(m), pk)` via a two-pair product check.
-///
-/// Identity signatures and identity public keys are rejected outright (they
-/// would verify trivially for a zero key).
-pub fn verify(pk: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
-    if pk.0.is_identity() || sig.0.is_identity() {
-        return false;
+/// A public key that owns its ate line table ([`PreparedG2`]), built on
+/// the first verification and reused by every later one — what a party that
+/// checks many signatures under one key (a switch under its domain's group
+/// key, a controller under a switch's identity key) should hold. Shared
+/// across threads, the table is still built once.
+#[derive(Clone)]
+pub struct PreparedKey {
+    pk: PublicKey,
+    table: OnceLock<PreparedG2>,
+}
+
+impl std::fmt::Debug for PreparedKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The key and whether its table exists, not the table's 68 triples.
+        f.debug_struct("PreparedKey")
+            .field("pk", &self.pk)
+            .field("prepared", &self.table.get().is_some())
+            .finish()
     }
-    let h = hash_to_g1(msg, SIGNATURE_DOMAIN).to_affine();
-    let pk_prep = prepare_g2(&pk.0);
-    let neg_sig = sig.0.neg();
-    pairing_product_is_one_prepared(&[(&h, &pk_prep), (&neg_sig, g2_generator_prepared())])
+}
+
+impl From<PublicKey> for PreparedKey {
+    fn from(pk: PublicKey) -> Self {
+        PreparedKey {
+            pk,
+            table: OnceLock::new(),
+        }
+    }
+}
+
+impl PreparedKey {
+    /// The key itself.
+    pub fn key(&self) -> PublicKey {
+        self.pk
+    }
+
+    /// Verifies `e(σ, g2) == e(H(m), pk)` via a two-pair product check.
+    ///
+    /// Identity signatures and identity public keys are rejected outright
+    /// (they would verify trivially for a zero key).
+    pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
+        if self.pk.0.is_identity() || sig.0.is_identity() {
+            return false;
+        }
+        let h = hash_to_g1(msg, SIGNATURE_DOMAIN).to_affine();
+        let neg_sig = sig.0.neg();
+        let table = self.table.get_or_init(|| prepare_g2(&self.pk.0));
+        pairing_product_is_one_prepared(&[(&h, table), (&neg_sig, g2_generator_prepared())])
+    }
+}
+
+/// [`PreparedKey::verify`] for a key met once: its line table is built and
+/// thrown away.
+pub fn verify(pk: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
+    PreparedKey::from(*pk).verify(msg, sig)
 }
 
 /// One participant's signing share (index is the Shamir evaluation point).
@@ -188,14 +234,16 @@ pub fn aggregate(partials: &[PartialSignature]) -> Result<Signature, Error> {
         return Err(Error::InsufficientShares { got: 0, need: 1 });
     }
     let indices: Vec<u32> = partials.iter().map(|p| p.index).collect();
-    let coeffs = lagrange_at_zero(&indices)?;
-    let sum = G1Projective::sum(
-        partials
-            .iter()
-            .zip(coeffs)
-            .map(|(p, lambda)| p.sig.mul_fr(lambda)),
-    );
-    Ok(Signature(sum.to_affine()))
+    let coeffs: Vec<_> = lagrange_at_zero(&indices)?
+        .iter()
+        .map(|lambda| lambda.to_raw())
+        .collect();
+    let terms: Vec<(G1Projective, &[u64])> = partials
+        .iter()
+        .zip(&coeffs)
+        .map(|(p, lambda)| (p.sig.to_projective(), &lambda[..]))
+        .collect();
+    Ok(Signature(G1Projective::sum_of_products(&terms).to_affine()))
 }
 
 /// Convenience: aggregate and enforce a threshold.

@@ -335,41 +335,48 @@ impl<C: CurveParams> Projective<C> {
         out
     }
 
-    /// The affine odd multiples `[1]P, [3]P, …, [2·TABLE-1]P` used by the
-    /// wNAF ladder, normalized with one shared inversion.
-    fn odd_multiples_affine(&self, count: usize) -> Vec<Affine<C>> {
-        let two_p = self.double();
-        let mut multiples = Vec::with_capacity(count);
-        multiples.push(*self);
-        for i in 1..count {
-            multiples.push(multiples[i - 1].add(&two_p));
-        }
-        Self::batch_normalize(&multiples)
+    /// Scalar multiplication by little-endian `u64` limbs: the one-term case
+    /// of [`Self::sum_of_products`].
+    pub fn mul_limbs(&self, limbs: &[u64]) -> Self {
+        Self::sum_of_products(&[(*self, limbs)])
     }
 
-    /// Scalar multiplication by little-endian `u64` limbs.
+    /// `Σ kᵢ·Pᵢ` for little-endian limb scalars, all terms riding one
+    /// doubling chain (Straus interleaving).
     ///
-    /// Width-5 wNAF over a batch-normalized table of odd multiples with
-    /// mixed additions: ~bits doublings plus ~bits/6 additions, against
-    /// ~bits/2 full additions for the plain double-and-add ladder (retained
-    /// as [`Self::mul_limbs_binary`] for the differential suite).
-    pub fn mul_limbs(&self, limbs: &[u64]) -> Self {
+    /// Each term is a width-5 wNAF over a table of its odd multiples
+    /// `[1]P, [3]P, …, [15]P` (every table normalized in one shared
+    /// inversion, so the ladder adds are mixed): ~bits doublings *in total*
+    /// plus ~bits/6 additions per term, against ~bits/2 full additions and
+    /// a doubling chain of its own for each term of the plain ladder
+    /// (retained as [`Self::mul_limbs_binary`] for the differential suite).
+    pub fn sum_of_products(terms: &[(Self, &[u64])]) -> Self {
         const WIDTH: u32 = 5;
-        if self.is_identity() {
-            return Projective::identity();
+        const TABLE: usize = 1 << (WIDTH - 2);
+        let terms: Vec<(Self, Vec<i8>)> = terms
+            .iter()
+            .map(|(p, k)| (*p, wnaf_digits(k, WIDTH)))
+            .filter(|(p, digits)| !p.is_identity() && !digits.is_empty())
+            .collect();
+        let mut multiples = Vec::with_capacity(terms.len() * TABLE);
+        for (p, _) in &terms {
+            let two_p = p.double();
+            multiples.push(*p);
+            for _ in 1..TABLE {
+                multiples.push(multiples[multiples.len() - 1].add(&two_p));
+            }
         }
-        let digits = wnaf_digits(limbs, WIDTH);
-        if digits.is_empty() {
-            return Projective::identity();
-        }
-        let table = self.odd_multiples_affine(1 << (WIDTH - 2));
+        let tables = Self::batch_normalize(&multiples);
+        let len = terms.iter().map(|(_, d)| d.len()).max().unwrap_or(0);
         let mut acc = Projective::identity();
-        for &d in digits.iter().rev() {
+        for bit in (0..len).rev() {
             acc = acc.double();
-            if d > 0 {
-                acc = acc.add_mixed(&table[(d as usize - 1) / 2]);
-            } else if d < 0 {
-                acc = acc.add_mixed(&table[((-d) as usize - 1) / 2].neg());
+            for ((_, digits), table) in terms.iter().zip(tables.chunks(TABLE)) {
+                match digits.get(bit).copied().unwrap_or(0) {
+                    0 => {}
+                    d if d > 0 => acc = acc.add_mixed(&table[(d as usize - 1) / 2]),
+                    d => acc = acc.add_mixed(&table[((-d) as usize - 1) / 2].neg()),
+                }
             }
         }
         acc

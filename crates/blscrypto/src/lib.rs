@@ -17,7 +17,8 @@
 //!   runtime-derived generators and try-and-increment hash-to-curve;
 //! * [`pairing`] — the reduced Tate pairing with denominator elimination;
 //! * [`bls`] — plain and threshold BLS (sign, partial-verify, Lagrange
-//!   aggregation, verify);
+//!   aggregation, verify — under a [`bls::PreparedKey`] for a key that
+//!   verifies more than once);
 //! * [`shamir`] / [`feldman`] — secret sharing and verifiable secret sharing;
 //! * [`dkg`] — joint-Feldman distributed key generation;
 //! * [`reshare`] — share redistribution that preserves the group public key

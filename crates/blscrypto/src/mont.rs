@@ -308,6 +308,99 @@ pub fn wide_sub<const M: usize>(a: [u64; M], b: [u64; M]) -> [u64; M] {
     d
 }
 
+/// `a == 1`.
+#[inline(always)]
+fn is_one<const N: usize>(a: &[u64; N]) -> bool {
+    a[0] == 1 && a[1..].iter().all(|&l| l == 0)
+}
+
+/// Shifts `a` right by `k < 64` bits.
+#[inline(always)]
+fn shr<const N: usize>(a: [u64; N], k: u32) -> [u64; N] {
+    if k == 0 {
+        return a;
+    }
+    let mut out = [0u64; N];
+    for i in 0..N {
+        out[i] = a[i] >> k;
+        if i + 1 < N {
+            out[i] |= a[i + 1] << (64 - k);
+        }
+    }
+    out
+}
+
+/// `a / 2 mod m` for a reduced input (`m` odd): an odd `a` borrows `m`
+/// first. `a + m < 2m` fits the limbs' spare top bit.
+#[inline(always)]
+fn half_mod<const N: usize>(a: [u64; N], m: [u64; N]) -> [u64; N] {
+    shr(if a[0] & 1 == 1 { adc(a, m).0 } else { a }, 1)
+}
+
+/// `c · a⁻¹ mod m` by the binary extended Euclidean algorithm, for an odd
+/// prime `m` and reduced `0 < a < m`, `c < m`.
+///
+/// Passing `c = R² mod m` with `a` in Montgomery form returns the inverse
+/// in Montgomery form: `R² · (aR)⁻¹ = a⁻¹R`. Only shifts, additions and
+/// subtractions — an order of magnitude below the `m − 2` exponentiation
+/// it replaces. Invariant: `x1·a₀ ≡ c·u` and `x2·a₀ ≡ c·v (mod m)`.
+pub fn inv_mod<const N: usize>(a: [u64; N], c: [u64; N], m: [u64; N]) -> [u64; N] {
+    let (mut u, mut v) = (a, m);
+    let (mut x1, mut x2) = (c, [0u64; N]);
+    while !is_one(&u) && !is_one(&v) {
+        while u[0] & 1 == 0 {
+            u = shr(u, 1);
+            x1 = half_mod(x1, m);
+        }
+        while v[0] & 1 == 0 {
+            v = shr(v, 1);
+            x2 = half_mod(x2, m);
+        }
+        // gcd(a, m) = 1, so u = v only at 1, which the loop guard caught.
+        if lt(u, v) {
+            v = sbb(v, u).0;
+            x2 = sub_mod(x2, x1, m);
+        } else {
+            u = sbb(u, v).0;
+            x1 = sub_mod(x1, x2, m);
+        }
+    }
+    if is_one(&u) {
+        x1
+    } else {
+        x2
+    }
+}
+
+/// The Jacobi symbol `(a / m)` for odd `m` and reduced `a`, by the binary
+/// algorithm (quadratic reciprocity on subtract-and-shift steps). For a
+/// prime `m` this is the Legendre symbol: `1` for a nonzero square, `-1`
+/// for a non-residue, `0` for zero.
+pub fn jacobi<const N: usize>(mut a: [u64; N], mut m: [u64; N]) -> i32 {
+    let mut sign = 1;
+    loop {
+        if a == [0u64; N] {
+            return if is_one(&m) { sign } else { 0 };
+        }
+        // (2 / m) = -1 iff m ≡ ±3 (mod 8): strip a's factors of two.
+        while a[0] & 1 == 0 {
+            let k = if a[0] == 0 { 63 } else { a[0].trailing_zeros() };
+            if k & 1 == 1 && matches!(m[0] & 7, 3 | 5) {
+                sign = -sign;
+            }
+            a = shr(a, k);
+        }
+        if lt(a, m) {
+            // Reciprocity: the sign flips iff both are ≡ 3 (mod 4).
+            if a[0] & m[0] & 3 == 3 {
+                sign = -sign;
+            }
+            (a, m) = (m, a);
+        }
+        a = sbb(a, m).0;
+    }
+}
+
 /// Montgomery exponentiation with a little-endian limb exponent.
 ///
 /// `base` is in Montgomery form; the result is in Montgomery form. `one_mont`

@@ -578,12 +578,37 @@ impl Fp12 {
 
     /// Sparse product with an ate-pairing line: nonzero coefficients at
     /// `c0.c2`, `c1.c0` and `c1.c1` only. 14 `Fp2` multiplications.
-    pub(crate) fn mul_by_ate_line(&self, l02: Fp2, l10: Fp2, l11: Fp2) -> Fp12 {
+    pub(crate) fn mul_by_ate_line(&self, (l02, l10, l11): (Fp2, Fp2, Fp2)) -> Fp12 {
         let t0 = self.c0.mul_by_2(l02);
         let t1 = self.c1.mul_by_01(l10, l11);
         let dense = Fp6::new(l10, l11, l02); // m0 + m1
         let c1 = (self.c0 + self.c1) * dense - t0 - t1;
         Fp12::new(t0 + t1.mul_by_v(), c1)
+    }
+
+    /// Product with *two* ate-pairing lines `(l02, l10, l11)` at once: the
+    /// lines are multiplied sparse × sparse first (6 `Fp2` multiplications;
+    /// with `A = l02·v²`, `B = l10 + l11·v` the product `(A + Bw)(A' + B'w)`
+    /// is `AA' + v·BB' + (AB' + A'B)w`, whose `w` part has no `v` term),
+    /// then into `self` with one Karatsuba product that keeps that zero —
+    /// 23 multiplications against 28 for two [`Self::mul_by_ate_line`]s.
+    pub(crate) fn mul_by_ate_line_pair(
+        &self,
+        (a2, b0, b1): (Fp2, Fp2, Fp2),
+        (a2p, b0p, b1p): (Fp2, Fp2, Fp2),
+    ) -> Fp12 {
+        let aa = a2 * a2p;
+        let b00 = b0 * b0p;
+        let b11 = b1 * b1p;
+        let b_cross = (b0 + b1) * (b0p + b1p) - b00 - b11;
+        let ab1 = (a2 + b1) * (a2p + b1p) - aa - b11;
+        let ab0 = (a2 + b0) * (a2p + b0p) - aa - b00;
+        let m0 = Fp6::new(b11.mul_by_xi(), aa.mul_by_xi() + b00, b_cross);
+        let (m10, m12) = (ab1.mul_by_xi(), ab0);
+        let v0 = self.c0 * m0;
+        let v1 = self.c1.mul_by_02(m10, m12);
+        let s = (self.c0 + self.c1) * Fp6::new(m0.c0 + m10, m0.c1, m0.c2 + m12);
+        Fp12::new(v0 + v1.mul_by_v(), s - v0 - v1)
     }
 }
 
@@ -787,7 +812,7 @@ mod tests {
             let tate = Fp12::new(Fp6::new(l0, Fp2::zero(), l1), Fp6::new(Fp2::zero(), l2, Fp2::zero()));
             assert_eq!(f.mul_by_tate_line(l0, l1, l2), f * tate);
             let ate = Fp12::new(Fp6::new(Fp2::zero(), Fp2::zero(), l0), Fp6::new(l1, l2, Fp2::zero()));
-            assert_eq!(f.mul_by_ate_line(l0, l1, l2), f * ate);
+            assert_eq!(f.mul_by_ate_line((l0, l1, l2)), f * ate);
         }
     }
 

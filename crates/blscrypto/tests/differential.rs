@@ -7,8 +7,10 @@
 //! `substrate::check`): the seed is the unit of reproduction.
 
 use blscrypto::bigint::BigUint;
-use blscrypto::bls::{self, SecretKey};
-use blscrypto::curves::{g1_generator, g2_generator, hash_to_g1};
+use blscrypto::bls::{self, PreparedKey, PublicKey, SecretKey, Signature, SIGNATURE_DOMAIN};
+use blscrypto::curves::{
+    g1_generator, g2_generator, hash_to_g1, CurveParams, G1Affine, G2Affine, Projective,
+};
 use blscrypto::fields::{Fp, Fr};
 use blscrypto::pairing;
 use blscrypto::reference;
@@ -54,6 +56,95 @@ fn mont_mul_matches_biguint_oracle() {
             .mul(&BigUint::from_limbs_le(&a.to_raw()))
             .rem(&p);
         assert_eq!(sq, sq_expect, "dedicated squaring diverged from oracle");
+    });
+}
+
+// ---- Field fast paths vs the exponentiations and loops they replaced ----
+
+/// `m - k` for a small `k` (no limb of either modulus borrows).
+fn modulus_minus<const N: usize>(mut m: [u64; N], k: u64) -> [u64; N] {
+    m[0] -= k;
+    m
+}
+
+#[test]
+fn binary_euclid_inverse_matches_fermat_exponentiation() {
+    let (p2, r2) = (modulus_minus(Fp::MODULUS, 2), modulus_minus(Fr::MODULUS, 2));
+    let check_fp = |a: Fp| match a.invert() {
+        Some(inv) => assert_eq!(inv, a.pow(&p2), "Fp inverse of {a:?}"),
+        None => assert!(a.is_zero()),
+    };
+    let check_fr = |a: Fr| match a.invert() {
+        Some(inv) => assert_eq!(inv, a.pow(&r2), "Fr inverse of {a:?}"),
+        None => assert!(a.is_zero()),
+    };
+    for edge in [0, 1, 2] {
+        check_fp(Fp::from_u64(edge));
+        check_fp(-Fp::from_u64(edge));
+        check_fr(Fr::from_u64(edge));
+        check_fr(-Fr::from_u64(edge));
+    }
+    // A power of two walks the longest halving run, a Mersenne-like value
+    // the longest subtract run.
+    check_fp(Fp::from_raw([0, 0, 0, 0, 0, 1 << 59]));
+    check_fp(Fp::from_raw([u64::MAX; 6]));
+    substrate::forall!(|g| {
+        check_fp(arb_fp(g));
+        check_fr(arb_fr(g));
+    });
+}
+
+#[test]
+fn jacobi_residue_test_matches_euler_criterion() {
+    let half = |m: &[u64]| {
+        let m = BigUint::from_limbs_le(m);
+        m.sub(&BigUint::one()).div_rem(&BigUint::from_u64(2)).0
+    };
+    let (p_half, r_half) = (half(&Fp::MODULUS), half(&Fr::MODULUS));
+    let check_fp = |a: Fp| {
+        let euler = a.is_zero() || a.pow(p_half.limbs()) == Fp::one();
+        assert_eq!(a.is_square(), euler, "Fp residuosity of {a:?}");
+        assert_eq!(a.sqrt().is_some(), euler);
+    };
+    let check_fr = |a: Fr| {
+        let euler = a.is_zero() || a.pow(r_half.limbs()) == Fr::one();
+        assert_eq!(a.is_square(), euler, "Fr residuosity of {a:?}");
+    };
+    for edge in [0, 1, 2, 3, 4] {
+        check_fp(Fp::from_u64(edge));
+        check_fp(-Fp::from_u64(edge));
+        check_fr(Fr::from_u64(edge));
+        check_fr(-Fr::from_u64(edge));
+    }
+    substrate::forall!(|g| {
+        let (a, b) = (arb_fp(g), arb_fr(g));
+        check_fp(a);
+        check_fp(a.square());
+        check_fr(b);
+        check_fr(b.square());
+    });
+}
+
+#[test]
+fn from_bytes_wide_matches_byte_at_a_time_horner() {
+    fn horner_fp(bytes: &[u8]) -> Fp {
+        let radix = Fp::from_u64(256);
+        bytes.iter().fold(Fp::zero(), |acc, &b| acc * radix + Fp::from_u64(b as u64))
+    }
+    fn horner_fr(bytes: &[u8]) -> Fr {
+        let radix = Fr::from_u64(256);
+        bytes.iter().fold(Fr::zero(), |acc, &b| acc * radix + Fr::from_u64(b as u64))
+    }
+    // Every chunk boundary of both widths, and all-ones (every chunk ≥ p).
+    for len in [0, 1, 31, 32, 33, 47, 48, 49, 64, 96, 97] {
+        let ones = vec![0xff; len];
+        assert_eq!(Fp::from_bytes_wide(&ones), horner_fp(&ones), "{len} bytes of 0xff");
+        assert_eq!(Fr::from_bytes_wide(&ones), horner_fr(&ones), "{len} bytes of 0xff");
+    }
+    substrate::forall!(|g| {
+        let bytes = g.bytes(130);
+        assert_eq!(Fp::from_bytes_wide(&bytes), horner_fp(&bytes));
+        assert_eq!(Fr::from_bytes_wide(&bytes), horner_fr(&bytes));
     });
 }
 
@@ -115,6 +206,45 @@ fn wnaf_scalar_edge_cases() {
     assert!(id.mul_limbs(&[7, 7, 7, 7]).is_identity());
 }
 
+/// Straus' shared doubling chain against one binary ladder per term, on
+/// term lists that mix scalar widths (batch weights are 2 limbs, Lagrange
+/// coefficients 4), the unit weight, zero scalars, the identity and a
+/// repeated point.
+fn sum_of_products_matches_ladders<C: CurveParams>(g: &mut Gen, generator: Projective<C>) {
+    let n = g.usize_in(0..6);
+    let mut terms: Vec<(Projective<C>, Vec<u64>)> = (0..n)
+        .map(|_| {
+            let point = generator.mul_limbs_binary(&arb_fr(g).to_raw());
+            let scalar = match g.usize_in(0..4) {
+                0 => g.limbs::<2>().to_vec(),
+                1 => g.limbs::<4>().to_vec(),
+                2 => vec![1, 0],
+                _ => vec![0, 0],
+            };
+            (point, scalar)
+        })
+        .collect();
+    if n > 1 && g.bool() {
+        terms[0].0 = terms[1].0;
+    }
+    if n > 0 && g.bool() {
+        terms[n - 1].0 = Projective::identity();
+    }
+    let refs: Vec<(Projective<C>, &[u64])> = terms.iter().map(|(p, k)| (*p, &k[..])).collect();
+    let ladders = Projective::sum(terms.iter().map(|(p, k)| p.mul_limbs_binary(k)));
+    assert_eq!(Projective::sum_of_products(&refs), ladders, "{n} terms");
+}
+
+#[test]
+fn sum_of_products_matches_sum_of_binary_ladders() {
+    substrate::forall!(cases = 24, |g| {
+        sum_of_products_matches_ladders(g, g1_generator());
+    });
+    substrate::forall!(cases = 8, |g| {
+        sum_of_products_matches_ladders(g, g2_generator());
+    });
+}
+
 // ---- Fast pairing vs the reference Miller loop / final exp --------------
 
 #[test]
@@ -165,6 +295,75 @@ fn fast_final_exp_matches_reference_on_miller_outputs() {
             reference::final_exponentiation(f),
             "addition-chain final exponentiation diverged from BigUint pow"
         );
+    });
+}
+
+#[test]
+fn fused_line_miller_product_matches_per_term_product() {
+    // One to five terms: pairs of lines go sparse × sparse into one dense
+    // product, a lone term (and the odd one out) takes the single-line
+    // path — so the per-term loops are the unfused oracle.
+    substrate::forall!(cases = 6, |g| {
+        let n = g.usize_in(1..6);
+        let owned: Vec<(G1Affine, pairing::PreparedG2)> = (0..n)
+            .map(|_| {
+                let p = g1_generator().mul_fr(arb_fr(g)).to_affine();
+                let q = g2_generator().mul_fr(arb_fr(g)).to_affine();
+                (p, pairing::prepare_g2(&q))
+            })
+            .collect();
+        let terms: Vec<(&G1Affine, &pairing::PreparedG2)> =
+            owned.iter().map(|(p, q)| (p, q)).collect();
+        let fused = pairing::multi_miller_loop(&terms);
+        let unfused = terms
+            .iter()
+            .fold(Fp12::one(), |f, t| f * pairing::multi_miller_loop(&[*t]));
+        assert_eq!(
+            pairing::final_exponentiation(fused),
+            pairing::final_exponentiation(unfused),
+            "{n} terms"
+        );
+    });
+}
+
+// ---- Prepared-key verification vs the reference pairing check -----------
+
+/// The textbook decision: `e(H(m), pk) · e(−σ, g2) == 1` on the affine Tate
+/// reference, no tables, no ate loop, no shared anything.
+fn reference_verify(pk: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
+    let h = hash_to_g1(msg, SIGNATURE_DOMAIN).to_affine();
+    reference::pairing_product_is_one(&[(h, pk.0), (sig.0.neg(), g2_generator().to_affine())])
+}
+
+#[test]
+fn prepared_key_verify_agrees_with_reference_pairing_check() {
+    substrate::forall!(cases = 2, |g| {
+        let mut keyrng = StdRng::seed_from_u64(g.u64());
+        let (sk, other) = (SecretKey::generate(&mut keyrng), SecretKey::generate(&mut keyrng));
+        let (pk, msg) = (sk.public_key(), g.bytes(40));
+        let sig = sk.sign(&msg);
+        // One long-lived key checks every case, so all but the first run
+        // against a table built for an earlier message.
+        let key = PreparedKey::from(pk);
+        let mut tampered = msg.clone();
+        tampered.push(1);
+        let relabeled = [b"OTHER_LABEL".as_slice(), &msg].concat();
+        for (what, m, s) in [
+            ("valid", &msg, sig),
+            ("tampered payload", &tampered, sig),
+            ("wrong label", &relabeled, sig),
+            ("another key's signature", &msg, other.sign(&msg)),
+            ("identity signature", &msg, Signature(G1Affine::identity())),
+        ] {
+            let expect = reference_verify(&pk, m, &s);
+            assert_eq!(expect, what == "valid", "{what}: reference decision");
+            assert_eq!(key.verify(m, &s), expect, "{what}: prepared key");
+            assert_eq!(bls::verify(&pk, m, &s), expect, "{what}: throw-away table");
+        }
+        let identity = PublicKey(G2Affine::identity());
+        assert!(!reference_verify(&identity, &msg, &sig));
+        assert!(!PreparedKey::from(identity).verify(&msg, &sig), "identity key");
+        assert!(!PreparedKey::from(other.public_key()).verify(&msg, &sig), "wrong key");
     });
 }
 

@@ -26,7 +26,7 @@ use crate::config::CryptoMode;
 use crate::msg::Net;
 use crate::obs::Obs;
 use crate::runtime::Shared;
-use blscrypto::bls::{KeyShare, PartialSignature, PublicKey, SecretKey};
+use blscrypto::bls::{KeyShare, PartialSignature, PreparedKey, PublicKey, SecretKey};
 use blscrypto::dkg::GroupPublic;
 use simnet::node::Host;
 use simnet::time::SimDuration;
@@ -193,11 +193,11 @@ impl Authenticator {
         }
     }
 
-    fn key_of(&self, peer: Peer) -> Option<PublicKey> {
+    fn key_of(&self, peer: Peer) -> Option<&PreparedKey> {
         let keys = &self.shared.keys;
         match peer {
-            Peer::Switch(s) => keys.switch_pk.get(&s).copied(),
-            Peer::Controller(d, c) => keys.controller_pk.get(&(d, c)).copied(),
+            Peer::Switch(s) => keys.switch_pk.get(&s),
+            Peer::Controller(d, c) => keys.controller_pk.get(&(d, c)),
         }
     }
 
@@ -207,7 +207,9 @@ impl Authenticator {
     fn accepts<T: Wire>(&self, label: &str, msg: &Signed<T>, from: Peer) -> bool {
         let dir = &self.shared.dir;
         match (self.level, from) {
-            (Level::Real, _) => self.key_of(from).is_some_and(|pk| msg.verify(label, &pk)),
+            (Level::Real, _) => self
+                .key_of(from)
+                .is_some_and(|key| msg.verify_prepared(label, key)),
             (_, Peer::Switch(s)) => dir.switch_node.contains_key(&s),
             (_, Peer::Controller(d, c)) => dir.controller_node.contains_key(&(d, c)),
         }
@@ -244,7 +246,7 @@ impl Authenticator {
     ) -> bool {
         self.book_check(ctx);
         let pk = &self.shared.keys.domains[&self.domain].public_key;
-        self.level != Level::Real || msg.verify(label, pk)
+        self.level != Level::Real || msg.verify_prepared(label, pk)
     }
 
     /// Verifies envelopes of several senders at once: one randomized batch
@@ -269,7 +271,7 @@ impl Authenticator {
         if self.level == Level::Real {
             let keyed: Vec<(&Signed<T>, PublicKey)> = msgs
                 .iter()
-                .filter_map(|&(m, from)| Some((m, self.key_of(from)?)))
+                .filter_map(|&(m, from)| Some((m, self.key_of(from)?.key())))
                 .collect();
             if keyed.len() == msgs.len() && verify_signed_batch(label, &keyed, ctx.rng()) {
                 return vec![true; msgs.len()];

@@ -17,7 +17,7 @@
 //! key is invariant), eviction does not (DESIGN.md §3).
 
 use crate::runtime::KeyMaterial;
-use blscrypto::bls::{self, PartialSignature, PublicKey, Signature};
+use blscrypto::bls::{self, PartialSignature, PreparedKey, Signature};
 use blscrypto::dkg::GroupPublic;
 use southbound::codec::Wire;
 use southbound::envelope::signing_digest;
@@ -82,7 +82,7 @@ pub struct Check<'a> {
     /// The signing domain's group public key and Feldman commitment;
     /// `None` skips the curve math (modeled crypto, unauthenticated
     /// baselines) and certifies on the count alone.
-    pub keys: Option<(&'a PublicKey, &'a GroupPublic)>,
+    pub keys: Option<(&'a PreparedKey, &'a GroupPublic)>,
 }
 
 /// Share buckets keyed by `(K, phase)`, one bucket per distinct payload.
@@ -162,7 +162,7 @@ impl<K: Ord + Copy, T: Wire + Eq + Clone> QuorumCollector<K, T> {
             Some((group_pk, group)) => {
                 let digest = signing_digest(check.label, phase, &bucket.payload);
                 match bls::aggregate(&partials) {
-                    Ok(sig) if bls::verify(group_pk, &digest, &sig) => sig,
+                    Ok(sig) if group_pk.verify(&digest, &sig) => sig,
                     _ => {
                         // Some share is bad: find it, so the bucket can
                         // complete from honest replacements.
@@ -228,7 +228,7 @@ mod tests {
             Check {
                 label: LABEL,
                 quorum: 2,
-                keys: Some((&out.group_public_key, &out.group)),
+                keys: Some((&out.group_public_key.into(), &out.group)),
             },
         )
     }
@@ -306,6 +306,71 @@ mod tests {
         };
         assert_eq!(cert.signers, vec![1, 4]);
         assert_eq!(c.have(1, P0), 0, "certified entries are dropped");
+    }
+
+    /// The group key survives a reshare and keeps its line table; the share
+    /// keys do not survive it, and eviction must derive them from the
+    /// commitment `Authenticator::rekey` installed, not from anything cached
+    /// under the old one.
+    #[test]
+    fn rogue_share_is_evicted_after_rekey_under_the_same_prepared_group_key() {
+        use crate::auth::{Authenticator, Peer};
+        use crate::config::{Aggregation, CryptoMode, Mode};
+        use crate::runtime::bootstrap_keys;
+        use blscrypto::bls::KeyShare;
+        use blscrypto::dkg::DkgConfig;
+        use southbound::envelope::{MsgId, ShareSigned};
+        use southbound::types::{ControllerId, SwitchId};
+
+        let mode = Mode::Cicero {
+            aggregation: Aggregation::Switch,
+        };
+        let engine = crate::engine::default_pod_engine(mode, CryptoMode::Real, 1);
+        let shared = std::sync::Arc::clone(engine.shared());
+        let switches: Vec<SwitchId> = shared.topo.switches().iter().map(|s| s.id).collect();
+        let members = &shared.dir.initial_members;
+        let (_, secrets) = bootstrap_keys(CryptoMode::Real, &switches, members, shared.cfg.seed);
+        let (&domain, old) = secrets.domain_dkg.iter().next().expect("one domain");
+        let signed = |share: &KeyShare| {
+            let id = MsgId {
+                origin: share.index,
+                seq: 1,
+            };
+            ShareSigned::sign(LABEL, FlowId(7), P0, id, share)
+        };
+        let share_of = |out: &DkgOutput, signer: usize| out.participants[signer - 1].share.clone();
+        let me = Peer::Controller(domain, ControllerId(1));
+        let mut auth = Authenticator::new(shared, me, None, Some(share_of(old, 1)));
+        let mut c: QuorumCollector<u8, FlowId> = QuorumCollector::new();
+        // A first quorum builds the group key's table.
+        for signer in [1, 2] {
+            let q = auth.collect(&mut c, 1, signed(&share_of(old, signer)), LABEL, 2, domain);
+            assert_eq!(matches!(q, Quorum::Certified(_)), signer == 2);
+        }
+        // Reshare 4 → 5 members: same group key, new commitment and shares.
+        let mut rng = StdRng::seed_from_u64(0x5e5a);
+        let cfg5 = DkgConfig::byzantine(5).expect("n = 5");
+        let new = blscrypto::reshare::run_reshare(old, cfg5, &mut rng).expect("reshare");
+        assert_eq!(new.group_public_key, old.group_public_key);
+        auth.rekey(Some(share_of(&new, 1)), new.group.clone());
+        // Signer 2 keeps signing with its pre-reshare share: valid under the
+        // old commitment, rogue under the new one.
+        assert!(matches!(
+            auth.collect(&mut c, 2, signed(&share_of(&new, 1)), LABEL, 2, domain),
+            Quorum::Below
+        ));
+        assert!(matches!(
+            auth.collect(&mut c, 2, signed(&share_of(old, 2)), LABEL, 2, domain),
+            Quorum::Rejected { shares: 2 }
+        ));
+        assert_eq!(c.held_by(1), 1, "the honest new share stays");
+        assert_eq!(c.held_by(2), 0, "the stale share is evicted");
+        let Quorum::Certified(cert) =
+            auth.collect(&mut c, 2, signed(&share_of(&new, 3)), LABEL, 2, domain)
+        else {
+            panic!("two post-reshare shares certify under the unchanged group key");
+        };
+        assert_eq!(cert.signers, vec![1, 3]);
     }
 
     #[test]

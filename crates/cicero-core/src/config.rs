@@ -184,18 +184,20 @@ impl CostModel {
     ///
     /// Used by the Fig. 11d variant that reports per-switch CPU under
     /// measured costs (`experiment::fig11d_switch_cpu_measured`). Refresh
-    /// alongside the baseline: `event_sign`/`update_sign` ≈ `bls_sign` /
-    /// `threshold_sign_share`, `bls_verify` is the two-pairing verify,
+    /// alongside the baseline (a test fails when a literal drifts more than
+    /// 25 % from its median): `event_sign`/`update_sign` ≈ `bls_sign` /
+    /// `threshold_sign_share`, `bls_verify` is `bls_verify_prepared` (a
+    /// node verifies under keys whose line tables it keeps),
     /// `aggregate_per_share` is `threshold_aggregate_q2 / 2`, and
     /// `batch_verify_per_item` is `batch_verify_64 / 64`.
     #[must_use]
     pub fn measured() -> Self {
         CostModel {
-            event_sign: SimDuration::from_micros(380),
-            bls_verify: SimDuration::from_micros(1870),
-            aggregate_per_share: SimDuration::from_micros(143),
-            batch_verify_per_item: SimDuration::from_micros(980),
-            update_sign: SimDuration::from_micros(380),
+            event_sign: SimDuration::from_micros(265),
+            bls_verify: SimDuration::from_micros(1390),
+            aggregate_per_share: SimDuration::from_micros(75),
+            batch_verify_per_item: SimDuration::from_micros(615),
+            update_sign: SimDuration::from_micros(265),
             ..CostModel::default()
         }
     }
@@ -386,6 +388,44 @@ mod tests {
         // 420 kB at 100 Mb/s = 33.6 ms (the paper's Hadoop mean).
         assert_eq!(tx_time(420_000).as_millis_f64(), 33.6);
         assert_eq!(tx_time(0), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn measured_cost_model_tracks_the_recorded_bench_medians() {
+        use substrate::benchkit::suite_medians;
+        use substrate::ser::JsonValue;
+
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_protocol.json");
+        let doc = std::fs::read_to_string(path).expect("committed bench baseline");
+        let doc = JsonValue::parse(&doc).expect("baseline is JSON");
+        let medians = suite_medians(&doc, "crypto").expect("baseline has a crypto suite");
+        let ns = |name: &str| match medians.iter().find(|(n, _)| n == name) {
+            Some((_, median)) => *median,
+            None => panic!("baseline has no crypto entry {name:?}"),
+        };
+        let m = CostModel::measured();
+        for (field, literal, bench_ns) in [
+            ("event_sign", m.event_sign, ns("bls_sign")),
+            ("update_sign", m.update_sign, ns("threshold_sign_share")),
+            ("bls_verify", m.bls_verify, ns("bls_verify_prepared")),
+            (
+                "aggregate_per_share",
+                m.aggregate_per_share,
+                ns("threshold_aggregate_q2") / 2.0,
+            ),
+            (
+                "batch_verify_per_item",
+                m.batch_verify_per_item,
+                ns("batch_verify_64") / 64.0,
+            ),
+        ] {
+            let ratio = literal.as_nanos() as f64 / bench_ns;
+            assert!(
+                (0.75..=1.25).contains(&ratio),
+                "CostModel::measured().{field} = {literal:?} is {ratio:.2}× its \
+                 BENCH_protocol.json median ({bench_ns:.0} ns): refresh the literal"
+            );
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::config::{CryptoMode, EngineConfig};
 use crate::msg::Net;
-use blscrypto::bls::{PublicKey, SecretKey, Signature};
+use blscrypto::bls::{PreparedKey, PublicKey, SecretKey, Signature};
 use blscrypto::curves::G1Affine;
 use blscrypto::dkg::{DkgConfig, DkgOutput, GroupPublic};
 use blscrypto::feldman::Commitment;
@@ -105,16 +105,19 @@ pub struct DomainKeys {
     /// The DKG public output (commitment → member share public keys).
     pub group: GroupPublic,
     /// The group public key installed on switches.
-    pub public_key: PublicKey,
+    pub public_key: PreparedKey,
 }
 
-/// All public key material (secrets live inside their actors).
+/// All public key material (secrets live inside their actors). Every key
+/// is a [`PreparedKey`]: whichever node first verifies under it builds its
+/// line table, once for the whole run — nothing is built at key ceremony
+/// time, and nothing at all under [`CryptoMode::Modeled`].
 #[derive(Clone, Debug)]
 pub struct KeyMaterial {
     /// Event-source (switch) identity public keys.
-    pub switch_pk: BTreeMap<SwitchId, PublicKey>,
+    pub switch_pk: BTreeMap<SwitchId, PreparedKey>,
     /// Controller identity public keys (for forwarded events, state sync).
-    pub controller_pk: BTreeMap<(DomainId, ControllerId), PublicKey>,
+    pub controller_pk: BTreeMap<(DomainId, ControllerId), PreparedKey>,
     /// Per-domain threshold material.
     pub domains: BTreeMap<DomainId, DomainKeys>,
     /// Placeholder signature used in [`CryptoMode::Modeled`] envelopes.
@@ -221,27 +224,24 @@ pub fn bootstrap_keys(
         domain_dkg: BTreeMap::new(),
     };
     let real = crypto == CryptoMode::Real;
+    let placeholder = PublicKey(blscrypto::curves::G2Affine::identity());
     for &s in switches {
         if real {
             let sk = SecretKey::generate(&mut rng);
-            material.switch_pk.insert(s, sk.public_key());
+            material.switch_pk.insert(s, sk.public_key().into());
             secrets.switch_sk.insert(s, sk);
         } else {
-            material
-                .switch_pk
-                .insert(s, PublicKey(blscrypto::curves::G2Affine::identity()));
+            material.switch_pk.insert(s, placeholder.into());
         }
     }
     for (&d, members) in domains {
         for &c in members {
             if real {
                 let sk = SecretKey::generate(&mut rng);
-                material.controller_pk.insert((d, c), sk.public_key());
+                material.controller_pk.insert((d, c), sk.public_key().into());
                 secrets.controller_sk.insert((d, c), sk);
             } else {
-                material
-                    .controller_pk
-                    .insert((d, c), PublicKey(blscrypto::curves::G2Affine::identity()));
+                material.controller_pk.insert((d, c), placeholder.into());
             }
         }
         let n = members.len() as u32;
@@ -252,7 +252,7 @@ pub fn bootstrap_keys(
             material.domains.insert(
                 d,
                 DomainKeys {
-                    public_key: dkg.group_public_key,
+                    public_key: dkg.group_public_key.into(),
                     group: dkg.group.clone(),
                 },
             );
@@ -262,7 +262,7 @@ pub fn bootstrap_keys(
             material.domains.insert(
                 d,
                 DomainKeys {
-                    public_key: group.public_key(),
+                    public_key: group.public_key().into(),
                     group,
                 },
             );
@@ -310,10 +310,6 @@ mod tests {
             .map(|p| blscrypto::bls::sign_share(&p.share, msg))
             .collect();
         let sig = blscrypto::bls::aggregate(&partials).unwrap();
-        assert!(blscrypto::bls::verify(
-            &mat.domains[&DomainId(0)].public_key,
-            msg,
-            &sig
-        ));
+        assert!(mat.domains[&DomainId(0)].public_key.verify(msg, &sig));
     }
 }

@@ -8,7 +8,9 @@
 use crate::codec::Wire;
 use crate::types::Phase;
 use blscrypto::batch::{batch_verify, BatchItem};
-use blscrypto::bls::{self, KeyShare, PartialSignature, PublicKey, SecretKey, Signature};
+use blscrypto::bls::{
+    self, KeyShare, PartialSignature, PreparedKey, PublicKey, SecretKey, Signature,
+};
 use blscrypto::sha256::sha256_parts;
 use substrate::rng::Rng;
 
@@ -54,10 +56,18 @@ impl<T: Wire> Signed<T> {
         }
     }
 
-    /// Verifies the signature against `pk`.
+    /// Verifies the signature against `pk`, a key met once. Both envelope
+    /// kinds follow one convention: `verify` takes a bare [`PublicKey`] and
+    /// throws its line table away, `verify_prepared` takes the long-lived
+    /// [`PreparedKey`] every node of the running system holds.
     pub fn verify(&self, label: &str, pk: &PublicKey) -> bool {
+        self.verify_prepared(label, &PreparedKey::from(*pk))
+    }
+
+    /// Verifies the signature against a key the caller keeps prepared.
+    pub fn verify_prepared(&self, label: &str, key: &PreparedKey) -> bool {
         let digest = signing_digest(label, self.phase, &self.payload);
-        bls::verify(pk, &digest, &self.signature)
+        key.verify(&digest, &self.signature)
     }
 }
 
@@ -152,10 +162,15 @@ impl<T: Wire> QuorumSigned<T> {
         })
     }
 
-    /// Verifies against the group public key.
+    /// Verifies against the group public key, met once.
     pub fn verify(&self, label: &str, group_pk: &PublicKey) -> bool {
+        self.verify_prepared(label, &PreparedKey::from(*group_pk))
+    }
+
+    /// Verifies against a group public key the caller keeps prepared.
+    pub fn verify_prepared(&self, label: &str, group_pk: &PreparedKey) -> bool {
         let digest = signing_digest(label, self.phase, &self.payload);
-        bls::verify(group_pk, &digest, &self.signature)
+        group_pk.verify(&digest, &self.signature)
     }
 }
 
@@ -180,15 +195,23 @@ mod tests {
             MsgId { origin: 1, seq: 9 },
             &key,
         );
-        assert!(msg.verify(LABEL, &pk));
+        // A key met once and a long-lived one (its table built by the
+        // first check, reused by the rest) decide alike.
+        let key = PreparedKey::from(pk);
+        let both = |m: &Signed<FlowId>, label: &str| {
+            let verdict = m.verify_prepared(label, &key);
+            assert_eq!(m.verify(label, &pk), verdict);
+            verdict
+        };
+        assert!(both(&msg, LABEL));
         // Wrong label, wrong phase, wrong payload all fail.
-        assert!(!msg.verify("OTHER", &pk));
+        assert!(!both(&msg, "OTHER"));
         let mut tampered = msg.clone();
         tampered.payload = FlowId(43);
-        assert!(!tampered.verify(LABEL, &pk));
+        assert!(!both(&tampered, LABEL));
         let mut rephased = msg;
         rephased.phase = Phase(4);
-        assert!(!rephased.verify(LABEL, &pk));
+        assert!(!both(&rephased, LABEL));
     }
 
     #[test]
@@ -211,8 +234,12 @@ mod tests {
             1,
         )
         .unwrap();
-        assert!(q.verify(LABEL, &out.group_public_key));
-        assert!(!q.verify("OTHER", &out.group_public_key));
+        let group_pk = PreparedKey::from(out.group_public_key);
+        for label in [LABEL, "OTHER"] {
+            let verdict = q.verify_prepared(label, &group_pk);
+            assert_eq!(q.verify(label, &out.group_public_key), verdict);
+            assert_eq!(verdict, label == LABEL);
+        }
     }
 
     #[test]

@@ -324,7 +324,9 @@ impl CompareReport {
     }
 }
 
-fn suite_medians(doc: &JsonValue, suite: &str) -> Option<Vec<(String, f64)>> {
+/// `(entry name, median ns)` of every result of `suite` in a parsed
+/// benchkit document; `None` when the suite is absent or malformed.
+pub fn suite_medians(doc: &JsonValue, suite: &str) -> Option<Vec<(String, f64)>> {
     let suites = doc.get("suites")?.as_array()?;
     let s = suites
         .iter()

@@ -20,7 +20,7 @@ fn main() {
     let mut engine = Engine::build(cfg, topo.clone(), dm, 1);
     let domain = DomainId(0);
 
-    let pk_before = engine.shared().keys.domains[&domain].public_key;
+    let pk_before = engine.shared().keys.domains[&domain].public_key.key();
     println!("group public key (before): {:02x?}…", &pk_before.to_bytes()[1..9]);
 
     // Warm up with a few flows under the 4-member control plane.

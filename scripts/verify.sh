@@ -75,13 +75,17 @@ fi
 echo "== perf regression gate (benchkit compare vs BENCH_protocol.json) =="
 # Re-measure the crypto, protocol and consensus suites and diff the medians
 # against the recorded baseline: fail on any entry regressing past the
-# tolerance band, on a renamed/vanished entry, or on the absolute caps —
-# bls_verify ≤ 10 ms, batch_verify_64 amortized ≤ 2 ms per update, and one
-# cross-domain boundary's whole handshake (handshake_boundary_n4: 4 report
-# shares, 4 quorum certificates, 4 receipts, 4 receipt batches) ≤ 55 ms. The
-# last one is what keeps the handshake quorum-certified: verifying every
-# report and receipt singly costs ≥ 65 ms on the baseline host, so a change
-# that quietly puts that back fails here in seconds.
+# tolerance band, on a renamed/vanished entry, or on the absolute caps.
+# The caps sit at about twice the recorded medians (refresh them with the
+# baseline): bls_verify ≤ 3.1 ms and, under a key whose line table is kept,
+# bls_verify_prepared ≤ 2.8 ms; a four-signer same-message batch
+# (batch_verify_4_same_msg) ≤ 4.3 ms; batch_verify_64 amortized ≤ 2 ms per
+# update (the paper-level target); and one cross-domain boundary's whole
+# handshake (handshake_boundary_n4: 4 report shares, 4 quorum certificates,
+# 4 receipts, 4 receipt batches) ≤ 36 ms. The last one is what keeps the
+# handshake quorum-certified: verifying every report and receipt singly
+# costs about 50 ms on the baseline host, so a change that quietly puts
+# that back fails here in seconds.
 # The band is wide (3x) because this runs on shared/variable hardware; the
 # caps are what the acceptance criteria actually pin. Skip with
 # SKIP_BENCH_GATE=1 (e.g. on heavily loaded CI workers), refresh the
@@ -94,12 +98,14 @@ if [ -z "${SKIP_BENCH_GATE:-}" ]; then
     cargo run -q --offline --release -p bench --bin benchgate -- \
         BENCH_protocol.json "$fresh_bench" crypto \
         --tolerance 2.0 \
-        --cap bls_verify=10000000 \
+        --cap bls_verify=3100000 \
+        --cap bls_verify_prepared=2800000 \
+        --cap batch_verify_4_same_msg=4300000 \
         --cap batch_verify_64/64=2000000
     cargo run -q --offline --release -p bench --bin benchgate -- \
         BENCH_protocol.json "$fresh_bench" protocol \
         --tolerance 2.0 \
-        --cap handshake_boundary_n4=55000000
+        --cap handshake_boundary_n4=36000000
     cargo run -q --offline --release -p bench --bin benchgate -- \
         BENCH_protocol.json "$fresh_bench" consensus \
         --tolerance 2.0

@@ -20,7 +20,7 @@ fn build(n_standby: u32) -> (Engine, Topology) {
 fn adding_a_controller_preserves_the_group_key() {
     let (mut engine, topo) = build(1);
     let domain = DomainId(0);
-    let pk_before = engine.shared().keys.domains[&domain].public_key;
+    let pk_before = engine.shared().keys.domains[&domain].public_key.key();
 
     inject_some_flows(&mut engine, &topo, 1, 3);
     engine.run(engine.now() + SimDuration::from_secs(30));
@@ -66,7 +66,7 @@ fn adding_a_controller_preserves_the_group_key() {
 fn removing_a_controller_preserves_the_group_key_and_liveness() {
     let (mut engine, topo) = build(0);
     let domain = DomainId(0);
-    let pk_before = engine.shared().keys.domains[&domain].public_key;
+    let pk_before = engine.shared().keys.domains[&domain].public_key.key();
 
     let at = engine.now() + SimDuration::from_millis(50);
     engine.inject_membership(at, domain, OrderedOp::RemoveController(ControllerId(3)));
@@ -158,7 +158,7 @@ fn failure_detector_removes_a_crashed_controller_automatically() {
     let dm = DomainMap::single(&topo);
     let mut engine = Engine::build(cfg, topo.clone(), dm, 0);
     let domain = DomainId(0);
-    let pk_before = engine.shared().keys.domains[&domain].public_key;
+    let pk_before = engine.shared().keys.domains[&domain].public_key.key();
 
     // Controller 3 dies silently.
     let victim = engine.controller_node(domain, ControllerId(3));

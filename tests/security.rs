@@ -519,8 +519,8 @@ mod handshake {
         let (keys, secrets) = bootstrap_keys(CryptoMode::Real, &switches, &members, SEED);
         for (d, k) in &keys.domains {
             assert_eq!(
-                k.public_key,
-                engine.shared().keys.domains[d].public_key,
+                k.public_key.key(),
+                engine.shared().keys.domains[d].public_key.key(),
                 "re-derived ceremony must match the engine's"
             );
         }
