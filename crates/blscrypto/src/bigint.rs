@@ -1,57 +1,44 @@
-//! Minimal arbitrary-precision unsigned (and signed) integers.
+//! Minimal arbitrary-precision unsigned (and signed) integers — test oracle.
 //!
-//! The BLS12-381 implementation needs a handful of *one-off* large-integer
-//! computations that do not belong in the hot path: deriving curve cofactors
-//! from the curve parameter `x`, computing the final-exponentiation exponent
-//! `(p^12 - 1) / r`, and validating the hard-coded field moduli against the
-//! BLS polynomial parametrization. Pulling in a full bignum crate for that
-//! would violate the offline-dependency allowlist, so this module provides a
-//! deliberately simple, well-tested school-book implementation.
-//!
-//! The unit tests also use [`BigUint`] as an oracle for the Montgomery field
-//! arithmetic in [`crate::mont`].
+//! Compiled for `cargo test` only. The shipped crate works on fixed-width
+//! limbs with every curve constant a `const`; this deliberately simple
+//! school-book implementation is what the tests re-derive those constants
+//! with (the cofactors from the curve parameter `x` through the CM equation,
+//! the Frobenius exponents, the final-exponentiation exponent
+//! `(p⁶ + 1) / r`, the BLS polynomial parametrization of `p` and `r`), and
+//! the oracle the Montgomery field arithmetic in [`crate::mont`] and
+//! [`crate::fields`] is checked against.
 
 use std::cmp::Ordering;
 use std::fmt;
 
 /// An arbitrary-precision unsigned integer stored as little-endian `u64`
 /// limbs with no trailing zero limbs (zero is the empty limb vector).
-///
-/// # Examples
-///
-/// ```
-/// use blscrypto::bigint::BigUint;
-///
-/// let a = BigUint::from_u64(1) << 128;
-/// let b = BigUint::from_u64(3);
-/// let (q, rem) = a.div_rem(&b);
-/// assert_eq!(&q * &b + rem, a);
-/// ```
 #[derive(Clone, PartialEq, Eq, Default, Hash)]
-pub struct BigUint {
+pub(crate) struct BigUint {
     limbs: Vec<u64>,
 }
 
 impl BigUint {
     /// The value zero.
-    pub fn zero() -> Self {
+    pub(crate) fn zero() -> Self {
         BigUint { limbs: Vec::new() }
     }
 
     /// The value one.
-    pub fn one() -> Self {
+    pub(crate) fn one() -> Self {
         BigUint { limbs: vec![1] }
     }
 
     /// Builds a value from a single `u64`.
-    pub fn from_u64(v: u64) -> Self {
+    pub(crate) fn from_u64(v: u64) -> Self {
         let mut n = BigUint { limbs: vec![v] };
         n.normalize();
         n
     }
 
     /// Builds a value from little-endian `u64` limbs.
-    pub fn from_limbs_le(limbs: &[u64]) -> Self {
+    pub(crate) fn from_limbs_le(limbs: &[u64]) -> Self {
         let mut n = BigUint {
             limbs: limbs.to_vec(),
         };
@@ -64,7 +51,7 @@ impl BigUint {
     /// # Panics
     ///
     /// Panics if the string contains non-hexadecimal characters.
-    pub fn from_hex(s: &str) -> Self {
+    pub(crate) fn from_hex(s: &str) -> Self {
         let s = s.trim_start_matches("0x");
         let mut out = BigUint::zero();
         for c in s.chars() {
@@ -75,7 +62,7 @@ impl BigUint {
     }
 
     /// Renders the value as lowercase big-endian hexadecimal.
-    pub fn to_hex(&self) -> String {
+    pub(crate) fn to_hex(&self) -> String {
         if self.is_zero() {
             return "0".to_owned();
         }
@@ -91,17 +78,17 @@ impl BigUint {
     }
 
     /// Returns the little-endian limbs (no trailing zeros).
-    pub fn limbs(&self) -> &[u64] {
+    pub(crate) fn limbs(&self) -> &[u64] {
         &self.limbs
     }
 
     /// `true` iff the value is zero.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.limbs.is_empty()
     }
 
     /// Number of significant bits (zero has zero bits).
-    pub fn bits(&self) -> usize {
+    pub(crate) fn bits(&self) -> usize {
         match self.limbs.last() {
             None => 0,
             Some(hi) => self.limbs.len() * 64 - hi.leading_zeros() as usize,
@@ -109,7 +96,7 @@ impl BigUint {
     }
 
     /// Returns bit `i` (little-endian indexing).
-    pub fn bit(&self, i: usize) -> bool {
+    pub(crate) fn bit(&self, i: usize) -> bool {
         let limb = i / 64;
         if limb >= self.limbs.len() {
             return false;
@@ -124,7 +111,7 @@ impl BigUint {
     }
 
     /// Adds `other` to `self`.
-    pub fn add(&self, other: &BigUint) -> BigUint {
+    pub(crate) fn add(&self, other: &BigUint) -> BigUint {
         let n = self.limbs.len().max(other.limbs.len());
         let mut out = Vec::with_capacity(n + 1);
         let mut carry = 0u64;
@@ -149,7 +136,7 @@ impl BigUint {
     /// # Panics
     ///
     /// Panics if `other > self`.
-    pub fn sub(&self, other: &BigUint) -> BigUint {
+    pub(crate) fn sub(&self, other: &BigUint) -> BigUint {
         assert!(self >= other, "BigUint::sub underflow");
         let mut out = Vec::with_capacity(self.limbs.len());
         let mut borrow = 0u64;
@@ -168,7 +155,7 @@ impl BigUint {
     }
 
     /// School-book multiplication.
-    pub fn mul(&self, other: &BigUint) -> BigUint {
+    pub(crate) fn mul(&self, other: &BigUint) -> BigUint {
         if self.is_zero() || other.is_zero() {
             return BigUint::zero();
         }
@@ -198,7 +185,7 @@ impl BigUint {
     /// # Panics
     ///
     /// Panics if `divisor` is zero.
-    pub fn div_rem(&self, divisor: &BigUint) -> (BigUint, BigUint) {
+    pub(crate) fn div_rem(&self, divisor: &BigUint) -> (BigUint, BigUint) {
         assert!(!divisor.is_zero(), "division by zero");
         if self < divisor {
             return (BigUint::zero(), self.clone());
@@ -228,12 +215,12 @@ impl BigUint {
     }
 
     /// `self mod m`.
-    pub fn rem(&self, m: &BigUint) -> BigUint {
+    pub(crate) fn rem(&self, m: &BigUint) -> BigUint {
         self.div_rem(m).1
     }
 
     /// Modular exponentiation `self^exp mod m` (square-and-multiply).
-    pub fn mod_pow(&self, exp: &BigUint, m: &BigUint) -> BigUint {
+    pub(crate) fn mod_pow(&self, exp: &BigUint, m: &BigUint) -> BigUint {
         let mut base = self.rem(m);
         let mut acc = BigUint::one().rem(m);
         for i in 0..exp.bits() {
@@ -247,7 +234,7 @@ impl BigUint {
 
     /// Integer square root (largest `s` with `s*s <= self`), via bitwise
     /// refinement from the most significant candidate bit downwards.
-    pub fn isqrt(&self) -> BigUint {
+    pub(crate) fn isqrt(&self) -> BigUint {
         if self.is_zero() {
             return BigUint::zero();
         }
@@ -264,7 +251,7 @@ impl BigUint {
     }
 
     /// Exponentiation without modulus (used for small exponents only).
-    pub fn pow(&self, mut e: u32) -> BigUint {
+    pub(crate) fn pow(&self, mut e: u32) -> BigUint {
         let mut base = self.clone();
         let mut acc = BigUint::one();
         while e > 0 {
@@ -392,7 +379,7 @@ impl std::ops::Shr<usize> for BigUint {
 /// Only used for the curve-order candidate computations where traces of
 /// Frobenius may be negative.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct BigInt {
+pub(crate) struct BigInt {
     /// `true` for strictly negative values; zero is always non-negative.
     negative: bool,
     magnitude: BigUint,
@@ -400,7 +387,7 @@ pub struct BigInt {
 
 impl BigInt {
     /// Builds a non-negative value.
-    pub fn from_biguint(v: BigUint) -> Self {
+    pub(crate) fn from_biguint(v: BigUint) -> Self {
         BigInt {
             negative: false,
             magnitude: v,
@@ -408,7 +395,7 @@ impl BigInt {
     }
 
     /// Builds a value with the given sign (`sign` ignored for zero).
-    pub fn new(negative: bool, magnitude: BigUint) -> Self {
+    pub(crate) fn new(negative: bool, magnitude: BigUint) -> Self {
         let negative = negative && !magnitude.is_zero();
         BigInt {
             negative,
@@ -417,17 +404,17 @@ impl BigInt {
     }
 
     /// The magnitude.
-    pub fn magnitude(&self) -> &BigUint {
+    pub(crate) fn magnitude(&self) -> &BigUint {
         &self.magnitude
     }
 
     /// `true` iff strictly negative.
-    pub fn is_negative(&self) -> bool {
+    pub(crate) fn is_negative(&self) -> bool {
         self.negative
     }
 
     /// Addition with sign handling.
-    pub fn add(&self, other: &BigInt) -> BigInt {
+    pub(crate) fn add(&self, other: &BigInt) -> BigInt {
         if self.negative == other.negative {
             BigInt::new(self.negative, self.magnitude.add(&other.magnitude))
         } else if self.magnitude >= other.magnitude {
@@ -438,12 +425,12 @@ impl BigInt {
     }
 
     /// Subtraction with sign handling.
-    pub fn sub(&self, other: &BigInt) -> BigInt {
+    pub(crate) fn sub(&self, other: &BigInt) -> BigInt {
         self.add(&BigInt::new(!other.negative, other.magnitude.clone()))
     }
 
     /// Multiplication with sign handling.
-    pub fn mul(&self, other: &BigInt) -> BigInt {
+    pub(crate) fn mul(&self, other: &BigInt) -> BigInt {
         BigInt::new(
             self.negative != other.negative,
             self.magnitude.mul(&other.magnitude),
@@ -455,7 +442,7 @@ impl BigInt {
     /// # Panics
     ///
     /// Panics if the value is negative.
-    pub fn into_biguint(self) -> BigUint {
+    pub(crate) fn into_biguint(self) -> BigUint {
         assert!(!self.negative, "negative BigInt cannot become BigUint");
         self.magnitude
     }

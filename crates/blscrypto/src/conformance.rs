@@ -9,22 +9,25 @@
 //!
 //! The vectors were recorded from the reference (pre-optimization)
 //! implementations and cross-checked against the fast paths by the
-//! differential suite. To regenerate after an *intentional* change:
+//! differential suite. `pairing_digest` is the reduced *Tate* value
+//! [`reference::pairing`] computes: it pins the oracle itself, which the
+//! shipped ate pairing is then held to by decision (see
+//! [`crate::differential`]). To regenerate after an *intentional* change:
 //!
 //! ```text
-//! cargo test -p blscrypto --test conformance -- --ignored regen_fixtures
+//! cargo test -p blscrypto --lib -- --ignored regen_fixtures
 //! ```
 
-use blscrypto::bls::SecretKey;
-use blscrypto::curves::{g1_generator, g2_generator, hash_to_g1};
-use blscrypto::pairing::pairing;
-use blscrypto::sha256::sha256;
-use blscrypto::tower::{Field, Fp12, Fp2, Fp6};
-use blscrypto::Fp;
+use crate::bls::SecretKey;
+use crate::curves::{g1_generator, g2_generator, hash_to_g1};
+use crate::reference;
+use crate::sha256::sha256;
+use crate::tower::{Field, Fp12, Fp2, Fp6};
+use crate::Fp;
 use substrate::rng::{SeedableRng, StdRng};
 use substrate::ser::JsonValue;
 
-const FIXTURES: &str = include_str!("fixtures/bls_kat.json");
+const FIXTURES: &str = include_str!("../tests/fixtures/bls_kat.json");
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -163,7 +166,7 @@ fn current_fixtures() -> String {
     }
     out.push_str("  ],\n");
 
-    let e = pairing(&g1, &g2);
+    let e = reference::pairing(&g1, &g2);
     out.push_str(&format!("  \"pairing_digest\": \"{}\"\n", fp12_digest(&e)));
     out.push_str("}\n");
     out
@@ -288,7 +291,7 @@ fn sign_verify_round_trips_match_fixture() {
             "vector {ctx}: signature y moved"
         );
         assert!(
-            blscrypto::bls::verify(&pk, SIGN_MSG, &sig),
+            crate::bls::verify(&pk, SIGN_MSG, &sig),
             "vector {ctx}: round-trip verify failed"
         );
     }
@@ -297,7 +300,7 @@ fn sign_verify_round_trips_match_fixture() {
 #[test]
 fn pairing_value_matches_fixture() {
     let fx = fixtures();
-    let e = pairing(&g1_generator().to_affine(), &g2_generator().to_affine());
+    let e = reference::pairing(&g1_generator().to_affine(), &g2_generator().to_affine());
     assert_eq!(
         fp12_digest(&e),
         str_field(&fx, "pairing_digest", "pairing"),

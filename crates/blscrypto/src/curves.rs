@@ -3,14 +3,12 @@
 //!
 //! The group law (Jacobian coordinates) is written once, generically over the
 //! [`Field`] trait. Generators are **derived at first use** rather than
-//! hard-coded: a seeded try-and-increment point is multiplied by the curve
-//! cofactor, and the cofactors themselves are computed from the BLS parameter
-//! `x` with [`crate::bigint`] (for the twist, the correct group order among
-//! the CM candidates is selected by testing sample points). This removes any
-//! reliance on transcribed 96-byte constants; the subgroup checks in the unit
-//! tests then pin everything down.
+//! transcribed as 96-byte constants: a seeded try-and-increment point is
+//! multiplied by the curve cofactor. The two cofactors are `const` limbs; the
+//! unit tests re-derive both from the BLS parameter `x` (for the twist, by
+//! selecting the group order among the CM candidates with sample points) and
+//! pin the subgroup membership of everything built from them.
 
-use crate::bigint::{BigInt, BigUint};
 use crate::fields::{Fp, Fr};
 use crate::sha256::sha256_parts;
 use crate::tower::{Field, Fp2};
@@ -348,8 +346,8 @@ impl<C: CurveParams> Projective<C> {
     /// `[1]P, [3]P, …, [15]P` (every table normalized in one shared
     /// inversion, so the ladder adds are mixed): ~bits doublings *in total*
     /// plus ~bits/6 additions per term, against ~bits/2 full additions and
-    /// a doubling chain of its own for each term of the plain ladder
-    /// (retained as [`Self::mul_limbs_binary`] for the differential suite).
+    /// a doubling chain of its own for each term of the plain binary ladder
+    /// (which the test oracle keeps, to pin this one).
     pub fn sum_of_products(terms: &[(Self, &[u64])]) -> Self {
         const WIDTH: u32 = 5;
         const TABLE: usize = 1 << (WIDTH - 2);
@@ -382,27 +380,9 @@ impl<C: CurveParams> Projective<C> {
         acc
     }
 
-    /// Plain binary double-and-add scalar multiplication — the reference
-    /// implementation [`Self::mul_limbs`] is differentially tested against.
-    pub fn mul_limbs_binary(&self, limbs: &[u64]) -> Self {
-        let mut acc = Projective::identity();
-        for i in (0..limbs.len() * 64).rev() {
-            acc = acc.double();
-            if (limbs[i / 64] >> (i % 64)) & 1 == 1 {
-                acc = acc.add(self);
-            }
-        }
-        acc
-    }
-
     /// Scalar multiplication by an `Fr` scalar.
     pub fn mul_fr(&self, k: Fr) -> Self {
         self.mul_limbs(&k.to_raw())
-    }
-
-    /// Scalar multiplication by a [`BigUint`] (for cofactor clearing).
-    pub fn mul_biguint(&self, k: &BigUint) -> Self {
-        self.mul_limbs(k.limbs())
     }
 
     /// Converts back to affine coordinates.
@@ -544,31 +524,33 @@ impl<C: CurveParams> FixedBaseTable<C> {
 /// The (absolute value of the) BLS parameter `x = -0xd201000000010000`.
 pub const X_ABS: u64 = 0xd201_0000_0001_0000;
 
+/// The cofactor `#E(Fp) / r = (p + |x|) / r` of `G1`.
+const H1: [u64; 2] = [0x8c00_aaab_0000_aaab, 0x396c_8c00_5555_e156];
+
+/// The cofactor `#E'(Fp2) / r` of `G2`.
+const H2: [u64; 8] = [
+    0xcf1c_38e3_1c72_38e5,
+    0x1616_ec6e_786f_0c70,
+    0x2153_7e29_3a66_91ae,
+    0xa628_f1cb_4d9e_82ef,
+    0xa68a_205b_2e5a_7ddf,
+    0xcd91_de45_4708_5aba,
+    0x091d_5079_2876_a202,
+    0x05d5_43a9_5414_e7f1,
+];
+
 struct Constants {
-    h1: BigUint,
     g1: G1Projective,
     g2: G2Projective,
 }
 
 static CONSTANTS: OnceLock<Constants> = OnceLock::new();
 
-fn p_big() -> BigUint {
-    BigUint::from_limbs_le(&Fp::MODULUS)
-}
-fn r_big() -> BigUint {
-    BigUint::from_limbs_le(&Fr::MODULUS)
-}
-
-/// Derives a deterministic non-identity curve point from a seed label by
-/// try-and-increment (before cofactor clearing).
-fn seeded_point<C: CurveParams>(
-    label: &str,
-    base_from_ctr: impl Fn(u64) -> C::Base,
-) -> Affine<C> {
+/// Derives a deterministic non-identity curve point by try-and-increment
+/// over a counter (before cofactor clearing).
+fn seeded_point<C: CurveParams>(base_from_ctr: impl Fn(u64) -> C::Base) -> Affine<C> {
     for ctr in 0..u64::MAX {
-        let x = base_from_ctr(ctr);
-        if let Some(p) = Affine::<C>::from_x(x) {
-            let _ = label;
+        if let Some(p) = Affine::<C>::from_x(base_from_ctr(ctr)) {
             return p;
         }
     }
@@ -585,110 +567,30 @@ fn fp_from_label(label: &str, ctr: u64, part: u8) -> Fp {
 }
 
 fn g1_seeded(label: &str) -> G1Affine {
-    seeded_point::<G1Params>(label, |ctr| fp_from_label(label, ctr, 0))
+    seeded_point::<G1Params>(|ctr| fp_from_label(label, ctr, 0))
 }
 
 fn g2_seeded(label: &str) -> G2Affine {
-    seeded_point::<G2Params>(label, |ctr| {
+    seeded_point::<G2Params>(|ctr| {
         Fp2::new(fp_from_label(label, ctr, 0), fp_from_label(label, ctr, 1))
     })
 }
 
-/// Computes the order of `E'(Fp2)` by evaluating the CM candidates and
-/// testing them against sample points on the twist.
-fn twist_order() -> BigUint {
-    let p = p_big();
-    let one = BigUint::one();
-    let p2 = p.mul(&p);
-    let p2p1 = p2.add(&one);
-    // Trace over Fp: t = x + 1 (negative). |t - something| handled via BigInt.
-    let t = BigInt::new(true, BigUint::from_u64(X_ABS).sub(&one)); // t = 1 - X_ABS
-    // Trace over Fp2: t2 = t² - 2p.
-    let t2 = t.mul(&t).sub(&BigInt::from_biguint(p.clone().add(&p)));
-    // CM with discriminant -3: t2² - 4p² = -3 v².
-    let four_p2 = p2.add(&p2).add(&p2).add(&p2);
-    let t2_sq = t2.mul(&t2).into_biguint();
-    let diff = four_p2.sub(&t2_sq);
-    let (v2_sq, rem3) = diff.div_rem(&BigUint::from_u64(3));
-    assert!(rem3.is_zero(), "CM discriminant is not -3?");
-    let v2 = v2_sq.isqrt();
-    assert_eq!(v2.mul(&v2), v2_sq, "v2 is not a perfect square");
-    let v2 = BigInt::from_biguint(v2);
-    let three_v2 = v2.add(&v2).add(&v2);
-    let two = BigUint::from_u64(2);
-
-    // The six curves in the sextic-twist class over Fq (q = p², CM disc -3)
-    // have orders q + 1 - tr with tr in {±t2, ±(t2+3v)/2, ±(t2-3v)/2}.
-    let mut traces = vec![
-        t2.clone(),
-        BigInt::new(!t2.is_negative(), t2.magnitude().clone()),
-    ];
-    for sum in [t2.add(&three_v2), t2.sub(&three_v2)] {
-        let (half, rem) = sum.magnitude().div_rem(&two);
-        if !rem.is_zero() {
-            continue;
-        }
-        traces.push(BigInt::new(sum.is_negative(), half.clone()));
-        traces.push(BigInt::new(!sum.is_negative(), half));
-    }
-    let mut candidates = Vec::new();
-    for tr in traces {
-        let n = BigInt::from_biguint(p2p1.clone()).sub(&tr);
-        if !n.is_negative() {
-            candidates.push(n.into_biguint());
-        }
-    }
-
-    let r = r_big();
-    let samples: Vec<G2Affine> = (0..3)
-        .map(|i| g2_seeded(&format!("BLS12381_TWIST_ORDER_SAMPLE_{i}")))
-        .collect();
-    for n in candidates {
-        if !n.rem(&r).is_zero() {
-            continue;
-        }
-        // Hasse bound sanity: |n - (p²+1)| <= 2p.
-        let lo = p2p1.clone().sub(&p.clone().add(&p));
-        let hi = p2p1.clone().add(&p.clone().add(&p));
-        if n < lo || n > hi {
-            continue;
-        }
-        if samples
-            .iter()
-            .all(|s| s.to_projective().mul_biguint(&n).is_identity())
-        {
-            return n;
-        }
-    }
-    panic!("no twist-order candidate annihilates the sample points");
-}
-
 fn constants() -> &'static Constants {
     CONSTANTS.get_or_init(|| {
-        let p = p_big();
-        let r = r_big();
-        // #E(Fp) = p + 1 - t = p + X_ABS (t = 1 - X_ABS).
-        let order1 = p.add(&BigUint::from_u64(X_ABS));
-        let (h1, rem) = order1.div_rem(&r);
-        assert!(rem.is_zero(), "r does not divide #E(Fp)");
-
-        let order2 = twist_order();
-        let (h2, rem) = order2.div_rem(&r);
-        assert!(rem.is_zero(), "r does not divide #E'(Fp2)");
-
         let g1 = g1_seeded("CICERO_BLS12381_G1_GENERATOR")
             .to_projective()
-            .mul_biguint(&h1);
+            .mul_limbs(&H1);
         assert!(!g1.is_identity(), "G1 generator degenerated");
         assert!(g1.is_torsion_free(), "G1 generator not in r-torsion");
 
         let g2 = g2_seeded("CICERO_BLS12381_G2_GENERATOR")
             .to_projective()
-            .mul_biguint(&h2);
+            .mul_limbs(&H2);
         assert!(!g2.is_identity(), "G2 generator degenerated");
         assert!(g2.is_torsion_free(), "G2 generator not in r-torsion");
 
-        Constants { h1, g1, g2 }
+        Constants { g1, g2 }
     })
 }
 
@@ -737,7 +639,6 @@ pub fn g2_mul_generator(k: Fr) -> G2Projective {
 /// assert!(p.is_torsion_free());
 /// ```
 pub fn hash_to_g1(msg: &[u8], domain: &str) -> G1Projective {
-    let h1 = &constants().h1;
     for ctr in 0..u64::MAX {
         let d0 = sha256_parts(domain, &[msg, &ctr.to_be_bytes(), &[0]]);
         let d1 = sha256_parts(domain, &[msg, &ctr.to_be_bytes(), &[1]]);
@@ -750,7 +651,7 @@ pub fn hash_to_g1(msg: &[u8], domain: &str) -> G1Projective {
             if d0[31] & 1 == 1 {
                 point = point.neg();
             }
-            let cleared = point.to_projective().mul_biguint(h1);
+            let cleared = point.to_projective().mul_limbs(&H1);
             if !cleared.is_identity() {
                 return cleared;
             }
@@ -781,11 +682,15 @@ impl G1Affine {
     ///
     /// # Errors
     ///
-    /// Returns `None` for invalid encodings, off-curve points, or points
-    /// outside the prime-order subgroup.
+    /// Returns `None` for non-canonical encodings (a flag byte other than
+    /// 0 or 1, a non-zero payload after the infinity flag, a coordinate not
+    /// below `p`), off-curve points, or points outside the prime-order
+    /// subgroup.
     pub fn from_bytes(bytes: &[u8; 97]) -> Option<Self> {
-        if bytes[0] == 1 {
-            return Some(G1Affine::identity());
+        match bytes[0] {
+            0 => {}
+            1 => return bytes[1..].iter().all(|&b| b == 0).then(G1Affine::identity),
+            _ => return None,
         }
         let mut xb = [0u8; 48];
         xb.copy_from_slice(&bytes[1..49]);
@@ -820,11 +725,15 @@ impl G2Affine {
     ///
     /// # Errors
     ///
-    /// Returns `None` for invalid encodings, off-curve points, or points
-    /// outside the prime-order subgroup.
+    /// Returns `None` for non-canonical encodings (a flag byte other than
+    /// 0 or 1, a non-zero payload after the infinity flag, a coordinate not
+    /// below `p`), off-curve points, or points outside the prime-order
+    /// subgroup.
     pub fn from_bytes(bytes: &[u8; 193]) -> Option<Self> {
-        if bytes[0] == 1 {
-            return Some(G2Affine::identity());
+        match bytes[0] {
+            0 => {}
+            1 => return bytes[1..].iter().all(|&b| b == 0).then(G2Affine::identity),
+            _ => return None,
         }
         let mut xb = [0u8; 96];
         xb.copy_from_slice(&bytes[1..97]);
@@ -842,7 +751,91 @@ impl G2Affine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bigint::{BigInt, BigUint};
+    use crate::bls::{PublicKey, SecretKey, Signature};
     use substrate::rng::{SeedableRng, StdRng};
+
+    /// Computes the order of `E'(Fp2)` by evaluating the CM candidates and
+    /// testing them against sample points on the twist.
+    fn twist_order() -> BigUint {
+        let p = BigUint::from_limbs_le(&Fp::MODULUS);
+        let one = BigUint::one();
+        let p2 = p.mul(&p);
+        let p2p1 = p2.add(&one);
+        // Trace over Fp: t = x + 1 (negative). |t - something| handled via BigInt.
+        let t = BigInt::new(true, BigUint::from_u64(X_ABS).sub(&one)); // t = 1 - X_ABS
+        // Trace over Fp2: t2 = t² - 2p.
+        let t2 = t.mul(&t).sub(&BigInt::from_biguint(p.clone().add(&p)));
+        // CM with discriminant -3: t2² - 4p² = -3 v².
+        let four_p2 = p2.add(&p2).add(&p2).add(&p2);
+        let t2_sq = t2.mul(&t2).into_biguint();
+        let diff = four_p2.sub(&t2_sq);
+        let (v2_sq, rem3) = diff.div_rem(&BigUint::from_u64(3));
+        assert!(rem3.is_zero(), "CM discriminant is not -3?");
+        let v2 = v2_sq.isqrt();
+        assert_eq!(v2.mul(&v2), v2_sq, "v2 is not a perfect square");
+        let v2 = BigInt::from_biguint(v2);
+        let three_v2 = v2.add(&v2).add(&v2);
+        let two = BigUint::from_u64(2);
+
+        // The six curves in the sextic-twist class over Fq (q = p², CM disc -3)
+        // have orders q + 1 - tr with tr in {±t2, ±(t2+3v)/2, ±(t2-3v)/2}.
+        let mut traces = vec![
+            t2.clone(),
+            BigInt::new(!t2.is_negative(), t2.magnitude().clone()),
+        ];
+        for sum in [t2.add(&three_v2), t2.sub(&three_v2)] {
+            let (half, rem) = sum.magnitude().div_rem(&two);
+            if !rem.is_zero() {
+                continue;
+            }
+            traces.push(BigInt::new(sum.is_negative(), half.clone()));
+            traces.push(BigInt::new(!sum.is_negative(), half));
+        }
+        let mut candidates = Vec::new();
+        for tr in traces {
+            let n = BigInt::from_biguint(p2p1.clone()).sub(&tr);
+            if !n.is_negative() {
+                candidates.push(n.into_biguint());
+            }
+        }
+
+        let r = BigUint::from_limbs_le(&Fr::MODULUS);
+        let samples: Vec<G2Affine> = (0..3)
+            .map(|i| g2_seeded(&format!("BLS12381_TWIST_ORDER_SAMPLE_{i}")))
+            .collect();
+        for n in candidates {
+            if !n.rem(&r).is_zero() {
+                continue;
+            }
+            // Hasse bound sanity: |n - (p²+1)| <= 2p.
+            let lo = p2p1.clone().sub(&p.clone().add(&p));
+            let hi = p2p1.clone().add(&p.clone().add(&p));
+            if n < lo || n > hi {
+                continue;
+            }
+            if samples
+                .iter()
+                .all(|s| s.to_projective().mul_limbs(n.limbs()).is_identity())
+            {
+                return n;
+            }
+        }
+        panic!("no twist-order candidate annihilates the sample points");
+    }
+
+    #[test]
+    fn cofactors_match_the_cm_derivation() {
+        let p = BigUint::from_limbs_le(&Fp::MODULUS);
+        let r = BigUint::from_limbs_le(&Fr::MODULUS);
+        // #E(Fp) = p + 1 - t = p + X_ABS (t = 1 - X_ABS).
+        let (h1, rem) = p.add(&BigUint::from_u64(X_ABS)).div_rem(&r);
+        assert!(rem.is_zero(), "r does not divide #E(Fp)");
+        assert_eq!(BigUint::from_limbs_le(&H1), h1);
+        let (h2, rem) = twist_order().div_rem(&r);
+        assert!(rem.is_zero(), "r does not divide #E'(Fp2)");
+        assert_eq!(BigUint::from_limbs_le(&H2), h2);
+    }
 
     #[test]
     fn generators_are_valid() {
@@ -995,6 +988,64 @@ mod tests {
         let mut bad = bytes;
         bad[50] ^= 1;
         assert!(G2Affine::from_bytes(&bad).is_none());
+    }
+
+    #[test]
+    fn non_canonical_point_encodings_are_rejected() {
+        let sk = SecretKey::generate(&mut StdRng::seed_from_u64(0xc0de));
+        let (sig, pk) = (sk.sign(b"m"), sk.public_key());
+        let (sig_id, pk_id) = (
+            Signature(G1Affine::identity()),
+            PublicKey(G2Affine::identity()),
+        );
+        // Canonical bytes round-trip exactly, infinity included.
+        for s in [sig, sig_id] {
+            let decoded = Signature::from_bytes(&s.to_bytes()).unwrap();
+            assert_eq!(decoded.to_bytes(), s.to_bytes());
+        }
+        for k in [pk, pk_id] {
+            let decoded = PublicKey::from_bytes(&k.to_bytes()).unwrap();
+            assert_eq!(decoded.to_bytes(), k.to_bytes());
+        }
+        // Every flag byte but 0 is rejected in front of a point (flag 1: a
+        // point is garbage after the infinity flag), every one but 1 in
+        // front of an all-zero payload.
+        for flag in 1..=u8::MAX {
+            let (mut s, mut k) = (sig.to_bytes(), pk.to_bytes());
+            (s[0], k[0]) = (flag, flag);
+            assert!(
+                Signature::from_bytes(&s).is_err(),
+                "flag {flag} before a G1 point"
+            );
+            assert!(
+                PublicKey::from_bytes(&k).is_err(),
+                "flag {flag} before a G2 point"
+            );
+            let (mut s, mut k) = (sig_id.to_bytes(), pk_id.to_bytes());
+            (s[0], k[0]) = (flag, flag);
+            assert_eq!(Signature::from_bytes(&s).is_ok(), flag == 1);
+            assert_eq!(PublicKey::from_bytes(&k).is_ok(), flag == 1);
+        }
+        // A zero flag in front of a zero payload is the off-curve point (0, 0).
+        assert!(Signature::from_bytes(&[0; 97]).is_err());
+        assert!(PublicKey::from_bytes(&[0; 193]).is_err());
+        // Garbage after the infinity flag, at either end of the payload.
+        for at in [1, 96] {
+            let mut s = sig_id.to_bytes();
+            s[at] = 1;
+            assert!(
+                Signature::from_bytes(&s).is_err(),
+                "G1 infinity, byte {at} set"
+            );
+        }
+        for at in [1, 192] {
+            let mut k = pk_id.to_bytes();
+            k[at] = 0x80;
+            assert!(
+                PublicKey::from_bytes(&k).is_err(),
+                "G2 infinity, byte {at} set"
+            );
+        }
     }
 
     #[test]

@@ -1,21 +1,20 @@
 //! Differential suite: every *fast* path in the crate is pinned, over
 //! seeded random inputs, to the slow-but-obviously-correct implementation
-//! it replaced (the [`blscrypto::reference`] module and the retained
-//! schoolbook/binary operators).
+//! it replaced (the [`crate::reference`] module, [`crate::bigint`]).
 //!
 //! Failures print a `CHECK_SEED=…` replay command (see
 //! `substrate::check`): the seed is the unit of reproduction.
 
-use blscrypto::bigint::BigUint;
-use blscrypto::bls::{self, PreparedKey, PublicKey, SecretKey, Signature, SIGNATURE_DOMAIN};
-use blscrypto::curves::{
+use crate::batch::{batch_verify, BatchItem};
+use crate::bigint::BigUint;
+use crate::bls::{self, PreparedKey, PublicKey, SecretKey, Signature, SIGNATURE_DOMAIN};
+use crate::curves::{
     g1_generator, g2_generator, hash_to_g1, CurveParams, G1Affine, G2Affine, Projective,
 };
-use blscrypto::fields::{Fp, Fr};
-use blscrypto::pairing;
-use blscrypto::reference;
-use blscrypto::tower::{Field, Fp12, Fp2, Fp6};
-use blscrypto::batch::{batch_verify, BatchItem};
+use crate::fields::{Fp, Fr};
+use crate::pairing;
+use crate::reference;
+use crate::tower::{Field, Fp12, Fp2, Fp6};
 use substrate::check::Gen;
 use substrate::rng::{Rng, SeedableRng, StdRng};
 
@@ -202,7 +201,7 @@ fn wnaf_scalar_edge_cases() {
     assert!(g1.mul_limbs(&[0, 0, 0, 0]).is_identity());
     assert_eq!(g1.mul_limbs(&[1]), g1.mul_limbs_binary(&[1]));
     assert_eq!(g1.mul_limbs(&Fr::MODULUS), g1.mul_limbs_binary(&Fr::MODULUS));
-    let id = blscrypto::curves::G1Projective::identity();
+    let id = crate::curves::G1Projective::identity();
     assert!(id.mul_limbs(&[7, 7, 7, 7]).is_identity());
 }
 
@@ -245,56 +244,121 @@ fn sum_of_products_matches_sum_of_binary_ladders() {
     });
 }
 
-// ---- Fast pairing vs the reference Miller loop / final exp --------------
+// ---- The shipped ate pairing vs the reference Tate pairing ---------------
+//
+// The two are different bilinear maps (the ate value is a fixed power,
+// coprime to r, of the Tate value), so values are never compared: the
+// contract is the pairing axioms (`pairing::tests`, no oracle needed) plus
+// accept/reject agreement, here.
+
+/// The shipped product check on unprepared points, shaped like
+/// [`reference::pairing_product_is_one`].
+fn ate_product_is_one(pairs: &[(G1Affine, G2Affine)]) -> bool {
+    let tables: Vec<pairing::PreparedG2> =
+        pairs.iter().map(|(_, q)| pairing::prepare_g2(q)).collect();
+    let terms: Vec<(&G1Affine, &pairing::PreparedG2)> = pairs
+        .iter()
+        .zip(&tables)
+        .map(|((p, _), t)| (p, t))
+        .collect();
+    pairing::pairing_product_is_one_prepared(&terms)
+}
 
 #[test]
-fn fast_pairing_bit_identical_to_reference() {
+fn pairing_product_decisions_agree_with_reference() {
     substrate::forall!(cases = 2, |g| {
-        let p = g1_generator().mul_fr(arb_fr(g)).to_affine();
-        let q = g2_generator().mul_fr(arb_fr(g)).to_affine();
-        assert_eq!(
-            pairing::pairing(&p, &q),
-            reference::pairing(&p, &q),
-            "fast Tate pairing is not bit-identical to the reference"
-        );
+        let (a, b) = (arb_fr(g), arb_fr(g));
+        let (g1, g2) = (g1_generator().to_affine(), g2_generator().to_affine());
+        let p = g1_generator().mul_fr(a).to_affine();
+        let q = g2_generator().mul_fr(b).to_affine();
+        let neg_ab = g1_generator().mul_fr(-(a * b)).to_affine();
+        let tampered = g1_generator().mul_fr(a + Fr::one()).to_affine();
+        let other_key = g2_generator().mul_fr(b + Fr::one()).to_affine();
+        let (id1, id2) = (G1Affine::identity(), G2Affine::identity());
+        // e(aP, bQ) · e(−abP, Q) == 1 and what breaks it.
+        for (what, pairs, expect) in [
+            ("valid", [(p, q), (neg_ab, g2)], true),
+            ("tampered point", [(tampered, q), (neg_ab, g2)], false),
+            ("wrong key", [(p, other_key), (neg_ab, g2)], false),
+            ("identity terms only", [(id1, q), (p, id2)], true),
+            ("one identity, one live term", [(id1, q), (g1, g2)], false),
+        ] {
+            assert_eq!(
+                reference::pairing_product_is_one(&pairs),
+                expect,
+                "{what}: reference"
+            );
+            assert_eq!(
+                ate_product_is_one(&pairs),
+                expect,
+                "{what}: prepared product"
+            );
+            let product = pairs
+                .iter()
+                .fold(Fp12::one(), |f, (p, q)| f * pairing::pairing(p, q));
+            assert_eq!(
+                product == Fp12::one(),
+                expect,
+                "{what}: product of pairing() values"
+            );
+        }
     });
 }
 
 #[test]
 fn prepared_ate_product_agrees_with_reference_decision() {
-    substrate::forall!(cases = 2, |g| {
-        let a = arb_fr(g);
+    let check = |a: Fr| {
         let p = g1_generator().mul_fr(a).to_affine();
         let q = g2_generator().to_affine();
         let p1 = g1_generator().to_affine();
         let q1 = g2_generator().mul_fr(a).to_affine();
         // e(a·G1, G2) · e(−G1, a·G2) == 1: both sides must accept.
         let neg = p1.neg();
-        let accept_fast = pairing::pairing_product_is_one(&[(p, q), (neg, q1)]);
+        let accept_fast = ate_product_is_one(&[(p, q), (neg, q1)]);
         let accept_ref = reference::pairing_product_is_one(&[(p, q), (neg, q1)]);
         assert!(accept_fast, "fast ate product rejected a true statement");
         assert_eq!(accept_fast, accept_ref);
-        // Perturb one scalar: both sides must reject.
+        // Perturb one scalar, on either side: both sides must reject.
         let b = a + Fr::one();
+        let p_bad = g1_generator().mul_fr(b).to_affine();
         let q_bad = g2_generator().mul_fr(b).to_affine();
-        let reject_fast = pairing::pairing_product_is_one(&[(p, q), (neg, q_bad)]);
-        let reject_ref = reference::pairing_product_is_one(&[(p, q), (neg, q_bad)]);
-        assert!(!reject_fast, "fast ate product accepted a false statement");
-        assert_eq!(reject_fast, reject_ref);
+        for bad in [[(p, q), (neg, q_bad)], [(p_bad, q), (neg, q1)]] {
+            let reject_fast = ate_product_is_one(&bad);
+            let reject_ref = reference::pairing_product_is_one(&bad);
+            assert!(!reject_fast, "fast ate product accepted a false statement");
+            assert_eq!(reject_fast, reject_ref);
+        }
+    };
+    let mut rng = StdRng::seed_from_u64(0x47e0);
+    for _ in 0..4 {
+        check(Fr::random(&mut rng));
+    }
+    substrate::forall!(cases = 2, |g| {
+        check(arb_fr(g));
     });
 }
 
+/// Bit-identity holds today because both sides compute the same power
+/// `f^((p¹²-1)/r)`; only decision-identity (`= 1` on the same inputs) is
+/// contractual. A final exponentiation that returns a fixed power of this
+/// one — the cubed hard part — keeps every test above and relaxes this one.
 #[test]
 fn fast_final_exp_matches_reference_on_miller_outputs() {
-    substrate::forall!(cases = 2, |g| {
-        let p = g1_generator().mul_fr(arb_fr(g)).to_affine();
-        let q = g2_generator().mul_fr(arb_fr(g)).to_affine();
-        let f = pairing::miller_loop(&p, &q);
+    let check = |p: G1Affine, q: G2Affine| {
+        let f = pairing::multi_miller_loop(&[(&p, &pairing::prepare_g2(&q))]);
         assert_eq!(
             pairing::final_exponentiation(f),
             reference::final_exponentiation(f),
             "addition-chain final exponentiation diverged from BigUint pow"
         );
+    };
+    let g2 = g2_generator().to_affine();
+    check(g1_generator().to_affine(), g2);
+    check(g1_generator().mul_fr(Fr::from_u64(777)).to_affine(), g2);
+    substrate::forall!(cases = 2, |g| {
+        let p = g1_generator().mul_fr(arb_fr(g)).to_affine();
+        let q = g2_generator().mul_fr(arb_fr(g)).to_affine();
+        check(p, q);
     });
 }
 

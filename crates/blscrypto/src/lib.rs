@@ -9,13 +9,11 @@
 //! leave. No pairing crate is on the offline allowlist, so everything is
 //! implemented here:
 //!
-//! * [`bigint`] — one-off arbitrary-precision integers (cofactors, final
-//!   exponent, parameter validation);
 //! * [`fields`] — Montgomery `Fp` (381-bit) and `Fr` (255-bit) prime fields;
 //! * [`tower`] — the `Fp2 → Fp6 → Fp12` extension tower;
-//! * [`curves`] — `G1 = E(Fp)` and `G2 = E'(Fp2)` with cofactor-cleared,
-//!   runtime-derived generators and try-and-increment hash-to-curve;
-//! * [`pairing`] — the reduced Tate pairing with denominator elimination;
+//! * [`curves`] — `G1 = E(Fp)` and `G2 = E'(Fp2)` with cofactor-cleared
+//!   generators derived from seed labels and try-and-increment hash-to-curve;
+//! * [`pairing`] — the ate pairing over prepared `G2` line tables;
 //! * [`bls`] — plain and threshold BLS (sign, partial-verify, Lagrange
 //!   aggregation, verify — under a [`bls::PreparedKey`] for a key that
 //!   verifies more than once);
@@ -24,6 +22,12 @@
 //! * [`reshare`] — share redistribution that preserves the group public key
 //!   across membership (and threshold) changes;
 //! * [`sha256`] — FIPS 180-4 SHA-256 for digests and hash-to-curve.
+//!
+//! That is everything a release build contains. The crate's independent
+//! oracle is compiled for `cargo test` only: `reference` (the affine Tate
+//! pairing, schoolbook tower products, the binary scalar ladder) and `bigint`
+//! (arbitrary-precision integers for parameter validation), driven by the
+//! `differential` and `conformance` suites.
 //!
 //! ## Example: 3-of-4 threshold signing
 //!
@@ -51,9 +55,7 @@
 
 #![forbid(unsafe_code)]
 
-
 pub mod batch;
-pub mod bigint;
 pub mod bls;
 pub mod curves;
 pub mod dkg;
@@ -61,11 +63,19 @@ pub mod feldman;
 pub mod fields;
 pub mod mont;
 pub mod pairing;
-pub mod reference;
 pub mod reshare;
 pub mod sha256;
 pub mod shamir;
 pub mod tower;
+
+#[cfg(test)]
+mod bigint;
+#[cfg(test)]
+mod conformance;
+#[cfg(test)]
+mod differential;
+#[cfg(test)]
+mod reference;
 
 /// Errors returned by the cryptographic protocols in this crate.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -257,9 +257,40 @@ impl Field for Fp2 {
     }
 }
 
-/// Frobenius tower constants, derived at first use from the modulus rather
-/// than transcribed: `γ = ξ^(k(p-1)/6)` for the `k` each tower level needs.
-/// (`p ≡ 1 (mod 6)`, so all three exponents are integral.)
+/// `k·(p-1)/d` as limbs, for the small `k ≤ d` with `d | p-1` that the
+/// Frobenius exponents need: multiply up, then schoolbook long division from
+/// the top limb down.
+const fn frob_exponent(k: u64, d: u64) -> [u64; 6] {
+    let mut x = Fp::MODULUS;
+    x[0] -= 1; // p is odd: no borrow
+    let mut carry = 0u128;
+    let mut i = 0;
+    while i < 6 {
+        let t = x[i] as u128 * k as u128 + carry;
+        x[i] = t as u64;
+        carry = t >> 64;
+        i += 1;
+    }
+    assert!(carry == 0); // p < 2³⁸¹ and k is small
+    let mut rem = 0u128;
+    while i > 0 {
+        i -= 1;
+        let t = (rem << 64) | x[i] as u128;
+        x[i] = (t / d as u128) as u64;
+        rem = t % d as u128;
+    }
+    assert!(rem == 0);
+    x
+}
+
+/// `(p-1)/6`, `(p-1)/3` and `2(p-1)/3` (`p ≡ 1 (mod 6)`, so all integral).
+const FROB_EXP_SIXTH: [u64; 6] = frob_exponent(1, 6);
+const FROB_EXP_THIRD: [u64; 6] = frob_exponent(1, 3);
+const FROB_EXP_TWO_THIRDS: [u64; 6] = frob_exponent(2, 3);
+
+/// Frobenius tower constants `γ = ξ^(k(p-1)/6)` for the `k` each tower level
+/// needs, raised at first use from the `const` exponents above rather than
+/// transcribed.
 struct FrobConsts {
     /// `ξ^((p-1)/3)` — scales the `v` coefficient of `Fp6` under Frobenius.
     gamma6_1: Fp2,
@@ -272,17 +303,11 @@ struct FrobConsts {
 fn frob_consts() -> &'static FrobConsts {
     static CELL: OnceLock<FrobConsts> = OnceLock::new();
     CELL.get_or_init(|| {
-        use crate::bigint::BigUint;
-        let p = BigUint::from_limbs_le(&Fp::MODULUS);
-        let pm1 = p.sub(&BigUint::one());
-        let sixth = pm1.div_rem(&BigUint::from_u64(6)).0;
-        let third = pm1.div_rem(&BigUint::from_u64(3)).0;
-        let two_thirds = third.add(&third);
         let xi = Fp2::xi();
         FrobConsts {
-            gamma6_1: xi.pow(third.limbs()),
-            gamma6_2: xi.pow(two_thirds.limbs()),
-            gamma12: xi.pow(sixth.limbs()),
+            gamma6_1: xi.pow(&FROB_EXP_THIRD),
+            gamma6_2: xi.pow(&FROB_EXP_TWO_THIRDS),
+            gamma12: xi.pow(&FROB_EXP_SIXTH),
         }
     })
 }
@@ -340,15 +365,6 @@ impl Fp6 {
         Fp6::new(c0, c1, c2)
     }
 
-    /// Sparse product with `(0, b1, 0)` — 3 `Fp2` multiplications.
-    pub(crate) fn mul_by_1(&self, b1: Fp2) -> Fp6 {
-        Fp6::new(
-            (self.c2 * b1).mul_by_xi(),
-            self.c0 * b1,
-            self.c1 * b1,
-        )
-    }
-
     /// Sparse product with `(0, 0, b2)` — 3 `Fp2` multiplications.
     pub(crate) fn mul_by_2(&self, b2: Fp2) -> Fp6 {
         Fp6::new(
@@ -358,8 +374,8 @@ impl Fp6 {
         )
     }
 
-    /// Frobenius endomorphism `x ↦ x^p`, using the runtime-derived tower
-    /// constants `γᵢ = ξ^(i(p-1)/3)`.
+    /// Frobenius endomorphism `x ↦ x^p`, using the tower constants
+    /// `γᵢ = ξ^(i(p-1)/3)`.
     pub fn frobenius_map(&self) -> Fp6 {
         let fc = frob_consts();
         Fp6::new(
@@ -392,7 +408,7 @@ impl std::ops::Mul for Fp6 {
     type Output = Fp6;
     fn mul(self, rhs: Fp6) -> Fp6 {
         // Karatsuba over the cubic extension: 6 Fp2 multiplications instead
-        // of the schoolbook 9 (retained as `reference::fp6_mul_schoolbook`).
+        // of the schoolbook 9 (the test oracle's `fp6_mul_schoolbook`).
         let t0 = self.c0 * rhs.c0;
         let t1 = self.c1 * rhs.c1;
         let t2 = self.c2 * rhs.c2;
@@ -563,17 +579,6 @@ impl Fp12 {
         let r2 = (xt3 + z2).double() + xt3;
         let r3 = (t2 - z3).double() + t2;
         Fp12::new(Fp6::new(r0, r4, r3), Fp6::new(r2, r1, r5))
-    }
-
-    /// Sparse product with a Tate-pairing line: nonzero coefficients at
-    /// `c0.c0`, `c0.c2` and `c1.c1` only. 14 `Fp2` multiplications against 18
-    /// for a generic product.
-    pub(crate) fn mul_by_tate_line(&self, l00: Fp2, l02: Fp2, l11: Fp2) -> Fp12 {
-        let t0 = self.c0.mul_by_02(l00, l02);
-        let t1 = self.c1.mul_by_1(l11);
-        let dense = Fp6::new(l00, l11, l02); // m0 + m1
-        let c1 = (self.c0 + self.c1) * dense - t0 - t1;
-        Fp12::new(t0 + t1.mul_by_v(), c1)
     }
 
     /// Sparse product with an ate-pairing line: nonzero coefficients at
@@ -809,11 +814,26 @@ mod tests {
                 Fp2::random(&mut rng),
                 Fp2::random(&mut rng),
             );
-            let tate = Fp12::new(Fp6::new(l0, Fp2::zero(), l1), Fp6::new(Fp2::zero(), l2, Fp2::zero()));
-            assert_eq!(f.mul_by_tate_line(l0, l1, l2), f * tate);
             let ate = Fp12::new(Fp6::new(Fp2::zero(), Fp2::zero(), l0), Fp6::new(l1, l2, Fp2::zero()));
             assert_eq!(f.mul_by_ate_line((l0, l1, l2)), f * ate);
         }
+    }
+
+    #[test]
+    fn frobenius_exponents_match_the_biguint_derivation() {
+        use crate::bigint::BigUint;
+        let pm1 = BigUint::from_limbs_le(&Fp::MODULUS).sub(&BigUint::one());
+        let over = |d: u64| {
+            let (q, rem) = pm1.div_rem(&BigUint::from_u64(d));
+            assert!(rem.is_zero(), "{d} must divide p - 1");
+            q
+        };
+        assert_eq!(BigUint::from_limbs_le(&FROB_EXP_SIXTH), over(6));
+        assert_eq!(BigUint::from_limbs_le(&FROB_EXP_THIRD), over(3));
+        assert_eq!(
+            BigUint::from_limbs_le(&FROB_EXP_TWO_THIRDS),
+            over(3).add(&over(3))
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@ use controller::pending::RetryPolicy;
 use simnet::time::SimDuration;
 
 /// Which update protocol runs on the control plane — the four systems the
-//  paper's evaluation compares (§6.1).
+/// paper's evaluation compares (§6.1).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Mode {
     /// One controller, no replication, no authentication (baseline 1).

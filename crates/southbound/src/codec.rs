@@ -7,7 +7,6 @@
 //! input (decoding arbitrary bytes never panics — property-tested).
 
 use crate::types::*;
-use substrate::buf::{Buf, BufMut};
 
 /// Decoding failure.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -66,57 +65,36 @@ pub trait Wire: Sized {
     }
 }
 
-fn need(buf: &&[u8], n: usize) -> Result<(), DecodeError> {
-    if buf.len() < n {
-        Err(DecodeError::UnexpectedEnd)
-    } else {
-        Ok(())
-    }
+/// Splits the next `N` bytes off the front of `buf`: the one bounds check
+/// under every fixed-width decoder, so a short input is an error by
+/// construction and never an out-of-range slice.
+fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], DecodeError> {
+    let (head, rest) = buf
+        .split_first_chunk::<N>()
+        .ok_or(DecodeError::UnexpectedEnd)?;
+    *buf = rest;
+    Ok(*head)
 }
 
-impl Wire for u8 {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.put_u8(*self);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        need(buf, 1)?;
-        Ok(buf.get_u8())
-    }
+/// Big-endian (network order) integers, matching the OpenFlow convention.
+macro_rules! wire_int {
+    ($($ty:ty),*) => {$(
+        impl Wire for $ty {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.to_be_bytes());
+            }
+            fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+                take(buf).map(<$ty>::from_be_bytes)
+            }
+        }
+    )*};
 }
 
-impl Wire for u16 {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.put_u16(*self);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        need(buf, 2)?;
-        Ok(buf.get_u16())
-    }
-}
-
-impl Wire for u32 {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.put_u32(*self);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        need(buf, 4)?;
-        Ok(buf.get_u32())
-    }
-}
-
-impl Wire for u64 {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.put_u64(*self);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        need(buf, 8)?;
-        Ok(buf.get_u64())
-    }
-}
+wire_int!(u8, u16, u32, u64);
 
 impl Wire for bool {
     fn encode(&self, buf: &mut Vec<u8>) {
-        buf.put_u8(u8::from(*self));
+        u8::from(*self).encode(buf);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
         match u8::decode(buf)? {
@@ -129,14 +107,10 @@ impl Wire for bool {
 
 impl<const N: usize> Wire for [u8; N] {
     fn encode(&self, buf: &mut Vec<u8>) {
-        buf.put_slice(self);
+        buf.extend_from_slice(self);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        need(buf, N)?;
-        let mut out = [0u8; N];
-        out.copy_from_slice(&buf[..N]);
-        buf.advance(N);
-        Ok(out)
+        take(buf)
     }
 }
 
@@ -482,13 +456,13 @@ mod tests {
         // A Vec claiming 2^31 elements with a 6-byte body.
         let mut buf = Vec::new();
         0x8000_0000u32.encode(&mut buf);
-        buf.put_slice(&[0, 0]);
+        buf.extend_from_slice(&[0, 0]);
         assert!(Vec::<u64>::from_wire(&buf).is_err());
     }
 
     /// Golden wire fixtures: the exact byte layout is part of the protocol
-    /// contract. These pin the big-endian encoding across buffer-layer
-    /// changes (the `substrate::buf` swap must be byte-identical).
+    /// contract. These pin the big-endian encoding across changes to the
+    /// integer and buffer plumbing underneath.
     #[test]
     fn golden_event_fixture() {
         let event = Event {

@@ -8,14 +8,13 @@
 //! * [`rng`] — splitmix64-seeded xoshiro256** generator behind a small
 //!   [`rng::Rng`] trait (`random`, `random_range`, `fill_bytes`, `shuffle`);
 //!   a drop-in for the previous `rand` usage.
-//! * [`buf`] — minimal [`buf::Buf`]/[`buf::BufMut`] big-endian cursor traits
-//!   over `&[u8]` and `Vec<u8>` for the southbound wire codec.
 //! * [`ser`] — an explicit, proc-macro-free serialization story: a
 //!   [`ser::JsonValue`] tree with an emitter *and* parser, and a
 //!   [`ser::ToJson`] trait implemented manually on config, message, and
 //!   metric types.
-//! * [`sync`] — poison-free `Mutex`/`RwLock` and mpsc channels over
-//!   `std::sync` (the `parking_lot`/`crossbeam` stand-in).
+//! * [`sync`] — a poison-free `Mutex`, a bounded mpsc channel and named
+//!   thread spawning over `std::sync` (the `parking_lot`/`crossbeam`
+//!   stand-in).
 //! * [`check`] — a seeded property-testing harness: [`check::Gen`]
 //!   generators, the [`forall!`] macro, failing-seed reports, and
 //!   `CHECK_SEED=<seed>` single-case replay.
@@ -28,7 +27,8 @@
 //! What std already provides is used under its std name: ordered maps and
 //! sets are `std::collections::{BTreeMap, BTreeSet}` (the `detlint` analyzer
 //! forbids `HashMap`/`HashSet`, whose `RandomState` seeding breaks seed
-//! replay, in deterministic crates), and an encode buffer is a `Vec<u8>`.
+//! replay, in deterministic crates), an encode buffer is a `Vec<u8>` and a
+//! decode cursor a `&[u8]`.
 //!
 //! Determinism is the design center: the same seed always produces the same
 //! byte stream, the same property-test cases, and the same simulated
@@ -39,7 +39,6 @@
 #![forbid(unsafe_code)]
 
 pub mod benchkit;
-pub mod buf;
 pub mod check;
 pub mod rng;
 pub mod ser;

@@ -1,9 +1,8 @@
 //! Synchronization primitives over `std::sync`, with the ergonomics the
 //! workspace previously imported `parking_lot` and `crossbeam` for:
-//! `lock()`/`read()`/`write()` return guards directly (a poisoned lock —
-//! a panic on another thread — propagates the panic instead of returning a
-//! `Result` nobody handles), and channels come in crossbeam-style
-//! [`unbounded`]/[`bounded`] flavors.
+//! `lock()` returns its guard directly (a poisoned lock — a panic on another
+//! thread — propagates the panic instead of returning a `Result` nobody
+//! handles), and the channel is crossbeam-style [`bounded`].
 
 pub use std::sync::mpsc::{Receiver, RecvError, RecvTimeoutError, SendError, TryRecvError};
 
@@ -39,43 +38,6 @@ impl<T: ?Sized> Mutex<T> {
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut().expect("mutex poisoned")
     }
-}
-
-/// A readers-writer lock with direct-guard `read`/`write`.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: std::sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// Wraps a value.
-    pub fn new(value: T) -> Self {
-        RwLock {
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-
-    /// Consumes the lock, returning the value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires a shared read guard.
-    pub fn read(&self) -> std::sync::RwLockReadGuard<'_, T> {
-        self.inner.read().expect("rwlock poisoned")
-    }
-
-    /// Acquires the exclusive write guard.
-    pub fn write(&self) -> std::sync::RwLockWriteGuard<'_, T> {
-        self.inner.write().expect("rwlock poisoned")
-    }
-}
-
-/// An unbounded MPSC channel (crossbeam's `unbounded` spelling).
-pub fn unbounded<T>() -> (std::sync::mpsc::Sender<T>, Receiver<T>) {
-    std::sync::mpsc::channel()
 }
 
 /// A bounded (rendezvous at capacity 0) MPSC channel.
@@ -123,26 +85,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(*m.lock(), 8000);
-    }
-
-    #[test]
-    fn rwlock_reads_and_writes() {
-        let l = RwLock::new(vec![1, 2, 3]);
-        assert_eq!(l.read().len(), 3);
-        l.write().push(4);
-        assert_eq!(*l.read(), vec![1, 2, 3, 4]);
-        assert_eq!(l.into_inner(), vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn channels_deliver_in_order() {
-        let (tx, rx) = unbounded();
-        for i in 0..100 {
-            tx.send(i).unwrap();
-        }
-        drop(tx);
-        let got: Vec<i32> = rx.iter().collect();
-        assert_eq!(got, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
