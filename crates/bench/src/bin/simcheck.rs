@@ -116,10 +116,10 @@ fn run(args: &[String], generate: fn(u64) -> Scenario, what: &str) -> i32 {
 
 fn summary(seed: u64, s: &Scenario) {
     eprintln!(
-        "seed {seed:#x}: {} racks, {} domains, {:?}/{:?}, {} flows, {} faults",
+        "seed {seed:#x}: {} racks, {} domains, {}/{:?}, {} flows, {} faults",
         s.racks,
         s.domains,
-        s.mode,
+        s.mode.key(),
         s.scheduler,
         s.flows.len(),
         s.faults.len()

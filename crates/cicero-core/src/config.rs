@@ -33,6 +33,23 @@ pub enum Mode {
 }
 
 impl Mode {
+    /// Cicero with switch-side share aggregation.
+    pub const CICERO: Mode = Mode::Cicero {
+        aggregation: Aggregation::Switch,
+    };
+    /// Cicero with the aggregator controller combining shares.
+    pub const CICERO_AGG: Mode = Mode::Cicero {
+        aggregation: Aggregation::Controller,
+    };
+    /// Every mode: the paper's four in the order of its legends, then Segway.
+    pub const ALL: [Mode; 5] = [
+        Mode::Centralized,
+        Mode::CrashTolerant,
+        Mode::CICERO,
+        Mode::CICERO_AGG,
+        Mode::Segway,
+    ];
+
     /// Display label matching the paper's figure legends.
     pub fn label(&self) -> &'static str {
         match self {
@@ -48,9 +65,24 @@ impl Mode {
         }
     }
 
-    /// `true` for either Cicero variant.
-    pub fn is_cicero(&self) -> bool {
-        matches!(self, Mode::Cicero { .. })
+    /// The mode's spelling in replay artifacts and config files.
+    pub fn key(&self) -> &'static str {
+        match self {
+            Mode::Centralized => "centralized",
+            Mode::CrashTolerant => "crash_tolerant",
+            Mode::Cicero {
+                aggregation: Aggregation::Switch,
+            } => "cicero",
+            Mode::Cicero {
+                aggregation: Aggregation::Controller,
+            } => "cicero_agg",
+            Mode::Segway => "segway",
+        }
+    }
+
+    /// The mode [`Mode::key`] spells `s`.
+    pub fn parse(s: &str) -> Option<Mode> {
+        Mode::ALL.into_iter().find(|m| m.key() == s)
     }
 
     /// `true` for the modes whose updates are threshold-signed and whose
@@ -183,7 +215,7 @@ impl CostModel {
     /// not this host.
     ///
     /// Used by the Fig. 11d variant that reports per-switch CPU under
-    /// measured costs (`experiment::fig11d_switch_cpu_measured`). Refresh
+    /// measured costs (`bench::fig11d_measured`, which prints it). Refresh
     /// alongside the baseline (a test fails when a literal drifts more than
     /// 25 % from its median): `event_sign`/`update_sign` ≈ `bls_sign` /
     /// `threshold_sign_share`, `bls_verify` is `bls_verify_prepared` (a
@@ -374,13 +406,26 @@ mod tests {
     #[test]
     fn signed_modes_cover_cicero_and_segway() {
         assert!(Mode::Segway.is_signed());
-        assert!(!Mode::Segway.is_cicero());
         assert!(Mode::Cicero {
             aggregation: Aggregation::Switch
         }
         .is_signed());
         assert!(!Mode::Centralized.is_signed());
         assert!(!Mode::CrashTolerant.is_signed());
+    }
+
+    /// Committed replay artifacts and configs spell modes this way.
+    #[test]
+    fn keys_are_the_artifact_spellings_and_parse_back() {
+        let keys = Mode::ALL.map(|m| m.key());
+        assert_eq!(
+            keys,
+            ["centralized", "crash_tolerant", "cicero", "cicero_agg", "segway"]
+        );
+        for mode in Mode::ALL {
+            assert_eq!(Mode::parse(mode.key()), Some(mode));
+        }
+        assert_eq!(Mode::parse("Cicero"), None);
     }
 
     #[test]

@@ -183,7 +183,7 @@ impl ControllerActor {
     /// Distinct downstream signers required before a barrier releases:
     /// enough that at least one is honest under the mode's fault model.
     fn downstream_quorum(&self, d: DomainId) -> usize {
-        if self.shared.cfg.mode.is_cicero() {
+        if self.shared.cfg.mode.is_signed() {
             let n = self.remote_members.get(&d).map(|m| m.len()).unwrap_or(1);
             (n.saturating_sub(1)) / 3 + 1
         } else {

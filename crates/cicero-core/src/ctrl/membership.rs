@@ -96,7 +96,7 @@ impl ControllerActor {
         let new_cfg = DkgConfig::new(self.view.len() as u32, self.view.threshold_t())
             .expect("valid view parameters");
 
-        if self.shared.real_crypto() && self.shared.cfg.mode.is_cicero() {
+        if self.shared.real_crypto() && self.shared.cfg.mode.is_signed() {
             let old_t = old_view.threshold_t() as usize;
             self.pending_reshare = Some(PendingReshare {
                 phase: self.view.phase(),
@@ -180,7 +180,7 @@ impl ControllerActor {
             quorum: self.view.quorum() as u32,
             aggregator: self.view.aggregator(),
         };
-        if self.shared.real_crypto() && self.shared.cfg.mode.is_cicero() {
+        if self.shared.real_crypto() && self.shared.cfg.mode.is_signed() {
             let msg_id = self.auth.next_msg_id();
             let share = self.auth.share().expect("post-reshare share");
             let partial = ShareSigned::sign(labels::PHASE, info, info.phase, msg_id, share);
@@ -256,7 +256,7 @@ impl ControllerActor {
         self.in_phase_change = true;
         let new_cfg = DkgConfig::new(self.view.len() as u32, self.view.threshold_t())
             .expect("valid view");
-        if self.shared.real_crypto() && self.shared.cfg.mode.is_cicero() {
+        if self.shared.real_crypto() && self.shared.cfg.mode.is_signed() {
             // old view = new view minus ourselves.
             let old_n = self.view.len() as u32 - 1;
             let old_t = (old_n.saturating_sub(1)) / 3;

@@ -2,7 +2,7 @@
 //! (§6). The `bench` crate's `figures` binary and the integration tests are
 //! thin wrappers over these.
 
-use crate::config::{tx_time, Aggregation, CostModel, CryptoMode, EngineConfig, Mode};
+use crate::config::{tx_time, Aggregation, CryptoMode, EngineConfig, Mode};
 use crate::engine::Engine;
 use crate::msg::Net;
 use crate::obs::{events_per_domain, flow_latencies, Cdf, Obs};
@@ -17,16 +17,10 @@ use std::collections::BTreeMap;
 use workload::spec::WorkloadSpec;
 
 /// The four protocol modes compared throughout the evaluation.
-pub const ALL_MODES: [Mode; 4] = [
-    Mode::Centralized,
-    Mode::CrashTolerant,
-    Mode::Cicero {
-        aggregation: Aggregation::Switch,
-    },
-    Mode::Cicero {
-        aggregation: Aggregation::Controller,
-    },
-];
+pub const ALL_MODES: [Mode; 4] = {
+    let [centralized, crash_tolerant, cicero, cicero_agg, _segway] = Mode::ALL;
+    [centralized, crash_tolerant, cicero, cicero_agg]
+};
 
 /// Result of one flow-completion run.
 #[derive(Clone, Debug)]
@@ -89,39 +83,6 @@ pub fn fig11_flow_completion(spec: &WorkloadSpec, rule_reuse: bool, seed: u64) -
                 ..EngineConfig::for_mode(mode)
             };
             run_flow_completion(cfg, &topo, DomainMap::single(&topo), spec)
-        })
-        .collect()
-}
-
-/// Fig. 11d: returns `(label, mean switch CPU series)` for each mode under
-/// the Hadoop workload.
-pub fn fig11d_switch_cpu(seed: u64) -> Vec<(&'static str, Vec<f64>)> {
-    let spec = workload::spec::hadoop();
-    fig11_flow_completion(&spec, true, seed)
-        .into_iter()
-        .map(|r| (r.label, r.mean_switch_cpu))
-        .collect()
-}
-
-/// Fig. 11d under *measured* crypto costs: the per-switch CPU series with
-/// every cryptographic term of the [`CostModel`] replaced by this host's
-/// bench medians for the optimized implementations
-/// ([`CostModel::measured`]) — what the paper's figure would look like on
-/// modern hardware with the batched verify path, rather than on the
-/// 2012-era PBC testbed the defaults are calibrated to.
-pub fn fig11d_switch_cpu_measured(seed: u64) -> Vec<(&'static str, Vec<f64>)> {
-    let spec = workload::spec::hadoop();
-    let topo = Topology::single_pod(40, 4, 4);
-    ALL_MODES
-        .iter()
-        .map(|&mode| {
-            let cfg = EngineConfig {
-                seed,
-                costs: CostModel::measured(),
-                ..EngineConfig::for_mode(mode)
-            };
-            let run = run_flow_completion(cfg, &topo, DomainMap::single(&topo), &spec);
-            (run.label, run.mean_switch_cpu)
         })
         .collect()
 }

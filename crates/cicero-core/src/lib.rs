@@ -65,8 +65,7 @@ pub mod prelude {
     pub use crate::deploy::{Deployment, Life, NodeRole};
     pub use crate::engine::{default_pod_engine, Engine, RunReport};
     pub use crate::experiment::{
-        fig11_flow_completion, fig11d_switch_cpu, fig11d_switch_cpu_measured,
-        fig12a_update_time, fig12b_event_locality, fig12c_runs, fig12d_runs,
+        fig11_flow_completion, fig12a_update_time, fig12b_event_locality, fig12c_runs, fig12d_runs,
         flow_setup_latency_ms, run_flow_completion,
         segway_vs_cicero_md, FlowRun, ALL_MODES,
     };

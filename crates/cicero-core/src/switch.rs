@@ -233,6 +233,11 @@ impl SwitchActor {
         self.applied.len()
     }
 
+    /// The control-plane phase, quorum and aggregator this switch follows.
+    pub fn phase_info(&self) -> PhaseInfo {
+        self.phase_info
+    }
+
     fn fresh_event_id(&mut self) -> EventId {
         self.event_seq += 1;
         EventId(((self.id.0 as u64) << 32) | self.event_seq)

@@ -51,25 +51,6 @@ EXAMPLES:
     cicero-node examples/node_recovery.json
 ";
 
-/// The `mode` names the config accepts, with the mode each selects.
-const MODES: &[(&str, Mode)] = &[
-    ("centralized", Mode::Centralized),
-    ("crash-tolerant", Mode::CrashTolerant),
-    (
-        "cicero",
-        Mode::Cicero {
-            aggregation: Aggregation::Switch,
-        },
-    ),
-    (
-        "cicero-agg",
-        Mode::Cicero {
-            aggregation: Aggregation::Controller,
-        },
-    ),
-    ("segway", Mode::Segway),
-];
-
 /// A parsed deployment spec.
 #[derive(Clone, Debug)]
 pub struct NodeSpec {
@@ -196,10 +177,9 @@ impl NodeSpec {
         let d = NodeSpec::default();
         let mode = match doc.get("mode").and_then(|v| v.as_str()) {
             None => d.mode,
-            Some(name) => match MODES.iter().find(|(n, _)| *n == name) {
-                Some(&(_, mode)) => mode,
-                None => return Err(format!("unknown mode `{name}`")),
-            },
+            // Config files hyphenate (`crash-tolerant`); `Mode::key` does not.
+            Some(name) => Mode::parse(&name.replace('-', "_"))
+                .ok_or_else(|| format!("unknown mode `{name}`"))?,
         };
         let crypto = match doc.get("crypto").and_then(|v| v.as_str()) {
             None => d.crypto,
@@ -405,9 +385,13 @@ mod tests {
 
     #[test]
     fn help_lists_every_accepted_mode() {
-        for (name, mode) in MODES {
-            let spec = NodeSpec::from_json(&format!(r#"{{"mode": "{name}"}}"#)).expect("accepted");
-            assert_eq!(spec.mode, *mode);
+        for mode in Mode::ALL {
+            let name = mode.key().replace('_', "-");
+            for spelling in [name.as_str(), mode.key()] {
+                let spec = NodeSpec::from_json(&format!(r#"{{"mode": "{spelling}"}}"#))
+                    .expect("accepted");
+                assert_eq!(spec.mode, mode);
+            }
             assert!(USAGE.contains(&format!("\"{name}\"")), "--help omits mode {name}");
         }
     }

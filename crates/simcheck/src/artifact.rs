@@ -10,8 +10,9 @@
 //! which cannot represent every `u64` exactly, and the seed must round-trip
 //! losslessly or the replay is a different universe.
 
-use crate::scenario::{Fault, FlowPlan, ModeTag, Scenario, SchedTag};
+use crate::scenario::{Fault, FlowPlan, Scenario, SchedTag};
 use crate::Violation;
+use cicero_core::config::Mode;
 use substrate::ser::JsonValue;
 
 fn num(n: u64) -> JsonValue {
@@ -41,7 +42,7 @@ impl Scenario {
             ("edges", num(self.edges as u64)),
             ("hosts_per_rack", num(self.hosts_per_rack as u64)),
             ("domains", num(self.domains as u64)),
-            ("mode", JsonValue::Str(self.mode.name().into())),
+            ("mode", JsonValue::Str(self.mode.key().into())),
             ("scheduler", JsonValue::Str(self.scheduler.name().into())),
             (
                 "controllers_per_domain",
@@ -86,7 +87,7 @@ impl Scenario {
     pub fn from_json(v: &JsonValue) -> Result<Scenario, String> {
         let seed_str = get_str(v, "seed")?;
         let seed = parse_seed(seed_str)?;
-        let mode = ModeTag::parse(get_str(v, "mode")?)
+        let mode = Mode::parse(get_str(v, "mode")?)
             .ok_or_else(|| format!("unknown mode `{}`", get_str(v, "mode").unwrap_or("")))?;
         let scheduler = SchedTag::parse(get_str(v, "scheduler")?).ok_or_else(|| {
             format!("unknown scheduler `{}`", get_str(v, "scheduler").unwrap_or(""))

@@ -49,7 +49,7 @@ pub mod shrink;
 use cicero_core::prelude::*;
 
 pub use oracle::Violation;
-pub use scenario::{Fault, FlowPlan, ModeTag, Scenario, SchedTag};
+pub use scenario::{Fault, FlowPlan, Scenario, SchedTag};
 
 use controller::policy::DomainMap;
 use netmodel::topology::Topology;
@@ -114,7 +114,7 @@ pub fn run_scenario_no_handshake(s: &Scenario) -> RunOutcome {
 fn run_inner(s: &Scenario, handshake: bool) -> (RunOutcome, Vec<Observation<Obs>>) {
     let topo = s.topology();
     let dm = s.domain_map(&topo);
-    let mut cfg = EngineConfig::for_mode(s.mode.to_mode());
+    let mut cfg = EngineConfig::for_mode(s.mode);
     cfg.crypto = CryptoMode::Modeled;
     cfg.seed = s.seed;
     cfg.controllers_per_domain = s.controllers_per_domain;
@@ -323,7 +323,7 @@ fn inject_byzantine(engine: &mut Engine, s: &Scenario, topo: &Topology) {
     use southbound::envelope::{MsgId, ShareSigned, Signed};
     use southbound::types::*;
 
-    if !s.mode.to_mode().is_signed() {
+    if !s.mode.is_signed() {
         return;
     }
     let switches = topo.switches();
@@ -377,7 +377,7 @@ fn inject_byzantine(engine: &mut Engine, s: &Scenario, topo: &Topology) {
                 switch,
                 victim,
                 at_ms: at,
-            } if s.mode == ModeTag::Segway => {
+            } if s.mode == Mode::Segway => {
                 let victim_sw = switches[victim as usize % switches.len()].id;
                 let mut rogue_idx = switch as usize % switches.len();
                 if switches[rogue_idx].id == victim_sw {
@@ -445,7 +445,7 @@ impl Scenario {
 
     /// The domain map this scenario asks the engine to build.
     pub fn domain_map(&self, topo: &Topology) -> DomainMap {
-        if self.domains <= 1 || self.mode == ModeTag::Centralized {
+        if self.domains <= 1 || self.mode == Mode::Centralized {
             DomainMap::single(topo)
         } else {
             DomainMap::split_racks(topo, self.domains)

@@ -3,7 +3,7 @@
 //! stream (the oracles never peek at actor internals, so they hold for any
 //! implementation of the protocol).
 
-use crate::scenario::{is_rogue_event, Fault, ModeTag, Scenario};
+use crate::scenario::{is_rogue_event, Fault, Scenario};
 use cicero_core::audit::{audit_flow, ReplayState};
 use cicero_core::prelude::*;
 use netmodel::linkload::LinkLoad;
@@ -102,10 +102,7 @@ fn consistency(
 /// read from the engine, so a regression in the engine's own quorum
 /// arithmetic is caught too.
 fn security(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
-    let cicero = matches!(
-        s.mode,
-        ModeTag::Cicero | ModeTag::CiceroAgg | ModeTag::Segway
-    );
+    let cicero = s.mode.is_signed();
     let quorum = (s.controllers_per_domain - 1) / 3 + 1;
     for o in obs {
         let Obs::UpdateApplied {

@@ -14,62 +14,6 @@ use netmodel::topology::Topology;
 use southbound::types::EventId;
 use substrate::check::Gen;
 
-/// Serializable stand-in for [`Mode`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ModeTag {
-    /// One unreplicated, unauthenticated controller.
-    Centralized,
-    /// Replicated ordering, unauthenticated updates.
-    CrashTolerant,
-    /// Full Cicero, switches aggregate signature shares.
-    Cicero,
-    /// Full Cicero, the aggregator controller combines shares.
-    CiceroAgg,
-    /// Decentralized (ez-Segway style) execution: threshold-signed
-    /// gate/notify metadata pushed in one round, switch-to-switch readies.
-    Segway,
-}
-
-impl ModeTag {
-    /// The engine mode this tag selects.
-    pub fn to_mode(self) -> Mode {
-        match self {
-            ModeTag::Centralized => Mode::Centralized,
-            ModeTag::CrashTolerant => Mode::CrashTolerant,
-            ModeTag::Cicero => Mode::Cicero {
-                aggregation: Aggregation::Switch,
-            },
-            ModeTag::CiceroAgg => Mode::Cicero {
-                aggregation: Aggregation::Controller,
-            },
-            ModeTag::Segway => Mode::Segway,
-        }
-    }
-
-    /// Stable wire name (replay artifacts).
-    pub fn name(self) -> &'static str {
-        match self {
-            ModeTag::Centralized => "centralized",
-            ModeTag::CrashTolerant => "crash_tolerant",
-            ModeTag::Cicero => "cicero",
-            ModeTag::CiceroAgg => "cicero_agg",
-            ModeTag::Segway => "segway",
-        }
-    }
-
-    /// Parses [`ModeTag::name`] output.
-    pub fn parse(s: &str) -> Option<ModeTag> {
-        Some(match s {
-            "centralized" => ModeTag::Centralized,
-            "crash_tolerant" => ModeTag::CrashTolerant,
-            "cicero" => ModeTag::Cicero,
-            "cicero_agg" => ModeTag::CiceroAgg,
-            "segway" => ModeTag::Segway,
-            _ => return None,
-        })
-    }
-}
-
 /// Serializable stand-in for the update scheduler choice.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SchedTag {
@@ -260,7 +204,7 @@ pub struct Scenario {
     /// Update domains the fabric is split into (1 = single domain).
     pub domains: u16,
     /// Protocol mode.
-    pub mode: ModeTag,
+    pub mode: Mode,
     /// Update scheduler installed on every controller.
     pub scheduler: SchedTag,
     /// Controllers per domain (≥ 4 for Cicero modes; 1 for centralized).
@@ -301,19 +245,19 @@ impl Scenario {
         let edges = g.u32_in(1..3) as u16;
         let hosts_per_rack = g.u32_in(1..4) as u16;
         let mode = *g.choose(&[
-            ModeTag::Cicero,
-            ModeTag::Cicero,
-            ModeTag::CiceroAgg,
-            ModeTag::CrashTolerant,
-            ModeTag::Centralized,
+            Mode::CICERO,
+            Mode::CICERO,
+            Mode::CICERO_AGG,
+            Mode::CrashTolerant,
+            Mode::Centralized,
         ]);
-        let domains = if mode == ModeTag::Centralized {
+        let domains = if mode == Mode::Centralized {
             1
         } else {
             g.u32_in(1..3) as u16
         };
         let controllers_per_domain = match mode {
-            ModeTag::Centralized => 1,
+            Mode::Centralized => 1,
             _ => g.u32_in(4..7),
         };
         let scheduler = if g.f64_unit() < 0.8 {
@@ -381,7 +325,7 @@ impl Scenario {
                 until_ms: from_ms + g.u64_in(50..600),
             });
         }
-        if matches!(mode, ModeTag::Cicero | ModeTag::CiceroAgg) && g.f64_unit() < 0.3 {
+        if matches!(mode, Mode::Cicero { .. }) && g.f64_unit() < 0.3 {
             faults.push(Fault::RogueShares {
                 controller: g.u32(),
                 victim: g.u32(),
@@ -393,7 +337,7 @@ impl Scenario {
         // bounds keep the fault inside the benign envelope by construction
         // (at + after + 25 s margin ≤ the 30 s horizon), so benign sweeps
         // exercise the recovery oracle's completion half, not just safety.
-        if matches!(mode, ModeTag::Cicero | ModeTag::CiceroAgg)
+        if matches!(mode, Mode::Cicero { .. })
             && controllers_per_domain >= 4
             && g.f64_unit() < 0.25
         {
@@ -427,8 +371,8 @@ impl Scenario {
         // bounded fuzz sweeps exercise boundary ordering every run rather
         // than only when the dice land there.
         if seed % 4 == 3 {
-            if s.mode == ModeTag::Centralized {
-                s.mode = ModeTag::Cicero;
+            if s.mode == Mode::Centralized {
+                s.mode = Mode::CICERO;
                 s.controllers_per_domain = 4;
             }
             s.domains = s.domains.max(2);
@@ -442,7 +386,7 @@ impl Scenario {
         // other biased seed plants a rogue-ready fault so the signed-ready
         // rejection surface is exercised continuously too.
         if seed % 4 == 1 {
-            s.mode = ModeTag::Segway;
+            s.mode = Mode::Segway;
             s.controllers_per_domain = s.controllers_per_domain.max(4);
             s.domains = s.domains.max(2);
             s.flows[0].src = 0;
@@ -479,11 +423,11 @@ impl Scenario {
     /// focused sweep behind `simcheck recover`.
     pub fn generate_recovery(seed: u64) -> Scenario {
         let mut s = Scenario::generate(seed);
-        if !matches!(s.mode, ModeTag::Cicero | ModeTag::CiceroAgg) {
+        if !matches!(s.mode, Mode::Cicero { .. }) {
             s.mode = if seed % 2 == 0 {
-                ModeTag::Cicero
+                Mode::CICERO
             } else {
-                ModeTag::CiceroAgg
+                Mode::CICERO_AGG
             };
         }
         s.controllers_per_domain = s.controllers_per_domain.max(4);
@@ -510,11 +454,11 @@ impl Scenario {
     /// spending ~40% of them on centralized/crash-tolerant scenarios.
     pub fn generate_secure(seed: u64) -> Scenario {
         let mut s = Scenario::generate(seed);
-        if !matches!(s.mode, ModeTag::Cicero | ModeTag::CiceroAgg) {
+        if !matches!(s.mode, Mode::Cicero { .. }) {
             s.mode = if seed % 2 == 0 {
-                ModeTag::Cicero
+                Mode::CICERO
             } else {
-                ModeTag::CiceroAgg
+                Mode::CICERO_AGG
             };
             s.controllers_per_domain = s.controllers_per_domain.max(4);
         }
@@ -528,7 +472,7 @@ impl Scenario {
     /// seeds so the signed-ready rejection path is audited continuously.
     pub fn generate_segway(seed: u64) -> Scenario {
         let mut s = Scenario::generate(seed);
-        s.mode = ModeTag::Segway;
+        s.mode = Mode::Segway;
         s.controllers_per_domain = s.controllers_per_domain.max(4);
         if seed % 4 == 0 {
             s.faults.push(Fault::RogueReady {

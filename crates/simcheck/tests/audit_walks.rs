@@ -180,14 +180,14 @@ fn independent_per_domain_installation_black_holes_end_to_end() {
 /// `fixtures/cross_domain_blackhole.json`.)
 #[test]
 fn cross_domain_scenario_passes_end_to_end_oracle() {
-    use simcheck::{run_scenario, FlowPlan, ModeTag, Scenario, SchedTag};
+    use simcheck::{run_scenario, FlowPlan, Scenario, SchedTag};
     let s = Scenario {
         seed: 0x91d6_ac26_6138_7828,
         racks: 2,
         edges: 1,
         hosts_per_rack: 1,
         domains: 2,
-        mode: ModeTag::Cicero,
+        mode: Mode::CICERO,
         scheduler: SchedTag::ReversePath,
         controllers_per_domain: 4,
         flows: vec![FlowPlan {

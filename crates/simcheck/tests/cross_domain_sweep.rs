@@ -6,8 +6,8 @@
 //! demonstrably be what ordered the boundary (a `BoundaryReleased`
 //! observation in every run).
 
-use cicero_core::Obs;
-use simcheck::{run_scenario_traced, FlowPlan, ModeTag, Scenario, SchedTag};
+use cicero_core::{Mode, Obs};
+use simcheck::{run_scenario_traced, FlowPlan, Scenario, SchedTag};
 
 /// Derives a multi-domain, zero-fault scenario from a sweep index: varied
 /// fabric shape (via the generic generator), 2–3 domains, and a first flow
@@ -18,8 +18,8 @@ fn multi_domain_scenario(i: u64) -> Scenario {
     // This sweep is specifically about the *handshake*: Segway (which the
     // generator biases a quarter of all seeds into) orders boundaries with
     // switch-to-switch readies instead and never emits BoundaryReleased.
-    if s.mode == ModeTag::Centralized || s.mode == ModeTag::Segway {
-        s.mode = if i % 2 == 0 { ModeTag::Cicero } else { ModeTag::CiceroAgg };
+    if s.mode == Mode::Centralized || s.mode == Mode::Segway {
+        s.mode = if i % 2 == 0 { Mode::CICERO } else { Mode::CICERO_AGG };
         s.controllers_per_domain = s.controllers_per_domain.max(4);
     }
     s.domains = 2 + (i % 2) as u16;

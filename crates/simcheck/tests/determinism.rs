@@ -70,14 +70,14 @@ fn same_seed_same_trace() {
 /// the same seed must yield byte-identical traces.
 #[test]
 fn multi_domain_handshake_trace_is_deterministic() {
-    use simcheck::{FlowPlan, ModeTag, SchedTag};
+    use simcheck::{FlowPlan, SchedTag};
     let s = Scenario {
         seed: 0x0D0_D15EED,
         racks: 3,
         edges: 1,
         hosts_per_rack: 2,
         domains: 3,
-        mode: ModeTag::Cicero,
+        mode: Mode::CICERO,
         scheduler: SchedTag::ReversePath,
         controllers_per_domain: 4,
         flows: vec![

@@ -36,7 +36,7 @@ fn cross_domain_blackhole_fixture_replays_green() {
     assert!(out.report.completed, "fixture flow must converge");
 }
 
-/// The Segway analogue, found by the fuzz generator once `ModeTag::Segway`
+/// The Segway analogue, found by the fuzz generator once `Mode::Segway`
 /// joined the seed pool: a two-domain reverse-path scenario whose first
 /// flow crosses the boundary, run in the decentralized execution mode.
 /// With ready-gating the switches themselves order the boundary

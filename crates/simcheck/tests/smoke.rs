@@ -120,7 +120,7 @@ fn injected_scheduler_regression_is_caught_and_shrunk() {
     s.edges = 1;
     s.hosts_per_rack = 2;
     s.domains = 1;
-    s.mode = simcheck::ModeTag::Cicero;
+    s.mode = cicero_core::Mode::CICERO;
     s.controllers_per_domain = 4;
     s.scheduler = SchedTag::Unordered;
     s.denied.clear();

@@ -44,8 +44,8 @@ pub mod time;
 /// Commonly used items.
 pub mod prelude {
     pub use crate::fault::FaultPlan;
-    pub use crate::latency::{FnLatency, LatencyModel, TableLatency, UniformLatency};
-    pub use crate::node::{Actor, Context, Host, HostExt, NodeId, TimerToken};
+    pub use crate::latency::{LatencyModel, UniformLatency};
+    pub use crate::node::{Actor, Context, Host, NodeId, TimerToken};
     pub use crate::sim::{Observation, Simulation, ENVIRONMENT};
     pub use crate::time::{SimDuration, SimTime};
 }

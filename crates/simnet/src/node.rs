@@ -2,7 +2,7 @@
 //!
 //! The split here is the repo's core/runtime boundary: [`Actor`]s hold the
 //! protocol logic and talk to the world exclusively through the [`Host`]
-//! trait (send/broadcast/set_timer/charge_cpu/observe/rng/now/crash).
+//! trait (send/set_timer/charge_cpu/observe/rng/now/crash).
 //! [`Context`] is the discrete-event simulator's implementation; the
 //! `cicero-node` crate provides a second one backed by OS threads and
 //! wall-clock timers. Protocol code that compiles against `dyn Host` cannot
@@ -71,20 +71,6 @@ pub trait Host<M, O = ()> {
     /// and timers are dropped.
     fn crash(&mut self);
 }
-
-/// Broadcast sugar over any [`Host`]: generic iterators are not
-/// object-safe, so `broadcast` lives in an extension trait blanket-implemented
-/// for every host (including `dyn Host`) instead of in the trait itself.
-pub trait HostExt<M: Clone, O>: Host<M, O> {
-    /// Sends a clone of `msg` to every node in `to`.
-    fn broadcast<I: IntoIterator<Item = NodeId>>(&mut self, to: I, msg: M) {
-        for node in to {
-            self.send(node, msg.clone());
-        }
-    }
-}
-
-impl<M: Clone, O, H: Host<M, O> + ?Sized> HostExt<M, O> for H {}
 
 /// A protocol process. `M` is the message type exchanged on the network;
 /// `O` is the observation type emitted to the experiment harness.

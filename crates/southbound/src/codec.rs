@@ -145,6 +145,22 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
     }
 }
 
+impl<T: Wire> Wire for Option<T> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.is_some().encode(buf);
+        if let Some(v) = self {
+            v.encode(buf);
+        }
+    }
+    fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+        Ok(if bool::decode(buf)? {
+            Some(T::decode(buf)?)
+        } else {
+            None
+        })
+    }
+}
+
 macro_rules! wire_newtype {
     ($($ty:ident($inner:ty);)*) => {$(
         impl Wire for $ty {
@@ -168,268 +184,171 @@ wire_newtype! {
     Phase(u64);
 }
 
-impl Wire for UpdateId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.event.encode(buf);
-        self.seq.encode(buf);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(UpdateId {
-            event: EventId::decode(buf)?,
-            seq: u32::decode(buf)?,
-        })
-    }
-}
-
-impl Wire for NextHop {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            NextHop::Switch(s) => {
-                0u8.encode(buf);
-                s.encode(buf);
+/// Declares a struct's wire layout: the named fields, encoded in the order
+/// listed. That order *is* the wire order (signatures cover these bytes), so
+/// a field is appended or the record gets a new name; the field types are
+/// whatever the struct declares, found through [`Wire::decode`].
+#[macro_export]
+macro_rules! wire_struct {
+    ($ty:ident { $($field:ident),* $(,)? }) => {
+        impl $crate::codec::Wire for $ty {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                $($crate::codec::Wire::encode(&self.$field, buf);)*
             }
-            NextHop::Host(h) => {
-                1u8.encode(buf);
-                h.encode(buf);
+            fn decode(buf: &mut &[u8]) -> Result<Self, $crate::codec::DecodeError> {
+                Ok($ty { $($field: $crate::codec::Wire::decode(buf)?),* })
             }
         }
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u8::decode(buf)? {
-            0 => Ok(NextHop::Switch(SwitchId::decode(buf)?)),
-            1 => Ok(NextHop::Host(HostId::decode(buf)?)),
-            t => Err(DecodeError::BadTag(t)),
-        }
-    }
+    };
 }
 
-impl Wire for FlowMatch {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.src.encode(buf);
-        self.dst.encode(buf);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(FlowMatch {
-            src: HostId::decode(buf)?,
-            dst: HostId::decode(buf)?,
-        })
-    }
-}
-
-impl Wire for FlowAction {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            FlowAction::Forward(n) => {
-                0u8.encode(buf);
-                n.encode(buf);
+/// Declares an enum's wire layout: one tag byte, then the variant's fields in
+/// the order listed (`Tuple(a, b)`, `Struct { a, b }` or `Unit`). A tag is
+/// never reused for a different variant; decoding any other byte is a
+/// [`DecodeError::BadTag`].
+#[macro_export]
+macro_rules! wire_enum {
+    ($ty:ident { $(
+        $tag:literal => $variant:ident $(($($t:ident),*))? $({ $($f:ident),* })?
+    ),* $(,)? }) => {
+        impl $crate::codec::Wire for $ty {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                match self {$(
+                    $ty::$variant $(($($t),*))? $({ $($f),* })? => {
+                        buf.push($tag);
+                        $($($crate::codec::Wire::encode($t, buf);)*)?
+                        $($($crate::codec::Wire::encode($f, buf);)*)?
+                    }
+                )*}
             }
-            FlowAction::Deny => 1u8.encode(buf),
-        }
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u8::decode(buf)? {
-            0 => Ok(FlowAction::Forward(NextHop::decode(buf)?)),
-            1 => Ok(FlowAction::Deny),
-            t => Err(DecodeError::BadTag(t)),
-        }
-    }
-}
-
-impl Wire for FlowRule {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.matcher.encode(buf);
-        self.action.encode(buf);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(FlowRule {
-            matcher: FlowMatch::decode(buf)?,
-            action: FlowAction::decode(buf)?,
-        })
-    }
-}
-
-impl Wire for UpdateKind {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            UpdateKind::Install(r) => {
-                0u8.encode(buf);
-                r.encode(buf);
-            }
-            UpdateKind::Remove(m) => {
-                1u8.encode(buf);
-                m.encode(buf);
+            #[deny(unreachable_patterns)] // a tag listed twice
+            fn decode(buf: &mut &[u8]) -> Result<Self, $crate::codec::DecodeError> {
+                match <u8 as $crate::codec::Wire>::decode(buf)? {
+                    $($tag => {
+                        $($(let $t = $crate::codec::Wire::decode(buf)?;)*)?
+                        $($(let $f = $crate::codec::Wire::decode(buf)?;)*)?
+                        Ok($ty::$variant $(($($t),*))? $({ $($f),* })?)
+                    })*
+                    t => Err($crate::codec::DecodeError::BadTag(t)),
+                }
             }
         }
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u8::decode(buf)? {
-            0 => Ok(UpdateKind::Install(FlowRule::decode(buf)?)),
-            1 => Ok(UpdateKind::Remove(FlowMatch::decode(buf)?)),
-            t => Err(DecodeError::BadTag(t)),
-        }
-    }
+    };
 }
 
-impl Wire for NetworkUpdate {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.id.encode(buf);
-        self.switch.encode(buf);
-        self.kind.encode(buf);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(NetworkUpdate {
-            id: UpdateId::decode(buf)?,
-            switch: SwitchId::decode(buf)?,
-            kind: UpdateKind::decode(buf)?,
-        })
-    }
-}
-
-impl Wire for EventKind {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            EventKind::PacketIn {
-                switch,
-                flow,
-                src,
-                dst,
-            } => {
-                0u8.encode(buf);
-                switch.encode(buf);
-                flow.encode(buf);
-                src.encode(buf);
-                dst.encode(buf);
-            }
-            EventKind::FlowTeardown { flow, src, dst } => {
-                1u8.encode(buf);
-                flow.encode(buf);
-                src.encode(buf);
-                dst.encode(buf);
-            }
-            EventKind::LinkFailure { a, b } => {
-                2u8.encode(buf);
-                a.encode(buf);
-                b.encode(buf);
-            }
-            EventKind::PolicyChange { policy } => {
-                3u8.encode(buf);
-                policy.encode(buf);
-            }
-            EventKind::MembershipChanged {
-                domain,
-                controller,
-                added,
-            } => {
-                4u8.encode(buf);
-                domain.encode(buf);
-                controller.encode(buf);
-                added.encode(buf);
-            }
-        }
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u8::decode(buf)? {
-            0 => Ok(EventKind::PacketIn {
-                switch: SwitchId::decode(buf)?,
-                flow: FlowId::decode(buf)?,
-                src: HostId::decode(buf)?,
-                dst: HostId::decode(buf)?,
-            }),
-            1 => Ok(EventKind::FlowTeardown {
-                flow: FlowId::decode(buf)?,
-                src: HostId::decode(buf)?,
-                dst: HostId::decode(buf)?,
-            }),
-            2 => Ok(EventKind::LinkFailure {
-                a: SwitchId::decode(buf)?,
-                b: SwitchId::decode(buf)?,
-            }),
-            3 => Ok(EventKind::PolicyChange {
-                policy: u64::decode(buf)?,
-            }),
-            4 => Ok(EventKind::MembershipChanged {
-                domain: DomainId::decode(buf)?,
-                controller: ControllerId::decode(buf)?,
-                added: bool::decode(buf)?,
-            }),
-            t => Err(DecodeError::BadTag(t)),
-        }
-    }
-}
-
-impl Wire for Event {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.id.encode(buf);
-        self.kind.encode(buf);
-        self.origin.encode(buf);
-        self.forwarded.encode(buf);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(Event {
-            id: EventId::decode(buf)?,
-            kind: EventKind::decode(buf)?,
-            origin: DomainId::decode(buf)?,
-            forwarded: bool::decode(buf)?,
-        })
-    }
-}
+wire_struct!(UpdateId { event, seq });
+wire_enum!(NextHop { 0 => Switch(s), 1 => Host(h) });
+wire_struct!(FlowMatch { src, dst });
+wire_enum!(FlowAction { 0 => Forward(next), 1 => Deny });
+wire_struct!(FlowRule { matcher, action });
+wire_enum!(UpdateKind { 0 => Install(rule), 1 => Remove(matcher) });
+wire_struct!(NetworkUpdate { id, switch, kind });
+wire_enum!(EventKind {
+    0 => PacketIn { switch, flow, src, dst },
+    1 => FlowTeardown { flow, src, dst },
+    2 => LinkFailure { a, b },
+    3 => PolicyChange { policy },
+    4 => MembershipChanged { domain, controller, added },
+});
+wire_struct!(Event { id, kind, origin, forwarded });
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(v: T) {
-        let bytes = v.to_wire();
-        assert_eq!(T::from_wire(&bytes).unwrap(), v);
+    /// Round-trips `v` and checks that `from_wire` refuses its encoding with
+    /// one byte cut off and with one byte added.
+    fn exact<T: Wire + PartialEq + std::fmt::Debug>(v: T) {
+        let mut bytes = v.to_wire();
+        assert_eq!(T::from_wire(&bytes).as_ref(), Ok(&v));
+        assert!(
+            T::from_wire(&bytes[..bytes.len() - 1]).is_err(),
+            "cut: {v:?}"
+        );
+        bytes.push(0);
+        assert!(T::from_wire(&bytes).is_err(), "extended: {v:?}");
     }
 
     #[test]
     fn primitive_round_trips() {
-        round_trip(0xdeadbeefu32);
-        round_trip(true);
-        round_trip(false);
-        round_trip([1u8, 2, 3]);
-        round_trip(vec![FlowId(1), FlowId(2)]);
-        round_trip(vec![(FlowId(1), SwitchId(2)), (FlowId(3), SwitchId(4))]);
+        exact(0xdeadbeefu32);
+        exact(true);
+        exact(false);
+        exact([1u8, 2, 3]);
+        exact(vec![FlowId(1), FlowId(2)]);
+        exact(vec![(FlowId(1), SwitchId(2)), (FlowId(3), SwitchId(4))]);
+        exact(Some(FlowId(5)));
+        exact(None::<FlowId>);
+        assert_eq!(Some(7u16).to_wire(), [1, 0, 7]);
+        assert_eq!(None::<u16>.to_wire(), [0]);
+        assert_eq!(
+            Option::<u16>::from_wire(&[2, 0, 7]),
+            Err(DecodeError::BadTag(2))
+        );
     }
 
+    /// Every variant of every record declared above, each at top level.
     #[test]
-    fn domain_type_round_trips() {
-        round_trip(NetworkUpdate {
-            id: UpdateId {
-                event: EventId(99),
-                seq: 3,
+    fn every_declared_record_round_trips_exactly() {
+        let id = UpdateId {
+            event: EventId(99),
+            seq: 3,
+        };
+        let matcher = FlowMatch {
+            src: HostId(1),
+            dst: HostId(2),
+        };
+        exact(id);
+        exact(matcher);
+        for hop in [NextHop::Switch(SwitchId(8)), NextHop::Host(HostId(2))] {
+            exact(hop);
+            for action in [FlowAction::Forward(hop), FlowAction::Deny] {
+                let rule = FlowRule { matcher, action };
+                exact(action);
+                exact(rule);
+                for kind in [UpdateKind::Install(rule), UpdateKind::Remove(matcher)] {
+                    exact(kind);
+                    exact(NetworkUpdate {
+                        id,
+                        switch: SwitchId(7),
+                        kind,
+                    });
+                }
+            }
+        }
+        let (src, dst, flow) = (HostId(1), HostId(2), FlowId(6));
+        for kind in [
+            EventKind::PacketIn {
+                switch: SwitchId(7),
+                flow,
+                src,
+                dst,
             },
-            switch: SwitchId(7),
-            kind: UpdateKind::Install(FlowRule {
-                matcher: FlowMatch {
-                    src: HostId(1),
-                    dst: HostId(2),
-                },
-                action: FlowAction::Forward(NextHop::Switch(SwitchId(8))),
-            }),
-        });
-        round_trip(NetworkUpdate {
-            id: UpdateId {
-                event: EventId(100),
-                seq: 0,
+            EventKind::FlowTeardown { flow, src, dst },
+            EventKind::LinkFailure {
+                a: SwitchId(3),
+                b: SwitchId(4),
             },
-            switch: SwitchId(7),
-            kind: UpdateKind::Remove(FlowMatch {
-                src: HostId(1),
-                dst: HostId(2),
-            }),
-        });
-        round_trip(Event {
-            id: EventId(5),
-            kind: EventKind::MembershipChanged {
+            EventKind::PolicyChange { policy: 9 },
+            EventKind::MembershipChanged {
                 domain: DomainId(2),
                 controller: ControllerId(9),
                 added: true,
             },
-            origin: DomainId(1),
-            forwarded: true,
-        });
+        ] {
+            exact(kind);
+            exact(Event {
+                id: EventId(5),
+                kind,
+                origin: DomainId(1),
+                forwarded: true,
+            });
+        }
+        assert_eq!(
+            NextHop::from_wire(&[2, 0, 0, 0, 1]),
+            Err(DecodeError::BadTag(2))
+        );
+        assert_eq!(EventKind::from_wire(&[5]), Err(DecodeError::BadTag(5)));
     }
 
     #[test]

@@ -220,163 +220,3 @@ mod tests {
         );
     }
 }
-
-// ---------------------------------------------------------------------------
-// Explicit JSON projections (replacing the former serde derives): these are
-// the documents experiment harnesses and external tooling consume, so the
-// encoding is spelled out by hand and locked by tests.
-
-use substrate::ser::{JsonValue, ToJson};
-
-macro_rules! json_newtype {
-    ($($ty:ident),*) => {$(
-        impl ToJson for $ty {
-            fn to_json(&self) -> JsonValue {
-                self.0.to_json()
-            }
-        }
-    )*};
-}
-
-json_newtype!(HostId, SwitchId, ControllerId, DomainId, FlowId, EventId, Phase);
-
-impl ToJson for UpdateId {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([("event", self.event.to_json()), ("seq", self.seq.to_json())])
-    }
-}
-
-impl ToJson for NextHop {
-    fn to_json(&self) -> JsonValue {
-        match self {
-            NextHop::Switch(s) => JsonValue::object([("switch", s.to_json())]),
-            NextHop::Host(h) => JsonValue::object([("host", h.to_json())]),
-        }
-    }
-}
-
-impl ToJson for FlowMatch {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([("src", self.src.to_json()), ("dst", self.dst.to_json())])
-    }
-}
-
-impl ToJson for FlowAction {
-    fn to_json(&self) -> JsonValue {
-        match self {
-            FlowAction::Forward(n) => JsonValue::object([("forward", n.to_json())]),
-            FlowAction::Deny => JsonValue::Str("deny".into()),
-        }
-    }
-}
-
-impl ToJson for FlowRule {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("match", self.matcher.to_json()),
-            ("action", self.action.to_json()),
-        ])
-    }
-}
-
-impl ToJson for UpdateKind {
-    fn to_json(&self) -> JsonValue {
-        match self {
-            UpdateKind::Install(r) => JsonValue::object([("install", r.to_json())]),
-            UpdateKind::Remove(m) => JsonValue::object([("remove", m.to_json())]),
-        }
-    }
-}
-
-impl ToJson for NetworkUpdate {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("id", self.id.to_json()),
-            ("switch", self.switch.to_json()),
-            ("kind", self.kind.to_json()),
-        ])
-    }
-}
-
-impl ToJson for EventKind {
-    fn to_json(&self) -> JsonValue {
-        match *self {
-            EventKind::PacketIn { switch, flow, src, dst } => JsonValue::object([
-                ("type", "packet_in".to_json()),
-                ("switch", switch.to_json()),
-                ("flow", flow.to_json()),
-                ("src", src.to_json()),
-                ("dst", dst.to_json()),
-            ]),
-            EventKind::FlowTeardown { flow, src, dst } => JsonValue::object([
-                ("type", "flow_teardown".to_json()),
-                ("flow", flow.to_json()),
-                ("src", src.to_json()),
-                ("dst", dst.to_json()),
-            ]),
-            EventKind::LinkFailure { a, b } => JsonValue::object([
-                ("type", "link_failure".to_json()),
-                ("a", a.to_json()),
-                ("b", b.to_json()),
-            ]),
-            EventKind::PolicyChange { policy } => JsonValue::object([
-                ("type", "policy_change".to_json()),
-                ("policy", policy.to_json()),
-            ]),
-            EventKind::MembershipChanged { domain, controller, added } => JsonValue::object([
-                ("type", "membership_changed".to_json()),
-                ("domain", domain.to_json()),
-                ("controller", controller.to_json()),
-                ("added", added.to_json()),
-            ]),
-        }
-    }
-}
-
-impl ToJson for Event {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("id", self.id.to_json()),
-            ("kind", self.kind.to_json()),
-            ("origin", self.origin.to_json()),
-            ("forwarded", self.forwarded.to_json()),
-        ])
-    }
-}
-
-#[cfg(test)]
-mod json_tests {
-    use super::*;
-    use substrate::ser::ToJson;
-
-    #[test]
-    fn network_update_emits_stable_document() {
-        let u = NetworkUpdate {
-            id: UpdateId { event: EventId(9), seq: 2 },
-            switch: SwitchId(3),
-            kind: UpdateKind::Install(FlowRule {
-                matcher: FlowMatch { src: HostId(1), dst: HostId(2) },
-                action: FlowAction::Forward(NextHop::Host(HostId(2))),
-            }),
-        };
-        assert_eq!(
-            u.to_json_string(),
-            r#"{"id":{"event":9,"seq":2},"switch":3,"kind":{"install":{"match":{"src":1,"dst":2},"action":{"forward":{"host":2}}}}}"#
-        );
-    }
-
-    #[test]
-    fn event_kinds_are_tagged() {
-        let e = Event {
-            id: EventId(5),
-            kind: EventKind::LinkFailure { a: SwitchId(1), b: SwitchId(2) },
-            origin: DomainId(0),
-            forwarded: false,
-        };
-        let json = e.to_json();
-        assert_eq!(
-            json.get("kind").unwrap().get("type").unwrap().as_str(),
-            Some("link_failure")
-        );
-    }
-}

@@ -72,6 +72,15 @@ if ! cargo run -q --offline --release -p detlint; then
     exit 1
 fi
 
+echo "== wire layouts are declared once (wire_struct! / wire_enum!) =="
+# A record's layout is one declaration; only the codec's own primitives,
+# containers and macros spell out an `impl Wire for`.
+if grep -rn "impl.*Wire for" crates --include=*.rs |
+    grep -v -e "^crates/bench/e2e/" -e "^crates/southbound/src/codec.rs:"; then
+    echo "verify.sh: hand-written Wire impl above; declare it with wire_struct!/wire_enum!" >&2
+    exit 1
+fi
+
 echo "== perf regression gate (benchkit compare vs BENCH_protocol.json) =="
 # Re-measure the crypto, protocol and consensus suites and diff the medians
 # against the recorded baseline: fail on any entry regressing past the

@@ -216,6 +216,42 @@ fn an_unreplayed_wal_variant_would_be_caught() {
 }
 
 #[test]
+fn a_wal_variant_with_a_declared_codec_still_needs_a_replay_arm() {
+    // The record's codec is a `wire_enum!` line, which names no
+    // `WalRecord::Variant` path: what makes a variant "appended" is the
+    // real append in ctrl/, and that must keep the rule firing.
+    let findings = lint_set(&[
+        (
+            "crates/cicero-core/src/msg.rs",
+            "pub enum WalRecord {\n    Acked(u32),\n    PhaseEntered(u64),\n}\n\
+             wire_enum!(WalRecord { 0 => Acked(update), 1 => PhaseEntered(phase) });\n",
+        ),
+        (
+            "crates/cicero-core/src/ctrl/membership.rs",
+            "pub fn finish(ctx: &mut Ctx) {\n\
+             \x20   ctx.log_record(&WalRecord::PhaseEntered(2));\n\
+             }\n",
+        ),
+        (
+            "crates/cicero-core/src/ctrl/durable.rs",
+            "pub fn replay(r: WalRecord) {\n\
+             \x20   match r {\n\
+             \x20       WalRecord::Acked(u) => ack(u),\n\
+             \x20       _ => {}\n\
+             \x20   }\n\
+             }\n",
+        ),
+    ]);
+    let hits: Vec<_> = findings
+        .iter()
+        .filter(|f| f.rule == "wal-variant-unreplayed")
+        .collect();
+    assert_eq!(hits.len(), 1, "only PhaseEntered is appended and unreplayed: {findings:?}");
+    assert!(hits[0].message.contains("PhaseEntered"), "{:?}", hits[0]);
+    assert!(hits[0].file.ends_with("msg.rs"), "anchored at the declaration: {:?}", hits[0]);
+}
+
+#[test]
 fn an_ack_sent_before_its_wal_append_would_be_caught() {
     // The receipt stops the peer retransmitting; crashing after the send
     // but before the append forgets the fact with no recovery path left.

@@ -89,6 +89,60 @@ fn removing_a_controller_preserves_the_group_key_and_liveness() {
     assert_eq!(completed(&engine), 3);
 }
 
+/// Segway is a signed mode like Cicero (`Mode::is_signed`): a membership
+/// change reshares its threshold key too, and its switches follow the
+/// group-signed phase notice. With placeholder keys instead, the notice is
+/// rejected and the first update after the change finds no key share.
+#[test]
+fn segway_membership_changes_reshare_under_real_crypto() {
+    let mut cfg = EngineConfig::for_mode(Mode::Segway);
+    cfg.crypto = CryptoMode::Real;
+    cfg.controllers_per_domain = 5;
+    cfg.trace_deliveries = true;
+    let topo = Topology::single_pod(2, 2, 4);
+    let mut engine = harness::build_engine_cfg(cfg, &topo, 1);
+    let domain = DomainId(0);
+    let pk_before = engine.shared().keys.domains[&domain].public_key.key();
+    let joiner = ControllerId(6);
+
+    let changes = [
+        (OrderedOp::AddController(joiner), vec![1u32, 2, 3, 4, 5, 6]),
+        (OrderedOp::RemoveController(ControllerId(3)), vec![1, 2, 4, 5, 6]),
+    ];
+    for (round, (op, members)) in changes.into_iter().enumerate() {
+        let phase = Phase(round as u64 + 1);
+        let at = engine.now() + SimDuration::from_millis(50);
+        engine.inject_membership(at, domain, op);
+        engine.run(at + SimDuration::from_secs(5));
+        for &c in &members {
+            let (pk, view_len, active) = engine.with_controller(domain, ControllerId(c), |ctrl| {
+                (ctrl.group().public_key(), ctrl.view().len(), ctrl.is_active())
+            });
+            assert!(active, "controller {c} active in {phase:?}");
+            assert_eq!(view_len, members.len());
+            assert_eq!(pk, pk_before, "controller {c} sees the same group key");
+        }
+        for sw in topo.switches() {
+            let info = engine.with_switch(sw.id, |s| s.phase_info());
+            assert_eq!(info.phase, phase, "{:?} accepted the phase notice", sw.id);
+        }
+
+        let seen = engine.observations().len();
+        inject_some_flows(&mut engine, &topo, 5 + round as u64, 3);
+        engine.run(engine.now() + SimDuration::from_secs(30));
+        assert_eq!(completed(&engine), 3 * (round + 1));
+        // Every controller that delivers an event share-signs its updates,
+        // so a delivery by the joiner is the joiner signing with a real share.
+        assert!(
+            engine.observations()[seen..].iter().any(|o| matches!(
+                o.value,
+                Obs::EventDelivered { controller, .. } if controller == joiner.0
+            )),
+            "the joiner serves events in {phase:?}"
+        );
+    }
+}
+
 #[test]
 fn events_arriving_during_the_change_are_queued_and_served() {
     let (mut engine, topo) = build(1);
