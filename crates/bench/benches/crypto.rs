@@ -111,8 +111,8 @@ fn bench_batch(c: &mut Harness) {
             })
         });
     }
-    // The cross-domain handshake's shape: four signers' receipts for one
-    // barrier — one hash, one G1 and one G2 weight sum, two pairing terms.
+    // Four signers over one message — one hash, one G1 and one G2 weight
+    // sum, two pairing terms.
     let shared: Vec<BatchItem<'_>> = keys[..4]
         .iter()
         .map(|k| BatchItem::new(k.public_key(), &msgs[0], k.sign(&msgs[0])))

@@ -29,8 +29,8 @@
 //! ([`crate::curves::Projective::sum_of_products`]), not a ladder per item.
 //! Then a single shared Miller loop and final exponentiation. A 64-update
 //! batch signed under one group key is 2 pairing terms instead of 128; four
-//! controllers' receipts for one barrier are 2 terms and one hash instead
-//! of 5 and 4.
+//! controllers' signatures over one message are 2 terms and one hash
+//! instead of 5 and 4.
 
 use crate::bls::{PublicKey, Signature, SIGNATURE_DOMAIN};
 use crate::curves::{hash_to_g1, G1Affine, G1Projective, G2Affine, G2Projective};
@@ -181,7 +181,7 @@ mod tests {
 
     #[test]
     fn shared_message_merges_on_the_key_side() {
-        // Four signers over one message (a barrier's receipts) plus one
+        // Four signers over one message plus one
         // unrelated item: accepted; any one signer's signature over another
         // message, or a signature swapped between two signers, rejects.
         let mut rng = StdRng::seed_from_u64(0x5a3e);

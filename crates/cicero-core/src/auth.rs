@@ -14,7 +14,7 @@
 //! Who pays how follows the paper's hardware: a switch is one OVS thread,
 //! so each check is serialized CPU; a controller has 12 cores, so a check
 //! is *latency* on whatever it releases ([`Authenticator::verify_latency`],
-//! [`Authenticator::quorum_cost`]) and only batch settlement is CPU.
+//! [`Authenticator::quorum_cost`]).
 //!
 //! `ctrl/membership.rs` is the one module that still asks for the crypto
 //! mode itself: under real crypto a membership change is a different
@@ -26,12 +26,12 @@ use crate::config::CryptoMode;
 use crate::msg::Net;
 use crate::obs::Obs;
 use crate::runtime::Shared;
-use blscrypto::bls::{KeyShare, PartialSignature, PreparedKey, PublicKey, SecretKey};
+use blscrypto::bls::{KeyShare, PartialSignature, PreparedKey, SecretKey};
 use blscrypto::dkg::GroupPublic;
 use simnet::node::Host;
 use simnet::time::SimDuration;
 use southbound::codec::Wire;
-use southbound::envelope::{verify_signed_batch, MsgId, QuorumSigned, ShareSigned, Signed};
+use southbound::envelope::{MsgId, QuorumSigned, ShareSigned, Signed};
 use southbound::types::{ControllerId, DomainId, Phase, SwitchId};
 use std::sync::Arc;
 
@@ -40,7 +40,7 @@ use std::sync::Arc;
 pub enum Peer {
     /// A switch (events, acks, NACKs, Segway readies and receipts).
     Switch(SwitchId),
-    /// A controller (forwarded events, boundary-release receipts).
+    /// A controller (forwarded events).
     Controller(DomainId, ControllerId),
 }
 
@@ -113,8 +113,8 @@ impl Authenticator {
         }
     }
 
-    /// Signature checks performed so far — a single verify, an aggregate
-    /// verify and a batch each count one.
+    /// Signature checks performed so far — a single verify and an
+    /// aggregate verify each count one.
     pub fn checks(&self) -> u64 {
         self.checks
     }
@@ -247,40 +247,6 @@ impl Authenticator {
         self.book_check(ctx);
         let pk = &self.shared.keys.domains[&self.domain].public_key;
         self.level != Level::Real || msg.verify_prepared(label, pk)
-    }
-
-    /// Verifies envelopes of several senders at once: one randomized batch
-    /// check, falling back to one check per envelope only when the batch is
-    /// poisoned (or a sender has no key). Returns each envelope's verdict.
-    /// Settlement work is CPU on either kind of node.
-    pub fn verify_batch<T: Wire>(
-        &mut self,
-        ctx: &mut dyn Host<Net, Obs>,
-        label: &str,
-        msgs: &[(&Signed<T>, Peer)],
-    ) -> Vec<bool> {
-        let costs = &self.shared.cfg.costs;
-        if self.signed() {
-            self.checks += 1;
-            ctx.charge_cpu(
-                costs
-                    .batch_verify_per_item
-                    .saturating_mul(msgs.len() as u64),
-            );
-        }
-        if self.level == Level::Real {
-            let keyed: Vec<(&Signed<T>, PublicKey)> = msgs
-                .iter()
-                .filter_map(|&(m, from)| Some((m, self.key_of(from)?.key())))
-                .collect();
-            if keyed.len() == msgs.len() && verify_signed_batch(label, &keyed, ctx.rng()) {
-                return vec![true; msgs.len()];
-            }
-            ctx.charge_cpu(costs.bls_verify.saturating_mul(keyed.len() as u64));
-        }
-        msgs.iter()
-            .map(|&(m, from)| self.accepts(label, m, from))
-            .collect()
     }
 
     /// Buckets one threshold share of `domain` and runs the collector's

@@ -149,9 +149,7 @@ pub struct CostModel {
     /// Amortized per-item cost of *batched* signature verification: one
     /// randomized pairing-product check covers a whole batch
     /// ([`blscrypto::batch`]), so the per-item share is far below
-    /// [`CostModel::bls_verify`]. Charged per receipt by a downstream
-    /// controller settling the boundary-release receipts for one of its
-    /// segment reports in one batch, and per share by the aggregator for
+    /// [`CostModel::bls_verify`]. Charged per share by the aggregator for
     /// validating a quorum before relaying it (the rate its Cicero-Agg
     /// anchor was calibrated with).
     pub batch_verify_per_item: SimDuration,
@@ -330,7 +328,7 @@ pub struct EngineConfig {
     /// Cross-domain ordering handshake: when an event's schedule makes an
     /// update depend on updates in *another* domain, the upstream domain
     /// holds it until the downstream domain's quorum reports its whole
-    /// segment applied (`SegmentApplied`/`BoundaryRelease`, DESIGN.md §3).
+    /// segment applied (`SegmentApplied`/`SegmentQuery`, DESIGN.md §3).
     /// `false` restores the historical per-domain-only ordering, under
     /// which boundary-crossing flows can transiently black-hole at the
     /// domain edge with zero faults (kept for regression/control runs).

@@ -2,22 +2,22 @@
 //! foreign segments and released on a *quorum certificate* — threshold
 //! shares of the downstream domain over one segment body, aggregated and
 //! verified once against that domain's group key; share-signed
-//! segment-applied reports for own segments foreign updates depend on;
-//! once-signed boundary-release receipts, batch-verified by the reporter;
-//! and the re-forward / retransmission loops that keep the handshake live
-//! under loss.
+//! segment-applied reports for own segments foreign updates depend on,
+//! sent once and kept; and the receiver-driven recovery loop — the
+//! controller whose barrier is still waiting asks for the shares it lacks
+//! (and, on the lowest controller, re-forwards the event) — that keeps the
+//! handshake live under loss.
 
 use super::ControllerActor;
-use crate::auth::Peer;
 use crate::collector::Quorum;
-use crate::msg::{Net, ReleaseBody, SegmentBody, WalRecord};
+use crate::msg::{Net, SegmentBody, WalRecord};
 use crate::obs::Obs;
 use crate::runtime::labels;
 use controller::pending::Retry;
 use controller::scheduler::{Projected, ScheduledUpdate};
 use simnet::node::{Host, NodeId};
-use simnet::time::{SimDuration, SimTime};
-use southbound::envelope::{ShareSigned, Signed};
+use simnet::time::SimDuration;
+use southbound::envelope::ShareSigned;
 use southbound::types::{ControllerId, DomainId, Event, EventId, UpdateId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -64,10 +64,8 @@ pub(super) struct BarrierState {
     signers: BTreeSet<(DomainId, u32)>,
     /// Release condition, once our own schedule registered the dependency.
     expected: Option<BarrierExpect>,
-    /// Set once released; later shares are receipted but change nothing.
+    /// Set once released; later shares change nothing.
     released: bool,
-    /// Our receipt for the verified quorum: signed once, re-sent as-is.
-    receipt: Option<Signed<ReleaseBody>>,
 }
 
 impl BarrierState {
@@ -85,17 +83,19 @@ pub(super) struct SegWatch {
     upstreams: Vec<DomainId>,
 }
 
-/// Downstream half, second stage: the drained segment's threshold share,
-/// reported to each upstream controller until all of them receipted (or the
-/// retry budget is spent).
-pub(super) struct SegReport {
-    /// The share-signed report: signed once, retransmitted as-is.
+/// Downstream half, second stage: the drained segment's threshold share —
+/// signed once, sent once to every upstream controller, and kept so an
+/// upstream controller whose barrier is still waiting can ask for it again
+/// ([`Net::SegmentQuery`]). One per reported `(event, segment)`, living
+/// exactly as long as the upstream side's `barriers` entry of that key;
+/// a restart rebuilds it by replaying the acks that drained the segment.
+pub(super) struct KeptShare {
+    /// The share-signed report, re-sent as-is.
     report: ShareSigned<SegmentBody>,
-    /// `(domain, controller)` targets that have not receipted yet.
-    pending_receipts: BTreeSet<(DomainId, u32)>,
-    /// Unverified receipts from pending targets, checked in one batch when
-    /// the last one arrives or the retry sweep fires.
-    receipts: BTreeMap<(DomainId, u32), Signed<ReleaseBody>>,
+    /// Domains holding a barrier on this segment — whose controllers may ask.
+    upstreams: Vec<DomainId>,
+    /// Re-sends so far (numbers `Obs::SegmentRetransmitted`).
+    resends: u32,
 }
 
 impl ControllerActor {
@@ -227,28 +227,33 @@ impl ControllerActor {
         self.arm_retry(ctx);
     }
 
-    /// First transmission of a drained segment's report — this
-    /// controller's threshold share over the segment body — to every
-    /// controller of every upstream domain holding a barrier on it.
-    pub(super) fn start_segment_report(
+    /// Takes the acked `update` off the own-segment watches and reports
+    /// every segment it drained (live acks, and muted on crash-recovery
+    /// replay — which is what rebuilds the kept shares).
+    pub(super) fn report_drained_segments(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
-        key: (EventId, u32),
+        update: UpdateId,
     ) {
+        let mut drained: Vec<(EventId, u32)> = Vec::new();
+        for (key, w) in self.seg_watch.iter_mut() {
+            if key.0 == update.event && w.remaining.remove(&update) && w.remaining.is_empty() {
+                drained.push(*key);
+            }
+        }
+        for key in drained {
+            self.start_segment_report(ctx, key);
+        }
+    }
+
+    /// The one unsolicited transmission of a drained segment's report —
+    /// this controller's threshold share over the segment body — to every
+    /// controller of every upstream domain holding a barrier on it. The
+    /// share is kept: whoever misses it asks ([`Self::on_segment_query`]).
+    fn start_segment_report(&mut self, ctx: &mut dyn Host<Net, Obs>, key: (EventId, u32)) {
         let Some(w) = self.seg_watch.remove(&key) else {
             return;
         };
-        let targets: Vec<(DomainId, ControllerId)> = w
-            .upstreams
-            .iter()
-            .flat_map(|&d| {
-                self.remote_members
-                    .get(&d)
-                    .into_iter()
-                    .flatten()
-                    .map(move |&c| (d, c))
-            })
-            .collect();
         let body = SegmentBody {
             event: key.0,
             segment: key.1,
@@ -258,17 +263,10 @@ impl ControllerActor {
         let signed = self
             .auth
             .sign_share(ctx, labels::SEGMENT, body, self.view.phase(), cost);
-        if !targets.is_empty() {
-            let report = SegReport {
-                report: signed.clone(),
-                pending_receipts: targets.iter().map(|&(d, c)| (d, c.0)).collect(),
-                receipts: BTreeMap::new(),
-            };
-            self.seg_reports
-                .insert(key, barrier_id(key.0, key.1), report, ctx.now());
-        }
-        for (d, c) in targets {
-            self.send_remote(ctx, d, c, Net::SegmentApplied(signed.clone()));
+        for &d in &w.upstreams {
+            for &c in self.remote_members.get(&d).into_iter().flatten() {
+                self.send_remote(ctx, d, c, Net::SegmentApplied(signed.clone()));
+            }
         }
         ctx.observe(Obs::SegmentReported {
             domain: self.domain,
@@ -276,7 +274,52 @@ impl ControllerActor {
             event: key.0,
             segment: key.1,
         });
-        self.arm_retry(ctx);
+        let kept = KeptShare {
+            report: signed,
+            upstreams: w.upstreams,
+            resends: 0,
+        };
+        self.seg_sent.insert(key, kept);
+    }
+
+    /// Handles an upstream controller's request for our share of a segment
+    /// report: its barrier on the segment is registered and still
+    /// uncertified. Answered only over the asker's own channel and only for
+    /// a current member of a domain that is upstream of the segment, with
+    /// the kept share, to the asker alone — one reply per query, nothing
+    /// signed or verified on either side. A segment not drained yet has no
+    /// share to send; the asker gets it unsolicited when it drains.
+    pub(super) fn on_segment_query(
+        &mut self,
+        ctx: &mut dyn Host<Net, Obs>,
+        from: NodeId,
+        key: (EventId, u32),
+        asker: (DomainId, ControllerId),
+    ) {
+        if !self.active {
+            return;
+        }
+        ctx.charge_cpu(self.shared.cfg.costs.ctrl_msg);
+        let members = self.remote_members.get(&asker.0);
+        if !members.is_some_and(|ms| ms.contains(&asker.1))
+            || self.shared.dir.controller_node.get(&asker) != Some(&from)
+        {
+            return;
+        }
+        let kept = self.seg_sent.get_mut(&key);
+        let Some(kept) = kept.filter(|k| k.upstreams.contains(&asker.0)) else {
+            return;
+        };
+        kept.resends += 1;
+        let attempt = kept.resends;
+        ctx.send(from, Net::SegmentApplied(kept.report.clone()));
+        ctx.observe(Obs::SegmentRetransmitted {
+            domain: self.domain,
+            controller: self.id.0,
+            event: key.0,
+            segment: key.1,
+            attempt,
+        });
     }
 
     /// Handles a downstream controller's share of a segment report.
@@ -284,12 +327,11 @@ impl ControllerActor {
     /// A share is only accepted over the authenticated channel of the
     /// controller whose index it carries, so nobody can occupy (or get
     /// evicted) another signer's slot. Below quorum the share is only
-    /// bucketed — no crypto, no receipt, so the sender keeps retransmitting
-    /// and a crash here loses nothing it will not re-learn. The share
-    /// completing a quorum triggers the one aggregate verification; its
-    /// signers are logged, receipted and may release the barrier. Every
-    /// later share finds the quorum on record and is answered with the
-    /// cached receipt, no crypto at all.
+    /// bucketed — no crypto, and a crash here loses nothing this controller
+    /// will not ask for again. The share completing a quorum triggers the
+    /// one aggregate verification; its signers are logged and may release
+    /// the barrier. Every later share finds the quorum on record and is
+    /// dropped, no crypto at all.
     pub(super) fn on_segment_applied(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
@@ -313,72 +355,39 @@ impl ControllerActor {
         }
         let key = (body.event, body.segment);
         let quorum = self.downstream_quorum(body.domain);
-        let mut receipt_to = vec![signer];
+        let certified = |st: &BarrierState| st.certified(body.domain, quorum);
+        if self.barriers.get(&key).is_some_and(certified) {
+            return;
+        }
+        let shares = self.seg_shares.entry(body.domain).or_default();
+        if shares.held_by(signer) >= MAX_OPEN_REPORTS {
+            return;
+        }
+        let outcome = self
+            .auth
+            .collect(shares, key, m, labels::SEGMENT, quorum, body.domain);
         // Like every controller-side verification, the certificate check
         // is modeled as latency on what it releases, not serialized CPU
         // (the paper's controllers are 12-core machines).
-        let mut verify_latency = SimDuration::ZERO;
-        if !self
-            .barriers
-            .get(&key)
-            .is_some_and(|st| st.certified(body.domain, quorum))
-        {
-            let shares = self.seg_shares.entry(body.domain).or_default();
-            if shares.held_by(signer) >= MAX_OPEN_REPORTS {
-                return;
-            }
-            let outcome = self
-                .auth
-                .collect(shares, key, m, labels::SEGMENT, quorum, body.domain);
-            verify_latency = self.auth.quorum_cost(&outcome);
-            let Quorum::Certified(cert) = outcome else {
-                return;
-            };
-            // A verified signer is a durable fact: a restarted controller
-            // must not demand the quorum twice (nor release without it).
-            // Logged *before* any receipt goes out — the receipt stops the
-            // downstream retransmitting, so if we crashed after sending but
-            // before logging, the quorum would be forgotten with no
-            // retransmission left to re-teach it.
-            for &c in &cert.signers {
-                if self
-                    .barriers
-                    .entry(key)
-                    .or_default()
-                    .signers
-                    .insert((body.domain, c))
-                {
-                    self.log_record(&WalRecord::BarrierSigner {
-                        barrier: barrier_id(body.event, body.segment),
-                        domain: body.domain,
-                        controller: ControllerId(c),
-                    });
-                }
-            }
-            // Everyone whose share is in the certificate has been waiting.
-            receipt_to = cert.signers;
-        }
-        // The receipt only means "the quorum is on my disk, stop
-        // retransmitting to me", never "released" — so it also answers
-        // shares arriving before our own barrier exists.
-        let receipt = match self.barriers.get(&key).and_then(|st| st.receipt.clone()) {
-            Some(r) => r,
-            None => {
-                let release = ReleaseBody {
-                    event: body.event,
-                    segment: body.segment,
-                    domain: self.domain,
-                };
-                let r = self
-                    .auth
-                    .sign(ctx, labels::RELEASE, release, self.view.phase());
-                self.barriers.entry(key).or_default().receipt = Some(r.clone());
-                r
-            }
+        let verify_latency = self.auth.quorum_cost(&outcome);
+        let Quorum::Certified(cert) = outcome else {
+            return;
         };
-        for c in receipt_to {
-            let msg = Net::BoundaryRelease(receipt.clone());
-            self.send_remote(ctx, body.domain, ControllerId(c), msg);
+        // A verified signer is a durable fact, logged before the release it
+        // permits: a restarted controller must not demand the quorum twice
+        // (nor release without it).
+        let st = self.barriers.entry(key).or_default();
+        let fresh: Vec<u32> = cert
+            .signers
+            .into_iter()
+            .filter(|&c| st.signers.insert((body.domain, c)))
+            .collect();
+        for c in fresh {
+            self.log_record(&WalRecord::BarrierSigner {
+                barrier: barrier_id(body.event, body.segment),
+                domain: body.domain,
+                controller: ControllerId(c),
+            });
         }
         self.check_barrier_release(ctx, key, verify_latency);
     }
@@ -414,13 +423,12 @@ impl ControllerActor {
 
     /// `true` when the cross-domain handshake holds no unfinished work:
     /// every registered barrier released and every own-segment watch
-    /// receipted (snapshot quiescence check).
+    /// reported (snapshot quiescence check).
     pub(super) fn handshake_idle(&self) -> bool {
         self.barriers
             .iter()
             .all(|(_, st)| st.released || st.expected.is_none())
             && self.seg_watch.is_empty()
-            && self.seg_reports.is_empty()
     }
 
     /// The verified downstream signers on record for barrier `(event,
@@ -432,132 +440,33 @@ impl ControllerActor {
             .unwrap_or_default()
     }
 
-    /// `(barriers released, receipts still awaited for own segment
-    /// reports)` (tests).
-    pub fn handshake_status(&self) -> (usize, usize) {
-        (
-            self.barriers.values().filter(|st| st.released).count(),
-            self.seg_reports
-                .values()
-                .map(|r| r.pending_receipts.len())
-                .sum(),
-        )
+    /// Barriers released so far (tests).
+    pub fn barriers_released(&self) -> usize {
+        self.barriers.values().filter(|st| st.released).count()
     }
 
-    /// Handles an upstream controller's receipt for our segment report: a
-    /// receipt from a target still pending — over that target's own
-    /// channel — is buffered, and the buffer is verified as one batch once
-    /// every pending target has answered (the retry sweep settles a buffer
-    /// that never fills).
-    pub(super) fn on_boundary_release(
-        &mut self,
-        ctx: &mut dyn Host<Net, Obs>,
-        from: NodeId,
-        m: Signed<ReleaseBody>,
-    ) {
-        if !self.active {
-            return;
-        }
-        ctx.charge_cpu(self.shared.cfg.costs.ctrl_msg);
-        let key = (m.payload.event, m.payload.segment);
-        let sender = (m.payload.domain, m.msg_id.origin);
-        let node = (sender.0, ControllerId(sender.1));
-        if self.shared.dir.controller_node.get(&node) != Some(&from) {
-            return;
-        }
-        let Some(w) = self.seg_reports.get_mut(&key) else {
-            return;
-        };
-        if !w.pending_receipts.contains(&sender) {
-            return;
-        }
-        match w.receipts.get(&sender) {
-            // A retransmission of the buffered receipt.
-            Some(held) if held.signature == m.signature => return,
-            // Two different receipts under one sender: the buffered one may
-            // be a forgery shadowing this one. Settle what is buffered now
-            // (a forgery is thrown out, its sender stays pending), then
-            // buffer the newcomer if its slot is open again.
-            Some(_) => {
-                self.settle_receipts(ctx, key);
-                let Some(w) = self.seg_reports.get_mut(&key) else {
-                    return;
-                };
-                if w.pending_receipts.contains(&sender) {
-                    w.receipts.insert(sender, m);
-                }
-            }
-            None => {
-                w.receipts.insert(sender, m);
-            }
-        }
-        if self
-            .seg_reports
-            .get(&key)
-            .is_some_and(|w| w.receipts.len() == w.pending_receipts.len())
-        {
-            self.settle_receipts(ctx, key);
-        }
+    /// Entries in each handshake structure: barriers, barrier clocks,
+    /// reporting domains with open shares, own-segment watches, kept
+    /// shares (tests: what unauthenticated traffic can make us remember).
+    pub fn handshake_footprint(&self) -> [usize; 5] {
+        [
+            self.barriers.len(),
+            self.forwards.len(),
+            self.seg_shares.len(),
+            self.seg_watch.len(),
+            self.seg_sent.len(),
+        ]
     }
 
-    /// Verifies the buffered receipts of one report in one batch and stops
-    /// retransmitting to every target whose receipt verified under its
-    /// claimed sender's identity key.
-    fn settle_receipts(&mut self, ctx: &mut dyn Host<Net, Obs>, key: (EventId, u32)) {
-        let receipts = match self.seg_reports.get_mut(&key) {
-            Some(w) if !w.receipts.is_empty() => std::mem::take(&mut w.receipts),
-            _ => return,
-        };
-        let items: Vec<(&Signed<ReleaseBody>, Peer)> = receipts
-            .iter()
-            .map(|(&(d, c), m)| (m, Peer::Controller(d, ControllerId(c))))
-            .collect();
-        let verdicts = self.auth.verify_batch(ctx, labels::RELEASE, &items);
-        let Some(w) = self.seg_reports.get_mut(&key) else {
-            return;
-        };
-        for (sender, valid) in receipts.keys().zip(verdicts) {
-            if valid {
-                w.pending_receipts.remove(sender);
-            }
-        }
-        if w.pending_receipts.is_empty() {
-            self.seg_reports.remove(&key);
-        }
-    }
-
-    /// Earliest handshake retransmission deadline: segment reports still
-    /// awaiting receipts, and (on the forwarding controller) barriers whose
-    /// downstream domain may have lost the forwarded event.
-    pub(super) fn handshake_next_due(&self) -> Option<SimTime> {
-        let forwards = self.forwards.next_due().filter(|_| self.is_lowest());
-        let due = [self.seg_reports.next_due(), forwards];
-        due.into_iter().flatten().min()
-    }
-
-    /// Retransmits overdue handshake traffic (driven by the retry timer).
+    /// Drives recovery of every overdue barrier (from the retry timer). The
+    /// only node that knows a segment certificate is missing is the one
+    /// holding the barrier, so it asks: an unsigned query to every member
+    /// of the downstream domain, answered with the share each one kept.
+    /// On the lowest controller the forwarded event (sent to one downstream
+    /// member) may also have been lost, or its target crashed: re-forward it
+    /// to every member; `seen_events` dedups over there.
     pub(super) fn sweep_handshake(&mut self, ctx: &mut dyn Host<Net, Obs>) {
-        let now = ctx.now();
-        for r in self.seg_reports.sweep(now) {
-            // A report whose budget is spent is abandoned with its watch.
-            let Retry::Resend(key, attempt) = r else {
-                continue;
-            };
-            // Receipts buffered for an overdue report are settled first, so
-            // the retransmission only goes to targets that truly never
-            // answered (or answered with a forgery).
-            self.settle_receipts(ctx, key);
-            self.resend_segment_report(ctx, key, attempt);
-        }
-        // Barriers still waiting on a quorum: the forwarded event (sent to
-        // one downstream member) may have been lost, or its target crashed.
-        // Re-forward to every member of the downstream domain; `seen_events`
-        // dedups over there. Stamp our own domain as origin so receivers
-        // verify against the actual forwarder's key.
-        if !self.is_lowest() {
-            return;
-        }
-        for r in self.forwards.sweep(now) {
+        for r in self.forwards.sweep(ctx.now()) {
             // Budget spent: the barrier keeps waiting, quietly.
             let Retry::Resend(key, attempt) = r else {
                 continue;
@@ -566,49 +475,44 @@ impl ControllerActor {
                 continue;
             };
             let downstream = exp.downstream;
+            // Stamp our own domain as origin so receivers verify against
+            // the actual forwarder's key. One signature for every copy: the
+            // digest covers the event, not the addressee.
             let event = Event {
                 origin: self.domain,
                 ..exp.event
             };
-            // One signature for every copy: the digest covers the event,
-            // not the addressee.
-            let signed = self
-                .auth
-                .sign(ctx, labels::FORWARD, event, self.view.phase());
-            let members = self.remote_members.get(&downstream);
-            for &c in members.into_iter().flatten() {
-                self.send_remote(ctx, downstream, c, Net::ForwardedEvent(signed.clone()));
+            let forward = self.is_lowest().then(|| {
+                self.auth
+                    .sign(ctx, labels::FORWARD, event, self.view.phase())
+            });
+            let query = Net::SegmentQuery {
+                event: key.0,
+                segment: key.1,
+                domain: self.domain,
+                controller: self.id,
+            };
+            for &c in self.remote_members.get(&downstream).into_iter().flatten() {
+                self.send_remote(ctx, downstream, c, query.clone());
+                if let Some(signed) = &forward {
+                    self.send_remote(ctx, downstream, c, Net::ForwardedEvent(signed.clone()));
+                }
             }
-            ctx.observe(Obs::ForwardRetransmitted {
+            ctx.observe(Obs::SegmentQueried {
                 domain: self.domain,
                 controller: self.id.0,
                 event: key.0,
+                segment: key.1,
                 attempt,
             });
+            if forward.is_some() {
+                ctx.observe(Obs::ForwardRetransmitted {
+                    domain: self.domain,
+                    controller: self.id.0,
+                    event: key.0,
+                    attempt,
+                });
+            }
         }
-    }
-
-    /// Retransmits the (already signed) segment report to the targets that
-    /// have not receipted (none left: the report settled meanwhile).
-    fn resend_segment_report(
-        &mut self,
-        ctx: &mut dyn Host<Net, Obs>,
-        key: (EventId, u32),
-        attempt: u32,
-    ) {
-        let Some(w) = self.seg_reports.get(&key) else {
-            return;
-        };
-        for &(d, c) in w.pending_receipts.iter() {
-            let msg = Net::SegmentApplied(w.report.clone());
-            self.send_remote(ctx, d, ControllerId(c), msg);
-        }
-        ctx.observe(Obs::SegmentRetransmitted {
-            domain: self.domain,
-            controller: self.id.0,
-            event: key.0,
-            segment: key.1,
-            attempt,
-        });
     }
 }

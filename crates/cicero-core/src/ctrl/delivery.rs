@@ -19,7 +19,8 @@ impl ControllerActor {
         if self.retry_armed {
             return;
         }
-        let due = [self.pending.next_due(), self.handshake_next_due()];
+        // In-flight updates, and barriers registered but still uncertified.
+        let due = [self.pending.next_due(), self.forwards.next_due()];
         let Some(due) = due.into_iter().flatten().min() else {
             return;
         };

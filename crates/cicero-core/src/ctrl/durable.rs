@@ -224,15 +224,17 @@ impl ControllerActor {
                     // in-flight set; the retry timer re-sends them after
                     // recovery (switch-side dedup absorbs duplicates).
                     let _ = self.pending.ack(id, now);
+                    // A drained own segment is share-signed again and kept
+                    // for upstream controllers that still ask for it.
+                    self.report_drained_segments(&mut mute, id);
                 }
                 WalRecord::BarrierSigner {
                     barrier,
                     domain,
                     controller,
                 } => {
-                    // Receipted segment reports are never retransmitted,
-                    // so the logged (or a peer's) signer facts are the only
-                    // way to re-learn a quorum counted before the crash.
+                    // The logged (or a peer's) signer facts spare the
+                    // barrier a second round of asking for shares.
                     self.restore_barrier_signer(&mut mute, barrier, domain, controller);
                 }
                 WalRecord::BftView(v) => {

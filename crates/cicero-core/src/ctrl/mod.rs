@@ -12,7 +12,7 @@
 //! * [`consensus`](self) — driving the PBFT replica and routing its outputs;
 //! * `events` — event processing, cross-domain forwarding, update dispatch;
 //! * `barriers` — the cross-domain ordering handshake (quorum-certified
-//!   segment reports, boundary-release receipts, re-forwards);
+//!   segment reports, receiver-driven share queries, re-forwards);
 //! * `aggregate` — the optional aggregator role (controller aggregation);
 //! * `delivery` — the retransmission / NACK reliable-delivery layer;
 //! * `membership` — phase changes with public-key-preserving resharing.
@@ -31,7 +31,7 @@ use crate::config::Mode;
 use crate::msg::{Net, OrderedOp, SegmentBody, UpdateBody, WalRecord};
 use crate::obs::Obs;
 use crate::runtime::{labels, Shared};
-use barriers::{BarrierState, SegReport, SegWatch};
+use barriers::{BarrierState, KeptShare, SegWatch};
 use bft::message::ReplicaId;
 use bft::replica::Replica;
 use blscrypto::bls::{KeyShare, PartialSignature, SecretKey};
@@ -87,18 +87,18 @@ pub struct ControllerActor {
     remote_members: BTreeMap<DomainId, Vec<ControllerId>>,
     detector: HeartbeatDetector,
     barriers: BTreeMap<(EventId, u32), BarrierState>,
-    /// Re-forward clocks of unreleased barriers (driven on the lowest
-    /// controller) for while the downstream domain stays quiet.
+    /// One clock per registered, unreleased barrier: on expiry this
+    /// controller asks the downstream domain for the shares it lacks (and,
+    /// if it is the lowest, re-forwards the event).
     forwards: RetryTable<(EventId, u32), ()>,
     /// Downstream segment-report shares below quorum, per reporting domain
-    /// and `(event, segment)` — volatile: nothing here was receipted, so
-    /// the senders re-teach it after a crash.
+    /// and `(event, segment)` — volatile: after a crash the barrier's clock
+    /// asks for them again.
     seg_shares: BTreeMap<DomainId, QuorumCollector<(EventId, u32), SegmentBody>>,
     /// Own segments foreign updates depend on, not yet fully switch-acked.
     seg_watch: BTreeMap<(EventId, u32), SegWatch>,
-    /// Drained own segments' reports, retransmitted until every upstream
-    /// controller receipted.
-    seg_reports: RetryTable<(EventId, u32), SegReport>,
+    /// Drained own segments' reports, kept to answer upstream queries.
+    seg_sent: BTreeMap<(EventId, u32), KeptShare>,
     /// Dependencies shipped to the switches rather than held here (Segway):
     /// per-update gate/notify metadata projected once at `process_event`
     /// time, consumed (and re-consumed on retransmission and NACK resync)
@@ -148,7 +148,6 @@ impl ControllerActor {
             shared.cfg.seed ^ (u64::from(domain.0) << shift) ^ u64::from(id.0).rotate_left(rot)
         };
         let update_policy = |seed| rel.policy(rel.retry_base, rel.retry_budget, seed);
-        let event_policy = |seed| rel.policy(rel.event_retry_base, rel.event_retry_budget, seed);
         let remote_members = shared
             .dir
             .initial_members
@@ -170,8 +169,7 @@ impl ControllerActor {
                 share,
             ),
             pending: PendingUpdates::new().with_policy(update_policy(jitter(32, 13))),
-            forwards: RetryTable::new(event_policy(jitter(16, 29))),
-            seg_reports: RetryTable::new(update_policy(jitter(40, 47))),
+            forwards: RetryTable::new(update_policy(jitter(16, 29))),
             shared,
             domain,
             id,
@@ -195,6 +193,7 @@ impl ControllerActor {
             barriers: BTreeMap::new(),
             seg_shares: BTreeMap::new(),
             seg_watch: BTreeMap::new(),
+            seg_sent: BTreeMap::new(),
             shipped: BTreeMap::new(),
             segway_events: BTreeMap::new(),
             retry_armed: false,
@@ -239,8 +238,8 @@ impl ControllerActor {
     }
 
     /// Signature checks this controller performed so far — a single
-    /// verify, an aggregate verify and a batch each count one (tests: what
-    /// a duplicate, a late share or a receipt costs).
+    /// verify and an aggregate verify each count one (tests: what a
+    /// duplicate, a late share or a query costs).
     pub fn signature_checks(&self) -> u64 {
         self.auth.checks()
     }
@@ -275,8 +274,7 @@ impl ControllerActor {
 
     /// Applies a signature-verified acknowledgement: records it (and its
     /// WAL entry, first ack only), releases newly unblocked updates, and
-    /// reports any own segment the ack drained upstream. Shared by the
-    /// live `AckMsg` path and crash-recovery replay.
+    /// reports any own segment the ack drained upstream.
     fn apply_verified_ack(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
@@ -291,16 +289,7 @@ impl ControllerActor {
         for u in ready {
             self.send_update_delayed(ctx, u, extra);
         }
-        // The ack may drain a watched own segment: report upstream.
-        let mut drained: Vec<(EventId, u32)> = Vec::new();
-        for (key, w) in self.seg_watch.iter_mut() {
-            if key.0 == update.event && w.remaining.remove(&update) && w.remaining.is_empty() {
-                drained.push(*key);
-            }
-        }
-        for key in drained {
-            self.start_segment_report(ctx, key);
-        }
+        self.report_drained_segments(ctx, update);
         self.arm_retry(ctx);
     }
 }
@@ -423,7 +412,12 @@ impl Actor<Net, Obs> for ControllerActor {
             }
             Net::UpdateNack(m) => self.on_update_nack(ctx, m),
             Net::SegmentApplied(m) => self.on_segment_applied(ctx, from, m),
-            Net::BoundaryRelease(m) => self.on_boundary_release(ctx, from, m),
+            Net::SegmentQuery {
+                event,
+                segment,
+                domain,
+                controller,
+            } => self.on_segment_query(ctx, from, (event, segment), (domain, controller)),
             Net::UpdateToAggregator(m) => self.on_update_to_aggregator(ctx, m),
             Net::PhasePartial(m) => self.on_phase_partial(ctx, m),
             Net::Heartbeat { from, .. } => {

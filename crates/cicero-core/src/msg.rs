@@ -61,23 +61,6 @@ pub struct SegmentBody {
 
 wire_struct!(SegmentBody { event, segment, domain });
 
-/// The handshake's receipt half: an upstream controller confirms it holds
-/// a *verified, logged* quorum of [`SegmentBody`] shares, stopping the
-/// downstream controllers' retransmission to it. Identity-signed once per
-/// barrier — the signer is the envelope's `msg_id.origin` in `domain` — and
-/// re-sent as-is to late or duplicate reporters.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ReleaseBody {
-    /// The event the receipt refers to.
-    pub event: EventId,
-    /// The confirmed segment index.
-    pub segment: u32,
-    /// The confirming controller's domain (the upstream domain).
-    pub domain: DomainId,
-}
-
-wire_struct!(ReleaseBody { event, segment, domain });
-
 /// What a switch is asked to apply, in every mode: the network update plus
 /// the dependency metadata the switch itself enforces. Signed modes
 /// threshold-sign it *as one body*, so a switch cannot be lied to about what
@@ -362,13 +345,23 @@ pub enum Net {
     },
     /// Controller → upstream controllers: this controller's threshold
     /// share over "this domain's segment of the event's update list is
-    /// fully applied" (cross-domain ordering handshake; retransmitted with
-    /// backoff until receipted).
+    /// fully applied" (cross-domain ordering handshake; sent once, and
+    /// again to whoever asks with a [`Net::SegmentQuery`]).
     SegmentApplied(ShareSigned<SegmentBody>),
-    /// Upstream controller → downstream controller: receipt for a verified
-    /// quorum of [`Net::SegmentApplied`] shares (stops their
-    /// retransmission to the sender).
-    BoundaryRelease(Signed<ReleaseBody>),
+    /// Upstream controller → downstream controllers: "my barrier on this
+    /// segment is registered and still uncertified — send me your share
+    /// again". Unsigned: the answer goes to the asker alone, carries only
+    /// what the asker was sent anyway, and is checked like any share.
+    SegmentQuery {
+        /// The event whose update list the segment belongs to.
+        event: EventId,
+        /// The awaited segment's index.
+        segment: u32,
+        /// The asking (upstream) domain.
+        domain: DomainId,
+        /// The asking controller.
+        controller: ControllerId,
+    },
     /// Harness → bootstrap controller: propose a membership change.
     MembershipCmd(OrderedOp),
     /// Bootstrap → newly added controller: the control-plane state a joiner
@@ -395,9 +388,8 @@ pub enum Net {
     /// with `seq > have` in delivery order, then the ack archive — without
     /// it a disk-lost restart would replay every synced event as if freshly
     /// delivered and wait forever for acknowledgements consumed before the
-    /// crash — then every counted barrier signer (segment reports are
-    /// retransmitted only to controllers with outstanding receipts, so a
-    /// receipted-then-lost signer fact would otherwise never be re-learned).
+    /// crash — then every counted barrier signer (sparing the requester's
+    /// barriers a round of asking for shares they already certified).
     SyncReply {
         /// The answering controller.
         from: ControllerId,
@@ -575,11 +567,6 @@ mod tests {
             event: EventId((7 << 32) | 3),
             segment: 2,
             domain: DomainId(1),
-        });
-        exact(ReleaseBody {
-            event: EventId(99),
-            segment: 0,
-            domain: DomainId(0),
         });
         exact(UpdateBody {
             update: install(),

@@ -141,8 +141,8 @@ pub enum Obs {
         update: UpdateId,
     },
     /// A downstream controller reported its domain's segment of an event
-    /// fully applied to the upstream domain(s) — the first send of the
-    /// cross-domain ordering handshake.
+    /// fully applied to the upstream domain(s) — the one unsolicited send
+    /// of the cross-domain ordering handshake.
     SegmentReported {
         /// The reporting (downstream) domain.
         domain: DomainId,
@@ -153,8 +153,23 @@ pub enum Obs {
         /// The applied segment's index in the event's full update list.
         segment: u32,
     },
-    /// A downstream controller retransmitted an un-receipted
-    /// `SegmentApplied` report (handshake loss recovery).
+    /// An upstream controller whose barrier on a segment is registered and
+    /// still uncertified asked the downstream domain's controllers for
+    /// their shares again (handshake loss recovery, receiver-driven).
+    SegmentQueried {
+        /// The asking (upstream) domain.
+        domain: DomainId,
+        /// The asking controller.
+        controller: u32,
+        /// The event.
+        event: EventId,
+        /// The awaited segment's index.
+        segment: u32,
+        /// Which query round of this barrier this is (1-based).
+        attempt: u32,
+    },
+    /// A downstream controller re-sent its kept `SegmentApplied` share to
+    /// an upstream controller that asked for it.
     SegmentRetransmitted {
         /// The retransmitting domain.
         domain: DomainId,
@@ -164,7 +179,7 @@ pub enum Obs {
         event: EventId,
         /// The segment index.
         segment: u32,
-        /// Which retransmission this is (1-based).
+        /// Which re-send of this share this is (1-based).
         attempt: u32,
     },
     /// An upstream controller collected a downstream quorum of
@@ -273,7 +288,7 @@ pub struct RetransmitStats {
     pub nacks: u64,
     /// NACKs answered by controllers with a re-sent update.
     pub resyncs: u64,
-    /// Cross-domain `SegmentApplied` retransmissions.
+    /// Cross-domain `SegmentApplied` shares re-sent on request.
     pub segment_retransmits: u64,
     /// Cross-domain event re-forwards to overdue downstream domains.
     pub forward_retransmits: u64,

@@ -37,8 +37,6 @@ pub mod labels {
     pub const PHASE: &str = "CICERO_PHASE_V1";
     /// Cross-domain segment-applied reports.
     pub const SEGMENT: &str = "CICERO_SEGMENT_V1";
-    /// Cross-domain boundary-release receipts.
-    pub const RELEASE: &str = "CICERO_RELEASE_V1";
     /// Segway switch-to-switch ready messages (switch identity keys).
     pub const READY: &str = "CICERO_SEGWAY_READY_V1";
     /// Segway ready receipts (stop the sender's retransmission).

@@ -181,126 +181,186 @@ fn quiescent_controllers_compact_their_wal_into_snapshots() {
 }
 
 /// Segment-report shares below quorum are volatile by design: an upstream
-/// controller that crashes holding one share (of the two it needs) sent no
-/// receipt for it, so the downstream domain keeps retransmitting, and the
-/// restarted controller re-collects the quorum and releases its barrier
-/// exactly once.
+/// controller that crashes holding one share (of the two it needs) forgets
+/// it. Restarted, it re-registers the barrier from its log and either
+/// inherits the quorum from its sync peer's signer archive, or — when no
+/// peer has certified yet (`peers_cut`: the whole upstream domain hears only
+/// one reporter until after the restart) — asks the downstream controllers
+/// for the shares it lacks. Either way its barrier releases exactly once.
 #[test]
 fn crash_between_share_arrival_and_quorum_releases_exactly_once_after_restart() {
-    let mut cfg = EngineConfig::for_mode(Mode::Cicero {
-        aggregation: Aggregation::Switch,
-    });
-    cfg.crypto = CryptoMode::Modeled;
-    cfg.seed = 23;
-    let topo = Topology::single_pod(2, 1, 2);
-    let dm = DomainMap::split_racks(&topo, 2);
-    let mut engine = Engine::build(cfg, topo.clone(), dm, 0);
-    // Host 0's rack is the upstream (ingress) domain, the other rack the
-    // downstream one.
-    let hosts = topo.hosts();
-    let (src, dst) = (
-        hosts[0].id,
-        hosts
-            .iter()
-            .find(|h| h.attached != hosts[0].attached)
-            .unwrap()
-            .id,
-    );
-    let up = engine.shared().dir.domain_of_switch[&topo.host(src).unwrap().attached];
-    let down = engine.shared().dir.domain_of_switch[&topo.host(dst).unwrap().attached];
-    assert_ne!(up, down);
-    let victim = ControllerId(2);
-    let victim_node = engine.controller_node(up, victim);
-    let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
-    // Until t = 150 ms only downstream controller 1 reaches the victim:
-    // one share of a quorum of two. The victim dies at 60 ms holding it and
-    // comes back at 300 ms.
-    let mut plan = FaultPlan::none().with_crash(ms(60), victim_node);
-    for d in 2..=4 {
-        plan = plan.with_severed_window(
-            engine.controller_node(down, ControllerId(d)),
-            victim_node,
-            SimTime::ZERO,
-            ms(150),
+    for peers_cut in [false, true] {
+        let mut cfg = EngineConfig::for_mode(Mode::Cicero {
+            aggregation: Aggregation::Switch,
+        });
+        cfg.crypto = CryptoMode::Modeled;
+        cfg.seed = 23;
+        let topo = Topology::single_pod(2, 1, 2);
+        let dm = DomainMap::split_racks(&topo, 2);
+        let mut engine = Engine::build(cfg, topo.clone(), dm, 0);
+        // Host 0's rack is the upstream (ingress) domain, the other rack
+        // the downstream one.
+        let hosts = topo.hosts();
+        let (src, dst) = (
+            hosts[0].id,
+            hosts
+                .iter()
+                .find(|h| h.attached != hosts[0].attached)
+                .unwrap()
+                .id,
         );
-    }
-    engine.set_faults(plan);
-    engine.schedule_restart(ms(300), victim_node, false);
-    inject_flow_at(&mut engine, &topo, src, dst, 1, ms(1));
+        let up = engine.shared().dir.domain_of_switch[&topo.host(src).unwrap().attached];
+        let down = engine.shared().dir.domain_of_switch[&topo.host(dst).unwrap().attached];
+        assert_ne!(up, down);
+        let victim = ControllerId(2);
+        let victim_node = engine.controller_node(up, victim);
+        let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
+        // Only downstream controller 1 reaches the victim until 150 ms — or,
+        // with `peers_cut`, any upstream controller until 400 ms: one share
+        // of a quorum of two. The victim dies at 60 ms holding it and comes
+        // back at 300 ms.
+        let mut plan = FaultPlan::none().with_crash(ms(60), victim_node);
+        for d in 2..=4 {
+            let reporter = engine.controller_node(down, ControllerId(d));
+            for u in 1..=4 {
+                let target = engine.controller_node(up, ControllerId(u));
+                if peers_cut {
+                    plan = plan.with_severed_window(reporter, target, SimTime::ZERO, ms(400));
+                } else if target == victim_node {
+                    plan = plan.with_severed_window(reporter, target, SimTime::ZERO, ms(150));
+                }
+            }
+        }
+        engine.set_faults(plan);
+        engine.schedule_restart(ms(300), victim_node, false);
+        inject_flow_at(&mut engine, &topo, src, dst, 1, ms(1));
 
-    engine.run(ms(59));
-    let segment_reported = engine
-        .observations()
-        .iter()
-        .find_map(|o| match o.value {
-            Obs::SegmentReported {
-                domain,
-                controller: 1,
+        engine.run(ms(59));
+        let segment_reported = engine
+            .observations()
+            .iter()
+            .find_map(|o| match o.value {
+                Obs::SegmentReported {
+                    domain,
+                    controller: 1,
+                    event,
+                    segment,
+                } if domain == down => Some((event, segment)),
+                _ => None,
+            })
+            .expect("downstream controller 1 reported before the crash");
+        let (signers, released) = engine.with_controller(up, victim, |a| {
+            (
+                a.barrier_signers(segment_reported.0, segment_reported.1),
+                a.barriers_released(),
+            )
+        });
+        assert!(signers.is_empty(), "one share certifies nothing: {signers:?}");
+        assert_eq!(released, 0, "the victim's barrier is still held at the crash");
+
+        let report = engine.run_reporting(ms(20_000));
+        assert!(report.completed, "peers_cut={peers_cut}: did not converge: {report}");
+        assert_eq!(recovered_controllers(&engine), vec![victim.0]);
+        assert_exactly_once(&engine);
+        let victim_releases: Vec<SimTime> = engine
+            .observations()
+            .iter()
+            .filter_map(|o| match o.value {
+                Obs::BoundaryReleased {
+                    domain, controller, ..
+                } if domain == up && controller == victim.0 => Some(o.at),
+                _ => None,
+            })
+            .collect();
+        assert!(victim_releases.iter().all(|&t| t > ms(300)), "released while down");
+        if peers_cut {
+            // Nobody had a quorum to hand over: the victim asked, the
+            // reporters re-sent, and the release is its own, observable.
+            assert_eq!(victim_releases.len(), 1, "{victim_releases:?}");
+            assert!(
+                report.stats.segment_retransmits > 0,
+                "the lost shares must have been asked for and re-sent"
+            );
+        } else {
+            // The sync peer's signer archive carried the quorum (replayed
+            // muted, like all synced state): no observable second release.
+            assert!(victim_releases.len() <= 1, "released twice: {victim_releases:?}");
+        }
+        let released = engine.with_controller(up, victim, |a| a.barriers_released());
+        assert_eq!(released, 1, "the victim's barrier is released exactly once");
+        let signers = engine.with_controller(up, victim, |a| {
+            a.barrier_signers(segment_reported.0, segment_reported.1)
+        });
+        assert!(signers.len() >= 2, "the quorum is on record: {signers:?}");
+    }
+}
+
+/// A reporter keeps its share only in memory. Restarted — from its own log
+/// or, disk wiped, from a peer's — the muted replay of the acks that drained
+/// the segment signs the share again, so an upstream controller that asks
+/// afterwards still gets an answer; nothing is re-sent unasked.
+#[test]
+fn restarted_reporter_rebuilds_its_kept_share_and_answers_queries() {
+    for disk_lost in [false, true] {
+        let mut cfg = EngineConfig::for_mode(Mode::Cicero {
+            aggregation: Aggregation::Switch,
+        });
+        cfg.crypto = CryptoMode::Modeled;
+        cfg.seed = 29;
+        let topo = Topology::single_pod(2, 1, 2);
+        let dm = DomainMap::split_racks(&topo, 2);
+        let mut engine = Engine::build(cfg, topo.clone(), dm, 0);
+        let (src, dst) = cross_rack_pairs(&topo, 1)[0];
+        let up = engine.shared().dir.domain_of_switch[&topo.host(src).unwrap().attached];
+        let down = engine.shared().dir.domain_of_switch[&topo.host(dst).unwrap().attached];
+        let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
+        inject_flow_at(&mut engine, &topo, src, dst, 1, ms(1));
+        let reporter = ControllerId(3);
+        let node = engine.controller_node(down, reporter);
+        engine.set_faults(FaultPlan::none().with_crash(ms(100), node));
+        engine.schedule_restart(ms(200), node, disk_lost);
+        engine.run(ms(99));
+        let (event, segment) = engine
+            .observations()
+            .iter()
+            .find_map(|o| match o.value {
+                Obs::SegmentReported { event, segment, .. } => Some((event, segment)),
+                _ => None,
+            })
+            .expect("the flow crossed the boundary before the crash");
+        let kept = |engine: &mut Engine| {
+            engine.with_controller(down, reporter, |a| a.handshake_footprint()[4])
+        };
+        assert_eq!(kept(&mut engine), 1);
+        engine.run(ms(400));
+        assert_eq!(recovered_controllers(&engine), vec![reporter.0]);
+        assert_eq!(kept(&mut engine), 1, "disk_lost={disk_lost}: share not rebuilt");
+        let asker = ControllerId(2);
+        engine.inject_raw(
+            ms(401),
+            engine.controller_node(up, asker),
+            node,
+            Net::SegmentQuery {
                 event,
                 segment,
-            } if domain == down => Some((event, segment)),
-            _ => None,
-        })
-        .expect("downstream controller 1 reported before the crash");
-    let (signers, status) = engine.with_controller(up, victim, |a| {
-        (
-            a.barrier_signers(segment_reported.0, segment_reported.1),
-            a.handshake_status(),
-        )
-    });
-    assert!(signers.is_empty(), "one share certifies nothing: {signers:?}");
-    assert_eq!(status.0, 0, "the victim's barrier is still held at the crash");
-    // By 299 ms the reporter's first retry sweep has settled the three
-    // receipts it was sent; the victim's never existed.
-    engine.run(ms(299));
-    let awaiting = engine.with_controller(down, ControllerId(1), |a| a.handshake_status().1);
-    assert_eq!(awaiting, 1, "only the victim never receipted the lone share");
-
-    let report = engine.run_reporting(ms(20_000));
-    assert!(report.completed, "run did not converge: {report}");
-    assert_eq!(recovered_controllers(&engine), vec![victim.0]);
-    assert_exactly_once(&engine);
-    // The restarted victim learns the quorum either from the retransmitted
-    // shares or from its sync peer's signer archive (muted, like all
-    // replayed state): at most one observable release, never before the
-    // restart, and exactly one released barrier in its state.
-    let victim_releases: Vec<SimTime> = engine
-        .observations()
-        .iter()
-        .filter_map(|o| match o.value {
-            Obs::BoundaryReleased {
-                domain, controller, ..
-            } if domain == up && controller == victim.0 => Some(o.at),
-            _ => None,
-        })
-        .collect();
-    assert!(victim_releases.len() <= 1, "released twice: {victim_releases:?}");
-    assert!(victim_releases.iter().all(|&t| t > ms(300)), "released while down");
-    let released = engine.with_controller(up, victim, |a| a.handshake_status().0);
-    assert_eq!(released, 1, "the victim's barrier is released exactly once");
-    // Every reporter was eventually receipted by the victim too.
-    for d in 1..=4 {
-        let awaiting = engine.with_controller(down, ControllerId(d), |a| a.handshake_status().1);
-        assert_eq!(awaiting, 0, "downstream controller {d} still awaits a receipt");
+                domain: up,
+                controller: asker,
+            },
+        );
+        engine.run(ms(500));
+        let stats = retransmit_stats(engine.observations());
+        assert_eq!(stats.segment_retransmits, 1, "asked once, answered once");
     }
-    assert!(
-        report.stats.segment_retransmits > 0,
-        "the unreceipted shares must have been retransmitted"
-    );
-    let signers = engine.with_controller(up, victim, |a| {
-        a.barrier_signers(segment_reported.0, segment_reported.1)
-    });
-    assert!(signers.len() >= 2, "the re-collected quorum is on record: {signers:?}");
 }
 
 /// What a restarted controller must agree on however it got its state
-/// back: ack archive, barrier signers, delivery frontier, handshake status.
+/// back: ack archive, barrier signers, delivery frontier, released barriers.
 #[derive(Debug, PartialEq)]
 struct RecoveredState {
     acked: Vec<UpdateId>,
     signers: Vec<Vec<(DomainId, u32)>>,
     frontier: u64,
-    handshake: (usize, usize),
+    released: usize,
 }
 
 /// Local recovery (snapshot + WAL, topped up by a peer) and pure state sync
@@ -361,7 +421,7 @@ fn state_sync_and_local_recovery_converge() {
                     .map(|&(e, s)| c.barrier_signers(e, s))
                     .collect(),
                 frontier,
-                handshake: c.handshake_status(),
+                released: c.barriers_released(),
             })
         };
         engine.run_reporting(ms(350));

@@ -168,11 +168,6 @@ impl<K: Ord + Copy, V> RetryTable<K, V> {
         self.entries.get(key).map(|e| &e.payload)
     }
 
-    /// Mutable access to the payload under `key`.
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        self.entries.get_mut(key).map(|e| &mut e.payload)
-    }
-
     /// `true` iff `key` is still awaiting its answer.
     pub fn contains(&self, key: &K) -> bool {
         self.entries.contains_key(key)
@@ -186,11 +181,6 @@ impl<K: Ord + Copy, V> RetryTable<K, V> {
     /// `true` iff nothing awaits an answer.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// The awaited payloads, in key order.
-    pub fn values(&self) -> impl Iterator<Item = &V> {
-        self.entries.values().map(|e| &e.payload)
     }
 
     /// Earliest deadline in the table (for timer arming); `None` when the

@@ -50,7 +50,7 @@ const APPEND_FNS: &[&str] = &["log_record", "persist_journal", "record_delivery"
 
 /// `Net` variants that acknowledge a durable fact to a peer: the write-ahead
 /// rule demands the matching WAL append dominates these sends.
-const ACK_VARIANTS: &[&str] = &["AckMsg", "BoundaryRelease", "SyncReply"];
+const ACK_VARIANTS: &[&str] = &["AckMsg", "SyncReply"];
 
 /// Send entry points scanned for ack payloads.
 const SEND_FNS: &[&str] = &["send", "send_delayed"];

@@ -347,6 +347,11 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
     let mut reported = BTreeSet::new(); // (event, segment)
     let mut reported_once = BTreeSet::new(); // (domain, controller, event, segment)
     let mut released_once = BTreeSet::new(); // (domain, controller, event, segment)
+    let mut delivered = BTreeSet::new(); // (domain, controller, event)
+    // Query rounds per (event, segment) and shares re-sent per reporter: a
+    // query draws at most one reply from each.
+    let mut queried: BTreeMap<_, usize> = BTreeMap::new();
+    let mut resent: BTreeMap<_, usize> = BTreeMap::new();
     let mut processed_once = BTreeSet::new(); // (domain, event)
     let mut upd_exhausted_once = BTreeSet::new(); // (domain, controller, update)
     let mut ev_exhausted_once = BTreeSet::new(); // (switch, event)
@@ -518,6 +523,32 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
                 }
                 reported.insert((event, segment));
             }
+            Obs::SegmentQueried {
+                domain,
+                controller,
+                event,
+                segment,
+                attempt,
+            } => {
+                let stream = format!("{domain:?}/{controller} {event:?}/{segment}");
+                numbered(out, "query", stream, attempt, 0, false);
+                // Only a registered, unreleased barrier asks: the asker
+                // delivered the event (simcheck traces every delivery) and
+                // has not released this boundary.
+                let registered = delivered.contains(&(domain, controller, event));
+                let released = released_once.contains(&(domain, controller, event, segment));
+                if clean_replay && (!registered || released) {
+                    bad(
+                        out,
+                        format!(
+                            "domain {domain:?} controller {controller} queried segment \
+                             {segment} of {event:?} without a registered, unreleased \
+                             barrier (delivered: {registered}, released: {released})"
+                        ),
+                    );
+                }
+                *queried.entry((event, segment)).or_default() += 1;
+            }
             Obs::SegmentRetransmitted {
                 domain,
                 controller,
@@ -527,12 +558,27 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
             } => {
                 let stream = format!("{domain:?}/{controller} {event:?}/{segment}");
                 numbered(out, "segment", stream, attempt, 0, false);
-                if clean_replay && !reported.contains(&(event, segment)) {
+                let reporter = (domain, controller, event, segment);
+                if clean_replay && !reported_once.contains(&reporter) {
                     bad(
                         out,
                         format!(
-                            "segment {segment} of {event:?} retransmitted before any \
-                             first report"
+                            "domain {domain:?} controller {controller} re-sent its share \
+                             of segment {segment} of {event:?} before reporting it"
+                        ),
+                    );
+                }
+                // A share is re-sent only in answer to a query, once each.
+                let asked = queried.get(&(event, segment)).copied().unwrap_or(0);
+                let sent = resent.entry(reporter).or_insert(0);
+                *sent += 1;
+                if no_dup && *sent > asked {
+                    bad(
+                        out,
+                        format!(
+                            "domain {domain:?} controller {controller} re-sent its share \
+                             of segment {segment} of {event:?} {sent} time(s) against \
+                             {asked} upstream quer(ies)"
                         ),
                     );
                 }
@@ -624,7 +670,14 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
                     );
                 }
             }
-            Obs::EventDelivered { .. } | Obs::ControllerRecovered { .. } => {}
+            Obs::EventDelivered {
+                domain,
+                controller,
+                event,
+            } => {
+                delivered.insert((domain, controller, event));
+            }
+            Obs::ControllerRecovered { .. } => {}
         }
     }
     if clean_replay {
@@ -766,5 +819,63 @@ mod tests {
         };
         assert!(verdicts(vec![], vec![fwd(1), fwd(1), fwd(2), fwd(2)]).is_empty());
         assert_eq!(verdicts(vec![], vec![fwd(1), fwd(3)]).len(), 1);
+    }
+
+    #[test]
+    fn a_query_needs_a_waiting_barrier_and_a_resent_share_needs_a_query() {
+        let (event, segment) = (EventId(7), 1);
+        let (up, down) = (DomainId(0), DomainId(1));
+        let delivered = Obs::EventDelivered {
+            domain: up,
+            controller: 2,
+            event,
+        };
+        let reported = Obs::SegmentReported {
+            domain: down,
+            controller: 3,
+            event,
+            segment,
+        };
+        let query = |attempt| Obs::SegmentQueried {
+            domain: up,
+            controller: 2,
+            event,
+            segment,
+            attempt,
+        };
+        let resent = |attempt| Obs::SegmentRetransmitted {
+            domain: down,
+            controller: 3,
+            event,
+            segment,
+            attempt,
+        };
+        let released = Obs::BoundaryReleased {
+            domain: up,
+            controller: 2,
+            event,
+            segment,
+        };
+        let lawful = vec![
+            delivered.clone(),
+            reported.clone(),
+            query(1),
+            resent(1),
+            query(2),
+            resent(2),
+            released.clone(),
+        ];
+        assert!(verdicts(vec![], lawful).is_empty());
+        let flagged = |obs: Vec<Obs>| verdicts(vec![], obs).len();
+        // Asking before the event registered the barrier, or after the
+        // barrier released.
+        assert_eq!(flagged(vec![reported.clone(), query(1)]), 1);
+        let late = vec![delivered.clone(), reported.clone(), released, query(1)];
+        assert_eq!(flagged(late), 1);
+        // Re-sending unasked, twice for one query, or before ever reporting.
+        assert_eq!(flagged(vec![delivered.clone(), reported.clone(), resent(1)]), 1);
+        let twice = vec![delivered.clone(), reported, query(1), resent(1), resent(2)];
+        assert_eq!(flagged(twice), 1);
+        assert_eq!(flagged(vec![delivered, query(1), resent(1)]), 1);
     }
 }

@@ -15,6 +15,14 @@
 //! that names the behaviour it changed** (which messages, timers or
 //! observations now differ, and why); a refactor that trips one has changed
 //! behaviour and must find out where.
+//!
+//! PR 20 re-recorded the seven two-domain, controller-ordered scenarios
+//! (`run` 0, `secure` 1 and 9, `recover` 0, 4, 7 and 9): the handshake no
+//! longer sends signed boundary-release receipts (message set, `msg_id`s
+//! and per-message RNG draws differ), a lost share is fetched by
+//! `SegmentQuery` (new `Obs::SegmentQueried`), and the barrier clock runs
+//! on `retry_base`. Every single-domain, Segway and `GOLDEN_ENGINE` hash
+//! passed unedited.
 
 use cicero_core::prelude::*;
 use simcheck::{run_scenario_traced, Scenario};
@@ -64,7 +72,7 @@ fn same_seed_same_trace() {
 }
 
 /// The cross-domain handshake adds inter-domain control traffic (event
-/// forwards, segment reports, release receipts) with its own retry timers
+/// forwards, segment reports, share queries) with its own retry timers
 /// and jitter streams — all of which must stay on the deterministic
 /// substrate. A multi-domain boundary-crossing scenario run twice under
 /// the same seed must yield byte-identical traces.
@@ -132,7 +140,7 @@ const GOLDEN_SCENARIOS: [(&str, fn(u64) -> Scenario, [(u64, u64); 5]); 4] = [
         "run",
         Scenario::generate,
         [
-            (0, 0x450677d799184628),
+            (0, 0x11b34aaca3f22855),
             (2, 0x2e0801721cf6f9a9),
             (6, 0x5853bfc85ddecac2),
             (9, 0xbf0eff5dd6602816),
@@ -143,10 +151,10 @@ const GOLDEN_SCENARIOS: [(&str, fn(u64) -> Scenario, [(u64, u64); 5]); 4] = [
         "secure",
         Scenario::generate_secure,
         [
-            (1, 0xbd0f53e880a5fd40),
+            (1, 0x7e0c9f6e3d668e95),
             (2, 0x669069d619577fa0),
             (6, 0xac71695329bd12c1),
-            (9, 0x4219c444598ce579),
+            (9, 0xefc55aadd3022513),
             (42, 0xdf79fbb1589ddad2),
         ],
     ),
@@ -154,10 +162,10 @@ const GOLDEN_SCENARIOS: [(&str, fn(u64) -> Scenario, [(u64, u64); 5]); 4] = [
         "recover",
         Scenario::generate_recovery,
         [
-            (0, 0x73fa09c51261deb8),
-            (4, 0xc930c09ed3e76adc),
-            (7, 0x18b8c7fc60b1b0f5),
-            (9, 0x442ae58a6367ca52),
+            (0, 0x54388fc49ef13306),
+            (4, 0x586582cd8bea45ed),
+            (7, 0x8e0dc7e2d48e456a),
+            (9, 0x4006a5a61c73a42f),
             (42, 0x1cab1dd5eb4b85b5),
         ],
     ),

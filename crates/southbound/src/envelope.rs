@@ -7,12 +7,10 @@
 
 use crate::codec::Wire;
 use crate::types::Phase;
-use blscrypto::batch::{batch_verify, BatchItem};
 use blscrypto::bls::{
     self, KeyShare, PartialSignature, PreparedKey, PublicKey, SecretKey, Signature,
 };
 use blscrypto::sha256::sha256_parts;
-use substrate::rng::Rng;
 
 /// Unique message identifier: `(origin node, per-origin sequence)`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -101,29 +99,6 @@ impl<T: Wire> ShareSigned<T> {
         let digest = signing_digest(label, self.phase, &self.payload);
         bls::verify_partial(share_pk, &digest, &self.partial)
     }
-}
-
-/// Batch-verifies plain-signed envelopes with one pairing-product check
-/// ([`blscrypto::batch`]): accepts iff every envelope verifies under its
-/// paired public key (up to the `2⁻¹²⁷` small-exponents soundness bound).
-///
-/// Weights come from the caller's seeded RNG, so the decision is
-/// deterministic per seed.
-pub fn verify_signed_batch<T: Wire, R: Rng + ?Sized>(
-    label: &str,
-    msgs: &[(&Signed<T>, PublicKey)],
-    rng: &mut R,
-) -> bool {
-    let digests: Vec<[u8; 32]> = msgs
-        .iter()
-        .map(|(m, _)| signing_digest(label, m.phase, &m.payload))
-        .collect();
-    let items: Vec<BatchItem<'_>> = msgs
-        .iter()
-        .zip(digests.iter())
-        .map(|((m, pk), d)| BatchItem::new(*pk, d, m.signature))
-        .collect();
-    batch_verify(&items, rng)
 }
 
 /// A payload carrying an *aggregated* threshold signature (controller
@@ -258,40 +233,6 @@ mod tests {
         assert!(msg.verify_partial(LABEL, &mpk));
         let wrong = out.group.member_public_key(1);
         assert!(!msg.verify_partial(LABEL, &wrong));
-    }
-
-    #[test]
-    fn batched_envelope_verification_agrees_with_per_item() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let keys: Vec<SecretKey> = (0..3).map(|_| SecretKey::generate(&mut rng)).collect();
-        let msgs: Vec<(Signed<FlowId>, PublicKey)> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| {
-                let m = Signed::sign(
-                    LABEL,
-                    FlowId(i as u64),
-                    Phase(0),
-                    MsgId {
-                        origin: i as u32,
-                        seq: 1,
-                    },
-                    k,
-                );
-                (m, k.public_key())
-            })
-            .collect();
-        let refs: Vec<(&Signed<FlowId>, PublicKey)> =
-            msgs.iter().map(|(m, pk)| (m, *pk)).collect();
-        assert!(verify_signed_batch(LABEL, &refs, &mut rng));
-        assert!(refs.iter().all(|(m, pk)| m.verify(LABEL, pk)));
-        // Tamper with one payload: batch rejects, per-item pinpoints it.
-        let mut bad = msgs.clone();
-        bad[1].0.payload = FlowId(99);
-        let bad_refs: Vec<(&Signed<FlowId>, PublicKey)> =
-            bad.iter().map(|(m, pk)| (m, *pk)).collect();
-        assert!(!verify_signed_batch(LABEL, &bad_refs, &mut rng));
-        assert!(!bad[1].0.verify(LABEL, &bad[1].1));
     }
 
     #[test]

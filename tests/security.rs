@@ -488,19 +488,17 @@ fn replayed_ready_at_the_wrong_victim_is_rejected() {
     assert_eq!(applied(&engine), 0);
 }
 
-// ----- cross-domain handshake: quorum-certified reports, batched receipts -----
+// ----- cross-domain handshake: quorum-certified reports, receiver-driven queries -----
 
 mod handshake {
     use super::*;
-    use cicero_core::msg::{ReleaseBody, SegmentBody};
+    use cicero_core::msg::SegmentBody;
     use cicero_core::runtime::SecretStore;
     use simnet::fault::FaultPlan;
-    use simnet::node::NodeId;
     use std::sync::OnceLock;
 
     const SEED: u64 = 0x5e9;
     const SEGMENT: &str = "CICERO_SEGMENT_V1";
-    const RELEASE: &str = "CICERO_RELEASE_V1";
 
     /// A two-rack pod split into two domains under real crypto, plus the
     /// secrets the key ceremony handed its actors (the ceremony is a pure
@@ -579,9 +577,8 @@ mod handshake {
                 })
                 .expect("and a release");
             assert_ne!(up, down);
-            // Honest cost of the handshake, per controller: one aggregate
-            // check upstream however many shares arrive, one batch check
-            // downstream however many receipts arrive.
+            // Honest cost of the handshake, per upstream controller: one
+            // aggregate check however many shares arrive.
             for c in 1..=4 {
                 let signers =
                     engine.with_controller(up, ControllerId(c), |a| a.barrier_signers(event, segment));
@@ -697,8 +694,8 @@ mod handshake {
         for signers in upstream_signers(&mut engine, p) {
             assert!(signers.is_empty(), "nothing was certified: {signers:?}");
         }
-        // Below quorum nothing is receipted, so the lone reporter keeps
-        // retransmitting instead of being silenced.
+        // Below quorum the barriers keep asking, and the lone reporter
+        // keeps answering.
         assert!(engine.observations().iter().any(|o| matches!(
             o.value,
             Obs::SegmentRetransmitted { controller: 1, .. }
@@ -736,162 +733,166 @@ mod handshake {
         }
     }
 
-    /// Forged receipts for downstream controller 1, claiming the upstream
-    /// senders in `forge`. Sender 1's is signed with an attacker key
-    /// (wrong signer for `msg_id.origin`); any other sender's is a genuine
-    /// signature of that controller lifted from *another* barrier.
-    fn forged_receipts(p: Probe, secrets: &SecretStore, forge: &[u32]) -> Vec<Signed<ReleaseBody>> {
-        let receipt = ReleaseBody {
+    fn query(p: Probe, asker: (DomainId, u32)) -> Net {
+        Net::SegmentQuery {
             event: p.event,
             segment: p.segment,
-            domain: p.up,
-        };
-        forge
-            .iter()
-            .map(|&u| {
-                let msg_id = MsgId {
-                    origin: u,
-                    seq: 0xbad,
+            domain: asker.0,
+            controller: ControllerId(asker.1),
+        }
+    }
+
+    /// Shares re-sent by the downstream controllers, in controller order.
+    fn resent(engine: &Engine, p: Probe) -> Vec<usize> {
+        (1..=4)
+            .map(|c| {
+                let mine = |o: &&simnet::sim::Observation<Obs>| {
+                    matches!(
+                        o.value,
+                        Obs::SegmentRetransmitted { domain, controller, .. }
+                            if domain == p.down && controller == c
+                    )
                 };
-                if u == 1 {
-                    let attacker = SecretKey::generate(&mut StdRng::seed_from_u64(31));
-                    Signed::sign(RELEASE, receipt, Phase(0), msg_id, &attacker)
-                } else {
-                    let other = ReleaseBody {
-                        segment: p.segment + 1,
-                        ..receipt
-                    };
-                    let key = &secrets.controller_sk[&(p.up, ControllerId(u))];
-                    let mut lifted = Signed::sign(RELEASE, other, Phase(0), msg_id, key);
-                    lifted.payload = receipt;
-                    lifted
-                }
+                engine.observations().iter().filter(mine).count()
             })
             .collect()
     }
 
-    /// Runs the flow with `forge` forged receipts sprayed at downstream
-    /// controller 1 around its report time, so each forgery takes its
-    /// claimed sender's buffer slot before any honest receipt arrives. With
-    /// `cut`, the forged senders' own links to the victim are down until
-    /// 60 ms after the report, so their honest receipts cannot arrive
-    /// either. Returns the receipts still awaited 50 ms after the report
-    /// and at the end, and whether the report was retransmitted.
-    fn run_with_forged_receipts(forge: &[u32], cut: bool) -> (usize, usize, bool) {
+    fn checks(engine: &mut Engine, d: DomainId) -> Vec<u64> {
+        (1..=4)
+            .map(|c| engine.with_controller(d, ControllerId(c), |a| a.signature_checks()))
+            .collect()
+    }
+
+    fn footprint(engine: &mut Engine, d: DomainId) -> Vec<[usize; 5]> {
+        (1..=4)
+            .map(|c| engine.with_controller(d, ControllerId(c), |a| a.handshake_footprint()))
+            .collect()
+    }
+
+    /// The honest flow, run to completion: every reporter keeps its share.
+    fn settled() -> (Engine, Probe) {
         let p = probe();
-        let (mut engine, topo, secrets) = fabric();
+        let (mut engine, topo, _) = fabric();
+        inject(&mut engine, &topo);
+        engine.run(SimTime::ZERO + SimDuration::from_secs(1));
+        assert!(completed(&engine));
+        assert_eq!(resent(&engine, p), vec![0; 4], "a loss-free run asks for nothing");
+        (engine, p)
+    }
+
+    #[test]
+    fn loss_free_boundary_costs_four_share_signs_and_four_certificates_and_nothing_else() {
+        let (mut engine, p) = settled();
+        let count = |engine: &Engine, pred: fn(&Obs) -> bool| {
+            engine.observations().iter().filter(|o| pred(&o.value)).count()
+        };
+        // One share-sign per report, one report per downstream controller;
+        // nothing asked, nothing re-sent, nothing re-forwarded.
+        assert_eq!(count(&engine, |o| matches!(o, Obs::SegmentReported { .. })), 4);
+        assert_eq!(count(&engine, |o| matches!(o, Obs::BoundaryReleased { .. })), 4);
+        assert_eq!(count(&engine, |o| matches!(o, Obs::SegmentQueried { .. })), 0);
+        assert_eq!(count(&engine, |o| matches!(o, Obs::ForwardRetransmitted { .. })), 0);
+        // Every signature check of every controller is accounted for by the
+        // event it verified (the switch's, at each upstream controller; the
+        // forward, at the one downstream controller it was sent to) and the
+        // acks of its own domain's switches; the handshake adds exactly one
+        // aggregate-and-verify per upstream controller, nothing downstream.
+        let domain_of = engine.shared().dir.domain_of_switch.clone();
+        let acks_in = |engine: &Engine, d: DomainId| {
+            let here = |o: &&simnet::sim::Observation<Obs>| {
+                matches!(o.value, Obs::UpdateApplied { switch, .. } if domain_of[&switch] == d)
+            };
+            engine.observations().iter().filter(here).count() as u64
+        };
+        let (up_acks, down_acks) = (acks_in(&engine, p.up), acks_in(&engine, p.down));
+        assert_eq!(checks(&mut engine, p.up), vec![1 + up_acks + 1; 4]);
+        let d = down_acks;
+        assert_eq!(checks(&mut engine, p.down), vec![1 + d, d, d, d]);
+    }
+
+    #[test]
+    fn query_from_a_wrong_channel_a_non_member_or_a_non_upstream_domain_is_ignored() {
+        let (mut engine, p) = settled();
         let victim = engine.controller_node(p.down, ControllerId(1));
-        let forged = forged_receipts(p, &secrets, forge);
-        let spray_from = SimTime::from_nanos(p.reported_at.as_nanos() - 500_000);
-        if cut {
-            let mut plan = FaultPlan::none();
-            for &u in forge {
-                plan = plan.with_severed_window(
+        let at = engine.now() + SimDuration::from_millis(1);
+        let up2 = engine.controller_node(p.up, ControllerId(2));
+        let up3 = engine.controller_node(p.up, ControllerId(3));
+        let down2 = engine.controller_node(p.down, ControllerId(2));
+        // Controller 2's query over controller 3's channel; a controller id
+        // the upstream domain never had, over a member's channel; and a
+        // member of the reporting domain itself, which holds no barrier on
+        // its own segment.
+        engine.inject_raw(at, up3, victim, query(p, (p.up, 2)));
+        engine.inject_raw(at, up2, victim, query(p, (p.up, 9)));
+        engine.inject_raw(at, down2, victim, query(p, (p.down, 2)));
+        engine.run(at + SimDuration::from_millis(50));
+        assert_eq!(resent(&engine, p), vec![0; 4], "none of them is answered");
+        // The same query from the asker itself is.
+        let at = engine.now() + SimDuration::from_millis(1);
+        engine.inject_raw(at, up2, victim, query(p, (p.up, 2)));
+        engine.run(at + SimDuration::from_millis(50));
+        assert_eq!(resent(&engine, p), vec![1, 0, 0, 0]);
+    }
+
+    #[test]
+    fn query_for_an_undrained_segment_is_answered_by_the_report_itself() {
+        let p = probe();
+        let (mut engine, topo, _) = fabric();
+        // Every upstream controller asks every reporter at t = 2 ms, long
+        // before the segment drains: there is no share to send yet.
+        let asked_at = SimTime::ZERO + SimDuration::from_millis(2);
+        assert!(asked_at < p.reported_at);
+        for u in 1..=4 {
+            for d in 1..=4 {
+                engine.inject_raw(
+                    asked_at,
                     engine.controller_node(p.up, ControllerId(u)),
-                    victim,
-                    spray_from,
-                    p.reported_at + SimDuration::from_millis(60),
+                    engine.controller_node(p.down, ControllerId(d)),
+                    query(p, (p.up, u)),
                 );
             }
-            engine.set_faults(plan);
-        }
-        // One copy every 250 µs: dense enough to land between the report
-        // and the first honest receipt (≈ 1.6 ms later), sparse enough not
-        // to starve the victim's CPU and push the report out of the window.
-        for step in 0..40u64 {
-            let at = spray_from + SimDuration::from_micros(250 * step);
-            for f in &forged {
-                let from: NodeId = engine.controller_node(p.up, ControllerId(f.msg_id.origin));
-                engine.inject_raw(at, from, victim, Net::BoundaryRelease(f.clone()));
-            }
         }
         inject(&mut engine, &topo);
-        engine.run(p.reported_at + SimDuration::from_millis(50));
-        let mid = engine.with_controller(p.down, ControllerId(1), |a| a.handshake_status().1);
-        engine.run(SimTime::ZERO + SimDuration::from_secs(5));
-        assert!(completed(&engine));
-        let end = engine.with_controller(p.down, ControllerId(1), |a| a.handshake_status().1);
-        let retransmitted = engine.observations().iter().any(|o| {
-            matches!(
-                o.value,
-                Obs::SegmentRetransmitted { domain, controller: 1, .. } if domain == p.down
-            )
-        });
-        (mid, end, retransmitted)
+        engine.run(SimTime::ZERO + SimDuration::from_secs(1));
+        assert_eq!(resent(&engine, p), vec![0; 4], "nothing to answer with");
+        assert_eq!(footprint(&mut engine, p.down), footprint(&mut settled().0, p.down));
+        assert!(completed(&engine), "the shares arrive when the segment drains");
+        assert_eq!(released(&engine), 4);
     }
 
     #[test]
-    fn forged_or_replayed_receipts_do_not_silence_retransmission() {
-        // Wrong signer for sender 1, a receipt lifted from another barrier
-        // for sender 2, and no honest receipt from either yet: both claimed
-        // senders stay pending, the report is retransmitted to them, and
-        // once their links heal their cached honest receipts settle it.
-        let (mid, end, retransmitted) = run_with_forged_receipts(&[1, 2], true);
-        assert_eq!(mid, 2, "forged receipts must leave their senders pending");
-        assert!(retransmitted, "unreceipted targets must see the report again");
-        assert_eq!(end, 0, "the honest receipts settle the watch");
-    }
-
-    #[test]
-    fn poisoned_receipt_batch_falls_back_and_accepts_the_honest_receipts() {
-        // One forgery among four buffered receipts fails the batch; the
-        // per-item pass keeps the three honest ones.
-        let (mid, end, retransmitted) = run_with_forged_receipts(&[1], true);
-        assert_eq!(mid, 1, "only the forged sender stays pending");
-        assert!(retransmitted);
-        assert_eq!(end, 0);
-    }
-
-    #[test]
-    fn forged_receipt_cannot_shadow_the_genuine_one() {
-        // The forgeries hold senders 1 and 2's buffer slots when the
-        // genuine receipts arrive. The conflict settles the buffer at once:
-        // the forgeries are thrown out, the genuine receipts take the
-        // slots, and nobody waits out a retransmission round.
-        let (mid, end, retransmitted) = run_with_forged_receipts(&[1, 2], false);
-        assert_eq!(mid, 0, "every genuine receipt must be accepted on arrival");
-        assert!(!retransmitted, "no round may be lost to a forgery");
-        assert_eq!(end, 0);
-    }
-
-    #[test]
-    fn receipt_from_another_nodes_channel_is_dropped_unverified() {
-        // A *valid* receipt of upstream controller 2, delivered over
-        // controller 3's channel: the sender check refuses it before any
-        // crypto, so with 2's own link down its slot stays pending — the
-        // first retry sweep (≈ 150 ms) settles only the other three.
-        let p = probe();
-        let (mut engine, topo, secrets) = fabric();
+    fn a_thousand_queries_cost_no_signature_check_and_grow_no_state() {
+        let (mut engine, p) = settled();
+        let before = (
+            checks(&mut engine, p.up),
+            checks(&mut engine, p.down),
+            footprint(&mut engine, p.up),
+            footprint(&mut engine, p.down),
+        );
+        let asker = engine.controller_node(p.up, ControllerId(2));
         let victim = engine.controller_node(p.down, ControllerId(1));
-        let key = &secrets.controller_sk[&(p.up, ControllerId(2))];
-        let receipt = ReleaseBody {
-            event: p.event,
-            segment: p.segment,
-            domain: p.up,
-        };
-        let genuine = Signed::sign(RELEASE, receipt, Phase(0), MsgId { origin: 2, seq: 1 }, key);
-        engine.set_faults(FaultPlan::none().with_severed_window(
-            engine.controller_node(p.up, ControllerId(2)),
-            victim,
-            SimTime::from_nanos(p.reported_at.as_nanos() - 500_000),
-            p.reported_at + SimDuration::from_millis(300),
-        ));
-        let wrong_channel = engine.controller_node(p.up, ControllerId(3));
-        for step in 0..20u64 {
-            engine.inject_raw(
-                p.reported_at + SimDuration::from_micros(500 * step),
-                wrong_channel,
-                victim,
-                Net::BoundaryRelease(genuine.clone()),
-            );
+        let start = engine.now() + SimDuration::from_millis(1);
+        for i in 0..1000u64 {
+            // Every other one names a barrier nobody ever held.
+            let mut q = query(p, (p.up, 2));
+            if let (1, Net::SegmentQuery { segment, .. }) = (i % 2, &mut q) {
+                *segment += 1 + i as u32;
+            }
+            engine.inject_raw(start + SimDuration::from_micros(10 * i), asker, victim, q);
         }
-        inject(&mut engine, &topo);
-        engine.run(p.reported_at + SimDuration::from_millis(250));
-        let mid = engine.with_controller(p.down, ControllerId(1), |a| a.handshake_status().1);
-        assert_eq!(mid, 1, "sender 2 stays pending until it answers itself");
-        engine.run(SimTime::ZERO + SimDuration::from_secs(5));
-        let end = engine.with_controller(p.down, ControllerId(1), |a| a.handshake_status().1);
-        assert_eq!(end, 0);
+        engine.run(start + SimDuration::from_secs(1));
+        // One reply per answerable query, to the asker alone; the replies
+        // find the quorum on record and are dropped before any crypto.
+        assert_eq!(resent(&engine, p), vec![500, 0, 0, 0]);
+        let after = (
+            checks(&mut engine, p.up),
+            checks(&mut engine, p.down),
+            footprint(&mut engine, p.up),
+            footprint(&mut engine, p.down),
+        );
+        assert_eq!(before, after, "(checks up, checks down, state up, state down)");
+        assert_eq!(released(&engine), 4, "and nothing is released twice");
     }
 
     #[test]
