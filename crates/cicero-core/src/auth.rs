@@ -38,7 +38,7 @@ use std::sync::Arc;
 /// A party that signs with an identity key.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Peer {
-    /// A switch (events, acks, NACKs, Segway readies and receipts).
+    /// A switch (events, acks, NACKs, Segway readies).
     Switch(SwitchId),
     /// A controller (forwarded events).
     Controller(DomainId, ControllerId),
@@ -111,6 +111,11 @@ impl Authenticator {
             origin: self.origin,
             seq: self.seq,
         }
+    }
+
+    /// Envelopes issued so far; on a switch each one is a signature made.
+    pub fn issued(&self) -> u64 {
+        self.seq
     }
 
     /// Signature checks performed so far — a single verify and an

@@ -245,14 +245,12 @@ pub struct ReliabilityConfig {
     /// are sent (the pre-reliability behavior, kept for control runs that
     /// demonstrate what the layer buys).
     pub enabled: bool,
-    /// Delay before the first retransmission of an unacked update.
+    /// Delay before the first retransmission of an unacked update, and
+    /// before a waiting barrier or parked Segway body first asks.
     pub retry_base: SimDuration,
-    /// Retransmissions allowed per update before it is reported failed.
+    /// Retransmissions allowed per update before it is reported failed, and
+    /// per signed event, barrier query or ready query before it is given up.
     pub retry_budget: u32,
-    /// Delay before a switch re-sends an unanswered signed event.
-    pub event_retry_base: SimDuration,
-    /// Event retransmissions allowed before the switch gives up.
-    pub event_retry_budget: u32,
     /// NACKs allowed per update bucket.
     pub nack_budget: u32,
 }
@@ -269,8 +267,6 @@ impl Default for ReliabilityConfig {
             enabled: true,
             retry_base: SimDuration::from_millis(150),
             retry_budget: 16,
-            event_retry_base: SimDuration::from_millis(250),
-            event_retry_budget: 16,
             nack_budget: 8,
         }
     }

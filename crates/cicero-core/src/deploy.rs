@@ -57,7 +57,8 @@ pub struct Outstanding {
     pub waiting: usize,
     /// Updates abandoned after retry-budget exhaustion.
     pub failed: usize,
-    /// Signed events and Segway readies a switch is still retransmitting.
+    /// Signed events a switch is still retransmitting. (A Segway body
+    /// parked on a missing ready shows as its controllers' `unacked`.)
     pub events: usize,
     /// Controllers still state-syncing after a restart.
     pub recovering: usize,

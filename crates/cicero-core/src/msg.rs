@@ -85,8 +85,8 @@ wire_struct!(UpdateBody { update, gates, notify });
 /// tells switch `to` (named in `from`'s threshold-signed `notify` list)
 /// that the corresponding gate is open. Signed with `from`'s identity key;
 /// the `to` binding stops a rogue switch replaying a captured ready at a
-/// different victim. The same body, re-signed by the *recipient*, serves
-/// as the receipt that stops `from`'s retransmission.
+/// different victim. Signed once and kept by `from`; never acknowledged —
+/// `to` asks again while its gate stays closed ([`Net::SegwayReadyQuery`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ReadyBody {
     /// The applied (gating) update.
@@ -200,12 +200,12 @@ wire_enum!(WalRecord {
 /// Switches keep a small WAL mirroring the controller one: applied updates
 /// (so a restarted switch reboots with its flow table and dedup set intact)
 /// plus the Segway release ledger. A ready is journaled *before* it goes on
-/// the wire and its receipt *when* it arrives, so a switch restarting
-/// mid-update resumes retransmitting un-receipted readies without ever
-/// re-releasing a neighbor it already released (exactly-once release), and
-/// an accepted incoming ready survives the restart — the receipt we sent
-/// for it is a promise to remember it, since the sender stops
-/// retransmitting on receipt.
+/// the wire, so a switch restarting mid-update never re-releases a neighbor
+/// it already released (exactly-once release) and still answers that
+/// neighbor's queries for the ready; an accepted incoming ready is
+/// journaled too, because the restarted switch could otherwise only ask
+/// for it again — and the releaser may have crashed for good since. Tag 2
+/// (a receipt record, retired) is skipped on replay like any unknown frame.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SwitchWalRecord {
     /// The switch applied `update`, backed by `signers` signature shares.
@@ -222,13 +222,6 @@ pub enum SwitchWalRecord {
         /// The released neighbor.
         to: SwitchId,
     },
-    /// `to` receipted the ready — retransmission can stop for good.
-    ReadyReceipted {
-        /// The gating update.
-        update: UpdateId,
-        /// The receipting neighbor.
-        to: SwitchId,
-    },
     /// A verified ready from `from` announcing `update` was accepted.
     ReadyIn {
         /// The gating update.
@@ -241,7 +234,6 @@ pub enum SwitchWalRecord {
 wire_enum!(SwitchWalRecord {
     0 => Applied { update, signers },
     1 => ReadySent { update, to },
-    2 => ReadyReceipted { update, to },
     3 => ReadyIn { update, from },
 });
 
@@ -301,12 +293,18 @@ pub enum Net {
     /// Controller → aggregator: a share-signed update body to aggregate.
     UpdateToAggregator(ShareSigned<UpdateBody>),
     /// Switch → switch (Segway): a signed release — the sender applied the
-    /// gating update named inside; retransmitted with backoff until
-    /// receipted by a [`Net::SegwayReadyAck`].
+    /// gating update named inside (sent once, and again to the released
+    /// switch when it asks with a [`Net::SegwayReadyQuery`]).
     SegwayReady(Signed<ReadyBody>),
-    /// Switch → switch (Segway): receipt for a [`Net::SegwayReady`] (the
-    /// echoed body, signed by the recipient); stops its retransmission.
-    SegwayReadyAck(Signed<ReadyBody>),
+    /// Switch → the switch of a closed gate (Segway): "I hold a parked body
+    /// gated on `update` at you — send me your ready again". Unsigned: the
+    /// answer goes to the asker alone and is a ready already addressed to it.
+    SegwayReadyQuery {
+        /// The gating update.
+        update: UpdateId,
+        /// The asking (released) switch.
+        to: SwitchId,
+    },
     /// Aggregator → switch: the quorum-aggregated update body.
     UpdateAggregated(QuorumSigned<UpdateBody>),
     /// Switch → controller(s): signed application acknowledgement.
@@ -513,13 +511,6 @@ mod tests {
                 "010102030405060708000000060a0b0c0d",
             ),
             (
-                SwitchWalRecord::ReadyReceipted {
-                    update: id(7),
-                    to: SwitchId(0x1a1b1c1d),
-                },
-                "020102030405060708000000071a1b1c1d",
-            ),
-            (
                 SwitchWalRecord::ReadyIn {
                     update: id(8),
                     from: SwitchId(0x2a2b2c2d),
@@ -593,10 +584,13 @@ mod tests {
             Err(DecodeError::BadTag(9))
         );
         assert_eq!(OrderedOp::from_wire(&[3]), Err(DecodeError::BadTag(3)));
-        assert_eq!(
-            SwitchWalRecord::from_wire(&[4]),
-            Err(DecodeError::BadTag(4))
-        );
+        // Tag 2 is retired (the ready receipt) and never reassigned.
+        for tag in [2, 4] {
+            assert_eq!(
+                SwitchWalRecord::from_wire(&[tag]),
+                Err(DecodeError::BadTag(tag))
+            );
+        }
     }
 
     /// Update bodies arrive from the network and WAL frames from a disk

@@ -231,8 +231,20 @@ pub enum Obs {
         /// The gating update the sender applied.
         update: UpdateId,
     },
-    /// A Segway switch retransmitted an un-receipted ready message
-    /// (ready-loss recovery; `attempt` is 1-based).
+    /// A Segway switch holding a parked body asked the switch of a still
+    /// closed gate for its ready again (ready-loss recovery, receiver-driven).
+    ReadyQueried {
+        /// The asking switch.
+        switch: SwitchId,
+        /// The gating update.
+        update: UpdateId,
+        /// The gate's designated releaser, who is asked.
+        from: SwitchId,
+        /// Which query of this gate this is (1-based).
+        attempt: u32,
+    },
+    /// A Segway switch re-sent its kept ready to the released switch that
+    /// asked for it.
     ReadyRetransmitted {
         /// The retransmitting switch.
         from: SwitchId,
@@ -240,7 +252,7 @@ pub enum Obs {
         to: SwitchId,
         /// The gating update.
         update: UpdateId,
-        /// Which retransmission this is.
+        /// Which re-send of this ready this is (1-based).
         attempt: u32,
     },
     /// A Segway switch rejected a ready message: bad signature, a `to`
@@ -292,7 +304,7 @@ pub struct RetransmitStats {
     pub segment_retransmits: u64,
     /// Cross-domain event re-forwards to overdue downstream domains.
     pub forward_retransmits: u64,
-    /// Segway switch-to-switch ready retransmissions.
+    /// Segway switch-to-switch readies re-sent on request.
     pub ready_retransmits: u64,
 }
 

@@ -39,8 +39,6 @@ pub mod labels {
     pub const SEGMENT: &str = "CICERO_SEGMENT_V1";
     /// Segway switch-to-switch ready messages (switch identity keys).
     pub const READY: &str = "CICERO_SEGWAY_READY_V1";
-    /// Segway ready receipts (stop the sender's retransmission).
-    pub const READY_RECEIPT: &str = "CICERO_SEGWAY_RECEIPT_V1";
 }
 
 /// Who lives where in the simulation.

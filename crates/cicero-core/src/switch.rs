@@ -35,6 +35,9 @@ const RETRY: TimerToken = TimerToken(1);
 /// the control plane for the missing shares.
 const NACK_TIMEOUT: SimDuration = SimDuration::from_millis(150);
 
+/// Delay before a switch re-sends an unanswered signed event.
+const EVENT_RETRY_BASE: SimDuration = SimDuration::from_millis(250);
+
 /// A signed event the switch keeps for retransmission until its effect is
 /// visible in the flow table (reliable delivery layer). `LinkFailure`
 /// events are deliberately *not* tracked: they have no local effect to
@@ -58,12 +61,15 @@ struct WaitingFlow {
     bytes: u64,
 }
 
-/// An un-receipted Segway ready message, retransmitted with backoff until
-/// the target switch's signed receipt arrives or the budget runs out.
-#[derive(Clone, Debug)]
-struct ReadyOut {
-    signed: Signed<ReadyBody>,
-    target: NodeId,
+/// A Segway release this switch made: the ready it signed, sent once and
+/// keeps for the released switch to ask again ([`Net::SegwayReadyQuery`]).
+#[derive(Clone, Debug, Default)]
+struct KeptReady {
+    /// Re-sent as-is. The journal keeps the release, not the signature:
+    /// `None` after a restart until first asked for.
+    signed: Option<Signed<ReadyBody>>,
+    /// Re-sends so far (numbers `Obs::ReadyRetransmitted`).
+    resends: u32,
 }
 
 /// The switch actor.
@@ -97,9 +103,9 @@ pub struct SwitchActor {
     pending_events: RetryTable<EventId, PendingEvent>,
     /// NACK (state re-sync request) clocks of below-quorum share buckets.
     nacks: RetryTable<UpdateId, ()>,
-    /// Segway: outgoing readies awaiting a receipt, keyed `(gating update,
-    /// target)`.
-    ready_out: RetryTable<(UpdateId, SwitchId), ReadyOut>,
+    /// Segway: clocks of the still-closed gates `(gating update, its
+    /// switch)` of parked bodies — whoever is still waiting asks.
+    asks: RetryTable<(UpdateId, SwitchId), ()>,
     retry_armed: bool,
     /// Verified bodies whose gates are not all open yet, with the signer
     /// count backing them.
@@ -108,14 +114,11 @@ pub struct SwitchActor {
     /// applying it (a ready may arrive before its gated body does).
     ready_in: BTreeMap<UpdateId, BTreeSet<SwitchId>>,
     /// Every `(update, target)` ever released — the exactly-once-release
-    /// guard. Survives receipt-driven `ready_out` removal, so duplicated
-    /// quorum deliveries and replayed state never re-release a neighbor.
-    ready_sent: BTreeSet<(UpdateId, SwitchId)>,
+    /// guard: duplicated quorum deliveries and replayed state never
+    /// re-release a neighbor — with the ready kept for it.
+    ready_sent: BTreeMap<(UpdateId, SwitchId), KeptReady>,
     /// Durable journal (attached by the executor; `None` = diskless).
     wal: Option<Wal>,
-    /// Readies the WAL says were sent but never receipted, re-armed for
-    /// retransmission on the post-restart `on_start`.
-    recovered_readies: Vec<(UpdateId, SwitchId)>,
 }
 
 impl SwitchActor {
@@ -135,13 +138,9 @@ impl SwitchActor {
         };
         SwitchActor {
             auth: Authenticator::new(Arc::clone(&shared), Peer::Switch(id), key, None),
-            pending_events: RetryTable::new(policy(
-                rel.event_retry_base,
-                rel.event_retry_budget,
-                29,
-            )),
+            pending_events: RetryTable::new(policy(EVENT_RETRY_BASE, rel.retry_budget, 29)),
             nacks: RetryTable::new(policy(NACK_TIMEOUT, rel.nack_budget, 47)),
-            ready_out: RetryTable::new(policy(rel.retry_base, rel.retry_budget, 13)),
+            asks: RetryTable::new(policy(rel.retry_base, rel.retry_budget, 13)),
             shared,
             id,
             domain,
@@ -156,9 +155,8 @@ impl SwitchActor {
             retry_armed: false,
             parked: BTreeMap::new(),
             ready_in: BTreeMap::new(),
-            ready_sent: BTreeSet::new(),
+            ready_sent: BTreeMap::new(),
             wal: None,
-            recovered_readies: Vec::new(),
         }
     }
 
@@ -167,29 +165,16 @@ impl SwitchActor {
     /// table, the applied-update dedup set, and the Segway release ledger
     /// (`ready_sent` / `ready_in`) — so a restarted switch never
     /// re-releases a neighbor it already released, and never forgets a
-    /// ready it receipted (the sender stopped retransmitting on that
-    /// receipt). Sent-but-unreceipted readies are queued for retransmission
-    /// on the next `on_start`. A fresh boot finds an empty WAL and this is
-    /// a no-op beyond arming the log.
+    /// ready it accepted (its sender may be gone for good by now). Frames
+    /// of a retired record kind are skipped. A fresh boot finds an empty
+    /// WAL and this is a no-op beyond arming the log.
     pub fn attach_disk(&mut self, disk: DiskHandle, recovering: bool) {
         let (wal, tail) = Wal::open(disk, "switch.wal");
         self.wal = Some(wal);
         if !recovering {
             return;
         }
-        let mut records = Vec::new();
-        for frame in tail {
-            if let Ok(r) = SwitchWalRecord::from_wire(&frame) {
-                records.push(r);
-            }
-        }
-        let mut receipted: BTreeSet<(UpdateId, SwitchId)> = BTreeSet::new();
-        for r in &records {
-            if let SwitchWalRecord::ReadyReceipted { update, to } = r {
-                receipted.insert((*update, *to));
-            }
-        }
-        for r in records {
+        for r in tail.iter().filter_map(|f| SwitchWalRecord::from_wire(f).ok()) {
             match r {
                 SwitchWalRecord::Applied { update, .. } => {
                     if self.applied.insert(update.id) {
@@ -197,12 +182,8 @@ impl SwitchActor {
                     }
                 }
                 SwitchWalRecord::ReadySent { update, to } => {
-                    if self.ready_sent.insert((update, to)) && !receipted.contains(&(update, to))
-                    {
-                        self.recovered_readies.push((update, to));
-                    }
+                    self.ready_sent.entry((update, to)).or_default();
                 }
-                SwitchWalRecord::ReadyReceipted { .. } => {}
                 SwitchWalRecord::ReadyIn { update, from } => {
                     self.ready_in.entry(update).or_default().insert(from);
                 }
@@ -217,10 +198,14 @@ impl SwitchActor {
         }
     }
 
-    /// Signed events still awaiting their effect, plus un-receipted Segway
-    /// readies still being retransmitted (watchdog / tests).
+    /// Signed events still awaiting their effect (watchdog / tests).
     pub fn outstanding_event_count(&self) -> usize {
-        self.pending_events.len() + self.ready_out.len()
+        self.pending_events.len()
+    }
+
+    /// Signatures made and signature checks performed in this life (tests).
+    pub fn signature_ops(&self) -> (u64, u64) {
+        (self.auth.issued(), self.auth.checks())
     }
 
     /// Read access to the flow table (tests, examples).
@@ -419,28 +404,33 @@ impl SwitchActor {
         self.shared.cfg.cross_domain_handshake
     }
 
-    /// All of `body`'s gates are open: each prerequisite update was either
-    /// applied locally or announced by its designated switch with a
-    /// verified ready.
+    /// Gate `(u, s)` is open: update `u` was applied locally, or announced
+    /// by its designated switch `s` with a verified ready.
+    fn gate_open(&self, (u, s): (UpdateId, SwitchId)) -> bool {
+        (s == self.id && self.applied.contains(&u))
+            || self.ready_in.get(&u).is_some_and(|set| set.contains(&s))
+    }
+
     fn gates_open(&self, body: &UpdateBody) -> bool {
-        if !self.gating_enabled() {
-            return true;
-        }
-        body.gates.iter().all(|&(u, s)| {
-            (s == self.id && self.applied.contains(&u))
-                || self.ready_in.get(&u).is_some_and(|set| set.contains(&s))
-        })
+        !self.gating_enabled() || body.gates.iter().all(|&g| self.gate_open(g))
     }
 
     /// Gate: a verified body goes in once its gates are open, and waits in
-    /// `parked` until then. `signers` is the quorum evidence backing it.
+    /// `parked` until then, with a clock on every neighbor's gate that is
+    /// still closed. `signers` is the quorum evidence backing it.
     fn deliver(&mut self, ctx: &mut dyn Host<Net, Obs>, body: UpdateBody, signers: u32) {
         if self.gates_open(&body) {
             self.apply(ctx, body, signers);
             self.release_parked(ctx);
-        } else {
-            self.parked.insert(body.update.id, (body, signers));
+            return;
         }
+        for &g in &body.gates {
+            if g.1 != self.id && !self.gate_open(g) && !self.asks.contains(&g) {
+                self.asks.insert(g, g.0, (), ctx.now());
+            }
+        }
+        self.arm_retry(ctx);
+        self.parked.insert(body.update.id, (body, signers));
     }
 
     /// A verified ready may open gates of parked bodies; applying one may
@@ -494,19 +484,22 @@ impl SwitchActor {
             for to in body.notify {
                 // Exactly-once release: a neighbor is released at most once
                 // per gating update no matter how often the quorum re-fires.
-                if to != self.id && self.ready_sent.insert((update.id, to)) {
-                    // Write-ahead: the release is durable before it can be
-                    // observed, so a crash between journal and send re-sends
-                    // (at-least-once on the wire) rather than re-releasing
-                    // (exactly-once in the set).
-                    self.log_record(&SwitchWalRecord::ReadySent {
-                        update: update.id,
-                        to,
-                    });
-                    self.send_ready(ctx, update.id, to, true);
+                if to == self.id || self.ready_sent.contains_key(&(update.id, to)) {
+                    continue;
                 }
+                // Write-ahead: the release is durable before it can be
+                // observed, so a crash between journal and send leaves a
+                // ready the neighbor asks for rather than a second release.
+                let (id, from) = (update.id, self.id);
+                self.log_record(&SwitchWalRecord::ReadySent { update: id, to });
+                let ready = ReadyBody { update: id, from, to };
+                let signed = self
+                    .auth
+                    .sign(ctx, labels::READY, ready, self.phase_info.phase);
+                ctx.observe(Obs::ReadySent { from, to, update: id });
+                ctx.send(self.shared.dir.switch(to), Net::SegwayReady(signed.clone()));
+                self.ready_sent.insert((id, to), KeptReady { signed: Some(signed), resends: 0 });
             }
-            self.arm_retry(ctx);
         }
     }
 
@@ -536,41 +529,33 @@ impl SwitchActor {
         self.send_ack(ctx, update);
     }
 
-    /// Signs the ready releasing `to` on `update` and keeps it for
-    /// retransmission until receipted (the caller arms the timer once its
-    /// batch is in). A `first` send is announced and goes
-    /// on the wire now; the restart half of crash recovery passes `false`:
-    /// the release already happened in a previous life, so the ready only
-    /// re-enters the retry table and the sweep emits `ReadyRetransmitted`
-    /// like any other retry.
-    fn send_ready(
+    /// Switch `to` holds a parked body and still lacks our ready for
+    /// `update`. Answered only over the asker's own channel and only for a
+    /// release in the ledger, with the kept ready, to the asker alone —
+    /// nothing verified, and signed only when a restart dropped the kept
+    /// copy. A release not made yet has nothing to send; the asker gets the
+    /// ready unsolicited when `update` goes in.
+    fn on_ready_query(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
+        from: NodeId,
         update: UpdateId,
         to: SwitchId,
-        first: bool,
     ) {
-        let ready = ReadyBody {
-            update,
-            from: self.id,
-            to,
+        ctx.charge_cpu(self.shared.cfg.costs.switch_msg);
+        let by_asker = self.shared.dir.switch_node.get(&to) == Some(&from);
+        let Some(kept) = self.ready_sent.get_mut(&(update, to)).filter(|_| by_asker) else {
+            return;
         };
-        let signed = self
-            .auth
-            .sign(ctx, labels::READY, ready, self.phase_info.phase);
-        let target = self.shared.dir.switch(to);
-        if first {
-            ctx.observe(Obs::ReadySent {
-                from: self.id,
-                to,
-                update,
-            });
-            ctx.send(target, Net::SegwayReady(signed.clone()));
-        }
-        if self.shared.cfg.reliability.enabled {
-            let out = ReadyOut { signed, target };
-            self.ready_out.insert((update, to), update, out, ctx.now());
-        }
+        let (me, phase, auth) = (self.id, self.phase_info.phase, &mut self.auth);
+        let ready = ReadyBody { update, from: me, to };
+        let signed = kept
+            .signed
+            .get_or_insert_with(|| auth.sign(ctx, labels::READY, ready, phase));
+        ctx.send(from, Net::SegwayReady(signed.clone()));
+        kept.resends += 1;
+        let attempt = kept.resends;
+        ctx.observe(Obs::ReadyRetransmitted { from: me, to, update, attempt });
     }
 
     /// A neighbor announces it applied a gating update. Rejected when the
@@ -601,13 +586,8 @@ impl SwitchActor {
             });
             return;
         }
-        // Receipt every valid ready (idempotent for duplicates) so the
-        // sender stops retransmitting.
-        let receipt = self
-            .auth
-            .sign(ctx, labels::READY_RECEIPT, body, self.phase_info.phase);
-        // The receipt promises the sender it can stop retransmitting, so
-        // the accepted ready must be durable before the receipt is sent.
+        // Journaled: the releaser may be gone for good by the time a
+        // restart would have to ask again.
         if self
             .ready_in
             .entry(body.update)
@@ -619,29 +599,8 @@ impl SwitchActor {
                 from: body.from,
             });
         }
-        let sender = self.shared.dir.switch(body.from);
-        ctx.send(sender, Net::SegwayReadyAck(receipt));
+        self.asks.remove(&(body.update, body.from));
         self.release_parked(ctx);
-    }
-
-    /// The target switch receipted a ready we sent: stop retransmitting it.
-    fn on_ready_ack(&mut self, ctx: &mut dyn Host<Net, Obs>, msg: Signed<ReadyBody>) {
-        ctx.charge_cpu(self.shared.cfg.costs.switch_msg);
-        let body = msg.payload;
-        let key = (body.update, body.to);
-        if body.from != self.id || !self.ready_out.contains(&key) {
-            return;
-        }
-        if self
-            .auth
-            .verify(ctx, labels::READY_RECEIPT, &msg, Peer::Switch(body.to))
-        {
-            self.ready_out.remove(&key);
-            self.log_record(&SwitchWalRecord::ReadyReceipted {
-                update: key.0,
-                to: key.1,
-            });
-        }
     }
 
     // ----- reliable delivery: one timer over the three retry tables --------
@@ -655,7 +614,7 @@ impl SwitchActor {
         let next = [
             self.pending_events.next_due(),
             self.nacks.next_due(),
-            self.ready_out.next_due(),
+            self.asks.next_due(),
         ];
         let Some(due) = next.into_iter().flatten().min() else {
             return;
@@ -700,21 +659,16 @@ impl SwitchActor {
             }
             self.send_nack(ctx, id, have as u32);
         }
-        for r in self.ready_out.sweep(now) {
-            // An exhausted ready is dropped; the controller's own update
-            // retry (and its exhaustion report) remains the backstop for
-            // the stalled downstream segment.
-            let Retry::Resend(key, attempt) = r else {
+        for r in self.asks.sweep(now) {
+            // The only node that knows a ready is missing is the one parked
+            // on its gate, so it asks the gate's switch. A spent budget stops
+            // the asking; the controllers' update retry remains the backstop.
+            let Retry::Resend((update, from), attempt) = r else {
                 continue;
             };
-            ctx.observe(Obs::ReadyRetransmitted {
-                from: self.id,
-                to: key.1,
-                update: key.0,
-                attempt,
-            });
-            let out = self.ready_out.get(&key).expect("resent, so kept");
-            ctx.send(out.target, Net::SegwayReady(out.signed.clone()));
+            let me = self.id;
+            ctx.send(self.shared.dir.switch(from), Net::SegwayReadyQuery { update, to: me });
+            ctx.observe(Obs::ReadyQueried { switch: me, update, from, attempt });
         }
     }
 
@@ -789,15 +743,6 @@ impl SwitchActor {
 }
 
 impl Actor<Net, Obs> for SwitchActor {
-    fn on_start(&mut self, ctx: &mut dyn Host<Net, Obs>) {
-        // Resume retransmitting readies the WAL says were sent but never
-        // receipted.
-        for (update, to) in std::mem::take(&mut self.recovered_readies) {
-            self.send_ready(ctx, update, to, false);
-        }
-        self.arm_retry(ctx);
-    }
-
     fn on_timer(&mut self, ctx: &mut dyn Host<Net, Obs>, token: TimerToken) {
         if token != RETRY {
             return;
@@ -807,7 +752,7 @@ impl Actor<Net, Obs> for SwitchActor {
         self.arm_retry(ctx);
     }
 
-    fn on_message(&mut self, ctx: &mut dyn Host<Net, Obs>, _from: NodeId, msg: Net) {
+    fn on_message(&mut self, ctx: &mut dyn Host<Net, Obs>, from: NodeId, msg: Net) {
         let quorum = self.phase_info.quorum as usize;
         // An update is admitted only in the arrival form the run's mode
         // uses. Each form's check is sound only where it is the mode's own
@@ -883,7 +828,7 @@ impl Actor<Net, Obs> for SwitchActor {
                 }
             }
             Net::SegwayReady(m) => self.on_ready(ctx, m),
-            Net::SegwayReadyAck(m) => self.on_ready_ack(ctx, m),
+            Net::SegwayReadyQuery { update, to } => self.on_ready_query(ctx, from, update, to),
             Net::LinkDown { a, b } => {
                 self.raise_event(ctx, EventKind::LinkFailure { a, b });
             }

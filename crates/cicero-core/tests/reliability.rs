@@ -8,7 +8,7 @@ use netmodel::routing::route;
 use netmodel::topology::Topology;
 use simnet::fault::FaultPlan;
 use simnet::sim::ENVIRONMENT;
-use southbound::types::{ControllerId, DomainId, FlowId, HostId};
+use southbound::types::{ControllerId, DomainId, FlowId, HostId, NetworkUpdate, SwitchId};
 
 fn inject_one_flow(engine: &mut Engine, topo: &Topology, src: HostId, dst: HostId, id: u64) {
     let r = route(topo, src, dst).expect("connected");
@@ -253,7 +253,6 @@ fn exhausted_retry_budget_reports_stall_not_hang() {
     let mut reliability = ReliabilityConfig::default();
     reliability.retry_base = SimDuration::from_millis(5);
     reliability.retry_budget = 3;
-    reliability.event_retry_budget = 3;
     reliability.nack_budget = 2;
     let (mut engine, topo) = lossy_engine(mode, 3, reliability);
     let (src, dst) = cross_rack_pairs(&topo, 1)[0];
@@ -451,8 +450,8 @@ fn shares_lost_to_three_of_four_upstream_controllers_are_fetched_within_one_retr
 
 /// Every `ReadySent` in the trace is unique per `(update, from, to)`:
 /// releases are exactly-once no matter how many times the quorum body or
-/// a ready was duplicated, retransmitted, or replayed across a restart
-/// (recovered readies surface as `ReadyRetransmitted`, never a second
+/// a ready was duplicated, asked for again, or replayed across a restart
+/// (a kept ready re-sent surfaces as `ReadyRetransmitted`, never a second
 /// `ReadySent`).
 fn assert_exactly_once_releases(engine: &Engine) {
     let mut seen = std::collections::BTreeSet::new();
@@ -466,11 +465,11 @@ fn assert_exactly_once_releases(engine: &Engine) {
     }
 }
 
-/// Segway's switch-to-switch ready messages ride the same reliability
-/// machinery as everything else: 30% loss on every switch-switch link
-/// plus 10% duplication, all flows still converge, releases stay
-/// exactly-once, and the ready retransmit counter proves the recovery
-/// path carried them.
+/// Segway's switch-to-switch ready messages — and the queries that ask for
+/// them again — ride the same reliability machinery as everything else:
+/// 30% loss on every switch-switch link plus 10% duplication, all flows
+/// still converge, releases stay exactly-once, and the re-sent-ready
+/// counter proves the recovery path carried them.
 #[test]
 fn segway_ready_loss_and_duplication_recovers() {
     let mut ready_rtx = 0u64;
@@ -507,8 +506,9 @@ fn segway_ready_loss_and_duplication_recovers() {
 
 /// A Segway switch restarting mid-update must not re-release a neighbor
 /// it already released: the release journal is replayed from the WAL, so
-/// the revived switch resumes un-receipted readies as retransmissions
-/// and never double-applies its segment. The restart victim is a path
+/// the revived switch never double-applies its segment, sends no ready
+/// unasked, and answers the released neighbor's query — with exactly one
+/// signature, for the copy the restart dropped. The restart victim is a path
 /// switch other than the flow's ingress ToR (the waiting flow itself is
 /// RAM-only by design; the WAL protects protocol state, not workload).
 #[test]
@@ -544,16 +544,190 @@ fn segway_switch_restart_mid_update_releases_exactly_once() {
         assert_exactly_once_releases(&engine);
         // Did this case actually crash *after* the victim journaled a
         // release? Only then does the replay path carry any weight.
-        let released_before_crash = engine.observations().iter().any(|o| {
-            o.at <= at && matches!(o.value, Obs::ReadySent { from, .. } if from == victim)
+        let released_before_crash = engine.observations().iter().find_map(|o| match o.value {
+            Obs::ReadySent { from, to, update } if o.at <= at && from == victim => Some((update, to)),
+            _ => None,
         });
-        journaled_crashes += u32::from(released_before_crash);
+        // Nothing unsolicited: whatever the victim re-sent, it was asked for.
+        let mut asked = 0usize;
+        for o in engine.observations() {
+            match o.value {
+                Obs::ReadyQueried { from, .. } if from == victim => asked += 1,
+                Obs::ReadyRetransmitted { from, .. } if from == victim => {
+                    asked = asked.checked_sub(1).expect("a ready re-sent unasked");
+                }
+                _ => {}
+            }
+        }
+        let Some((update, to)) = released_before_crash else {
+            return;
+        };
+        journaled_crashes += 1;
+        // The revived releaser holds the release, not the signature: the
+        // first query costs one signature (unless the run already asked),
+        // the next one none.
+        let was_asked = engine.observations().iter().any(|o| {
+            matches!(o.value, Obs::ReadyRetransmitted { from, .. } if from == victim)
+        });
+        let asker = engine.switch_node(to);
+        let query = Net::SegwayReadyQuery { update, to };
+        let mut signed = Vec::new();
+        for _ in 0..2 {
+            let (before, _) = engine.with_switch(victim, |s| s.signature_ops());
+            let at = engine.now() + SimDuration::from_millis(1);
+            engine.inject_raw(at, asker, node, query.clone());
+            engine.run(at + SimDuration::from_millis(5));
+            signed.push(engine.with_switch(victim, |s| s.signature_ops()).0 - before);
+        }
+        assert_eq!(signed, vec![u64::from(!was_asked), 0], "seed={seed:#x}");
+        assert_exactly_once_releases(&engine);
     });
     assert!(
         journaled_crashes > 0,
         "no swept case crashed the victim after a journaled release; the \
          WAL-replay path was never exercised"
     );
+}
+
+/// A three-switch Segway route on the lossy fabric: `path[i]` applies
+/// update `i` and is gated on `(update i + 1, path[i + 1])`.
+fn segway_route(seed: u64, reliability: ReliabilityConfig) -> (Engine, Topology, Vec<SwitchId>) {
+    let (engine, topo) = lossy_engine(Mode::Segway, seed, reliability);
+    let (src, dst) = cross_rack_pairs(&topo, 1)[0];
+    let path = route(&topo, src, dst).expect("connected").path;
+    assert_eq!(path.len(), 3);
+    (engine, topo, path)
+}
+
+/// The ready from the egress ToR to the edge switch is lost to a severed
+/// link that heals long before any clock fires. The edge switch holds the
+/// parked body, so it asks when its clock expires — one `retry_base` (plus
+/// up to a quarter of it in jitter) after parking — and goes on one round
+/// trip later, on the kept ready. Nobody re-sends unasked.
+#[test]
+fn ready_lost_on_a_severed_switch_link_is_fetched_within_one_retry_of_parking() {
+    let (mut engine, topo, path) = segway_route(11, ReliabilityConfig::default());
+    let (releaser, target) = (path[2], path[1]);
+    let healed = SimTime::ZERO + SimDuration::from_millis(50);
+    let cut = (engine.switch_node(releaser), engine.switch_node(target));
+    engine.set_faults(FaultPlan::none().with_severed_window(cut.0, cut.1, SimTime::ZERO, healed));
+    let (src, dst) = cross_rack_pairs(&topo, 1)[0];
+    inject_one_flow(&mut engine, &topo, src, dst, 1);
+    let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(10));
+    assert!(report.completed, "{report}");
+    assert_audit_clean(&engine, &topo, src, dst);
+    assert_exactly_once_releases(&engine);
+    let obs = engine.observations();
+    let when = |pick: &dyn Fn(&Obs) -> bool| -> Vec<SimTime> {
+        obs.iter().filter(|o| pick(&o.value)).map(|o| o.at).collect()
+    };
+    let sent = when(&|o| matches!(*o, Obs::ReadySent { from, .. } if from == releaser));
+    let asked = when(&|o| matches!(*o, Obs::ReadyQueried { switch, from, .. } if switch == target && from == releaser));
+    let resent = when(&|o| matches!(*o, Obs::ReadyRetransmitted { .. }));
+    let applied = when(&|o| matches!(*o, Obs::UpdateApplied { switch, .. } if switch == target));
+    assert_eq!(sent.len(), 1);
+    assert!(sent[0] < healed, "the release must fall into the cut");
+    assert_eq!(asked.len(), 1, "one query fetches it");
+    assert_eq!(resent.len(), 1, "answered once, to the asker");
+    assert_eq!(report.stats.ready_retransmits, 1);
+    // The body parked before the release it waits for was made; a round
+    // trip between two switches of this pod is well under 5 ms.
+    let retry_base = engine.shared().cfg.reliability.retry_base;
+    let deadline = sent[0]
+        + retry_base
+        + SimDuration::from_nanos(retry_base.as_nanos() / 4)
+        + SimDuration::from_millis(5);
+    assert!(asked[0] >= healed && resent[0] >= asked[0]);
+    assert!(applied[0] > resent[0] && applied[0] <= deadline, "{:?} > {deadline:?}", applied[0]);
+}
+
+/// The releaser acks its update and then dies for good with its ready lost:
+/// the target's body stays parked, its queries go unanswered and stop with
+/// the budget, and the run is reported not completed through the
+/// controllers' unacked update and its exhaustion — never as converged.
+#[test]
+fn releaser_crashed_for_good_after_acking_is_reported_not_silently_converged() {
+    let mut reliability = ReliabilityConfig::default();
+    reliability.retry_base = SimDuration::from_millis(5);
+    reliability.retry_budget = 3;
+    let (mut engine, topo, path) = segway_route(3, reliability);
+    let (releaser, target) = (path[2], path[1]);
+    let (r, t) = (engine.switch_node(releaser), engine.switch_node(target));
+    let plan = FaultPlan::none()
+        .with_link_drop_probability(r, t, 1.0)
+        .with_crash(SimTime::ZERO + SimDuration::from_millis(20), r);
+    engine.set_faults(plan);
+    let (src, dst) = cross_rack_pairs(&topo, 1)[0];
+    inject_one_flow(&mut engine, &topo, src, dst, 1);
+    let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(30));
+    let obs = engine.observations();
+    assert!(
+        obs.iter().any(|o| matches!(o.value, Obs::UpdateApplied { switch, .. } if switch == releaser)),
+        "the releaser applied (and acked) before it died"
+    );
+    assert!(!report.completed, "{report}");
+    assert_eq!(report.resolved_flows, 0);
+    assert!(report.failed_updates > 0 && report.stats.updates_exhausted > 0, "{report}");
+    assert!(!obs.iter().any(|o| matches!(o.value, Obs::UpdateApplied { switch, .. } if switch == target)));
+    let attempts: Vec<u32> = obs
+        .iter()
+        .filter_map(|o| match o.value {
+            Obs::ReadyQueried { switch, attempt, .. } if switch == target => Some(attempt),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(attempts, vec![1, 2, 3], "budget 3: three queries, then quiet");
+    assert_eq!(report.stats.ready_retransmits, 0);
+}
+
+/// A switch WAL written before the ready receipt was retired holds tag-2
+/// frames between the records this build knows. Replay skips them and
+/// restores everything around them: the flow table, the release ledger (the
+/// released neighbor's query is answered) and the accepted ready.
+#[test]
+fn wal_with_a_retired_receipt_frame_replays_with_the_frame_skipped() {
+    use cicero_core::msg::SwitchWalRecord;
+    use southbound::codec::Wire;
+    use southbound::types::{EventId, FlowAction, FlowMatch, FlowRule, NextHop, UpdateId, UpdateKind};
+    use substrate::storage::{mem_disk, Wal};
+    let (mut engine, _, path) = segway_route(5, ReliabilityConfig::default());
+    let (me, neighbor) = (path[1], path[0]);
+    let id = |seq| UpdateId {
+        event: EventId(0x0102030405060708),
+        seq,
+    };
+    let update = NetworkUpdate {
+        id: id(1),
+        switch: me,
+        kind: UpdateKind::Install(FlowRule {
+            matcher: FlowMatch {
+                src: HostId(0),
+                dst: HostId(1),
+            },
+            action: FlowAction::Forward(NextHop::Switch(neighbor)),
+        }),
+    };
+    let disk = mem_disk();
+    let (mut wal, _) = Wal::open(disk.clone(), "switch.wal");
+    wal.append(&SwitchWalRecord::Applied { update, signers: 2 }.to_wire());
+    wal.append(&SwitchWalRecord::ReadySent { update: id(1), to: neighbor }.to_wire());
+    // The receipt record for `(id(1), neighbor)`, as older builds wrote it.
+    let mut retired = vec![2u8];
+    retired.extend_from_slice(&id(1).to_wire());
+    retired.extend_from_slice(&neighbor.to_wire());
+    wal.append(&retired);
+    wal.append(&SwitchWalRecord::ReadyIn { update: id(2), from: path[2] }.to_wire());
+    drop(wal);
+    let restored = engine.with_switch(me, |s| {
+        s.attach_disk(disk, true);
+        (s.applied_count(), s.table().len())
+    });
+    assert_eq!(restored, (1, 1));
+    let at = engine.now() + SimDuration::from_millis(1);
+    let query = Net::SegwayReadyQuery { update: id(1), to: neighbor };
+    engine.inject_raw(at, engine.switch_node(neighbor), engine.switch_node(me), query);
+    engine.run(at + SimDuration::from_millis(5));
+    assert_eq!(retransmit_stats(engine.observations()).ready_retransmits, 1);
 }
 
 /// The downstream domain's consensus primary crashes mid-handshake (while

@@ -319,13 +319,13 @@ fn recovery(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
 /// "first send" can be invisible while its later retransmission is not.
 /// Switch-side observations and pure value checks hold unconditionally:
 /// a restarted switch replays its WAL with no observation muting, so its
-/// trace stays pairable (recovered releases resume as retransmissions of
-/// the pre-crash `ReadySent`, pending events are RAM-only and die with
-/// the first life). The gap-free attempt check is the exception: it is
-/// gated on crash-free runs for both actors, because any restart
-/// legitimately resets the counters. Flow resolutions are additionally
-/// exempted under `Fault::Duplicate`, which can legitimately double-fire
-/// them.
+/// trace stays pairable (a recovered release is re-sent only when asked
+/// for, as a retransmission of the pre-crash `ReadySent`; pending events
+/// and ready queries are RAM-only and die with the first life). The
+/// gap-free attempt check is the exception: it is gated on crash-free runs
+/// for both actors, because any restart legitimately resets the counters.
+/// Flow resolutions are additionally exempted under `Fault::Duplicate`,
+/// which can legitimately double-fire them.
 fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
     let clean_replay = !s.has_crash() && !s.has_crash_recover();
     let no_dup = !s
@@ -357,7 +357,18 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
     let mut ev_exhausted_once = BTreeSet::new(); // (switch, event)
     let mut completed_once = BTreeSet::new(); // flow
     let mut denied_once = BTreeSet::new(); // flow
-    let mut ready_sent = BTreeSet::new(); // (from, to, update)
+    // Segway readies per (from, to, update): where the release was
+    // announced, and queries by `to` minus re-sends by `from`.
+    let mut ready_sent: BTreeMap<_, usize> = BTreeMap::new();
+    let mut ready_asked: BTreeMap<_, i64> = BTreeMap::new();
+    // Where each switch last applies an update of each event: past it, the
+    // switch holds no parked body of that event that ever goes in.
+    let mut last_apply = BTreeMap::new(); // (switch, event) -> index
+    for (i, o) in obs.iter().enumerate() {
+        if let Obs::UpdateApplied { switch, update, .. } = o.value {
+            last_apply.insert((switch, update.event), i);
+        }
+    }
     let mut phases: BTreeMap<_, BTreeSet<u64>> = BTreeMap::new();
     // Highest attempt seen per retransmission stream `(kind, sender + key)`.
     let mut last_attempt: BTreeMap<(&'static str, String), u32> = BTreeMap::new();
@@ -390,7 +401,7 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
         }
         *last = (*last).max(attempt);
     };
-    for o in obs {
+    for (i, o) in obs.iter().enumerate() {
         match o.value {
             Obs::FlowCompleted { flow, start } => {
                 if o.at < start {
@@ -637,8 +648,34 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
             }
             Obs::ReadySent { from, to, update } => {
                 // At-most-once per (from, to, update) is the *recovery*
-                // oracle's check; here it only seeds retransmission pairing.
-                ready_sent.insert((from, to, update));
+                // oracle's check; here it only seeds the pairing below.
+                ready_sent.entry((from, to, update)).or_insert(i);
+            }
+            Obs::ReadyQueried {
+                switch,
+                update,
+                from,
+                attempt,
+            } => {
+                let stream = format!("{switch:?}<-{from:?} {update:?}");
+                numbered(out, "ready-query", stream, attempt, 0, false);
+                // Only a neighbor's closed gate under a parked body is asked
+                // about: once the releaser announced the ready and the asker
+                // then applied its last update of that event, the ready was
+                // accepted and nothing of the event is parked any more.
+                let announced = ready_sent.get(&(from, switch, update));
+                let applied = last_apply.get(&(switch, update.event));
+                let settled = announced.zip(applied).is_some_and(|(a, l)| a < l && *l < i);
+                if switch == from || settled {
+                    bad(
+                        out,
+                        format!(
+                            "switch {switch:?} asked {from:?} for the ready of {update:?} \
+                             with no body parked on it (already accepted: {settled})"
+                        ),
+                    );
+                }
+                *ready_asked.entry((from, switch, update)).or_default() += 1;
             }
             Obs::ReadyRetransmitted {
                 from,
@@ -648,12 +685,18 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
             } => {
                 let stream = format!("{from:?}->{to:?} {update:?}");
                 numbered(out, "ready", stream, attempt, 0, false);
-                if !ready_sent.contains(&(from, to, update)) {
+                // Only an announced release is re-sent, and only in answer
+                // to a query, once each.
+                let key = (from, to, update);
+                let announced = ready_sent.contains_key(&key);
+                let unanswered = ready_asked.entry(key).or_default();
+                *unanswered -= 1;
+                if !announced || (no_dup && *unanswered < 0) {
                     bad(
                         out,
                         format!(
-                            "switch {from:?} retransmitted a ready for {update:?} to \
-                             {to:?} it never first announced"
+                            "switch {from:?} re-sent a ready for {update:?} to {to:?} \
+                             unasked or never released (announced: {announced})"
                         ),
                     );
                 }
@@ -739,7 +782,7 @@ fn amnesiac(s: &Scenario, topo: &Topology) -> std::collections::BTreeSet<(Domain
 mod tests {
     use super::*;
     use simnet::node::NodeId;
-    use southbound::types::{EventId, UpdateId};
+    use southbound::types::{EventId, FlowMatch, HostId, UpdateId, UpdateKind};
 
     fn verdicts(faults: Vec<Fault>, values: Vec<Obs>) -> Vec<Violation> {
         let mut s = Scenario::generate(0);
@@ -877,5 +920,69 @@ mod tests {
         let twice = vec![delivered.clone(), reported, query(1), resent(1), resent(2)];
         assert_eq!(flagged(twice), 1);
         assert_eq!(flagged(vec![delivered, query(1), resent(1)]), 1);
+    }
+
+    #[test]
+    fn a_ready_query_needs_a_parked_body_and_a_resent_ready_needs_a_query() {
+        let (from, to) = (SwitchId(3), SwitchId(1));
+        let update = UpdateId {
+            event: EventId(7),
+            seq: 2,
+        };
+        let sent = Obs::ReadySent { from, to, update };
+        let query = |attempt| Obs::ReadyQueried {
+            switch: to,
+            update,
+            from,
+            attempt,
+        };
+        let resent = |attempt| Obs::ReadyRetransmitted {
+            from,
+            to,
+            update,
+            attempt,
+        };
+        // `to` applies its (gated) update of the same event.
+        let applied = Obs::UpdateApplied {
+            switch: to,
+            update: UpdateId {
+                event: EventId(7),
+                seq: 1,
+            },
+            kind: UpdateKind::Remove(FlowMatch {
+                src: HostId(0),
+                dst: HostId(1),
+            }),
+            signers: 2,
+        };
+        // Asking before the release exists draws no answer; afterwards
+        // every answer has its query.
+        let lawful = vec![
+            query(1),
+            sent.clone(),
+            query(2),
+            resent(1),
+            query(3),
+            resent(2),
+            applied.clone(),
+        ];
+        assert!(verdicts(vec![], lawful).is_empty());
+        let flagged = |faults: Vec<Fault>, obs: Vec<Obs>| verdicts(faults, obs).len();
+        // Re-sending unasked, or twice for one query — unless the network
+        // duplicated the query.
+        assert_eq!(flagged(vec![], vec![sent.clone(), resent(1)]), 1);
+        let twice = vec![sent.clone(), query(1), resent(1), resent(2)];
+        assert_eq!(flagged(vec![], twice.clone()), 1);
+        assert_eq!(flagged(vec![Fault::Duplicate { permille: 100 }], twice), 0);
+        // Asking oneself; asking on after the announced ready was accepted
+        // and the gated update went in.
+        let own = Obs::ReadyQueried {
+            switch: to,
+            update,
+            from: to,
+            attempt: 1,
+        };
+        assert_eq!(flagged(vec![], vec![own]), 1);
+        assert_eq!(flagged(vec![], vec![sent, query(1), applied, query(2)]), 1);
     }
 }

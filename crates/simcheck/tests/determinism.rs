@@ -23,6 +23,17 @@
 //! `SegmentQuery` (new `Obs::SegmentQueried`), and the barrier clock runs
 //! on `retry_base`. Every single-domain, Segway and `GOLDEN_ENGINE` hash
 //! passed unedited.
+//!
+//! PR 21 re-recorded exactly the rows whose scenario runs `Mode::Segway`
+//! (`run` 9, all five `segway` seeds, both `GOLDEN_ENGINE` Segway hashes):
+//! a switch no longer answers a ready with a signed receipt, so the
+//! receipt messages, their `msg_id`s, their per-message RNG draws
+//! and the sign + verify CPU they charged are gone, and no ready is re-sent
+//! unasked; the switch parked on a closed gate asks instead
+//! (`SegwayReadyQuery`, new `Obs::ReadyQueried`), and `ReadyRetransmitted`
+//! now numbers the answers. Every other hash passed unedited — which also
+//! shows that folding `ReliabilityConfig::event_retry_*` away changed no
+//! value.
 
 use cicero_core::prelude::*;
 use simcheck::{run_scenario_traced, Scenario};
@@ -143,7 +154,7 @@ const GOLDEN_SCENARIOS: [(&str, fn(u64) -> Scenario, [(u64, u64); 5]); 4] = [
             (0, 0x11b34aaca3f22855),
             (2, 0x2e0801721cf6f9a9),
             (6, 0x5853bfc85ddecac2),
-            (9, 0xbf0eff5dd6602816),
+            (9, 0x06913620e9d405ff),
             (42, 0xb849b2941908bab4),
         ],
     ),
@@ -173,11 +184,11 @@ const GOLDEN_SCENARIOS: [(&str, fn(u64) -> Scenario, [(u64, u64); 5]); 4] = [
         "segway",
         Scenario::generate_segway,
         [
-            (0, 0x18908406e873e2a4),
-            (2, 0x5647ba190eebd1c0),
-            (3, 0xa3f259c3f9d5876f),
-            (6, 0x534271adaf87c85f),
-            (42, 0xe04311e2a5419d4b),
+            (0, 0x88a2f748464531b3),
+            (2, 0xbad5ddfddb580eb6),
+            (3, 0xdfc1d2d604926c49),
+            (6, 0x42c7a5597eaee8b0),
+            (42, 0x1279a46e624d6a83),
         ],
     ),
 ];
@@ -218,7 +229,7 @@ const GOLDEN_ENGINE: [(Mode, u64, u64); 5] = [
         0x00a0aa8913db2270,
         0x46af7cc012f0797f,
     ),
-    (Mode::Segway, 0x30cef1f969087d79, 0x8fec822817149f50),
+    (Mode::Segway, 0x2ea2c1f797a961ce, 0x66d04e308f7ee8ab),
 ];
 
 fn engine_trace_hash(mode: Mode, crypto: CryptoMode, drop: f64) -> u64 {

@@ -81,9 +81,10 @@ if grep -rn "impl.*Wire for" crates --include=*.rs |
     exit 1
 fi
 
-echo "== the signed boundary-release receipts stay deleted =="
-if grep -rn "BoundaryRelease\b\|ReleaseBody" crates src tests examples --include=*.rs; then
-    echo "verify.sh: the handshake is receiver-driven (DESIGN.md §3); no receipt type comes back" >&2
+echo "== the signed receipts (boundary release, Segway ready) stay deleted =="
+if grep -rn "BoundaryRelease\b\|ReleaseBody\|SegwayReadyAck\|READY_RECEIPT\|ReadyReceipted\|ready_out" \
+    crates src tests examples --include=*.rs; then
+    echo "verify.sh: the handshake and the Segway readies are receiver-driven (DESIGN.md §3); no receipt type comes back" >&2
     exit 1
 fi
 
@@ -148,9 +149,10 @@ cargo run -q --offline --release -p bench --bin simcheck -- recover 256
 echo "== segway-mode fuzzer sweep (256 seeds, decentralized execution) =="
 # All 256 seeds forced into Mode::Segway so every scenario exercises the
 # switch-to-switch release path: threshold-signed gate/notify metadata,
-# signed readies with receipts and retransmission, ready loss/duplication,
-# rogue and replayed readies, and (every fourth seed) a switch crashed and
-# restarted from its WAL mid-release.
+# signed readies sent once and kept, the parked switch's queries for the
+# ones it misses, ready loss/duplication, rogue and replayed readies, and
+# (every fourth seed) a switch crashed and restarted from its WAL
+# mid-release.
 cargo run -q --offline --release -p bench --bin simcheck -- segway 256
 
 echo "== simulation fuzzer smoke (bounded seed sweep) =="

@@ -488,6 +488,203 @@ fn replayed_ready_at_the_wrong_victim_is_rejected() {
     assert_eq!(applied(&engine), 0);
 }
 
+// ----- Segway releases: kept readies, receiver-driven queries -----
+
+mod segway_release {
+    use super::*;
+    use simnet::node::{Actor, Host, NodeId, TimerToken};
+
+    /// A host that records what one handler call sends and observes.
+    struct Tap {
+        me: NodeId,
+        now: SimTime,
+        rng: StdRng,
+        sent: Vec<(NodeId, Net)>,
+        seen: Vec<Obs>,
+    }
+
+    impl Host<Net, Obs> for Tap {
+        fn now(&self) -> SimTime {
+            self.now
+        }
+        fn id(&self) -> NodeId {
+            self.me
+        }
+        fn rng(&mut self) -> &mut StdRng {
+            &mut self.rng
+        }
+        fn send(&mut self, to: NodeId, msg: Net) {
+            self.sent.push((to, msg));
+        }
+        fn send_delayed(&mut self, to: NodeId, msg: Net, _: SimDuration) {
+            self.sent.push((to, msg));
+        }
+        fn set_timer(&mut self, _: SimDuration, _: TimerToken) {}
+        fn charge_cpu(&mut self, _: SimDuration) {}
+        fn observe(&mut self, obs: Obs) {
+            self.seen.push(obs);
+        }
+        fn crash(&mut self) {}
+    }
+
+    /// One release of the settled flow: `from` applied `update` and sent
+    /// `to` the ready for it.
+    #[derive(Clone, Copy, Debug)]
+    struct Release {
+        from: SwitchId,
+        to: SwitchId,
+        update: UpdateId,
+    }
+
+    /// The benchmark's fabric in small — two pods under two spines, one
+    /// domain per pod — with one cross-pod Segway flow run to completion
+    /// under real crypto, loss-free.
+    fn settled() -> (Engine, Topology, Vec<Release>) {
+        let mut cfg = EngineConfig::for_mode(Mode::Segway);
+        cfg.crypto = CryptoMode::Real;
+        let topo = Topology::multi_pod(2, 2, 2, 2, 2);
+        let dm = DomainMap::by_pod(&topo);
+        let mut engine = Engine::build(cfg, topo.clone(), dm, 0);
+        let hosts = topo.hosts();
+        let src = hosts[0].id;
+        let five_hops = |h: &&netmodel::topology::HostInfo| {
+            route(&topo, src, h.id).is_some_and(|r| r.path.len() == 5)
+        };
+        let dst = hosts.iter().find(five_hops).expect("a cross-pod pair").id;
+        let start = SimTime::ZERO + SimDuration::from_millis(1);
+        harness::inject_flow(&mut engine, &topo, FlowId(1), src, dst, 500, start).expect("routable");
+        let report = engine.run_reporting(start + SimDuration::from_secs(5));
+        assert!(report.completed, "{report}");
+        assert_eq!(report.stats.total_recoveries(), 0, "a loss-free run asks for nothing");
+        let releases = engine
+            .observations()
+            .iter()
+            .filter_map(|o| match o.value {
+                Obs::ReadySent { from, to, update } => Some(Release { from, to, update }),
+                _ => None,
+            })
+            .collect();
+        (engine, topo, releases)
+    }
+
+    /// `(signatures made, signatures checked)` per switch, in switch order.
+    fn ops(engine: &mut Engine, topo: &Topology) -> Vec<(u64, u64)> {
+        let ids: Vec<SwitchId> = topo.switches().iter().map(|s| s.id).collect();
+        ids.into_iter()
+            .map(|s| engine.with_switch(s, |a| a.signature_ops()))
+            .collect()
+    }
+
+    /// Hands releaser `r.from` a query for `update` naming `to`, over the
+    /// channel of switch `channel`; returns what the handler did.
+    fn ask(engine: &mut Engine, r: Release, update: UpdateId, to: SwitchId, channel: SwitchId) -> Tap {
+        let mut tap = Tap {
+            me: engine.switch_node(r.from),
+            now: engine.now(),
+            rng: StdRng::seed_from_u64(0),
+            sent: Vec::new(),
+            seen: Vec::new(),
+        };
+        let from = engine.switch_node(channel);
+        let query = Net::SegwayReadyQuery { update, to };
+        engine.with_switch(r.from, |a| a.on_message(&mut tap, from, query));
+        tap
+    }
+
+    #[test]
+    fn loss_free_flow_costs_each_switch_its_certificates_readies_acks_and_events_and_nothing_else() {
+        let (mut engine, topo, releases) = settled();
+        assert_eq!(releases.len(), 4, "five chained updates, four releases");
+        let obs = engine.observations().to_vec();
+        let applied = |s: SwitchId| {
+            let here = |o: &&simnet::sim::Observation<Obs>| {
+                matches!(o.value, Obs::UpdateApplied { switch, .. } if switch == s)
+            };
+            obs.iter().filter(here).count() as u64
+        };
+        let raised = |s: SwitchId| {
+            let events: std::collections::BTreeSet<EventId> = obs
+                .iter()
+                .filter_map(|o| match o.value {
+                    Obs::EventProcessed { event, .. } if event.0 >> 32 == u64::from(s.0) => Some(event),
+                    _ => None,
+                })
+                .collect();
+            events.len() as u64
+        };
+        let counted = ops(&mut engine, &topo);
+        let mut total = (0, 0);
+        for (info, (signs, checks)) in topo.switches().iter().zip(counted) {
+            let s = info.id;
+            let released = releases.iter().filter(|r| r.from == s).count() as u64;
+            let accepted = releases.iter().filter(|r| r.to == s).count() as u64;
+            // Signs: one ack per applied update, its events, one ready per
+            // release. Checks: one certificate per applied update, one
+            // signature per accepted ready. Nothing acknowledges a ready.
+            assert_eq!(signs, applied(s) + raised(s) + released, "signs of {s:?}");
+            assert_eq!(checks, applied(s) + accepted, "checks of {s:?}");
+            total = (total.0 + signs, total.1 + checks);
+        }
+        assert_eq!(total, (5 + 1 + 4, 5 + 4), "the flow's switch-side budget");
+    }
+
+    #[test]
+    fn query_over_a_wrong_channel_for_a_switch_never_released_or_an_unapplied_update_is_ignored() {
+        let (mut engine, topo, releases) = settled();
+        let r = releases[0];
+        let other = topo.switches().iter().map(|s| s.id).find(|&s| s != r.from && s != r.to);
+        let other = other.expect("ten switches");
+        let unapplied = UpdateId {
+            seq: r.update.seq + 100,
+            ..r.update
+        };
+        let before = ops(&mut engine, &topo);
+        // The released switch's query over somebody else's channel; a
+        // switch the releaser's notify list never named, over its own; and
+        // the released switch asking for an update the releaser never got.
+        for (update, to, channel) in [
+            (r.update, r.to, other),
+            (r.update, other, other),
+            (unapplied, r.to, r.to),
+        ] {
+            let tap = ask(&mut engine, r, update, to, channel);
+            assert!(tap.sent.is_empty(), "answered {update:?} for {to:?} via {channel:?}");
+            assert!(tap.seen.is_empty());
+        }
+        assert_eq!(ops(&mut engine, &topo), before, "no signature counter moves");
+        // The same query from the released switch itself is answered.
+        assert_eq!(ask(&mut engine, r, r.update, r.to, r.to).sent.len(), 1);
+    }
+
+    #[test]
+    fn repeated_queries_get_the_kept_ready_byte_for_byte_and_cost_no_signature() {
+        let (mut engine, topo, releases) = settled();
+        let r = releases[0];
+        let before = ops(&mut engine, &topo);
+        let asker = engine.switch_node(r.to);
+        let mut replies = Vec::new();
+        for n in 1..=100u32 {
+            let tap = ask(&mut engine, r, r.update, r.to, r.to);
+            let [(to, Net::SegwayReady(m))] = &tap.sent[..] else {
+                panic!("query {n}: one ready expected, got {:?}", tap.sent);
+            };
+            assert_eq!(*to, asker, "to the asker alone");
+            let resent = Obs::ReadyRetransmitted {
+                from: r.from,
+                to: r.to,
+                update: r.update,
+                attempt: n,
+            };
+            assert_eq!(tap.seen, vec![resent]);
+            replies.push(m.clone());
+        }
+        assert!(replies.iter().all(|m| *m == replies[0]), "one signed ready, kept");
+        let key = &engine.shared().keys.switch_pk[&r.from];
+        assert!(replies[0].verify_prepared("CICERO_SEGWAY_READY_V1", key));
+        assert_eq!(ops(&mut engine, &topo), before, "nothing signed, nothing checked");
+    }
+}
+
 // ----- cross-domain handshake: quorum-certified reports, receiver-driven queries -----
 
 mod handshake {
