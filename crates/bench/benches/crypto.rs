@@ -17,6 +17,9 @@ use blscrypto::pairing::{
 };
 use blscrypto::reshare;
 use blscrypto::shamir;
+use cicero_core::msg::AckBody;
+use southbound::envelope::{MsgId, Tagged};
+use southbound::types::{EventId, Phase, SwitchId, UpdateId};
 use std::hint::black_box;
 use substrate::benchkit::Harness;
 use substrate::rng::{SeedableRng, StdRng};
@@ -159,6 +162,27 @@ fn bench_bls(c: &mut Harness) {
     });
 }
 
+/// What one acknowledgement costs the pair it travels between: the switch's
+/// tag and the controller's check of one `AckBody` under their shared key
+/// (`CostModel::mac` is half of this entry).
+fn bench_mac(c: &mut Harness) {
+    let key = [0x5a; 32];
+    let body = AckBody {
+        update: UpdateId {
+            event: EventId(7 << 32 | 1),
+            seq: 2,
+        },
+        switch: SwitchId(7),
+    };
+    let id = MsgId { origin: 7, seq: 1 };
+    c.bench_function("hmac_tag_ack", |bch| {
+        bch.iter(|| {
+            let msg = Tagged::tag("CICERO_ACK_V1", black_box(body), Phase(0), id, &key);
+            black_box(msg.verify("CICERO_ACK_V1", black_box(&key)))
+        })
+    });
+}
+
 fn bench_dkg_and_reshare(c: &mut Harness) {
     let mut group = c.benchmark_group("ceremonies");
     group.sample_size(10);
@@ -196,6 +220,7 @@ fn main() {
     bench_levers(&mut harness);
     bench_batch(&mut harness);
     bench_bls(&mut harness);
+    bench_mac(&mut harness);
     bench_dkg_and_reshare(&mut harness);
     harness.finish();
 }

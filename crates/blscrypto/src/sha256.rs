@@ -179,6 +179,24 @@ pub fn sha256_parts(label: &str, parts: &[&[u8]]) -> [u8; 32] {
     h.finalize()
 }
 
+/// HMAC-SHA256 (RFC 2104) of `msg` under `key`: a key longer than one
+/// 64-byte block is hashed first, a shorter one zero-padded.
+pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> [u8; 32] {
+    let mut block = [0u8; 64];
+    if key.len() > block.len() {
+        block[..32].copy_from_slice(&sha256(key));
+    } else {
+        block[..key.len()].copy_from_slice(key);
+    }
+    let mut inner = Sha256::new();
+    inner.update(&block.map(|b| b ^ 0x36));
+    inner.update(msg);
+    let mut outer = Sha256::new();
+    outer.update(&block.map(|b| b ^ 0x5c));
+    outer.update(&inner.finalize());
+    outer.finalize()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,6 +244,31 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), sha256(&data), "split at {split}");
+        }
+    }
+
+    /// RFC 4231 test cases 1, 2 and 6.
+    #[test]
+    fn hmac_rfc4231_vectors() {
+        let cases: [(&[u8], &[u8], &str); 3] = [
+            (
+                &[0x0b; 20],
+                b"Hi There",
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+            ),
+            (
+                b"Jefe",
+                b"what do ya want for nothing?",
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+            ),
+            (
+                &[0xaa; 131],
+                b"Test Using Larger Than Block-Size Key - Hash Key First",
+                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+            ),
+        ];
+        for (key, msg, tag) in cases {
+            assert_eq!(hex(&hmac_sha256(key, msg)), tag);
         }
     }
 

@@ -5,16 +5,19 @@
 //! CryptoMode)` and its own keys, then signs and verifies through it
 //! without looking at either mode again:
 //!
-//! | mode × crypto | envelopes | a message verifies if | cost charged, check counted |
-//! |---|---|---|---|
-//! | unauthenticated baselines | placeholder | its sender is in the directory | no |
-//! | signed mode, `Modeled` | placeholder | its sender is in the directory | yes |
-//! | signed mode, `Real` | BLS | its sender's key verifies it | yes |
+//! | mode × crypto | signed envelopes | tagged envelopes | a message verifies if | cost charged, check counted |
+//! |---|---|---|---|---|
+//! | unauthenticated baselines | placeholder | zero tag | its sender is in the directory | no |
+//! | signed mode, `Modeled` | placeholder | zero tag | its sender is in the directory | yes |
+//! | signed mode, `Real` | BLS | HMAC-SHA256 | its sender's key (the pair's key) verifies it | yes |
+//!
+//! A message is tagged, not signed, iff its only reader is its addressee:
+//! acks and NACKs, one key per (switch, controller) pair ([`PairKeys`]).
 //!
 //! Who pays how follows the paper's hardware: a switch is one OVS thread,
 //! so each check is serialized CPU; a controller has 12 cores, so a check
 //! is *latency* on whatever it releases ([`Authenticator::verify_latency`],
-//! [`Authenticator::quorum_cost`]).
+//! [`Authenticator::verify_tag`], [`Authenticator::quorum_cost`]).
 //!
 //! `ctrl/membership.rs` is the one module that still asks for the crypto
 //! mode itself: under real crypto a membership change is a different
@@ -31,18 +34,24 @@ use blscrypto::dkg::GroupPublic;
 use simnet::node::Host;
 use simnet::time::SimDuration;
 use southbound::codec::Wire;
-use southbound::envelope::{MsgId, QuorumSigned, ShareSigned, Signed};
+use southbound::envelope::{MsgId, QuorumSigned, ShareSigned, Signed, Tagged};
 use southbound::types::{ControllerId, DomainId, Phase, SwitchId};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// A party that signs with an identity key.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// A party that signs with an identity key or tags with a pair key.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Peer {
     /// A switch (events, acks, NACKs, Segway readies).
     Switch(SwitchId),
     /// A controller (forwarded events).
     Controller(DomainId, ControllerId),
 }
+
+/// MAC keys by `(switch, controller)` pair. An actor holds the pairs it is one
+/// end of — a switch its row, a bootstrap controller its column — and none
+/// below `Real` or on a standby.
+pub type PairKeys = BTreeMap<(Peer, Peer), [u8; 32]>;
 
 /// How much of the signature scheme runs (the table in the module doc).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -53,7 +62,7 @@ enum Level {
 }
 
 /// One actor's signing identity and verification policy. Also owns its
-/// `(origin, seq)` message-id counter and its signature-check counter.
+/// `(origin, seq)` message-id counter and its signature and MAC counters.
 pub struct Authenticator {
     shared: Arc<Shared>,
     level: Level,
@@ -63,19 +72,23 @@ pub struct Authenticator {
     seq: u64,
     identity: Option<SecretKey>,
     share: Option<KeyShare>,
+    pair_keys: PairKeys,
     /// This domain's commitment after a reshare; `None` = bootstrap.
     reshared: Option<GroupPublic>,
+    signs: u64,
     checks: u64,
+    mac_checks: u64,
 }
 
 impl Authenticator {
-    /// The seam of actor `me`, holding its identity key and (controllers)
-    /// its threshold share.
+    /// The seam of actor `me`, holding its identity key, (controllers) its
+    /// threshold share, and its pair keys.
     pub fn new(
         shared: Arc<Shared>,
         me: Peer,
         identity: Option<SecretKey>,
         share: Option<KeyShare>,
+        pair_keys: PairKeys,
     ) -> Self {
         let level = match (shared.cfg.mode.is_signed(), shared.cfg.crypto) {
             (false, _) => Level::Unsigned,
@@ -95,8 +108,11 @@ impl Authenticator {
             seq: 0,
             identity,
             share,
+            pair_keys,
             reshared: None,
+            signs: 0,
             checks: 0,
+            mac_checks: 0,
         }
     }
 
@@ -113,15 +129,20 @@ impl Authenticator {
         }
     }
 
-    /// Envelopes issued so far; on a switch each one is a signature made.
-    pub fn issued(&self) -> u64 {
-        self.seq
+    /// Signatures made so far, identity and share alike.
+    pub fn signs(&self) -> u64 {
+        self.signs
     }
 
     /// Signature checks performed so far — a single verify and an
     /// aggregate verify each count one.
     pub fn checks(&self) -> u64 {
         self.checks
+    }
+
+    /// Tag checks performed so far.
+    pub fn mac_checks(&self) -> u64 {
+        self.mac_checks
     }
 
     /// This actor's threshold key share.
@@ -154,6 +175,7 @@ impl Authenticator {
     ) -> Signed<T> {
         let msg_id = self.next_msg_id();
         if self.signed() {
+            self.signs += 1;
             ctx.charge_cpu(self.shared.cfg.costs.event_sign);
         }
         if self.level == Level::Real {
@@ -180,6 +202,7 @@ impl Authenticator {
     ) -> ShareSigned<T> {
         let msg_id = self.next_msg_id();
         if self.signed() {
+            self.signs += 1;
             ctx.charge_cpu(cpu);
         }
         if self.level == Level::Real {
@@ -198,6 +221,29 @@ impl Authenticator {
         }
     }
 
+    /// Tags `payload` for `to`, its only reader, under the key this actor
+    /// shares with it. The id is the caller's: one body sent to several
+    /// readers is one message, tagged once per reader.
+    pub fn tag<T: Wire>(
+        &mut self,
+        ctx: &mut dyn Host<Net, Obs>,
+        label: &str,
+        payload: T,
+        phase: Phase,
+        msg_id: MsgId,
+        to: Peer,
+    ) -> Tagged<T> {
+        if self.signed() {
+            ctx.charge_cpu(self.shared.cfg.costs.mac);
+        }
+        if self.level == Level::Real {
+            let key = self.pair_keys.get(&(self.me, to)).expect("real crypto: a key per reader");
+            return Tagged::tag(label, payload, phase, msg_id, key);
+        }
+        let dummy = [0; 32];
+        Tagged { payload, phase, msg_id, tag: dummy }
+    }
+
     fn key_of(&self, peer: Peer) -> Option<&PreparedKey> {
         let keys = &self.shared.keys;
         match peer {
@@ -206,17 +252,12 @@ impl Authenticator {
         }
     }
 
-    /// Is `msg` acceptable as signed by `from`? Under `Real` its key must
-    /// verify the envelope; below, `from` must be in the directory. An
-    /// unknown sender is rejected either way.
-    fn accepts<T: Wire>(&self, label: &str, msg: &Signed<T>, from: Peer) -> bool {
+    /// Below `Real` a message is acceptable iff its sender is known at all.
+    fn in_directory(&self, peer: Peer) -> bool {
         let dir = &self.shared.dir;
-        match (self.level, from) {
-            (Level::Real, _) => self
-                .key_of(from)
-                .is_some_and(|key| msg.verify_prepared(label, key)),
-            (_, Peer::Switch(s)) => dir.switch_node.contains_key(&s),
-            (_, Peer::Controller(d, c)) => dir.controller_node.contains_key(&(d, c)),
+        match peer {
+            Peer::Switch(s) => dir.switch_node.contains_key(&s),
+            Peer::Controller(d, c) => dir.controller_node.contains_key(&(d, c)),
         }
     }
 
@@ -230,7 +271,8 @@ impl Authenticator {
         }
     }
 
-    /// Does `msg` verify as signed by `from`?
+    /// Does `msg` verify as signed by `from`? Under `Real` its key must
+    /// verify the envelope; an unknown sender is rejected at every level.
     pub fn verify<T: Wire>(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
@@ -239,7 +281,31 @@ impl Authenticator {
         from: Peer,
     ) -> bool {
         self.book_check(ctx);
-        self.accepts(label, msg, from)
+        if self.level != Level::Real {
+            return self.in_directory(from);
+        }
+        self.key_of(from).is_some_and(|key| msg.verify_prepared(label, key))
+    }
+
+    /// Checks the tag switch `from` put on `msg` for this controller: `Some`
+    /// of the check's price — latency on what the message releases — if it
+    /// holds. Under `Real` a pair without a key has no valid tag.
+    pub fn verify_tag<T: Wire>(
+        &mut self,
+        label: &str,
+        msg: &Tagged<T>,
+        from: Peer,
+    ) -> Option<SimDuration> {
+        let ok = if self.level == Level::Real {
+            self.pair_keys.get(&(from, self.me)).is_some_and(|key| msg.verify(label, key))
+        } else {
+            self.in_directory(from)
+        };
+        if !self.signed() {
+            return ok.then_some(SimDuration::ZERO);
+        }
+        self.mac_checks += 1;
+        ok.then_some(self.shared.cfg.costs.mac)
     }
 
     /// Does the aggregate on `msg` verify under this domain's group key?

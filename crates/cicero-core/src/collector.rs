@@ -328,8 +328,7 @@ mod tests {
         let engine = crate::engine::default_pod_engine(mode, CryptoMode::Real, 1);
         let shared = std::sync::Arc::clone(engine.shared());
         let switches: Vec<SwitchId> = shared.topo.switches().iter().map(|s| s.id).collect();
-        let members = &shared.dir.initial_members;
-        let (_, secrets) = bootstrap_keys(CryptoMode::Real, &switches, members, shared.cfg.seed);
+        let (_, secrets) = bootstrap_keys(CryptoMode::Real, &switches, &shared.dir, shared.cfg.seed);
         let (&domain, old) = secrets.domain_dkg.iter().next().expect("one domain");
         let signed = |share: &KeyShare| {
             let id = MsgId {
@@ -340,7 +339,8 @@ mod tests {
         };
         let share_of = |out: &DkgOutput, signer: usize| out.participants[signer - 1].share.clone();
         let me = Peer::Controller(domain, ControllerId(1));
-        let mut auth = Authenticator::new(shared, me, None, Some(share_of(old, 1)));
+        let share = Some(share_of(old, 1));
+        let mut auth = Authenticator::new(shared, me, None, share, Default::default());
         let mut c: QuorumCollector<u8, FlowId> = QuorumCollector::new();
         // A first quorum builds the group key's table.
         for signer in [1, 2] {

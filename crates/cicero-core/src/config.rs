@@ -86,8 +86,8 @@ impl Mode {
     }
 
     /// `true` for the modes whose updates are threshold-signed and whose
-    /// switch traffic (events, acks, NACKs) is signature-checked: Cicero
-    /// and Segway. The unauthenticated baselines return `false`.
+    /// switch traffic is authenticated (events signed, acks and NACKs
+    /// tagged): Cicero and Segway. The unauthenticated baselines return `false`.
     pub fn is_signed(&self) -> bool {
         self.aggregation().is_some()
     }
@@ -144,6 +144,10 @@ pub struct CostModel {
     pub event_sign: SimDuration,
     /// Switch/controller: verifying a plain BLS signature (2 pairings).
     pub bls_verify: SimDuration,
+    /// Switch/controller: one HMAC-SHA256 tag made or checked over an ack or
+    /// NACK. The paper signs its acks and has no counterpart: everywhere this
+    /// is this code's measured cost, half the `hmac_tag_ack` bench median.
+    pub mac: SimDuration,
     /// Aggregating one signature share (Lagrange-weighted G1 mul).
     pub aggregate_per_share: SimDuration,
     /// Amortized per-item cost of *batched* signature verification: one
@@ -184,6 +188,7 @@ impl Default for CostModel {
             switch_msg: SimDuration::from_micros(250),
             event_sign: SimDuration::from_micros(200),
             bls_verify: SimDuration::from_micros(450),
+            mac: SimDuration::from_nanos(1_925),
             aggregate_per_share: SimDuration::from_micros(150),
             batch_verify_per_item: SimDuration::from_micros(150),
             update_sign: SimDuration::from_micros(250),
@@ -218,8 +223,8 @@ impl CostModel {
     /// 25 % from its median): `event_sign`/`update_sign` ≈ `bls_sign` /
     /// `threshold_sign_share`, `bls_verify` is `bls_verify_prepared` (a
     /// node verifies under keys whose line tables it keeps),
-    /// `aggregate_per_share` is `threshold_aggregate_q2 / 2`, and
-    /// `batch_verify_per_item` is `batch_verify_64 / 64`.
+    /// `aggregate_per_share` is `threshold_aggregate_q2 / 2`, `mac` (as in the
+    /// default) `hmac_tag_ack / 2`, `batch_verify_per_item` `batch_verify_64 / 64`.
     #[must_use]
     pub fn measured() -> Self {
         CostModel {
@@ -457,6 +462,7 @@ mod tests {
                 m.batch_verify_per_item,
                 ns("batch_verify_64") / 64.0,
             ),
+            ("mac", m.mac, ns("hmac_tag_ack") / 2.0),
         ] {
             let ratio = literal.as_nanos() as f64 / bench_ns;
             assert!(

@@ -9,7 +9,7 @@ use crate::obs::Obs;
 use crate::runtime::labels;
 use simnet::node::Host;
 use simnet::time::SimDuration;
-use southbound::envelope::Signed;
+use southbound::envelope::Tagged;
 use southbound::types::SwitchId;
 
 impl ControllerActor {
@@ -67,14 +67,15 @@ impl ControllerActor {
 
     /// Handles a switch NACK: re-send the signed update if we still hold it
     /// (in flight, or acknowledged-by-quorum but missed by this switch).
-    pub(super) fn on_update_nack(&mut self, ctx: &mut dyn Host<Net, Obs>, m: Signed<NackBody>) {
+    pub(super) fn on_update_nack(&mut self, ctx: &mut dyn Host<Net, Obs>, m: Tagged<NackBody>) {
         if !self.active || !self.shared.cfg.reliability.enabled {
             return;
         }
         ctx.charge_cpu(self.shared.cfg.costs.ctrl_msg);
         let from = SwitchId(m.msg_id.origin);
         let body: NackBody = m.payload;
-        if !self.auth.verify(ctx, labels::NACK, &m, Peer::Switch(from)) || body.switch != from {
+        let tagged = self.auth.verify_tag(labels::NACK, &m, Peer::Switch(from)).is_some();
+        if !tagged || body.switch != from {
             return;
         }
         if let Some(u) = self.pending.resync(body.update, ctx.now()) {

@@ -194,10 +194,18 @@ impl ControllerActor {
         self.send_forward(ctx, &event);
     }
 
-    /// Sends `update` to its switch: one body — the update plus whatever
-    /// dependencies were shipped with it — in the envelope the mode uses.
-    /// A third of the share-signing time is serialized CPU; all of it is
-    /// latency on the send, on top of `extra`.
+    /// The body `update` travels in: itself plus whatever dependencies were
+    /// shipped with it.
+    fn body_of(&self, update: NetworkUpdate) -> UpdateBody {
+        let (gates, notify) = self.shipped.get(&update.id).cloned().unwrap_or_default();
+        UpdateBody { update, gates, notify }
+    }
+
+    /// Sends `update` to its switch in the envelope the mode uses. The body
+    /// is share-signed once per phase — a third of the signing time is
+    /// serialized CPU, all of it is latency on the send, on top of `extra` —
+    /// and kept: a retransmission or a NACK answer re-sends it and pays
+    /// neither.
     pub(super) fn send_update_delayed(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
@@ -205,25 +213,28 @@ impl ControllerActor {
         extra: SimDuration,
     ) {
         let switch_node = self.shared.dir.switch(update.switch);
-        let (gates, notify) = self.shipped.get(&update.id).cloned().unwrap_or_default();
-        let body = UpdateBody {
-            update,
-            gates,
-            notify,
-        };
         let Some(aggregation) = self.shared.cfg.mode.aggregation() else {
-            ctx.send_delayed(switch_node, Net::UpdatePlain(body), extra);
+            ctx.send_delayed(switch_node, Net::UpdatePlain(self.body_of(update)), extra);
             return;
         };
-        let sign = self.shared.cfg.costs.update_sign;
-        let cpu = SimDuration::from_nanos(sign.as_nanos() / 3);
         let phase = self.view.phase();
-        let msg = self.auth.sign_share(ctx, labels::UPDATE, body, phase, cpu);
+        let kept = self.kept_updates.get(&update.id).filter(|m| m.phase == phase);
+        let (msg, delay) = match kept {
+            Some(msg) => (msg.clone(), extra),
+            None => {
+                let sign = self.shared.cfg.costs.update_sign;
+                let cpu = SimDuration::from_nanos(sign.as_nanos() / 3);
+                let body = self.body_of(update);
+                let msg = self.auth.sign_share(ctx, labels::UPDATE, body, phase, cpu);
+                self.kept_updates.insert(update.id, msg.clone());
+                (msg, extra + sign)
+            }
+        };
         match aggregation {
-            Aggregation::Switch => ctx.send_delayed(switch_node, Net::UpdateMsg(msg), extra + sign),
+            Aggregation::Switch => ctx.send_delayed(switch_node, Net::UpdateMsg(msg), delay),
             Aggregation::Controller => {
                 let agg = self.node_of(self.view.aggregator());
-                ctx.send_delayed(agg, Net::UpdateToAggregator(msg), extra + sign);
+                ctx.send_delayed(agg, Net::UpdateToAggregator(msg), delay);
             }
         }
     }

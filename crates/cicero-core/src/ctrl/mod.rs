@@ -25,7 +25,7 @@ mod durable;
 mod events;
 mod membership;
 
-use crate::auth::{Authenticator, Peer};
+use crate::auth::{Authenticator, PairKeys, Peer};
 use crate::collector::QuorumCollector;
 use crate::config::Mode;
 use crate::msg::{Net, OrderedOp, SegmentBody, UpdateBody, WalRecord};
@@ -45,6 +45,7 @@ use controller::scheduler::{ReversePathScheduler, UpdateScheduler};
 use membership::PendingReshare;
 use simnet::node::{Actor, Host, NodeId, TimerToken};
 use simnet::time::SimDuration;
+use southbound::envelope::ShareSigned;
 use southbound::types::{
     ControllerId, DomainId, Event, EventId, Phase, SwitchId, UpdateId,
 };
@@ -104,6 +105,10 @@ pub struct ControllerActor {
     /// time, consumed (and re-consumed on retransmission and NACK resync)
     /// by `send_update_delayed`.
     shipped: BTreeMap<UpdateId, (Vec<(UpdateId, SwitchId)>, Vec<SwitchId>)>,
+    /// Every update's share-signed body as last sent — like the ack archive
+    /// it answers NACKs from, never pruned. Retransmissions and NACK answers
+    /// re-send it as-is; re-made only when the phase has moved since.
+    kept_updates: BTreeMap<UpdateId, ShareSigned<UpdateBody>>,
     /// Segway mode: cross-domain events retained for re-forwarding, with a
     /// re-forward attempt counter. Segway has no handshake sweep to re-drive
     /// a dropped `ForwardedEvent`, so a stuck own update doubles as the
@@ -137,6 +142,7 @@ impl ControllerActor {
         id: ControllerId,
         identity: Option<SecretKey>,
         share: Option<KeyShare>,
+        pair_keys: PairKeys,
         view: ControlPlaneView,
         active: bool,
     ) -> Self {
@@ -167,6 +173,7 @@ impl ControllerActor {
                 Peer::Controller(domain, id),
                 identity,
                 share,
+                pair_keys,
             ),
             pending: PendingUpdates::new().with_policy(update_policy(jitter(32, 13))),
             forwards: RetryTable::new(update_policy(jitter(16, 29))),
@@ -195,6 +202,7 @@ impl ControllerActor {
             seg_watch: BTreeMap::new(),
             seg_sent: BTreeMap::new(),
             shipped: BTreeMap::new(),
+            kept_updates: BTreeMap::new(),
             segway_events: BTreeMap::new(),
             retry_armed: false,
             disk: None,
@@ -237,11 +245,11 @@ impl ControllerActor {
         &self.pending
     }
 
-    /// Signature checks this controller performed so far — a single
-    /// verify and an aggregate verify each count one (tests: what a
-    /// duplicate, a late share or a query costs).
-    pub fn signature_checks(&self) -> u64 {
-        self.auth.checks()
+    /// The authentication seam, for its counters — signatures made and
+    /// checked (a single verify and an aggregate verify each count one), tags
+    /// checked (tests: what a duplicate, a late share or a query costs).
+    pub fn auth(&self) -> &Authenticator {
+        &self.auth
     }
 
     fn build_replica(view: &ControlPlaneView, id: ControllerId) -> Replica<OrderedOp> {
@@ -272,7 +280,7 @@ impl ControllerActor {
         self.shared.dir.controller(self.domain, c)
     }
 
-    /// Applies a signature-verified acknowledgement: records it (and its
+    /// Applies a verified acknowledgement: records it (and its
     /// WAL entry, first ack only), releases newly unblocked updates, and
     /// reports any own segment the ack drained upstream.
     fn apply_verified_ack(
@@ -398,17 +406,24 @@ impl Actor<Net, Obs> for ControllerActor {
                 ctx.charge_cpu(self.shared.cfg.costs.ctrl_msg);
                 let update = m.payload.update;
                 // A re-ack of a settled update cannot change anything:
-                // drop it before paying for its signature.
+                // drop it before paying for its tag.
                 if self.pending.is_settled(update) {
                     return;
                 }
-                let from = Peer::Switch(SwitchId(m.msg_id.origin));
-                if !self.auth.verify(ctx, labels::ACK, &m, from) {
+                // A switch acknowledges its own updates only.
+                let origin = SwitchId(m.msg_id.origin);
+                if m.payload.switch != origin
+                    || self.pending.target(update).is_some_and(|s| s != origin)
+                {
                     return;
                 }
                 // Verification latency rides on the released updates
                 // (parallelizable on the controller's cores).
-                self.apply_verified_ack(ctx, update, self.auth.verify_latency());
+                let from = Peer::Switch(origin);
+                let Some(latency) = self.auth.verify_tag(labels::ACK, &m, from) else {
+                    return;
+                };
+                self.apply_verified_ack(ctx, update, latency);
             }
             Net::UpdateNack(m) => self.on_update_nack(ctx, m),
             Net::SegmentApplied(m) => self.on_segment_applied(ctx, from, m),

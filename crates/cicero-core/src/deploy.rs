@@ -10,6 +10,7 @@
 //! so the two executors stand up byte-identical protocol state and differ
 //! only in how they schedule it.
 
+use crate::auth::{PairKeys, Peer};
 use crate::config::{EngineConfig, Mode};
 use crate::ctrl::ControllerActor;
 use crate::msg::Net;
@@ -147,6 +148,9 @@ pub struct NodeSeed {
     /// The node id the executor must assign to this node's actor.
     pub node: NodeId,
     who: Identity,
+    /// The ack MAC keys of the pairs it is one end of: a switch's row, a
+    /// bootstrap controller's column (real-crypto modes).
+    pair_keys: PairKeys,
     disk: Option<DiskHandle>,
 }
 
@@ -266,6 +270,7 @@ impl Deployment {
                     *id,
                     identity.clone(),
                     share.clone(),
+                    seed.pair_keys.clone(),
                     view,
                     *active,
                 ));
@@ -283,8 +288,9 @@ impl Deployment {
             }
             Identity::Switch { id, key } => {
                 let phase = initial_phase_info(&view);
+                let (key, pair_keys) = (key.clone(), seed.pair_keys.clone());
                 let mut actor =
-                    Box::new(SwitchActor::new(shared, *id, domain, key.clone(), phase));
+                    Box::new(SwitchActor::new(shared, *id, domain, key, pair_keys, phase));
                 if let Some(disk) = &seed.disk {
                     actor.attach_disk(disk.clone(), recovering);
                 }
@@ -333,7 +339,6 @@ pub fn plan(
     // ---- plan node ids deterministically -----------------------------
     let mut next_node = 0u32;
     let mut dir = Directory::default();
-    let mut members_per_domain: BTreeMap<DomainId, Vec<ControllerId>> = BTreeMap::new();
     for &d in &domains {
         let members: Vec<ControllerId> =
             (1..=controllers_per_domain).map(ControllerId).collect();
@@ -346,7 +351,6 @@ pub fn plan(
             dir.controller_node.insert((d, c), NodeId(next_node));
             next_node += 1;
         }
-        members_per_domain.insert(d, members.clone());
         dir.initial_members.insert(d, members);
     }
     for s in topo.switches() {
@@ -360,8 +364,14 @@ pub fn plan(
 
     // ---- key ceremony ------------------------------------------------
     let switch_ids: Vec<SwitchId> = topo.switches().iter().map(|s| s.id).collect();
-    let (keys, mut secrets) =
-        bootstrap_keys(cfg.crypto, &switch_ids, &members_per_domain, cfg.seed);
+    let (keys, mut secrets) = bootstrap_keys(cfg.crypto, &switch_ids, &dir, cfg.seed);
+    // A pair's key goes to its two ends and nowhere else (never into `Shared`,
+    // which every actor reads); below `Real`, and for a standby, there is none.
+    let pairs = std::mem::take(&mut secrets.pair_keys);
+    let pair_keys = |end: Peer| -> PairKeys {
+        let mine = pairs.iter().filter(|((s, c), _)| *s == end || *c == end);
+        mine.map(|(&pair, &key)| (pair, key)).collect()
+    };
 
     // ---- locations (controllers sit with their domain) ---------------
     let mut locations: Vec<(u16, u16)> = vec![(0, 0); next_node as usize];
@@ -398,6 +408,7 @@ pub fn plan(
                     share: share.map(|dkg| dkg.participants[(c.0 - 1) as usize].share.clone()),
                     active,
                 },
+                pair_keys: pair_keys(Peer::Controller(d, c)),
                 disk: None,
             });
         }
@@ -409,6 +420,7 @@ pub fn plan(
                 id: s.id,
                 key: secrets.switch_sk.remove(&s.id),
             },
+            pair_keys: pair_keys(Peer::Switch(s.id)),
             disk: None,
         });
     }

@@ -6,7 +6,7 @@ use blscrypto::reshare::ReshareDealing;
 use blscrypto::sha256::sha256_parts;
 use simnet::time::{SimDuration, SimTime};
 use southbound::codec::Wire;
-use southbound::envelope::{QuorumSigned, ShareSigned, Signed};
+use southbound::envelope::{QuorumSigned, ShareSigned, Signed, Tagged};
 use southbound::types::{
     ControllerId, DomainId, Event, EventId, FlowId, HostId, NetworkUpdate, Phase, SwitchId,
     UpdateId,
@@ -307,12 +307,13 @@ pub enum Net {
     },
     /// Aggregator → switch: the quorum-aggregated update body.
     UpdateAggregated(QuorumSigned<UpdateBody>),
-    /// Switch → controller(s): signed application acknowledgement.
-    AckMsg(Signed<AckBody>),
-    /// Switch → controller(s): signed negative acknowledgement — a share
+    /// Switch → one controller: application acknowledgement, tagged under
+    /// the pair's key (one copy per bootstrap controller of the domain).
+    AckMsg(Tagged<AckBody>),
+    /// Switch → one controller: tagged negative acknowledgement — a share
     /// bucket aged below quorum; please re-send the missing signed update
     /// (reliable-delivery layer, see DESIGN.md).
-    UpdateNack(Signed<NackBody>),
+    UpdateNack(Tagged<NackBody>),
     /// Controller → controller: liveness heartbeat.
     Heartbeat {
         /// Sender.

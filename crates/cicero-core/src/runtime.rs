@@ -1,6 +1,7 @@
 //! Shared runtime context handed to every protocol actor: node directory,
 //! public key material, topology, policies and configuration.
 
+use crate::auth::{PairKeys, Peer};
 use crate::config::{CryptoMode, EngineConfig};
 use crate::msg::Net;
 use blscrypto::bls::{PreparedKey, PublicKey, SecretKey, Signature};
@@ -11,8 +12,7 @@ use blscrypto::curves::G2Projective;
 use controller::policy::GlobalDomainPolicy;
 use netmodel::routing::route;
 use netmodel::topology::Topology;
-use substrate::rng::StdRng;
-use substrate::rng::SeedableRng;
+use substrate::rng::{Rng, SeedableRng, StdRng};
 use workload::gen::FlowSpec;
 use simnet::node::NodeId;
 use simnet::time::SimTime;
@@ -186,6 +186,7 @@ impl Shared {
 }
 
 /// Generates the per-actor secret material for a run.
+#[derive(Default)]
 pub struct SecretStore {
     /// Switch identity secret keys (moved into switch actors at build).
     pub switch_sk: BTreeMap<SwitchId, SecretKey>,
@@ -193,6 +194,9 @@ pub struct SecretStore {
     pub controller_sk: BTreeMap<(DomainId, ControllerId), SecretKey>,
     /// Per-domain DKG outputs (shares moved into controller actors).
     pub domain_dkg: BTreeMap<DomainId, DkgOutput>,
+    /// The ack / NACK MAC keys, one per `(switch, bootstrap controller of its
+    /// domain)`; each goes to the two actors of its pair and nobody else.
+    pub pair_keys: PairKeys,
 }
 
 /// Runs the bootstrap key ceremony.
@@ -200,11 +204,13 @@ pub struct SecretStore {
 /// In `Real` mode this performs actual key generation and a DKG per domain
 /// (what the paper's deployment does once at bootstrap); in `Modeled` mode
 /// identity placeholders are produced so that large benchmark runs skip the
-/// curve math entirely.
+/// curve math entirely. `dir` names each domain's bootstrap members and each
+/// switch's domain; the pairwise MAC keys are drawn last, so adding them
+/// moved no other key.
 pub fn bootstrap_keys(
     crypto: CryptoMode,
     switches: &[SwitchId],
-    domains: &BTreeMap<DomainId, Vec<ControllerId>>,
+    dir: &Directory,
     seed: u64,
 ) -> (KeyMaterial, SecretStore) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xc1ce_0cee);
@@ -214,11 +220,7 @@ pub fn bootstrap_keys(
         domains: BTreeMap::new(),
         dummy: KeyMaterial::dummy_signature(),
     };
-    let mut secrets = SecretStore {
-        switch_sk: BTreeMap::new(),
-        controller_sk: BTreeMap::new(),
-        domain_dkg: BTreeMap::new(),
-    };
+    let mut secrets = SecretStore::default();
     let real = crypto == CryptoMode::Real;
     let placeholder = PublicKey(blscrypto::curves::G2Affine::identity());
     for &s in switches {
@@ -230,7 +232,7 @@ pub fn bootstrap_keys(
             material.switch_pk.insert(s, placeholder.into());
         }
     }
-    for (&d, members) in domains {
+    for (&d, members) in &dir.initial_members {
         for &c in members {
             if real {
                 let sk = SecretKey::generate(&mut rng);
@@ -264,6 +266,16 @@ pub fn bootstrap_keys(
             );
         }
     }
+    if real {
+        for &s in switches {
+            let d = dir.domain_of_switch[&s];
+            for &c in &dir.initial_members[&d] {
+                let mut key = [0u8; 32];
+                rng.fill_bytes(&mut key);
+                secrets.pair_keys.insert((Peer::Switch(s), Peer::Controller(d, c)), key);
+            }
+        }
+    }
     (material, secrets)
 }
 
@@ -280,25 +292,39 @@ mod tests {
         dir.controller(DomainId(3), ControllerId(7));
     }
 
+    /// `switches` spread round-robin over `domains` domains of 4 members.
+    fn directory(switches: &[SwitchId], domains: u16) -> Directory {
+        let mut dir = Directory::default();
+        for d in (0..domains).map(DomainId) {
+            dir.initial_members.insert(d, (1..=4).map(ControllerId).collect());
+        }
+        for &s in switches {
+            dir.domain_of_switch.insert(s, DomainId(s.0 as u16 % domains));
+        }
+        dir
+    }
+
     #[test]
     fn modeled_bootstrap_is_cheap_and_complete() {
         let switches: Vec<SwitchId> = (0..10).map(SwitchId).collect();
-        let mut domains = BTreeMap::new();
-        domains.insert(DomainId(0), (1..=4).map(ControllerId).collect::<Vec<_>>());
-        domains.insert(DomainId(1), (1..=4).map(ControllerId).collect::<Vec<_>>());
-        let (mat, sec) = bootstrap_keys(CryptoMode::Modeled, &switches, &domains, 7);
+        let dir = directory(&switches, 2);
+        let (mat, sec) = bootstrap_keys(CryptoMode::Modeled, &switches, &dir, 7);
         assert_eq!(mat.switch_pk.len(), 10);
         assert_eq!(mat.domains.len(), 2);
-        assert!(sec.switch_sk.is_empty());
+        assert!(sec.switch_sk.is_empty() && sec.pair_keys.is_empty());
         assert_eq!(mat.domains[&DomainId(0)].group.config.quorum(), 2);
     }
 
     #[test]
     fn real_bootstrap_produces_working_threshold_keys() {
         let switches: Vec<SwitchId> = (0..2).map(SwitchId).collect();
-        let mut domains = BTreeMap::new();
-        domains.insert(DomainId(0), (1..=4).map(ControllerId).collect::<Vec<_>>());
-        let (mat, sec) = bootstrap_keys(CryptoMode::Real, &switches, &domains, 7);
+        let dir = directory(&switches, 1);
+        let (mat, sec) = bootstrap_keys(CryptoMode::Real, &switches, &dir, 7);
+        // One distinct MAC key per (switch, member of its domain).
+        let keys: std::collections::BTreeSet<_> = sec.pair_keys.values().collect();
+        assert_eq!((sec.pair_keys.len(), keys.len()), (8, 8));
+        let pair = (Peer::Switch(SwitchId(1)), Peer::Controller(DomainId(0), ControllerId(3)));
+        assert!(sec.pair_keys.contains_key(&pair));
         let dkg = &sec.domain_dkg[&DomainId(0)];
         let msg = b"bootstrap check";
         let partials: Vec<_> = dkg.participants[..2]

@@ -7,7 +7,7 @@
 //! goal is "minimal switch instrumentation" — and all heavy operations charge
 //! simulated CPU time so Fig. 11d's utilization comparison is reproducible.
 
-use crate::auth::{Authenticator, Peer};
+use crate::auth::{Authenticator, PairKeys, Peer};
 use crate::collector::{Quorum, QuorumCollector};
 use crate::config::{tx_time, Aggregation, Mode};
 use crate::msg::{AckBody, NackBody, Net, PhaseInfo, ReadyBody, SwitchWalRecord, UpdateBody};
@@ -20,7 +20,7 @@ use netmodel::flowtable::{FlowTable, Lookup};
 use simnet::node::{Actor, Host, NodeId, TimerToken};
 use simnet::time::{SimDuration, SimTime};
 use southbound::codec::Wire;
-use southbound::envelope::Signed;
+use southbound::envelope::{Signed, Tagged};
 use southbound::types::{
     DomainId, Event, EventId, EventKind, FlowAction, FlowId, FlowMatch, HostId, NetworkUpdate,
     Phase, SwitchId, UpdateId, UpdateKind,
@@ -128,6 +128,7 @@ impl SwitchActor {
         id: SwitchId,
         domain: DomainId,
         key: Option<SecretKey>,
+        pair_keys: PairKeys,
         phase_info: PhaseInfo,
     ) -> Self {
         let rel = shared.cfg.reliability;
@@ -137,7 +138,7 @@ impl SwitchActor {
             rel.policy(base, budget, jitter_seed)
         };
         SwitchActor {
-            auth: Authenticator::new(Arc::clone(&shared), Peer::Switch(id), key, None),
+            auth: Authenticator::new(Arc::clone(&shared), Peer::Switch(id), key, None, pair_keys),
             pending_events: RetryTable::new(policy(EVENT_RETRY_BASE, rel.retry_budget, 29)),
             nacks: RetryTable::new(policy(NACK_TIMEOUT, rel.nack_budget, 47)),
             asks: RetryTable::new(policy(rel.retry_base, rel.retry_budget, 13)),
@@ -205,7 +206,7 @@ impl SwitchActor {
 
     /// Signatures made and signature checks performed in this life (tests).
     pub fn signature_ops(&self) -> (u64, u64) {
-        (self.auth.issued(), self.auth.checks())
+        (self.auth.signs(), self.auth.checks())
     }
 
     /// Read access to the flow table (tests, examples).
@@ -503,17 +504,27 @@ impl SwitchActor {
         }
     }
 
-    fn send_ack(&mut self, ctx: &mut dyn Host<Net, Obs>, update: NetworkUpdate) {
-        let body = AckBody {
-            update: update.id,
-            switch: self.id,
-        };
-        let signed = self
-            .auth
-            .sign(ctx, labels::ACK, body, self.phase_info.phase);
-        for node in self.shared.dir.domain_controller_nodes(self.domain) {
-            ctx.send(node, Net::AckMsg(signed.clone()));
+    /// Sends `body` to every bootstrap controller of the domain: one
+    /// message id, one tag per recipient under the key shared with it.
+    fn send_tagged<T: Wire + Copy>(
+        &mut self,
+        ctx: &mut dyn Host<Net, Obs>,
+        label: &str,
+        body: T,
+        wrap: fn(Tagged<T>) -> Net,
+    ) {
+        let (domain, phase) = (self.domain, self.phase_info.phase);
+        let msg_id = self.auth.next_msg_id();
+        for &c in &self.shared.dir.initial_members[&domain] {
+            let to = Peer::Controller(domain, c);
+            let tagged = self.auth.tag(ctx, label, body, phase, msg_id, to);
+            ctx.send(self.shared.dir.controller(domain, c), wrap(tagged));
         }
+    }
+
+    fn send_ack(&mut self, ctx: &mut dyn Host<Net, Obs>, update: NetworkUpdate) {
+        let body = AckBody { update: update.id, switch: self.id };
+        self.send_tagged(ctx, labels::ACK, body, Net::AckMsg);
     }
 
     /// A duplicate of an already-applied update means some controller has
@@ -673,22 +684,9 @@ impl SwitchActor {
     }
 
     fn send_nack(&mut self, ctx: &mut dyn Host<Net, Obs>, update: UpdateId, have: u32) {
-        let body = NackBody {
-            update,
-            switch: self.id,
-            have,
-        };
-        let signed = self
-            .auth
-            .sign(ctx, labels::NACK, body, self.phase_info.phase);
-        ctx.observe(Obs::NackSent {
-            switch: self.id,
-            update,
-            have,
-        });
-        for node in self.shared.dir.domain_controller_nodes(self.domain) {
-            ctx.send(node, Net::UpdateNack(signed.clone()));
-        }
+        let body = NackBody { update, switch: self.id, have };
+        ctx.observe(Obs::NackSent { switch: self.id, update, have });
+        self.send_tagged(ctx, labels::NACK, body, Net::UpdateNack);
     }
 
     fn on_flow_arrival(

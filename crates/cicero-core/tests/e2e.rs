@@ -446,12 +446,12 @@ fn event_linearizability_holds_under_message_loss() {
 }
 
 /// A replayed event and a duplicate acknowledgement are dropped on the
-/// cheap state check, before their signatures are looked at: zero
+/// cheap state check, before signature or tag is looked at: zero
 /// verifications, no observation, no pending-graph change. A *fresh* event
 /// through the same door is verified — the counter is live.
 #[test]
 fn duplicates_are_dropped_before_their_signatures_are_checked() {
-    use southbound::envelope::{MsgId, Signed};
+    use southbound::envelope::{MsgId, Signed, Tagged};
     use southbound::types::{ControllerId, DomainId, Event, EventId, EventKind, Phase, UpdateId};
 
     let (mut engine, topo) = run_mode_to_completion(
@@ -483,19 +483,28 @@ fn duplicates_are_dropped_before_their_signatures_are_checked() {
             signature: KeyMaterial::dummy_signature(),
         }
     }
-    let ack = cicero_core::msg::AckBody {
-        update: UpdateId {
-            event: event.id,
-            seq: 0,
+    let ack = Tagged {
+        payload: cicero_core::msg::AckBody {
+            update: UpdateId {
+                event: event.id,
+                seq: 0,
+            },
+            switch: ingress,
         },
-        switch: ingress,
+        phase: Phase(0),
+        msg_id: MsgId {
+            origin: ingress.0,
+            seq: 901,
+        },
+        tag: [0; 32],
     };
-    let snapshot = |engine: &mut Engine| -> Vec<(u64, usize, usize)> {
+    let snapshot = |engine: &mut Engine| -> Vec<(u64, u64, usize, usize)> {
         (1..=4)
             .map(|c| {
                 engine.with_controller(DomainId(0), ControllerId(c), |a| {
                     (
-                        a.signature_checks(),
+                        a.auth().checks(),
+                        a.auth().mac_checks(),
                         a.pending().in_flight_count(),
                         a.pending().waiting_count(),
                     )
@@ -504,13 +513,13 @@ fn duplicates_are_dropped_before_their_signatures_are_checked() {
             .collect()
     };
     let before = snapshot(&mut engine);
-    assert!(before.iter().all(|&(checks, ..)| checks > 0));
+    assert!(before.iter().all(|&(checks, macs, ..)| checks > 0 && macs > 0));
     let n_obs = engine.observations().len();
     let at = engine.now() + SimDuration::from_millis(1);
     for c in 1..=4 {
         let node = engine.controller_node(DomainId(0), ControllerId(c));
         engine.inject_raw(at, ENVIRONMENT, node, Net::EventMsg(envelope(event, ingress.0, 900)));
-        engine.inject_raw(at, ENVIRONMENT, node, Net::AckMsg(envelope(ack, ingress.0, 901)));
+        engine.inject_raw(at, ENVIRONMENT, node, Net::AckMsg(ack.clone()));
     }
     engine.run(at + SimDuration::from_secs(1));
     assert_eq!(snapshot(&mut engine), before, "replays must cost and change nothing");

@@ -444,6 +444,54 @@ fn shares_lost_to_three_of_four_upstream_controllers_are_fetched_within_one_retr
     assert_eq!(report.stats.segment_retransmits, 12);
 }
 
+/// A retransmission never redoes crypto: while the egress switch can hear
+/// only one controller (below quorum), the other three retransmit its
+/// update again and again and the fourth answers its NACKs — all with the
+/// share each signed once. When the links heal, the switch reaches quorum
+/// on re-sent shares, under real crypto.
+#[test]
+fn retransmissions_resend_the_kept_share_and_sign_nothing() {
+    let mut cfg = EngineConfig::for_mode(Mode::Cicero {
+        aggregation: Aggregation::Switch,
+    });
+    cfg.crypto = CryptoMode::Real;
+    let topo = Topology::single_pod(2, 2, 2);
+    let mut engine = Engine::build(cfg, topo.clone(), DomainMap::single(&topo), 0);
+    let (src, dst) = cross_rack_pairs(&topo, 1)[0];
+    let egress = topo.host(dst).unwrap().attached;
+    let healed = SimTime::ZERO + SimDuration::from_millis(700);
+    let mut plan = FaultPlan::none();
+    for c in all_controller_nodes(&engine).into_iter().skip(1) {
+        plan = plan.with_severed_window(engine.switch_node(egress), c, SimTime::ZERO, healed);
+    }
+    engine.set_faults(plan);
+    inject_one_flow(&mut engine, &topo, src, dst, 1);
+    let signs = |engine: &mut Engine| -> Vec<u64> {
+        (1..=4)
+            .map(|c| engine.with_controller(DomainId(0), ControllerId(c), |a| a.auth().signs()))
+            .collect()
+    };
+    // The egress update is the first of the reverse-path chain: until it is
+    // acked nothing else is released, so each controller has signed once.
+    engine.run(SimTime::ZERO + SimDuration::from_millis(50));
+    assert_eq!(signs(&mut engine), vec![1; 4]);
+    engine.run(healed);
+    let stats = retransmit_stats(engine.observations());
+    assert!(stats.update_retransmits >= 3 * 2, "cut-off controllers retransmit: {stats:?}");
+    assert!(stats.nacks >= 1, "the starved switch asks: {stats:?}");
+    assert_eq!(signs(&mut engine), vec![1; 4], "no retransmission or NACK answer signs");
+    let report = engine.run_reporting(healed + SimDuration::from_secs(5));
+    assert!(report.completed, "{report}");
+    let quorum = engine.observations().iter().find_map(|o| match o.value {
+        Obs::UpdateApplied { switch, signers, .. } if switch == egress => Some((o.at, signers)),
+        _ => None,
+    });
+    let (at, signers) = quorum.expect("the egress update goes in");
+    assert!(at >= healed && signers >= 2, "quorum only on re-sent shares: {signers} at {at:?}");
+    // Three updates on the path, each share-signed once per controller.
+    assert_eq!(signs(&mut engine), vec![3; 4]);
+}
+
 // ---------------------------------------------------------------------
 // Segway ready-message reliability (DESIGN.md §3, decentralized mode).
 // ---------------------------------------------------------------------

@@ -20,7 +20,7 @@
 
 use crate::scheduler::ScheduledUpdate;
 use simnet::time::{SimDuration, SimTime};
-use southbound::types::{NetworkUpdate, UpdateId};
+use southbound::types::{NetworkUpdate, SwitchId, UpdateId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Retransmission policy: exponential backoff with deterministic jitter.
@@ -406,6 +406,13 @@ impl PendingUpdates {
     /// until a re-ack retires it — that re-ack still matters.)
     pub fn is_settled(&self, id: UpdateId) -> bool {
         self.acked.contains(&id) && !self.sent.contains(&id)
+    }
+
+    /// The switch `id` is addressed to, once this tracker has been handed it.
+    pub fn target(&self, id: UpdateId) -> Option<SwitchId> {
+        let waiting = self.waiting.get(&id).map(|s| &s.update);
+        let known = waiting.or_else(|| self.sent.get(&id)).or_else(|| self.completed.get(&id));
+        known.map(|u| u.switch)
     }
 
     /// `true` iff `id` was reported failed.

@@ -34,6 +34,19 @@
 //! now numbers the answers. Every other hash passed unedited — which also
 //! shows that folding `ReliabilityConfig::event_retry_*` away changed no
 //! value.
+//!
+//! PR 22 re-recorded every row whose run is in a signed mode (`run` 0 and
+//! 9, all of `secure`, `recover` and `segway`, the Cicero, Cicero-Agg and
+//! Segway rows of `GOLDEN_ENGINE`): acks and NACKs carry a per-recipient
+//! HMAC tag instead of one BLS signature, so per acknowledged hop the switch
+//! is charged 4 × `mac` instead of `event_sign` (200 µs) and the updates an
+//! ack releases leave `mac` instead of `bls_verify` (450 µs) later; and a
+//! retransmitted or NACK-answered update re-sends the share signed for its
+//! first send (same `msg_id`), charging no `update_sign` CPU or latency
+//! again. The messages sent and the `msg_id` of an ack (one per body, as
+//! before) are what they were, and where authentication is free nothing
+//! moved: the seven unsigned-mode rows (`run` 2, 6 and 42; `Centralized` and
+//! `CrashTolerant` in `GOLDEN_ENGINE`) passed unedited.
 
 use cicero_core::prelude::*;
 use simcheck::{run_scenario_traced, Scenario};
@@ -151,10 +164,10 @@ const GOLDEN_SCENARIOS: [(&str, fn(u64) -> Scenario, [(u64, u64); 5]); 4] = [
         "run",
         Scenario::generate,
         [
-            (0, 0x11b34aaca3f22855),
+            (0, 0x911ca5522cc42951),
             (2, 0x2e0801721cf6f9a9),
             (6, 0x5853bfc85ddecac2),
-            (9, 0x06913620e9d405ff),
+            (9, 0x0cf53963772f0de4),
             (42, 0xb849b2941908bab4),
         ],
     ),
@@ -162,33 +175,33 @@ const GOLDEN_SCENARIOS: [(&str, fn(u64) -> Scenario, [(u64, u64); 5]); 4] = [
         "secure",
         Scenario::generate_secure,
         [
-            (1, 0x7e0c9f6e3d668e95),
-            (2, 0x669069d619577fa0),
-            (6, 0xac71695329bd12c1),
-            (9, 0xefc55aadd3022513),
-            (42, 0xdf79fbb1589ddad2),
+            (1, 0x809c8b8a52a4c6c4),
+            (2, 0x21a856c09f521b88),
+            (6, 0x451d3dd5a13ddf6e),
+            (9, 0x3f636c05fca1e677),
+            (42, 0x3f18bc33e172cde6),
         ],
     ),
     (
         "recover",
         Scenario::generate_recovery,
         [
-            (0, 0x54388fc49ef13306),
-            (4, 0x586582cd8bea45ed),
-            (7, 0x8e0dc7e2d48e456a),
-            (9, 0x4006a5a61c73a42f),
-            (42, 0x1cab1dd5eb4b85b5),
+            (0, 0x75ae55314e1e0224),
+            (4, 0xda3c0779170c7029),
+            (7, 0xeb6e56560f16e6fd),
+            (9, 0x56386ec35eda2532),
+            (42, 0x1d9d5bfa00bd3d67),
         ],
     ),
     (
         "segway",
         Scenario::generate_segway,
         [
-            (0, 0x88a2f748464531b3),
-            (2, 0xbad5ddfddb580eb6),
-            (3, 0xdfc1d2d604926c49),
-            (6, 0x42c7a5597eaee8b0),
-            (42, 0x1279a46e624d6a83),
+            (0, 0x31f93f70c8c71edd),
+            (2, 0x2510c633f2c69219),
+            (3, 0x2b0ea6954bb9e8ab),
+            (6, 0x894c5d7e88053725),
+            (42, 0x9045604099d73943),
         ],
     ),
 ];
@@ -219,17 +232,17 @@ const GOLDEN_ENGINE: [(Mode, u64, u64); 5] = [
         Mode::Cicero {
             aggregation: Aggregation::Switch,
         },
-        0xa0ecc0b5eba17f2d,
-        0x57b56663632fdb5a,
+        0x6ef89039cbdc6757,
+        0xc8877b53a2522038,
     ),
     (
         Mode::Cicero {
             aggregation: Aggregation::Controller,
         },
-        0x00a0aa8913db2270,
-        0x46af7cc012f0797f,
+        0xce2c53e51b84af68,
+        0xc15cbaa4e9987e73,
     ),
-    (Mode::Segway, 0x2ea2c1f797a961ce, 0x66d04e308f7ee8ab),
+    (Mode::Segway, 0xdf7931cdb744deab, 0xc1cba8faa8b0dab1),
 ];
 
 fn engine_trace_hash(mode: Mode, crypto: CryptoMode, drop: f64) -> u64 {

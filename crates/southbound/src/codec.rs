@@ -187,11 +187,12 @@ wire_newtype! {
 /// Declares a struct's wire layout: the named fields, encoded in the order
 /// listed. That order *is* the wire order (signatures cover these bytes), so
 /// a field is appended or the record gets a new name; the field types are
-/// whatever the struct declares, found through [`Wire::decode`].
+/// whatever the struct declares, found through [`Wire::decode`]. An envelope
+/// generic over its payload is declared as `Name<T> { .. }`.
 #[macro_export]
 macro_rules! wire_struct {
-    ($ty:ident { $($field:ident),* $(,)? }) => {
-        impl $crate::codec::Wire for $ty {
+    ($ty:ident $(<$g:ident>)? { $($field:ident),* $(,)? }) => {
+        impl $(<$g: $crate::codec::Wire>)? $crate::codec::Wire for $ty $(<$g>)? {
             fn encode(&self, buf: &mut Vec<u8>) {
                 $($crate::codec::Wire::encode(&self.$field, buf);)*
             }

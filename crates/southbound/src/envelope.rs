@@ -1,7 +1,8 @@
-//! Signed message envelopes — the paper's OpenFlow extension.
+//! Authenticated message envelopes — the paper's OpenFlow extension.
 //!
-//! Every protocol payload is signed over its *canonical wire encoding* plus a
-//! domain-separation label and the membership phase, and carries a unique
+//! Every protocol payload is signed — or, when its addressee is its only
+//! reader, MAC-tagged ([`Tagged`]) — over its *canonical wire encoding* plus
+//! a domain-separation label and the membership phase, and carries a unique
 //! `(origin, sequence)` message id so switches and controllers can discard
 //! duplicates (paper §5.1, "southbound interface").
 
@@ -10,7 +11,7 @@ use crate::types::Phase;
 use blscrypto::bls::{
     self, KeyShare, PartialSignature, PreparedKey, PublicKey, SecretKey, Signature,
 };
-use blscrypto::sha256::sha256_parts;
+use blscrypto::sha256::{hmac_sha256, sha256_parts};
 
 /// Unique message identifier: `(origin node, per-origin sequence)`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -21,6 +22,8 @@ pub struct MsgId {
     pub seq: u64,
 }
 
+crate::wire_struct!(MsgId { origin, seq });
+
 /// Computes the signing digest of a payload under a label and phase.
 ///
 /// Signing the digest (rather than raw bytes) matches the paper's design
@@ -29,7 +32,8 @@ pub fn signing_digest<T: Wire>(label: &str, phase: Phase, payload: &T) -> [u8; 3
     sha256_parts(label, &[&phase.0.to_be_bytes(), &payload.to_wire()])
 }
 
-/// A payload signed with a plain BLS key (events from switches, acks).
+/// A payload signed with a plain BLS key (events from switches, forwarded
+/// events, Segway readies): anyone holding the public key can check it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Signed<T> {
     /// The payload.
@@ -66,6 +70,40 @@ impl<T: Wire> Signed<T> {
     pub fn verify_prepared(&self, label: &str, key: &PreparedKey) -> bool {
         let digest = signing_digest(label, self.phase, &self.payload);
         key.verify(&digest, &self.signature)
+    }
+}
+
+/// A payload authenticated for its one addressee: an HMAC-SHA256 tag under
+/// the key that sender and addressee share (acks, NACKs). A message is
+/// tagged, not signed, iff its only reader is its addressee — nobody else
+/// can check the tag, and the addressee could have made it itself.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Tagged<T> {
+    /// The payload.
+    pub payload: T,
+    /// Phase the tag covers.
+    pub phase: Phase,
+    /// Unique message id.
+    pub msg_id: MsgId,
+    /// HMAC-SHA256 over [`signing_digest`] under the pair's key.
+    pub tag: [u8; 32],
+}
+
+crate::wire_struct!(Tagged<T> { payload, phase, msg_id, tag });
+
+impl<T: Wire> Tagged<T> {
+    /// Tags `payload` under the pairwise `key`.
+    pub fn tag(label: &str, payload: T, phase: Phase, msg_id: MsgId, key: &[u8; 32]) -> Self {
+        let tag = hmac_sha256(key, &signing_digest(label, phase, &payload));
+        Tagged { payload, phase, msg_id, tag }
+    }
+
+    /// Checks the tag under `key`, comparing all 32 bytes without an early
+    /// exit (no timing oracle for a byte-by-byte forgery).
+    pub fn verify(&self, label: &str, key: &[u8; 32]) -> bool {
+        let expected = hmac_sha256(key, &signing_digest(label, self.phase, &self.payload));
+        let diff = expected.iter().zip(&self.tag).fold(0, |d, (a, b)| d | (a ^ b));
+        diff == 0
     }
 }
 
@@ -187,6 +225,49 @@ mod tests {
         let mut rephased = msg;
         rephased.phase = Phase(4);
         assert!(!both(&rephased, LABEL));
+    }
+
+    #[test]
+    fn tagged_round_trip_tamper_and_wrong_key() {
+        let (key, other) = ([7u8; 32], [8u8; 32]);
+        let id = MsgId { origin: 1, seq: 9 };
+        let msg = Tagged::tag(LABEL, FlowId(42), Phase(3), id, &key);
+        assert!(msg.verify(LABEL, &key));
+        assert!(!msg.verify(LABEL, &other));
+        assert!(!msg.verify("OTHER", &key));
+        let mut tampered = msg.clone();
+        tampered.payload = FlowId(43);
+        assert!(!tampered.verify(LABEL, &key));
+        let mut rephased = msg.clone();
+        rephased.phase = Phase(4);
+        assert!(!rephased.verify(LABEL, &key));
+        // Every tag byte is compared, the last like the first.
+        for i in [0, 31] {
+            let mut flipped = msg.clone();
+            flipped.tag[i] ^= 1;
+            assert!(!flipped.verify(LABEL, &key), "byte {i}");
+        }
+    }
+
+    /// The tagged envelope's byte layout, pinned like the records it carries.
+    #[test]
+    fn golden_tagged_fixture() {
+        let msg = Tagged {
+            payload: FlowId(0x0102030405060708),
+            phase: Phase(0x1112131415161718),
+            msg_id: MsgId {
+                origin: 0x21222324,
+                seq: 0x3132333435363738,
+            },
+            tag: std::array::from_fn(|i| 0xe0 + i as u8),
+        };
+        let hex: String = msg.to_wire().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "0102030405060708111213141516171821222324313233343536373\
+             8e0e1e2e3e4e5e6e7e8e9eaebecedeeeff0f1f2f3f4f5f6f7f8f9fafbfcfdfeff"
+        );
+        assert_eq!(Tagged::<FlowId>::from_wire(&msg.to_wire()), Ok(msg));
     }
 
     #[test]

@@ -81,10 +81,10 @@ if grep -rn "impl.*Wire for" crates --include=*.rs |
     exit 1
 fi
 
-echo "== the signed receipts (boundary release, Segway ready) stay deleted =="
-if grep -rn "BoundaryRelease\b\|ReleaseBody\|SegwayReadyAck\|READY_RECEIPT\|ReadyReceipted\|ready_out" \
+echo "== the signed receipts (boundary release, Segway ready) and signed acks stay deleted =="
+if grep -rn "BoundaryRelease\b\|ReleaseBody\|SegwayReadyAck\|READY_RECEIPT\|ReadyReceipted\|ready_out\|Signed<AckBody>\|Signed<NackBody>" \
     crates src tests examples --include=*.rs; then
-    echo "verify.sh: the handshake and the Segway readies are receiver-driven (DESIGN.md §3); no receipt type comes back" >&2
+    echo "verify.sh: the handshake and the Segway readies are receiver-driven, acks and NACKs are Tagged<_> under the pair's key (DESIGN.md §3); no receipt type and no signed twin comes back" >&2
     exit 1
 fi
 
@@ -95,7 +95,8 @@ echo "== perf regression gate (benchkit compare vs BENCH_protocol.json) =="
 # The caps sit at about twice the recorded medians (refresh them with the
 # baseline): bls_verify ≤ 3.1 ms and, under a key whose line table is kept,
 # bls_verify_prepared ≤ 2.8 ms; a four-signer same-message batch
-# (batch_verify_4_same_msg) ≤ 4.3 ms; batch_verify_64 amortized ≤ 2 ms per
+# (batch_verify_4_same_msg) ≤ 4.3 ms; one ack's tag plus its check
+# (hmac_tag_ack) ≤ 7.7 µs; batch_verify_64 amortized ≤ 2 ms per
 # update (the paper-level target); and one cross-domain boundary's whole
 # handshake (handshake_boundary_n4: 4 report shares, 4 quorum certificates,
 # nothing else) ≤ 15.5 ms. The last one is what keeps the handshake
@@ -118,6 +119,7 @@ if [ -z "${SKIP_BENCH_GATE:-}" ]; then
         --cap bls_verify=3100000 \
         --cap bls_verify_prepared=2800000 \
         --cap batch_verify_4_same_msg=4300000 \
+        --cap hmac_tag_ack=7700 \
         --cap batch_verify_64/64=2000000
     cargo run -q --offline --release -p bench --bin benchgate -- \
         BENCH_protocol.json "$fresh_bench" protocol \

@@ -5,11 +5,13 @@
 use blscrypto::bls::{PartialSignature, SecretKey};
 use blscrypto::curves::g1_generator;
 use cicero::prelude::*;
+use cicero_core::auth::Peer;
 use cicero_core::msg::UpdateBody;
+use cicero_core::runtime::SecretStore;
 use simcheck::harness::{self, applied_count as applied};
 use substrate::rng::{SeedableRng, StdRng};
 use simnet::sim::ENVIRONMENT;
-use southbound::envelope::{MsgId, QuorumSigned, ShareSigned, Signed};
+use southbound::envelope::{MsgId, QuorumSigned, ShareSigned, Signed, Tagged};
 
 fn build() -> (Engine, Topology) {
     let topo = Topology::single_pod(2, 2, 2);
@@ -248,10 +250,11 @@ fn unauthenticated_events_are_ignored() {
 #[test]
 fn forged_acks_cannot_accelerate_the_reverse_path_pipeline() {
     // The reverse-path schedule releases update k only after the verified
-    // ack of update k+1. An attacker pre-forging every ack (wrong key)
-    // must not release anything early: completion time with the forged
-    // acks present is never earlier than without them.
-    fn run(with_forged_acks: bool) -> SimDuration {
+    // ack of update k+1. An attacker pre-forging every ack — 32 random
+    // bytes for a tag, or a genuine HMAC under a key of its own — must not
+    // release anything early: completion time with the forged acks present
+    // is never earlier than without them.
+    fn run(forger: Option<fn(cicero_core::msg::AckBody, MsgId) -> Tagged<cicero_core::msg::AckBody>>) -> SimDuration {
         let (mut engine, topo) = build();
         let hosts = topo.hosts();
         let src = hosts[0].id;
@@ -264,27 +267,20 @@ fn forged_acks_cannot_accelerate_the_reverse_path_pipeline() {
         assert_eq!(r.path.len(), 3);
         let start = SimTime::ZERO + SimDuration::from_millis(1);
         harness::inject_flow(&mut engine, &topo, FlowId(1), src, dst, 500, start).unwrap();
-        if with_forged_acks {
-            let mut rng = StdRng::seed_from_u64(99);
-            let attacker_key = SecretKey::generate(&mut rng);
-            // PacketIn event ids are (switch << 32 | 1); forge acks for all
-            // three updates of that event, addressed to all controllers.
-            let event = EventId(((r.path[0].0 as u64) << 32) | 1);
+        // PacketIn event ids are (switch << 32 | 1); forge acks for all
+        // three updates of that event, addressed to all controllers.
+        let event = EventId(((r.path[0].0 as u64) << 32) | 1);
+        if let Some(forge) = forger {
             for seq in 0..3u32 {
                 let body = cicero_core::msg::AckBody {
                     update: UpdateId { event, seq },
                     switch: r.path[seq as usize],
                 };
-                let forged = Signed::sign(
-                    "CICERO_ACK_V1",
-                    body,
-                    Phase(0),
-                    MsgId {
-                        origin: r.path[seq as usize].0,
-                        seq: 100 + seq as u64,
-                    },
-                    &attacker_key,
-                );
+                let id = MsgId {
+                    origin: r.path[seq as usize].0,
+                    seq: 100 + seq as u64,
+                };
+                let forged = forge(body, id);
                 for c in 1..=4u32 {
                     let node = engine.controller_node(DomainId(0), ControllerId(c));
                     engine.inject_raw(
@@ -297,23 +293,43 @@ fn forged_acks_cannot_accelerate_the_reverse_path_pipeline() {
             }
         }
         engine.run(start + SimDuration::from_secs(10));
-        let done = engine
+        if forger.is_some() {
+            // The forgeries were looked at, not lost: each controller
+            // checked its 3 honest acks and the 3 forged ones.
+            for c in 1..=4 {
+                let macs = engine.with_controller(DomainId(0), ControllerId(c), |a| a.auth().mac_checks());
+                assert_eq!(macs, 6, "controller {c}");
+            }
+        }
+        engine
             .observations()
             .iter()
             .find_map(|o| match o.value {
                 Obs::FlowCompleted { start, .. } => Some(o.at.since(start)),
                 _ => None,
             })
-            .expect("flow completes despite the attack");
-        done
+            .expect("flow completes despite the attack")
     }
 
-    let honest = run(false);
-    let attacked = run(true);
-    assert!(
-        attacked >= honest,
-        "forged acks must not accelerate completion ({attacked} < {honest})"
-    );
+    let honest = run(None);
+    let random_tag = run(Some(|payload, msg_id| {
+        let mut tag = [0u8; 32];
+        substrate::rng::Rng::fill_bytes(&mut StdRng::seed_from_u64(99), &mut tag);
+        Tagged {
+            payload,
+            phase: Phase(0),
+            msg_id,
+            tag,
+        }
+    }));
+    let attacker_keyed =
+        run(Some(|body, id| Tagged::tag("CICERO_ACK_V1", body, Phase(0), id, &[0x66; 32])));
+    for attacked in [random_tag, attacker_keyed] {
+        assert!(
+            attacked >= honest,
+            "forged acks must not accelerate completion ({attacked} < {honest})"
+        );
+    }
 }
 
 fn build_segway() -> (Engine, Topology) {
@@ -618,14 +634,22 @@ mod segway_release {
             let s = info.id;
             let released = releases.iter().filter(|r| r.from == s).count() as u64;
             let accepted = releases.iter().filter(|r| r.to == s).count() as u64;
-            // Signs: one ack per applied update, its events, one ready per
-            // release. Checks: one certificate per applied update, one
+            // Signs: its events, one ready per release — an ack is tagged,
+            // not signed. Checks: one certificate per applied update, one
             // signature per accepted ready. Nothing acknowledges a ready.
-            assert_eq!(signs, applied(s) + raised(s) + released, "signs of {s:?}");
+            assert_eq!(signs, raised(s) + released, "signs of {s:?}");
             assert_eq!(checks, applied(s) + accepted, "checks of {s:?}");
             total = (total.0 + signs, total.1 + checks);
         }
-        assert_eq!(total, (5 + 1 + 4, 5 + 4), "the flow's switch-side budget");
+        assert_eq!(total, (1 + 4, 5 + 4), "the flow's switch-side budget");
+        // Plus one tag per ack per controller of the acking switch's domain,
+        // each checked once where it was addressed.
+        let members = engine.shared().dir.initial_members.clone();
+        let mut tags = 0;
+        for (d, c) in members.iter().flat_map(|(&d, cs)| cs.iter().map(move |&c| (d, c))) {
+            tags += engine.with_controller(d, c, |a| a.auth().mac_checks());
+        }
+        assert_eq!(tags, 5 * 4, "five acks, four readers each");
     }
 
     #[test]
@@ -687,52 +711,57 @@ mod segway_release {
 
 // ----- cross-domain handshake: quorum-certified reports, receiver-driven queries -----
 
+const SEED: u64 = 0x5e9;
+
+/// A two-rack pod split into two domains under real crypto, `standby`
+/// spare controllers in each, plus the secrets the key ceremony handed its
+/// actors (the ceremony is a pure function of the seed, so re-running it
+/// re-derives them).
+fn split_fabric(standby: u32) -> (Engine, Topology, SecretStore) {
+    let mut cfg = EngineConfig::for_mode(Mode::Cicero {
+        aggregation: Aggregation::Switch,
+    });
+    cfg.crypto = CryptoMode::Real;
+    cfg.seed = SEED;
+    let topo = Topology::single_pod(2, 1, 2);
+    let dm = DomainMap::split_racks(&topo, 2);
+    let engine = Engine::build(cfg, topo.clone(), dm, standby);
+    let switches: Vec<SwitchId> = topo.switches().iter().map(|s| s.id).collect();
+    let (keys, secrets) = bootstrap_keys(CryptoMode::Real, &switches, &engine.shared().dir, SEED);
+    for (d, k) in &keys.domains {
+        assert_eq!(
+            k.public_key.key(),
+            engine.shared().keys.domains[d].public_key.key(),
+            "re-derived ceremony must match the engine's"
+        );
+    }
+    (engine, topo, secrets)
+}
+
+/// Injects the one boundary-crossing flow of [`split_fabric`].
+fn inject_cross_rack(engine: &mut Engine, topo: &Topology) {
+    let hosts = topo.hosts();
+    let src = hosts[0].id;
+    let dst = hosts
+        .iter()
+        .find(|h| h.attached != hosts[0].attached)
+        .expect("two racks")
+        .id;
+    let start = SimTime::ZERO + SimDuration::from_millis(1);
+    harness::inject_flow(engine, topo, FlowId(1), src, dst, 500, start).expect("routable");
+}
+
 mod handshake {
     use super::*;
+    use super::inject_cross_rack as inject;
     use cicero_core::msg::SegmentBody;
-    use cicero_core::runtime::SecretStore;
     use simnet::fault::FaultPlan;
     use std::sync::OnceLock;
 
-    const SEED: u64 = 0x5e9;
     const SEGMENT: &str = "CICERO_SEGMENT_V1";
 
-    /// A two-rack pod split into two domains under real crypto, plus the
-    /// secrets the key ceremony handed its actors (the ceremony is a pure
-    /// function of the seed, so re-running it re-derives them).
     fn fabric() -> (Engine, Topology, SecretStore) {
-        let mut cfg = EngineConfig::for_mode(Mode::Cicero {
-            aggregation: Aggregation::Switch,
-        });
-        cfg.crypto = CryptoMode::Real;
-        cfg.seed = SEED;
-        let topo = Topology::single_pod(2, 1, 2);
-        let dm = DomainMap::split_racks(&topo, 2);
-        let engine = Engine::build(cfg, topo.clone(), dm, 0);
-        let switches: Vec<SwitchId> = topo.switches().iter().map(|s| s.id).collect();
-        let members = engine.shared().dir.initial_members.clone();
-        let (keys, secrets) = bootstrap_keys(CryptoMode::Real, &switches, &members, SEED);
-        for (d, k) in &keys.domains {
-            assert_eq!(
-                k.public_key.key(),
-                engine.shared().keys.domains[d].public_key.key(),
-                "re-derived ceremony must match the engine's"
-            );
-        }
-        (engine, topo, secrets)
-    }
-
-    /// Injects the one boundary-crossing flow every test drives.
-    fn inject(engine: &mut Engine, topo: &Topology) {
-        let hosts = topo.hosts();
-        let src = hosts[0].id;
-        let dst = hosts
-            .iter()
-            .find(|h| h.attached != hosts[0].attached)
-            .expect("two racks")
-            .id;
-        let start = SimTime::ZERO + SimDuration::from_millis(1);
-        harness::inject_flow(engine, topo, FlowId(1), src, dst, 500, start).expect("routable");
+        split_fabric(0)
     }
 
     /// What an honest run of the fabric looks like: which barrier the flow
@@ -957,7 +986,13 @@ mod handshake {
 
     fn checks(engine: &mut Engine, d: DomainId) -> Vec<u64> {
         (1..=4)
-            .map(|c| engine.with_controller(d, ControllerId(c), |a| a.signature_checks()))
+            .map(|c| engine.with_controller(d, ControllerId(c), |a| a.auth().checks()))
+            .collect()
+    }
+
+    fn mac_checks(engine: &mut Engine, d: DomainId) -> Vec<u64> {
+        (1..=4)
+            .map(|c| engine.with_controller(d, ControllerId(c), |a| a.auth().mac_checks()))
             .collect()
     }
 
@@ -992,9 +1027,10 @@ mod handshake {
         assert_eq!(count(&engine, |o| matches!(o, Obs::ForwardRetransmitted { .. })), 0);
         // Every signature check of every controller is accounted for by the
         // event it verified (the switch's, at each upstream controller; the
-        // forward, at the one downstream controller it was sent to) and the
-        // acks of its own domain's switches; the handshake adds exactly one
-        // aggregate-and-verify per upstream controller, nothing downstream.
+        // forward, at the one downstream controller it was sent to); the
+        // handshake adds exactly one aggregate-and-verify per upstream
+        // controller, nothing downstream. The acks of its own domain's
+        // switches cost it one tag check each and no signature check.
         let domain_of = engine.shared().dir.domain_of_switch.clone();
         let acks_in = |engine: &Engine, d: DomainId| {
             let here = |o: &&simnet::sim::Observation<Obs>| {
@@ -1003,9 +1039,10 @@ mod handshake {
             engine.observations().iter().filter(here).count() as u64
         };
         let (up_acks, down_acks) = (acks_in(&engine, p.up), acks_in(&engine, p.down));
-        assert_eq!(checks(&mut engine, p.up), vec![1 + up_acks + 1; 4]);
-        let d = down_acks;
-        assert_eq!(checks(&mut engine, p.down), vec![1 + d, d, d, d]);
+        assert_eq!(checks(&mut engine, p.up), vec![1 + 1; 4]);
+        assert_eq!(checks(&mut engine, p.down), vec![1, 0, 0, 0]);
+        assert_eq!(mac_checks(&mut engine, p.up), vec![up_acks; 4]);
+        assert_eq!(mac_checks(&mut engine, p.down), vec![down_acks; 4]);
     }
 
     #[test]
@@ -1121,5 +1158,245 @@ mod handshake {
             assert!(signers.len() >= 2, "a verified quorum is on record: {signers:?}");
             assert!(!signers.contains(&(p.down, 2)), "the forger stays out: {signers:?}");
         }
+    }
+}
+
+// ----- acks and NACKs: pairwise MAC tags, one key per (switch, controller) -----
+
+mod acks {
+    use super::*;
+    use cicero_core::msg::{AckBody, NackBody};
+    use simnet::fault::FaultPlan;
+
+    const ACK: &str = "CICERO_ACK_V1";
+    const NACK: &str = "CICERO_NACK_V1";
+
+    /// The cross-rack flow of [`split_fabric`] (one standby per domain) with
+    /// its egress switch cut off from its four controllers: each of them
+    /// holds the switch's update in flight, never applied, never acked.
+    struct Stuck {
+        engine: Engine,
+        secrets: SecretStore,
+        switch: SwitchId,
+        domain: DomainId,
+        update: UpdateId,
+        /// A switch of the other domain.
+        foreign: SwitchId,
+    }
+
+    fn stuck() -> Stuck {
+        let (mut engine, topo, secrets) = split_fabric(1);
+        let hosts = topo.hosts();
+        let (foreign, switch) = (hosts[0].attached, hosts.last().expect("hosts").attached);
+        let dir = engine.shared().dir.clone();
+        let domain = dir.domain_of_switch[&switch];
+        assert_ne!(dir.domain_of_switch[&foreign], domain);
+        let mut plan = FaultPlan::none();
+        for node in dir.domain_controller_nodes(domain) {
+            plan = plan.with_severed_link(engine.switch_node(switch), node);
+        }
+        engine.set_faults(plan);
+        inject_cross_rack(&mut engine, &topo);
+        engine.run(SimTime::ZERO + SimDuration::from_millis(50));
+        // Reverse-path order: the egress update, the last of three, goes
+        // first. PacketIn event ids are (ingress switch << 32 | 1).
+        let update = UpdateId {
+            event: EventId((u64::from(foreign.0) << 32) | 1),
+            seq: 2,
+        };
+        let mut s = Stuck {
+            engine,
+            secrets,
+            switch,
+            domain,
+            update,
+            foreign,
+        };
+        for c in 1..=4 {
+            assert_eq!(s.state(c), (0, false, 1), "controller {c}: one update in flight");
+        }
+        s
+    }
+
+    impl Stuck {
+        /// The key `switch` shares with controller `c` of its own domain.
+        fn key(&self, switch: SwitchId, c: u32) -> [u8; 32] {
+            let domain = self.engine.shared().dir.domain_of_switch[&switch];
+            self.secrets.pair_keys[&(Peer::Switch(switch), Peer::Controller(domain, ControllerId(c)))]
+        }
+
+        /// The switch's ack of the stuck update, tagged under `key`.
+        fn ack(&self, label: &str, key: [u8; 32]) -> Tagged<AckBody> {
+            let body = AckBody {
+                update: self.update,
+                switch: self.switch,
+            };
+            let id = MsgId {
+                origin: self.switch.0,
+                seq: 1,
+            };
+            Tagged::tag(label, body, Phase(0), id, &key)
+        }
+
+        /// Hands `msg` to controller `c` of the switch's domain.
+        fn deliver(&mut self, c: u32, msg: Net) {
+            self.deliver_in(self.domain, c, msg);
+        }
+
+        /// Hands `msg` to controller `c` of `domain`.
+        fn deliver_in(&mut self, domain: DomainId, c: u32, msg: Net) {
+            let at = self.engine.now() + SimDuration::from_micros(10);
+            let node = self.engine.controller_node(domain, ControllerId(c));
+            self.engine.inject_raw(at, ENVIRONMENT, node, msg);
+            self.engine.run(at + SimDuration::from_millis(1));
+        }
+
+        /// `(tag checks, stuck update acked, updates in flight)` at `c`.
+        fn state(&mut self, c: u32) -> (u64, bool, usize) {
+            let update = self.update;
+            self.engine.with_controller(self.domain, ControllerId(c), |a| {
+                (a.auth().mac_checks(), a.pending().is_acked(update), a.pending().in_flight_count())
+            })
+        }
+    }
+
+    /// A Byzantine domain member holds its own column of keys and nothing
+    /// else: what it can forge, only it accepts.
+    #[test]
+    fn a_tag_made_for_one_controller_is_rejected_by_another() {
+        let mut s = stuck();
+        // The switch's genuine tag for controller 1, shown to controller 2;
+        // and controller 2 using its own key for the switch on controller 1.
+        let for_1 = s.ack(ACK, s.key(s.switch, 1));
+        let by_2 = s.ack(ACK, s.key(s.switch, 2));
+        s.deliver(2, Net::AckMsg(for_1.clone()));
+        s.deliver(1, Net::AckMsg(by_2));
+        assert_eq!(s.state(2), (1, false, 1), "checked and refused");
+        assert_eq!(s.state(1), (1, false, 1), "checked and refused");
+        // The same envelope where it was addressed is an acknowledgement.
+        s.deliver(1, Net::AckMsg(for_1));
+        assert_eq!(s.state(1), (2, true, 0));
+    }
+
+    #[test]
+    fn a_replayed_tag_of_a_settled_update_costs_no_check() {
+        let mut s = stuck();
+        let ack = s.ack(ACK, s.key(s.switch, 1));
+        s.deliver(1, Net::AckMsg(ack.clone()));
+        assert_eq!(s.state(1), (1, true, 0));
+        for _ in 0..100 {
+            s.deliver(1, Net::AckMsg(ack.clone()));
+        }
+        assert_eq!(s.state(1), (1, true, 0), "dropped on the state check, before the tag");
+    }
+
+    #[test]
+    fn a_nack_tag_does_not_verify_as_an_ack_of_the_same_update() {
+        let mut s = stuck();
+        let key = s.key(s.switch, 1);
+        // The ack body tagged under the NACK label, and a genuine NACK's tag
+        // moved onto the ack of the update it names.
+        let mislabeled = s.ack(NACK, key);
+        let body = NackBody {
+            update: s.update,
+            switch: s.switch,
+            have: 1,
+        };
+        let nack = Tagged::tag(NACK, body, Phase(0), mislabeled.msg_id, &key);
+        let transplanted = Tagged {
+            tag: nack.tag,
+            ..s.ack(ACK, key)
+        };
+        s.deliver(1, Net::AckMsg(mislabeled));
+        s.deliver(1, Net::AckMsg(transplanted));
+        assert_eq!(s.state(1), (2, false, 1), "both checked, both refused");
+        // As a NACK it is genuine: checked, and answered with the update.
+        s.deliver(1, Net::UpdateNack(nack));
+        assert_eq!(s.state(1), (3, false, 1));
+        let resynced = |o: &simnet::sim::Observation<Obs>| {
+            matches!(o.value, Obs::ResyncReplied { controller: 1, update, .. } if update == s.update)
+        };
+        assert!(s.engine.observations().iter().any(resynced));
+    }
+
+    #[test]
+    fn a_pair_without_a_key_is_dropped_without_a_panic() {
+        let mut s = stuck();
+        // A switch of the other domain acknowledges an update this domain has
+        // not scheduled (so nothing says whose it is), and NACKs the stuck
+        // one, under a key it really holds — with its own controller 1, not
+        // with this one.
+        let foreign_key = s.key(s.foreign, 1);
+        let unscheduled = UpdateId {
+            event: EventId(0xbad),
+            seq: 0,
+        };
+        let id = MsgId {
+            origin: s.foreign.0,
+            seq: 1,
+        };
+        let ack = AckBody {
+            update: unscheduled,
+            switch: s.foreign,
+        };
+        let nack = NackBody {
+            update: s.update,
+            switch: s.foreign,
+            have: 1,
+        };
+        s.deliver(1, Net::AckMsg(Tagged::tag(ACK, ack, Phase(0), id, &foreign_key)));
+        s.deliver(1, Net::UpdateNack(Tagged::tag(NACK, nack, Phase(0), id, &foreign_key)));
+        assert_eq!(s.state(1), (2, false, 1), "both checked, neither accepted");
+        let acked = s.engine.with_controller(s.domain, ControllerId(1), |a| a.pending().is_acked(unscheduled));
+        assert!(!acked);
+        // The standby is sent no acks and holds no keys: a genuine ack that
+        // reaches it anyway is not even looked at.
+        let genuine = s.ack(ACK, s.key(s.switch, 1));
+        s.deliver(5, Net::AckMsg(genuine));
+        assert_eq!(s.state(5), (0, false, 0));
+    }
+
+    /// A switch speaks for its own updates only. The ack of a neighbour's
+    /// update is refused although its tag is genuine — before this was
+    /// checked (the signed acks of earlier rounds included), any switch of a
+    /// domain could retire any update of that domain at every controller.
+    #[test]
+    fn a_switch_cannot_acknowledge_its_neighbours_update() {
+        use cicero_core::ctrl::ControllerActor;
+        let mut s = stuck();
+        // The upstream domain holds two updates of the flow: one for its rack
+        // switch (`foreign`), one for the pod's aggregation switch.
+        let dir = s.engine.shared().dir.clone();
+        let upstream = dir.domain_of_switch[&s.foreign];
+        let others = |x: &&SwitchId| **x != s.foreign && **x != s.switch;
+        let neighbour = *dir.switch_node.keys().find(others).expect("three switches");
+        assert_eq!(dir.domain_of_switch[&neighbour], upstream);
+        let ids: Vec<UpdateId> = (0..3).map(|seq| UpdateId { seq, ..s.update }).collect();
+        let targets: Vec<Option<SwitchId>> = s
+            .engine
+            .with_controller(upstream, ControllerId(1), |a| ids.iter().map(|&u| a.pending().target(u)).collect());
+        let update_for = |switch| {
+            let at = targets.iter().position(|&t| t == Some(switch));
+            ids[at.expect("one update per switch of the path")]
+        };
+        let (victim, own) = (update_for(s.foreign), update_for(neighbour));
+        let key = s.key(neighbour, 1);
+        let id = MsgId {
+            origin: neighbour.0,
+            seq: 1,
+        };
+        let ack = |update, switch| {
+            Net::AckMsg(Tagged::tag(ACK, AckBody { update, switch }, Phase(0), id, &key))
+        };
+        // Under its own name, and under the addressee's name from its own id.
+        s.deliver_in(upstream, 1, ack(victim, neighbour));
+        s.deliver_in(upstream, 1, ack(victim, s.foreign));
+        // The same key does acknowledge the neighbour's own update.
+        s.deliver_in(upstream, 1, ack(own, neighbour));
+        let check = |a: &mut ControllerActor| {
+            (a.auth().mac_checks(), a.pending().is_acked(victim), a.pending().is_acked(own))
+        };
+        let seen = s.engine.with_controller(upstream, ControllerId(1), check);
+        assert_eq!(seen, (1, false, true), "the neighbour's acks are refused before their tag");
     }
 }
