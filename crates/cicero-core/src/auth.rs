@@ -31,7 +31,7 @@ use crate::obs::Obs;
 use crate::runtime::Shared;
 use blscrypto::bls::{KeyShare, PartialSignature, PreparedKey, SecretKey};
 use blscrypto::dkg::GroupPublic;
-use simnet::node::Host;
+use simnet::node::{Host, NodeId};
 use simnet::time::SimDuration;
 use southbound::codec::Wire;
 use southbound::envelope::{MsgId, QuorumSigned, ShareSigned, Signed, Tagged};
@@ -318,6 +318,18 @@ impl Authenticator {
         self.book_check(ctx);
         let pk = &self.shared.keys.domains[&self.domain].public_key;
         self.level != Level::Real || msg.verify_prepared(label, pk)
+    }
+
+    /// `true` when `msg` is the share of the controller at `from`: a
+    /// controller of `domain`, over its own channel, under its own index. A
+    /// share occupies only its sender's slot — otherwise one Byzantine
+    /// controller racing garbage in under its peers' indices gets their
+    /// honest shares refused as duplicates and then, when the aggregate
+    /// fails, the honest *signers* blacklisted. Check before [`Self::collect`].
+    pub fn own_slot<T>(&self, from: NodeId, domain: DomainId, msg: &ShareSigned<T>) -> bool {
+        let index = msg.partial.index;
+        msg.msg_id.origin == index
+            && self.shared.dir.peer(from) == Some(Peer::Controller(domain, ControllerId(index)))
     }
 
     /// Buckets one threshold share of `domain` and runs the collector's

@@ -7,7 +7,7 @@ use crate::collector::Quorum;
 use crate::msg::{Net, UpdateBody};
 use crate::obs::Obs;
 use crate::runtime::labels;
-use simnet::node::Host;
+use simnet::node::{Host, NodeId};
 use southbound::envelope::{QuorumSigned, ShareSigned};
 use std::collections::BTreeSet;
 
@@ -25,9 +25,10 @@ impl ControllerActor {
     pub(super) fn on_update_to_aggregator(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
+        from: NodeId,
         msg: ShareSigned<UpdateBody>,
     ) {
-        if !self.is_lowest() || !self.active {
+        if !self.is_lowest() || !self.active || !self.auth.own_slot(from, self.domain, &msg) {
             return;
         }
         ctx.charge_cpu(self.shared.cfg.costs.aggregator_msg);

@@ -344,12 +344,9 @@ impl ControllerActor {
         ctx.charge_cpu(self.shared.cfg.costs.ctrl_msg);
         let body = m.payload;
         let signer = m.partial.index;
-        let sender = (body.domain, ControllerId(signer));
-        let sender = self.shared.dir.controller_node.get(&sender);
         if !self.shared.keys.domains.contains_key(&body.domain)
             || body.domain == self.domain
-            || m.msg_id.origin != signer
-            || sender != Some(&from)
+            || !self.auth.own_slot(from, body.domain, &m)
         {
             return;
         }

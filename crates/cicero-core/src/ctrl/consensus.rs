@@ -33,7 +33,6 @@ impl ControllerActor {
                         self.node_of(target),
                         Net::Consensus {
                             phase,
-                            from: self.id,
                             msg: Box::new(msg),
                         },
                         self.shared.cfg.costs.consensus_wire,
@@ -48,7 +47,6 @@ impl ControllerActor {
                             self.node_of(m),
                             Net::Consensus {
                                 phase,
-                                from: self.id,
                                 msg: Box::new(msg.clone()),
                             },
                             self.shared.cfg.costs.consensus_wire,

@@ -6,11 +6,11 @@
 //! cross-domain barrier signer counted — is appended to a per-controller
 //! WAL (checksummed frames over a pluggable [`Disk`](substrate::storage::Disk))
 //! before the transition's outputs leave the actor. On restart the snapshot
-//! plus WAL tail replays through the **real** handlers under a [`MuteHost`]
-//! that forwards time/identity/randomness but swallows sends, timers, and
-//! observations: derived state (routing app, pending-update graph, barrier
-//! handshake, replica bindings) is reconstructed without re-emitting a
-//! single message. The retry layer then re-transmits whatever was genuinely
+//! plus WAL tail replays through the **real** handlers against a scratch
+//! [`Context`] — same time, identity and randomness as the live one — whose
+//! effects are dropped: derived state (routing app, pending-update graph,
+//! barrier handshake, replica bindings) is reconstructed without re-emitting
+//! a single message. The retry layer then re-transmits whatever was genuinely
 //! in flight — idempotent at the switches, which de-duplicate by update id
 //! and re-ack duplicates.
 //!
@@ -34,11 +34,9 @@ use crate::msg::{Net, OrderedOp, WalRecord};
 use crate::obs::Obs;
 use bft::message::Slot;
 use bft::replica::JournalRecord;
-use simnet::node::{Host, NodeId, TimerToken};
-use simnet::time::{SimDuration, SimTime};
+use simnet::node::{Context, Host};
 use southbound::codec::Wire;
-use southbound::types::{ControllerId, DomainId};
-use substrate::rng::StdRng;
+use southbound::types::ControllerId;
 use substrate::storage::{read_snapshot, write_snapshot, DiskHandle, Wal};
 
 /// WAL file name on the controller's disk.
@@ -51,42 +49,6 @@ const SNAPSHOT_EVERY: usize = 64;
 /// Ticks between `SyncRequest` re-broadcasts while recovering (the first
 /// request or its replies may be lost).
 const SYNC_RESEND_TICKS: u32 = 40; // 200 ms at the 5 ms tick
-
-/// A [`Host`] wrapper for crash-recovery replay: forwards time, identity
-/// and randomness (so replayed handlers make the same internal decisions)
-/// but discards every outward effect — sends, timers, observations, CPU
-/// charges, crashes. Replay reconstructs state; it must not re-emit
-/// protocol traffic or re-count observations the first life already
-/// produced.
-struct MuteHost<'a> {
-    inner: &'a mut dyn Host<Net, Obs>,
-}
-
-impl Host<Net, Obs> for MuteHost<'_> {
-    fn now(&self) -> SimTime {
-        self.inner.now()
-    }
-
-    fn id(&self) -> NodeId {
-        self.inner.id()
-    }
-
-    fn rng(&mut self) -> &mut StdRng {
-        self.inner.rng()
-    }
-
-    fn send(&mut self, _to: NodeId, _msg: Net) {}
-
-    fn send_delayed(&mut self, _to: NodeId, _msg: Net, _extra: SimDuration) {}
-
-    fn set_timer(&mut self, _delay: SimDuration, _token: TimerToken) {}
-
-    fn charge_cpu(&mut self, _d: SimDuration) {}
-
-    fn observe(&mut self, _obs: Obs) {}
-
-    fn crash(&mut self) {}
-}
 
 fn journal_to_record(j: JournalRecord<OrderedOp>) -> WalRecord {
     match j {
@@ -185,7 +147,10 @@ impl ControllerActor {
     /// The one interpreter of [`WalRecord`]s: replays `records` — the
     /// snapshot plus WAL tail recovered by [`ControllerActor::attach_disk`]
     /// (from `on_start`, before any timer is armed), or a peer's state-sync
-    /// transfer — through the real handlers under a [`MuteHost`]. With `log`
+    /// transfer — through the real handlers, muted: they run against a scratch
+    /// [`Context`] with the live one's time, identity and randomness (so they
+    /// make the same internal decisions), and what they send, arm and observe
+    /// is dropped with it — the first life already did all that. With `log`
     /// every record is appended to the own WAL before it is acted on (peer
     /// records are not durable here yet; a second crash must replay them
     /// locally).
@@ -196,7 +161,7 @@ impl ControllerActor {
         log: bool,
     ) {
         let mut delivered: Vec<(u64, OrderedOp)> = Vec::new();
-        let mut mute = MuteHost { inner: ctx };
+        let mut mute = Context::new(ctx.now(), ctx.id(), ctx.rng());
         for rec in records {
             if matches!(rec, WalRecord::Deliver { seq, .. } if seq <= self.delivered_frontier()) {
                 // Already archived (snapshot/WAL overlap, or a transfer
@@ -272,11 +237,7 @@ impl ControllerActor {
             if m != self.id {
                 ctx.send(
                     self.node_of(m),
-                    Net::SyncRequest {
-                        domain: self.domain,
-                        from: self.id,
-                        have,
-                    },
+                    Net::SyncRequest { have },
                 );
             }
         }
@@ -319,20 +280,14 @@ impl ControllerActor {
     pub(super) fn on_sync_request(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
-        domain: DomainId,
         from: ControllerId,
         have: u64,
     ) {
-        if !self.active || self.recovering || domain != self.domain || from == self.id {
+        if !self.active || self.recovering || from == self.id {
             return;
         }
-        ctx.send(
-            self.node_of(from),
-            Net::SyncReply {
-                from: self.id,
-                records: self.compacted_records(have),
-            },
-        );
+        let records = self.compacted_records(have);
+        ctx.send(self.node_of(from), Net::SyncReply { records });
     }
 
     /// Completes recovery from the first peer snapshot transfer: the

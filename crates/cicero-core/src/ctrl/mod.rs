@@ -346,13 +346,7 @@ impl Actor<Net, Obs> for ControllerActor {
                     let phase = self.view.phase();
                     for m in self.members() {
                         if m != self.id {
-                            ctx.send(
-                                self.node_of(m),
-                                Net::Heartbeat {
-                                    from: self.id,
-                                    phase,
-                                },
-                            );
+                            ctx.send(self.node_of(m), Net::Heartbeat { phase });
                         }
                     }
                     if !self.in_phase_change {
@@ -374,10 +368,17 @@ impl Actor<Net, Obs> for ControllerActor {
     }
 
     fn on_message(&mut self, ctx: &mut dyn Host<Net, Obs>, from: NodeId, msg: Net) {
+        // The transport names the sender; no unsigned field restates it.
+        // Consensus, heartbeats and state sync are between controllers of
+        // one domain and dropped from anybody else.
+        let peer = match self.shared.dir.peer(from) {
+            Some(Peer::Controller(d, c)) if d == self.domain => Some(c),
+            _ => None,
+        };
         match msg {
             Net::EventMsg(m) => self.on_event_msg(ctx, m, false),
             Net::ForwardedEvent(m) => self.on_event_msg(ctx, m, true),
-            Net::Consensus { phase, from, msg } => {
+            Net::Consensus { phase, msg } => {
                 // While recovering, consensus traffic is dropped: the
                 // remaining 2f replicas make progress without this one, and
                 // it rejoins fast-forwarded after the snapshot transfer.
@@ -390,7 +391,7 @@ impl Actor<Net, Obs> for ControllerActor {
                 }
                 ctx.charge_cpu(self.shared.cfg.costs.consensus_msg);
                 let members = self.members();
-                let Some(pos) = members.iter().position(|&m| m == from) else {
+                let Some(pos) = members.iter().position(|&m| Some(m) == peer) else {
                     return;
                 };
                 let Some(replica) = self.replica.as_mut() else {
@@ -433,20 +434,28 @@ impl Actor<Net, Obs> for ControllerActor {
                 domain,
                 controller,
             } => self.on_segment_query(ctx, from, (event, segment), (domain, controller)),
-            Net::UpdateToAggregator(m) => self.on_update_to_aggregator(ctx, m),
+            Net::UpdateToAggregator(m) => self.on_update_to_aggregator(ctx, from, m),
             Net::PhasePartial(m) => self.on_phase_partial(ctx, m),
-            Net::Heartbeat { from, .. } => {
-                self.detector.heartbeat(from, ctx.now());
+            Net::Heartbeat { .. } => {
+                if let Some(from) = peer {
+                    self.detector.heartbeat(from, ctx.now());
+                }
             }
             Net::Reshare { phase, dealing } => {
                 self.reshare_buf.entry(phase).or_default().push(dealing);
                 self.try_finalize_reshare(ctx);
             }
             Net::StateSync { view } => self.on_state_sync(ctx, view),
-            Net::SyncRequest { domain, from, have } => {
-                self.on_sync_request(ctx, domain, from, have)
+            Net::SyncRequest { have } => {
+                if let Some(from) = peer {
+                    self.on_sync_request(ctx, from, have);
+                }
             }
-            Net::SyncReply { from, records } => self.on_sync_reply(ctx, from, records),
+            Net::SyncReply { records } => {
+                if let Some(from) = peer {
+                    self.on_sync_reply(ctx, from, records);
+                }
+            }
             Net::MembershipCmd(op) => {
                 let allowed = match op {
                     OrderedOp::AddController(_) => self.id == self.view.bootstrap(),

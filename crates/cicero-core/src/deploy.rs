@@ -14,7 +14,7 @@ use crate::auth::{PairKeys, Peer};
 use crate::config::{EngineConfig, Mode};
 use crate::ctrl::ControllerActor;
 use crate::msg::Net;
-use crate::obs::Obs;
+use crate::obs::{Obs, RetransmitStats};
 use crate::runtime::{bootstrap_keys, Directory, Shared};
 use crate::switch::{initial_phase_info, SwitchActor};
 use blscrypto::bls::{KeyShare, SecretKey};
@@ -50,7 +50,7 @@ pub enum NodeRole {
 
 /// Reliable-delivery work one node still owns: the probe both executors'
 /// convergence watchdogs sum over their live nodes.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Outstanding {
     /// Updates sent but not yet acknowledged.
     pub unacked: usize,
@@ -80,6 +80,70 @@ impl std::ops::AddAssign for Outstanding {
         self.failed += o.failed;
         self.events += o.events;
         self.recovering += o.recovering;
+    }
+}
+
+/// How far a run has come and what it still owes: the body of both
+/// executors' reports (`RunReport`, `cicero-node`'s `ThreadedReport`), with
+/// the one completion predicate and the one `Display` they share. A
+/// watchdog's poll fills in the flows and the outstanding work, which is all
+/// [`Progress::complete`] reads; the counters are the final report's.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Progress {
+    /// Flows injected.
+    pub injected_flows: usize,
+    /// Flows that completed or were denied.
+    pub resolved_flows: usize,
+    /// Reliable-delivery work summed over the live nodes.
+    pub outstanding: Outstanding,
+    /// Messages lost on the way to each node, indexed by node id: dropped
+    /// by the simulator's fault plan, or by a full mailbox on threads.
+    pub dropped_per_node: Vec<u64>,
+    /// Reliable-delivery activity counters for the whole run.
+    pub stats: RetransmitStats,
+}
+
+impl Progress {
+    /// The completion predicate of both watchdogs: every injected flow
+    /// resolved and no live node owns blocking work.
+    pub fn complete(&self) -> bool {
+        self.resolved_flows >= self.injected_flows && self.outstanding.blocking() == 0
+    }
+
+    /// Total messages dropped before delivery, summed over nodes.
+    pub fn dropped_messages(&self) -> u64 {
+        self.dropped_per_node.iter().sum()
+    }
+}
+
+impl std::fmt::Display for Progress {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (out, s) = (&self.outstanding, &self.stats);
+        writeln!(f, "{}/{} flows resolved", self.resolved_flows, self.injected_flows)?;
+        writeln!(
+            f,
+            "  outstanding: {} unacked, {} waiting, {} failed updates; {} pending events; {} recovering; {} msgs dropped",
+            out.unacked,
+            out.waiting,
+            out.failed,
+            out.events,
+            out.recovering,
+            self.dropped_messages()
+        )?;
+        write!(
+            f,
+            "  recoveries: {} update rtx, {} ack rtx, {} event rtx, {} segment rtx, {} fwd rtx, {} ready rtx, {} nacks, {} resyncs, {} updates / {} events exhausted",
+            s.update_retransmits,
+            s.ack_retransmits,
+            s.event_retransmits,
+            s.segment_retransmits,
+            s.forward_retransmits,
+            s.ready_retransmits,
+            s.nacks,
+            s.resyncs,
+            s.updates_exhausted,
+            s.events_exhausted
+        )
     }
 }
 
@@ -342,19 +406,16 @@ pub fn plan(
     for &d in &domains {
         let members: Vec<ControllerId> =
             (1..=controllers_per_domain).map(ControllerId).collect();
-        for &c in &members {
+        for c in (1..=controllers_per_domain + standby_controllers).map(ControllerId) {
             dir.controller_node.insert((d, c), NodeId(next_node));
-            next_node += 1;
-        }
-        for extra in 0..standby_controllers {
-            let c = ControllerId(controllers_per_domain + 1 + extra);
-            dir.controller_node.insert((d, c), NodeId(next_node));
+            dir.node_peer.insert(NodeId(next_node), Peer::Controller(d, c));
             next_node += 1;
         }
         dir.initial_members.insert(d, members);
     }
     for s in topo.switches() {
         dir.switch_node.insert(s.id, NodeId(next_node));
+        dir.node_peer.insert(NodeId(next_node), Peer::Switch(s.id));
         next_node += 1;
         let d = domain_map
             .domain_of(s.id)

@@ -4,9 +4,9 @@
 
 use crate::config::{CryptoMode, EngineConfig, Mode};
 use crate::ctrl::ControllerActor;
-use crate::deploy::{self, Deployment, Life, NodeRole, Outstanding};
+use crate::deploy::{self, Deployment, Life, NodeRole, Outstanding, Progress};
 use crate::msg::Net;
-use crate::obs::{resolved_flows, retransmit_stats, Obs, RetransmitStats};
+use crate::obs::{resolved_flows, retransmit_stats, Obs};
 use crate::runtime::Shared;
 use crate::switch::SwitchActor;
 use controller::policy::DomainMap;
@@ -76,37 +76,25 @@ const SLICE_EVENT_BUDGET: u64 = 1_000_000;
 /// stopped: a zero-delay livelock).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunReport {
-    /// All injected flows resolved and the delivery pipeline drained.
+    /// All injected flows resolved and the delivery pipeline drained
+    /// ([`Progress::complete`], seen by the watchdog).
     pub completed: bool,
     /// The watchdog declared the run quiescent-but-undrained, or
     /// livelocked at one instant.
     pub stalled: bool,
     /// Simulated time when the run ended.
     pub end: SimTime,
-    /// Flows injected into the simulation.
-    pub injected_flows: usize,
-    /// Flows that completed or were denied.
-    pub resolved_flows: usize,
-    /// Updates sent but never acknowledged (summed over controllers).
-    pub unacked_updates: usize,
-    /// Updates still blocked on dependencies (summed over controllers).
-    pub waiting_updates: usize,
-    /// Updates abandoned after retry-budget exhaustion.
-    pub failed_updates: usize,
-    /// Signed events switches are still retransmitting.
-    pub outstanding_events: usize,
-    /// Messages dropped at each node's inbox by the fault plan, indexed by
-    /// node id (the simulator analogue of the threaded executor's
-    /// mailbox-full drops).
-    pub dropped_per_node: Vec<u64>,
-    /// Reliable-delivery activity counters for the whole run.
-    pub stats: RetransmitStats,
+    /// Flows, outstanding work, drops and recoveries at `end`.
+    pub progress: Progress,
 }
 
-impl RunReport {
-    /// Total messages dropped before delivery, summed over nodes.
-    pub fn dropped_messages(&self) -> u64 {
-        self.dropped_per_node.iter().sum()
+/// A `RunReport` reads as its [`Progress`]: `report.resolved_flows`,
+/// `report.outstanding`, `report.stats`.
+impl std::ops::Deref for RunReport {
+    type Target = Progress;
+
+    fn deref(&self) -> &Progress {
+        &self.progress
     }
 }
 
@@ -119,33 +107,7 @@ impl std::fmt::Display for RunReport {
         } else {
             "horizon reached"
         };
-        writeln!(
-            f,
-            "run {} at {}: {}/{} flows resolved",
-            verdict, self.end, self.resolved_flows, self.injected_flows
-        )?;
-        writeln!(
-            f,
-            "  outstanding: {} unacked, {} waiting, {} failed updates; {} pending events; {} msgs dropped",
-            self.unacked_updates,
-            self.waiting_updates,
-            self.failed_updates,
-            self.outstanding_events,
-            self.dropped_messages()
-        )?;
-        write!(
-            f,
-            "  recoveries: {} update rtx, {} ack rtx, {} event rtx, {} segment rtx, {} fwd rtx, {} nacks, {} resyncs, {} updates / {} events exhausted",
-            self.stats.update_retransmits,
-            self.stats.ack_retransmits,
-            self.stats.event_retransmits,
-            self.stats.segment_retransmits,
-            self.stats.forward_retransmits,
-            self.stats.nacks,
-            self.stats.resyncs,
-            self.stats.updates_exhausted,
-            self.stats.events_exhausted
-        )
+        write!(f, "run {} at {}: {}", verdict, self.end, self.progress)
     }
 }
 
@@ -337,12 +299,9 @@ impl Engine {
         let mut stalled = false;
         let mut cursor = self.sim.now();
         loop {
-            if watchdog && self.restarts.is_empty() {
-                let resolved = resolved_flows(self.sim.observations());
-                if resolved >= self.injected_flows && self.snapshot_outstanding().blocking() == 0 {
-                    completed = true;
-                    break;
-                }
+            if watchdog && self.restarts.is_empty() && self.poll().complete() {
+                completed = true;
+                break;
             }
             if cursor >= horizon {
                 break;
@@ -398,23 +357,20 @@ impl Engine {
                 }
             }
         }
-        let out = self.snapshot_outstanding();
         RunReport {
             completed,
             stalled,
             end: self.sim.now(),
-            injected_flows: self.injected_flows,
-            resolved_flows: resolved_flows(self.sim.observations()),
-            unacked_updates: out.unacked,
-            waiting_updates: out.waiting,
-            failed_updates: out.failed,
-            outstanding_events: out.events,
-            dropped_per_node: self.sim.dropped_counts(),
-            stats: retransmit_stats(self.sim.observations()),
+            progress: Progress {
+                dropped_per_node: self.sim.dropped_counts(),
+                stats: retransmit_stats(self.sim.observations()),
+                ..self.poll()
+            },
         }
     }
 
-    fn snapshot_outstanding(&mut self) -> Outstanding {
+    /// The watchdog's poll: flows resolved and work outstanding right now.
+    fn poll(&mut self) -> Progress {
         // Crashed nodes are excluded: a dead replica's local bookkeeping can
         // never drain, but it is not outstanding protocol work either — its
         // live peers carry the flow to completion.
@@ -424,7 +380,12 @@ impl Engine {
                 out += self.sim.with_actor::<NodeRole, _>(seed.node, |r| r.outstanding());
             }
         }
-        out
+        Progress {
+            injected_flows: self.injected_flows,
+            resolved_flows: resolved_flows(self.sim.observations()),
+            outstanding: out,
+            ..Progress::default()
+        }
     }
 
     /// Observations so far.

@@ -62,7 +62,7 @@ pub mod prelude {
         Aggregation, CostModel, CryptoMode, EngineConfig, Mode, ReliabilityConfig,
     };
     pub use crate::ctrl::ControllerActor;
-    pub use crate::deploy::{Deployment, Life, NodeRole};
+    pub use crate::deploy::{Deployment, Life, NodeRole, Outstanding, Progress};
     pub use crate::engine::{default_pod_engine, Engine, RunReport};
     pub use crate::experiment::{
         fig11_flow_completion, fig12a_update_time, fig12b_event_locality, fig12c_runs, fig12d_runs,

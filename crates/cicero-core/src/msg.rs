@@ -237,7 +237,9 @@ wire_enum!(SwitchWalRecord {
     3 => ReadyIn { update, from },
 });
 
-/// Everything that travels between simulated nodes.
+/// Everything that travels between simulated nodes. No unsigned message
+/// names its sender: the transport does (`Directory::peer` of the `from` a
+/// handler is handed), and a field restating it would only be trusted.
 #[derive(Clone, Debug)]
 pub enum Net {
     /// Harness → ingress ToR switch: a workload flow arrives.
@@ -277,8 +279,6 @@ pub enum Net {
     Consensus {
         /// Sender's membership phase.
         phase: Phase,
-        /// Sending controller (within the domain).
-        from: ControllerId,
         /// The PBFT message.
         msg: Box<BftMessage<OrderedOp>>,
     },
@@ -316,8 +316,6 @@ pub enum Net {
     UpdateNack(Tagged<NackBody>),
     /// Controller → controller: liveness heartbeat.
     Heartbeat {
-        /// Sender.
-        from: ControllerId,
         /// Sender's current phase.
         phase: Phase,
     },
@@ -374,10 +372,6 @@ pub enum Net {
     /// consensus sequence `have`; send me what I missed" (snapshot-transfer
     /// catch-up; re-sent with the retry cadence until answered).
     SyncRequest {
-        /// The requesting controller's domain.
-        domain: DomainId,
-        /// The requesting controller.
-        from: ControllerId,
         /// Highest consensus sequence in the requester's durable state.
         have: u64,
     },
@@ -390,8 +384,6 @@ pub enum Net {
     /// crash — then every counted barrier signer (sparing the requester's
     /// barriers a round of asking for shares they already certified).
     SyncReply {
-        /// The answering controller.
-        from: ControllerId,
         /// The compacted log.
         records: Vec<WalRecord>,
     },

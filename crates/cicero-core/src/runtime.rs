@@ -52,9 +52,18 @@ pub struct Directory {
     pub domain_of_switch: BTreeMap<SwitchId, DomainId>,
     /// Initial (active) members per domain, ascending.
     pub initial_members: BTreeMap<DomainId, Vec<ControllerId>>,
+    /// Simulation node → who sits there (the two maps above, reversed).
+    pub node_peer: BTreeMap<NodeId, Peer>,
 }
 
 impl Directory {
+    /// Who sits at `node`: how a handler learns its sender — from the
+    /// transport, once, never from a field of the (unsigned) message.
+    /// `None` for the environment and unknown nodes.
+    pub fn peer(&self, node: NodeId) -> Option<Peer> {
+        self.node_peer.get(&node).copied()
+    }
+
     /// The node of a controller.
     ///
     /// # Panics

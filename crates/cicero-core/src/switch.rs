@@ -763,7 +763,9 @@ impl Actor<Net, Obs> for SwitchActor {
             _ => None,
         };
         if let Some((update, form)) = form {
-            if form != self.shared.cfg.mode.aggregation() {
+            // And a share occupies only its sender's slot.
+            let squats = matches!(&msg, Net::UpdateMsg(m) if !self.auth.own_slot(from, self.domain, m));
+            if form != self.shared.cfg.mode.aggregation() || squats {
                 ctx.charge_cpu(self.shared.cfg.costs.switch_msg);
                 return self.reject(ctx, update);
             }

@@ -270,7 +270,7 @@ fn exhausted_retry_budget_reports_stall_not_hang() {
     assert!(report.stalled, "expected a stall report: {report}");
     assert!(!report.completed);
     assert!(
-        report.failed_updates > 0,
+        report.outstanding.failed > 0,
         "budget exhaustion should mark updates failed: {report}"
     );
     assert!(report.stats.updates_exhausted > 0);
@@ -291,10 +291,10 @@ fn watchdog_reports_clean_completion() {
     let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(30));
     assert!(report.completed && !report.stalled, "{report}");
     assert_eq!(report.resolved_flows, 1);
-    assert_eq!(report.unacked_updates, 0);
-    assert_eq!(report.waiting_updates, 0);
-    assert_eq!(report.failed_updates, 0);
-    assert_eq!(report.outstanding_events, 0);
+    assert_eq!(report.outstanding.unacked, 0);
+    assert_eq!(report.outstanding.waiting, 0);
+    assert_eq!(report.outstanding.failed, 0);
+    assert_eq!(report.outstanding.events, 0);
     assert_eq!(report.stats.total_recoveries(), 0);
 }
 
@@ -715,7 +715,7 @@ fn releaser_crashed_for_good_after_acking_is_reported_not_silently_converged() {
     );
     assert!(!report.completed, "{report}");
     assert_eq!(report.resolved_flows, 0);
-    assert!(report.failed_updates > 0 && report.stats.updates_exhausted > 0, "{report}");
+    assert!(report.outstanding.failed > 0 && report.stats.updates_exhausted > 0, "{report}");
     assert!(!obs.iter().any(|o| matches!(o.value, Obs::UpdateApplied { switch, .. } if switch == target)));
     let attempts: Vec<u32> = obs
         .iter()

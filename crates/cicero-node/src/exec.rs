@@ -3,31 +3,32 @@
 //!
 //! Each node planned by [`cicero_core::deploy::plan`] runs its own thread
 //! with a bounded mailbox, and boots every life of its actor there. A
-//! [`ThreadHost`] implements the same [`Host`] trait the simulator's
-//! `Context` does, so the *identical compiled protocol code* runs here —
-//! only the scheduler underneath differs:
+//! handler runs against the same [`Context`] as under the simulator — the
+//! one effect-collecting `Host` — so the *identical compiled protocol code*
+//! runs here and is handed the identical kind of world; an executor only
+//! schedules, and this one differs from the simulator in how:
 //!
 //! * **time** comes from the [`WallClock`] epoch (the one wall-clock
-//!   boundary, `clock.rs`);
+//!   boundary, `clock.rs`), read once for the handler's `now()` and once
+//!   more, when it returns, to stamp what it did;
 //! * **sends** go through `try_send` on the receiver's bounded mailbox — a
 //!   full mailbox drops the message like a lossy link, and the protocol's
 //!   reliable-delivery layer recovers;
-//! * **timers** and artificially delayed sends live in per-thread heaps
-//!   serviced with `recv_timeout`;
-//! * **`charge_cpu` is a no-op** — real cycles are spent for real;
+//! * **timers** and artificially delayed sends live in a per-thread
+//!   deadline queue serviced with `recv_timeout`;
+//! * **CPU charges are dropped** — real cycles are spent for real;
 //! * **observations** append to a shared, mutex-serialized log stamped
 //!   with wall-clock-since-epoch times.
 
 use crate::clock::WallClock;
-use cicero_core::deploy::{Deployment, Life, NodeRole, Outstanding};
+use cicero_core::deploy::{Deployment, Life, NodeRole, Outstanding, Progress};
 use cicero_core::msg::Net;
-use cicero_core::obs::{resolved_flows, Obs};
+use cicero_core::obs::{resolved_flows, retransmit_stats, Obs};
 use cicero_core::runtime::Shared;
-use simnet::node::{Actor, Host, NodeId, TimerToken};
+use simnet::node::{Actor, Context, Effect, Host, NodeId, TimerToken};
 use simnet::sim::{Observation, ENVIRONMENT};
 use simnet::time::{SimDuration, SimTime};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -69,81 +70,12 @@ enum Envelope {
     Shutdown,
 }
 
-/// A deadline-ordered heap entry (`BinaryHeap` is a max-heap, so entries
-/// are wrapped in [`Reverse`]; `seq` breaks ties FIFO).
-struct Due<T> {
-    at: SimTime,
-    seq: u64,
-    what: T,
-}
-
-impl<T> PartialEq for Due<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<T> Eq for Due<T> {}
-impl<T> PartialOrd for Due<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Due<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// The [`Host`] handed to actors on a threaded node: effects are collected
-/// during the handler (exactly like the simulator's `Context`) and applied
-/// by the node loop when it returns.
-struct ThreadHost<'a> {
-    id: NodeId,
-    clock: WallClock,
-    rng: &'a mut StdRng,
-    sent: Vec<(NodeId, Net, SimDuration)>,
-    timers: Vec<(SimDuration, TimerToken)>,
-    observed: Vec<Obs>,
-    crashed: bool,
-}
-
-impl Host<Net, Obs> for ThreadHost<'_> {
-    fn now(&self) -> SimTime {
-        self.clock.now()
-    }
-
-    fn id(&self) -> NodeId {
-        self.id
-    }
-
-    fn rng(&mut self) -> &mut StdRng {
-        self.rng
-    }
-
-    fn send(&mut self, to: NodeId, msg: Net) {
-        self.sent.push((to, msg, SimDuration::ZERO));
-    }
-
-    fn send_delayed(&mut self, to: NodeId, msg: Net, extra_delay: SimDuration) {
-        self.sent.push((to, msg, extra_delay));
-    }
-
-    fn set_timer(&mut self, delay: SimDuration, token: TimerToken) {
-        self.timers.push((delay, token));
-    }
-
-    fn charge_cpu(&mut self, _d: SimDuration) {
-        // Real cycles are spent for real; the modeled charge is a
-        // simulator concern.
-    }
-
-    fn observe(&mut self, obs: Obs) {
-        self.observed.push(obs);
-    }
-
-    fn crash(&mut self) {
-        self.crashed = true;
-    }
+/// What a node holds locally until its deadline.
+enum Due {
+    /// An `on_timer` call.
+    Timer(TimerToken),
+    /// An artificially delayed send, or any self-send (like `FlowDone`).
+    Send(NodeId, Net),
 }
 
 /// Everything one node thread owns.
@@ -157,72 +89,55 @@ struct NodeRunner {
     obs: Arc<Mutex<Vec<Observation<Obs>>>>,
     dropped: Arc<Mutex<Vec<u64>>>,
     rng: StdRng,
-    /// Pending `on_timer` deadlines.
-    timers: BinaryHeap<Reverse<Due<TimerToken>>>,
-    /// Artificially delayed sends (including delayed self-sends like
-    /// `FlowDone`), held locally until due.
-    delayed: BinaryHeap<Reverse<Due<(NodeId, Net)>>>,
+    /// Timers and held sends by deadline; `seq` breaks ties in the order
+    /// the handlers made them, as the simulator's event queue does.
+    due: BTreeMap<(SimTime, u64), Due>,
     seq: u64,
-    crashed: bool,
 }
 
 impl NodeRunner {
-    /// Runs a handler and applies its collected effects.
+    /// Runs a handler against a [`Context`] built from one clock read, then
+    /// applies its effects, stamped with the clock as it reads afterwards:
+    /// observations first (nothing a message triggers elsewhere is logged
+    /// before them), then timers and sends in the order they were made.
     fn handle(&mut self, f: impl FnOnce(&mut dyn Actor<Net, Obs>, &mut dyn Host<Net, Obs>)) {
-        let mut rng = std::mem::replace(&mut self.rng, StdRng::seed_from_u64(0));
-        let mut host = ThreadHost {
-            id: self.id,
-            clock: self.clock,
-            rng: &mut rng,
-            sent: Vec::new(),
-            timers: Vec::new(),
-            observed: Vec::new(),
-            crashed: false,
-        };
-        f(&mut self.role, &mut host);
-        let ThreadHost {
-            sent,
-            timers,
-            observed,
-            crashed,
-            ..
-        } = host;
-        self.rng = rng;
+        let mut ctx = Context::new(self.clock.now(), self.id, &mut self.rng);
+        f(&mut self.role, &mut ctx);
+        let effects = ctx.into_effects();
         let now = self.clock.now();
-        if !observed.is_empty() {
-            let mut log = self.obs.lock();
-            for value in observed {
-                log.push(Observation {
+        let mut observed = Vec::new();
+        let mut outbox = Vec::new();
+        for effect in effects {
+            self.seq += 1;
+            match effect {
+                Effect::Observe(value) => observed.push(Observation {
                     at: now,
                     node: self.id,
                     value,
-                });
-            }
-        }
-        for (delay, token) in timers {
-            self.seq += 1;
-            self.timers.push(Reverse(Due {
-                at: now + delay,
-                seq: self.seq,
-                what: token,
-            }));
-        }
-        for (to, msg, extra) in sent {
-            if extra == SimDuration::ZERO && to != self.id {
-                self.transmit(to, msg);
-            } else {
+                }),
+                Effect::Timer { delay, token } => {
+                    self.due.insert((now + delay, self.seq), Due::Timer(token));
+                }
                 // Delayed sends (and all self-sends, so a full own mailbox
                 // cannot drop e.g. `FlowDone`) are held locally until due.
-                self.seq += 1;
-                self.delayed.push(Reverse(Due {
-                    at: now + extra,
-                    seq: self.seq,
-                    what: (to, msg),
-                }));
+                Effect::Send {
+                    to,
+                    msg,
+                    extra_delay,
+                } => {
+                    if extra_delay == SimDuration::ZERO && to != self.id {
+                        outbox.push((to, msg));
+                    } else {
+                        self.due.insert((now + extra_delay, self.seq), Due::Send(to, msg));
+                    }
+                }
             }
         }
-        if crashed {
-            self.crashed = true;
+        if !observed.is_empty() {
+            self.obs.lock().extend(observed);
+        }
+        for (to, msg) in outbox {
+            self.transmit(to, msg);
         }
     }
 
@@ -243,33 +158,15 @@ impl NodeRunner {
     /// earliest remaining one.
     fn service_deadlines(&mut self) -> Option<SimTime> {
         loop {
-            if self.crashed {
-                return None;
+            let (&(at, _), _) = self.due.first_key_value()?;
+            if at > self.clock.now() {
+                return Some(at);
             }
-            let now = self.clock.now();
-            let next_timer = self.timers.peek().map(|Reverse(d)| d.at);
-            let next_delayed = self.delayed.peek().map(|Reverse(d)| d.at);
-            match (next_timer, next_delayed) {
-                (Some(t), d) if t <= now && d.map(|d| t <= d).unwrap_or(true) => {
-                    let Reverse(due) = self.timers.pop().expect("peeked timer");
-                    self.handle(|a, h| a.on_timer(h, due.what));
-                }
-                (_, Some(d)) if d <= now => {
-                    let Reverse(due) = self.delayed.pop().expect("peeked delayed send");
-                    let (to, msg) = due.what;
-                    if to == self.id {
-                        let from = self.id;
-                        self.handle(|a, h| a.on_message(h, from, msg));
-                    } else {
-                        self.transmit(to, msg);
-                    }
-                }
-                (t, d) => {
-                    return match (t, d) {
-                        (Some(t), Some(d)) => Some(t.min(d)),
-                        (t, d) => t.or(d),
-                    };
-                }
+            let from = self.id;
+            match self.due.pop_first().expect("peeked").1 {
+                Due::Timer(token) => self.handle(|a, h| a.on_timer(h, token)),
+                Due::Send(to, msg) if to == from => self.handle(|a, h| a.on_message(h, from, msg)),
+                Due::Send(to, msg) => self.transmit(to, msg),
             }
         }
     }
@@ -277,9 +174,8 @@ impl NodeRunner {
     fn run(mut self) {
         'lives: loop {
             self.handle(|a, h| a.on_start(h));
-            while !self.crashed {
+            loop {
                 let envelope = match self.service_deadlines() {
-                    _ if self.crashed => break,
                     Some(next) => {
                         let wait = next.since(self.clock.now());
                         match self
@@ -304,7 +200,7 @@ impl NodeRunner {
                     Some(Envelope::Probe(reply)) => {
                         let _ = reply.try_send(self.role.outstanding());
                     }
-                    Some(Envelope::Kill) => self.crashed = true,
+                    Some(Envelope::Kill) => break,
                     // A live node ignores a stray restart, disk and all.
                     Some(Envelope::Restart { .. }) => {}
                     Some(Envelope::Shutdown) => return,
@@ -327,9 +223,7 @@ impl NodeRunner {
                         // disk), no carried-over timers or delayed sends —
                         // exactly what the simulator's revive_node does.
                         self.role = self.dep.boot(self.id, Life::Restart { disk_lost });
-                        self.timers.clear();
-                        self.delayed.clear();
-                        self.crashed = false;
+                        self.due.clear();
                         continue 'lives;
                     }
                 }
@@ -338,41 +232,34 @@ impl NodeRunner {
     }
 }
 
-/// Outcome of a threaded run (the wall-clock analogue of the engine's
-/// `RunReport`).
+/// Outcome of a threaded run: the engine's `RunReport` with a wall clock
+/// where that has a simulated one.
 #[derive(Clone, Debug)]
 pub struct ThreadedReport {
-    /// Every injected flow resolved and no node held outstanding work on
-    /// two consecutive polls.
+    /// [`Progress::complete`] held on two consecutive polls.
     pub completed: bool,
-    /// Flows injected.
-    pub injected_flows: usize,
-    /// Flows that completed or were denied.
-    pub resolved_flows: usize,
-    /// Outstanding work at the last poll (0 when `completed`).
-    pub outstanding: usize,
-    /// Messages dropped on full mailboxes (recovered by retransmission).
+    /// Flows, outstanding work, mailbox-full drops per *destination* node
+    /// (recovered by retransmission) and recoveries at the verdict.
+    pub progress: Progress,
+    /// `progress.dropped_messages()`.
     pub dropped_messages: u64,
-    /// Drops broken down by *destination* node, indexed by node id — the
-    /// threaded analogue of `RunReport::dropped_per_node`, for spotting
-    /// which mailbox saturates.
-    pub dropped_per_node: Vec<u64>,
     /// Wall-clock milliseconds from deployment start to verdict.
     pub wall_ms: f64,
 }
 
+/// A `ThreadedReport` reads as its [`Progress`], like a `RunReport`.
+impl std::ops::Deref for ThreadedReport {
+    type Target = Progress;
+
+    fn deref(&self) -> &Progress {
+        &self.progress
+    }
+}
+
 impl std::fmt::Display for ThreadedReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "threaded run {} after {:.1} ms wall: {}/{} flows resolved, {} outstanding, {} dropped",
-            if self.completed { "converged" } else { "DID NOT CONVERGE" },
-            self.wall_ms,
-            self.resolved_flows,
-            self.injected_flows,
-            self.outstanding,
-            self.dropped_messages,
-        )
+        let verdict = if self.completed { "converged" } else { "DID NOT CONVERGE" };
+        write!(f, "threaded run {verdict} after {:.1} ms wall: {}", self.wall_ms, self.progress)
     }
 }
 
@@ -432,10 +319,8 @@ impl ThreadedDeployment {
                     rng: StdRng::seed_from_u64(
                         seed ^ (0x9e37_79b9_7f4a_7c15 ^ u64::from(id.0)).rotate_left(17),
                     ),
-                    timers: BinaryHeap::new(),
-                    delayed: BinaryHeap::new(),
+                    due: BTreeMap::new(),
                     seq: 0,
-                    crashed: false,
                 };
                 runner.run()
             };
@@ -502,7 +387,7 @@ impl ThreadedDeployment {
 
     /// Probes every node for outstanding work; `None` if a probe reply
     /// timed out (node busy — try again next poll).
-    fn probe_outstanding(&self) -> Option<usize> {
+    fn probe_outstanding(&self) -> Option<Outstanding> {
         let mut replies = Vec::with_capacity(self.senders.len());
         for tx in self.senders.iter() {
             let (ptx, prx) = bounded(1);
@@ -518,50 +403,49 @@ impl ThreadedDeployment {
         for prx in replies.into_iter().flatten() {
             sum += prx.recv_timeout(std::time::Duration::from_millis(500)).ok()?;
         }
-        Some(sum.blocking())
+        Some(sum)
     }
 
-    /// Polls until every injected flow resolved and two consecutive probes
-    /// found zero outstanding work anywhere, or until `budget` of wall time
-    /// elapses.
+    /// Polls until the run's progress is complete on two consecutive polls
+    /// — every injected flow resolved, zero outstanding work anywhere — or
+    /// until `budget` of wall time elapses.
     pub fn run_to_convergence(&mut self, budget: SimDuration) -> ThreadedReport {
         let deadline = self.clock.now() + budget;
         let mut clean_polls = 0u32;
-        let mut last_outstanding = 0usize;
-        let mut completed = false;
-        loop {
-            if resolved_flows(&self.obs.lock()) >= self.injected_flows {
-                match self.probe_outstanding() {
-                    Some(0) => {
-                        clean_polls += 1;
-                        last_outstanding = 0;
-                        if clean_polls >= 2 {
-                            completed = true;
-                            break;
-                        }
-                    }
-                    Some(n) => {
-                        clean_polls = 0;
-                        last_outstanding = n;
-                    }
-                    None => clean_polls = 0,
-                }
-            } else {
-                clean_polls = 0;
+        let (completed, polled) = loop {
+            let resolved_flows = resolved_flows(&self.obs.lock());
+            let progress = |outstanding| Progress {
+                injected_flows: self.injected_flows,
+                resolved_flows,
+                outstanding,
+                ..Progress::default()
+            };
+            // A probe is a round trip to every node: not before the log
+            // says the flows are through.
+            let probed = (resolved_flows >= self.injected_flows).then(|| self.probe_outstanding());
+            let polled = probed.flatten().map(progress);
+            clean_polls = match &polled {
+                Some(p) if p.complete() => clean_polls + 1,
+                _ => 0,
+            };
+            if let (2.., Some(p)) = (clean_polls, polled) {
+                break (true, p);
             }
             if self.clock.now() >= deadline {
-                break;
+                // Say what is outstanding, not only that something is.
+                break (false, progress(self.probe_outstanding().unwrap_or_default()));
             }
             std::thread::sleep(std::time::Duration::from_nanos(POLL_PERIOD.as_nanos()));
-        }
-        let dropped_per_node = self.dropped.lock().clone();
+        };
+        let progress = Progress {
+            dropped_per_node: self.dropped.lock().clone(),
+            stats: retransmit_stats(&self.obs.lock()),
+            ..polled
+        };
         ThreadedReport {
             completed,
-            injected_flows: self.injected_flows,
-            resolved_flows: resolved_flows(&self.obs.lock()),
-            outstanding: if completed { 0 } else { last_outstanding },
-            dropped_messages: dropped_per_node.iter().sum(),
-            dropped_per_node,
+            dropped_messages: progress.dropped_messages(),
+            progress,
             wall_ms: self.clock.now().as_millis_f64(),
         }
     }
@@ -579,5 +463,52 @@ impl ThreadedDeployment {
         Arc::try_unwrap(self.obs)
             .map(Mutex::into_inner)
             .unwrap_or_else(|arc| arc.lock().clone())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use southbound::types::FlowId;
+
+    /// Each actor is a deterministic function of its inputs — the `now()`
+    /// it is handed among them — on threads as in the simulator.
+    #[test]
+    fn a_handler_sees_one_now_however_long_it_runs() {
+        let spec = crate::NodeSpec::from_json(r#"{ "mode": "centralized", "flows": 0 }"#)
+            .expect("valid spec");
+        let topo = spec.topology();
+        let plan = cicero_core::deploy::plan(spec.engine_config(), spec.topology(), spec.domain_map(&topo), 0);
+        let (dep, id) = (Arc::new(plan), NodeId(0));
+        let (_tx, rx) = bounded(1);
+        let obs = Arc::new(Mutex::new(Vec::new()));
+        let mut runner = NodeRunner {
+            id,
+            role: dep.boot(id, Life::First),
+            dep,
+            rx,
+            senders: Arc::new(Vec::new()),
+            clock: WallClock::start(),
+            obs: Arc::clone(&obs),
+            dropped: Arc::new(Mutex::new(Vec::new())),
+            rng: StdRng::seed_from_u64(0),
+            due: BTreeMap::new(),
+            seq: 0,
+        };
+        let (pause, delay) = (SimDuration::from_millis(5), SimDuration::from_millis(10));
+        let mut seen = SimTime::ZERO;
+        runner.handle(|_actor, host| {
+            seen = host.now();
+            host.observe(Obs::FlowDenied { flow: FlowId(1) });
+            std::thread::sleep(std::time::Duration::from_nanos(pause.as_nanos()));
+            host.set_timer(delay, TimerToken(9));
+            assert_eq!(host.now(), seen, "now() moved inside a handler");
+        });
+        assert!(seen > SimTime::ZERO, "the handler ran");
+        // What it did is stamped from the clock as read after it returned.
+        let done = seen + pause;
+        assert!(obs.lock()[0].at >= done);
+        let ((at, _), timer) = runner.due.pop_first().expect("the timer is armed");
+        assert!(at >= done + delay && matches!(timer, Due::Timer(TimerToken(9))));
     }
 }

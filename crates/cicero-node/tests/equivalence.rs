@@ -1,7 +1,8 @@
 //! Executor equivalence: the same scenario (config, topology, workload,
 //! seed) run under the discrete-event simulator and under the threaded
-//! executor must apply the *same set* of updates at the same switches and
-//! pass the end-to-end consistency audit under both.
+//! executor must apply the *same set* of updates at the same switches,
+//! pass the end-to-end consistency audit under both, and end with the same
+//! [`Progress`] in both executors' reports.
 //!
 //! Order and timing legitimately differ — the simulator is deterministic
 //! virtual time, the threads run on a real scheduler — but the protocol's
@@ -10,7 +11,8 @@
 //! executor.
 
 use cicero_core::audit::audit_flow;
-use cicero_core::obs::Obs;
+use cicero_core::deploy::Progress;
+use cicero_core::obs::{Obs, RetransmitStats};
 use cicero_core::prelude::{Deployment, Engine};
 use cicero_node::exec::ThreadedDeployment;
 use cicero_node::NodeSpec;
@@ -66,6 +68,24 @@ fn audit_hazards(obs: &[Observation<Obs>], spec: &NodeSpec) -> usize {
         hazards += audit_flow(obs, ingress, m, false).len();
     }
     hazards
+}
+
+/// Both executors report one `Progress` body: the same flows in and
+/// through, nothing blocking, nothing abandoned — and, where nothing was
+/// lost or killed, not one recovery on any stream in either.
+fn assert_same_progress(sim: &Progress, thr: &Progress, loss_free: bool) {
+    assert_eq!(
+        (sim.injected_flows, sim.resolved_flows),
+        (thr.injected_flows, thr.resolved_flows),
+        "flows\n sim: {sim}\n thr: {thr}"
+    );
+    for (executor, p) in [("sim", sim), ("threads", thr)] {
+        assert_eq!(p.outstanding.blocking(), 0, "{executor}: {p}");
+        assert_eq!(p.outstanding.failed, 0, "{executor}: {p}");
+        if loss_free {
+            assert_eq!(p.stats, RetransmitStats::default(), "{executor}: {p}");
+        }
+    }
 }
 
 /// The spec's simulated deployment with its workload injected.
@@ -142,6 +162,7 @@ fn sim_and_threads_apply_the_same_updates() {
         sim_applied, thr_applied,
         "the applied-update set must not depend on the executor"
     );
+    assert_same_progress(&sim_report, &report, true);
 }
 
 /// The decentralized-execution outcome: which neighbor releases happened.
@@ -196,6 +217,7 @@ fn sim_and_threads_agree_in_segway_mode() {
         release_set(&obs),
         "the released dependency edges must not depend on the executor"
     );
+    assert_same_progress(&sim_report, &report, true);
 }
 
 fn recoveries(obs: &[Observation<Obs>]) -> usize {
@@ -239,6 +261,7 @@ fn crash_and_restart_on_both(
         "threaded crash-recover run must converge: {report}"
     );
     assert_eq!(audit_hazards(&obs, spec), 0);
+    assert_same_progress(&sim_report, &report, false);
 
     [engine.observations().to_vec(), obs]
 }

@@ -45,7 +45,7 @@ pub mod time;
 pub mod prelude {
     pub use crate::fault::FaultPlan;
     pub use crate::latency::{LatencyModel, UniformLatency};
-    pub use crate::node::{Actor, Context, Host, NodeId, TimerToken};
+    pub use crate::node::{Actor, Context, Effect, Host, NodeId, TimerToken};
     pub use crate::sim::{Observation, Simulation, ENVIRONMENT};
     pub use crate::time::{SimDuration, SimTime};
 }

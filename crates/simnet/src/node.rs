@@ -2,12 +2,13 @@
 //!
 //! The split here is the repo's core/runtime boundary: [`Actor`]s hold the
 //! protocol logic and talk to the world exclusively through the [`Host`]
-//! trait (send/set_timer/charge_cpu/observe/rng/now/crash).
-//! [`Context`] is the discrete-event simulator's implementation; the
-//! `cicero-node` crate provides a second one backed by OS threads and
-//! wall-clock timers. Protocol code that compiles against `dyn Host` cannot
-//! tell which runtime is underneath — that is what makes the sim-vs-threads
-//! equivalence check meaningful.
+//! trait (send/set_timer/charge_cpu/observe/rng/now). [`Context`] is its one
+//! implementation: it collects what a handler did as ordered [`Effect`]s,
+//! and every executor — the discrete-event simulator here, `cicero-node`'s
+//! threads, a muted recovery replay — builds one per handler call and then
+//! applies, or drops, the effects its own way. Protocol code that compiles
+//! against `dyn Host` cannot tell which runtime is underneath — that is
+//! what makes the sim-vs-threads equivalence check meaningful.
 
 use crate::time::{SimDuration, SimTime};
 use substrate::rng::StdRng;
@@ -50,7 +51,9 @@ pub trait Host<M, O = ()> {
     /// Sends `msg` to `to`; it arrives after the link latency (plus any CPU
     /// time charged by this handler, modeling that transmission happens when
     /// processing finishes).
-    fn send(&mut self, to: NodeId, msg: M);
+    fn send(&mut self, to: NodeId, msg: M) {
+        self.send_delayed(to, msg, SimDuration::ZERO);
+    }
 
     /// Sends with an extra artificial delay on top of link latency.
     fn send_delayed(&mut self, to: NodeId, msg: M, extra_delay: SimDuration);
@@ -66,10 +69,6 @@ pub trait Host<M, O = ()> {
 
     /// Emits an observation to the experiment harness.
     fn observe(&mut self, obs: O);
-
-    /// Crashes this node at the end of the handler: all future deliveries
-    /// and timers are dropped.
-    fn crash(&mut self);
 }
 
 /// A protocol process. `M` is the message type exchanged on the network;
@@ -91,29 +90,58 @@ pub trait Actor<M, O = ()>: std::any::Any {
     fn on_timer(&mut self, _ctx: &mut dyn Host<M, O>, _token: TimerToken) {}
 }
 
-pub(crate) enum Effect<M, O> {
+/// One thing a handler asked its runtime to do.
+#[derive(Debug, PartialEq)]
+pub enum Effect<M, O> {
+    /// [`Host::send`] / [`Host::send_delayed`].
     Send {
+        /// Destination.
         to: NodeId,
+        /// The message.
         msg: M,
+        /// Artificial delay on top of the link's (zero for a plain send).
         extra_delay: SimDuration,
     },
+    /// [`Host::set_timer`].
     Timer {
+        /// Delay from the end of the handler.
         delay: SimDuration,
+        /// The token `on_timer` is called with.
         token: TimerToken,
     },
+    /// [`Host::observe`].
     Observe(O),
-    Crash,
 }
 
-/// The discrete-event simulator's [`Host`]: effects are collected during the
-/// handler and applied by the scheduler when it returns (sends depart at
-/// CPU-completion time, faults are applied, observations are timestamped).
+/// The [`Host`]: one handler call's view of the world. `now` is read once,
+/// before the handler runs, and does not move while it does; effects are
+/// collected in call order and applied by the executor when the handler
+/// returns (the simulator departs sends at CPU-completion time and applies
+/// faults; the threaded executor stamps them with its clock).
 pub struct Context<'a, M, O = ()> {
-    pub(crate) now: SimTime,
-    pub(crate) self_id: NodeId,
-    pub(crate) rng: &'a mut StdRng,
-    pub(crate) effects: Vec<Effect<M, O>>,
+    now: SimTime,
+    self_id: NodeId,
+    rng: &'a mut StdRng,
+    effects: Vec<Effect<M, O>>,
     pub(crate) cpu_charge: SimDuration,
+}
+
+impl<'a, M, O> Context<'a, M, O> {
+    /// A context for one handler call of node `id` at time `now`.
+    pub fn new(now: SimTime, id: NodeId, rng: &'a mut StdRng) -> Self {
+        Context {
+            now,
+            self_id: id,
+            rng,
+            effects: Vec::new(),
+            cpu_charge: SimDuration::ZERO,
+        }
+    }
+
+    /// What the handler did, in call order.
+    pub fn into_effects(self) -> Vec<Effect<M, O>> {
+        self.effects
+    }
 }
 
 impl<'a, M, O> Host<M, O> for Context<'a, M, O> {
@@ -127,14 +155,6 @@ impl<'a, M, O> Host<M, O> for Context<'a, M, O> {
 
     fn rng(&mut self) -> &mut StdRng {
         self.rng
-    }
-
-    fn send(&mut self, to: NodeId, msg: M) {
-        self.effects.push(Effect::Send {
-            to,
-            msg,
-            extra_delay: SimDuration::ZERO,
-        });
     }
 
     fn send_delayed(&mut self, to: NodeId, msg: M, extra_delay: SimDuration) {
@@ -155,9 +175,5 @@ impl<'a, M, O> Host<M, O> for Context<'a, M, O> {
 
     fn observe(&mut self, obs: O) {
         self.effects.push(Effect::Observe(obs));
-    }
-
-    fn crash(&mut self) {
-        self.effects.push(Effect::Crash);
     }
 }

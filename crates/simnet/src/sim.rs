@@ -236,7 +236,7 @@ impl<M: Clone + 'static, O: 'static> Simulation<M, O> {
         self.nodes[node.0 as usize].cpu.total_busy()
     }
 
-    /// `true` iff the node crashed (by fault plan or [`Host::crash`]).
+    /// `true` iff the fault plan crashed the node (and nothing revived it).
     pub fn is_crashed(&self, node: NodeId) -> bool {
         self.nodes[node.0 as usize].crashed
     }
@@ -369,19 +369,10 @@ impl<M: Clone + 'static, O: 'static> Simulation<M, O> {
             .actor
             .take()
             .expect("actor is resident between events");
-        let mut ctx = Context {
-            now: self.now,
-            self_id: node,
-            rng: &mut self.rng,
-            effects: Vec::new(),
-            cpu_charge: SimDuration::ZERO,
-        };
+        let mut ctx = Context::new(self.now, node, &mut self.rng);
         f(actor.as_mut(), &mut ctx);
-        let Context {
-            effects,
-            cpu_charge,
-            ..
-        } = ctx;
+        let cpu_charge = ctx.cpu_charge;
+        let effects = ctx.into_effects();
         self.nodes[idx].actor = Some(actor);
 
         // CPU model: the node is busy until processing completes; sends
@@ -446,9 +437,6 @@ impl<M: Clone + 'static, O: 'static> Simulation<M, O> {
                         node,
                         value: obs,
                     });
-                }
-                Effect::Crash => {
-                    self.nodes[idx].crashed = true;
                 }
             }
         }
@@ -529,23 +517,6 @@ mod tests {
         assert_eq!(sim.cpu_total(w).as_micros(), 1500);
     }
 
-    struct CrashOnPing;
-    impl Actor<Msg> for CrashOnPing {
-        fn on_message(&mut self, ctx: &mut dyn Host<Msg>, _from: NodeId, _msg: Msg) {
-            ctx.crash();
-        }
-    }
-
-    #[test]
-    fn crashed_nodes_stop_processing() {
-        let mut sim: Simulation<Msg> = Simulation::new(3, UniformLatency(SimDuration::ZERO));
-        let n = sim.add_node(CrashOnPing);
-        sim.inject(SimTime::ZERO, n, Msg::Ping(0));
-        sim.inject(SimTime::from_nanos(10), n, Msg::Ping(1));
-        sim.run();
-        assert!(sim.is_crashed(n));
-    }
-
     #[test]
     fn scheduled_crash_drops_future_messages() {
         let mut sim: Simulation<Msg, u64> =
@@ -558,6 +529,7 @@ mod tests {
         sim.inject(SimTime::from_nanos(10), w, Msg::Ping(1));
         sim.run();
         assert_eq!(sim.observations().len(), 1);
+        assert!(sim.is_crashed(w));
     }
 
     #[test]

@@ -81,6 +81,16 @@ if grep -rn "impl.*Wire for" crates --include=*.rs |
     exit 1
 fi
 
+echo "== one Host in src (simnet::node::Context) =="
+# A handler runs against the one effect-collecting Host; an executor builds
+# a Context and applies (or drops) its effects, it does not implement the
+# trait again. Tests may; crates/bench/e2e is the benchmark's own.
+if grep -rnE "^\s*impl(<[^>]*>)? +Host<" crates src examples --include=*.rs |
+    grep -v -e "^crates/bench/e2e/" -e "^crates/simnet/src/node.rs:" -e "^crates/[^/]*/tests/"; then
+    echo "verify.sh: a second Host impl above; build a simnet::node::Context and read its effects (DESIGN.md §3b)" >&2
+    exit 1
+fi
+
 echo "== the signed receipts (boundary release, Segway ready) and signed acks stay deleted =="
 if grep -rn "BoundaryRelease\b\|ReleaseBody\|SegwayReadyAck\|READY_RECEIPT\|ReadyReceipted\|ready_out\|Signed<AckBody>\|Signed<NackBody>" \
     crates src tests examples --include=*.rs; then

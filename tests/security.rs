@@ -508,39 +508,12 @@ fn replayed_ready_at_the_wrong_victim_is_rejected() {
 
 mod segway_release {
     use super::*;
-    use simnet::node::{Actor, Host, NodeId, TimerToken};
+    use simnet::node::{Actor, Context, Effect, NodeId};
 
-    /// A host that records what one handler call sends and observes.
+    /// What one handler call sent and observed, read from its effects.
     struct Tap {
-        me: NodeId,
-        now: SimTime,
-        rng: StdRng,
         sent: Vec<(NodeId, Net)>,
         seen: Vec<Obs>,
-    }
-
-    impl Host<Net, Obs> for Tap {
-        fn now(&self) -> SimTime {
-            self.now
-        }
-        fn id(&self) -> NodeId {
-            self.me
-        }
-        fn rng(&mut self) -> &mut StdRng {
-            &mut self.rng
-        }
-        fn send(&mut self, to: NodeId, msg: Net) {
-            self.sent.push((to, msg));
-        }
-        fn send_delayed(&mut self, to: NodeId, msg: Net, _: SimDuration) {
-            self.sent.push((to, msg));
-        }
-        fn set_timer(&mut self, _: SimDuration, _: TimerToken) {}
-        fn charge_cpu(&mut self, _: SimDuration) {}
-        fn observe(&mut self, obs: Obs) {
-            self.seen.push(obs);
-        }
-        fn crash(&mut self) {}
     }
 
     /// One release of the settled flow: `from` applied `update` and sent
@@ -594,16 +567,22 @@ mod segway_release {
     /// Hands releaser `r.from` a query for `update` naming `to`, over the
     /// channel of switch `channel`; returns what the handler did.
     fn ask(engine: &mut Engine, r: Release, update: UpdateId, to: SwitchId, channel: SwitchId) -> Tap {
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut ctx = Context::new(engine.now(), engine.switch_node(r.from), &mut rng);
+        let from = engine.switch_node(channel);
+        let query = Net::SegwayReadyQuery { update, to };
+        engine.with_switch(r.from, |a| a.on_message(&mut ctx, from, query));
         let mut tap = Tap {
-            me: engine.switch_node(r.from),
-            now: engine.now(),
-            rng: StdRng::seed_from_u64(0),
             sent: Vec::new(),
             seen: Vec::new(),
         };
-        let from = engine.switch_node(channel);
-        let query = Net::SegwayReadyQuery { update, to };
-        engine.with_switch(r.from, |a| a.on_message(&mut tap, from, query));
+        for effect in ctx.into_effects() {
+            match effect {
+                Effect::Send { to, msg, .. } => tap.sent.push((to, msg)),
+                Effect::Observe(obs) => tap.seen.push(obs),
+                Effect::Timer { .. } => {}
+            }
+        }
         tap
     }
 
@@ -706,6 +685,174 @@ mod segway_release {
         let key = &engine.shared().keys.switch_pk[&r.from];
         assert!(replies[0].verify_prepared("CICERO_SEGWAY_READY_V1", key));
         assert_eq!(ops(&mut engine, &topo), before, "nothing signed, nothing checked");
+    }
+}
+
+// ----- the transport names the sender; a share occupies only its sender's slot -----
+
+mod transport_sender {
+    use super::*;
+    use bft::message::{BftMessage, BftPayload, Slot};
+    use cicero_core::msg::OrderedOp;
+    use simnet::fault::FaultPlan;
+    use simnet::node::NodeId;
+
+    const D: DomainId = DomainId(0);
+
+    fn fabric(mode: Mode, crypto: CryptoMode) -> (Engine, Topology) {
+        let topo = Topology::single_pod(2, 2, 2);
+        (harness::build_engine(mode, crypto, &topo), topo)
+    }
+
+    fn ctrl(engine: &Engine, c: u32) -> NodeId {
+        engine.controller_node(D, ControllerId(c))
+    }
+
+    /// A complete PBFT round for "add standby controller 5" at replica 3
+    /// (view 0, sequence 1): the primary's proposal, two more prepares, three
+    /// commits — each as `(the controller whose vote it is, the message)`.
+    fn round() -> Vec<(u32, BftMessage<OrderedOp>)> {
+        let op = OrderedOp::AddController(ControllerId(5));
+        let (view, seq, digest) = (0, 1, op.digest());
+        let prepare = BftMessage::Prepare { view, seq, digest };
+        let commit = BftMessage::Commit { view, seq, digest };
+        let propose = BftMessage::PrePrepare {
+            view,
+            seq,
+            slot: Slot::Payload(op),
+        };
+        vec![
+            (1, propose),
+            (2, prepare.clone()),
+            (4, prepare),
+            (1, commit.clone()),
+            (2, commit.clone()),
+            (4, commit),
+        ]
+    }
+
+    /// Delivers the round to controller 3, each vote over the channel
+    /// `channel` picks for its voter; returns controller 3's member count.
+    fn members_after(channel: impl Fn(&Engine, u32) -> NodeId) -> usize {
+        let topo = Topology::single_pod(2, 2, 2);
+        let mut engine = harness::build_engine_cfg(EngineConfig::for_mode(Mode::CICERO), &topo, 1);
+        let victim = ctrl(&engine, 3);
+        for (i, (voter, msg)) in round().into_iter().enumerate() {
+            let at = SimTime::ZERO + SimDuration::from_micros(100 + 10 * i as u64);
+            let consensus = Net::Consensus {
+                phase: Phase(0),
+                msg: Box::new(msg),
+            };
+            engine.inject_raw(at, channel(&engine, voter), victim, consensus);
+        }
+        engine.run(SimTime::ZERO + SimDuration::from_millis(20));
+        engine.with_controller(D, ControllerId(3), |a| a.view().len())
+    }
+
+    #[test]
+    fn a_member_cannot_vote_as_another_replica() {
+        // Each vote over its voter's own channel: the op commits.
+        assert_eq!(members_after(ctrl), 5, "an honest round admits controller 5");
+        // Byzantine member 2 casts all of them: they count as its own one
+        // vote (and its proposal as a non-primary's), whatever it intends.
+        assert_eq!(members_after(|e, _| ctrl(e, 2)), 4, "one member's word is one vote");
+    }
+
+    #[test]
+    fn a_switch_cannot_speak_consensus_or_answer_a_sync() {
+        let a_switch = |e: &Engine, _| e.switch_node(SwitchId(1));
+        assert_eq!(members_after(a_switch), 4, "a switch has no vote");
+
+        // Controller 2 restarts cut off from its peers: it stays recovering
+        // until one of them answers its sync request.
+        let (mut engine, _) = fabric(Mode::CICERO, CryptoMode::Modeled);
+        let me = ctrl(&engine, 2);
+        let mut plan = FaultPlan::none().with_crash(SimTime::ZERO + SimDuration::from_millis(1), me);
+        for c in [1, 3, 4] {
+            plan = plan.with_severed_link(me, ctrl(&engine, c));
+        }
+        engine.set_faults(plan);
+        engine.run(SimTime::ZERO + SimDuration::from_millis(2));
+        engine.restart(me, false);
+        let recovering = |e: &mut Engine| e.with_controller(D, ControllerId(2), |a| a.is_recovering());
+        assert!(recovering(&mut engine));
+        let answer = || Net::SyncReply { records: Vec::new() };
+        let at = engine.now() + SimDuration::from_millis(1);
+        engine.inject_raw(at, engine.switch_node(SwitchId(1)), me, answer());
+        engine.inject_raw(at, ENVIRONMENT, me, answer());
+        engine.run(at + SimDuration::from_millis(1));
+        assert!(recovering(&mut engine), "a switch's (or nobody's) answer completes no recovery");
+        let at = engine.now() + SimDuration::from_millis(1);
+        engine.inject_raw(at, ctrl(&engine, 3), me, answer());
+        engine.run(at + SimDuration::from_millis(1));
+        assert!(!recovering(&mut engine), "a peer's does");
+    }
+
+    /// Runs `engine`'s one cross-rack flow; the first update it applies, as
+    /// the body its controllers share-signed, and on how many signers.
+    fn run_flow(engine: &mut Engine, topo: &Topology) -> Option<(UpdateBody, u32)> {
+        inject_cross_rack(engine, topo);
+        engine.run(SimTime::ZERO + SimDuration::from_secs(3));
+        engine.observations().iter().find_map(|o| match o.value {
+            Obs::UpdateApplied { switch, update, kind, signers } => {
+                let update = NetworkUpdate { id: update, switch, kind };
+                Some((UpdateBody { update, gates: Vec::new(), notify: Vec::new() }, signers))
+            }
+            _ => None,
+        })
+    }
+
+    /// One Byzantine controller races garbage shares of an update in under
+    /// its three peers' indices, at the switch (switch aggregation) and at
+    /// the aggregator (controller aggregation). Bucketed, they would get
+    /// the honest shares refused as duplicates and then the honest signers
+    /// blacklisted — an update that never reaches quorum, from one fault.
+    #[test]
+    fn squatted_slots_cannot_starve_an_update_of_its_quorum() {
+        type Form = fn(ShareSigned<UpdateBody>) -> Net;
+        let forms: [(Mode, Form); 2] =
+            [(Mode::CICERO, Net::UpdateMsg), (Mode::CICERO_AGG, Net::UpdateToAggregator)];
+        for (mode, form) in forms {
+            // Signature checks of the share collector under attack: the
+            // update's switch, or the aggregator (controller 1).
+            let checks = |e: &mut Engine, s: SwitchId| match mode.aggregation() {
+                Some(Aggregation::Switch) => e.with_switch(s, |a| a.signature_ops().1),
+                _ => e.with_controller(D, ControllerId(1), |a| a.auth().checks()),
+            };
+            let (mut honest, topo) = fabric(mode, CryptoMode::Real);
+            let (body, _) = run_flow(&mut honest, &topo).expect("the honest run applies updates");
+            let victim = body.update.switch;
+            let honest_checks = checks(&mut honest, victim);
+
+            let (mut engine, _) = fabric(mode, CryptoMode::Real);
+            let switches: Vec<SwitchId> = topo.switches().iter().map(|s| s.id).collect();
+            let shared = engine.shared().clone();
+            let (_, secrets) = bootstrap_keys(CryptoMode::Real, &switches, &shared.dir, shared.cfg.seed);
+            // Controller 2's own share over some other body, relabelled.
+            let share = &secrets.domain_dkg[&D].participants[1].share;
+            let collector = match mode.aggregation() {
+                Some(Aggregation::Switch) => engine.switch_node(victim),
+                _ => ctrl(&engine, 1),
+            };
+            for idx in [1u32, 3, 4] {
+                let origin = MsgId { origin: idx, seq: 0xbad };
+                let mut rogue =
+                    ShareSigned::sign("CICERO_UPDATE_V1", rogue_update(victim), Phase(0), origin, share);
+                rogue.payload = body.clone();
+                rogue.partial.index = idx;
+                let at = SimTime::ZERO + SimDuration::from_micros(500);
+                engine.inject_raw(at, ctrl(&engine, 2), collector, form(rogue));
+            }
+            let case = mode.label();
+            let (applied, signers) = run_flow(&mut engine, &topo).expect("the update still applies");
+            assert_eq!(applied, body, "{case}");
+            assert!(signers >= 2, "{case}: applied on {signers} signers, below quorum");
+            assert_eq!(harness::completed_count(&engine), 1, "{case}: the flow completes");
+            // Nothing was bucketed, so no aggregate failed and no fallback
+            // ran: the collector checked exactly what the honest run did,
+            // and evicted nobody.
+            assert_eq!(checks(&mut engine, victim), honest_checks, "{case}: signature checks");
+        }
     }
 }
 
