@@ -47,10 +47,29 @@ mod tests {
 
     #[test]
     fn config_quorums() {
-        for (n, f, q) in [(4, 1, 3), (7, 2, 5), (10, 3, 7), (1, 0, 1)] {
+        for (n, f, q) in [(4, 1, 3), (5, 1, 4), (6, 1, 4), (7, 2, 5), (10, 3, 7), (1, 0, 1)] {
             let cfg = BftConfig::new(n);
             assert_eq!(cfg.f(), f);
             assert_eq!(cfg.quorum(), q);
+        }
+    }
+
+    /// Safety: any two quorums share at least `f + 1` replicas, so at least
+    /// one correct one (with `2f + 1` this fails at n = 5 and 6: {0,1,2} and
+    /// {3,4,5} are both quorums). Liveness: the `n - f` correct replicas
+    /// are a quorum by themselves. Every quorum-sized subset is enumerated.
+    #[test]
+    fn any_two_quorums_intersect_in_a_correct_replica() {
+        for n in 4..=7u32 {
+            let cfg = BftConfig::new(n);
+            let (q, f) = (cfg.quorum() as u32, cfg.f());
+            assert!(q <= n - f, "n={n}: the correct replicas alone must reach quorum");
+            let quorums: Vec<u32> = (0..1u32 << n).filter(|s| s.count_ones() == q).collect();
+            for a in &quorums {
+                for b in &quorums {
+                    assert!((a & b).count_ones() > f, "n={n}: quorums {a:#b} and {b:#b}");
+                }
+            }
         }
     }
 

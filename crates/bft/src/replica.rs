@@ -7,7 +7,8 @@
 //! testable under adversarial schedules.
 //!
 //! Protocol: three-phase PBFT (pre-prepare / prepare / commit) with quorums
-//! of `2f + 1` out of `n = 3f + 1`, plus a view-change protocol that adopts
+//! of `⌈(n + f + 1) / 2⌉` (`2f + 1` when `n = 3f + 1`), plus a
+//! view-change protocol that adopts
 //! prepared certificates into the new view and fills sequence gaps with
 //! `Noop` slots (PBFT's null requests) so delivery stays contiguous.
 //! Message authenticity is assumed from the transport (the controller layer
@@ -42,9 +43,12 @@ impl BftConfig {
         (self.n.saturating_sub(1)) / 3
     }
 
-    /// Quorum size `2f + 1`.
+    /// Quorum size `⌈(n + f + 1) / 2⌉`: the smallest for which any two
+    /// quorums share `f + 1` replicas, one of them correct — `2f + 1` at
+    /// `n = 3f + 1`, but more in between (at `n = 5, 6` two quorums of
+    /// `2f + 1 = 3` can be disjoint, and two orders both commit).
     pub fn quorum(&self) -> usize {
-        (2 * self.f() + 1) as usize
+        ((self.n + self.f() + 2) / 2) as usize
     }
 
     /// The primary of a view.

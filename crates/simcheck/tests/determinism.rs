@@ -47,6 +47,16 @@
 //! before) are what they were, and where authentication is free nothing
 //! moved: the seven unsigned-mode rows (`run` 2, 6 and 42; `Centralized` and
 //! `CrashTolerant` in `GOLDEN_ENGINE`) passed unedited.
+//!
+//! PR 23 (its quorum commit; the executor / report refactor before it passed
+//! every hash unedited) re-recorded exactly the six rows whose scenario has
+//! five or six controllers per domain (`run` 0, `secure` 1, `recover` 0 and
+//! 4, `segway` 0 and 3): `BftConfig::quorum` went from `2f + 1` to
+//! `⌈(n + f + 1) / 2⌉`, which is 4 instead of 3 at n = 5 and 6, so a slot
+//! there prepares and commits on one more vote and everything downstream of
+//! a delivery happens a message later. At n = 1, 4 and 7 the two formulas
+//! agree: the other fourteen rows and all of `GOLDEN_ENGINE` (n = 4) passed
+//! unedited.
 
 use cicero_core::prelude::*;
 use simcheck::{run_scenario_traced, Scenario};
@@ -164,7 +174,7 @@ const GOLDEN_SCENARIOS: [(&str, fn(u64) -> Scenario, [(u64, u64); 5]); 4] = [
         "run",
         Scenario::generate,
         [
-            (0, 0x911ca5522cc42951),
+            (0, 0xd22a51a8b4c2c695),
             (2, 0x2e0801721cf6f9a9),
             (6, 0x5853bfc85ddecac2),
             (9, 0x0cf53963772f0de4),
@@ -175,7 +185,7 @@ const GOLDEN_SCENARIOS: [(&str, fn(u64) -> Scenario, [(u64, u64); 5]); 4] = [
         "secure",
         Scenario::generate_secure,
         [
-            (1, 0x809c8b8a52a4c6c4),
+            (1, 0x1ad7c6498e22e1be),
             (2, 0x21a856c09f521b88),
             (6, 0x451d3dd5a13ddf6e),
             (9, 0x3f636c05fca1e677),
@@ -186,8 +196,8 @@ const GOLDEN_SCENARIOS: [(&str, fn(u64) -> Scenario, [(u64, u64); 5]); 4] = [
         "recover",
         Scenario::generate_recovery,
         [
-            (0, 0x75ae55314e1e0224),
-            (4, 0xda3c0779170c7029),
+            (0, 0xdb323aa6ed24bb73),
+            (4, 0xa61c118ecab3620e),
             (7, 0xeb6e56560f16e6fd),
             (9, 0x56386ec35eda2532),
             (42, 0x1d9d5bfa00bd3d67),
@@ -197,9 +207,9 @@ const GOLDEN_SCENARIOS: [(&str, fn(u64) -> Scenario, [(u64, u64); 5]); 4] = [
         "segway",
         Scenario::generate_segway,
         [
-            (0, 0x31f93f70c8c71edd),
+            (0, 0xceee1dada5ef7a52),
             (2, 0x2510c633f2c69219),
-            (3, 0x2b0ea6954bb9e8ab),
+            (3, 0x80853568ba30bf83),
             (6, 0x894c5d7e88053725),
             (42, 0x9045604099d73943),
         ],

@@ -92,3 +92,22 @@ fn cross_domain_blackhole_fixture_fails_without_handshake() {
         out.violations
     );
 }
+
+/// `segway 0xd0`, shrunk: six controllers per domain under 11.6 % message
+/// loss. With PBFT quorums of `2f + 1 = 3` two disjoint halves of a domain
+/// each committed their own order of two events — the `[agreement]`
+/// violation the artifact still records, exactly as the fuzzer wrote it.
+/// With `⌈(n + f + 1) / 2⌉ = 4` any two quorums share a correct replica
+/// and the same scenario replays green; put `2f + 1` back and it fails.
+#[test]
+fn disjoint_quorums_fixture_replays_green_under_intersecting_quorums() {
+    let (scenario, recorded) =
+        simcheck::artifact::read_artifact(&fixture("segway_disjoint_quorums_0xd0.json")).unwrap();
+    assert_eq!(scenario.controllers_per_domain, 6, "a size where 2f + 1 quorums can be disjoint");
+    assert!(
+        matches!(&recorded[..], [v] if v.starts_with("[agreement]")),
+        "the artifact records what 2f + 1 did: {recorded:?}"
+    );
+    let out = run_scenario(&scenario);
+    assert!(out.passed(), "fixture regressed: {:?}", out.violations);
+}
