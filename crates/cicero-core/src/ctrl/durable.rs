@@ -235,10 +235,7 @@ impl ControllerActor {
         let have = self.delivered_frontier();
         for m in self.members() {
             if m != self.id {
-                ctx.send(
-                    self.node_of(m),
-                    Net::SyncRequest { have },
-                );
+                ctx.send(self.node_of(m), Net::SyncRequest { have });
             }
         }
     }
