@@ -14,9 +14,13 @@
 //! * **sends** go through `try_send` on the receiver's bounded mailbox — a
 //!   full mailbox drops the message like a lossy link, and the protocol's
 //!   reliable-delivery layer recovers;
-//! * **timers** and artificially delayed sends live in a per-thread
+//! * **modeled cost is dropped**, of either kind — a CPU charge and the
+//!   `extra_delay` of a send to another node are the simulator's stand-ins
+//!   for work this thread has just done for real, so neither reaches the
+//!   clock: such a send is transmitted when its handler returns;
+//! * **timers** and self-sends (`FlowDone`: the data plane that does not
+//!   exist in-process) are the node's own future and live in a per-thread
 //!   deadline queue serviced with `recv_timeout`;
-//! * **CPU charges are dropped** — real cycles are spent for real;
 //! * **observations** append to a shared, mutex-serialized log stamped
 //!   with wall-clock-since-epoch times.
 
@@ -74,8 +78,8 @@ enum Envelope {
 enum Due {
     /// An `on_timer` call.
     Timer(TimerToken),
-    /// An artificially delayed send, or any self-send (like `FlowDone`).
-    Send(NodeId, Net),
+    /// A self-send (like `FlowDone`), delivered after its `extra_delay`.
+    Send(Net),
 }
 
 /// Everything one node thread owns.
@@ -89,7 +93,7 @@ struct NodeRunner {
     obs: Arc<Mutex<Vec<Observation<Obs>>>>,
     dropped: Arc<Mutex<Vec<u64>>>,
     rng: StdRng,
-    /// Timers and held sends by deadline; `seq` breaks ties in the order
+    /// Timers and self-sends by deadline; `seq` breaks ties in the order
     /// the handlers made them, as the simulator's event queue does.
     due: BTreeMap<(SimTime, u64), Due>,
     seq: u64,
@@ -118,17 +122,18 @@ impl NodeRunner {
                 Effect::Timer { delay, token } => {
                     self.due.insert((now + delay, self.seq), Due::Timer(token));
                 }
-                // Delayed sends (and all self-sends, so a full own mailbox
-                // cannot drop e.g. `FlowDone`) are held locally until due.
+                // A self-send is held until due (and never goes through the
+                // own mailbox, which could be full and drop e.g. `FlowDone`);
+                // to another node `extra_delay` is modeled cost: dropped.
                 Effect::Send {
                     to,
                     msg,
                     extra_delay,
                 } => {
-                    if extra_delay == SimDuration::ZERO && to != self.id {
-                        outbox.push((to, msg));
+                    if to == self.id {
+                        self.due.insert((now + extra_delay, self.seq), Due::Send(msg));
                     } else {
-                        self.due.insert((now + extra_delay, self.seq), Due::Send(to, msg));
+                        outbox.push((to, msg));
                     }
                 }
             }
@@ -165,8 +170,7 @@ impl NodeRunner {
             let from = self.id;
             match self.due.pop_first().expect("peeked").1 {
                 Due::Timer(token) => self.handle(|a, h| a.on_timer(h, token)),
-                Due::Send(to, msg) if to == from => self.handle(|a, h| a.on_message(h, from, msg)),
-                Due::Send(to, msg) => self.transmit(to, msg),
+                Due::Send(msg) => self.handle(|a, h| a.on_message(h, from, msg)),
             }
         }
     }
@@ -220,7 +224,7 @@ impl NodeRunner {
                     Ok(Envelope::Msg { .. }) | Ok(Envelope::Kill) => {}
                     Ok(Envelope::Restart { disk_lost }) => {
                         // Next life: fresh actor (booted from its durable
-                        // disk), no carried-over timers or delayed sends —
+                        // disk), no carried-over timers or self-sends —
                         // exactly what the simulator's revive_node does.
                         self.role = self.dep.boot(self.id, Life::Restart { disk_lost });
                         self.due.clear();
@@ -272,6 +276,8 @@ pub struct ThreadedDeployment {
     obs: Arc<Mutex<Vec<Observation<Obs>>>>,
     dropped: Arc<Mutex<Vec<u64>>>,
     injected_flows: usize,
+    /// Log entries the watchdog has scanned, and the flows resolved in them.
+    resolved: (usize, usize),
 }
 
 impl ThreadedDeployment {
@@ -335,6 +341,7 @@ impl ThreadedDeployment {
             obs,
             dropped,
             injected_flows: 0,
+            resolved: (0, 0),
         }
     }
 
@@ -406,6 +413,16 @@ impl ThreadedDeployment {
         Some(sum)
     }
 
+    /// Flows resolved so far. The log only grows and every node thread
+    /// appends through its lock: each poll counts the new tail alone.
+    fn poll_resolved(&mut self) -> usize {
+        let log = self.obs.lock();
+        let (scanned, resolved) = &mut self.resolved;
+        *resolved += resolved_flows(&log[*scanned..]);
+        *scanned = log.len();
+        *resolved
+    }
+
     /// Polls until the run's progress is complete on two consecutive polls
     /// — every injected flow resolved, zero outstanding work anywhere — or
     /// until `budget` of wall time elapses.
@@ -413,7 +430,7 @@ impl ThreadedDeployment {
         let deadline = self.clock.now() + budget;
         let mut clean_polls = 0u32;
         let (completed, polled) = loop {
-            let resolved_flows = resolved_flows(&self.obs.lock());
+            let resolved_flows = self.poll_resolved();
             let progress = |outstanding| Progress {
                 injected_flows: self.injected_flows,
                 resolved_flows,
@@ -469,32 +486,41 @@ impl ThreadedDeployment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use southbound::types::FlowId;
+    use southbound::types::{FlowId, Phase};
 
-    /// Each actor is a deterministic function of its inputs — the `now()`
-    /// it is handed among them — on threads as in the simulator.
-    #[test]
-    fn a_handler_sees_one_now_however_long_it_runs() {
+    /// Node 0 of a flowless deployment on a fresh clock, with the receiving
+    /// ends of `mailboxes` peers' mailboxes (node ids 0..) and the shared log.
+    #[allow(clippy::type_complexity)]
+    fn runner(mailboxes: usize) -> (NodeRunner, Vec<Receiver<Envelope>>, Arc<Mutex<Vec<Observation<Obs>>>>) {
         let spec = crate::NodeSpec::from_json(r#"{ "mode": "centralized", "flows": 0 }"#)
             .expect("valid spec");
         let topo = spec.topology();
         let plan = cicero_core::deploy::plan(spec.engine_config(), spec.topology(), spec.domain_map(&topo), 0);
         let (dep, id) = (Arc::new(plan), NodeId(0));
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..mailboxes).map(|_| bounded(4)).unzip();
         let (_tx, rx) = bounded(1);
         let obs = Arc::new(Mutex::new(Vec::new()));
-        let mut runner = NodeRunner {
+        let runner = NodeRunner {
             id,
             role: dep.boot(id, Life::First),
             dep,
             rx,
-            senders: Arc::new(Vec::new()),
+            senders: Arc::new(senders),
             clock: WallClock::start(),
             obs: Arc::clone(&obs),
-            dropped: Arc::new(Mutex::new(Vec::new())),
+            dropped: Arc::new(Mutex::new(vec![0; mailboxes])),
             rng: StdRng::seed_from_u64(0),
             due: BTreeMap::new(),
             seq: 0,
         };
+        (runner, receivers, obs)
+    }
+
+    /// Each actor is a deterministic function of its inputs — the `now()`
+    /// it is handed among them — on threads as in the simulator.
+    #[test]
+    fn a_handler_sees_one_now_however_long_it_runs() {
+        let (mut runner, _, obs) = runner(0);
         let (pause, delay) = (SimDuration::from_millis(5), SimDuration::from_millis(10));
         let mut seen = SimTime::ZERO;
         runner.handle(|_actor, host| {
@@ -510,5 +536,36 @@ mod tests {
         assert!(obs.lock()[0].at >= done);
         let ((at, _), timer) = runner.due.pop_first().expect("the timer is armed");
         assert!(at >= done + delay && matches!(timer, Due::Timer(TimerToken(9))));
+    }
+
+    /// Modeled latency never reaches the clock: a delayed send to another
+    /// node leaves with its handler; only the node's own future is held.
+    #[test]
+    fn a_delayed_send_to_a_peer_leaves_at_once_and_the_nodes_own_future_is_held() {
+        let (mut runner, mailboxes, _) = runner(2);
+        let (me, peer, delay) = (NodeId(0), NodeId(1), SimDuration::from_millis(10));
+        let beat = |n| Net::Heartbeat { phase: Phase(n) };
+        let before = runner.clock.now();
+        runner.handle(|_actor, host| {
+            host.send_delayed(peer, beat(1), delay);
+            host.send_delayed(me, beat(2), delay);
+            host.set_timer(delay, TimerToken(3));
+        });
+        let arrived = mailboxes[1].try_recv().ok();
+        assert!(
+            matches!(arrived, Some(Envelope::Msg { from, msg: Net::Heartbeat { phase: Phase(1) } }) if from == me),
+            "the peer's mailbox holds the send when handle returns"
+        );
+        assert!(mailboxes[0].try_recv().is_err(), "a self-send never goes through the mailbox");
+        // Held until due, in the order made; nothing is held for the peer.
+        let held: Vec<(SimTime, &Due)> = runner.due.iter().map(|(&(at, _), d)| (at, d)).collect();
+        assert!(matches!(
+            held[..],
+            [(_, Due::Send(Net::Heartbeat { phase: Phase(2) })), (_, Due::Timer(TimerToken(3)))]
+        ));
+        let first = held[0].0;
+        assert!(first >= before + delay);
+        assert_eq!(runner.service_deadlines(), Some(first), "not due yet: nothing fires");
+        assert_eq!(runner.due.len(), 2);
     }
 }
