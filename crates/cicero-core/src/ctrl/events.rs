@@ -5,7 +5,7 @@
 use super::ControllerActor;
 use crate::auth::Peer;
 use crate::config::{Aggregation, Mode};
-use crate::msg::{Net, UpdateBody};
+use crate::msg::{Net, UpdateBody, WalRecord};
 use crate::obs::Obs;
 use crate::runtime::labels;
 use controller::app::NetworkApp;
@@ -92,11 +92,17 @@ impl ControllerActor {
         } else {
             self.hold_at_controller(ctx, &event, projected)
         };
-        let ready = self.pending.admit(schedule, ctx.now());
+        let admitted = self.pending.admit(schedule, ctx.now());
         // The event's signature check is latency, not serialized CPU, on the
         // paper's 12-core controllers: it rides on the pipeline delay.
         let pipeline = self.shared.cfg.costs.event_pipeline + self.auth.verify_latency();
-        for u in ready {
+        // An update its switch acknowledged before this controller got here
+        // is done: what its ack does, minus anything to send for it.
+        for &update in &admitted.retired {
+            self.log_record(&WalRecord::Acked(update));
+            self.report_drained_segments(ctx, update);
+        }
+        for u in admitted.ready {
             self.send_update_delayed(ctx, u, pipeline);
         }
         self.arm_retry(ctx);

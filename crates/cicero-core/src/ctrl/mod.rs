@@ -413,9 +413,8 @@ impl Actor<Net, Obs> for ControllerActor {
                 }
                 // A switch acknowledges its own updates only.
                 let origin = SwitchId(m.msg_id.origin);
-                if m.payload.switch != origin
-                    || self.pending.target(update).is_some_and(|s| s != origin)
-                {
+                let target = self.pending.target(update);
+                if m.payload.switch != origin || target.is_some_and(|s| s != origin) {
                     return;
                 }
                 // Verification latency rides on the released updates
@@ -424,7 +423,12 @@ impl Actor<Net, Obs> for ControllerActor {
                 let Some(latency) = self.auth.verify_tag(labels::ACK, &m, from) else {
                     return;
                 };
-                self.apply_verified_ack(ctx, update, latency);
+                match target {
+                    Some(_) => self.apply_verified_ack(ctx, update, latency),
+                    // It overtook its update's delivery here: whose update
+                    // that is decides at admission what the ack is worth.
+                    None => self.pending.ack_early(update, origin),
+                }
             }
             Net::UpdateNack(m) => self.on_update_nack(ctx, m),
             Net::SegmentApplied(m) => self.on_segment_applied(ctx, from, m),

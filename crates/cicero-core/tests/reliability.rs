@@ -298,6 +298,57 @@ fn watchdog_reports_clean_completion() {
     assert_eq!(report.stats.total_recoveries(), 0);
 }
 
+/// An ack may overtake its update's admission at one controller: the switch
+/// applies on a quorum of shares and acknowledges to everyone, the slowest
+/// controller included, whether or not that one has delivered the event yet.
+/// Here controller 4's copy of the egress switch's ack is at its door before
+/// the flow even starts, and the copy the switch sends on applying is cut
+/// (the link is severed), so nothing re-acks: the controller must make do
+/// with the early one. It retires the update when consensus hands it the
+/// event — no share signed, nothing in flight, nothing retransmitted. Taken
+/// on the sender's word instead, the ack left the update in flight against a
+/// switch that answers no more: retransmitted for the rest of the run.
+#[test]
+fn an_ack_that_overtook_its_updates_admission_retires_it_there() {
+    use southbound::envelope::{MsgId, Tagged};
+    use southbound::types::{EventId, Phase, UpdateId};
+    let (mut engine, topo) = lossy_engine(Mode::CICERO, 5, ReliabilityConfig::default());
+    let (src, dst) = cross_rack_pairs(&topo, 1)[0];
+    let attached = |h| topo.host(h).unwrap().attached;
+    let (ingress, egress) = (attached(src), attached(dst));
+    // Reverse-path order: the egress update, the last of three, goes
+    // first. PacketIn event ids are (ingress switch << 32 | 1).
+    let update = UpdateId {
+        event: EventId((u64::from(ingress.0) << 32) | 1),
+        seq: 2,
+    };
+    let slow = engine.controller_node(DomainId(0), ControllerId(4));
+    engine.set_faults(FaultPlan::none().with_severed_link(engine.switch_node(egress), slow));
+    let ack = Tagged {
+        payload: AckBody {
+            update,
+            switch: egress,
+        },
+        phase: Phase(0),
+        msg_id: MsgId {
+            origin: egress.0,
+            seq: 1,
+        },
+        tag: [0; 32],
+    };
+    let early = SimTime::ZERO + SimDuration::from_micros(10);
+    engine.inject_raw(early, engine.switch_node(egress), slow, Net::AckMsg(ack));
+    inject_one_flow(&mut engine, &topo, src, dst, 1);
+    let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(30));
+    assert!(report.completed && !report.stalled, "{report}");
+    assert_eq!(report.resolved_flows, 1);
+    assert_eq!(report.stats, RetransmitStats::default(), "{report}");
+    let settled = engine.with_controller(DomainId(0), ControllerId(4), |a| {
+        (a.pending().target(update), a.pending().is_settled(update), a.pending().in_flight_count())
+    });
+    assert_eq!(settled, (Some(egress), true, 0));
+}
+
 // ---------------------------------------------------------------------
 // Cross-domain handshake under faults (DESIGN.md §3).
 // ---------------------------------------------------------------------

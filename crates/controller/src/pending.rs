@@ -246,12 +246,26 @@ pub struct RetryBatch {
     pub failed: Vec<UpdateId>,
 }
 
+/// What [`PendingUpdates::admit`] did with a schedule.
+#[derive(Clone, Debug, Default)]
+pub struct Admission {
+    /// Updates ready to send (recorded as in flight).
+    pub ready: Vec<NetworkUpdate>,
+    /// Updates their own switch had already acknowledged: acknowledged
+    /// here and now, never put in flight.
+    pub retired: Vec<UpdateId>,
+}
+
 /// Tracks scheduled updates until acknowledged, with per-update send state.
 #[derive(Clone, Debug, Default)]
 pub struct PendingUpdates {
     waiting: BTreeMap<UpdateId, ScheduledUpdate>,
     sent: RetryTable<UpdateId, NetworkUpdate>,
     acked: BTreeSet<UpdateId>,
+    /// Acknowledgements that overtook their update's admission, with the
+    /// switch each came from: nothing is known of the update yet, so nothing
+    /// is believed of the ack until [`PendingUpdates::admit`] can check it.
+    early: BTreeMap<UpdateId, BTreeSet<SwitchId>>,
     /// Acknowledged updates kept for re-sync replies.
     completed: BTreeMap<UpdateId, NetworkUpdate>,
     failed: BTreeSet<UpdateId>,
@@ -269,30 +283,61 @@ impl PendingUpdates {
         self
     }
 
-    /// Admits a schedule; returns the updates that are immediately ready to
-    /// send (empty dependency sets), recorded as in flight at `now`.
-    pub fn admit(&mut self, schedule: Vec<ScheduledUpdate>, now: SimTime) -> Vec<NetworkUpdate> {
-        for s in schedule {
+    /// Admits a schedule: the updates that are immediately ready to send
+    /// (empty dependency sets) are recorded as in flight at `now`. An update
+    /// whose own switch acknowledged it early ([`PendingUpdates::ack_early`])
+    /// is retired on the spot — acknowledged and archived, its dependents
+    /// drained, never sent; an early ack from any other switch is discarded.
+    pub fn admit(&mut self, schedule: Vec<ScheduledUpdate>, now: SimTime) -> Admission {
+        let mut retired = Vec::new();
+        for mut s in schedule {
+            let id = s.update.id;
+            let early = self.early.remove(&id);
+            if early.is_some_and(|from| from.contains(&s.update.switch)) {
+                self.completed.insert(id, s.update);
+                retired.push(id);
+                continue;
+            }
             // Dependencies already acknowledged (e.g. re-admission after a
             // membership change) are pre-drained.
-            let mut s = s;
             s.deps.retain(|d| !self.acked.contains(d));
-            self.waiting.insert(s.update.id, s);
+            self.waiting.insert(id, s);
         }
-        self.release_ready(now)
+        for &id in &retired {
+            self.drain(id);
+        }
+        Admission {
+            ready: self.release_ready(now),
+            retired,
+        }
     }
 
     /// Records a verified acknowledgement; returns updates that became
-    /// ready (recorded as in flight at `now`).
+    /// ready (recorded as in flight at `now`). The switch applies an update
+    /// on a quorum of shares, so its ack can find the update still waiting
+    /// on dependencies here that the quorum has seen drained: it is done
+    /// all the same, and is never sent.
     pub fn ack(&mut self, id: UpdateId, now: SimTime) -> Vec<NetworkUpdate> {
-        self.acked.insert(id);
-        if let Some(update) = self.sent.remove(&id) {
+        let held = self.waiting.remove(&id).map(|s| s.update);
+        if let Some(update) = self.sent.remove(&id).or(held) {
             self.completed.insert(id, update);
         }
+        self.drain(id);
+        self.release_ready(now)
+    }
+
+    /// Parks a verified acknowledgement of an update not admitted yet
+    /// ([`PendingUpdates::target`] is `None`), sent by switch `from`.
+    pub fn ack_early(&mut self, id: UpdateId, from: SwitchId) {
+        self.early.entry(id).or_default().insert(from);
+    }
+
+    /// Marks `id` acknowledged and drops it from every dependency set.
+    fn drain(&mut self, id: UpdateId) {
+        self.acked.insert(id);
         for s in self.waiting.values_mut() {
             s.deps.remove(&id);
         }
-        self.release_ready(now)
     }
 
     fn release_ready(&mut self, now: SimTime) -> Vec<NetworkUpdate> {
@@ -401,9 +446,7 @@ impl PendingUpdates {
     }
 
     /// `true` iff `id` is acknowledged *and* no copy of it is in flight, so
-    /// a further acknowledgement of it can change nothing. (An ack that
-    /// overtook its own update's admission leaves the update in flight
-    /// until a re-ack retires it — that re-ack still matters.)
+    /// a further acknowledgement of it can change nothing.
     pub fn is_settled(&self, id: UpdateId) -> bool {
         self.acked.contains(&id) && !self.sent.contains(&id)
     }
@@ -454,7 +497,7 @@ mod tests {
     #[test]
     fn releases_in_reverse_path_order() {
         let mut p = PendingUpdates::new();
-        let ready = p.admit(chain(3, 1), T0);
+        let ready = p.admit(chain(3, 1), T0).ready;
         assert_eq!(ready.len(), 1);
         assert_eq!(ready[0].switch, SwitchId(2), "last hop first");
         let ready = p.ack(ready[0].id, T0);
@@ -470,8 +513,8 @@ mod tests {
     #[test]
     fn disjoint_events_progress_in_parallel() {
         let mut p = PendingUpdates::new();
-        let mut ready = p.admit(chain(2, 1), T0);
-        ready.extend(p.admit(chain(2, 2), T0));
+        let mut ready = p.admit(chain(2, 1), T0).ready;
+        ready.extend(p.admit(chain(2, 2), T0).ready);
         // One releasable update per event.
         assert_eq!(ready.len(), 2);
         let events: BTreeSet<u64> = ready.iter().map(|u| u.id.event.0).collect();
@@ -481,7 +524,7 @@ mod tests {
     #[test]
     fn duplicate_acks_are_idempotent() {
         let mut p = PendingUpdates::new();
-        let ready = p.admit(chain(2, 1), T0);
+        let ready = p.admit(chain(2, 1), T0).ready;
         let id = ready[0].id;
         let r1 = p.ack(id, T0);
         assert_eq!(r1.len(), 1);
@@ -494,13 +537,71 @@ mod tests {
     fn admission_after_ack_pre_drains() {
         let mut p = PendingUpdates::new();
         let sched = chain(2, 1);
-        let first_ready = p.admit(sched.clone(), T0)[0];
+        let first_ready = p.admit(sched.clone(), T0).ready[0];
         p.ack(first_ready.id, T0);
         // Re-admitting the same schedule: the dep on the acked update is
         // already satisfied.
         let mut p2 = p.clone();
-        let ready = p2.admit(sched, T0);
+        let ready = p2.admit(sched, T0).ready;
         assert!(ready.iter().any(|u| u.id.seq == 0));
+    }
+
+    /// `chain(3, _)`'s last hop: released first, addressed to switch 2.
+    fn last_hop(event: u64) -> UpdateId {
+        UpdateId {
+            event: EventId(event),
+            seq: 2,
+        }
+    }
+
+    #[test]
+    fn an_early_ack_from_the_target_retires_the_update_at_admission() {
+        let mut p = PendingUpdates::new();
+        let head = last_hop(1);
+        p.ack_early(head, SwitchId(2));
+        assert!(!p.is_acked(head), "nothing is believed before admission");
+        let admitted = p.admit(chain(3, 1), T0);
+        assert_eq!(admitted.retired, vec![head]);
+        // Never in flight, archived for re-syncs, and its dependent released.
+        assert!(p.is_settled(head));
+        assert_eq!(p.resync(head, T0).map(|u| u.id), Some(head));
+        assert_eq!(admitted.ready.len(), 1);
+        assert_eq!(admitted.ready[0].switch, SwitchId(1));
+        assert_eq!(p.in_flight_count(), 1);
+        // A second, live ack finds the update settled (dropped unchecked).
+        assert!(p.ack(head, T0).is_empty());
+        assert_eq!(p.in_flight_count(), 1);
+    }
+
+    #[test]
+    fn an_early_ack_from_another_switch_changes_nothing() {
+        let mut p = PendingUpdates::new();
+        let head = last_hop(1);
+        p.ack_early(head, SwitchId(1));
+        let admitted = p.admit(chain(3, 1), T0);
+        assert!(admitted.retired.is_empty());
+        assert_eq!(admitted.ready.len(), 1);
+        assert_eq!(admitted.ready[0].id, head, "sent like any other update");
+        assert!(!p.is_acked(head) && !p.is_settled(head));
+        assert_eq!(p.waiting_count(), 2, "no successor was pre-released");
+        // The parked ack is spent: re-admission does not find it either.
+        assert!(p.clone().admit(chain(3, 1), T0).retired.is_empty());
+    }
+
+    #[test]
+    fn an_ack_of_an_update_still_waiting_here_retires_it_unsent() {
+        let mut p = PendingUpdates::new();
+        let head = p.admit(chain(3, 1), T0).ready[0].id;
+        // The switch applied the middle hop on the other controllers'
+        // quorum: its ack arrives here before the head's does.
+        let middle = UpdateId { seq: 1, ..head };
+        let ready = p.ack(middle, T0);
+        assert_eq!(ready.iter().map(|u| u.id.seq).collect::<Vec<_>>(), vec![0], "its dependent goes");
+        assert!(p.is_settled(middle));
+        assert_eq!(p.resync(middle, T0).map(|u| u.id), Some(middle));
+        // The head's own ack then finds nothing left to release.
+        assert!(p.ack(head, T0).is_empty());
+        assert_eq!((p.in_flight_count(), p.waiting_count()), (1, 0));
     }
 
     #[test]
@@ -541,7 +642,7 @@ mod tests {
             jitter_seed: 0,
         };
         let mut p = PendingUpdates::new().with_policy(policy);
-        let ready = p.admit(chain(1, 1), T0);
+        let ready = p.admit(chain(1, 1), T0).ready;
         let id = ready[0].id;
         // Not yet due.
         assert!(p.due_retries(T0).resend.is_empty());
@@ -573,7 +674,7 @@ mod tests {
             jitter_seed: 1,
         };
         let mut p = PendingUpdates::new().with_policy(policy);
-        let ready = p.admit(chain(3, 1), T0);
+        let ready = p.admit(chain(3, 1), T0).ready;
         assert_eq!(ready.len(), 1);
         // Exhaust the in-flight head of the chain.
         let now = p.next_due().unwrap();
@@ -589,7 +690,7 @@ mod tests {
     #[test]
     fn resync_answers_from_flight_and_archive() {
         let mut p = PendingUpdates::new();
-        let ready = p.admit(chain(2, 1), T0);
+        let ready = p.admit(chain(2, 1), T0).ready;
         let first = ready[0].id;
         // In flight: resync returns the payload.
         assert_eq!(p.resync(first, T0).unwrap().id, first);

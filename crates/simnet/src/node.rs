@@ -56,6 +56,12 @@ pub trait Host<M, O = ()> {
     }
 
     /// Sends with an extra artificial delay on top of link latency.
+    ///
+    /// `extra_delay` is *modeled cost* — the simulator's stand-in for time
+    /// the sender spends producing the message (pipeline stages, signing on
+    /// spare cores) — and only the simulator honours it: an executor that
+    /// really spends that time transmits at once, and holds only a
+    /// self-send until due. A protocol that must *wait* sets a timer.
     fn send_delayed(&mut self, to: NodeId, msg: M, extra_delay: SimDuration);
 
     /// Schedules `on_timer(token)` after `delay`.

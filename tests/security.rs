@@ -1332,6 +1332,12 @@ mod acks {
     }
 
     fn stuck() -> Stuck {
+        stuck_after(|_| {})
+    }
+
+    /// [`stuck`], with `early` let loose on the fabric before the flow
+    /// arrives (at 1 ms).
+    fn stuck_after(early: impl FnOnce(&mut Stuck)) -> Stuck {
         let (mut engine, topo, secrets) = split_fabric(1);
         let hosts = topo.hosts();
         let (foreign, switch) = (hosts[0].attached, hosts.last().expect("hosts").attached);
@@ -1343,8 +1349,6 @@ mod acks {
             plan = plan.with_severed_link(engine.switch_node(switch), node);
         }
         engine.set_faults(plan);
-        inject_cross_rack(&mut engine, &topo);
-        engine.run(SimTime::ZERO + SimDuration::from_millis(50));
         // Reverse-path order: the egress update, the last of three, goes
         // first. PacketIn event ids are (ingress switch << 32 | 1).
         let update = UpdateId {
@@ -1359,6 +1363,9 @@ mod acks {
             update,
             foreign,
         };
+        early(&mut s);
+        inject_cross_rack(&mut s.engine, &topo);
+        s.engine.run(SimTime::ZERO + SimDuration::from_millis(50));
         for c in 1..=4 {
             assert_eq!(s.state(c), (0, false, 1), "controller {c}: one update in flight");
         }
@@ -1503,47 +1510,100 @@ mod acks {
         assert_eq!(s.state(5), (0, false, 0));
     }
 
+    /// The upstream domain holds two updates of the flow: one for its rack
+    /// switch (`foreign`), one for the pod's aggregation switch.
+    struct Upstream {
+        domain: DomainId,
+        /// The aggregation switch, and the key it shares with controller 1.
+        neighbour: SwitchId,
+        key: [u8; 32],
+        /// The rack switch's update, and the aggregation switch's own.
+        victim: UpdateId,
+        own: UpdateId,
+    }
+
+    impl Upstream {
+        fn of(s: &mut Stuck) -> Upstream {
+            let dir = s.engine.shared().dir.clone();
+            let domain = dir.domain_of_switch[&s.foreign];
+            let others = |x: &&SwitchId| **x != s.foreign && **x != s.switch;
+            let neighbour = *dir.switch_node.keys().find(others).expect("three switches");
+            assert_eq!(dir.domain_of_switch[&neighbour], domain);
+            let ids: Vec<UpdateId> = (0..3).map(|seq| UpdateId { seq, ..s.update }).collect();
+            let targets: Vec<Option<SwitchId>> = s
+                .engine
+                .with_controller(domain, ControllerId(1), |a| ids.iter().map(|&u| a.pending().target(u)).collect());
+            let update_for = |switch| {
+                let at = targets.iter().position(|&t| t == Some(switch));
+                ids[at.expect("one update per switch of the path")]
+            };
+            Upstream {
+                domain,
+                neighbour,
+                key: s.key(neighbour, 1),
+                victim: update_for(s.foreign),
+                own: update_for(neighbour),
+            }
+        }
+
+        /// The neighbour's ack of `update` in `switch`'s name.
+        fn ack(&self, update: UpdateId, switch: SwitchId) -> Net {
+            let id = MsgId {
+                origin: self.neighbour.0,
+                seq: 1,
+            };
+            Net::AckMsg(Tagged::tag(ACK, AckBody { update, switch }, Phase(0), id, &self.key))
+        }
+
+        /// `(tag checks, victim acked, own acked)` at controller 1.
+        fn seen(&self, s: &mut Stuck) -> (u64, bool, bool) {
+            let (victim, own) = (self.victim, self.own);
+            s.engine.with_controller(self.domain, ControllerId(1), |a| {
+                (a.auth().mac_checks(), a.pending().is_acked(victim), a.pending().is_acked(own))
+            })
+        }
+    }
+
     /// A switch speaks for its own updates only. The ack of a neighbour's
     /// update is refused although its tag is genuine — before this was
     /// checked (the signed acks of earlier rounds included), any switch of a
     /// domain could retire any update of that domain at every controller.
     #[test]
     fn a_switch_cannot_acknowledge_its_neighbours_update() {
-        use cicero_core::ctrl::ControllerActor;
         let mut s = stuck();
-        // The upstream domain holds two updates of the flow: one for its rack
-        // switch (`foreign`), one for the pod's aggregation switch.
-        let dir = s.engine.shared().dir.clone();
-        let upstream = dir.domain_of_switch[&s.foreign];
-        let others = |x: &&SwitchId| **x != s.foreign && **x != s.switch;
-        let neighbour = *dir.switch_node.keys().find(others).expect("three switches");
-        assert_eq!(dir.domain_of_switch[&neighbour], upstream);
-        let ids: Vec<UpdateId> = (0..3).map(|seq| UpdateId { seq, ..s.update }).collect();
-        let targets: Vec<Option<SwitchId>> = s
-            .engine
-            .with_controller(upstream, ControllerId(1), |a| ids.iter().map(|&u| a.pending().target(u)).collect());
-        let update_for = |switch| {
-            let at = targets.iter().position(|&t| t == Some(switch));
-            ids[at.expect("one update per switch of the path")]
-        };
-        let (victim, own) = (update_for(s.foreign), update_for(neighbour));
-        let key = s.key(neighbour, 1);
-        let id = MsgId {
-            origin: neighbour.0,
-            seq: 1,
-        };
-        let ack = |update, switch| {
-            Net::AckMsg(Tagged::tag(ACK, AckBody { update, switch }, Phase(0), id, &key))
-        };
+        let up = Upstream::of(&mut s);
         // Under its own name, and under the addressee's name from its own id.
-        s.deliver_in(upstream, 1, ack(victim, neighbour));
-        s.deliver_in(upstream, 1, ack(victim, s.foreign));
+        s.deliver_in(up.domain, 1, up.ack(up.victim, up.neighbour));
+        s.deliver_in(up.domain, 1, up.ack(up.victim, s.foreign));
         // The same key does acknowledge the neighbour's own update.
-        s.deliver_in(upstream, 1, ack(own, neighbour));
-        let check = |a: &mut ControllerActor| {
-            (a.auth().mac_checks(), a.pending().is_acked(victim), a.pending().is_acked(own))
-        };
-        let seen = s.engine.with_controller(upstream, ControllerId(1), check);
-        assert_eq!(seen, (1, false, true), "the neighbour's acks are refused before their tag");
+        s.deliver_in(up.domain, 1, up.ack(up.own, up.neighbour));
+        assert_eq!(up.seen(&mut s), (1, false, true), "the neighbour's acks are refused before their tag");
+    }
+
+    /// Nor by acknowledging before the controller has scheduled anything —
+    /// when nothing says yet whose update it is. Such an ack used to be
+    /// taken on the sender's word and pre-released the update's successors;
+    /// now it is parked with its sender and judged at admission: the
+    /// switch's own update is retired there, unsent, the neighbour's is not.
+    #[test]
+    fn a_switch_cannot_acknowledge_its_neighbours_update_early() {
+        let up = Upstream::of(&mut stuck());
+        let mut s = stuck_after(|s| {
+            let node = s.engine.controller_node(up.domain, ControllerId(1));
+            let early = [
+                up.ack(up.victim, up.neighbour),
+                up.ack(up.victim, s.foreign),
+                up.ack(up.own, up.neighbour),
+            ];
+            for (msg, at) in early.into_iter().zip(1..) {
+                let at = SimTime::ZERO + SimDuration::from_micros(10 * at);
+                s.engine.inject_raw(at, ENVIRONMENT, node, msg);
+            }
+            s.engine.run(SimTime::ZERO + SimDuration::from_micros(900));
+            // Nothing is scheduled: the two acks in the sender's own name
+            // are checked (and genuine), and nothing is believed yet.
+            assert_eq!(up.seen(s), (2, false, false));
+        });
+        assert_eq!(up.seen(&mut s), (2, false, true), "judged at admission by whose update it is");
     }
 }
