@@ -107,6 +107,11 @@ struct Entry<P> {
     prepare_votes: BTreeMap<(View, Digest), BTreeSet<ReplicaId>>,
     commit_votes: BTreeMap<(View, Digest), BTreeSet<ReplicaId>>,
     prepared: bool,
+    /// The highest-view prepared certificate this replica holds for the
+    /// slot. It belongs to `(view, seq, digest)`, not to the binding: a
+    /// re-proposal in a later view that fails to prepare there does not
+    /// erase it, and every view-change vote reports it.
+    certificate: Option<(View, Slot<P>)>,
     committed: bool,
     delivered: bool,
 }
@@ -120,6 +125,7 @@ impl<P> Default for Entry<P> {
             prepare_votes: BTreeMap::new(),
             commit_votes: BTreeMap::new(),
             prepared: false,
+            certificate: None,
             committed: false,
             delivered: false,
         }
@@ -219,6 +225,7 @@ impl<P: BftPayload> Replica<P> {
         let e = self.entry(seq);
         if e.digest == Some(digest) && e.view == view {
             e.prepared = true;
+            e.certificate = e.slot.clone().map(|slot| (view, slot));
             e.commit_votes.entry((view, digest)).or_default().insert(me);
         }
     }
@@ -269,6 +276,13 @@ impl<P: BftPayload> Replica<P> {
             let (Some(digest), Some(slot)) = (e.digest, e.slot.clone()) else {
                 continue;
             };
+            // A certificate older than the binding replays first, as it
+            // was journaled: its binding, then the certificate.
+            if let Some((view, slot)) = e.certificate.clone().filter(|(v, _)| *v != e.view) {
+                let digest = slot.digest();
+                out.push(JournalRecord::Accepted { view, seq, slot });
+                out.push(JournalRecord::Prepared { view, seq, digest });
+            }
             out.push(JournalRecord::Accepted {
                 view: e.view,
                 seq,
@@ -455,6 +469,7 @@ impl<P: BftPayload> Replica<P> {
                 return Vec::new();
             }
             e.prepared = true;
+            e.certificate = e.slot.clone().map(|slot| (view, slot));
             e.commit_votes.entry((view, digest)).or_default().insert(me);
             (view, digest)
         };
@@ -610,13 +625,14 @@ impl<P: BftPayload> Replica<P> {
     fn prepared_certificates(&self) -> Vec<Prepared<P>> {
         self.entries
             .iter()
-            .filter(|(_, e)| e.prepared && !e.delivered)
+            .filter(|(_, e)| !e.delivered)
             .filter_map(|(&seq, e)| {
+                let (view, slot) = e.certificate.clone()?;
                 Some(Prepared {
-                    view: e.view,
+                    view,
                     seq,
-                    digest: e.digest?,
-                    slot: e.slot.clone()?,
+                    digest: slot.digest(),
+                    slot,
                 })
             })
             .collect()

@@ -2,6 +2,7 @@
 //! primaries, Byzantine equivocation, and randomized message schedules.
 
 use bft::prelude::*;
+use bft::replica::JournalRecord;
 use std::collections::BTreeSet;
 use substrate::rng::StdRng;
 use substrate::rng::{Rng as _, SeedableRng};
@@ -183,6 +184,51 @@ fn primary_crash_after_partial_prepare_preserves_entry() {
     net.drain(&mut None);
     let order = net.assert_agreement();
     assert_eq!(order, vec![77], "prepared entry must not be lost");
+}
+
+/// A prepared certificate belongs to `(view, seq, digest)`, not to the slot's
+/// current binding: a backup that prepared in view 0, saw the same payload
+/// re-proposed in view 1 and never prepared it there must still report the
+/// view-0 certificate when it votes for view 2 — another replica may have
+/// committed on it, and a new primary that hears of no certificate fills the
+/// slot with a no-op.
+#[test]
+fn a_reproposal_that_fails_to_prepare_keeps_the_older_certificate() {
+    let mut r = Replica::<u64>::new(ReplicaId(3), BftConfig::new(4));
+    let (payload, seq) = (7u64, 1);
+    let (slot, digest) = (Slot::Payload(payload), payload.digest());
+    // Its own pending request keeps the progress clock running.
+    r.submit(payload);
+    // View 0: pre-prepare (primary's vote + ours) and one more prepare.
+    r.handle(ReplicaId(0), BftMessage::PrePrepare { view: 0, seq, slot: slot.clone() });
+    let outs = r.handle(ReplicaId(1), BftMessage::Prepare { view: 0, seq, digest });
+    assert!(
+        outs.contains(&Output::Broadcast(BftMessage::Commit { view: 0, seq, digest })),
+        "prepared in view 0"
+    );
+    // View 1 re-proposes the slot; nobody else prepares it there.
+    let voters = vec![ReplicaId(0), ReplicaId(1), ReplicaId(2)];
+    let reproposals = vec![(seq, slot.clone())];
+    r.handle(ReplicaId(1), BftMessage::NewView { view: 1, voters, reproposals });
+    assert_eq!(r.view(), 1);
+    // So does a replica restored from this one's compacted journal.
+    let mut restored = Replica::<u64>::new(ReplicaId(3), BftConfig::new(4));
+    for record in r.journal_snapshot() {
+        match record {
+            JournalRecord::View(view) => restored.restore_view(view),
+            JournalRecord::Accepted { view, seq, slot } => restored.restore_accepted(view, seq, slot),
+            JournalRecord::Prepared { view, seq, digest } => restored.restore_prepared(view, seq, digest),
+        }
+    }
+    restored.submit(payload);
+    // The view times out: the vote for view 2 carries the view-0 certificate.
+    for mut r in [r, restored] {
+        let vote = (0..1000).flat_map(|_| r.on_tick()).find_map(|out| match out {
+            Output::Broadcast(BftMessage::ViewChange { new_view: 2, prepared, .. }) => Some(prepared),
+            _ => None,
+        });
+        assert_eq!(vote, Some(vec![Prepared { view: 0, seq, digest, slot: slot.clone() }]));
+    }
 }
 
 #[test]

@@ -111,3 +111,22 @@ fn disjoint_quorums_fixture_replays_green_under_intersecting_quorums() {
     let out = run_scenario(&scenario);
     assert!(out.passed(), "fixture regressed: {:?}", out.violations);
 }
+
+/// `secure 0xb0`, shrunk: four controllers per domain under 6.1 % message
+/// loss. One replica committed a slot in view 0; view 1 re-proposed it and
+/// failed to prepare, which made every holder forget its view-0 certificate,
+/// so view 2's primary heard of none and filled the slot with a no-op — the
+/// `[agreement]` violation the artifact records. A replica now keeps its
+/// highest-view certificate per slot whatever is re-proposed over it, and
+/// the same scenario replays green; drop `Entry::certificate` and it fails.
+#[test]
+fn lost_certificate_fixture_replays_green_when_certificates_outlive_reproposals() {
+    let (scenario, recorded) =
+        simcheck::artifact::read_artifact(&fixture("secure_lost_certificate_0xb0.json")).unwrap();
+    assert!(
+        matches!(&recorded[..], [v] if v.starts_with("[agreement]")),
+        "the artifact records what the forgotten certificate did: {recorded:?}"
+    );
+    let out = run_scenario(&scenario);
+    assert!(out.passed(), "fixture regressed: {:?}", out.violations);
+}
