@@ -278,8 +278,8 @@ impl<P: BftPayload> Replica<P> {
             };
             // A certificate older than the binding replays first, as it
             // was journaled: its binding, then the certificate.
-            if let Some((view, slot)) = e.certificate.clone().filter(|(v, _)| *v != e.view) {
-                let digest = slot.digest();
+            if let Some((view, slot)) = e.certificate.as_ref().filter(|(v, _)| *v != e.view) {
+                let (view, slot, digest) = (*view, slot.clone(), slot.digest());
                 out.push(JournalRecord::Accepted { view, seq, slot });
                 out.push(JournalRecord::Prepared { view, seq, digest });
             }

@@ -14,13 +14,12 @@
 //! * **sends** go through `try_send` on the receiver's bounded mailbox — a
 //!   full mailbox drops the message like a lossy link, and the protocol's
 //!   reliable-delivery layer recovers;
-//! * **modeled cost is dropped**, of either kind — a CPU charge and the
-//!   `extra_delay` of a send to another node are the simulator's stand-ins
-//!   for work this thread has just done for real, so neither reaches the
-//!   clock: such a send is transmitted when its handler returns;
+//! * **modeled cost is dropped**, CPU charges and the `extra_delay` of a
+//!   send to another node alike — real cycles are spent for real — so such
+//!   a send is transmitted when its handler returns;
 //! * **timers** and self-sends (`FlowDone`: the data plane that does not
-//!   exist in-process) are the node's own future and live in a per-thread
-//!   deadline queue serviced with `recv_timeout`;
+//!   exist in-process) live in a per-thread deadline queue serviced with
+//!   `recv_timeout`;
 //! * **observations** append to a shared, mutex-serialized log stamped
 //!   with wall-clock-since-epoch times.
 
@@ -123,19 +122,12 @@ impl NodeRunner {
                     self.due.insert((now + delay, self.seq), Due::Timer(token));
                 }
                 // A self-send is held until due (and never goes through the
-                // own mailbox, which could be full and drop e.g. `FlowDone`);
-                // to another node `extra_delay` is modeled cost: dropped.
-                Effect::Send {
-                    to,
-                    msg,
-                    extra_delay,
-                } => {
-                    if to == self.id {
-                        self.due.insert((now + extra_delay, self.seq), Due::Send(msg));
-                    } else {
-                        outbox.push((to, msg));
-                    }
+                // own mailbox, which could be full and drop e.g. `FlowDone`).
+                Effect::Send { to, msg, extra_delay } if to == self.id => {
+                    self.due.insert((now + extra_delay, self.seq), Due::Send(msg));
                 }
+                // To another node `extra_delay` is modeled cost: dropped.
+                Effect::Send { to, msg, .. } => outbox.push((to, msg)),
             }
         }
         if !observed.is_empty() {
@@ -179,35 +171,25 @@ impl NodeRunner {
         'lives: loop {
             self.handle(|a, h| a.on_start(h));
             loop {
-                let envelope = match self.service_deadlines() {
+                let received = match self.service_deadlines() {
                     Some(next) => {
                         let wait = next.since(self.clock.now());
-                        match self
-                            .rx
-                            .recv_timeout(std::time::Duration::from_nanos(wait.as_nanos()))
-                        {
-                            Ok(e) => Some(e),
-                            Err(RecvTimeoutError::Timeout) => None,
-                            Err(RecvTimeoutError::Disconnected) => return,
-                        }
+                        self.rx.recv_timeout(std::time::Duration::from_nanos(wait.as_nanos()))
                     }
-                    None => match self.rx.recv() {
-                        Ok(e) => Some(e),
-                        Err(_) => return,
-                    },
+                    None => self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
                 };
-                match envelope {
-                    None => {}
-                    Some(Envelope::Msg { from, msg }) => {
+                match received {
+                    Err(RecvTimeoutError::Timeout) => {}
+                    Err(RecvTimeoutError::Disconnected) | Ok(Envelope::Shutdown) => return,
+                    Ok(Envelope::Msg { from, msg }) => {
                         self.handle(|a, h| a.on_message(h, from, msg));
                     }
-                    Some(Envelope::Probe(reply)) => {
+                    Ok(Envelope::Probe(reply)) => {
                         let _ = reply.try_send(self.role.outstanding());
                     }
-                    Some(Envelope::Kill) => break,
+                    Ok(Envelope::Kill) => break,
                     // A live node ignores a stray restart, disk and all.
-                    Some(Envelope::Restart { .. }) => {}
-                    Some(Envelope::Shutdown) => return,
+                    Ok(Envelope::Restart { .. }) => {}
                 }
             }
             // A crashed node drops all future deliveries, like the
@@ -413,8 +395,8 @@ impl ThreadedDeployment {
         Some(sum)
     }
 
-    /// Flows resolved so far. The log only grows and every node thread
-    /// appends through its lock: each poll counts the new tail alone.
+    /// Flows resolved so far: the log only grows, under the lock every node
+    /// thread appends through, so each poll counts the new tail alone.
     fn poll_resolved(&mut self) -> usize {
         let log = self.obs.lock();
         let (scanned, resolved) = &mut self.resolved;

@@ -63,8 +63,9 @@
 //! rows in which an ack reaches a controller ahead of the update it names —
 //! all of them runs with loss, a severed uplink or a restarted controller
 //! (`run` 9 and 42, `secure` 1, 6 and 9, all five `recover` seeds, the lossy
-//! Cicero and Cicero-Agg hashes of `GOLDEN_ENGINE`). Such an update used to be sent anyway, later,
-//! and retired by the re-ack its retransmission drew; now it is never sent.
+//! Cicero and Cicero-Agg hashes of `GOLDEN_ENGINE`). Such an update used to
+//! be sent anyway, later, and retired by the re-ack its retransmission drew;
+//! now it is never sent.
 //! Two cases: the controller has not scheduled the update yet (`run` 9,
 //! `secure` 9, `recover` 9 move on this alone) — the ack is parked with its
 //! sender and, if that is the update's own switch, honoured at admission;

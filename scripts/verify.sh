@@ -91,6 +91,23 @@ if grep -rnE "^\s*impl(<[^>]*>)? +Host<" crates src examples --include=*.rs |
     exit 1
 fi
 
+echo "== send_delayed stays with the cost model's callers =="
+# `extra_delay` is modeled cost: the threaded executor transmits such a send
+# at once (DESIGN.md §3b), so a protocol wait must be a timer. Only the
+# trait's own file, the controller and switch handlers that price their
+# pipeline stages, and tests may call it (five files today); a new crate must
+# not quietly grow a wait that cicero-node would skip.
+# A column-0 `#[cfg(test)]` opens a file's unit tests, which run to its end.
+if find crates src examples -name '*.rs' -not -path 'crates/*/tests/*' -print0 | xargs -0 awk '
+        FNR == 1 { tests = 0 }
+        $0 == "#[cfg(test)]" { tests = 1 }
+        !tests && /send_delayed\(/ { print FILENAME ":" FNR ": " $0 }' |
+    grep -v -e "^crates/simnet/src/node.rs:" -e "^crates/cicero-core/src/ctrl/" \
+        -e "^crates/cicero-core/src/switch.rs:"; then
+    echo "verify.sh: send_delayed outside its five files above; a protocol that must wait sets a timer" >&2
+    exit 1
+fi
+
 echo "== the signed receipts (boundary release, Segway ready) and signed acks stay deleted =="
 if grep -rn "BoundaryRelease\b\|ReleaseBody\|SegwayReadyAck\|READY_RECEIPT\|ReadyReceipted\|ready_out\|Signed<AckBody>\|Signed<NackBody>" \
     crates src tests examples --include=*.rs; then
@@ -185,6 +202,12 @@ echo "== threaded runtime smoke (cicero-node, real threads) =="
 # seconds of wall clock (the config's budget_ms bounds the run).
 cargo build -q --release --offline -p cicero-node
 cargo run -q --release --offline -p cicero-node -- examples/node_two_domains.json
+# Both executors on the same scenarios. Its loss-free cases demand that not
+# one retransmission happened, which is what catches an ack racing its own
+# update on real threads — and a race shows in some runs only: ten of them.
+for _ in 1 2 3 4 5 6 7 8 9 10; do
+    cargo test -q --offline --release -p cicero-node --test equivalence
+done
 
 echo "== crash-recovery smoke (cicero-node, WAL on real files) =="
 # Same runtime with a mid-run controller crash: the WAL and snapshots live
