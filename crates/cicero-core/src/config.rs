@@ -329,7 +329,7 @@ pub struct EngineConfig {
     /// Cross-domain ordering handshake: when an event's schedule makes an
     /// update depend on updates in *another* domain, the upstream domain
     /// holds it until the downstream domain's quorum reports its whole
-    /// segment applied (`SegmentApplied`/`SegmentQuery`, DESIGN.md §3).
+    /// segment applied (`SegmentApplied`, DESIGN.md §3).
     /// `false` restores the historical per-domain-only ordering, under
     /// which boundary-crossing flows can transiently black-hole at the
     /// domain edge with zero faults (kept for regression/control runs).

@@ -3,17 +3,16 @@
 //! shares of the downstream domain over one segment body, aggregated and
 //! verified once against that domain's group key; share-signed
 //! segment-applied reports for own segments foreign updates depend on,
-//! sent once and kept; and the receiver-driven recovery loop — the
-//! controller whose barrier is still waiting asks for the shares it lacks
-//! (and, on the lowest controller, re-forwards the event) — that keeps the
-//! handshake live under loss.
+//! sent once and kept, and re-sent to whoever re-forwards the event — the
+//! re-forward of a controller still waiting on this domain (`ctrl/events.rs`)
+//! is the one recovery loop that keeps the handshake live under loss.
 
 use super::ControllerActor;
+use crate::auth::Peer;
 use crate::collector::Quorum;
 use crate::msg::{Net, SegmentBody, WalRecord};
 use crate::obs::Obs;
 use crate::runtime::labels;
-use controller::pending::Retry;
 use controller::scheduler::{Projected, ScheduledUpdate};
 use simnet::node::{Host, NodeId};
 use simnet::time::SimDuration;
@@ -48,9 +47,6 @@ pub(super) struct BarrierExpect {
     downstream: DomainId,
     /// Distinct downstream signers required.
     quorum: usize,
-    /// The event, kept for re-forwarding if the downstream domain went
-    /// quiet (its copy of the forwarded event may have been lost).
-    event: Event,
 }
 
 /// Upstream half of the cross-domain ordering handshake for one
@@ -85,8 +81,8 @@ pub(super) struct SegWatch {
 
 /// Downstream half, second stage: the drained segment's threshold share —
 /// signed once, sent once to every upstream controller, and kept so an
-/// upstream controller whose barrier is still waiting can ask for it again
-/// ([`Net::SegmentQuery`]). One per reported `(event, segment)`, living
+/// upstream controller still waiting can have it again by re-forwarding the
+/// event ([`Net::ForwardedEvent`]). One per reported `(event, segment)`, living
 /// exactly as long as the upstream side's `barriers` entry of that key;
 /// a restart rebuilds it by replaying the acks that drained the segment.
 pub(super) struct KeptShare {
@@ -131,22 +127,11 @@ impl ControllerActor {
                 deps,
             });
         }
-        let now = ctx.now();
         for (k, downstream) in barrier_deps {
             let quorum = self.downstream_quorum(downstream);
             let st = self.barriers.entry((event.id, k)).or_default();
             if st.expected.is_none() && !st.released {
-                let event = Event {
-                    forwarded: true,
-                    ..*event
-                };
-                st.expected = Some(BarrierExpect {
-                    downstream,
-                    quorum,
-                    event,
-                });
-                self.forwards
-                    .insert((event.id, k), barrier_id(event.id, k), (), now);
+                st.expected = Some(BarrierExpect { downstream, quorum });
             }
             self.check_barrier_release(ctx, (event.id, k), SimDuration::ZERO);
         }
@@ -174,7 +159,13 @@ impl ControllerActor {
 
     /// Sends `msg` to controller `c` of another domain, if the directory
     /// knows it.
-    fn send_remote(&self, ctx: &mut dyn Host<Net, Obs>, d: DomainId, c: ControllerId, msg: Net) {
+    pub(super) fn send_remote(
+        &self,
+        ctx: &mut dyn Host<Net, Obs>,
+        d: DomainId,
+        c: ControllerId,
+        msg: Net,
+    ) {
         if let Some(&node) = self.shared.dir.controller_node.get(&(d, c)) {
             ctx.send(node, msg);
         }
@@ -213,7 +204,6 @@ impl ControllerActor {
             return;
         }
         st.released = true;
-        self.forwards.remove(&key);
         ctx.observe(Obs::BoundaryReleased {
             domain: self.domain,
             controller: self.id.0,
@@ -224,6 +214,7 @@ impl ControllerActor {
         for u in ready {
             self.send_update_delayed(ctx, u, extra);
         }
+        self.retire_forward(key.0);
         self.arm_retry(ctx);
     }
 
@@ -249,7 +240,8 @@ impl ControllerActor {
     /// The one unsolicited transmission of a drained segment's report —
     /// this controller's threshold share over the segment body — to every
     /// controller of every upstream domain holding a barrier on it. The
-    /// share is kept: whoever misses it asks ([`Self::on_segment_query`]).
+    /// share is kept: whoever misses it re-forwards the event and has it
+    /// again ([`Self::answer_reforward`]).
     fn start_segment_report(&mut self, ctx: &mut dyn Host<Net, Obs>, key: (EventId, u32)) {
         let Some(w) = self.seg_watch.remove(&key) else {
             return;
@@ -282,44 +274,41 @@ impl ControllerActor {
         self.seg_sent.insert(key, kept);
     }
 
-    /// Handles an upstream controller's request for our share of a segment
-    /// report: its barrier on the segment is registered and still
-    /// uncertified. Answered only over the asker's own channel and only for
-    /// a current member of a domain that is upstream of the segment, with
-    /// the kept share, to the asker alone — one reply per query, nothing
-    /// signed or verified on either side. A segment not drained yet has no
-    /// share to send; the asker gets it unsolicited when it drains.
-    pub(super) fn on_segment_query(
+    /// Answers a re-forward of `event`, which this controller has delivered:
+    /// its sender still waits on this domain, and what it can lack from here
+    /// is the event's segment reports. Answered only over the channel of a
+    /// current member of a domain upstream of a segment, with the kept share,
+    /// to the sender alone — one reply per kept report per re-forward,
+    /// nothing signed or verified on either side. A segment not drained yet
+    /// has no share to send; the sender gets it unsolicited when it drains.
+    pub(super) fn answer_reforward(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
         from: NodeId,
-        key: (EventId, u32),
-        asker: (DomainId, ControllerId),
+        event: EventId,
     ) {
-        if !self.active {
-            return;
-        }
-        ctx.charge_cpu(self.shared.cfg.costs.ctrl_msg);
-        let members = self.remote_members.get(&asker.0);
-        if !members.is_some_and(|ms| ms.contains(&asker.1))
-            || self.shared.dir.controller_node.get(&asker) != Some(&from)
-        {
-            return;
-        }
-        let kept = self.seg_sent.get_mut(&key);
-        let Some(kept) = kept.filter(|k| k.upstreams.contains(&asker.0)) else {
+        let Some(Peer::Controller(d, c)) = self.shared.dir.peer(from) else {
             return;
         };
-        kept.resends += 1;
-        let attempt = kept.resends;
-        ctx.send(from, Net::SegmentApplied(kept.report.clone()));
-        ctx.observe(Obs::SegmentRetransmitted {
-            domain: self.domain,
-            controller: self.id.0,
-            event: key.0,
-            segment: key.1,
-            attempt,
-        });
+        let members = self.remote_members.get(&d);
+        if !members.is_some_and(|ms| ms.contains(&c)) {
+            return;
+        }
+        let (domain, controller) = (self.domain, self.id.0);
+        for (&(event, segment), kept) in self.seg_sent.range_mut((event, 0)..=(event, u32::MAX)) {
+            if !kept.upstreams.contains(&d) {
+                continue;
+            }
+            kept.resends += 1;
+            ctx.send(from, Net::SegmentApplied(kept.report.clone()));
+            ctx.observe(Obs::SegmentRetransmitted {
+                domain,
+                controller,
+                event,
+                segment,
+                attempt: kept.resends,
+            });
+        }
     }
 
     /// Handles a downstream controller's share of a segment report.
@@ -442,7 +431,7 @@ impl ControllerActor {
         self.barriers.values().filter(|st| st.released).count()
     }
 
-    /// Entries in each handshake structure: barriers, barrier clocks,
+    /// Entries in each handshake structure: barriers, kept forwards,
     /// reporting domains with open shares, own-segment watches, kept
     /// shares (tests: what unauthenticated traffic can make us remember).
     pub fn handshake_footprint(&self) -> [usize; 5] {
@@ -453,63 +442,5 @@ impl ControllerActor {
             self.seg_watch.len(),
             self.seg_sent.len(),
         ]
-    }
-
-    /// Drives recovery of every overdue barrier (from the retry timer). The
-    /// only node that knows a segment certificate is missing is the one
-    /// holding the barrier, so it asks: an unsigned query to every member
-    /// of the downstream domain, answered with the share each one kept.
-    /// On the lowest controller the forwarded event (sent to one downstream
-    /// member) may also have been lost, or its target crashed: re-forward it
-    /// to every member; `seen_events` dedups over there.
-    pub(super) fn sweep_handshake(&mut self, ctx: &mut dyn Host<Net, Obs>) {
-        for r in self.forwards.sweep(ctx.now()) {
-            // Budget spent: the barrier keeps waiting, quietly.
-            let Retry::Resend(key, attempt) = r else {
-                continue;
-            };
-            let Some(exp) = self.barriers.get(&key).and_then(|st| st.expected.as_ref()) else {
-                continue;
-            };
-            let downstream = exp.downstream;
-            // Stamp our own domain as origin so receivers verify against
-            // the actual forwarder's key. One signature for every copy: the
-            // digest covers the event, not the addressee.
-            let event = Event {
-                origin: self.domain,
-                ..exp.event
-            };
-            let forward = self.is_lowest().then(|| {
-                self.auth
-                    .sign(ctx, labels::FORWARD, event, self.view.phase())
-            });
-            let query = Net::SegmentQuery {
-                event: key.0,
-                segment: key.1,
-                domain: self.domain,
-                controller: self.id,
-            };
-            for &c in self.remote_members.get(&downstream).into_iter().flatten() {
-                self.send_remote(ctx, downstream, c, query.clone());
-                if let Some(signed) = &forward {
-                    self.send_remote(ctx, downstream, c, Net::ForwardedEvent(signed.clone()));
-                }
-            }
-            ctx.observe(Obs::SegmentQueried {
-                domain: self.domain,
-                controller: self.id.0,
-                event: key.0,
-                segment: key.1,
-                attempt,
-            });
-            if forward.is_some() {
-                ctx.observe(Obs::ForwardRetransmitted {
-                    domain: self.domain,
-                    controller: self.id.0,
-                    event: key.0,
-                    attempt,
-                });
-            }
-        }
     }
 }

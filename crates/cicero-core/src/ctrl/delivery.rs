@@ -1,6 +1,6 @@
 //! The controller side of the reliable-delivery layer: one self-re-arming
 //! retry timer drives update retransmission (with per-controller jittered
-//! backoff), handshake sweeps, and NACK-answering state re-sync.
+//! backoff) and cross-domain re-forwards, and NACK-answering state re-sync.
 
 use super::{ControllerActor, RETRY};
 use crate::auth::Peer;
@@ -19,7 +19,7 @@ impl ControllerActor {
         if self.retry_armed {
             return;
         }
-        // In-flight updates, and barriers registered but still uncertified.
+        // In-flight updates, and forwards of events still waited for.
         let due = [self.pending.next_due(), self.forwards.next_due()];
         let Some(due) = due.into_iter().flatten().min() else {
             return;
@@ -34,7 +34,6 @@ impl ControllerActor {
             return;
         }
         let batch = self.pending.due_retries(ctx.now());
-        let mut stuck_events = Vec::new();
         for (u, attempt) in batch.resend {
             ctx.observe(Obs::UpdateRetransmitted {
                 domain: self.domain,
@@ -42,17 +41,7 @@ impl ControllerActor {
                 update: u.id,
                 attempt,
             });
-            if self.shared.cfg.mode == crate::config::Mode::Segway
-                && !stuck_events.contains(&u.id.event)
-            {
-                stuck_events.push(u.id.event);
-            }
             self.send_update_delayed(ctx, u, SimDuration::ZERO);
-        }
-        // Segway: a stuck update may mean the remote half of its gate chain
-        // never heard the event — re-forward alongside the retry wave.
-        for e in stuck_events {
-            self.reforward_segway(ctx, e);
         }
         for id in batch.failed {
             ctx.observe(Obs::UpdateRetryExhausted {
@@ -61,7 +50,7 @@ impl ControllerActor {
                 update: id,
             });
         }
-        self.sweep_handshake(ctx);
+        self.sweep_forwards(ctx);
         self.arm_retry(ctx);
     }
 

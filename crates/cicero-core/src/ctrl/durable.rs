@@ -190,8 +190,9 @@ impl ControllerActor {
                     // recovery (switch-side dedup absorbs duplicates).
                     let _ = self.pending.ack(id, now);
                     // A drained own segment is share-signed again and kept
-                    // for upstream controllers that still ask for it.
-                    self.report_drained_segments(&mut mute, id);
+                    // for upstream controllers that still re-forward; a
+                    // forward nothing waits for any more is retired.
+                    self.settle(&mut mute, id);
                 }
                 WalRecord::BarrierSigner {
                     barrier,
@@ -199,7 +200,7 @@ impl ControllerActor {
                     controller,
                 } => {
                     // The logged (or a peer's) signer facts spare the
-                    // barrier a second round of asking for shares.
+                    // barrier a second round of re-forwarding for shares.
                     self.restore_barrier_signer(&mut mute, barrier, domain, controller);
                 }
                 WalRecord::BftView(v) => {

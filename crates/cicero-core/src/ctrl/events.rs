@@ -1,7 +1,10 @@
 //! Event processing: delivering totally-ordered events into the network
 //! application, projecting and releasing this domain's updates, forwarding
-//! events to other affected domains, and dispatching signed updates.
+//! events to other affected domains — and re-forwarding them while this
+//! controller waits on one, the one recovery loop for cross-domain events —
+//! and dispatching signed updates.
 
+use super::barriers::barrier_id;
 use super::ControllerActor;
 use crate::auth::Peer;
 use crate::config::{Aggregation, Mode};
@@ -9,12 +12,32 @@ use crate::msg::{Net, UpdateBody, WalRecord};
 use crate::obs::Obs;
 use crate::runtime::labels;
 use controller::app::NetworkApp;
+use controller::pending::Retry;
 use controller::scheduler::{project, Projected, ScheduledUpdate};
-use simnet::node::Host;
+use simnet::node::{Host, NodeId};
 use simnet::time::SimDuration;
 use southbound::envelope::Signed;
-use southbound::types::{ControllerId, Event, EventKind, NetworkUpdate, SwitchId};
+use southbound::types::{
+    ControllerId, DomainId, Event, EventId, EventKind, NetworkUpdate, SwitchId, UpdateId,
+};
 use std::collections::BTreeSet;
+
+/// An event whose projected schedule here waits on other domains, and this
+/// controller's forward of it to them: kept until the wait is over, and
+/// re-sent on the retry clock to every member of the domains waited on
+/// ([`ControllerActor::sweep_forwards`]).
+pub(super) struct Forward {
+    /// The event as this controller forwards it: `origin` is its own
+    /// domain, whose key the receivers check the signature against.
+    event: Event,
+    /// The domains the schedule waits on.
+    downstream: BTreeSet<DomainId>,
+    /// What ends the wait once acknowledged here: the barriers (Cicero), or
+    /// the own updates a switch holds at a foreign gate (Segway).
+    awaits: BTreeSet<UpdateId>,
+    /// The forward signed at the first re-send, then re-sent as-is.
+    signed: Option<Signed<Event>>,
+}
 
 impl ControllerActor {
     pub(super) fn process_event(&mut self, ctx: &mut dyn Host<Net, Obs>, event: Event) {
@@ -80,14 +103,37 @@ impl ControllerActor {
         let handshake = self.shared.cfg.cross_domain_handshake;
         let listed = if handshake { &all } else { &own };
         let projected = project(&self.scheduler.schedule(listed), domain_of, self.domain);
-        // The mode only chooses who enforces the projected dependencies.
-        let schedule = if self.shared.cfg.mode == Mode::Segway {
-            if own.len() != all.len() {
-                // Retained so a stuck own update can re-drive the forward
-                // (`reforward_segway`) — Segway has no handshake sweep to
-                // recover a dropped `ForwardedEvent`.
-                self.segway_events.insert(event.id, (event, 0));
+        // Whoever waits on another domain — a barrier here, a foreign gate at
+        // a Segway switch — keeps a forward to it until the wait is over.
+        let segway = self.shared.cfg.mode == Mode::Segway;
+        let (mut downstream, mut awaits) = (BTreeSet::new(), BTreeSet::new());
+        for p in &projected {
+            for f in &p.foreign {
+                downstream.insert(f.domain);
+                let held = if segway { p.update.id } else { barrier_id(event.id, f.segment) };
+                awaits.insert(held);
             }
+        }
+        if !downstream.is_empty() {
+            let forward = Forward {
+                event: Event {
+                    origin: self.domain,
+                    forwarded: true,
+                    ..event
+                },
+                downstream,
+                awaits,
+                signed: None,
+            };
+            // The id only seeds the clock's jitter.
+            let jitter = UpdateId {
+                event: event.id,
+                seq: 0,
+            };
+            self.forwards.insert(event.id, jitter, forward, ctx.now());
+        }
+        // The mode only chooses who enforces the projected dependencies.
+        let schedule = if segway {
             self.ship_to_switches(projected)
         } else {
             self.hold_at_controller(ctx, &event, projected)
@@ -100,7 +146,7 @@ impl ControllerActor {
         // is done: what its ack does, minus anything to send for it.
         for &update in &admitted.retired {
             self.log_record(&WalRecord::Acked(update));
-            self.report_drained_segments(ctx, update);
+            self.settle(ctx, update);
         }
         for u in admitted.ready {
             self.send_update_delayed(ctx, u, pipeline);
@@ -132,18 +178,12 @@ impl ControllerActor {
 
     /// Forwards `event` to the first member of every other affected domain,
     /// at most once per event (the lowest live controller forwards, to
-    /// avoid n copies).
+    /// avoid n copies). Whoever then waits on one of those domains re-sends
+    /// its own forward until the wait is over ([`Self::sweep_forwards`]).
     pub(super) fn forward_event(&mut self, ctx: &mut dyn Host<Net, Obs>, event: &Event) {
         if !self.forwarded_events.insert(event.id) {
             return;
         }
-        self.send_forward(ctx, event);
-    }
-
-    /// Sends the signed forward of `event` to the first member of every
-    /// other affected domain. No dedup — [`Self::forward_event`] guards the
-    /// first copy, [`Self::reforward_segway`] deliberately repeats it.
-    fn send_forward(&mut self, ctx: &mut dyn Host<Net, Obs>, event: &Event) {
         let affected = self
             .shared
             .policy
@@ -171,33 +211,54 @@ impl ControllerActor {
         }
     }
 
-    /// Segway's replacement for the handshake sweep's re-forwards: while
-    /// this (lowest) controller is still retrying an own update of a
-    /// cross-domain event, the remote domain may have lost the one
-    /// `ForwardedEvent` copy and with it the whole gate chain — so the
-    /// event is re-forwarded alongside each retry wave. Receivers absorb
-    /// duplicates through their event dedup; the update retry budget
-    /// bounds the re-forward count.
-    pub(super) fn reforward_segway(
-        &mut self,
-        ctx: &mut dyn Host<Net, Obs>,
-        event_id: southbound::types::EventId,
-    ) {
-        if !self.is_lowest() {
-            return;
+    /// Re-sends every overdue forward (from the retry timer) to every member
+    /// of the domains it waits on. The one message answers both things a
+    /// waiting controller can lack: a domain that never heard of the event
+    /// delivers it, one that did answers with the segment reports it kept
+    /// ([`Self::answer_reforward`]). Signed at the first re-send, then kept;
+    /// a spent budget stops the re-sending and the schedule waits quietly.
+    pub(super) fn sweep_forwards(&mut self, ctx: &mut dyn Host<Net, Obs>) {
+        for r in self.forwards.sweep(ctx.now()) {
+            let Retry::Resend(event, attempt) = r else {
+                continue;
+            };
+            let (auth, phase) = (&mut self.auth, self.view.phase());
+            let fwd = self.forwards.get_mut(&event).expect("re-sent, so kept");
+            let body = fwd.event;
+            let signed = fwd
+                .signed
+                .get_or_insert_with(|| auth.sign(ctx, labels::FORWARD, body, phase))
+                .clone();
+            for d in fwd.downstream.clone() {
+                for &c in self.remote_members.get(&d).into_iter().flatten() {
+                    self.send_remote(ctx, d, c, Net::ForwardedEvent(signed.clone()));
+                }
+            }
+            ctx.observe(Obs::ForwardRetransmitted {
+                domain: self.domain,
+                controller: self.id.0,
+                event,
+                attempt,
+            });
         }
-        let Some((event, attempts)) = self.segway_events.get_mut(&event_id) else {
-            return;
-        };
-        *attempts += 1;
-        let (event, attempt) = (*event, *attempts);
-        ctx.observe(Obs::ForwardRetransmitted {
-            domain: self.domain,
-            controller: self.id.0,
-            event: event_id,
-            attempt,
-        });
-        self.send_forward(ctx, &event);
+    }
+
+    /// What the acknowledgement of own update `update` finishes here: the
+    /// own segments it drained are reported upstream, and the event's
+    /// forward may have nothing left to wait for.
+    pub(super) fn settle(&mut self, ctx: &mut dyn Host<Net, Obs>, update: UpdateId) {
+        self.report_drained_segments(ctx, update);
+        self.retire_forward(update.event);
+    }
+
+    /// Retires `event`'s forward once everything it waited for is
+    /// acknowledged here — no message is sent for a wait that is over.
+    pub(super) fn retire_forward(&mut self, event: EventId) {
+        let pending = &self.pending;
+        let over = |f: &Forward| f.awaits.iter().all(|&u| pending.is_acked(u));
+        if self.forwards.get(&event).is_some_and(over) {
+            self.forwards.remove(&event);
+        }
     }
 
     /// The body `update` travels in: itself plus whatever dependencies were
@@ -248,6 +309,7 @@ impl ControllerActor {
     pub(super) fn on_event_msg(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
+        from: NodeId,
         msg: Signed<Event>,
         forwarded: bool,
     ) {
@@ -256,8 +318,12 @@ impl ControllerActor {
         }
         ctx.charge_cpu(self.shared.cfg.costs.ctrl_msg);
         // A replay of a processed event cannot change anything: drop it
-        // before paying for its signature.
+        // before paying for its signature. A re-forward of one asks for
+        // what its sender still waits on here.
         if self.seen_events.contains(&msg.payload.id) {
+            if forwarded {
+                self.answer_reforward(ctx, from, msg.payload.id);
+            }
             return;
         }
         let (label, from) = if forwarded {

@@ -10,9 +10,11 @@
 //! [`Host`](simnet::node::Host) API:
 //!
 //! * [`consensus`](self) — driving the PBFT replica and routing its outputs;
-//! * `events` — event processing, cross-domain forwarding, update dispatch;
+//! * `events` — event processing, cross-domain forwarding and the one
+//!   recovery loop for it (re-forwards by whoever still waits), update
+//!   dispatch;
 //! * `barriers` — the cross-domain ordering handshake (quorum-certified
-//!   segment reports, receiver-driven share queries, re-forwards);
+//!   segment reports, kept and re-sent to a re-forwarder);
 //! * `aggregate` — the optional aggregator role (controller aggregation);
 //! * `delivery` — the retransmission / NACK reliable-delivery layer;
 //! * `membership` — phase changes with public-key-preserving resharing.
@@ -33,6 +35,7 @@ use crate::obs::Obs;
 use crate::runtime::{labels, Shared};
 use barriers::{BarrierState, KeptShare, SegWatch};
 use bft::message::ReplicaId;
+use events::Forward;
 use bft::replica::Replica;
 use blscrypto::bls::{KeyShare, PartialSignature, SecretKey};
 use blscrypto::dkg::GroupPublic;
@@ -88,17 +91,17 @@ pub struct ControllerActor {
     remote_members: BTreeMap<DomainId, Vec<ControllerId>>,
     detector: HeartbeatDetector,
     barriers: BTreeMap<(EventId, u32), BarrierState>,
-    /// One clock per registered, unreleased barrier: on expiry this
-    /// controller asks the downstream domain for the shares it lacks (and,
-    /// if it is the lowest, re-forwards the event).
-    forwards: RetryTable<(EventId, u32), ()>,
+    /// One forward per event whose schedule here waits on another domain,
+    /// kept until no update of the event is outstanding: on expiry it is
+    /// re-sent to every member of the domains waited on.
+    forwards: RetryTable<EventId, Forward>,
     /// Downstream segment-report shares below quorum, per reporting domain
-    /// and `(event, segment)` — volatile: after a crash the barrier's clock
-    /// asks for them again.
+    /// and `(event, segment)` — volatile: after a crash the re-forwards ask
+    /// for them again.
     seg_shares: BTreeMap<DomainId, QuorumCollector<(EventId, u32), SegmentBody>>,
     /// Own segments foreign updates depend on, not yet fully switch-acked.
     seg_watch: BTreeMap<(EventId, u32), SegWatch>,
-    /// Drained own segments' reports, kept to answer upstream queries.
+    /// Drained own segments' reports, kept to answer upstream re-forwards.
     seg_sent: BTreeMap<(EventId, u32), KeptShare>,
     /// Dependencies shipped to the switches rather than held here (Segway):
     /// per-update gate/notify metadata projected once at `process_event`
@@ -109,11 +112,6 @@ pub struct ControllerActor {
     /// it answers NACKs from, never pruned. Retransmissions and NACK answers
     /// re-send it as-is; re-made only when the phase has moved since.
     kept_updates: BTreeMap<UpdateId, ShareSigned<UpdateBody>>,
-    /// Segway mode: cross-domain events retained for re-forwarding, with a
-    /// re-forward attempt counter. Segway has no handshake sweep to re-drive
-    /// a dropped `ForwardedEvent`, so a stuck own update doubles as the
-    /// signal (`reforward_segway`).
-    segway_events: BTreeMap<EventId, (Event, u32)>,
     retry_armed: bool,
     // ---- durability (ctrl/durable.rs) --------------------------------
     /// Durable storage, when provisioned.
@@ -203,7 +201,6 @@ impl ControllerActor {
             seg_sent: BTreeMap::new(),
             shipped: BTreeMap::new(),
             kept_updates: BTreeMap::new(),
-            segway_events: BTreeMap::new(),
             retry_armed: false,
             disk: None,
             wal: None,
@@ -247,7 +244,7 @@ impl ControllerActor {
 
     /// The authentication seam, for its counters — signatures made and
     /// checked (a single verify and an aggregate verify each count one), tags
-    /// checked (tests: what a duplicate, a late share or a query costs).
+    /// checked (tests: what a duplicate, a late share or a re-forward costs).
     pub fn auth(&self) -> &Authenticator {
         &self.auth
     }
@@ -282,7 +279,7 @@ impl ControllerActor {
 
     /// Applies a verified acknowledgement: records it (and its
     /// WAL entry, first ack only), releases newly unblocked updates, and
-    /// reports any own segment the ack drained upstream.
+    /// settles what the ack finished ([`Self::settle`]).
     fn apply_verified_ack(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
@@ -297,7 +294,7 @@ impl ControllerActor {
         for u in ready {
             self.send_update_delayed(ctx, u, extra);
         }
-        self.report_drained_segments(ctx, update);
+        self.settle(ctx, update);
         self.arm_retry(ctx);
     }
 }
@@ -376,8 +373,8 @@ impl Actor<Net, Obs> for ControllerActor {
             _ => None,
         };
         match msg {
-            Net::EventMsg(m) => self.on_event_msg(ctx, m, false),
-            Net::ForwardedEvent(m) => self.on_event_msg(ctx, m, true),
+            Net::EventMsg(m) => self.on_event_msg(ctx, from, m, false),
+            Net::ForwardedEvent(m) => self.on_event_msg(ctx, from, m, true),
             Net::Consensus { phase, msg } => {
                 // While recovering, consensus traffic is dropped: the
                 // remaining 2f replicas make progress without this one, and
@@ -432,12 +429,6 @@ impl Actor<Net, Obs> for ControllerActor {
             }
             Net::UpdateNack(m) => self.on_update_nack(ctx, m),
             Net::SegmentApplied(m) => self.on_segment_applied(ctx, from, m),
-            Net::SegmentQuery {
-                event,
-                segment,
-                domain,
-                controller,
-            } => self.on_segment_query(ctx, from, (event, segment), (domain, controller)),
             Net::UpdateToAggregator(m) => self.on_update_to_aggregator(ctx, from, m),
             Net::PhasePartial(m) => self.on_phase_partial(ctx, m),
             Net::Heartbeat { .. } => {

@@ -271,7 +271,9 @@ pub enum Net {
     /// Switch → controller(s): a signed data-plane event.
     EventMsg(Signed<Event>),
     /// Controller → controller: a signed cross-domain event forward
-    /// (paper §4.1, tagged `forwarded` inside the event).
+    /// (paper §4.1, tagged `forwarded` inside the event). Re-sent by every
+    /// controller still waiting on the receiver's domain; to a receiver that
+    /// has delivered the event, the re-send asks for its segment reports.
     ForwardedEvent(Signed<Event>),
     /// Controller ↔ controller: consensus traffic. Tagged with the sender's
     /// membership phase so messages from a superseded consensus group are
@@ -302,8 +304,6 @@ pub enum Net {
     SegwayReadyQuery {
         /// The gating update.
         update: UpdateId,
-        /// The asking (released) switch.
-        to: SwitchId,
     },
     /// Aggregator → switch: the quorum-aggregated update body.
     UpdateAggregated(QuorumSigned<UpdateBody>),
@@ -343,22 +343,8 @@ pub enum Net {
     /// Controller → upstream controllers: this controller's threshold
     /// share over "this domain's segment of the event's update list is
     /// fully applied" (cross-domain ordering handshake; sent once, and
-    /// again to whoever asks with a [`Net::SegmentQuery`]).
+    /// again to whoever re-forwards it the event, [`Net::ForwardedEvent`]).
     SegmentApplied(ShareSigned<SegmentBody>),
-    /// Upstream controller → downstream controllers: "my barrier on this
-    /// segment is registered and still uncertified — send me your share
-    /// again". Unsigned: the answer goes to the asker alone, carries only
-    /// what the asker was sent anyway, and is checked like any share.
-    SegmentQuery {
-        /// The event whose update list the segment belongs to.
-        event: EventId,
-        /// The awaited segment's index.
-        segment: u32,
-        /// The asking (upstream) domain.
-        domain: DomainId,
-        /// The asking controller.
-        controller: ControllerId,
-    },
     /// Harness → bootstrap controller: propose a membership change.
     MembershipCmd(OrderedOp),
     /// Bootstrap → newly added controller: the control-plane state a joiner

@@ -153,23 +153,8 @@ pub enum Obs {
         /// The applied segment's index in the event's full update list.
         segment: u32,
     },
-    /// An upstream controller whose barrier on a segment is registered and
-    /// still uncertified asked the downstream domain's controllers for
-    /// their shares again (handshake loss recovery, receiver-driven).
-    SegmentQueried {
-        /// The asking (upstream) domain.
-        domain: DomainId,
-        /// The asking controller.
-        controller: u32,
-        /// The event.
-        event: EventId,
-        /// The awaited segment's index.
-        segment: u32,
-        /// Which query round of this barrier this is (1-based).
-        attempt: u32,
-    },
     /// A downstream controller re-sent its kept `SegmentApplied` share to
-    /// an upstream controller that asked for it.
+    /// an upstream controller that re-forwarded it the event.
     SegmentRetransmitted {
         /// The retransmitting domain.
         domain: DomainId,
@@ -267,10 +252,11 @@ pub enum Obs {
         /// The claimed sender.
         from: SwitchId,
     },
-    /// An upstream controller re-forwarded a signed event to the remaining
-    /// members of a downstream domain whose segment report is overdue (the
-    /// initial single-target forward, or its processing, was evidently
-    /// lost).
+    /// A controller whose schedule for an event still waits on other
+    /// domains re-sent its kept forward of the event to every member of
+    /// them: a domain that never heard of the event delivers it, one that
+    /// did answers with the segment reports it kept (cross-domain loss
+    /// recovery, receiver-driven; Cicero and Segway alike).
     ForwardRetransmitted {
         /// The re-forwarding (upstream) domain.
         domain: DomainId,
@@ -278,7 +264,8 @@ pub enum Obs {
         controller: u32,
         /// The re-forwarded event.
         event: EventId,
-        /// Which re-forward this is (1-based).
+        /// Which re-send of this controller's forward of the event this is
+        /// (1-based).
         attempt: u32,
     },
 }
@@ -300,9 +287,9 @@ pub struct RetransmitStats {
     pub nacks: u64,
     /// NACKs answered by controllers with a re-sent update.
     pub resyncs: u64,
-    /// Cross-domain `SegmentApplied` shares re-sent on request.
+    /// Cross-domain `SegmentApplied` shares re-sent to a re-forwarder.
     pub segment_retransmits: u64,
-    /// Cross-domain event re-forwards to overdue downstream domains.
+    /// Cross-domain event re-forwards by controllers still waiting.
     pub forward_retransmits: u64,
     /// Segway switch-to-switch readies re-sent on request.
     pub ready_retransmits: u64,

@@ -540,22 +540,18 @@ impl SwitchActor {
         self.send_ack(ctx, update);
     }
 
-    /// Switch `to` holds a parked body and still lacks our ready for
-    /// `update`. Answered only over the asker's own channel and only for a
-    /// release in the ledger, with the kept ready, to the asker alone —
-    /// nothing verified, and signed only when a restart dropped the kept
-    /// copy. A release not made yet has nothing to send; the asker gets the
-    /// ready unsolicited when `update` goes in.
-    fn on_ready_query(
-        &mut self,
-        ctx: &mut dyn Host<Net, Obs>,
-        from: NodeId,
-        update: UpdateId,
-        to: SwitchId,
-    ) {
+    /// The switch at `from` holds a parked body and still lacks our ready
+    /// for `update`. Answered only for a release to that switch in the
+    /// ledger, with the kept ready, to the asker alone — nothing verified,
+    /// and signed only when a restart dropped the kept copy. A release not
+    /// made yet has nothing to send; the asker gets the ready unsolicited
+    /// when `update` goes in.
+    fn on_ready_query(&mut self, ctx: &mut dyn Host<Net, Obs>, from: NodeId, update: UpdateId) {
         ctx.charge_cpu(self.shared.cfg.costs.switch_msg);
-        let by_asker = self.shared.dir.switch_node.get(&to) == Some(&from);
-        let Some(kept) = self.ready_sent.get_mut(&(update, to)).filter(|_| by_asker) else {
+        let Some(Peer::Switch(to)) = self.shared.dir.peer(from) else {
+            return;
+        };
+        let Some(kept) = self.ready_sent.get_mut(&(update, to)) else {
             return;
         };
         let (me, phase, auth) = (self.id, self.phase_info.phase, &mut self.auth);
@@ -677,9 +673,8 @@ impl SwitchActor {
             let Retry::Resend((update, from), attempt) = r else {
                 continue;
             };
-            let me = self.id;
-            ctx.send(self.shared.dir.switch(from), Net::SegwayReadyQuery { update, to: me });
-            ctx.observe(Obs::ReadyQueried { switch: me, update, from, attempt });
+            ctx.send(self.shared.dir.switch(from), Net::SegwayReadyQuery { update });
+            ctx.observe(Obs::ReadyQueried { switch: self.id, update, from, attempt });
         }
     }
 
@@ -828,7 +823,7 @@ impl Actor<Net, Obs> for SwitchActor {
                 }
             }
             Net::SegwayReady(m) => self.on_ready(ctx, m),
-            Net::SegwayReadyQuery { update, to } => self.on_ready_query(ctx, from, update, to),
+            Net::SegwayReadyQuery { update } => self.on_ready_query(ctx, from, update),
             Net::LinkDown { a, b } => {
                 self.raise_event(ctx, EventKind::LinkFailure { a, b });
             }

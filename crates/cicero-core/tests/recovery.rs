@@ -8,7 +8,11 @@ use netmodel::routing::route;
 use netmodel::topology::Topology;
 use simnet::fault::FaultPlan;
 use simnet::sim::ENVIRONMENT;
-use southbound::types::{ControllerId, DomainId, FlowId, HostId, SwitchId, UpdateId};
+use southbound::envelope::{MsgId, Signed};
+use southbound::types::{
+    ControllerId, DomainId, Event, EventId, EventKind, FlowId, HostId, Phase, SwitchId,
+    UpdateId,
+};
 use std::collections::BTreeSet;
 
 fn inject_flow_at(
@@ -297,8 +301,9 @@ fn crash_between_share_arrival_and_quorum_releases_exactly_once_after_restart() 
 
 /// A reporter keeps its share only in memory. Restarted — from its own log
 /// or, disk wiped, from a peer's — the muted replay of the acks that drained
-/// the segment signs the share again, so an upstream controller that asks
-/// afterwards still gets an answer; nothing is re-sent unasked.
+/// the segment signs the share again, so an upstream controller that
+/// re-forwards the event afterwards still gets an answer; nothing is re-sent
+/// unasked.
 #[test]
 fn restarted_reporter_rebuilds_its_kept_share_and_answers_queries() {
     for disk_lost in [false, true] {
@@ -335,21 +340,33 @@ fn restarted_reporter_rebuilds_its_kept_share_and_answers_queries() {
         engine.run(ms(400));
         assert_eq!(recovered_controllers(&engine), vec![reporter.0]);
         assert_eq!(kept(&mut engine), 1, "disk_lost={disk_lost}: share not rebuilt");
+        // Upstream controller 2 re-forwards the event: the reporter has
+        // delivered it, so it drops the forward unchecked and answers.
         let asker = ControllerId(2);
-        engine.inject_raw(
-            ms(401),
-            engine.controller_node(up, asker),
-            node,
-            Net::SegmentQuery {
-                event,
-                segment,
-                domain: up,
-                controller: asker,
+        let switch = topo.host(src).unwrap().attached;
+        let reforward = Signed {
+            payload: Event {
+                id: event,
+                kind: EventKind::PacketIn { switch, flow: FlowId(1), src, dst },
+                origin: up,
+                forwarded: true,
             },
-        );
+            phase: Phase(0),
+            msg_id: MsgId { origin: asker.0, seq: 1 },
+            signature: KeyMaterial::dummy_signature(),
+        };
+        let from = engine.controller_node(up, asker);
+        engine.inject_raw(ms(401), from, node, Net::ForwardedEvent(reforward));
         engine.run(ms(500));
-        let stats = retransmit_stats(engine.observations());
-        assert_eq!(stats.segment_retransmits, 1, "asked once, answered once");
+        let resent: Vec<(EventId, u32)> = engine
+            .observations()
+            .iter()
+            .filter_map(|o| match o.value {
+                Obs::SegmentRetransmitted { event, segment, .. } => Some((event, segment)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(resent, vec![(event, segment)], "asked once, answered once");
     }
 }
 

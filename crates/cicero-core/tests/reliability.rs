@@ -384,13 +384,13 @@ fn assert_audit_clean(engine: &Engine, topo: &Topology, src: HostId, dst: HostId
     assert!(hazards.is_empty(), "audit found hazards: {hazards:?}");
 }
 
-/// `SegmentApplied` shares and the `SegmentQuery` messages that ask for
-/// them again travel on the inter-domain controller links. Dropping 30% of
-/// that traffic forces the handshake through its recovery path: the flow
-/// must still converge, in order, and the re-sent-share counter proves the
-/// recovery machinery carried it. Prints the time to converge; over
-/// `CHECK_CASES=300` the sender-driven handshake this replaced took 96.3 ms
-/// in the mean (p90 310.8, max 881.3), this one 70.7 (p90 193.2, max 537.6).
+/// `SegmentApplied` shares and the re-forwards that ask for them again
+/// travel on the inter-domain controller links. Dropping 30% of that traffic
+/// forces the handshake through its recovery path: the flow must still
+/// converge, in order, and the re-sent-share counter proves the recovery
+/// machinery carried it. Prints the time to converge; over `CHECK_CASES=300`
+/// PR 20's sender-driven predecessor took 96.3 ms in the mean (p90 310.8, max
+/// 881.3), its queries 70.7 (p90 193.2, max 537.6).
 #[test]
 fn handshake_survives_segment_ack_loss() {
     let mut segment_rtx = 0u64;
@@ -427,18 +427,18 @@ fn handshake_survives_segment_ack_loss() {
 }
 
 /// The unsolicited copy of every share reaches only one of the four
-/// upstream controllers. The other three hold a registered, uncertified
-/// barrier, so each asks when its clock expires — one `retry_base` (plus up
-/// to a quarter of it in jitter) after registering — and releases one round
-/// trip later, on the re-sent shares. No reporter retransmits unasked, and
-/// the one controller that got the shares never asks.
+/// upstream controllers. The other three still wait on the downstream domain,
+/// so each re-forwards the event when its clock expires — one `retry_base`
+/// (plus up to a quarter of it in jitter) after delivering it — and releases
+/// one round trip later, on the shares the re-forward drew. No reporter
+/// retransmits unasked; the controller that got the shares never re-forwards.
 #[test]
 fn shares_lost_to_three_of_four_upstream_controllers_are_fetched_within_one_retry() {
     let (mut engine, topo) = multi_domain_engine(11);
     let (down, up) = (DomainId(0), DomainId(1));
     let lucky = engine.controller_node(up, ControllerId(1));
     // The cut covers the whole first life of the handshake (a few ms) and
-    // heals long before the first barrier clock fires.
+    // heals long before the first re-forward is due.
     let healed = SimTime::ZERO + SimDuration::from_millis(50);
     let mut plan = FaultPlan::none();
     for r in domain_controller_nodes(&engine, down) {
@@ -463,7 +463,7 @@ fn shares_lost_to_three_of_four_upstream_controllers_are_fetched_within_one_retr
         _ => None,
     });
     let queried = at(|o| match *o {
-        Obs::SegmentQueried { controller, attempt: 1, .. } => Some(controller),
+        Obs::ForwardRetransmitted { controller, .. } => Some(controller),
         _ => None,
     });
     let released = at(|o| match *o {
@@ -474,7 +474,7 @@ fn shares_lost_to_three_of_four_upstream_controllers_are_fetched_within_one_retr
     assert!(reported.iter().all(|&(_, t)| t < healed), "reports must fall into the cut");
     let mut askers: Vec<u32> = queried.iter().map(|&(c, _)| c).collect();
     askers.sort_unstable();
-    assert_eq!(askers, vec![2, 3, 4], "exactly the controllers that missed the shares ask");
+    assert_eq!(askers, vec![2, 3, 4], "the controllers that missed the shares re-forward, once");
     assert_eq!(released.len(), 4, "every barrier releases: {released:?}");
     let retry_base = engine.shared().cfg.reliability.retry_base;
     let first_report = reported.iter().map(|&(_, t)| t).min().expect("four reports");
@@ -491,7 +491,7 @@ fn shares_lost_to_three_of_four_upstream_controllers_are_fetched_within_one_retr
             assert!(t > asked, "controller {c} released before it asked");
         }
     }
-    // One round of queries: 3 askers × 4 reporters, each answered once.
+    // One round of re-forwards: 3 askers × 4 reporters, each answered once.
     assert_eq!(report.stats.segment_retransmits, 12);
 }
 
@@ -669,7 +669,7 @@ fn segway_switch_restart_mid_update_releases_exactly_once() {
             matches!(o.value, Obs::ReadyRetransmitted { from, .. } if from == victim)
         });
         let asker = engine.switch_node(to);
-        let query = Net::SegwayReadyQuery { update, to };
+        let query = Net::SegwayReadyQuery { update };
         let mut signed = Vec::new();
         for _ in 0..2 {
             let (before, _) = engine.with_switch(victim, |s| s.signature_ops());
@@ -823,7 +823,7 @@ fn wal_with_a_retired_receipt_frame_replays_with_the_frame_skipped() {
     });
     assert_eq!(restored, (1, 1));
     let at = engine.now() + SimDuration::from_millis(1);
-    let query = Net::SegwayReadyQuery { update: id(1), to: neighbor };
+    let query = Net::SegwayReadyQuery { update: id(1) };
     engine.inject_raw(at, engine.switch_node(neighbor), engine.switch_node(me), query);
     engine.run(at + SimDuration::from_millis(5));
     assert_eq!(retransmit_stats(engine.observations()).ready_retransmits, 1);
@@ -854,13 +854,12 @@ fn downstream_primary_crash_mid_handshake_converges() {
     });
 }
 
-/// A barrier whose retry budget is spent must go quiet, not spin: with
-/// every inter-domain controller link dead, the upstream domain asks for
-/// the shares and re-forwards the event `retry_budget` times and then only
-/// waits. (The exhausted
-/// barrier used to keep reporting its stale deadline, re-arming the retry
-/// timer at zero delay forever — simulated time stopped advancing and the
-/// run never returned.)
+/// A forward whose retry budget is spent must go quiet, not spin: with
+/// every inter-domain controller link dead, each upstream controller
+/// re-forwards the event `retry_budget` times and then only waits. (An
+/// exhausted barrier clock once kept reporting its stale deadline,
+/// re-arming the retry timer at zero delay forever — simulated time stopped
+/// advancing and the run never returned.)
 #[test]
 fn spent_reforward_budget_goes_quiet_instead_of_spinning() {
     let mut cfg = EngineConfig::for_mode(Mode::Cicero {
@@ -890,13 +889,162 @@ fn spent_reforward_budget_goes_quiet_instead_of_spinning() {
         "simulated time stopped: {report}"
     );
     assert_eq!(report.resolved_flows, 0);
-    let attempts: Vec<u32> = engine
-        .observations()
-        .iter()
-        .filter_map(|o| match o.value {
-            Obs::ForwardRetransmitted { attempt, .. } => Some(attempt),
-            _ => None,
-        })
+    let mut attempts: std::collections::BTreeMap<(DomainId, u32), Vec<u32>> = Default::default();
+    for o in engine.observations() {
+        if let Obs::ForwardRetransmitted { domain, controller, attempt, .. } = o.value {
+            attempts.entry((domain, controller)).or_default().push(attempt);
+        }
+    }
+    let each = (1..=4).map(|c| ((DomainId(1), c), vec![1, 2, 3])).collect();
+    assert_eq!(attempts, each, "budget 3: three re-forwards per upstream controller");
+}
+
+// ---------------------------------------------------------------------
+// One recovery loop for cross-domain events: whoever still waits on
+// another domain re-forwards the event (ROADMAP item 2, hole (4)).
+// ---------------------------------------------------------------------
+
+/// A pod of `racks` racks, one domain per rack ToR, the edge switch in
+/// domain 0. With three, `HostId(2) -> HostId(4)` runs through domains
+/// 1 -> 0 -> 2.
+fn rack_domains_engine(
+    mode: Mode,
+    crypto: CryptoMode,
+    racks: u16,
+    seed: u64,
+) -> (Engine, Topology) {
+    let mut cfg = EngineConfig::for_mode(mode);
+    cfg.crypto = crypto;
+    cfg.seed = seed;
+    let topo = Topology::single_pod(racks, 1, 2);
+    let dm = DomainMap::split_racks(&topo, racks);
+    let engine = Engine::build(cfg, topo.clone(), dm, 0);
+    (engine, topo)
+}
+
+/// Severs every controller of `from` in `cut` from every controller of
+/// domain `to`, for the whole run.
+fn cut_off(engine: &Engine, from: DomainId, cut: &[u32], to: DomainId) -> FaultPlan {
+    let mut plan = FaultPlan::none();
+    for &c in cut {
+        for b in domain_controller_nodes(engine, to) {
+            plan = plan.with_severed_link(engine.controller_node(from, ControllerId(c)), b);
+        }
+    }
+    plan
+}
+
+/// Every controller of every domain in `domains` ends the run keeping no
+/// forward.
+fn assert_no_forward_kept(engine: &mut Engine, domains: &[DomainId]) {
+    for &d in domains {
+        for c in 1..=4 {
+            let kept = engine.with_controller(d, ControllerId(c), |a| a.handshake_footprint()[1]);
+            assert_eq!(kept, 0, "controller {c} of {d:?} still keeps a forward");
+        }
+    }
+}
+
+/// The controllers of `domain` that re-forwarded.
+fn reforwarders(engine: &Engine, domain: DomainId) -> std::collections::BTreeSet<u32> {
+    let mine = |o: &Obs| match *o {
+        Obs::ForwardRetransmitted { domain: d, controller, .. } if d == domain => Some(controller),
+        _ => None,
+    };
+    engine.observations().iter().filter_map(|o| mine(&o.value)).collect()
+}
+
+/// The lowest upstream controller — the only one that forwards an event at
+/// receipt — is cut off from the whole downstream domain for the whole run,
+/// so its forward and every re-forward of it are lost. The other three wait
+/// on the same downstream segment (a barrier, or under Segway a foreign gate)
+/// and re-forward themselves; the downstream domain delivers the event from
+/// their copies and the flow completes. (When only the lowest re-forwarded,
+/// the others waited on a domain that had never heard of the event, and the
+/// run stalled.)
+fn lowest_upstream_cut_off(mode: Mode) {
+    let (mut engine, topo) = rack_domains_engine(mode, CryptoMode::Modeled, 2, 41);
+    let (down, up) = (DomainId(0), DomainId(1));
+    engine.set_faults(cut_off(&engine, up, &[1], down));
+    let (src, dst) = (HostId(2), HostId(0));
+    inject_one_flow(&mut engine, &topo, src, dst, 1);
+    let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(60));
+    assert!(report.completed, "{report}");
+    assert_eq!(report.resolved_flows, 1);
+    assert_audit_clean(&engine, &topo, src, dst);
+    let others = reforwarders(&engine, up).into_iter().any(|c| c != 1);
+    assert!(others, "the event reached the downstream domain another way");
+    // A Cicero lowest still waits for a certificate it cannot hear and
+    // re-forwards into the cut until its budget is spent; then it, too,
+    // keeps nothing.
+    engine.run(SimTime::ZERO + SimDuration::from_secs(60));
+    assert_no_forward_kept(&mut engine, &[down, up]);
+}
+
+#[test]
+fn a_forward_lost_with_the_lowest_upstream_controller_is_resent_by_the_others() {
+    lowest_upstream_cut_off(Mode::CICERO);
+}
+
+#[test]
+fn a_segway_forward_lost_with_the_lowest_upstream_controller_is_resent_by_the_others() {
+    lowest_upstream_cut_off(Mode::Segway);
+}
+
+/// Three domains in a row under real crypto, Segway: origin domain 1, the
+/// middle domain 0 and the far domain 2, whose controllers the origin
+/// domain's cannot reach. The far domain learns the event only from the
+/// middle domain's re-forward, which the middle domain signs — so it names
+/// itself as the forward's origin, or the far domain checks the signature
+/// against the wrong key and drops it.
+#[test]
+fn the_far_domain_accepts_the_middle_domains_reforward_under_real_crypto() {
+    let (mut engine, topo) = rack_domains_engine(Mode::Segway, CryptoMode::Real, 3, 43);
+    let (origin, middle, far) = (DomainId(1), DomainId(0), DomainId(2));
+    engine.set_faults(cut_off(&engine, origin, &[1, 2, 3, 4], far));
+    let (src, dst) = (HostId(2), HostId(4));
+    inject_one_flow(&mut engine, &topo, src, dst, 1);
+    let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(60));
+    assert!(report.completed, "{report}");
+    assert_audit_clean(&engine, &topo, src, dst);
+    let first = |pick: &dyn Fn(&Obs) -> bool| {
+        let obs = engine.observations();
+        obs.iter().find(|o| pick(&o.value)).map(|o| o.at)
+    };
+    let reforwarded = first(&|o| matches!(o, Obs::ForwardRetransmitted { domain: d, .. } if *d == middle))
+        .expect("the middle domain re-forwards");
+    let delivered = first(&|o| matches!(o, Obs::EventProcessed { domain: d, .. } if *d == far))
+        .expect("the far domain delivers");
+    assert!(reforwarded < delivered, "the far domain heard of the event before the re-forward");
+    assert_no_forward_kept(&mut engine, &[origin, middle, far]);
+}
+
+/// A re-forward never redoes crypto: with every inter-domain controller
+/// link dead, each upstream controller re-forwards the event `retry_budget`
+/// times — all with the forward it signed for its first re-send. The
+/// forward-stream twin of `retransmissions_resend_the_kept_share_and_sign_nothing`.
+#[test]
+fn reforwards_resend_the_kept_forward_and_sign_once() {
+    let mut cfg = EngineConfig::for_mode(Mode::CICERO);
+    cfg.crypto = CryptoMode::Real;
+    cfg.reliability.retry_budget = 3;
+    let topo = Topology::single_pod(2, 1, 2);
+    let mut engine = Engine::build(cfg, topo.clone(), DomainMap::split_racks(&topo, 2), 0);
+    let (down, up) = (DomainId(0), DomainId(1));
+    engine.set_faults(cut_off(&engine, up, &[1, 2, 3, 4], down));
+    inject_one_flow(&mut engine, &topo, HostId(2), HostId(0), 1);
+    engine.run(SimTime::ZERO + SimDuration::from_secs(10));
+    let signs: Vec<u64> = (1..=4)
+        .map(|c| engine.with_controller(up, ControllerId(c), |a| a.auth().signs()))
         .collect();
-    assert_eq!(attempts, vec![1, 2, 3], "budget 3: three re-forwards");
+    // The upstream schedule is held on the barrier, so nothing else is
+    // signed: the lowest's forward at receipt, and each one's kept forward.
+    assert_eq!(signs, vec![2, 1, 1, 1]);
+    let mut rounds = vec![0; 4];
+    for o in engine.observations() {
+        if let Obs::ForwardRetransmitted { controller, attempt, .. } = o.value {
+            rounds[controller as usize - 1] = attempt;
+        }
+    }
+    assert_eq!(rounds, vec![3; 4], "budget 3: three re-forwards each");
 }

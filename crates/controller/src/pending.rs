@@ -168,6 +168,12 @@ impl<K: Ord + Copy, V> RetryTable<K, V> {
         self.entries.get(key).map(|e| &e.payload)
     }
 
+    /// The payload under `key`, to complete in place (a message signed at
+    /// its first re-send, say).
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.entries.get_mut(key).map(|e| &mut e.payload)
+    }
+
     /// `true` iff `key` is still awaiting its answer.
     pub fn contains(&self, key: &K) -> bool {
         self.entries.contains_key(key)

@@ -348,9 +348,9 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
     let mut reported_once = BTreeSet::new(); // (domain, controller, event, segment)
     let mut released_once = BTreeSet::new(); // (domain, controller, event, segment)
     let mut delivered = BTreeSet::new(); // (domain, controller, event)
-    // Query rounds per (event, segment) and shares re-sent per reporter: a
-    // query draws at most one reply from each.
-    let mut queried: BTreeMap<_, usize> = BTreeMap::new();
+    // Re-forwards per event and shares re-sent per reporter: a re-forward
+    // draws at most one reply from each.
+    let mut reforwarded: BTreeMap<_, usize> = BTreeMap::new();
     let mut resent: BTreeMap<_, usize> = BTreeMap::new();
     let mut processed_once = BTreeSet::new(); // (domain, event)
     let mut upd_exhausted_once = BTreeSet::new(); // (domain, controller, update)
@@ -379,17 +379,14 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
     let bad = |out: &mut Vec<Violation>, detail: String| violation(out, "telemetry", detail);
     // One stream's next attempt: 1-based always; on crash-free runs also
     // gap-free — exactly one past the last, where `slack` numbers may have
-    // been spent silently and `shared` streams (several counters behind
-    // one key) may repeat a number but never skip one.
+    // been spent silently.
     let mut numbered = |out: &mut Vec<Violation>,
                         kind: &'static str,
                         stream: String,
                         attempt: u32,
-                        slack: u32,
-                        shared: bool| {
+                        slack: u32| {
         let last = last_attempt.entry((kind, stream.clone())).or_insert(0);
-        let floor = if shared { 1 } else { *last + 1 };
-        let in_order = (floor..=*last + 1 + slack).contains(&attempt);
+        let in_order = (*last + 1..=*last + 1 + slack).contains(&attempt);
         if attempt < 1 || (clean_replay && !in_order) {
             bad(
                 out,
@@ -452,7 +449,7 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
             } => {
                 let stream = format!("{domain:?}/{controller} {update:?}");
                 let slack = resyncs.remove(&stream).unwrap_or(0);
-                numbered(out, "update", stream, attempt, slack, false);
+                numbered(out, "update", stream, attempt, slack);
             }
             Obs::UpdateRetryExhausted {
                 domain,
@@ -483,7 +480,7 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
                 attempt,
             } => {
                 let stream = format!("{switch:?} {event:?}");
-                numbered(out, "event", stream, attempt, 0, false);
+                numbered(out, "event", stream, attempt, 0);
             }
             Obs::EventRetryExhausted { switch, event } => {
                 if !ev_exhausted_once.insert((switch, event)) {
@@ -534,32 +531,6 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
                 }
                 reported.insert((event, segment));
             }
-            Obs::SegmentQueried {
-                domain,
-                controller,
-                event,
-                segment,
-                attempt,
-            } => {
-                let stream = format!("{domain:?}/{controller} {event:?}/{segment}");
-                numbered(out, "query", stream, attempt, 0, false);
-                // Only a registered, unreleased barrier asks: the asker
-                // delivered the event (simcheck traces every delivery) and
-                // has not released this boundary.
-                let registered = delivered.contains(&(domain, controller, event));
-                let released = released_once.contains(&(domain, controller, event, segment));
-                if clean_replay && (!registered || released) {
-                    bad(
-                        out,
-                        format!(
-                            "domain {domain:?} controller {controller} queried segment \
-                             {segment} of {event:?} without a registered, unreleased \
-                             barrier (delivered: {registered}, released: {released})"
-                        ),
-                    );
-                }
-                *queried.entry((event, segment)).or_default() += 1;
-            }
             Obs::SegmentRetransmitted {
                 domain,
                 controller,
@@ -568,7 +539,7 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
                 attempt,
             } => {
                 let stream = format!("{domain:?}/{controller} {event:?}/{segment}");
-                numbered(out, "segment", stream, attempt, 0, false);
+                numbered(out, "segment", stream, attempt, 0);
                 let reporter = (domain, controller, event, segment);
                 if clean_replay && !reported_once.contains(&reporter) {
                     bad(
@@ -579,8 +550,9 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
                         ),
                     );
                 }
-                // A share is re-sent only in answer to a query, once each.
-                let asked = queried.get(&(event, segment)).copied().unwrap_or(0);
+                // A share is re-sent only in answer to a re-forward of its
+                // event, once each.
+                let asked = reforwarded.get(&event).copied().unwrap_or(0);
                 let sent = resent.entry(reporter).or_insert(0);
                 *sent += 1;
                 if no_dup && *sent > asked {
@@ -589,7 +561,7 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
                         format!(
                             "domain {domain:?} controller {controller} re-sent its share \
                              of segment {segment} of {event:?} {sent} time(s) against \
-                             {asked} upstream quer(ies)"
+                             {asked} re-forward(s) of the event"
                         ),
                     );
                 }
@@ -641,10 +613,20 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
                 event,
                 attempt,
             } => {
-                // One stream per barrier, but the observation names only
-                // the event: barriers of one event share the key.
                 let stream = format!("{domain:?}/{controller} {event:?}");
-                numbered(out, "forward", stream, attempt, 0, true);
+                numbered(out, "forward", stream, attempt, 0);
+                // Only a schedule waiting on another domain re-forwards: the
+                // sender delivered the event (simcheck traces every delivery).
+                if clean_replay && !delivered.contains(&(domain, controller, event)) {
+                    bad(
+                        out,
+                        format!(
+                            "domain {domain:?} controller {controller} re-forwarded \
+                             {event:?} without having delivered it"
+                        ),
+                    );
+                }
+                *reforwarded.entry(event).or_default() += 1;
             }
             Obs::ReadySent { from, to, update } => {
                 // At-most-once per (from, to, update) is the *recovery*
@@ -658,7 +640,7 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
                 attempt,
             } => {
                 let stream = format!("{switch:?}<-{from:?} {update:?}");
-                numbered(out, "ready-query", stream, attempt, 0, false);
+                numbered(out, "ready-query", stream, attempt, 0);
                 // Only a neighbor's closed gate under a parked body is asked
                 // about: once the releaser announced the ready and the asker
                 // then applied its last update of that event, the ready was
@@ -684,7 +666,7 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
                 attempt,
             } => {
                 let stream = format!("{from:?}->{to:?} {update:?}");
-                numbered(out, "ready", stream, attempt, 0, false);
+                numbered(out, "ready", stream, attempt, 0);
                 // Only an announced release is re-sent, and only in answer
                 // to a query, once each.
                 let key = (from, to, update);
@@ -828,7 +810,7 @@ mod tests {
     }
 
     #[test]
-    fn resync_replies_and_shared_forward_keys_explain_their_numbering() {
+    fn resync_replies_explain_their_numbering() {
         let update = UpdateId {
             event: EventId(7),
             seq: 0,
@@ -852,20 +834,10 @@ mod tests {
         // A NACK-driven resync reply spends attempt 2 without announcing it.
         assert!(verdicts(vec![], vec![rtx(1), nack, resync, rtx(3)]).is_empty());
         assert_eq!(verdicts(vec![], vec![rtx(1), rtx(3)]).len(), 1);
-        // Two barriers of one event re-forward under one key: numbers may
-        // repeat, but never skip.
-        let fwd = |attempt| Obs::ForwardRetransmitted {
-            domain: DomainId(0),
-            controller: 1,
-            event: EventId(7),
-            attempt,
-        };
-        assert!(verdicts(vec![], vec![fwd(1), fwd(1), fwd(2), fwd(2)]).is_empty());
-        assert_eq!(verdicts(vec![], vec![fwd(1), fwd(3)]).len(), 1);
     }
 
     #[test]
-    fn a_query_needs_a_waiting_barrier_and_a_resent_share_needs_a_query() {
+    fn a_reforward_needs_a_delivery_and_a_resent_share_needs_a_reforward() {
         let (event, segment) = (EventId(7), 1);
         let (up, down) = (DomainId(0), DomainId(1));
         let delivered = Obs::EventDelivered {
@@ -879,11 +851,10 @@ mod tests {
             event,
             segment,
         };
-        let query = |attempt| Obs::SegmentQueried {
+        let fwd = |attempt| Obs::ForwardRetransmitted {
             domain: up,
             controller: 2,
             event,
-            segment,
             attempt,
         };
         let resent = |attempt| Obs::SegmentRetransmitted {
@@ -899,27 +870,34 @@ mod tests {
             event,
             segment,
         };
+        // The forward outlives the release until the event's last own update
+        // is acked: a re-forward after it is lawful, and may draw a reply.
         let lawful = vec![
             delivered.clone(),
             reported.clone(),
-            query(1),
+            fwd(1),
             resent(1),
-            query(2),
+            fwd(2),
             resent(2),
-            released.clone(),
+            released,
+            fwd(3),
+            resent(3),
         ];
         assert!(verdicts(vec![], lawful).is_empty());
-        let flagged = |obs: Vec<Obs>| verdicts(vec![], obs).len();
-        // Asking before the event registered the barrier, or after the
-        // barrier released.
-        assert_eq!(flagged(vec![reported.clone(), query(1)]), 1);
-        let late = vec![delivered.clone(), reported.clone(), released, query(1)];
-        assert_eq!(flagged(late), 1);
-        // Re-sending unasked, twice for one query, or before ever reporting.
-        assert_eq!(flagged(vec![delivered.clone(), reported.clone(), resent(1)]), 1);
-        let twice = vec![delivered.clone(), reported, query(1), resent(1), resent(2)];
-        assert_eq!(flagged(twice), 1);
-        assert_eq!(flagged(vec![delivered, query(1), resent(1)]), 1);
+        let flagged = |faults: Vec<Fault>, obs: Vec<Obs>| verdicts(faults, obs).len();
+        // Re-forwarding an event never delivered; one stream per event,
+        // numbered 1, 2, 3, … with no repeat and no gap.
+        assert_eq!(flagged(vec![], vec![reported.clone(), fwd(1)]), 1);
+        assert_eq!(flagged(vec![], vec![delivered.clone(), fwd(1), fwd(1)]), 1);
+        assert_eq!(flagged(vec![], vec![delivered.clone(), fwd(1), fwd(3)]), 1);
+        // Re-sending unasked, twice for one re-forward (unless the network
+        // duplicated it), or before ever reporting.
+        let unasked = vec![delivered.clone(), reported.clone(), resent(1)];
+        assert_eq!(flagged(vec![], unasked), 1);
+        let twice = vec![delivered.clone(), reported, fwd(1), resent(1), resent(2)];
+        assert_eq!(flagged(vec![], twice.clone()), 1);
+        assert_eq!(flagged(vec![Fault::Duplicate { permille: 100 }], twice), 0);
+        assert_eq!(flagged(vec![], vec![delivered, fwd(1), resent(1)]), 1);
     }
 
     #[test]

@@ -19,10 +19,10 @@
 //! PR 20 re-recorded the seven two-domain, controller-ordered scenarios
 //! (`run` 0, `secure` 1 and 9, `recover` 0, 4, 7 and 9): the handshake no
 //! longer sends signed boundary-release receipts (message set, `msg_id`s
-//! and per-message RNG draws differ), a lost share is fetched by
-//! `SegmentQuery` (new `Obs::SegmentQueried`), and the barrier clock runs
-//! on `retry_base`. Every single-domain, Segway and `GOLDEN_ENGINE` hash
-//! passed unedited.
+//! and per-message RNG draws differ), a lost share is fetched by an
+//! unsigned query with an observation of its own (both gone since PR 25),
+//! and the barrier clock runs on `retry_base`. Every single-domain, Segway
+//! and `GOLDEN_ENGINE` hash passed unedited.
 //!
 //! PR 21 re-recorded exactly the rows whose scenario runs `Mode::Segway`
 //! (`run` 9, all five `segway` seeds, both `GOLDEN_ENGINE` Segway hashes):
@@ -86,6 +86,19 @@
 //! once the early-ack commit had moved its timing; see
 //! `fixtures/secure_lost_certificate_0xb0.json`). No other golden run votes
 //! for a view change while holding such a certificate.
+//!
+//! PR 25 re-recorded the four rows whose cross-domain recovery ran: `run` 9
+//! (Segway) and `secure` 1 and 9 and `recover` 9 (Cicero-Agg), all two-domain
+//! runs under 7–14 % loss, three of them with a controller restarted. A
+//! controller still waiting on another domain no longer asks with a query
+//! on a per-barrier clock while only the lowest re-forwards (under Segway:
+//! the lowest alone, from its update-retry wave, re-signing each time); every
+//! waiting controller re-sends its own forward of the event, signed once,
+//! and a reporter answers that re-forward with its kept share. The messages,
+//! their `msg_id`s and RNG draws, and the sign CPU charged differ from the
+//! first re-send on. Nothing moved where nothing was re-sent: the other
+//! sixteen rows, and all of `GOLDEN_ENGINE` (single-domain: no schedule
+//! there waits on another domain).
 
 use cicero_core::prelude::*;
 use simcheck::{run_scenario_traced, Scenario};
@@ -206,7 +219,7 @@ const GOLDEN_SCENARIOS: [(&str, fn(u64) -> Scenario, [(u64, u64); 5]); 4] = [
             (0, 0xd22a51a8b4c2c695),
             (2, 0x2e0801721cf6f9a9),
             (6, 0x5853bfc85ddecac2),
-            (9, 0x801538772d2e5364),
+            (9, 0x32ae09b88fb27423),
             (42, 0x391fe47dad025fc0),
         ],
     ),
@@ -214,10 +227,10 @@ const GOLDEN_SCENARIOS: [(&str, fn(u64) -> Scenario, [(u64, u64); 5]); 4] = [
         "secure",
         Scenario::generate_secure,
         [
-            (1, 0x44e0074c27e9f3d2),
+            (1, 0xe661901dca05607f),
             (2, 0x21a856c09f521b88),
             (6, 0xfb2cba9b76e1c279),
-            (9, 0x8c9678126af7f6d3),
+            (9, 0x69b9d18f03ad2591),
             (42, 0x3f18bc33e172cde6),
         ],
     ),
@@ -228,7 +241,7 @@ const GOLDEN_SCENARIOS: [(&str, fn(u64) -> Scenario, [(u64, u64); 5]); 4] = [
             (0, 0xbc1765a6ce3f1bc6),
             (4, 0x5dbaddc37ed218d1),
             (7, 0xb5822845a2b4add0),
-            (9, 0x8804058b8b0bec5a),
+            (9, 0x8b1dde9e74290684),
             (42, 0xecab9411632da6a6),
         ],
     ),

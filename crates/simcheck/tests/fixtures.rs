@@ -130,3 +130,24 @@ fn lost_certificate_fixture_replays_green_when_certificates_outlive_reproposals(
     let out = run_scenario(&scenario);
     assert!(out.passed(), "fixture regressed: {:?}", out.violations);
 }
+
+/// `segway 0x6a3`, shrunk: two domains under 3.1 % message loss. The lowest
+/// controller of the event's domain missed the switch's copy of an event and
+/// never delivered it, so it neither forwarded it at receipt nor at delivery
+/// — and it was the only controller that ever re-forwarded. The other domain
+/// never heard of the event, and the updates gated on it stayed parked: the
+/// `[liveness]` violation the artifact records. Every controller whose
+/// schedule waits on another domain now re-forwards, and the same scenario
+/// replays green.
+#[test]
+fn lost_forward_fixture_replays_green_when_every_waiting_controller_reforwards() {
+    let (scenario, recorded) =
+        simcheck::artifact::read_artifact(&fixture("segway_lost_forward_0x6a3.json")).unwrap();
+    assert!(
+        matches!(&recorded[..], [v] if v.starts_with("[liveness]")),
+        "the artifact records what the lost forward did: {recorded:?}"
+    );
+    let out = run_scenario(&scenario);
+    assert!(out.passed(), "fixture regressed: {:?}", out.violations);
+    assert!(out.report.stats.forward_retransmits > 0, "a re-forward carried it");
+}

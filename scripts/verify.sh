@@ -108,10 +108,10 @@ if find crates src examples -name '*.rs' -not -path 'crates/*/tests/*' -print0 |
     exit 1
 fi
 
-echo "== the signed receipts (boundary release, Segway ready) and signed acks stay deleted =="
-if grep -rn "BoundaryRelease\b\|ReleaseBody\|SegwayReadyAck\|READY_RECEIPT\|ReadyReceipted\|ready_out\|Signed<AckBody>\|Signed<NackBody>" \
+echo "== the signed receipts, signed acks and a second cross-domain recovery path stay deleted =="
+if grep -rn "BoundaryRelease\b\|ReleaseBody\|SegwayReadyAck\|READY_RECEIPT\|ReadyReceipted\|ready_out\|Signed<AckBody>\|Signed<NackBody>\|SegmentQuery\b\|SegmentQueried\|reforward_segway\|segway_events" \
     crates src tests examples --include=*.rs; then
-    echo "verify.sh: the handshake and the Segway readies are receiver-driven, acks and NACKs are Tagged<_> under the pair's key (DESIGN.md §3); no receipt type and no signed twin comes back" >&2
+    echo "verify.sh: the handshake and the Segway readies are receiver-driven, acks and NACKs are Tagged<_> under the pair's key, and a cross-domain event has one recovery loop — the re-forward of whoever still waits, which is also the query (DESIGN.md §3); no receipt type, no signed twin and no second path comes back" >&2
     exit 1
 fi
 

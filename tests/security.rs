@@ -564,13 +564,12 @@ mod segway_release {
             .collect()
     }
 
-    /// Hands releaser `r.from` a query for `update` naming `to`, over the
-    /// channel of switch `channel`; returns what the handler did.
-    fn ask(engine: &mut Engine, r: Release, update: UpdateId, to: SwitchId, channel: SwitchId) -> Tap {
+    /// Hands releaser `r.from` a query for `update` from node `from` (the
+    /// transport names the asker); returns what the handler did.
+    fn ask(engine: &mut Engine, r: Release, update: UpdateId, from: NodeId) -> Tap {
         let mut rng = StdRng::seed_from_u64(0);
         let mut ctx = Context::new(engine.now(), engine.switch_node(r.from), &mut rng);
-        let from = engine.switch_node(channel);
-        let query = Net::SegwayReadyQuery { update, to };
+        let query = Net::SegwayReadyQuery { update };
         engine.with_switch(r.from, |a| a.on_message(&mut ctx, from, query));
         let mut tap = Tap {
             sent: Vec::new(),
@@ -642,21 +641,25 @@ mod segway_release {
             ..r.update
         };
         let before = ops(&mut engine, &topo);
-        // The released switch's query over somebody else's channel; a
-        // switch the releaser's notify list never named, over its own; and
-        // the released switch asking for an update the releaser never got.
-        for (update, to, channel) in [
-            (r.update, r.to, other),
-            (r.update, other, other),
-            (unapplied, r.to, r.to),
+        // A query over a controller's channel; from a switch with no
+        // release in the ledger, which the releaser's notify list never
+        // named; and from the released switch for an update the releaser
+        // never got.
+        let domain = engine.shared().dir.domain_of_switch[&r.to];
+        let controller = engine.controller_node(domain, ControllerId(1));
+        for (update, from) in [
+            (r.update, controller),
+            (r.update, engine.switch_node(other)),
+            (unapplied, engine.switch_node(r.to)),
         ] {
-            let tap = ask(&mut engine, r, update, to, channel);
-            assert!(tap.sent.is_empty(), "answered {update:?} for {to:?} via {channel:?}");
+            let tap = ask(&mut engine, r, update, from);
+            assert!(tap.sent.is_empty(), "answered {update:?} via {from:?}");
             assert!(tap.seen.is_empty());
         }
         assert_eq!(ops(&mut engine, &topo), before, "no signature counter moves");
         // The same query from the released switch itself is answered.
-        assert_eq!(ask(&mut engine, r, r.update, r.to, r.to).sent.len(), 1);
+        let asker = engine.switch_node(r.to);
+        assert_eq!(ask(&mut engine, r, r.update, asker).sent.len(), 1);
     }
 
     #[test]
@@ -667,7 +670,7 @@ mod segway_release {
         let asker = engine.switch_node(r.to);
         let mut replies = Vec::new();
         for n in 1..=100u32 {
-            let tap = ask(&mut engine, r, r.update, r.to, r.to);
+            let tap = ask(&mut engine, r, r.update, asker);
             let [(to, Net::SegwayReady(m))] = &tap.sent[..] else {
                 panic!("query {n}: one ready expected, got {:?}", tap.sent);
             };
@@ -885,15 +888,19 @@ fn split_fabric(standby: u32) -> (Engine, Topology, SecretStore) {
     (engine, topo, secrets)
 }
 
-/// Injects the one boundary-crossing flow of [`split_fabric`].
-fn inject_cross_rack(engine: &mut Engine, topo: &Topology) {
+/// The one boundary-crossing flow of [`split_fabric`]: `(src, dst)`.
+fn cross_rack(topo: &Topology) -> (HostId, HostId) {
     let hosts = topo.hosts();
-    let src = hosts[0].id;
     let dst = hosts
         .iter()
         .find(|h| h.attached != hosts[0].attached)
-        .expect("two racks")
-        .id;
+        .expect("two racks");
+    (hosts[0].id, dst.id)
+}
+
+/// Injects [`cross_rack`]'s flow as `FlowId(1)`.
+fn inject_cross_rack(engine: &mut Engine, topo: &Topology) {
+    let (src, dst) = cross_rack(topo);
     let start = SimTime::ZERO + SimDuration::from_millis(1);
     harness::inject_flow(engine, topo, FlowId(1), src, dst, 500, start).expect("routable");
 }
@@ -903,22 +910,26 @@ mod handshake {
     use super::inject_cross_rack as inject;
     use cicero_core::msg::SegmentBody;
     use simnet::fault::FaultPlan;
+    use simnet::node::{Actor, Context, Effect, NodeId};
     use std::sync::OnceLock;
 
     const SEGMENT: &str = "CICERO_SEGMENT_V1";
+    const FORWARD: &str = "CICERO_FORWARD_V1";
 
     fn fabric() -> (Engine, Topology, SecretStore) {
         split_fabric(0)
     }
 
     /// What an honest run of the fabric looks like: which barrier the flow
-    /// raises, who holds it, and when the first report goes out.
+    /// raises, who holds it, when the downstream domain delivers the event,
+    /// and when the first report goes out.
     #[derive(Clone, Copy, Debug)]
     struct Probe {
         event: EventId,
         segment: u32,
         down: DomainId,
         up: DomainId,
+        delivered_at: SimTime,
         reported_at: SimTime,
     }
 
@@ -950,6 +961,13 @@ mod handshake {
                 })
                 .expect("and a release");
             assert_ne!(up, down);
+            let delivered_at = obs
+                .iter()
+                .find_map(|o| match o.value {
+                    Obs::EventProcessed { domain, .. } if domain == down => Some(o.at),
+                    _ => None,
+                })
+                .expect("the downstream domain delivers the forwarded event");
             // Honest cost of the handshake, per upstream controller: one
             // aggregate check however many shares arrive.
             for c in 1..=4 {
@@ -962,6 +980,7 @@ mod handshake {
                 segment,
                 down,
                 up,
+                delivered_at,
                 reported_at,
             }
         })
@@ -1067,8 +1086,8 @@ mod handshake {
         for signers in upstream_signers(&mut engine, p) {
             assert!(signers.is_empty(), "nothing was certified: {signers:?}");
         }
-        // Below quorum the barriers keep asking, and the lone reporter
-        // keeps answering.
+        // Below quorum the upstream controllers keep re-forwarding, and
+        // the lone reporter keeps answering.
         assert!(engine.observations().iter().any(|o| matches!(
             o.value,
             Obs::SegmentRetransmitted { controller: 1, .. }
@@ -1106,13 +1125,23 @@ mod handshake {
         }
     }
 
-    fn query(p: Probe, asker: (DomainId, u32)) -> Net {
-        Net::SegmentQuery {
-            event: p.event,
-            segment: p.segment,
-            domain: asker.0,
-            controller: ControllerId(asker.1),
-        }
+    /// Upstream controller `c`'s re-forward of the flow's event — what it
+    /// re-sends while it waits on the downstream domain, and the one way it
+    /// asks for the segment reports: the event under its own domain, signed
+    /// with its own identity key.
+    fn reforward(engine: &Engine, secrets: &SecretStore, p: Probe, c: u32) -> Net {
+        let topo = &engine.shared().topo;
+        let (src, dst) = cross_rack(topo);
+        let switch = topo.host(src).unwrap().attached;
+        let event = Event {
+            id: p.event,
+            kind: EventKind::PacketIn { switch, flow: FlowId(1), src, dst },
+            origin: p.up,
+            forwarded: true,
+        };
+        let key = &secrets.controller_sk[&(p.up, ControllerId(c))];
+        let msg_id = MsgId { origin: c, seq: 0xf0 };
+        Net::ForwardedEvent(Signed::sign(FORWARD, event, Phase(0), msg_id, key))
     }
 
     /// Shares re-sent by the downstream controllers, in controller order.
@@ -1149,20 +1178,25 @@ mod handshake {
             .collect()
     }
 
-    /// The honest flow, run to completion: every reporter keeps its share.
-    fn settled() -> (Engine, Probe) {
+    /// The honest flow, run to completion: every reporter keeps its share,
+    /// and no controller keeps a forward.
+    fn settled() -> (Engine, Probe, SecretStore) {
         let p = probe();
-        let (mut engine, topo, _) = fabric();
+        let (mut engine, topo, secrets) = fabric();
         inject(&mut engine, &topo);
         engine.run(SimTime::ZERO + SimDuration::from_secs(1));
         assert!(completed(&engine));
         assert_eq!(resent(&engine, p), vec![0; 4], "a loss-free run asks for nothing");
-        (engine, p)
+        for d in [p.up, p.down] {
+            let kept: Vec<usize> = footprint(&mut engine, d).iter().map(|f| f[1]).collect();
+            assert_eq!(kept, vec![0; 4], "every forward retired");
+        }
+        (engine, p, secrets)
     }
 
     #[test]
     fn loss_free_boundary_costs_four_share_signs_and_four_certificates_and_nothing_else() {
-        let (mut engine, p) = settled();
+        let (mut engine, p, _) = settled();
         let count = |engine: &Engine, pred: fn(&Obs) -> bool| {
             engine.observations().iter().filter(|o| pred(&o.value)).count()
         };
@@ -1170,7 +1204,6 @@ mod handshake {
         // nothing asked, nothing re-sent, nothing re-forwarded.
         assert_eq!(count(&engine, |o| matches!(o, Obs::SegmentReported { .. })), 4);
         assert_eq!(count(&engine, |o| matches!(o, Obs::BoundaryReleased { .. })), 4);
-        assert_eq!(count(&engine, |o| matches!(o, Obs::SegmentQueried { .. })), 0);
         assert_eq!(count(&engine, |o| matches!(o, Obs::ForwardRetransmitted { .. })), 0);
         // Every signature check of every controller is accounted for by the
         // event it verified (the switch's, at each upstream controller; the
@@ -1194,24 +1227,28 @@ mod handshake {
 
     #[test]
     fn query_from_a_wrong_channel_a_non_member_or_a_non_upstream_domain_is_ignored() {
-        let (mut engine, p) = settled();
+        let (mut engine, p, secrets) = settled();
         let victim = engine.controller_node(p.down, ControllerId(1));
         let at = engine.now() + SimDuration::from_millis(1);
         let up2 = engine.controller_node(p.up, ControllerId(2));
-        let up3 = engine.controller_node(p.up, ControllerId(3));
         let down2 = engine.controller_node(p.down, ControllerId(2));
-        // Controller 2's query over controller 3's channel; a controller id
-        // the upstream domain never had, over a member's channel; and a
-        // member of the reporting domain itself, which holds no barrier on
-        // its own segment.
-        engine.inject_raw(at, up3, victim, query(p, (p.up, 2)));
-        engine.inject_raw(at, up2, victim, query(p, (p.up, 9)));
-        engine.inject_raw(at, down2, victim, query(p, (p.down, 2)));
+        let topo = &engine.shared().topo;
+        let ingress = topo.host(cross_rack(topo).0).unwrap().attached;
+        let switch = engine.switch_node(ingress);
+        // Upstream controller 2's re-forward — the query — over a switch's
+        // channel; from outside the directory, no member of anything; and
+        // from a member of the reporting domain itself, which holds no
+        // barrier on its own segment. The transport names the sender; the
+        // re-forward's own fields are not even read.
+        let asked = reforward(&engine, &secrets, p, 2);
+        for from in [switch, ENVIRONMENT, down2] {
+            engine.inject_raw(at, from, victim, asked.clone());
+        }
         engine.run(at + SimDuration::from_millis(50));
         assert_eq!(resent(&engine, p), vec![0; 4], "none of them is answered");
-        // The same query from the asker itself is.
+        // The same re-forward from the upstream controller itself is.
         let at = engine.now() + SimDuration::from_millis(1);
-        engine.inject_raw(at, up2, victim, query(p, (p.up, 2)));
+        engine.inject_raw(at, up2, victim, asked);
         engine.run(at + SimDuration::from_millis(50));
         assert_eq!(resent(&engine, p), vec![1, 0, 0, 0]);
     }
@@ -1219,18 +1256,21 @@ mod handshake {
     #[test]
     fn query_for_an_undrained_segment_is_answered_by_the_report_itself() {
         let p = probe();
-        let (mut engine, topo, _) = fabric();
-        // Every upstream controller asks every reporter at t = 2 ms, long
-        // before the segment drains: there is no share to send yet.
-        let asked_at = SimTime::ZERO + SimDuration::from_millis(2);
-        assert!(asked_at < p.reported_at);
+        let (mut engine, topo, secrets) = fabric();
+        // Every upstream controller re-forwards to every reporter after the
+        // downstream domain delivered the event, before the segment drains:
+        // there is no share to send yet.
+        let window = p.reported_at.since(p.delivered_at);
+        let asked_at = p.delivered_at + SimDuration::from_nanos(window.as_nanos() / 2);
+        assert!(p.delivered_at < asked_at && asked_at < p.reported_at);
         for u in 1..=4 {
+            let asked = reforward(&engine, &secrets, p, u);
             for d in 1..=4 {
                 engine.inject_raw(
                     asked_at,
                     engine.controller_node(p.up, ControllerId(u)),
                     engine.controller_node(p.down, ControllerId(d)),
-                    query(p, (p.up, u)),
+                    asked.clone(),
                 );
             }
         }
@@ -1244,7 +1284,7 @@ mod handshake {
 
     #[test]
     fn a_thousand_queries_cost_no_signature_check_and_grow_no_state() {
-        let (mut engine, p) = settled();
+        let (mut engine, p, secrets) = settled();
         let before = (
             checks(&mut engine, p.up),
             checks(&mut engine, p.down),
@@ -1253,19 +1293,17 @@ mod handshake {
         );
         let asker = engine.controller_node(p.up, ControllerId(2));
         let victim = engine.controller_node(p.down, ControllerId(1));
+        let asked = reforward(&engine, &secrets, p, 2);
         let start = engine.now() + SimDuration::from_millis(1);
         for i in 0..1000u64 {
-            // Every other one names a barrier nobody ever held.
-            let mut q = query(p, (p.up, 2));
-            if let (1, Net::SegmentQuery { segment, .. }) = (i % 2, &mut q) {
-                *segment += 1 + i as u32;
-            }
-            engine.inject_raw(start + SimDuration::from_micros(10 * i), asker, victim, q);
+            let at = start + SimDuration::from_micros(10 * i);
+            engine.inject_raw(at, asker, victim, asked.clone());
         }
         engine.run(start + SimDuration::from_secs(1));
-        // One reply per answerable query, to the asker alone; the replies
-        // find the quorum on record and are dropped before any crypto.
-        assert_eq!(resent(&engine, p), vec![500, 0, 0, 0]);
+        // One reply per re-forward of the delivered event — dropped before
+        // its signature is looked at — and the replies find the quorum on
+        // record and are dropped before any crypto, too.
+        assert_eq!(resent(&engine, p), vec![1000, 0, 0, 0]);
         let after = (
             checks(&mut engine, p.up),
             checks(&mut engine, p.down),
@@ -1274,6 +1312,19 @@ mod handshake {
         );
         assert_eq!(before, after, "(checks up, checks down, state up, state down)");
         assert_eq!(released(&engine), 4, "and nothing is released twice");
+        // Each reply goes to the sender alone.
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut ctx = Context::new(engine.now(), victim, &mut rng);
+        engine.with_controller(p.down, ControllerId(1), |a| a.on_message(&mut ctx, asker, asked));
+        let replies: Vec<NodeId> = ctx
+            .into_effects()
+            .into_iter()
+            .filter_map(|e| match e {
+                Effect::Send { to, msg: Net::SegmentApplied(_), .. } => Some(to),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(replies, vec![asker]);
     }
 
     #[test]
