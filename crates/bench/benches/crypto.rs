@@ -17,9 +17,10 @@ use blscrypto::pairing::{
 };
 use blscrypto::reshare;
 use blscrypto::shamir;
+use cicero_core::auth::{pair_key, Peer};
 use cicero_core::msg::AckBody;
 use southbound::envelope::{MsgId, Tagged};
-use southbound::types::{EventId, Phase, SwitchId, UpdateId};
+use southbound::types::{ControllerId, DomainId, EventId, Phase, SwitchId, UpdateId};
 use std::hint::black_box;
 use substrate::benchkit::Harness;
 use substrate::rng::{SeedableRng, StdRng};
@@ -183,6 +184,19 @@ fn bench_mac(c: &mut Harness) {
     });
 }
 
+/// What a pair key costs the first time an end uses it: one G2 scalar
+/// multiplication of the peer's identity key, its encoding, and the HKDF.
+/// Each node pays it once per peer, then keeps the key.
+fn bench_pair_key(c: &mut Harness) {
+    let mut rng = StdRng::seed_from_u64(10);
+    let (a, b) = (SecretKey::generate(&mut rng), SecretKey::generate(&mut rng));
+    let pk = b.public_key();
+    let (from, to) = (Peer::Switch(SwitchId(7)), Peer::Controller(DomainId(0), ControllerId(1)));
+    c.bench_function("pair_key_derive", |bch| {
+        bch.iter(|| black_box(pair_key(&a, black_box(&pk), from, to)))
+    });
+}
+
 fn bench_dkg_and_reshare(c: &mut Harness) {
     let mut group = c.benchmark_group("ceremonies");
     group.sample_size(10);
@@ -221,6 +235,7 @@ fn main() {
     bench_batch(&mut harness);
     bench_bls(&mut harness);
     bench_mac(&mut harness);
+    bench_pair_key(&mut harness);
     bench_dkg_and_reshare(&mut harness);
     harness.finish();
 }

@@ -6,10 +6,9 @@
 //! of distinct signers, aggregate **all** of them and verify the aggregate
 //! once against the group public key; only if that fails, verify each share
 //! against its Feldman-derived share key, evict and blacklist the culprits,
-//! and wait for honest replacements. The switch (updates, Segway bodies),
-//! the upstream half of the cross-domain handshake (segment reports) and
-//! the aggregator all collect through this one type, so a rogue share costs
-//! every verifier the same and is handled the same.
+//! and wait for honest replacements. The switch (updates, Segway bodies)
+//! and the aggregator both collect through this one type, so a rogue share
+//! costs every verifier the same and is handled the same.
 //!
 //! Per-share eviction derives share keys from the [`GroupPublic`] the
 //! caller passes. Switches and remote domains only hold the *bootstrap*
@@ -130,15 +129,6 @@ impl<K: Ord + Copy, T: Wire + Eq + Clone> QuorumCollector<K, T> {
             .get(&(key, phase))
             .and_then(|bs| bs.iter().map(|b| b.partials.len()).max())
             .unwrap_or(0)
-    }
-
-    /// `(key, phase)` entries in which signer `index` holds a share — what
-    /// one sender has parked here below quorum.
-    pub fn held_by(&self, index: u32) -> usize {
-        self.entries
-            .values()
-            .filter(|bs| bs.iter().any(|b| b.partials.contains_key(&index)))
-            .count()
     }
 
     /// Drops every entry of another phase (membership change).
@@ -340,7 +330,7 @@ mod tests {
         let share_of = |out: &DkgOutput, signer: usize| out.participants[signer - 1].share.clone();
         let me = Peer::Controller(domain, ControllerId(1));
         let share = Some(share_of(old, 1));
-        let mut auth = Authenticator::new(shared, me, None, share, Default::default());
+        let mut auth = Authenticator::new(shared, me, None, share);
         let mut c: QuorumCollector<u8, FlowId> = QuorumCollector::new();
         // A first quorum builds the group key's table.
         for signer in [1, 2] {
@@ -363,8 +353,7 @@ mod tests {
             auth.collect(&mut c, 2, signed(&share_of(old, 2)), LABEL, 2, domain),
             Quorum::Rejected { shares: 2 }
         ));
-        assert_eq!(c.held_by(1), 1, "the honest new share stays");
-        assert_eq!(c.held_by(2), 0, "the stale share is evicted");
+        assert_eq!(c.have(2, P0), 1, "the honest new share stays, the stale one is evicted");
         let Quorum::Certified(cert) =
             auth.collect(&mut c, 2, signed(&share_of(&new, 3)), LABEL, 2, domain)
         else {
@@ -416,20 +405,5 @@ mod tests {
             panic!("count alone certifies when the math is skipped");
         };
         assert_eq!(cert.signers, vec![1, 3]);
-    }
-
-    #[test]
-    fn held_by_counts_a_signers_open_entries_until_they_certify() {
-        let out = group();
-        let mut c = QuorumCollector::new();
-        for key in 1u8..=3 {
-            c.offer(key, P0, FlowId(7), share(&out, 1, P0, FlowId(7)));
-        }
-        c.offer(1, Phase(1), FlowId(7), share(&out, 1, Phase(1), FlowId(7)));
-        assert_eq!(c.held_by(1), 4);
-        assert_eq!(c.held_by(2), 0);
-        c.offer(2, P0, FlowId(7), share(&out, 2, P0, FlowId(7)));
-        assert!(matches!(attempt(&mut c, &out, 2, P0), Quorum::Certified(_)));
-        assert_eq!(c.held_by(1), 3, "a certified entry no longer counts");
     }
 }

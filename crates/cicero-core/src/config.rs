@@ -144,9 +144,10 @@ pub struct CostModel {
     pub event_sign: SimDuration,
     /// Switch/controller: verifying a plain BLS signature (2 pairings).
     pub bls_verify: SimDuration,
-    /// Switch/controller: one HMAC-SHA256 tag made or checked over an ack or
-    /// NACK. The paper signs its acks and has no counterpart: everywhere this
-    /// is this code's measured cost, half the `hmac_tag_ack` bench median.
+    /// Switch/controller: one HMAC-SHA256 tag made or checked over an ack,
+    /// a NACK or a segment report. The paper signs its acks and has no
+    /// counterpart: everywhere this is this code's measured cost, half the
+    /// `hmac_tag_ack` bench median.
     pub mac: SimDuration,
     /// Aggregating one signature share (Lagrange-weighted G1 mul).
     pub aggregate_per_share: SimDuration,

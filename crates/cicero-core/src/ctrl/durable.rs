@@ -189,7 +189,7 @@ impl ControllerActor {
                     // in-flight set; the retry timer re-sends them after
                     // recovery (switch-side dedup absorbs duplicates).
                     let _ = self.pending.ack(id, now);
-                    // A drained own segment is share-signed again and kept
+                    // A drained own segment's report is tagged again and kept
                     // for upstream controllers that still re-forward; a
                     // forward nothing waits for any more is retired.
                     self.settle(&mut mute, id);
@@ -200,7 +200,7 @@ impl ControllerActor {
                     controller,
                 } => {
                     // The logged (or a peer's) signer facts spare the
-                    // barrier a second round of re-forwarding for shares.
+                    // barrier a second round of re-forwarding for reports.
                     self.restore_barrier_signer(&mut mute, barrier, domain, controller);
                 }
                 WalRecord::BftView(v) => {

@@ -10,7 +10,7 @@ use blscrypto::bls::PartialSignature;
 use blscrypto::dkg::{DkgConfig, GroupPublic};
 use blscrypto::reshare::{deal_reshare_to, finalize_reshare};
 use controller::membership::ControlPlaneView;
-use simnet::node::Host;
+use simnet::node::{Host, NodeId};
 use southbound::envelope::{QuorumSigned, ShareSigned};
 use southbound::types::{ControllerId, DomainId, Event, EventId, EventKind, Phase};
 
@@ -186,7 +186,8 @@ impl ControllerActor {
             let partial = ShareSigned::sign(labels::PHASE, info, info.phase, msg_id, share);
             let agg = self.view.aggregator();
             if agg == self.id {
-                self.on_phase_partial(ctx, partial);
+                let me = self.node_of(self.id);
+                self.on_phase_partial(ctx, me, partial);
             } else {
                 ctx.send(self.node_of(agg), Net::PhasePartial(partial));
             }
@@ -215,12 +216,17 @@ impl ControllerActor {
         }
     }
 
+    /// Collects a member's partial over the new phase notice, under its
+    /// sender's own slot only (as every share collector does): one member
+    /// filing partials under every index would otherwise crowd out the
+    /// honest ones and starve the notice.
     pub(super) fn on_phase_partial(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
+        from: NodeId,
         msg: ShareSigned<PhaseInfo>,
     ) {
-        if !self.is_lowest() {
+        if !self.is_lowest() || !self.auth.own_slot(from, self.domain, &msg) {
             return;
         }
         let phase = msg.phase;

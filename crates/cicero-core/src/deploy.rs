@@ -10,7 +10,7 @@
 //! so the two executors stand up byte-identical protocol state and differ
 //! only in how they schedule it.
 
-use crate::auth::{PairKeys, Peer};
+use crate::auth::Peer;
 use crate::config::{EngineConfig, Mode};
 use crate::ctrl::ControllerActor;
 use crate::msg::Net;
@@ -212,9 +212,6 @@ pub struct NodeSeed {
     /// The node id the executor must assign to this node's actor.
     pub node: NodeId,
     who: Identity,
-    /// The ack MAC keys of the pairs it is one end of: a switch's row, a
-    /// bootstrap controller's column (real-crypto modes).
-    pair_keys: PairKeys,
     disk: Option<DiskHandle>,
 }
 
@@ -334,7 +331,6 @@ impl Deployment {
                     *id,
                     identity.clone(),
                     share.clone(),
-                    seed.pair_keys.clone(),
                     view,
                     *active,
                 ));
@@ -352,9 +348,7 @@ impl Deployment {
             }
             Identity::Switch { id, key } => {
                 let phase = initial_phase_info(&view);
-                let (key, pair_keys) = (key.clone(), seed.pair_keys.clone());
-                let mut actor =
-                    Box::new(SwitchActor::new(shared, *id, domain, key, pair_keys, phase));
+                let mut actor = Box::new(SwitchActor::new(shared, *id, domain, key.clone(), phase));
                 if let Some(disk) = &seed.disk {
                     actor.attach_disk(disk.clone(), recovering);
                 }
@@ -426,13 +420,6 @@ pub fn plan(
     // ---- key ceremony ------------------------------------------------
     let switch_ids: Vec<SwitchId> = topo.switches().iter().map(|s| s.id).collect();
     let (keys, mut secrets) = bootstrap_keys(cfg.crypto, &switch_ids, &dir, cfg.seed);
-    // A pair's key goes to its two ends and nowhere else (never into `Shared`,
-    // which every actor reads); below `Real`, and for a standby, there is none.
-    let pairs = std::mem::take(&mut secrets.pair_keys);
-    let pair_keys = |end: Peer| -> PairKeys {
-        let mine = pairs.iter().filter(|((s, c), _)| *s == end || *c == end);
-        mine.map(|(&pair, &key)| (pair, key)).collect()
-    };
 
     // ---- locations (controllers sit with their domain) ---------------
     let mut locations: Vec<(u16, u16)> = vec![(0, 0); next_node as usize];
@@ -469,7 +456,6 @@ pub fn plan(
                     share: share.map(|dkg| dkg.participants[(c.0 - 1) as usize].share.clone()),
                     active,
                 },
-                pair_keys: pair_keys(Peer::Controller(d, c)),
                 disk: None,
             });
         }
@@ -481,7 +467,6 @@ pub fn plan(
                 id: s.id,
                 key: secrets.switch_sk.remove(&s.id),
             },
-            pair_keys: pair_keys(Peer::Switch(s.id)),
             disk: None,
         });
     }

@@ -153,7 +153,7 @@ pub enum Obs {
         /// The applied segment's index in the event's full update list.
         segment: u32,
     },
-    /// A downstream controller re-sent its kept `SegmentApplied` share to
+    /// A downstream controller re-sent its kept `SegmentApplied` report to
     /// an upstream controller that re-forwarded it the event.
     SegmentRetransmitted {
         /// The retransmitting domain.
@@ -287,7 +287,7 @@ pub struct RetransmitStats {
     pub nacks: u64,
     /// NACKs answered by controllers with a re-sent update.
     pub resyncs: u64,
-    /// Cross-domain `SegmentApplied` shares re-sent to a re-forwarder.
+    /// Cross-domain `SegmentApplied` reports re-sent to a re-forwarder.
     pub segment_retransmits: u64,
     /// Cross-domain event re-forwards by controllers still waiting.
     pub forward_retransmits: u64,

@@ -1,7 +1,7 @@
 //! Shared runtime context handed to every protocol actor: node directory,
 //! public key material, topology, policies and configuration.
 
-use crate::auth::{PairKeys, Peer};
+use crate::auth::Peer;
 use crate::config::{CryptoMode, EngineConfig};
 use crate::msg::Net;
 use blscrypto::bls::{PreparedKey, PublicKey, SecretKey, Signature};
@@ -12,7 +12,7 @@ use blscrypto::curves::G2Projective;
 use controller::policy::GlobalDomainPolicy;
 use netmodel::routing::route;
 use netmodel::topology::Topology;
-use substrate::rng::{Rng, SeedableRng, StdRng};
+use substrate::rng::{SeedableRng, StdRng};
 use workload::gen::FlowSpec;
 use simnet::node::NodeId;
 use simnet::time::SimTime;
@@ -203,9 +203,6 @@ pub struct SecretStore {
     pub controller_sk: BTreeMap<(DomainId, ControllerId), SecretKey>,
     /// Per-domain DKG outputs (shares moved into controller actors).
     pub domain_dkg: BTreeMap<DomainId, DkgOutput>,
-    /// The ack / NACK MAC keys, one per `(switch, bootstrap controller of its
-    /// domain)`; each goes to the two actors of its pair and nobody else.
-    pub pair_keys: PairKeys,
 }
 
 /// Runs the bootstrap key ceremony.
@@ -213,9 +210,9 @@ pub struct SecretStore {
 /// In `Real` mode this performs actual key generation and a DKG per domain
 /// (what the paper's deployment does once at bootstrap); in `Modeled` mode
 /// identity placeholders are produced so that large benchmark runs skip the
-/// curve math entirely. `dir` names each domain's bootstrap members and each
-/// switch's domain; the pairwise MAC keys are drawn last, so adding them
-/// moved no other key.
+/// curve math entirely. `dir` names each domain's bootstrap members. No MAC
+/// key is dealt: each pair derives its own from the identity keys
+/// ([`crate::auth::pair_key`]).
 pub fn bootstrap_keys(
     crypto: CryptoMode,
     switches: &[SwitchId],
@@ -275,16 +272,6 @@ pub fn bootstrap_keys(
             );
         }
     }
-    if real {
-        for &s in switches {
-            let d = dir.domain_of_switch[&s];
-            for &c in &dir.initial_members[&d] {
-                let mut key = [0u8; 32];
-                rng.fill_bytes(&mut key);
-                secrets.pair_keys.insert((Peer::Switch(s), Peer::Controller(d, c)), key);
-            }
-        }
-    }
     (material, secrets)
 }
 
@@ -320,7 +307,7 @@ mod tests {
         let (mat, sec) = bootstrap_keys(CryptoMode::Modeled, &switches, &dir, 7);
         assert_eq!(mat.switch_pk.len(), 10);
         assert_eq!(mat.domains.len(), 2);
-        assert!(sec.switch_sk.is_empty() && sec.pair_keys.is_empty());
+        assert!(sec.switch_sk.is_empty() && sec.controller_sk.is_empty());
         assert_eq!(mat.domains[&DomainId(0)].group.config.quorum(), 2);
     }
 
@@ -329,11 +316,6 @@ mod tests {
         let switches: Vec<SwitchId> = (0..2).map(SwitchId).collect();
         let dir = directory(&switches, 1);
         let (mat, sec) = bootstrap_keys(CryptoMode::Real, &switches, &dir, 7);
-        // One distinct MAC key per (switch, member of its domain).
-        let keys: std::collections::BTreeSet<_> = sec.pair_keys.values().collect();
-        assert_eq!((sec.pair_keys.len(), keys.len()), (8, 8));
-        let pair = (Peer::Switch(SwitchId(1)), Peer::Controller(DomainId(0), ControllerId(3)));
-        assert!(sec.pair_keys.contains_key(&pair));
         let dkg = &sec.domain_dkg[&DomainId(0)];
         let msg = b"bootstrap check";
         let partials: Vec<_> = dkg.participants[..2]

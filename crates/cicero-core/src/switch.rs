@@ -7,7 +7,7 @@
 //! goal is "minimal switch instrumentation" — and all heavy operations charge
 //! simulated CPU time so Fig. 11d's utilization comparison is reproducible.
 
-use crate::auth::{Authenticator, PairKeys, Peer};
+use crate::auth::{Authenticator, Peer};
 use crate::collector::{Quorum, QuorumCollector};
 use crate::config::{tx_time, Aggregation, Mode};
 use crate::msg::{AckBody, NackBody, Net, PhaseInfo, ReadyBody, SwitchWalRecord, UpdateBody};
@@ -128,7 +128,6 @@ impl SwitchActor {
         id: SwitchId,
         domain: DomainId,
         key: Option<SecretKey>,
-        pair_keys: PairKeys,
         phase_info: PhaseInfo,
     ) -> Self {
         let rel = shared.cfg.reliability;
@@ -138,7 +137,7 @@ impl SwitchActor {
             rel.policy(base, budget, jitter_seed)
         };
         SwitchActor {
-            auth: Authenticator::new(Arc::clone(&shared), Peer::Switch(id), key, None, pair_keys),
+            auth: Authenticator::new(Arc::clone(&shared), Peer::Switch(id), key, None),
             pending_events: RetryTable::new(policy(EVENT_RETRY_BASE, rel.retry_budget, 29)),
             nacks: RetryTable::new(policy(NACK_TIMEOUT, rel.nack_budget, 47)),
             asks: RetryTable::new(policy(rel.retry_base, rel.retry_budget, 13)),
@@ -517,8 +516,9 @@ impl SwitchActor {
         let msg_id = self.auth.next_msg_id();
         for &c in &self.shared.dir.initial_members[&domain] {
             let to = Peer::Controller(domain, c);
-            let tagged = self.auth.tag(ctx, label, body, phase, msg_id, to);
-            ctx.send(self.shared.dir.controller(domain, c), wrap(tagged));
+            if let Some(tagged) = self.auth.tag(ctx, label, body, phase, msg_id, to) {
+                ctx.send(self.shared.dir.controller(domain, c), wrap(tagged));
+            }
         }
     }
 

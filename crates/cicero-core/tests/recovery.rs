@@ -184,15 +184,16 @@ fn quiescent_controllers_compact_their_wal_into_snapshots() {
     assert_exactly_once(&engine);
 }
 
-/// Segment-report shares below quorum are volatile by design: an upstream
-/// controller that crashes holding one share (of the two it needs) forgets
-/// it. Restarted, it re-registers the barrier from its log and either
-/// inherits the quorum from its sync peer's signer archive, or — when no
-/// peer has certified yet (`peers_cut`: the whole upstream domain hears only
-/// one reporter until after the restart) — asks the downstream controllers
-/// for the shares it lacks. Either way its barrier releases exactly once.
+/// A verified segment report is logged on arrival, quorum or not: an
+/// upstream controller that crashes holding one report (of the two it needs)
+/// restores it from its log. Restarted, it re-registers the barrier and
+/// either inherits the quorum from its sync peer's signer archive, or — when
+/// no peer has a quorum yet (`peers_cut`: the whole upstream domain hears
+/// only one reporter until after the restart) — asks the downstream
+/// controllers for the reports it lacks. Either way its barrier releases
+/// exactly once.
 #[test]
-fn crash_between_share_arrival_and_quorum_releases_exactly_once_after_restart() {
+fn crash_between_report_arrival_and_quorum_releases_exactly_once_after_restart() {
     for peers_cut in [false, true] {
         let mut cfg = EngineConfig::for_mode(Mode::Cicero {
             aggregation: Aggregation::Switch,
@@ -220,7 +221,7 @@ fn crash_between_share_arrival_and_quorum_releases_exactly_once_after_restart() 
         let victim_node = engine.controller_node(up, victim);
         let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
         // Only downstream controller 1 reaches the victim until 150 ms — or,
-        // with `peers_cut`, any upstream controller until 400 ms: one share
+        // with `peers_cut`, any upstream controller until 400 ms: one report
         // of a quorum of two. The victim dies at 60 ms holding it and comes
         // back at 300 ms.
         let mut plan = FaultPlan::none().with_crash(ms(60), victim_node);
@@ -259,7 +260,7 @@ fn crash_between_share_arrival_and_quorum_releases_exactly_once_after_restart() 
                 a.barriers_released(),
             )
         });
-        assert!(signers.is_empty(), "one share certifies nothing: {signers:?}");
+        assert_eq!(signers, vec![(down, 1)], "one report, on record and below quorum");
         assert_eq!(released, 0, "the victim's barrier is still held at the crash");
 
         let report = engine.run_reporting(ms(20_000));
@@ -283,7 +284,7 @@ fn crash_between_share_arrival_and_quorum_releases_exactly_once_after_restart() 
             assert_eq!(victim_releases.len(), 1, "{victim_releases:?}");
             assert!(
                 report.stats.segment_retransmits > 0,
-                "the lost shares must have been asked for and re-sent"
+                "the missing reports must have been asked for and re-sent"
             );
         } else {
             // The sync peer's signer archive carried the quorum (replayed
@@ -299,13 +300,13 @@ fn crash_between_share_arrival_and_quorum_releases_exactly_once_after_restart() 
     }
 }
 
-/// A reporter keeps its share only in memory. Restarted — from its own log
+/// A reporter keeps its report only in memory. Restarted — from its own log
 /// or, disk wiped, from a peer's — the muted replay of the acks that drained
-/// the segment signs the share again, so an upstream controller that
+/// the segment tags the report again, so an upstream controller that
 /// re-forwards the event afterwards still gets an answer; nothing is re-sent
 /// unasked.
 #[test]
-fn restarted_reporter_rebuilds_its_kept_share_and_answers_queries() {
+fn restarted_reporter_rebuilds_its_kept_report_and_answers_queries() {
     for disk_lost in [false, true] {
         let mut cfg = EngineConfig::for_mode(Mode::Cicero {
             aggregation: Aggregation::Switch,
@@ -334,12 +335,12 @@ fn restarted_reporter_rebuilds_its_kept_share_and_answers_queries() {
             })
             .expect("the flow crossed the boundary before the crash");
         let kept = |engine: &mut Engine| {
-            engine.with_controller(down, reporter, |a| a.handshake_footprint()[4])
+            engine.with_controller(down, reporter, |a| a.handshake_footprint()[3])
         };
         assert_eq!(kept(&mut engine), 1);
         engine.run(ms(400));
         assert_eq!(recovered_controllers(&engine), vec![reporter.0]);
-        assert_eq!(kept(&mut engine), 1, "disk_lost={disk_lost}: share not rebuilt");
+        assert_eq!(kept(&mut engine), 1, "disk_lost={disk_lost}: report not rebuilt");
         // Upstream controller 2 re-forwards the event: the reporter has
         // delivered it, so it drops the forward unchecked and answers.
         let asker = ControllerId(2);

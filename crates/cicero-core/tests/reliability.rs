@@ -384,10 +384,10 @@ fn assert_audit_clean(engine: &Engine, topo: &Topology, src: HostId, dst: HostId
     assert!(hazards.is_empty(), "audit found hazards: {hazards:?}");
 }
 
-/// `SegmentApplied` shares and the re-forwards that ask for them again
+/// `SegmentApplied` reports and the re-forwards that ask for them again
 /// travel on the inter-domain controller links. Dropping 30% of that traffic
 /// forces the handshake through its recovery path: the flow must still
-/// converge, in order, and the re-sent-share counter proves the recovery
+/// converge, in order, and the re-sent-report counter proves the recovery
 /// machinery carried it. Prints the time to converge; over `CHECK_CASES=300`
 /// PR 20's sender-driven predecessor took 96.3 ms in the mean (p90 310.8, max
 /// 881.3), its queries 70.7 (p90 193.2, max 537.6).

@@ -333,9 +333,13 @@ impl PendingUpdates {
     }
 
     /// Parks a verified acknowledgement of an update not admitted yet
-    /// ([`PendingUpdates::target`] is `None`), sent by switch `from`.
+    /// ([`PendingUpdates::target`] is `None`), sent by switch `from`. An
+    /// update that already failed is never admitted again: its ack is
+    /// dropped, not parked for ever.
     pub fn ack_early(&mut self, id: UpdateId, from: SwitchId) {
-        self.early.entry(id).or_default().insert(from);
+        if !self.is_failed(id) {
+            self.early.entry(id).or_default().insert(from);
+        }
     }
 
     /// Marks `id` acknowledged and drops it from every dependency set.
@@ -592,6 +596,25 @@ mod tests {
         assert_eq!(p.waiting_count(), 2, "no successor was pre-released");
         // The parked ack is spent: re-admission does not find it either.
         assert!(p.clone().admit(chain(3, 1), T0).retired.is_empty());
+    }
+
+    #[test]
+    fn an_early_ack_of_a_failed_update_is_not_parked() {
+        let policy = RetryPolicy {
+            base: SimDuration::from_millis(5),
+            max_backoff: SimDuration::from_millis(5),
+            budget: 1,
+            jitter_seed: 0,
+        };
+        let mut p = PendingUpdates::new().with_policy(policy);
+        let head = p.admit(chain(1, 1), T0).ready[0].id;
+        while !p.is_failed(head) {
+            let due = p.next_due().expect("in flight until it fails");
+            p.due_retries(due);
+        }
+        assert_eq!(p.target(head), None, "a failed update is forgotten");
+        p.ack_early(head, SwitchId(0));
+        assert!(p.early.is_empty());
     }
 
     #[test]

@@ -348,7 +348,7 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
     let mut reported_once = BTreeSet::new(); // (domain, controller, event, segment)
     let mut released_once = BTreeSet::new(); // (domain, controller, event, segment)
     let mut delivered = BTreeSet::new(); // (domain, controller, event)
-    // Re-forwards per event and shares re-sent per reporter: a re-forward
+    // Re-forwards per event and reports re-sent per reporter: a re-forward
     // draws at most one reply from each.
     let mut reforwarded: BTreeMap<_, usize> = BTreeMap::new();
     let mut resent: BTreeMap<_, usize> = BTreeMap::new();
@@ -545,12 +545,12 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
                     bad(
                         out,
                         format!(
-                            "domain {domain:?} controller {controller} re-sent its share \
+                            "domain {domain:?} controller {controller} re-sent its report \
                              of segment {segment} of {event:?} before reporting it"
                         ),
                     );
                 }
-                // A share is re-sent only in answer to a re-forward of its
+                // A report is re-sent only in answer to a re-forward of its
                 // event, once each.
                 let asked = reforwarded.get(&event).copied().unwrap_or(0);
                 let sent = resent.entry(reporter).or_insert(0);
@@ -559,7 +559,7 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
                     bad(
                         out,
                         format!(
-                            "domain {domain:?} controller {controller} re-sent its share \
+                            "domain {domain:?} controller {controller} re-sent its report \
                              of segment {segment} of {event:?} {sent} time(s) against \
                              {asked} re-forward(s) of the event"
                         ),

@@ -99,6 +99,17 @@
 //! first re-send on. Nothing moved where nothing was re-sent: the other
 //! sixteen rows, and all of `GOLDEN_ENGINE` (single-domain: no schedule
 //! there waits on another domain).
+//!
+//! PR 26 re-recorded the seven two-domain, controller-ordered rows (`run` 0,
+//! `secure` 1 and 9, `recover` 0, 4, 7 and 9): a segment report is one body
+//! tagged once per upstream controller (`mac` CPU per copy) instead of one
+//! threshold share (`event_sign` CPU), and an upstream controller checks
+//! each report's tag as it arrives (`mac` latency on the release, each
+//! verified sender logged at once) instead of aggregating and verifying a
+//! quorum of shares (`quorum_check` latency, the quorum logged together).
+//! The messages sent and their `msg_id`s are what they were. Every
+//! single-domain, Segway and unsigned-mode row, and all of `GOLDEN_ENGINE`
+//! (single-domain: no segment is ever reported there), passed unedited.
 
 use cicero_core::prelude::*;
 use simcheck::{run_scenario_traced, Scenario};
@@ -216,7 +227,7 @@ const GOLDEN_SCENARIOS: [(&str, fn(u64) -> Scenario, [(u64, u64); 5]); 4] = [
         "run",
         Scenario::generate,
         [
-            (0, 0xd22a51a8b4c2c695),
+            (0, 0x9c5bc32810f03b26),
             (2, 0x2e0801721cf6f9a9),
             (6, 0x5853bfc85ddecac2),
             (9, 0x32ae09b88fb27423),
@@ -227,10 +238,10 @@ const GOLDEN_SCENARIOS: [(&str, fn(u64) -> Scenario, [(u64, u64); 5]); 4] = [
         "secure",
         Scenario::generate_secure,
         [
-            (1, 0xe661901dca05607f),
+            (1, 0xaf6682d4dcdeb609),
             (2, 0x21a856c09f521b88),
             (6, 0xfb2cba9b76e1c279),
-            (9, 0x69b9d18f03ad2591),
+            (9, 0xae3fdacb45637766),
             (42, 0x3f18bc33e172cde6),
         ],
     ),
@@ -238,10 +249,10 @@ const GOLDEN_SCENARIOS: [(&str, fn(u64) -> Scenario, [(u64, u64); 5]); 4] = [
         "recover",
         Scenario::generate_recovery,
         [
-            (0, 0xbc1765a6ce3f1bc6),
-            (4, 0x5dbaddc37ed218d1),
-            (7, 0xb5822845a2b4add0),
-            (9, 0x8b1dde9e74290684),
+            (0, 0x27dae0c067bdea61),
+            (4, 0x988cf53ab34051d5),
+            (7, 0x1dfc953cbeacc4bc),
+            (9, 0xddf76af325bd465d),
             (42, 0xecab9411632da6a6),
         ],
     ),
