@@ -289,12 +289,10 @@ impl ControllerActor {
         let (msg, delay) = match kept {
             Some(msg) => (msg.clone(), extra),
             None => {
-                let sign = self.shared.cfg.costs.update_sign;
-                let cpu = SimDuration::from_nanos(sign.as_nanos() / 3);
                 let body = self.body_of(update);
-                let msg = self.auth.sign_share(ctx, labels::UPDATE, body, phase, cpu);
+                let msg = self.auth.sign_share(ctx, labels::UPDATE, body, phase);
                 self.kept_updates.insert(update.id, msg.clone());
-                (msg, extra + sign)
+                (msg, extra + self.shared.cfg.costs.update_sign)
             }
         };
         match aggregation {
