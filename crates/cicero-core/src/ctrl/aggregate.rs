@@ -11,16 +11,6 @@ use simnet::node::{Host, NodeId};
 use southbound::envelope::{QuorumSigned, ShareSigned};
 use std::collections::BTreeSet;
 
-/// A relayed quorum signature, kept so a share retransmission after the
-/// relay can trigger a re-send (the switch evidently lost it).
-pub(super) struct Relayed {
-    out: QuorumSigned<UpdateBody>,
-    /// Signers whose share has been seen: a second share from one of them
-    /// is a retransmission, a first share from anyone else is the tail of
-    /// the original broadcast.
-    signers: BTreeSet<u32>,
-}
-
 impl ControllerActor {
     pub(super) fn on_update_to_aggregator(
         &mut self,
@@ -39,17 +29,19 @@ impl ControllerActor {
         let key = (update.id, msg.phase);
         let switch = self.shared.dir.switch(update.switch);
         let delay = self.shared.cfg.costs.aggregator_delay;
-        if let Some(r) = self
-            .relayed
-            .get_mut(&key)
-            .filter(|r| r.out.payload == msg.payload)
-        {
-            // Already relayed: a *retransmitted* share means the sending
-            // controller has not seen an ack, so the switch probably lost
-            // the aggregated update — relay it again.
-            if !r.signers.insert(msg.partial.index) {
-                ctx.send_delayed(switch, Net::UpdateAggregated(r.out.clone()), delay);
-            }
+        // Already relayed: a second share from a signer already seen means
+        // its controller saw no ack, so the switch probably lost the relay —
+        // send it again. A first share is the tail of the original broadcast.
+        let (index, mut relayed) = (msg.partial.index, false);
+        let again = |(out, signers): &mut (QuorumSigned<UpdateBody>, BTreeSet<u32>)| {
+            relayed = out.payload == msg.payload;
+            relayed && !signers.insert(index)
+        };
+        let whole = || unreachable!("a relay is kept whole");
+        if let Some(((out, _), _)) = self.relayed.resend(&key, again, whole) {
+            ctx.send_delayed(switch, Net::UpdateAggregated(out.clone()), delay);
+        }
+        if relayed {
             return;
         }
         // Aggregate, then verify the aggregate about to be relayed — what
@@ -87,13 +79,8 @@ impl ControllerActor {
             msg_id: self.auth.next_msg_id(),
             signature: cert.signature,
         };
-        self.relayed.insert(
-            key,
-            Relayed {
-                out: out.clone(),
-                signers: cert.signers.into_iter().collect(),
-            },
-        );
+        let signers = cert.signers.into_iter().collect();
+        self.relayed.keep(key, (out.clone(), signers));
         ctx.send_delayed(switch, Net::UpdateAggregated(out), delay);
     }
 }

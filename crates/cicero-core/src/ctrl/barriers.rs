@@ -8,7 +8,7 @@
 //! recovery loop that keeps the handshake live under loss.
 
 use super::ControllerActor;
-use crate::auth::{Authenticator, Peer};
+use crate::auth::Peer;
 use crate::msg::{Net, SegmentBody, WalRecord};
 use crate::obs::Obs;
 use crate::runtime::labels;
@@ -78,44 +78,22 @@ pub(super) struct SegWatch {
     upstreams: Vec<DomainId>,
 }
 
-/// Downstream half, second stage: the drained segment's report — one body
-/// and one id, tagged once for each controller of every domain holding a
-/// barrier on it, sent once, and kept so an upstream controller still
+/// Downstream half, second stage: a drained segment's report as sent — one
+/// body and one id, tagged once for each controller of every domain holding
+/// a barrier on it. Kept (`seg_sent`) so an upstream controller still
 /// waiting can have its copy again by re-forwarding the event
-/// ([`Net::ForwardedEvent`]). One per reported `(event, segment)`, living
-/// exactly as long as the upstream side's `barriers` entry of that key; a
-/// restart rebuilds it by replaying the acks that drained the segment.
-pub(super) struct KeptReport {
+/// ([`Net::ForwardedEvent`]), for exactly as long as the upstream side's
+/// `barriers` entry of that key lives; a restart rebuilds it by replaying
+/// the acks that drained the segment.
+pub(super) struct Report {
     /// Domains holding a barrier on this segment — whose controllers may ask.
     upstreams: Vec<DomainId>,
     /// The report, its phase and its id, shared by every copy.
     body: SegmentBody,
     phase: Phase,
     msg_id: MsgId,
-    /// The copy tagged for each upstream controller, re-sent as-is.
+    /// The copy tagged for each upstream controller.
     copies: BTreeMap<(DomainId, ControllerId), Tagged<SegmentBody>>,
-    /// Re-sends so far (numbers `Obs::SegmentRetransmitted`).
-    resends: u32,
-}
-
-impl KeptReport {
-    /// The copy for upstream controller `(d, c)`: the kept one, or one
-    /// tagged now and kept — for a member that joined since, on its first
-    /// re-forward. `None` when the pair has no key.
-    fn copy_for(
-        &mut self,
-        auth: &mut Authenticator,
-        ctx: &mut dyn Host<Net, Obs>,
-        (d, c): (DomainId, ControllerId),
-    ) -> Option<Tagged<SegmentBody>> {
-        if let Some(copy) = self.copies.get(&(d, c)) {
-            return Some(copy.clone());
-        }
-        let to = Peer::Controller(d, c);
-        let copy = auth.tag(ctx, labels::SEGMENT, self.body, self.phase, self.msg_id, to)?;
-        self.copies.insert((d, c), copy.clone());
-        Some(copy)
-    }
 }
 
 impl ControllerActor {
@@ -275,7 +253,7 @@ impl ControllerActor {
         let Some(w) = self.seg_watch.remove(&key) else {
             return;
         };
-        let mut kept = KeptReport {
+        let mut report = Report {
             body: SegmentBody {
                 event: key.0,
                 segment: key.1,
@@ -284,13 +262,15 @@ impl ControllerActor {
             phase: self.view.phase(),
             msg_id: self.auth.next_msg_id(),
             copies: BTreeMap::new(),
-            resends: 0,
-            upstreams: w.upstreams.clone(),
+            upstreams: w.upstreams,
         };
-        for &d in &w.upstreams {
+        for &d in &report.upstreams {
             for &c in self.remote_members.get(&d).into_iter().flatten() {
-                if let Some(copy) = kept.copy_for(&mut self.auth, ctx, (d, c)) {
-                    self.send_remote(ctx, d, c, Net::SegmentApplied(copy));
+                let to = Peer::Controller(d, c);
+                let (body, phase, id) = (report.body, report.phase, report.msg_id);
+                if let Some(copy) = self.auth.tag(ctx, labels::SEGMENT, body, phase, id, to) {
+                    self.send_remote(ctx, d, c, Net::SegmentApplied(copy.clone()));
+                    report.copies.insert((d, c), copy);
                 }
             }
         }
@@ -300,7 +280,7 @@ impl ControllerActor {
             event: key.0,
             segment: key.1,
         });
-        self.seg_sent.insert(key, kept);
+        self.seg_sent.keep(key, report);
     }
 
     /// Answers a re-forward of `event`, which this controller has delivered:
@@ -326,21 +306,30 @@ impl ControllerActor {
             return;
         }
         let (domain, controller) = (self.domain, self.id.0);
-        for (&(event, segment), kept) in self.seg_sent.range_mut((event, 0)..=(event, u32::MAX)) {
-            if !kept.upstreams.contains(&d) {
-                continue;
-            }
-            let Some(copy) = kept.copy_for(&mut self.auth, ctx, (d, c)) else {
+        let keys: Vec<_> = self.seg_sent.keys((event, 0)..=(event, u32::MAX)).copied().collect();
+        for key in keys {
+            let auth = &mut self.auth;
+            // The copy kept for the asker, or one tagged now and kept — for a
+            // member that joined since. Nothing when the pair has no key.
+            let asks = |r: &mut Report| {
+                if r.upstreams.contains(&d) && !r.copies.contains_key(&(d, c)) {
+                    let to = Peer::Controller(d, c);
+                    let copy = auth.tag(ctx, labels::SEGMENT, r.body, r.phase, r.msg_id, to);
+                    r.copies.extend(copy.map(|copy| ((d, c), copy)));
+                }
+                r.copies.contains_key(&(d, c))
+            };
+            let whole = || unreachable!("a report is kept whole");
+            let Some((report, attempt)) = self.seg_sent.resend(&key, asks, whole) else {
                 continue;
             };
-            kept.resends += 1;
-            ctx.send(from, Net::SegmentApplied(copy));
+            ctx.send(from, Net::SegmentApplied(report.copies[&(d, c)].clone()));
             ctx.observe(Obs::SegmentRetransmitted {
                 domain,
                 controller,
                 event,
-                segment,
-                attempt: kept.resends,
+                segment: key.1,
+                attempt,
             });
         }
     }
@@ -476,7 +465,7 @@ impl ControllerActor {
             self.barriers.len(),
             self.forwards.len(),
             self.seg_watch.len(),
-            self.seg_sent.len(),
+            self.seg_sent.keys(..).count(),
         ]
     }
 }

@@ -35,8 +35,6 @@ pub(super) struct Forward {
     /// What ends the wait once acknowledged here: the barriers (Cicero), or
     /// the own updates a switch holds at a foreign gate (Segway).
     awaits: BTreeSet<UpdateId>,
-    /// The forward signed at the first re-send, then re-sent as-is.
-    signed: Option<Signed<Event>>,
 }
 
 impl ControllerActor {
@@ -123,7 +121,6 @@ impl ControllerActor {
                 },
                 downstream,
                 awaits,
-                signed: None,
             };
             // The id only seeds the clock's jitter.
             let jitter = UpdateId {
@@ -131,6 +128,7 @@ impl ControllerActor {
                 seq: 0,
             };
             self.forwards.insert(event.id, jitter, forward, ctx.now());
+            self.forwards_sent.reserve(event.id);
         }
         // The mode only chooses who enforces the projected dependencies.
         let schedule = if segway {
@@ -222,13 +220,11 @@ impl ControllerActor {
             let Retry::Resend(event, attempt) = r else {
                 continue;
             };
-            let (auth, phase) = (&mut self.auth, self.view.phase());
-            let fwd = self.forwards.get_mut(&event).expect("re-sent, so kept");
-            let body = fwd.event;
-            let signed = fwd
-                .signed
-                .get_or_insert_with(|| auth.sign(ctx, labels::FORWARD, body, phase))
-                .clone();
+            let fwd = self.forwards.get(&event).expect("re-sent, so kept");
+            let (auth, phase, body) = (&mut self.auth, self.view.phase(), fwd.event);
+            let sign = || auth.sign(ctx, labels::FORWARD, body, phase);
+            let (signed, _) = self.forwards_sent.resend(&event, |_| true, sign).expect("reserved");
+            let signed = signed.clone();
             for d in fwd.downstream.clone() {
                 for &c in self.remote_members.get(&d).into_iter().flatten() {
                     self.send_remote(ctx, d, c, Net::ForwardedEvent(signed.clone()));
@@ -241,6 +237,8 @@ impl ControllerActor {
                 attempt,
             });
         }
+        let forwards = &self.forwards;
+        self.forwards_sent.retain(|event| forwards.contains(event));
     }
 
     /// What the acknowledgement of own update `update` finishes here: the
@@ -284,14 +282,14 @@ impl ControllerActor {
             ctx.send_delayed(switch_node, Net::UpdatePlain(self.body_of(update)), extra);
             return;
         };
-        let phase = self.view.phase();
-        let kept = self.kept_updates.get(&update.id).filter(|m| m.phase == phase);
+        let whole = || unreachable!("an update is kept signed");
+        let kept = self.updates_sent.resend(&update.id, |_| true, whole);
         let (msg, delay) = match kept {
-            Some(msg) => (msg.clone(), extra),
+            Some((msg, _)) => (msg.clone(), extra),
             None => {
                 let body = self.body_of(update);
-                let msg = self.auth.sign_share(ctx, labels::UPDATE, body, phase);
-                self.kept_updates.insert(update.id, msg.clone());
+                let msg = self.auth.sign_share(ctx, labels::UPDATE, body, self.view.phase());
+                self.updates_sent.keep(update.id, msg.clone());
                 (msg, extra + self.shared.cfg.costs.update_sign)
             }
         };

@@ -39,6 +39,7 @@ impl ControllerActor {
             self.view = old_view;
             return;
         }
+        self.updates_sent.clear(); // old-phase shares no longer count
         self.in_phase_change = true;
         if added {
             self.detector.track(subject, ctx.now());
@@ -259,6 +260,7 @@ impl ControllerActor {
             return;
         }
         self.view = view;
+        self.updates_sent.clear();
         self.in_phase_change = true;
         let new_cfg = DkgConfig::new(self.view.len() as u32, self.view.threshold_t())
             .expect("valid view");

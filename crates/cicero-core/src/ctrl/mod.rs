@@ -33,7 +33,7 @@ use crate::config::Mode;
 use crate::msg::{Net, OrderedOp, UpdateBody, WalRecord};
 use crate::obs::Obs;
 use crate::runtime::{labels, Shared};
-use barriers::{BarrierState, KeptReport, SegWatch};
+use barriers::{BarrierState, Report, SegWatch};
 use bft::message::ReplicaId;
 use events::Forward;
 use bft::replica::Replica;
@@ -43,20 +43,18 @@ use blscrypto::reshare::ReshareDealing;
 use controller::app::ShortestPathApp;
 use controller::failure::HeartbeatDetector;
 use controller::membership::ControlPlaneView;
-use controller::pending::{PendingUpdates, RetryTable};
+use controller::pending::{Kept, PendingUpdates, RetryTable};
 use controller::scheduler::{ReversePathScheduler, UpdateScheduler};
 use membership::PendingReshare;
 use simnet::node::{Actor, Host, NodeId, TimerToken};
 use simnet::time::SimDuration;
-use southbound::envelope::ShareSigned;
+use southbound::envelope::{QuorumSigned, ShareSigned, Signed};
 use southbound::types::{
     ControllerId, DomainId, Event, EventId, Phase, SwitchId, UpdateId,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use substrate::storage::{DiskHandle, Wal};
 use std::sync::Arc;
-
-use aggregate::Relayed;
 
 const TICK: TimerToken = TimerToken(1);
 const HEARTBEAT: TimerToken = TimerToken(2);
@@ -85,8 +83,10 @@ pub struct ControllerActor {
     reshare_buf: BTreeMap<Phase, Vec<ReshareDealing>>,
     /// Aggregator role: update shares below quorum.
     agg_shares: QuorumCollector<UpdateId, UpdateBody>,
-    /// Aggregator role: relayed quorum signatures, kept for re-relay.
-    relayed: BTreeMap<(UpdateId, Phase), Relayed>,
+    /// Aggregator role: each relayed quorum signature, with the signers
+    /// whose share has been seen — a second share from one of them asks for
+    /// a re-relay. Cleared at a phase change.
+    relayed: Kept<(UpdateId, Phase), (QuorumSigned<UpdateBody>, BTreeSet<u32>)>,
     phase_partials: BTreeMap<Phase, BTreeMap<u32, PartialSignature>>,
     remote_members: BTreeMap<DomainId, Vec<ControllerId>>,
     detector: HeartbeatDetector,
@@ -98,19 +98,24 @@ pub struct ControllerActor {
     /// kept until no update of the event is outstanding: on expiry it is
     /// re-sent to every member of the domains waited on.
     forwards: RetryTable<EventId, Forward>,
+    /// The signed copy of each of `forwards`, made at its first re-send and
+    /// re-sent as-is by every later one; pruned with them at each sweep.
+    forwards_sent: Kept<EventId, Signed<Event>>,
     /// Own segments foreign updates depend on, not yet fully switch-acked.
     seg_watch: BTreeMap<(EventId, u32), SegWatch>,
-    /// Drained own segments' reports, kept to answer upstream re-forwards.
-    seg_sent: BTreeMap<(EventId, u32), KeptReport>,
+    /// Drained own segments' reports, kept to answer upstream re-forwards:
+    /// a current member of an upstream domain that re-forwards the event
+    /// gets its copy again.
+    seg_sent: Kept<(EventId, u32), Report>,
     /// Dependencies shipped to the switches rather than held here (Segway):
     /// per-update gate/notify metadata projected once at `process_event`
     /// time, consumed (and re-consumed on retransmission and NACK resync)
     /// by `send_update_delayed`.
     shipped: BTreeMap<UpdateId, (Vec<(UpdateId, SwitchId)>, Vec<SwitchId>)>,
     /// Every update's share-signed body as last sent — like the ack archive
-    /// it answers NACKs from, never pruned. Retransmissions and NACK answers
-    /// re-send it as-is; re-made only when the phase has moved since.
-    kept_updates: BTreeMap<UpdateId, ShareSigned<UpdateBody>>,
+    /// it answers NACKs from, pruned only by a phase change. Retransmissions
+    /// and NACK answers re-send it as-is; one not kept is signed again.
+    updates_sent: Kept<UpdateId, ShareSigned<UpdateBody>>,
     retry_armed: bool,
     // ---- durability (ctrl/durable.rs) --------------------------------
     /// Durable storage, when provisioned.
@@ -188,16 +193,17 @@ impl ControllerActor {
             pending_reshare: None,
             reshare_buf: BTreeMap::new(),
             agg_shares: QuorumCollector::new(),
-            relayed: BTreeMap::new(),
+            relayed: Kept::default(),
             phase_partials: BTreeMap::new(),
             remote_members,
             detector,
             barriers: BTreeMap::new(),
             early_reports: BTreeMap::new(),
             seg_watch: BTreeMap::new(),
-            seg_sent: BTreeMap::new(),
+            forwards_sent: Kept::default(),
+            seg_sent: Kept::default(),
             shipped: BTreeMap::new(),
-            kept_updates: BTreeMap::new(),
+            updates_sent: Kept::default(),
             retry_armed: false,
             disk: None,
             wal: None,

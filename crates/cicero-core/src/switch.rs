@@ -15,7 +15,7 @@ use crate::obs::Obs;
 use crate::runtime::{labels, Shared};
 use blscrypto::bls::SecretKey;
 use controller::membership::ControlPlaneView;
-use controller::pending::{Retry, RetryTable};
+use controller::pending::{Kept, Retry, RetryTable};
 use netmodel::flowtable::{FlowTable, Lookup};
 use simnet::node::{Actor, Host, NodeId, TimerToken};
 use simnet::time::{SimDuration, SimTime};
@@ -61,17 +61,6 @@ struct WaitingFlow {
     bytes: u64,
 }
 
-/// A Segway release this switch made: the ready it signed, sent once and
-/// keeps for the released switch to ask again ([`Net::SegwayReadyQuery`]).
-#[derive(Clone, Debug, Default)]
-struct KeptReady {
-    /// Re-sent as-is. The journal keeps the release, not the signature:
-    /// `None` after a restart until first asked for.
-    signed: Option<Signed<ReadyBody>>,
-    /// Re-sends so far (numbers `Obs::ReadyRetransmitted`).
-    resends: u32,
-}
-
 /// The switch actor.
 ///
 /// Every update takes one path: *admit* (only the arrival form the run's
@@ -115,8 +104,11 @@ pub struct SwitchActor {
     ready_in: BTreeMap<UpdateId, BTreeSet<SwitchId>>,
     /// Every `(update, target)` ever released — the exactly-once-release
     /// guard: duplicated quorum deliveries and replayed state never
-    /// re-release a neighbor — with the ready kept for it.
-    ready_sent: BTreeMap<(UpdateId, SwitchId), KeptReady>,
+    /// re-release a neighbor — with the signed ready, re-sent as-is when the
+    /// target asks ([`Net::SegwayReadyQuery`]). The journal keeps the
+    /// release, not the signature: after a restart a slot is empty until
+    /// first asked for.
+    ready_sent: Kept<(UpdateId, SwitchId), Signed<ReadyBody>>,
     /// Durable journal (attached by the executor; `None` = diskless).
     wal: Option<Wal>,
 }
@@ -155,7 +147,7 @@ impl SwitchActor {
             retry_armed: false,
             parked: BTreeMap::new(),
             ready_in: BTreeMap::new(),
-            ready_sent: BTreeMap::new(),
+            ready_sent: Kept::default(),
             wal: None,
         }
     }
@@ -182,7 +174,7 @@ impl SwitchActor {
                     }
                 }
                 SwitchWalRecord::ReadySent { update, to } => {
-                    self.ready_sent.entry((update, to)).or_default();
+                    self.ready_sent.reserve((update, to));
                 }
                 SwitchWalRecord::ReadyIn { update, from } => {
                     self.ready_in.entry(update).or_default().insert(from);
@@ -484,7 +476,7 @@ impl SwitchActor {
             for to in body.notify {
                 // Exactly-once release: a neighbor is released at most once
                 // per gating update no matter how often the quorum re-fires.
-                if to == self.id || self.ready_sent.contains_key(&(update.id, to)) {
+                if to == self.id || self.ready_sent.contains(&(update.id, to)) {
                     continue;
                 }
                 // Write-ahead: the release is durable before it can be
@@ -498,7 +490,7 @@ impl SwitchActor {
                     .sign(ctx, labels::READY, ready, self.phase_info.phase);
                 ctx.observe(Obs::ReadySent { from, to, update: id });
                 ctx.send(self.shared.dir.switch(to), Net::SegwayReady(signed.clone()));
-                self.ready_sent.insert((id, to), KeptReady { signed: Some(signed), resends: 0 });
+                self.ready_sent.keep((id, to), signed);
             }
         }
     }
@@ -551,17 +543,13 @@ impl SwitchActor {
         let Some(Peer::Switch(to)) = self.shared.dir.peer(from) else {
             return;
         };
-        let Some(kept) = self.ready_sent.get_mut(&(update, to)) else {
-            return;
-        };
         let (me, phase, auth) = (self.id, self.phase_info.phase, &mut self.auth);
         let ready = ReadyBody { update, from: me, to };
-        let signed = kept
-            .signed
-            .get_or_insert_with(|| auth.sign(ctx, labels::READY, ready, phase));
+        let sign = || auth.sign(ctx, labels::READY, ready, phase);
+        let Some((signed, attempt)) = self.ready_sent.resend(&(update, to), |_| true, sign) else {
+            return;
+        };
         ctx.send(from, Net::SegwayReady(signed.clone()));
-        kept.resends += 1;
-        let attempt = kept.resends;
         ctx.observe(Obs::ReadyRetransmitted { from: me, to, update, attempt });
     }
 

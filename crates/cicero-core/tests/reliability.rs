@@ -1048,3 +1048,63 @@ fn reforwards_resend_the_kept_forward_and_sign_once() {
     }
     assert_eq!(rounds, vec![3; 4], "budget 3: three re-forwards each");
 }
+
+/// The aggregator's kept relay (controller aggregation): a second share from
+/// a signer it has already counted means that controller saw no ack, so the
+/// switch lost the aggregate — it is relayed again, the very message. A first
+/// share from another signer after the relay is the tail of the original
+/// broadcast and draws nothing.
+#[test]
+fn a_retransmitted_share_re_relays_the_kept_aggregate_and_a_late_first_share_does_not() {
+    use blscrypto::bls::PartialSignature;
+    use blscrypto::curves::g1_generator;
+    use cicero_core::msg::UpdateBody;
+    use simnet::node::{Actor, Context, Effect};
+    use southbound::envelope::{MsgId, ShareSigned};
+    use southbound::types::{EventId, FlowAction, FlowMatch, FlowRule, NextHop, Phase, UpdateId, UpdateKind};
+    use substrate::rng::{SeedableRng, StdRng};
+
+    let (mut engine, topo) = lossy_engine(Mode::CICERO_AGG, 1, ReliabilityConfig::default());
+    let switch = topo.switches()[0].id;
+    let rule = FlowRule {
+        matcher: FlowMatch { src: HostId(0), dst: HostId(1) },
+        action: FlowAction::Forward(NextHop::Host(HostId(1))),
+    };
+    let update = NetworkUpdate {
+        id: UpdateId { event: EventId(9), seq: 0 },
+        switch,
+        kind: UpdateKind::Install(rule),
+    };
+    let body = UpdateBody { update, gates: Vec::new(), notify: Vec::new() };
+    let (d, aggregator) = (DomainId(0), ControllerId(1));
+    // Controller `c`'s share reaches the aggregator over its own channel
+    // (modeled crypto: a quorum certifies on the count); returns the
+    // aggregates the handler relayed.
+    let mut share_from = |c: u32| {
+        let share = ShareSigned {
+            payload: body.clone(),
+            phase: Phase(0),
+            msg_id: MsgId { origin: c, seq: 1 },
+            partial: PartialSignature { index: c, sig: g1_generator().to_affine() },
+        };
+        let mut rng = StdRng::seed_from_u64(0);
+        let (me, from) = (engine.controller_node(d, aggregator), engine.controller_node(d, ControllerId(c)));
+        let mut ctx = Context::new(engine.now(), me, &mut rng);
+        let msg = Net::UpdateToAggregator(share);
+        engine.with_controller(d, aggregator, |a| a.on_message(&mut ctx, from, msg));
+        let relayed = ctx.into_effects().into_iter().filter_map(|e| match e {
+            Effect::Send { msg: Net::UpdateAggregated(m), .. } => Some(m),
+            _ => None,
+        });
+        relayed.collect::<Vec<_>>()
+    };
+    assert!(share_from(1).is_empty(), "below quorum");
+    let first = share_from(2);
+    assert_eq!(first.len(), 1, "the quorum is relayed");
+    assert!(share_from(3).is_empty(), "a first share after the relay is the broadcast's tail");
+    for c in [2, 3] {
+        let again = share_from(c);
+        assert_eq!(again, first, "controller {c}'s retransmission re-relays the kept aggregate");
+        assert_eq!(again[0].msg_id, first[0].msg_id);
+    }
+}

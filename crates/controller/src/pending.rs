@@ -168,12 +168,6 @@ impl<K: Ord + Copy, V> RetryTable<K, V> {
         self.entries.get(key).map(|e| &e.payload)
     }
 
-    /// The payload under `key`, to complete in place (a message signed at
-    /// its first re-send, say).
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        self.entries.get_mut(key).map(|e| &mut e.payload)
-    }
-
     /// `true` iff `key` is still awaiting its answer.
     pub fn contains(&self, key: &K) -> bool {
         self.entries.contains_key(key)
@@ -238,6 +232,76 @@ impl<K: Ord + Copy, V> RetryTable<K, V> {
 impl<K: Ord + Copy, V> Default for RetryTable<K, V> {
     fn default() -> Self {
         RetryTable::new(RetryPolicy::default())
+    }
+}
+
+/// Messages sent once and kept as sent: an ask is answered with the kept
+/// copy, re-sent as-is — nothing is signed, tagged or checked again.
+///
+/// Re-sends are numbered per key 1, 2, 3, … with no gap; an ask the
+/// caller's filter refuses gets nothing and spends no number. A slot is
+/// empty when a restarted keeper's journal recorded the send but not the
+/// message ([`Kept::reserve`]); its first re-send rebuilds the message.
+#[derive(Clone, Debug)]
+pub struct Kept<K, M> {
+    slots: BTreeMap<K, (Option<M>, u32)>,
+}
+
+impl<K: Ord, M> Kept<K, M> {
+    /// Keeps `m` as sent under `key` (replacing a kept one; the numbering
+    /// carries on).
+    pub fn keep(&mut self, key: K, m: M) {
+        self.slots.entry(key).or_default().0 = Some(m);
+    }
+
+    /// Records that `key` was sent, without the message.
+    pub fn reserve(&mut self, key: K) {
+        self.slots.entry(key).or_default();
+    }
+
+    /// Answers an ask for `key` with the kept message and its re-send
+    /// number: `make` fills an empty slot, then `asks` may complete the
+    /// message in place and decides. `None` when nothing was sent under
+    /// `key` or `asks` refuses.
+    pub fn resend(
+        &mut self,
+        key: &K,
+        asks: impl FnOnce(&mut M) -> bool,
+        make: impl FnOnce() -> M,
+    ) -> Option<(&M, u32)> {
+        let (slot, resends) = self.slots.get_mut(key)?;
+        let m = slot.get_or_insert_with(make);
+        if !asks(m) {
+            return None;
+        }
+        *resends += 1;
+        Some((m, *resends))
+    }
+
+    /// `true` iff something was sent under `key`.
+    pub fn contains(&self, key: &K) -> bool {
+        self.slots.contains_key(key)
+    }
+
+    /// The keys in `range`, in order.
+    pub fn keys(&self, range: impl std::ops::RangeBounds<K>) -> impl Iterator<Item = &K> {
+        self.slots.range(range).map(|(k, _)| k)
+    }
+
+    /// Drops every entry whose key `keep` rejects.
+    pub fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) {
+        self.slots.retain(|k, _| keep(k));
+    }
+
+    /// Drops every entry (a phase change: what was signed no longer counts).
+    pub fn clear(&mut self) {
+        self.slots.clear();
+    }
+}
+
+impl<K, M> Default for Kept<K, M> {
+    fn default() -> Self {
+        Kept { slots: BTreeMap::new() }
     }
 }
 
@@ -840,5 +904,67 @@ mod tests {
         assert_eq!(t.bump(&1, now), None, "budget spent");
         assert_eq!(t.bump(&9, now), None, "absent");
         assert_eq!(table(0).next_due(), None);
+    }
+
+    fn unmade() -> &'static str {
+        panic!("a kept message is never rebuilt")
+    }
+
+    #[test]
+    fn kept_numbers_resends_from_one_without_gaps_per_key() {
+        let mut k = Kept::default();
+        k.keep(1, "a");
+        k.keep(2, "b");
+        for n in 1..=3 {
+            assert_eq!(k.resend(&1, |_| true, unmade), Some((&"a", n)));
+        }
+        assert_eq!(k.resend(&2, |_| true, unmade), Some((&"b", 1)), "its own numbering");
+        assert_eq!(k.resend(&3, |_| true, unmade), None, "nothing sent under 3");
+    }
+
+    #[test]
+    fn kept_refused_ask_gets_nothing_and_spends_no_number() {
+        let mut k = Kept::default();
+        k.keep(1, vec![7]);
+        assert_eq!(k.resend(&1, |m| m.len() > 1, || unreachable!()), None);
+        // The filter may complete the message in place before it goes out.
+        let grow = |m: &mut Vec<u8>| {
+            m.push(8);
+            true
+        };
+        assert_eq!(k.resend(&1, grow, || unreachable!()), Some((&vec![7, 8], 1)));
+    }
+
+    #[test]
+    fn kept_empty_slot_is_made_once_then_resent_as_is() {
+        let mut k = Kept::default();
+        k.reserve(4);
+        assert!(k.contains(&4));
+        let mut made = 0;
+        for n in 1..=3 {
+            let make = || {
+                made += 1;
+                "rebuilt"
+            };
+            assert_eq!(k.resend(&4, |_| true, make), Some((&"rebuilt", n)));
+        }
+        assert_eq!(made, 1);
+        // Reserving a kept key keeps its message.
+        k.reserve(4);
+        assert_eq!(k.resend(&4, |_| true, unmade), Some((&"rebuilt", 4)));
+    }
+
+    #[test]
+    fn kept_retain_and_clear_drop_entries() {
+        let mut k = Kept::default();
+        for key in 1..=4 {
+            k.keep(key, "m");
+        }
+        k.retain(|&key| key % 2 == 0);
+        assert_eq!(k.keys(..).copied().collect::<Vec<_>>(), vec![2, 4]);
+        assert!(!k.contains(&1) && k.resend(&1, |_| true, unmade).is_none());
+        assert_eq!(k.keys(3..).count(), 1);
+        k.clear();
+        assert!(k.keys(..).next().is_none() && k.resend(&4, |_| true, unmade).is_none());
     }
 }

@@ -10,7 +10,7 @@ use netmodel::linkload::LinkLoad;
 use netmodel::routing::route;
 use netmodel::topology::Topology;
 use simnet::sim::Observation;
-use southbound::types::{DomainId, FlowAction, FlowMatch, NextHop, SwitchId};
+use southbound::types::{DomainId, EventId, FlowAction, FlowMatch, NextHop, SwitchId, UpdateId};
 use workload::gen::FlowSpec;
 
 /// One invariant violation.
@@ -306,12 +306,13 @@ fn recovery(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
 /// cross-domain handshake observations must be internally consistent —
 /// every responsive observation is preceded by the stimulus it claims to
 /// answer, exhaustion/terminal observations fire at most once per subject,
-/// and counters carry sane values: every retransmission stream numbers its
+/// and counters carry sane values: every re-send stream numbers its
 /// attempts 1, 2, 3, … with no gap (the one numbering of
-/// `controller::pending::RetryTable`). This closes the audit loop demanded by
-/// `detlint`'s `obs-variant-unaudited` rule: an actor emitting one of
-/// these variants with wrong bookkeeping now fails the run instead of
-/// merely skewing a figure.
+/// `controller::pending::{RetryTable, Kept}`), one rule for every kind.
+/// This closes the audit loop demanded by `detlint`'s
+/// `obs-variant-unaudited` rule: an actor emitting one of these variants
+/// with wrong bookkeeping now fails the run instead of merely skewing a
+/// figure.
 ///
 /// Pairing and at-most-once checks on *controller-side* observations are
 /// gated on runs without crash faults: WAL replay re-drives the delivery
@@ -328,18 +329,10 @@ fn recovery(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
 /// which can legitimately double-fire them.
 fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
     let clean_replay = !s.has_crash() && !s.has_crash_recover();
-    let no_dup = !s
-        .faults
-        .iter()
-        .any(|f| matches!(f, Fault::Duplicate { .. }));
-    let rogue = s
-        .faults
-        .iter()
-        .any(|f| matches!(f, Fault::RogueShares { .. }));
-    let rogue_ready = s
-        .faults
-        .iter()
-        .any(|f| matches!(f, Fault::RogueReady { .. }));
+    let injected = |kind: fn(&Fault) -> bool| s.faults.iter().any(kind);
+    let no_dup = !injected(|f| matches!(f, Fault::Duplicate { .. }));
+    let rogue = injected(|f| matches!(f, Fault::RogueShares { .. }));
+    let rogue_ready = injected(|f| matches!(f, Fault::RogueReady { .. }));
 
     use std::collections::{BTreeMap, BTreeSet};
     let mut applied = BTreeSet::new(); // (switch, update)
@@ -348,19 +341,13 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
     let mut reported_once = BTreeSet::new(); // (domain, controller, event, segment)
     let mut released_once = BTreeSet::new(); // (domain, controller, event, segment)
     let mut delivered = BTreeSet::new(); // (domain, controller, event)
-    // Re-forwards per event and reports re-sent per reporter: a re-forward
-    // draws at most one reply from each.
-    let mut reforwarded: BTreeMap<_, usize> = BTreeMap::new();
-    let mut resent: BTreeMap<_, usize> = BTreeMap::new();
     let mut processed_once = BTreeSet::new(); // (domain, event)
     let mut upd_exhausted_once = BTreeSet::new(); // (domain, controller, update)
     let mut ev_exhausted_once = BTreeSet::new(); // (switch, event)
     let mut completed_once = BTreeSet::new(); // flow
     let mut denied_once = BTreeSet::new(); // flow
-    // Segway readies per (from, to, update): where the release was
-    // announced, and queries by `to` minus re-sends by `from`.
+    // Segway readies per (from, to, update): where the release was announced.
     let mut ready_sent: BTreeMap<_, usize> = BTreeMap::new();
-    let mut ready_asked: BTreeMap<_, i64> = BTreeMap::new();
     // Where each switch last applies an update of each event: past it, the
     // switch holds no parked body of that event that ever goes in.
     let mut last_apply = BTreeMap::new(); // (switch, event) -> index
@@ -370,35 +357,40 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
         }
     }
     let mut phases: BTreeMap<_, BTreeSet<u64>> = BTreeMap::new();
-    // Highest attempt seen per retransmission stream `(kind, sender + key)`.
+    // Highest attempt seen per re-send stream `(kind, sender + key)`; the
+    // requests made per cause, and the re-sends per stream answering one.
     let mut last_attempt: BTreeMap<(&'static str, String), u32> = BTreeMap::new();
+    let mut requests: BTreeMap<Cause, usize> = BTreeMap::new();
+    let mut answers: BTreeMap<String, usize> = BTreeMap::new();
     // NACK-driven resync replies since the stream's last retransmission:
     // each spends one attempt number of its update without announcing it.
     let mut resyncs: BTreeMap<String, u32> = BTreeMap::new();
 
     let bad = |out: &mut Vec<Violation>, detail: String| violation(out, "telemetry", detail);
-    // One stream's next attempt: 1-based always; on crash-free runs also
-    // gap-free — exactly one past the last, where `slack` numbers may have
-    // been spent silently.
-    let mut numbered = |out: &mut Vec<Violation>,
-                        kind: &'static str,
-                        stream: String,
-                        attempt: u32,
-                        slack: u32| {
-        let last = last_attempt.entry((kind, stream.clone())).or_insert(0);
-        let in_order = (*last + 1..=*last + 1 + slack).contains(&attempt);
-        if attempt < 1 || (clean_replay && !in_order) {
-            bad(
-                out,
-                format!(
-                    "{kind} retransmission of {stream} numbered {attempt} after {last} \
-                     (attempts are 1-based and gap-free)"
-                ),
-            );
-        }
-        *last = (*last).max(attempt);
-    };
     for (i, o) in obs.iter().enumerate() {
+        // The one re-send rule. Attempts are 1-based always and, on
+        // crash-free runs, gap-free: exactly one past the stream's last,
+        // less the numbers resync replies spent silently. A re-send that
+        // answers a request follows one, once each, unless the network
+        // duplicated the request.
+        if let Some((kind, stream, attempt, cause)) = resend(&o.value) {
+            let slack = resyncs.remove(&stream).unwrap_or(0);
+            let last = last_attempt.entry((kind, stream.clone())).or_insert(0);
+            let in_order = (*last + 1..=*last + 1 + slack).contains(&attempt);
+            if attempt < 1 || (clean_replay && !in_order) {
+                let why = "attempts are 1-based and gap-free";
+                bad(out, format!("{kind} re-send of {stream} numbered {attempt} after {last} ({why})"));
+            }
+            *last = (*last).max(attempt);
+            if let Some(cause) = cause {
+                let asked = requests.get(&cause).copied().unwrap_or(0);
+                let sent = answers.entry(stream.clone()).or_insert(0);
+                *sent += 1;
+                if no_dup && *sent > asked {
+                    bad(out, format!("{kind} re-send of {stream} made {sent} times for {asked} {cause:?}"));
+                }
+            }
+        }
         match o.value {
             Obs::FlowCompleted { flow, start } => {
                 if o.at < start {
@@ -441,16 +433,6 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
             Obs::PhaseChanged { domain, phase } => {
                 phases.entry(domain).or_default().insert(phase);
             }
-            Obs::UpdateRetransmitted {
-                domain,
-                controller,
-                update,
-                attempt,
-            } => {
-                let stream = format!("{domain:?}/{controller} {update:?}");
-                let slack = resyncs.remove(&stream).unwrap_or(0);
-                numbered(out, "update", stream, attempt, slack);
-            }
             Obs::UpdateRetryExhausted {
                 domain,
                 controller,
@@ -473,14 +455,6 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
                         format!("switch {switch:?} re-acked {update:?} without having applied it"),
                     );
                 }
-            }
-            Obs::EventRetransmitted {
-                switch,
-                event,
-                attempt,
-            } => {
-                let stream = format!("{switch:?} {event:?}");
-                numbered(out, "event", stream, attempt, 0);
             }
             Obs::EventRetryExhausted { switch, event } => {
                 if !ev_exhausted_once.insert((switch, event)) {
@@ -531,15 +505,7 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
                 }
                 reported.insert((event, segment));
             }
-            Obs::SegmentRetransmitted {
-                domain,
-                controller,
-                event,
-                segment,
-                attempt,
-            } => {
-                let stream = format!("{domain:?}/{controller} {event:?}/{segment}");
-                numbered(out, "segment", stream, attempt, 0);
+            Obs::SegmentRetransmitted { domain, controller, event, segment, .. } => {
                 let reporter = (domain, controller, event, segment);
                 if clean_replay && !reported_once.contains(&reporter) {
                     bad(
@@ -547,21 +513,6 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
                         format!(
                             "domain {domain:?} controller {controller} re-sent its report \
                              of segment {segment} of {event:?} before reporting it"
-                        ),
-                    );
-                }
-                // A report is re-sent only in answer to a re-forward of its
-                // event, once each.
-                let asked = reforwarded.get(&event).copied().unwrap_or(0);
-                let sent = resent.entry(reporter).or_insert(0);
-                *sent += 1;
-                if no_dup && *sent > asked {
-                    bad(
-                        out,
-                        format!(
-                            "domain {domain:?} controller {controller} re-sent its report \
-                             of segment {segment} of {event:?} {sent} time(s) against \
-                             {asked} re-forward(s) of the event"
                         ),
                     );
                 }
@@ -607,14 +558,7 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
                     );
                 }
             }
-            Obs::ForwardRetransmitted {
-                domain,
-                controller,
-                event,
-                attempt,
-            } => {
-                let stream = format!("{domain:?}/{controller} {event:?}");
-                numbered(out, "forward", stream, attempt, 0);
+            Obs::ForwardRetransmitted { domain, controller, event, .. } => {
                 // Only a schedule waiting on another domain re-forwards: the
                 // sender delivered the event (simcheck traces every delivery).
                 if clean_replay && !delivered.contains(&(domain, controller, event)) {
@@ -626,21 +570,14 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
                         ),
                     );
                 }
-                *reforwarded.entry(event).or_default() += 1;
+                *requests.entry(Cause::Reforward(event)).or_default() += 1;
             }
             Obs::ReadySent { from, to, update } => {
                 // At-most-once per (from, to, update) is the *recovery*
                 // oracle's check; here it only seeds the pairing below.
                 ready_sent.entry((from, to, update)).or_insert(i);
             }
-            Obs::ReadyQueried {
-                switch,
-                update,
-                from,
-                attempt,
-            } => {
-                let stream = format!("{switch:?}<-{from:?} {update:?}");
-                numbered(out, "ready-query", stream, attempt, 0);
+            Obs::ReadyQueried { switch, update, from, .. } => {
                 // Only a neighbor's closed gate under a parked body is asked
                 // about: once the releaser announced the ready and the asker
                 // then applied its last update of that event, the ready was
@@ -657,28 +594,16 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
                         ),
                     );
                 }
-                *ready_asked.entry((from, switch, update)).or_default() += 1;
+                *requests.entry(Cause::Ask(from, switch, update)).or_default() += 1;
             }
-            Obs::ReadyRetransmitted {
-                from,
-                to,
-                update,
-                attempt,
-            } => {
-                let stream = format!("{from:?}->{to:?} {update:?}");
-                numbered(out, "ready", stream, attempt, 0);
-                // Only an announced release is re-sent, and only in answer
-                // to a query, once each.
-                let key = (from, to, update);
-                let announced = ready_sent.contains_key(&key);
-                let unanswered = ready_asked.entry(key).or_default();
-                *unanswered -= 1;
-                if !announced || (no_dup && *unanswered < 0) {
+            Obs::ReadyRetransmitted { from, to, update, .. } => {
+                // Only an announced release is re-sent.
+                if !ready_sent.contains_key(&(from, to, update)) {
                     bad(
                         out,
                         format!(
-                            "switch {from:?} re-sent a ready for {update:?} to {to:?} \
-                             unasked or never released (announced: {announced})"
+                            "switch {from:?} re-sent a ready for {update:?} to {to:?} it \
+                             never released"
                         ),
                     );
                 }
@@ -702,6 +627,8 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
             } => {
                 delivered.insert((domain, controller, event));
             }
+            // Judged by the re-send rule above, or by the recovery oracle.
+            Obs::UpdateRetransmitted { .. } | Obs::EventRetransmitted { .. } => {}
             Obs::ControllerRecovered { .. } => {}
         }
     }
@@ -726,6 +653,43 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
             }
         }
     }
+}
+
+/// A request a keeper answers with a re-send: any controller's re-forward
+/// of an event, or switch `.1`'s query to `.0` for the ready of `.2`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Cause {
+    Reforward(EventId),
+    Ask(SwitchId, SwitchId, UpdateId),
+}
+
+/// A re-send as the one re-send rule reads it: kind, stream (sender and
+/// key), attempt, and the request it answers — `None` when the keeper's own
+/// retry clock sent it.
+fn resend(o: &Obs) -> Option<(&'static str, String, u32, Option<Cause>)> {
+    Some(match *o {
+        Obs::UpdateRetransmitted { domain, controller, update, attempt } => {
+            ("update", format!("{domain:?}/{controller} {update:?}"), attempt, None)
+        }
+        Obs::EventRetransmitted { switch, event, attempt } => {
+            ("event", format!("{switch:?} {event:?}"), attempt, None)
+        }
+        Obs::ForwardRetransmitted { domain, controller, event, attempt } => {
+            ("forward", format!("{domain:?}/{controller} {event:?}"), attempt, None)
+        }
+        Obs::SegmentRetransmitted { domain, controller, event, segment, attempt } => {
+            let stream = format!("{domain:?}/{controller} {event:?}/{segment}");
+            ("segment", stream, attempt, Some(Cause::Reforward(event)))
+        }
+        Obs::ReadyQueried { switch, update, from, attempt } => {
+            ("ready-query", format!("{switch:?}<-{from:?} {update:?}"), attempt, None)
+        }
+        Obs::ReadyRetransmitted { from, to, update, attempt } => {
+            let stream = format!("{from:?}->{to:?} {update:?}");
+            ("ready", stream, attempt, Some(Cause::Ask(from, to, update)))
+        }
+        _ => return None,
+    })
 }
 
 /// **Agreement** (paper §4.4): within each domain every controller's
@@ -764,7 +728,7 @@ fn amnesiac(s: &Scenario, topo: &Topology) -> std::collections::BTreeSet<(Domain
 mod tests {
     use super::*;
     use simnet::node::NodeId;
-    use southbound::types::{EventId, FlowMatch, HostId, UpdateId, UpdateKind};
+    use southbound::types::{FlowMatch, HostId, UpdateKind};
 
     fn verdicts(faults: Vec<Fault>, values: Vec<Obs>) -> Vec<Violation> {
         let mut s = Scenario::generate(0);
@@ -782,31 +746,106 @@ mod tests {
         out
     }
 
-    fn event_rtx(attempt: u32) -> Obs {
-        Obs::EventRetransmitted {
-            switch: SwitchId(3),
-            event: EventId(7),
+    /// One stream of re-send `kind` numbered `attempts`, each after the
+    /// request it answers and after whatever its stream presupposes.
+    fn resends(kind: &str, attempts: &[u32]) -> Vec<Obs> {
+        let (event, segment, (up, down)) = (EventId(7), 1, (DomainId(0), DomainId(1)));
+        let update = UpdateId { event, seq: 2 };
+        let (from, to) = (SwitchId(3), SwitchId(1));
+        let fwd = |attempt| Obs::ForwardRetransmitted {
+            domain: up,
+            controller: 2,
+            event,
             attempt,
+        };
+        let delivered = Obs::EventDelivered {
+            domain: up,
+            controller: 2,
+            event,
+        };
+        let (mut trace, resend): (Vec<Obs>, &dyn Fn(u32) -> Obs) = match kind {
+            "update" => (
+                vec![],
+                &|attempt| Obs::UpdateRetransmitted {
+                    domain: up,
+                    controller: 1,
+                    update,
+                    attempt,
+                },
+            ),
+            "event" => (
+                vec![],
+                &|attempt| Obs::EventRetransmitted {
+                    switch: from,
+                    event,
+                    attempt,
+                },
+            ),
+            "forward" => (vec![delivered], &fwd),
+            "segment" => (
+                vec![
+                    delivered,
+                    Obs::SegmentReported {
+                        domain: down,
+                        controller: 3,
+                        event,
+                        segment,
+                    },
+                ],
+                &|attempt| Obs::SegmentRetransmitted {
+                    domain: down,
+                    controller: 3,
+                    event,
+                    segment,
+                    attempt,
+                },
+            ),
+            "ready" => (
+                vec![Obs::ReadySent { from, to, update }],
+                &|attempt| Obs::ReadyRetransmitted {
+                    from,
+                    to,
+                    update,
+                    attempt,
+                },
+            ),
+            _ => unreachable!("no re-send kind {kind}"),
+        };
+        for (k, &attempt) in (1..).zip(attempts) {
+            match kind {
+                "segment" => trace.push(fwd(k)),
+                "ready" => trace.push(Obs::ReadyQueried {
+                    switch: to,
+                    update,
+                    from,
+                    attempt: k,
+                }),
+                _ => {}
+            }
+            trace.push(resend(attempt));
         }
+        trace
     }
 
     #[test]
     fn attempt_numbering_must_start_at_one_and_leave_no_gap() {
-        assert!(verdicts(vec![], (1..=4).map(event_rtx).collect()).is_empty());
-        // Starting at 2 (the first send counted as an attempt), skipping a
-        // number, and repeating one are all numbering bugs.
-        for wrong in [vec![2, 3], vec![1, 3], vec![1, 1]] {
-            let v = verdicts(vec![], wrong.iter().copied().map(event_rtx).collect());
-            assert_eq!(v.len(), 1, "{wrong:?} must be flagged once: {v:?}");
-            assert_eq!(v[0].oracle, "telemetry");
+        for kind in ["update", "event", "forward", "segment", "ready"] {
+            assert!(verdicts(vec![], resends(kind, &[1, 2, 3, 4])).is_empty(), "{kind}");
+            // Starting at 2 (the first send counted as an attempt), skipping
+            // a number, and repeating one are all numbering bugs.
+            for wrong in [vec![2, 3], vec![1, 3], vec![1, 1]] {
+                let v = verdicts(vec![], resends(kind, &wrong));
+                assert_eq!(v.len(), 1, "{kind} {wrong:?} must be flagged once: {v:?}");
+                assert_eq!(v[0].oracle, "telemetry");
+            }
+            // A restart legitimately resets the counters.
+            let restart = Fault::CrashRecoverSwitch {
+                switch: 0,
+                at_ms: 10,
+                after_ms: 10,
+            };
+            assert!(verdicts(vec![restart], resends(kind, &[1, 1])).is_empty(), "{kind}");
         }
-        // A restart legitimately resets the counters.
-        let restart = Fault::CrashRecoverSwitch {
-            switch: 0,
-            at_ms: 10,
-            after_ms: 10,
-        };
-        assert!(verdicts(vec![restart], vec![event_rtx(1), event_rtx(1)]).is_empty());
     }
 
     #[test]
