@@ -232,7 +232,7 @@ pub fn fig12d(scale: Scale) -> String {
 /// Cicero MD on the Telekom WAN fabric. Both series install
 /// boundary-crossing path segments destination-first (equal consistency);
 /// Segway replaces the controllers' cross-domain handshake with
-/// switch-to-switch signed readies, so its latency must sit strictly
+/// switch-to-switch tagged readies, so its latency must sit strictly
 /// below Cicero MD's. Message counts accompany each series so the figure
 /// also exposes what each mode's ordering costs the control plane.
 pub fn fig_segway(scale: Scale) -> String {

@@ -12,14 +12,15 @@
 //! | signed mode, `Real` | BLS | HMAC-SHA256 | its sender's key (the pair's key) verifies it | yes |
 //!
 //! A message is tagged, not signed, iff no third party is ever shown it, nor
-//! any certificate built from it: acks, NACKs and segment reports. Every
-//! pair of identity-key holders shares one key per direction ([`pair_key`]),
-//! derived on first use and cached here.
+//! any certificate built from it: acks, NACKs, segment reports and Segway
+//! readies. Every pair of identity-key holders shares one key per direction
+//! ([`pair_key`]), derived on first use and cached here.
 //!
 //! Who pays how follows the paper's hardware: a switch is one OVS thread,
-//! so each check is serialized CPU; a controller has 12 cores, so a check
-//! is *latency* on whatever it releases ([`Authenticator::verify_latency`],
-//! [`Authenticator::verify_tag`], [`Authenticator::quorum_cost`]).
+//! so each check is serialized CPU, charged here; a controller has 12
+//! cores, so a check is *latency* on whatever it releases
+//! ([`Authenticator::verify_latency`], [`Authenticator::verify_tag`],
+//! [`Authenticator::quorum_cost`]).
 //!
 //! `ctrl/membership.rs` is the one module that still asks for the crypto
 //! mode itself: under real crypto a membership change is a different
@@ -45,7 +46,7 @@ use std::sync::Arc;
 /// A party that signs with an identity key or tags with a pair key.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Peer {
-    /// A switch (events, acks, NACKs, Segway readies).
+    /// A switch (signs events; tags acks, NACKs and Segway readies).
     Switch(SwitchId),
     /// A controller (forwarded events).
     Controller(DomainId, ControllerId),
@@ -106,6 +107,7 @@ pub struct Authenticator {
     reshared: Option<GroupPublic>,
     signs: u64,
     checks: u64,
+    tags: u64,
     mac_checks: u64,
 }
 
@@ -140,6 +142,7 @@ impl Authenticator {
             reshared: None,
             signs: 0,
             checks: 0,
+            tags: 0,
             mac_checks: 0,
         }
     }
@@ -166,6 +169,11 @@ impl Authenticator {
     /// aggregate verify each count one.
     pub fn checks(&self) -> u64 {
         self.checks
+    }
+
+    /// Tags made so far, one per reader.
+    pub fn tags(&self) -> u64 {
+        self.tags
     }
 
     /// Tag checks performed so far.
@@ -264,6 +272,7 @@ impl Authenticator {
         to: Peer,
     ) -> Option<Tagged<T>> {
         if self.signed() {
+            self.tags += 1;
             ctx.charge_cpu(self.shared.cfg.costs.mac);
         }
         if self.level == Level::Real {
@@ -328,11 +337,13 @@ impl Authenticator {
         self.key_of(from).is_some_and(|key| msg.verify_prepared(label, key))
     }
 
-    /// Checks the tag `from` put on `msg` for this actor: `Some` of the
-    /// check's price — latency on what the message releases — if it holds.
-    /// Under `Real` a pair without a key has no valid tag.
+    /// Checks the tag `from` put on `msg` for this actor: `Some` if it
+    /// holds, of the latency the check adds to what the message releases —
+    /// zero on a switch, whose thread was charged for it as CPU. Under
+    /// `Real` a pair without a key has no valid tag.
     pub fn verify_tag<T: Wire>(
         &mut self,
+        ctx: &mut dyn Host<Net, Obs>,
         label: &str,
         msg: &Tagged<T>,
         from: Peer,
@@ -346,7 +357,12 @@ impl Authenticator {
             return ok.then_some(SimDuration::ZERO);
         }
         self.mac_checks += 1;
-        ok.then_some(self.shared.cfg.costs.mac)
+        let mac = self.shared.cfg.costs.mac;
+        if matches!(self.me, Peer::Switch(_)) {
+            ctx.charge_cpu(mac);
+            return ok.then_some(SimDuration::ZERO);
+        }
+        ok.then_some(mac)
     }
 
     /// Does the aggregate on `msg` verify under this domain's group key?

@@ -22,13 +22,13 @@ pub enum Mode {
     /// Decentralized execution after one controller round (ez-Segway,
     /// Nguyen et al.): controllers threshold-sign each update *together
     /// with* its dependency metadata and push everything at once; switches
-    /// then release their neighbors' next segment directly with signed
+    /// then release their neighbors' next segment directly with tagged
     /// switch-to-switch ready messages. Lower latency than `Cicero`
     /// (no controller round-trip per dependency edge) at the price of more
     /// data-plane messages and a wider trust surface: a switch can now
     /// stall a schedule by withholding a ready, though it still cannot
-    /// forge one (readies are switch-signed and target-bound) or alter
-    /// the threshold-signed order.
+    /// forge one (readies are tagged under the releaser→released pair key
+    /// and target-bound) or alter the threshold-signed order.
     Segway,
 }
 

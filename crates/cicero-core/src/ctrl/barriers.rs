@@ -380,7 +380,7 @@ impl ControllerActor {
         // Like every controller-side check, the tag check is modeled as
         // latency on what it releases, not serialized CPU (the paper's
         // controllers are 12-core machines).
-        let Some(verify_latency) = self.auth.verify_tag(labels::SEGMENT, &m, sender) else {
+        let Some(verify_latency) = self.auth.verify_tag(ctx, labels::SEGMENT, &m, sender) else {
             return;
         };
         // A verified signer is a durable fact, logged before the release it

@@ -63,7 +63,7 @@ impl ControllerActor {
         ctx.charge_cpu(self.shared.cfg.costs.ctrl_msg);
         let from = SwitchId(m.msg_id.origin);
         let body: NackBody = m.payload;
-        let tagged = self.auth.verify_tag(labels::NACK, &m, Peer::Switch(from)).is_some();
+        let tagged = self.auth.verify_tag(ctx, labels::NACK, &m, Peer::Switch(from)).is_some();
         if !tagged || body.switch != from {
             return;
         }

@@ -222,7 +222,7 @@ impl ControllerActor {
             };
             let fwd = self.forwards.get(&event).expect("re-sent, so kept");
             let (auth, phase, body) = (&mut self.auth, self.view.phase(), fwd.event);
-            let sign = || auth.sign(ctx, labels::FORWARD, body, phase);
+            let sign = || Some(auth.sign(ctx, labels::FORWARD, body, phase));
             let (signed, _) = self.forwards_sent.resend(&event, |_| true, sign).expect("reserved");
             let signed = signed.clone();
             for d in fwd.downstream.clone() {

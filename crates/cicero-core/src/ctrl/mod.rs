@@ -420,7 +420,7 @@ impl Actor<Net, Obs> for ControllerActor {
                 // Verification latency rides on the released updates
                 // (parallelizable on the controller's cores).
                 let from = Peer::Switch(origin);
-                let Some(latency) = self.auth.verify_tag(labels::ACK, &m, from) else {
+                let Some(latency) = self.auth.verify_tag(ctx, labels::ACK, &m, from) else {
                     return;
                 };
                 match target {

@@ -303,7 +303,7 @@ pub fn fig12d_runs(spec: &WorkloadSpec, dcs: u16, seed: u64) -> Vec<(String, Cdf
 /// paper's protocol), on the Fig. 12d WAN fabric at *equal consistency*:
 /// both series order boundary-crossing installs destination-first —
 /// Cicero MD via the controller-to-controller handshake, Segway via
-/// switch-to-switch signed readies. One controller round per update in
+/// switch-to-switch tagged readies. One controller round per update in
 /// Segway (all segments pushed at once, gated locally) versus a
 /// round-trip per dependency edge through the control plane, so Segway
 /// completes flows faster; the message counts expose each mode's total

@@ -66,8 +66,9 @@ wire_struct!(SegmentBody { event, segment, domain });
 /// must precede the update or whom to release next. `gates` are the updates
 /// that must be applied (and announced by their switch) before this one may
 /// go in; `notify` are the switches waiting on *this* update, to be released
-/// with a signed [`ReadyBody`]. Both are empty wherever the controllers hold
-/// the dependencies themselves (every mode but Segway).
+/// with a tagged [`ReadyBody`], which each checks against the gates of its
+/// own body. Both are empty wherever the controllers hold the dependencies
+/// themselves (every mode but Segway).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct UpdateBody {
     /// The network update itself.
@@ -82,10 +83,12 @@ wire_struct!(UpdateBody { update, gates, notify });
 
 /// A Segway switch-to-switch release: switch `from` applied `update` and
 /// tells switch `to` (named in `from`'s threshold-signed `notify` list)
-/// that the corresponding gate is open. Signed with `from`'s identity key;
-/// the `to` binding stops a rogue switch replaying a captured ready at a
-/// different victim. Signed once and kept by `from`; never acknowledged —
-/// `to` asks again while its gate stays closed ([`Net::SegwayReadyQuery`]).
+/// that the corresponding gate is open. Tagged under the pair key
+/// k(`from`→`to`), which binds both ends and the direction: only `to` can
+/// check it, and nobody else is ever shown it. The `to` binding stops a
+/// rogue switch replaying a captured ready at a different victim. Tagged
+/// once and kept by `from`; never acknowledged — `to` asks again while its
+/// gate stays closed ([`Net::SegwayReadyQuery`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ReadyBody {
     /// The applied (gating) update.
@@ -286,7 +289,7 @@ pub enum Net {
     },
     /// Controller → switch: a share-signed update body (switch aggregation
     /// and Segway — there the body carries gate/notify metadata, and the
-    /// switch gates application on signed neighbor readies instead of
+    /// switch gates application on tagged neighbor readies instead of
     /// controller order).
     UpdateMsg(ShareSigned<UpdateBody>),
     /// Controller → switch: an unauthenticated update body (centralized /
@@ -294,10 +297,10 @@ pub enum Net {
     UpdatePlain(UpdateBody),
     /// Controller → aggregator: a share-signed update body to aggregate.
     UpdateToAggregator(ShareSigned<UpdateBody>),
-    /// Switch → switch (Segway): a signed release — the sender applied the
-    /// gating update named inside (sent once, and again to the released
-    /// switch when it asks with a [`Net::SegwayReadyQuery`]).
-    SegwayReady(Signed<ReadyBody>),
+    /// Switch → switch (Segway): a release tagged for the released switch —
+    /// the sender applied the gating update named inside (sent once, and
+    /// again when the released switch asks with a [`Net::SegwayReadyQuery`]).
+    SegwayReady(Tagged<ReadyBody>),
     /// Switch → the switch of a closed gate (Segway): "I hold a parked body
     /// gated on `update` at you — send me your ready again". Unsigned: the
     /// answer goes to the asker alone and is a ready already addressed to it.

@@ -204,7 +204,7 @@ pub enum Obs {
         compacted: u64,
     },
     /// A Segway switch released a neighbor: it applied a gating update and
-    /// sent the neighbor a signed ready message. Emitted exactly once per
+    /// sent the neighbor a tagged ready message. Emitted exactly once per
     /// `(from, update, to)` — the exactly-once-release invariant the
     /// telemetry oracle audits (duplicated quorum deliveries and restarts
     /// must not re-release an already-released neighbor).
@@ -240,7 +240,7 @@ pub enum Obs {
         /// Which re-send of this ready this is (1-based).
         attempt: u32,
     },
-    /// A Segway switch rejected a ready message: bad signature, a `to`
+    /// A Segway switch rejected a ready message: a bad tag, a `to`
     /// field naming a different switch (replay at the wrong victim), or a
     /// sender that is not the gate's designated switch — the Segway
     /// analogue of [`Obs::UpdateRejected`].

@@ -104,11 +104,11 @@ pub struct SwitchActor {
     ready_in: BTreeMap<UpdateId, BTreeSet<SwitchId>>,
     /// Every `(update, target)` ever released — the exactly-once-release
     /// guard: duplicated quorum deliveries and replayed state never
-    /// re-release a neighbor — with the signed ready, re-sent as-is when the
+    /// re-release a neighbor — with the tagged ready, re-sent as-is when the
     /// target asks ([`Net::SegwayReadyQuery`]). The journal keeps the
-    /// release, not the signature: after a restart a slot is empty until
-    /// first asked for.
-    ready_sent: Kept<(UpdateId, SwitchId), Signed<ReadyBody>>,
+    /// release, not the tag: after a restart a slot is empty until first
+    /// asked for.
+    ready_sent: Kept<(UpdateId, SwitchId), Tagged<ReadyBody>>,
     /// Durable journal (attached by the executor; `None` = diskless).
     wal: Option<Wal>,
 }
@@ -195,9 +195,10 @@ impl SwitchActor {
         self.pending_events.len()
     }
 
-    /// Signatures made and signature checks performed in this life (tests).
-    pub fn signature_ops(&self) -> (u64, u64) {
-        (self.auth.signs(), self.auth.checks())
+    /// The authentication seam: its signature and tag counters cover this
+    /// life (tests).
+    pub fn auth(&self) -> &Authenticator {
+        &self.auth
     }
 
     /// Read access to the flow table (tests, examples).
@@ -479,18 +480,18 @@ impl SwitchActor {
                 if to == self.id || self.ready_sent.contains(&(update.id, to)) {
                     continue;
                 }
+                let (id, from, phase) = (update.id, self.id, self.phase_info.phase);
+                let ready = ReadyBody { update: id, from, to };
+                let Some(tagged) = tag_ready(&mut self.auth, ctx, ready, phase) else {
+                    continue;
+                };
                 // Write-ahead: the release is durable before it can be
                 // observed, so a crash between journal and send leaves a
                 // ready the neighbor asks for rather than a second release.
-                let (id, from) = (update.id, self.id);
                 self.log_record(&SwitchWalRecord::ReadySent { update: id, to });
-                let ready = ReadyBody { update: id, from, to };
-                let signed = self
-                    .auth
-                    .sign(ctx, labels::READY, ready, self.phase_info.phase);
                 ctx.observe(Obs::ReadySent { from, to, update: id });
-                ctx.send(self.shared.dir.switch(to), Net::SegwayReady(signed.clone()));
-                self.ready_sent.keep((id, to), signed);
+                ctx.send(self.shared.dir.switch(to), Net::SegwayReady(tagged.clone()));
+                self.ready_sent.keep((id, to), tagged);
             }
         }
     }
@@ -535,7 +536,7 @@ impl SwitchActor {
     /// The switch at `from` holds a parked body and still lacks our ready
     /// for `update`. Answered only for a release to that switch in the
     /// ledger, with the kept ready, to the asker alone — nothing verified,
-    /// and signed only when a restart dropped the kept copy. A release not
+    /// and tagged only when a restart dropped the kept copy. A release not
     /// made yet has nothing to send; the asker gets the ready unsolicited
     /// when `update` goes in.
     fn on_ready_query(&mut self, ctx: &mut dyn Host<Net, Obs>, from: NodeId, update: UpdateId) {
@@ -545,22 +546,27 @@ impl SwitchActor {
         };
         let (me, phase, auth) = (self.id, self.phase_info.phase, &mut self.auth);
         let ready = ReadyBody { update, from: me, to };
-        let sign = || auth.sign(ctx, labels::READY, ready, phase);
-        let Some((signed, attempt)) = self.ready_sent.resend(&(update, to), |_| true, sign) else {
+        let tag = || tag_ready(auth, ctx, ready, phase);
+        let Some((tagged, attempt)) = self.ready_sent.resend(&(update, to), |_| true, tag) else {
             return;
         };
-        ctx.send(from, Net::SegwayReady(signed.clone()));
+        ctx.send(from, Net::SegwayReady(tagged.clone()));
         ctx.observe(Obs::ReadyRetransmitted { from: me, to, update, attempt });
     }
 
-    /// A neighbor announces it applied a gating update. Rejected when the
-    /// `to` binding names someone else (a replay at the wrong victim), the
-    /// signature fails, or the sender is not the gate's designated switch
-    /// — the structural checks also bite under
-    /// [`crate::config::CryptoMode::Modeled`], where signatures are vacuous.
-    fn on_ready(&mut self, ctx: &mut dyn Host<Net, Obs>, msg: Signed<ReadyBody>) {
+    /// A neighbor announces it applied a gating update. A ready already
+    /// accepted is dropped unchecked. Rejected when the `to` binding names
+    /// someone else (a replay at the wrong victim), the tag fails, or the
+    /// sender is not the gate's designated switch — the structural checks
+    /// also bite under [`crate::config::CryptoMode::Modeled`], where tags
+    /// are vacuous.
+    fn on_ready(&mut self, ctx: &mut dyn Host<Net, Obs>, msg: Tagged<ReadyBody>) {
         ctx.charge_cpu(self.shared.cfg.costs.switch_msg);
         let body = msg.payload;
+        let accepted = self.ready_in.get(&body.update);
+        if accepted.is_some_and(|from| from.contains(&body.from)) {
+            return;
+        }
         // If a parked body names a different switch for this gate, the
         // sender is impersonating the designated releaser.
         let names_other = |b: &UpdateBody| {
@@ -571,7 +577,8 @@ impl SwitchActor {
             && body.from != self.id
             && self
                 .auth
-                .verify(ctx, labels::READY, &msg, Peer::Switch(body.from))
+                .verify_tag(ctx, labels::READY, &msg, Peer::Switch(body.from))
+                .is_some()
             && !self.parked.values().any(|(b, _)| names_other(b));
         if !valid {
             ctx.observe(Obs::ReadyRejected {
@@ -583,17 +590,14 @@ impl SwitchActor {
         }
         // Journaled: the releaser may be gone for good by the time a
         // restart would have to ask again.
-        if self
-            .ready_in
+        self.ready_in
             .entry(body.update)
             .or_default()
-            .insert(body.from)
-        {
-            self.log_record(&SwitchWalRecord::ReadyIn {
-                update: body.update,
-                from: body.from,
-            });
-        }
+            .insert(body.from);
+        self.log_record(&SwitchWalRecord::ReadyIn {
+            update: body.update,
+            from: body.from,
+        });
         self.asks.remove(&(body.update, body.from));
         self.release_parked(ctx);
     }
@@ -827,6 +831,18 @@ impl Actor<Net, Obs> for SwitchActor {
             _ => {}
         }
     }
+}
+
+/// Tags `ready` for its addressee alone, under a fresh id: `None` where the
+/// pair has no key, and then nothing is sent.
+fn tag_ready(
+    auth: &mut Authenticator,
+    ctx: &mut dyn Host<Net, Obs>,
+    ready: ReadyBody,
+    phase: Phase,
+) -> Option<Tagged<ReadyBody>> {
+    let msg_id = auth.next_msg_id();
+    auth.tag(ctx, labels::READY, ready, phase, msg_id, Peer::Switch(ready.to))
 }
 
 /// Helper used by engine/tests to build the view-consistent initial phase

@@ -607,7 +607,7 @@ fn segway_ready_loss_and_duplication_recovers() {
 /// it already released: the release journal is replayed from the WAL, so
 /// the revived switch never double-applies its segment, sends no ready
 /// unasked, and answers the released neighbor's query — with exactly one
-/// signature, for the copy the restart dropped. The restart victim is a path
+/// tag, for the copy the restart dropped. The restart victim is a path
 /// switch other than the flow's ingress ToR (the waiting flow itself is
 /// RAM-only by design; the WAL protects protocol state, not workload).
 #[test]
@@ -662,23 +662,25 @@ fn segway_switch_restart_mid_update_releases_exactly_once() {
             return;
         };
         journaled_crashes += 1;
-        // The revived releaser holds the release, not the signature: the
-        // first query costs one signature (unless the run already asked),
-        // the next one none.
+        // The revived releaser holds the release, not the tag: the first
+        // query costs one tag (unless the run already asked), the next one
+        // none, and neither a signature.
         let was_asked = engine.observations().iter().any(|o| {
             matches!(o.value, Obs::ReadyRetransmitted { from, .. } if from == victim)
         });
         let asker = engine.switch_node(to);
         let query = Net::SegwayReadyQuery { update };
-        let mut signed = Vec::new();
+        let made = |e: &mut Engine| e.with_switch(victim, |s| (s.auth().tags(), s.auth().signs()));
+        let mut cost = Vec::new();
         for _ in 0..2 {
-            let (before, _) = engine.with_switch(victim, |s| s.signature_ops());
+            let before = made(&mut engine);
             let at = engine.now() + SimDuration::from_millis(1);
             engine.inject_raw(at, asker, node, query.clone());
             engine.run(at + SimDuration::from_millis(5));
-            signed.push(engine.with_switch(victim, |s| s.signature_ops()).0 - before);
+            let after = made(&mut engine);
+            cost.push((after.0 - before.0, after.1 - before.1));
         }
-        assert_eq!(signed, vec![u64::from(!was_asked), 0], "seed={seed:#x}");
+        assert_eq!(cost, vec![(u64::from(!was_asked), 0), (0, 0)], "seed={seed:#x}");
         assert_exactly_once_releases(&engine);
     });
     assert!(

@@ -262,15 +262,18 @@ impl<K: Ord, M> Kept<K, M> {
     /// Answers an ask for `key` with the kept message and its re-send
     /// number: `make` fills an empty slot, then `asks` may complete the
     /// message in place and decides. `None` when nothing was sent under
-    /// `key` or `asks` refuses.
+    /// `key`, `make` cannot rebuild it, or `asks` refuses.
     pub fn resend(
         &mut self,
         key: &K,
         asks: impl FnOnce(&mut M) -> bool,
-        make: impl FnOnce() -> M,
+        make: impl FnOnce() -> Option<M>,
     ) -> Option<(&M, u32)> {
         let (slot, resends) = self.slots.get_mut(key)?;
-        let m = slot.get_or_insert_with(make);
+        if slot.is_none() {
+            *slot = make();
+        }
+        let m = slot.as_mut()?;
         if !asks(m) {
             return None;
         }
@@ -906,7 +909,7 @@ mod tests {
         assert_eq!(table(0).next_due(), None);
     }
 
-    fn unmade() -> &'static str {
+    fn unmade() -> Option<&'static str> {
         panic!("a kept message is never rebuilt")
     }
 
@@ -940,11 +943,13 @@ mod tests {
         let mut k = Kept::default();
         k.reserve(4);
         assert!(k.contains(&4));
+        // A slot its maker cannot fill stays empty and spends no number.
+        assert_eq!(k.resend(&4, |_| true, || None), None);
         let mut made = 0;
         for n in 1..=3 {
             let make = || {
                 made += 1;
-                "rebuilt"
+                Some("rebuilt")
             };
             assert_eq!(k.resend(&4, |_| true, make), Some((&"rebuilt", n)));
         }

@@ -312,15 +312,15 @@ fn switch_restart_victim(
 ///   rogue update straight to a victim switch. A correct switch buckets the
 ///   share, sees a single signer below quorum, and never applies it — the
 ///   security oracle flags any run where one slips through.
-/// * [`Fault::RogueReady`] (Segway mode): a rogue switch sends a forged
-///   ready message to a victim it was never scheduled to release. The
+/// * [`Fault::RogueReady`] (Segway mode): a rogue switch sends a forged,
+///   zero-tagged ready message to a victim it was never scheduled to release. The
 ///   message is misdirected by construction (its `to` binding names the
 ///   rogue, not the victim), so a correct victim rejects it
 ///   (`Obs::ReadyRejected`) instead of opening a gate early.
 fn inject_byzantine(engine: &mut Engine, s: &Scenario, topo: &Topology) {
     use blscrypto::bls::PartialSignature;
     use blscrypto::curves::g1_generator;
-    use southbound::envelope::{MsgId, ShareSigned, Signed};
+    use southbound::envelope::{MsgId, ShareSigned, Tagged};
     use southbound::types::*;
 
     if !s.mode.is_signed() {
@@ -398,16 +398,14 @@ fn inject_byzantine(engine: &mut Engine, s: &Scenario, topo: &Topology) {
                     at_ms(at),
                     engine.switch_node(rogue_sw),
                     engine.switch_node(victim_sw),
-                    Net::SegwayReady(Signed {
+                    Net::SegwayReady(Tagged {
                         payload: body,
                         phase: southbound::types::Phase(0),
                         msg_id: MsgId {
                             origin: rogue_sw.0,
                             seq: 0xBAD0_1000 + k as u64,
                         },
-                        signature: blscrypto::bls::Signature(
-                            g1_generator().to_affine(),
-                        ),
+                        tag: [0; 32],
                     }),
                 );
             }

@@ -383,7 +383,7 @@ impl Scenario {
         // audited by every oracle in every bounded sweep, not only when the
         // dice land there. Multi-domain plus a boundary flow makes the
         // switch-to-switch ready chain cross a domain boundary, and every
-        // other biased seed plants a rogue-ready fault so the signed-ready
+        // other biased seed plants a rogue-ready fault so the ready
         // rejection surface is exercised continuously too.
         if seed % 4 == 1 {
             s.mode = Mode::Segway;
@@ -469,7 +469,7 @@ impl Scenario {
     /// behind `simcheck segway`. Guarantees the ≥ 4-controller threshold
     /// control plane Segway's signed metadata requires, keeps the sampled
     /// fault plan, and plants a rogue-ready fault on a quarter of the
-    /// seeds so the signed-ready rejection path is audited continuously.
+    /// seeds so the ready rejection path is audited continuously.
     pub fn generate_segway(seed: u64) -> Scenario {
         let mut s = Scenario::generate(seed);
         s.mode = Mode::Segway;

@@ -110,6 +110,15 @@
 //! The messages sent and their `msg_id`s are what they were. Every
 //! single-domain, Segway and unsigned-mode row, and all of `GOLDEN_ENGINE`
 //! (single-domain: no segment is ever reported there), passed unedited.
+//!
+//! Tagging the Segway readies re-recorded exactly the eight rows that run
+//! `Mode::Segway` (`run` 9, all five `segway` seeds, both `GOLDEN_ENGINE`
+//! Segway hashes): a release is tagged for its one reader (`mac` CPU at the
+//! releaser instead of `event_sign`) and the released switch checks the tag
+//! (`mac` CPU instead of `bls_verify`), so every gated apply downstream of a
+//! ready happens earlier; a duplicate of an accepted ready is dropped
+//! unchecked. The messages sent and their `msg_id`s are what they were.
+//! Every other row passed unedited.
 
 use cicero_core::prelude::*;
 use simcheck::{run_scenario_traced, Scenario};
@@ -230,7 +239,7 @@ const GOLDEN_SCENARIOS: [(&str, fn(u64) -> Scenario, [(u64, u64); 5]); 4] = [
             (0, 0x9c5bc32810f03b26),
             (2, 0x2e0801721cf6f9a9),
             (6, 0x5853bfc85ddecac2),
-            (9, 0x32ae09b88fb27423),
+            (9, 0xe4c1b7edbc46bb34),
             (42, 0x391fe47dad025fc0),
         ],
     ),
@@ -260,11 +269,11 @@ const GOLDEN_SCENARIOS: [(&str, fn(u64) -> Scenario, [(u64, u64); 5]); 4] = [
         "segway",
         Scenario::generate_segway,
         [
-            (0, 0xceee1dada5ef7a52),
-            (2, 0x2510c633f2c69219),
-            (3, 0x80853568ba30bf83),
-            (6, 0x894c5d7e88053725),
-            (42, 0x9045604099d73943),
+            (0, 0x44579590f3178363),
+            (2, 0x34d082939a3ab898),
+            (3, 0xccc6afb22485fe8d),
+            (6, 0xc6985a29f9ee705c),
+            (42, 0x0d25e01b8589af52),
         ],
     ),
 ];
@@ -305,7 +314,7 @@ const GOLDEN_ENGINE: [(Mode, u64, u64); 5] = [
         0xce2c53e51b84af68,
         0x200ae3a4429ef366,
     ),
-    (Mode::Segway, 0xdf7931cdb744deab, 0xc1cba8faa8b0dab1),
+    (Mode::Segway, 0x7c8c34b9c6dd8f49, 0xa1c79953cec54d7d),
 ];
 
 fn engine_trace_hash(mode: Mode, crypto: CryptoMode, drop: f64) -> u64 {

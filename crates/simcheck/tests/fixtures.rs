@@ -40,7 +40,7 @@ fn cross_domain_blackhole_fixture_replays_green() {
 /// joined the seed pool: a two-domain reverse-path scenario whose first
 /// flow crosses the boundary, run in the decentralized execution mode.
 /// With ready-gating the switches themselves order the boundary
-/// (destination-first, one signed ready per dependency edge) and the full
+/// (destination-first, one tagged ready per dependency edge) and the full
 /// end-to-end audit passes.
 #[test]
 fn segway_ungated_blackhole_fixture_replays_green() {

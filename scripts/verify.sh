@@ -108,10 +108,10 @@ if find crates src examples -name '*.rs' -not -path 'crates/*/tests/*' -print0 |
     exit 1
 fi
 
-echo "== the signed receipts, signed acks and reports, dealt pair keys, a second cross-domain recovery path and hand-written kept archives stay deleted =="
-if grep -rn "BoundaryRelease\b\|ReleaseBody\|SegwayReadyAck\|READY_RECEIPT\|ReadyReceipted\|ready_out\|Signed<AckBody>\|Signed<NackBody>\|SegmentQuery\b\|SegmentQueried\|reforward_segway\|segway_events\|PairKeys\|pair_keys\|seg_shares\|ShareSigned<SegmentBody>\|KeptReady\|KeptReport\|kept_updates\|struct Relayed" \
+echo "== the signed receipts, signed acks, reports and readies, dealt pair keys, a second cross-domain recovery path and hand-written kept archives stay deleted =="
+if grep -rn "BoundaryRelease\b\|ReleaseBody\|SegwayReadyAck\|READY_RECEIPT\|ReadyReceipted\|ready_out\|Signed<AckBody>\|Signed<NackBody>\|SegmentQuery\b\|SegmentQueried\|reforward_segway\|segway_events\|PairKeys\|pair_keys\|seg_shares\|ShareSigned<SegmentBody>\|Signed<ReadyBody>\|KeptReady\|KeptReport\|kept_updates\|struct Relayed" \
     crates src tests examples --include=*.rs; then
-    echo "verify.sh: the handshake and the Segway readies are receiver-driven; acks, NACKs and segment reports are Tagged<_> under a pair key each end derives from the identity keys (auth::pair_key), never dealt; and a cross-domain event has one recovery loop — the re-forward of whoever still waits, which is also the query (DESIGN.md §3); no receipt type, no signed twin, no key ceremony for pairs and no second path comes back" >&2
+    echo "verify.sh: the handshake and the Segway readies are receiver-driven; acks, NACKs, segment reports and Segway readies are Tagged<_> under a pair key each end derives from the identity keys (auth::pair_key), never dealt; and a cross-domain event has one recovery loop — the re-forward of whoever still waits, which is also the query (DESIGN.md §3); no receipt type, no signed twin, no key ceremony for pairs and no second path comes back" >&2
     echo "verify.sh: a message sent once and re-sent as-is on request lives in controller::pending::Kept, not in an archive of its own" >&2
     exit 1
 fi
@@ -181,7 +181,7 @@ cargo run -q --offline --release -p bench --bin simcheck -- recover 256
 echo "== segway-mode fuzzer sweep (256 seeds, decentralized execution) =="
 # All 256 seeds forced into Mode::Segway so every scenario exercises the
 # switch-to-switch release path: threshold-signed gate/notify metadata,
-# signed readies sent once and kept, the parked switch's queries for the
+# tagged readies sent once and kept, the parked switch's queries for the
 # ones it misses, ready loss/duplication, rogue and replayed readies, and
 # (every fourth seed) a switch crashed and restarted from its WAL
 # mid-release.

@@ -6,7 +6,7 @@ use blscrypto::bls::{PartialSignature, SecretKey};
 use blscrypto::curves::g1_generator;
 use cicero::prelude::*;
 use cicero_core::auth::{pair_key, Peer};
-use cicero_core::msg::UpdateBody;
+use cicero_core::msg::{ReadyBody, UpdateBody};
 use cicero_core::runtime::SecretStore;
 use simcheck::harness::{self, applied_count as applied};
 use substrate::rng::{SeedableRng, StdRng};
@@ -338,6 +338,22 @@ fn build_segway() -> (Engine, Topology) {
     (engine, topo)
 }
 
+const READY: &str = "CICERO_SEGWAY_READY_V1";
+
+/// `body` tagged under `key`, as its `from` switch would send it.
+fn ready_under(body: ReadyBody, seq: u64, key: &[u8; 32]) -> Tagged<ReadyBody> {
+    let msg_id = MsgId { origin: body.from.0, seq };
+    Tagged::tag(READY, body, Phase(0), msg_id, key)
+}
+
+/// The key an attacker derives for tags from `from` to `to` with a secret
+/// of its own — the best it can do without `from`'s or `to`'s secret.
+fn attacker_pair_key(engine: &Engine, seed: u64, from: SwitchId, to: SwitchId) -> [u8; 32] {
+    let attacker = SecretKey::generate(&mut StdRng::seed_from_u64(seed));
+    let victim = engine.shared().keys.switch_pk[&to].key();
+    pair_key(&attacker, &victim, Peer::Switch(from), Peer::Switch(to))
+}
+
 /// Segway sanity anchor under real crypto: the decentralized mode completes
 /// a cross-rack flow, and it demonstrably did so via switch-to-switch
 /// releases (a verified `ReadySent` on the wire), not by accident.
@@ -362,7 +378,7 @@ fn segway_flow_completes_under_real_crypto() {
     );
     assert!(
         obs.iter().any(|o| matches!(o.value, Obs::ReadySent { .. })),
-        "completion must have been ordered by signed readies"
+        "completion must have been ordered by tagged readies"
     );
     assert!(
         !obs.iter()
@@ -391,8 +407,6 @@ fn forged_readies_cannot_release_gated_segments_early() {
         let start = SimTime::ZERO + SimDuration::from_millis(1);
         harness::inject_flow(&mut engine, &topo, FlowId(1), src, dst, 500, start).unwrap();
         if with_forged_readies {
-            let mut rng = StdRng::seed_from_u64(77);
-            let attacker_key = SecretKey::generate(&mut rng);
             // PacketIn event ids are (switch << 32 | 1); under the
             // reverse-path schedule, update seq i targets r.path[i] and is
             // gated on (seq i+1, r.path[i+1]). Forge the ready each
@@ -401,29 +415,15 @@ fn forged_readies_cannot_release_gated_segments_early() {
             // in which the real bodies sit parked.
             let event = EventId(((r.path[0].0 as u64) << 32) | 1);
             for seq in 0..2u32 {
-                let body = cicero_core::msg::ReadyBody {
-                    update: UpdateId {
-                        event,
-                        seq: seq + 1,
-                    },
-                    from: r.path[seq as usize + 1],
-                    to: r.path[seq as usize],
-                };
-                let forged = Signed::sign(
-                    "CICERO_SEGWAY_READY_V1",
-                    body,
-                    Phase(0),
-                    MsgId {
-                        origin: r.path[seq as usize + 1].0,
-                        seq: 200 + seq as u64,
-                    },
-                    &attacker_key,
-                );
+                let (from, to) = (r.path[seq as usize + 1], r.path[seq as usize]);
+                let update = UpdateId { event, seq: seq + 1 };
+                let key = attacker_pair_key(&engine, 77, from, to);
+                let forged = ready_under(ReadyBody { update, from, to }, 200 + seq as u64, &key);
                 for ms in [1u64, 3, 6, 10, 20] {
                     engine.inject_raw(
                         start + SimDuration::from_millis(ms),
                         ENVIRONMENT,
-                        engine.switch_node(r.path[seq as usize]),
+                        engine.switch_node(to),
                         Net::SegwayReady(forged.clone()),
                     );
                 }
@@ -457,8 +457,8 @@ fn forged_readies_cannot_release_gated_segments_early() {
     );
 }
 
-/// A captured ready replayed at a switch other than its signed `to` target
-/// is rejected by the target binding alone — before any gate state is
+/// A captured ready replayed at a switch other than its `to` target is
+/// rejected by the target binding alone — before any gate state is
 /// touched. This is what stops a rogue switch from re-using one neighbor's
 /// legitimate release to unlock a different victim.
 #[test]
@@ -467,26 +467,13 @@ fn replayed_ready_at_the_wrong_victim_is_rejected() {
     let intended = topo.switches()[2].id;
     let victim = topo.switches()[3].id;
     assert_ne!(intended, victim);
-    let mut rng = StdRng::seed_from_u64(55);
-    let attacker_key = SecretKey::generate(&mut rng);
-    let body = cicero_core::msg::ReadyBody {
-        update: UpdateId {
-            event: EventId(0xbad),
-            seq: 1,
-        },
-        from: topo.switches()[0].id,
-        to: intended,
+    let from = topo.switches()[0].id;
+    let update = UpdateId {
+        event: EventId(0xbad),
+        seq: 1,
     };
-    let replayed = Signed::sign(
-        "CICERO_SEGWAY_READY_V1",
-        body,
-        Phase(0),
-        MsgId {
-            origin: topo.switches()[0].id.0,
-            seq: 9,
-        },
-        &attacker_key,
-    );
+    let key = attacker_pair_key(&engine, 55, from, intended);
+    let replayed = ready_under(ReadyBody { update, from, to: intended }, 9, &key);
     engine.inject_raw(
         SimTime::ZERO + SimDuration::from_millis(1),
         ENVIRONMENT,
@@ -508,6 +495,7 @@ fn replayed_ready_at_the_wrong_victim_is_rejected() {
 
 mod segway_release {
     use super::*;
+    use simnet::fault::FaultPlan;
     use simnet::node::{Actor, Context, Effect, NodeId};
 
     /// What one handler call sent and observed, read from its effects.
@@ -556,21 +544,45 @@ mod segway_release {
         (engine, topo, releases)
     }
 
-    /// `(signatures made, signatures checked)` per switch, in switch order.
-    fn ops(engine: &mut Engine, topo: &Topology) -> Vec<(u64, u64)> {
+    /// What one switch's seam has done so far.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    struct Ops {
+        signs: u64,
+        checks: u64,
+        tags: u64,
+        mac_checks: u64,
+    }
+
+    fn ops_of(engine: &mut Engine, s: SwitchId) -> Ops {
+        engine.with_switch(s, |a| {
+            let auth = a.auth();
+            Ops {
+                signs: auth.signs(),
+                checks: auth.checks(),
+                tags: auth.tags(),
+                mac_checks: auth.mac_checks(),
+            }
+        })
+    }
+
+    /// [`Ops`] per switch, in switch order.
+    fn ops(engine: &mut Engine, topo: &Topology) -> Vec<Ops> {
         let ids: Vec<SwitchId> = topo.switches().iter().map(|s| s.id).collect();
-        ids.into_iter()
-            .map(|s| engine.with_switch(s, |a| a.signature_ops()))
-            .collect()
+        ids.into_iter().map(|s| ops_of(engine, s)).collect()
     }
 
     /// Hands releaser `r.from` a query for `update` from node `from` (the
     /// transport names the asker); returns what the handler did.
     fn ask(engine: &mut Engine, r: Release, update: UpdateId, from: NodeId) -> Tap {
+        handle(engine, r.from, from, Net::SegwayReadyQuery { update })
+    }
+
+    /// Hands switch `at` the message `msg` over node `from`'s channel;
+    /// returns what the handler did.
+    fn handle(engine: &mut Engine, at: SwitchId, from: NodeId, msg: Net) -> Tap {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut ctx = Context::new(engine.now(), engine.switch_node(r.from), &mut rng);
-        let query = Net::SegwayReadyQuery { update };
-        engine.with_switch(r.from, |a| a.on_message(&mut ctx, from, query));
+        let mut ctx = Context::new(engine.now(), engine.switch_node(at), &mut rng);
+        engine.with_switch(at, |a| a.on_message(&mut ctx, from, msg));
         let mut tap = Tap {
             sent: Vec::new(),
             seen: Vec::new(),
@@ -606,23 +618,31 @@ mod segway_release {
                 .collect();
             events.len() as u64
         };
+        let members = engine.shared().dir.initial_members.clone();
         let counted = ops(&mut engine, &topo);
-        let mut total = (0, 0);
-        for (info, (signs, checks)) in topo.switches().iter().zip(counted) {
+        let mut total = (0, 0, 0, 0);
+        for (info, n) in topo.switches().iter().zip(counted) {
             let s = info.id;
             let released = releases.iter().filter(|r| r.from == s).count() as u64;
             let accepted = releases.iter().filter(|r| r.to == s).count() as u64;
-            // Signs: its events, one ready per release — an ack is tagged,
-            // not signed. Checks: one certificate per applied update, one
-            // signature per accepted ready. Nothing acknowledges a ready.
-            assert_eq!(signs, raised(s) + released, "signs of {s:?}");
-            assert_eq!(checks, applied(s) + accepted, "checks of {s:?}");
-            total = (total.0 + signs, total.1 + checks);
+            let readers = members[&engine.shared().dir.domain_of_switch[&s]].len() as u64;
+            // Signs: its events — acks and readies are tagged. Checks: one
+            // certificate per applied update. Tags: one per ack reader and
+            // one per release; tag checks: one per accepted ready. Nothing
+            // acknowledges a ready.
+            assert_eq!(n.signs, raised(s), "signs of {s:?}");
+            assert_eq!(n.checks, applied(s), "checks of {s:?}");
+            assert_eq!(n.tags, applied(s) * readers + released, "tags of {s:?}");
+            assert_eq!(n.mac_checks, accepted, "tag checks of {s:?}");
+            total = (
+                total.0 + n.signs,
+                total.1 + n.checks,
+                total.2 + n.tags,
+                total.3 + n.mac_checks,
+            );
         }
-        assert_eq!(total, (1 + 4, 5 + 4), "the flow's switch-side budget");
-        // Plus one tag per ack per controller of the acking switch's domain,
-        // each checked once where it was addressed.
-        let members = engine.shared().dir.initial_members.clone();
+        assert_eq!(total, (1, 5, 5 * 4 + 4, 4), "the flow's switch-side budget");
+        // Each ack tag is checked once where it was addressed.
         let mut tags = 0;
         for (d, c) in members.iter().flat_map(|(&d, cs)| cs.iter().map(move |&c| (d, c))) {
             tags += engine.with_controller(d, c, |a| a.auth().mac_checks());
@@ -656,7 +676,7 @@ mod segway_release {
             assert!(tap.sent.is_empty(), "answered {update:?} via {from:?}");
             assert!(tap.seen.is_empty());
         }
-        assert_eq!(ops(&mut engine, &topo), before, "no signature counter moves");
+        assert_eq!(ops(&mut engine, &topo), before, "no crypto counter moves");
         // The same query from the released switch itself is answered.
         let asker = engine.switch_node(r.to);
         assert_eq!(ask(&mut engine, r, r.update, asker).sent.len(), 1);
@@ -684,11 +704,146 @@ mod segway_release {
             assert_eq!(tap.seen, vec![resent]);
             replies.push(m.clone());
         }
-        assert!(replies.iter().all(|m| *m == replies[0]), "one signed ready, kept");
-        let key = &engine.shared().keys.switch_pk[&r.from];
-        assert!(replies[0].verify_prepared("CICERO_SEGWAY_READY_V1", key));
-        assert_eq!(ops(&mut engine, &topo), before, "nothing signed, nothing checked");
+        assert!(replies.iter().all(|m| *m == replies[0]), "one tagged ready, kept");
+        let key = switch_key(&engine, &secrets_of(&engine, &topo), r.from, r.to);
+        assert!(replies[0].verify(READY, &key), "tagged under k(from → to)");
+        assert_eq!(ops(&mut engine, &topo), before, "nothing signed or tagged, nothing checked");
     }
+
+    // ----- a ready is valid only at its addressee, only from its releaser -----
+
+    /// A three-switch Segway route whose last hop `releaser` → `held` is
+    /// severed for good: `held` sits with its body parked on the gate
+    /// `(gate, releaser)`, whose ready never arrives.
+    struct Parked {
+        engine: Engine,
+        secrets: SecretStore,
+        gate: UpdateId,
+        releaser: SwitchId,
+        held: SwitchId,
+        ingress: SwitchId,
+    }
+
+    fn parked() -> Parked {
+        let (mut engine, topo) = build_segway();
+        let (src, dst) = cross_rack(&topo);
+        let path = route(&topo, src, dst).expect("routable").path;
+        // Update seq i goes to path[i], gated on (seq i + 1, path[i + 1]).
+        let (ingress, held, releaser) = (path[0], path[1], path[2]);
+        let gate = UpdateId {
+            event: EventId((u64::from(ingress.0) << 32) | 1),
+            seq: 2,
+        };
+        let (a, b) = (engine.switch_node(releaser), engine.switch_node(held));
+        let never = SimTime::ZERO + SimDuration::from_secs(3600);
+        engine.set_faults(FaultPlan::none().with_severed_window(a, b, SimTime::ZERO, never));
+        let start = SimTime::ZERO + SimDuration::from_millis(1);
+        harness::inject_flow(&mut engine, &topo, FlowId(1), src, dst, 500, start)
+            .expect("routable");
+        engine.run(start + SimDuration::from_secs(1));
+        let applied_at = |s: SwitchId| {
+            let obs = engine.observations();
+            obs.iter().any(|o| matches!(o.value, Obs::UpdateApplied { switch, .. } if switch == s))
+        };
+        assert!(applied_at(releaser) && !applied_at(held), "the gate is closed at `held`");
+        let secrets = secrets_of(&engine, &topo);
+        Parked { engine, secrets, gate, releaser, held, ingress }
+    }
+
+    /// The key switch `maker` tags with for switch `reader`, derived from
+    /// `maker`'s identity secret.
+    fn switch_key(
+        engine: &Engine,
+        secrets: &SecretStore,
+        maker: SwitchId,
+        reader: SwitchId,
+    ) -> [u8; 32] {
+        let reader_pk = engine.shared().keys.switch_pk[&reader].key();
+        let (from, to) = (Peer::Switch(maker), Peer::Switch(reader));
+        pair_key(&secrets.switch_sk[&maker], &reader_pk, from, to)
+    }
+
+    impl Parked {
+        fn key(&self, maker: SwitchId, reader: SwitchId) -> [u8; 32] {
+            switch_key(&self.engine, &self.secrets, maker, reader)
+        }
+
+        /// The ready that opens the gate: from its releaser, to `held`.
+        fn body(&self) -> ReadyBody {
+            ReadyBody { update: self.gate, from: self.releaser, to: self.held }
+        }
+
+        /// Hands `held` the ready `msg` over the releaser's channel.
+        fn deliver(&mut self, msg: Tagged<ReadyBody>) -> Tap {
+            let from = self.engine.switch_node(self.releaser);
+            handle(&mut self.engine, self.held, from, Net::SegwayReady(msg))
+        }
+
+        /// `forged` is refused at `held` — checked, rejected, nothing opened —
+        /// and the honest ready, delivered next, does open the gate.
+        fn refuses(mut self, forged: Tagged<ReadyBody>) {
+            let before = ops_of(&mut self.engine, self.held);
+            let tap = self.deliver(forged);
+            let rejected = Obs::ReadyRejected {
+                switch: self.held,
+                update: self.gate,
+                from: self.releaser,
+            };
+            assert_eq!(tap.seen, vec![rejected], "rejected, and no parked body went in");
+            assert!(tap.sent.is_empty());
+            let after = ops_of(&mut self.engine, self.held);
+            assert_eq!(after.mac_checks, before.mac_checks + 1, "its tag was checked");
+            let honest = ready_under(self.body(), 1, &self.key(self.releaser, self.held));
+            let tap = self.deliver(honest);
+            let held = self.held;
+            let opened = |o: &Obs| matches!(o, Obs::UpdateApplied { switch, .. } if *switch == held);
+            assert!(tap.seen.iter().any(opened), "the honest ready opens the gate");
+        }
+    }
+
+    /// `held` once tagged a ready for the releaser under k(held → releaser);
+    /// here a tag under that key comes back to `held` as the releaser's
+    /// ready — only the direction each pair key is bound to refuses it.
+    #[test]
+    fn a_ready_reflected_back_to_its_maker_is_refused() {
+        let p = parked();
+        let reflected = ready_under(p.body(), 1, &p.key(p.held, p.releaser));
+        p.refuses(reflected);
+    }
+
+    /// The releaser's genuine ready for a third switch, readdressed to
+    /// `held`: the `to` binding passes, so only the tag refuses it.
+    #[test]
+    fn a_ready_tagged_for_another_switch_and_readdressed_is_refused() {
+        let p = parked();
+        let for_ingress = ReadyBody { to: p.ingress, ..p.body() };
+        let mut readdressed = ready_under(for_ingress, 1, &p.key(p.releaser, p.ingress));
+        readdressed.payload.to = p.held;
+        p.refuses(readdressed);
+    }
+
+    /// A ready already accepted is dropped before its tag is checked:
+    /// nothing observed, nothing sent, nothing opened again.
+    #[test]
+    fn a_ready_delivered_twice_is_checked_once() {
+        let mut p = parked();
+        let honest = ready_under(p.body(), 1, &p.key(p.releaser, p.held));
+        let before = ops_of(&mut p.engine, p.held);
+        let first = p.deliver(honest.clone());
+        assert!(first.seen.iter().any(|o| matches!(o, Obs::UpdateApplied { .. })));
+        let second = p.deliver(honest);
+        assert!(second.seen.is_empty() && second.sent.is_empty());
+        let after = ops_of(&mut p.engine, p.held);
+        assert_eq!(after.mac_checks, before.mac_checks + 1, "one check for both copies");
+    }
+}
+
+/// The secrets the key ceremony handed `engine`'s actors, re-derived (the
+/// ceremony is a pure function of the seed).
+fn secrets_of(engine: &Engine, topo: &Topology) -> SecretStore {
+    let switches: Vec<SwitchId> = topo.switches().iter().map(|s| s.id).collect();
+    let shared = engine.shared();
+    bootstrap_keys(CryptoMode::Real, &switches, &shared.dir, shared.cfg.seed).1
 }
 
 // ----- the transport names the sender; a share occupies only its sender's slot -----
@@ -860,7 +1015,7 @@ mod transport_sender {
             // Signature checks of the share collector under attack: the
             // update's switch, or the aggregator (controller 1).
             let checks = |e: &mut Engine, s: SwitchId| match mode.aggregation() {
-                Some(Aggregation::Switch) => e.with_switch(s, |a| a.signature_ops().1),
+                Some(Aggregation::Switch) => e.with_switch(s, |a| a.auth().checks()),
                 _ => e.with_controller(D, ControllerId(1), |a| a.auth().checks()),
             };
             let (mut honest, topo) = fabric(mode, CryptoMode::Real);
