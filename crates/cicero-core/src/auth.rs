@@ -22,19 +22,26 @@
 //! ([`Authenticator::verify_latency`], [`Authenticator::verify_tag`],
 //! [`Authenticator::quorum_cost`]).
 //!
-//! `ctrl/membership.rs` is the one module that still asks for the crypto
-//! mode itself: under real crypto a membership change is a different
-//! protocol (share redistribution), not the same steps minus the math. It
-//! borrows the threshold key material held here.
+//! A membership change (paper §4.3) runs through here too, the same steps
+//! at every level: [`Authenticator::start_rekey`] deals this member's share
+//! to the new membership — below `Real` it installs placeholder keys at
+//! once — and [`Authenticator::offer_dealing`] counts what the other
+//! dealers send, until the new share and commitment are installed under
+//! the unchanged group key. The phase notice is then share-signed and
+//! [`Authenticator::collect`]ed like every other quorum.
 
 use crate::collector::{Check, Quorum, QuorumCollector};
 use crate::config::CryptoMode;
 use crate::msg::Net;
 use crate::obs::Obs;
-use crate::runtime::Shared;
+use crate::runtime::{fake_group, Shared};
 use blscrypto::bls::{KeyShare, PartialSignature, PreparedKey, PublicKey, SecretKey};
-use blscrypto::dkg::GroupPublic;
+use blscrypto::dkg::{DkgConfig, GroupPublic};
+use blscrypto::reshare::{
+    deal_reshare_to, finalize_reshare, verify_reshare_dealing, ReshareDealing,
+};
 use blscrypto::sha256::hmac_sha256;
+use controller::membership::ControlPlaneView;
 use simnet::node::{Host, NodeId};
 use simnet::time::SimDuration;
 use southbound::codec::Wire;
@@ -89,6 +96,14 @@ enum Level {
     Real,
 }
 
+/// A re-key in flight: the phase it enters, the commitment the dealings are
+/// checked against and the shape of the new sharing.
+struct PendingReshare {
+    phase: Phase,
+    old_group: GroupPublic,
+    new_cfg: DkgConfig,
+}
+
 /// One actor's signing identity and verification policy. Also owns its
 /// `(origin, seq)` message-id counter and its signature and MAC counters.
 pub struct Authenticator {
@@ -105,6 +120,13 @@ pub struct Authenticator {
     macs: BTreeMap<Peer, ([u8; 32], [u8; 32])>,
     /// This domain's commitment after a reshare; `None` = bootstrap.
     reshared: Option<GroupPublic>,
+    /// The phase whose threshold keys are installed.
+    keyed: Phase,
+    /// The re-key in flight.
+    pending: Option<PendingReshare>,
+    /// Dealings received per phase: the first of each dealer, over its own
+    /// channel, not yet checked.
+    dealings: BTreeMap<Phase, Vec<ReshareDealing>>,
     signs: u64,
     checks: u64,
     tags: u64,
@@ -140,6 +162,9 @@ impl Authenticator {
             share,
             macs: BTreeMap::new(),
             reshared: None,
+            keyed: Phase(0),
+            pending: None,
+            dealings: BTreeMap::new(),
             signs: 0,
             checks: 0,
             tags: 0,
@@ -181,24 +206,96 @@ impl Authenticator {
         self.mac_checks
     }
 
-    /// This actor's threshold key share.
-    pub fn share(&self) -> Option<&KeyShare> {
-        self.share.as_ref()
-    }
-
     /// The group commitment of this actor's domain in the current phase.
     pub fn group(&self) -> &GroupPublic {
         let bootstrap = &self.shared.keys.domains[&self.domain].group;
         self.reshared.as_ref().unwrap_or(bootstrap)
     }
 
-    /// Installs the outcome of a membership change: the new commitment and,
-    /// where shares are real, this member's new share.
-    pub fn rekey(&mut self, share: Option<KeyShare>, group: GroupPublic) {
-        if share.is_some() {
-            self.share = share;
-        }
+    /// Installs the keys of `phase`: the new commitment and this member's
+    /// share (none where the math is skipped).
+    pub(crate) fn rekey(&mut self, phase: Phase, share: Option<KeyShare>, group: GroupPublic) {
+        self.share = share;
         self.reshared = Some(group);
+        self.keyed = phase;
+    }
+
+    /// Starts re-keying this controller for `view`, the membership of the
+    /// phase being entered: a `dealer` deals its share to every member of
+    /// `view`. `true` once the new keys are installed — at once below
+    /// `Real`, where placeholder keys of the new shape are all there is.
+    pub fn start_rekey(
+        &mut self,
+        ctx: &mut dyn Host<Net, Obs>,
+        view: &ControlPlaneView,
+        dealer: bool,
+    ) -> bool {
+        let phase = view.phase();
+        let new_cfg = DkgConfig::new(view.len() as u32, view.threshold_t()).expect("valid view");
+        if self.level != Level::Real {
+            self.rekey(phase, None, fake_group(new_cfg.n, new_cfg.t));
+            return true;
+        }
+        if dealer {
+            let share = self.share.as_ref().expect("dealers hold shares");
+            let members: Vec<u32> = view.members().map(|c| c.0).collect();
+            let dealing = deal_reshare_to(share, new_cfg.t, &members, ctx.rng());
+            for c in view.members() {
+                let node = self.shared.dir.controller(self.domain, c);
+                ctx.send(node, Net::Reshare { phase, dealing: dealing.clone() });
+            }
+        }
+        let old_group = self.group().clone();
+        self.pending = Some(PendingReshare { phase, old_group, new_cfg });
+        self.try_finish_rekey()
+    }
+
+    /// `true` between [`Self::start_rekey`] and the new keys: the controller
+    /// is between phases.
+    pub fn rekeying(&self) -> bool {
+        self.pending.is_some()
+    }
+
+    /// Offers a dealing for the re-key of `phase` that arrived from `from`.
+    /// It counts only over its dealer's own channel, and only the first of
+    /// each dealer does. `true` when it completes the re-key in flight.
+    pub fn offer_dealing(&mut self, from: NodeId, phase: Phase, dealing: ReshareDealing) -> bool {
+        let dealer = Peer::Controller(self.domain, ControllerId(dealing.dealer));
+        if phase <= self.keyed || self.shared.dir.peer(from) != Some(dealer) {
+            return false;
+        }
+        let filed = self.dealings.entry(phase).or_default();
+        if filed.iter().all(|d| d.dealer != dealing.dealer) {
+            filed.push(dealing);
+        }
+        self.try_finish_rekey()
+    }
+
+    /// Installs the new keys from the first `old t + 1` valid dealings, once
+    /// that many have arrived; an invalid one is passed over, not fatal.
+    fn try_finish_rekey(&mut self) -> bool {
+        let Some(p) = &self.pending else {
+            return false;
+        };
+        let need = p.old_group.config.t as usize + 1;
+        let filed = self.dealings.get(&p.phase).into_iter().flatten();
+        let valid: Vec<ReshareDealing> = filed
+            .filter(|d| verify_reshare_dealing(d, &p.old_group, p.new_cfg, self.origin))
+            .take(need)
+            .cloned()
+            .collect();
+        if valid.len() < need {
+            return false;
+        }
+        let Ok((share, group)) = finalize_reshare(&valid, &p.old_group, p.new_cfg, self.origin)
+        else {
+            return false;
+        };
+        let phase = p.phase;
+        self.pending = None;
+        self.dealings.remove(&phase);
+        self.rekey(phase, Some(share), group);
+        true
     }
 
     /// Signs `payload` with this actor's identity key.
@@ -391,7 +488,12 @@ impl Authenticator {
 
     /// Buckets one threshold share of `domain` and runs the collector's
     /// aggregate → verify → evict policy at `quorum` distinct signers.
-    /// Below `Real` a quorum certifies on the count alone.
+    /// Below `Real` a quorum certifies on the count alone. A controller
+    /// holds its own domain's shares of a phase it has no keys for yet
+    /// unjudged, and judges them together with the first share after its
+    /// re-key: an eviction then may leave a quorum, which is judged again
+    /// (each attempt counts in [`Self::checks`]; the outcome's
+    /// [`Quorum::work`] is the last one's).
     pub fn collect<K: Ord + Copy, T: Wire + Eq + Clone>(
         &mut self,
         bucket: &mut QuorumCollector<K, T>,
@@ -401,7 +503,9 @@ impl Authenticator {
         quorum: usize,
         domain: DomainId,
     ) -> Quorum<T> {
-        if !bucket.offer(key, msg.phase, msg.payload, msg.partial) {
+        let phase = msg.phase;
+        let own = matches!(self.me, Peer::Controller(..)) && domain == self.domain;
+        if !bucket.offer(key, phase, msg.payload, msg.partial) || own && phase > self.keyed {
             return Quorum::Below;
         }
         let keys = &self.shared.keys.domains[&domain];
@@ -417,9 +521,18 @@ impl Authenticator {
             quorum,
             keys: (self.level == Level::Real).then_some((&keys.public_key, group)),
         };
-        let outcome = bucket.try_quorum(key, msg.phase, check);
-        if self.signed() && !matches!(outcome, Quorum::Below) {
-            self.checks += 1;
+        let mut judged = 0;
+        let outcome = loop {
+            let held = bucket.have(key, phase);
+            let outcome = bucket.try_quorum(key, phase, check);
+            judged += u64::from(!matches!(outcome, Quorum::Below));
+            match outcome {
+                Quorum::Rejected { .. } if (quorum..held).contains(&bucket.have(key, phase)) => {}
+                outcome => break outcome,
+            }
+        };
+        if self.signed() {
+            self.checks += judged;
         }
         outcome
     }

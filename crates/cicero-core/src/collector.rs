@@ -6,9 +6,10 @@
 //! of distinct signers, aggregate **all** of them and verify the aggregate
 //! once against the group public key; only if that fails, verify each share
 //! against its Feldman-derived share key, evict and blacklist the culprits,
-//! and wait for honest replacements. The switch (updates, Segway bodies)
-//! and the aggregator both collect through this one type, so a rogue share
-//! costs every verifier the same and is handled the same.
+//! and wait for honest replacements. The switch (updates, Segway bodies),
+//! the aggregator and the phase notice's collector all collect through this
+//! one type, so a rogue share costs every verifier the same and is handled
+//! the same.
 //!
 //! Per-share eviction derives share keys from the [`GroupPublic`] the
 //! caller passes. Switches and remote domains only hold the *bootstrap*
@@ -189,8 +190,10 @@ impl<K: Ord + Copy, T: Wire + Eq + Clone> Default for QuorumCollector<K, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blscrypto::bls::KeyShare;
     use blscrypto::dkg::{self, DkgOutput};
-    use southbound::types::FlowId;
+    use southbound::envelope::{MsgId, ShareSigned};
+    use southbound::types::{DomainId, FlowId};
     use substrate::rng::{SeedableRng, StdRng};
 
     const LABEL: &str = "TEST_COLLECTOR";
@@ -298,68 +301,97 @@ mod tests {
         assert_eq!(c.have(1, P0), 0, "certified entries are dropped");
     }
 
+    /// Controller 1's seam over a bootstrap sharing of 4, and a reshare of
+    /// that sharing to 5 members: same group key, new commitment and shares.
+    fn reshare_fixture() -> (crate::auth::Authenticator, DomainId, DkgOutput, DkgOutput) {
+        use crate::auth::{Authenticator, Peer};
+        use crate::config::{CryptoMode, Mode};
+        use crate::runtime::bootstrap_keys;
+        use blscrypto::dkg::DkgConfig;
+        use southbound::types::{ControllerId, SwitchId};
+
+        let engine = crate::engine::default_pod_engine(Mode::CICERO, CryptoMode::Real, 1);
+        let shared = std::sync::Arc::clone(engine.shared());
+        let switches: Vec<SwitchId> = shared.topo.switches().iter().map(|s| s.id).collect();
+        let (_, secrets) = bootstrap_keys(CryptoMode::Real, &switches, &shared.dir, shared.cfg.seed);
+        let (&domain, old) = secrets.domain_dkg.iter().next().expect("one domain");
+        let mut rng = StdRng::seed_from_u64(0x5e5a);
+        let cfg5 = DkgConfig::byzantine(5).expect("n = 5");
+        let new = blscrypto::reshare::run_reshare(old, cfg5, &mut rng).expect("reshare");
+        assert_eq!(new.group_public_key, old.group_public_key);
+        let me = Peer::Controller(domain, ControllerId(1));
+        let auth = Authenticator::new(shared, me, None, Some(share_of(old, 1)));
+        (auth, domain, old.clone(), new)
+    }
+
+    fn share_of(out: &DkgOutput, signer: usize) -> KeyShare {
+        out.participants[signer - 1].share.clone()
+    }
+
+    /// `FlowId(7)` share-signed in `phase`.
+    fn signed(share: &KeyShare, phase: Phase) -> ShareSigned<FlowId> {
+        let id = MsgId {
+            origin: share.index,
+            seq: 1,
+        };
+        ShareSigned::sign(LABEL, FlowId(7), phase, id, share)
+    }
+
     /// The group key survives a reshare and keeps its line table; the share
     /// keys do not survive it, and eviction must derive them from the
     /// commitment `Authenticator::rekey` installed, not from anything cached
     /// under the old one.
     #[test]
     fn rogue_share_is_evicted_after_rekey_under_the_same_prepared_group_key() {
-        use crate::auth::{Authenticator, Peer};
-        use crate::config::{Aggregation, CryptoMode, Mode};
-        use crate::runtime::bootstrap_keys;
-        use blscrypto::bls::KeyShare;
-        use blscrypto::dkg::DkgConfig;
-        use southbound::envelope::{MsgId, ShareSigned};
-        use southbound::types::{ControllerId, SwitchId};
-
-        let mode = Mode::Cicero {
-            aggregation: Aggregation::Switch,
-        };
-        let engine = crate::engine::default_pod_engine(mode, CryptoMode::Real, 1);
-        let shared = std::sync::Arc::clone(engine.shared());
-        let switches: Vec<SwitchId> = shared.topo.switches().iter().map(|s| s.id).collect();
-        let (_, secrets) = bootstrap_keys(CryptoMode::Real, &switches, &shared.dir, shared.cfg.seed);
-        let (&domain, old) = secrets.domain_dkg.iter().next().expect("one domain");
-        let signed = |share: &KeyShare| {
-            let id = MsgId {
-                origin: share.index,
-                seq: 1,
-            };
-            ShareSigned::sign(LABEL, FlowId(7), P0, id, share)
-        };
-        let share_of = |out: &DkgOutput, signer: usize| out.participants[signer - 1].share.clone();
-        let me = Peer::Controller(domain, ControllerId(1));
-        let share = Some(share_of(old, 1));
-        let mut auth = Authenticator::new(shared, me, None, share);
+        let (mut auth, domain, old, new) = reshare_fixture();
         let mut c: QuorumCollector<u8, FlowId> = QuorumCollector::new();
         // A first quorum builds the group key's table.
         for signer in [1, 2] {
-            let q = auth.collect(&mut c, 1, signed(&share_of(old, signer)), LABEL, 2, domain);
+            let q = auth.collect(&mut c, 1, signed(&share_of(&old, signer), P0), LABEL, 2, domain);
             assert_eq!(matches!(q, Quorum::Certified(_)), signer == 2);
         }
-        // Reshare 4 → 5 members: same group key, new commitment and shares.
-        let mut rng = StdRng::seed_from_u64(0x5e5a);
-        let cfg5 = DkgConfig::byzantine(5).expect("n = 5");
-        let new = blscrypto::reshare::run_reshare(old, cfg5, &mut rng).expect("reshare");
-        assert_eq!(new.group_public_key, old.group_public_key);
-        auth.rekey(Some(share_of(&new, 1)), new.group.clone());
+        auth.rekey(P0, Some(share_of(&new, 1)), new.group.clone());
         // Signer 2 keeps signing with its pre-reshare share: valid under the
         // old commitment, rogue under the new one.
         assert!(matches!(
-            auth.collect(&mut c, 2, signed(&share_of(&new, 1)), LABEL, 2, domain),
+            auth.collect(&mut c, 2, signed(&share_of(&new, 1), P0), LABEL, 2, domain),
             Quorum::Below
         ));
         assert!(matches!(
-            auth.collect(&mut c, 2, signed(&share_of(old, 2)), LABEL, 2, domain),
+            auth.collect(&mut c, 2, signed(&share_of(&old, 2), P0), LABEL, 2, domain),
             Quorum::Rejected { shares: 2 }
         ));
         assert_eq!(c.have(2, P0), 1, "the honest new share stays, the stale one is evicted");
         let Quorum::Certified(cert) =
-            auth.collect(&mut c, 2, signed(&share_of(&new, 3)), LABEL, 2, domain)
+            auth.collect(&mut c, 2, signed(&share_of(&new, 3), P0), LABEL, 2, domain)
         else {
             panic!("two post-reshare shares certify under the unchanged group key");
         };
         assert_eq!(cert.signers, vec![1, 3]);
+    }
+
+    /// Shares of the phase being re-keyed for arrive before the new keys:
+    /// judged under the old commitment, the honest new share would be
+    /// evicted and the stale one kept. They wait unjudged, and the first
+    /// share after the re-key judges them all — and, the stale one evicted,
+    /// judges the quorum left at once.
+    #[test]
+    fn shares_ahead_of_the_rekey_wait_for_its_keys() {
+        let (mut auth, domain, old, new) = reshare_fixture();
+        let p1 = Phase(1);
+        let mut c: QuorumCollector<u8, FlowId> = QuorumCollector::new();
+        for early in [signed(&share_of(&old, 2), p1), signed(&share_of(&new, 3), p1)] {
+            assert!(matches!(auth.collect(&mut c, 1, early, LABEL, 2, domain), Quorum::Below));
+        }
+        assert_eq!((c.have(1, p1), auth.checks()), (2, 0), "held, unjudged");
+        auth.rekey(p1, Some(share_of(&new, 1)), new.group.clone());
+        let Quorum::Certified(cert) =
+            auth.collect(&mut c, 1, signed(&share_of(&new, 1), p1), LABEL, 2, domain)
+        else {
+            panic!("the honest shares left after the eviction certify");
+        };
+        assert_eq!(cert.signers, vec![1, 3]);
+        assert_eq!(auth.checks(), 2, "the rejected aggregate, then the certified one");
     }
 
     #[test]

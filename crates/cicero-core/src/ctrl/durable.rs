@@ -332,7 +332,7 @@ impl ControllerActor {
     fn quiescent(&self) -> bool {
         self.pending.is_drained()
             && self.unprocessed.is_empty()
-            && !self.in_phase_change
+            && !self.auth.rekeying()
             && self
                 .replica
                 .as_ref()

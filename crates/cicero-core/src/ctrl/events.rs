@@ -338,7 +338,7 @@ impl ControllerActor {
         if !msg.payload.forwarded && self.is_lowest() {
             self.forward_event(ctx, &msg.payload);
         }
-        if self.in_phase_change || self.recovering {
+        if self.auth.rekeying() || self.recovering {
             // Mid-reshare or mid-recovery: hold the event until the control
             // plane is back in a state where it can order it.
             self.queued_events.push(msg.payload);

@@ -30,23 +30,22 @@ mod membership;
 use crate::auth::{Authenticator, Peer};
 use crate::collector::QuorumCollector;
 use crate::config::Mode;
-use crate::msg::{Net, OrderedOp, UpdateBody, WalRecord};
+use crate::msg::{Net, OrderedOp, PhaseInfo, UpdateBody, WalRecord};
 use crate::obs::Obs;
 use crate::runtime::{labels, Shared};
 use barriers::{BarrierState, Report, SegWatch};
 use bft::message::ReplicaId;
 use events::Forward;
 use bft::replica::Replica;
-use blscrypto::bls::{KeyShare, PartialSignature, SecretKey};
+use blscrypto::bls::{KeyShare, SecretKey};
 use blscrypto::dkg::GroupPublic;
-use blscrypto::reshare::ReshareDealing;
 use controller::app::ShortestPathApp;
 use controller::failure::HeartbeatDetector;
 use controller::membership::ControlPlaneView;
 use controller::pending::{Kept, PendingUpdates, RetryTable};
 use controller::scheduler::{ReversePathScheduler, UpdateScheduler};
-use membership::PendingReshare;
 use simnet::node::{Actor, Host, NodeId, TimerToken};
+use simnet::sim::ENVIRONMENT;
 use simnet::time::SimDuration;
 use southbound::envelope::{QuorumSigned, ShareSigned, Signed};
 use southbound::types::{
@@ -78,16 +77,16 @@ pub struct ControllerActor {
     forwarded_events: BTreeSet<EventId>,
     unprocessed: BTreeMap<[u8; 32], OrderedOp>,
     queued_events: Vec<Event>,
-    in_phase_change: bool,
-    pending_reshare: Option<PendingReshare>,
-    reshare_buf: BTreeMap<Phase, Vec<ReshareDealing>>,
     /// Aggregator role: update shares below quorum.
     agg_shares: QuorumCollector<UpdateId, UpdateBody>,
     /// Aggregator role: each relayed quorum signature, with the signers
     /// whose share has been seen — a second share from one of them asks for
     /// a re-relay. Cleared at a phase change.
     relayed: Kept<(UpdateId, Phase), (QuorumSigned<UpdateBody>, BTreeSet<u32>)>,
-    phase_partials: BTreeMap<Phase, BTreeMap<u32, PartialSignature>>,
+    /// Aggregator role: members' shares of a phase notice below quorum, and
+    /// each phase's certified notice.
+    phase_shares: QuorumCollector<(), PhaseInfo>,
+    phase_notices: Kept<Phase, QuorumSigned<PhaseInfo>>,
     remote_members: BTreeMap<DomainId, Vec<ControllerId>>,
     detector: HeartbeatDetector,
     barriers: BTreeMap<(EventId, u32), BarrierState>,
@@ -189,12 +188,10 @@ impl ControllerActor {
             forwarded_events: BTreeSet::new(),
             unprocessed: BTreeMap::new(),
             queued_events: Vec::new(),
-            in_phase_change: false,
-            pending_reshare: None,
-            reshare_buf: BTreeMap::new(),
             agg_shares: QuorumCollector::new(),
             relayed: Kept::default(),
-            phase_partials: BTreeMap::new(),
+            phase_shares: QuorumCollector::new(),
+            phase_notices: Kept::default(),
             remote_members,
             detector,
             barriers: BTreeMap::new(),
@@ -331,7 +328,7 @@ impl Actor<Net, Obs> for ControllerActor {
 
     fn on_timer(&mut self, ctx: &mut dyn Host<Net, Obs>, token: TimerToken) {
         if token == TICK {
-            if self.active && !self.in_phase_change && !self.recovering {
+            if self.active && !self.auth.rekeying() && !self.recovering {
                 if let Some(replica) = self.replica.as_mut() {
                     let outs = replica.on_tick();
                     self.route_outputs(ctx, outs);
@@ -349,7 +346,7 @@ impl Actor<Net, Obs> for ControllerActor {
                             ctx.send(self.node_of(m), Net::Heartbeat { phase });
                         }
                     }
-                    if !self.in_phase_change {
+                    if !self.auth.rekeying() {
                         // Paper §4.3: removal is "proposed by a member that
                         // detects that the member should be removed".
                         let suspects = self.detector.suspects(ctx.now());
@@ -384,7 +381,7 @@ impl Actor<Net, Obs> for ControllerActor {
                 // it rejoins fast-forwarded after the snapshot transfer.
                 if !self.active
                     || phase != self.view.phase()
-                    || self.in_phase_change
+                    || self.auth.rekeying()
                     || self.recovering
                 {
                     return;
@@ -440,10 +437,15 @@ impl Actor<Net, Obs> for ControllerActor {
                 }
             }
             Net::Reshare { phase, dealing } => {
-                self.reshare_buf.entry(phase).or_default().push(dealing);
-                self.try_finalize_reshare(ctx);
+                let rekeyed = self.auth.offer_dealing(from, phase, dealing);
+                if rekeyed {
+                    self.finish_phase_change(ctx);
+                }
             }
-            Net::StateSync { view } => self.on_state_sync(ctx, view),
+            // Only the domain's bootstrap controller sends a joiner its view.
+            Net::StateSync { view } if peer == Some(self.view.bootstrap()) => {
+                self.on_state_sync(ctx, view);
+            }
             Net::SyncRequest { have } => {
                 if let Some(from) = peer {
                     self.on_sync_request(ctx, from, have);
@@ -460,7 +462,8 @@ impl Actor<Net, Obs> for ControllerActor {
                     OrderedOp::RemoveController(_) => true,
                     OrderedOp::Event(_) => false,
                 };
-                if allowed && !self.recovering {
+                // The operator's command comes from outside the fabric.
+                if allowed && from == ENVIRONMENT && !self.recovering {
                     self.submit_op(ctx, op);
                 }
             }

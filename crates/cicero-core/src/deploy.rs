@@ -13,10 +13,10 @@
 use crate::auth::Peer;
 use crate::config::{EngineConfig, Mode};
 use crate::ctrl::ControllerActor;
-use crate::msg::Net;
+use crate::msg::{Net, PhaseInfo};
 use crate::obs::{Obs, RetransmitStats};
 use crate::runtime::{bootstrap_keys, Directory, Shared};
-use crate::switch::{initial_phase_info, SwitchActor};
+use crate::switch::SwitchActor;
 use blscrypto::bls::{KeyShare, SecretKey};
 use controller::membership::ControlPlaneView;
 use controller::policy::{DomainMap, GlobalDomainPolicy};
@@ -347,7 +347,7 @@ impl Deployment {
                 }
             }
             Identity::Switch { id, key } => {
-                let phase = initial_phase_info(&view);
+                let phase = PhaseInfo::of(&view);
                 let mut actor = Box::new(SwitchActor::new(shared, *id, domain, key.clone(), phase));
                 if let Some(disk) = &seed.disk {
                     actor.attach_disk(disk.clone(), recovering);

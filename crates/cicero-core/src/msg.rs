@@ -117,6 +117,17 @@ pub struct PhaseInfo {
 
 wire_struct!(PhaseInfo { phase, quorum, aggregator });
 
+impl PhaseInfo {
+    /// What switches must know of `view`: its phase, quorum and aggregator.
+    pub fn of(view: &controller::membership::ControlPlaneView) -> Self {
+        PhaseInfo {
+            phase: view.phase(),
+            quorum: view.quorum() as u32,
+            aggregator: view.aggregator(),
+        }
+    }
+}
+
 /// Operations totally ordered by each domain's atomic broadcast.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum OrderedOp {

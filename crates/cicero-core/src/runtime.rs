@@ -165,11 +165,6 @@ pub struct Shared {
 }
 
 impl Shared {
-    /// `true` when real curve math should execute.
-    pub fn real_crypto(&self) -> bool {
-        self.cfg.crypto == CryptoMode::Real
-    }
-
     /// How a workload flow enters the network: the node of its source's
     /// ToR switch and the `FlowArrival` to deliver there, stamped `start`.
     /// The route transit latency is precomputed from the topology

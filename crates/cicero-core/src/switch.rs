@@ -14,7 +14,6 @@ use crate::msg::{AckBody, NackBody, Net, PhaseInfo, ReadyBody, SwitchWalRecord, 
 use crate::obs::Obs;
 use crate::runtime::{labels, Shared};
 use blscrypto::bls::SecretKey;
-use controller::membership::ControlPlaneView;
 use controller::pending::{Kept, Retry, RetryTable};
 use netmodel::flowtable::{FlowTable, Lookup};
 use simnet::node::{Actor, Host, NodeId, TimerToken};
@@ -843,14 +842,4 @@ fn tag_ready(
 ) -> Option<Tagged<ReadyBody>> {
     let msg_id = auth.next_msg_id();
     auth.tag(ctx, labels::READY, ready, phase, msg_id, Peer::Switch(ready.to))
-}
-
-/// Helper used by engine/tests to build the view-consistent initial phase
-/// info for a domain.
-pub fn initial_phase_info(view: &ControlPlaneView) -> PhaseInfo {
-    PhaseInfo {
-        phase: view.phase(),
-        quorum: view.quorum() as u32,
-        aggregator: view.aggregator(),
-    }
 }

@@ -12,7 +12,7 @@
 //! | `no-unsafe` | the `unsafe` keyword | workspace-wide |
 //! | `panic-policy` | `unwrap()`, reason-less `expect()`, `todo!`/`unimplemented!` | protocol hot paths, non-test code |
 //! | `durable-io-boundary` | `OpenOptions`, `sync_all`, `sync_data` | everywhere except `cicero-node`'s disk boundary |
-//! | `crypto-mode-boundary` | `real_crypto`, `dummy` | everywhere except `cicero-core`'s authentication seam, key ceremony and membership protocol |
+//! | `crypto-mode-boundary` | `real_crypto`, `dummy` | everywhere except `cicero-core`'s authentication seam and key ceremony |
 //!
 //! The cross-file protocol-flow rules (`net-variant-unhandled`,
 //! `obs-variant-unaudited`, `wal-variant-unreplayed`,
@@ -105,16 +105,14 @@ const DURABLE_IO_ALLOWED: &[&str] = &["crates/cicero-node/src/disk.rs"];
 
 /// The modules allowed to ask whether signatures are real and to mint
 /// placeholder ones: the authentication seam (`auth.rs`) decides it for
-/// every sign/verify site of both actors; `runtime.rs` and `deploy.rs` run
-/// the key ceremony; `ctrl/membership.rs` is a different protocol under
-/// real crypto (share redistribution), not the same steps minus the math.
-/// A `real_crypto()` test or a hand-built placeholder envelope anywhere
-/// else is the per-call-site mode branching the seam replaced.
+/// every sign/verify site of both actors and for a membership change's
+/// re-key; `runtime.rs` and `deploy.rs` run the key ceremony. A
+/// `real_crypto()` test or a hand-built placeholder envelope anywhere else
+/// is the per-call-site mode branching the seam replaced.
 const CRYPTO_MODE_ALLOWED: &[&str] = &[
     "crates/cicero-core/src/auth.rs",
     "crates/cicero-core/src/runtime.rs",
     "crates/cicero-core/src/deploy.rs",
-    "crates/cicero-core/src/ctrl/membership.rs",
 ];
 
 /// Protocol hot paths where PR 2's explicit-failure style is enforced:

@@ -154,27 +154,6 @@ pub struct QuorumSigned<T> {
 }
 
 impl<T: Wire> QuorumSigned<T> {
-    /// Aggregates partials produced over the identical payload/phase.
-    ///
-    /// # Errors
-    ///
-    /// Propagates aggregation errors (insufficient or duplicate partials).
-    pub fn aggregate(
-        payload: T,
-        phase: Phase,
-        msg_id: MsgId,
-        partials: &[PartialSignature],
-        threshold_t: usize,
-    ) -> Result<Self, blscrypto::Error> {
-        let signature = bls::aggregate_threshold(partials, threshold_t)?;
-        Ok(QuorumSigned {
-            payload,
-            phase,
-            msg_id,
-            signature,
-        })
-    }
-
     /// Verifies against the group public key, met once.
     pub fn verify(&self, label: &str, group_pk: &PublicKey) -> bool {
         self.verify_prepared(label, &PreparedKey::from(*group_pk))
@@ -282,14 +261,12 @@ mod tests {
             .iter()
             .map(|p| blscrypto::bls::sign_share(&p.share, &digest))
             .collect();
-        let q = QuorumSigned::aggregate(
+        let q = QuorumSigned {
             payload,
             phase,
-            MsgId { origin: 1, seq: 1 },
-            &partials,
-            1,
-        )
-        .unwrap();
+            msg_id: MsgId { origin: 1, seq: 1 },
+            signature: blscrypto::bls::aggregate(&partials).unwrap(),
+        };
         let group_pk = PreparedKey::from(out.group_public_key);
         for label in [LABEL, "OTHER"] {
             let verdict = q.verify_prepared(label, &group_pk);

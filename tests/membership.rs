@@ -2,8 +2,10 @@
 //! cryptography end to end: additions and removals re-key the control plane
 //! without ever changing the group public key switches hold.
 
+use blscrypto::reshare::deal_reshare_to;
 use cicero::prelude::*;
 use simcheck::harness::{self, completed_count as completed, inject_poisson_flows as inject_some_flows};
+use substrate::rng::{SeedableRng, StdRng};
 
 fn build(n_standby: u32) -> (Engine, Topology) {
     let mut cfg = EngineConfig::for_mode(Mode::Cicero {
@@ -140,6 +142,73 @@ fn segway_membership_changes_reshare_under_real_crypto() {
             )),
             "the joiner serves events in {phase:?}"
         );
+    }
+}
+
+/// Ahead of the honest dealings of the change 5 → 6 (dealers: controllers 1
+/// and 2), every member and the joiner get a forged dealing over a switch's
+/// channel, one over the channel of controller 3 (not a dealer, and not a
+/// valid dealing), and a genuine dealing of controller 1 twice. Filed as
+/// they came, the first two dealings would be tried again and again: the
+/// forged ones fail verification and the duplicate fails interpolation.
+#[test]
+fn bad_and_duplicated_dealings_do_not_stall_the_rekey() {
+    let (mut engine, topo) = build(1);
+    let domain = DomainId(0);
+    let pk_before = engine.shared().keys.domains[&domain].public_key.key();
+    let switches: Vec<SwitchId> = topo.switches().iter().map(|s| s.id).collect();
+    let shared = engine.shared().clone();
+    let (_, secrets) = bootstrap_keys(CryptoMode::Real, &switches, &shared.dir, shared.cfg.seed);
+    let share = |c: usize| &secrets.domain_dkg[&domain].participants[c - 1].share;
+    let mut rng = StdRng::seed_from_u64(0xdea1);
+    let members: Vec<u32> = (1..=6).collect();
+    let mut deal = |c: usize| deal_reshare_to(share(c), 1, &members, &mut rng);
+    let honest = deal(1);
+    let injected = [
+        (engine.switch_node(switches[0]), deal(2).with_forged_constant()),
+        (engine.controller_node(domain, ControllerId(3)), deal(3).with_forged_constant()),
+        (engine.controller_node(domain, ControllerId(1)), honest.clone()),
+        (engine.controller_node(domain, ControllerId(1)), honest),
+    ];
+    let at = engine.now() + SimDuration::from_millis(10);
+    for (from, dealing) in injected {
+        for c in members.iter().map(|&c| ControllerId(c)) {
+            let to = engine.controller_node(domain, c);
+            let phase = Phase(1);
+            engine.inject_raw(at, from, to, Net::Reshare { phase, dealing: dealing.clone() });
+        }
+    }
+    let add = OrderedOp::AddController(ControllerId(6));
+    engine.inject_membership(at + SimDuration::from_millis(10), domain, add);
+    engine.run(at + SimDuration::from_secs(5));
+    for c in members.iter().map(|&c| ControllerId(c)) {
+        let (pk, phase, active) = engine.with_controller(domain, c, |ctrl| {
+            (ctrl.group().public_key(), ctrl.view().phase(), ctrl.is_active())
+        });
+        assert!(active, "{c:?} active");
+        assert_eq!(phase, Phase(1), "{c:?} re-keyed");
+        assert_eq!(pk, pk_before, "{c:?} sees the same group key");
+    }
+    for s in &switches {
+        assert_eq!(engine.with_switch(*s, |a| a.phase_info().phase), Phase(1), "{s:?}");
+    }
+}
+
+/// The phase notice takes one path at every level: below `Real`, and in
+/// the unauthenticated baselines, it is share-signed and collected like the
+/// threshold-signed one.
+#[test]
+fn every_replicated_mode_brings_its_switches_the_phase_notice_under_modeled_crypto() {
+    for mode in Mode::ALL.into_iter().filter(|m| *m != Mode::Centralized) {
+        let topo = Topology::single_pod(2, 2, 2);
+        let mut engine = harness::build_engine_cfg(EngineConfig::for_mode(mode), &topo, 1);
+        let at = engine.now() + SimDuration::from_millis(1);
+        engine.inject_membership(at, DomainId(0), OrderedOp::AddController(ControllerId(5)));
+        engine.run(at + SimDuration::from_secs(2));
+        for s in topo.switches() {
+            let phase = engine.with_switch(s.id, |a| a.phase_info().phase);
+            assert_eq!(phase, Phase(1), "{}: {:?}", mode.label(), s.id);
+        }
     }
 }
 

@@ -852,6 +852,7 @@ mod transport_sender {
     use super::*;
     use bft::message::{BftMessage, BftPayload, Slot};
     use cicero_core::msg::{OrderedOp, PhaseInfo};
+    use controller::membership::ControlPlaneView;
     use simnet::fault::FaultPlan;
     use simnet::node::NodeId;
 
@@ -985,6 +986,106 @@ mod transport_sender {
             let phase = engine.with_switch(s.id, |a| a.phase_info().phase);
             assert_eq!(phase, Phase(1), "switch {:?} never got the notice", s.id);
         }
+    }
+
+    /// Member 2 — the lowest slot but the aggregator's own — is Byzantine.
+    /// Its genuine partial over the new phase notice never reaches the
+    /// aggregator (their link fails as the reshare completes); a junk one,
+    /// under its own index and over its own channel, does, before the
+    /// change completes and again after. Kept last-wins and aggregated from
+    /// the lowest `quorum` slots with no fallback, the junk would be in
+    /// every aggregate and no switch would ever learn the new phase;
+    /// collected, it is evicted and the others certify.
+    #[test]
+    fn a_members_junk_in_a_lowest_slot_cannot_starve_the_phase_notice() {
+        let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
+        let build = || {
+            let mut cfg = EngineConfig::for_mode(Mode::CICERO);
+            cfg.crypto = CryptoMode::Real;
+            let topo = Topology::single_pod(2, 2, 2);
+            let mut engine = harness::build_engine_cfg(cfg, &topo, 1);
+            engine.inject_membership(ms(1), D, OrderedOp::AddController(ControllerId(5)));
+            (engine, topo)
+        };
+        // When member 2 completes the reshare, in an honest run.
+        let (mut honest, _) = build();
+        honest.run(ms(50));
+        let member = ctrl(&honest, 2);
+        let done = |o: &&simnet::sim::Observation<Obs>| {
+            o.node == member && matches!(o.value, Obs::PhaseChanged { .. })
+        };
+        let rekeyed = honest.observations().iter().find(done).expect("member 2 re-keys").at;
+
+        let (mut engine, topo) = build();
+        let aggregator = ctrl(&engine, 1);
+        let cut = FaultPlan::none().with_severed_window(member, aggregator, rekeyed, ms(1000));
+        engine.set_faults(cut);
+        let info = PhaseInfo {
+            phase: Phase(1),
+            quorum: 2,
+            aggregator: ControllerId(1),
+        };
+        for (seq, at) in [(1, ms(1)), (2, rekeyed + SimDuration::from_millis(1))] {
+            let junk = ShareSigned {
+                payload: info,
+                phase: info.phase,
+                msg_id: MsgId { origin: 2, seq },
+                partial: PartialSignature {
+                    index: 2,
+                    sig: g1_generator().to_affine(),
+                },
+            };
+            engine.inject_raw(at, member, aggregator, Net::PhasePartial(junk));
+        }
+        engine.run(ms(50));
+        for s in topo.switches() {
+            let phase = engine.with_switch(s.id, |a| a.phase_info().phase);
+            assert_eq!(phase, Phase(1), "switch {:?} never got the notice", s.id);
+        }
+    }
+
+    /// A joiner adopts the view its domain's bootstrap controller sends it,
+    /// and no other: not one a switch or another member made up.
+    #[test]
+    fn only_the_bootstrap_controller_can_hand_a_standby_its_view() {
+        let topo = Topology::single_pod(2, 2, 2);
+        let mut engine = harness::build_engine_cfg(EngineConfig::for_mode(Mode::CICERO), &topo, 1);
+        let mut view = ControlPlaneView::initial(4);
+        view.add(ControllerId(1), ControllerId(5)).expect("the next identifier");
+        let standby = ctrl(&engine, 5);
+        let active = |e: &mut Engine| e.with_controller(D, ControllerId(5), |a| a.is_active());
+        let mut at = SimTime::ZERO + SimDuration::from_millis(1);
+        for from in [engine.switch_node(SwitchId(1)), ctrl(&engine, 2), ENVIRONMENT] {
+            engine.inject_raw(at, from, standby, Net::StateSync { view: view.clone() });
+            engine.run(at + SimDuration::from_millis(1));
+            assert!(!active(&mut engine), "adopted a view from {from:?}");
+            at = engine.now() + SimDuration::from_millis(1);
+        }
+        engine.inject_raw(at, ctrl(&engine, 1), standby, Net::StateSync { view });
+        engine.run(at + SimDuration::from_millis(1));
+        assert!(active(&mut engine), "the bootstrap's view is adopted");
+    }
+
+    /// A membership command is the operator's, from outside the fabric: a
+    /// switch cannot have a controller removed through consensus.
+    #[test]
+    fn only_the_operator_can_propose_a_membership_change() {
+        let mut cfg = EngineConfig::for_mode(Mode::CICERO);
+        cfg.controllers_per_domain = 5;
+        let topo = Topology::single_pod(2, 2, 2);
+        let mut engine = harness::build_engine_cfg(cfg, &topo, 0);
+        let members = |e: &mut Engine| e.with_controller(D, ControllerId(1), |a| a.view().len());
+        let remove = || Net::MembershipCmd(OrderedOp::RemoveController(ControllerId(3)));
+        let at = SimTime::ZERO + SimDuration::from_millis(1);
+        for c in 1..=5 {
+            engine.inject_raw(at, engine.switch_node(SwitchId(1)), ctrl(&engine, c), remove());
+        }
+        engine.run(at + SimDuration::from_millis(100));
+        assert_eq!(members(&mut engine), 5, "a switch proposed a removal");
+        let at = engine.now() + SimDuration::from_millis(1);
+        engine.inject_raw(at, ENVIRONMENT, ctrl(&engine, 1), remove());
+        engine.run(at + SimDuration::from_millis(100));
+        assert_eq!(members(&mut engine), 4, "the operator's removal goes through");
     }
 
     /// Runs `engine`'s one cross-rack flow; the first update it applies, as
