@@ -143,6 +143,9 @@ pub struct Replica<P> {
     entries: BTreeMap<Seq, Entry<P>>,
     last_delivered: Seq,
     pending: VecDeque<(Digest, P)>,
+    /// The digests of `pending` this replica submitted itself, not only
+    /// heard of in another replica's `Forward`.
+    submitted: BTreeSet<Digest>,
     /// Digest → sequence of proposals in the *current view* (cleared on
     /// view entry). Used both for dedup and to re-broadcast a pre-prepare
     /// when a backup re-forwards a request it missed the proposal for.
@@ -175,6 +178,7 @@ impl<P: BftPayload> Replica<P> {
             entries: BTreeMap::new(),
             last_delivered: 0,
             pending: VecDeque::new(),
+            submitted: BTreeSet::new(),
             proposed_this_view: BTreeMap::new(),
             delivered_digests: BTreeSet::new(),
             ticks_waiting: 0,
@@ -246,6 +250,7 @@ impl<P: BftPayload> Replica<P> {
             e.delivered = true;
             self.delivered_digests.insert(digest);
             self.pending.retain(|(d, _)| *d != digest);
+            self.submitted.remove(&digest);
             self.last_delivered = self.last_delivered.max(seq);
         }
         for seq in 1..=self.last_delivered {
@@ -326,14 +331,26 @@ impl<P: BftPayload> Replica<P> {
     /// the primary proposes it, and every backup tracks it in its pending
     /// set so that a faulty primary makes the whole group — not just the
     /// submitter — time out and change views.
+    ///
+    /// Submitting again a request this replica submitted before and has not
+    /// delivered is its client retransmitting: the `Forward` may have been
+    /// lost on the way to the primary, so it is broadcast again, and a
+    /// primary proposes it again (re-sending the binding it already made).
+    /// A request first heard of in another replica's `Forward` is that
+    /// replica's to re-send.
     pub fn submit(&mut self, payload: P) -> Vec<Output<P>> {
         let digest = payload.digest();
-        if self.delivered_digests.contains(&digest)
-            || self.pending.iter().any(|(d, _)| *d == digest)
-        {
+        if self.delivered_digests.contains(&digest) {
             return Vec::new();
         }
-        self.pending.push_back((digest, payload.clone()));
+        let pending = self.pending.iter().any(|(d, _)| *d == digest);
+        let again = !self.submitted.insert(digest);
+        if pending && !again {
+            return Vec::new();
+        }
+        if !pending {
+            self.pending.push_back((digest, payload.clone()));
+        }
         let mut out = vec![Output::Broadcast(BftMessage::Forward {
             payload: payload.clone(),
         })];
@@ -522,6 +539,7 @@ impl<P: BftPayload> Replica<P> {
             if let Slot::Payload(payload) = slot {
                 let digest = payload.digest();
                 self.pending.retain(|(d, _)| *d != digest);
+                self.submitted.remove(&digest);
                 // Execution-layer dedup (as in PBFT): a request re-proposed
                 // across views may commit at two sequence numbers; only its
                 // first occurrence is delivered.

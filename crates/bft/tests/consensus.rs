@@ -84,6 +84,16 @@ impl TestNet {
         }
     }
 
+    /// Processes messages in send order until the wire is quiet, with no
+    /// clock tick: no view change can come to the rescue.
+    fn flush(&mut self) {
+        while !self.queue.is_empty() {
+            let (from, to, msg) = self.queue.remove(0);
+            let outs = self.replicas[to.0 as usize].handle(from, msg);
+            self.apply(to, outs);
+        }
+    }
+
     /// Asserts all correct replicas delivered the same ordered sequence and
     /// returns it.
     fn assert_agreement(&self) -> Vec<u64> {
@@ -133,6 +143,28 @@ fn duplicate_submissions_deliver_once() {
     net.drain(&mut None);
     let order = net.assert_agreement();
     assert_eq!(order, vec![7]);
+}
+
+/// A backup's request whose one `Forward` to the primary is lost is not
+/// stranded: submitting it again (its client retransmits) re-sends the
+/// `Forward`, and the primary proposes it.
+#[test]
+fn a_resubmission_re_forwards_a_request_whose_forward_was_lost() {
+    let mut net = TestNet::new(4);
+    net.submit(1, 9);
+    let to_primary = |&(_, to, ref msg): &(ReplicaId, ReplicaId, BftMessage<u64>)| {
+        to == ReplicaId(0) && matches!(msg, BftMessage::Forward { .. })
+    };
+    net.queue.retain(|m| !to_primary(m));
+    net.flush();
+    assert!(net.delivered.iter().all(Vec::is_empty), "nobody has proposed it");
+    net.submit(1, 9);
+    net.flush();
+    assert_eq!(net.assert_agreement(), vec![9]);
+    assert!(net.delivered.iter().all(|log| log.len() == 1), "every replica delivers it");
+    // Delivered, a further submission sends nothing.
+    net.submit(1, 9);
+    assert!(net.queue.is_empty());
 }
 
 #[test]
