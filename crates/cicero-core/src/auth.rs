@@ -5,22 +5,24 @@
 //! CryptoMode)` and its own keys, then signs and verifies through it
 //! without looking at either mode again:
 //!
-//! | mode × crypto | signed envelopes | tagged envelopes | a message verifies if | cost charged, check counted |
+//! | mode × crypto | threshold-signed envelopes | tagged envelopes | a message verifies if | cost charged, check counted |
 //! |---|---|---|---|---|
 //! | unauthenticated baselines | placeholder | zero tag | its sender is in the directory | no |
 //! | signed mode, `Modeled` | placeholder | zero tag | its sender is in the directory | yes |
-//! | signed mode, `Real` | BLS | HMAC-SHA256 | its sender's key (the pair's key) verifies it | yes |
+//! | signed mode, `Real` | BLS shares | HMAC-SHA256 | the group key (the pair's key) verifies it | yes |
 //!
 //! A message is tagged, not signed, iff no third party is ever shown it, nor
-//! any certificate built from it: acks, NACKs, segment reports and Segway
-//! readies. Every pair of identity-key holders shares one key per direction
-//! ([`pair_key`]), derived on first use and cached here.
+//! any certificate built from it: switch events, controller forwards, acks,
+//! NACKs, segment reports and Segway readies. What is signed is what the
+//! paper threshold-signs — updates and phase notices, with a key share —
+//! and nothing is signed with an identity key: that key only derives the
+//! pair keys. Every pair of identity-key holders shares one key per
+//! direction ([`pair_key`]), derived on first use and cached here.
 //!
 //! Who pays how follows the paper's hardware: a switch is one OVS thread,
 //! so each check is serialized CPU, charged here; a controller has 12
 //! cores, so a check is *latency* on whatever it releases
-//! ([`Authenticator::verify_latency`], [`Authenticator::verify_tag`],
-//! [`Authenticator::quorum_cost`]).
+//! ([`Authenticator::verify_tag`], [`Authenticator::quorum_cost`]).
 //!
 //! A membership change (paper §4.3) runs through here too, the same steps
 //! at every level: [`Authenticator::start_rekey`] deals this member's share
@@ -45,17 +47,17 @@ use controller::membership::ControlPlaneView;
 use simnet::node::{Host, NodeId};
 use simnet::time::SimDuration;
 use southbound::codec::Wire;
-use southbound::envelope::{MsgId, QuorumSigned, ShareSigned, Signed, Tagged};
+use southbound::envelope::{MsgId, QuorumSigned, ShareSigned, Tagged};
 use southbound::types::{ControllerId, DomainId, Phase, SwitchId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// A party that signs with an identity key or tags with a pair key.
+/// A holder of an identity key: one end of a pair key.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Peer {
-    /// A switch (signs events; tags acks, NACKs and Segway readies).
+    /// A switch (tags events, acks, NACKs and Segway readies).
     Switch(SwitchId),
-    /// A controller (forwarded events).
+    /// A controller (tags forwarded events and segment reports).
     Controller(DomainId, ControllerId),
 }
 
@@ -104,7 +106,7 @@ struct PendingReshare {
     new_cfg: DkgConfig,
 }
 
-/// One actor's signing identity and verification policy. Also owns its
+/// One actor's keys and verification policy. Also owns its
 /// `(origin, seq)` message-id counter and its signature and MAC counters.
 pub struct Authenticator {
     shared: Arc<Shared>,
@@ -185,13 +187,13 @@ impl Authenticator {
         }
     }
 
-    /// Signatures made so far, identity and share alike.
+    /// Threshold-share signatures made so far.
     pub fn signs(&self) -> u64 {
         self.signs
     }
 
-    /// Signature checks performed so far — a single verify and an
-    /// aggregate verify each count one.
+    /// Signature checks performed so far — a certificate's verify and each
+    /// aggregate-and-verify of a collected quorum count one.
     pub fn checks(&self) -> u64 {
         self.checks
     }
@@ -298,31 +300,6 @@ impl Authenticator {
         true
     }
 
-    /// Signs `payload` with this actor's identity key.
-    pub fn sign<T: Wire>(
-        &mut self,
-        ctx: &mut dyn Host<Net, Obs>,
-        label: &str,
-        payload: T,
-        phase: Phase,
-    ) -> Signed<T> {
-        let msg_id = self.next_msg_id();
-        if self.signed() {
-            self.signs += 1;
-            ctx.charge_cpu(self.shared.cfg.costs.event_sign);
-        }
-        if self.level == Level::Real {
-            let key = self.identity.as_ref().expect("real crypto: identity key");
-            return Signed::sign(label, payload, phase, msg_id, key);
-        }
-        Signed {
-            payload,
-            phase,
-            msg_id,
-            signature: self.shared.keys.dummy,
-        }
-    }
-
     /// Signs `payload` with this controller's threshold share, charging a
     /// third of the signing time as CPU (the caller prices all of it as
     /// latency).
@@ -408,32 +385,6 @@ impl Authenticator {
         }
     }
 
-    /// Books one check, and its CPU where a single thread pays for it.
-    fn book_check(&mut self, ctx: &mut dyn Host<Net, Obs>) {
-        if self.signed() {
-            self.checks += 1;
-            if matches!(self.me, Peer::Switch(_)) {
-                ctx.charge_cpu(self.shared.cfg.costs.bls_verify);
-            }
-        }
-    }
-
-    /// Does `msg` verify as signed by `from`? Under `Real` its key must
-    /// verify the envelope; an unknown sender is rejected at every level.
-    pub fn verify<T: Wire>(
-        &mut self,
-        ctx: &mut dyn Host<Net, Obs>,
-        label: &str,
-        msg: &Signed<T>,
-        from: Peer,
-    ) -> bool {
-        self.book_check(ctx);
-        if self.level != Level::Real {
-            return self.in_directory(from);
-        }
-        self.key_of(from).is_some_and(|key| msg.verify_prepared(label, key))
-    }
-
     /// Checks the tag `from` put on `msg` for this actor: `Some` if it
     /// holds, of the latency the check adds to what the message releases —
     /// zero on a switch, whose thread was charged for it as CPU. Under
@@ -462,14 +413,20 @@ impl Authenticator {
         ok.then_some(mac)
     }
 
-    /// Does the aggregate on `msg` verify under this domain's group key?
+    /// Does the aggregate on `msg` verify under this domain's group key? The
+    /// check is CPU where a single thread pays for it (a switch).
     pub fn verify_group<T: Wire>(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
         label: &str,
         msg: &QuorumSigned<T>,
     ) -> bool {
-        self.book_check(ctx);
+        if self.signed() {
+            self.checks += 1;
+            if matches!(self.me, Peer::Switch(_)) {
+                ctx.charge_cpu(self.shared.cfg.costs.bls_verify);
+            }
+        }
         let pk = &self.shared.keys.domains[&self.domain].public_key;
         self.level != Level::Real || msg.verify_prepared(label, pk)
     }
@@ -535,15 +492,6 @@ impl Authenticator {
             self.checks += judged;
         }
         outcome
-    }
-
-    /// Latency of one signature verification on a controller.
-    pub fn verify_latency(&self) -> SimDuration {
-        if self.signed() {
-            self.shared.cfg.costs.bls_verify
-        } else {
-            SimDuration::ZERO
-        }
     }
 
     /// Price of the work behind a quorum outcome: CPU on a switch, latency

@@ -140,14 +140,13 @@ pub enum CryptoMode {
 pub struct CostModel {
     /// Switch: handling any control-plane message (parse, table access).
     pub switch_msg: SimDuration,
-    /// Switch: signing an event (G1 scalar multiplication).
-    pub event_sign: SimDuration,
     /// Switch/controller: verifying a plain BLS signature (2 pairings).
     pub bls_verify: SimDuration,
-    /// Switch/controller: one HMAC-SHA256 tag made or checked over an ack,
-    /// a NACK or a segment report. The paper signs its acks and has no
-    /// counterpart: everywhere this is this code's measured cost, half the
-    /// `hmac_tag_ack` bench median.
+    /// Switch/controller: one HMAC-SHA256 tag made or checked over an event,
+    /// a forward, an ack, a NACK, a segment report or a Segway ready. The
+    /// paper signs its events and acks and has no counterpart: everywhere
+    /// this is this code's measured cost, half the `hmac_tag_ack` bench
+    /// median.
     pub mac: SimDuration,
     /// Aggregating one signature share (Lagrange-weighted G1 mul).
     pub aggregate_per_share: SimDuration,
@@ -187,7 +186,6 @@ impl Default for CostModel {
     fn default() -> Self {
         CostModel {
             switch_msg: SimDuration::from_micros(250),
-            event_sign: SimDuration::from_micros(200),
             bls_verify: SimDuration::from_micros(450),
             mac: SimDuration::from_nanos(1_925),
             aggregate_per_share: SimDuration::from_micros(150),
@@ -221,15 +219,14 @@ impl CostModel {
     /// Used by the Fig. 11d variant that reports per-switch CPU under
     /// measured costs (`bench::fig11d_measured`, which prints it). Refresh
     /// alongside the baseline (a test fails when a literal drifts more than
-    /// 25 % from its median): `event_sign`/`update_sign` ≈ `bls_sign` /
-    /// `threshold_sign_share`, `bls_verify` is `bls_verify_prepared` (a
-    /// node verifies under keys whose line tables it keeps),
+    /// 25 % from its median): `update_sign` ≈ `threshold_sign_share`,
+    /// `bls_verify` is `bls_verify_prepared` (a node verifies under keys
+    /// whose line tables it keeps),
     /// `aggregate_per_share` is `threshold_aggregate_q2 / 2`, `mac` (as in the
     /// default) `hmac_tag_ack / 2`, `batch_verify_per_item` `batch_verify_64 / 64`.
     #[must_use]
     pub fn measured() -> Self {
         CostModel {
-            event_sign: SimDuration::from_micros(265),
             bls_verify: SimDuration::from_micros(1390),
             aggregate_per_share: SimDuration::from_micros(75),
             batch_verify_per_item: SimDuration::from_micros(615),
@@ -255,7 +252,7 @@ pub struct ReliabilityConfig {
     /// before a waiting barrier or parked Segway body first asks.
     pub retry_base: SimDuration,
     /// Retransmissions allowed per update before it is reported failed, and
-    /// per signed event, barrier query or ready query before it is given up.
+    /// per event, barrier query or ready query before it is given up.
     pub retry_budget: u32,
     /// NACKs allowed per update bucket.
     pub nack_budget: u32,
@@ -450,7 +447,6 @@ mod tests {
         };
         let m = CostModel::measured();
         for (field, literal, bench_ns) in [
-            ("event_sign", m.event_sign, ns("bls_sign")),
             ("update_sign", m.update_sign, ns("threshold_sign_share")),
             ("bls_verify", m.bls_verify, ns("bls_verify_prepared")),
             (

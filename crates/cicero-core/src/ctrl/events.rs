@@ -16,7 +16,7 @@ use controller::pending::Retry;
 use controller::scheduler::{project, Projected, ScheduledUpdate};
 use simnet::node::{Host, NodeId};
 use simnet::time::SimDuration;
-use southbound::envelope::Signed;
+use southbound::envelope::{MsgId, Tagged};
 use southbound::types::{
     ControllerId, DomainId, Event, EventId, EventKind, NetworkUpdate, SwitchId, UpdateId,
 };
@@ -28,7 +28,8 @@ use std::collections::BTreeSet;
 /// ([`ControllerActor::sweep_forwards`]).
 pub(super) struct Forward {
     /// The event as this controller forwards it: `origin` is its own
-    /// domain, whose key the receivers check the signature against.
+    /// domain, which with the id's origin names the sender whose tag the
+    /// receivers check.
     event: Event,
     /// The domains the schedule waits on.
     downstream: BTreeSet<DomainId>,
@@ -137,9 +138,7 @@ impl ControllerActor {
             self.hold_at_controller(ctx, &event, projected)
         };
         let admitted = self.pending.admit(schedule, ctx.now());
-        // The event's signature check is latency, not serialized CPU, on the
-        // paper's 12-core controllers: it rides on the pipeline delay.
-        let pipeline = self.shared.cfg.costs.event_pipeline + self.auth.verify_latency();
+        let pipeline = self.shared.cfg.costs.event_pipeline;
         // An update its switch acknowledged before this controller got here
         // is done: what its ack does, minus anything to send for it.
         for &update in &admitted.retired {
@@ -201,11 +200,23 @@ impl ControllerActor {
                 forwarded: true,
                 ..*event
             };
-            let signed = self.auth.sign(ctx, labels::FORWARD, fwd, self.view.phase());
-            ctx.send(
-                self.shared.dir.controller(d, target),
-                Net::ForwardedEvent(signed),
-            );
+            let msg_id = self.auth.next_msg_id();
+            self.send_forward(ctx, fwd, msg_id, d, target);
+        }
+    }
+
+    /// Sends `event` to controller `c` of domain `d`, tagged for it alone.
+    pub(super) fn send_forward(
+        &mut self,
+        ctx: &mut dyn Host<Net, Obs>,
+        event: Event,
+        msg_id: MsgId,
+        d: DomainId,
+        c: ControllerId,
+    ) {
+        let (to, phase) = (Peer::Controller(d, c), self.view.phase());
+        if let Some(tagged) = self.auth.tag(ctx, labels::FORWARD, event, phase, msg_id, to) {
+            self.send_remote(ctx, d, c, Net::ForwardedEvent(tagged));
         }
     }
 
@@ -213,21 +224,21 @@ impl ControllerActor {
     /// of the domains it waits on. The one message answers both things a
     /// waiting controller can lack: a domain that never heard of the event
     /// delivers it, one that did answers with the segment reports it kept
-    /// ([`Self::answer_reforward`]). Signed at the first re-send, then kept;
-    /// a spent budget stops the re-sending and the schedule waits quietly.
+    /// ([`Self::answer_reforward`]). Its id is drawn at the first re-send
+    /// and kept, and each re-send tags one copy per current member; a spent
+    /// budget stops the re-sending and the schedule waits quietly.
     pub(super) fn sweep_forwards(&mut self, ctx: &mut dyn Host<Net, Obs>) {
         for r in self.forwards.sweep(ctx.now()) {
             let Retry::Resend(event, attempt) = r else {
                 continue;
             };
             let fwd = self.forwards.get(&event).expect("re-sent, so kept");
-            let (auth, phase, body) = (&mut self.auth, self.view.phase(), fwd.event);
-            let sign = || Some(auth.sign(ctx, labels::FORWARD, body, phase));
-            let (signed, _) = self.forwards_sent.resend(&event, |_| true, sign).expect("reserved");
-            let signed = signed.clone();
-            for d in fwd.downstream.clone() {
-                for &c in self.remote_members.get(&d).into_iter().flatten() {
-                    self.send_remote(ctx, d, c, Net::ForwardedEvent(signed.clone()));
+            let (body, downstream, auth) = (fwd.event, fwd.downstream.clone(), &mut self.auth);
+            let id = || Some(auth.next_msg_id());
+            let (&msg_id, _) = self.forwards_sent.resend(&event, |_| true, id).expect("reserved");
+            for d in downstream {
+                for c in self.remote_members.get(&d).cloned().unwrap_or_default() {
+                    self.send_forward(ctx, body, msg_id, d, c);
                 }
             }
             ctx.observe(Obs::ForwardRetransmitted {
@@ -302,11 +313,16 @@ impl ControllerActor {
         }
     }
 
+    /// A switch's event or another domain's forward. A replay of a
+    /// processed event is dropped unchecked (a re-forward is answered);
+    /// otherwise it counts only over the channel of the sender its id names
+    /// — the switch, or the forwarding controller of the event's `origin`
+    /// domain — and only if that sender's tag for this controller holds.
     pub(super) fn on_event_msg(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
         from: NodeId,
-        msg: Signed<Event>,
+        msg: Tagged<Event>,
         forwarded: bool,
     ) {
         if !self.active {
@@ -314,21 +330,25 @@ impl ControllerActor {
         }
         ctx.charge_cpu(self.shared.cfg.costs.ctrl_msg);
         // A replay of a processed event cannot change anything: drop it
-        // before paying for its signature. A re-forward of one asks for
-        // what its sender still waits on here.
+        // before paying for its tag. A re-forward of one asks for what its
+        // sender still waits on here.
         if self.seen_events.contains(&msg.payload.id) {
             if forwarded {
                 self.answer_reforward(ctx, from, msg.payload.id);
             }
             return;
         }
-        let (label, from) = if forwarded {
+        let (label, sender) = if forwarded {
             let sender = Peer::Controller(msg.payload.origin, ControllerId(msg.msg_id.origin));
             (labels::FORWARD, sender)
         } else {
             (labels::EVENT, Peer::Switch(SwitchId(msg.msg_id.origin)))
         };
-        if !self.auth.verify(ctx, label, &msg, from) {
+        // On the paper's 12-core controllers the tag check is latency, not
+        // serialized CPU — `mac`, nothing beside the event pipeline.
+        if self.shared.dir.peer(from) != Some(sender)
+            || self.auth.verify_tag(ctx, label, &msg, sender).is_none()
+        {
             return;
         }
         // Forward to other affected domains at *receipt* rather than after

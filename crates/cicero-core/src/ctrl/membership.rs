@@ -59,10 +59,8 @@ impl ControllerActor {
                 .collect();
             for d in domains {
                 if let Some(target) = self.remote_members[&d].first().copied() {
-                    let signed = self
-                        .auth
-                        .sign(ctx, labels::FORWARD, event, self.view.phase());
-                    ctx.send(self.shared.dir.controller(d, target), Net::ForwardedEvent(signed));
+                    let msg_id = self.auth.next_msg_id();
+                    self.send_forward(ctx, event, msg_id, d, target);
                 }
             }
             // State sync for a joiner.

@@ -47,7 +47,7 @@ use controller::scheduler::{ReversePathScheduler, UpdateScheduler};
 use simnet::node::{Actor, Host, NodeId, TimerToken};
 use simnet::sim::ENVIRONMENT;
 use simnet::time::SimDuration;
-use southbound::envelope::{QuorumSigned, ShareSigned, Signed};
+use southbound::envelope::{MsgId, QuorumSigned, ShareSigned};
 use southbound::types::{
     ControllerId, DomainId, Event, EventId, Phase, SwitchId, UpdateId,
 };
@@ -97,9 +97,10 @@ pub struct ControllerActor {
     /// kept until no update of the event is outstanding: on expiry it is
     /// re-sent to every member of the domains waited on.
     forwards: RetryTable<EventId, Forward>,
-    /// The signed copy of each of `forwards`, made at its first re-send and
-    /// re-sent as-is by every later one; pruned with them at each sweep.
-    forwards_sent: Kept<EventId, Signed<Event>>,
+    /// The message id of each of `forwards`, drawn at its first re-send and
+    /// kept for every later one (each re-tags the body for its readers);
+    /// pruned with them at each sweep.
+    forwards_sent: Kept<EventId, MsgId>,
     /// Own segments foreign updates depend on, not yet fully switch-acked.
     seg_watch: BTreeMap<(EventId, u32), SegWatch>,
     /// Drained own segments' reports, kept to answer upstream re-forwards:

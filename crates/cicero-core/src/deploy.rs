@@ -58,7 +58,7 @@ pub struct Outstanding {
     pub waiting: usize,
     /// Updates abandoned after retry-budget exhaustion.
     pub failed: usize,
-    /// Signed events a switch is still retransmitting. (A Segway body
+    /// Events a switch is still retransmitting. (A Segway body
     /// parked on a missing ready shows as its controllers' `unacked`.)
     pub events: usize,
     /// Controllers still state-syncing after a restart.
@@ -443,8 +443,8 @@ pub fn plan(
         let bootstrap = ControlPlaneView::initial(controllers_per_domain).bootstrap();
         bootstrap_nodes.insert(d, dir.controller(d, bootstrap));
         for c in (1..=controllers_per_domain + standby_controllers).map(ControllerId) {
-            // Standbys hold no key material until a membership change
-            // deals them a share.
+            // Standbys hold an identity key but no threshold share until a
+            // membership change deals them one.
             let active = c.0 <= controllers_per_domain;
             let share = secrets.domain_dkg.get(&d).filter(|_| active);
             nodes.push(NodeSeed {

@@ -69,7 +69,7 @@ const SLICE_EVENT_BUDGET: u64 = 1_000_000;
 /// A run *completes* when every injected flow resolved (completed or
 /// denied) and no reliable-delivery work is outstanding anywhere — no
 /// unacked or dependency-blocked update at any controller, no pending
-/// signed event at any switch. It *stalls* when the watchdog sees
+/// event at any switch. It *stalls* when the watchdog sees
 /// `WATCHDOG_STALL_SLICES` consecutive progress-free slices (or a drained
 /// event queue) while work is still outstanding, or when one slice spends
 /// `SLICE_EVENT_BUDGET` events without reaching its end (simulated time

@@ -14,7 +14,7 @@
 //!   collector the switch, the cross-domain handshake and the aggregator
 //!   share;
 //! * [`switch`] — the switch runtime (paper Fig. 6): table misses raise
-//!   signed events; share-signed updates are buffered until a quorum of
+//!   tagged events; share-signed updates are buffered until a quorum of
 //!   identical updates, aggregated, verified against the group public key,
 //!   applied and acknowledged;
 //! * [`ctrl`] — the controller runtime (paper Figs. 7–8): PBFT-ordered

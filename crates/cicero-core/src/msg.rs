@@ -6,7 +6,7 @@ use blscrypto::reshare::ReshareDealing;
 use blscrypto::sha256::sha256_parts;
 use simnet::time::{SimDuration, SimTime};
 use southbound::codec::Wire;
-use southbound::envelope::{QuorumSigned, ShareSigned, Signed, Tagged};
+use southbound::envelope::{QuorumSigned, ShareSigned, Tagged};
 use southbound::types::{
     ControllerId, DomainId, Event, EventId, FlowId, HostId, NetworkUpdate, Phase, SwitchId,
     UpdateId,
@@ -282,13 +282,16 @@ pub enum Net {
         /// Destination host.
         dst: HostId,
     },
-    /// Switch → controller(s): a signed data-plane event.
-    EventMsg(Signed<Event>),
-    /// Controller → controller: a signed cross-domain event forward
-    /// (paper §4.1, tagged `forwarded` inside the event). Re-sent by every
-    /// controller still waiting on the receiver's domain; to a receiver that
-    /// has delivered the event, the re-send asks for its segment reports.
-    ForwardedEvent(Signed<Event>),
+    /// Switch → one controller: a data-plane event, tagged under the pair's
+    /// key (one body and id, one copy per controller it goes to; re-sent
+    /// re-tagged under the same id).
+    EventMsg(Tagged<Event>),
+    /// Controller → one controller of another domain: a cross-domain event
+    /// forward (paper §4.1, marked `forwarded` inside the event), tagged
+    /// under the pair's key. Re-sent by every controller still waiting on
+    /// the receiver's domain; to a receiver that has delivered the event,
+    /// the re-send asks for its segment reports.
+    ForwardedEvent(Tagged<Event>),
     /// Controller ↔ controller: consensus traffic. Tagged with the sender's
     /// membership phase so messages from a superseded consensus group are
     /// discarded after a membership change.
@@ -347,7 +350,7 @@ pub enum Net {
     /// Aggregator → switches: the quorum-signed phase notice.
     PhaseNotice(QuorumSigned<PhaseInfo>),
     /// Harness → switch: a physical port/link went down; the switch raises
-    /// a signed `LinkFailure` event (paper Fig. 2).
+    /// a `LinkFailure` event (paper Fig. 2).
     LinkDown {
         /// One endpoint (the receiving switch).
         a: SwitchId,

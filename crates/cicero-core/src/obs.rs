@@ -103,7 +103,7 @@ pub enum Obs {
         /// The re-acknowledged update.
         update: UpdateId,
     },
-    /// A switch retransmitted a signed event that has not produced a rule
+    /// A switch retransmitted an event that has not produced a rule
     /// yet (event-loss recovery).
     EventRetransmitted {
         /// The switch.

@@ -20,7 +20,7 @@ use southbound::types::{ControllerId, DomainId, SwitchId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Signing-envelope labels (domain separation).
+/// Envelope labels (domain separation of signatures and tags).
 pub mod labels {
     /// Switch-originated events.
     pub const EVENT: &str = "CICERO_EVENT_V1";
@@ -121,7 +121,7 @@ pub struct DomainKeys {
 pub struct KeyMaterial {
     /// Event-source (switch) identity public keys.
     pub switch_pk: BTreeMap<SwitchId, PreparedKey>,
-    /// Controller identity public keys (for forwarded events, state sync).
+    /// Controller identity public keys, standbys included.
     pub controller_pk: BTreeMap<(DomainId, ControllerId), PreparedKey>,
     /// Per-domain threshold material.
     pub domains: BTreeMap<DomainId, DomainKeys>,
@@ -194,7 +194,7 @@ impl Shared {
 pub struct SecretStore {
     /// Switch identity secret keys (moved into switch actors at build).
     pub switch_sk: BTreeMap<SwitchId, SecretKey>,
-    /// Controller identity secret keys.
+    /// Controller identity secret keys, standbys included.
     pub controller_sk: BTreeMap<(DomainId, ControllerId), SecretKey>,
     /// Per-domain DKG outputs (shares moved into controller actors).
     pub domain_dkg: BTreeMap<DomainId, DkgOutput>,
@@ -205,9 +205,10 @@ pub struct SecretStore {
 /// In `Real` mode this performs actual key generation and a DKG per domain
 /// (what the paper's deployment does once at bootstrap); in `Modeled` mode
 /// identity placeholders are produced so that large benchmark runs skip the
-/// curve math entirely. `dir` names each domain's bootstrap members. No MAC
-/// key is dealt: each pair derives its own from the identity keys
-/// ([`crate::auth::pair_key`]).
+/// curve math entirely. `dir` names each domain's bootstrap members and its
+/// standbys; a standby draws its identity secret after every other draw, so
+/// no other key depends on how many there are. No MAC key is dealt: each
+/// pair derives its own from the identity keys ([`crate::auth::pair_key`]).
 pub fn bootstrap_keys(
     crypto: CryptoMode,
     switches: &[SwitchId],
@@ -223,25 +224,13 @@ pub fn bootstrap_keys(
     };
     let mut secrets = SecretStore::default();
     let real = crypto == CryptoMode::Real;
-    let placeholder = PublicKey(blscrypto::curves::G2Affine::identity());
     for &s in switches {
-        if real {
-            let sk = SecretKey::generate(&mut rng);
-            material.switch_pk.insert(s, sk.public_key().into());
-            secrets.switch_sk.insert(s, sk);
-        } else {
-            material.switch_pk.insert(s, placeholder.into());
-        }
+        draw_identity(real, s, &mut material.switch_pk, &mut secrets.switch_sk, &mut rng);
     }
+    let (pks, sks) = (&mut material.controller_pk, &mut secrets.controller_sk);
     for (&d, members) in &dir.initial_members {
         for &c in members {
-            if real {
-                let sk = SecretKey::generate(&mut rng);
-                material.controller_pk.insert((d, c), sk.public_key().into());
-                secrets.controller_sk.insert((d, c), sk);
-            } else {
-                material.controller_pk.insert((d, c), placeholder.into());
-            }
+            draw_identity(real, (d, c), pks, sks, &mut rng);
         }
         let n = members.len() as u32;
         let t = (n.saturating_sub(1)) / 3;
@@ -267,7 +256,31 @@ pub fn bootstrap_keys(
             );
         }
     }
+    for &standby in dir.controller_node.keys() {
+        if !material.controller_pk.contains_key(&standby) {
+            let (pks, sks) = (&mut material.controller_pk, &mut secrets.controller_sk);
+            draw_identity(real, standby, pks, sks, &mut rng);
+        }
+    }
     (material, secrets)
+}
+
+/// One identity key of `who`: a secret drawn under `Real`, a placeholder
+/// public key (and no draw) otherwise.
+fn draw_identity<K: Ord + Copy>(
+    real: bool,
+    who: K,
+    pks: &mut BTreeMap<K, PreparedKey>,
+    sks: &mut BTreeMap<K, SecretKey>,
+    rng: &mut StdRng,
+) {
+    if !real {
+        pks.insert(who, PublicKey(blscrypto::curves::G2Affine::identity()).into());
+        return;
+    }
+    let sk = SecretKey::generate(rng);
+    pks.insert(who, sk.public_key().into());
+    sks.insert(who, sk);
 }
 
 #[cfg(test)]
@@ -304,6 +317,28 @@ mod tests {
         assert_eq!(mat.domains.len(), 2);
         assert!(sec.switch_sk.is_empty() && sec.controller_sk.is_empty());
         assert_eq!(mat.domains[&DomainId(0)].group.config.quorum(), 2);
+    }
+
+    #[test]
+    fn standbys_draw_their_identity_keys_last() {
+        let switches: Vec<SwitchId> = (0..4).map(SwitchId).collect();
+        let mut dir = directory(&switches, 2);
+        let bootstrap_only = bootstrap_keys(CryptoMode::Real, &switches, &dir, 7);
+        let standby = (DomainId(0), ControllerId(5));
+        dir.controller_node.insert(standby, NodeId(99));
+        let (mat, sec) = bootstrap_keys(CryptoMode::Real, &switches, &dir, 7);
+        let (was, _) = &bootstrap_only;
+        let pk = |k: &PreparedKey| k.key();
+        assert!(mat.switch_pk.iter().all(|(s, k)| pk(k) == pk(&was.switch_pk[s])));
+        for (who, k) in &was.controller_pk {
+            assert_eq!(pk(k), pk(&mat.controller_pk[who]), "{who:?} moved");
+        }
+        for (d, keys) in &was.domains {
+            assert_eq!(pk(&keys.public_key), pk(&mat.domains[d].public_key), "{d:?} moved");
+        }
+        assert_eq!(sec.controller_sk[&standby].public_key(), pk(&mat.controller_pk[&standby]));
+        let (mat, sec) = bootstrap_keys(CryptoMode::Modeled, &switches, &dir, 7);
+        assert!(mat.controller_pk.contains_key(&standby) && sec.controller_sk.is_empty());
     }
 
     #[test]

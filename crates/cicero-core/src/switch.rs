@@ -1,6 +1,6 @@
 //! The switch protocol runtime (paper Fig. 6 and §5.2).
 //!
-//! Switches forward flows from their tables, raise signed `PacketIn` events
+//! Switches forward flows from their tables, raise tagged `PacketIn` events
 //! on misses, buffer share-signed updates until a quorum of *identical*
 //! updates arrives, aggregate-and-verify against the group public key, apply,
 //! and acknowledge. The runtime is deliberately minimal — the paper's design
@@ -19,10 +19,10 @@ use netmodel::flowtable::{FlowTable, Lookup};
 use simnet::node::{Actor, Host, NodeId, TimerToken};
 use simnet::time::{SimDuration, SimTime};
 use southbound::codec::Wire;
-use southbound::envelope::{Signed, Tagged};
+use southbound::envelope::{MsgId, Tagged};
 use southbound::types::{
-    DomainId, Event, EventId, EventKind, FlowAction, FlowId, FlowMatch, HostId, NetworkUpdate,
-    Phase, SwitchId, UpdateId, UpdateKind,
+    ControllerId, DomainId, Event, EventId, EventKind, FlowAction, FlowId, FlowMatch, HostId,
+    NetworkUpdate, Phase, SwitchId, UpdateId, UpdateKind,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -34,17 +34,19 @@ const RETRY: TimerToken = TimerToken(1);
 /// the control plane for the missing shares.
 const NACK_TIMEOUT: SimDuration = SimDuration::from_millis(150);
 
-/// Delay before a switch re-sends an unanswered signed event.
+/// Delay before a switch re-sends an unanswered event.
 const EVENT_RETRY_BASE: SimDuration = SimDuration::from_millis(250);
 
-/// A signed event the switch keeps for retransmission until its effect is
-/// visible in the flow table (reliable delivery layer). `LinkFailure`
+/// An event the switch keeps for retransmission until its effect is
+/// visible in the flow table (reliable delivery layer): its body and id,
+/// re-tagged for the current targets at each re-send. `LinkFailure`
 /// events are deliberately *not* tracked: they have no local effect to
 /// await, and the link-state convergence story is out of scope here (a
 /// documented deviation, see DESIGN.md).
 #[derive(Clone, Debug)]
 struct PendingEvent {
-    signed: Signed<Event>,
+    event: Event,
+    msg_id: MsgId,
     /// The flow-table entry whose appearance (`PacketIn`) or disappearance
     /// (`FlowTeardown`) cancels the retransmission.
     matcher: FlowMatch,
@@ -87,7 +89,7 @@ pub struct SwitchActor {
     applied_signers: BTreeMap<UpdateId, BTreeSet<u32>>,
     phase_info: PhaseInfo,
     event_seq: u64,
-    /// Signed events awaiting their effect.
+    /// Events awaiting their effect.
     pending_events: RetryTable<EventId, PendingEvent>,
     /// NACK (state re-sync request) clocks of below-quorum share buckets.
     nacks: RetryTable<UpdateId, ()>,
@@ -189,7 +191,7 @@ impl SwitchActor {
         }
     }
 
-    /// Signed events still awaiting their effect (watchdog / tests).
+    /// Events still awaiting their effect (watchdog / tests).
     pub fn outstanding_event_count(&self) -> usize {
         self.pending_events.len()
     }
@@ -220,15 +222,19 @@ impl SwitchActor {
         EventId(((self.id.0 as u64) << 32) | self.event_seq)
     }
 
-    /// Where events go: the aggregator (controller aggregation) or the whole
-    /// domain control plane.
-    fn event_targets(&self) -> Vec<NodeId> {
-        let dir = &self.shared.dir;
+    /// The domain's bootstrap controllers: where acks and NACKs go.
+    fn bootstrap(&self) -> Vec<ControllerId> {
+        self.shared.dir.initial_members[&self.domain].clone()
+    }
+
+    /// Where events go: the aggregator (controller aggregation) or the
+    /// domain's bootstrap controllers.
+    fn event_targets(&self) -> Vec<ControllerId> {
         match self.shared.cfg.mode {
             Mode::Cicero {
                 aggregation: Aggregation::Controller,
-            } => vec![dir.controller(self.domain, self.phase_info.aggregator)],
-            _ => dir.domain_controller_nodes(self.domain),
+            } => vec![self.phase_info.aggregator],
+            _ => self.bootstrap(),
         }
     }
 
@@ -239,12 +245,9 @@ impl SwitchActor {
             origin: self.domain,
             forwarded: false,
         };
-        let signed = self
-            .auth
-            .sign(ctx, labels::EVENT, event, self.phase_info.phase);
-        for node in self.event_targets() {
-            ctx.send(node, Net::EventMsg(signed.clone()));
-        }
+        let msg_id = self.auth.next_msg_id();
+        let targets = self.event_targets();
+        self.send_tagged(ctx, labels::EVENT, event, msg_id, &targets, Net::EventMsg);
         // Track events whose effect we can await locally, for
         // retransmission if the control plane never answers.
         if self.shared.cfg.reliability.enabled {
@@ -257,7 +260,8 @@ impl SwitchActor {
             };
             if let Some((matcher, teardown)) = track {
                 let pending = PendingEvent {
-                    signed,
+                    event,
+                    msg_id,
                     matcher,
                     teardown,
                 };
@@ -495,20 +499,21 @@ impl SwitchActor {
         }
     }
 
-    /// Sends `body` to every bootstrap controller of the domain: one
-    /// message id, one tag per recipient under the key shared with it.
+    /// Sends `body` to controllers `to` of the domain: one message id, one
+    /// tag per recipient under the key shared with it.
     fn send_tagged<T: Wire + Copy>(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
         label: &str,
         body: T,
+        msg_id: MsgId,
+        to: &[ControllerId],
         wrap: fn(Tagged<T>) -> Net,
     ) {
         let (domain, phase) = (self.domain, self.phase_info.phase);
-        let msg_id = self.auth.next_msg_id();
-        for &c in &self.shared.dir.initial_members[&domain] {
-            let to = Peer::Controller(domain, c);
-            if let Some(tagged) = self.auth.tag(ctx, label, body, phase, msg_id, to) {
+        for &c in to {
+            let reader = Peer::Controller(domain, c);
+            if let Some(tagged) = self.auth.tag(ctx, label, body, phase, msg_id, reader) {
                 ctx.send(self.shared.dir.controller(domain, c), wrap(tagged));
             }
         }
@@ -516,7 +521,8 @@ impl SwitchActor {
 
     fn send_ack(&mut self, ctx: &mut dyn Host<Net, Obs>, update: NetworkUpdate) {
         let body = AckBody { update: update.id, switch: self.id };
-        self.send_tagged(ctx, labels::ACK, body, Net::AckMsg);
+        let (msg_id, to) = (self.auth.next_msg_id(), self.bootstrap());
+        self.send_tagged(ctx, labels::ACK, body, msg_id, &to, Net::AckMsg);
     }
 
     /// A duplicate of an already-applied update means some controller has
@@ -636,9 +642,8 @@ impl SwitchActor {
                         attempt,
                     });
                     let p = self.pending_events.get(&event).expect("resent, so kept");
-                    for node in self.event_targets() {
-                        ctx.send(node, Net::EventMsg(p.signed.clone()));
-                    }
+                    let (body, msg_id, targets) = (p.event, p.msg_id, self.event_targets());
+                    self.send_tagged(ctx, labels::EVENT, body, msg_id, &targets, Net::EventMsg);
                 }
             }
         }
@@ -672,7 +677,8 @@ impl SwitchActor {
     fn send_nack(&mut self, ctx: &mut dyn Host<Net, Obs>, update: UpdateId, have: u32) {
         let body = NackBody { update, switch: self.id, have };
         ctx.observe(Obs::NackSent { switch: self.id, update, have });
-        self.send_tagged(ctx, labels::NACK, body, Net::UpdateNack);
+        let (msg_id, to) = (self.auth.next_msg_id(), self.bootstrap());
+        self.send_tagged(ctx, labels::NACK, body, msg_id, &to, Net::UpdateNack);
     }
 
     fn on_flow_arrival(

@@ -8,7 +8,7 @@ use netmodel::routing::route;
 use netmodel::topology::Topology;
 use simnet::fault::FaultPlan;
 use simnet::sim::ENVIRONMENT;
-use southbound::envelope::{MsgId, Signed};
+use southbound::envelope::{MsgId, Tagged};
 use southbound::types::{
     ControllerId, DomainId, Event, EventId, EventKind, FlowId, HostId, Phase, SwitchId,
     UpdateId,
@@ -345,7 +345,7 @@ fn restarted_reporter_rebuilds_its_kept_report_and_answers_queries() {
         // delivered it, so it drops the forward unchecked and answers.
         let asker = ControllerId(2);
         let switch = topo.host(src).unwrap().attached;
-        let reforward = Signed {
+        let reforward = Tagged {
             payload: Event {
                 id: event,
                 kind: EventKind::PacketIn { switch, flow: FlowId(1), src, dst },
@@ -354,7 +354,7 @@ fn restarted_reporter_rebuilds_its_kept_report_and_answers_queries() {
             },
             phase: Phase(0),
             msg_id: MsgId { origin: asker.0, seq: 1 },
-            signature: KeyMaterial::dummy_signature(),
+            tag: [0; 32],
         };
         let from = engine.controller_node(up, asker);
         engine.inject_raw(ms(401), from, node, Net::ForwardedEvent(reforward));

@@ -1021,12 +1021,13 @@ fn the_far_domain_accepts_the_middle_domains_reforward_under_real_crypto() {
     assert_no_forward_kept(&mut engine, &[origin, middle, far]);
 }
 
-/// A re-forward never redoes crypto: with every inter-domain controller
-/// link dead, each upstream controller re-forwards the event `retry_budget`
-/// times — all with the forward it signed for its first re-send. The
+/// A re-forward never redoes a signature: with every inter-domain
+/// controller link dead, each upstream controller re-forwards the event
+/// `retry_budget` times — each time the body and id it kept at its first
+/// re-send, re-tagged for the downstream domain's four members. The
 /// forward-stream twin of `retransmissions_resend_the_kept_share_and_sign_nothing`.
 #[test]
-fn reforwards_resend_the_kept_forward_and_sign_once() {
+fn reforwards_resend_the_kept_forward_and_sign_nothing() {
     let mut cfg = EngineConfig::for_mode(Mode::CICERO);
     cfg.crypto = CryptoMode::Real;
     cfg.reliability.retry_budget = 3;
@@ -1036,12 +1037,13 @@ fn reforwards_resend_the_kept_forward_and_sign_once() {
     engine.set_faults(cut_off(&engine, up, &[1, 2, 3, 4], down));
     inject_one_flow(&mut engine, &topo, HostId(2), HostId(0), 1);
     engine.run(SimTime::ZERO + SimDuration::from_secs(10));
-    let signs: Vec<u64> = (1..=4)
-        .map(|c| engine.with_controller(up, ControllerId(c), |a| a.auth().signs()))
+    let made: Vec<(u64, u64)> = (1..=4)
+        .map(|c| engine.with_controller(up, ControllerId(c), |a| (a.auth().signs(), a.auth().tags())))
         .collect();
-    // The upstream schedule is held on the barrier, so nothing else is
-    // signed: the lowest's forward at receipt, and each one's kept forward.
-    assert_eq!(signs, vec![2, 1, 1, 1]);
+    // The upstream schedule is held on the barrier, so nothing is signed,
+    // and the tags are the lowest's forward at receipt (one reader) and
+    // three re-forwards of four copies each.
+    assert_eq!(made, vec![(0, 1 + 3 * 4), (0, 3 * 4), (0, 3 * 4), (0, 3 * 4)]);
     let mut rounds = vec![0; 4];
     for o in engine.observations() {
         if let Obs::ForwardRetransmitted { controller, attempt, .. } = o.value {

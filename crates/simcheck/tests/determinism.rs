@@ -39,7 +39,7 @@
 //! 9, all of `secure`, `recover` and `segway`, the Cicero, Cicero-Agg and
 //! Segway rows of `GOLDEN_ENGINE`): acks and NACKs carry a per-recipient
 //! HMAC tag instead of one BLS signature, so per acknowledged hop the switch
-//! is charged 4 × `mac` instead of `event_sign` (200 µs) and the updates an
+//! is charged 4 × `mac` instead of one BLS sign (200 µs) and the updates an
 //! ack releases leave `mac` instead of `bls_verify` (450 µs) later; and a
 //! retransmitted or NACK-answered update re-sends the share signed for its
 //! first send (same `msg_id`), charging no `update_sign` CPU or latency
@@ -103,7 +103,7 @@
 //! PR 26 re-recorded the seven two-domain, controller-ordered rows (`run` 0,
 //! `secure` 1 and 9, `recover` 0, 4, 7 and 9): a segment report is one body
 //! tagged once per upstream controller (`mac` CPU per copy) instead of one
-//! threshold share (`event_sign` CPU), and an upstream controller checks
+//! threshold share (one BLS sign of CPU), and an upstream controller checks
 //! each report's tag as it arrives (`mac` latency on the release, each
 //! verified sender logged at once) instead of aggregating and verifying a
 //! quorum of shares (`quorum_check` latency, the quorum logged together).
@@ -114,7 +114,7 @@
 //! Tagging the Segway readies re-recorded exactly the eight rows that run
 //! `Mode::Segway` (`run` 9, all five `segway` seeds, both `GOLDEN_ENGINE`
 //! Segway hashes): a release is tagged for its one reader (`mac` CPU at the
-//! releaser instead of `event_sign`) and the released switch checks the tag
+//! releaser instead of a BLS sign) and the released switch checks the tag
 //! (`mac` CPU instead of `bls_verify`), so every gated apply downstream of a
 //! ready happens earlier; a duplicate of an accepted ready is dropped
 //! unchecked. The messages sent and their `msg_id`s are what they were.
@@ -130,6 +130,19 @@
 //! move everything after them. Where no event arrives twice nothing moved:
 //! the other thirteen rows and all of `GOLDEN_ENGINE`, whose five loss-free
 //! hashes include every mode.
+//!
+//! Tagging switch events and controller forwards re-recorded every row whose
+//! run is in a signed mode — seventeen scenario rows (`run` 0 and 9, all of
+//! `secure`, `recover` and `segway`) and the six Cicero, Cicero-Agg and
+//! Segway hashes of `GOLDEN_ENGINE`: a switch tags its event once per
+//! controller it goes to (`mac` CPU per copy) instead of signing it once (200
+//! µs), a controller checks the tag for `mac` instead of a signature, so the
+//! updates an event releases leave `event_pipeline` after delivery rather than
+//! `event_pipeline + bls_verify`, and a forward is tagged for its reader (`mac`
+//! CPU) instead of signed. The messages sent and their `msg_id`s are what
+//! they were. Where authentication is free nothing moved: the seven
+//! unsigned-mode rows (`run` 2, 6 and 42; `Centralized` and `CrashTolerant`
+//! in `GOLDEN_ENGINE`) passed unedited.
 
 use cicero_core::prelude::*;
 use simcheck::{run_scenario_traced, Scenario};
@@ -247,10 +260,10 @@ const GOLDEN_SCENARIOS: [(&str, fn(u64) -> Scenario, [(u64, u64); 5]); 4] = [
         "run",
         Scenario::generate,
         [
-            (0, 0x6c06226bbab39f60),
+            (0, 0x40b8763c4029104b),
             (2, 0x2e0801721cf6f9a9),
             (6, 0x5853bfc85ddecac2),
-            (9, 0x9670d3d8deac1577),
+            (9, 0x8f82b0936dfd83fa),
             (42, 0x391fe47dad025fc0),
         ],
     ),
@@ -258,33 +271,33 @@ const GOLDEN_SCENARIOS: [(&str, fn(u64) -> Scenario, [(u64, u64); 5]); 4] = [
         "secure",
         Scenario::generate_secure,
         [
-            (1, 0xaf6682d4dcdeb609),
-            (2, 0x21a856c09f521b88),
-            (6, 0x915a0f56d9668f2b),
-            (9, 0x5780a3f2fb1ac2dd),
-            (42, 0x3f18bc33e172cde6),
+            (1, 0x1c95f8fc53d61a37),
+            (2, 0x2b2e9addb560b178),
+            (6, 0xb52ed70990aa47f6),
+            (9, 0x29350bf46948414d),
+            (42, 0x21ef5fc1a46c20d0),
         ],
     ),
     (
         "recover",
         Scenario::generate_recovery,
         [
-            (0, 0x27dae0c067bdea61),
-            (4, 0x988cf53ab34051d5),
-            (7, 0x1dfc953cbeacc4bc),
-            (9, 0xee10f6abd2e345f3),
-            (42, 0xecab9411632da6a6),
+            (0, 0x924329d8077f0475),
+            (4, 0x25b89168986e4d52),
+            (7, 0x131372da013f0dd3),
+            (9, 0x189c596e51c81f2d),
+            (42, 0x49e7cc6e6dd597f4),
         ],
     ),
     (
         "segway",
         Scenario::generate_segway,
         [
-            (0, 0x32485d06352d4afa),
-            (2, 0x34d082939a3ab898),
-            (3, 0xccc6afb22485fe8d),
-            (6, 0x6cb26ad84f275453),
-            (42, 0x0d25e01b8589af52),
+            (0, 0xf7eb7cfc4f0fa1d7),
+            (2, 0xa8970903ee88255b),
+            (3, 0x3b4dc3716ed89d9c),
+            (6, 0x93495c06bc22c6fb),
+            (42, 0x21bfa3d0f7f9f419),
         ],
     ),
 ];
@@ -315,17 +328,17 @@ const GOLDEN_ENGINE: [(Mode, u64, u64); 5] = [
         Mode::Cicero {
             aggregation: Aggregation::Switch,
         },
-        0x6ef89039cbdc6757,
-        0x0619a2014fa598e6,
+        0x8ca77cf789cadb0d,
+        0x336c4879b7d99c94,
     ),
     (
         Mode::Cicero {
             aggregation: Aggregation::Controller,
         },
-        0xce2c53e51b84af68,
-        0x200ae3a4429ef366,
+        0xacfd3008b0cc2b49,
+        0xb225dff2ec37d636,
     ),
-    (Mode::Segway, 0x7c8c34b9c6dd8f49, 0xa1c79953cec54d7d),
+    (Mode::Segway, 0x9435a39af244d3d0, 0x6eb4414c5d650450),
 ];
 
 fn engine_trace_hash(mode: Mode, crypto: CryptoMode, drop: f64) -> u64 {

@@ -32,8 +32,10 @@ pub fn signing_digest<T: Wire>(label: &str, phase: Phase, payload: &T) -> [u8; 3
     sha256_parts(label, &[&phase.0.to_be_bytes(), &payload.to_wire()])
 }
 
-/// A payload signed with a plain BLS key (events from switches, forwarded
-/// events, Segway readies): anyone holding the public key can check it.
+/// A payload signed with a plain BLS key: anyone holding the public key can
+/// check it. No protocol message carries one — events, forwards, acks,
+/// reports and readies are [`Tagged`], updates and phase notices threshold-
+/// signed. The per-layer benchmark still measures it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Signed<T> {
     /// The payload.
@@ -74,9 +76,10 @@ impl<T: Wire> Signed<T> {
 }
 
 /// A payload authenticated for its one addressee: an HMAC-SHA256 tag under
-/// the key that sender and addressee share (acks, NACKs). A message is
-/// tagged, not signed, iff its only reader is its addressee — nobody else
-/// can check the tag, and the addressee could have made it itself.
+/// the key that sender and addressee share (events, forwards, acks, NACKs,
+/// segment reports, Segway readies). A message is tagged, not signed, iff
+/// its only reader is its addressee — nobody else can check the tag, and the
+/// addressee could have made it itself.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Tagged<T> {
     /// The payload.

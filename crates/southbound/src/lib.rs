@@ -8,10 +8,12 @@
 //!   events (the subset of the OpenFlow data model the protocol touches);
 //! * [`codec`] — a deterministic, length-safe binary wire format
 //!   ([`codec::Wire`]) so signatures cover canonical bytes;
-//! * [`envelope`] — [`envelope::Signed`] (plain BLS, for switch events and
-//!   acks), [`envelope::ShareSigned`] (threshold partials, for controller
-//!   updates), [`envelope::QuorumSigned`] (aggregated signatures), all with
-//!   unique [`envelope::MsgId`]s and membership [`types::Phase`] binding.
+//! * [`envelope`] — [`envelope::Signed`] (plain BLS),
+//!   [`envelope::ShareSigned`] (threshold partials, for controller
+//!   updates), [`envelope::QuorumSigned`] (aggregated signatures) and
+//!   [`envelope::Tagged`] (a pair key's HMAC, for switch events, forwards,
+//!   acks, reports and readies), all with unique [`envelope::MsgId`]s and
+//!   membership [`types::Phase`] binding.
 //!
 //! ```
 //! use southbound::prelude::*;

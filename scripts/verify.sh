@@ -108,12 +108,13 @@ if find crates src examples -name '*.rs' -not -path 'crates/*/tests/*' -print0 |
     exit 1
 fi
 
-echo "== the signed receipts, signed acks, reports and readies, dealt pair keys, a second cross-domain recovery path, hand-written kept archives and a second phase-notice collector stay deleted =="
-if grep -rn "BoundaryRelease\b\|ReleaseBody\|SegwayReadyAck\|READY_RECEIPT\|ReadyReceipted\|ready_out\|Signed<AckBody>\|Signed<NackBody>\|SegmentQuery\b\|SegmentQueried\|reforward_segway\|segway_events\|PairKeys\|pair_keys\|seg_shares\|ShareSigned<SegmentBody>\|Signed<ReadyBody>\|KeptReady\|KeptReport\|kept_updates\|struct Relayed\|phase_partials\|fn real_crypto\|QuorumSigned::aggregate" \
+echo "== the signed receipts, signed events, acks, reports and readies, identity-key signing, dealt pair keys, a second cross-domain recovery path, hand-written kept archives and a second phase-notice collector stay deleted =="
+if grep -rn "BoundaryRelease\b\|ReleaseBody\|SegwayReadyAck\|READY_RECEIPT\|ReadyReceipted\|ready_out\|Signed<AckBody>\|Signed<NackBody>\|SegmentQuery\b\|SegmentQueried\|reforward_segway\|segway_events\|PairKeys\|pair_keys\|seg_shares\|ShareSigned<SegmentBody>\|Signed<ReadyBody>\|KeptReady\|KeptReport\|kept_updates\|struct Relayed\|phase_partials\|fn real_crypto\|QuorumSigned::aggregate\|Signed<Event>\|fn verify_latency\|event_sign\|auth\.sign(" \
     crates src tests examples --include=*.rs; then
     echo "verify.sh: the handshake and the Segway readies are receiver-driven; acks, NACKs, segment reports and Segway readies are Tagged<_> under a pair key each end derives from the identity keys (auth::pair_key), never dealt; and a cross-domain event has one recovery loop — the re-forward of whoever still waits, which is also the query (DESIGN.md §3); no receipt type, no signed twin, no key ceremony for pairs and no second path comes back" >&2
     echo "verify.sh: a message sent once and re-sent as-is on request lives in controller::pending::Kept, not in an archive of its own" >&2
     echo "verify.sh: only the authentication seam asks whether crypto is real, and the phase notice is collected by Authenticator::collect like every other quorum (DESIGN.md §3)" >&2
+    echo "verify.sh: switch events and controller forwards are Tagged<Event> too; an identity key derives pair keys and signs nothing, so the seam has no sign/verify/verify_latency and the cost model no event_sign (DESIGN.md §3)" >&2
     exit 1
 fi
 

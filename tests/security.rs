@@ -11,7 +11,7 @@ use cicero_core::runtime::SecretStore;
 use simcheck::harness::{self, applied_count as applied};
 use substrate::rng::{SeedableRng, StdRng};
 use simnet::sim::ENVIRONMENT;
-use southbound::envelope::{MsgId, QuorumSigned, ShareSigned, Signed, Tagged};
+use southbound::envelope::{MsgId, QuorumSigned, ShareSigned, Tagged};
 
 fn build() -> (Engine, Topology) {
     let topo = Topology::single_pod(2, 2, 2);
@@ -202,14 +202,15 @@ fn forged_aggregated_update_is_rejected_in_controller_agg_mode() {
 #[test]
 fn unauthenticated_events_are_ignored() {
     let (mut engine, topo) = build();
-    // An attacker injects a PacketIn claiming to be from a switch, signed
-    // with the wrong key: controllers must not process it.
-    let mut rng = StdRng::seed_from_u64(1234);
-    let attacker_key = SecretKey::generate(&mut rng);
+    // An attacker injects a PacketIn claiming to be from a switch, over that
+    // switch's channel, tagged for each controller under a key it derived
+    // with a secret of its own: controllers must not process it.
+    let switch = topo.switches()[2].id;
+    let attacker_key = SecretKey::generate(&mut StdRng::seed_from_u64(1234));
     let event = Event {
         id: EventId(0xf00),
         kind: EventKind::PacketIn {
-            switch: topo.switches()[2].id,
+            switch,
             flow: FlowId(1),
             src: HostId(0),
             dst: HostId(1),
@@ -217,24 +218,15 @@ fn unauthenticated_events_are_ignored() {
         origin: DomainId(0),
         forwarded: false,
     };
-    let forged = Signed::sign(
-        "CICERO_EVENT_V1",
-        event,
-        Phase(0),
-        MsgId {
-            origin: topo.switches()[2].id.0,
-            seq: 1,
-        },
-        &attacker_key,
-    );
+    let msg_id = MsgId { origin: switch.0, seq: 1 };
     for c in 1..=4u32 {
+        let reader = Peer::Controller(DomainId(0), ControllerId(c));
+        let victim = engine.shared().keys.controller_pk[&(DomainId(0), ControllerId(c))].key();
+        let key = pair_key(&attacker_key, &victim, Peer::Switch(switch), reader);
+        let forged = Tagged::tag("CICERO_EVENT_V1", event, Phase(0), msg_id, &key);
         let node = engine.controller_node(DomainId(0), ControllerId(c));
-        engine.inject_raw(
-            SimTime::ZERO + SimDuration::from_millis(1),
-            ENVIRONMENT,
-            node,
-            Net::EventMsg(forged.clone()),
-        );
+        let at = SimTime::ZERO + SimDuration::from_millis(1);
+        engine.inject_raw(at, engine.switch_node(switch), node, Net::EventMsg(forged));
     }
     engine.run(SimTime::ZERO + SimDuration::from_secs(3));
     assert!(
@@ -245,6 +237,128 @@ fn unauthenticated_events_are_ignored() {
         "forged events must not enter agreement"
     );
     assert_eq!(applied(&engine), 0);
+    for c in 1..=4 {
+        let macs = engine.with_controller(DomainId(0), ControllerId(c), |a| a.auth().mac_checks());
+        assert_eq!(macs, 1, "controller {c}: checked and refused");
+    }
+}
+
+// ----- switch events: one body, one id, tagged once per reader -----
+
+mod events {
+    use super::*;
+    use simnet::node::NodeId;
+
+    const EVENT: &str = "CICERO_EVENT_V1";
+
+    /// The [`build`] fabric, its ingress switch for the tests' event, and
+    /// the secrets the key ceremony handed its actors.
+    fn fabric() -> (Engine, SwitchId, SecretStore) {
+        let (engine, topo) = build();
+        let switches: Vec<SwitchId> = topo.switches().iter().map(|s| s.id).collect();
+        let shared = engine.shared().clone();
+        let (_, secrets) = bootstrap_keys(CryptoMode::Real, &switches, &shared.dir, shared.cfg.seed);
+        (engine, switches[2], secrets)
+    }
+
+    /// An event raised by switch `s` that nobody has seen.
+    fn event(s: SwitchId) -> Event {
+        Event {
+            id: EventId((u64::from(s.0) << 32) | 0xe0),
+            kind: EventKind::PolicyChange { policy: 1 },
+            origin: DomainId(0),
+            forwarded: false,
+        }
+    }
+
+    /// `body` as switch `s` tags it for controller `c`, under `s`'s id.
+    fn tagged(engine: &Engine, secrets: &SecretStore, s: SwitchId, c: u32, body: Event) -> Tagged<Event> {
+        let reader = Peer::Controller(DomainId(0), ControllerId(c));
+        let pk = engine.shared().keys.controller_pk[&(DomainId(0), ControllerId(c))].key();
+        let key = pair_key(&secrets.switch_sk[&s], &pk, Peer::Switch(s), reader);
+        Tagged::tag(EVENT, body, Phase(0), MsgId { origin: s.0, seq: 0xe0 }, &key)
+    }
+
+    /// Hands controller `c` the message over node `from`'s channel and runs
+    /// the engine on for half a second.
+    fn deliver(engine: &mut Engine, from: NodeId, c: u32, m: Tagged<Event>) {
+        let at = engine.now() + SimDuration::from_millis(1);
+        let to = engine.controller_node(DomainId(0), ControllerId(c));
+        engine.inject_raw(at, from, to, Net::EventMsg(m));
+        engine.run(at + SimDuration::from_millis(500));
+    }
+
+    fn processed(engine: &Engine, id: EventId) -> bool {
+        engine
+            .observations()
+            .iter()
+            .any(|o| matches!(o.value, Obs::EventProcessed { event, .. } if event == id))
+    }
+
+    fn mac_checks(engine: &mut Engine) -> Vec<u64> {
+        (1..=4)
+            .map(|c| engine.with_controller(DomainId(0), ControllerId(c), |a| a.auth().mac_checks()))
+            .collect()
+    }
+
+    /// The switch's genuine tag over another body, moved onto the event:
+    /// checked and refused by every controller; the genuine copy is taken.
+    #[test]
+    fn a_forged_event_tag_is_refused() {
+        let (mut engine, s, secrets) = fabric();
+        let e = event(s);
+        let other = Event { kind: EventKind::PolicyChange { policy: 2 }, ..e };
+        let node = engine.switch_node(s);
+        for c in 1..=4 {
+            let forged = Tagged { payload: e, ..tagged(&engine, &secrets, s, c, other) };
+            deliver(&mut engine, node, c, forged);
+        }
+        assert!(!processed(&engine, e.id), "the forgery enters no agreement");
+        assert_eq!(mac_checks(&mut engine), vec![1; 4], "each checked and refused");
+        let genuine = tagged(&engine, &secrets, s, 2, e);
+        deliver(&mut engine, node, 2, genuine);
+        assert!(processed(&engine, e.id), "the genuine copy is taken");
+    }
+
+    /// The switch's genuine copy for controller 1, replayed to the other
+    /// three over the switch's own channel: a tag is valid for its reader
+    /// only.
+    #[test]
+    fn an_event_tagged_for_controller_1_and_replayed_to_controller_2_is_refused() {
+        let (mut engine, s, secrets) = fabric();
+        let e = event(s);
+        let for_1 = tagged(&engine, &secrets, s, 1, e);
+        let node = engine.switch_node(s);
+        for c in 2..=4 {
+            deliver(&mut engine, node, c, for_1.clone());
+        }
+        assert!(!processed(&engine, e.id), "the replays enter no agreement");
+        assert_eq!(mac_checks(&mut engine), vec![0, 1, 1, 1], "each checked and refused");
+        deliver(&mut engine, node, 1, for_1);
+        assert!(processed(&engine, e.id), "its reader takes it");
+    }
+
+    /// Genuine copies of the switch's event, each over the channel of
+    /// another switch or from outside the directory: the id names the
+    /// sender, and the transport must agree before a tag is looked at.
+    #[test]
+    fn an_event_over_another_switchs_channel_is_dropped_unchecked() {
+        let (mut engine, s, secrets) = fabric();
+        let e = event(s);
+        let other = engine.shared().dir.switch_node.iter().find(|(&t, _)| t != s).map(|(_, &n)| n);
+        for from in [other.expect("four switches"), ENVIRONMENT] {
+            for c in 1..=4 {
+                let copy = tagged(&engine, &secrets, s, c, e);
+                deliver(&mut engine, from, c, copy);
+            }
+        }
+        assert!(!processed(&engine, e.id));
+        assert_eq!(mac_checks(&mut engine), vec![0; 4], "not even checked");
+        let node = engine.switch_node(s);
+        let copy = tagged(&engine, &secrets, s, 3, e);
+        deliver(&mut engine, node, 3, copy);
+        assert!(processed(&engine, e.id), "over its own channel it is taken");
+    }
 }
 
 #[test]
@@ -295,10 +409,11 @@ fn forged_acks_cannot_accelerate_the_reverse_path_pipeline() {
         engine.run(start + SimDuration::from_secs(10));
         if forger.is_some() {
             // The forgeries were looked at, not lost: each controller
-            // checked its 3 honest acks and the 3 forged ones.
+            // checked the flow's event, its 3 honest acks and the 3 forged
+            // ones.
             for c in 1..=4 {
                 let macs = engine.with_controller(DomainId(0), ControllerId(c), |a| a.auth().mac_checks());
-                assert_eq!(macs, 6, "controller {c}");
+                assert_eq!(macs, 7, "controller {c}");
             }
         }
         engine
@@ -626,13 +741,13 @@ mod segway_release {
             let released = releases.iter().filter(|r| r.from == s).count() as u64;
             let accepted = releases.iter().filter(|r| r.to == s).count() as u64;
             let readers = members[&engine.shared().dir.domain_of_switch[&s]].len() as u64;
-            // Signs: its events — acks and readies are tagged. Checks: one
-            // certificate per applied update. Tags: one per ack reader and
-            // one per release; tag checks: one per accepted ready. Nothing
-            // acknowledges a ready.
-            assert_eq!(n.signs, raised(s), "signs of {s:?}");
+            // Signs: none — events, acks and readies are tagged. Checks: one
+            // certificate per applied update. Tags: one per event reader,
+            // one per ack reader and one per release; tag checks: one per
+            // accepted ready. Nothing acknowledges a ready.
+            assert_eq!(n.signs, 0, "signs of {s:?}");
             assert_eq!(n.checks, applied(s), "checks of {s:?}");
-            assert_eq!(n.tags, applied(s) * readers + released, "tags of {s:?}");
+            assert_eq!(n.tags, (raised(s) + applied(s)) * readers + released, "tags of {s:?}");
             assert_eq!(n.mac_checks, accepted, "tag checks of {s:?}");
             total = (
                 total.0 + n.signs,
@@ -641,13 +756,16 @@ mod segway_release {
                 total.3 + n.mac_checks,
             );
         }
-        assert_eq!(total, (1, 5, 5 * 4 + 4, 4), "the flow's switch-side budget");
-        // Each ack tag is checked once where it was addressed.
+        assert_eq!(total, (0, 5, 4 + 5 * 4 + 4, 4), "the flow's switch-side budget");
+        // Each event and ack tag is checked once where it was addressed, and
+        // so is the event's forward to each other domain on its path (the
+        // two pods' and the spines').
         let mut tags = 0;
         for (d, c) in members.iter().flat_map(|(&d, cs)| cs.iter().map(move |&c| (d, c))) {
             tags += engine.with_controller(d, c, |a| a.auth().mac_checks());
         }
-        assert_eq!(tags, 5 * 4, "five acks, four readers each");
+        assert_eq!(members.len(), 3);
+        assert_eq!(tags, (1 + 5) * 4 + 2, "one event and five acks, four readers each; two forwards");
     }
 
     #[test]
@@ -1205,7 +1323,7 @@ fn inject_cross_rack(engine: &mut Engine, topo: &Topology) {
 mod handshake {
     use super::*;
     use super::inject_cross_rack as inject;
-    use cicero_core::msg::{SegmentBody, WalRecord};
+    use cicero_core::msg::{OrderedOp, SegmentBody, WalRecord};
     use simnet::fault::FaultPlan;
     use simnet::node::{Actor, Context, Effect, NodeId};
     use southbound::codec::Wire;
@@ -1521,14 +1639,12 @@ mod handshake {
             origin: p.down,
             forwarded: true,
         };
-        let bootstrap = &secrets.controller_sk[&(p.down, ControllerId(1))];
-        let id = MsgId { origin: 1, seq: 0xf1 };
-        let notice = Signed::sign(FORWARD, left, Phase(0), id, bootstrap);
         let src = engine.controller_node(p.down, ControllerId(1));
         for c in 1..=4 {
+            let notice = forward(&engine, &secrets, (p.down, 1), (p.up, c), left);
             let to = engine.controller_node(p.up, ControllerId(c));
             let at = SimTime::ZERO + SimDuration::from_micros(100);
-            engine.inject_raw(at, src, to, Net::ForwardedEvent(notice.clone()));
+            engine.inject_raw(at, src, to, notice);
         }
         let gone = (p.down, 4);
         let reports: Vec<Tagged<SegmentBody>> = (1..=4)
@@ -1577,23 +1693,118 @@ mod handshake {
         assert_eq!(checked, honest_mac_checks().1[0] + 1, "checked and refused");
     }
 
-    /// Upstream controller `c`'s re-forward of the flow's event — what it
-    /// re-sends while it waits on the downstream domain, and the one way it
-    /// asks for the segment reports: the event under its own domain, signed
-    /// with its own identity key.
-    fn reforward(engine: &Engine, secrets: &SecretStore, p: Probe, c: u32) -> Net {
+    /// A fresh event of the upstream domain, as its bootstrap forwards it.
+    fn policy_change(p: Probe) -> Event {
+        Event {
+            id: EventId(0xfeed),
+            kind: EventKind::PolicyChange { policy: 1 },
+            origin: p.up,
+            forwarded: true,
+        }
+    }
+
+    /// Whether the downstream domain delivered event `id`.
+    fn delivered_downstream(engine: &Engine, p: Probe, id: EventId) -> bool {
+        engine.observations().iter().any(|o| {
+            matches!(o.value, Obs::EventProcessed { domain, event } if domain == p.down && event == id)
+        })
+    }
+
+    /// Upstream controller 1's genuine forward, tagged for downstream
+    /// controller 1, re-addressed over 1's own channel to the other three
+    /// members: each checks it and refuses it. The copy tagged for 2 is
+    /// taken.
+    #[test]
+    fn a_forward_tagged_for_one_downstream_member_and_readdressed_to_another_is_refused() {
+        let p = probe();
+        let (mut engine, _, secrets) = fabric();
+        let event = policy_change(p);
+        let src = engine.controller_node(p.up, ControllerId(1));
+        let for_1 = forward(&engine, &secrets, (p.up, 1), (p.down, 1), event);
+        let at = SimTime::ZERO + SimDuration::from_millis(1);
+        for c in 2..=4 {
+            engine.inject_raw(at, src, engine.controller_node(p.down, ControllerId(c)), for_1.clone());
+        }
+        engine.run(SimTime::ZERO + SimDuration::from_millis(500));
+        assert!(!delivered_downstream(&engine, p, event.id), "the re-addressed copies count nowhere");
+        assert_eq!(mac_checks(&mut engine, p.down), vec![0, 1, 1, 1], "each checked and refused");
+        let for_2 = forward(&engine, &secrets, (p.up, 1), (p.down, 2), event);
+        let at = engine.now() + SimDuration::from_millis(1);
+        engine.inject_raw(at, src, engine.controller_node(p.down, ControllerId(2)), for_2);
+        engine.run(at + SimDuration::from_millis(500));
+        assert!(delivered_downstream(&engine, p, event.id), "its own copy is taken");
+    }
+
+    /// A member that joined the upstream domain holds the barriers of the
+    /// events it orders like every other member, and under real crypto the
+    /// downstream reports are tagged for it too. With the reporters cut off
+    /// from it when they report, it re-forwards the event — tagged under its
+    /// own identity key — and the reporters answer with the copies they
+    /// kept for it, which it checks with that key.
+    #[test]
+    fn a_joined_member_reforwards_and_is_answered_under_real_crypto() {
+        let p = probe();
+        let (mut engine, topo, _) = split_fabric(1);
+        let joiner = ControllerId(5);
+        let at = SimTime::ZERO + SimDuration::from_millis(1);
+        engine.inject_membership(at, p.up, OrderedOp::AddController(joiner));
+        engine.run(at + SimDuration::from_secs(2));
+        let knows = |e: &mut Engine, c| e.with_controller(p.up, ControllerId(c), |a| a.view().len());
+        assert_eq!(knows(&mut engine, 5), 5, "the joiner is a member");
+        let start = engine.now();
+        let reports_lost = start + SimDuration::from_millis(100);
+        let mut plan = FaultPlan::none();
+        for d in 1..=4 {
+            let reporter = engine.controller_node(p.down, ControllerId(d));
+            let node = engine.controller_node(p.up, joiner);
+            plan = plan.with_severed_window(reporter, node, start, reports_lost);
+        }
+        engine.set_faults(plan);
+        let (src, dst) = cross_rack(&topo);
+        let flow_at = start + SimDuration::from_millis(1);
+        harness::inject_flow(&mut engine, &topo, FlowId(1), src, dst, 500, flow_at).expect("routable");
+        engine.run(start + SimDuration::from_secs(3));
+        assert!(completed(&engine));
+        let seen = |pred: &dyn Fn(&Obs) -> bool| engine.observations().iter().any(|o| pred(&o.value));
+        assert!(seen(&|o| matches!(o, Obs::ForwardRetransmitted { domain, controller: 5, .. } if *domain == p.up)));
+        assert!(seen(&|o| matches!(o, Obs::SegmentRetransmitted { domain, .. } if *domain == p.down)));
+        assert!(seen(&|o| matches!(o, Obs::BoundaryReleased { domain, controller: 5, .. } if *domain == p.up)));
+        let signers = engine.with_controller(p.up, joiner, |a| a.barrier_signers(p.event, p.segment));
+        assert_eq!(signers.len(), 2, "a verified quorum on record at the joiner: {signers:?}");
+    }
+
+    /// `event` forwarded by controller `from` to controller `to`, tagged
+    /// under their pair key — a zero tag where `from` holds no secret
+    /// (modeled crypto).
+    fn forward(engine: &Engine, secrets: &SecretStore, from: Ctrl, to: Ctrl, event: Event) -> Net {
+        let msg_id = MsgId { origin: from.1, seq: 0xf0 };
+        let tagged = match secrets.controller_sk.get(&(from.0, ControllerId(from.1))) {
+            Some(_) => Tagged::tag(FORWARD, event, Phase(0), msg_id, &key(engine, secrets, from, from, to)),
+            None => Tagged { payload: event, phase: Phase(0), msg_id, tag: [0; 32] },
+        };
+        Net::ForwardedEvent(tagged)
+    }
+
+    /// The flow's event as upstream controller `c` forwards it: under its
+    /// own domain.
+    fn flow_event(engine: &Engine, p: Probe) -> Event {
         let topo = &engine.shared().topo;
         let (src, dst) = cross_rack(topo);
         let switch = topo.host(src).unwrap().attached;
-        let event = Event {
+        Event {
             id: p.event,
             kind: EventKind::PacketIn { switch, flow: FlowId(1), src, dst },
             origin: p.up,
             forwarded: true,
-        };
-        let key = &secrets.controller_sk[&(p.up, ControllerId(c))];
-        let msg_id = MsgId { origin: c, seq: 0xf0 };
-        Net::ForwardedEvent(Signed::sign(FORWARD, event, Phase(0), msg_id, key))
+        }
+    }
+
+    /// Upstream controller `c`'s re-forward of the flow's event to
+    /// downstream controller `to` — what it re-sends while it waits on the
+    /// downstream domain, and the one way it asks for the segment reports:
+    /// the event under its own domain, tagged for `to`.
+    fn reforward(engine: &Engine, secrets: &SecretStore, p: Probe, c: u32, to: u32) -> Net {
+        forward(engine, secrets, (p.up, c), (p.down, to), flow_event(engine, p))
     }
 
     /// Reports re-sent by the downstream controllers, in controller order.
@@ -1663,14 +1874,13 @@ mod handshake {
         assert_eq!(count(&engine, |o| matches!(o, Obs::SegmentReported { .. })), 4);
         assert_eq!(count(&engine, |o| matches!(o, Obs::BoundaryReleased { .. })), 4);
         assert_eq!(count(&engine, |o| matches!(o, Obs::ForwardRetransmitted { .. })), 0);
-        // Every signature check of every controller is accounted for by the
-        // event it verified (the switch's, at each upstream controller; the
-        // forward, at the one downstream controller it was sent to), and
-        // every signature downstream by the update shares of its own domain:
-        // the handshake signs and verifies nothing. It costs each upstream
-        // controller one tag check per member of the quorum — later reports
-        // are dropped unchecked — on top of one per ack of its own domain's
-        // switches.
+        // No controller checks a signature: the event is a tag check at each
+        // upstream controller, its forward one at the downstream controller
+        // it was sent to, and every signature in either domain is an update
+        // share of its own — the handshake signs and verifies nothing. It
+        // costs each upstream controller one tag check per member of the
+        // quorum — later reports are dropped unchecked — on top of its
+        // event's and one per ack of its own domain's switches.
         let domain_of = engine.shared().dir.domain_of_switch.clone();
         let acks_in = |engine: &Engine, d: DomainId| {
             let here = |o: &&simnet::sim::Observation<Obs>| {
@@ -1679,10 +1889,12 @@ mod handshake {
             engine.observations().iter().filter(here).count() as u64
         };
         let (up_acks, down_acks) = (acks_in(&engine, p.up), acks_in(&engine, p.down));
-        assert_eq!(checks(&mut engine, p.up), vec![1; 4]);
-        assert_eq!(checks(&mut engine, p.down), vec![1, 0, 0, 0]);
-        assert_eq!(mac_checks(&mut engine, p.up), vec![up_acks + 2; 4]);
-        assert_eq!(mac_checks(&mut engine, p.down), vec![down_acks; 4]);
+        assert_eq!(checks(&mut engine, p.up), vec![0; 4]);
+        assert_eq!(checks(&mut engine, p.down), vec![0; 4]);
+        assert_eq!(mac_checks(&mut engine, p.up), vec![1 + up_acks + 2; 4]);
+        let down = mac_checks(&mut engine, p.down);
+        assert_eq!(down, vec![1 + down_acks, down_acks, down_acks, down_acks]);
+        assert_eq!(signs(&mut engine, p.up), vec![up_acks; 4]);
         assert_eq!(signs(&mut engine, p.down), vec![down_acks; 4]);
     }
 
@@ -1701,7 +1913,7 @@ mod handshake {
         // from a member of the reporting domain itself, which holds no
         // barrier on its own segment. The transport names the sender; the
         // re-forward's own fields are not even read.
-        let asked = reforward(&engine, &secrets, p, 2);
+        let asked = reforward(&engine, &secrets, p, 2, 1);
         for from in [switch, ENVIRONMENT, down2] {
             engine.inject_raw(at, from, victim, asked.clone());
         }
@@ -1725,13 +1937,12 @@ mod handshake {
         let asked_at = p.delivered_at + SimDuration::from_nanos(window.as_nanos() / 2);
         assert!(p.delivered_at < asked_at && asked_at < p.reported_at);
         for u in 1..=4 {
-            let asked = reforward(&engine, &secrets, p, u);
             for d in 1..=4 {
                 engine.inject_raw(
                     asked_at,
                     engine.controller_node(p.up, ControllerId(u)),
                     engine.controller_node(p.down, ControllerId(d)),
-                    asked.clone(),
+                    reforward(&engine, &secrets, p, u, d),
                 );
             }
         }
@@ -1754,7 +1965,7 @@ mod handshake {
         );
         let asker = engine.controller_node(p.up, ControllerId(2));
         let victim = engine.controller_node(p.down, ControllerId(1));
-        let asked = reforward(&engine, &secrets, p, 2);
+        let asked = reforward(&engine, &secrets, p, 2, 1);
         let start = engine.now() + SimDuration::from_millis(1);
         for i in 0..1000u64 {
             let at = start + SimDuration::from_micros(10 * i);
@@ -1847,7 +2058,10 @@ mod handshake {
         let k = key(&engine, &secrets, me, me, (p.up, 1));
         let src = engine.controller_node(p.down, ControllerId(2));
         let to = engine.controller_node(p.up, ControllerId(1));
-        let at = SimTime::ZERO + SimDuration::from_millis(2);
+        // From the first honest report on, when the upstream domain has
+        // ordered the event: a storm that starves the primary mid-round
+        // leaves it alone in a view change until the next request.
+        let at = p.reported_at;
         for i in 0..10_000u64 {
             let made_up = SegmentBody {
                 event: EventId((1 << 40) | i),
@@ -1869,94 +2083,99 @@ mod handshake {
 
     /// A member that joined the upstream domain after a segment was reported
     /// re-forwards the event and has its copy: the reporter tags one for it
-    /// on first demand and keeps it. Modeled crypto, since a joiner holds no
-    /// identity key under `Real`.
+    /// on first demand and keeps it. Under `Real` too, since the ceremony
+    /// gives standbys an identity key.
     #[test]
     fn a_member_that_joined_after_the_report_is_answered_too() {
-        let mut cfg = EngineConfig::for_mode(Mode::Cicero {
-            aggregation: Aggregation::Switch,
-        });
-        cfg.seed = SEED;
-        let topo = Topology::single_pod(2, 1, 2);
-        let dm = DomainMap::split_racks(&topo, 2);
-        let mut engine = Engine::build(cfg, topo.clone(), dm, 1);
-        inject(&mut engine, &topo);
-        engine.run(SimTime::ZERO + SimDuration::from_secs(1));
-        assert!(completed(&engine));
-        let obs = engine.observations();
-        let (event, down) = obs
-            .iter()
-            .find_map(|o| match o.value {
-                Obs::SegmentReported { event, domain, .. } => Some((event, domain)),
-                _ => None,
-            })
-            .expect("a segment report");
-        let up = obs
-            .iter()
-            .find_map(|o| match o.value {
-                Obs::BoundaryReleased { domain, .. } => Some(domain),
-                _ => None,
-            })
-            .expect("a release");
-        // Modeled crypto accepts any signature from a sender in the directory.
-        let mut rng = StdRng::seed_from_u64(0);
-        let anyone = SecretKey::generate(&mut rng);
-        let modeled = |payload: Event, origin: u32| {
-            let id = MsgId { origin, seq: 0xf0 };
-            Signed::sign(FORWARD, payload, Phase(0), id, &anyone)
-        };
-        // The upstream bootstrap tells the downstream domain that standby 5
-        // joined.
-        let joined = Event {
-            id: EventId((1 << 48) | 1),
-            kind: EventKind::MembershipChanged {
-                domain: up,
-                controller: ControllerId(5),
-                added: true,
-            },
-            origin: up,
-            forwarded: true,
-        };
-        let notice = Net::ForwardedEvent(modeled(joined, 1));
-        let bootstrap = engine.controller_node(up, ControllerId(1));
-        let at = engine.now() + SimDuration::from_millis(1);
-        for c in 1..=4 {
-            let to = engine.controller_node(down, ControllerId(c));
-            engine.inject_raw(at, bootstrap, to, notice.clone());
-        }
-        engine.run(at + SimDuration::from_millis(200));
-        // The joiner's re-forward of the reported event, handed to the
-        // reporter twice.
-        let (src, dst) = cross_rack(&topo);
-        let again = Event {
-            id: event,
-            kind: EventKind::PacketIn {
-                switch: topo.host(src).unwrap().attached,
-                flow: FlowId(1),
-                src,
-                dst,
-            },
-            origin: up,
-            forwarded: true,
-        };
-        let asked = Net::ForwardedEvent(modeled(again, 5));
-        let joiner = engine.controller_node(up, ControllerId(5));
-        let reporter = engine.controller_node(down, ControllerId(1));
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut replies = Vec::new();
-        for _ in 0..2 {
-            let mut ctx = Context::new(engine.now(), reporter, &mut rng);
-            let asked = asked.clone();
-            engine.with_controller(down, ControllerId(1), |a| a.on_message(&mut ctx, joiner, asked));
-            for e in ctx.into_effects() {
-                if let Effect::Send { to, msg: Net::SegmentApplied(m), .. } = e {
-                    replies.push((to, m));
+        for crypto in [CryptoMode::Modeled, CryptoMode::Real] {
+            let mut cfg = EngineConfig::for_mode(Mode::Cicero {
+                aggregation: Aggregation::Switch,
+            });
+            cfg.seed = SEED;
+            cfg.crypto = crypto;
+            let topo = Topology::single_pod(2, 1, 2);
+            let dm = DomainMap::split_racks(&topo, 2);
+            let mut engine = Engine::build(cfg, topo.clone(), dm, 1);
+            let switches: Vec<SwitchId> = topo.switches().iter().map(|s| s.id).collect();
+            let (_, secrets) = bootstrap_keys(crypto, &switches, &engine.shared().dir, SEED);
+            inject(&mut engine, &topo);
+            engine.run(SimTime::ZERO + SimDuration::from_secs(1));
+            assert!(completed(&engine));
+            let obs = engine.observations();
+            let (event, down) = obs
+                .iter()
+                .find_map(|o| match o.value {
+                    Obs::SegmentReported { event, domain, .. } => Some((event, domain)),
+                    _ => None,
+                })
+                .expect("a segment report");
+            let up = obs
+                .iter()
+                .find_map(|o| match o.value {
+                    Obs::BoundaryReleased { domain, .. } => Some(domain),
+                    _ => None,
+                })
+                .expect("a release");
+            // The upstream bootstrap tells the downstream domain that standby
+            // 5 joined.
+            let joined = Event {
+                id: EventId((1 << 48) | 1),
+                kind: EventKind::MembershipChanged {
+                    domain: up,
+                    controller: ControllerId(5),
+                    added: true,
+                },
+                origin: up,
+                forwarded: true,
+            };
+            let bootstrap = engine.controller_node(up, ControllerId(1));
+            let at = engine.now() + SimDuration::from_millis(1);
+            for c in 1..=4 {
+                let notice = forward(&engine, &secrets, (up, 1), (down, c), joined);
+                let to = engine.controller_node(down, ControllerId(c));
+                engine.inject_raw(at, bootstrap, to, notice);
+            }
+            engine.run(at + SimDuration::from_millis(200));
+            // The joiner's re-forward of the reported event, handed to the
+            // reporter twice.
+            let (src, dst) = cross_rack(&topo);
+            let again = Event {
+                id: event,
+                kind: EventKind::PacketIn {
+                    switch: topo.host(src).unwrap().attached,
+                    flow: FlowId(1),
+                    src,
+                    dst,
+                },
+                origin: up,
+                forwarded: true,
+            };
+            let asked = forward(&engine, &secrets, (up, 5), (down, 1), again);
+            let joiner = engine.controller_node(up, ControllerId(5));
+            let reporter = engine.controller_node(down, ControllerId(1));
+            let mut rng = StdRng::seed_from_u64(0);
+            let mut replies = Vec::new();
+            for _ in 0..2 {
+                let mut ctx = Context::new(engine.now(), reporter, &mut rng);
+                let asked = asked.clone();
+                engine.with_controller(down, ControllerId(1), |a| a.on_message(&mut ctx, joiner, asked));
+                for e in ctx.into_effects() {
+                    if let Effect::Send { to, msg: Net::SegmentApplied(m), .. } = e {
+                        replies.push((to, m));
+                    }
                 }
             }
+            assert_eq!(replies.len(), 2, "{crypto:?}: one reply per re-forward: {replies:?}");
+            assert!(replies.iter().all(|(to, m)| *to == joiner && m.payload.event == event));
+            assert_eq!(replies[0].1, replies[1].1, "tagged once, then re-sent as kept");
+            if crypto == CryptoMode::Real {
+                // Checked the way the joiner checks it: with its own secret.
+                let x = &secrets.controller_sk[&(up, ControllerId(5))];
+                let pk = engine.shared().keys.controller_pk[&(down, ControllerId(1))].key();
+                let for_joiner = pair_key(x, &pk, peer((down, 1)), peer((up, 5)));
+                assert!(replies[0].1.verify(SEGMENT, &for_joiner), "a genuine tag for the joiner");
+            }
         }
-        assert_eq!(replies.len(), 2, "one reply per re-forward: {replies:?}");
-        assert!(replies.iter().all(|(to, m)| *to == joiner && m.payload.event == event));
-        assert_eq!(replies[0].1, replies[1].1, "tagged once, then re-sent as kept");
     }
 }
 
@@ -2024,6 +2243,12 @@ mod acks {
         s
     }
 
+    /// The flow's forward was tagged for controller 1 of the switch's
+    /// domain, which checked it.
+    fn forward_checks(c: u32) -> u64 {
+        u64::from(c == 1)
+    }
+
     impl Stuck {
         /// The key `switch` tags with for controller `c` of its own domain.
         fn key(&self, switch: SwitchId, c: u32) -> [u8; 32] {
@@ -2060,12 +2285,14 @@ mod acks {
             self.engine.run(at + SimDuration::from_millis(1));
         }
 
-        /// `(tag checks, stuck update acked, updates in flight)` at `c`.
+        /// `(tag checks beyond the flow's forward, stuck update acked,
+        /// updates in flight)` at `c`.
         fn state(&mut self, c: u32) -> (u64, bool, usize) {
             let update = self.update;
-            self.engine.with_controller(self.domain, ControllerId(c), |a| {
+            let (checks, acked, in_flight) = self.engine.with_controller(self.domain, ControllerId(c), |a| {
                 (a.auth().mac_checks(), a.pending().is_acked(update), a.pending().in_flight_count())
-            })
+            });
+            (checks - forward_checks(c), acked, in_flight)
         }
     }
 
@@ -2232,7 +2459,8 @@ mod acks {
         s.deliver_in(up.domain, 1, up.ack(up.victim, s.foreign));
         // The same key does acknowledge the neighbour's own update.
         s.deliver_in(up.domain, 1, up.ack(up.own, up.neighbour));
-        assert_eq!(up.seen(&mut s), (1, false, true), "the neighbour's acks are refused before their tag");
+        // One check is the flow's event's.
+        assert_eq!(up.seen(&mut s), (2, false, true), "the neighbour's acks are refused before their tag");
     }
 
     /// Nor by acknowledging before the controller has scheduled anything —
@@ -2259,6 +2487,7 @@ mod acks {
             // are checked (and genuine), and nothing is believed yet.
             assert_eq!(up.seen(s), (2, false, false));
         });
-        assert_eq!(up.seen(&mut s), (2, false, true), "judged at admission by whose update it is");
+        // And one, after the flow's arrival, its event's.
+        assert_eq!(up.seen(&mut s), (3, false, true), "judged at admission by whose update it is");
     }
 }
