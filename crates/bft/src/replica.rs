@@ -496,13 +496,20 @@ impl<P: BftPayload> Replica<P> {
         out
     }
 
+    /// A quorum's commit votes on a slot this replica has bound decide it.
+    /// In view, the replica must also have prepared it (PBFT's
+    /// committed-local). Out of it — having voted to leave the view — it
+    /// casts no vote there any more, but still learns a decision from the
+    /// votes alone: a quorum of commits means `f + 1` correct replicas
+    /// prepared the slot, so it is committed whatever this replica saw.
     fn check_committed(&mut self, seq: Seq) -> Vec<Output<P>> {
         let quorum = self.cfg.quorum();
+        let learning = self.in_view_change;
         {
             let Some(e) = self.entries.get_mut(&seq) else {
                 return Vec::new();
             };
-            if e.committed || !e.prepared {
+            if e.committed || !(e.prepared || learning) {
                 return Vec::new();
             }
             let (Some(digest), view) = (e.digest, e.view) else {
@@ -585,7 +592,10 @@ impl<P: BftPayload> Replica<P> {
                 self.check_prepared(seq)
             }
             BftMessage::Commit { view, seq, digest } => {
-                if view != self.view || self.in_view_change {
+                // Counted during a view change too: a replica whose timer
+                // fired alone, a view change nobody joins, still delivers
+                // what the rest of the view commits.
+                if view != self.view {
                     return Vec::new();
                 }
                 self.entry(seq)

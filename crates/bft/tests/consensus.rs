@@ -341,3 +341,33 @@ fn random_schedules_preserve_agreement() {
         assert_eq!(set.len(), order.len());
     });
 }
+
+/// A replica whose view timer fires alone — the others' votes stuck behind
+/// a burst of other work — is in a view change nobody joins. It casts no
+/// vote in the old view any more, but it still learns what the others
+/// commit there: their commit quorum on a slot it holds decides the slot.
+#[test]
+fn a_replica_alone_in_a_view_change_still_delivers_what_the_others_commit() {
+    let mut net = TestNet::new(4);
+    net.submit(0, 9);
+    let vote = loop {
+        let outs = net.replicas[0].on_tick();
+        if !outs.is_empty() {
+            break outs;
+        }
+    };
+    assert!(matches!(vote[..], [Output::Broadcast(BftMessage::ViewChange { new_view: 1, .. })]));
+    net.apply(ReplicaId(0), vote);
+    let cast = |o: &Output<u64>| {
+        matches!(o, Output::Broadcast(BftMessage::Prepare { .. } | BftMessage::Commit { .. }))
+    };
+    while !net.queue.is_empty() {
+        let (from, to, msg) = net.queue.remove(0);
+        let outs = net.replicas[to.0 as usize].handle(from, msg);
+        assert!(to != ReplicaId(0) || !outs.iter().any(cast), "no vote in the view it left");
+        net.apply(to, outs);
+    }
+    assert_eq!(net.assert_agreement(), vec![9]);
+    assert!(net.delivered.iter().all(|log| log.len() == 1), "every replica delivers it");
+    assert!(net.replicas.iter().all(|r| r.view() == 0), "nobody joined the view change");
+}

@@ -2058,10 +2058,7 @@ mod handshake {
         let k = key(&engine, &secrets, me, me, (p.up, 1));
         let src = engine.controller_node(p.down, ControllerId(2));
         let to = engine.controller_node(p.up, ControllerId(1));
-        // From the first honest report on, when the upstream domain has
-        // ordered the event: a storm that starves the primary mid-round
-        // leaves it alone in a view change until the next request.
-        let at = p.reported_at;
+        let at = SimTime::ZERO + SimDuration::from_millis(2);
         for i in 0..10_000u64 {
             let made_up = SegmentBody {
                 event: EventId((1 << 40) | i),
