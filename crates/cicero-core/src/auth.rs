@@ -37,7 +37,7 @@ use crate::config::CryptoMode;
 use crate::msg::Net;
 use crate::obs::Obs;
 use crate::runtime::{fake_group, Shared};
-use blscrypto::bls::{KeyShare, PartialSignature, PreparedKey, PublicKey, SecretKey};
+use blscrypto::bls::{KeyShare, PartialSignature, PublicKey, SecretKey};
 use blscrypto::dkg::{DkgConfig, GroupPublic};
 use blscrypto::reshare::{
     deal_reshare_to, finalize_reshare, verify_reshare_dealing, ReshareDealing,
@@ -361,14 +361,14 @@ impl Authenticator {
     /// on first use: one G2 scalar multiplication per peer, once.
     fn pair(&mut self, peer: Peer) -> Option<&([u8; 32], [u8; 32])> {
         if !self.macs.contains_key(&peer) {
-            let prk = extract(self.identity.as_ref()?, &self.key_of(peer)?.key());
+            let prk = extract(self.identity.as_ref()?, self.key_of(peer)?);
             let keys = (expand(&prk, self.me, peer), expand(&prk, peer, self.me));
             self.macs.insert(peer, keys);
         }
         self.macs.get(&peer)
     }
 
-    fn key_of(&self, peer: Peer) -> Option<&PreparedKey> {
+    fn key_of(&self, peer: Peer) -> Option<&PublicKey> {
         let keys = &self.shared.keys;
         match peer {
             Peer::Switch(s) => keys.switch_pk.get(&s),

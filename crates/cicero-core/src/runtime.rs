@@ -86,14 +86,6 @@ impl Directory {
         self.switch_node[&id]
     }
 
-    /// Nodes of a domain's bootstrap controllers — where its switches send
-    /// their events, acknowledgements and NACKs.
-    pub fn domain_controller_nodes(&self, domain: DomainId) -> Vec<NodeId> {
-        let members = self.initial_members.get(&domain);
-        let nodes = members.into_iter().flatten();
-        nodes.map(|&c| self.controller(domain, c)).collect()
-    }
-
     /// All switch nodes of a domain, ascending by switch id.
     pub fn domain_switch_nodes(&self, domain: DomainId) -> Vec<NodeId> {
         self.domain_of_switch
@@ -113,16 +105,17 @@ pub struct DomainKeys {
     pub public_key: PreparedKey,
 }
 
-/// All public key material (secrets live inside their actors). Every key
+/// All public key material (secrets live inside their actors). A group key
 /// is a [`PreparedKey`]: whichever node first verifies under it builds its
 /// line table, once for the whole run — nothing is built at key ceremony
-/// time, and nothing at all under [`CryptoMode::Modeled`].
+/// time, and nothing at all under [`CryptoMode::Modeled`]. An identity key
+/// verifies nothing; it only derives pair keys ([`crate::auth::pair_key`]).
 #[derive(Clone, Debug)]
 pub struct KeyMaterial {
-    /// Event-source (switch) identity public keys.
-    pub switch_pk: BTreeMap<SwitchId, PreparedKey>,
+    /// Switch identity public keys.
+    pub switch_pk: BTreeMap<SwitchId, PublicKey>,
     /// Controller identity public keys, standbys included.
-    pub controller_pk: BTreeMap<(DomainId, ControllerId), PreparedKey>,
+    pub controller_pk: BTreeMap<(DomainId, ControllerId), PublicKey>,
     /// Per-domain threshold material.
     pub domains: BTreeMap<DomainId, DomainKeys>,
     /// Placeholder signature used in [`CryptoMode::Modeled`] envelopes.
@@ -270,16 +263,16 @@ pub fn bootstrap_keys(
 fn draw_identity<K: Ord + Copy>(
     real: bool,
     who: K,
-    pks: &mut BTreeMap<K, PreparedKey>,
+    pks: &mut BTreeMap<K, PublicKey>,
     sks: &mut BTreeMap<K, SecretKey>,
     rng: &mut StdRng,
 ) {
     if !real {
-        pks.insert(who, PublicKey(blscrypto::curves::G2Affine::identity()).into());
+        pks.insert(who, PublicKey(blscrypto::curves::G2Affine::identity()));
         return;
     }
     let sk = SecretKey::generate(rng);
-    pks.insert(who, sk.public_key().into());
+    pks.insert(who, sk.public_key());
     sks.insert(who, sk);
 }
 
@@ -328,15 +321,14 @@ mod tests {
         dir.controller_node.insert(standby, NodeId(99));
         let (mat, sec) = bootstrap_keys(CryptoMode::Real, &switches, &dir, 7);
         let (was, _) = &bootstrap_only;
-        let pk = |k: &PreparedKey| k.key();
-        assert!(mat.switch_pk.iter().all(|(s, k)| pk(k) == pk(&was.switch_pk[s])));
+        assert!(mat.switch_pk.iter().all(|(s, k)| *k == was.switch_pk[s]));
         for (who, k) in &was.controller_pk {
-            assert_eq!(pk(k), pk(&mat.controller_pk[who]), "{who:?} moved");
+            assert_eq!(*k, mat.controller_pk[who], "{who:?} moved");
         }
         for (d, keys) in &was.domains {
-            assert_eq!(pk(&keys.public_key), pk(&mat.domains[d].public_key), "{d:?} moved");
+            assert_eq!(keys.public_key.key(), mat.domains[d].public_key.key(), "{d:?} moved");
         }
-        assert_eq!(sec.controller_sk[&standby].public_key(), pk(&mat.controller_pk[&standby]));
+        assert_eq!(sec.controller_sk[&standby].public_key(), mat.controller_pk[&standby]);
         let (mat, sec) = bootstrap_keys(CryptoMode::Modeled, &switches, &dir, 7);
         assert!(mat.controller_pk.contains_key(&standby) && sec.controller_sk.is_empty());
     }

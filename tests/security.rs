@@ -221,7 +221,7 @@ fn unauthenticated_events_are_ignored() {
     let msg_id = MsgId { origin: switch.0, seq: 1 };
     for c in 1..=4u32 {
         let reader = Peer::Controller(DomainId(0), ControllerId(c));
-        let victim = engine.shared().keys.controller_pk[&(DomainId(0), ControllerId(c))].key();
+        let victim = engine.shared().keys.controller_pk[&(DomainId(0), ControllerId(c))];
         let key = pair_key(&attacker_key, &victim, Peer::Switch(switch), reader);
         let forged = Tagged::tag("CICERO_EVENT_V1", event, Phase(0), msg_id, &key);
         let node = engine.controller_node(DomainId(0), ControllerId(c));
@@ -274,7 +274,7 @@ mod events {
     /// `body` as switch `s` tags it for controller `c`, under `s`'s id.
     fn tagged(engine: &Engine, secrets: &SecretStore, s: SwitchId, c: u32, body: Event) -> Tagged<Event> {
         let reader = Peer::Controller(DomainId(0), ControllerId(c));
-        let pk = engine.shared().keys.controller_pk[&(DomainId(0), ControllerId(c))].key();
+        let pk = engine.shared().keys.controller_pk[&(DomainId(0), ControllerId(c))];
         let key = pair_key(&secrets.switch_sk[&s], &pk, Peer::Switch(s), reader);
         Tagged::tag(EVENT, body, Phase(0), MsgId { origin: s.0, seq: 0xe0 }, &key)
     }
@@ -465,7 +465,7 @@ fn ready_under(body: ReadyBody, seq: u64, key: &[u8; 32]) -> Tagged<ReadyBody> {
 /// of its own — the best it can do without `from`'s or `to`'s secret.
 fn attacker_pair_key(engine: &Engine, seed: u64, from: SwitchId, to: SwitchId) -> [u8; 32] {
     let attacker = SecretKey::generate(&mut StdRng::seed_from_u64(seed));
-    let victim = engine.shared().keys.switch_pk[&to].key();
+    let victim = engine.shared().keys.switch_pk[&to];
     pair_key(&attacker, &victim, Peer::Switch(from), Peer::Switch(to))
 }
 
@@ -876,7 +876,7 @@ mod segway_release {
         maker: SwitchId,
         reader: SwitchId,
     ) -> [u8; 32] {
-        let reader_pk = engine.shared().keys.switch_pk[&reader].key();
+        let reader_pk = engine.shared().keys.switch_pk[&reader];
         let (from, to) = (Peer::Switch(maker), Peer::Switch(reader));
         pair_key(&secrets.switch_sk[&maker], &reader_pk, from, to)
     }
@@ -1436,7 +1436,7 @@ mod handshake {
     /// of `secret` — `from`'s own, for a genuine tag.
     fn key(engine: &Engine, secrets: &SecretStore, secret: Ctrl, from: Ctrl, to: Ctrl) -> [u8; 32] {
         let x = &secrets.controller_sk[&(secret.0, ControllerId(secret.1))];
-        let pk = engine.shared().keys.controller_pk[&(to.0, ControllerId(to.1))].key();
+        let pk = engine.shared().keys.controller_pk[&(to.0, ControllerId(to.1))];
         pair_key(x, &pk, peer(from), peer(to))
     }
 
@@ -2168,7 +2168,7 @@ mod handshake {
             if crypto == CryptoMode::Real {
                 // Checked the way the joiner checks it: with its own secret.
                 let x = &secrets.controller_sk[&(up, ControllerId(5))];
-                let pk = engine.shared().keys.controller_pk[&(down, ControllerId(1))].key();
+                let pk = engine.shared().keys.controller_pk[&(down, ControllerId(1))];
                 let for_joiner = pair_key(x, &pk, peer((down, 1)), peer((up, 5)));
                 assert!(replies[0].1.verify(SEGMENT, &for_joiner), "a genuine tag for the joiner");
             }
@@ -2213,8 +2213,8 @@ mod acks {
         let domain = dir.domain_of_switch[&switch];
         assert_ne!(dir.domain_of_switch[&foreign], domain);
         let mut plan = FaultPlan::none();
-        for node in dir.domain_controller_nodes(domain) {
-            plan = plan.with_severed_link(engine.switch_node(switch), node);
+        for &c in &dir.initial_members[&domain] {
+            plan = plan.with_severed_link(engine.switch_node(switch), dir.controller(domain, c));
         }
         engine.set_faults(plan);
         // Reverse-path order: the egress update, the last of three, goes
@@ -2251,7 +2251,7 @@ mod acks {
         fn key(&self, switch: SwitchId, c: u32) -> [u8; 32] {
             let shared = self.engine.shared();
             let (domain, c) = (shared.dir.domain_of_switch[&switch], ControllerId(c));
-            let pk = shared.keys.controller_pk[&(domain, c)].key();
+            let pk = shared.keys.controller_pk[&(domain, c)];
             let secret = &self.secrets.switch_sk[&switch];
             pair_key(secret, &pk, Peer::Switch(switch), Peer::Controller(domain, c))
         }
