@@ -36,7 +36,7 @@ use crate::collector::{Check, Quorum, QuorumCollector};
 use crate::config::CryptoMode;
 use crate::msg::Net;
 use crate::obs::Obs;
-use crate::runtime::{fake_group, Shared};
+use crate::runtime::{fake_group, KeyMaterial, Shared};
 use blscrypto::bls::{KeyShare, PartialSignature, PublicKey, SecretKey};
 use blscrypto::dkg::{DkgConfig, GroupPublic};
 use blscrypto::reshare::{
@@ -322,7 +322,7 @@ impl Authenticator {
         }
         let partial = PartialSignature {
             index: msg_id.origin,
-            sig: self.shared.keys.dummy.0,
+            sig: KeyMaterial::dummy_signature().0,
         };
         ShareSigned {
             payload,

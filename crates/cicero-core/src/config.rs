@@ -86,8 +86,8 @@ impl Mode {
     }
 
     /// `true` for the modes whose updates are threshold-signed and whose
-    /// switch traffic is authenticated (events signed, acks and NACKs
-    /// tagged): Cicero and Segway. The unauthenticated baselines return `false`.
+    /// switch traffic is authenticated (events, acks and NACKs tagged):
+    /// Cicero and Segway. The unauthenticated baselines return `false`.
     pub fn is_signed(&self) -> bool {
         self.aggregation().is_some()
     }

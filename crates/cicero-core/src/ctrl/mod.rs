@@ -65,7 +65,7 @@ pub struct ControllerActor {
     shared: Arc<Shared>,
     domain: DomainId,
     id: ControllerId,
-    /// Signing identity, threshold key material and verification policy.
+    /// Identity key (for pair keys), threshold key share, verification policy.
     auth: Authenticator,
     view: ControlPlaneView,
     active: bool,
@@ -468,8 +468,20 @@ impl Actor<Net, Obs> for ControllerActor {
                     self.submit_op(ctx, op);
                 }
             }
-            // Switch-directed traffic is ignored defensively.
-            _ => {}
+            // Switch-directed traffic, and a view from anyone but the
+            // bootstrap controller, is ignored. No catch-all: the match
+            // stays exhaustive, so a new `Net` variant fails to compile here
+            // until the controller decides what it does with it.
+            Net::FlowArrival { .. }
+            | Net::FlowDone { .. }
+            | Net::UpdateMsg(_)
+            | Net::UpdatePlain(_)
+            | Net::UpdateAggregated(_)
+            | Net::SegwayReady(_)
+            | Net::SegwayReadyQuery { .. }
+            | Net::PhaseNotice(_)
+            | Net::LinkDown { .. }
+            | Net::StateSync { .. } => {}
         }
     }
 }

@@ -251,7 +251,7 @@ impl Engine {
     }
 
     /// Fails the link `a`–`b` at `at`: switch `a` detects the port-down and
-    /// raises a signed `LinkFailure` event (paper Fig. 2 scenario).
+    /// raises a tagged `LinkFailure` event (paper Fig. 2 scenario).
     pub fn fail_link(&mut self, at: SimTime, a: SwitchId, b: SwitchId) {
         self.sim.inject(at, self.switch_node(a), Net::LinkDown { a, b });
     }

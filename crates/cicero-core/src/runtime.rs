@@ -118,13 +118,11 @@ pub struct KeyMaterial {
     pub controller_pk: BTreeMap<(DomainId, ControllerId), PublicKey>,
     /// Per-domain threshold material.
     pub domains: BTreeMap<DomainId, DomainKeys>,
-    /// Placeholder signature used in [`CryptoMode::Modeled`] envelopes.
-    pub dummy: Signature,
 }
 
 impl KeyMaterial {
-    /// A placeholder (identity-point) signature.
-    pub fn dummy_signature() -> Signature {
+    /// The placeholder (identity-point) signature of [`CryptoMode::Modeled`].
+    pub(crate) fn dummy_signature() -> Signature {
         Signature(G1Affine::identity())
     }
 }
@@ -213,7 +211,6 @@ pub fn bootstrap_keys(
         switch_pk: BTreeMap::new(),
         controller_pk: BTreeMap::new(),
         domains: BTreeMap::new(),
-        dummy: KeyMaterial::dummy_signature(),
     };
     let mut secrets = SecretStore::default();
     let real = crypto == CryptoMode::Real;

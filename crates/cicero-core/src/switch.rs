@@ -832,8 +832,23 @@ impl Actor<Net, Obs> for SwitchActor {
                     self.buckets.retain_phase(m.payload.phase);
                 }
             }
-            // Messages not addressed to switches are ignored defensively.
-            _ => {}
+            // Controller traffic is ignored. No catch-all: the match stays
+            // exhaustive, so a new `Net` variant fails to compile here until
+            // the switch decides what it does with it.
+            Net::EventMsg(_)
+            | Net::ForwardedEvent(_)
+            | Net::Consensus { .. }
+            | Net::UpdateToAggregator(_)
+            | Net::AckMsg(_)
+            | Net::UpdateNack(_)
+            | Net::Heartbeat { .. }
+            | Net::Reshare { .. }
+            | Net::PhasePartial(_)
+            | Net::SegmentApplied(_)
+            | Net::MembershipCmd(_)
+            | Net::StateSync { .. }
+            | Net::SyncRequest { .. }
+            | Net::SyncReply { .. } => {}
         }
     }
 }

@@ -469,6 +469,7 @@ impl ThreadedDeployment {
 mod tests {
     use super::*;
     use southbound::types::{FlowId, Phase};
+    use substrate::storage::{mem_disk, Wal};
 
     /// Node 0 of a flowless deployment on a fresh clock, with the receiving
     /// ends of `mailboxes` peers' mailboxes (node ids 0..) and the shared log.
@@ -549,5 +550,27 @@ mod tests {
         assert!(first >= before + delay);
         assert_eq!(runner.service_deadlines(), Some(first), "not due yet: nothing fires");
         assert_eq!(runner.due.len(), 2);
+    }
+
+    /// Write-ahead holds whatever order a handler is written in: its sends
+    /// are effects, transmitted only once it returns, and `Wal::append` is
+    /// on disk when it returns. An ack sent before its record is appended
+    /// still leaves after the record.
+    #[test]
+    fn a_send_leaves_after_every_wal_append_of_its_handler() {
+        let (mut runner, mailboxes, _) = runner(2);
+        let disk = mem_disk();
+        let (mut wal, _) = Wal::open(Arc::clone(&disk), "wal");
+        runner.handle(|_actor, host| {
+            host.send(NodeId(1), Net::Heartbeat { phase: Phase(1) });
+            assert!(mailboxes[1].try_recv().is_err(), "the send left inside the handler");
+            wal.append(b"acked");
+        });
+        let (_, records) = Wal::open(disk, "wal");
+        assert_eq!(records, vec![b"acked".to_vec()]);
+        assert!(
+            matches!(mailboxes[1].try_recv(), Ok(Envelope::Msg { msg: Net::Heartbeat { .. }, .. })),
+            "the peer's mailbox holds the send when handle returns"
+        );
     }
 }

@@ -5,7 +5,7 @@
 //! dependencies — no `syn`, no `proc-macro2` — and total determinism. The
 //! lexer is deliberately token-level, not a parser: rules match identifier
 //! sequences, which is exactly the granularity at which the forbidden
-//! constructs (`HashMap`, `Instant`, `unsafe`, `unwrap()`) appear.
+//! constructs (`HashMap`, `Instant`, `OpenOptions`, `unwrap()`) appear.
 //!
 //! Comments are not discarded blindly: they are scanned for
 //! `detlint::allow(rule): reason` escape-hatch directives first.
@@ -270,9 +270,9 @@ pub fn lex(source: &str) -> Lexed {
                     continue;
                 }
                 // `r#ident` raw identifier. Keep the `r#` marker: a raw
-                // identifier is *not* the keyword it spells (`r#unsafe` is a
-                // plain binding named "unsafe"), so emitting the bare name
-                // would fabricate keyword findings like no-unsafe.
+                // identifier is *not* the keyword it spells (`r#match` is a
+                // plain binding named "match"), so emitting the bare name
+                // would fabricate keywords the parser then misreads.
                 let id_start = i;
                 while i < n && is_ident_continue(chars[i]) {
                     i += 1;
@@ -365,11 +365,11 @@ fn real_ident() {}
 
     #[test]
     fn directive_with_reason() {
-        let src = "// detlint::allow(no-unsafe): FFI boundary, audited 2026-08\nunsafe {}";
+        let src = "// detlint::allow(no-wall-clock): bench timer, audited 2026-08\nInstant::now()";
         let lexed = lex(src);
         assert_eq!(lexed.directives.len(), 1);
         let d = &lexed.directives[0];
-        assert_eq!(d.rule, "no-unsafe");
+        assert_eq!(d.rule, "no-wall-clock");
         assert_eq!(d.line, 1);
         assert!(d.reason.as_deref().is_some_and(|r| r.contains("audited")));
     }
@@ -377,9 +377,9 @@ fn real_ident() {}
     #[test]
     fn directive_without_reason_has_none() {
         for src in [
-            "// detlint::allow(no-unsafe)",
-            "// detlint::allow(no-unsafe):",
-            "// detlint::allow(no-unsafe):   ",
+            "// detlint::allow(no-wall-clock)",
+            "// detlint::allow(no-wall-clock):",
+            "// detlint::allow(no-wall-clock):   ",
         ] {
             let lexed = lex(src);
             assert_eq!(lexed.directives.len(), 1, "{src}");
@@ -453,7 +453,7 @@ fn real_ident() {}
     #[test]
     fn raw_identifiers_are_not_keywords() {
         // `r#unsafe` is a *binding named "unsafe"*, not the unsafe keyword;
-        // emitting the bare name fabricated no-unsafe findings.
+        // emitting the bare name fabricated keyword tokens.
         let ids = idents("let r#unsafe = 1; let r#match = r#unsafe;");
         assert!(!ids.contains(&"unsafe".to_string()), "raw ident leaked as keyword");
         assert!(!ids.contains(&"match".to_string()));

@@ -17,20 +17,22 @@
 //! * `no-wall-clock` — `Instant`/`SystemTime`/`thread::spawn` outside the
 //!   benchmark/sync allowlist.
 //! * `no-os-entropy` — any OS randomness outside `substrate::rng`.
-//! * `no-unsafe` — workspace-wide.
 //! * `panic-policy` — bare `unwrap()`, reason-less `expect()`, and
 //!   `todo!`/`unimplemented!` in protocol hot paths (non-test code).
+//! * `durable-io-boundary` — file opens and fsyncs outside `cicero-node`'s
+//!   disk boundary.
 //!
-//! A second, cross-file pass ([`flow`], over the item index built by
-//! [`parse`]) checks the protocol rather than the code: every constructed
-//! `Net` variant has a handler arm (`net-variant-unhandled`), every emitted
-//! `Obs` variant is consumed by a simcheck oracle (`obs-variant-unaudited`),
-//! every appended `WalRecord` has a replay arm (`wal-variant-unreplayed`),
-//! WAL appends dominate ack sends (`write-ahead-ordering`), and the
-//! threaded runtime never blocks in a handler, holds a lock across a
-//! channel op (`actor-blocking`), or orders locks cyclically
-//! (`lock-order-cycle`). DESIGN.md §5 spells out which parts are proven
-//! and which are fail-closed heuristics.
+//! A second, cross-file pass ([`flow`], over the function index built by
+//! [`parse`]) checks that the threaded runtime never blocks in a handler or
+//! holds a lock across a channel op (`actor-blocking`), and never orders
+//! locks cyclically (`lock-order-cycle`).
+//!
+//! detlint keeps only what the compiler cannot prove. `unsafe` is refused
+//! by the workspace lint `unsafe_code = "forbid"`; every `Net`, `Obs` and
+//! `WalRecord` variant is handled because the dispatch, oracle and replay
+//! matches have no catch-all arm; and a handler's sends leave only after it
+//! returns, so its WAL appends come first. DESIGN.md §5 says where each
+//! guarantee lives.
 //!
 //! Escape hatch: `// detlint::allow(rule): reason` on the offending line or
 //! the line above. The reason is **mandatory** — a reason-less directive is
@@ -59,24 +61,23 @@ pub use rules::{Finding, RULE_IDS};
 /// with `/` separators — it determines which rule scopes apply.
 ///
 /// Cross-file flow rules run over whatever file set is given, so on a
-/// single file they only see that file (coverage rules stay silent unless
-/// the file defines one of the protocol enums itself). Use [`lint_files`]
-/// or [`lint_workspace`] for the real analysis.
+/// single file they only see that file. Use [`lint_files`] or
+/// [`lint_workspace`] for the real analysis.
 pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
     lint_files(&[(path.to_string(), source.to_string())])
 }
 
 /// Lints a set of files as one unit: the per-file token rules on each,
-/// plus the cross-file protocol-flow rules ([`flow`]) over the whole set.
+/// plus the cross-file actor-safety rules ([`flow`]) over the whole set.
 /// Findings come back sorted by (file, line, rule).
 ///
 /// Escape-hatch semantics: a `detlint::allow(rule): reason` directive
 /// suppresses findings of `rule` on the directive's own line or the line
 /// directly below it — including flow findings, which anchor at the
-/// location an allow belongs (a variant declaration, a send site, a
-/// blocking call). Directives without a reason, or naming an unknown rule,
-/// suppress nothing and are reported as `malformed-allow`; well-formed
-/// directives that suppress nothing are reported as `stale-allow`.
+/// offending call (a send under a live guard, a blocking receive).
+/// Directives without a reason, or naming an unknown rule, suppress nothing
+/// and are reported as `malformed-allow`; well-formed directives that
+/// suppress nothing are reported as `stale-allow`.
 pub fn lint_files(files: &[(String, String)]) -> Vec<Finding> {
     let lexed: Vec<Lexed> = files.iter().map(|(_, src)| lex(src)).collect();
 
@@ -92,7 +93,7 @@ pub fn lint_files(files: &[(String, String)]) -> Vec<Finding> {
     let indexes: Vec<parse::FileIndex> = files
         .iter()
         .zip(&lexed)
-        .map(|((path, _), lx)| parse::index_file(path, &lx.tokens, flow::TRACKED_ENUMS))
+        .map(|((path, _), lx)| parse::index_file(path, &lx.tokens))
         .collect();
     let mut orphans = Vec::new();
     for f in flow::apply_flow_rules(&indexes) {
@@ -277,21 +278,6 @@ mod tests {
         assert!(lint_source("crates/substrate/src/rng.rs", "use x::OsRng;").is_empty());
     }
 
-    // -- no-unsafe -------------------------------------------------------
-
-    #[test]
-    fn unsafe_is_flagged_everywhere() {
-        let src = "fn f() { unsafe { g() } }";
-        for path in [
-            "crates/netmodel/src/x.rs",
-            "crates/substrate/src/x.rs",
-            "crates/bench/src/x.rs",
-        ] {
-            let findings = lint_source(path, src);
-            assert_eq!(rules_of(&findings), vec!["no-unsafe"], "{path}");
-        }
-    }
-
     // -- panic-policy ----------------------------------------------------
 
     #[test]
@@ -363,18 +349,18 @@ mod tests {
 
     #[test]
     fn unused_allow_is_stale() {
-        let src = "// detlint::allow(no-unsafe): leftover from a refactor\nfn f() {}";
+        let src = "// detlint::allow(no-wall-clock): leftover from a refactor\nfn f() {}";
         let findings = lint_source("crates/simnet/src/x.rs", src);
         assert_eq!(rules_of(&findings), vec!["stale-allow"]);
     }
 
     #[test]
     fn allow_does_not_reach_two_lines_down() {
-        let src = "// detlint::allow(no-unsafe): too far\n\nfn f() { unsafe {} }";
+        let src = "// detlint::allow(no-wall-clock): too far\n\nlet t = Instant::now();";
         let findings = lint_source("crates/simnet/src/x.rs", src);
         let mut rules = rules_of(&findings);
         rules.sort_unstable();
-        assert_eq!(rules, vec!["no-unsafe", "stale-allow"]);
+        assert_eq!(rules, vec!["no-wall-clock", "stale-allow"]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The `detlint` binary: lints the whole workspace — per-file token rules
-//! plus the cross-file protocol-flow rules — and exits nonzero on any
+//! plus the cross-file actor-safety rules — and exits nonzero on any
 //! finding. Wired into `scripts/verify.sh`; the same check also runs as the
 //! facade test `tests/detlint.rs` so plain `cargo test` enforces it.
 //!

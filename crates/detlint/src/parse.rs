@@ -1,37 +1,12 @@
-//! A lightweight item-level parse over the lexed token stream: enum
-//! definitions with their variants, function bodies, call sites, and
-//! `Enum::Variant` path occurrences classified as match-arm patterns or
-//! constructions.
+//! A lightweight item-level parse over the lexed token stream: function
+//! bodies and call sites.
 //!
 //! This is deliberately *not* a Rust parser. It recovers exactly the
-//! structure the flow rules ([`crate::flow`]) need, with the same design
-//! constraints as the lexer: zero dependencies, total determinism, and a
-//! bias toward never misclassifying — ambiguous constructs degrade into
-//! "use" (the conservative direction for coverage rules, which only ever
-//! demand a *handler*, never forbid one).
+//! structure the actor-safety rules ([`crate::flow`]) need, with the same
+//! design constraints as the lexer: zero dependencies, total determinism,
+//! and a bias toward never misclassifying.
 
 use crate::lex::{Tok, Token};
-
-/// One variant of a parsed `enum`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct EnumVariant {
-    /// Variant name.
-    pub name: String,
-    /// 1-based line of the variant's declaration (where a
-    /// `detlint::allow` for a coverage finding belongs).
-    pub line: u32,
-}
-
-/// A parsed `enum` definition.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct EnumDef {
-    /// Enum name.
-    pub name: String,
-    /// 1-based line of the `enum` keyword.
-    pub line: u32,
-    /// The variants, in declaration order.
-    pub variants: Vec<EnumVariant>,
-}
 
 /// A parsed `fn` item (free function, method, or nested fn).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -47,38 +22,14 @@ pub struct FnDef {
     pub body_end: usize,
 }
 
-/// One `Enum::Variant` path occurrence.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct VariantUse {
-    /// The enum path segment (`Net`, `Obs`, `WalRecord`).
-    pub enum_name: String,
-    /// The variant segment.
-    pub variant: String,
-    /// 1-based line of the occurrence.
-    pub line: u32,
-    /// Token index of the enum-name identifier.
-    pub token: usize,
-    /// `true` when the occurrence is a match-arm pattern: the path (plus
-    /// one optional balanced `(..)`/`{..}` payload) is followed by `=>`,
-    /// an or-pattern `|`, or a match guard whose `=>` arrives before the
-    /// arm ends. Everything else — constructions, `matches!`, `if let` —
-    /// counts as a plain use.
-    pub is_match_arm: bool,
-}
-
 /// Everything the flow rules need to know about one file.
 pub struct FileIndex<'a> {
     /// Workspace-relative path (same convention as [`crate::lint_source`]).
     pub path: String,
     /// The file's comment/literal-stripped token stream.
     pub tokens: &'a [Token],
-    /// Every `enum` defined in the file.
-    pub enums: Vec<EnumDef>,
     /// Every `fn` defined in the file (nested fns included).
     pub fns: Vec<FnDef>,
-    /// Every `Enum::Variant` path occurrence, for enums named in
-    /// `tracked` at indexing time.
-    pub uses: Vec<VariantUse>,
 }
 
 pub(crate) fn ident_at<'a>(tokens: &'a [Token], i: usize) -> Option<&'a str> {
@@ -92,24 +43,16 @@ pub(crate) fn punct_at(tokens: &[Token], i: usize, c: char) -> bool {
     matches!(tokens.get(i).map(|t| &t.tok), Some(Tok::Punct(p)) if *p == c)
 }
 
-fn is_open(c: char) -> bool {
-    matches!(c, '(' | '[' | '{')
-}
-
-fn is_close(c: char) -> bool {
-    matches!(c, ')' | ']' | '}')
-}
-
 /// Skips a balanced bracket group starting at `i` (which must be an opening
 /// bracket); returns the index just past the matching close. Unbalanced
 /// input returns `tokens.len()`.
-pub(crate) fn skip_balanced(tokens: &[Token], i: usize) -> usize {
+fn skip_balanced(tokens: &[Token], i: usize) -> usize {
     let mut depth = 0usize;
     let mut j = i;
     while j < tokens.len() {
         match &tokens[j].tok {
-            Tok::Punct(c) if is_open(*c) => depth += 1,
-            Tok::Punct(c) if is_close(*c) => {
+            Tok::Punct('(' | '[' | '{') => depth += 1,
+            Tok::Punct(')' | ']' | '}') => {
                 depth = depth.saturating_sub(1);
                 if depth == 0 {
                     return j + 1;
@@ -120,76 +63,6 @@ pub(crate) fn skip_balanced(tokens: &[Token], i: usize) -> usize {
         j += 1;
     }
     j
-}
-
-/// Parses every `enum Name { Variant, ... }` in the stream. Attributes on
-/// variants are skipped; payloads (tuple or struct) and discriminants are
-/// consumed without interpretation.
-fn parse_enums(tokens: &[Token]) -> Vec<EnumDef> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < tokens.len() {
-        if ident_at(tokens, i) != Some("enum") {
-            i += 1;
-            continue;
-        }
-        let Some(name) = ident_at(tokens, i + 1) else {
-            i += 1;
-            continue;
-        };
-        let def_line = tokens[i].line;
-        // Skip generics / bounds to the opening brace (or bail at `;`).
-        let mut j = i + 2;
-        while j < tokens.len() && !punct_at(tokens, j, '{') && !punct_at(tokens, j, ';') {
-            j += 1;
-        }
-        if !punct_at(tokens, j, '{') {
-            i = j + 1;
-            continue;
-        }
-        let body_end = skip_balanced(tokens, j);
-        let mut variants = Vec::new();
-        let mut k = j + 1;
-        while k + 1 < body_end {
-            // Variant attributes: `#[...]`.
-            while punct_at(tokens, k, '#') && punct_at(tokens, k + 1, '[') {
-                k = skip_balanced(tokens, k + 1);
-            }
-            let Some(vname) = ident_at(tokens, k) else { break };
-            variants.push(EnumVariant {
-                name: vname.to_string(),
-                line: tokens[k].line,
-            });
-            // Consume payload / discriminant to the `,` (or the enum's `}`)
-            // at variant depth.
-            k += 1;
-            let mut depth = 0usize;
-            while k + 1 < body_end + 1 && k < tokens.len() {
-                match &tokens[k].tok {
-                    Tok::Punct(c) if is_open(*c) => depth += 1,
-                    Tok::Punct(c) if is_close(*c) => {
-                        if depth == 0 {
-                            break; // the enum's own `}`
-                        }
-                        depth -= 1;
-                    }
-                    Tok::Punct(',') if depth == 0 => {
-                        k += 1;
-                        break;
-                    }
-                    _ => {}
-                }
-                k += 1;
-            }
-        }
-        out.push(EnumDef {
-            name: name.to_string(),
-            line: def_line,
-            variants,
-        });
-        i = body_end;
-    }
-    out
 }
 
 /// Parses every `fn name ... { body }`. `fn` *types* (`fn(u32) -> u32`)
@@ -260,83 +133,12 @@ pub fn calls_in(tokens: &[Token], start: usize, end: usize) -> Vec<(String, usiz
     out
 }
 
-/// Finds every `E::V` path occurrence for enums named in `tracked`, and
-/// classifies each as match-arm pattern or plain use.
-fn variant_uses(tokens: &[Token], tracked: &[&str]) -> Vec<VariantUse> {
-    let mut out = Vec::new();
-    for i in 0..tokens.len() {
-        let Some(e) = ident_at(tokens, i) else { continue };
-        if !tracked.contains(&e) {
-            continue;
-        }
-        if !(punct_at(tokens, i + 1, ':') && punct_at(tokens, i + 2, ':')) {
-            continue;
-        }
-        let Some(v) = ident_at(tokens, i + 3) else { continue };
-        // Qualified non-variant paths (`Net::decode(..)`) are recorded too;
-        // the flow rules intersect with declared variants, so they never
-        // produce findings.
-        let mut j = i + 4;
-        if punct_at(tokens, j, '(') || punct_at(tokens, j, '{') {
-            j = skip_balanced(tokens, j);
-        }
-        let is_match_arm = arm_follows(tokens, j);
-        out.push(VariantUse {
-            enum_name: e.to_string(),
-            variant: v.to_string(),
-            line: tokens[i].line,
-            token: i,
-            is_match_arm,
-        });
-    }
-    out
-}
-
-/// `true` when the tokens at `j` continue a match arm: `=>` directly, an
-/// or-pattern `|` (`A | B =>`), a binding `@`, or a guard `if cond =>`
-/// whose `=>` arrives before the arm's `,` / enclosing close.
-fn arm_follows(tokens: &[Token], j: usize) -> bool {
-    if punct_at(tokens, j, '=') && punct_at(tokens, j + 1, '>') {
-        return true;
-    }
-    if punct_at(tokens, j, '|') {
-        // `a | b` bit-or versus or-pattern is ambiguous at token level;
-        // treating bit-or over enum paths as a pattern is safe because
-        // enums here are not bit-or-able.
-        return true;
-    }
-    if ident_at(tokens, j) == Some("if") {
-        // Match guard: scan to the arm body marker before the arm ends.
-        let mut depth = 0usize;
-        let mut k = j + 1;
-        while k < tokens.len() {
-            match &tokens[k].tok {
-                Tok::Punct(c) if is_open(*c) => depth += 1,
-                Tok::Punct(c) if is_close(*c) => {
-                    if depth == 0 {
-                        return false;
-                    }
-                    depth -= 1;
-                }
-                Tok::Punct(',') if depth == 0 => return false,
-                Tok::Punct('=') if depth == 0 && punct_at(tokens, k + 1, '>') => return true,
-                _ => {}
-            }
-            k += 1;
-        }
-    }
-    false
-}
-
-/// Indexes one file for the flow rules. `tracked` names the enums whose
-/// path occurrences are collected (the protocol alphabets).
-pub fn index_file<'a>(path: &str, tokens: &'a [Token], tracked: &[&str]) -> FileIndex<'a> {
+/// Indexes one file for the flow rules.
+pub fn index_file<'a>(path: &str, tokens: &'a [Token]) -> FileIndex<'a> {
     FileIndex {
         path: path.to_string(),
         tokens,
-        enums: parse_enums(tokens),
         fns: parse_fns(tokens),
-        uses: variant_uses(tokens, tracked),
     }
 }
 
@@ -344,27 +146,6 @@ pub fn index_file<'a>(path: &str, tokens: &'a [Token], tracked: &[&str]) -> File
 mod tests {
     use super::*;
     use crate::lex::lex;
-
-    #[test]
-    fn enum_variants_with_payloads_and_attributes() {
-        let src = r#"
-pub enum Net {
-    FlowArrival { flow: FlowId, at: SimTime },
-    #[allow(dead_code)]
-    UpdateMsg(Signed<NetworkUpdate>),
-    Heartbeat,
-}
-enum Other { A = 3, B((u32, u32)) }
-"#;
-        let lexed = lex(src);
-        let enums = parse_enums(&lexed.tokens);
-        assert_eq!(enums.len(), 2);
-        let names: Vec<&str> = enums[0].variants.iter().map(|v| v.name.as_str()).collect();
-        assert_eq!(names, vec!["FlowArrival", "UpdateMsg", "Heartbeat"]);
-        assert_eq!(enums[0].variants[0].line, 3);
-        let other: Vec<&str> = enums[1].variants.iter().map(|v| v.name.as_str()).collect();
-        assert_eq!(other, vec!["A", "B"]);
-    }
 
     #[test]
     fn fn_bodies_and_nested_fns() {
@@ -375,31 +156,6 @@ enum Other { A = 3, B((u32, u32)) }
         assert_eq!(names, vec!["outer", "inner"]);
         // The nested fn's body is inside the outer's range.
         assert!(fns[1].body_start > fns[0].body_start && fns[1].body_end < fns[0].body_end);
-    }
-
-    #[test]
-    fn match_arms_versus_constructions() {
-        let src = r#"
-fn f(m: Net) {
-    match m {
-        Net::FlowArrival { flow, .. } => go(flow),
-        Net::AckMsg(a) if a.ok() => ack(a),
-        Net::Heartbeat | Net::PhaseNotice(_) => {}
-        _ => {}
-    }
-    send(Net::FlowDone { flow: 1 });
-    let is = matches!(m, Net::LinkDown { .. });
-}
-"#;
-        let lexed = lex(src);
-        let uses = variant_uses(&lexed.tokens, &["Net"]);
-        let arm = |v: &str| uses.iter().find(|u| u.variant == v).expect("variant present").is_match_arm;
-        assert!(arm("FlowArrival"));
-        assert!(arm("AckMsg"), "guarded arm still classified as arm");
-        assert!(arm("Heartbeat"), "or-pattern head classified as arm");
-        assert!(arm("PhaseNotice"));
-        assert!(!arm("FlowDone"), "construction is not an arm");
-        assert!(!arm("LinkDown"), "matches! is a use, not an arm");
     }
 
     #[test]

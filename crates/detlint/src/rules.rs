@@ -9,15 +9,13 @@
 //! | `no-random-order-collections` | `HashMap`/`HashSet` | deterministic crates |
 //! | `no-wall-clock` | `Instant`, `SystemTime`, `thread::spawn` | everywhere except `substrate::benchkit`, `substrate::sync`, `crates/bench`, `cicero-node`'s clock boundary |
 //! | `no-os-entropy` | `OsRng`, `thread_rng`, `from_entropy`, `getrandom`, `RandomState` | everywhere except `substrate::rng` |
-//! | `no-unsafe` | the `unsafe` keyword | workspace-wide |
 //! | `panic-policy` | `unwrap()`, reason-less `expect()`, `todo!`/`unimplemented!` | protocol hot paths, non-test code |
 //! | `durable-io-boundary` | `OpenOptions`, `sync_all`, `sync_data` | everywhere except `cicero-node`'s disk boundary |
-//! | `crypto-mode-boundary` | `real_crypto`, `dummy` | everywhere except `cicero-core`'s authentication seam and key ceremony |
 //!
-//! The cross-file protocol-flow rules (`net-variant-unhandled`,
-//! `obs-variant-unaudited`, `wal-variant-unreplayed`,
-//! `write-ahead-ordering`, `actor-blocking`, `lock-order-cycle`) live in
-//! [`crate::flow`] — they run over the whole file set at once.
+//! No rule repeats what the compiler proves: `unsafe` is refused by the
+//! workspace lint `unsafe_code = "forbid"`. The cross-file actor-safety
+//! rules (`actor-blocking`, `lock-order-cycle`) live in [`crate::flow`] —
+//! they run over the whole file set at once.
 
 use crate::lex::{Lexed, Tok, Token};
 
@@ -47,20 +45,14 @@ impl std::fmt::Display for Finding {
 }
 
 /// Rule ids (also the set of names `detlint::allow` accepts). The first
-/// seven are per-file token rules ([`apply_rules`]); the rest are the
-/// cross-file protocol-flow rules ([`crate::flow`]).
+/// five are per-file token rules ([`apply_rules`]); the last two are the
+/// cross-file actor-safety rules ([`crate::flow`]).
 pub const RULE_IDS: &[&str] = &[
     "no-random-order-collections",
     "no-wall-clock",
     "no-os-entropy",
-    "no-unsafe",
     "panic-policy",
     "durable-io-boundary",
-    "crypto-mode-boundary",
-    "net-variant-unhandled",
-    "obs-variant-unaudited",
-    "wal-variant-unreplayed",
-    "write-ahead-ordering",
     "actor-blocking",
     "lock-order-cycle",
 ];
@@ -103,18 +95,6 @@ const ENTROPY_ALLOWED: &[&str] = &["crates/substrate/src/rng.rs"];
 /// (and their simulated counterpart) live in exactly one place.
 const DURABLE_IO_ALLOWED: &[&str] = &["crates/cicero-node/src/disk.rs"];
 
-/// The modules allowed to ask whether signatures are real and to mint
-/// placeholder ones: the authentication seam (`auth.rs`) decides it for
-/// every sign/verify site of both actors and for a membership change's
-/// re-key; `runtime.rs` and `deploy.rs` run the key ceremony. A
-/// `real_crypto()` test or a hand-built placeholder envelope anywhere else
-/// is the per-call-site mode branching the seam replaced.
-const CRYPTO_MODE_ALLOWED: &[&str] = &[
-    "crates/cicero-core/src/auth.rs",
-    "crates/cicero-core/src/runtime.rs",
-    "crates/cicero-core/src/deploy.rs",
-];
-
 /// Protocol hot paths where PR 2's explicit-failure style is enforced:
 /// a bare `unwrap()` carries no invariant; `expect("why")` must state one.
 const HOT_PATHS: &[&str] = &[
@@ -154,10 +134,6 @@ fn entropy_allowed(path: &str) -> bool {
 
 fn durable_io_allowed(path: &str) -> bool {
     DURABLE_IO_ALLOWED.contains(&path)
-}
-
-fn crypto_mode_allowed(path: &str) -> bool {
-    CRYPTO_MODE_ALLOWED.contains(&path)
 }
 
 fn is_hot_path(path: &str) -> bool {
@@ -268,7 +244,6 @@ pub fn apply_rules(path: &str, lexed: &Lexed) -> Vec<Finding> {
     let wall_ok = wall_clock_allowed(path);
     let entropy_ok = entropy_allowed(path);
     let durable_ok = durable_io_allowed(path);
-    let crypto_ok = crypto_mode_allowed(path);
     let hot = is_hot_path(path);
     let test_mask = if hot {
         test_region_mask(tokens)
@@ -342,25 +317,6 @@ pub fn apply_rules(path: &str, lexed: &Lexed) -> Vec<Finding> {
                     ),
                     "take a substrate::storage::Disk handle; real files live only in \
                      cicero-node/src/disk.rs",
-                );
-            }
-            "real_crypto" | "dummy" if !crypto_ok => {
-                push(
-                    t.line,
-                    "crypto-mode-boundary",
-                    format!(
-                        "`{id}` decides real vs. placeholder signatures at a call site; \
-                         that decision is confined to the authentication seam"
-                    ),
-                    "sign and verify through cicero_core::auth::Authenticator",
-                );
-            }
-            "unsafe" => {
-                push(
-                    t.line,
-                    "no-unsafe",
-                    "`unsafe` block or item".to_string(),
-                    "every crate root carries #![forbid(unsafe_code)]; find a safe formulation",
                 );
             }
             "unwrap" if hot && !test_mask.get(i).copied().unwrap_or(false) => {
@@ -444,30 +400,6 @@ fn persist(f: &std::fs::File) {
             allowed.iter().all(|f| f.rule != "durable-io-boundary"),
             "the disk boundary itself is exempt"
         );
-    }
-
-    #[test]
-    fn crypto_mode_confined_to_the_authentication_seam() {
-        let src = r#"
-fn sign(&self) -> Signature {
-    if self.shared.real_crypto() { self.key.sign(b"m") } else { self.shared.keys.dummy }
-}
-"#;
-        let lexed = lex(src);
-        let flagged = apply_rules("crates/cicero-core/src/switch.rs", &lexed);
-        let hits = flagged
-            .iter()
-            .filter(|f| f.rule == "crypto-mode-boundary")
-            .count();
-        assert_eq!(hits, 2, "real_crypto and dummy both flagged");
-        for allowed in CRYPTO_MODE_ALLOWED {
-            assert!(
-                apply_rules(allowed, &lexed)
-                    .iter()
-                    .all(|f| f.rule != "crypto-mode-boundary"),
-                "{allowed} is exempt"
-            );
-        }
     }
 
     #[test]

@@ -309,10 +309,10 @@ fn recovery(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
 /// and counters carry sane values: every re-send stream numbers its
 /// attempts 1, 2, 3, … with no gap (the one numbering of
 /// `controller::pending::{RetryTable, Kept}`), one rule for every kind.
-/// This closes the audit loop demanded by `detlint`'s
-/// `obs-variant-unaudited` rule: an actor emitting one of these variants
-/// with wrong bookkeeping now fails the run instead of merely skewing a
-/// figure.
+/// The match below names every `Obs` variant and must stay exhaustive (no
+/// catch-all arm): a new observation fails to compile here until an oracle
+/// audits it, and an actor emitting one of these variants with wrong
+/// bookkeeping fails the run instead of merely skewing a figure.
 ///
 /// Pairing and at-most-once checks on *controller-side* observations are
 /// gated on runs without crash faults: WAL replay re-drives the delivery

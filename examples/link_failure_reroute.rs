@@ -60,7 +60,7 @@ fn main() {
     );
     engine.run(start + SimDuration::from_secs(10));
 
-    // 2. The s3-s5 link dies; s3 raises a signed LinkFailure event.
+    // 2. The s3-s5 link dies; s3 raises a tagged LinkFailure event.
     let fail_at = engine.now() + SimDuration::from_millis(5);
     println!("failing link s3-s5 …");
     engine.fail_link(fail_at, SwitchId(3), SwitchId(5));
