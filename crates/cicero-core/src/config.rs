@@ -1,7 +1,6 @@
-//! Engine configuration: protocol modes, crypto execution modes, and the
-//! calibrated cost model.
+//! Engine configuration: protocol modes, crypto execution modes, the
+//! calibrated cost model, and the reliable-delivery constants.
 
-use controller::pending::RetryPolicy;
 use simnet::time::SimDuration;
 
 /// Which update protocol runs on the control plane — the four systems the
@@ -236,66 +235,37 @@ impl CostModel {
     }
 }
 
-/// Reliable-delivery knobs: retransmission bases and retry budgets. See
-/// DESIGN.md "Reliable delivery under loss".
-///
-/// The paper's southbound channel is TCP, so loss recovery is implicit
-/// there; the reproduction's simulated network loses raw messages, and
-/// this layer makes the update path *explicitly* loss-tolerant.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ReliabilityConfig {
-    /// Master switch: when `false`, nothing is retransmitted and no NACKs
-    /// are sent (the pre-reliability behavior, kept for control runs that
-    /// demonstrate what the layer buys).
-    pub enabled: bool,
-    /// Delay before the first retransmission of an unacked update, and
-    /// before a waiting barrier or parked Segway body first asks.
-    pub retry_base: SimDuration,
-    /// Retransmissions allowed per update before it is reported failed, and
-    /// per event, barrier query or ready query before it is given up.
-    pub retry_budget: u32,
-    /// NACKs allowed per update bucket.
-    pub nack_budget: u32,
-}
+// Reliable delivery (DESIGN.md "Reliable delivery under loss"). The
+// paper's southbound channel is TCP, so loss recovery is implicit there;
+// the reproduction's simulated network loses raw messages, and these
+// clocks make the update path explicitly loss-tolerant. They are part of
+// the protocol, not settings. Every stream backs off exponentially from
+// its base up to `controller::pending::MAX_BACKOFF`.
+//
+// The bases sit well above the *loaded* service time of each path
+// (flow-completion p99 under a burst is a few hundred ms), not its idle
+// latency: a retry timer below the queueing delay retransmits messages
+// that were never lost, and on a busy control plane that self-amplifies —
+// duplicates add load, load adds delay, delay fires more timers. Loss
+// recovery still only costs one base interval.
 
-impl Default for ReliabilityConfig {
-    /// The bases sit well above the *loaded* service time of each path
-    /// (flow-completion p99 under a burst is a few hundred ms), not its
-    /// idle latency: a retry timer below the queueing delay retransmits
-    /// messages that were never lost, and on a busy control plane that
-    /// self-amplifies — duplicates add load, load adds delay, delay fires
-    /// more timers. Loss recovery still only costs one base interval.
-    fn default() -> Self {
-        ReliabilityConfig {
-            enabled: true,
-            retry_base: SimDuration::from_millis(150),
-            retry_budget: 16,
-            nack_budget: 8,
-        }
-    }
-}
+/// Delay before the first retransmission of an unacked update or a
+/// forward, and before a parked Segway body first asks for a ready.
+pub const RETRY_BASE: SimDuration = SimDuration::from_millis(150);
 
-/// Backoff ceiling for updates, events and NACKs.
-const RETRY_MAX_BACKOFF: SimDuration = SimDuration::from_secs(2);
+/// Delay before a switch first re-sends an unanswered event.
+pub const EVENT_RETRY_BASE: SimDuration = SimDuration::from_millis(250);
 
-impl ReliabilityConfig {
-    /// The retransmission policy over one of this config's `(base, budget)`
-    /// pairs, jittered by `jitter_seed` (mix in the sender's identity so
-    /// peers do not retransmit in lockstep). With the layer disabled the
-    /// budget is zero: nothing is ever due.
-    pub fn policy(&self, base: SimDuration, budget: u32, jitter_seed: u64) -> RetryPolicy {
-        let budget = if self.enabled { budget } else { 0 };
-        RetryPolicy::new(base, RETRY_MAX_BACKOFF, budget, jitter_seed)
-    }
+/// How long a switch lets a below-quorum update bucket age before it first
+/// NACKs the control plane for the missing shares.
+pub const NACK_TIMEOUT: SimDuration = SimDuration::from_millis(150);
 
-    /// The no-retransmission control configuration.
-    pub fn disabled() -> Self {
-        ReliabilityConfig {
-            enabled: false,
-            ..ReliabilityConfig::default()
-        }
-    }
-}
+/// Retransmissions allowed per update before it is reported failed, and per
+/// event, forward or ready query before it is given up.
+pub const RETRY_BUDGET: u32 = 16;
+
+/// NACKs allowed per update bucket.
+pub const NACK_BUDGET: u32 = 8;
 
 /// Full engine configuration.
 #[derive(Clone, Debug)]
@@ -314,11 +284,6 @@ pub struct EngineConfig {
     pub rule_reuse: bool,
     /// RNG seed (simulation determinism).
     pub seed: u64,
-    /// When `true`, every controller emits an observation for every event
-    /// it delivers, letting tests check *event-linearizability* (paper
-    /// §4.4): all controllers of a domain process the identical sequence.
-    /// Off by default (chatty).
-    pub trace_deliveries: bool,
     /// Heartbeat period for the failure detector; `None` disables automatic
     /// failure detection (benchmarks run without it, as crashes are not part
     /// of any figure). When enabled, a controller silent for 4 periods is
@@ -332,8 +297,6 @@ pub struct EngineConfig {
     /// which boundary-crossing flows can transiently black-hole at the
     /// domain edge with zero faults (kept for regression/control runs).
     pub cross_domain_handshake: bool,
-    /// Reliable-delivery layer (retransmission, NACK/re-sync) knobs.
-    pub reliability: ReliabilityConfig,
 }
 
 impl Default for EngineConfig {
@@ -347,10 +310,8 @@ impl Default for EngineConfig {
             costs: CostModel::default(),
             rule_reuse: true,
             seed: 1,
-            trace_deliveries: false,
             heartbeat: None,
             cross_domain_handshake: true,
-            reliability: ReliabilityConfig::default(),
         }
     }
 }

@@ -82,7 +82,7 @@ pub(super) struct SegWatch {
 /// body and one id, tagged once for each controller of every domain holding
 /// a barrier on it. Kept (`seg_sent`) so an upstream controller still
 /// waiting can have its copy again by re-forwarding the event
-/// ([`Net::ForwardedEvent`]), for exactly as long as the upstream side's
+/// (a forwarded [`Net::EventMsg`]), for exactly as long as the upstream side's
 /// `barriers` entry of that key lives; a restart rebuilds it by replaying
 /// the acks that drained the segment.
 pub(super) struct Report {

@@ -57,7 +57,7 @@ impl ControllerActor {
     /// Handles a switch NACK: re-send the signed update if we still hold it
     /// (in flight, or acknowledged-by-quorum but missed by this switch).
     pub(super) fn on_update_nack(&mut self, ctx: &mut dyn Host<Net, Obs>, m: Tagged<NackBody>) {
-        if !self.active || !self.shared.cfg.reliability.enabled {
+        if !self.active {
             return;
         }
         ctx.charge_cpu(self.shared.cfg.costs.ctrl_msg);

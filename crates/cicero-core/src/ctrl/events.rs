@@ -43,13 +43,11 @@ impl ControllerActor {
         if !self.seen_events.insert(event.id) {
             return;
         }
-        if self.shared.cfg.trace_deliveries {
-            ctx.observe(Obs::EventDelivered {
-                domain: self.domain,
-                controller: self.id.0,
-                event: event.id,
-            });
-        }
+        ctx.observe(Obs::EventDelivered {
+            domain: self.domain,
+            controller: self.id.0,
+            event: event.id,
+        });
         if self.is_lowest() {
             ctx.observe(Obs::EventProcessed {
                 domain: self.domain,
@@ -216,7 +214,7 @@ impl ControllerActor {
     ) {
         let (to, phase) = (Peer::Controller(d, c), self.view.phase());
         if let Some(tagged) = self.auth.tag(ctx, labels::FORWARD, event, phase, msg_id, to) {
-            self.send_remote(ctx, d, c, Net::ForwardedEvent(tagged));
+            self.send_remote(ctx, d, c, Net::EventMsg(tagged));
         }
     }
 
@@ -313,18 +311,21 @@ impl ControllerActor {
         }
     }
 
-    /// A switch's event or another domain's forward. A replay of a
-    /// processed event is dropped unchecked (a re-forward is answered);
-    /// otherwise it counts only over the channel of the sender its id names
-    /// — the switch, or the forwarding controller of the event's `origin`
-    /// domain — and only if that sender's tag for this controller holds.
+    /// A switch's event or another domain's forward, told apart by the
+    /// event's `forwarded` mark. A replay of a processed event is dropped
+    /// unchecked (a re-forward is answered); otherwise it counts only over
+    /// the channel of the sender the mark and id name — the switch, or the
+    /// forwarding controller of the event's `origin` domain — and only if
+    /// that sender's tag for this controller holds. A switch's event marked
+    /// forwarded therefore fails the channel check (taken as the switch's,
+    /// it would reach no other domain).
     pub(super) fn on_event_msg(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
         from: NodeId,
         msg: Tagged<Event>,
-        forwarded: bool,
     ) {
+        let forwarded = msg.payload.forwarded;
         if !self.active {
             return;
         }
@@ -355,7 +356,7 @@ impl ControllerActor {
         // local consensus: the domains' agreement rounds then run in
         // parallel, which keeps the cross-domain ordering handshake's
         // serial segment chain off the consensus critical path.
-        if !msg.payload.forwarded && self.is_lowest() {
+        if !forwarded && self.is_lowest() {
             self.forward_event(ctx, &msg.payload);
         }
         if self.auth.rekeying() || self.recovering {

@@ -29,7 +29,7 @@ mod membership;
 
 use crate::auth::{Authenticator, Peer};
 use crate::collector::QuorumCollector;
-use crate::config::Mode;
+use crate::config::{Mode, RETRY_BASE, RETRY_BUDGET};
 use crate::msg::{Net, OrderedOp, PhaseInfo, UpdateBody, WalRecord};
 use crate::obs::Obs;
 use crate::runtime::{labels, Shared};
@@ -42,7 +42,7 @@ use blscrypto::dkg::GroupPublic;
 use controller::app::ShortestPathApp;
 use controller::failure::HeartbeatDetector;
 use controller::membership::ControlPlaneView;
-use controller::pending::{Kept, PendingUpdates, RetryTable};
+use controller::pending::{Kept, PendingUpdates, RetryPolicy, RetryTable};
 use controller::scheduler::{ReversePathScheduler, UpdateScheduler};
 use simnet::node::{Actor, Host, NodeId, TimerToken};
 use simnet::sim::ENVIRONMENT;
@@ -148,13 +148,12 @@ impl ControllerActor {
         active: bool,
     ) -> Self {
         let replica = active.then(|| Self::build_replica(&view, id));
-        let rel = shared.cfg.reliability;
         // Per-controller jitter streams: replicas must not retransmit in
         // lockstep or every retry wave collides at the receiver.
         let jitter = |shift: u32, rot: u32| {
             shared.cfg.seed ^ (u64::from(domain.0) << shift) ^ u64::from(id.0).rotate_left(rot)
         };
-        let update_policy = |seed| rel.policy(rel.retry_base, rel.retry_budget, seed);
+        let policy = |seed| RetryPolicy::new(RETRY_BASE, RETRY_BUDGET, seed);
         let remote_members = shared
             .dir
             .initial_members
@@ -175,8 +174,8 @@ impl ControllerActor {
                 identity,
                 share,
             ),
-            pending: PendingUpdates::new().with_policy(update_policy(jitter(32, 13))),
-            forwards: RetryTable::new(update_policy(jitter(16, 29))),
+            pending: PendingUpdates::new(policy(jitter(32, 13))),
+            forwards: RetryTable::new(policy(jitter(16, 29))),
             shared,
             domain,
             id,
@@ -374,8 +373,7 @@ impl Actor<Net, Obs> for ControllerActor {
             _ => None,
         };
         match msg {
-            Net::EventMsg(m) => self.on_event_msg(ctx, from, m, false),
-            Net::ForwardedEvent(m) => self.on_event_msg(ctx, from, m, true),
+            Net::EventMsg(m) => self.on_event_msg(ctx, from, m),
             Net::Consensus { phase, msg } => {
                 // While recovering, consensus traffic is dropped: the
                 // remaining 2f replicas make progress without this one, and

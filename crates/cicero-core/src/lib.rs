@@ -58,9 +58,7 @@ pub mod switch;
 /// Commonly used items.
 pub mod prelude {
     pub use crate::audit::{audit_flow, Hazard, ReplayState, WalkOutcome};
-    pub use crate::config::{
-        Aggregation, CostModel, CryptoMode, EngineConfig, Mode, ReliabilityConfig,
-    };
+    pub use crate::config::{Aggregation, CostModel, CryptoMode, EngineConfig, Mode};
     pub use crate::ctrl::ControllerActor;
     pub use crate::deploy::{Deployment, Life, NodeRole, Outstanding, Progress};
     pub use crate::engine::{default_pod_engine, Engine, RunReport};
@@ -71,8 +69,7 @@ pub mod prelude {
     };
     pub use crate::msg::{AckBody, Net, OrderedOp, PhaseInfo};
     pub use crate::obs::{
-        check_event_linearizability, check_event_linearizability_with_amnesia,
-        delivery_sequences, events_per_domain, flow_latencies,
+        check_event_linearizability, delivery_sequences, events_per_domain, flow_latencies,
         resolved_flows, retransmit_stats, unique_events, Cdf, Obs, RetransmitStats,
     };
     pub use crate::runtime::{bootstrap_keys, Directory, KeyMaterial, Shared};

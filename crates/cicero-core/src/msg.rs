@@ -282,16 +282,15 @@ pub enum Net {
         /// Destination host.
         dst: HostId,
     },
-    /// Switch → one controller: a data-plane event, tagged under the pair's
-    /// key (one body and id, one copy per controller it goes to; re-sent
-    /// re-tagged under the same id).
+    /// An event, tagged under the pair's key. Either switch → one
+    /// controller: a data-plane event (one body and id, one copy per
+    /// controller it goes to; re-sent re-tagged under the same id). Or,
+    /// marked `forwarded` inside the event, controller → one controller of
+    /// another domain: a cross-domain event forward (paper §4.1), re-sent by
+    /// every controller still waiting on the receiver's domain; to a
+    /// receiver that has delivered the event, the re-send asks for its
+    /// segment reports.
     EventMsg(Tagged<Event>),
-    /// Controller → one controller of another domain: a cross-domain event
-    /// forward (paper §4.1, marked `forwarded` inside the event), tagged
-    /// under the pair's key. Re-sent by every controller still waiting on
-    /// the receiver's domain; to a receiver that has delivered the event,
-    /// the re-send asks for its segment reports.
-    ForwardedEvent(Tagged<Event>),
     /// Controller ↔ controller: consensus traffic. Tagged with the sender's
     /// membership phase so messages from a superseded consensus group are
     /// discarded after a membership change.
@@ -361,7 +360,7 @@ pub enum Net {
     /// event's update list is fully applied", tagged under the pair's key
     /// (cross-domain ordering handshake; one copy per upstream controller,
     /// sent once, and again to whoever re-forwards it the event,
-    /// [`Net::ForwardedEvent`]).
+    /// a forwarded [`Net::EventMsg`]).
     SegmentApplied(Tagged<SegmentBody>),
     /// Harness → bootstrap controller: propose a membership change.
     MembershipCmd(OrderedOp),

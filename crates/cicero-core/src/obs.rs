@@ -54,8 +54,8 @@ pub enum Obs {
         event: EventId,
     },
     /// A controller delivered (totally-ordered) an event — emitted by every
-    /// controller when `EngineConfig::trace_deliveries` is set, for
-    /// event-linearizability checking (paper §4.4).
+    /// controller for every event, for event-linearizability checking
+    /// (paper §4.4, [`check_event_linearizability`]).
     EventDelivered {
         /// The domain.
         domain: DomainId,
@@ -385,12 +385,8 @@ pub fn delivery_sequences(
 /// Checks event-linearizability (paper §4.4): within each domain, every
 /// controller must have delivered a *prefix-consistent* sequence of events
 /// (slower controllers may be behind, but never diverge).
-pub fn check_event_linearizability(obs: &[Observation<Obs>]) -> Result<(), String> {
-    check_linearizability_inner(obs, false, &Default::default())
-}
-
-/// [`check_event_linearizability`] for runs with controller restarts. A
-/// controller that recovered via state sync absorbed its missed
+///
+/// A controller that recovered via state sync absorbed its missed
 /// deliveries silently (muted replay emits no `EventDelivered`), so its
 /// observed sequence legitimately has gaps. Controllers with a
 /// `ControllerRecovered` observation are therefore only required to
@@ -407,16 +403,8 @@ pub fn check_event_linearizability(obs: &[Observation<Obs>]) -> Result<(), Strin
 /// judged as a restarted controller of its own. Nobody else is exempted: a
 /// controller that restarted with its disk intact is still held to *one*
 /// ordered subsequence across the restart — no duplicate, no reordering.
-pub fn check_event_linearizability_with_amnesia(
+pub fn check_event_linearizability(
     obs: &[Observation<Obs>],
-    amnesiac: &std::collections::BTreeSet<(DomainId, u32)>,
-) -> Result<(), String> {
-    check_linearizability_inner(obs, true, amnesiac)
-}
-
-fn check_linearizability_inner(
-    obs: &[Observation<Obs>],
-    allow_restart_gaps: bool,
     amnesiac: &std::collections::BTreeSet<(DomainId, u32)>,
 ) -> Result<(), String> {
     let mut restarted = std::collections::BTreeSet::new();
@@ -429,7 +417,7 @@ fn check_linearizability_inner(
         match o.value {
             Obs::ControllerRecovered {
                 domain, controller, ..
-            } if allow_restart_gaps => {
+            } => {
                 restarted.insert((domain, controller));
                 if amnesiac.contains(&(domain, controller)) {
                     *life.entry((domain, controller)).or_default() += 1;
@@ -642,6 +630,17 @@ mod tests {
             .collect()
     }
 
+    /// Without a restart the check is the strict prefix check: a gap fails,
+    /// and the same gap after a state-sync recovery passes.
+    #[test]
+    fn a_gap_passes_only_after_a_recovery() {
+        let none = Default::default();
+        let gap = trace(&[Ok((1, 1)), Ok((1, 2)), Ok((1, 3)), Ok((3, 1)), Ok((3, 3))]);
+        assert!(check_event_linearizability(&gap, &none).is_err());
+        let synced = trace(&[Ok((1, 1)), Ok((1, 2)), Ok((1, 3)), Ok((3, 1)), Err(3), Ok((3, 3))]);
+        assert!(check_event_linearizability(&synced, &none).is_ok());
+    }
+
     /// Controller 3 delivers 1 alone, restarts, and delivers 1 again with
     /// the group: legitimate only for a wiped-disk replacement.
     #[test]
@@ -655,10 +654,10 @@ mod tests {
             Ok((3, 2)),
         ]);
         let amnesiac = |c: u32| [(DomainId(0), c)].into_iter().collect();
-        assert!(check_event_linearizability_with_amnesia(&redelivery, &amnesiac(3)).is_ok());
+        assert!(check_event_linearizability(&redelivery, &amnesiac(3)).is_ok());
         // Disk kept (or someone else's disk lost): the duplicate fails.
-        assert!(check_event_linearizability_with_amnesia(&redelivery, &amnesiac(1)).is_err());
-        assert!(check_event_linearizability_with_amnesia(&redelivery, &Default::default()).is_err());
+        assert!(check_event_linearizability(&redelivery, &amnesiac(1)).is_err());
+        assert!(check_event_linearizability(&redelivery, &Default::default()).is_err());
     }
 
     #[test]
@@ -673,10 +672,10 @@ mod tests {
             Ok((3, 2)),
             Ok((3, 1)),
         ]);
-        assert!(check_event_linearizability_with_amnesia(&reordered, &set).is_err());
+        assert!(check_event_linearizability(&reordered, &set).is_err());
         // An event nobody else delivered, in the second life.
         let fabricated = trace(&[Ok((1, 1)), Ok((1, 2)), Ok((3, 1)), Err(3), Ok((3, 9))]);
-        assert!(check_event_linearizability_with_amnesia(&fabricated, &set).is_err());
+        assert!(check_event_linearizability(&fabricated, &set).is_err());
         // A disk-kept restart is still one ordered sequence across lives:
         // [1, 3] then [2] is out of order as a whole.
         let cross_life = trace(&[
@@ -688,6 +687,6 @@ mod tests {
             Err(3),
             Ok((3, 2)),
         ]);
-        assert!(check_event_linearizability_with_amnesia(&cross_life, &Default::default()).is_err());
+        assert!(check_event_linearizability(&cross_life, &Default::default()).is_err());
     }
 }

@@ -9,12 +9,15 @@
 
 use crate::auth::{Authenticator, Peer};
 use crate::collector::{Quorum, QuorumCollector};
-use crate::config::{tx_time, Aggregation, Mode};
+use crate::config::{
+    tx_time, Aggregation, Mode, EVENT_RETRY_BASE, NACK_BUDGET, NACK_TIMEOUT, RETRY_BASE,
+    RETRY_BUDGET,
+};
 use crate::msg::{AckBody, NackBody, Net, PhaseInfo, ReadyBody, SwitchWalRecord, UpdateBody};
 use crate::obs::Obs;
 use crate::runtime::{labels, Shared};
 use blscrypto::bls::SecretKey;
-use controller::pending::{Kept, Retry, RetryTable};
+use controller::pending::{Kept, Retry, RetryPolicy, RetryTable};
 use netmodel::flowtable::{FlowTable, Lookup};
 use simnet::node::{Actor, Host, NodeId, TimerToken};
 use simnet::time::{SimDuration, SimTime};
@@ -29,13 +32,6 @@ use std::sync::Arc;
 use substrate::storage::{DiskHandle, Wal};
 
 const RETRY: TimerToken = TimerToken(1);
-
-/// How long a switch lets a below-quorum update bucket age before NACKing
-/// the control plane for the missing shares.
-const NACK_TIMEOUT: SimDuration = SimDuration::from_millis(150);
-
-/// Delay before a switch re-sends an unanswered event.
-const EVENT_RETRY_BASE: SimDuration = SimDuration::from_millis(250);
 
 /// An event the switch keeps for retransmission until its effect is
 /// visible in the flow table (reliable delivery layer): its body and id,
@@ -123,17 +119,16 @@ impl SwitchActor {
         key: Option<SecretKey>,
         phase_info: PhaseInfo,
     ) -> Self {
-        let rel = shared.cfg.reliability;
         // One jitter stream per table, so the three clocks never align.
         let policy = |base, budget, rot: u32| {
             let jitter_seed = shared.cfg.seed ^ u64::from(id.0).rotate_left(rot);
-            rel.policy(base, budget, jitter_seed)
+            RetryPolicy::new(base, budget, jitter_seed)
         };
         SwitchActor {
             auth: Authenticator::new(Arc::clone(&shared), Peer::Switch(id), key, None),
-            pending_events: RetryTable::new(policy(EVENT_RETRY_BASE, rel.retry_budget, 29)),
-            nacks: RetryTable::new(policy(NACK_TIMEOUT, rel.nack_budget, 47)),
-            asks: RetryTable::new(policy(rel.retry_base, rel.retry_budget, 13)),
+            pending_events: RetryTable::new(policy(EVENT_RETRY_BASE, RETRY_BUDGET, 29)),
+            nacks: RetryTable::new(policy(NACK_TIMEOUT, NACK_BUDGET, 47)),
+            asks: RetryTable::new(policy(RETRY_BASE, RETRY_BUDGET, 13)),
             shared,
             id,
             domain,
@@ -250,29 +245,24 @@ impl SwitchActor {
         self.send_tagged(ctx, labels::EVENT, event, msg_id, &targets, Net::EventMsg);
         // Track events whose effect we can await locally, for
         // retransmission if the control plane never answers.
-        if self.shared.cfg.reliability.enabled {
-            let track = match event.kind {
-                EventKind::PacketIn { src, dst, .. } => Some((FlowMatch { src, dst }, false)),
-                EventKind::FlowTeardown { src, dst, .. } => {
-                    Some((FlowMatch { src, dst }, true))
-                }
-                _ => None,
+        let track = match event.kind {
+            EventKind::PacketIn { src, dst, .. } => Some((FlowMatch { src, dst }, false)),
+            EventKind::FlowTeardown { src, dst, .. } => Some((FlowMatch { src, dst }, true)),
+            _ => None,
+        };
+        if let Some((matcher, teardown)) = track {
+            let pending = PendingEvent {
+                event,
+                msg_id,
+                matcher,
+                teardown,
             };
-            if let Some((matcher, teardown)) = track {
-                let pending = PendingEvent {
-                    event,
-                    msg_id,
-                    matcher,
-                    teardown,
-                };
-                let jitter_id = UpdateId {
-                    event: event.id,
-                    seq: 0,
-                };
-                self.pending_events
-                    .insert(event.id, jitter_id, pending, ctx.now());
-                self.arm_retry(ctx);
-            }
+            let jitter_id = UpdateId {
+                event: event.id,
+                seq: 0,
+            };
+            self.pending_events.insert(event.id, jitter_id, pending, ctx.now());
+            self.arm_retry(ctx);
         }
     }
 
@@ -352,7 +342,7 @@ impl SwitchActor {
         if phase != self.phase_info.phase || self.parked.get(&update.id).is_some() {
             return false;
         }
-        if self.shared.cfg.reliability.enabled && !self.nacks.contains(&update.id) {
+        if !self.nacks.contains(&update.id) {
             // Start the NACK clock the moment the first share arrives: if
             // the bucket is still below quorum when it fires, ask the
             // control plane to re-send the missing shares.
@@ -528,9 +518,6 @@ impl SwitchActor {
     /// A duplicate of an already-applied update means some controller has
     /// not seen our acknowledgement — re-send it (ack-loss recovery).
     fn reack(&mut self, ctx: &mut dyn Host<Net, Obs>, update: NetworkUpdate) {
-        if !self.shared.cfg.reliability.enabled {
-            return;
-        }
         ctx.observe(Obs::AckRetransmitted {
             switch: self.id,
             update: update.id,
@@ -836,7 +823,6 @@ impl Actor<Net, Obs> for SwitchActor {
             // exhaustive, so a new `Net` variant fails to compile here until
             // the switch decides what it does with it.
             Net::EventMsg(_)
-            | Net::ForwardedEvent(_)
             | Net::Consensus { .. }
             | Net::UpdateToAggregator(_)
             | Net::AckMsg(_)

@@ -399,7 +399,6 @@ fn event_linearizability_holds_across_controllers() {
         aggregation: Aggregation::Switch,
     });
     cfg.crypto = CryptoMode::Modeled;
-    cfg.trace_deliveries = true;
     let topo = Topology::single_pod(4, 2, 4);
     let dm = controller::policy::DomainMap::single(&topo);
     let mut engine = Engine::build(cfg, topo.clone(), dm, 0);
@@ -413,7 +412,7 @@ fn event_linearizability_holds_across_controllers() {
         }
     }
     engine.run(SimTime::ZERO + SimDuration::from_secs(30));
-    cicero_core::obs::check_event_linearizability(engine.observations())
+    cicero_core::obs::check_event_linearizability(engine.observations(), &Default::default())
         .expect("controllers must deliver identical event sequences");
     // And the sequences are non-trivial.
     let seqs = cicero_core::obs::delivery_sequences(engine.observations());
@@ -427,7 +426,6 @@ fn event_linearizability_holds_under_message_loss() {
         aggregation: Aggregation::Switch,
     });
     cfg.crypto = CryptoMode::Modeled;
-    cfg.trace_deliveries = true;
     let topo = Topology::single_pod(4, 2, 4);
     let dm = controller::policy::DomainMap::single(&topo);
     let mut engine = Engine::build(cfg, topo.clone(), dm, 0);
@@ -441,7 +439,7 @@ fn event_linearizability_holds_under_message_loss() {
         }
     }
     engine.run(SimTime::ZERO + SimDuration::from_secs(60));
-    cicero_core::obs::check_event_linearizability(engine.observations())
+    cicero_core::obs::check_event_linearizability(engine.observations(), &Default::default())
         .expect("total order must survive message loss");
 }
 

@@ -2,7 +2,9 @@
 //! across healed partitions, deterministic lossy traces, and watchdog
 //! stall reports when the retry budget is exhausted.
 
+use cicero_core::config::{RETRY_BASE, RETRY_BUDGET};
 use cicero_core::prelude::*;
+use controller::pending::MAX_BACKOFF;
 use controller::policy::DomainMap;
 use netmodel::routing::route;
 use netmodel::topology::Topology;
@@ -30,17 +32,6 @@ fn inject_one_flow(engine: &mut Engine, topo: &Topology, src: HostId, dst: HostI
     );
 }
 
-fn completed_flows(engine: &Engine) -> Vec<FlowId> {
-    engine
-        .observations()
-        .iter()
-        .filter_map(|o| match o.value {
-            Obs::FlowCompleted { flow, .. } => Some(flow),
-            _ => None,
-        })
-        .collect()
-}
-
 fn cross_rack_pairs(topo: &Topology, n: usize) -> Vec<(HostId, HostId)> {
     let hosts = topo.hosts();
     let mut pairs = Vec::new();
@@ -57,11 +48,10 @@ fn cross_rack_pairs(topo: &Topology, n: usize) -> Vec<(HostId, HostId)> {
     panic!("topology too small for {n} cross-rack pairs");
 }
 
-fn lossy_engine(mode: Mode, seed: u64, reliability: ReliabilityConfig) -> (Engine, Topology) {
+fn lossy_engine(mode: Mode, seed: u64) -> (Engine, Topology) {
     let mut cfg = EngineConfig::for_mode(mode);
     cfg.crypto = CryptoMode::Modeled;
     cfg.seed = seed;
-    cfg.reliability = reliability;
     let topo = Topology::single_pod(4, 2, 2);
     let dm = DomainMap::single(&topo);
     let engine = Engine::build(cfg, topo.clone(), dm, 0);
@@ -105,7 +95,7 @@ fn lossy_sweep_completes_with_retransmission() {
         let mode = Mode::Cicero {
             aggregation: Aggregation::Switch,
         };
-        let (mut engine, topo) = lossy_engine(mode, seed, ReliabilityConfig::default());
+        let (mut engine, topo) = lossy_engine(mode, seed);
         engine.set_faults(FaultPlan::none().with_drop_probability(drop));
         for (i, (src, dst)) in cross_rack_pairs(&topo, 3).into_iter().enumerate() {
             inject_one_flow(&mut engine, &topo, src, dst, i as u64 + 1);
@@ -129,7 +119,7 @@ fn controller_aggregation_tolerates_loss() {
     let mode = Mode::Cicero {
         aggregation: Aggregation::Controller,
     };
-    let (mut engine, topo) = lossy_engine(mode, 7, ReliabilityConfig::default());
+    let (mut engine, topo) = lossy_engine(mode, 7);
     engine.set_faults(FaultPlan::none().with_drop_probability(0.15));
     for (i, (src, dst)) in cross_rack_pairs(&topo, 2).into_iter().enumerate() {
         inject_one_flow(&mut engine, &topo, src, dst, i as u64 + 1);
@@ -151,7 +141,7 @@ fn transient_partition_heals_and_flows_complete() {
         let mode = Mode::Cicero {
             aggregation: Aggregation::Switch,
         };
-        let (mut engine, topo) = lossy_engine(mode, seed, ReliabilityConfig::default());
+        let (mut engine, topo) = lossy_engine(mode, seed);
         let (src, dst) = cross_rack_pairs(&topo, 1)[0];
         let plan = partition_plan(&engine, &topo, src, until, drop);
         engine.set_faults(plan);
@@ -180,7 +170,7 @@ fn healed_partition_with_heavy_loss_is_deterministic() {
         let mode = Mode::Cicero {
             aggregation: Aggregation::Switch,
         };
-        let (mut engine, topo) = lossy_engine(mode, 11, ReliabilityConfig::default());
+        let (mut engine, topo) = lossy_engine(mode, 11);
         let pairs = cross_rack_pairs(&topo, 3);
         let until = SimTime::ZERO + SimDuration::from_secs(10);
         let plan = partition_plan(&engine, &topo, pairs[0].0, until, 0.20);
@@ -216,32 +206,6 @@ fn completed_flows_from(trace: &[simnet::sim::Observation<Obs>]) -> Vec<FlowId> 
         .collect()
 }
 
-/// Control run for the acceptance scenario: with the reliability layer
-/// disabled, the same faults leave the deployment stuck and the watchdog
-/// reports a stall instead of spinning until the horizon.
-#[test]
-fn without_retransmission_the_same_faults_stall() {
-    let mode = Mode::Cicero {
-        aggregation: Aggregation::Switch,
-    };
-    let (mut engine, topo) = lossy_engine(mode, 11, ReliabilityConfig::disabled());
-    let pairs = cross_rack_pairs(&topo, 3);
-    let until = SimTime::ZERO + SimDuration::from_secs(10);
-    let plan = partition_plan(&engine, &topo, pairs[0].0, until, 0.20);
-    engine.set_faults(plan);
-    for (i, (src, dst)) in pairs.into_iter().enumerate() {
-        inject_one_flow(&mut engine, &topo, src, dst, i as u64 + 1);
-    }
-    let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(180));
-    assert!(report.stalled, "control run should stall: {report}");
-    assert!(!report.completed);
-    assert!(report.resolved_flows < report.injected_flows);
-    assert_eq!(report.stats.total_recoveries(), 0);
-    // The watchdog gave up long before the horizon — no hang.
-    assert!(report.end < SimTime::ZERO + SimDuration::from_secs(30));
-    assert!(completed_flows(&engine).is_empty());
-}
-
 /// Exhausting the retry budget must surface as an explicit failure in the
 /// stall report, not as a hang: a *directed* black hole (controller →
 /// ingress switch only) lets events out but swallows every update share.
@@ -250,11 +214,7 @@ fn exhausted_retry_budget_reports_stall_not_hang() {
     let mode = Mode::Cicero {
         aggregation: Aggregation::Switch,
     };
-    let mut reliability = ReliabilityConfig::default();
-    reliability.retry_base = SimDuration::from_millis(5);
-    reliability.retry_budget = 3;
-    reliability.nack_budget = 2;
-    let (mut engine, topo) = lossy_engine(mode, 3, reliability);
+    let (mut engine, topo) = lossy_engine(mode, 3);
     let (src, dst) = cross_rack_pairs(&topo, 1)[0];
     let ingress = topo.host(src).unwrap().attached;
     let sw = engine.switch_node(ingress);
@@ -285,7 +245,7 @@ fn watchdog_reports_clean_completion() {
     let mode = Mode::Cicero {
         aggregation: Aggregation::Switch,
     };
-    let (mut engine, topo) = lossy_engine(mode, 5, ReliabilityConfig::default());
+    let (mut engine, topo) = lossy_engine(mode, 5);
     let (src, dst) = cross_rack_pairs(&topo, 1)[0];
     inject_one_flow(&mut engine, &topo, src, dst, 1);
     let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(30));
@@ -312,7 +272,7 @@ fn watchdog_reports_clean_completion() {
 fn an_ack_that_overtook_its_updates_admission_retires_it_there() {
     use southbound::envelope::{MsgId, Tagged};
     use southbound::types::{EventId, Phase, UpdateId};
-    let (mut engine, topo) = lossy_engine(Mode::CICERO, 5, ReliabilityConfig::default());
+    let (mut engine, topo) = lossy_engine(Mode::CICERO, 5);
     let (src, dst) = cross_rack_pairs(&topo, 1)[0];
     let attached = |h| topo.host(h).unwrap().attached;
     let (ingress, egress) = (attached(src), attached(dst));
@@ -428,7 +388,7 @@ fn handshake_survives_segment_ack_loss() {
 
 /// The unsolicited copy of every share reaches only one of the four
 /// upstream controllers. The other three still wait on the downstream domain,
-/// so each re-forwards the event when its clock expires — one `retry_base`
+/// so each re-forwards the event when its clock expires — one `RETRY_BASE`
 /// (plus up to a quarter of it in jitter) after delivering it — and releases
 /// one round trip later, on the shares the re-forward drew. No reporter
 /// retransmits unasked; the controller that got the shares never re-forwards.
@@ -476,13 +436,12 @@ fn shares_lost_to_three_of_four_upstream_controllers_are_fetched_within_one_retr
     askers.sort_unstable();
     assert_eq!(askers, vec![2, 3, 4], "the controllers that missed the shares re-forward, once");
     assert_eq!(released.len(), 4, "every barrier releases: {released:?}");
-    let retry_base = engine.shared().cfg.reliability.retry_base;
     let first_report = reported.iter().map(|&(_, t)| t).min().expect("four reports");
     // Registration precedes the first report; a round trip between two
     // controllers of this pod is well under 5 ms.
     let deadline = first_report
-        + retry_base
-        + SimDuration::from_nanos(retry_base.as_nanos() / 4)
+        + RETRY_BASE
+        + SimDuration::from_nanos(RETRY_BASE.as_nanos() / 4)
         + SimDuration::from_millis(5);
     for &(c, t) in &released {
         assert!(t <= deadline, "controller {c} released at {t:?}, after {deadline:?}");
@@ -575,7 +534,7 @@ fn segway_ready_loss_and_duplication_recovers() {
     substrate::forall!(cases = 6, |g| {
         let seed = g.u64();
         let (mut engine, topo) =
-            lossy_engine(Mode::Segway, seed, ReliabilityConfig::default());
+            lossy_engine(Mode::Segway, seed);
         let sw_nodes: Vec<simnet::node::NodeId> = topo
             .switches()
             .iter()
@@ -620,7 +579,7 @@ fn segway_switch_restart_mid_update_releases_exactly_once() {
         // both before and after the victim's journaled release.
         let crash_ms = g.u64_in(6..12);
         let (mut engine, topo) =
-            lossy_engine(Mode::Segway, seed, ReliabilityConfig::default());
+            lossy_engine(Mode::Segway, seed);
         let (src, dst) = cross_rack_pairs(&topo, 1)[0];
         let r = route(&topo, src, dst).unwrap();
         let ingress = topo.host(src).unwrap().attached;
@@ -692,8 +651,8 @@ fn segway_switch_restart_mid_update_releases_exactly_once() {
 
 /// A three-switch Segway route on the lossy fabric: `path[i]` applies
 /// update `i` and is gated on `(update i + 1, path[i + 1])`.
-fn segway_route(seed: u64, reliability: ReliabilityConfig) -> (Engine, Topology, Vec<SwitchId>) {
-    let (engine, topo) = lossy_engine(Mode::Segway, seed, reliability);
+fn segway_route(seed: u64) -> (Engine, Topology, Vec<SwitchId>) {
+    let (engine, topo) = lossy_engine(Mode::Segway, seed);
     let (src, dst) = cross_rack_pairs(&topo, 1)[0];
     let path = route(&topo, src, dst).expect("connected").path;
     assert_eq!(path.len(), 3);
@@ -702,12 +661,12 @@ fn segway_route(seed: u64, reliability: ReliabilityConfig) -> (Engine, Topology,
 
 /// The ready from the egress ToR to the edge switch is lost to a severed
 /// link that heals long before any clock fires. The edge switch holds the
-/// parked body, so it asks when its clock expires — one `retry_base` (plus
+/// parked body, so it asks when its clock expires — one `RETRY_BASE` (plus
 /// up to a quarter of it in jitter) after parking — and goes on one round
 /// trip later, on the kept ready. Nobody re-sends unasked.
 #[test]
 fn ready_lost_on_a_severed_switch_link_is_fetched_within_one_retry_of_parking() {
-    let (mut engine, topo, path) = segway_route(11, ReliabilityConfig::default());
+    let (mut engine, topo, path) = segway_route(11);
     let (releaser, target) = (path[2], path[1]);
     let healed = SimTime::ZERO + SimDuration::from_millis(50);
     let cut = (engine.switch_node(releaser), engine.switch_node(target));
@@ -733,10 +692,9 @@ fn ready_lost_on_a_severed_switch_link_is_fetched_within_one_retry_of_parking() 
     assert_eq!(report.stats.ready_retransmits, 1);
     // The body parked before the release it waits for was made; a round
     // trip between two switches of this pod is well under 5 ms.
-    let retry_base = engine.shared().cfg.reliability.retry_base;
     let deadline = sent[0]
-        + retry_base
-        + SimDuration::from_nanos(retry_base.as_nanos() / 4)
+        + RETRY_BASE
+        + SimDuration::from_nanos(RETRY_BASE.as_nanos() / 4)
         + SimDuration::from_millis(5);
     assert!(asked[0] >= healed && resent[0] >= asked[0]);
     assert!(applied[0] > resent[0] && applied[0] <= deadline, "{:?} > {deadline:?}", applied[0]);
@@ -748,10 +706,7 @@ fn ready_lost_on_a_severed_switch_link_is_fetched_within_one_retry_of_parking() 
 /// controllers' unacked update and its exhaustion — never as converged.
 #[test]
 fn releaser_crashed_for_good_after_acking_is_reported_not_silently_converged() {
-    let mut reliability = ReliabilityConfig::default();
-    reliability.retry_base = SimDuration::from_millis(5);
-    reliability.retry_budget = 3;
-    let (mut engine, topo, path) = segway_route(3, reliability);
+    let (mut engine, topo, path) = segway_route(3);
     let (releaser, target) = (path[2], path[1]);
     let (r, t) = (engine.switch_node(releaser), engine.switch_node(target));
     let plan = FaultPlan::none()
@@ -760,7 +715,7 @@ fn releaser_crashed_for_good_after_acking_is_reported_not_silently_converged() {
     engine.set_faults(plan);
     let (src, dst) = cross_rack_pairs(&topo, 1)[0];
     inject_one_flow(&mut engine, &topo, src, dst, 1);
-    let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(30));
+    let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(5) + budget_spent_within());
     let obs = engine.observations();
     assert!(
         obs.iter().any(|o| matches!(o.value, Obs::UpdateApplied { switch, .. } if switch == releaser)),
@@ -777,7 +732,8 @@ fn releaser_crashed_for_good_after_acking_is_reported_not_silently_converged() {
             _ => None,
         })
         .collect();
-    assert_eq!(attempts, vec![1, 2, 3], "budget 3: three queries, then quiet");
+    let budget: Vec<u32> = (1..=RETRY_BUDGET).collect();
+    assert_eq!(attempts, budget, "a budget's worth of queries, then quiet");
     assert_eq!(report.stats.ready_retransmits, 0);
 }
 
@@ -791,7 +747,7 @@ fn wal_with_a_retired_receipt_frame_replays_with_the_frame_skipped() {
     use southbound::codec::Wire;
     use southbound::types::{EventId, FlowAction, FlowMatch, FlowRule, NextHop, UpdateId, UpdateKind};
     use substrate::storage::{mem_disk, Wal};
-    let (mut engine, _, path) = segway_route(5, ReliabilityConfig::default());
+    let (mut engine, _, path) = segway_route(5);
     let (me, neighbor) = (path[1], path[0]);
     let id = |seq| UpdateId {
         event: EventId(0x0102030405060708),
@@ -858,7 +814,7 @@ fn downstream_primary_crash_mid_handshake_converges() {
 
 /// A forward whose retry budget is spent must go quiet, not spin: with
 /// every inter-domain controller link dead, each upstream controller
-/// re-forwards the event `retry_budget` times and then only waits. (An
+/// re-forwards the event `RETRY_BUDGET` times and then only waits. (An
 /// exhausted barrier clock once kept reporting its stale deadline,
 /// re-arming the retry timer at zero delay forever — simulated time stopped
 /// advancing and the run never returned.)
@@ -868,8 +824,6 @@ fn spent_reforward_budget_goes_quiet_instead_of_spinning() {
         aggregation: Aggregation::Switch,
     });
     cfg.crypto = CryptoMode::Modeled;
-    cfg.reliability.retry_base = SimDuration::from_millis(5);
-    cfg.reliability.retry_budget = 3;
     let topo = Topology::single_pod(2, 1, 2);
     let dm = DomainMap::split_racks(&topo, 2);
     let mut engine = Engine::build(cfg, topo.clone(), dm, 0);
@@ -881,24 +835,31 @@ fn spent_reforward_budget_goes_quiet_instead_of_spinning() {
     }
     engine.set_faults(plan);
     inject_one_flow(&mut engine, &topo, HostId(2), HostId(0), 1);
-    let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(5));
+    // Past the last re-forward there is room for the exhausting backoff
+    // (at most `EXHAUSTS_WITHIN`) and the watchdog's 3 s quiet window.
+    let horizon = SimTime::ZERO + budget_spent_within() + SimDuration::from_secs(8);
+    let report = engine.run_reporting(horizon);
     assert!(!report.completed, "downstream never heard of it: {report}");
-    // Quiet, not spinning: the watchdog waited out its quiet window. A
-    // zero-delay re-arm loop is cut off by the slice event budget with the
-    // clock still standing at the instant the budget ran out.
-    assert!(
-        report.end > SimTime::ZERO + SimDuration::from_secs(1),
-        "simulated time stopped: {report}"
-    );
     assert_eq!(report.resolved_flows, 0);
     let mut attempts: std::collections::BTreeMap<(DomainId, u32), Vec<u32>> = Default::default();
+    let mut last = SimTime::ZERO;
     for o in engine.observations() {
         if let Obs::ForwardRetransmitted { domain, controller, attempt, .. } = o.value {
             attempts.entry((domain, controller)).or_default().push(attempt);
+            last = last.max(o.at);
         }
     }
-    let each = (1..=4).map(|c| ((DomainId(1), c), vec![1, 2, 3])).collect();
-    assert_eq!(attempts, each, "budget 3: three re-forwards per upstream controller");
+    let each = (1..=4).map(|c| ((DomainId(1), c), (1..=RETRY_BUDGET).collect())).collect();
+    // Quiet, not spinning: a spent entry that kept its stale deadline would
+    // re-arm the retry timer at zero delay from that deadline on, and the
+    // slice event budget would cut the run with the clock standing there —
+    // no later than `EXHAUSTS_WITHIN` after the last re-forward. A quiet
+    // run waits out the watchdog's quiet window past it.
+    assert!(
+        report.end > last + EXHAUSTS_WITHIN,
+        "simulated time stopped at the exhausting deadline: {report}"
+    );
+    assert_eq!(attempts, each, "a budget's worth of re-forwards per upstream controller");
 }
 
 // ---------------------------------------------------------------------
@@ -1023,34 +984,34 @@ fn the_far_domain_accepts_the_middle_domains_reforward_under_real_crypto() {
 
 /// A re-forward never redoes a signature: with every inter-domain
 /// controller link dead, each upstream controller re-forwards the event
-/// `retry_budget` times — each time the body and id it kept at its first
+/// `RETRY_BUDGET` times — each time the body and id it kept at its first
 /// re-send, re-tagged for the downstream domain's four members. The
 /// forward-stream twin of `retransmissions_resend_the_kept_share_and_sign_nothing`.
 #[test]
 fn reforwards_resend_the_kept_forward_and_sign_nothing() {
     let mut cfg = EngineConfig::for_mode(Mode::CICERO);
     cfg.crypto = CryptoMode::Real;
-    cfg.reliability.retry_budget = 3;
     let topo = Topology::single_pod(2, 1, 2);
     let mut engine = Engine::build(cfg, topo.clone(), DomainMap::split_racks(&topo, 2), 0);
     let (down, up) = (DomainId(0), DomainId(1));
     engine.set_faults(cut_off(&engine, up, &[1, 2, 3, 4], down));
     inject_one_flow(&mut engine, &topo, HostId(2), HostId(0), 1);
-    engine.run(SimTime::ZERO + SimDuration::from_secs(10));
+    engine.run(SimTime::ZERO + SimDuration::from_secs(5) + budget_spent_within());
     let made: Vec<(u64, u64)> = (1..=4)
         .map(|c| engine.with_controller(up, ControllerId(c), |a| (a.auth().signs(), a.auth().tags())))
         .collect();
     // The upstream schedule is held on the barrier, so nothing is signed,
     // and the tags are the lowest's forward at receipt (one reader) and
-    // three re-forwards of four copies each.
-    assert_eq!(made, vec![(0, 1 + 3 * 4), (0, 3 * 4), (0, 3 * 4), (0, 3 * 4)]);
+    // a budget's worth of re-forwards of four copies each.
+    let copies = u64::from(RETRY_BUDGET) * 4;
+    assert_eq!(made, vec![(0, 1 + copies), (0, copies), (0, copies), (0, copies)]);
     let mut rounds = vec![0; 4];
     for o in engine.observations() {
         if let Obs::ForwardRetransmitted { controller, attempt, .. } = o.value {
             rounds[controller as usize - 1] = attempt;
         }
     }
-    assert_eq!(rounds, vec![3; 4], "budget 3: three re-forwards each");
+    assert_eq!(rounds, vec![RETRY_BUDGET; 4], "a budget's worth of re-forwards each");
 }
 
 /// The aggregator's kept relay (controller aggregation): a second share from
@@ -1068,7 +1029,7 @@ fn a_retransmitted_share_re_relays_the_kept_aggregate_and_a_late_first_share_doe
     use southbound::types::{EventId, FlowAction, FlowMatch, FlowRule, NextHop, Phase, UpdateId, UpdateKind};
     use substrate::rng::{SeedableRng, StdRng};
 
-    let (mut engine, topo) = lossy_engine(Mode::CICERO_AGG, 1, ReliabilityConfig::default());
+    let (mut engine, topo) = lossy_engine(Mode::CICERO_AGG, 1);
     let switch = topo.switches()[0].id;
     let rule = FlowRule {
         matcher: FlowMatch { src: HostId(0), dst: HostId(1) },
@@ -1111,4 +1072,20 @@ fn a_retransmitted_share_re_relays_the_kept_aggregate_and_a_late_first_share_doe
         assert_eq!(again, first, "controller {c}'s retransmission re-relays the kept aggregate");
         assert_eq!(again[0].msg_id, first[0].msg_id);
     }
+}
+
+/// The longest the deadline after a spent stream's last retransmission
+/// can be: the backoff ceiling plus its full jitter.
+const EXHAUSTS_WITHIN: SimDuration =
+    SimDuration::from_nanos(MAX_BACKOFF.as_nanos() + MAX_BACKOFF.as_nanos() / 4);
+
+/// The longest a stream on [`RETRY_BASE`] takes to spend [`RETRY_BUDGET`]:
+/// every backoff at its jitter ceiling, a quarter above the pure backoff.
+fn budget_spent_within() -> SimDuration {
+    (1..=RETRY_BUDGET)
+        .map(|k| {
+            let pure = RETRY_BASE.saturating_mul(1 << (k - 1)).min(MAX_BACKOFF);
+            pure + SimDuration::from_nanos(pure.as_nanos() / 4)
+        })
+        .sum()
 }

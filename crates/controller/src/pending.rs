@@ -23,31 +23,20 @@ use simnet::time::{SimDuration, SimTime};
 use southbound::types::{NetworkUpdate, SwitchId, UpdateId};
 use std::collections::{BTreeMap, BTreeSet};
 
+/// Backoff ceiling of every retransmission stream.
+pub const MAX_BACKOFF: SimDuration = SimDuration::from_secs(2);
+
 /// Retransmission policy: exponential backoff with deterministic jitter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Delay before the first retransmission.
     pub base: SimDuration,
-    /// Backoff ceiling.
-    pub max_backoff: SimDuration,
-    /// Retransmissions allowed per update (not counting the first send);
-    /// once spent, the update is reported failed. `0` disables
-    /// retransmission entirely (updates stay in flight forever).
+    /// Retransmissions allowed per entry (not counting the first send);
+    /// once spent, the entry is reported exhausted.
     pub budget: u32,
     /// Seed for the deterministic jitter (mix in a per-sender value so
     /// replicas do not retransmit in lockstep).
     pub jitter_seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            base: SimDuration::from_millis(25),
-            max_backoff: SimDuration::from_secs(2),
-            budget: 16,
-            jitter_seed: 0,
-        }
-    }
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -58,25 +47,24 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 impl RetryPolicy {
-    /// A policy from its four parameters (see the field docs).
-    pub fn new(base: SimDuration, max_backoff: SimDuration, budget: u32, jitter_seed: u64) -> Self {
+    /// A policy from its three parameters (see the field docs).
+    pub fn new(base: SimDuration, budget: u32, jitter_seed: u64) -> Self {
         RetryPolicy {
             base,
-            max_backoff,
             budget,
             jitter_seed,
         }
     }
 
     /// The backoff before retry number `attempt` (1-based) of `id`:
-    /// `base * 2^(attempt-1)` capped at `max_backoff`, plus up to +25%
+    /// `base * 2^(attempt-1)` capped at [`MAX_BACKOFF`], plus up to +25%
     /// jitter derived deterministically from the policy seed, the update
     /// identity and the attempt — seed-stable, but uncorrelated across
     /// senders and attempts.
     pub fn backoff(&self, id: UpdateId, attempt: u32) -> SimDuration {
         let exp = attempt.saturating_sub(1).min(20);
         let raw = self.base.saturating_mul(1u64 << exp);
-        let capped = raw.min(self.max_backoff);
+        let capped = raw.min(MAX_BACKOFF);
         let h = splitmix64(
             self.jitter_seed
                 ^ id.event.0.rotate_left(17)
@@ -121,8 +109,7 @@ pub enum Retry<K> {
 /// `backoff(id, k)` after the send before it; after `budget`
 /// retransmissions the next deadline reports the entry
 /// [`Retry::Exhausted`] and drops it, so a spent entry never contributes a
-/// deadline again. A zero budget disables the table's clock entirely:
-/// entries are kept, nothing is ever due.
+/// deadline again.
 #[derive(Clone, Debug)]
 pub struct RetryTable<K, V> {
     policy: RetryPolicy,
@@ -184,11 +171,8 @@ impl<K: Ord + Copy, V> RetryTable<K, V> {
     }
 
     /// Earliest deadline in the table (for timer arming); `None` when the
-    /// table is empty or retransmission is disabled.
+    /// table is empty.
     pub fn next_due(&self) -> Option<SimTime> {
-        if self.policy.budget == 0 {
-            return None;
-        }
         self.entries.values().map(|e| e.next_due).min()
     }
 
@@ -208,9 +192,6 @@ impl<K: Ord + Copy, V> RetryTable<K, V> {
     /// Decides every entry whose deadline is at or before `now`, in key
     /// order: retransmit it (budget permitting) or drop it as exhausted.
     pub fn sweep(&mut self, now: SimTime) -> Vec<Retry<K>> {
-        if self.policy.budget == 0 {
-            return Vec::new();
-        }
         let due: Vec<K> = self
             .entries
             .iter()
@@ -226,12 +207,6 @@ impl<K: Ord + Copy, V> RetryTable<K, V> {
                 }
             })
             .collect()
-    }
-}
-
-impl<K: Ord + Copy, V> Default for RetryTable<K, V> {
-    fn default() -> Self {
-        RetryTable::new(RetryPolicy::default())
     }
 }
 
@@ -330,7 +305,7 @@ pub struct Admission {
 }
 
 /// Tracks scheduled updates until acknowledged, with per-update send state.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct PendingUpdates {
     waiting: BTreeMap<UpdateId, ScheduledUpdate>,
     sent: RetryTable<UpdateId, NetworkUpdate>,
@@ -345,15 +320,16 @@ pub struct PendingUpdates {
 }
 
 impl PendingUpdates {
-    /// Empty tracker with the default retry policy.
-    pub fn new() -> Self {
-        PendingUpdates::default()
-    }
-
-    /// Sets the retry policy (builder style).
-    pub fn with_policy(mut self, policy: RetryPolicy) -> Self {
-        self.sent = RetryTable::new(policy);
-        self
+    /// An empty tracker retransmitting under `policy`.
+    pub fn new(policy: RetryPolicy) -> Self {
+        PendingUpdates {
+            waiting: BTreeMap::new(),
+            sent: RetryTable::new(policy),
+            acked: BTreeSet::new(),
+            early: BTreeMap::new(),
+            completed: BTreeMap::new(),
+            failed: BTreeSet::new(),
+        }
     }
 
     /// Admits a schedule: the updates that are immediately ready to send
@@ -477,8 +453,7 @@ impl PendingUpdates {
     }
 
     /// Earliest retry deadline among in-flight updates, if any (for timer
-    /// arming). `None` when nothing is in flight or retransmission is
-    /// disabled.
+    /// arming).
     pub fn next_due(&self) -> Option<SimTime> {
         self.sent.next_due()
     }
@@ -573,7 +548,7 @@ mod tests {
 
     #[test]
     fn releases_in_reverse_path_order() {
-        let mut p = PendingUpdates::new();
+        let mut p = tracker();
         let ready = p.admit(chain(3, 1), T0).ready;
         assert_eq!(ready.len(), 1);
         assert_eq!(ready[0].switch, SwitchId(2), "last hop first");
@@ -589,7 +564,7 @@ mod tests {
 
     #[test]
     fn disjoint_events_progress_in_parallel() {
-        let mut p = PendingUpdates::new();
+        let mut p = tracker();
         let mut ready = p.admit(chain(2, 1), T0).ready;
         ready.extend(p.admit(chain(2, 2), T0).ready);
         // One releasable update per event.
@@ -600,7 +575,7 @@ mod tests {
 
     #[test]
     fn duplicate_acks_are_idempotent() {
-        let mut p = PendingUpdates::new();
+        let mut p = tracker();
         let ready = p.admit(chain(2, 1), T0).ready;
         let id = ready[0].id;
         let r1 = p.ack(id, T0);
@@ -612,7 +587,7 @@ mod tests {
 
     #[test]
     fn admission_after_ack_pre_drains() {
-        let mut p = PendingUpdates::new();
+        let mut p = tracker();
         let sched = chain(2, 1);
         let first_ready = p.admit(sched.clone(), T0).ready[0];
         p.ack(first_ready.id, T0);
@@ -633,7 +608,7 @@ mod tests {
 
     #[test]
     fn an_early_ack_from_the_target_retires_the_update_at_admission() {
-        let mut p = PendingUpdates::new();
+        let mut p = tracker();
         let head = last_hop(1);
         p.ack_early(head, SwitchId(2));
         assert!(!p.is_acked(head), "nothing is believed before admission");
@@ -652,7 +627,7 @@ mod tests {
 
     #[test]
     fn an_early_ack_from_another_switch_changes_nothing() {
-        let mut p = PendingUpdates::new();
+        let mut p = tracker();
         let head = last_hop(1);
         p.ack_early(head, SwitchId(1));
         let admitted = p.admit(chain(3, 1), T0);
@@ -667,13 +642,8 @@ mod tests {
 
     #[test]
     fn an_early_ack_of_a_failed_update_is_not_parked() {
-        let policy = RetryPolicy {
-            base: SimDuration::from_millis(5),
-            max_backoff: SimDuration::from_millis(5),
-            budget: 1,
-            jitter_seed: 0,
-        };
-        let mut p = PendingUpdates::new().with_policy(policy);
+        let policy = RetryPolicy::new(SimDuration::from_millis(5), 1, 0);
+        let mut p = PendingUpdates::new(policy);
         let head = p.admit(chain(1, 1), T0).ready[0].id;
         while !p.is_failed(head) {
             let due = p.next_due().expect("in flight until it fails");
@@ -686,7 +656,7 @@ mod tests {
 
     #[test]
     fn an_ack_of_an_update_still_waiting_here_retires_it_unsent() {
-        let mut p = PendingUpdates::new();
+        let mut p = tracker();
         let head = p.admit(chain(3, 1), T0).ready[0].id;
         // The switch applied the middle hop on the other controllers'
         // quorum: its ack arrives here before the head's does.
@@ -702,12 +672,7 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_and_caps() {
-        let policy = RetryPolicy {
-            base: SimDuration::from_millis(10),
-            max_backoff: SimDuration::from_millis(80),
-            budget: 8,
-            jitter_seed: 7,
-        };
+        let policy = RetryPolicy::new(SimDuration::from_millis(10), 8, 7);
         let id = UpdateId {
             event: EventId(9),
             seq: 0,
@@ -724,20 +689,16 @@ mod tests {
         }
         // Capped (plus jitter headroom).
         let b = policy.backoff(id, 12);
-        assert!(b.as_nanos() <= 80_000_000 + 80_000_000 / 4 + 1);
+        assert!(b >= MAX_BACKOFF);
+        assert!(b.as_nanos() <= MAX_BACKOFF.as_nanos() + MAX_BACKOFF.as_nanos() / 4 + 1);
         // Deterministic.
         assert_eq!(policy.backoff(id, 3), policy.backoff(id, 3));
     }
 
     #[test]
     fn due_retries_resends_then_exhausts() {
-        let policy = RetryPolicy {
-            base: SimDuration::from_millis(10),
-            max_backoff: SimDuration::from_millis(10),
-            budget: 2,
-            jitter_seed: 0,
-        };
-        let mut p = PendingUpdates::new().with_policy(policy);
+        let policy = RetryPolicy::new(SimDuration::from_millis(10), 2, 0);
+        let mut p = PendingUpdates::new(policy);
         let ready = p.admit(chain(1, 1), T0).ready;
         let id = ready[0].id;
         // Not yet due.
@@ -763,13 +724,8 @@ mod tests {
 
     #[test]
     fn exhaustion_cascades_to_dependents() {
-        let policy = RetryPolicy {
-            base: SimDuration::from_millis(5),
-            max_backoff: SimDuration::from_millis(5),
-            budget: 1,
-            jitter_seed: 1,
-        };
-        let mut p = PendingUpdates::new().with_policy(policy);
+        let policy = RetryPolicy::new(SimDuration::from_millis(5), 1, 1);
+        let mut p = PendingUpdates::new(policy);
         let ready = p.admit(chain(3, 1), T0).ready;
         assert_eq!(ready.len(), 1);
         // Exhaust the in-flight head of the chain.
@@ -785,7 +741,7 @@ mod tests {
 
     #[test]
     fn resync_answers_from_flight_and_archive() {
-        let mut p = PendingUpdates::new();
+        let mut p = tracker();
         let ready = p.admit(chain(2, 1), T0).ready;
         let first = ready[0].id;
         // In flight: resync returns the payload.
@@ -801,28 +757,13 @@ mod tests {
         assert!(p.resync(unknown, T0).is_none());
     }
 
-    #[test]
-    fn zero_budget_disables_retransmission() {
-        let policy = RetryPolicy {
-            budget: 0,
-            ..RetryPolicy::default()
-        };
-        let mut p = PendingUpdates::new().with_policy(policy);
-        p.admit(chain(1, 1), T0);
-        assert!(p.next_due().is_none());
-        let far = T0 + SimDuration::from_secs(3600);
-        let b = p.due_retries(far);
-        assert!(b.resend.is_empty() && b.failed.is_empty());
-        assert_eq!(p.in_flight_count(), 1, "stays in flight forever");
+    /// An empty tracker under the test policy with a generous budget.
+    fn tracker() -> PendingUpdates {
+        PendingUpdates::new(policy(16))
     }
 
     fn policy(budget: u32) -> RetryPolicy {
-        RetryPolicy::new(
-            SimDuration::from_millis(10),
-            SimDuration::from_millis(40),
-            budget,
-            3,
-        )
+        RetryPolicy::new(SimDuration::from_millis(10), budget, 3)
     }
 
     fn table(budget: u32) -> RetryTable<u8, &'static str> {

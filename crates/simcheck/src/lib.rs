@@ -118,7 +118,6 @@ fn run_inner(s: &Scenario, handshake: bool) -> (RunOutcome, Vec<Observation<Obs>
     cfg.crypto = CryptoMode::Modeled;
     cfg.seed = s.seed;
     cfg.controllers_per_domain = s.controllers_per_domain;
-    cfg.trace_deliveries = true;
     cfg.cross_domain_handshake = handshake;
     let mut engine = Engine::build(cfg, topo.clone(), dm, 0);
 

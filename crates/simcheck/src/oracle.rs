@@ -695,13 +695,13 @@ fn resend(o: &Obs) -> Option<(&'static str, String, u32, Option<Cause>)> {
 /// **Agreement** (paper §4.4): within each domain every controller's
 /// delivered event sequence is a prefix of the longest one. Controllers
 /// that recovered through state sync may have gaps (synced deliveries
-/// are replayed muted), so the restart-aware check is used; on runs
-/// without restarts it degenerates to the strict prefix check. The one
+/// are replayed muted); on runs without restarts the check is the strict
+/// prefix check. The one
 /// controller a fault restarts *with its disk wiped* is a replacement
 /// machine and is judged life by life — it may deliver again what it had
 /// delivered alone before the crash; nobody else is exempted.
 fn agreement(s: &Scenario, topo: &Topology, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
-    if let Err(e) = check_event_linearizability_with_amnesia(obs, &amnesiac(s, topo)) {
+    if let Err(e) = check_event_linearizability(obs, &amnesiac(s, topo)) {
         violation(out, "agreement", e);
     }
 }

@@ -32,7 +32,7 @@
 //! unasked; the switch parked on a closed gate asks instead
 //! (`SegwayReadyQuery`, new `Obs::ReadyQueried`), and `ReadyRetransmitted`
 //! now numbers the answers. Every other hash passed unedited — which also
-//! shows that folding `ReliabilityConfig::event_retry_*` away changed no
+//! shows that folding the two event-retry settings away changed no
 //! value.
 //!
 //! PR 22 re-recorded every row whose run is in a signed mode (`run` 0 and
@@ -346,7 +346,6 @@ fn engine_trace_hash(mode: Mode, crypto: CryptoMode, drop: f64) -> u64 {
     let mut cfg = EngineConfig::for_mode(mode);
     cfg.crypto = crypto;
     cfg.seed = 11;
-    cfg.trace_deliveries = true;
     let topo = netmodel::topology::Topology::single_pod(4, 2, 2);
     let mut spec = workload::spec::hadoop();
     spec.flows = 12;

@@ -6,10 +6,6 @@
 //! every flow to completion once the partition heals; the liveness
 //! watchdog's report shows exactly which recovery paths fired.
 //!
-//! A control run with the reliability layer disabled hits the identical
-//! fault schedule and stalls — the watchdog reports the stall instead of
-//! spinning forever.
-//!
 //! Run with: `cargo run --example lossy_network`
 
 use cicero::prelude::*;
@@ -19,13 +15,12 @@ use simnet::sim::ENVIRONMENT;
 const DROP: f64 = 0.20;
 const PARTITION_SECS: u64 = 2;
 
-fn build(reliability: ReliabilityConfig) -> (Engine, Topology) {
+fn build() -> (Engine, Topology) {
     let mut cfg = EngineConfig::for_mode(Mode::Cicero {
         aggregation: Aggregation::Switch,
     });
     cfg.crypto = CryptoMode::Modeled;
     cfg.seed = 42;
-    cfg.reliability = reliability;
     let topo = Topology::single_pod(4, 2, 2);
     let dm = DomainMap::single(&topo);
     let engine = Engine::build(cfg, topo.clone(), dm, 0);
@@ -79,11 +74,8 @@ fn inject_faults_and_flows(engine: &mut Engine, topo: &Topology) {
 fn main() {
     let horizon = SimTime::ZERO + SimDuration::from_secs(60);
 
-    println!(
-        "== with the reliability layer: {:.0}% drop + {PARTITION_SECS}s partition ==",
-        DROP * 100.0,
-    );
-    let (mut engine, topo) = build(ReliabilityConfig::default());
+    println!("== {:.0}% drop + {PARTITION_SECS}s partition ==", DROP * 100.0);
+    let (mut engine, topo) = build();
     inject_faults_and_flows(&mut engine, &topo);
     let report = engine.run_reporting(horizon);
     println!("{report}");
@@ -102,14 +94,4 @@ fn main() {
     if let Some(at) = first_recovery {
         println!("first retransmission fired at {at:?}");
     }
-
-    println!();
-    println!("== control run: identical faults, reliability disabled ==");
-    let (mut engine, topo) = build(ReliabilityConfig::disabled());
-    inject_faults_and_flows(&mut engine, &topo);
-    let report = engine.run_reporting(horizon);
-    println!("{report}");
-    assert!(report.stalled, "the control run must stall");
-    println!();
-    println!("retransmission turned a stalled deployment into a live one ✓");
 }

@@ -56,6 +56,17 @@ if ! cargo test -q --offline; then
     exit 1
 fi
 
+echo "== the crates' own tests: cargo test -q --offline --release --workspace --exclude cicero =="
+# The step above runs only the facade package's test targets, so this one
+# leaves them out. The golden trace hashes (simcheck/tests/determinism.rs),
+# cicero-core's e2e, recovery and reliability suites, and the bft,
+# controller, blscrypto and cicero-node tests live in the member crates (a
+# few minutes on two cores).
+if ! cargo test -q --offline --release --workspace --exclude cicero; then
+    echo "verify.sh: a member crate's tests FAILED" >&2
+    exit 1
+fi
+
 echo "== detlint: determinism & actor-safety static analysis =="
 # Seven rules in one binary, workspace-wide, fail on any finding:
 #  * per-file token rules — no-random-order-collections (no HashMap/HashSet
@@ -109,14 +120,15 @@ if find crates src examples -name '*.rs' -not -path 'crates/*/tests/*' -print0 |
     exit 1
 fi
 
-echo "== the signed receipts, signed events, acks, reports and readies, identity-key signing, dealt pair keys, a second cross-domain recovery path, hand-written kept archives, a second phase-notice collector and detlint's compiler-proven rules stay deleted =="
-if grep -rn "BoundaryRelease\b\|ReleaseBody\|SegwayReadyAck\|READY_RECEIPT\|ReadyReceipted\|ready_out\|Signed<AckBody>\|Signed<NackBody>\|SegmentQuery\b\|SegmentQueried\|reforward_segway\|segway_events\|PairKeys\|pair_keys\|seg_shares\|ShareSigned<SegmentBody>\|Signed<ReadyBody>\|KeptReady\|KeptReport\|kept_updates\|struct Relayed\|phase_partials\|fn real_crypto\|QuorumSigned::aggregate\|Signed<Event>\|fn verify_latency\|event_sign\|auth\.sign(\|TRACKED_ENUMS\|fn parse_enums\|fn variant_uses\|fn write_ahead\|CRYPTO_MODE_ALLOWED\|keys\.dummy" \
+echo "== the signed receipts, signed events, acks, reports and readies, identity-key signing, dealt pair keys, a second cross-domain recovery path, hand-written kept archives, a second phase-notice collector, detlint's compiler-proven rules, reliability and delivery-trace settings and a second event message stay deleted =="
+if grep -rn "BoundaryRelease\b\|ReleaseBody\|SegwayReadyAck\|READY_RECEIPT\|ReadyReceipted\|ready_out\|Signed<AckBody>\|Signed<NackBody>\|SegmentQuery\b\|SegmentQueried\|reforward_segway\|segway_events\|PairKeys\|pair_keys\|seg_shares\|ShareSigned<SegmentBody>\|Signed<ReadyBody>\|KeptReady\|KeptReport\|kept_updates\|struct Relayed\|phase_partials\|fn real_crypto\|QuorumSigned::aggregate\|Signed<Event>\|fn verify_latency\|event_sign\|auth\.sign(\|TRACKED_ENUMS\|fn parse_enums\|fn variant_uses\|fn write_ahead\|CRYPTO_MODE_ALLOWED\|keys\.dummy\|ReliabilityConfig\|trace_deliveries\|ForwardedEvent\|with_policy" \
     crates src tests examples --include=*.rs; then
     echo "verify.sh: the handshake and the Segway readies are receiver-driven; acks, NACKs, segment reports and Segway readies are Tagged<_> under a pair key each end derives from the identity keys (auth::pair_key), never dealt; and a cross-domain event has one recovery loop — the re-forward of whoever still waits, which is also the query (DESIGN.md §3); no receipt type, no signed twin, no key ceremony for pairs and no second path comes back" >&2
     echo "verify.sh: a message sent once and re-sent as-is on request lives in controller::pending::Kept, not in an archive of its own" >&2
     echo "verify.sh: only the authentication seam asks whether crypto is real, and the phase notice is collected by Authenticator::collect like every other quorum (DESIGN.md §3)" >&2
     echo "verify.sh: switch events and controller forwards are Tagged<Event> too; an identity key derives pair keys and signs nothing, so the seam has no sign/verify/verify_latency and the cost model no event_sign (DESIGN.md §3)" >&2
     echo "verify.sh: detlint restates nothing the compiler proves — exhaustive Net/Obs/WalRecord matches, forbid(unsafe_code), and sends that leave after their handler's WAL appends (DESIGN.md §5); a placeholder signature is KeyMaterial::dummy_signature()" >&2
+    echo "verify.sh: retransmission bases and budgets are protocol constants (config.rs, controller::pending::MAX_BACKOFF), every controller always logs its deliveries, a retry policy is passed to its table's constructor, and a forward is a Net::EventMsg marked forwarded (DESIGN.md §3)" >&2
     exit 1
 fi
 
@@ -211,8 +223,9 @@ cargo build -q --release --offline -p cicero-node
 cargo run -q --release --offline -p cicero-node -- examples/node_two_domains.json
 # Both executors on the same scenarios. Its loss-free cases demand that not
 # one retransmission happened, which is what catches an ack racing its own
-# update on real threads — and a race shows in some runs only: ten of them.
-for _ in 1 2 3 4 5 6 7 8 9 10; do
+# update on real threads — and a race shows in some runs only: ten of them,
+# the member-crate step above being the first.
+for _ in 1 2 3 4 5 6 7 8 9; do
     cargo test -q --offline --release -p cicero-node --test equivalence
 done
 

@@ -100,7 +100,6 @@ fn segway_membership_changes_reshare_under_real_crypto() {
     let mut cfg = EngineConfig::for_mode(Mode::Segway);
     cfg.crypto = CryptoMode::Real;
     cfg.controllers_per_domain = 5;
-    cfg.trace_deliveries = true;
     let topo = Topology::single_pod(2, 2, 4);
     let mut engine = harness::build_engine_cfg(cfg, &topo, 1);
     let domain = DomainId(0);

@@ -359,6 +359,28 @@ mod events {
         deliver(&mut engine, node, 3, copy);
         assert!(processed(&engine, e.id), "over its own channel it is taken");
     }
+
+    /// The switch's genuine copies of its own event marked `forwarded`. A
+    /// forward's sender is a controller of the event's origin domain, and
+    /// the switch's channel is no controller's: every controller drops it
+    /// before the tag and none delivers it. (Taken as a switch event, it
+    /// would be ordered here and forwarded to no other domain.)
+    #[test]
+    fn a_switch_event_marked_forwarded_is_refused() {
+        let (mut engine, s, secrets) = fabric();
+        let e = Event { forwarded: true, ..event(s) };
+        let node = engine.switch_node(s);
+        for c in 1..=4 {
+            let copy = tagged(&engine, &secrets, s, c, e);
+            deliver(&mut engine, node, c, copy);
+        }
+        let delivered = engine
+            .observations()
+            .iter()
+            .any(|o| matches!(o.value, Obs::EventDelivered { event, .. } if event == e.id));
+        assert!(!delivered && !processed(&engine, e.id), "no controller delivers it");
+        assert_eq!(mac_checks(&mut engine), vec![0; 4], "dropped before the tag");
+    }
 }
 
 #[test]
@@ -1782,7 +1804,7 @@ mod handshake {
             Some(_) => Tagged::tag(FORWARD, event, Phase(0), msg_id, &key(engine, secrets, from, from, to)),
             None => Tagged { payload: event, phase: Phase(0), msg_id, tag: [0; 32] },
         };
-        Net::ForwardedEvent(tagged)
+        Net::EventMsg(tagged)
     }
 
     /// The flow's event as upstream controller `c` forwards it: under its
