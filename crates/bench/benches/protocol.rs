@@ -73,6 +73,7 @@ fn bench_segway_codec(c: &mut Harness) {
             .map(|u| (u.id, u.switch))
             .collect(),
         notify: updates[5..].iter().map(|u| u.switch).collect(),
+        held: false,
     };
     let bytes = body.to_wire();
     c.bench_function("segway_encode_body_4gates", |b| {

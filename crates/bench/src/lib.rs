@@ -294,6 +294,12 @@ pub fn calibration() -> String {
         let ms = flow_setup_latency_ms(mode, 42);
         let _ = writeln!(out, "  {:<16} setup = {ms:>6.2} ms", mode.label());
     }
+    // The anchors were measured on the paper's protocol; what releasing by
+    // tag takes on the same calibrated costs.
+    for mode in [Mode::CICERO, Mode::CICERO_AGG] {
+        let ms = flow_setup_latency_with(EngineConfig::for_mode(mode), 42);
+        let _ = writeln!(out, "  {:<16} setup = {ms:>6.2} ms  (released by tag)", mode.label());
+    }
     out
 }
 

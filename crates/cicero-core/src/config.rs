@@ -297,6 +297,13 @@ pub struct EngineConfig {
     /// which boundary-crossing flows can transiently black-hole at the
     /// domain edge with zero faults (kept for regression/control runs).
     pub cross_domain_handshake: bool,
+    /// Cicero: share-sign every update at admission and let its switch hold
+    /// one with dependencies until `⌊(n−1)/3⌋+1` tagged releases (DESIGN.md
+    /// §3, "Held updates"). `false` runs the paper's protocol, which signs an
+    /// update once its dependencies are acknowledged — what the paper's
+    /// flow-setup anchors were measured on, so the cost model's calibration
+    /// (`experiment::flow_setup_latency_ms`) runs it.
+    pub release_by_tag: bool,
 }
 
 impl Default for EngineConfig {
@@ -312,11 +319,22 @@ impl Default for EngineConfig {
             seed: 1,
             heartbeat: None,
             cross_domain_handshake: true,
+            release_by_tag: true,
         }
     }
 }
 
 impl EngineConfig {
+    /// `true` where the controllers order the updates and the switches hold
+    /// them ([`EngineConfig::release_by_tag`] in Cicero): every update is
+    /// signed at admission, and one with dependencies goes in on tagged
+    /// releases. Otherwise an update is sent when it is released — the
+    /// unauthenticated baselines and the paper's Cicero — or the switches
+    /// order themselves (Segway).
+    pub fn holds_at_switch(&self) -> bool {
+        self.release_by_tag && matches!(self.mode, Mode::Cicero { .. })
+    }
+
     /// Convenience: a config for `mode` with defaults otherwise.
     pub fn for_mode(mode: Mode) -> Self {
         let mut c = EngineConfig::default();

@@ -9,7 +9,7 @@
 
 use super::ControllerActor;
 use crate::auth::Peer;
-use crate::msg::{Net, SegmentBody, WalRecord};
+use crate::msg::{Net, SegmentBody, UpdateBody, WalRecord};
 use crate::obs::Obs;
 use crate::runtime::labels;
 use controller::scheduler::{Projected, ScheduledUpdate};
@@ -31,7 +31,8 @@ const BARRIER_SEQ_BASE: u32 = 0xFFFF_0000;
 /// controller remember and log under keys nothing will ever expect.
 const MAX_EARLY_REPORTS: usize = 1024;
 
-pub(super) fn barrier_id(event: EventId, segment: u32) -> UpdateId {
+/// The synthetic dependency id of `event`'s foreign segment `segment`.
+pub fn barrier_id(event: EventId, segment: u32) -> UpdateId {
     UpdateId {
         event,
         seq: BARRIER_SEQ_BASE + segment,
@@ -103,7 +104,9 @@ impl ControllerActor {
     /// (acked when a quorum of the owning domain reports the segment
     /// applied), and watches are registered for own segments that foreign
     /// updates wait on, so this controller reports them upstream once they
-    /// drain.
+    /// drain. In Cicero an update with dependencies is *held*: its body
+    /// says so, it is signed and sent at admission, and what the drained
+    /// dependencies release is the controllers' tagged word for it.
     pub(super) fn hold_at_controller(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
@@ -123,6 +126,15 @@ impl ControllerActor {
             }
             if !p.upstream.is_empty() {
                 watched.entry(p.segment).or_default().extend(&p.upstream);
+            }
+            if self.shared.cfg.holds_at_switch() && !deps.is_empty() {
+                let (domain, controller, update) = (self.domain, self.id.0, p.update.id);
+                for &dep in &deps {
+                    ctx.observe(Obs::UpdateHeld { domain, controller, update, dep });
+                }
+                let (gates, notify) = (Vec::new(), Vec::new());
+                let body = UpdateBody { update: p.update, gates, notify, held: true };
+                self.shipped.insert(update, body);
             }
             schedule.push(ScheduledUpdate {
                 update: p.update,
@@ -219,7 +231,7 @@ impl ControllerActor {
         });
         let ready = self.pending.ack(barrier_id(key.0, key.1), ctx.now());
         for u in ready {
-            self.send_update_delayed(ctx, u, extra);
+            self.release(ctx, u, extra);
         }
         self.retire_forward(key.0);
         self.arm_retry(ctx);

@@ -55,7 +55,10 @@ impl ControllerActor {
     }
 
     /// Handles a switch NACK: re-send the signed update if we still hold it
-    /// (in flight, or acknowledged-by-quorum but missed by this switch).
+    /// (in flight, acknowledged-by-quorum but missed by this switch, or held
+    /// and waiting here), with its release once it has one. A switch asks
+    /// the same way for the shares of a body below quorum and for the
+    /// releases of a held body.
     pub(super) fn on_update_nack(&mut self, ctx: &mut dyn Host<Net, Obs>, m: Tagged<NackBody>) {
         if !self.active {
             return;

@@ -8,7 +8,7 @@ use super::barriers::barrier_id;
 use super::ControllerActor;
 use crate::auth::Peer;
 use crate::config::{Aggregation, Mode};
-use crate::msg::{Net, UpdateBody, WalRecord};
+use crate::msg::{Net, Release, UpdateBody, WalRecord};
 use crate::obs::Obs;
 use crate::runtime::labels;
 use controller::app::NetworkApp;
@@ -135,16 +135,25 @@ impl ControllerActor {
         } else {
             self.hold_at_controller(ctx, &event, projected)
         };
+        let updates: Vec<NetworkUpdate> = schedule.iter().map(|s| s.update).collect();
         let admitted = self.pending.admit(schedule, ctx.now());
         let pipeline = self.shared.cfg.costs.event_pipeline;
         // An update its switch acknowledged before this controller got here
         // is done: what its ack does, minus anything to send for it.
         for &update in &admitted.retired {
             self.log_record(&WalRecord::Acked(update));
+            self.observe_ack(ctx, update);
             self.settle(ctx, update);
         }
+        // What is ready goes now; a held update is signed and sent now too,
+        // and waits at its switch for its releases.
         for u in admitted.ready {
             self.send_update_delayed(ctx, u, pipeline);
+        }
+        for u in updates {
+            if self.pending.is_waiting(u.id) && self.is_held(u.id) {
+                self.send_update_delayed(ctx, u, pipeline);
+            }
         }
         self.arm_retry(ctx);
     }
@@ -162,7 +171,8 @@ impl ControllerActor {
             let mut gates = p.local;
             gates.extend(p.foreign.iter().map(|f| (f.update, f.switch)));
             gates.sort();
-            self.shipped.insert(p.update.id, (gates, p.notify));
+            let (update, notify) = (p.update, p.notify);
+            self.shipped.insert(update.id, UpdateBody { update, gates, notify, held: false });
             out.push(ScheduledUpdate {
                 update: p.update,
                 deps: BTreeSet::new(),
@@ -268,18 +278,73 @@ impl ControllerActor {
         }
     }
 
-    /// The body `update` travels in: itself plus whatever dependencies were
-    /// shipped with it.
+    /// The body `update` travels in: itself plus whatever was shipped with
+    /// it.
     fn body_of(&self, update: NetworkUpdate) -> UpdateBody {
-        let (gates, notify) = self.shipped.get(&update.id).cloned().unwrap_or_default();
-        UpdateBody { update, gates, notify }
+        let plain = || UpdateBody { update, gates: Vec::new(), notify: Vec::new(), held: false };
+        self.shipped.get(&update.id).cloned().unwrap_or_else(plain)
+    }
+
+    /// `true` for an update its switch holds until released (Cicero, with
+    /// dependencies).
+    pub(super) fn is_held(&self, update: UpdateId) -> bool {
+        self.shipped.get(&update).is_some_and(|b| b.held)
+    }
+
+    /// Releases `update`, whose dependencies are all acknowledged here: the
+    /// held update's switch gets this controller's release (its share left
+    /// at admission); any other update, or a held one whose share a phase
+    /// change dropped, is sent now.
+    pub(super) fn release(
+        &mut self,
+        ctx: &mut dyn Host<Net, Obs>,
+        update: NetworkUpdate,
+        extra: SimDuration,
+    ) {
+        if self.is_held(update.id) && self.updates_sent.contains(&update.id) {
+            self.send_release(ctx, update, extra);
+        } else {
+            self.send_update_delayed(ctx, update, extra);
+        }
+    }
+
+    /// Sends held `update`'s release to its switch, `extra` late: the kept
+    /// one, or one tagged now and kept — at the first release, and in a new
+    /// phase.
+    fn send_release(
+        &mut self,
+        ctx: &mut dyn Host<Net, Obs>,
+        update: NetworkUpdate,
+        extra: SimDuration,
+    ) {
+        let kept = self.releases_sent.resend(&update.id, |_| true, || None);
+        let msg = match kept {
+            Some((msg, _)) => msg.clone(),
+            None => {
+                let body = Release { update: update.id, switch: update.switch };
+                let (to, phase) = (Peer::Switch(update.switch), self.view.phase());
+                let msg_id = self.auth.next_msg_id();
+                let Some(msg) = self.auth.tag(ctx, labels::RELEASE, body, phase, msg_id, to) else {
+                    return;
+                };
+                ctx.observe(Obs::ReleaseSent {
+                    domain: self.domain,
+                    controller: self.id.0,
+                    update: update.id,
+                    switch: update.switch,
+                });
+                self.releases_sent.keep(update.id, msg.clone());
+                msg
+            }
+        };
+        ctx.send_delayed(self.shared.dir.switch(update.switch), Net::UpdateRelease(msg), extra);
     }
 
     /// Sends `update` to its switch in the envelope the mode uses. The body
     /// is share-signed once per phase — a third of the signing time is
     /// serialized CPU, all of it is latency on the send, on top of `extra` —
     /// and kept: a retransmission or a NACK answer re-sends it and pays
-    /// neither.
+    /// neither. A held update released here goes with its release.
     pub(super) fn send_update_delayed(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
@@ -308,6 +373,9 @@ impl ControllerActor {
                 let agg = self.node_of(self.view.aggregator());
                 ctx.send_delayed(agg, Net::UpdateToAggregator(msg), delay);
             }
+        }
+        if self.is_held(update.id) && !self.pending.is_waiting(update.id) {
+            self.send_release(ctx, update, extra);
         }
     }
 

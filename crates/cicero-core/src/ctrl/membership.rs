@@ -31,7 +31,9 @@ impl ControllerActor {
             self.view = old_view;
             return;
         }
-        self.updates_sent.clear(); // old-phase shares no longer count
+        // Old-phase shares and releases no longer count.
+        self.updates_sent.clear();
+        self.releases_sent.clear();
         if added {
             self.detector.track(subject, ctx.now());
         } else {
@@ -106,7 +108,8 @@ impl ControllerActor {
         // (unchanged) group public key: every member share-signs it, the
         // aggregator (itself included) collects a quorum.
         let info = PhaseInfo::of(&self.view);
-        let partial = self.auth.sign_share(ctx, labels::PHASE, info, info.phase);
+        let phase = info.phase;
+        let partial = self.auth.sign_share(ctx, labels::PHASE, info, phase);
         ctx.send(self.node_of(self.view.aggregator()), Net::PhasePartial(partial));
 
         // Drain work accumulated during the change.
@@ -161,6 +164,7 @@ impl ControllerActor {
         }
         self.view = view;
         self.updates_sent.clear();
+        self.releases_sent.clear();
         if self.auth.start_rekey(ctx, &self.view, false) {
             self.finish_phase_change(ctx);
         }

@@ -30,10 +30,11 @@ mod membership;
 use crate::auth::{Authenticator, Peer};
 use crate::collector::QuorumCollector;
 use crate::config::{Mode, RETRY_BASE, RETRY_BUDGET};
-use crate::msg::{Net, OrderedOp, PhaseInfo, UpdateBody, WalRecord};
+use crate::msg::{Net, OrderedOp, PhaseInfo, Release, UpdateBody, WalRecord};
 use crate::obs::Obs;
 use crate::runtime::{labels, Shared};
 use barriers::{BarrierState, Report, SegWatch};
+pub use barriers::barrier_id;
 use bft::message::ReplicaId;
 use events::Forward;
 use bft::replica::Replica;
@@ -47,7 +48,7 @@ use controller::scheduler::{ReversePathScheduler, UpdateScheduler};
 use simnet::node::{Actor, Host, NodeId, TimerToken};
 use simnet::sim::ENVIRONMENT;
 use simnet::time::SimDuration;
-use southbound::envelope::{MsgId, QuorumSigned, ShareSigned};
+use southbound::envelope::{MsgId, QuorumSigned, ShareSigned, Tagged};
 use southbound::types::{
     ControllerId, DomainId, Event, EventId, Phase, SwitchId, UpdateId,
 };
@@ -107,15 +108,18 @@ pub struct ControllerActor {
     /// a current member of an upstream domain that re-forwards the event
     /// gets its copy again.
     seg_sent: Kept<(EventId, u32), Report>,
-    /// Dependencies shipped to the switches rather than held here (Segway):
-    /// per-update gate/notify metadata projected once at `process_event`
-    /// time, consumed (and re-consumed on retransmission and NACK resync)
-    /// by `send_update_delayed`.
-    shipped: BTreeMap<UpdateId, (Vec<(UpdateId, SwitchId)>, Vec<SwitchId>)>,
+    /// The body of every update that carries more than the update itself,
+    /// fixed once at `process_event` time: Segway's gate/notify metadata,
+    /// or Cicero's `held` mark. Consumed (and re-consumed on retransmission
+    /// and NACK resync) by `send_update_delayed`.
+    shipped: BTreeMap<UpdateId, UpdateBody>,
     /// Every update's share-signed body as last sent — like the ack archive
     /// it answers NACKs from, pruned only by a phase change. Retransmissions
     /// and NACK answers re-send it as-is; one not kept is signed again.
     updates_sent: Kept<UpdateId, ShareSigned<UpdateBody>>,
+    /// Every held update's tagged release as sent, pruned likewise:
+    /// re-sent with the kept share, tagged again in a new phase.
+    releases_sent: Kept<UpdateId, Tagged<Release>>,
     retry_armed: bool,
     // ---- durability (ctrl/durable.rs) --------------------------------
     /// Durable storage, when provisioned.
@@ -201,6 +205,7 @@ impl ControllerActor {
             seg_sent: Kept::default(),
             shipped: BTreeMap::new(),
             updates_sent: Kept::default(),
+            releases_sent: Kept::default(),
             retry_armed: false,
             disk: None,
             wal: None,
@@ -290,12 +295,22 @@ impl ControllerActor {
         let ready = self.pending.ack(update, ctx.now());
         if fresh {
             self.log_record(&WalRecord::Acked(update));
+            self.observe_ack(ctx, update);
         }
         for u in ready {
-            self.send_update_delayed(ctx, u, extra);
+            self.release(ctx, u, extra);
         }
         self.settle(ctx, update);
         self.arm_retry(ctx);
+    }
+
+    /// Reports the first accepted ack of `update` where releases depend on
+    /// acks (the telemetry oracle pairs each release with them).
+    fn observe_ack(&self, ctx: &mut dyn Host<Net, Obs>, update: UpdateId) {
+        if self.shared.cfg.holds_at_switch() {
+            let (domain, controller) = (self.domain, self.id.0);
+            ctx.observe(Obs::AckAccepted { domain, controller, update });
+        }
     }
 }
 
@@ -475,6 +490,7 @@ impl Actor<Net, Obs> for ControllerActor {
             | Net::UpdateMsg(_)
             | Net::UpdatePlain(_)
             | Net::UpdateAggregated(_)
+            | Net::UpdateRelease(_)
             | Net::SegwayReady(_)
             | Net::SegwayReadyQuery { .. }
             | Net::PhaseNotice(_)

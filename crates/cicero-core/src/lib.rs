@@ -64,7 +64,7 @@ pub mod prelude {
     pub use crate::engine::{default_pod_engine, Engine, RunReport};
     pub use crate::experiment::{
         fig11_flow_completion, fig12a_update_time, fig12b_event_locality, fig12c_runs, fig12d_runs,
-        flow_setup_latency_ms, run_flow_completion,
+        flow_setup_latency_ms, flow_setup_latency_with, run_flow_completion,
         segway_vs_cicero_md, FlowRun, ALL_MODES,
     };
     pub use crate::msg::{AckBody, Net, OrderedOp, PhaseInfo};

@@ -68,7 +68,12 @@ wire_struct!(SegmentBody { event, segment, domain });
 /// go in; `notify` are the switches waiting on *this* update, to be released
 /// with a tagged [`ReadyBody`], which each checks against the gates of its
 /// own body. Both are empty wherever the controllers hold the dependencies
-/// themselves (every mode but Segway).
+/// themselves (every mode but Segway). `held` marks a Cicero update with
+/// dependencies: it is signed and sent at admission, and the switch keeps
+/// the certified body until `⌊(n−1)/3⌋+1` current members send a tagged
+/// [`Release`] for it. Whether an update has dependencies is a property of
+/// the deterministic schedule, so every honest controller signs the same
+/// body.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct UpdateBody {
     /// The network update itself.
@@ -77,9 +82,29 @@ pub struct UpdateBody {
     pub gates: Vec<(UpdateId, SwitchId)>,
     /// Switches whose next segment this update releases.
     pub notify: Vec<SwitchId>,
+    /// Applied only once released by the controllers.
+    pub held: bool,
 }
 
-wire_struct!(UpdateBody { update, gates, notify });
+wire_struct!(UpdateBody { update, gates, notify, held });
+
+/// A controller's word that held update `update` may now go in at switch
+/// `switch`: every dependency of it is acknowledged here. Tagged under the
+/// pair key k(controller→`switch`), so only the addressed switch can check
+/// it and nobody else is shown it; its tag binds the update and the phase.
+/// The switch applies the certified body on releases from `⌊(n−1)/3⌋+1`
+/// distinct current members, so f Byzantine controllers cannot release it
+/// early. Tagged once per phase and kept: a retransmission or a NACK answer
+/// re-sends it with the kept share.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Release {
+    /// The held update.
+    pub update: UpdateId,
+    /// The switch that holds it.
+    pub switch: SwitchId,
+}
+
+wire_struct!(Release { update, switch });
 
 /// A Segway switch-to-switch release: switch `from` applied `update` and
 /// tells switch `to` (named in `from`'s threshold-signed `notify` list)
@@ -102,10 +127,10 @@ pub struct ReadyBody {
 wire_struct!(ReadyBody { update, from, to });
 
 /// The per-domain control-plane state switches must track across
-/// membership changes: phase, quorum size, aggregator. Distributed to
-/// switches under the (membership-invariant) group public key, replacing
+/// membership changes: phase, quorum size, aggregator, members. Distributed
+/// to switches under the (membership-invariant) group public key, replacing
 /// the paper's per-switch "master/slave role request" messages.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PhaseInfo {
     /// Current membership phase.
     pub phase: Phase,
@@ -113,17 +138,21 @@ pub struct PhaseInfo {
     pub quorum: u32,
     /// The aggregator controller (lowest live identifier).
     pub aggregator: ControllerId,
+    /// The members, ascending: whose [`Release`]s a switch counts.
+    pub members: Vec<ControllerId>,
 }
 
-wire_struct!(PhaseInfo { phase, quorum, aggregator });
+wire_struct!(PhaseInfo { phase, quorum, aggregator, members });
 
 impl PhaseInfo {
-    /// What switches must know of `view`: its phase, quorum and aggregator.
+    /// What switches must know of `view`: its phase, quorum, aggregator and
+    /// members.
     pub fn of(view: &controller::membership::ControlPlaneView) -> Self {
         PhaseInfo {
             phase: view.phase(),
             quorum: view.quorum() as u32,
             aggregator: view.aggregator(),
+            members: view.members().collect(),
         }
     }
 }
@@ -323,6 +352,10 @@ pub enum Net {
     },
     /// Aggregator → switch: the quorum-aggregated update body.
     UpdateAggregated(QuorumSigned<UpdateBody>),
+    /// Controller → switch: a held update may go in, tagged for the switch
+    /// alone (sent once its dependencies are acknowledged, and again with
+    /// the kept share on a retransmission or a NACK answer).
+    UpdateRelease(Tagged<Release>),
     /// Switch → one controller: application acknowledgement, tagged under
     /// the pair's key (one copy per bootstrap controller of the domain).
     AckMsg(Tagged<AckBody>),
@@ -559,7 +592,9 @@ mod tests {
             update: install(),
             gates: vec![(id(3), SwitchId(4))],
             notify: vec![SwitchId(1), SwitchId(2)],
+            held: true,
         });
+        exact(Release { update, switch });
         exact(ReadyBody {
             update,
             from: SwitchId(6),
@@ -569,6 +604,7 @@ mod tests {
             phase: Phase(3),
             quorum: 2,
             aggregator: ControllerId(1),
+            members: vec![ControllerId(1), ControllerId(3)],
         });
         exact(OrderedOp::Event(event()));
         exact(OrderedOp::AddController(ControllerId(6)));
@@ -646,13 +682,15 @@ mod tests {
             },
             gates: vec![gate(3, 4), gate(4, 5), gate(5, 6), gate(6, 7)],
             notify: vec![SwitchId(1), SwitchId(2)],
+            held: false,
         };
+        // The bytes before `held` are the three-field body's, unchanged.
         assert_eq!(
             hex(&b.to_wire()),
             "0000000000000009000000020000000300000000010000000500000000000400000004\
              000000000000000900000003000000040000000000000009000000040000000500000000\
              000000090000000500000006000000000000000900000006000000070000000200000001\
-             00000002"
+             0000000200"
         );
         assert_eq!(UpdateBody::from_wire(&b.to_wire()).unwrap(), b);
         let empty = UpdateBody {
@@ -662,12 +700,14 @@ mod tests {
         };
         assert_eq!(
             hex(&empty.to_wire()),
-            "000000000000000900000002000000030000000001000000050000000000040000000000000000"
+            "00000000000000090000000200000003000000000100000005000000000004000000000000000000"
         );
+        let held = UpdateBody { held: true, ..empty.clone() };
+        assert_eq!(hex(&held.to_wire()).strip_suffix("01"), hex(&empty.to_wire()).strip_suffix("00"));
         assert_eq!(UpdateBody::from_wire(&empty.to_wire()).unwrap(), empty);
         // A length prefix longer than the input is refused before allocating.
         let mut lying = empty.to_wire();
-        let at = lying.len() - 8;
+        let at = lying.len() - 9;
         lying[at..at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
         assert_eq!(
             UpdateBody::from_wire(&lying),

@@ -252,6 +252,43 @@ pub enum Obs {
         /// The claimed sender.
         from: SwitchId,
     },
+    /// A controller admitted a held update (Cicero): `update` waits on
+    /// `dep` — an own update, or a cross-domain barrier. One observation per
+    /// dependency; the telemetry oracle checks each release against them.
+    UpdateHeld {
+        /// The domain.
+        domain: DomainId,
+        /// The admitting controller.
+        controller: u32,
+        /// The held update.
+        update: UpdateId,
+        /// One of its dependencies.
+        dep: UpdateId,
+    },
+    /// A controller accepted the first verified acknowledgement of `update`
+    /// (Cicero), live or as an early ack honoured at admission.
+    AckAccepted {
+        /// The domain.
+        domain: DomainId,
+        /// The accepting controller.
+        controller: u32,
+        /// The acknowledged update.
+        update: UpdateId,
+    },
+    /// A controller released held `update` to its switch with a tagged
+    /// release: every dependency is acknowledged here. Emitted when the
+    /// release is tagged (once per phase); re-sends with the kept share are
+    /// the update's retransmissions.
+    ReleaseSent {
+        /// The domain.
+        domain: DomainId,
+        /// The releasing controller.
+        controller: u32,
+        /// The held update.
+        update: UpdateId,
+        /// Its switch.
+        switch: SwitchId,
+    },
     /// A controller whose schedule for an event still waits on other
     /// domains re-sent its kept forward of the event to every member of
     /// them: a domain that never heard of the event delivers it, one that

@@ -39,6 +39,8 @@ pub mod labels {
     pub const SEGMENT: &str = "CICERO_SEGMENT_V1";
     /// Segway switch-to-switch ready messages (switch identity keys).
     pub const READY: &str = "CICERO_SEGWAY_READY_V1";
+    /// Controller → switch releases of held updates.
+    pub const RELEASE: &str = "CICERO_RELEASE_V1";
 }
 
 /// Who lives where in the simulation.

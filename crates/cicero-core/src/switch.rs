@@ -2,7 +2,8 @@
 //!
 //! Switches forward flows from their tables, raise tagged `PacketIn` events
 //! on misses, buffer share-signed updates until a quorum of *identical*
-//! updates arrives, aggregate-and-verify against the group public key, apply,
+//! updates arrives, aggregate-and-verify against the group public key, hold
+//! a body marked held until a quorum of controllers releases it, apply,
 //! and acknowledge. The runtime is deliberately minimal — the paper's design
 //! goal is "minimal switch instrumentation" — and all heavy operations charge
 //! simulated CPU time so Fig. 11d's utilization comparison is reproducible.
@@ -13,7 +14,9 @@ use crate::config::{
     tx_time, Aggregation, Mode, EVENT_RETRY_BASE, NACK_BUDGET, NACK_TIMEOUT, RETRY_BASE,
     RETRY_BUDGET,
 };
-use crate::msg::{AckBody, NackBody, Net, PhaseInfo, ReadyBody, SwitchWalRecord, UpdateBody};
+use crate::msg::{
+    AckBody, NackBody, Net, PhaseInfo, ReadyBody, Release, SwitchWalRecord, UpdateBody,
+};
 use crate::obs::Obs;
 use crate::runtime::{labels, Shared};
 use blscrypto::bls::SecretKey;
@@ -32,6 +35,12 @@ use std::sync::Arc;
 use substrate::storage::{DiskHandle, Wal};
 
 const RETRY: TimerToken = TimerToken(1);
+
+/// Releases one controller may have on record here for updates with no
+/// certified body yet. Honest controllers sit far below it (a release
+/// overtakes its body only while the body's shares are still arriving); it
+/// bounds what a Byzantine one can make a switch remember.
+const MAX_EARLY_RELEASES: usize = 1024;
 
 /// An event the switch keeps for retransmission until its effect is
 /// visible in the flow table (reliable delivery layer): its body and id,
@@ -64,8 +73,10 @@ struct WaitingFlow {
 /// mode uses) → *authenticate* (that form's own check, through the
 /// [`Authenticator`]) → *gate* → *apply* → *acknowledge* → *release*. The
 /// three forms differ only in the second stage; each hands on a verified
-/// [`UpdateBody`] — gates and notify list empty outside Segway — and the
-/// number of signers behind it.
+/// [`UpdateBody`] — gates and notify list empty outside Segway, `held` set
+/// only in Cicero — and the number of signers behind it. The gate is where
+/// a body waits: on its Segway gates' readies, or on the releases of a held
+/// body.
 pub struct SwitchActor {
     shared: Arc<Shared>,
     id: SwitchId,
@@ -93,9 +104,15 @@ pub struct SwitchActor {
     /// switch)` of parked bodies — whoever is still waiting asks.
     asks: RetryTable<(UpdateId, SwitchId), ()>,
     retry_armed: bool,
-    /// Verified bodies whose gates are not all open yet, with the signer
-    /// count backing them.
+    /// Verified bodies whose gates are not all open yet, or held bodies not
+    /// released yet, with the signer count backing them.
     parked: BTreeMap<UpdateId, (UpdateBody, u32)>,
+    /// Verified releases: held update → the current members that released
+    /// it in this phase (a release may arrive before its body does).
+    releases: BTreeMap<UpdateId, BTreeSet<ControllerId>>,
+    /// Per member: its releases on record for updates with no parked body
+    /// (capped at [`MAX_EARLY_RELEASES`]).
+    early_releases: BTreeMap<ControllerId, usize>,
     /// Verified readies received: gating update → switches that announced
     /// applying it (a ready may arrive before its gated body does).
     ready_in: BTreeMap<UpdateId, BTreeSet<SwitchId>>,
@@ -142,6 +159,8 @@ impl SwitchActor {
             event_seq: 0,
             retry_armed: false,
             parked: BTreeMap::new(),
+            releases: BTreeMap::new(),
+            early_releases: BTreeMap::new(),
             ready_in: BTreeMap::new(),
             ready_sent: Kept::default(),
             wal: None,
@@ -209,7 +228,7 @@ impl SwitchActor {
 
     /// The control-plane phase, quorum and aggregator this switch follows.
     pub fn phase_info(&self) -> PhaseInfo {
-        self.phase_info
+        self.phase_info.clone()
     }
 
     fn fresh_event_id(&mut self) -> EventId {
@@ -303,14 +322,15 @@ impl SwitchActor {
 
     /// Front door of the forms that arrive already aggregated (or
     /// unauthenticated): a copy of an applied update means some controller
-    /// has not seen our acknowledgement. `true` for a first copy.
+    /// has not seen our acknowledgement, one of a parked body is proven
+    /// already. `true` for a first copy.
     fn first_copy(&mut self, ctx: &mut dyn Host<Net, Obs>, update: NetworkUpdate) -> bool {
         ctx.charge_cpu(self.shared.cfg.costs.switch_msg);
         if self.applied.contains(&update.id) {
             self.reack(ctx, update);
             return false;
         }
-        true
+        !self.parked.contains_key(&update.id)
     }
 
     /// Front door of the share form: re-acks a retransmitted share of an
@@ -397,26 +417,47 @@ impl SwitchActor {
             || self.ready_in.get(&u).is_some_and(|set| set.contains(&s))
     }
 
+    /// A held update is released once `quorum` distinct current members
+    /// released it.
+    fn released(&self, u: UpdateId) -> bool {
+        let quorum = self.phase_info.quorum as usize;
+        self.releases.get(&u).is_some_and(|from| from.len() >= quorum)
+    }
+
     fn gates_open(&self, body: &UpdateBody) -> bool {
-        !self.gating_enabled() || body.gates.iter().all(|&g| self.gate_open(g))
+        (!body.held || self.released(body.update.id))
+            && (!self.gating_enabled() || body.gates.iter().all(|&g| self.gate_open(g)))
     }
 
     /// Gate: a verified body goes in once its gates are open, and waits in
     /// `parked` until then, with a clock on every neighbor's gate that is
-    /// still closed. `signers` is the quorum evidence backing it.
+    /// still closed — and, for a held body, on its releases, whose clock
+    /// replaces its shares' NACK clock. `signers` is the quorum evidence
+    /// backing it.
     fn deliver(&mut self, ctx: &mut dyn Host<Net, Obs>, body: UpdateBody, signers: u32) {
+        let id = body.update.id;
+        if body.held {
+            // Its early releases are early no more.
+            for c in self.releases.get(&id).into_iter().flatten() {
+                if let Some(n) = self.early_releases.get_mut(c) {
+                    *n = n.saturating_sub(1);
+                }
+            }
+            self.nacks.remove(&id);
+        }
         if self.gates_open(&body) {
             self.apply(ctx, body, signers);
             self.release_parked(ctx);
             return;
         }
-        for &g in &body.gates {
-            if g.1 != self.id && !self.gate_open(g) && !self.asks.contains(&g) {
+        let own = (body.held && !self.released(id)).then_some((id, self.id));
+        for g in body.gates.iter().copied().filter(|g| g.1 != self.id).chain(own) {
+            if !self.gate_open(g) && !self.asks.contains(&g) {
                 self.asks.insert(g, g.0, (), ctx.now());
             }
         }
         self.arm_retry(ctx);
-        self.parked.insert(body.update.id, (body, signers));
+        self.parked.insert(id, (body, signers));
     }
 
     /// A verified ready may open gates of parked bodies; applying one may
@@ -445,6 +486,8 @@ impl SwitchActor {
             return;
         }
         self.nacks.remove(&update.id);
+        self.asks.remove(&(update.id, self.id));
+        self.releases.remove(&update.id);
         self.table.apply(&update);
         self.log_record(&SwitchWalRecord::Applied { update, signers });
         ctx.observe(Obs::UpdateApplied {
@@ -594,6 +637,39 @@ impl SwitchActor {
         self.release_parked(ctx);
     }
 
+    /// A controller releases a held update. Dropped unchecked when it is
+    /// addressed to another switch, tagged in another phase, sent by no
+    /// current member or over another node's channel, for an applied update,
+    /// by a member already counted, or — with no body parked for it — by a
+    /// member with [`MAX_EARLY_RELEASES`] such releases on record. Otherwise
+    /// its tag is checked under the key the member shares with this switch;
+    /// a verified release is counted and may open the gate.
+    fn on_release(&mut self, ctx: &mut dyn Host<Net, Obs>, from: NodeId, msg: Tagged<Release>) {
+        ctx.charge_cpu(self.shared.cfg.costs.switch_msg);
+        let (u, c) = (msg.payload.update, ControllerId(msg.msg_id.origin));
+        let sender = Peer::Controller(self.domain, c);
+        let parked = self.parked.contains_key(&u);
+        let counted = self.releases.get(&u).is_some_and(|from| from.contains(&c));
+        let full = self.early_releases.get(&c).is_some_and(|&n| n >= MAX_EARLY_RELEASES);
+        if msg.payload.switch != self.id
+            || msg.phase != self.phase_info.phase
+            || !self.phase_info.members.contains(&c)
+            || self.shared.dir.peer(from) != Some(sender)
+            || self.applied.contains(&u)
+            || counted
+            || (!parked && full)
+            || self.auth.verify_tag(ctx, labels::RELEASE, &msg, sender).is_none()
+        {
+            return;
+        }
+        self.releases.entry(u).or_default().insert(c);
+        if parked {
+            self.release_parked(ctx);
+        } else {
+            *self.early_releases.entry(c).or_default() += 1;
+        }
+    }
+
     // ----- reliable delivery: one timer over the three retry tables --------
 
     /// Arms the retry timer for the earliest pending deadline. One timer is
@@ -650,12 +726,19 @@ impl SwitchActor {
             self.send_nack(ctx, id, have as u32);
         }
         for r in self.asks.sweep(now) {
-            // The only node that knows a ready is missing is the one parked
-            // on its gate, so it asks the gate's switch. A spent budget stops
-            // the asking; the controllers' update retry remains the backstop.
+            // The only node that knows a ready or a release is missing is the
+            // one parked on its gate, so it asks: the gate's switch for a
+            // ready, the controllers — with a NACK — for the releases of a
+            // held body. A spent budget stops the asking; the controllers'
+            // update retry remains the backstop.
             let Retry::Resend((update, from), attempt) = r else {
                 continue;
             };
+            if from == self.id {
+                let have = self.releases.get(&update).map_or(0, |c| c.len() as u32);
+                self.send_nack(ctx, update, have);
+                continue;
+            }
             ctx.send(self.shared.dir.switch(from), Net::SegwayReadyQuery { update });
             ctx.observe(Obs::ReadyQueried { switch: self.id, update, from, attempt });
         }
@@ -806,6 +889,7 @@ impl Actor<Net, Obs> for SwitchActor {
                     self.on_quorum(ctx, u.id, q);
                 }
             }
+            Net::UpdateRelease(m) => self.on_release(ctx, from, m),
             Net::SegwayReady(m) => self.on_ready(ctx, m),
             Net::SegwayReadyQuery { update } => self.on_ready_query(ctx, from, update),
             Net::LinkDown { a, b } => {
@@ -815,8 +899,11 @@ impl Actor<Net, Obs> for SwitchActor {
                 let valid = self.auth.verify_group(ctx, labels::PHASE, &m);
                 if valid && m.payload.phase > self.phase_info.phase {
                     self.phase_info = m.payload;
-                    // Stale aggregation buckets from the old phase die here.
-                    self.buckets.retain_phase(m.payload.phase);
+                    // Stale aggregation buckets and releases from the old
+                    // phase die here; a held body waits for the new members.
+                    self.buckets.retain_phase(self.phase_info.phase);
+                    self.releases.clear();
+                    self.early_releases.clear();
                 }
             }
             // Controller traffic is ignored. No catch-all: the match stays

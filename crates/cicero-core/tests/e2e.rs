@@ -239,6 +239,7 @@ fn rogue_controller_update_is_rejected_by_quorum() {
                 update: rogue_update,
                 gates: Vec::new(),
                 notify: Vec::new(),
+                held: false,
             },
             phase: southbound::types::Phase(0),
             msg_id: southbound::envelope::MsgId {

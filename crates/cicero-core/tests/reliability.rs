@@ -481,15 +481,15 @@ fn retransmissions_resend_the_kept_share_and_sign_nothing() {
             .map(|c| engine.with_controller(DomainId(0), ControllerId(c), |a| a.auth().signs()))
             .collect()
     };
-    // The egress update is the first of the reverse-path chain: until it is
-    // acked nothing else is released, so each controller has signed once.
+    // Every update of the path is signed at admission — the two held ones
+    // too, though nothing is released until the egress update is acked.
     engine.run(SimTime::ZERO + SimDuration::from_millis(50));
-    assert_eq!(signs(&mut engine), vec![1; 4]);
+    assert_eq!(signs(&mut engine), vec![3; 4]);
     engine.run(healed);
     let stats = retransmit_stats(engine.observations());
     assert!(stats.update_retransmits >= 3 * 2, "cut-off controllers retransmit: {stats:?}");
     assert!(stats.nacks >= 1, "the starved switch asks: {stats:?}");
-    assert_eq!(signs(&mut engine), vec![1; 4], "no retransmission or NACK answer signs");
+    assert_eq!(signs(&mut engine), vec![3; 4], "no retransmission or NACK answer signs");
     let report = engine.run_reporting(healed + SimDuration::from_secs(5));
     assert!(report.completed, "{report}");
     let quorum = engine.observations().iter().find_map(|o| match o.value {
@@ -498,7 +498,8 @@ fn retransmissions_resend_the_kept_share_and_sign_nothing() {
     });
     let (at, signers) = quorum.expect("the egress update goes in");
     assert!(at >= healed && signers >= 2, "quorum only on re-sent shares: {signers} at {at:?}");
-    // Three updates on the path, each share-signed once per controller.
+    // Three updates on the path, each share-signed once per controller, and
+    // none of them again when released.
     assert_eq!(signs(&mut engine), vec![3; 4]);
 }
 
@@ -1000,11 +1001,12 @@ fn reforwards_resend_the_kept_forward_and_sign_nothing() {
     let made: Vec<(u64, u64)> = (1..=4)
         .map(|c| engine.with_controller(up, ControllerId(c), |a| (a.auth().signs(), a.auth().tags())))
         .collect();
-    // The upstream schedule is held on the barrier, so nothing is signed,
-    // and the tags are the lowest's forward at receipt (one reader) and
-    // a budget's worth of re-forwards of four copies each.
+    // The upstream schedule is held on the barrier: its one update is
+    // signed at admission and never released, so nothing more is signed,
+    // and the tags are the lowest's forward at receipt (one reader) and a
+    // budget's worth of re-forwards of four copies each — no release.
     let copies = u64::from(RETRY_BUDGET) * 4;
-    assert_eq!(made, vec![(0, 1 + copies), (0, copies), (0, copies), (0, copies)]);
+    assert_eq!(made, vec![(1, 1 + copies), (1, copies), (1, copies), (1, copies)]);
     let mut rounds = vec![0; 4];
     for o in engine.observations() {
         if let Obs::ForwardRetransmitted { controller, attempt, .. } = o.value {
@@ -1040,7 +1042,7 @@ fn a_retransmitted_share_re_relays_the_kept_aggregate_and_a_late_first_share_doe
         switch,
         kind: UpdateKind::Install(rule),
     };
-    let body = UpdateBody { update, gates: Vec::new(), notify: Vec::new() };
+    let body = UpdateBody { update, gates: Vec::new(), notify: Vec::new(), held: false };
     let (d, aggregator) = (DomainId(0), ControllerId(1));
     // Controller `c`'s share reaches the aggregator over its own channel
     // (modeled crypto: a quorum certifies on the count); returns the

@@ -21,7 +21,7 @@ use simnet::node::NodeId;
 use simnet::sim::Observation;
 use simnet::time::{SimDuration, SimTime};
 use southbound::types::{ControllerId, DomainId, FlowMatch, SwitchId, UpdateId};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use substrate::storage::Disk;
@@ -162,6 +162,75 @@ fn sim_and_threads_apply_the_same_updates() {
         sim_applied, thr_applied,
         "the applied-update set must not depend on the executor"
     );
+    assert_same_releases(engine.observations(), &obs);
+    assert_same_progress(&sim_report, &report, true);
+}
+
+/// The controller-ordered outcome: which controllers released each held
+/// update to its switch.
+fn controller_releases(obs: &[Observation<Obs>]) -> BTreeMap<(DomainId, UpdateId), BTreeSet<u32>> {
+    let mut out: BTreeMap<_, BTreeSet<u32>> = BTreeMap::new();
+    for o in obs {
+        if let Obs::ReleaseSent { domain, controller, update, .. } = o.value {
+            out.entry((domain, update)).or_default().insert(controller);
+        }
+    }
+    out
+}
+
+/// Both executors released the same held updates, each by at least a
+/// quorum (2 of the spec's 4) of its domain's controllers. Who released is
+/// timing: a controller that accepts the update's own ack before the last
+/// ack (or barrier) it waits on retires the update unreleased — its switch
+/// needed f + 1 releases only.
+fn assert_same_releases(sim: &[Observation<Obs>], thr: &[Observation<Obs>]) {
+    let (sim, thr) = (controller_releases(sim), controller_releases(thr));
+    assert_eq!(
+        sim.keys().collect::<Vec<_>>(),
+        thr.keys().collect::<Vec<_>>(),
+        "the released held updates must not depend on the executor"
+    );
+    for (executor, releases) in [("sim", &sim), ("threads", &thr)] {
+        for (update, by) in releases {
+            assert!(by.len() >= 2, "{executor}: {update:?} released by {by:?} only");
+        }
+    }
+}
+
+/// Executor equivalence under controller aggregation, the placement
+/// `serial_agg` runs: the aggregator relays each held body at once and the
+/// releases go straight to the switches. Same rules installed, the same
+/// held updates released, clean audits, no recovery in either.
+#[test]
+fn sim_and_threads_agree_under_controller_aggregation() {
+    let mut spec = spec();
+    spec.mode = cicero_core::prelude::Mode::CICERO_AGG;
+
+    // ---- simulated run -----------------------------------------------
+    let mut engine = simulated(&spec);
+    let sim_report = engine.run_reporting(SimTime::from_nanos(60_000_000_000));
+    assert!(sim_report.completed, "simulated run must complete: {sim_report}");
+    let sim_applied = applied_set(engine.observations());
+    assert!(
+        !controller_releases(engine.observations()).is_empty(),
+        "multi-hop flows hold and release updates"
+    );
+    assert_eq!(audit_hazards(engine.observations(), &spec), 0);
+
+    // ---- threaded run ------------------------------------------------
+    let mut threaded = threaded(&spec);
+    let report = threaded.run_to_convergence(SimDuration::from_secs(20));
+    let obs = threaded.shutdown();
+    assert!(report.completed, "threaded run must converge: {report}");
+    assert_eq!(audit_hazards(&obs, &spec), 0);
+
+    // ---- equivalence --------------------------------------------------
+    assert_eq!(
+        sim_applied,
+        applied_set(&obs),
+        "the applied-update set must not depend on the executor"
+    );
+    assert_same_releases(engine.observations(), &obs);
     assert_same_progress(&sim_report, &report, true);
 }
 

@@ -461,14 +461,22 @@ impl PendingUpdates {
     /// Answers a re-sync request (NACK) for `id`: returns the signed-update
     /// payload to retransmit if this controller still holds it — either in
     /// flight (budget permitting; the retry clock is advanced so the NACK
-    /// response replaces the next scheduled retransmission) or in the
-    /// acknowledged archive (a healed-partition peer re-requesting state).
+    /// response replaces the next scheduled retransmission), in the
+    /// acknowledged archive (a healed-partition peer re-requesting state),
+    /// or still waiting on dependencies (a caller that sends updates before
+    /// releasing them; no clock runs for it yet).
     pub fn resync(&mut self, id: UpdateId, now: SimTime) -> Option<NetworkUpdate> {
         if self.sent.contains(&id) {
             self.sent.bump(&id, now)?;
             return self.sent.get(&id).copied();
         }
-        self.completed.get(&id).copied()
+        let waiting = self.waiting.get(&id).map(|s| s.update);
+        self.completed.get(&id).copied().or(waiting)
+    }
+
+    /// `true` iff `id` is admitted and still waits on dependencies.
+    pub fn is_waiting(&self, id: UpdateId) -> bool {
+        self.waiting.contains_key(&id)
     }
 
     /// Number of updates in flight (sent, unacknowledged).
@@ -746,9 +754,14 @@ mod tests {
         let first = ready[0].id;
         // In flight: resync returns the payload.
         assert_eq!(p.resync(first, T0).unwrap().id, first);
+        // A waiting update is answered too, and no clock starts for it.
+        let second = UpdateId { seq: 0, ..first };
+        assert_eq!(p.resync(second, T0).map(|u| u.id), Some(second));
+        assert!(p.is_waiting(second) && p.in_flight_count() == 1);
         // After the ack, it moves to the archive and is still answerable.
         p.ack(first, T0);
         assert_eq!(p.resync(first, T0).unwrap().id, first);
+        assert!(!p.is_waiting(second), "released by the ack");
         // Unknown ids are not.
         let unknown = UpdateId {
             event: EventId(99),

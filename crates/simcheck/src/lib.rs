@@ -359,6 +359,7 @@ fn inject_byzantine(engine: &mut Engine, s: &Scenario, topo: &Topology) {
                             update,
                             gates: Vec::new(),
                             notify: Vec::new(),
+                            held: false,
                         },
                         phase: southbound::types::Phase(0),
                         msg_id: MsgId {

@@ -5,6 +5,7 @@
 
 use crate::scenario::{is_rogue_event, Fault, Scenario};
 use cicero_core::audit::{audit_flow, ReplayState};
+use cicero_core::ctrl::barrier_id;
 use cicero_core::prelude::*;
 use netmodel::linkload::LinkLoad;
 use netmodel::routing::route;
@@ -327,8 +328,16 @@ fn recovery(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
 /// for both actors, because any restart legitimately resets the counters.
 /// Flow resolutions are additionally exempted under `Fault::Duplicate`,
 /// which can legitimately double-fire them.
+///
+/// Held updates (Cicero) pair in both directions: a switch applies one only
+/// after releases from at least `⌊(n−1)/3⌋+1` distinct controllers were
+/// sent (checked unless a controller restarts, whose replayed releases are
+/// muted), and a controller releases one only after it accepted the ack of
+/// each of its dependencies — or released the dependency's barrier. So the
+/// release order is checked independently of the switch's own count.
 fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
     let clean_replay = !s.has_crash() && !s.has_crash_recover();
+    let quorum = ((s.controllers_per_domain - 1) / 3 + 1) as usize;
     let injected = |kind: fn(&Fault) -> bool| s.faults.iter().any(kind);
     let no_dup = !injected(|f| matches!(f, Fault::Duplicate { .. }));
     let rogue = injected(|f| matches!(f, Fault::RogueShares { .. }));
@@ -356,6 +365,12 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
             last_apply.insert((switch, update.event), i);
         }
     }
+    // Held updates: each controller's dependencies of each, what it
+    // accepted (acks, released barriers), and who released each.
+    let mut held: BTreeMap<(DomainId, u32, UpdateId), Vec<UpdateId>> = BTreeMap::new();
+    let mut held_anywhere = BTreeSet::new(); // update
+    let mut accepted = BTreeSet::new(); // (domain, controller, update or barrier)
+    let mut releasers: BTreeMap<UpdateId, BTreeSet<(DomainId, u32)>> = BTreeMap::new();
     let mut phases: BTreeMap<_, BTreeSet<u64>> = BTreeMap::new();
     // Highest attempt seen per re-send stream `(kind, sender + key)`; the
     // requests made per cause, and the re-sends per stream answering one.
@@ -410,6 +425,16 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
             }
             Obs::UpdateApplied { switch, update, .. } => {
                 applied.insert((switch, update));
+                let releases = releasers.get(&update).map_or(0, BTreeSet::len);
+                if !s.has_crash_recover() && held_anywhere.contains(&update) && releases < quorum {
+                    bad(
+                        out,
+                        format!(
+                            "switch {switch:?} applied held {update:?} on {releases} release(s), \
+                             below the quorum of {quorum}"
+                        ),
+                    );
+                }
             }
             Obs::UpdateRejected { switch, update } => {
                 if !rogue {
@@ -523,6 +548,7 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
                 event,
                 segment,
             } => {
+                accepted.insert((domain, controller, barrier_id(event, segment)));
                 if clean_replay && !reported.contains(&(event, segment)) {
                     bad(
                         out,
@@ -626,6 +652,29 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
                 event,
             } => {
                 delivered.insert((domain, controller, event));
+            }
+            Obs::UpdateHeld { domain, controller, update, dep } => {
+                held.entry((domain, controller, update)).or_default().push(dep);
+                held_anywhere.insert(update);
+            }
+            Obs::AckAccepted { domain, controller, update } => {
+                accepted.insert((domain, controller, update));
+            }
+            Obs::ReleaseSent { domain, controller, update, .. } => {
+                releasers.entry(update).or_default().insert((domain, controller));
+                let deps = held.get(&(domain, controller, update));
+                let waits = |d: &&UpdateId| !accepted.contains(&(domain, controller, **d));
+                let open = deps.into_iter().flatten().find(waits);
+                if clean_replay && (deps.is_none() || open.is_some()) {
+                    bad(
+                        out,
+                        format!(
+                            "domain {domain:?} controller {controller} released {update:?} \
+                             before accepting its dependency {open:?} (held: {})",
+                            deps.is_some()
+                        ),
+                    );
+                }
             }
             // Judged by the re-send rule above, or by the recovery oracle.
             Obs::UpdateRetransmitted { .. } | Obs::EventRetransmitted { .. } => {}

@@ -143,6 +143,20 @@
 //! they were. Where authentication is free nothing moved: the seven
 //! unsigned-mode rows (`run` 2, 6 and 42; `Centralized` and `CrashTolerant`
 //! in `GOLDEN_ENGINE`) passed unedited.
+//!
+//! Signing at admission and releasing by tag re-recorded every
+//! controller-ordered signed row — eleven scenario rows (`run` 0, all of
+//! `secure` and `recover`) and the four Cicero and Cicero-Agg hashes of
+//! `GOLDEN_ENGINE`: a controller share-signs every update of an event when
+//! it admits it (`update_sign` CPU and latency at admission, not when the
+//! dependency's ack arrives), a switch verifies a held body on arrival and
+//! parks it, and each controller whose dependencies drained sends a tagged
+//! `Net::UpdateRelease` (`mac` CPU; the switch applies on `⌊(n−1)/3⌋+1` of
+//! them, `mac` CPU each). New messages, `msg_id`s and observations
+//! (`UpdateHeld`, `AckAccepted`, `ReleaseSent`) move everything after the
+//! first admission. Segway and the unsigned baselines send an update when
+//! it is released, as before: `run` 2, 6, 9 and 42, all of `segway` and
+//! the Centralized, CrashTolerant and Segway hashes passed unedited.
 
 use cicero_core::prelude::*;
 use simcheck::{run_scenario_traced, Scenario};
@@ -260,7 +274,7 @@ const GOLDEN_SCENARIOS: [(&str, fn(u64) -> Scenario, [(u64, u64); 5]); 4] = [
         "run",
         Scenario::generate,
         [
-            (0, 0x40b8763c4029104b),
+            (0, 0x7699f38d0bf79c98),
             (2, 0x2e0801721cf6f9a9),
             (6, 0x5853bfc85ddecac2),
             (9, 0x8f82b0936dfd83fa),
@@ -271,22 +285,22 @@ const GOLDEN_SCENARIOS: [(&str, fn(u64) -> Scenario, [(u64, u64); 5]); 4] = [
         "secure",
         Scenario::generate_secure,
         [
-            (1, 0x1c95f8fc53d61a37),
-            (2, 0x2b2e9addb560b178),
-            (6, 0xb52ed70990aa47f6),
-            (9, 0x29350bf46948414d),
-            (42, 0x21ef5fc1a46c20d0),
+            (1, 0xbb3ac6889c34e9ba),
+            (2, 0x5496716418a716c8),
+            (6, 0x60a2a4053f40abf3),
+            (9, 0xd4a8cf2bcaa369a6),
+            (42, 0xe9df0d134b2dd549),
         ],
     ),
     (
         "recover",
         Scenario::generate_recovery,
         [
-            (0, 0x924329d8077f0475),
-            (4, 0x25b89168986e4d52),
-            (7, 0x131372da013f0dd3),
-            (9, 0x189c596e51c81f2d),
-            (42, 0x49e7cc6e6dd597f4),
+            (0, 0x1790be9907c9e7a5),
+            (4, 0xf9a30fac21098a57),
+            (7, 0x52c5fce00ecf7941),
+            (9, 0x714368927b078277),
+            (42, 0x3b978904277c0c9b),
         ],
     ),
     (
@@ -328,15 +342,15 @@ const GOLDEN_ENGINE: [(Mode, u64, u64); 5] = [
         Mode::Cicero {
             aggregation: Aggregation::Switch,
         },
-        0x8ca77cf789cadb0d,
-        0x336c4879b7d99c94,
+        0x3f06d07f22cd4b9f,
+        0x41de7e6480cca215,
     ),
     (
         Mode::Cicero {
             aggregation: Aggregation::Controller,
         },
-        0xacfd3008b0cc2b49,
-        0xb225dff2ec37d636,
+        0xfa493be6507c7bbb,
+        0x98e6e08c4bff7ed5,
     ),
     (Mode::Segway, 0x9435a39af244d3d0, 0x6eb4414c5d650450),
 ];

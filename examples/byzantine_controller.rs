@@ -39,6 +39,7 @@ fn rogue_update(victim: SwitchId, seq: u32) -> UpdateBody {
         update,
         gates: Vec::new(),
         notify: Vec::new(),
+        held: false,
     }
 }
 

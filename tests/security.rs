@@ -44,6 +44,7 @@ fn rogue_update(victim: SwitchId) -> UpdateBody {
         update,
         gates: Vec::new(),
         notify: Vec::new(),
+        held: false,
     }
 }
 
@@ -1104,13 +1105,14 @@ mod transport_sender {
             phase: Phase(1),
             quorum: 2,
             aggregator: ControllerId(1),
+            members: (1..=5).map(ControllerId).collect(),
         };
         let (byzantine, aggregator) = (ctrl(&engine, 4), ctrl(&engine, 1));
         for wave in 0..200u64 {
             let at = ms(2) + SimDuration::from_micros(10 * wave);
             for index in [1u32, 2, 3, 5] {
                 let junk = ShareSigned {
-                    payload: info,
+                    payload: info.clone(),
                     phase: info.phase,
                     msg_id: MsgId { origin: index, seq: wave },
                     partial: PartialSignature {
@@ -1164,10 +1166,11 @@ mod transport_sender {
             phase: Phase(1),
             quorum: 2,
             aggregator: ControllerId(1),
+            members: (1..=5).map(ControllerId).collect(),
         };
         for (seq, at) in [(1, ms(1)), (2, rekeyed + SimDuration::from_millis(1))] {
             let junk = ShareSigned {
-                payload: info,
+                payload: info.clone(),
                 phase: info.phase,
                 msg_id: MsgId { origin: 2, seq },
                 partial: PartialSignature {
@@ -1236,7 +1239,7 @@ mod transport_sender {
         engine.observations().iter().find_map(|o| match o.value {
             Obs::UpdateApplied { switch, update, kind, signers } => {
                 let update = NetworkUpdate { id: update, switch, kind };
-                Some((UpdateBody { update, gates: Vec::new(), notify: Vec::new() }, signers))
+                Some((UpdateBody { update, gates: Vec::new(), notify: Vec::new(), held: false }, signers))
             }
             _ => None,
         })
@@ -1920,6 +1923,53 @@ mod handshake {
         assert_eq!(signs(&mut engine, p.down), vec![down_acks; 4]);
     }
 
+    /// Nothing on the release chain is signed: loss-free, across two
+    /// domains, every controller has made all its share-signatures by the
+    /// first ack it accepts, and a held update costs one release tag per
+    /// member and at most as many tag checks at its switch.
+    #[test]
+    fn every_signature_precedes_the_first_accepted_ack_and_a_release_is_a_tag_per_member() {
+        let (mut engine, p, _) = settled();
+        let mut first_ack: std::collections::BTreeMap<Ctrl, SimTime> = Default::default();
+        let mut released: std::collections::BTreeMap<UpdateId, (SwitchId, u64)> = Default::default();
+        for o in engine.observations() {
+            match o.value {
+                Obs::AckAccepted { domain, controller, .. } => {
+                    first_ack.entry((domain, controller)).or_insert(o.at);
+                }
+                Obs::ReleaseSent { update, switch, .. } => released.entry(update).or_insert((switch, 0)).1 += 1,
+                _ => {}
+            }
+        }
+        assert_eq!(first_ack.len(), 8, "every controller accepts acks");
+        let totals: Vec<(Ctrl, u64)> = [p.up, p.down]
+            .into_iter()
+            .flat_map(|d| (1..=4).map(move |c| (d, c)))
+            .map(|(d, c)| ((d, c), engine.with_controller(d, ControllerId(c), |a| a.auth().signs())))
+            .collect();
+        let mut order: Vec<(SimTime, Ctrl, u64)> = totals.iter().map(|&(k, n)| (first_ack[&k], k, n)).collect();
+        order.sort();
+        let (mut again, topo, _) = fabric();
+        inject(&mut again, &topo);
+        for (at, (d, c), total) in order {
+            again.run(at);
+            let signs = again.with_controller(d, ControllerId(c), |a| a.auth().signs());
+            assert_eq!(signs, total, "{d:?}/{c}: a signature after its first accepted ack");
+        }
+        // Each held update: released once by each of the four members of its
+        // domain, and checked at most that often at its switch.
+        assert!(!released.is_empty());
+        let mut held_at: std::collections::BTreeMap<SwitchId, u64> = Default::default();
+        for (update, (switch, n)) in &released {
+            assert_eq!(*n, 4, "{update:?}: one release per member");
+            *held_at.entry(*switch).or_default() += 1;
+        }
+        for (s, held) in held_at {
+            let checks = engine.with_switch(s, |a| a.auth().mac_checks());
+            assert!((2 * held..=4 * held).contains(&checks), "{s:?}: {checks} checks for {held} held");
+        }
+    }
+
     #[test]
     fn query_from_a_wrong_channel_a_non_member_or_a_non_upstream_domain_is_ignored() {
         let (mut engine, p, secrets) = settled();
@@ -2508,5 +2558,207 @@ mod acks {
         });
         // And one, after the flow's arrival, its event's.
         assert_eq!(up.seen(&mut s), (3, false, true), "judged at admission by whose update it is");
+    }
+}
+
+// ----- held updates: signed at admission, applied on f + 1 tagged releases -----
+
+mod held_release {
+    use super::*;
+    use cicero_core::msg::Release;
+    use simnet::fault::FaultPlan;
+    use simnet::node::NodeId;
+
+    const RELEASE: &str = "CICERO_RELEASE_V1";
+    const D: DomainId = DomainId(0);
+    /// The egress switch is cut off from the controllers until then.
+    const HEAL_MS: u64 = 300;
+
+    fn ms(n: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(n)
+    }
+
+    fn ctrl(engine: &Engine, c: u32) -> NodeId {
+        engine.controller_node(D, ControllerId(c))
+    }
+
+    /// The [`build`] fabric with [`cross_rack`]'s flow, whose route's egress
+    /// switch is cut off from every controller until [`HEAL_MS`]: its update
+    /// is not applied, so nobody releases the middle switch's, whose body the
+    /// middle switch certified at once and holds.
+    struct Held {
+        engine: Engine,
+        secrets: SecretStore,
+        /// The route, ingress first.
+        path: Vec<SwitchId>,
+        /// The middle switch's held update.
+        update: UpdateId,
+        /// The ingress switch's held update.
+        other: UpdateId,
+    }
+
+    fn held() -> Held {
+        let (mut probe, topo) = build();
+        let (src, dst) = cross_rack(&topo);
+        let start = ms(1);
+        let path = harness::inject_flow(&mut probe, &topo, FlowId(1), src, dst, 500, start)
+            .expect("routable")
+            .path;
+        assert_eq!(path.len(), 3, "ToR, aggregation, ToR");
+        probe.run(ms(1000));
+        let applied_at = |s: SwitchId| {
+            probe.observations().iter().find_map(|o| match o.value {
+                Obs::UpdateApplied { switch, update, .. } if switch == s => Some(update),
+                _ => None,
+            })
+        };
+        let (update, other) = (applied_at(path[1]).expect("honest run"), applied_at(path[0]).expect("honest run"));
+
+        let (mut engine, _) = build();
+        let egress = engine.switch_node(path[2]);
+        let mut cut = FaultPlan::none();
+        for c in 1..=4 {
+            cut = cut.with_severed_window(egress, ctrl(&engine, c), ms(0), ms(HEAL_MS));
+        }
+        engine.set_faults(cut);
+        harness::inject_flow(&mut engine, &topo, FlowId(1), src, dst, 500, start);
+        engine.run(ms(100));
+        let certified = engine.with_switch(path[1], |a| a.auth().checks());
+        assert_eq!(certified, 1, "the held body is verified on arrival");
+        assert!(!applied(&engine, path[1], update));
+        let secrets = secrets_of(&engine, &topo);
+        Held { engine, secrets, path, update, other }
+    }
+
+    /// Controller `c`'s genuine release of `update` for switch `to`, tagged
+    /// in `phase`.
+    fn release(h: &Held, c: u32, update: UpdateId, to: SwitchId, phase: Phase) -> Tagged<Release> {
+        let me = Peer::Controller(D, ControllerId(c));
+        let x = &h.secrets.controller_sk[&(D, ControllerId(c))];
+        let key = pair_key(x, &h.engine.shared().keys.switch_pk[&to], me, Peer::Switch(to));
+        let id = MsgId { origin: c, seq: 0x5e1 };
+        Tagged::tag(RELEASE, Release { update, switch: to }, phase, id, &key)
+    }
+
+    /// Hands switch `to` the release over node `from`'s channel, 1 ms on.
+    fn deliver(h: &mut Held, from: NodeId, to: SwitchId, m: Tagged<Release>) {
+        let at = h.engine.now() + SimDuration::from_millis(1);
+        let node = h.engine.switch_node(to);
+        h.engine.inject_raw(at, from, node, Net::UpdateRelease(m));
+        h.engine.run(at + SimDuration::from_millis(5));
+    }
+
+    fn applied(engine: &Engine, s: SwitchId, u: UpdateId) -> bool {
+        let here = |o: &simnet::sim::Observation<Obs>| {
+            matches!(o.value, Obs::UpdateApplied { switch, update, .. } if switch == s && update == u)
+        };
+        engine.observations().iter().any(here)
+    }
+
+    fn mac_checks(engine: &mut Engine, s: SwitchId) -> u64 {
+        engine.with_switch(s, |a| a.auth().mac_checks())
+    }
+
+    /// Runs up to the heal, checks the middle update still waits, then runs
+    /// on: the honest releases apply it and the flow completes. Returns when
+    /// it was applied.
+    fn heal(h: &mut Held) -> SimTime {
+        h.engine.run(ms(HEAL_MS - 1));
+        assert!(!applied(&h.engine, h.path[1], h.update), "nothing released it yet");
+        h.engine.run(ms(3000));
+        let (s, u) = (h.path[1], h.update);
+        let at = h.engine.observations().iter().find_map(|o| match o.value {
+            Obs::UpdateApplied { switch, update, signers, .. } if switch == s && update == u => {
+                assert!(signers >= 2, "certified by a quorum");
+                Some(o.at)
+            }
+            _ => None,
+        });
+        let completed = h.engine.observations().iter().any(|o| matches!(o.value, Obs::FlowCompleted { .. }));
+        assert!(completed, "the honest releases still apply it");
+        at.expect("applied after the heal")
+    }
+
+    /// Two members' genuine tags over the ingress update's release, moved
+    /// onto the middle one's: each is checked and refused, and neither member
+    /// is counted — their own releases apply it after the heal.
+    #[test]
+    fn a_forged_release_is_refused() {
+        let mut h = held();
+        let s = h.path[1];
+        for c in [1, 2] {
+            let genuine = release(&h, c, h.other, s, Phase(0));
+            let forged = Tagged { payload: Release { update: h.update, switch: s }, ..genuine };
+            let from = ctrl(&h.engine, c);
+            deliver(&mut h, from, s, forged);
+        }
+        assert_eq!(mac_checks(&mut h.engine, s), 2, "each checked and refused");
+        heal(&mut h);
+    }
+
+    /// Genuine releases in the wrong place: member 1's release of the middle
+    /// update made for the ingress switch, and one of the ingress update made
+    /// for the middle switch; member 2's release of the middle update tagged
+    /// in the next phase. None counts for the middle update; only the second
+    /// is even checked (and kept, as a release of another update).
+    #[test]
+    fn a_release_replayed_to_another_switch_for_another_update_or_from_another_phase_is_refused() {
+        let mut h = held();
+        let (s, ingress) = (h.path[1], h.path[0]);
+        let (c1, c2) = (ctrl(&h.engine, 1), ctrl(&h.engine, 2));
+        let for_another_switch = release(&h, 1, h.update, ingress, Phase(0));
+        let for_another_update = release(&h, 1, h.other, s, Phase(0));
+        let from_another_phase = release(&h, 2, h.update, s, Phase(1));
+        deliver(&mut h, c1, s, for_another_switch.clone());
+        deliver(&mut h, c1, s, for_another_update);
+        deliver(&mut h, c2, s, from_another_phase);
+        assert_eq!(mac_checks(&mut h.engine, s), 1, "only the well-addressed one is checked");
+        // Nor does the ingress switch take the middle switch's copy.
+        let middle_copy = release(&h, 1, h.update, s, Phase(0));
+        deliver(&mut h, c1, ingress, middle_copy);
+        assert_eq!(mac_checks(&mut h.engine, ingress), 0);
+        assert!(!applied(&h.engine, ingress, h.other));
+        heal(&mut h);
+    }
+
+    /// Member 1's genuine release, over member 2's channel, a switch's and
+    /// the environment's: dropped unchecked. Member 2's own counts — and
+    /// one release is not f + 1.
+    #[test]
+    fn a_release_over_another_nodes_channel_is_dropped_unchecked() {
+        let mut h = held();
+        let s = h.path[1];
+        let genuine = release(&h, 1, h.update, s, Phase(0));
+        let switch = h.engine.switch_node(h.path[0]);
+        for from in [ctrl(&h.engine, 2), switch, ENVIRONMENT] {
+            deliver(&mut h, from, s, genuine.clone());
+        }
+        assert_eq!(mac_checks(&mut h.engine, s), 0, "none is checked");
+        let own = release(&h, 2, h.update, s, Phase(0));
+        let from = ctrl(&h.engine, 2);
+        deliver(&mut h, from, s, own);
+        assert_eq!(mac_checks(&mut h.engine, s), 1);
+        heal(&mut h);
+    }
+
+    /// A Byzantine member (f = 1 of 4) releases before the dependency is
+    /// acknowledged anywhere, twice: counted once, and one release does not
+    /// apply a held update. After the heal the first honest release makes
+    /// f + 1.
+    #[test]
+    fn f_releases_alone_never_apply_a_held_update() {
+        let mut h = held();
+        let s = h.path[1];
+        let byzantine = release(&h, 4, h.update, s, Phase(0));
+        let from = ctrl(&h.engine, 4);
+        for _ in 0..2 {
+            deliver(&mut h, from, s, byzantine.clone());
+        }
+        assert_eq!(mac_checks(&mut h.engine, s), 1, "a counted member's repeat is dropped unchecked");
+        let at = heal(&mut h);
+        let honest = |o: &&simnet::sim::Observation<Obs>| {
+            o.at <= at && matches!(o.value, Obs::ReleaseSent { update, .. } if update == h.update)
+        };
+        assert!(h.engine.observations().iter().filter(honest).count() >= 1);
     }
 }
