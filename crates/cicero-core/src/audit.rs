@@ -20,7 +20,7 @@ use simnet::sim::Observation;
 use southbound::types::{
     FlowAction, FlowMatch, HostId, NextHop, SwitchId, UpdateKind,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Outcome of walking one flow through a (possibly partial) rule state.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -68,27 +68,28 @@ impl ReplayState {
 
     /// Walks flow `m` starting at `ingress`.
     pub fn walk(&self, ingress: SwitchId, m: FlowMatch) -> WalkOutcome {
-        let mut visited = BTreeSet::new();
+        self.walk_path(ingress, m).0
+    }
+
+    /// [`walk`](Self::walk), with the switches the walk visited, ingress
+    /// first: a delivered walk's path.
+    pub fn walk_path(&self, ingress: SwitchId, m: FlowMatch) -> (WalkOutcome, Vec<SwitchId>) {
+        let mut path = Vec::new();
         let mut cur = ingress;
-        loop {
-            if !visited.insert(cur) {
-                return WalkOutcome::Loop(cur);
+        let outcome = loop {
+            if path.contains(&cur) {
+                break WalkOutcome::Loop(cur);
             }
+            path.push(cur);
             match self.rule(cur, m) {
-                None => {
-                    return if cur == ingress {
-                        WalkOutcome::NotForwarded
-                    } else {
-                        WalkOutcome::BlackHole(cur)
-                    };
-                }
-                Some(FlowAction::Deny) => return WalkOutcome::Denied,
-                Some(FlowAction::Forward(NextHop::Host(h))) => {
-                    return WalkOutcome::Delivered(h)
-                }
+                None if cur == ingress => break WalkOutcome::NotForwarded,
+                None => break WalkOutcome::BlackHole(cur),
+                Some(FlowAction::Deny) => break WalkOutcome::Denied,
+                Some(FlowAction::Forward(NextHop::Host(h))) => break WalkOutcome::Delivered(h),
                 Some(FlowAction::Forward(NextHop::Switch(s))) => cur = s,
             }
-        }
+        };
+        (outcome, path)
     }
 }
 
@@ -121,29 +122,10 @@ pub fn audit_flow(
         };
         state.apply(switch, kind);
         match state.walk(ingress, m) {
-            WalkOutcome::NotForwarded => {}
-            WalkOutcome::Denied => {
-                if !denied {
-                    // An allowed flow transiently denied is not a safety
-                    // hazard (it is buffered, not lost); ignore.
-                }
-            }
-            WalkOutcome::Delivered(h) => {
-                if denied {
-                    hazards.push(Hazard {
-                        step,
-                        outcome: WalkOutcome::Delivered(h),
-                    });
-                } else if h != m.dst {
-                    hazards.push(Hazard {
-                        step,
-                        outcome: WalkOutcome::Delivered(h),
-                    });
-                }
-            }
-            out @ (WalkOutcome::BlackHole(_) | WalkOutcome::Loop(_)) => {
-                hazards.push(Hazard { step, outcome: out });
-            }
+            // An allowed flow transiently denied is buffered, not lost.
+            WalkOutcome::NotForwarded | WalkOutcome::Denied => {}
+            WalkOutcome::Delivered(h) if !denied && h == m.dst => {}
+            outcome => hazards.push(Hazard { step, outcome }),
         }
     }
     hazards
@@ -176,6 +158,8 @@ mod tests {
         assert_eq!(state.walk(SwitchId(1), m()), WalkOutcome::BlackHole(SwitchId(2)));
         state.apply(SwitchId(2), fwd(NextHop::Host(HostId(2))));
         assert_eq!(state.walk(SwitchId(1), m()), WalkOutcome::Delivered(HostId(2)));
+        let delivered = (WalkOutcome::Delivered(HostId(2)), vec![SwitchId(1), SwitchId(2)]);
+        assert_eq!(state.walk_path(SwitchId(1), m()), delivered);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! The runtime is split into focused modules, all operating on the one
 //! [`ControllerActor`] state machine through the host-agnostic
-//! [`Host`](simnet::node::Host) API:
+//! [`Host`] API:
 //!
 //! * [`consensus`](self) — driving the PBFT replica and routing its outputs;
 //! * `events` — event processing, cross-domain forwarding and the one
@@ -17,6 +17,8 @@
 //!   reports, counted per sender, kept and re-sent to a re-forwarder);
 //! * `aggregate` — the optional aggregator role (controller aggregation);
 //! * `delivery` — the retransmission / NACK reliable-delivery layer;
+//! * `durable` — the write-ahead log, crash recovery and snapshot state
+//!   sync;
 //! * `membership` — phase changes with public-key-preserving resharing.
 
 mod aggregate;

@@ -36,10 +36,11 @@ use substrate::storage::{DiskHandle, Wal};
 
 const RETRY: TimerToken = TimerToken(1);
 
-/// Releases one controller may have on record here for updates with no
-/// certified body yet. Honest controllers sit far below it (a release
-/// overtakes its body only while the body's shares are still arriving); it
-/// bounds what a Byzantine one can make a switch remember.
+/// Releases one controller, or Segway readies one neighbor switch, may have
+/// on record here for updates with no certified body parked on them yet.
+/// Honest senders sit far below it (a release or ready overtakes its body
+/// only while the body's shares are still arriving); it bounds what a
+/// Byzantine one can make a switch remember and journal.
 const MAX_EARLY_RELEASES: usize = 1024;
 
 /// An event the switch keeps for retransmission until its effect is
@@ -116,6 +117,9 @@ pub struct SwitchActor {
     /// Verified readies received: gating update → switches that announced
     /// applying it (a ready may arrive before its gated body does).
     ready_in: BTreeMap<UpdateId, BTreeSet<SwitchId>>,
+    /// Per neighbor: its readies on record that no parked body was gated on
+    /// when they came (capped at [`MAX_EARLY_RELEASES`]).
+    early_readies: BTreeMap<SwitchId, usize>,
     /// Every `(update, target)` ever released — the exactly-once-release
     /// guard: duplicated quorum deliveries and replayed state never
     /// re-release a neighbor — with the tagged ready, re-sent as-is when the
@@ -162,6 +166,7 @@ impl SwitchActor {
             releases: BTreeMap::new(),
             early_releases: BTreeMap::new(),
             ready_in: BTreeMap::new(),
+            early_readies: BTreeMap::new(),
             ready_sent: Kept::default(),
             wal: None,
         }
@@ -445,6 +450,14 @@ impl SwitchActor {
             }
             self.nacks.remove(&id);
         }
+        // The readies of its gates that came first are early no more.
+        for (u, s) in &body.gates {
+            if self.ready_in.get(u).is_some_and(|from| from.contains(s)) {
+                if let Some(n) = self.early_readies.get_mut(s) {
+                    *n = n.saturating_sub(1);
+                }
+            }
+        }
         if self.gates_open(&body) {
             self.apply(ctx, body, signers);
             self.release_parked(ctx);
@@ -590,7 +603,9 @@ impl SwitchActor {
     }
 
     /// A neighbor announces it applied a gating update. A ready already
-    /// accepted is dropped unchecked. Rejected when the `to` binding names
+    /// accepted is dropped unchecked, and so is one no parked body is gated
+    /// on from a neighbor with [`MAX_EARLY_RELEASES`] such readies on
+    /// record. Rejected when the `to` binding names
     /// someone else (a replay at the wrong victim), the tag fails, or the
     /// sender is not the gate's designated switch — the structural checks
     /// also bite under [`crate::config::CryptoMode::Modeled`], where tags
@@ -599,7 +614,10 @@ impl SwitchActor {
         ctx.charge_cpu(self.shared.cfg.costs.switch_msg);
         let body = msg.payload;
         let accepted = self.ready_in.get(&body.update);
-        if accepted.is_some_and(|from| from.contains(&body.from)) {
+        let gated = |b: &UpdateBody| b.gates.contains(&(body.update, body.from));
+        let early = !self.parked.values().any(|(b, _)| gated(b));
+        let full = self.early_readies.get(&body.from).is_some_and(|&n| n >= MAX_EARLY_RELEASES);
+        if accepted.is_some_and(|from| from.contains(&body.from)) || (early && full) {
             return;
         }
         // If a parked body names a different switch for this gate, the
@@ -633,6 +651,9 @@ impl SwitchActor {
             update: body.update,
             from: body.from,
         });
+        if early {
+            *self.early_readies.entry(body.from).or_default() += 1;
+        }
         self.asks.remove(&(body.update, body.from));
         self.release_parked(ctx);
     }

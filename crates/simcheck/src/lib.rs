@@ -19,9 +19,13 @@
 //! * **agreement** — event delivery sequences stay prefix-consistent
 //!   within every domain;
 //! * **recovery** — crash-recovery is exactly-once: no switch ever applies
-//!   the same update twice (WAL replay and post-restart retries must be
-//!   absorbed by dedup), and in a benign scenario every crash-recover
-//!   fault ends with the restarted controller completing its state sync.
+//!   the same update twice or releases a neighbor twice (WAL replay and
+//!   post-restart retries must be absorbed by dedup), and in a benign
+//!   scenario every crash-recover fault ends with the restarted controller
+//!   completing its state sync;
+//! * **telemetry** — every observation against its row of one pairing
+//!   table: a response follows its stimulus, a subject is stated once, and
+//!   every re-send stream numbers its attempts without a gap.
 //!
 //! A failing scenario is automatically [`shrink`]-ed — fewer flows, fewer
 //! faults, shorter partition windows, a smaller fabric — to a minimal

@@ -4,14 +4,14 @@
 //! implementation of the protocol).
 
 use crate::scenario::{is_rogue_event, Fault, Scenario};
-use cicero_core::audit::{audit_flow, ReplayState};
+use cicero_core::audit::{audit_flow, ReplayState, WalkOutcome};
 use cicero_core::ctrl::barrier_id;
 use cicero_core::prelude::*;
 use netmodel::linkload::LinkLoad;
 use netmodel::routing::route;
 use netmodel::topology::Topology;
 use simnet::sim::Observation;
-use southbound::types::{DomainId, EventId, FlowAction, FlowMatch, NextHop, SwitchId, UpdateId};
+use southbound::types::{DomainId, EventId, FlowId, FlowMatch, SwitchId, UpdateId};
 use workload::gen::FlowSpec;
 
 /// One invariant violation.
@@ -169,7 +169,7 @@ fn capacity(
         state.apply(switch, kind);
         let mut load = LinkLoad::new();
         for (&(ingress, m), &bw) in &demands {
-            if let Some(path) = delivered_path(&state, ingress, m) {
+            if let (WalkOutcome::Delivered(_), path) = state.walk_path(ingress, m) {
                 load.reserve_path(&path, bw);
             }
         }
@@ -185,26 +185,6 @@ fn capacity(
                 ),
             );
             return; // one report per run; later steps only repeat it
-        }
-    }
-}
-
-/// The switch path a delivered walk takes, or `None` when the walk does
-/// not (yet) reach a host.
-fn delivered_path(state: &ReplayState, ingress: SwitchId, m: FlowMatch) -> Option<Vec<SwitchId>> {
-    let mut path = vec![ingress];
-    let mut cur = ingress;
-    loop {
-        match state.rule(cur, m)? {
-            FlowAction::Deny => return None,
-            FlowAction::Forward(NextHop::Host(_)) => return Some(path),
-            FlowAction::Forward(NextHop::Switch(next)) => {
-                if path.contains(&next) {
-                    return None; // loop: the consistency oracle reports it
-                }
-                path.push(next);
-                cur = next;
-            }
         }
     }
 }
@@ -236,49 +216,14 @@ fn liveness(s: &Scenario, report: &RunReport, out: &mut Vec<Violation>) {
 }
 
 /// **Recovery** (DESIGN.md §Durability): crash-recovery is exactly-once
-/// and, when progress is possible, complete.
-///
-/// * Under *any* fault plan, no switch ever applies the same update id
-///   twice — a controller replaying its WAL (or retrying after a restart)
-///   re-sends updates, and the switch-side dedup must absorb every one of
-///   them. Checked unconditionally: double application would silently
-///   corrupt rule state even in runs the consistency walk happens to pass.
-/// * In a benign scenario, every crash-recover fault must end with the
-///   restarted controller completing its state sync (one
-///   `ControllerRecovered` observation per restart). Skipped when a
-///   *permanent* crash is also present — it may have taken down the very
-///   peer the restarted controller would sync its snapshot from.
+/// and, when progress is possible, complete. Exactly-once apply and release
+/// are rows of the pairing table (see [`rules`]) and report under this
+/// oracle's name; what is left here is completeness: in a benign scenario, every crash-recover fault
+/// must end with the restarted controller completing its state sync (one
+/// `ControllerRecovered` observation per restart). Skipped when a
+/// *permanent* crash is also present — it may have taken down the very
+/// peer the restarted controller would sync its snapshot from.
 fn recovery(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
-    let mut seen = std::collections::BTreeSet::new();
-    let mut released = std::collections::BTreeSet::new();
-    for o in obs {
-        if let Obs::UpdateApplied { switch, update, .. } = o.value {
-            if !seen.insert((switch, update)) {
-                violation(
-                    out,
-                    "recovery",
-                    format!("switch {switch:?} applied update {update:?} twice"),
-                );
-            }
-        }
-        // Exactly-once release (Segway): no switch ever announces the same
-        // applied update to the same neighbor twice — re-delivered metadata
-        // and retries must be absorbed by the release dedup. (Bare
-        // retransmissions of an announced ready have their own
-        // observation and are legitimate.)
-        if let Obs::ReadySent { from, to, update } = o.value {
-            if !released.insert((from, to, update)) {
-                violation(
-                    out,
-                    "recovery",
-                    format!(
-                        "switch {from:?} released {update:?} to {to:?} twice \
-                         (exactly-once release violated)"
-                    ),
-                );
-            }
-        }
-    }
     let restarts = s
         .faults
         .iter()
@@ -303,75 +248,45 @@ fn recovery(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
     }
 }
 
-/// **Telemetry** (protocol-flow audit): the reliable-delivery and
-/// cross-domain handshake observations must be internally consistent —
-/// every responsive observation is preceded by the stimulus it claims to
-/// answer, exhaustion/terminal observations fire at most once per subject,
-/// and counters carry sane values: every re-send stream numbers its
+/// **Telemetry** (protocol-flow audit): one pass judges every observation
+/// against its row of the pairing table ([`rules`]) — a response follows
+/// the stimulus it claims to answer, a subject is stated at most once —
+/// and against the one re-send rule: every re-send stream numbers its
 /// attempts 1, 2, 3, … with no gap (the one numbering of
-/// `controller::pending::{RetryTable, Kept}`), one rule for every kind.
-/// The match below names every `Obs` variant and must stay exhaustive (no
-/// catch-all arm): a new observation fails to compile here until an oracle
-/// audits it, and an actor emitting one of these variants with wrong
-/// bookkeeping fails the run instead of merely skewing a figure.
+/// `controller::pending::{RetryTable, Kept}`). What is not a pairing stays
+/// an explicit check below: a flow completed before it arrived, a snapshot
+/// that compacts nothing, a rejection with no rogue fault injected, a ready
+/// query after the ready was settled, a held update applied below quorum, a
+/// release before its dependencies were accepted, and membership phases
+/// with a gap.
 ///
-/// Pairing and at-most-once checks on *controller-side* observations are
-/// gated on runs without crash faults: WAL replay re-drives the delivery
-/// state machines with observations muted, so a restarted controller's
-/// "first send" can be invisible while its later retransmission is not.
-/// Switch-side observations and pure value checks hold unconditionally:
-/// a restarted switch replays its WAL with no observation muting, so its
-/// trace stays pairable (a recovered release is re-sent only when asked
-/// for, as a retransmission of the pre-crash `ReadySent`; pending events
-/// and ready queries are RAM-only and die with the first life). The
-/// gap-free attempt check is the exception: it is gated on crash-free runs
-/// for both actors, because any restart legitimately resets the counters.
-/// Flow resolutions are additionally exempted under `Fault::Duplicate`,
-/// which can legitimately double-fire them.
-///
-/// Held updates (Cicero) pair in both directions: a switch applies one only
-/// after releases from at least `⌊(n−1)/3⌋+1` distinct controllers were
-/// sent (checked unless a controller restarts, whose replayed releases are
-/// muted), and a controller releases one only after it accepted the ack of
-/// each of its dependencies — or released the dependency's barrier. So the
-/// release order is checked independently of the switch's own count.
+/// The gap-free attempt check is gated like a [`Gate::NoCrash`] row, for
+/// switches too: any restart legitimately resets the counters.
 fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
+    use std::collections::BTreeMap;
+    use Fact::{Accepted, Held, Phase, ReadySent, Released};
     let clean_replay = !s.has_crash() && !s.has_crash_recover();
     let quorum = ((s.controllers_per_domain - 1) / 3 + 1) as usize;
     let injected = |kind: fn(&Fault) -> bool| s.faults.iter().any(kind);
     let no_dup = !injected(|f| matches!(f, Fault::Duplicate { .. }));
     let rogue = injected(|f| matches!(f, Fault::RogueShares { .. }));
     let rogue_ready = injected(|f| matches!(f, Fault::RogueReady { .. }));
+    let judged = |gate| match gate {
+        Gate::Every => true,
+        Gate::NoCrash => clean_replay,
+        Gate::NoCrashNoDup => clean_replay && no_dup,
+    };
 
-    use std::collections::{BTreeMap, BTreeSet};
-    let mut applied = BTreeSet::new(); // (switch, update)
-    let mut nacked = BTreeSet::new(); // update
-    let mut reported = BTreeSet::new(); // (event, segment)
-    let mut reported_once = BTreeSet::new(); // (domain, controller, event, segment)
-    let mut released_once = BTreeSet::new(); // (domain, controller, event, segment)
-    let mut delivered = BTreeSet::new(); // (domain, controller, event)
-    let mut processed_once = BTreeSet::new(); // (domain, event)
-    let mut upd_exhausted_once = BTreeSet::new(); // (domain, controller, update)
-    let mut ev_exhausted_once = BTreeSet::new(); // (switch, event)
-    let mut completed_once = BTreeSet::new(); // flow
-    let mut denied_once = BTreeSet::new(); // flow
-    // Segway readies per (from, to, update): where the release was announced.
-    let mut ready_sent: BTreeMap<_, usize> = BTreeMap::new();
+    // Every fact stated so far, with where it was first stated.
+    let mut stated: BTreeMap<Fact, usize> = BTreeMap::new();
     // Where each switch last applies an update of each event: past it, the
     // switch holds no parked body of that event that ever goes in.
-    let mut last_apply = BTreeMap::new(); // (switch, event) -> index
+    let mut last_apply = BTreeMap::new();
     for (i, o) in obs.iter().enumerate() {
         if let Obs::UpdateApplied { switch, update, .. } = o.value {
             last_apply.insert((switch, update.event), i);
         }
     }
-    // Held updates: each controller's dependencies of each, what it
-    // accepted (acks, released barriers), and who released each.
-    let mut held: BTreeMap<(DomainId, u32, UpdateId), Vec<UpdateId>> = BTreeMap::new();
-    let mut held_anywhere = BTreeSet::new(); // update
-    let mut accepted = BTreeSet::new(); // (domain, controller, update or barrier)
-    let mut releasers: BTreeMap<UpdateId, BTreeSet<(DomainId, u32)>> = BTreeMap::new();
-    let mut phases: BTreeMap<_, BTreeSet<u64>> = BTreeMap::new();
     // Highest attempt seen per re-send stream `(kind, sender + key)`; the
     // requests made per cause, and the re-sends per stream answering one.
     let mut last_attempt: BTreeMap<(&'static str, String), u32> = BTreeMap::new();
@@ -380,6 +295,7 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
     // NACK-driven resync replies since the stream's last retransmission:
     // each spends one attempt number of its update without announcing it.
     let mut resyncs: BTreeMap<String, u32> = BTreeMap::new();
+    let first = UpdateId { event: EventId(0), seq: 0 };
 
     let bad = |out: &mut Vec<Violation>, detail: String| violation(out, "telemetry", detail);
     for (i, o) in obs.iter().enumerate() {
@@ -406,301 +322,236 @@ fn telemetry(s: &Scenario, obs: &[Observation<Obs>], out: &mut Vec<Violation>) {
                 }
             }
         }
+        let row = rules(&o.value);
+        if judged(row.gate) {
+            if let Some(f) = row.follows.filter(|f| !stated.contains_key(f)) {
+                violation(out, row.oracle, format!("{:?} with no {f:?} before it", o.value));
+            }
+            if let Some(f) = row.once.filter(|f| stated.contains_key(f)) {
+                violation(out, row.oracle, format!("{:?} states {f:?} a second time", o.value));
+            }
+        }
+        for f in row.states.into_iter().chain(row.once) {
+            stated.entry(f).or_insert(i);
+        }
         match o.value {
-            Obs::FlowCompleted { flow, start } => {
-                if o.at < start {
-                    bad(
-                        out,
-                        format!("flow {flow:?} completed at {:?}, before its arrival {start:?}", o.at),
-                    );
-                }
-                if clean_replay && no_dup && !completed_once.insert(flow) {
-                    bad(out, format!("flow {flow:?} reported completed twice"));
-                }
+            Obs::FlowCompleted { flow, start } if o.at < start => {
+                bad(out, format!("flow {flow:?} completed at {:?}, before its arrival {start:?}", o.at));
             }
-            Obs::FlowDenied { flow } => {
-                if clean_replay && no_dup && !denied_once.insert(flow) {
-                    bad(out, format!("flow {flow:?} reported denied twice"));
-                }
+            Obs::SnapshotTaken { domain, controller, compacted } if compacted < 1 => {
+                let why = "quiescent-point snapshots must compact at least one";
+                bad(out, format!("domain {domain:?} controller {controller} compacted nothing ({why})"));
             }
-            Obs::UpdateApplied { switch, update, .. } => {
-                applied.insert((switch, update));
-                let releases = releasers.get(&update).map_or(0, BTreeSet::len);
-                if !s.has_crash_recover() && held_anywhere.contains(&update) && releases < quorum {
-                    bad(
-                        out,
-                        format!(
-                            "switch {switch:?} applied held {update:?} on {releases} release(s), \
-                             below the quorum of {quorum}"
-                        ),
-                    );
-                }
+            Obs::UpdateRejected { switch, update } if !rogue => {
+                let why = "no rogue-share fault: a legitimate quorum failed validation";
+                bad(out, format!("switch {switch:?} rejected {update:?} ({why})"));
             }
-            Obs::UpdateRejected { switch, update } => {
-                if !rogue {
-                    bad(
-                        out,
-                        format!(
-                            "switch {switch:?} rejected {update:?} though no rogue-share \
-                             fault was injected — a legitimate quorum failed validation"
-                        ),
-                    );
-                }
-            }
-            Obs::EventProcessed { domain, event } => {
-                if clean_replay && !processed_once.insert((domain, event)) {
-                    bad(
-                        out,
-                        format!("domain {domain:?} reported event {event:?} processed twice"),
-                    );
-                }
-            }
-            Obs::PhaseChanged { domain, phase } => {
-                phases.entry(domain).or_default().insert(phase);
-            }
-            Obs::UpdateRetryExhausted {
-                domain,
-                controller,
-                update,
-            } => {
-                if clean_replay && !upd_exhausted_once.insert((domain, controller, update)) {
-                    bad(
-                        out,
-                        format!(
-                            "domain {domain:?} controller {controller} exhausted \
-                             {update:?}'s retry budget twice"
-                        ),
-                    );
-                }
-            }
-            Obs::AckRetransmitted { switch, update } => {
-                if !applied.contains(&(switch, update)) {
-                    bad(
-                        out,
-                        format!("switch {switch:?} re-acked {update:?} without having applied it"),
-                    );
-                }
-            }
-            Obs::EventRetryExhausted { switch, event } => {
-                if !ev_exhausted_once.insert((switch, event)) {
-                    bad(
-                        out,
-                        format!(
-                            "switch {switch:?} exhausted event {event:?}'s retry budget twice"
-                        ),
-                    );
-                }
-            }
-            Obs::NackSent { update, .. } => {
-                nacked.insert(update);
-            }
-            Obs::ResyncReplied {
-                domain,
-                controller,
-                update,
-            } => {
-                if !nacked.contains(&update) {
-                    bad(
-                        out,
-                        format!(
-                            "domain {domain:?} controller {controller} answered a resync \
-                             for {update:?} that no switch ever NACKed"
-                        ),
-                    );
-                }
-                *resyncs
-                    .entry(format!("{domain:?}/{controller} {update:?}"))
-                    .or_insert(0) += 1;
-            }
-            Obs::SegmentReported {
-                domain,
-                controller,
-                event,
-                segment,
-            } => {
-                if clean_replay && !reported_once.insert((domain, controller, event, segment)) {
-                    bad(
-                        out,
-                        format!(
-                            "domain {domain:?} controller {controller} reported segment \
-                             {segment} of {event:?} twice (retransmissions have their own \
-                             observation)"
-                        ),
-                    );
-                }
-                reported.insert((event, segment));
-            }
-            Obs::SegmentRetransmitted { domain, controller, event, segment, .. } => {
-                let reporter = (domain, controller, event, segment);
-                if clean_replay && !reported_once.contains(&reporter) {
-                    bad(
-                        out,
-                        format!(
-                            "domain {domain:?} controller {controller} re-sent its report \
-                             of segment {segment} of {event:?} before reporting it"
-                        ),
-                    );
-                }
-            }
-            Obs::BoundaryReleased {
-                domain,
-                controller,
-                event,
-                segment,
-            } => {
-                accepted.insert((domain, controller, barrier_id(event, segment)));
-                if clean_replay && !reported.contains(&(event, segment)) {
-                    bad(
-                        out,
-                        format!(
-                            "domain {domain:?} released the boundary for segment {segment} \
-                             of {event:?} without any downstream report"
-                        ),
-                    );
-                }
-                if clean_replay && !released_once.insert((domain, controller, event, segment)) {
-                    bad(
-                        out,
-                        format!(
-                            "domain {domain:?} controller {controller} released the boundary \
-                             for segment {segment} of {event:?} twice"
-                        ),
-                    );
-                }
-            }
-            Obs::SnapshotTaken {
-                domain,
-                controller,
-                compacted,
-            } => {
-                if compacted < 1 {
-                    bad(
-                        out,
-                        format!(
-                            "domain {domain:?} controller {controller} took a snapshot \
-                             compacting {compacted} records (quiescent-point snapshots \
-                             must compact at least one)"
-                        ),
-                    );
-                }
-            }
-            Obs::ForwardRetransmitted { domain, controller, event, .. } => {
-                // Only a schedule waiting on another domain re-forwards: the
-                // sender delivered the event (simcheck traces every delivery).
-                if clean_replay && !delivered.contains(&(domain, controller, event)) {
-                    bad(
-                        out,
-                        format!(
-                            "domain {domain:?} controller {controller} re-forwarded \
-                             {event:?} without having delivered it"
-                        ),
-                    );
-                }
-                *requests.entry(Cause::Reforward(event)).or_default() += 1;
-            }
-            Obs::ReadySent { from, to, update } => {
-                // At-most-once per (from, to, update) is the *recovery*
-                // oracle's check; here it only seeds the pairing below.
-                ready_sent.entry((from, to, update)).or_insert(i);
+            Obs::ReadyRejected { switch, update, from } if !rogue_ready => {
+                let why = "no rogue-ready fault: a legitimate neighbor release failed validation";
+                bad(out, format!("switch {switch:?} rejected {from:?}'s ready for {update:?} ({why})"));
             }
             Obs::ReadyQueried { switch, update, from, .. } => {
                 // Only a neighbor's closed gate under a parked body is asked
                 // about: once the releaser announced the ready and the asker
                 // then applied its last update of that event, the ready was
                 // accepted and nothing of the event is parked any more.
-                let announced = ready_sent.get(&(from, switch, update));
+                let announced = stated.get(&ReadySent(from, switch, update));
                 let applied = last_apply.get(&(switch, update.event));
                 let settled = announced.zip(applied).is_some_and(|(a, l)| a < l && *l < i);
                 if switch == from || settled {
-                    bad(
-                        out,
-                        format!(
-                            "switch {switch:?} asked {from:?} for the ready of {update:?} \
-                             with no body parked on it (already accepted: {settled})"
-                        ),
-                    );
+                    let what = format!("switch {switch:?} asked {from:?} for the ready of {update:?}");
+                    bad(out, format!("{what} with no body parked on it (already accepted: {settled})"));
                 }
                 *requests.entry(Cause::Ask(from, switch, update)).or_default() += 1;
             }
-            Obs::ReadyRetransmitted { from, to, update, .. } => {
-                // Only an announced release is re-sent.
-                if !ready_sent.contains_key(&(from, to, update)) {
-                    bad(
-                        out,
-                        format!(
-                            "switch {from:?} re-sent a ready for {update:?} to {to:?} it \
-                             never released"
-                        ),
-                    );
+            Obs::ForwardRetransmitted { event, .. } => {
+                *requests.entry(Cause::Reforward(event)).or_default() += 1;
+            }
+            Obs::ResyncReplied { domain, controller, update } => {
+                *resyncs.entry(format!("{domain:?}/{controller} {update:?}")).or_insert(0) += 1;
+            }
+            // A held update is applied only after releases from a quorum of
+            // distinct controllers were sent (unless a controller restarts:
+            // its replayed releases are muted).
+            Obs::UpdateApplied { switch, update, .. } if !s.has_crash_recover() => {
+                let mut holds = stated.range(Held(update, DomainId(0), 0, first)..);
+                let held = holds.next().is_some_and(|(f, _)| matches!(*f, Held(u, ..) if u == update));
+                let releases = stated.range(Released(update, DomainId(0), 0)..);
+                let releases = releases.take_while(|(f, _)| matches!(**f, Released(u, ..) if u == update)).count();
+                if held && releases < quorum {
+                    let what = format!("switch {switch:?} applied held {update:?} on {releases} release(s)");
+                    bad(out, format!("{what}, below the quorum of {quorum}"));
                 }
             }
-            Obs::ReadyRejected { switch, update, from } => {
-                if !rogue_ready {
-                    bad(
-                        out,
-                        format!(
-                            "switch {switch:?} rejected a ready for {update:?} from \
-                             {from:?} though no rogue-ready fault was injected — a \
-                             legitimate neighbor release failed validation"
-                        ),
-                    );
+            // A controller releases an update only after it accepted the ack
+            // of each of its dependencies — or released the dependency's
+            // barrier: the release order, checked independently of the
+            // switch's own count.
+            Obs::ReleaseSent { domain, controller, update, .. } if clean_replay => {
+                let deps: Vec<UpdateId> = stated
+                    .range(Held(update, domain, controller, first)..)
+                    .map_while(|(f, _)| match *f {
+                        Held(u, d, c, dep) if (u, d, c) == (update, domain, controller) => Some(dep),
+                        _ => None,
+                    })
+                    .collect();
+                let open = deps.iter().find(|&&d| !stated.contains_key(&Accepted(domain, controller, d)));
+                if deps.is_empty() || open.is_some() {
+                    let what = format!("domain {domain:?} controller {controller} released {update:?}");
+                    let held = !deps.is_empty();
+                    bad(out, format!("{what} before accepting its dependency {open:?} (held: {held})"));
                 }
             }
-            Obs::EventDelivered {
-                domain,
-                controller,
-                event,
-            } => {
-                delivered.insert((domain, controller, event));
-            }
-            Obs::UpdateHeld { domain, controller, update, dep } => {
-                held.entry((domain, controller, update)).or_default().push(dep);
-                held_anywhere.insert(update);
-            }
-            Obs::AckAccepted { domain, controller, update } => {
-                accepted.insert((domain, controller, update));
-            }
-            Obs::ReleaseSent { domain, controller, update, .. } => {
-                releasers.entry(update).or_default().insert((domain, controller));
-                let deps = held.get(&(domain, controller, update));
-                let waits = |d: &&UpdateId| !accepted.contains(&(domain, controller, **d));
-                let open = deps.into_iter().flatten().find(waits);
-                if clean_replay && (deps.is_none() || open.is_some()) {
-                    bad(
-                        out,
-                        format!(
-                            "domain {domain:?} controller {controller} released {update:?} \
-                             before accepting its dependency {open:?} (held: {})",
-                            deps.is_some()
-                        ),
-                    );
-                }
-            }
-            // Judged by the re-send rule above, or by the recovery oracle.
-            Obs::UpdateRetransmitted { .. } | Obs::EventRetransmitted { .. } => {}
-            Obs::ControllerRecovered { .. } => {}
+            _ => {}
         }
     }
     if clean_replay {
         // Membership phases advance one step at a time; the distinct values
         // a domain's controllers report must form a contiguous run.
-        for (domain, vals) in &phases {
-            let mut prev = None;
-            for &p in vals {
-                if let Some(q) = prev {
-                    if p != q + 1 {
-                        bad(
-                            out,
-                            format!(
-                                "domain {domain:?} skipped membership phases: saw {q} \
-                                 then {p} with nothing between"
-                            ),
-                        );
-                    }
-                }
-                prev = Some(p);
+        let phases: Vec<(DomainId, u64)> = stated
+            .range(Phase(DomainId(0), 0)..)
+            .map_while(|(f, _)| match *f {
+                Phase(d, p) => Some((d, p)),
+                _ => None,
+            })
+            .collect();
+        for w in phases.windows(2) {
+            let ((domain, q), (d, p)) = (w[0], w[1]);
+            if d == domain && p != q + 1 {
+                bad(out, format!("domain {domain:?} skipped membership phases: saw {q} then {p}"));
             }
         }
+    }
+}
+
+/// A typed fact an observation states, its fields in the order of the
+/// observation's (a held update and its releases lead with the update, so
+/// that its facts sort together). A controller is `(domain, index)`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Fact {
+    Completed(FlowId),
+    Denied(FlowId),
+    Applied(SwitchId, UpdateId),
+    Processed(DomainId, EventId),
+    Delivered(DomainId, u32, EventId),
+    Exhausted(DomainId, u32, UpdateId),
+    EventExhausted(SwitchId, EventId),
+    Nacked(UpdateId),
+    /// Some controller reported segment `.1` of `.0` done.
+    Reported(EventId, u32),
+    ReportedBy(DomainId, u32, EventId, u32),
+    /// The controller accepted an update's ack, or released a barrier
+    /// ([`barrier_id`]).
+    Accepted(DomainId, u32, UpdateId),
+    ReadySent(SwitchId, SwitchId, UpdateId),
+    /// Controller `.1/.2` holds `.0` until it accepted dependency `.3`.
+    Held(UpdateId, DomainId, u32, UpdateId),
+    /// Controller `.1/.2` released held update `.0`.
+    Released(UpdateId, DomainId, u32),
+    Phase(DomainId, u64),
+}
+
+/// The runs a row is judged on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Gate {
+    /// Every run. A restarted switch replays its WAL with nothing muted (a
+    /// recovered release is re-sent only when asked for; pending events and
+    /// ready queries die with the first life), so its rows are judged here.
+    Every,
+    /// Runs with no crash fault. WAL replay re-drives a restarted
+    /// controller's delivery state machines with observations muted, so its
+    /// "first send" can be invisible while its later re-send is not.
+    NoCrash,
+    /// Runs with no crash and no `Fault::Duplicate`, which can legitimately
+    /// double-fire a flow's resolution.
+    NoCrashNoDup,
+}
+
+/// One observation's row of the pairing table.
+struct Row {
+    /// The fact it states for later rows to follow.
+    states: Option<Fact>,
+    /// The one fact it must follow: the stimulus it claims to answer.
+    follows: Option<Fact>,
+    /// The one subject it may state only once (stated like `states`).
+    once: Option<Fact>,
+    gate: Gate,
+    /// The oracle a broken row reports under.
+    oracle: &'static str,
+}
+
+const ROW: Row = Row {
+    states: None,
+    follows: None,
+    once: None,
+    gate: Gate::Every,
+    oracle: "telemetry",
+};
+
+/// The pairing table. The match names every `Obs` variant and must stay
+/// exhaustive (no catch-all arm): a new observation fails to compile here
+/// until it has a row, even an empty one.
+fn rules(o: &Obs) -> Row {
+    use Fact::*;
+    use Gate::*;
+    match *o {
+        Obs::FlowCompleted { flow, .. } => Row { once: Some(Completed(flow)), gate: NoCrashNoDup, ..ROW },
+        Obs::FlowDenied { flow } => Row { once: Some(Denied(flow)), gate: NoCrashNoDup, ..ROW },
+        // Exactly-once apply: retries and WAL replay must be absorbed by
+        // the switch's dedup, under any fault plan.
+        Obs::UpdateApplied { switch, update, .. } => {
+            Row { once: Some(Applied(switch, update)), oracle: "recovery", ..ROW }
+        }
+        Obs::EventProcessed { domain, event } => Row { once: Some(Processed(domain, event)), gate: NoCrash, ..ROW },
+        Obs::EventDelivered { domain, controller, event } => {
+            Row { states: Some(Delivered(domain, controller, event)), ..ROW }
+        }
+        Obs::UpdateRetryExhausted { domain, controller, update } => {
+            Row { once: Some(Exhausted(domain, controller, update)), gate: NoCrash, ..ROW }
+        }
+        Obs::AckRetransmitted { switch, update } => Row { follows: Some(Applied(switch, update)), ..ROW },
+        Obs::EventRetryExhausted { switch, event } => Row { once: Some(EventExhausted(switch, event)), ..ROW },
+        Obs::NackSent { update, .. } => Row { states: Some(Nacked(update)), ..ROW },
+        Obs::ResyncReplied { update, .. } => Row { follows: Some(Nacked(update)), ..ROW },
+        Obs::SegmentReported { domain, controller, event, segment } => Row {
+            states: Some(Reported(event, segment)),
+            once: Some(ReportedBy(domain, controller, event, segment)),
+            gate: NoCrash,
+            ..ROW
+        },
+        Obs::SegmentRetransmitted { domain, controller, event, segment, .. } => {
+            Row { follows: Some(ReportedBy(domain, controller, event, segment)), gate: NoCrash, ..ROW }
+        }
+        Obs::BoundaryReleased { domain, controller, event, segment } => Row {
+            follows: Some(Reported(event, segment)),
+            once: Some(Accepted(domain, controller, barrier_id(event, segment))),
+            gate: NoCrash,
+            ..ROW
+        },
+        // Only a schedule waiting on another domain re-forwards: the sender
+        // delivered the event (simcheck traces every delivery).
+        Obs::ForwardRetransmitted { domain, controller, event, .. } => {
+            Row { follows: Some(Delivered(domain, controller, event)), gate: NoCrash, ..ROW }
+        }
+        // Exactly-once release (Segway): re-delivered metadata and retries
+        // must be absorbed by the release dedup; a bare re-send of an
+        // announced ready is its own observation.
+        Obs::ReadySent { from, to, update } => Row { once: Some(ReadySent(from, to, update)), oracle: "recovery", ..ROW },
+        Obs::ReadyRetransmitted { from, to, update, .. } => Row { follows: Some(ReadySent(from, to, update)), ..ROW },
+        Obs::UpdateHeld { domain, controller, update, dep } => {
+            Row { states: Some(Held(update, domain, controller, dep)), ..ROW }
+        }
+        Obs::AckAccepted { domain, controller, update } => Row { states: Some(Accepted(domain, controller, update)), ..ROW },
+        Obs::ReleaseSent { domain, controller, update, .. } => Row { states: Some(Released(update, domain, controller)), ..ROW },
+        Obs::PhaseChanged { domain, phase } => Row { states: Some(Phase(domain, phase)), ..ROW },
+        // Judged by the explicit checks or the re-send rule alone.
+        Obs::UpdateRejected { .. }
+        | Obs::SnapshotTaken { .. }
+        | Obs::ReadyQueried { .. }
+        | Obs::ReadyRejected { .. }
+        | Obs::UpdateRetransmitted { .. }
+        | Obs::EventRetransmitted { .. }
+        | Obs::ControllerRecovered { .. } => ROW,
     }
 }
 
@@ -1050,5 +901,121 @@ mod tests {
         };
         assert_eq!(flagged(vec![], vec![own]), 1);
         assert_eq!(flagged(vec![], vec![sent, query(1), applied, query(2)]), 1);
+    }
+
+    const D: (DomainId, DomainId) = (DomainId(0), DomainId(1));
+    const E: EventId = EventId(7);
+
+    fn applied(switch: SwitchId, update: UpdateId) -> Obs {
+        let m = FlowMatch {
+            src: HostId(0),
+            dst: HostId(1),
+        };
+        let kind = UpdateKind::Remove(m);
+        Obs::UpdateApplied { switch, update, kind, signers: 2 }
+    }
+
+    /// Every row of the pairing table broken once, each case a lawful trace
+    /// and the same trace broken: a response without its stimulus, or a
+    /// subject stated twice. Exactly the row fires, under its oracle, on
+    /// every run its gate judges, and stays silent on the others: a
+    /// crash-recover fault mutes all but `Every` rows, `Fault::Duplicate`
+    /// the `NoCrashNoDup` ones.
+    #[test]
+    fn every_row_fires_once_where_its_gate_judges_and_nowhere_else() {
+        let (up, down) = D;
+        let update = UpdateId { event: E, seq: 2 };
+        let (from, to, flow) = (SwitchId(3), SwitchId(1), FlowId(4));
+        let delivered = Obs::EventDelivered { domain: up, controller: 2, event: E };
+        let reported = Obs::SegmentReported { domain: down, controller: 3, event: E, segment: 1 };
+        let released = Obs::BoundaryReleased { domain: up, controller: 2, event: E, segment: 1 };
+        let ready = Obs::ReadySent { from, to, update };
+        // A response follows its stimulus, after whatever it presupposes.
+        let follows = |gate, before: &[Obs], stimulus: &Obs, response: Obs| {
+            let lawful = [before, &[stimulus.clone(), response.clone()]].concat();
+            (gate, "telemetry", lawful, [before, &[response]].concat())
+        };
+        // A subject is stated once, after whatever it presupposes.
+        let once = |gate, oracle, before: &[Obs], x: Obs| {
+            let lawful = [before, std::slice::from_ref(&x)].concat();
+            (gate, oracle, lawful, [before, &[x.clone(), x]].concat())
+        };
+        let query = Obs::ReadyQueried { switch: to, update, from, attempt: 1 };
+        let reforward = Obs::ForwardRetransmitted { domain: up, controller: 2, event: E, attempt: 1 };
+        let cases = [
+            follows(Gate::Every, &[], &applied(from, update), Obs::AckRetransmitted { switch: from, update }),
+            follows(
+                Gate::Every,
+                &[],
+                &Obs::NackSent { switch: from, update, have: 1 },
+                Obs::ResyncReplied { domain: up, controller: 1, update },
+            ),
+            follows(
+                Gate::NoCrash,
+                &[delivered.clone(), reforward.clone()],
+                &reported,
+                Obs::SegmentRetransmitted { domain: down, controller: 3, event: E, segment: 1, attempt: 1 },
+            ),
+            follows(Gate::NoCrash, &[], &reported, released.clone()),
+            follows(Gate::NoCrash, &[], &delivered, reforward),
+            follows(Gate::Every, &[query], &ready, Obs::ReadyRetransmitted { from, to, update, attempt: 1 }),
+            once(Gate::NoCrashNoDup, "telemetry", &[], Obs::FlowCompleted { flow, start: SimTime::ZERO }),
+            once(Gate::NoCrashNoDup, "telemetry", &[], Obs::FlowDenied { flow }),
+            once(Gate::Every, "recovery", &[], applied(from, update)),
+            once(Gate::NoCrash, "telemetry", &[], Obs::EventProcessed { domain: up, event: E }),
+            once(Gate::NoCrash, "telemetry", &[], Obs::UpdateRetryExhausted { domain: up, controller: 1, update }),
+            once(Gate::Every, "telemetry", &[], Obs::EventRetryExhausted { switch: from, event: E }),
+            once(Gate::NoCrash, "telemetry", &[], reported.clone()),
+            once(Gate::NoCrash, "telemetry", &[reported], released),
+            once(Gate::Every, "recovery", &[], ready),
+        ];
+        let restart = Fault::CrashRecoverSwitch {
+            switch: 0,
+            at_ms: 10,
+            after_ms: 10,
+        };
+        let duplicate = Fault::Duplicate { permille: 100 };
+        for (gate, oracle, lawful, broken) in cases {
+            let last = broken.last().cloned();
+            assert_eq!(verdicts(vec![], lawful), vec![], "{last:?}");
+            let v = verdicts(vec![], broken.clone());
+            assert_eq!(v.len(), 1, "{last:?} must be flagged once: {v:?}");
+            assert_eq!(v[0].oracle, oracle, "{last:?}");
+            let judged = |faults| verdicts(faults, broken.clone()).len();
+            assert_eq!(judged(vec![restart]), usize::from(gate == Gate::Every), "{last:?}");
+            assert_eq!(judged(vec![duplicate]), usize::from(gate != Gate::NoCrashNoDup), "{last:?}");
+        }
+    }
+
+    /// A held update goes in on releases from a quorum of distinct
+    /// controllers, each sent after its sender accepted the ack of every
+    /// dependency, or released the dependency's barrier.
+    #[test]
+    fn a_held_update_applies_on_a_quorum_of_releases_each_after_its_dependencies() {
+        let (d, switch) = (D.0, SwitchId(3));
+        let quorum = (Scenario::generate(0).controllers_per_domain - 1) / 3 + 1;
+        let (update, dep) = (UpdateId { event: E, seq: 2 }, UpdateId { event: E, seq: 1 });
+        let barrier = barrier_id(EventId(5), 1);
+        let release = |c| Obs::ReleaseSent { domain: d, controller: c, update, switch };
+        let mut lawful = Vec::new();
+        for c in 1..=quorum {
+            let held = |dep| Obs::UpdateHeld { domain: d, controller: c, update, dep };
+            let unblock = Obs::BoundaryReleased { domain: d, controller: c, event: EventId(5), segment: 1 };
+            let segment = Obs::SegmentReported { domain: D.1, controller: c, event: EventId(5), segment: 1 };
+            let accepted = Obs::AckAccepted { domain: d, controller: c, update: dep };
+            lawful.extend([held(dep), held(barrier), segment, unblock, accepted, release(c)]);
+        }
+        lawful.push(applied(switch, update));
+        assert_eq!(verdicts(vec![], lawful.clone()), vec![]);
+        let without = |drop: &dyn Fn(&Obs) -> bool| {
+            let trace: Vec<Obs> = lawful.iter().filter(|o| !drop(o)).cloned().collect();
+            verdicts(vec![], trace).len()
+        };
+        // One release short of the quorum; a release before an ack, and
+        // before a barrier; a release of an update its sender never held.
+        assert_eq!(without(&|o| *o == release(1)), 1);
+        assert_eq!(without(&|o| matches!(o, Obs::AckAccepted { controller: 1, .. })), 1);
+        assert_eq!(without(&|o| matches!(o, Obs::BoundaryReleased { controller: 1, .. })), 1);
+        assert_eq!(without(&|o| matches!(o, Obs::UpdateHeld { controller: 1, .. })), 1);
     }
 }

@@ -161,8 +161,8 @@ pub fn case_seed(name: &str, case: usize) -> u64 {
     splitmix64(&mut state)
 }
 
-/// Runs `prop` over `cases` generated inputs. Prefer the [`forall!`]
-/// (crate::forall) macro, which fills in `name` from the call site.
+/// Runs `prop` over `cases` generated inputs. Prefer the
+/// [`forall!`](crate::forall) macro, which fills in `name` from the call site.
 ///
 /// # Panics
 ///

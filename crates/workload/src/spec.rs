@@ -1,6 +1,6 @@
 //! Workload profiles.
 //!
-//! The paper runs "Hadoop MapReduce and web server traffic workloads [37]"
+//! The paper runs "Hadoop MapReduce and web server traffic workloads \[37\]"
 //! with Poisson arrivals and per-locality size distributions, and quotes
 //! these locality fractions from the Facebook study:
 //!

@@ -84,6 +84,11 @@ if ! cargo run -q --offline --release -p detlint; then
     exit 1
 fi
 
+echo "== rustdoc: every doc link resolves =="
+# Warnings are errors, so renaming an item cannot leave a dead or redundant
+# intra-doc link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --no-deps --workspace --lib
+
 echo "== wire layouts are declared once (wire_struct! / wire_enum!) =="
 # A record's layout is one declaration; only the codec's own primitives,
 # containers and macros spell out an `impl Wire for`.

@@ -634,13 +634,7 @@ fn replayed_ready_at_the_wrong_victim_is_rejected() {
 mod segway_release {
     use super::*;
     use simnet::fault::FaultPlan;
-    use simnet::node::{Actor, Context, Effect, NodeId};
-
-    /// What one handler call sent and observed, read from its effects.
-    struct Tap {
-        sent: Vec<(NodeId, Net)>,
-        seen: Vec<Obs>,
-    }
+    use simnet::node::NodeId;
 
     /// One release of the settled flow: `from` applied `update` and sent
     /// `to` the ready for it.
@@ -713,26 +707,6 @@ mod segway_release {
     /// transport names the asker); returns what the handler did.
     fn ask(engine: &mut Engine, r: Release, update: UpdateId, from: NodeId) -> Tap {
         handle(engine, r.from, from, Net::SegwayReadyQuery { update })
-    }
-
-    /// Hands switch `at` the message `msg` over node `from`'s channel;
-    /// returns what the handler did.
-    fn handle(engine: &mut Engine, at: SwitchId, from: NodeId, msg: Net) -> Tap {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut ctx = Context::new(engine.now(), engine.switch_node(at), &mut rng);
-        engine.with_switch(at, |a| a.on_message(&mut ctx, from, msg));
-        let mut tap = Tap {
-            sent: Vec::new(),
-            seen: Vec::new(),
-        };
-        for effect in ctx.into_effects() {
-            match effect {
-                Effect::Send { to, msg, .. } => tap.sent.push((to, msg)),
-                Effect::Observe(obs) => tap.seen.push(obs),
-                Effect::Timer { .. } => {}
-            }
-        }
-        tap
     }
 
     #[test]
@@ -977,6 +951,64 @@ mod segway_release {
         let after = ops_of(&mut p.engine, p.held);
         assert_eq!(after.mac_checks, before.mac_checks + 1, "one check for both copies");
     }
+
+    /// The releaser — a neighbor, its own key — sends `held` genuine readies
+    /// for 1,024 + 16 updates no parked body is gated on. What it makes
+    /// `held` tag-check and journal is its allowance of early readies
+    /// (1,024), not the flood; the ready the parked body waits on still
+    /// opens its gate.
+    #[test]
+    fn a_flood_of_readies_for_updates_never_parked_stays_bounded() {
+        use cicero_core::msg::SwitchWalRecord;
+        use southbound::codec::Wire;
+        use substrate::storage::{mem_disk, Wal};
+        let mut p = parked();
+        let disk = mem_disk();
+        p.engine.with_switch(p.held, |a| a.attach_disk(disk.clone(), false));
+        let key = p.key(p.releaser, p.held);
+        let before = ops_of(&mut p.engine, p.held);
+        for i in 0..1024 + 16 {
+            let update = UpdateId { event: EventId((1 << 40) | i), seq: 0 };
+            let tap = p.deliver(ready_under(ReadyBody { update, ..p.body() }, i, &key));
+            assert!(tap.sent.is_empty() && tap.seen.is_empty(), "ready {i}: {:?}", tap.seen);
+        }
+        let after = ops_of(&mut p.engine, p.held);
+        assert_eq!(after.mac_checks, before.mac_checks + 1024, "the rest dropped unchecked");
+        let (_, tail) = Wal::open(disk, "switch.wal");
+        let ready_in = |f: &&Vec<u8>| matches!(SwitchWalRecord::from_wire(f), Ok(SwitchWalRecord::ReadyIn { .. }));
+        assert_eq!(tail.iter().filter(ready_in).count(), 1024, "the allowance journaled");
+        let held = p.held;
+        let tap = p.deliver(ready_under(p.body(), 1 << 20, &key));
+        let opened = |o: &Obs| matches!(o, Obs::UpdateApplied { switch, .. } if *switch == held);
+        assert!(tap.seen.iter().any(opened), "the honest ready opens the gate");
+    }
+}
+
+/// What one handler call sent and observed, read from its effects.
+struct Tap {
+    sent: Vec<(simnet::node::NodeId, Net)>,
+    seen: Vec<Obs>,
+}
+
+/// Hands switch `at` the message `msg` over node `from`'s channel;
+/// returns what the handler did.
+fn handle(engine: &mut Engine, at: SwitchId, from: simnet::node::NodeId, msg: Net) -> Tap {
+    use simnet::node::{Actor, Context, Effect};
+    let mut rng = StdRng::seed_from_u64(0);
+    let mut ctx = Context::new(engine.now(), engine.switch_node(at), &mut rng);
+    engine.with_switch(at, |a| a.on_message(&mut ctx, from, msg));
+    let mut tap = Tap {
+        sent: Vec::new(),
+        seen: Vec::new(),
+    };
+    for effect in ctx.into_effects() {
+        match effect {
+            Effect::Send { to, msg, .. } => tap.sent.push((to, msg)),
+            Effect::Observe(obs) => tap.seen.push(obs),
+            Effect::Timer { .. } => {}
+        }
+    }
+    tap
 }
 
 /// The secrets the key ceremony handed `engine`'s actors, re-derived (the
@@ -2738,6 +2770,28 @@ mod held_release {
         let from = ctrl(&h.engine, 2);
         deliver(&mut h, from, s, own);
         assert_eq!(mac_checks(&mut h.engine, s), 1);
+        heal(&mut h);
+    }
+
+    /// Member 1 — a current member, its own key, its own channel — sends the
+    /// middle switch genuine releases for 1,024 + 16 updates never parked
+    /// there. What it costs is its allowance of early releases (1,024 tag
+    /// checks), not the flood; its release of the held update still counts.
+    #[test]
+    fn a_flood_of_releases_for_updates_never_parked_stays_bounded() {
+        let mut h = held();
+        let s = h.path[1];
+        let from = ctrl(&h.engine, 1);
+        for i in 0..1024 + 16 {
+            let update = UpdateId { event: EventId((1 << 40) | i), seq: 0 };
+            let m = Net::UpdateRelease(release(&h, 1, update, s, Phase(0)));
+            let tap = handle(&mut h.engine, s, from, m);
+            assert!(tap.sent.is_empty() && tap.seen.is_empty(), "release {i}: {:?}", tap.seen);
+        }
+        assert_eq!(mac_checks(&mut h.engine, s), 1024, "the rest dropped unchecked");
+        let own = release(&h, 1, h.update, s, Phase(0));
+        deliver(&mut h, from, s, own);
+        assert_eq!(mac_checks(&mut h.engine, s), 1024 + 1, "a parked body's release is checked");
         heal(&mut h);
     }
 
