@@ -24,13 +24,6 @@ use std::collections::{BTreeMap, BTreeSet};
 /// of the `u32` range is free for barriers.
 const BARRIER_SEQ_BASE: u32 = 0xFFFF_0000;
 
-/// Reports one downstream controller may have on record here for barriers
-/// our own schedule has not registered. Honest reporters sit far below it
-/// (a report precedes its barrier only while this controller lags behind
-/// the event); it bounds what a Byzantine one can make an upstream
-/// controller remember and log under keys nothing will ever expect.
-const MAX_EARLY_REPORTS: usize = 1024;
-
 /// The synthetic dependency id of `event`'s foreign segment `segment`.
 pub fn barrier_id(event: EventId, segment: u32) -> UpdateId {
     UpdateId {
@@ -39,35 +32,14 @@ pub fn barrier_id(event: EventId, segment: u32) -> UpdateId {
     }
 }
 
-/// What the upstream side of one cross-domain barrier still expects. Set
-/// when local event processing registers the dependency; the downstream
-/// quorum may legitimately report earlier and wait in
-/// [`BarrierState::signers`] until then.
-pub(super) struct BarrierExpect {
+/// What the barrier on `(event, segment)` waits for, once our own schedule
+/// raised it (its reports may come first and wait in `reports`). It is
+/// released once its id is acknowledged.
+pub(super) struct Barrier {
     /// The domain whose segment must apply before the barrier releases.
     downstream: DomainId,
     /// Distinct downstream signers required.
     quorum: usize,
-}
-
-/// Upstream half of the cross-domain ordering handshake for one
-/// `(event, segment)`: the verified downstream signers, and the barrier
-/// they release.
-#[derive(Default)]
-pub(super) struct BarrierState {
-    /// `(domain, controller)` senders of a report whose tag verified — every
-    /// entry is in the WAL; at most one per member of the reporting domain.
-    signers: BTreeSet<(DomainId, u32)>,
-    /// Release condition, once our own schedule registered the dependency.
-    expected: Option<BarrierExpect>,
-    /// Set once released; later reports change nothing.
-    released: bool,
-}
-
-impl BarrierState {
-    fn certified(&self, domain: DomainId, quorum: usize) -> bool {
-        self.signers.iter().filter(|(d, _)| *d == domain).count() >= quorum
-    }
 }
 
 /// Downstream half of the handshake, first stage: waits until every update
@@ -142,17 +114,13 @@ impl ControllerActor {
             });
         }
         for (k, downstream) in barrier_deps {
-            let quorum = self.downstream_quorum(downstream);
-            let st = self.barriers.entry((event.id, k)).or_default();
-            if st.expected.is_none() && !st.released {
-                st.expected = Some(BarrierExpect { downstream, quorum });
-                for sender in &st.signers {
-                    if let Some(n) = self.early_reports.get_mut(sender) {
-                        *n = n.saturating_sub(1);
-                    }
-                }
+            let key = (event.id, k);
+            if !self.barriers.contains_key(&key) {
+                let quorum = self.downstream_quorum(downstream);
+                self.barriers.insert(key, Barrier { downstream, quorum });
+                self.reports.register(key);
             }
-            self.check_barrier_release(ctx, (event.id, k), SimDuration::ZERO);
+            self.check_barrier_release(ctx, key, SimDuration::ZERO);
         }
         for (k, ups) in watched {
             let remaining: BTreeSet<UpdateId> = projected
@@ -203,6 +171,16 @@ impl ControllerActor {
         }
     }
 
+    /// `true` iff `quorum` members of `domain` reported segment `key`.
+    fn certified(&self, key: (EventId, u32), domain: DomainId, quorum: usize) -> bool {
+        self.reports.senders(key).filter(|&(d, _)| d == domain).count() >= quorum
+    }
+
+    /// `true` iff barrier `key` is released: its id is acknowledged.
+    fn released(&self, (event, segment): (EventId, u32)) -> bool {
+        self.pending.is_acked(barrier_id(event, segment))
+    }
+
     /// Acks the barrier id (releasing held boundary updates, `extra` late)
     /// once a verified quorum of the expected downstream domain is on
     /// record.
@@ -212,17 +190,12 @@ impl ControllerActor {
         key: (EventId, u32),
         extra: SimDuration,
     ) {
-        let Some(st) = self.barriers.get_mut(&key) else {
+        let Some(b) = self.barriers.get(&key) else {
             return;
         };
-        let ready = st
-            .expected
-            .as_ref()
-            .is_some_and(|exp| st.certified(exp.downstream, exp.quorum));
-        if st.released || !ready {
+        if self.released(key) || !self.certified(key, b.downstream, b.quorum) {
             return;
         }
-        st.released = true;
         ctx.observe(Obs::BoundaryReleased {
             domain: self.domain,
             controller: self.id.0,
@@ -354,9 +327,9 @@ impl ControllerActor {
     /// member. Once the barrier's quorum is on record, or this sender is, a
     /// report changes nothing and is dropped before its tag is checked; so
     /// is one for a barrier not registered here while its sender already has
-    /// [`MAX_EARLY_REPORTS`] such reports on record. Otherwise the tag is
-    /// checked under the key the sender shares with this controller; a
-    /// verified sender is logged and may release the barrier.
+    /// [`controller::pending::MAX_EARLY`] such reports on record. Otherwise
+    /// the tag is checked under the key the sender shares with this
+    /// controller; a verified sender is logged and may release the barrier.
     pub(super) fn on_segment_applied(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
@@ -377,16 +350,8 @@ impl ControllerActor {
         }
         let key = (body.event, body.segment);
         let quorum = self.downstream_quorum(body.domain);
-        let settled = |st: &BarrierState| {
-            st.certified(body.domain, quorum) || st.signers.contains(&(body.domain, signer.0))
-        };
-        let st = self.barriers.get(&key);
-        if st.is_some_and(settled) {
-            return;
-        }
-        let early = st.is_none_or(|st| st.expected.is_none());
-        let on_record = self.early_reports.get(&(body.domain, signer.0));
-        if early && on_record.is_some_and(|&n| n >= MAX_EARLY_REPORTS) {
+        let admitted = self.reports.admits(key, (body.domain, signer.0));
+        if self.certified(key, body.domain, quorum) || !admitted {
             return;
         }
         // Like every controller-side check, the tag check is modeled as
@@ -398,7 +363,7 @@ impl ControllerActor {
         // A verified signer is a durable fact, logged before the release it
         // may permit: a restarted controller must not demand the quorum twice
         // (nor release without it).
-        self.record_barrier_signer(key, body.domain, signer);
+        self.reports.record(key, (body.domain, signer.0));
         self.log_record(&WalRecord::BarrierSigner {
             barrier: barrier_id(body.event, body.segment),
             domain: body.domain,
@@ -416,65 +381,43 @@ impl ControllerActor {
         controller: ControllerId,
     ) {
         let key = (barrier.event, barrier.seq.wrapping_sub(BARRIER_SEQ_BASE));
-        self.record_barrier_signer(key, domain, controller);
+        self.reports.record(key, (domain, controller.0));
         self.check_barrier_release(ctx, key, SimDuration::ZERO);
-    }
-
-    /// Puts a verified signer on record for barrier `key`, counting it
-    /// against the sender's [`MAX_EARLY_REPORTS`] while the barrier is not
-    /// registered here.
-    fn record_barrier_signer(&mut self, key: (EventId, u32), domain: DomainId, c: ControllerId) {
-        let st = self.barriers.entry(key).or_default();
-        if st.signers.insert((domain, c.0)) && st.expected.is_none() {
-            *self.early_reports.entry((domain, c.0)).or_default() += 1;
-        }
     }
 
     /// Every verified barrier signer, as WAL records (snapshot body).
     pub(super) fn barrier_signer_records(&self) -> Vec<WalRecord> {
-        let mut out = Vec::new();
-        for (&(event, segment), st) in self.barriers.iter() {
-            for &(domain, controller) in st.signers.iter() {
-                out.push(WalRecord::BarrierSigner {
-                    barrier: barrier_id(event, segment),
-                    domain,
-                    controller: ControllerId(controller),
-                });
-            }
-        }
-        out
+        let signer = |((event, segment), (domain, c))| {
+            let (barrier, controller) = (barrier_id(event, segment), ControllerId(c));
+            WalRecord::BarrierSigner { barrier, domain, controller }
+        };
+        self.reports.iter().map(signer).collect()
     }
 
     /// `true` when the cross-domain handshake holds no unfinished work:
     /// every registered barrier released and every own-segment watch
     /// reported (snapshot quiescence check).
     pub(super) fn handshake_idle(&self) -> bool {
-        self.barriers
-            .iter()
-            .all(|(_, st)| st.released || st.expected.is_none())
-            && self.seg_watch.is_empty()
+        self.barriers.keys().all(|&key| self.released(key)) && self.seg_watch.is_empty()
     }
 
     /// The verified downstream signers on record for barrier `(event,
     /// segment)`, as `(domain, controller)` (tests).
     pub fn barrier_signers(&self, event: EventId, segment: u32) -> Vec<(DomainId, u32)> {
-        self.barriers
-            .get(&(event, segment))
-            .map(|st| st.signers.iter().copied().collect())
-            .unwrap_or_default()
+        self.reports.senders((event, segment)).collect()
     }
 
     /// Barriers released so far (tests).
     pub fn barriers_released(&self) -> usize {
-        self.barriers.values().filter(|st| st.released).count()
+        self.barriers.keys().filter(|&&key| self.released(key)).count()
     }
 
-    /// Entries in each handshake structure: barriers, kept forwards,
+    /// Entries in each handshake structure: barrier keys, kept forwards,
     /// own-segment watches, kept reports (tests: what unauthenticated
     /// traffic can make us remember).
     pub fn handshake_footprint(&self) -> [usize; 4] {
         [
-            self.barriers.len(),
+            self.reports.len(),
             self.forwards.len(),
             self.seg_watch.len(),
             self.seg_sent.keys(..).count(),

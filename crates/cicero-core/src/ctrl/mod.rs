@@ -35,7 +35,7 @@ use crate::config::{Mode, RETRY_BASE, RETRY_BUDGET};
 use crate::msg::{Net, OrderedOp, PhaseInfo, Release, UpdateBody, WalRecord};
 use crate::obs::Obs;
 use crate::runtime::{labels, Shared};
-use barriers::{BarrierState, Report, SegWatch};
+use barriers::{Barrier, Report, SegWatch};
 pub use barriers::barrier_id;
 use bft::message::ReplicaId;
 use events::Forward;
@@ -45,7 +45,7 @@ use blscrypto::dkg::GroupPublic;
 use controller::app::ShortestPathApp;
 use controller::failure::HeartbeatDetector;
 use controller::membership::ControlPlaneView;
-use controller::pending::{Kept, PendingUpdates, RetryPolicy, RetryTable};
+use controller::pending::{Kept, PendingUpdates, RetryPolicy, RetryTable, Tally};
 use controller::scheduler::{ReversePathScheduler, UpdateScheduler};
 use simnet::node::{Actor, Host, NodeId, TimerToken};
 use simnet::sim::ENVIRONMENT;
@@ -92,10 +92,11 @@ pub struct ControllerActor {
     phase_notices: Kept<Phase, QuorumSigned<PhaseInfo>>,
     remote_members: BTreeMap<DomainId, Vec<ControllerId>>,
     detector: HeartbeatDetector,
-    barriers: BTreeMap<(EventId, u32), BarrierState>,
-    /// Per downstream `(domain, controller)`: its verified reports on record
-    /// for barriers our own schedule has not registered (capped).
-    early_reports: BTreeMap<(DomainId, u32), usize>,
+    /// Barriers our own schedule raised, each registered in `reports`.
+    barriers: BTreeMap<(EventId, u32), Barrier>,
+    /// Verified segment reports, `(event, segment)` → `(domain, controller)`,
+    /// every one in the WAL; a report may arrive before its barrier.
+    reports: Tally<(EventId, u32), (DomainId, u32)>,
     /// One forward per event whose schedule here waits on another domain,
     /// kept until no update of the event is outstanding: on expiry it is
     /// re-sent to every member of the domains waited on.
@@ -201,7 +202,7 @@ impl ControllerActor {
             remote_members,
             detector,
             barriers: BTreeMap::new(),
-            early_reports: BTreeMap::new(),
+            reports: Tally::default(),
             seg_watch: BTreeMap::new(),
             forwards_sent: Kept::default(),
             seg_sent: Kept::default(),
@@ -424,10 +425,11 @@ impl Actor<Net, Obs> for ControllerActor {
                 if self.pending.is_settled(update) {
                     return;
                 }
-                // A switch acknowledges its own updates only.
+                // A switch acknowledges its own updates only, early ones within its allowance.
                 let origin = SwitchId(m.msg_id.origin);
                 let target = self.pending.target(update);
-                if m.payload.switch != origin || target.is_some_and(|s| s != origin) {
+                let early = || self.pending.admits_early(update, origin);
+                if m.payload.switch != origin || !target.map_or_else(early, |s| s == origin) {
                     return;
                 }
                 // Verification latency rides on the released updates

@@ -20,7 +20,7 @@ use crate::msg::{
 use crate::obs::Obs;
 use crate::runtime::{labels, Shared};
 use blscrypto::bls::SecretKey;
-use controller::pending::{Kept, Retry, RetryPolicy, RetryTable};
+use controller::pending::{Kept, Retry, RetryPolicy, RetryTable, Tally};
 use netmodel::flowtable::{FlowTable, Lookup};
 use simnet::node::{Actor, Host, NodeId, TimerToken};
 use simnet::time::{SimDuration, SimTime};
@@ -35,13 +35,6 @@ use std::sync::Arc;
 use substrate::storage::{DiskHandle, Wal};
 
 const RETRY: TimerToken = TimerToken(1);
-
-/// Releases one controller, or Segway readies one neighbor switch, may have
-/// on record here for updates with no certified body parked on them yet.
-/// Honest senders sit far below it (a release or ready overtakes its body
-/// only while the body's shares are still arriving); it bounds what a
-/// Byzantine one can make a switch remember and journal.
-const MAX_EARLY_RELEASES: usize = 1024;
 
 /// An event the switch keeps for retransmission until its effect is
 /// visible in the flow table (reliable delivery layer): its body and id,
@@ -109,17 +102,11 @@ pub struct SwitchActor {
     /// released yet, with the signer count backing them.
     parked: BTreeMap<UpdateId, (UpdateBody, u32)>,
     /// Verified releases: held update → the current members that released
-    /// it in this phase (a release may arrive before its body does).
-    releases: BTreeMap<UpdateId, BTreeSet<ControllerId>>,
-    /// Per member: its releases on record for updates with no parked body
-    /// (capped at [`MAX_EARLY_RELEASES`]).
-    early_releases: BTreeMap<ControllerId, usize>,
-    /// Verified readies received: gating update → switches that announced
-    /// applying it (a ready may arrive before its gated body does).
-    ready_in: BTreeMap<UpdateId, BTreeSet<SwitchId>>,
-    /// Per neighbor: its readies on record that no parked body was gated on
-    /// when they came (capped at [`MAX_EARLY_RELEASES`]).
-    early_readies: BTreeMap<SwitchId, usize>,
+    /// it in this phase; registered at its body's delivery, forgotten at apply.
+    releases: Tally<UpdateId, ControllerId>,
+    /// Verified readies: gating update → switches that announced applying
+    /// it; registered at the delivery of a body it gates.
+    readies: Tally<UpdateId, SwitchId>,
     /// Every `(update, target)` ever released — the exactly-once-release
     /// guard: duplicated quorum deliveries and replayed state never
     /// re-release a neighbor — with the tagged ready, re-sent as-is when the
@@ -163,10 +150,8 @@ impl SwitchActor {
             event_seq: 0,
             retry_armed: false,
             parked: BTreeMap::new(),
-            releases: BTreeMap::new(),
-            early_releases: BTreeMap::new(),
-            ready_in: BTreeMap::new(),
-            early_readies: BTreeMap::new(),
+            releases: Tally::default(),
+            readies: Tally::default(),
             ready_sent: Kept::default(),
             wal: None,
         }
@@ -175,7 +160,7 @@ impl SwitchActor {
     /// Attaches durable storage. Opens (and torn-tail-repairs) the WAL;
     /// with `recovering` set the records replay first — restoring the flow
     /// table, the applied-update dedup set, and the Segway release ledger
-    /// (`ready_sent` / `ready_in`) — so a restarted switch never
+    /// (`ready_sent` / `readies`) — so a restarted switch never
     /// re-releases a neighbor it already released, and never forgets a
     /// ready it accepted (its sender may be gone for good by now). Frames
     /// of a retired record kind are skipped. A fresh boot finds an empty
@@ -197,7 +182,9 @@ impl SwitchActor {
                     self.ready_sent.reserve((update, to));
                 }
                 SwitchWalRecord::ReadyIn { update, from } => {
-                    self.ready_in.entry(update).or_default().insert(from);
+                    // Accepted once already: not early again.
+                    self.readies.register(update);
+                    self.readies.record(update, from);
                 }
             }
         }
@@ -418,15 +405,13 @@ impl SwitchActor {
     /// Gate `(u, s)` is open: update `u` was applied locally, or announced
     /// by its designated switch `s` with a verified ready.
     fn gate_open(&self, (u, s): (UpdateId, SwitchId)) -> bool {
-        (s == self.id && self.applied.contains(&u))
-            || self.ready_in.get(&u).is_some_and(|set| set.contains(&s))
+        (s == self.id && self.applied.contains(&u)) || self.readies.has(u, s)
     }
 
     /// A held update is released once `quorum` distinct current members
     /// released it.
     fn released(&self, u: UpdateId) -> bool {
-        let quorum = self.phase_info.quorum as usize;
-        self.releases.get(&u).is_some_and(|from| from.len() >= quorum)
+        self.releases.senders(u).count() >= self.phase_info.quorum as usize
     }
 
     fn gates_open(&self, body: &UpdateBody) -> bool {
@@ -442,21 +427,11 @@ impl SwitchActor {
     fn deliver(&mut self, ctx: &mut dyn Host<Net, Obs>, body: UpdateBody, signers: u32) {
         let id = body.update.id;
         if body.held {
-            // Its early releases are early no more.
-            for c in self.releases.get(&id).into_iter().flatten() {
-                if let Some(n) = self.early_releases.get_mut(c) {
-                    *n = n.saturating_sub(1);
-                }
-            }
+            self.releases.register(id);
             self.nacks.remove(&id);
         }
-        // The readies of its gates that came first are early no more.
-        for (u, s) in &body.gates {
-            if self.ready_in.get(u).is_some_and(|from| from.contains(s)) {
-                if let Some(n) = self.early_readies.get_mut(s) {
-                    *n = n.saturating_sub(1);
-                }
-            }
+        for &(u, _) in &body.gates {
+            self.readies.register(u);
         }
         if self.gates_open(&body) {
             self.apply(ctx, body, signers);
@@ -500,7 +475,7 @@ impl SwitchActor {
         }
         self.nacks.remove(&update.id);
         self.asks.remove(&(update.id, self.id));
-        self.releases.remove(&update.id);
+        self.releases.forget(update.id);
         self.table.apply(&update);
         self.log_record(&SwitchWalRecord::Applied { update, signers });
         ctx.observe(Obs::UpdateApplied {
@@ -603,9 +578,9 @@ impl SwitchActor {
     }
 
     /// A neighbor announces it applied a gating update. A ready already
-    /// accepted is dropped unchecked, and so is one no parked body is gated
-    /// on from a neighbor with [`MAX_EARLY_RELEASES`] such readies on
-    /// record. Rejected when the `to` binding names
+    /// accepted is dropped unchecked, and so is one no delivered body is
+    /// gated on from a neighbor with [`controller::pending::MAX_EARLY`] such
+    /// readies on record. Rejected when the `to` binding names
     /// someone else (a replay at the wrong victim), the tag fails, or the
     /// sender is not the gate's designated switch — the structural checks
     /// also bite under [`crate::config::CryptoMode::Modeled`], where tags
@@ -613,11 +588,7 @@ impl SwitchActor {
     fn on_ready(&mut self, ctx: &mut dyn Host<Net, Obs>, msg: Tagged<ReadyBody>) {
         ctx.charge_cpu(self.shared.cfg.costs.switch_msg);
         let body = msg.payload;
-        let accepted = self.ready_in.get(&body.update);
-        let gated = |b: &UpdateBody| b.gates.contains(&(body.update, body.from));
-        let early = !self.parked.values().any(|(b, _)| gated(b));
-        let full = self.early_readies.get(&body.from).is_some_and(|&n| n >= MAX_EARLY_RELEASES);
-        if accepted.is_some_and(|from| from.contains(&body.from)) || (early && full) {
+        if !self.readies.admits(body.update, body.from) {
             return;
         }
         // If a parked body names a different switch for this gate, the
@@ -643,17 +614,8 @@ impl SwitchActor {
         }
         // Journaled: the releaser may be gone for good by the time a
         // restart would have to ask again.
-        self.ready_in
-            .entry(body.update)
-            .or_default()
-            .insert(body.from);
-        self.log_record(&SwitchWalRecord::ReadyIn {
-            update: body.update,
-            from: body.from,
-        });
-        if early {
-            *self.early_readies.entry(body.from).or_default() += 1;
-        }
+        self.readies.record(body.update, body.from);
+        self.log_record(&SwitchWalRecord::ReadyIn { update: body.update, from: body.from });
         self.asks.remove(&(body.update, body.from));
         self.release_parked(ctx);
     }
@@ -662,32 +624,26 @@ impl SwitchActor {
     /// addressed to another switch, tagged in another phase, sent by no
     /// current member or over another node's channel, for an applied update,
     /// by a member already counted, or — with no body parked for it — by a
-    /// member with [`MAX_EARLY_RELEASES`] such releases on record. Otherwise
-    /// its tag is checked under the key the member shares with this switch;
-    /// a verified release is counted and may open the gate.
+    /// member with [`controller::pending::MAX_EARLY`] such releases on
+    /// record. Otherwise its tag is checked under the key the member shares
+    /// with this switch; a verified release is counted and may open the gate.
     fn on_release(&mut self, ctx: &mut dyn Host<Net, Obs>, from: NodeId, msg: Tagged<Release>) {
         ctx.charge_cpu(self.shared.cfg.costs.switch_msg);
         let (u, c) = (msg.payload.update, ControllerId(msg.msg_id.origin));
         let sender = Peer::Controller(self.domain, c);
-        let parked = self.parked.contains_key(&u);
-        let counted = self.releases.get(&u).is_some_and(|from| from.contains(&c));
-        let full = self.early_releases.get(&c).is_some_and(|&n| n >= MAX_EARLY_RELEASES);
         if msg.payload.switch != self.id
             || msg.phase != self.phase_info.phase
             || !self.phase_info.members.contains(&c)
             || self.shared.dir.peer(from) != Some(sender)
             || self.applied.contains(&u)
-            || counted
-            || (!parked && full)
+            || !self.releases.admits(u, c)
             || self.auth.verify_tag(ctx, labels::RELEASE, &msg, sender).is_none()
         {
             return;
         }
-        self.releases.entry(u).or_default().insert(c);
-        if parked {
+        self.releases.record(u, c);
+        if self.parked.contains_key(&u) {
             self.release_parked(ctx);
-        } else {
-            *self.early_releases.entry(c).or_default() += 1;
         }
     }
 
@@ -756,7 +712,7 @@ impl SwitchActor {
                 continue;
             };
             if from == self.id {
-                let have = self.releases.get(&update).map_or(0, |c| c.len() as u32);
+                let have = self.releases.senders(update).count() as u32;
                 self.send_nack(ctx, update, have);
                 continue;
             }
@@ -923,8 +879,7 @@ impl Actor<Net, Obs> for SwitchActor {
                     // Stale aggregation buckets and releases from the old
                     // phase die here; a held body waits for the new members.
                     self.buckets.retain_phase(self.phase_info.phase);
-                    self.releases.clear();
-                    self.early_releases.clear();
+                    self.releases.clear_words();
                 }
             }
             // Controller traffic is ignored. No catch-all: the match stays

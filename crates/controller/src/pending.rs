@@ -283,6 +283,99 @@ impl<K, M> Default for Kept<K, M> {
     }
 }
 
+/// Words one sender may have on record in a [`Tally`] under keys not
+/// registered. Honest senders sit far below it; it bounds what a Byzantine
+/// one can make a receiver check, remember and journal.
+pub const MAX_EARLY: usize = 1024;
+
+/// Verified words that may overtake their subject (a release its held body,
+/// a ready its gated body, a report its barrier, an ack its update): per key,
+/// the distinct senders on record. A key is *registered* once its subject is
+/// known; words under other keys count against their sender's [`MAX_EARLY`]
+/// until the key is registered or forgotten.
+#[derive(Clone, Debug)]
+pub struct Tally<K, S> {
+    words: BTreeMap<K, BTreeSet<S>>,
+    registered: BTreeSet<K>,
+    /// Per sender: its words under keys not registered.
+    spent: BTreeMap<S, usize>,
+}
+
+impl<K: Ord + Copy, S: Ord + Copy> Tally<K, S> {
+    /// `true` iff a word of `sender` under `key` is worth its check: not on
+    /// record yet, and `key` registered or `sender`'s allowance not spent.
+    pub fn admits(&self, key: K, sender: S) -> bool {
+        let spent = self.spent.get(&sender).is_some_and(|&n| n >= MAX_EARLY);
+        !self.has(key, sender) && (self.registered.contains(&key) || !spent)
+    }
+
+    /// Puts a verified word on record (once per sender and key).
+    pub fn record(&mut self, key: K, sender: S) {
+        if self.words.entry(key).or_default().insert(sender) && !self.registered.contains(&key) {
+            *self.spent.entry(sender).or_default() += 1;
+        }
+    }
+
+    /// Registers `key`: its words are early no more.
+    pub fn register(&mut self, key: K) {
+        if self.registered.insert(key) {
+            self.refund(key);
+        }
+    }
+
+    /// Drops `key`'s words and registration.
+    pub fn forget(&mut self, key: K) {
+        if !self.registered.remove(&key) {
+            self.refund(key);
+        }
+        self.words.remove(&key);
+    }
+
+    fn refund(&mut self, key: K) {
+        for s in self.words.get(&key).into_iter().flatten() {
+            self.spent.entry(*s).and_modify(|n| *n -= 1);
+        }
+    }
+
+    /// Drops every word and keeps the registrations (a phase change).
+    pub fn clear_words(&mut self) {
+        self.words.clear();
+        self.spent.clear();
+    }
+
+    /// `true` iff `sender`'s word under `key` is on record.
+    pub fn has(&self, key: K, sender: S) -> bool {
+        self.words.get(&key).is_some_and(|from| from.contains(&sender))
+    }
+
+    /// The senders on record under `key`, in order.
+    pub fn senders(&self, key: K) -> impl Iterator<Item = S> + '_ {
+        self.words.get(&key).into_iter().flatten().copied()
+    }
+
+    /// Every word on record, in key order.
+    pub fn iter(&self) -> impl Iterator<Item = (K, S)> + '_ {
+        self.words.iter().flat_map(|(&k, from)| from.iter().map(move |&s| (k, s)))
+    }
+
+    /// Keys on record: with words, registered, or both.
+    pub fn len(&self) -> usize {
+        let unregistered = self.words.keys().filter(|k| !self.registered.contains(k));
+        self.registered.len() + unregistered.count()
+    }
+
+    /// `true` iff no key is on record.
+    pub fn is_empty(&self) -> bool {
+        self.words.is_empty() && self.registered.is_empty()
+    }
+}
+
+impl<K, S> Default for Tally<K, S> {
+    fn default() -> Self {
+        Tally { words: BTreeMap::new(), registered: BTreeSet::new(), spent: BTreeMap::new() }
+    }
+}
+
 /// The updates a retry sweep decided on.
 #[derive(Clone, Debug, Default)]
 pub struct RetryBatch {
@@ -313,7 +406,7 @@ pub struct PendingUpdates {
     /// Acknowledgements that overtook their update's admission, with the
     /// switch each came from: nothing is known of the update yet, so nothing
     /// is believed of the ack until [`PendingUpdates::admit`] can check it.
-    early: BTreeMap<UpdateId, BTreeSet<SwitchId>>,
+    early: Tally<UpdateId, SwitchId>,
     /// Acknowledged updates kept for re-sync replies.
     completed: BTreeMap<UpdateId, NetworkUpdate>,
     failed: BTreeSet<UpdateId>,
@@ -326,7 +419,7 @@ impl PendingUpdates {
             waiting: BTreeMap::new(),
             sent: RetryTable::new(policy),
             acked: BTreeSet::new(),
-            early: BTreeMap::new(),
+            early: Tally::default(),
             completed: BTreeMap::new(),
             failed: BTreeSet::new(),
         }
@@ -341,8 +434,9 @@ impl PendingUpdates {
         let mut retired = Vec::new();
         for mut s in schedule {
             let id = s.update.id;
-            let early = self.early.remove(&id);
-            if early.is_some_and(|from| from.contains(&s.update.switch)) {
+            let early = self.early.has(id, s.update.switch);
+            self.early.forget(id);
+            if early {
                 self.completed.insert(id, s.update);
                 retired.push(id);
                 continue;
@@ -381,8 +475,13 @@ impl PendingUpdates {
     /// dropped, not parked for ever.
     pub fn ack_early(&mut self, id: UpdateId, from: SwitchId) {
         if !self.is_failed(id) {
-            self.early.entry(id).or_default().insert(from);
+            self.early.record(id, from);
         }
+    }
+
+    /// `true` iff an ack of `id`, not admitted yet, from `from` is worth its check.
+    pub fn admits_early(&self, id: UpdateId, from: SwitchId) -> bool {
+        self.early.admits(id, from)
     }
 
     /// Marks `id` acknowledged and drops it from every dependency set.
@@ -925,5 +1024,106 @@ mod tests {
         assert_eq!(k.keys(3..).count(), 1);
         k.clear();
         assert!(k.keys(..).next().is_none() && k.resend(&4, |_| true, unmade).is_none());
+    }
+
+    /// A tally whose sender 0 has spent its allowance on keys
+    /// `0..MAX_EARLY`, none registered.
+    fn spent_tally() -> Tally<usize, u8> {
+        let mut t = Tally::default();
+        for k in 0..MAX_EARLY {
+            assert!(t.admits(k, 0), "word {k} is within the allowance");
+            t.record(k, 0);
+        }
+        t
+    }
+
+    #[test]
+    fn tally_admits_a_sender_once_per_key() {
+        let mut t = Tally::default();
+        t.register(2);
+        for k in [1, 2] {
+            assert!(t.admits(k, 7));
+            t.record(k, 7);
+            assert!(!t.admits(k, 7) && t.has(k, 7), "key {k}: on record already");
+            assert!(t.admits(k, 8), "another sender is");
+        }
+        t.record(1, 7);
+        assert_eq!(t.senders(1).collect::<Vec<_>>(), vec![7], "counted once");
+        assert_eq!(t.iter().collect::<Vec<_>>(), vec![(1, 7), (2, 7)]);
+    }
+
+    #[test]
+    fn tally_refuses_early_words_past_the_allowance() {
+        let mut t = spent_tally();
+        let next = MAX_EARLY;
+        assert!(!t.admits(next, 0), "the allowance is spent");
+        assert!(t.admits(next, 1), "another sender's is not");
+        t.register(next);
+        assert!(t.admits(next, 0), "a registered key costs no allowance");
+        t.record(next, 0);
+        assert!(!t.admits(next + 1, 0));
+        assert_eq!(t.len(), MAX_EARLY + 1);
+    }
+
+    #[test]
+    fn tally_register_and_forget_each_refund_once() {
+        let (fresh, more) = (MAX_EARLY, MAX_EARLY + 1);
+        let mut t = spent_tally();
+        for _ in 0..2 {
+            t.register(0);
+        }
+        assert!(t.admits(fresh, 0), "registering refunds its words");
+        t.record(fresh, 0);
+        assert!(!t.admits(more, 0), "once");
+        for _ in 0..2 {
+            t.forget(1);
+        }
+        assert!(!t.has(1, 0) && t.admits(more, 0), "forgetting refunds its words");
+        t.record(more, 0);
+        t.forget(0);
+        assert!(!t.admits(more + 1, 0), "once, and a registered key refunds nothing");
+        assert_eq!(t.len(), MAX_EARLY, "keys 2.. and the two fresh ones");
+    }
+
+    #[test]
+    fn tally_clear_words_keeps_registrations() {
+        let mut t = spent_tally();
+        t.register(MAX_EARLY);
+        t.record(MAX_EARLY, 1);
+        t.clear_words();
+        assert!(!t.has(MAX_EARLY, 1) && t.senders(MAX_EARLY).next().is_none());
+        assert_eq!(t.len(), 1, "the registration stays");
+        assert!(t.admits(0, 0), "the allowance is back");
+        t.record(MAX_EARLY, 0);
+        for k in 0..MAX_EARLY {
+            t.record(k, 0);
+        }
+        assert!(!t.admits(MAX_EARLY + 1, 0), "the registered key's word cost nothing");
+    }
+
+    /// After any sequence of calls in which every word recorded was admitted
+    /// first, each sender's allowance in use is its words under keys not
+    /// registered, and never more than [`MAX_EARLY`].
+    #[test]
+    fn tally_allowance_in_use_is_the_early_words() {
+        substrate::forall!(cases = 16, |g| {
+            let mut t: Tally<usize, u8> = Tally::default();
+            for _ in 0..g.usize_in(0..5000) {
+                let (k, s) = (g.usize_in(0..4000), g.u8() % 2);
+                match g.usize_in(0..20_000) {
+                    0..18_000 if t.admits(k, s) => t.record(k, s),
+                    18_000..19_000 => t.register(k),
+                    19_000..19_999 => t.forget(k),
+                    19_999 => t.clear_words(),
+                    _ => {}
+                }
+            }
+            for s in 0..2 {
+                let early = t.iter().filter(|&(k, from)| from == s && !t.registered.contains(&k));
+                let in_use = t.spent.get(&s).copied().unwrap_or(0);
+                assert_eq!(in_use, early.count(), "sender {s}");
+                assert!(in_use <= MAX_EARLY);
+            }
+        });
     }
 }

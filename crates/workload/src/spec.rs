@@ -105,7 +105,7 @@ pub fn hadoop_multi_dc() -> WorkloadSpec {
     let mut w = hadoop();
     w.locality = LocalityMix {
         intra_rack: 0.942,
-        intra_pod: 0.058 - 0.033 - 0.025,
+        intra_pod: 0.0,
         intra_dc: 0.033,
         inter_dc: 0.025,
     };
@@ -136,7 +136,7 @@ pub fn web_server_multi_dc() -> WorkloadSpec {
     let mut w = web_server();
     w.locality = LocalityMix {
         intra_rack: 0.684,
-        intra_pod: 0.316 - 0.157 - 0.159,
+        intra_pod: 0.0,
         intra_dc: 0.157,
         inter_dc: 0.159,
     };

@@ -84,6 +84,11 @@ if ! cargo run -q --offline --release -p detlint; then
     exit 1
 fi
 
+echo "== clippy: no lint errors =="
+# Clippy's deny-by-default lints (correctness, e.g. eq_op) fail the run;
+# its warnings are printed, not gated.
+cargo clippy -q --offline --workspace --all-targets
+
 echo "== rustdoc: every doc link resolves =="
 # Warnings are errors, so renaming an item cannot leave a dead or redundant
 # intra-doc link behind.
@@ -125,8 +130,8 @@ if find crates src examples -name '*.rs' -not -path 'crates/*/tests/*' -print0 |
     exit 1
 fi
 
-echo "== the signed receipts, signed events, acks, reports and readies, identity-key signing, dealt pair keys, a second cross-domain recovery path, hand-written kept archives, a second phase-notice collector, detlint's compiler-proven rules, reliability and delivery-trace settings and a second event message stay deleted =="
-if grep -rn "BoundaryRelease\b\|ReleaseBody\|SegwayReadyAck\|READY_RECEIPT\|ReadyReceipted\|ready_out\|Signed<AckBody>\|Signed<NackBody>\|SegmentQuery\b\|SegmentQueried\|reforward_segway\|segway_events\|PairKeys\|pair_keys\|seg_shares\|ShareSigned<SegmentBody>\|Signed<ReadyBody>\|KeptReady\|KeptReport\|kept_updates\|struct Relayed\|phase_partials\|fn real_crypto\|QuorumSigned::aggregate\|Signed<Event>\|fn verify_latency\|event_sign\|auth\.sign(\|TRACKED_ENUMS\|fn parse_enums\|fn variant_uses\|fn write_ahead\|CRYPTO_MODE_ALLOWED\|keys\.dummy\|ReliabilityConfig\|trace_deliveries\|ForwardedEvent\|with_policy" \
+echo "== the signed receipts, signed events, acks, reports and readies, identity-key signing, dealt pair keys, a second cross-domain recovery path, hand-written kept archives, a second phase-notice collector, detlint's compiler-proven rules, reliability and delivery-trace settings, a second event message and hand-kept early-word ledgers stay deleted =="
+if grep -rn "BoundaryRelease\b\|ReleaseBody\|SegwayReadyAck\|READY_RECEIPT\|ReadyReceipted\|ready_out\|Signed<AckBody>\|Signed<NackBody>\|SegmentQuery\b\|SegmentQueried\|reforward_segway\|segway_events\|PairKeys\|pair_keys\|seg_shares\|ShareSigned<SegmentBody>\|Signed<ReadyBody>\|KeptReady\|KeptReport\|kept_updates\|struct Relayed\|phase_partials\|fn real_crypto\|QuorumSigned::aggregate\|Signed<Event>\|fn verify_latency\|event_sign\|auth\.sign(\|TRACKED_ENUMS\|fn parse_enums\|fn variant_uses\|fn write_ahead\|CRYPTO_MODE_ALLOWED\|keys\.dummy\|ReliabilityConfig\|trace_deliveries\|ForwardedEvent\|with_policy\|early_releases\|early_readies\|early_reports\|MAX_EARLY_RELEASES\|MAX_EARLY_REPORTS\|BarrierState\|BarrierExpect\|record_barrier_signer" \
     crates src tests examples --include=*.rs; then
     echo "verify.sh: the handshake and the Segway readies are receiver-driven; acks, NACKs, segment reports and Segway readies are Tagged<_> under a pair key each end derives from the identity keys (auth::pair_key), never dealt; and a cross-domain event has one recovery loop — the re-forward of whoever still waits, which is also the query (DESIGN.md §3); no receipt type, no signed twin, no key ceremony for pairs and no second path comes back" >&2
     echo "verify.sh: a message sent once and re-sent as-is on request lives in controller::pending::Kept, not in an archive of its own" >&2
@@ -134,6 +139,7 @@ if grep -rn "BoundaryRelease\b\|ReleaseBody\|SegwayReadyAck\|READY_RECEIPT\|Read
     echo "verify.sh: switch events and controller forwards are Tagged<Event> too; an identity key derives pair keys and signs nothing, so the seam has no sign/verify/verify_latency and the cost model no event_sign (DESIGN.md §3)" >&2
     echo "verify.sh: detlint restates nothing the compiler proves — exhaustive Net/Obs/WalRecord matches, forbid(unsafe_code), and sends that leave after their handler's WAL appends (DESIGN.md §5); a placeholder signature is KeyMaterial::dummy_signature()" >&2
     echo "verify.sh: retransmission bases and budgets are protocol constants (config.rs, controller::pending::MAX_BACKOFF), every controller always logs its deliveries, a retry policy is passed to its table's constructor, and a forward is a Net::EventMsg marked forwarded (DESIGN.md §3)" >&2
+    echo "verify.sh: a word that may overtake its subject (release, Segway ready, segment report, early ack) is kept in controller::pending::Tally under its one MAX_EARLY allowance, not in a ledger of its own (DESIGN.md §3)" >&2
     exit 1
 fi
 

@@ -2591,6 +2591,38 @@ mod acks {
         // And one, after the flow's arrival, its event's.
         assert_eq!(up.seen(&mut s), (3, false, true), "judged at admission by whose update it is");
     }
+
+    /// The rack switch — its own name, its own key — acknowledges 1,024 + 16
+    /// updates nobody will ever schedule, 200 µs apart, while its neighbour
+    /// acknowledges its own update before the flow arrives. What the flood
+    /// costs their controller is the rack switch's allowance of early acks
+    /// (1,024 tag checks), not the flood; the neighbour's early ack is still
+    /// checked, and retires its update at admission.
+    #[test]
+    fn a_flood_of_early_acks_for_updates_never_admitted_stays_bounded() {
+        let up = Upstream::of(&mut stuck());
+        let flooded = |n: u64| {
+            let mut s = stuck_after(|s| {
+                let node = s.engine.controller_node(up.domain, ControllerId(1));
+                let first = SimTime::ZERO + SimDuration::from_micros(10);
+                s.engine.inject_raw(first, ENVIRONMENT, node, up.ack(up.own, up.neighbour));
+                let key = s.key(s.foreign, 1);
+                for i in 0..n {
+                    let update = UpdateId { event: EventId((1 << 40) | i), seq: 0 };
+                    let ack = AckBody { update, switch: s.foreign };
+                    let id = MsgId { origin: s.foreign.0, seq: 1 + i };
+                    let msg = Net::AckMsg(Tagged::tag(ACK, ack, Phase(0), id, &key));
+                    let at = first + SimDuration::from_micros(200 * (1 + i));
+                    s.engine.inject_raw(at, ENVIRONMENT, node, msg);
+                }
+            });
+            s.engine.run(SimTime::ZERO + SimDuration::from_millis(300));
+            up.seen(&mut s)
+        };
+        let (checks, victim, own) = flooded(0);
+        assert_eq!((victim, own), (false, true), "the early ack retires its update at admission");
+        assert_eq!(flooded(1024 + 16), (checks + 1024, false, true), "the rest dropped unchecked");
+    }
 }
 
 // ----- held updates: signed at admission, applied on f + 1 tagged releases -----
