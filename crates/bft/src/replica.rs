@@ -618,24 +618,31 @@ impl<P: BftPayload> Replica<P> {
         }
     }
 
-    /// Progress clock: the embedding calls this on a fixed cadence; after
-    /// the current view timeout without delivery progress while work is
-    /// pending, the replica votes to change views. Consecutive timeouts
-    /// without any delivery in between double the timeout (capped at 32x,
-    /// reset on progress), as in PBFT: a load burst that briefly outlives
-    /// one timeout must not snowball into a view-change storm whose own
-    /// cost keeps the next timeout firing.
+    /// `true` while the replica waits on the group: a request it knows of
+    /// is undelivered, or a committed slot is stuck behind a gap. (A merely
+    /// *prepared* foreign entry is the submitter's liveness problem, not
+    /// ours — avoids spurious view changes on stale entries.) The progress
+    /// clock counts only while this holds, so an embedding needs to call
+    /// [`Replica::on_tick`] only then — PBFT's backup "starts a timer when
+    /// it receives a request and the timer is not already running".
+    pub fn waiting(&self) -> bool {
+        !self.pending.is_empty()
+            || self
+                .entries
+                .range(self.last_delivered + 1..)
+                .any(|(_, e)| e.committed && !e.delivered)
+    }
+
+    /// Progress clock: the embedding calls this on a fixed cadence while
+    /// the replica is [`waiting`](Replica::waiting); after the current view
+    /// timeout without delivery progress, the replica votes to change views.
+    /// A tick that finds nothing to wait on resets the count. Consecutive
+    /// timeouts without any delivery in between double the timeout (capped
+    /// at 32x, reset on progress), as in PBFT: a load burst that briefly
+    /// outlives one timeout must not snowball into a view-change storm whose
+    /// own cost keeps the next timeout firing.
     pub fn on_tick(&mut self) -> Vec<Output<P>> {
-        // Liveness signals: our own undelivered submissions, or a committed
-        // slot stuck behind a gap. (A merely *prepared* foreign entry is the
-        // submitter's liveness problem, not ours — avoids spurious view
-        // changes on stale entries.)
-        let gap = self
-            .entries
-            .range(self.last_delivered + 1..)
-            .any(|(_, e)| e.committed && !e.delivered);
-        let waiting = !self.pending.is_empty() || gap;
-        if !waiting {
+        if !self.waiting() {
             self.ticks_waiting = 0;
             return Vec::new();
         }

@@ -47,8 +47,9 @@ const SNAP_FILE: &str = "snapshot";
 /// into a snapshot.
 const SNAPSHOT_EVERY: usize = 64;
 /// Ticks between `SyncRequest` re-broadcasts while recovering (the first
-/// request or its replies may be lost).
-const SYNC_RESEND_TICKS: u32 = 40; // 200 ms at the 5 ms tick
+/// request or its replies may be lost). Recovery keeps the tick armed, so
+/// this is 200 ms at its 5 ms period.
+const SYNC_RESEND_TICKS: u32 = 40;
 
 fn journal_to_record(j: JournalRecord<OrderedOp>) -> WalRecord {
     match j {
@@ -341,15 +342,17 @@ impl ControllerActor {
             && self.handshake_idle()
     }
 
+    /// `true` once enough WAL records accumulated for a snapshot; the tick
+    /// stays armed until [`Self::maybe_snapshot`] finds a quiescent point.
+    pub(super) fn snapshot_due(&self) -> bool {
+        self.wal.is_some() && self.records_since_snapshot >= SNAPSHOT_EVERY
+    }
+
     /// Compacts the log into an atomic snapshot and truncates the WAL,
-    /// when enough records accumulated and the actor is quiescent. Runs on
-    /// every tick; cheap when the threshold is not met.
+    /// when a snapshot is due and the actor is quiescent. Runs on every
+    /// tick, and the tick runs while one is due.
     pub(super) fn maybe_snapshot(&mut self, ctx: &mut dyn Host<Net, Obs>) {
-        if self.wal.is_none()
-            || self.recovering
-            || self.records_since_snapshot < SNAPSHOT_EVERY
-            || !self.quiescent()
-        {
+        if !self.snapshot_due() || self.recovering || !self.quiescent() {
             return;
         }
         let mut buf = Vec::new();

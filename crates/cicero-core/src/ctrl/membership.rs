@@ -4,7 +4,7 @@
 //! re-key itself, and whatever crypto level it runs at, is the seam's
 //! ([`crate::auth::Authenticator::start_rekey`]).
 
-use super::{ControllerActor, TICK, TICK_PERIOD};
+use super::ControllerActor;
 use crate::collector::Quorum;
 use crate::msg::{Net, OrderedOp, PhaseInfo};
 use crate::obs::Obs;
@@ -167,9 +167,6 @@ impl ControllerActor {
         self.releases_sent.clear();
         if self.auth.start_rekey(ctx, &self.view, false) {
             self.finish_phase_change(ctx);
-        }
-        if self.uses_consensus() {
-            ctx.set_timer(TICK_PERIOD, TICK);
         }
     }
 }

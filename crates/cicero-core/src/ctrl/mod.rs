@@ -20,6 +20,12 @@
 //! * `durable` — the write-ahead log, crash recovery and snapshot state
 //!   sync;
 //! * `membership` — phase changes with public-key-preserving resharing.
+//!
+//! Three timers drive the actor. `RETRY` runs while an update or forward
+//! awaits its answer, `HEARTBEAT` every period when heartbeats are on, and
+//! the 5 ms consensus `TICK` only while it has work: the replica waits on
+//! the group, a state sync is in flight, or a snapshot is due
+//! (`ControllerActor::arm_tick`, which every handler ends with).
 
 mod aggregate;
 mod barriers;
@@ -124,6 +130,9 @@ pub struct ControllerActor {
     /// re-sent with the kept share, tagged again in a new phase.
     releases_sent: Kept<UpdateId, Tagged<Release>>,
     retry_armed: bool,
+    /// `true` while a `TICK` is outstanding: `arm_tick` arms at most one,
+    /// and only while it has work.
+    tick_armed: bool,
     // ---- durability (ctrl/durable.rs) --------------------------------
     /// Durable storage, when provisioned.
     disk: Option<DiskHandle>,
@@ -210,6 +219,7 @@ impl ControllerActor {
             updates_sent: Kept::default(),
             releases_sent: Kept::default(),
             retry_armed: false,
+            tick_armed: false,
             disk: None,
             wal: None,
             recovered: Vec::new(),
@@ -323,9 +333,6 @@ impl Actor<Net, Obs> for ControllerActor {
         // handlers (muted), then resume live operation on recovered state.
         let recovered = std::mem::take(&mut self.recovered);
         self.replay(ctx, recovered, false);
-        if self.uses_consensus() {
-            ctx.set_timer(TICK_PERIOD, TICK);
-        }
         if let Some(hb) = self.shared.cfg.heartbeat {
             if self.active {
                 ctx.set_timer(hb, HEARTBEAT);
@@ -342,10 +349,12 @@ impl Actor<Net, Obs> for ControllerActor {
         }
         // Replay left re-admitted updates in flight: re-arm their retries.
         self.arm_retry(ctx);
+        self.arm_tick(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut dyn Host<Net, Obs>, token: TimerToken) {
         if token == TICK {
+            self.tick_armed = false;
             if self.active && !self.auth.rekeying() && !self.recovering {
                 if let Some(replica) = self.replica.as_mut() {
                     let outs = replica.on_tick();
@@ -354,7 +363,6 @@ impl Actor<Net, Obs> for ControllerActor {
             }
             self.tick_recovery(ctx);
             self.maybe_snapshot(ctx);
-            ctx.set_timer(TICK_PERIOD, TICK);
         } else if token == HEARTBEAT {
             if let Some(hb) = self.shared.cfg.heartbeat {
                 if self.active {
@@ -380,9 +388,32 @@ impl Actor<Net, Obs> for ControllerActor {
         } else if token == RETRY {
             self.on_retry_timer(ctx);
         }
+        self.arm_tick(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut dyn Host<Net, Obs>, from: NodeId, msg: Net) {
+        self.dispatch(ctx, from, msg);
+        self.arm_tick(ctx);
+    }
+}
+
+impl ControllerActor {
+    /// Arms the consensus tick while it has work and none is outstanding:
+    /// the replica is [`waiting`](Replica::waiting) on the group, a state
+    /// sync is in flight, or a snapshot is due. Every handler ends here, so
+    /// the one that creates such work starts the clock, 5 ms out; a tick
+    /// that finds none lets the chain lapse. The only place `TICK` is set.
+    fn arm_tick(&mut self, ctx: &mut dyn Host<Net, Obs>) {
+        let waiting = self.replica.as_ref().is_some_and(Replica::waiting);
+        let work = waiting || self.recovering || self.snapshot_due();
+        if !self.tick_armed && self.uses_consensus() && work {
+            self.tick_armed = true;
+            ctx.set_timer(TICK_PERIOD, TICK);
+        }
+    }
+
+    /// The body of `on_message`: hands one message to its handler.
+    fn dispatch(&mut self, ctx: &mut dyn Host<Net, Obs>, from: NodeId, msg: Net) {
         // The transport names the sender; no unsigned field restates it.
         // Consensus, heartbeats and state sync are between controllers of
         // one domain and dropped from anybody else.
@@ -501,5 +532,68 @@ impl Actor<Net, Obs> for ControllerActor {
             | Net::LinkDown { .. }
             | Net::StateSync { .. } => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::EngineConfig;
+    use crate::engine::Engine;
+    use controller::policy::DomainMap;
+    use netmodel::topology::Topology;
+    use simnet::node::{Context, Effect};
+    use simnet::time::SimTime;
+    use substrate::rng::{SeedableRng, StdRng};
+
+    /// Runs one handler call against a fresh [`Context`] and returns how
+    /// many `TICK`s it armed.
+    fn armed(
+        ctrl: &mut ControllerActor,
+        node: NodeId,
+        call: impl FnOnce(&mut ControllerActor, &mut Context<'_, Net, Obs>),
+    ) -> usize {
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut ctx = Context::new(SimTime::ZERO, node, &mut rng);
+        call(ctrl, &mut ctx);
+        let effects = ctx.into_effects();
+        effects.iter().filter(|e| matches!(e, Effect::Timer { token: TICK, .. })).count()
+    }
+
+    /// A standby controller that starts, is sent its view and joins keeps
+    /// at most one `TICK` outstanding, however many handlers create work
+    /// for it. (It once armed one in `on_start` and a second on the state
+    /// sync: two chains, 400 ticks a second and half the view-change
+    /// timeout.)
+    #[test]
+    fn a_joiner_keeps_at_most_one_tick_outstanding() {
+        let topo = Topology::single_pod(2, 2, 2);
+        let dm = DomainMap::single(&topo);
+        let mut engine = Engine::build(EngineConfig::for_mode(Mode::CICERO), topo, dm, 1);
+        let (domain, joiner) = (DomainId(0), ControllerId(5));
+        let node = engine.controller_node(domain, joiner);
+        let bootstrap = engine.controller_node(domain, ControllerId(1));
+        engine.with_controller(domain, joiner, |ctrl| {
+            assert!(!ctrl.is_active());
+            let mut view = ctrl.view().clone();
+            view.add(view.bootstrap(), joiner).expect("the bootstrap admits the joiner");
+            let mut outstanding = armed(ctrl, node, |c, ctx| c.on_start(ctx));
+            outstanding += armed(ctrl, node, |c, ctx| {
+                c.on_message(ctx, bootstrap, Net::StateSync { view: view.clone() })
+            });
+            assert!(outstanding <= 1, "{outstanding} tick chains after joining");
+            assert!(ctrl.is_active(), "modeled crypto re-keys at once");
+            assert_eq!(outstanding, 0, "joined, and nothing to order yet");
+            // Two requests to order: one tick.
+            for c in [2, 3] {
+                let cmd = Net::MembershipCmd(OrderedOp::RemoveController(ControllerId(c)));
+                outstanding += armed(ctrl, node, |a, ctx| a.on_message(ctx, ENVIRONMENT, cmd));
+                assert_eq!(outstanding, 1, "one tick while the replica waits");
+            }
+            // The tick fires and, still waiting, re-arms once.
+            outstanding -= 1;
+            outstanding += armed(ctrl, node, |c, ctx| c.on_timer(ctx, TICK));
+            assert_eq!(outstanding, 1);
+        });
     }
 }

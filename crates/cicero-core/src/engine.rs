@@ -270,7 +270,9 @@ impl Engine {
         self.sim.inject_from(at, from, to, msg);
     }
 
-    /// Runs until the event queue drains (bounded by `horizon`).
+    /// Runs until the event queue drains or `horizon`, whichever is first
+    /// (a controller ticks only while it has work, so an idle deployment
+    /// without heartbeats drains).
     pub fn run(&mut self, horizon: SimTime) {
         let _ = self.drive(horizon, false);
     }
@@ -288,10 +290,10 @@ impl Engine {
     }
 
     /// The single run loop behind [`Engine::run`] and
-    /// [`Engine::run_reporting`]. Without the watchdog it simply advances
-    /// the simulation to `horizon` (no early exit — membership-only runs
-    /// with zero flows must still reach the horizon); with it, slices the
-    /// run and checks completion/stall between slices.
+    /// [`Engine::run_reporting`]. Without the watchdog it runs to `horizon`
+    /// or until the queue drains; with it, slices the run and checks
+    /// completion/stall between slices. A drained queue with work still
+    /// outstanding (retry budgets spent, say) is a stall, reported at once.
     fn drive(&mut self, horizon: SimTime, watchdog: bool) -> RunReport {
         let mut last_obs = self.sim.observations().len();
         let mut quiet: u32 = 0;
@@ -311,8 +313,7 @@ impl Engine {
             let next_restart = self.restarts.first().map(|r| r.at);
             let restart_pending = next_restart.map(|t| t <= horizon).unwrap_or(false);
             match self.sim.next_event_at() {
-                // Drained queue with outstanding work: nothing will ever
-                // make progress again.
+                // Drained queue: nothing will ever make progress again.
                 None if !restart_pending => {
                     stalled = watchdog;
                     break;
@@ -461,6 +462,18 @@ mod tests {
     use super::*;
     use simnet::node::{Actor, Host, TimerToken};
     use southbound::types::{FlowId, HostId};
+
+    /// With no flows and heartbeats off nothing waits on anything, so in
+    /// every mode the event queue is empty one tick period after start: no
+    /// controller keeps a timer running for work it does not have.
+    #[test]
+    fn an_idle_control_plane_schedules_nothing() {
+        for mode in Mode::ALL {
+            let mut engine = default_pod_engine(mode, CryptoMode::Modeled, 2);
+            engine.run(SimTime::ZERO + SimDuration::from_millis(5));
+            assert_eq!(engine.sim.next_event_at(), None, "{}", mode.label());
+        }
+    }
 
     /// Re-arms a zero-delay timer forever once poked: events keep coming
     /// but simulated time never advances.

@@ -236,6 +236,11 @@ fn exhausted_retry_budget_reports_stall_not_hang() {
     assert!(report.stats.updates_exhausted > 0);
     // Gave up well before the horizon.
     assert!(report.end < SimTime::ZERO + SimDuration::from_secs(60));
+    // With the budgets spent no timer is left, not even a controller's
+    // consensus tick: the drained queue is the verdict, given at once, not
+    // after the watchdog's 3 s quiet window.
+    let last = engine.observations().last().expect("the run observed").at;
+    assert!(report.end < last + SimDuration::from_secs(3), "last observation at {last}: {report}");
 }
 
 /// A clean run through the watchdog: completes, nothing outstanding, no

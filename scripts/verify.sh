@@ -130,6 +130,19 @@ if find crates src examples -name '*.rs' -not -path 'crates/*/tests/*' -print0 |
     exit 1
 fi
 
+echo "== the consensus tick is armed in one place (ControllerActor::arm_tick) =="
+# A controller's TICK runs only while it has work (DESIGN.md §Reliable
+# delivery): arm_tick sets it, once per chain. A second set_timer(.., TICK)
+# in a handler would restart a free-running chain beside it.
+tick_sites=$(find crates/cicero-core/src -name '*.rs' -print0 | xargs -0 awk '
+        match($0, /fn [a-z_0-9]+/) { f = substr($0, RSTART + 3, RLENGTH - 3) }
+        /set_timer\([^)]*, TICK\)/ { print FILENAME ":" FNR ": in fn " f }')
+if [ "$(printf '%s\n' "$tick_sites" | grep -c .)" -ne 1 ] || ! printf '%s\n' "$tick_sites" | grep -q ": in fn arm_tick$"; then
+    printf '%s\n' "$tick_sites" >&2
+    echo "verify.sh: set_timer(TICK_PERIOD, TICK) must occur exactly once under crates/cicero-core/src, in ControllerActor::arm_tick" >&2
+    exit 1
+fi
+
 echo "== the signed receipts, signed events, acks, reports and readies, identity-key signing, dealt pair keys, a second cross-domain recovery path, hand-written kept archives, a second phase-notice collector, detlint's compiler-proven rules, reliability and delivery-trace settings, a second event message and hand-kept early-word ledgers stay deleted =="
 if grep -rn "BoundaryRelease\b\|ReleaseBody\|SegwayReadyAck\|READY_RECEIPT\|ReadyReceipted\|ready_out\|Signed<AckBody>\|Signed<NackBody>\|SegmentQuery\b\|SegmentQueried\|reforward_segway\|segway_events\|PairKeys\|pair_keys\|seg_shares\|ShareSigned<SegmentBody>\|Signed<ReadyBody>\|KeptReady\|KeptReport\|kept_updates\|struct Relayed\|phase_partials\|fn real_crypto\|QuorumSigned::aggregate\|Signed<Event>\|fn verify_latency\|event_sign\|auth\.sign(\|TRACKED_ENUMS\|fn parse_enums\|fn variant_uses\|fn write_ahead\|CRYPTO_MODE_ALLOWED\|keys\.dummy\|ReliabilityConfig\|trace_deliveries\|ForwardedEvent\|with_policy\|early_releases\|early_readies\|early_reports\|MAX_EARLY_RELEASES\|MAX_EARLY_REPORTS\|BarrierState\|BarrierExpect\|record_barrier_signer" \
     crates src tests examples --include=*.rs; then
