@@ -9,7 +9,7 @@
 
 use blscrypto::batch::{batch_verify, BatchItem};
 use blscrypto::bls::{self, PreparedKey, SecretKey};
-use blscrypto::curves::{g1_generator, hash_to_g1};
+use blscrypto::curves::{g1_generator, g1_mul_glv_lever, hash_to_g1};
 use blscrypto::dkg;
 use blscrypto::fields::{Fp, Fr};
 use blscrypto::pairing::{
@@ -52,6 +52,8 @@ fn bench_levers(c: &mut Harness) {
     c.bench_function("g1_mul_wnaf", |bch| {
         bch.iter(|| black_box(g1.mul_limbs(&a.to_raw())))
     });
+    // The same product by the GLV split `SecretKey::sign` uses.
+    c.bench_function("g1_mul_glv", |bch| bch.iter(|| black_box(g1_mul_glv_lever(a))));
 
     let p = g1.to_affine();
     let p2 = g1.mul_fr(a).to_affine();

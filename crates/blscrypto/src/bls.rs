@@ -63,9 +63,10 @@ impl SecretKey {
         PublicKey(g2_mul_generator(self.0).to_affine())
     }
 
-    /// Signs a message: `σ = H(m) · sk`.
+    /// Signs a message: `σ = H(m) · sk`, multiplied by GLV (`H(m)` is in
+    /// `G1` by construction).
     pub fn sign(&self, msg: &[u8]) -> Signature {
-        Signature(hash_to_g1(msg, SIGNATURE_DOMAIN).mul_fr(self.0).to_affine())
+        Signature(hash_to_g1(msg, SIGNATURE_DOMAIN).mul_glv(self.0).to_affine())
     }
 }
 

@@ -7,12 +7,17 @@
 //! a bit anywhere in the stack fails with the *name* of the offending
 //! vector rather than a distant protocol-level test.
 //!
-//! The vectors were recorded from the reference (pre-optimization)
-//! implementations and cross-checked against the fast paths by the
-//! differential suite. `pairing_digest` is the reduced *Tate* value
-//! [`reference::pairing`] computes: it pins the oracle itself, which the
-//! shipped ate pairing is then held to by decision (see
-//! [`crate::differential`]). To regenerate after an *intentional* change:
+//! The generator, tower and pairing vectors were recorded from the
+//! reference (pre-optimization) implementations and cross-checked against
+//! the fast paths by the differential suite. The `hash_to_g1` and
+//! `sign_verify` vectors were regenerated when cofactor clearing moved from
+//! `H1` to `h_eff`, which maps each candidate to a different `G1` point;
+//! the differential suite holds that output's subgroup membership and the
+//! GLV signing product to the reference ladder. `pairing_digest` is the
+//! reduced *Tate* value [`reference::pairing`] computes: it pins the
+//! oracle itself, which the shipped ate pairing is then held to by
+//! decision (see [`crate::differential`]). To regenerate after an
+//! *intentional* change:
 //!
 //! ```text
 //! cargo test -p blscrypto --lib -- --ignored regen_fixtures

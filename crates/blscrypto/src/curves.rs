@@ -349,27 +349,36 @@ impl<C: CurveParams> Projective<C> {
     /// a doubling chain of its own for each term of the plain binary ladder
     /// (which the test oracle keeps, to pin this one).
     pub fn sum_of_products(terms: &[(Self, &[u64])]) -> Self {
-        const WIDTH: u32 = 5;
-        const TABLE: usize = 1 << (WIDTH - 2);
         let terms: Vec<(Self, Vec<i8>)> = terms
             .iter()
-            .map(|(p, k)| (*p, wnaf_digits(k, WIDTH)))
+            .map(|(p, k)| (*p, wnaf_digits(k, WNAF_WIDTH)))
             .filter(|(p, digits)| !p.is_identity() && !digits.is_empty())
             .collect();
-        let mut multiples = Vec::with_capacity(terms.len() * TABLE);
-        for (p, _) in &terms {
+        let tables = Self::odd_multiples(terms.iter().map(|(p, _)| p));
+        let terms: Vec<_> = tables.chunks(WNAF_TABLE).zip(terms).map(|(t, (_, d))| (t, d)).collect();
+        Self::straus(&terms)
+    }
+
+    /// Each point's `[1]P, [3]P, …, [15]P`, normalized by one inversion.
+    fn odd_multiples<'a>(points: impl Iterator<Item = &'a Self>) -> Vec<Affine<C>> {
+        let mut multiples = Vec::new();
+        for p in points {
             let two_p = p.double();
             multiples.push(*p);
-            for _ in 1..TABLE {
+            for _ in 1..WNAF_TABLE {
                 multiples.push(multiples[multiples.len() - 1].add(&two_p));
             }
         }
-        let tables = Self::batch_normalize(&multiples);
+        Self::batch_normalize(&multiples)
+    }
+
+    /// One doubling chain over `(odd multiples, wNAF digits)` terms.
+    fn straus(terms: &[(&[Affine<C>], Vec<i8>)]) -> Self {
         let len = terms.iter().map(|(_, d)| d.len()).max().unwrap_or(0);
         let mut acc = Projective::identity();
         for bit in (0..len).rev() {
             acc = acc.double();
-            for ((_, digits), table) in terms.iter().zip(tables.chunks(TABLE)) {
+            for (table, digits) in terms {
                 match digits.get(bit).copied().unwrap_or(0) {
                     0 => {}
                     d if d > 0 => acc = acc.add_mixed(&table[(d as usize - 1) / 2]),
@@ -426,6 +435,43 @@ impl<C: CurveParams> std::ops::Neg for Projective<C> {
     }
 }
 
+impl G1Projective {
+    /// `[k]P` by the Gallant–Lambert–Vanstone split `k = k₁ + k₂·λ`
+    /// (`k₁, k₂ < 2¹²⁸`): `[k₁]P + [k₂]φ(P)` on one 128-step Straus chain,
+    /// half the doublings of [`Self::mul_fr`]. φ's table is `P`'s with every
+    /// `x` multiplied by β.
+    ///
+    /// **`P` must be in `G1`.** `φ(x, y) = (βx, y)` acts as `[λ]` on the
+    /// `r`-torsion only; on any other point this is not `[k]P`. It runs on
+    /// [`hash_to_g1`]'s output in [`crate::bls::SecretKey::sign`] and on the
+    /// generator in [`g1_mul_glv_lever`]; every multiplication of a point
+    /// the crate did not make keeps the ladder.
+    pub(crate) fn mul_glv(&self, k: Fr) -> Self {
+        let (k2, k1) = div_rem_lambda(k.to_raw());
+        let beta = Fp::from_raw(BETA);
+        let table = Self::odd_multiples([*self].iter());
+        let phi: Vec<G1Affine> = table.iter().map(|p| Affine { x: p.x * beta, ..*p }).collect();
+        let digits = |k: u128| wnaf_digits(&[k as u64, (k >> 64) as u64], WNAF_WIDTH);
+        Self::straus(&[(&table, digits(k1)), (&phi, digits(k2))])
+    }
+}
+
+/// `(⌊k/λ⌋, k mod λ)` for `k < r` by binary long division (`carry` is the
+/// shifted remainder's 129th bit); both fit 128 bits as `r = λ² + λ + 1`.
+fn div_rem_lambda(k: [u64; 4]) -> (u128, u128) {
+    let (mut q, mut rem) = (0u128, 0u128);
+    for i in (0..256).rev() {
+        let carry = rem >> 127 == 1;
+        rem = rem << 1 | ((k[i / 64] >> (i % 64)) & 1) as u128;
+        q <<= 1;
+        if carry || rem >= LAMBDA {
+            rem = rem.wrapping_sub(LAMBDA);
+            q |= 1;
+        }
+    }
+    (q, rem)
+}
+
 /// `G1` affine point.
 pub type G1Affine = Affine<G1Params>;
 /// `G1` projective point.
@@ -434,6 +480,10 @@ pub type G1Projective = Projective<G1Params>;
 pub type G2Affine = Affine<G2Params>;
 /// `G2` projective point.
 pub type G2Projective = Projective<G2Params>;
+
+/// The wNAF width of variable-base multiplication, and its table size.
+const WNAF_WIDTH: u32 = 5;
+const WNAF_TABLE: usize = 1 << (WNAF_WIDTH - 2);
 
 /// Computes the width-`w` non-adjacent form of a little-endian limb scalar:
 /// odd digits in `(-2^(w-1), 2^(w-1))`, least-significant first.
@@ -526,6 +576,19 @@ pub const X_ABS: u64 = 0xd201_0000_0001_0000;
 
 /// The cofactor `#E(Fp) / r = (p + |x|) / r` of `G1`.
 const H1: [u64; 2] = [0x8c00_aaab_0000_aaab, 0x396c_8c00_5555_e156];
+
+/// `h_eff = 1 − x`: like `H1` it maps `E(Fp)` into `G1`, in 64 bits, not 126
+/// (Wahby & Boneh, <https://eprint.iacr.org/2019/403>; RFC 9380 §8.8.1).
+const H_EFF: u64 = X_ABS + 1;
+
+/// `λ = x² − 1`, a cube root of unity mod `r` (`λ² + λ + 1 = r`).
+pub(crate) const LAMBDA: u128 = (X_ABS as u128) * (X_ABS as u128) - 1;
+
+/// β, the cube root of unity in `Fp` (raw limbs) with `(βx, y) = [λ](x, y)` on `G1`.
+const BETA: [u64; 6] = [
+    0x8bfd_0000_0000_aaac, 0x4094_27eb_4f49_fffd, 0x897d_2965_0fb8_5f9b,
+    0xaa0d_857d_8975_9ad4, 0xec02_4086_63d4_de85, 0x1a01_11ea_397f_e699,
+];
 
 /// The cofactor `#E'(Fp2) / r` of `G2`.
 const H2: [u64; 8] = [
@@ -625,8 +688,28 @@ pub fn g2_mul_generator(k: Fr) -> G2Projective {
     g2_gen_table().mul(&k.to_raw())
 }
 
+/// `[h_eff]P`: 63 doublings and 6 mixed additions of `p` itself, the set
+/// bits below the top one of the weight-7 scalar.
+fn clear_cofactor(p: &G1Affine) -> G1Projective {
+    let mut acc = p.to_projective();
+    for i in (0..63).rev() {
+        acc = acc.double();
+        if (H_EFF >> i) & 1 == 1 {
+            acc = acc.add_mixed(p);
+        }
+    }
+    acc
+}
+
+/// `[k]G1` by GLV for the `g1_mul_glv` benchmark: no caller's point reaches
+/// [`G1Projective::mul_glv`] through it.
+#[doc(hidden)]
+pub fn g1_mul_glv_lever(k: Fr) -> G1Projective {
+    g1_generator().mul_glv(k)
+}
+
 /// Hashes an arbitrary message into `G1` (try-and-increment + cofactor
-/// clearing), with a domain-separation tag.
+/// clearing by `h_eff`), with a domain-separation tag.
 ///
 /// This is the `H: {0,1}* → G1` of BLS signatures. Not constant-time; see
 /// the crate-level caveats.
@@ -651,7 +734,7 @@ pub fn hash_to_g1(msg: &[u8], domain: &str) -> G1Projective {
             if d0[31] & 1 == 1 {
                 point = point.neg();
             }
-            let cleared = point.to_projective().mul_limbs(&H1);
+            let cleared = clear_cofactor(&point);
             if !cleared.is_identity() {
                 return cleared;
             }
@@ -835,6 +918,76 @@ mod tests {
         let (h2, rem) = twist_order().div_rem(&r);
         assert!(rem.is_zero(), "r does not divide #E'(Fp2)");
         assert_eq!(BigUint::from_limbs_le(&H2), h2);
+    }
+
+    /// λ and β from `x`, not from memory: `λ = x² − 1` is a root of
+    /// `λ² + λ + 1 = r`, and β is the one of the two non-trivial cube roots
+    /// of unity `(−1 ± √−3)/2` in `Fp` whose `φ` is `[λ]` on `G1`.
+    #[test]
+    fn glv_constants_match_the_derivation_from_x() {
+        let one = BigUint::one();
+        let x = BigUint::from_u64(X_ABS);
+        let lambda = x.mul(&x).sub(&one);
+        let r = BigUint::from_limbs_le(&Fr::MODULUS);
+        assert_eq!(lambda.mul(&lambda).add(&lambda).add(&one), r);
+        assert_eq!(
+            BigUint::from_limbs_le(&[LAMBDA as u64, (LAMBDA >> 64) as u64]),
+            lambda
+        );
+        assert_eq!(H_EFF, X_ABS + 1, "h_eff = 1 - x with x = -X_ABS");
+
+        let sqrt_m3 = (-Fp::from_u64(3)).sqrt().expect("p = 1 (mod 3)");
+        let half = Fp::from_u64(2).invert().expect("p is odd");
+        let g = g1_generator();
+        let (ga, lambda_g) = (g.to_affine(), g.mul_limbs_binary(lambda.limbs()).to_affine());
+        let beta = [(sqrt_m3 - Fp::one()) * half, (-sqrt_m3 - Fp::one()) * half]
+            .into_iter()
+            .find(|b| (ga.x * *b, ga.y) == (lambda_g.x, lambda_g.y))
+            .expect("one cube root of unity acts as [λ] on G1");
+        assert!(beta != Fp::one() && beta.square() * beta == Fp::one());
+        assert_eq!(Fp::from_raw(BETA), beta);
+    }
+
+    #[test]
+    fn h_eff_clears_seeded_candidates_into_g1() {
+        let mut outside = 0;
+        for i in 0..16 {
+            let p = g1_seeded(&format!("H_EFF_SAMPLE_{i}"));
+            outside += usize::from(!p.to_projective().is_torsion_free());
+            let cleared = clear_cofactor(&p);
+            assert!(!cleared.is_identity(), "sample {i} cleared to the identity");
+            assert!(cleared.is_torsion_free(), "sample {i} escaped G1");
+            assert_eq!(cleared, p.to_projective().mul_limbs_binary(&[H_EFF]));
+        }
+        assert!(outside > 0, "no sample started outside G1");
+    }
+
+    /// Why GLV stays behind `SecretKey::sign`: φ is `[λ]` on `G1` alone, so
+    /// on a curve point outside it the split computes some other point. The
+    /// multiplications that take a point from outside — `is_torsion_free`,
+    /// and so `from_bytes`, `mul_limbs` and the aggregate's received shares
+    /// — keep the ladder, which is right for every curve point. A GLV `[r]P`
+    /// would be `P + φ(P) + φ²(P)` (`r = 1 + λ + λ²`), the identity for
+    /// *every* point: a subgroup check built on it would accept anything.
+    #[test]
+    fn glv_disagrees_with_the_ladder_outside_g1() {
+        let p = (1u64..200)
+            .filter_map(|x| G1Affine::from_x(Fp::from_u64(x)))
+            .map(|p| p.to_projective())
+            .find(|p| !p.is_torsion_free())
+            .expect("an off-subgroup point among small x values");
+        let lambda = [LAMBDA as u64, (LAMBDA >> 64) as u64];
+        let mut rng = StdRng::seed_from_u64(0x6c5);
+        for k in [Fr::from_raw([lambda[0], lambda[1], 0, 0]), Fr::random(&mut rng)] {
+            assert_ne!(p.mul_glv(k), p.mul_limbs_binary(&k.to_raw()));
+        }
+        let phi = |q: &G1Projective| {
+            let a = q.to_affine();
+            Affine { x: a.x * Fp::from_raw(BETA), ..a }.to_projective()
+        };
+        assert!((p + phi(&p) + phi(&phi(&p))).is_identity());
+        assert!(!p.is_torsion_free());
+        assert!(G1Affine::from_bytes(&p.to_affine().to_bytes()).is_none());
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::batch::{batch_verify, BatchItem};
 use crate::bigint::BigUint;
 use crate::bls::{self, PreparedKey, PublicKey, SecretKey, Signature, SIGNATURE_DOMAIN};
 use crate::curves::{
-    g1_generator, g2_generator, hash_to_g1, CurveParams, G1Affine, G2Affine, Projective,
+    g1_generator, g2_generator, hash_to_g1, CurveParams, G1Affine, G2Affine, Projective, LAMBDA,
 };
 use crate::fields::{Fp, Fr};
 use crate::pairing;
@@ -203,6 +203,37 @@ fn wnaf_scalar_edge_cases() {
     assert_eq!(g1.mul_limbs(&Fr::MODULUS), g1.mul_limbs_binary(&Fr::MODULUS));
     let id = crate::curves::G1Projective::identity();
     assert!(id.mul_limbs(&[7, 7, 7, 7]).is_identity());
+}
+
+/// GLV against the binary ladder on `G1` points: random scalars, the
+/// scalars around λ and `r`, and scalars whose `k₁` (multiples of λ) or
+/// `k₂` (below λ) is zero.
+#[test]
+fn g1_glv_matches_binary_ladder() {
+    let fr = |k: u128| Fr::from_raw([k as u64, (k >> 64) as u64, 0, 0]);
+    let lambda = fr(LAMBDA);
+    let (zero, one) = (Fr::zero(), Fr::one());
+    let edges = [zero, one, lambda - one, lambda, lambda + one, -one];
+    substrate::forall!(cases = 24, |g| {
+        let base = match g.bool() {
+            true => hash_to_g1(&g.bytes(24), "DIFF_GLV"),
+            false => g1_generator().mul_limbs_binary(&arb_fr(g).to_raw()),
+        };
+        let k = match g.usize_in(0..4) {
+            0 => arb_fr(g),
+            1 => *g.choose(&edges),
+            2 => fr(u128::from(g.u64())) * lambda,
+            _ => {
+                let [lo, hi] = g.limbs::<2>();
+                fr((u128::from(hi) << 64 | u128::from(lo)) % LAMBDA)
+            }
+        };
+        assert_eq!(base.mul_glv(k), base.mul_limbs_binary(&k.to_raw()), "k = {k:?}");
+    });
+    let g1 = g1_generator();
+    for k in edges {
+        assert_eq!(g1.mul_glv(k), g1.mul_limbs_binary(&k.to_raw()), "k = {k:?}");
+    }
 }
 
 /// Straus' shared doubling chain against one binary ladder per term, on

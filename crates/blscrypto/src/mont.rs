@@ -401,7 +401,9 @@ pub fn jacobi<const N: usize>(mut a: [u64; N], mut m: [u64; N]) -> i32 {
     }
 }
 
-/// Montgomery exponentiation with a little-endian limb exponent.
+/// Montgomery exponentiation with a little-endian limb exponent: a width-5
+/// sliding window over the odd powers `base¹, base³, …, base³¹`, one
+/// multiplication per window instead of one per set bit.
 ///
 /// `base` is in Montgomery form; the result is in Montgomery form. `one_mont`
 /// must be `R mod m`.
@@ -412,26 +414,37 @@ pub fn mont_pow<const N: usize>(
     inv: u64,
     one_mont: [u64; N],
 ) -> [u64; N] {
-    let mut acc = one_mont;
-    let mut started = false;
-    for i in (0..exp.len() * 64).rev() {
-        if started {
-            acc = mont_mul(acc, acc, m, inv);
-        }
-        if (exp[i / 64] >> (i % 64)) & 1 == 1 {
-            if started {
-                acc = mont_mul(acc, base, m, inv);
-            } else {
-                acc = base;
-                started = true;
+    const WIDTH: usize = 5;
+    let bit = |i: usize| (exp[i / 64] >> (i % 64)) & 1;
+    let square = mont_mul(base, base, m, inv);
+    let mut odd = [base; 1 << (WIDTH - 1)];
+    for j in 1..odd.len() {
+        odd[j] = mont_mul(odd[j - 1], square, m, inv);
+    }
+    let mut acc: Option<[u64; N]> = None;
+    let mut i = exp.len() * 64;
+    while i > 0 {
+        // A set bit opens a window `lo..i` of at most WIDTH bits that ends on
+        // a set bit; a clear bit is a window of its own.
+        let mut lo = i - 1;
+        if bit(lo) == 1 {
+            lo = i.saturating_sub(WIDTH);
+            while bit(lo) == 0 {
+                lo += 1;
             }
         }
+        if let Some(a) = acc.as_mut() {
+            for _ in lo..i {
+                *a = mont_mul(*a, *a, m, inv);
+            }
+        }
+        if bit(i - 1) == 1 {
+            let d = (lo..i).rev().fold(0, |d, b| d << 1 | bit(b) as usize);
+            acc = Some(acc.map_or(odd[d / 2], |a| mont_mul(a, odd[d / 2], m, inv)));
+        }
+        i = lo;
     }
-    if started {
-        acc
-    } else {
-        one_mont
-    }
+    acc.unwrap_or(one_mont)
 }
 
 #[cfg(test)]

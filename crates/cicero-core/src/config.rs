@@ -229,7 +229,7 @@ impl CostModel {
             bls_verify: SimDuration::from_micros(1390),
             aggregate_per_share: SimDuration::from_micros(75),
             batch_verify_per_item: SimDuration::from_micros(615),
-            update_sign: SimDuration::from_micros(265),
+            update_sign: SimDuration::from_micros(155),
             ..CostModel::default()
         }
     }

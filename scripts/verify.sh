@@ -143,6 +143,26 @@ if [ "$(printf '%s\n' "$tick_sites" | grep -c .)" -ne 1 ] || ! printf '%s\n' "$t
     exit 1
 fi
 
+echo "== GLV multiplies only points made in G1 (SecretKey::sign) =="
+# G1Projective::mul_glv is [k]P only on the r-torsion (DESIGN.md §3d): its
+# callers outside tests are SecretKey::sign, on hash_to_g1's output, and
+# the benchmark lever, on the generator. A point received off the wire must
+# never reach it, so any other call fails here.
+glv_sites=$(find crates src -name '*.rs' -not -path 'crates/*/tests/*' \
+        -not -name differential.rs -not -name reference.rs -print0 | xargs -0 awk '
+        FNR == 1 { tests = 0 }
+        $0 == "#[cfg(test)]" { tests = 1 }
+        match($0, /fn [a-z_0-9]+/) { f = substr($0, RSTART + 3, RLENGTH - 3) }
+        !tests && /mul_glv\(/ && !/fn mul_glv\(/ { print FILENAME ": in fn " f ": " $0 }' |
+    sed 's/  */ /g')
+expected_glv_sites="crates/blscrypto/src/bls.rs: in fn sign: Signature(hash_to_g1(msg, SIGNATURE_DOMAIN).mul_glv(self.0).to_affine())
+crates/blscrypto/src/curves.rs: in fn g1_mul_glv_lever: g1_generator().mul_glv(k)"
+if [ "$(printf '%s\n' "$glv_sites" | sort)" != "$expected_glv_sites" ]; then
+    printf '%s\n' "$glv_sites" >&2
+    echo "verify.sh: mul_glv is called on hash_to_g1's output in SecretKey::sign and on the generator in g1_mul_glv_lever, nowhere else" >&2
+    exit 1
+fi
+
 echo "== the signed receipts, signed events, acks, reports and readies, identity-key signing, dealt pair keys, a second cross-domain recovery path, hand-written kept archives, a second phase-notice collector, detlint's compiler-proven rules, reliability and delivery-trace settings, a second event message and hand-kept early-word ledgers stay deleted =="
 if grep -rn "BoundaryRelease\b\|ReleaseBody\|SegwayReadyAck\|READY_RECEIPT\|ReadyReceipted\|ready_out\|Signed<AckBody>\|Signed<NackBody>\|SegmentQuery\b\|SegmentQueried\|reforward_segway\|segway_events\|PairKeys\|pair_keys\|seg_shares\|ShareSigned<SegmentBody>\|Signed<ReadyBody>\|KeptReady\|KeptReport\|kept_updates\|struct Relayed\|phase_partials\|fn real_crypto\|QuorumSigned::aggregate\|Signed<Event>\|fn verify_latency\|event_sign\|auth\.sign(\|TRACKED_ENUMS\|fn parse_enums\|fn variant_uses\|fn write_ahead\|CRYPTO_MODE_ALLOWED\|keys\.dummy\|ReliabilityConfig\|trace_deliveries\|ForwardedEvent\|with_policy\|early_releases\|early_readies\|early_reports\|MAX_EARLY_RELEASES\|MAX_EARLY_REPORTS\|BarrierState\|BarrierExpect\|record_barrier_signer" \
     crates src tests examples --include=*.rs; then
@@ -165,7 +185,9 @@ echo "== perf regression gate (benchkit compare vs BENCH_protocol.json) =="
 # bls_verify_prepared ≤ 2.8 ms; a four-signer same-message batch
 # (batch_verify_4_same_msg) ≤ 4.3 ms; one ack's tag plus its check
 # (hmac_tag_ack) ≤ 7.7 µs; deriving one pair key (pair_key_derive: a G2
-# scalar multiplication and the HKDF) ≤ 800 µs; batch_verify_64 amortized
+# scalar multiplication and the HKDF) ≤ 800 µs; one share-sign
+# (threshold_sign_share: a hash and a GLV multiply) ≤ 310 µs and one hash
+# (hash_to_g1, cleared by h_eff) ≤ 142 µs; batch_verify_64 amortized
 # ≤ 2 ms per update (the paper-level target); and one cross-domain
 # boundary's whole handshake (handshake_boundary_n4: 16 report tags, 8 tag
 # checks, nothing else) ≤ 92 µs. The last one is what keeps the handshake
@@ -190,6 +212,8 @@ if [ -z "${SKIP_BENCH_GATE:-}" ]; then
         --cap batch_verify_4_same_msg=4300000 \
         --cap hmac_tag_ack=7700 \
         --cap pair_key_derive=800000 \
+        --cap threshold_sign_share=310000 \
+        --cap hash_to_g1=142000 \
         --cap batch_verify_64/64=2000000
     cargo run -q --offline --release -p bench --bin benchgate -- \
         BENCH_protocol.json "$fresh_bench" protocol \
