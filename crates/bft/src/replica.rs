@@ -17,6 +17,10 @@
 //! detected by digest. Checkpoint garbage collection is omitted: simulation
 //! runs are finite (documented deviation from BFT-SMaRt).
 
+// A protocol hot path: a panic here states its invariant (`expect("…")`,
+// checked by scripts/verify.sh).
+#![deny(clippy::unwrap_used, clippy::todo, clippy::unimplemented)]
+
 use crate::message::{BftMessage, BftPayload, Digest, Prepared, ReplicaId, Seq, Slot, View};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 

@@ -26,10 +26,12 @@
 //!
 //! A membership change (paper §4.3) runs through here too, the same steps
 //! at every level: [`Authenticator::start_rekey`] deals this member's share
-//! to the new membership — below `Real` it installs placeholder keys at
-//! once — and [`Authenticator::offer_dealing`] counts what the other
-//! dealers send, until the new share and commitment are installed under
-//! the unchanged group key. The phase notice is then share-signed and
+//! to the new membership if it is one of the designated dealers — below
+//! `Real` it installs placeholder keys at once — and
+//! [`Authenticator::offer_dealing`] counts what the other designated dealers
+//! send, until the new share and commitment are installed under the
+//! unchanged group key. Every member combines the same dealer set, so the
+//! new shares lie on one polynomial. The phase notice is then share-signed and
 //! [`Authenticator::collect`]ed like every other quorum.
 
 use crate::collector::{Check, Quorum, QuorumCollector};
@@ -49,7 +51,7 @@ use simnet::time::SimDuration;
 use southbound::codec::Wire;
 use southbound::envelope::{MsgId, QuorumSigned, ShareSigned, Tagged};
 use southbound::types::{ControllerId, DomainId, Phase, SwitchId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// A holder of an identity key: one end of a pair key.
@@ -99,11 +101,12 @@ enum Level {
 }
 
 /// A re-key in flight: the phase it enters, the commitment the dealings are
-/// checked against and the shape of the new sharing.
+/// checked against, the shape of the new sharing and who deals it.
 struct PendingReshare {
     phase: Phase,
     old_group: GroupPublic,
     new_cfg: DkgConfig,
+    dealers: BTreeSet<ControllerId>,
 }
 
 /// One actor's keys and verification policy. Also owns its
@@ -223,14 +226,15 @@ impl Authenticator {
     }
 
     /// Starts re-keying this controller for `view`, the membership of the
-    /// phase being entered: a `dealer` deals its share to every member of
-    /// `view`. `true` once the new keys are installed — at once below
-    /// `Real`, where placeholder keys of the new shape are all there is.
+    /// phase being entered: each of the designated `dealers` deals its
+    /// share to every member of `view`, and only their dealings count.
+    /// `true` once the new keys are installed — at once below `Real`, where
+    /// placeholder keys of the new shape are all there is.
     pub fn start_rekey(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
         view: &ControlPlaneView,
-        dealer: bool,
+        dealers: BTreeSet<ControllerId>,
     ) -> bool {
         let phase = view.phase();
         let new_cfg = DkgConfig::new(view.len() as u32, view.threshold_t()).expect("valid view");
@@ -238,7 +242,7 @@ impl Authenticator {
             self.rekey(phase, None, fake_group(new_cfg.n, new_cfg.t));
             return true;
         }
-        if dealer {
+        if dealers.contains(&ControllerId(self.origin)) {
             let share = self.share.as_ref().expect("dealers hold shares");
             let members: Vec<u32> = view.members().map(|c| c.0).collect();
             let dealing = deal_reshare_to(share, new_cfg.t, &members, ctx.rng());
@@ -248,7 +252,7 @@ impl Authenticator {
             }
         }
         let old_group = self.group().clone();
-        self.pending = Some(PendingReshare { phase, old_group, new_cfg });
+        self.pending = Some(PendingReshare { phase, old_group, new_cfg, dealers });
         self.try_finish_rekey()
     }
 
@@ -259,8 +263,9 @@ impl Authenticator {
     }
 
     /// Offers a dealing for the re-key of `phase` that arrived from `from`.
-    /// It counts only over its dealer's own channel, and only the first of
-    /// each dealer does. `true` when it completes the re-key in flight.
+    /// It counts only over its dealer's own channel, only if that dealer is
+    /// designated, and only the first of each dealer does. `true` when it
+    /// completes the re-key in flight.
     pub fn offer_dealing(&mut self, from: NodeId, phase: Phase, dealing: ReshareDealing) -> bool {
         let dealer = Peer::Controller(self.domain, ControllerId(dealing.dealer));
         if phase <= self.keyed || self.shared.dir.peer(from) != Some(dealer) {
@@ -273,8 +278,10 @@ impl Authenticator {
         self.try_finish_rekey()
     }
 
-    /// Installs the new keys from the first `old t + 1` valid dealings, once
-    /// that many have arrived; an invalid one is passed over, not fatal.
+    /// Installs the new keys from the first `old t + 1` valid dealings of
+    /// designated dealers, once that many have arrived; an invalid one, or
+    /// one dealt uninvited (it may arrive before the re-key starts), is
+    /// passed over, not fatal.
     fn try_finish_rekey(&mut self) -> bool {
         let Some(p) = &self.pending else {
             return false;
@@ -282,6 +289,7 @@ impl Authenticator {
         let need = p.old_group.config.t as usize + 1;
         let filed = self.dealings.get(&p.phase).into_iter().flatten();
         let valid: Vec<ReshareDealing> = filed
+            .filter(|d| p.dealers.contains(&ControllerId(d.dealer)))
             .filter(|d| verify_reshare_dealing(d, &p.old_group, p.new_cfg, self.origin))
             .take(need)
             .cloned()
@@ -436,7 +444,7 @@ impl Authenticator {
     /// share occupies only its sender's slot — otherwise one Byzantine
     /// controller racing garbage in under its peers' indices gets their
     /// honest shares refused as duplicates and then, when the aggregate
-    /// fails, the honest *signers* blacklisted. Check before [`Self::collect`].
+    /// fails, the honest *signers* evicted for good. Check before [`Self::collect`].
     pub fn own_slot<T>(&self, from: NodeId, domain: DomainId, msg: &ShareSigned<T>) -> bool {
         let index = msg.partial.index;
         msg.msg_id.origin == index

@@ -5,11 +5,13 @@
 //! `(key, phase)` and per *identical* payload; once a bucket holds a quorum
 //! of distinct signers, aggregate **all** of them and verify the aggregate
 //! once against the group public key; only if that fails, verify each share
-//! against its Feldman-derived share key, evict and blacklist the culprits,
-//! and wait for honest replacements. The switch (updates, Segway bodies),
-//! the aggregator and the phase notice's collector all collect through this
-//! one type, so a rogue share costs every verifier the same and is handled
-//! the same.
+//! against its Feldman-derived share key, evict the culprits, and wait for
+//! honest replacements. A signer has one share per `(key, phase)`: its
+//! second, for whatever payload, is refused, so it cannot open a payload
+//! variant per share, nor replace a share once evicted. The switch
+//! (updates, Segway bodies), the aggregator and the phase notice's
+//! collector all collect through this one type, so a rogue share costs
+//! every verifier the same and is handled the same.
 //!
 //! Per-share eviction derives share keys from the [`GroupPublic`] the
 //! caller passes. Switches and remote domains only hold the *bootstrap*
@@ -29,8 +31,6 @@ use std::collections::{BTreeMap, BTreeSet};
 struct Bucket<T> {
     payload: T,
     partials: BTreeMap<u32, PartialSignature>,
-    /// Signers whose share failed individual verification (Byzantine).
-    blacklisted: BTreeSet<u32>,
 }
 
 /// A verified quorum: the payload, who signed it, and the group signature.
@@ -50,8 +50,8 @@ pub enum Quorum<T> {
     /// No payload variant holds `quorum` distinct signers yet.
     Below,
     /// The aggregate of `shares` shares did not verify; each share was then
-    /// checked singly, the failing ones evicted and their signers
-    /// blacklisted. The bucket waits for honest replacements.
+    /// checked singly and the failing ones evicted; their signers stay
+    /// seen. The bucket waits for honest replacements.
     Rejected {
         /// Shares aggregated, and afterwards verified one by one.
         shares: usize,
@@ -85,10 +85,14 @@ pub struct Check<'a> {
     pub keys: Option<(&'a PreparedKey, &'a GroupPublic)>,
 }
 
+/// The shares of one `(key, phase)`: every signer seen there (evicted ones
+/// included), and one bucket per payload variant.
+type Entry<T> = (BTreeSet<u32>, Vec<Bucket<T>>);
+
 /// Share buckets keyed by `(K, phase)`, one bucket per distinct payload.
 #[derive(Clone, Debug)]
 pub struct QuorumCollector<K, T> {
-    entries: BTreeMap<(K, Phase), Vec<Bucket<T>>>,
+    entries: BTreeMap<(K, Phase), Entry<T>>,
 }
 
 impl<K: Ord + Copy, T: Wire + Eq + Clone> QuorumCollector<K, T> {
@@ -100,26 +104,24 @@ impl<K: Ord + Copy, T: Wire + Eq + Clone> QuorumCollector<K, T> {
     }
 
     /// Buckets one share of `payload` under `(key, phase)`. `false` when it
-    /// changed nothing: the signer's share for this payload is already held
-    /// (the first one is kept), or the signer was evicted from this bucket.
+    /// changed nothing: the signer already offered a share under `(key,
+    /// phase)`, for this payload or another (the first one is kept), or was
+    /// evicted there.
     pub fn offer(&mut self, key: K, phase: Phase, payload: T, partial: PartialSignature) -> bool {
-        let buckets = self.entries.entry((key, phase)).or_default();
+        let (seen, buckets) = self.entries.entry((key, phase)).or_default();
+        if !seen.insert(partial.index) {
+            return false;
+        }
         let bucket = match buckets.iter().position(|b| b.payload == payload) {
             Some(i) => &mut buckets[i],
             None => {
                 buckets.push(Bucket {
                     payload,
                     partials: BTreeMap::new(),
-                    blacklisted: BTreeSet::new(),
                 });
                 buckets.last_mut().expect("just pushed")
             }
         };
-        if bucket.blacklisted.contains(&partial.index)
-            || bucket.partials.contains_key(&partial.index)
-        {
-            return false;
-        }
         bucket.partials.insert(partial.index, partial);
         true
     }
@@ -128,7 +130,7 @@ impl<K: Ord + Copy, T: Wire + Eq + Clone> QuorumCollector<K, T> {
     pub fn have(&self, key: K, phase: Phase) -> usize {
         self.entries
             .get(&(key, phase))
-            .and_then(|bs| bs.iter().map(|b| b.partials.len()).max())
+            .and_then(|(_, bs)| bs.iter().map(|b| b.partials.len()).max())
             .unwrap_or(0)
     }
 
@@ -143,7 +145,7 @@ impl<K: Ord + Copy, T: Wire + Eq + Clone> QuorumCollector<K, T> {
         let Some(bucket) = self
             .entries
             .get_mut(&(key, phase))
-            .and_then(|bs| bs.iter_mut().find(|b| b.partials.len() >= check.quorum))
+            .and_then(|(_, bs)| bs.iter_mut().find(|b| b.partials.len() >= check.quorum))
         else {
             return Quorum::Below;
         };
@@ -160,7 +162,6 @@ impl<K: Ord + Copy, T: Wire + Eq + Clone> QuorumCollector<K, T> {
                         for p in &partials {
                             let share_pk = group.member_public_key(p.index);
                             if !bls::verify_partial(&share_pk, &digest, p) {
-                                bucket.blacklisted.insert(p.index);
                                 bucket.partials.remove(&p.index);
                             }
                         }
@@ -255,6 +256,27 @@ mod tests {
         assert!(bls::verify(&out.group_public_key, &digest, &cert.signature));
     }
 
+    /// A signer's second share under the same `(key, phase)` is refused
+    /// whatever its payload: one signer opens at most one variant there.
+    #[test]
+    fn a_signers_second_share_under_another_payload_is_refused() {
+        let out = group();
+        let mut c = QuorumCollector::new();
+        assert!(c.offer(1u8, P0, FlowId(7), share(&out, 1, P0, FlowId(7))));
+        assert!(!c.offer(1, P0, FlowId(8), share(&out, 1, P0, FlowId(8))));
+        // Another key or another phase is an entry of its own.
+        assert!(c.offer(2, P0, FlowId(8), share(&out, 1, P0, FlowId(8))));
+        assert!(c.offer(1, Phase(1), FlowId(8), share(&out, 1, Phase(1), FlowId(8))));
+        // The refused share holds no place: FlowId(8) needs two new signers.
+        c.offer(1, P0, FlowId(8), share(&out, 2, P0, FlowId(8)));
+        assert!(matches!(attempt(&mut c, &out, 1, P0), Quorum::Below));
+        c.offer(1, P0, FlowId(8), share(&out, 3, P0, FlowId(8)));
+        let Quorum::Certified(cert) = attempt(&mut c, &out, 1, P0) else {
+            panic!("two fresh signers certify");
+        };
+        assert_eq!((cert.payload, cert.signers), (FlowId(8), vec![2, 3]));
+    }
+
     #[test]
     fn below_quorum_and_split_payloads_never_certify() {
         let out = group();
@@ -271,7 +293,7 @@ mod tests {
     }
 
     #[test]
-    fn rogue_share_is_evicted_blacklisted_and_a_late_honest_share_completes() {
+    fn rogue_share_is_evicted_and_a_late_honest_share_completes() {
         let out = group();
         let mut c = QuorumCollector::new();
         // Signer 2 signs a different payload under the right index.

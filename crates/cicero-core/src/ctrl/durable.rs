@@ -23,7 +23,7 @@
 //! which is safe: every replay step is idempotent (delivery frontier,
 //! `seen_events`, acked sets, signer sets).
 //!
-//! Known limitation (documented in DESIGN.md §Durability): membership
+//! Known limitation (DESIGN.md §3c, "a crash across a reshare"): membership
 //! phase-changes are not re-run during muted replay — the ops are archived
 //! for state sync, but a controller that crashes mid-reshare rejoins with
 //! its pre-change key material. Crash-recovery scenarios therefore assume a

@@ -13,6 +13,14 @@ use controller::membership::ControlPlaneView;
 use simnet::node::{Host, NodeId};
 use southbound::envelope::{QuorumSigned, ShareSigned};
 use southbound::types::{ControllerId, DomainId, Event, EventId, EventKind};
+use std::collections::BTreeSet;
+
+/// The designated dealers of a re-key into `view`: the lowest old `t + 1`
+/// members of `old` (ascending, as a view lists them) that stay on in it.
+fn dealers(old: Vec<ControllerId>, view: &ControlPlaneView) -> BTreeSet<ControllerId> {
+    let old_t = (old.len() - 1) / 3;
+    old.into_iter().filter(|&c| view.contains(c)).take(old_t + 1).collect()
+}
 
 impl ControllerActor {
     pub(super) fn start_phase_change(
@@ -83,13 +91,8 @@ impl ControllerActor {
             return;
         }
 
-        // Dealers: the lowest old t + 1 surviving old members.
-        let dealer = old_view
-            .members()
-            .filter(|&c| added || c != subject)
-            .take(old_view.quorum())
-            .any(|c| c == self.id);
-        if self.auth.start_rekey(ctx, &self.view, dealer) {
+        let dealers = dealers(old_view.members().collect(), &self.view);
+        if self.auth.start_rekey(ctx, &self.view, dealers) {
             self.finish_phase_change(ctx);
         }
     }
@@ -162,10 +165,12 @@ impl ControllerActor {
         if self.active {
             return;
         }
+        // The old membership is the synced one without the joiner.
+        let dealers = dealers(view.members().filter(|&c| c != self.id).collect(), &view);
         self.view = view;
         self.updates_sent.clear();
         self.releases_sent.clear();
-        if self.auth.start_rekey(ctx, &self.view, false) {
+        if self.auth.start_rekey(ctx, &self.view, dealers) {
             self.finish_phase_change(ctx);
         }
     }

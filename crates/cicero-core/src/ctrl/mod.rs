@@ -27,6 +27,10 @@
 //! the group, a state sync is in flight, or a snapshot is due
 //! (`ControllerActor::arm_tick`, which every handler ends with).
 
+// A protocol hot path: a panic here states its invariant (`expect("…")`,
+// checked by scripts/verify.sh).
+#![deny(clippy::unwrap_used, clippy::todo, clippy::unimplemented)]
+
 mod aggregate;
 mod barriers;
 mod consensus;
@@ -153,7 +157,7 @@ pub struct ControllerActor {
 
 impl ControllerActor {
     /// Builds a controller.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one constructor argument per deployment fact")]
     pub fn new(
         shared: Arc<Shared>,
         domain: DomainId,

@@ -2,6 +2,10 @@
 //! per-domain control planes) from a topology, a domain partition and an
 //! [`EngineConfig`], injects workloads, and runs it to completion.
 
+// A protocol hot path: a panic here states its invariant (`expect("…")`,
+// checked by scripts/verify.sh).
+#![deny(clippy::unwrap_used, clippy::todo, clippy::unimplemented)]
+
 use crate::config::{CryptoMode, EngineConfig, Mode};
 use crate::ctrl::ControllerActor;
 use crate::deploy::{self, Deployment, Life, NodeRole, Outstanding, Progress};

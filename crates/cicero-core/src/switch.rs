@@ -8,6 +8,10 @@
 //! goal is "minimal switch instrumentation" — and all heavy operations charge
 //! simulated CPU time so Fig. 11d's utilization comparison is reproducible.
 
+// A protocol hot path: a panic here states its invariant (`expect("…")`,
+// checked by scripts/verify.sh).
+#![deny(clippy::unwrap_used, clippy::todo, clippy::unimplemented)]
+
 use crate::auth::{Authenticator, Peer};
 use crate::collector::{Quorum, QuorumCollector};
 use crate::config::{

@@ -4,9 +4,14 @@
 //! Everything else in `cicero-node` (and all protocol code) works in
 //! [`SimTime`]; this module anchors that timeline to a process-local epoch
 //! so a threaded [`crate::exec::ThreadedDeployment`] hands actors the same
-//! time type the simulator does. detlint's `no-wall-clock` rule allows
-//! `Instant` here and nowhere else outside `substrate`/`bench` — wall-clock
-//! reads anywhere else in the workspace remain a lint failure.
+//! time type the simulator does. Clippy's `disallowed_types` (the root
+//! `clippy.toml`) allows `Instant` here and nowhere else outside
+//! `substrate`/`bench` — wall-clock reads anywhere else in the workspace
+//! remain a lint failure.
+
+// The whole module is the boundary: the derives on `WallClock` name
+// `Instant` in items of their own.
+#![expect(clippy::disallowed_types, reason = "the threaded runtime's one wall-clock boundary")]
 
 use simnet::time::SimTime;
 use std::time::Instant;

@@ -22,6 +22,13 @@
 //!   `recv_timeout`;
 //! * **observations** append to a shared, mutex-serialized log stamped
 //!   with wall-clock-since-epoch times.
+//!
+//! The log is the one lock the executor shares between threads (a node's
+//! disk is its own), and a node takes it only after its handler returns;
+//! mailbox-full drops are counted in atomics. With one shared lock there is
+//! no lock order to get wrong, and no handler blocks: a node waits on its
+//! mailbox only in `NodeRunner::run`, between handlers (checked by
+//! `scripts/verify.sh`).
 
 use crate::clock::WallClock;
 use cicero_core::deploy::{Deployment, Life, NodeRole, Outstanding, Progress};
@@ -33,6 +40,7 @@ use simnet::sim::{Observation, ENVIRONMENT};
 use simnet::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::sync::mpsc::SyncSender;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use substrate::rng::{SeedableRng, StdRng};
@@ -90,7 +98,7 @@ struct NodeRunner {
     senders: Arc<Vec<SyncSender<Envelope>>>,
     clock: WallClock,
     obs: Arc<Mutex<Vec<Observation<Obs>>>>,
-    dropped: Arc<Mutex<Vec<u64>>>,
+    dropped: Arc<Vec<AtomicU64>>,
     rng: StdRng,
     /// Timers and self-sends by deadline; `seq` breaks ties in the order
     /// the handlers made them, as the simulator's event queue does.
@@ -145,8 +153,8 @@ impl NodeRunner {
         if tx.try_send(Envelope::Msg { from: self.id, msg }).is_err() {
             // Full mailbox or dead peer: the link drops the message; the
             // reliable-delivery layer retransmits what matters.
-            if let Some(slot) = self.dropped.lock().get_mut(to.0 as usize) {
-                *slot += 1;
+            if let Some(count) = self.dropped.get(to.0 as usize) {
+                count.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -256,7 +264,7 @@ pub struct ThreadedDeployment {
     handles: Vec<JoinHandle<()>>,
     clock: WallClock,
     obs: Arc<Mutex<Vec<Observation<Obs>>>>,
-    dropped: Arc<Mutex<Vec<u64>>>,
+    dropped: Arc<Vec<AtomicU64>>,
     injected_flows: usize,
     /// Log entries the watchdog has scanned, and the flows resolved in them.
     resolved: (usize, usize),
@@ -267,7 +275,7 @@ impl ThreadedDeployment {
     pub fn launch(dep: Deployment) -> ThreadedDeployment {
         let clock = WallClock::start();
         let obs: Arc<Mutex<Vec<Observation<Obs>>>> = Arc::new(Mutex::new(Vec::new()));
-        let dropped = Arc::new(Mutex::new(vec![0u64; dep.nodes.len()]));
+        let dropped = Arc::new(dep.nodes.iter().map(|_| AtomicU64::new(0)).collect::<Vec<_>>());
         let seed = dep.shared.cfg.seed;
         let dep = Arc::new(dep);
 
@@ -437,7 +445,7 @@ impl ThreadedDeployment {
             std::thread::sleep(std::time::Duration::from_nanos(POLL_PERIOD.as_nanos()));
         };
         let progress = Progress {
-            dropped_per_node: self.dropped.lock().clone(),
+            dropped_per_node: self.dropped.iter().map(|n| n.load(Ordering::Relaxed)).collect(),
             stats: retransmit_stats(&self.obs.lock()),
             ..polled
         };
@@ -473,7 +481,7 @@ mod tests {
 
     /// Node 0 of a flowless deployment on a fresh clock, with the receiving
     /// ends of `mailboxes` peers' mailboxes (node ids 0..) and the shared log.
-    #[allow(clippy::type_complexity)]
+    #[allow(clippy::type_complexity, reason = "a test fixture's one-off tuple")]
     fn runner(mailboxes: usize) -> (NodeRunner, Vec<Receiver<Envelope>>, Arc<Mutex<Vec<Observation<Obs>>>>) {
         let spec = crate::NodeSpec::from_json(r#"{ "mode": "centralized", "flows": 0 }"#)
             .expect("valid spec");
@@ -491,7 +499,7 @@ mod tests {
             senders: Arc::new(senders),
             clock: WallClock::start(),
             obs: Arc::clone(&obs),
-            dropped: Arc::new(Mutex::new(vec![0; mailboxes])),
+            dropped: Arc::new((0..mailboxes).map(|_| AtomicU64::new(0)).collect()),
             rng: StdRng::seed_from_u64(0),
             due: BTreeMap::new(),
             seq: 0,

@@ -21,8 +21,10 @@
 //! lives in `cicero-core`; keeping this layer sans-io makes each policy
 //! decision unit-testable.
 
+// A protocol hot path: a panic here states its invariant (`expect("…")`,
+// checked by scripts/verify.sh).
+#![deny(clippy::unwrap_used, clippy::todo, clippy::unimplemented)]
 #![forbid(unsafe_code)]
-
 
 pub mod app;
 pub mod failure;

@@ -1,8 +1,8 @@
 //! The seed-replay contract, asserted in-process: running the same sampled
 //! scenario twice must produce the exact same observation trace and the
 //! exact same outcome. This is the regression test behind the whole
-//! `CHECK_SEED` replay story (and behind `detlint`'s
-//! `no-random-order-collections` rule — a single `HashMap` iteration in a
+//! `CHECK_SEED` replay story (and behind the `HashMap`/`HashSet` ban in
+//! the root `clippy.toml` — a single `HashMap` iteration in a
 //! deterministic crate is precisely the kind of bug that makes this test
 //! flake across processes while passing within one).
 //!
@@ -281,7 +281,7 @@ fn regenerating_the_scenario_is_also_stable() {
 /// readies, a switch restarted from its WAL (`segway` 2, 6), a controller
 /// restarted from its own disk (`recover` 4, 7) and one restarted with its
 /// disk wiped, recovering by state sync (`run` 9, `recover` 0, 9, 42).
-#[allow(clippy::type_complexity)]
+#[allow(clippy::type_complexity, reason = "the golden table reads as one literal")]
 const GOLDEN_SCENARIOS: [(&str, fn(u64) -> Scenario, [(u64, u64); 5]); 4] = [
     (
         "run",

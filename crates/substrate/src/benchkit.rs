@@ -17,7 +17,7 @@
 //! to stdout after the human-readable table.
 
 use crate::ser::{JsonValue, ToJson};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const DEFAULT_SAMPLES: usize = 30;
 const WARMUP: Duration = Duration::from_millis(80);
@@ -86,10 +86,11 @@ pub struct Bencher {
 impl Bencher {
     /// Times `f`: warms up, calibrates an iteration count per sample, then
     /// records `samples` timed samples.
+    #[expect(clippy::disallowed_types, reason = "a benchmark measures wall-clock time")]
     pub fn iter<O>(&mut self, mut f: impl FnMut() -> O) {
         // Warmup until the budget elapses (at least one call), estimating
         // the per-iteration cost as we go.
-        let warm_start = Instant::now();
+        let warm_start = std::time::Instant::now();
         let mut warm_iters: u64 = 0;
         loop {
             std::hint::black_box(f());
@@ -106,7 +107,7 @@ impl Bencher {
 
         let mut samples_ns = Vec::with_capacity(self.samples);
         for _ in 0..self.samples {
-            let t0 = Instant::now();
+            let t0 = std::time::Instant::now();
             for _ in 0..iters {
                 std::hint::black_box(f());
             }

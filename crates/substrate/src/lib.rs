@@ -25,17 +25,17 @@
 //!   fsync'd files under the threaded runtime).
 //!
 //! What std already provides is used under its std name: ordered maps and
-//! sets are `std::collections::{BTreeMap, BTreeSet}` (the `detlint` analyzer
-//! forbids `HashMap`/`HashSet`, whose `RandomState` seeding breaks seed
-//! replay, in deterministic crates), an encode buffer is a `Vec<u8>` and a
-//! decode cursor a `&[u8]`.
+//! sets are `std::collections::{BTreeMap, BTreeSet}` (clippy's
+//! `disallowed_types`, configured in the root `clippy.toml`, refuses
+//! `HashMap`/`HashSet`, whose `RandomState` seeding breaks seed replay), an
+//! encode buffer is a `Vec<u8>` and a decode cursor a `&[u8]`.
 //!
 //! Determinism is the design center: the same seed always produces the same
 //! byte stream, the same property-test cases, and the same simulated
 //! schedules, on every host, forever.
 
-// No module here needs `unsafe` (sync wraps std primitives); if that ever
-// changes, the exception must be narrow, documented, and detlint-allowed.
+// No module here needs `unsafe` (sync wraps std primitives), and the
+// workspace forbids it too: no `#[allow]` can lift a forbid.
 #![forbid(unsafe_code)]
 
 pub mod benchkit;

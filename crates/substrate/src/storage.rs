@@ -6,8 +6,9 @@
 //! ([`MemDisk`]) whose contents survive an actor's crash (the handle
 //! outlives the actor) and can be wiped to model losing the disk; under the
 //! threaded runtime it is a real fsync'd directory (`cicero-node`'s
-//! `disk.rs`, the one OS-filesystem boundary — scoped for detlint exactly
-//! like the wall clock is scoped to `clock.rs`).
+//! `disk.rs`, the one OS-filesystem boundary — clippy refuses file opening
+//! and fsync elsewhere exactly as it refuses the wall clock outside
+//! `clock.rs`).
 //!
 //! # WAL format
 //!

@@ -52,6 +52,7 @@ pub fn bounded<T>(cap: usize) -> (std::sync::mpsc::SyncSender<T>, Receiver<T>) {
 /// # Panics
 ///
 /// Panics if the OS refuses to spawn a thread.
+#[expect(clippy::disallowed_methods, reason = "the workspace's one thread-creation point")]
 pub fn spawn<F, T>(name: &str, f: F) -> std::thread::JoinHandle<T>
 where
     F: FnOnce() -> T + Send + 'static,
@@ -72,9 +73,9 @@ mod tests {
     fn mutex_guards_shared_counts() {
         let m = Arc::new(Mutex::new(0u64));
         let handles: Vec<_> = (0..8)
-            .map(|_| {
+            .map(|i| {
                 let m = Arc::clone(&m);
-                std::thread::spawn(move || {
+                spawn(&format!("counter-{i}"), move || {
                     for _ in 0..1000 {
                         *m.lock() += 1;
                     }

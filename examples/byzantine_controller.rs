@@ -7,7 +7,7 @@
 //! 2. **Fabricated quorum** — it invents partial signatures under other
 //!    controllers' indices. Aggregation produces a signature that fails
 //!    against the group public key; the individual partials are then
-//!    verified, the culprits blacklisted, and the update rejected.
+//!    verified, the culprits evicted, and the update rejected.
 //! 3. **Replay under a stale phase** — a message tagged with an old
 //!    membership phase is discarded outright.
 //!

@@ -1281,7 +1281,7 @@ mod transport_sender {
     /// its three peers' indices, at the switch (switch aggregation) and at
     /// the aggregator (controller aggregation). Bucketed, they would get
     /// the honest shares refused as duplicates and then the honest signers
-    /// blacklisted — an update that never reaches quorum, from one fault.
+    /// evicted for good — an update that never reaches quorum, from one fault.
     #[test]
     fn squatted_slots_cannot_starve_an_update_of_its_quorum() {
         type Form = fn(ShareSigned<UpdateBody>) -> Net;
@@ -2846,5 +2846,54 @@ mod held_release {
             o.at <= at && matches!(o.value, Obs::ReleaseSent { update, .. } if update == h.update)
         };
         assert!(h.engine.observations().iter().filter(honest).count() >= 1);
+    }
+}
+
+/// A re-key combines the dealings of its designated dealers only — the
+/// lowest old `t + 1` members that stay on — at every member alike. In the
+/// change 5 → 6 those are controllers 1 and 2; controller 3 holds a genuine
+/// old share, and its valid dealing reaches controllers 4 and 5 (over its
+/// own channel) ahead of theirs. Counted there, it would give 4 and 5 a
+/// dealer set, and so a sharing polynomial, of their own: their new shares
+/// would not combine with the others'.
+#[test]
+fn an_uninvited_dealer_cannot_split_the_new_sharing() {
+    let mut cfg = EngineConfig::for_mode(Mode::Cicero {
+        aggregation: Aggregation::Switch,
+    });
+    cfg.crypto = CryptoMode::Real;
+    cfg.controllers_per_domain = 5;
+    let topo = Topology::single_pod(2, 2, 2);
+    let mut engine = harness::build_engine_cfg(cfg, &topo, 1);
+    let domain = DomainId(0);
+    let switches: Vec<SwitchId> = topo.switches().iter().map(|s| s.id).collect();
+    let shared = engine.shared().clone();
+    let (_, secrets) = bootstrap_keys(CryptoMode::Real, &switches, &shared.dir, shared.cfg.seed);
+    let share = &secrets.domain_dkg[&domain].participants[2].share;
+    let members: Vec<u32> = (1..=6).collect();
+    let mut rng = StdRng::seed_from_u64(3);
+    let dealing = blscrypto::reshare::deal_reshare_to(share, 1, &members, &mut rng);
+    let at = engine.now() + SimDuration::from_millis(10);
+    let from = engine.controller_node(domain, ControllerId(3));
+    for c in [4, 5] {
+        let to = engine.controller_node(domain, ControllerId(c));
+        let dealing = dealing.clone();
+        engine.inject_raw(at, from, to, Net::Reshare { phase: Phase(1), dealing });
+    }
+    let add = OrderedOp::AddController(ControllerId(6));
+    engine.inject_membership(at + SimDuration::from_millis(10), domain, add);
+    engine.run(at + SimDuration::from_secs(5));
+    let mut sharing = |c: u32| {
+        engine.with_controller(domain, ControllerId(c), |ctrl| {
+            assert_eq!(ctrl.view().phase(), Phase(1), "controller {c} re-keyed");
+            let group = ctrl.group();
+            let keys: Vec<_> = members.iter().map(|&m| group.member_public_key(m)).collect();
+            (group.qualified.clone(), keys)
+        })
+    };
+    let first = sharing(1);
+    assert_eq!(first.0, [1, 2].into(), "the designated dealers");
+    for c in 2..=6 {
+        assert!(sharing(c) == first, "controller {c} re-keyed onto another sharing");
     }
 }
