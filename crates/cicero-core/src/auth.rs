@@ -19,6 +19,16 @@
 //! pair keys. Every pair of identity-key holders shares one key per
 //! direction ([`pair_key`]), derived on first use and cached here.
 //!
+//! Updates are signed one set at a time: a controller signs the
+//! [`UpdateSet`] of a domain-event — the RFC 6962 root over its update
+//! bodies — once, and each update travels as a [`Member`] of it with its
+//! audit path. The set's hashing follows the level as tags do: under
+//! `Real`, [`Authenticator::update_set`] hashes the root and
+//! [`Authenticator::admits_member`] checks a member's path before its share
+//! is bucketed or its aggregate verified; below `Real` the root is a
+//! placeholder and only the member's structure is checked (its set's
+//! domain and event, its switch, its index).
+//!
 //! Who pays how follows the paper's hardware: a switch is one OVS thread,
 //! so each check is serialized CPU, charged here; a controller has 12
 //! cores, so a check is *latency* on whatever it releases
@@ -34,9 +44,9 @@
 //! new shares lie on one polynomial. The phase notice is then share-signed and
 //! [`Authenticator::collect`]ed like every other quorum.
 
-use crate::collector::{Check, Quorum, QuorumCollector};
+use crate::collector::{Check, Quorum, QuorumCollector, Signable};
 use crate::config::CryptoMode;
-use crate::msg::Net;
+use crate::msg::{Member, Net, UpdateBody, UpdateSet};
 use crate::obs::Obs;
 use crate::runtime::{fake_group, KeyMaterial, Shared};
 use blscrypto::bls::{KeyShare, PartialSignature, PublicKey, SecretKey};
@@ -50,7 +60,7 @@ use simnet::node::{Host, NodeId};
 use simnet::time::SimDuration;
 use southbound::codec::Wire;
 use southbound::envelope::{MsgId, QuorumSigned, ShareSigned, Tagged};
-use southbound::types::{ControllerId, DomainId, Phase, SwitchId};
+use southbound::types::{ControllerId, DomainId, EventId, Phase, SwitchId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -225,6 +235,13 @@ impl Authenticator {
         self.keyed = phase;
     }
 
+    /// Takes `group` as this domain's current commitment: a joiner's state
+    /// sync carries it, since the shares its dealers hold may come from a
+    /// reshare after the bootstrap.
+    pub fn sync_group(&mut self, group: GroupPublic) {
+        self.reshared = Some(group);
+    }
+
     /// Starts re-keying this controller for `view`, the membership of the
     /// phase being entered: each of the designated `dealers` deals its
     /// share to every member of `view`, and only their dealings count.
@@ -338,6 +355,37 @@ impl Authenticator {
             msg_id,
             partial,
         }
+    }
+
+    /// The update set of `bodies` — `event`'s updates in this domain,
+    /// ascending by id — and each body as a member of it. Under `Real` the
+    /// root is the RFC 6962 tree hash and each member carries its audit
+    /// path; below it nothing is hashed ([`UpdateSet`]'s placeholder).
+    pub fn update_set(&self, event: EventId, bodies: Vec<UpdateBody>) -> (UpdateSet, Vec<Member>) {
+        if self.level == Level::Real {
+            UpdateSet::of(event, self.domain, bodies)
+        } else {
+            UpdateSet::unhashed(event, self.domain, bodies)
+        }
+    }
+
+    /// `true` when `member` may be taken as a member of `set` here, checked
+    /// before its share is bucketed or its aggregate verified: the set is
+    /// this domain's, the body's update belongs to the set's event and is
+    /// addressed to this switch (to one of this domain's switches, at the
+    /// aggregator), its index is below the set's size and — under `Real` —
+    /// its audit path leads its body to the set's root.
+    pub fn admits_member(&self, set: &UpdateSet, member: &Member) -> bool {
+        let update = member.body.update;
+        let addressed = match self.me {
+            Peer::Switch(s) => update.switch == s,
+            Peer::Controller(d, _) => self.shared.dir.domain_of_switch.get(&update.switch) == Some(&d),
+        };
+        set.domain == self.domain
+            && update.id.event == set.event
+            && addressed
+            && member.index < set.size
+            && (self.level != Level::Real || set.binds(member))
     }
 
     /// Tags `payload` for `to`, its only reader, under the key this actor
@@ -459,7 +507,7 @@ impl Authenticator {
     /// re-key: an eviction then may leave a quorum, which is judged again
     /// (each attempt counts in [`Self::checks`]; the outcome's
     /// [`Quorum::work`] is the last one's).
-    pub fn collect<K: Ord + Copy, T: Wire + Eq + Clone>(
+    pub fn collect<K: Ord + Copy, T: Signable>(
         &mut self,
         bucket: &mut QuorumCollector<K, T>,
         key: K,

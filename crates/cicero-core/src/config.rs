@@ -20,7 +20,8 @@ pub enum Mode {
     },
     /// Decentralized execution after one controller round (ez-Segway,
     /// Nguyen et al.): controllers threshold-sign each update *together
-    /// with* its dependency metadata and push everything at once; switches
+    /// with* its dependency metadata — one share per domain-event over the
+    /// set of such bodies — and push everything at once; switches
     /// then release their neighbors' next segment directly with tagged
     /// switch-to-switch ready messages. Lower latency than `Cicero`
     /// (no controller round-trip per dependency edge) at the price of more
@@ -297,10 +298,11 @@ pub struct EngineConfig {
     /// which boundary-crossing flows can transiently black-hole at the
     /// domain edge with zero faults (kept for regression/control runs).
     pub cross_domain_handshake: bool,
-    /// Cicero: share-sign every update at admission and let its switch hold
-    /// one with dependencies until `⌊(n−1)/3⌋+1` tagged releases (DESIGN.md
-    /// §3, "Held updates"). `false` runs the paper's protocol, which signs an
-    /// update once its dependencies are acknowledged — what the paper's
+    /// Cicero: share-sign each domain-event's update set once at admission
+    /// and let a switch hold an update with dependencies until
+    /// `⌊(n−1)/3⌋+1` tagged releases (DESIGN.md §3, "Held updates"). `false`
+    /// runs the paper's protocol, which signs an update — a set of one —
+    /// once its dependencies are acknowledged — what the paper's
     /// flow-setup anchors were measured on, so the cost model's calibration
     /// (`experiment::flow_setup_latency_ms`) runs it.
     pub release_by_tag: bool,

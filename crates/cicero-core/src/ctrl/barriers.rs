@@ -77,8 +77,9 @@ impl ControllerActor {
     /// applied), and watches are registered for own segments that foreign
     /// updates wait on, so this controller reports them upstream once they
     /// drain. In Cicero an update with dependencies is *held*: its body
-    /// says so, it is signed and sent at admission, and what the drained
-    /// dependencies release is the controllers' tagged word for it.
+    /// says so, the whole schedule is one set signed and sent at admission,
+    /// and what the drained dependencies release is the controllers' tagged
+    /// word for a held update.
     pub(super) fn hold_at_controller(
         &mut self,
         ctx: &mut dyn Host<Net, Obs>,
@@ -90,6 +91,8 @@ impl ControllerActor {
         let mut barrier_deps: BTreeMap<u32, DomainId> = BTreeMap::new();
         let mut watched: BTreeMap<u32, BTreeSet<DomainId>> = BTreeMap::new();
         let mut schedule = Vec::new();
+        let mut bodies = Vec::new();
+        let holds = self.shared.cfg.holds_at_switch();
         for p in &projected {
             let mut deps: BTreeSet<UpdateId> = p.local.iter().map(|&(u, _)| u).collect();
             for f in &p.foreign {
@@ -99,19 +102,22 @@ impl ControllerActor {
             if !p.upstream.is_empty() {
                 watched.entry(p.segment).or_default().extend(&p.upstream);
             }
-            if self.shared.cfg.holds_at_switch() && !deps.is_empty() {
+            let held = holds && !deps.is_empty();
+            if held {
                 let (domain, controller, update) = (self.domain, self.id.0, p.update.id);
                 for &dep in &deps {
                     ctx.observe(Obs::UpdateHeld { domain, controller, update, dep });
                 }
-                let (gates, notify) = (Vec::new(), Vec::new());
-                let body = UpdateBody { update: p.update, gates, notify, held: true };
-                self.shipped.insert(update, body);
             }
+            let (gates, notify) = (Vec::new(), Vec::new());
+            bodies.push(UpdateBody { update: p.update, gates, notify, held });
             schedule.push(ScheduledUpdate {
                 update: p.update,
                 deps,
             });
+        }
+        if holds {
+            self.open_set(event.id, bodies);
         }
         for (k, downstream) in barrier_deps {
             let key = (event.id, k);

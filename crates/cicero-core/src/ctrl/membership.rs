@@ -9,6 +9,7 @@ use crate::collector::Quorum;
 use crate::msg::{Net, OrderedOp, PhaseInfo};
 use crate::obs::Obs;
 use crate::runtime::labels;
+use blscrypto::dkg::GroupPublic;
 use controller::membership::ControlPlaneView;
 use simnet::node::{Host, NodeId};
 use southbound::envelope::{QuorumSigned, ShareSigned};
@@ -40,7 +41,7 @@ impl ControllerActor {
             return;
         }
         // Old-phase shares and releases no longer count.
-        self.updates_sent.clear();
+        self.drop_shares();
         self.releases_sent.clear();
         if added {
             self.detector.track(subject, ctx.now());
@@ -73,14 +74,12 @@ impl ControllerActor {
                     self.send_forward(ctx, event, msg_id, d, target);
                 }
             }
-            // State sync for a joiner.
+            // State sync for a joiner: the view, and the commitment the
+            // dealers' current shares lie on.
             if added {
-                ctx.send(
-                    self.shared.dir.controller(self.domain, subject),
-                    Net::StateSync {
-                        view: self.view.clone(),
-                    },
-                );
+                let (view, group) = (self.view.clone(), self.auth.group().clone());
+                let joiner = self.shared.dir.controller(self.domain, subject);
+                ctx.send(joiner, Net::StateSync { view, group });
             }
         }
 
@@ -101,6 +100,7 @@ impl ControllerActor {
         self.active = true;
         self.replica = Some(Self::build_replica(&self.view, self.id));
         self.agg_shares.retain_phase(self.view.phase());
+        self.agg_sets.clear();
         self.relayed.clear();
         ctx.observe(Obs::PhaseChanged {
             domain: self.domain,
@@ -160,16 +160,23 @@ impl ControllerActor {
         }
     }
 
-    /// A standby joiner adopts the synced view and waits for dealings.
-    pub(super) fn on_state_sync(&mut self, ctx: &mut dyn Host<Net, Obs>, view: ControlPlaneView) {
+    /// A standby joiner adopts the synced view and commitment, and waits for
+    /// dealings checked against that commitment.
+    pub(super) fn on_state_sync(
+        &mut self,
+        ctx: &mut dyn Host<Net, Obs>,
+        view: ControlPlaneView,
+        group: GroupPublic,
+    ) {
         if self.active {
             return;
         }
         // The old membership is the synced one without the joiner.
         let dealers = dealers(view.members().filter(|&c| c != self.id).collect(), &view);
         self.view = view;
-        self.updates_sent.clear();
+        self.drop_shares();
         self.releases_sent.clear();
+        self.auth.sync_group(group);
         if self.auth.start_rekey(ctx, &self.view, dealers) {
             self.finish_phase_change(ctx);
         }

@@ -14,9 +14,10 @@
 //!   collector the switch, the cross-domain handshake and the aggregator
 //!   share;
 //! * [`switch`] — the switch runtime (paper Fig. 6): table misses raise
-//!   tagged events; share-signed updates are buffered until a quorum of
-//!   identical updates, aggregated, verified against the group public key,
-//!   applied and acknowledged;
+//!   tagged events; each update arrives with its controllers' shares of
+//!   its domain-event's update set, checked against the set, buffered until
+//!   a quorum of identical ones, aggregated, verified against the group
+//!   public key, applied and acknowledged;
 //! * [`ctrl`] — the controller runtime (paper Figs. 7–8): PBFT-ordered
 //!   events, deterministic app + scheduler, dependency-driven parallel
 //!   update release, cross-domain forwarding, the aggregator role, and

@@ -2,11 +2,14 @@
 //! consensus payload type.
 
 use bft::message::{BftMessage, BftPayload, Digest};
+use blscrypto::dkg::GroupPublic;
 use blscrypto::reshare::ReshareDealing;
 use blscrypto::sha256::sha256_parts;
 use simnet::time::{SimDuration, SimTime};
 use southbound::codec::Wire;
+use crate::collector::Signable;
 use southbound::envelope::{QuorumSigned, ShareSigned, Tagged};
+use southbound::merkle;
 use southbound::types::{
     ControllerId, DomainId, Event, EventId, FlowId, HostId, NetworkUpdate, Phase, SwitchId,
     UpdateId,
@@ -62,8 +65,9 @@ wire_struct!(SegmentBody { event, segment, domain });
 
 /// What a switch is asked to apply, in every mode: the network update plus
 /// the dependency metadata the switch itself enforces. Signed modes
-/// threshold-sign it *as one body*, so a switch cannot be lied to about what
-/// must precede the update or whom to release next. `gates` are the updates
+/// threshold-sign it *as one body* — a leaf of its [`UpdateSet`] — so a
+/// switch cannot be lied to about what must precede the update or whom to
+/// release next. `gates` are the updates
 /// that must be applied (and announced by their switch) before this one may
 /// go in; `notify` are the switches waiting on *this* update, to be released
 /// with a tagged [`ReadyBody`], which each checks against the gates of its
@@ -87,6 +91,109 @@ pub struct UpdateBody {
 }
 
 wire_struct!(UpdateBody { update, gates, notify, held });
+
+/// What a quorum of one domain's controllers signs for an event: the
+/// domain's update set, as the RFC 6962 tree hash over its members'
+/// [`UpdateBody`] wire bytes in ascending [`UpdateId`] order. In Segway and
+/// in the Cicero path that releases by tag, a set is the event's whole
+/// projected schedule in the domain; on the paper's path each update is a
+/// set of one (DESIGN.md §3, "One share per domain-event"). `size` bounds
+/// the members' indices, and `event` the updates they may carry.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub struct UpdateSet {
+    /// The event whose updates the set holds.
+    pub event: EventId,
+    /// The signing domain.
+    pub domain: DomainId,
+    /// How many members the set has.
+    pub size: u32,
+    /// The tree hash over the members' bodies.
+    pub root: [u8; 32],
+}
+
+wire_struct!(UpdateSet { event, domain, size, root });
+
+impl UpdateSet {
+    /// The set of `bodies` — `event`'s updates in `domain`, ascending by
+    /// id — under its tree hash, and each body as a member with its audit
+    /// path.
+    pub fn of(event: EventId, domain: DomainId, bodies: Vec<UpdateBody>) -> (UpdateSet, Vec<Member>) {
+        let leaves: Vec<merkle::Hash> = bodies.iter().map(|b| merkle::leaf_hash(&b.to_wire())).collect();
+        let root = merkle::root(&leaves);
+        Self::rooted(event, domain, bodies, root, |i| merkle::path(i, &leaves))
+    }
+
+    /// [`Self::of`] where nothing is hashed: the root is a placeholder that
+    /// names the first member, and no member has a path.
+    pub(crate) fn unhashed(event: EventId, domain: DomainId, bodies: Vec<UpdateBody>) -> (UpdateSet, Vec<Member>) {
+        let mut root = [0; 32];
+        let first = bodies.first().map(|b| b.update.id.to_wire()).unwrap_or_default();
+        root[..first.len()].copy_from_slice(&first);
+        Self::rooted(event, domain, bodies, root, |_| Vec::new())
+    }
+
+    /// The set of `bodies` under `root`, each body with its `path`.
+    fn rooted(
+        event: EventId,
+        domain: DomainId,
+        bodies: Vec<UpdateBody>,
+        root: merkle::Hash,
+        path: impl Fn(usize) -> Vec<merkle::Hash>,
+    ) -> (UpdateSet, Vec<Member>) {
+        let set = UpdateSet { event, domain, size: bodies.len() as u32, root };
+        let members = bodies.into_iter().enumerate();
+        let members = members.map(|(i, body)| Member { body, index: i as u32, path: path(i) });
+        (set, members.collect())
+    }
+
+    /// `true` iff `member`'s audit path leads its body to this root.
+    pub fn binds(&self, member: &Member) -> bool {
+        let data = member.body.to_wire();
+        merkle::verify(&data, member.index, self.size, &member.path, &self.root)
+    }
+}
+
+/// One update of a signed [`UpdateSet`] as it travels: its body, its leaf
+/// index, and the audit path from the leaf to the set's root.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Member {
+    /// The update's body.
+    pub body: UpdateBody,
+    /// The body's leaf index in the set.
+    pub index: u32,
+    /// Sibling hashes from the leaf up (RFC 6962 `PATH`).
+    pub path: Vec<merkle::Hash>,
+}
+
+wire_struct!(Member { body, index, path });
+
+/// A member as a switch or the aggregator collects it: the set its shares
+/// sign, and the member itself. Shares bucket together only over the same
+/// set *and* member, so where no root binds a body — below
+/// [`crate::config::CryptoMode::Real`] — a body still needs a quorum of its
+/// own.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Leaf {
+    /// The set the shares sign.
+    pub set: UpdateSet,
+    /// The member the set's root certifies.
+    pub member: Member,
+}
+
+impl Leaf {
+    /// A share of a set, travelling with one of its members, as one
+    /// collectable share of the pair.
+    pub fn share(share: ShareSigned<UpdateSet>, member: Member) -> ShareSigned<Leaf> {
+        let ShareSigned { payload: set, phase, msg_id, partial } = share;
+        ShareSigned { payload: Leaf { set, member }, phase, msg_id, partial }
+    }
+}
+
+impl Signable for Leaf {
+    fn signed_digest(&self, label: &str, phase: Phase) -> [u8; 32] {
+        self.set.signed_digest(label, phase)
+    }
+}
 
 /// A controller's word that held update `update` may now go in at switch
 /// `switch`: every dependency of it is acknowledged here. Tagged under the
@@ -282,7 +389,9 @@ wire_enum!(SwitchWalRecord {
 
 /// Everything that travels between simulated nodes. No unsigned message
 /// names its sender: the transport does (`Directory::peer` of the `from` a
-/// handler is handed), and a field restating it would only be trusted.
+/// handler is handed), and a field restating it would only be trusted. A
+/// set's [`Member`] travels boxed: every mailbox slot of the threaded
+/// executor is as large as the largest variant.
 #[derive(Clone, Debug)]
 pub enum Net {
     /// Harness → ingress ToR switch: a workload flow arrives.
@@ -329,16 +438,17 @@ pub enum Net {
         /// The PBFT message.
         msg: Box<BftMessage<OrderedOp>>,
     },
-    /// Controller → switch: a share-signed update body (switch aggregation
-    /// and Segway — there the body carries gate/notify metadata, and the
-    /// switch gates application on tagged neighbor readies instead of
-    /// controller order).
-    UpdateMsg(ShareSigned<UpdateBody>),
+    /// Controller → switch: the sender's share of an update set, with the
+    /// switch's member of it (switch aggregation and Segway — there the
+    /// body carries gate/notify metadata, and the switch gates application
+    /// on tagged neighbor readies instead of controller order).
+    UpdateMsg(ShareSigned<UpdateSet>, Box<Member>),
     /// Controller → switch: an unauthenticated update body (centralized /
     /// crash-tolerant baselines).
     UpdatePlain(UpdateBody),
-    /// Controller → aggregator: a share-signed update body to aggregate.
-    UpdateToAggregator(ShareSigned<UpdateBody>),
+    /// Controller → aggregator: the sender's share of an update set, with
+    /// one member of it to relay.
+    UpdateToAggregator(ShareSigned<UpdateSet>, Box<Member>),
     /// Switch → switch (Segway): a release tagged for the released switch —
     /// the sender applied the gating update named inside (sent once, and
     /// again when the released switch asks with a [`Net::SegwayReadyQuery`]).
@@ -350,8 +460,9 @@ pub enum Net {
         /// The gating update.
         update: UpdateId,
     },
-    /// Aggregator → switch: the quorum-aggregated update body.
-    UpdateAggregated(QuorumSigned<UpdateBody>),
+    /// Aggregator → switch: the quorum-aggregated update set, with the
+    /// switch's member of it.
+    UpdateAggregated(QuorumSigned<UpdateSet>, Box<Member>),
     /// Controller → switch: a held update may go in, tagged for the switch
     /// alone (sent once its dependencies are acknowledged, and again with
     /// the kept share on a retransmission or a NACK answer).
@@ -399,10 +510,15 @@ pub enum Net {
     MembershipCmd(OrderedOp),
     /// Bootstrap → newly added controller: the control-plane state a joiner
     /// needs (paper §4.3 step iv; topology and policies are shared state in
-    /// the simulation, so the membership view is what travels).
+    /// the simulation, so the membership view and the sharing's commitment
+    /// are what travels).
     StateSync {
         /// The post-change membership view.
         view: controller::membership::ControlPlaneView,
+        /// The commitment of the domain's current shares — what the joiner
+        /// checks the dealings of its re-key against, whatever reshares came
+        /// before it.
+        group: GroupPublic,
     },
     /// Restarted/fresh replica → domain peers: "my durable log ends at
     /// consensus sequence `have`; send me what I missed" (snapshot-transfer

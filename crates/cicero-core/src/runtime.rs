@@ -26,8 +26,9 @@ pub mod labels {
     pub const EVENT: &str = "CICERO_EVENT_V1";
     /// Controller-forwarded cross-domain events.
     pub const FORWARD: &str = "CICERO_FORWARD_V1";
-    /// Update bodies (threshold-signed: the update plus its gate/notify
-    /// metadata, empty outside Segway).
+    /// Update sets (threshold-signed: one domain-event's update bodies —
+    /// each the update plus its gate/notify metadata, empty outside Segway
+    /// — by their tree hash).
     pub const UPDATE: &str = "CICERO_UPDATE_V1";
     /// Switch acknowledgements.
     pub const ACK: &str = "CICERO_ACK_V1";

@@ -1,8 +1,9 @@
 //! The switch protocol runtime (paper Fig. 6 and §5.2).
 //!
 //! Switches forward flows from their tables, raise tagged `PacketIn` events
-//! on misses, buffer share-signed updates until a quorum of *identical*
-//! updates arrives, aggregate-and-verify against the group public key, hold
+//! on misses, check each update against the update set its shares sign,
+//! buffer the shares until a quorum of *identical* ones arrives,
+//! aggregate-and-verify against the group public key, hold
 //! a body marked held until a quorum of controllers releases it, apply,
 //! and acknowledge. The runtime is deliberately minimal — the paper's design
 //! goal is "minimal switch instrumentation" — and all heavy operations charge
@@ -19,7 +20,7 @@ use crate::config::{
     RETRY_BUDGET,
 };
 use crate::msg::{
-    AckBody, NackBody, Net, PhaseInfo, ReadyBody, Release, SwitchWalRecord, UpdateBody,
+    AckBody, Leaf, NackBody, Net, PhaseInfo, ReadyBody, Release, SwitchWalRecord, UpdateBody,
 };
 use crate::obs::Obs;
 use crate::runtime::{labels, Shared};
@@ -83,10 +84,10 @@ pub struct SwitchActor {
     table: FlowTable,
     waiting: BTreeMap<FlowMatch, Vec<WaitingFlow>>,
     outstanding: BTreeSet<FlowMatch>,
-    /// Update-body shares below quorum ([`QuorumCollector`] policy). The
-    /// body includes the gate/notify metadata, so a quorum also vouches for
-    /// the release order.
-    buckets: QuorumCollector<UpdateId, UpdateBody>,
+    /// Set shares below quorum ([`QuorumCollector`] policy), bucketed per
+    /// update with its member ([`Leaf`]). The body includes the gate/notify
+    /// metadata, so a quorum also vouches for the release order.
+    buckets: QuorumCollector<UpdateId, Leaf>,
     applied: BTreeSet<UpdateId>,
     /// Signer indices seen per applied update: shares from signers *not*
     /// in here are the tail of the original broadcast (quorum fired before
@@ -378,12 +379,7 @@ impl SwitchActor {
 
     /// Switch-side aggregation (paper Fig. 6b): what collecting one more
     /// share of `id` came to — aggregate, verify, hand the body on.
-    fn on_quorum(
-        &mut self,
-        ctx: &mut dyn Host<Net, Obs>,
-        id: UpdateId,
-        outcome: Quorum<UpdateBody>,
-    ) {
+    fn on_quorum(&mut self, ctx: &mut dyn Host<Net, Obs>, id: UpdateId, outcome: Quorum<Leaf>) {
         ctx.charge_cpu(self.auth.quorum_cost(&outcome));
         match outcome {
             Quorum::Below => {}
@@ -392,7 +388,7 @@ impl SwitchActor {
                 let n_signers = cert.signers.len() as u32;
                 self.applied_signers
                     .insert(id, cert.signers.into_iter().collect());
-                self.deliver(ctx, cert.payload, n_signers);
+                self.deliver(ctx, cert.payload.member.body, n_signers);
             }
         }
     }
@@ -799,16 +795,22 @@ impl Actor<Net, Obs> for SwitchActor {
         // uses. Each form's check is sound only where it is the mode's own
         // — a plain update carries no proof at all — so any other form is
         // somebody going around the quorum, whatever it claims to carry.
+        // A share occupies only its sender's slot, and a member must belong
+        // to its set — checked before anything is bucketed or verified.
         let form = match &msg {
-            Net::UpdatePlain(b) => Some((b.update.id, None)),
-            Net::UpdateMsg(m) => Some((m.payload.update.id, Some(Aggregation::Switch))),
-            Net::UpdateAggregated(m) => Some((m.payload.update.id, Some(Aggregation::Controller))),
+            Net::UpdatePlain(b) => Some((b.update.id, None, true)),
+            Net::UpdateMsg(s, m) => {
+                let fits = self.auth.own_slot(from, self.domain, s) && self.auth.admits_member(&s.payload, m);
+                Some((m.body.update.id, Some(Aggregation::Switch), fits))
+            }
+            Net::UpdateAggregated(q, m) => {
+                let fits = self.auth.admits_member(&q.payload, m);
+                Some((m.body.update.id, Some(Aggregation::Controller), fits))
+            }
             _ => None,
         };
-        if let Some((update, form)) = form {
-            // And a share occupies only its sender's slot.
-            let squats = matches!(&msg, Net::UpdateMsg(m) if !self.auth.own_slot(from, self.domain, m));
-            if form != self.shared.cfg.mode.aggregation() || squats {
+        if let Some((update, form, fits)) = form {
+            if form != self.shared.cfg.mode.aggregation() || !fits {
                 ctx.charge_cpu(self.shared.cfg.costs.switch_msg);
                 return self.reject(ctx, update);
             }
@@ -843,30 +845,26 @@ impl Actor<Net, Obs> for SwitchActor {
             // pre-aggregated signature. A verified aggregate only exists if
             // `quorum` valid partials were combined with the right Lagrange
             // weights.
-            Net::UpdateAggregated(m) => {
-                if !self.first_copy(ctx, m.payload.update) {
+            Net::UpdateAggregated(q, member) => {
+                if !self.first_copy(ctx, member.body.update) {
                     return;
                 }
-                if self.auth.verify_group(ctx, labels::UPDATE, &m) {
-                    self.deliver(ctx, m.payload, quorum as u32);
+                if self.auth.verify_group(ctx, labels::UPDATE, &q) {
+                    self.deliver(ctx, member.body, quorum as u32);
                 } else {
-                    self.reject(ctx, m.payload.update.id);
+                    self.reject(ctx, member.body.update.id);
                 }
             }
-            // Switch aggregation (paper Fig. 6b): buffer share-signed bodies
-            // until a quorum of identical ones. Under Segway the body also
-            // carries the threshold-signed gate/notify metadata.
-            Net::UpdateMsg(m) => {
-                let u = m.payload.update;
-                if self.admit_share(ctx, u, m.phase, m.partial.index) {
-                    let q = self.auth.collect(
-                        &mut self.buckets,
-                        u.id,
-                        m,
-                        labels::UPDATE,
-                        quorum,
-                        self.domain,
-                    );
+            // Switch aggregation (paper Fig. 6b): buffer set shares until a
+            // quorum of identical ones, each with this switch's member.
+            // Under Segway the body also carries the threshold-signed
+            // gate/notify metadata.
+            Net::UpdateMsg(share, member) => {
+                let u = member.body.update;
+                if self.admit_share(ctx, u, share.phase, share.partial.index) {
+                    let leaf = Leaf::share(share, *member);
+                    let q =
+                        self.auth.collect(&mut self.buckets, u.id, leaf, labels::UPDATE, quorum, self.domain);
                     self.on_quorum(ctx, u.id, q);
                 }
             }
@@ -891,7 +889,7 @@ impl Actor<Net, Obs> for SwitchActor {
             // the switch decides what it does with it.
             Net::EventMsg(_)
             | Net::Consensus { .. }
-            | Net::UpdateToAggregator(_)
+            | Net::UpdateToAggregator(..)
             | Net::AckMsg(_)
             | Net::UpdateNack(_)
             | Net::Heartbeat { .. }

@@ -233,14 +233,17 @@ fn rogue_controller_update_is_rejected_by_quorum() {
     let keys = &shared.keys;
     let _ = keys;
     let ctrl_node = engine.controller_node(southbound::types::DomainId(0), southbound::types::ControllerId(2));
+    let body = cicero_core::msg::UpdateBody {
+        update: rogue_update,
+        gates: Vec::new(),
+        notify: Vec::new(),
+        held: false,
+    };
+    let domain = southbound::types::DomainId(0);
+    let (set, members) = cicero_core::msg::UpdateSet::of(rogue_update.id.event, domain, vec![body]);
     for fake_index in [1u32, 2, 3] {
         let msg = southbound::envelope::ShareSigned {
-            payload: cicero_core::msg::UpdateBody {
-                update: rogue_update,
-                gates: Vec::new(),
-                notify: Vec::new(),
-                held: false,
-            },
+            payload: set,
             phase: southbound::types::Phase(0),
             msg_id: southbound::envelope::MsgId {
                 origin: 2,
@@ -255,7 +258,7 @@ fn rogue_controller_update_is_rejected_by_quorum() {
             SimTime::ZERO + SimDuration::from_millis(1),
             ctrl_node,
             engine.switch_node(victim),
-            Net::UpdateMsg(msg),
+            Net::UpdateMsg(msg, Box::new(members[0].clone())),
         );
     }
     engine.run(SimTime::ZERO + SimDuration::from_secs(5));

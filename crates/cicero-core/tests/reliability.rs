@@ -486,15 +486,16 @@ fn retransmissions_resend_the_kept_share_and_sign_nothing() {
             .map(|c| engine.with_controller(DomainId(0), ControllerId(c), |a| a.auth().signs()))
             .collect()
     };
-    // Every update of the path is signed at admission — the two held ones
-    // too, though nothing is released until the egress update is acked.
+    // The path's three updates are one set, signed once at admission — the
+    // two held ones too, though nothing is released until the egress
+    // update is acked.
     engine.run(SimTime::ZERO + SimDuration::from_millis(50));
-    assert_eq!(signs(&mut engine), vec![3; 4]);
+    assert_eq!(signs(&mut engine), vec![1; 4]);
     engine.run(healed);
     let stats = retransmit_stats(engine.observations());
     assert!(stats.update_retransmits >= 3 * 2, "cut-off controllers retransmit: {stats:?}");
     assert!(stats.nacks >= 1, "the starved switch asks: {stats:?}");
-    assert_eq!(signs(&mut engine), vec![3; 4], "no retransmission or NACK answer signs");
+    assert_eq!(signs(&mut engine), vec![1; 4], "no retransmission or NACK answer signs");
     let report = engine.run_reporting(healed + SimDuration::from_secs(5));
     assert!(report.completed, "{report}");
     let quorum = engine.observations().iter().find_map(|o| match o.value {
@@ -503,9 +504,9 @@ fn retransmissions_resend_the_kept_share_and_sign_nothing() {
     });
     let (at, signers) = quorum.expect("the egress update goes in");
     assert!(at >= healed && signers >= 2, "quorum only on re-sent shares: {signers} at {at:?}");
-    // Three updates on the path, each share-signed once per controller, and
-    // none of them again when released.
-    assert_eq!(signs(&mut engine), vec![3; 4]);
+    // Three updates on the path, one set share-signed once per controller,
+    // and nothing signed again when the held ones are released.
+    assert_eq!(signs(&mut engine), vec![1; 4]);
 }
 
 // ---------------------------------------------------------------------
@@ -1030,7 +1031,7 @@ fn reforwards_resend_the_kept_forward_and_sign_nothing() {
 fn a_retransmitted_share_re_relays_the_kept_aggregate_and_a_late_first_share_does_not() {
     use blscrypto::bls::PartialSignature;
     use blscrypto::curves::g1_generator;
-    use cicero_core::msg::UpdateBody;
+    use cicero_core::msg::{UpdateBody, UpdateSet};
     use simnet::node::{Actor, Context, Effect};
     use southbound::envelope::{MsgId, ShareSigned};
     use southbound::types::{EventId, FlowAction, FlowMatch, FlowRule, NextHop, Phase, UpdateId, UpdateKind};
@@ -1049,12 +1050,13 @@ fn a_retransmitted_share_re_relays_the_kept_aggregate_and_a_late_first_share_doe
     };
     let body = UpdateBody { update, gates: Vec::new(), notify: Vec::new(), held: false };
     let (d, aggregator) = (DomainId(0), ControllerId(1));
+    let (set, members) = UpdateSet::of(update.id.event, d, vec![body]);
     // Controller `c`'s share reaches the aggregator over its own channel
     // (modeled crypto: a quorum certifies on the count); returns the
     // aggregates the handler relayed.
     let mut share_from = |c: u32| {
         let share = ShareSigned {
-            payload: body.clone(),
+            payload: set,
             phase: Phase(0),
             msg_id: MsgId { origin: c, seq: 1 },
             partial: PartialSignature { index: c, sig: g1_generator().to_affine() },
@@ -1062,10 +1064,10 @@ fn a_retransmitted_share_re_relays_the_kept_aggregate_and_a_late_first_share_doe
         let mut rng = StdRng::seed_from_u64(0);
         let (me, from) = (engine.controller_node(d, aggregator), engine.controller_node(d, ControllerId(c)));
         let mut ctx = Context::new(engine.now(), me, &mut rng);
-        let msg = Net::UpdateToAggregator(share);
+        let msg = Net::UpdateToAggregator(share, Box::new(members[0].clone()));
         engine.with_controller(d, aggregator, |a| a.on_message(&mut ctx, from, msg));
         let relayed = ctx.into_effects().into_iter().filter_map(|e| match e {
-            Effect::Send { msg: Net::UpdateAggregated(m), .. } => Some(m),
+            Effect::Send { msg: Net::UpdateAggregated(m, _), .. } => Some(m),
             _ => None,
         });
         relayed.collect::<Vec<_>>()

@@ -323,6 +323,7 @@ fn switch_restart_victim(
 fn inject_byzantine(engine: &mut Engine, s: &Scenario, topo: &Topology) {
     use blscrypto::bls::PartialSignature;
     use blscrypto::curves::g1_generator;
+    use cicero_core::msg::{UpdateBody, UpdateSet};
     use southbound::envelope::{MsgId, ShareSigned, Tagged};
     use southbound::types::*;
 
@@ -354,28 +355,22 @@ fn inject_byzantine(engine: &mut Engine, s: &Scenario, topo: &Topology) {
                     }),
                 };
                 let from = engine.controller_node(d, c);
-                engine.inject_raw(
-                    at_ms(at),
-                    from,
-                    engine.switch_node(sw),
-                    Net::UpdateMsg(ShareSigned {
-                        payload: cicero_core::msg::UpdateBody {
-                            update,
-                            gates: Vec::new(),
-                            notify: Vec::new(),
-                            held: false,
-                        },
-                        phase: southbound::types::Phase(0),
-                        msg_id: MsgId {
-                            origin: c.0,
-                            seq: 0xBAD0_0000 + k as u64,
-                        },
-                        partial: PartialSignature {
-                            index: c.0,
-                            sig: g1_generator().to_affine(),
-                        },
-                    }),
-                );
+                let body = UpdateBody { update, gates: Vec::new(), notify: Vec::new(), held: false };
+                let (set, mut members) = UpdateSet::of(update.id.event, d, vec![body]);
+                let share = ShareSigned {
+                    payload: set,
+                    phase: southbound::types::Phase(0),
+                    msg_id: MsgId {
+                        origin: c.0,
+                        seq: 0xBAD0_0000 + k as u64,
+                    },
+                    partial: PartialSignature {
+                        index: c.0,
+                        sig: g1_generator().to_affine(),
+                    },
+                };
+                let member = members.pop().expect("a set of one");
+                engine.inject_raw(at_ms(at), from, engine.switch_node(sw), Net::UpdateMsg(share, Box::new(member)));
             }
             Fault::RogueReady {
                 switch,

@@ -13,7 +13,9 @@
 //!   updates), [`envelope::QuorumSigned`] (aggregated signatures) and
 //!   [`envelope::Tagged`] (a pair key's HMAC, for switch events, forwards,
 //!   acks, reports and readies), all with unique [`envelope::MsgId`]s and
-//!   membership [`types::Phase`] binding.
+//!   membership [`types::Phase`] binding;
+//! * [`merkle`] — RFC 6962 tree hashes and audit paths, so one signature
+//!   over a set's root certifies each member of the set.
 //!
 //! ```
 //! use southbound::prelude::*;
@@ -42,6 +44,7 @@
 
 pub mod codec;
 pub mod envelope;
+pub mod merkle;
 pub mod types;
 
 /// Commonly used items.

@@ -16,7 +16,7 @@
 use blscrypto::bls::PartialSignature;
 use blscrypto::curves::g1_generator;
 use cicero::prelude::*;
-use cicero_core::msg::UpdateBody;
+use cicero_core::msg::{UpdateBody, UpdateSet};
 use southbound::envelope::{MsgId, ShareSigned};
 
 fn rogue_update(victim: SwitchId, seq: u32) -> UpdateBody {
@@ -43,6 +43,14 @@ fn rogue_update(victim: SwitchId, seq: u32) -> UpdateBody {
     }
 }
 
+/// `body` as a set of one, with a share of it under `partial` — signed by
+/// nobody's key share.
+fn rogue_share(body: UpdateBody, phase: Phase, msg_id: MsgId, partial: PartialSignature) -> Net {
+    let (set, mut members) = UpdateSet::of(body.update.id.event, DomainId(0), vec![body]);
+    let share = ShareSigned { payload: set, phase, msg_id, partial };
+    Net::UpdateMsg(share, Box::new(members.pop().expect("a set of one")))
+}
+
 fn main() {
     let mut cfg = EngineConfig::for_mode(Mode::Cicero {
         aggregation: Aggregation::Switch,
@@ -60,15 +68,15 @@ fn main() {
         SimTime::ZERO + SimDuration::from_millis(1),
         rogue_node,
         engine.switch_node(victim),
-        Net::UpdateMsg(ShareSigned {
-            payload: u1,
-            phase: Phase(0),
-            msg_id: MsgId { origin: 2, seq: 1 },
-            partial: PartialSignature {
+        rogue_share(
+            u1,
+            Phase(0),
+            MsgId { origin: 2, seq: 1 },
+            PartialSignature {
                 index: 2,
                 sig: g1_generator().to_affine(),
             },
-        }),
+        ),
     );
     engine.run(engine.now() + SimDuration::from_secs(2));
     assert_eq!(applied(&engine), 0, "no quorum, no application");
@@ -81,18 +89,18 @@ fn main() {
             engine.now() + SimDuration::from_millis(1),
             rogue_node,
             engine.switch_node(victim),
-            Net::UpdateMsg(ShareSigned {
-                payload: u2.clone(),
-                phase: Phase(0),
-                msg_id: MsgId {
+            rogue_share(
+                u2.clone(),
+                Phase(0),
+                MsgId {
                     origin: 2,
                     seq: 10 + idx as u64,
                 },
-                partial: PartialSignature {
+                PartialSignature {
                     index: idx,
                     sig: g1_generator().mul_fr(blscrypto::fields::Fr::from_u64(idx as u64)).to_affine(),
                 },
-            }),
+            ),
         );
     }
     engine.run(engine.now() + SimDuration::from_secs(2));
@@ -111,15 +119,15 @@ fn main() {
         engine.now() + SimDuration::from_millis(1),
         rogue_node,
         engine.switch_node(victim),
-        Net::UpdateMsg(ShareSigned {
-            payload: u3,
-            phase: Phase(999), // wrong phase
-            msg_id: MsgId { origin: 2, seq: 99 },
-            partial: PartialSignature {
+        rogue_share(
+            u3,
+            Phase(999), // wrong phase
+            MsgId { origin: 2, seq: 99 },
+            PartialSignature {
                 index: 1,
                 sig: g1_generator().to_affine(),
             },
-        }),
+        ),
     );
     engine.run(engine.now() + SimDuration::from_secs(2));
     assert_eq!(applied(&engine), 0);

@@ -265,6 +265,49 @@ fn identifiers_are_never_reused_across_changes() {
     assert_eq!(len, 5, "the fresh identifier is admitted");
 }
 
+/// A controller added after an earlier reshare activates under `Real`
+/// crypto and signs with a share the switches accept. Its dealers deal
+/// from their post-reshare shares, so the joiner must check the dealings
+/// against the commitment of those shares — which its state sync carries —
+/// not against the bootstrap commitment it was built with. With every
+/// member but 1 and the joiner cut off from the switches, an update can
+/// only reach its quorum of two on the joiner's share.
+#[test]
+fn a_controller_added_after_a_removal_activates_and_its_shares_certify() {
+    let (mut engine, topo) = build(2);
+    let (domain, joiner) = (DomainId(0), ControllerId(6));
+    let at = engine.now() + SimDuration::from_millis(50);
+    engine.inject_membership(at, domain, OrderedOp::RemoveController(ControllerId(5)));
+    engine.run(at + SimDuration::from_secs(5));
+    let at = engine.now() + SimDuration::from_millis(50);
+    engine.inject_membership(at, domain, OrderedOp::AddController(joiner));
+    engine.run(at + SimDuration::from_secs(5));
+    let (active, phase) = engine.with_controller(domain, joiner, |c| (c.is_active(), c.view().phase()));
+    assert_eq!(phase, Phase(2), "the joiner adopted the view");
+    assert!(active, "the joiner re-keyed from the dealers' post-reshare shares");
+
+    let mut plan = simnet::fault::FaultPlan::none();
+    for c in [2, 3, 4] {
+        let node = engine.controller_node(domain, ControllerId(c));
+        for s in topo.switches() {
+            plan = plan.with_severed_link(node, engine.switch_node(s.id));
+        }
+    }
+    engine.set_faults(plan);
+    // An intra-rack flow: one update, at the shared ToR, held by nothing.
+    let tor = topo.switches().iter().find(|s| topo.hosts_on(s.id).len() >= 2).expect("a rack");
+    let hosts = topo.hosts_on(tor.id);
+    let start = engine.now() + SimDuration::from_millis(10);
+    harness::inject_flow(&mut engine, &topo, FlowId(1), hosts[0], hosts[1], 500, start).expect("routable");
+    engine.run(start + SimDuration::from_secs(5));
+    let signers = engine.observations().iter().find_map(|o| match o.value {
+        Obs::UpdateApplied { switch, signers, .. } if switch == tor.id => Some(signers),
+        _ => None,
+    });
+    assert_eq!(signers, Some(2), "applied on the shares of controllers 1 and 6");
+    assert_eq!(completed(&engine), 1);
+}
+
 #[test]
 fn failure_detector_removes_a_crashed_controller_automatically() {
     // Paper §4.3 + §5.1: heartbeats detect a crashed member; any member
