@@ -49,6 +49,7 @@ impl ControllerActor {
                 controller: self.id.0,
                 update: id,
             });
+            self.retire_set(id);
         }
         self.sweep_forwards(ctx);
         self.arm_retry(ctx);
