@@ -16,6 +16,7 @@ use netmodel::routing::route;
 use netmodel::topology::Topology;
 use southbound::codec::Wire;
 use southbound::envelope::{MsgId, Tagged};
+use southbound::merkle::TreeHash;
 use southbound::types::*;
 use std::hint::black_box;
 use substrate::benchkit::Harness;
@@ -195,11 +196,11 @@ fn bench_update_set(c: &mut Harness) {
         .into_iter()
         .map(|update| UpdateBody { update, gates: Vec::new(), notify: Vec::new(), held: true })
         .collect();
-    let (set, members) = UpdateSet::of(EventId(1), DomainId(0), bodies.clone());
+    let (set, members) = UpdateSet::of(TreeHash::Sha256, EventId(1), DomainId(0), bodies.clone());
     c.bench_function("update_set_root_4_and_path_check", |b| {
         b.iter(|| {
-            let (root, _) = UpdateSet::of(EventId(1), DomainId(0), black_box(bodies.clone()));
-            assert!(set.binds(black_box(&members[2])));
+            let (root, _) = UpdateSet::of(TreeHash::Sha256, EventId(1), DomainId(0), black_box(bodies.clone()));
+            assert!(set.binds(TreeHash::Sha256, black_box(&members[2])));
             black_box(root)
         })
     });

@@ -22,12 +22,12 @@
 //! Updates are signed one set at a time: a controller signs the
 //! [`UpdateSet`] of a domain-event — the RFC 6962 root over its update
 //! bodies — once, and each update travels as a [`Member`] of it with its
-//! audit path. The set's hashing follows the level as tags do: under
-//! `Real`, [`Authenticator::update_set`] hashes the root and
-//! [`Authenticator::admits_member`] checks a member's path before its share
-//! is bucketed or its aggregate verified; below `Real` the root is a
-//! placeholder and only the member's structure is checked (its set's
-//! domain and event, its switch, its index).
+//! audit path. The tree's hash follows the level as tags do
+//! ([`Authenticator::tree_hash`]): SHA-256 under `Real`, a cheap modeled
+//! mix below it, over the same tree shape. So at every level
+//! [`Authenticator::admits_member`] checks a member's path to its set's
+//! root before its share is bucketed or its aggregate verified, and a set
+//! is collected the same way.
 //!
 //! Who pays how follows the paper's hardware: a switch is one OVS thread,
 //! so each check is serialized CPU, charged here; a controller has 12
@@ -44,9 +44,9 @@
 //! new shares lie on one polynomial. The phase notice is then share-signed and
 //! [`Authenticator::collect`]ed like every other quorum.
 
-use crate::collector::{Check, Quorum, QuorumCollector, Signable};
-use crate::config::CryptoMode;
-use crate::msg::{Member, Net, UpdateBody, UpdateSet};
+use crate::collector::{Check, Quorum, QuorumCollector};
+use crate::config::{CryptoMode, EngineConfig};
+use crate::msg::{Member, Net, UpdateSet};
 use crate::obs::Obs;
 use crate::runtime::{fake_group, KeyMaterial, Shared};
 use blscrypto::bls::{KeyShare, PartialSignature, PublicKey, SecretKey};
@@ -60,7 +60,8 @@ use simnet::node::{Host, NodeId};
 use simnet::time::SimDuration;
 use southbound::codec::Wire;
 use southbound::envelope::{MsgId, QuorumSigned, ShareSigned, Tagged};
-use southbound::types::{ControllerId, DomainId, EventId, Phase, SwitchId};
+use southbound::merkle::TreeHash;
+use southbound::types::{ControllerId, DomainId, Phase, SwitchId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -110,6 +111,27 @@ enum Level {
     Real,
 }
 
+impl Level {
+    fn of(cfg: &EngineConfig) -> Level {
+        match (cfg.mode.is_signed(), cfg.crypto) {
+            (false, _) => Level::Unsigned,
+            (true, CryptoMode::Modeled) => Level::Modeled,
+            (true, CryptoMode::Real) => Level::Real,
+        }
+    }
+}
+
+/// The hash every actor of a run configured by `cfg` builds and checks
+/// update-set trees with: SHA-256 where signatures are real, the modeled
+/// mix where they are not. The one place it is chosen.
+pub fn tree_hash(cfg: &EngineConfig) -> TreeHash {
+    if Level::of(cfg) == Level::Real {
+        TreeHash::Sha256
+    } else {
+        TreeHash::Mix
+    }
+}
+
 /// A re-key in flight: the phase it enters, the commitment the dealings are
 /// checked against, the shape of the new sharing and who deals it.
 struct PendingReshare {
@@ -157,11 +179,7 @@ impl Authenticator {
         identity: Option<SecretKey>,
         share: Option<KeyShare>,
     ) -> Self {
-        let level = match (shared.cfg.mode.is_signed(), shared.cfg.crypto) {
-            (false, _) => Level::Unsigned,
-            (true, CryptoMode::Modeled) => Level::Modeled,
-            (true, CryptoMode::Real) => Level::Real,
-        };
+        let level = Level::of(&shared.cfg);
         let (domain, origin) = match me {
             Peer::Switch(s) => (shared.dir.domain_of_switch[&s], s.0),
             Peer::Controller(d, c) => (d, c.0),
@@ -357,24 +375,17 @@ impl Authenticator {
         }
     }
 
-    /// The update set of `bodies` — `event`'s updates in this domain,
-    /// ascending by id — and each body as a member of it. Under `Real` the
-    /// root is the RFC 6962 tree hash and each member carries its audit
-    /// path; below it nothing is hashed ([`UpdateSet`]'s placeholder).
-    pub fn update_set(&self, event: EventId, bodies: Vec<UpdateBody>) -> (UpdateSet, Vec<Member>) {
-        if self.level == Level::Real {
-            UpdateSet::of(event, self.domain, bodies)
-        } else {
-            UpdateSet::unhashed(event, self.domain, bodies)
-        }
+    /// The hash this actor's update-set trees are built and checked with.
+    pub fn tree_hash(&self) -> TreeHash {
+        tree_hash(&self.shared.cfg)
     }
 
     /// `true` when `member` may be taken as a member of `set` here, checked
     /// before its share is bucketed or its aggregate verified: the set is
     /// this domain's, the body's update belongs to the set's event and is
     /// addressed to this switch (to one of this domain's switches, at the
-    /// aggregator), its index is below the set's size and — under `Real` —
-    /// its audit path leads its body to the set's root.
+    /// aggregator), its index is below the set's size, and its audit path
+    /// leads its body to the set's root.
     pub fn admits_member(&self, set: &UpdateSet, member: &Member) -> bool {
         let update = member.body.update;
         let addressed = match self.me {
@@ -385,7 +396,7 @@ impl Authenticator {
             && update.id.event == set.event
             && addressed
             && member.index < set.size
-            && (self.level != Level::Real || set.binds(member))
+            && set.binds(self.tree_hash(), member)
     }
 
     /// Tags `payload` for `to`, its only reader, under the key this actor
@@ -507,7 +518,7 @@ impl Authenticator {
     /// re-key: an eviction then may leave a quorum, which is judged again
     /// (each attempt counts in [`Self::checks`]; the outcome's
     /// [`Quorum::work`] is the last one's).
-    pub fn collect<K: Ord + Copy, T: Signable>(
+    pub fn collect<K: Ord + Copy, T: Wire + Clone + Eq>(
         &mut self,
         bucket: &mut QuorumCollector<K, T>,
         key: K,

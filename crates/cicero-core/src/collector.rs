@@ -13,13 +13,12 @@
 //! collector all collect through this one type, so a rogue share costs
 //! every verifier the same and is handled the same.
 //!
-//! A payload may carry more than its shares sign ([`Signable`]): an update
-//! is collected as a [`crate::msg::Leaf`] — its set's share together with
-//! the update's member of the set — under the update's id, bucketed per
-//! identical leaf and verified over the set alone. One set signature
-//! certifies every member, so the aggregator verifies a set once and takes
-//! its other members out on their count ([`QuorumCollector::certify_with`]),
-//! each from a bucket of the set that signature covers.
+//! An update is collected as the [`crate::msg::UpdateSet`] its shares
+//! sign — at a switch under the update's id, at the aggregator under the
+//! set itself. The set's root binds each member's body at every crypto
+//! level, so the share that completes a quorum carries a member of exactly
+//! the certified set, and that member is what the collector's caller
+//! delivers or relays.
 //!
 //! Per-share eviction derives share keys from the [`GroupPublic`] the
 //! caller passes. Switches and remote domains only hold the *bootstrap*
@@ -33,20 +32,6 @@ use southbound::codec::Wire;
 use southbound::envelope::signing_digest;
 use southbound::types::Phase;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// What a share signs: a payload's [`signing_digest`], or — for a payload
-/// that carries more than its shares sign, like a [`crate::msg::Leaf`] —
-/// the digest of the part they sign.
-pub trait Signable: Clone + Eq {
-    /// The digest a share of `self` signs under `label` in `phase`.
-    fn signed_digest(&self, label: &str, phase: Phase) -> [u8; 32];
-}
-
-impl<T: Wire + Clone + Eq> Signable for T {
-    fn signed_digest(&self, label: &str, phase: Phase) -> [u8; 32] {
-        signing_digest(label, phase, self)
-    }
-}
 
 /// Shares over one payload variant.
 #[derive(Clone, Debug)]
@@ -117,7 +102,7 @@ pub struct QuorumCollector<K, T> {
     entries: BTreeMap<(K, Phase), Entry<T>>,
 }
 
-impl<K: Ord + Copy, T: Signable> QuorumCollector<K, T> {
+impl<K: Ord + Copy, T: Wire + Clone + Eq> QuorumCollector<K, T> {
     /// An empty collector.
     pub fn new() -> Self {
         QuorumCollector {
@@ -175,7 +160,7 @@ impl<K: Ord + Copy, T: Signable> QuorumCollector<K, T> {
         let signature = match check.keys {
             None => KeyMaterial::dummy_signature(),
             Some((group_pk, group)) => {
-                let digest = bucket.payload.signed_digest(check.label, phase);
+                let digest = signing_digest(check.label, phase, &bucket.payload);
                 match bls::aggregate(&partials) {
                     Ok(sig) if group_pk.verify(&digest, &sig) => sig,
                     _ => {
@@ -202,34 +187,9 @@ impl<K: Ord + Copy, T: Signable> QuorumCollector<K, T> {
             signature,
         })
     }
-
-    /// Takes out the first payload variant of `(key, phase)` that holds
-    /// `quorum` distinct signers and that `covers` accepts, without judging
-    /// it: `signature` was verified already over what the shares of every
-    /// payload `covers` accepts sign. A threshold signature is unique per
-    /// message, so any quorum of shares over that message would aggregate
-    /// to it. Variants it does not cover stay.
-    pub fn certify_with(
-        &mut self,
-        key: K,
-        phase: Phase,
-        quorum: usize,
-        signature: Signature,
-        covers: impl Fn(&T) -> bool,
-    ) -> Option<Certificate<T>> {
-        let (_, buckets) = self.entries.get(&(key, phase))?;
-        let bucket = buckets.iter().find(|b| b.partials.len() >= quorum && covers(&b.payload))?;
-        let cert = Certificate {
-            payload: bucket.payload.clone(),
-            signers: bucket.partials.keys().copied().collect(),
-            signature,
-        };
-        self.entries.remove(&(key, phase));
-        Some(cert)
-    }
 }
 
-impl<K: Ord + Copy, T: Signable> Default for QuorumCollector<K, T> {
+impl<K: Ord + Copy, T: Wire + Clone + Eq> Default for QuorumCollector<K, T> {
     fn default() -> Self {
         Self::new()
     }
@@ -461,45 +421,6 @@ mod tests {
         };
         assert_eq!(cert.signers, vec![1, 3]);
         assert_eq!(auth.checks(), 2, "the rejected aggregate, then the certified one");
-    }
-
-    /// A signature verified over what two buckets' shares sign certifies
-    /// the second on its count alone, and only once it holds a quorum.
-    #[test]
-    fn a_verified_signature_certifies_another_bucket_on_its_count() {
-        let out = group();
-        let mut c = QuorumCollector::new();
-        for signer in [1, 2] {
-            c.offer(1u8, P0, FlowId(7), share(&out, signer, P0, FlowId(7)));
-        }
-        let Quorum::Certified(first) = attempt(&mut c, &out, 1, P0) else {
-            panic!("two honest shares certify");
-        };
-        let covers = |p: &FlowId| *p == FlowId(7);
-        c.offer(2, P0, FlowId(7), share(&out, 3, P0, FlowId(7)));
-        assert!(c.certify_with(2, P0, 2, first.signature, covers).is_none(), "below quorum");
-        c.offer(2, P0, FlowId(7), share(&out, 4, P0, FlowId(7)));
-        let cert = c.certify_with(2, P0, 2, first.signature, covers).expect("a quorum");
-        assert_eq!((cert.payload, cert.signers), (FlowId(7), vec![3, 4]));
-        assert_eq!(c.have(2, P0), 0, "taken out");
-    }
-
-    /// A quorum bucket of another payload, first under the key, is not
-    /// what a signature over one payload certifies: the covered bucket is
-    /// taken out, and with none covered nothing is.
-    #[test]
-    fn a_verified_signature_certifies_only_the_bucket_it_covers() {
-        let out = group();
-        let mut c = QuorumCollector::new();
-        for (signer, payload) in [(1, FlowId(8)), (2, FlowId(8)), (3, FlowId(7)), (4, FlowId(7))] {
-            c.offer(1u8, P0, payload, share(&out, signer, P0, payload));
-        }
-        let partials = [3, 4].map(|s| share(&out, s, P0, FlowId(7)));
-        let signature = bls::aggregate(&partials).expect("two shares");
-        assert!(c.certify_with(1, P0, 2, signature, |p| *p == FlowId(9)).is_none());
-        assert_eq!(c.have(1, P0), 2, "nothing taken out");
-        let cert = c.certify_with(1, P0, 2, signature, |p| *p == FlowId(7)).expect("covered");
-        assert_eq!((cert.payload, cert.signers), (FlowId(7), vec![3, 4]));
     }
 
     #[test]

@@ -200,7 +200,7 @@ impl ControllerActor {
     /// ascending id order (its leaf order); nothing is signed yet.
     pub(super) fn open_set(&mut self, event: EventId, mut bodies: Vec<UpdateBody>) {
         bodies.sort_by_key(|b| b.update.id);
-        let (set, members) = self.auth.update_set(event, bodies);
+        let (set, members) = UpdateSet::of(self.auth.tree_hash(), event, self.domain, bodies);
         let key = members[0].body.update.id;
         for m in &members {
             self.set_of.insert(m.body.update.id, key);

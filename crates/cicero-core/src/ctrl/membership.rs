@@ -100,7 +100,6 @@ impl ControllerActor {
         self.active = true;
         self.replica = Some(Self::build_replica(&self.view, self.id));
         self.agg_shares.retain_phase(self.view.phase());
-        self.agg_sets.clear();
         self.relayed.clear();
         ctx.observe(Obs::PhaseChanged {
             domain: self.domain,

@@ -42,7 +42,7 @@ mod membership;
 use crate::auth::{Authenticator, Peer};
 use crate::collector::QuorumCollector;
 use crate::config::{Mode, RETRY_BASE, RETRY_BUDGET};
-use crate::msg::{Leaf, Member, Net, OrderedOp, PhaseInfo, Release, UpdateSet, WalRecord};
+use crate::msg::{Net, OrderedOp, PhaseInfo, Release, UpdateSet, WalRecord};
 use crate::obs::Obs;
 use crate::runtime::{labels, Shared};
 use barriers::{Barrier, Report, SegWatch};
@@ -73,9 +73,9 @@ const HEARTBEAT: TimerToken = TimerToken(2);
 const RETRY: TimerToken = TimerToken(3);
 const TICK_PERIOD: SimDuration = SimDuration::from_millis(5);
 
-/// A member the aggregator relayed, under its set's quorum signature, and
-/// the signers whose share of the set it has seen.
-type Relay = (QuorumSigned<UpdateSet>, Member, BTreeSet<u32>);
+/// A set the aggregator certified: its quorum signature, and per member
+/// relayed under it, the signers whose share came with that member.
+type Relay = (QuorumSigned<UpdateSet>, BTreeMap<UpdateId, BTreeSet<u32>>);
 
 /// The controller actor.
 pub struct ControllerActor {
@@ -94,17 +94,12 @@ pub struct ControllerActor {
     forwarded_events: BTreeSet<EventId>,
     unprocessed: BTreeMap<[u8; 32], OrderedOp>,
     queued_events: Vec<Event>,
-    /// Aggregator role: set shares below quorum, bucketed per member with
-    /// the member ([`Leaf`]).
-    agg_shares: QuorumCollector<UpdateId, Leaf>,
-    /// Aggregator role: each set certified in this phase. A set is
-    /// aggregated and verified once; its other members go out under the
-    /// same signature on their quorum's count.
-    agg_sets: BTreeMap<UpdateSet, QuorumSigned<UpdateSet>>,
-    /// Aggregator role: each member relayed, with its set's quorum
-    /// signature and the signers whose share of it has been seen — a second
-    /// share from one of them asks for a re-relay. Cleared at a phase change.
-    relayed: Kept<(UpdateId, Phase), Relay>,
+    /// Aggregator role: set shares below quorum, bucketed per set.
+    agg_shares: QuorumCollector<UpdateSet, UpdateSet>,
+    /// Aggregator role: one record per set certified in this phase, whose
+    /// signature every member admitted afterwards goes out under. Cleared
+    /// at a phase change.
+    relayed: Kept<UpdateSet, Relay>,
     /// Aggregator role: members' shares of a phase notice below quorum, and
     /// each phase's certified notice.
     phase_shares: QuorumCollector<(), PhaseInfo>,
@@ -218,7 +213,6 @@ impl ControllerActor {
             unprocessed: BTreeMap::new(),
             queued_events: Vec::new(),
             agg_shares: QuorumCollector::new(),
-            agg_sets: BTreeMap::new(),
             relayed: Kept::default(),
             phase_shares: QuorumCollector::new(),
             phase_notices: Kept::default(),

@@ -7,9 +7,8 @@ use blscrypto::reshare::ReshareDealing;
 use blscrypto::sha256::sha256_parts;
 use simnet::time::{SimDuration, SimTime};
 use southbound::codec::Wire;
-use crate::collector::Signable;
 use southbound::envelope::{QuorumSigned, ShareSigned, Tagged};
-use southbound::merkle;
+use southbound::merkle::{self, TreeHash};
 use southbound::types::{
     ControllerId, DomainId, Event, EventId, FlowId, HostId, NetworkUpdate, Phase, SwitchId,
     UpdateId,
@@ -98,7 +97,11 @@ wire_struct!(UpdateBody { update, gates, notify, held });
 /// in the Cicero path that releases by tag, a set is the event's whole
 /// projected schedule in the domain; on the paper's path each update is a
 /// set of one (DESIGN.md §3, "One share per domain-event"). `size` bounds
-/// the members' indices, and `event` the updates they may carry.
+/// the members' indices, and `event` the updates they may carry. The tree
+/// is hashed with the run's [`TreeHash`] — SHA-256 under
+/// [`crate::config::CryptoMode::Real`], the modeled mix below it — so at
+/// every level the root binds each member's body, and shares bucket per
+/// set.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct UpdateSet {
     /// The event whose updates the set holds.
@@ -115,41 +118,27 @@ wire_struct!(UpdateSet { event, domain, size, root });
 
 impl UpdateSet {
     /// The set of `bodies` — `event`'s updates in `domain`, ascending by
-    /// id — under its tree hash, and each body as a member with its audit
-    /// path.
-    pub fn of(event: EventId, domain: DomainId, bodies: Vec<UpdateBody>) -> (UpdateSet, Vec<Member>) {
-        let leaves: Vec<merkle::Hash> = bodies.iter().map(|b| merkle::leaf_hash(&b.to_wire())).collect();
-        let root = merkle::root(&leaves);
-        Self::rooted(event, domain, bodies, root, |i| merkle::path(i, &leaves))
-    }
-
-    /// [`Self::of`] where nothing is hashed: the root is a placeholder that
-    /// names the first member, and no member has a path.
-    pub(crate) fn unhashed(event: EventId, domain: DomainId, bodies: Vec<UpdateBody>) -> (UpdateSet, Vec<Member>) {
-        let mut root = [0; 32];
-        let first = bodies.first().map(|b| b.update.id.to_wire()).unwrap_or_default();
-        root[..first.len()].copy_from_slice(&first);
-        Self::rooted(event, domain, bodies, root, |_| Vec::new())
-    }
-
-    /// The set of `bodies` under `root`, each body with its `path`.
-    fn rooted(
+    /// id — under its root by the tree hash `hash`, and each body as a
+    /// member with its audit path.
+    pub fn of(
+        hash: TreeHash,
         event: EventId,
         domain: DomainId,
         bodies: Vec<UpdateBody>,
-        root: merkle::Hash,
-        path: impl Fn(usize) -> Vec<merkle::Hash>,
     ) -> (UpdateSet, Vec<Member>) {
+        let leaves: Vec<merkle::Hash> = bodies.iter().map(|b| merkle::leaf_hash(hash, &b.to_wire())).collect();
+        let root = merkle::root(hash, &leaves);
         let set = UpdateSet { event, domain, size: bodies.len() as u32, root };
         let members = bodies.into_iter().enumerate();
-        let members = members.map(|(i, body)| Member { body, index: i as u32, path: path(i) });
+        let members = members.map(|(i, body)| Member { body, index: i as u32, path: merkle::path(hash, i, &leaves) });
         (set, members.collect())
     }
 
-    /// `true` iff `member`'s audit path leads its body to this root.
-    pub fn binds(&self, member: &Member) -> bool {
+    /// `true` iff `member`'s audit path leads its body to this root under
+    /// `hash`.
+    pub fn binds(&self, hash: TreeHash, member: &Member) -> bool {
         let data = member.body.to_wire();
-        merkle::verify(&data, member.index, self.size, &member.path, &self.root)
+        merkle::verify(hash, &data, member.index, self.size, &member.path, &self.root)
     }
 }
 
@@ -166,34 +155,6 @@ pub struct Member {
 }
 
 wire_struct!(Member { body, index, path });
-
-/// A member as a switch or the aggregator collects it: the set its shares
-/// sign, and the member itself. Shares bucket together only over the same
-/// set *and* member, so where no root binds a body — below
-/// [`crate::config::CryptoMode::Real`] — a body still needs a quorum of its
-/// own.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Leaf {
-    /// The set the shares sign.
-    pub set: UpdateSet,
-    /// The member the set's root certifies.
-    pub member: Member,
-}
-
-impl Leaf {
-    /// A share of a set, travelling with one of its members, as one
-    /// collectable share of the pair.
-    pub fn share(share: ShareSigned<UpdateSet>, member: Member) -> ShareSigned<Leaf> {
-        let ShareSigned { payload: set, phase, msg_id, partial } = share;
-        ShareSigned { payload: Leaf { set, member }, phase, msg_id, partial }
-    }
-}
-
-impl Signable for Leaf {
-    fn signed_digest(&self, label: &str, phase: Phase) -> [u8; 32] {
-        self.set.signed_digest(label, phase)
-    }
-}
 
 /// A controller's word that held update `update` may now go in at switch
 /// `switch`: every dependency of it is acknowledged here. Tagged under the

@@ -20,7 +20,8 @@ use crate::config::{
     RETRY_BUDGET,
 };
 use crate::msg::{
-    AckBody, Leaf, NackBody, Net, PhaseInfo, ReadyBody, Release, SwitchWalRecord, UpdateBody,
+    AckBody, Member, NackBody, Net, PhaseInfo, ReadyBody, Release, SwitchWalRecord, UpdateBody,
+    UpdateSet,
 };
 use crate::obs::Obs;
 use crate::runtime::{labels, Shared};
@@ -85,9 +86,10 @@ pub struct SwitchActor {
     waiting: BTreeMap<FlowMatch, Vec<WaitingFlow>>,
     outstanding: BTreeSet<FlowMatch>,
     /// Set shares below quorum ([`QuorumCollector`] policy), bucketed per
-    /// update with its member ([`Leaf`]). The body includes the gate/notify
-    /// metadata, so a quorum also vouches for the release order.
-    buckets: QuorumCollector<UpdateId, Leaf>,
+    /// update and per identical set. The set's root binds the update's body,
+    /// gate/notify metadata included, so a quorum also vouches for the
+    /// release order.
+    buckets: QuorumCollector<UpdateId, UpdateSet>,
     applied: BTreeSet<UpdateId>,
     /// Signer indices seen per applied update: shares from signers *not*
     /// in here are the tail of the original broadcast (quorum fired before
@@ -233,19 +235,14 @@ impl SwitchActor {
         EventId(((self.id.0 as u64) << 32) | self.event_seq)
     }
 
-    /// The domain's bootstrap controllers: where acks and NACKs go.
-    fn bootstrap(&self) -> Vec<ControllerId> {
-        self.shared.dir.initial_members[&self.domain].clone()
-    }
-
     /// Where events go: the aggregator (controller aggregation) or the
-    /// domain's bootstrap controllers.
+    /// domain's current members.
     fn event_targets(&self) -> Vec<ControllerId> {
         match self.shared.cfg.mode {
             Mode::Cicero {
                 aggregation: Aggregation::Controller,
             } => vec![self.phase_info.aggregator],
-            _ => self.bootstrap(),
+            _ => self.phase_info.members.clone(),
         }
     }
 
@@ -378,18 +375,21 @@ impl SwitchActor {
     }
 
     /// Switch-side aggregation (paper Fig. 6b): what collecting one more
-    /// share of `id` came to — aggregate, verify, hand the body on.
-    fn on_quorum(&mut self, ctx: &mut dyn Host<Net, Obs>, id: UpdateId, outcome: Quorum<Leaf>) {
-        ctx.charge_cpu(self.auth.quorum_cost(&outcome));
-        match outcome {
+    /// share of `set`, with `member`, came to — aggregate, verify, hand the
+    /// body on. Only the share just bucketed can complete a quorum, so the
+    /// set certified is the one `member` was admitted under.
+    fn on_quorum(&mut self, ctx: &mut dyn Host<Net, Obs>, set: UpdateSet, member: Member, q: Quorum<UpdateSet>) {
+        ctx.charge_cpu(self.auth.quorum_cost(&q));
+        let id = member.body.update.id;
+        match q {
             Quorum::Below => {}
-            Quorum::Rejected { .. } => self.reject(ctx, id),
-            Quorum::Certified(cert) => {
+            Quorum::Certified(cert) if cert.payload == set => {
                 let n_signers = cert.signers.len() as u32;
                 self.applied_signers
                     .insert(id, cert.signers.into_iter().collect());
-                self.deliver(ctx, cert.payload.member.body, n_signers);
+                self.deliver(ctx, member.body, n_signers);
             }
+            Quorum::Rejected { .. } | Quorum::Certified(_) => self.reject(ctx, id),
         }
     }
 
@@ -542,7 +542,7 @@ impl SwitchActor {
 
     fn send_ack(&mut self, ctx: &mut dyn Host<Net, Obs>, update: NetworkUpdate) {
         let body = AckBody { update: update.id, switch: self.id };
-        let (msg_id, to) = (self.auth.next_msg_id(), self.bootstrap());
+        let (msg_id, to) = (self.auth.next_msg_id(), self.phase_info.members.clone());
         self.send_tagged(ctx, labels::ACK, body, msg_id, &to, Net::AckMsg);
     }
 
@@ -724,7 +724,7 @@ impl SwitchActor {
     fn send_nack(&mut self, ctx: &mut dyn Host<Net, Obs>, update: UpdateId, have: u32) {
         let body = NackBody { update, switch: self.id, have };
         ctx.observe(Obs::NackSent { switch: self.id, update, have });
-        let (msg_id, to) = (self.auth.next_msg_id(), self.bootstrap());
+        let (msg_id, to) = (self.auth.next_msg_id(), self.phase_info.members.clone());
         self.send_tagged(ctx, labels::NACK, body, msg_id, &to, Net::UpdateNack);
     }
 
@@ -862,10 +862,9 @@ impl Actor<Net, Obs> for SwitchActor {
             Net::UpdateMsg(share, member) => {
                 let u = member.body.update;
                 if self.admit_share(ctx, u, share.phase, share.partial.index) {
-                    let leaf = Leaf::share(share, *member);
-                    let q =
-                        self.auth.collect(&mut self.buckets, u.id, leaf, labels::UPDATE, quorum, self.domain);
-                    self.on_quorum(ctx, u.id, q);
+                    let set = share.payload;
+                    let q = self.auth.collect(&mut self.buckets, u.id, share, labels::UPDATE, quorum, self.domain);
+                    self.on_quorum(ctx, set, *member, q);
                 }
             }
             Net::UpdateRelease(m) => self.on_release(ctx, from, m),

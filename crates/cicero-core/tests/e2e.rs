@@ -240,7 +240,7 @@ fn rogue_controller_update_is_rejected_by_quorum() {
         held: false,
     };
     let domain = southbound::types::DomainId(0);
-    let (set, members) = cicero_core::msg::UpdateSet::of(rogue_update.id.event, domain, vec![body]);
+    let (set, members) = cicero_core::msg::UpdateSet::of(southbound::merkle::TreeHash::Sha256, rogue_update.id.event, domain, vec![body]);
     for fake_index in [1u32, 2, 3] {
         let msg = southbound::envelope::ShareSigned {
             payload: set,

@@ -1050,7 +1050,8 @@ fn a_retransmitted_share_re_relays_the_kept_aggregate_and_a_late_first_share_doe
     };
     let body = UpdateBody { update, gates: Vec::new(), notify: Vec::new(), held: false };
     let (d, aggregator) = (DomainId(0), ControllerId(1));
-    let (set, members) = UpdateSet::of(update.id.event, d, vec![body]);
+    let hash = cicero_core::auth::tree_hash(&engine.shared().cfg);
+    let (set, members) = UpdateSet::of(hash, update.id.event, d, vec![body]);
     // Controller `c`'s share reaches the aggregator over its own channel
     // (modeled crypto: a quorum certifies on the count); returns the
     // aggregates the handler relayed.

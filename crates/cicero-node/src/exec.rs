@@ -44,12 +44,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use substrate::rng::{SeedableRng, StdRng};
-use substrate::sync::{bounded, Mutex, Receiver, RecvTimeoutError};
+use substrate::sync::{bounded, mailbox, MailboxReceiver, MailboxSender, Mutex, RecvTimeoutError, TrySendError};
 use workload::gen::FlowSpec;
 
-/// Mailbox depth per node. Deep enough that a healthy deployment never
-/// drops; a pathological burst degrades to loss (which the protocol's
-/// retransmission layer absorbs) instead of deadlocking sender threads.
+/// Mailbox depth per node, a count (a mailbox allocates only what waits in
+/// it). Deep enough that a healthy deployment never drops; a pathological
+/// burst degrades to loss (which the protocol's retransmission layer
+/// absorbs) instead of deadlocking sender threads.
 const MAILBOX_DEPTH: usize = 8192;
 
 /// Poll period of the convergence watchdog.
@@ -94,8 +95,8 @@ struct NodeRunner {
     id: NodeId,
     dep: Arc<Deployment>,
     role: NodeRole,
-    rx: Receiver<Envelope>,
-    senders: Arc<Vec<SyncSender<Envelope>>>,
+    rx: MailboxReceiver<Envelope>,
+    senders: Arc<Vec<MailboxSender<Envelope>>>,
     clock: WallClock,
     obs: Arc<Mutex<Vec<Observation<Obs>>>>,
     dropped: Arc<Vec<AtomicU64>>,
@@ -184,7 +185,7 @@ impl NodeRunner {
                         let wait = next.since(self.clock.now());
                         self.rx.recv_timeout(std::time::Duration::from_nanos(wait.as_nanos()))
                     }
-                    None => self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                    None => self.rx.recv_timeout(std::time::Duration::MAX),
                 };
                 match received {
                     Err(RecvTimeoutError::Timeout) => {}
@@ -203,7 +204,7 @@ impl NodeRunner {
             // A crashed node drops all future deliveries, like the
             // simulator: drain silently until restarted or shut down.
             loop {
-                match self.rx.recv() {
+                match self.rx.recv_timeout(std::time::Duration::MAX) {
                     Ok(Envelope::Shutdown) | Err(_) => return,
                     Ok(Envelope::Probe(reply)) => {
                         // Dead nodes hold no *outstanding* work (their live
@@ -260,7 +261,7 @@ impl std::fmt::Display for ThreadedReport {
 /// A running threaded deployment: one OS thread per planned node.
 pub struct ThreadedDeployment {
     dep: Arc<Deployment>,
-    senders: Arc<Vec<SyncSender<Envelope>>>,
+    senders: Arc<Vec<MailboxSender<Envelope>>>,
     handles: Vec<JoinHandle<()>>,
     clock: WallClock,
     obs: Arc<Mutex<Vec<Observation<Obs>>>>,
@@ -287,7 +288,7 @@ impl ThreadedDeployment {
                 senders.len(),
                 "deployment plan must be dense in node ids"
             );
-            let (tx, rx) = bounded(MAILBOX_DEPTH);
+            let (tx, rx) = mailbox(MAILBOX_DEPTH);
             senders.push(tx);
             receivers.push(rx);
         }
@@ -392,8 +393,8 @@ impl ThreadedDeployment {
                 Ok(()) => replies.push(Some(prx)),
                 // Dead node: no outstanding work (crashed-node exclusion).
                 // Full mailbox: clearly still busy.
-                Err(std::sync::mpsc::TrySendError::Disconnected(_)) => replies.push(None),
-                Err(std::sync::mpsc::TrySendError::Full(_)) => return None,
+                Err(TrySendError::Disconnected(_)) => replies.push(None),
+                Err(TrySendError::Full(_)) => return None,
             }
         }
         let mut sum = Outstanding::default();
@@ -482,14 +483,14 @@ mod tests {
     /// Node 0 of a flowless deployment on a fresh clock, with the receiving
     /// ends of `mailboxes` peers' mailboxes (node ids 0..) and the shared log.
     #[allow(clippy::type_complexity, reason = "a test fixture's one-off tuple")]
-    fn runner(mailboxes: usize) -> (NodeRunner, Vec<Receiver<Envelope>>, Arc<Mutex<Vec<Observation<Obs>>>>) {
+    fn runner(mailboxes: usize) -> (NodeRunner, Vec<MailboxReceiver<Envelope>>, Arc<Mutex<Vec<Observation<Obs>>>>) {
         let spec = crate::NodeSpec::from_json(r#"{ "mode": "centralized", "flows": 0 }"#)
             .expect("valid spec");
         let topo = spec.topology();
         let plan = cicero_core::deploy::plan(spec.engine_config(), spec.topology(), spec.domain_map(&topo), 0);
         let (dep, id) = (Arc::new(plan), NodeId(0));
-        let (senders, receivers): (Vec<_>, Vec<_>) = (0..mailboxes).map(|_| bounded(4)).unzip();
-        let (_tx, rx) = bounded(1);
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..mailboxes).map(|_| mailbox(MAILBOX_DEPTH)).unzip();
+        let (_tx, rx) = mailbox(1);
         let obs = Arc::new(Mutex::new(Vec::new()));
         let runner = NodeRunner {
             id,
@@ -529,6 +530,26 @@ mod tests {
         assert!(at >= done + delay && matches!(timer, Due::Timer(TimerToken(9))));
     }
 
+    /// A full mailbox is a lossy link: the message past the depth is
+    /// dropped and counted against its destination, and the probe reads the
+    /// full mailbox as busy.
+    #[test]
+    fn the_message_past_the_mailbox_depth_is_dropped_and_counted() {
+        let (runner, mailboxes, _) = runner(2);
+        let beat = || Net::Heartbeat { phase: Phase(0) };
+        for _ in 0..MAILBOX_DEPTH {
+            runner.transmit(NodeId(1), beat());
+        }
+        assert_eq!(runner.dropped[1].load(Ordering::Relaxed), 0, "{MAILBOX_DEPTH} fit");
+        runner.transmit(NodeId(1), beat());
+        assert_eq!(runner.dropped[1].load(Ordering::Relaxed), 1, "the next one is dropped");
+        let (probe, _) = bounded(1);
+        assert!(matches!(runner.senders[1].try_send(Envelope::Probe(probe)), Err(TrySendError::Full(_))));
+        assert!(mailboxes[1].recv_timeout(std::time::Duration::ZERO).is_ok());
+        runner.transmit(NodeId(1), beat());
+        assert_eq!(runner.dropped[1].load(Ordering::Relaxed), 1, "a message taken frees a place");
+    }
+
     /// Modeled latency never reaches the clock: a delayed send to another
     /// node leaves with its handler; only the node's own future is held.
     #[test]
@@ -542,12 +563,12 @@ mod tests {
             host.send_delayed(me, beat(2), delay);
             host.set_timer(delay, TimerToken(3));
         });
-        let arrived = mailboxes[1].try_recv().ok();
+        let arrived = mailboxes[1].recv_timeout(std::time::Duration::ZERO).ok();
         assert!(
             matches!(arrived, Some(Envelope::Msg { from, msg: Net::Heartbeat { phase: Phase(1) } }) if from == me),
             "the peer's mailbox holds the send when handle returns"
         );
-        assert!(mailboxes[0].try_recv().is_err(), "a self-send never goes through the mailbox");
+        assert!(mailboxes[0].recv_timeout(std::time::Duration::ZERO).is_err(), "a self-send never goes through the mailbox");
         // Held until due, in the order made; nothing is held for the peer.
         let held: Vec<(SimTime, &Due)> = runner.due.iter().map(|(&(at, _), d)| (at, d)).collect();
         assert!(matches!(
@@ -571,13 +592,13 @@ mod tests {
         let (mut wal, _) = Wal::open(Arc::clone(&disk), "wal");
         runner.handle(|_actor, host| {
             host.send(NodeId(1), Net::Heartbeat { phase: Phase(1) });
-            assert!(mailboxes[1].try_recv().is_err(), "the send left inside the handler");
+            assert!(mailboxes[1].recv_timeout(std::time::Duration::ZERO).is_err(), "the send left inside the handler");
             wal.append(b"acked");
         });
         let (_, records) = Wal::open(disk, "wal");
         assert_eq!(records, vec![b"acked".to_vec()]);
         assert!(
-            matches!(mailboxes[1].try_recv(), Ok(Envelope::Msg { msg: Net::Heartbeat { .. }, .. })),
+            matches!(mailboxes[1].recv_timeout(std::time::Duration::ZERO), Ok(Envelope::Msg { msg: Net::Heartbeat { .. }, .. })),
             "the peer's mailbox holds the send when handle returns"
         );
     }

@@ -356,7 +356,9 @@ fn inject_byzantine(engine: &mut Engine, s: &Scenario, topo: &Topology) {
                 };
                 let from = engine.controller_node(d, c);
                 let body = UpdateBody { update, gates: Vec::new(), notify: Vec::new(), held: false };
-                let (set, mut members) = UpdateSet::of(update.id.event, d, vec![body]);
+                // Under the run's tree hash, or the victim refuses it unbucketed.
+                let hash = cicero_core::auth::tree_hash(&engine.shared().cfg);
+                let (set, mut members) = UpdateSet::of(hash, update.id.event, d, vec![body]);
                 let share = ShareSigned {
                     payload: set,
                     phase: southbound::types::Phase(0),

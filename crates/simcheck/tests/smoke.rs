@@ -161,3 +161,28 @@ fn injected_scheduler_regression_is_caught_and_shrunk() {
     assert_eq!(r1.violations, r2.violations);
     let _ = std::fs::remove_file(&path);
 }
+
+/// The fuzzer's rogue share must reach the bucket its fault is about: built
+/// under the run's tree hash (modeled crypto here), its member passes the
+/// victim's check against its set's root, opens a bucket below quorum — so
+/// the victim NACKs it — and is never applied. Refused at the door, the
+/// `secure` sweep would lose its below-quorum case without a word.
+#[test]
+fn a_rogue_share_opens_a_bucket_at_modeled_crypto_and_never_applies() {
+    use cicero_core::obs::Obs;
+    let mut s = Scenario::generate(3);
+    s.mode = cicero_core::Mode::CICERO;
+    s.controllers_per_domain = 4;
+    s.faults = vec![simcheck::Fault::RogueShares { controller: 1, victim: 0, at_ms: 5 }];
+    let rogue = simcheck::scenario::rogue_update_id(0);
+    let (out, obs) = simcheck::run_scenario_traced(&s);
+    let count = |f: fn(&Obs) -> Option<southbound::types::UpdateId>| {
+        obs.iter().filter(|o| f(&o.value) == Some(rogue)).count()
+    };
+    let nacked = count(|o| match o { Obs::NackSent { update, .. } => Some(*update), _ => None });
+    let rejected = count(|o| match o { Obs::UpdateRejected { update, .. } => Some(*update), _ => None });
+    let applied = count(|o| match o { Obs::UpdateApplied { update, .. } => Some(*update), _ => None });
+    assert!(nacked > 0, "the rogue share opened a bucket");
+    assert_eq!((rejected, applied), (0, 0), "neither refused at the door nor applied");
+    assert!(out.passed(), "{:?}", out.violations);
+}

@@ -43,9 +43,10 @@ pub trait Wire: Sized {
     /// unspecified.
     fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError>;
 
-    /// Convenience: encodes into a fresh buffer.
+    /// Convenience: encodes into a fresh buffer, sized for a typical
+    /// message so that encoding one takes a single allocation.
     fn to_wire(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+        let mut buf = Vec::with_capacity(64);
         self.encode(&mut buf);
         buf
     }

@@ -2,9 +2,15 @@
 //! workspace previously imported `parking_lot` and `crossbeam` for:
 //! `lock()` returns its guard directly (a poisoned lock — a panic on another
 //! thread — propagates the panic instead of returning a `Result` nobody
-//! handles), and the channel is crossbeam-style [`bounded`].
+//! handles), the channel is crossbeam-style [`bounded`], and a [`mailbox`]
+//! is a bounded channel that allocates only what waits in it.
 
-pub use std::sync::mpsc::{Receiver, RecvError, RecvTimeoutError, SendError, TryRecvError};
+pub use std::sync::mpsc::{
+    Receiver, RecvError, RecvTimeoutError, SendError, TryRecvError, TrySendError,
+};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// A mutual-exclusion lock whose `lock` never returns a poison `Result`.
 #[derive(Debug, Default)]
@@ -43,6 +49,56 @@ impl<T: ?Sized> Mutex<T> {
 /// A bounded (rendezvous at capacity 0) MPSC channel.
 pub fn bounded<T>(cap: usize) -> (std::sync::mpsc::SyncSender<T>, Receiver<T>) {
     std::sync::mpsc::sync_channel(cap)
+}
+
+/// A bounded MPSC channel that allocates only what waits in it: at most
+/// `cap` messages queue, and a `try_send` past that fails `Full` like a
+/// [`bounded`] channel's (which allocates all `cap` slots up front).
+pub fn mailbox<T>(cap: usize) -> (MailboxSender<T>, MailboxReceiver<T>) {
+    let ((tx, rx), depth) = (std::sync::mpsc::channel(), Arc::new(AtomicUsize::new(0)));
+    (MailboxSender { tx, depth: Arc::clone(&depth), cap }, MailboxReceiver { rx, depth })
+}
+
+/// The sending end of a [`mailbox`].
+pub struct MailboxSender<T> {
+    tx: std::sync::mpsc::Sender<T>,
+    depth: Arc<AtomicUsize>,
+    cap: usize,
+}
+
+impl<T> MailboxSender<T> {
+    /// Queues `msg` unless `cap` messages wait already or the receiver is
+    /// gone.
+    pub fn try_send(&self, msg: T) -> Result<(), TrySendError<T>> {
+        if self.depth.fetch_add(1, Ordering::AcqRel) >= self.cap {
+            self.depth.fetch_sub(1, Ordering::AcqRel);
+            return Err(TrySendError::Full(msg));
+        }
+        self.tx.send(msg).map_err(|SendError(msg)| TrySendError::Disconnected(msg))
+    }
+
+    /// Queues `msg` even past the bound, for the few words that must not be
+    /// lost (kill, restart, shutdown); fails only if the receiver is gone.
+    pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
+        self.depth.fetch_add(1, Ordering::AcqRel);
+        self.tx.send(msg)
+    }
+}
+
+/// The receiving end of a [`mailbox`].
+pub struct MailboxReceiver<T> {
+    rx: Receiver<T>,
+    depth: Arc<AtomicUsize>,
+}
+
+impl<T> MailboxReceiver<T> {
+    /// [`Receiver::recv_timeout`] (`Duration::MAX` waits for good,
+    /// `Duration::ZERO` not at all); a message taken frees its place.
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
+        let msg = self.rx.recv_timeout(timeout)?;
+        self.depth.fetch_sub(1, Ordering::AcqRel);
+        Ok(msg)
+    }
 }
 
 /// Spawns a named OS thread. The workspace's thread-creation point: real
@@ -86,6 +142,21 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(*m.lock(), 8000);
+    }
+
+    #[test]
+    fn a_mailbox_refuses_past_its_bound_and_frees_a_place_per_message_taken() {
+        let (tx, rx) = mailbox(2);
+        let take = || rx.recv_timeout(Duration::ZERO).unwrap();
+        assert!(tx.try_send(1).is_ok() && tx.try_send(2).is_ok());
+        assert!(matches!(tx.try_send(3), Err(TrySendError::Full(3))));
+        assert_eq!(take(), 1);
+        assert!(tx.try_send(3).is_ok());
+        tx.send(4).unwrap();
+        assert!(matches!(tx.try_send(5), Err(TrySendError::Full(5))));
+        assert_eq!([take(), take(), take()], [2, 3, 4]);
+        drop(rx);
+        assert!(matches!(tx.try_send(5), Err(TrySendError::Disconnected(5))));
     }
 
     #[test]

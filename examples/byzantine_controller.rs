@@ -18,6 +18,7 @@ use blscrypto::curves::g1_generator;
 use cicero::prelude::*;
 use cicero_core::msg::{UpdateBody, UpdateSet};
 use southbound::envelope::{MsgId, ShareSigned};
+use southbound::merkle::TreeHash;
 
 fn rogue_update(victim: SwitchId, seq: u32) -> UpdateBody {
     let update = NetworkUpdate {
@@ -43,10 +44,10 @@ fn rogue_update(victim: SwitchId, seq: u32) -> UpdateBody {
     }
 }
 
-/// `body` as a set of one, with a share of it under `partial` — signed by
+/// `body` as a set of one (real crypto: SHA-256 tree), with a share of it under `partial` — signed by
 /// nobody's key share.
 fn rogue_share(body: UpdateBody, phase: Phase, msg_id: MsgId, partial: PartialSignature) -> Net {
-    let (set, mut members) = UpdateSet::of(body.update.id.event, DomainId(0), vec![body]);
+    let (set, mut members) = UpdateSet::of(TreeHash::Sha256, body.update.id.event, DomainId(0), vec![body]);
     let share = ShareSigned { payload: set, phase, msg_id, partial };
     Net::UpdateMsg(share, Box::new(members.pop().expect("a set of one")))
 }

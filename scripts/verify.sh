@@ -243,7 +243,7 @@ if [ "$(printf '%s\n' "$glv_sites" | sort)" != "$expected_glv_sites" ]; then
 fi
 
 echo "== the signed receipts, signed events, acks, reports and readies, identity-key signing, dealt pair keys, a second cross-domain recovery path, hand-written kept archives, a second phase-notice collector, lint rules the compiler proves, reliability and delivery-trace settings, a second event message, hand-kept early-word ledgers and per-update signatures stay deleted =="
-if grep -rn "BoundaryRelease\b\|ReleaseBody\|SegwayReadyAck\|READY_RECEIPT\|ReadyReceipted\|ready_out\|Signed<AckBody>\|Signed<NackBody>\|SegmentQuery\b\|SegmentQueried\|reforward_segway\|segway_events\|PairKeys\|pair_keys\|seg_shares\|ShareSigned<SegmentBody>\|Signed<ReadyBody>\|KeptReady\|KeptReport\|kept_updates\|struct Relayed\|phase_partials\|fn real_crypto\|QuorumSigned::aggregate\|Signed<Event>\|fn verify_latency\|event_sign\|auth\.sign(\|TRACKED_ENUMS\|fn parse_enums\|fn variant_uses\|fn write_ahead\|CRYPTO_MODE_ALLOWED\|keys\.dummy\|ReliabilityConfig\|trace_deliveries\|ForwardedEvent\|with_policy\|early_releases\|early_readies\|early_reports\|MAX_EARLY_RELEASES\|MAX_EARLY_REPORTS\|BarrierState\|BarrierExpect\|record_barrier_signer\|ShareSigned<UpdateBody>\|QuorumSigned<UpdateBody>" \
+if grep -rn "BoundaryRelease\b\|ReleaseBody\|SegwayReadyAck\|READY_RECEIPT\|ReadyReceipted\|ready_out\|Signed<AckBody>\|Signed<NackBody>\|SegmentQuery\b\|SegmentQueried\|reforward_segway\|segway_events\|PairKeys\|pair_keys\|seg_shares\|ShareSigned<SegmentBody>\|Signed<ReadyBody>\|KeptReady\|KeptReport\|kept_updates\|struct Relayed\|phase_partials\|fn real_crypto\|QuorumSigned::aggregate\|Signed<Event>\|fn verify_latency\|event_sign\|auth\.sign(\|TRACKED_ENUMS\|fn parse_enums\|fn variant_uses\|fn write_ahead\|CRYPTO_MODE_ALLOWED\|keys\.dummy\|ReliabilityConfig\|trace_deliveries\|ForwardedEvent\|with_policy\|early_releases\|early_readies\|early_reports\|MAX_EARLY_RELEASES\|MAX_EARLY_REPORTS\|BarrierState\|BarrierExpect\|record_barrier_signer\|ShareSigned<UpdateBody>\|QuorumSigned<UpdateBody>\|struct Leaf\|trait Signable\|fn certify_with\|agg_sets\|fn unhashed" \
     crates src tests examples --include=*.rs; then
     echo "verify.sh: the handshake and the Segway readies are receiver-driven; acks, NACKs, segment reports and Segway readies are Tagged<_> under a pair key each end derives from the identity keys (auth::pair_key), never dealt; and a cross-domain event has one recovery loop — the re-forward of whoever still waits, which is also the query (DESIGN.md §3); no receipt type, no signed twin, no key ceremony for pairs and no second path comes back" >&2
     echo "verify.sh: a message sent once and re-sent as-is on request lives in controller::pending::Kept, not in an archive of its own" >&2
@@ -253,6 +253,25 @@ if grep -rn "BoundaryRelease\b\|ReleaseBody\|SegwayReadyAck\|READY_RECEIPT\|Read
     echo "verify.sh: retransmission bases and budgets are protocol constants (config.rs, controller::pending::MAX_BACKOFF), every controller always logs its deliveries, a retry policy is passed to its table's constructor, and a forward is a Net::EventMsg marked forwarded (DESIGN.md §3)" >&2
     echo "verify.sh: a word that may overtake its subject (release, Segway ready, segment report, early ack) is kept in controller::pending::Tally under its one MAX_EARLY allowance, not in a ledger of its own (DESIGN.md §3)" >&2
     echo "verify.sh: an update is certified through its domain-event's UpdateSet — one share per controller per set, a member with its audit path — never by a signature over the body alone (DESIGN.md §3, \"One share per domain-event\")" >&2
+    echo "verify.sh: a set's tree hash follows the crypto level (Authenticator::tree_hash), so its root binds every member at every level and an UpdateSet is collected as it is: no leaf wrapper, no second signable digest, no certification by another bucket's signature, no unhashed placeholder root" >&2
+    exit 1
+fi
+
+echo "== the bootstrap membership is read only at set-up =="
+# A domain's initial_members are a set-up fact: the key ceremony
+# (runtime.rs), the deployment plan (deploy.rs), a controller's first view
+# of the other domains (ctrl/mod.rs) and the node binary's example config
+# (cicero-node/src/main.rs). Everything after set-up follows the current
+# membership — a switch its group-signed PhaseInfo — so a joiner gets every
+# ack, NACK and event, and a removed member none.
+initial_sites=$(grep -rl "initial_members" crates src --include=*.rs | grep -v -e "^crates/bench/e2e/" -e "^crates/[^/]*/tests/" | sort)
+expected_initial_sites="crates/cicero-core/src/ctrl/mod.rs
+crates/cicero-core/src/deploy.rs
+crates/cicero-core/src/runtime.rs
+crates/cicero-node/src/main.rs"
+if [ "$initial_sites" != "$expected_initial_sites" ]; then
+    diff <(printf '%s\n' "$expected_initial_sites") <(printf '%s\n' "$initial_sites") >&2 || true
+    echo "verify.sh: initial_members read outside set-up (> is new); after set-up a node follows the current members (a switch: PhaseInfo::members)" >&2
     exit 1
 fi
 

@@ -350,3 +350,75 @@ fn failure_detector_removes_a_crashed_controller_automatically() {
     engine.run(engine.now() + SimDuration::from_secs(30));
     assert_eq!(completed(&engine), 2);
 }
+
+/// Update retries a controller gave up on.
+fn exhausted(engine: &Engine) -> usize {
+    let given_up = |o: &Obs| matches!(o, Obs::UpdateRetryExhausted { .. });
+    engine.observations().iter().filter(|o| given_up(&o.value)).count()
+}
+
+/// A controller added by a membership change hears from the switches like
+/// every other member: they acknowledge to the current members, so the
+/// joiner's pending graph drains and it retries nothing to exhaustion.
+/// (Switches once acknowledged to the bootstrap members only: the joiner
+/// retransmitted every update until its budget was spent.)
+#[test]
+fn a_joiner_receives_the_acks_and_drains_its_pending_graph() {
+    let (mut engine, topo) = build(1);
+    let (domain, joiner) = (DomainId(0), ControllerId(6));
+    let at = engine.now() + SimDuration::from_millis(50);
+    engine.inject_membership(at, domain, OrderedOp::AddController(joiner));
+    engine.run(at + SimDuration::from_secs(5));
+    assert!(engine.with_controller(domain, joiner, |c| c.is_active()), "the joiner activated");
+
+    inject_some_flows(&mut engine, &topo, 4, 5);
+    engine.run(engine.now() + SimDuration::from_secs(60));
+    assert_eq!(completed(&engine), 5);
+    let (drained, failed) = engine.with_controller(domain, joiner, |c| (c.pending().is_drained(), c.pending().failed_count()));
+    assert!(drained, "every update the joiner sent was acknowledged to it");
+    assert_eq!((failed, exhausted(&engine)), (0, 0), "no update retried to exhaustion");
+}
+
+/// Two bootstrap members leave and two others join; then the two
+/// bootstrap members left besides controller 1 lose their links to the
+/// switches. A held update needs the releases of a quorum (two) of the
+/// current members, and a member releases only once it holds the acks of
+/// the update's dependencies: so the joiners' releases must count, and
+/// they need the acks to send them.
+#[test]
+fn held_updates_apply_after_bootstrap_members_are_replaced() {
+    let (mut engine, topo) = build(2);
+    let domain = DomainId(0);
+    let changes = [
+        OrderedOp::AddController(ControllerId(6)),
+        OrderedOp::AddController(ControllerId(7)),
+        OrderedOp::RemoveController(ControllerId(4)),
+        OrderedOp::RemoveController(ControllerId(5)),
+    ];
+    for op in changes {
+        let at = engine.now() + SimDuration::from_millis(50);
+        engine.inject_membership(at, domain, op);
+        engine.run(at + SimDuration::from_secs(5));
+    }
+    let members: Vec<ControllerId> = engine.with_controller(domain, ControllerId(1), |c| c.view().members().collect());
+    assert_eq!(members, [1, 2, 3, 6, 7].map(ControllerId));
+
+    let mut plan = simnet::fault::FaultPlan::none();
+    for c in [2, 3] {
+        let node = engine.controller_node(domain, ControllerId(c));
+        for s in topo.switches() {
+            plan = plan.with_severed_link(node, engine.switch_node(s.id));
+        }
+    }
+    engine.set_faults(plan);
+    // A cross-rack flow: updates at two ToRs and an aggregation switch,
+    // each but the first held until its successor is acknowledged.
+    let racks: Vec<_> = topo.switches().iter().filter(|s| topo.hosts_on(s.id).len() >= 2).collect();
+    let (src, dst) = (topo.hosts_on(racks[0].id)[0], topo.hosts_on(racks[1].id)[0]);
+    let start = engine.now() + SimDuration::from_millis(10);
+    harness::inject_flow(&mut engine, &topo, FlowId(1), src, dst, 500, start).expect("routable");
+    engine.run(start + SimDuration::from_secs(30));
+    let applied = engine.observations().iter().filter(|o| matches!(o.value, Obs::UpdateApplied { .. })).count();
+    assert!(applied >= 3, "the held updates went in ({applied} applied)");
+    assert_eq!(completed(&engine), 1);
+}

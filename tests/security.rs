@@ -5,13 +5,14 @@
 use blscrypto::bls::{PartialSignature, SecretKey};
 use blscrypto::curves::g1_generator;
 use cicero::prelude::*;
-use cicero_core::auth::{pair_key, Peer};
+use cicero_core::auth::{pair_key, tree_hash, Peer};
 use cicero_core::msg::{Member, ReadyBody, UpdateBody, UpdateSet};
 use cicero_core::runtime::SecretStore;
 use simcheck::harness::{self, applied_count as applied};
 use substrate::rng::{SeedableRng, StdRng};
 use simnet::sim::ENVIRONMENT;
 use southbound::envelope::{MsgId, QuorumSigned, ShareSigned, Tagged};
+use southbound::merkle::TreeHash;
 
 fn build() -> (Engine, Topology) {
     let topo = Topology::single_pod(2, 2, 2);
@@ -48,9 +49,10 @@ fn rogue_update(victim: SwitchId) -> UpdateBody {
     }
 }
 
-/// `body` as a set of one of domain 0, and its member.
+/// `body` as a set of one of domain 0 (real crypto: a SHA-256 tree), and
+/// its member.
 fn singleton(body: UpdateBody) -> (UpdateSet, Member) {
-    let (set, mut members) = UpdateSet::of(body.update.id.event, DomainId(0), vec![body]);
+    let (set, mut members) = UpdateSet::of(TreeHash::Sha256, body.update.id.event, DomainId(0), vec![body]);
     (set, members.pop().expect("a set of one"))
 }
 
@@ -1056,12 +1058,14 @@ mod sets {
     use netmodel::routing::route;
 
     /// A two-member set of domain 0 — a rogue body for each of two switches,
-    /// in id order — and the secrets of `engine`'s key ceremony.
+    /// in id order — under `engine`'s tree hash, and the secrets of its key
+    /// ceremony.
     fn two_member_set(engine: &Engine, topo: &Topology) -> (UpdateSet, Vec<Member>, SecretStore) {
         let [a, b] = [topo.switches()[2].id, topo.switches()[3].id];
         let mut second = rogue_update(b);
         second.update.id.seq = 1;
-        let (set, members) = UpdateSet::of(EventId(0xbad), DomainId(0), vec![rogue_update(a), second]);
+        let hash = tree_hash(&engine.shared().cfg);
+        let (set, members) = UpdateSet::of(hash, EventId(0xbad), DomainId(0), vec![rogue_update(a), second]);
         (set, members, secrets_of(engine, topo))
     }
 
@@ -1158,7 +1162,7 @@ mod sets {
         let mut engine = harness::build_engine(Mode::CICERO_AGG, CryptoMode::Real, &topo);
         let (set, members, secrets) = two_member_set(&engine, &topo);
         let victim = members[0].body.update.switch;
-        assert!(set.binds(&members[1]), "the other member's path is valid");
+        assert!(set.binds(TreeHash::Sha256, &members[1]), "the other member's path is valid");
         let partials: Vec<_> = [1, 2].map(|c| share_of(&secrets, c, set).partial).to_vec();
         let signature = bls::aggregate(&partials).expect("two shares");
         let msg_id = MsgId { origin: 1, seq: 1 };
@@ -1180,19 +1184,19 @@ mod sets {
         assert_eq!(applied(&engine), 1, "a quorum's set certifies its members");
     }
 
-    /// The aggregator aggregates a set once; its other members go out under
-    /// that signature on a quorum of their own leaf. A genuine share of
-    /// another set of the same event — here the set's second body as a set
-    /// of one, its path valid — does not count toward that quorum, though
-    /// it carries the same body: only a bucket of the certified set is
-    /// taken out under its signature, and the switch then verifies the
-    /// member under the set's root.
+    /// The aggregator aggregates a set once; each member admitted after that
+    /// goes out under its signature. A genuine share of another set of the
+    /// same event — here the set's second body as a set of one, its path
+    /// valid — relays nothing, though it carries the same body: it is a
+    /// share of a set no quorum has certified. One share of the certified
+    /// set with the same member relays it, and the switch verifies it under
+    /// the set's root.
     #[test]
     fn the_aggregator_relays_a_member_only_under_its_own_sets_signature() {
         let topo = Topology::single_pod(2, 2, 2);
         let mut engine = harness::build_engine(Mode::CICERO_AGG, CryptoMode::Real, &topo);
         let (set, members, secrets) = two_member_set(&engine, &topo);
-        let (other, singleton) = UpdateSet::of(set.event, DomainId(0), vec![members[1].body.clone()]);
+        let (other, singleton) = UpdateSet::of(TreeHash::Sha256, set.event, DomainId(0), vec![members[1].body.clone()]);
         assert_ne!(other, set);
         let aggregator = engine.controller_node(DomainId(0), ControllerId(1));
         let send = |engine: &mut Engine, c: u32, set: UpdateSet, member: &Member| {
@@ -1206,12 +1210,56 @@ mod sets {
         send(&mut engine, 2, set, &members[0]);
         assert_eq!(applied(&engine), 1, "a quorum of the set relays its first member");
         send(&mut engine, 3, other, &singleton[0]);
+        assert_eq!(applied(&engine), 1, "a share of another set relays nothing");
         send(&mut engine, 4, set, &members[1]);
-        assert_eq!(applied(&engine), 1, "one share of each set: no quorum of either");
-        send(&mut engine, 1, set, &members[1]);
         assert_eq!(applied(&engine), 2, "the certified set's second member goes out under its signature");
         let rejected = |o: &Obs| matches!(o, Obs::UpdateRejected { .. });
         assert_eq!(engine.observations().iter().filter(|o| rejected(&o.value)).count(), 0);
+    }
+
+    /// A Byzantine controller's genuine share of a set it made up, carrying
+    /// a *different* body under the honest update's id, reaches the switch
+    /// first; an honest quorum's shares of the honest set follow. The rogue
+    /// set's bucket holds one signer and never certifies; the honest set's
+    /// does, and the switch applies the honest body — at both crypto
+    /// levels, since the tree hash binds the body at each.
+    #[test]
+    fn a_rogue_body_under_an_honest_updates_id_arriving_first_is_never_applied() {
+        for crypto in [CryptoMode::Modeled, CryptoMode::Real] {
+            let topo = Topology::single_pod(2, 2, 2);
+            let mut engine = harness::build_engine(Mode::CICERO, crypto, &topo);
+            let secrets = secrets_of(&engine, &topo);
+            let victim = topo.switches()[2].id;
+            let rogue = rogue_update(victim);
+            let mut honest = rogue.clone();
+            honest.update.kind = UpdateKind::Install(FlowRule {
+                matcher: FlowMatch { src: HostId(0), dst: HostId(1) },
+                action: FlowAction::Forward(NextHop::Host(HostId(1))),
+            });
+            let hash = tree_hash(&engine.shared().cfg);
+            let of = |body: &UpdateBody| UpdateSet::of(hash, body.update.id.event, DomainId(0), vec![body.clone()]);
+            let ((rogue_set, rogue_members), (set, members)) = (of(&rogue), of(&honest));
+            let mut at = SimTime::ZERO + SimDuration::from_millis(1);
+            let sends = [(2, rogue_set, &rogue_members[0]), (1, set, &members[0]), (3, set, &members[0])];
+            for (c, set, member) in sends {
+                let from = engine.controller_node(DomainId(0), ControllerId(c));
+                let msg = Net::UpdateMsg(share_of(&secrets, c, set), Box::new(member.clone()));
+                engine.inject_raw(at, from, engine.switch_node(victim), msg);
+                at += SimDuration::from_micros(100);
+            }
+            engine.run(at + SimDuration::from_secs(1));
+            let kinds: Vec<UpdateKind> = engine
+                .observations()
+                .iter()
+                .filter_map(|o| match o.value {
+                    Obs::UpdateApplied { switch, kind, .. } if switch == victim => Some(kind),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(kinds, vec![honest.update.kind], "{crypto:?}: the honest body, once");
+            let rejected = |o: &Obs| matches!(o, Obs::UpdateRejected { .. });
+            assert_eq!(engine.observations().iter().filter(|o| rejected(&o.value)).count(), 0, "{crypto:?}");
+        }
     }
 }
 
