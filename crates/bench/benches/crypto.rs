@@ -9,7 +9,7 @@
 
 use blscrypto::batch::{batch_verify, BatchItem};
 use blscrypto::bls::{self, PreparedKey, SecretKey};
-use blscrypto::curves::{g1_generator, g1_mul_glv_lever, hash_to_g1};
+use blscrypto::curves::{g1_generator, g1_mul_glv_lever, g2_mul_generator, hash_to_g1};
 use blscrypto::dkg;
 use blscrypto::fields::{Fp, Fr};
 use blscrypto::pairing::{
@@ -54,6 +54,9 @@ fn bench_levers(c: &mut Harness) {
     });
     // The same product by the GLV split `SecretKey::sign` uses.
     c.bench_function("g1_mul_glv", |bch| bch.iter(|| black_box(g1_mul_glv_lever(a))));
+    // A product of the G2 generator on its fixed-base table: every Feldman
+    // commitment point and the left side of every share check.
+    c.bench_function("g2_mul_generator", |bch| bch.iter(|| black_box(g2_mul_generator(a))));
 
     let p = g1.to_affine();
     let p2 = g1.mul_fr(a).to_affine();

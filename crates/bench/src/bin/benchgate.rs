@@ -17,7 +17,8 @@
 //! * an absolute cap is violated. A cap `batch_verify_64/64=2000000`
 //!   divides the measured median by 64 first — that is how the paper-level
 //!   target "amortized ≤ 2 ms per update" is enforced against a bench that
-//!   times the whole batch.
+//!   times the whole batch. A suffix that is not a number names an entry
+//!   of a group (`ceremonies/dkg_n4_t1=...`).
 //!
 //! With `--probe-before`, both are judged at reference speed. The gate
 //! times a fixed probe of its own — a chain of 4-limb Montgomery
@@ -115,13 +116,11 @@ fn parse_cap(spec: &str) -> Result<Cap, String> {
     let max_ns: f64 = max
         .parse()
         .map_err(|_| format!("bad --cap {spec:?}: max_ns is not a number"))?;
-    let (name, divisor) = match lhs.rsplit_once('/') {
-        Some((n, d)) => {
-            let d: f64 = d
-                .parse()
-                .map_err(|_| format!("bad --cap {spec:?}: divisor is not a number"))?;
-            (n.to_owned(), d)
-        }
+    // A suffix that is not a number is part of a group entry's name
+    // (`ceremonies/dkg_n4_t1`), not a divisor.
+    let divided = lhs.rsplit_once('/').and_then(|(n, d)| Some((n, d.parse::<f64>().ok()?)));
+    let (name, divisor) = match divided {
+        Some((n, d)) => (n.to_owned(), d),
         None => (lhs.to_owned(), 1.0),
     };
     Ok(Cap {

@@ -339,6 +339,21 @@ impl<C: CurveParams> Projective<C> {
         Self::sum_of_products(&[(*self, limbs)])
     }
 
+    /// Multiplication by a small integer (a participant index): plain
+    /// double-and-add over at most 32 bits. No wNAF table, so no inversion
+    /// — for a scalar this short the table's normalization would cost more
+    /// than the ladder.
+    pub(crate) fn mul_small(&self, k: u32) -> Self {
+        let mut acc = Projective::identity();
+        for i in (0..u32::BITS - k.leading_zeros()).rev() {
+            acc = acc.double();
+            if (k >> i) & 1 == 1 {
+                acc = acc.add(self);
+            }
+        }
+        acc
+    }
+
     /// `Σ kᵢ·Pᵢ` for little-endian limb scalars, all terms riding one
     /// doubling chain (Straus interleaving).
     ///

@@ -555,3 +555,137 @@ fn hash_to_g1_lands_in_the_prime_order_subgroup() {
         assert!(h.mul_limbs(&Fr::MODULUS).is_identity(), "hash escaped the subgroup");
     });
 }
+
+// ---- Feldman VSS and share redistribution vs the var-base formulas ------
+//
+// The shipped commitments multiply the generator through its fixed-base
+// table, evaluate in the exponent by Horner's rule over small-index ladders,
+// and combine reshared coefficients in one multi-scalar sum; the oracle is
+// the textbook formula with every product a binary ladder.
+
+/// A recipient set drawn from `1..=64`: sometimes contiguous from 1, as at
+/// bootstrap, sometimes with gaps, as after a removal.
+fn arb_indices(g: &mut Gen, len: usize) -> Vec<u32> {
+    let mut set = std::collections::BTreeSet::new();
+    if g.bool() {
+        set.extend(1..=len as u32);
+    }
+    while set.len() < len {
+        set.insert(g.u32_in(1..65));
+    }
+    set.into_iter().collect()
+}
+
+#[test]
+fn feldman_fast_paths_match_var_base_formulas() {
+    use crate::feldman::Commitment;
+    use crate::shamir::{Polynomial, Share};
+    let check = |poly: &Polynomial, indices: &[u32]| {
+        let commitment = Commitment::commit(poly);
+        let oracle = reference::feldman_commit(poly);
+        assert_eq!(commitment.points(), &oracle[..], "degree {}", poly.degree());
+        for &index in indices {
+            let share = Share { index, value: poly.eval_at_index(index) };
+            assert_eq!(commitment.eval_in_exponent(index), reference::feldman_eval(&oracle, index));
+            assert!(commitment.verify_share(&share) && reference::feldman_verify(&oracle, &share));
+            // A share off by one, in value or (unless the polynomial is
+            // constant) in index, is still refused.
+            let value = Share { index, value: share.value + Fr::one() };
+            let shifted = Share { index: index + 1, value: share.value };
+            let bad = if poly.degree() == 0 { vec![value] } else { vec![value, shifted] };
+            for bad in bad {
+                assert!(!commitment.verify_share(&bad), "{bad:?} accepted");
+                assert!(!reference::feldman_verify(&oracle, &bad));
+            }
+        }
+    };
+    substrate::forall!(cases = 10, |g| {
+        let degree = g.usize_in(0..5);
+        let poly = Polynomial::random(arb_fr(g), degree, g.rng());
+        let indices = arb_indices(g, 3);
+        check(&poly, &indices);
+    });
+    let g2 = g2_generator();
+    for k in [0, 1, 2, 3, 64, u32::MAX] {
+        assert_eq!(g2.mul_small(k), g2.mul_limbs_binary(&[u64::from(k)]), "k = {k}");
+    }
+    let mut rng = StdRng::seed_from_u64(0xfe1d);
+    for degree in 0..5 {
+        let poly = Polynomial::random(Fr::random(&mut rng), degree, &mut rng);
+        check(&poly, &[1, 2, 4, 5, 64]);
+    }
+}
+
+#[test]
+fn reshared_commitment_is_the_lambda_weighted_sum_of_dealings() {
+    use crate::dkg::{run_trusted_dealer_free, DkgConfig};
+    use crate::reshare::{deal_reshare_to, finalize_reshare};
+    use crate::shamir::lagrange_at_zero;
+    substrate::forall!(cases = 3, |g| {
+        let old_n = g.u32_in(4..8);
+        let old = run_trusted_dealer_free(old_n, (old_n - 1) / 3, g.rng()).unwrap();
+        // Any old_t + 1 (or more) old members deal, not only the first.
+        let quorum = old.group.config.quorum() as usize;
+        let dealers = g.usize_in(quorum..old_n as usize + 1);
+        let mut old_members: Vec<_> = old.participants.iter().collect();
+        while old_members.len() > dealers {
+            old_members.remove(g.usize_in(0..old_members.len()));
+        }
+        let new_n = g.usize_in(4..8);
+        let recipients = arb_indices(g, new_n);
+        let new_cfg = DkgConfig::new(new_n as u32, (new_n as u32 - 1) / 3).unwrap();
+        let dealings: Vec<_> = old_members
+            .iter()
+            .map(|p| deal_reshare_to(&p.share, new_cfg.t, &recipients, g.rng()))
+            .collect();
+        let lambdas = lagrange_at_zero(&dealings.iter().map(|d| d.dealer).collect::<Vec<_>>()).unwrap();
+        let oracle: Vec<_> = (0..=new_cfg.t as usize)
+            .map(|k| {
+                Projective::sum(dealings.iter().zip(&lambdas).map(|(d, l)| {
+                    d.commitment.points()[k].mul_limbs_binary(&l.to_raw())
+                }))
+            })
+            .collect();
+        for &me in &recipients {
+            let (share, group) = finalize_reshare(&dealings, &old.group, new_cfg, me).unwrap();
+            assert_eq!(group.commitment.points(), &oracle[..]);
+            assert_eq!(group.public_key(), old.group_public_key, "the group key moved");
+            let share = crate::shamir::Share { index: me, value: share.secret_fr() };
+            assert!(reference::feldman_verify(&oracle, &share));
+        }
+    });
+}
+
+/// One DKG (n = 4, t = 1, seed 3) and one redistribution 4 → 5 from it:
+/// every share, commitment point, qualified set and group key, and the next
+/// draw of the shared rng (so the ceremonies draw exactly as before),
+/// hashed. The digest was recorded from the var-base implementation the
+/// fast paths replaced.
+#[test]
+fn ceremonies_reproduce_the_recorded_outputs() {
+    use crate::dkg::{run_trusted_dealer_free, DkgConfig, DkgOutput};
+    use crate::reshare::run_reshare;
+    use crate::sha256::Sha256;
+    fn feed(h: &mut Sha256, out: &DkgOutput) {
+        h.update(&out.group_public_key.to_bytes());
+        for p in out.group.commitment.points() {
+            h.update(&p.to_affine().to_bytes());
+        }
+        for q in &out.group.qualified {
+            h.update(&q.to_le_bytes());
+        }
+        for p in &out.participants {
+            h.update(&p.index.to_le_bytes());
+            h.update(&p.share.secret_fr().to_bytes_be());
+        }
+    }
+    let mut rng = StdRng::seed_from_u64(3);
+    let dkg = run_trusted_dealer_free(4, 1, &mut rng).unwrap();
+    let reshared = run_reshare(&dkg, DkgConfig::byzantine(5).unwrap(), &mut rng).unwrap();
+    let mut h = Sha256::new();
+    feed(&mut h, &dkg);
+    feed(&mut h, &reshared);
+    h.update(&rng.next_u64().to_le_bytes());
+    let hex: String = h.finalize().iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(hex, "2a2a71e7c5f0a3c182d1d490755b598e62c93f796ddaed3b7d96c321a2fea910");
+}

@@ -5,10 +5,17 @@
 //! `s_i` against the public commitment (`g2 · s_i == Σ A_k · i^k`) without
 //! learning anything about the other shares — the building block of the DKG
 //! (paper §3.2, "distributed key generation – unique key adaptation").
+//!
+//! Each side of that check is computed at the cost its algebra needs. The
+//! left side and every `A_k` multiply the public generator, so they take
+//! the fixed-base table ([`g2_mul_generator`]: one mixed addition per four
+//! scalar bits, no doublings). The right side is a polynomial in a small
+//! integer, so it is Horner's rule, `acc ← acc·i + A_k`, where `acc·i` is a
+//! double-and-add over the index's few bits (`Projective::mul_small`)
+//! instead of a full-width product by `i^k`.
 
 use crate::bls::PublicKey;
-use crate::curves::{g2_generator, G2Projective};
-use crate::fields::Fr;
+use crate::curves::{g2_mul_generator, G2Projective};
 use crate::shamir::{Polynomial, Share};
 
 /// A vector of coefficient commitments `[g2·a_0, g2·a_1, ...]`.
@@ -20,9 +27,8 @@ pub struct Commitment {
 impl Commitment {
     /// Commits to every coefficient of `poly`.
     pub fn commit(poly: &Polynomial) -> Self {
-        let g2 = g2_generator();
         Commitment {
-            points: poly.coeffs().iter().map(|&c| g2.mul_fr(c)).collect(),
+            points: poly.coeffs().iter().map(|&c| g2_mul_generator(c)).collect(),
         }
     }
 
@@ -47,16 +53,13 @@ impl Commitment {
     }
 
     /// Evaluates the committed polynomial *in the exponent* at `index`:
-    /// `Σ A_k · index^k = g2 · f(index)`.
+    /// `Σ A_k · index^k = g2 · f(index)`, by Horner's rule from the top
+    /// coefficient down.
     pub fn eval_in_exponent(&self, index: u32) -> G2Projective {
-        let x = Fr::from_index(index);
-        let mut x_pow = Fr::one();
-        let mut acc = G2Projective::identity();
-        for point in &self.points {
-            acc = acc.add(&point.mul_fr(x_pow));
-            x_pow *= x;
-        }
-        acc
+        self.points
+            .iter()
+            .rev()
+            .fold(G2Projective::identity(), |acc, point| acc.mul_small(index).add(point))
     }
 
     /// The public key of participant `index`'s share.
@@ -66,7 +69,7 @@ impl Commitment {
 
     /// Verifies a share against this commitment.
     pub fn verify_share(&self, share: &Share) -> bool {
-        g2_generator().mul_fr(share.value) == self.eval_in_exponent(share.index)
+        g2_mul_generator(share.value) == self.eval_in_exponent(share.index)
     }
 
     /// Component-wise sum of commitments (commitment to the summed
@@ -90,19 +93,13 @@ impl Commitment {
                 .collect(),
         }
     }
-
-    /// Component-wise scalar multiple (commitment to `λ · f`). Used by the
-    /// share-redistribution protocol.
-    pub fn scale(&self, lambda: Fr) -> Commitment {
-        Commitment {
-            points: self.points.iter().map(|p| p.mul_fr(lambda)).collect(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::curves::g2_generator;
+    use crate::fields::Fr;
     use crate::shamir::share_secret;
     use substrate::rng::{SeedableRng, StdRng};
 
@@ -156,10 +153,13 @@ mod tests {
 
     #[test]
     fn commitment_scaling_matches_polynomial_scaling() {
+        // The algebra share redistribution weighs dealings by: `λ · A_k`
+        // commits to `λ · f`.
         let mut rng = StdRng::seed_from_u64(14);
         let lambda = Fr::random(&mut rng);
         let (p1, s1) = share_secret(Fr::random(&mut rng), 2, 4, &mut rng);
-        let scaled = Commitment::commit(&p1).scale(lambda);
+        let points = Commitment::commit(&p1).points().iter().map(|p| p.mul_fr(lambda)).collect();
+        let scaled = Commitment::from_points(points);
         for a in &s1 {
             let share = Share {
                 index: a.index,

@@ -22,6 +22,11 @@
 //!   convolutions the lazy-reduction Karatsuba fast paths must match.
 //! * **Binary ladder.** `mul_limbs_binary` is plain double-and-add, against
 //!   the shared-doubling wNAF of [`Projective::sum_of_products`].
+//! * **Var-base Feldman.** `feldman_commit` / `feldman_eval` /
+//!   `feldman_verify` are the textbook formulas — `A_k = g2·a_k`,
+//!   `Σ A_k·i^k` with `i^k` reduced in `Fr`, and `g2·s == Σ A_k·i^k` — every
+//!   product a binary ladder, against the fixed-base table and Horner's rule
+//!   of [`crate::feldman`].
 //!
 //! What [`crate::differential`] holds the shipped code to: tower products,
 //! scalar multiplications and (while it lasts — see there) the final
@@ -30,8 +35,9 @@
 //! [`pairing`] the conformance fixture's `pairing_digest` pins in turn.
 
 use crate::bigint::BigUint;
-use crate::curves::{CurveParams, G1Affine, G2Affine, Projective};
+use crate::curves::{g2_generator, CurveParams, G1Affine, G2Affine, G2Projective, Projective};
 use crate::fields::{Fp, Fr};
+use crate::shamir::{Polynomial, Share};
 use crate::tower::{Field, Fp12, Fp2, Fp6};
 use std::sync::OnceLock;
 
@@ -177,6 +183,29 @@ impl<C: CurveParams> Projective<C> {
         }
         acc
     }
+}
+
+/// `[g2·a_0, g2·a_1, …]`, each a binary ladder from the generator.
+pub(crate) fn feldman_commit(poly: &Polynomial) -> Vec<G2Projective> {
+    let g2 = g2_generator();
+    poly.coeffs().iter().map(|c| g2.mul_limbs_binary(&c.to_raw())).collect()
+}
+
+/// `Σ A_k · index^k`, the power `index^k` taken as a full `Fr` scalar.
+pub(crate) fn feldman_eval(points: &[G2Projective], index: u32) -> G2Projective {
+    let x = Fr::from_index(index);
+    let mut x_pow = Fr::one();
+    let mut acc = G2Projective::identity();
+    for point in points {
+        acc = acc.add(&point.mul_limbs_binary(&x_pow.to_raw()));
+        x_pow *= x;
+    }
+    acc
+}
+
+/// Feldman's check, `g2 · s == Σ A_k · i^k`.
+pub(crate) fn feldman_verify(points: &[G2Projective], share: &Share) -> bool {
+    g2_generator().mul_limbs_binary(&share.value.to_raw()) == feldman_eval(points, share.index)
 }
 
 #[cfg(test)]

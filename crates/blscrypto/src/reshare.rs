@@ -13,8 +13,18 @@
 //! sub-shares with the Lagrange coefficients of `B` at zero:
 //! `s'_j = Σ_{i∈B} λ_i · f_i(j)`, an evaluation of the new joint polynomial
 //! `F = Σ λ_i f_i` with `F(0) = Σ λ_i s_i = s`.
+//!
+//! The public side mirrors it: coefficient `k` of `F`'s commitment is
+//! `Σ_{i∈B} λ_i · A_{i,k}`. For `k = 0` that sum is the old group key — every
+//! dealing's `A_{i,0}` is checked to be old share key `i` before it counts,
+//! and the `λ_i` interpolate those at zero — so it is copied, not
+//! recomputed. Each other coefficient is one multi-scalar sum
+//! ([`G2Projective::sum_of_products`]) whose terms share a single doubling
+//! chain, rather than one full product per `λ_i` and a sum. Checking each
+//! sub-share costs what [`crate::feldman`] documents.
 
 use crate::bls::KeyShare;
+use crate::curves::G2Projective;
 use crate::dkg::{DkgConfig, DkgOutput, GroupPublic, ParticipantOutput};
 use crate::feldman::Commitment;
 use crate::fields::Fr;
@@ -104,7 +114,7 @@ pub fn verify_reshare_dealing(
     if dealing.commitment.degree() != new_cfg.t as usize {
         return false;
     }
-    if dealing.commitment.public_key() != old_group.member_public_key(dealing.dealer) {
+    if dealing.commitment.points()[0] != old_group.commitment.eval_in_exponent(dealing.dealer) {
         return false;
     }
     match dealing.share_for(me) {
@@ -146,21 +156,26 @@ pub fn finalize_reshare(
     let lambdas = lagrange_at_zero(&old_indices)?;
 
     let mut new_share = Fr::zero();
-    let mut commitment: Option<Commitment> = None;
     for (dealing, lambda) in dealings.iter().zip(&lambdas) {
         let sub = dealing
             .share_for(me)
             .expect("verified dealings carry our share");
         new_share += sub.value * *lambda;
-        let scaled = dealing.commitment.scale(*lambda);
-        commitment = Some(match commitment {
-            None => scaled,
-            Some(c) => c.add(&scaled),
-        });
     }
-    let commitment = commitment.expect("at least old_t + 1 dealings");
+    // Σ_i λ_i · A_{i,k}: for k = 0 the old group key, since every A_{i,0}
+    // was just checked against old share key i (module doc).
+    let limbs: Vec<[u64; 4]> = lambdas.iter().map(|l| l.to_raw()).collect();
+    let mut points = vec![old_group.commitment.points()[0]];
+    points.extend((1..=new_cfg.t as usize).map(|k| {
+        let terms: Vec<(G2Projective, &[u64])> = dealings
+            .iter()
+            .zip(&limbs)
+            .map(|(d, l)| (d.commitment.points()[k], &l[..]))
+            .collect();
+        G2Projective::sum_of_products(&terms)
+    }));
     let group = GroupPublic {
-        commitment,
+        commitment: Commitment::from_points(points),
         qualified: old_indices.iter().copied().collect::<BTreeSet<u32>>(),
         config: new_cfg,
     };

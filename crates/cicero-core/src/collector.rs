@@ -141,6 +141,11 @@ impl<K: Ord + Copy, T: Wire + Clone + Eq> QuorumCollector<K, T> {
             .unwrap_or(0)
     }
 
+    /// Every key that holds bucketed shares and no certificate yet.
+    pub fn waiting(&self) -> impl Iterator<Item = K> + '_ {
+        self.entries.keys().map(|(key, _)| *key)
+    }
+
     /// Drops every entry of another phase (membership change).
     pub fn retain_phase(&mut self, phase: Phase) {
         self.entries.retain(|(_, p), _| *p == phase);

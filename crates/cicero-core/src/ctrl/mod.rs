@@ -275,6 +275,12 @@ impl ControllerActor {
         &self.auth
     }
 
+    /// The aggregator's update-set collector (tests: a share below quorum
+    /// stays bucketed here and is never relayed).
+    pub fn aggregating(&self) -> &QuorumCollector<UpdateSet, UpdateSet> {
+        &self.agg_shares
+    }
+
     fn build_replica(view: &ControlPlaneView, id: ControllerId) -> Replica<OrderedOp> {
         let members: Vec<ControllerId> = view.members().collect();
         let pos = members

@@ -94,7 +94,7 @@ pub struct Failure {
 /// Builds and executes one scenario, returning the report and all oracle
 /// violations. Fully deterministic: same scenario, same outcome.
 pub fn run_scenario(s: &Scenario) -> RunOutcome {
-    run_scenario_traced(s).0
+    run_scenario_engine(s).0
 }
 
 /// Like [`run_scenario`], but also returns the engine's full observation
@@ -102,6 +102,14 @@ pub fn run_scenario(s: &Scenario) -> RunOutcome {
 /// asserts the traces are identical event for event — the strongest
 /// in-process statement of the seed-replay contract.
 pub fn run_scenario_traced(s: &Scenario) -> (RunOutcome, Vec<Observation<Obs>>) {
+    let (out, engine) = run_scenario_engine(s);
+    (out, engine.observations().to_vec())
+}
+
+/// Like [`run_scenario`], but also returns the engine as the run left it,
+/// for a test that inspects a node's state (say, what an aggregator still
+/// holds below quorum).
+pub fn run_scenario_engine(s: &Scenario) -> (RunOutcome, Engine) {
     run_inner(s, true)
 }
 
@@ -115,7 +123,7 @@ pub fn run_scenario_no_handshake(s: &Scenario) -> RunOutcome {
     run_inner(s, false).0
 }
 
-fn run_inner(s: &Scenario, handshake: bool) -> (RunOutcome, Vec<Observation<Obs>>) {
+fn run_inner(s: &Scenario, handshake: bool) -> (RunOutcome, Engine) {
     let topo = s.topology();
     let dm = s.domain_map(&topo);
     let mut cfg = EngineConfig::for_mode(s.mode);
@@ -145,8 +153,7 @@ fn run_inner(s: &Scenario, handshake: bool) -> (RunOutcome, Vec<Observation<Obs>
     let report = engine.run_reporting(at_ms(s.horizon_ms));
 
     let violations = oracle::check_all(s, &topo, &flows, engine.observations(), &report);
-    let obs = engine.observations().to_vec();
-    (RunOutcome { report, violations }, obs)
+    (RunOutcome { report, violations }, engine)
 }
 
 /// Samples the scenario for `seed`, runs it, and on failure shrinks it to
@@ -312,9 +319,12 @@ fn switch_restart_victim(
 /// Injects the Byzantine faults.
 ///
 /// * [`Fault::RogueShares`]: a compromised controller sends a share-signed
-///   rogue update straight to a victim switch. A correct switch buckets the
-///   share, sees a single signer below quorum, and never applies it — the
-///   security oracle flags any run where one slips through.
+///   rogue update for a victim switch where its mode collects shares — to
+///   the switch itself, or under controller aggregation to the domain's
+///   aggregator (the switch refuses bare shares there at the door). The
+///   collector buckets the share, sees a single signer below quorum, and
+///   never certifies it — the security oracle flags any run where one
+///   slips through.
 /// * [`Fault::RogueReady`] (Segway mode): a rogue switch sends a forged,
 ///   zero-tagged ready message to a victim it was never scheduled to release. The
 ///   message is misdirected by construction (its `to` binding names the
@@ -371,8 +381,15 @@ fn inject_byzantine(engine: &mut Engine, s: &Scenario, topo: &Topology) {
                         sig: g1_generator().to_affine(),
                     },
                 };
-                let member = members.pop().expect("a set of one");
-                engine.inject_raw(at_ms(at), from, engine.switch_node(sw), Net::UpdateMsg(share, Box::new(member)));
+                let member = Box::new(members.pop().expect("a set of one"));
+                let (to, msg) = match s.mode.aggregation() {
+                    Some(Aggregation::Controller) => {
+                        let agg = engine.with_controller(d, c, |ctrl| ctrl.view().aggregator());
+                        (engine.controller_node(d, agg), Net::UpdateToAggregator(share, member))
+                    }
+                    _ => (engine.switch_node(sw), Net::UpdateMsg(share, member)),
+                };
+                engine.inject_raw(at_ms(at), from, to, msg);
             }
             Fault::RogueReady {
                 switch,

@@ -186,3 +186,30 @@ fn a_rogue_share_opens_a_bucket_at_modeled_crypto_and_never_applies() {
     assert_eq!((rejected, applied), (0, 0), "neither refused at the door nor applied");
     assert!(out.passed(), "{:?}", out.violations);
 }
+
+/// The same rogue share under controller aggregation goes where shares are
+/// collected there, the domain's aggregator: it opens a bucket that never
+/// reaches a quorum, so nothing is relayed, refused or applied.
+#[test]
+fn a_rogue_share_opens_an_aggregator_bucket_at_modeled_crypto_and_never_applies() {
+    use cicero_core::obs::Obs;
+    use southbound::types::ControllerId;
+    let mut s = Scenario::generate(3);
+    s.mode = cicero_core::Mode::CICERO_AGG;
+    s.controllers_per_domain = 4;
+    s.faults = vec![simcheck::Fault::RogueShares { controller: 1, victim: 0, at_ms: 5 }];
+    let rogue = simcheck::scenario::rogue_update_id(0);
+    let (out, mut engine) = simcheck::run_scenario_engine(&s);
+    let count = |f: fn(&Obs) -> Option<southbound::types::UpdateId>| {
+        engine.observations().iter().filter(|o| f(&o.value) == Some(rogue)).count()
+    };
+    let rejected = count(|o| match o { Obs::UpdateRejected { update, .. } => Some(*update), _ => None });
+    let applied = count(|o| match o { Obs::UpdateApplied { update, .. } => Some(*update), _ => None });
+    assert_eq!((rejected, applied), (0, 0), "neither refused at the door nor applied");
+    let bucketed = s.domain_ids(&engine).into_iter().any(|d| {
+        let agg = engine.with_controller(d, ControllerId(1), |c| c.view().aggregator());
+        engine.with_controller(d, agg, |c| c.aggregating().waiting().any(|set| set.event == rogue.event))
+    });
+    assert!(bucketed, "the rogue share waits in an aggregator's bucket");
+    assert!(out.passed(), "{:?}", out.violations);
+}
