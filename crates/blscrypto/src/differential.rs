@@ -619,7 +619,7 @@ fn feldman_fast_paths_match_var_base_formulas() {
 #[test]
 fn reshared_commitment_is_the_lambda_weighted_sum_of_dealings() {
     use crate::dkg::{run_trusted_dealer_free, DkgConfig};
-    use crate::reshare::{deal_reshare_to, finalize_reshare};
+    use crate::reshare::{combine_reshare, deal_reshare_to};
     use crate::shamir::lagrange_at_zero;
     substrate::forall!(cases = 3, |g| {
         let old_n = g.u32_in(4..8);
@@ -646,12 +646,130 @@ fn reshared_commitment_is_the_lambda_weighted_sum_of_dealings() {
                 }))
             })
             .collect();
-        for &me in &recipients {
-            let (share, group) = finalize_reshare(&dealings, &old.group, new_cfg, me).unwrap();
-            assert_eq!(group.commitment.points(), &oracle[..]);
-            assert_eq!(group.public_key(), old.group_public_key, "the group key moved");
+        let (group, shares) = combine_reshare(&dealings, &old.group, new_cfg, &recipients).unwrap();
+        assert_eq!(group.commitment.points(), &oracle[..]);
+        assert_eq!(group.public_key(), old.group_public_key, "the group key moved");
+        for (&me, share) in recipients.iter().zip(&shares) {
             let share = crate::shamir::Share { index: me, value: share.secret_fr() };
             assert!(reference::feldman_verify(&oracle, &share));
+        }
+    });
+}
+
+use crate::feldman::Commitment;
+use crate::shamir::Share;
+
+/// The ways a dealing is tampered with in the test below.
+const TAMPERS: [&str; 11] = [
+    "honest",
+    "one share off by one",
+    "a missing share",
+    "a duplicate index in place of another",
+    "a wrong share ahead of the right one",
+    "a wrong share behind the right one",
+    "the wrong degree",
+    "shares of a higher degree under a truncated commitment",
+    "one commitment point doubled",
+    "points swapped between two dealings",
+    "a forged constant term (reshare only)",
+];
+
+/// Tampers with a dealing of degree `t` as `TAMPERS[kind]` says; `other`
+/// is a second dealing's commitment. The caller deals kinds 6 and 7 at
+/// another degree and forges kind 10's constant term.
+fn tamper(
+    g: &mut Gen,
+    kind: usize,
+    t: usize,
+    (commitment, shares): (&mut Commitment, &mut Vec<Share>),
+    other: &mut Commitment,
+) {
+    let i = g.usize_in(0..shares.len());
+    let j = (i + g.usize_in(1..shares.len())) % shares.len();
+    let wrong = Share { index: shares[j].index, value: arb_fr(g) };
+    let k = g.usize_in(0..t + 1);
+    let mut points = commitment.points().to_vec();
+    match kind {
+        1 => shares[i].value += Fr::one(),
+        2 => drop(shares.remove(i)),
+        3 => shares[i].index = shares[j].index,
+        4 => shares.insert(0, wrong),
+        5 => shares.push(wrong),
+        7 => points.truncate(t + 1),
+        8 => points[k] = points[k].double(),
+        9 => {
+            let mut theirs = other.points().to_vec();
+            std::mem::swap(&mut points[k], &mut theirs[k]);
+            *other = Commitment::from_points(theirs);
+        }
+        _ => {}
+    }
+    *commitment = Commitment::from_points(points);
+}
+
+/// A dealing-wide check decides as the per-share checks it replaces: a DKG
+/// dealing passes `verify_whole_dealing` iff `verify_dealing` finds no
+/// fault for any of participants `1..=n`, and `complaint_round` lodges
+/// exactly the complaints of checking each share; a reshare dealing passes
+/// `verify_whole_reshare_dealing` iff `verify_reshare_dealing` holds for
+/// each recipient. Over n ∈ {4, 5, 7, 10} and every tamper of [`TAMPERS`].
+#[test]
+fn whole_dealing_checks_decide_as_the_share_checks_do() {
+    use crate::dkg::{self, deal, verify_dealing, DkgConfig};
+    use crate::reshare::{deal_reshare_to, verify_reshare_dealing, verify_whole_reshare_dealing};
+    let mut rng = StdRng::seed_from_u64(0xdea1);
+    let old = dkg::run_trusted_dealer_free(4, 1, &mut rng).unwrap();
+    let cases: Vec<(u32, usize)> =
+        [4, 5, 7, 10].into_iter().flat_map(|n| (0..TAMPERS.len()).map(move |kind| (n, kind))).collect();
+    substrate::forall!(cases = 2, |g| {
+        for &(n, kind) in &cases {
+            let cfg = DkgConfig::byzantine(n).unwrap();
+            let t = cfg.t as usize;
+            // The first dealing is the tampered one; a wrong degree is one
+            // below for even n, one above for odd.
+            let degree = |first: bool| match kind {
+                6 if first && n % 2 == 0 => cfg.t - 1,
+                6 | 7 if first => cfg.t + 1,
+                _ => cfg.t,
+            };
+            let what = format!("n = {n}, {}", TAMPERS[kind]);
+
+            let mut dealings: Vec<_> =
+                (1..=3).map(|i| deal(DkgConfig { n, t: degree(i == 1) }, i, g.rng())).collect();
+            let (victim, rest) = dealings.split_first_mut().unwrap();
+            tamper(g, kind, t, (&mut victim.commitment, &mut victim.shares), &mut rest[0].commitment);
+            let mut per_share = Vec::new();
+            for dealing in &dealings {
+                let faults: Vec<_> = (1..=n).filter_map(|me| verify_dealing(cfg, me, dealing)).collect();
+                let whole = dkg::verify_whole_dealing(cfg, dealing);
+                assert_eq!(whole, faults.is_empty(), "{what}");
+                assert!(whole || kind != 0, "{what}");
+                per_share.extend(faults);
+            }
+            let key = |c: &dkg::Complaint| (c.dealer, c.complainer);
+            let mut got: Vec<_> = dkg::complaint_round(cfg, &dealings).iter().map(key).collect();
+            let mut want: Vec<_> = per_share.iter().map(key).collect();
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "{what}");
+
+            let recipients = arb_indices(g, n as usize);
+            let mut dealings: Vec<_> = old.participants[..2]
+                .iter()
+                .enumerate()
+                .map(|(i, p)| deal_reshare_to(&p.share, degree(i == 0), &recipients, g.rng()))
+                .collect();
+            let (victim, rest) = dealings.split_first_mut().unwrap();
+            tamper(g, kind, t, (&mut victim.commitment, &mut victim.shares), &mut rest[0].commitment);
+            if kind == 10 {
+                dealings[0] = dealings[0].clone().with_forged_constant();
+            }
+            for dealing in &dealings {
+                let each = recipients.iter().all(|&me| verify_reshare_dealing(dealing, &old.group, cfg, me));
+                let whole = verify_whole_reshare_dealing(dealing, &old.group, cfg, &recipients);
+                assert_eq!(whole, each, "{what}");
+                assert!(whole || kind != 0, "{what}");
+            }
         }
     });
 }

@@ -7,10 +7,20 @@
 //! key is the product of the qualified `A_0` commitments — and *no single
 //! party ever learns the group secret* (paper §3.2).
 //!
+//! Each dealing is checked once, as a whole: its shares for participants
+//! `1..=n` must interpolate (field work, no curve) to a polynomial whose
+//! coefficients are what the commitment commits to
+//! ([`Commitment::verify_shares`], `t + 1` fixed-base products). When it
+//! passes, each of its `n` shares would pass its own Feldman check. Only a
+//! dealing that fails it is checked share by share ([`verify_dealing`]),
+//! to name who complains, so the complaints, the qualified set and every
+//! key are what checking all `n²` shares gives.
+//!
 //! The module exposes the protocol as plain message types
 //! ([`Dealing`], [`Complaint`]) so the controller runtime can carry them over
 //! the (simulated) network, plus an in-memory driver
-//! [`run_trusted_dealer_free`] for tests, examples and bootstrapping.
+//! [`run_trusted_dealer_free`] for tests, examples and bootstrapping, which
+//! checks every share in its complaint round and never again.
 
 use crate::bls::{KeyShare, PublicKey};
 use crate::feldman::Commitment;
@@ -77,7 +87,7 @@ pub struct Dealing {
     pub dealer: u32,
     /// Feldman commitment to the dealer's polynomial.
     pub commitment: Commitment,
-    shares: Vec<Share>,
+    pub(crate) shares: Vec<Share>,
 }
 
 impl Dealing {
@@ -125,7 +135,8 @@ pub fn deal<R: substrate::rng::Rng + ?Sized>(cfg: DkgConfig, dealer: u32, rng: &
 }
 
 /// Verifies the sub-share addressed to `me` in `dealing`, returning a
-/// complaint if it is missing, malformed, or fails the Feldman check.
+/// complaint if it is missing, malformed, or fails the Feldman check. The
+/// blame path of [`complaint_round`].
 pub fn verify_dealing(cfg: DkgConfig, me: u32, dealing: &Dealing) -> Option<Complaint> {
     let complaint = Complaint {
         complainer: me,
@@ -138,6 +149,29 @@ pub fn verify_dealing(cfg: DkgConfig, me: u32, dealing: &Dealing) -> Option<Comp
         Some(share) if dealing.commitment.verify_share(&share) => None,
         _ => Some(complaint),
     }
+}
+
+/// `true` when the whole dealing checks out in one step: its commitment
+/// has degree `t` and the shares of participants `1..=n` pass
+/// [`Commitment::verify_shares`]. Then [`verify_dealing`] finds no fault
+/// for any participant.
+pub fn verify_whole_dealing(cfg: DkgConfig, dealing: &Dealing) -> bool {
+    let shares: Option<Vec<Share>> = (1..=cfg.n).map(|i| dealing.share_for(i)).collect();
+    dealing.commitment.degree() == cfg.t as usize
+        && shares.is_some_and(|shares| dealing.commitment.verify_shares(&shares))
+}
+
+/// The complaint round: every participant's complaint against every
+/// dealing. A dealing that passes [`verify_whole_dealing`] draws none; only
+/// one that fails it is checked share by share ([`verify_dealing`]), which
+/// names its complainers — the same complaints as checking each of the
+/// n² shares.
+pub fn complaint_round(cfg: DkgConfig, dealings: &[Dealing]) -> Vec<Complaint> {
+    dealings
+        .iter()
+        .filter(|dealing| !verify_whole_dealing(cfg, dealing))
+        .flat_map(|dealing| (1..=cfg.n).filter_map(move |me| verify_dealing(cfg, me, dealing)))
+        .collect()
 }
 
 /// The public outcome of a DKG run.
@@ -164,56 +198,6 @@ impl GroupPublic {
     }
 }
 
-/// Combines the qualified dealings into participant `me`'s key share and the
-/// group public data.
-///
-/// # Errors
-///
-/// [`Error::InvalidParameters`] if `qualified` is empty or a qualified
-/// dealing is missing; [`Error::InvalidShare`] if a qualified dealing's
-/// share for `me` fails verification (it should have been complained about).
-pub fn finalize(
-    cfg: DkgConfig,
-    me: u32,
-    dealings: &[Dealing],
-    qualified: &BTreeSet<u32>,
-) -> Result<(KeyShare, GroupPublic), Error> {
-    if qualified.is_empty() {
-        return Err(Error::InvalidParameters("empty qualified set".into()));
-    }
-    let mut share_sum = Fr::zero();
-    let mut commitment: Option<Commitment> = None;
-    for dealer in qualified {
-        let dealing = dealings
-            .iter()
-            .find(|d| d.dealer == *dealer)
-            .ok_or_else(|| {
-                Error::InvalidParameters(format!("missing dealing from {dealer}"))
-            })?;
-        let share = dealing.share_for(me).ok_or(Error::InvalidShare {
-            dealer: *dealer,
-            receiver: me,
-        })?;
-        if !dealing.commitment.verify_share(&share) {
-            return Err(Error::InvalidShare {
-                dealer: *dealer,
-                receiver: me,
-            });
-        }
-        share_sum += share.value;
-        commitment = Some(match commitment {
-            None => dealing.commitment.clone(),
-            Some(c) => c.add(&dealing.commitment),
-        });
-    }
-    let group = GroupPublic {
-        commitment: commitment.expect("qualified set is non-empty"),
-        qualified: qualified.clone(),
-        config: cfg,
-    };
-    Ok((KeyShare::new(me, share_sum), group))
-}
-
 /// Full DKG output for in-memory runs.
 #[derive(Clone, Debug)]
 pub struct DkgOutput {
@@ -234,14 +218,17 @@ pub struct ParticipantOutput {
     pub share: KeyShare,
 }
 
-/// Runs the complete DKG in memory (deal → verify/complain → disqualify →
-/// finalize). `corrupt` lists dealer indices that hand participant 1 a bad
-/// share, exercising the complaint path.
+/// Runs the complete DKG in memory (deal → complain → disqualify →
+/// combine). `corrupt` lists dealer indices that hand participant 1 a bad
+/// share, exercising the complaint path. Every share is checked once, in
+/// the complaint round: each participant's key share is the sum of its
+/// qualified sub-shares, and the group commitment the sum of the qualified
+/// commitments, made once.
 ///
 /// # Errors
 ///
-/// Propagates [`finalize`] errors; also fails if every dealer is
-/// disqualified.
+/// [`Error::InvalidParameters`] on an invalid `(n, t)` or when every
+/// dealer is disqualified.
 pub fn run_with_faults<R: substrate::rng::Rng + ?Sized>(
     n: u32,
     t: u32,
@@ -255,28 +242,26 @@ pub fn run_with_faults<R: substrate::rng::Rng + ?Sized>(
             *dealing = dealing.clone().corrupt_share_for(1);
         }
     }
-    // Complaint round.
-    let mut complaints = Vec::new();
-    for me in 1..=n {
-        for dealing in &dealings {
-            if let Some(c) = verify_dealing(cfg, me, dealing) {
-                complaints.push(c);
-            }
-        }
-    }
-    let accused: BTreeSet<u32> = complaints.iter().map(|c| c.dealer).collect();
-    let qualified: BTreeSet<u32> = (1..=n).filter(|i| !accused.contains(i)).collect();
-    if qualified.is_empty() {
+    let accused: BTreeSet<u32> = complaint_round(cfg, &dealings).iter().map(|c| c.dealer).collect();
+    let qualified: Vec<&Dealing> = dealings.iter().filter(|d| !accused.contains(&d.dealer)).collect();
+    let Some((first, rest)) = qualified.split_first() else {
         return Err(Error::InvalidParameters("all dealers disqualified".into()));
-    }
-    let mut participants = Vec::with_capacity(n as usize);
-    let mut group = None;
-    for me in 1..=n {
-        let (share, g) = finalize(cfg, me, &dealings, &qualified)?;
-        participants.push(ParticipantOutput { index: me, share });
-        group = Some(g);
-    }
-    let group = group.expect("n >= 1");
+    };
+    let commitment = rest.iter().fold(first.commitment.clone(), |c, d| c.add(&d.commitment));
+    let participants = (1..=n)
+        .map(|me| {
+            let share = qualified
+                .iter()
+                .map(|d| d.share_for(me).expect("a qualified dealing has every share").value)
+                .fold(Fr::zero(), |sum, value| sum + value);
+            ParticipantOutput { index: me, share: KeyShare::new(me, share) }
+        })
+        .collect();
+    let group = GroupPublic {
+        commitment,
+        qualified: qualified.iter().map(|d| d.dealer).collect(),
+        config: cfg,
+    };
     Ok(DkgOutput {
         group_public_key: group.public_key(),
         group,

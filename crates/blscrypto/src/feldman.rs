@@ -13,9 +13,15 @@
 //! integer, so it is Horner's rule, `acc ← acc·i + A_k`, where `acc·i` is a
 //! double-and-add over the index's few bits (`Projective::mul_small`)
 //! instead of a full-width product by `i^k`.
+//!
+//! A dealer's whole set of shares is checked in one step
+//! ([`Commitment::verify_shares`]): interpolate them in `Fr` and compare
+//! each coefficient's fixed-base product with its commitment point — `t + 1`
+//! products for any number of shares, against one per share.
 
 use crate::bls::PublicKey;
 use crate::curves::{g2_mul_generator, G2Projective};
+use crate::fields::Fr;
 use crate::shamir::{Polynomial, Share};
 
 /// A vector of coefficient commitments `[g2·a_0, g2·a_1, ...]`.
@@ -72,6 +78,26 @@ impl Commitment {
         g2_mul_generator(share.value) == self.eval_in_exponent(share.index)
     }
 
+    /// Verifies a whole set of shares in one step: `true` iff they
+    /// interpolate ([`Polynomial::interpolate`]) to a polynomial `f` of at
+    /// most this degree with `A_k == g2 · f_k` for every point. Then each
+    /// share passes [`Self::verify_share`], since `Σ A_k · i^k = g2 · f(i)`.
+    /// Conversely, if there are more shares than the degree, every `A_k` is
+    /// a multiple of the generator and every share passes, this passes too.
+    /// A caller that must name the bad shares checks them one by one when
+    /// it fails. `degree + 1` fixed-base products for the lot.
+    pub fn verify_shares(&self, shares: &[Share]) -> bool {
+        if shares.len() < self.points.len() {
+            return false;
+        }
+        let Ok(f) = Polynomial::interpolate(shares) else {
+            return false;
+        };
+        let (low, high) = f.coeffs().split_at(self.points.len());
+        high.iter().all(Fr::is_zero)
+            && low.iter().zip(&self.points).all(|(&c, point)| g2_mul_generator(c) == *point)
+    }
+
     /// Component-wise sum of commitments (commitment to the summed
     /// polynomials). Used by the DKG to combine qualified dealings.
     ///
@@ -99,7 +125,6 @@ impl Commitment {
 mod tests {
     use super::*;
     use crate::curves::g2_generator;
-    use crate::fields::Fr;
     use crate::shamir::share_secret;
     use substrate::rng::{SeedableRng, StdRng};
 

@@ -20,8 +20,15 @@
 //! and the `λ_i` interpolate those at zero — so it is copied, not
 //! recomputed. Each other coefficient is one multi-scalar sum
 //! ([`G2Projective::sum_of_products`]) whose terms share a single doubling
-//! chain, rather than one full product per `λ_i` and a sum. Checking each
-//! sub-share costs what [`crate::feldman`] documents.
+//! chain, rather than one full product per `λ_i` and a sum.
+//!
+//! Checking and combining are separate steps, so nothing is checked twice.
+//! A member checks each dealing once, for itself ([`verify_reshare_dealing`],
+//! as a controller does on arrival) or for every recipient at once
+//! ([`verify_whole_reshare_dealing`]: the constant term, then all sub-shares
+//! as one [`Commitment::verify_shares`], as [`run_reshare`] does);
+//! [`combine_reshare`] then builds the new commitment once and each
+//! member's share from dealings that passed.
 
 use crate::bls::KeyShare;
 use crate::curves::G2Projective;
@@ -40,7 +47,7 @@ pub struct ReshareDealing {
     /// Feldman commitment to the dealer's resharing polynomial
     /// (constant term = the dealer's old share).
     pub commitment: Commitment,
-    shares: Vec<Share>,
+    pub(crate) shares: Vec<Share>,
 }
 
 impl ReshareDealing {
@@ -111,32 +118,47 @@ pub fn verify_reshare_dealing(
     new_cfg: DkgConfig,
     me: u32,
 ) -> bool {
-    if dealing.commitment.degree() != new_cfg.t as usize {
-        return false;
-    }
-    if dealing.commitment.points()[0] != old_group.commitment.eval_in_exponent(dealing.dealer) {
-        return false;
-    }
-    match dealing.share_for(me) {
-        Some(share) => dealing.commitment.verify_share(&share),
-        None => false,
-    }
+    keeps_the_old_share(dealing, old_group, new_cfg)
+        && dealing.share_for(me).is_some_and(|share| dealing.commitment.verify_share(&share))
 }
 
-/// Combines verified dealings from the qualified old set `B` into new
-/// participant `me`'s share and the new group public data.
+/// [`verify_reshare_dealing`] for every member of `recipients` in one step:
+/// the constant-term check once, and the sub-shares of all of them by
+/// [`Commitment::verify_shares`]. `true` means each of them would pass.
+pub fn verify_whole_reshare_dealing(
+    dealing: &ReshareDealing,
+    old_group: &GroupPublic,
+    new_cfg: DkgConfig,
+    recipients: &[u32],
+) -> bool {
+    let shares: Option<Vec<Share>> = recipients.iter().map(|&i| dealing.share_for(i)).collect();
+    keeps_the_old_share(dealing, old_group, new_cfg)
+        && shares.is_some_and(|shares| dealing.commitment.verify_shares(&shares))
+}
+
+/// The commitment has the new degree, and its constant term is the dealer's
+/// old share key.
+fn keeps_the_old_share(dealing: &ReshareDealing, old_group: &GroupPublic, new_cfg: DkgConfig) -> bool {
+    dealing.commitment.degree() == new_cfg.t as usize
+        && dealing.commitment.points()[0] == old_group.commitment.eval_in_exponent(dealing.dealer)
+}
+
+/// Combines dealings from the qualified old set `B`, each already verified
+/// for every member of `members`, into the new group public data (its
+/// commitment built once) and each member's new share. Nothing is checked
+/// again here.
 ///
 /// # Errors
 ///
 /// [`Error::InsufficientShares`] if `|B| < old_t + 1`;
-/// [`Error::InvalidShare`] if a dealing fails verification;
+/// [`Error::InvalidShare`] if a dealing carries no share for a member;
 /// index errors from the Lagrange computation.
-pub fn finalize_reshare(
+pub fn combine_reshare(
     dealings: &[ReshareDealing],
     old_group: &GroupPublic,
     new_cfg: DkgConfig,
-    me: u32,
-) -> Result<(KeyShare, GroupPublic), Error> {
+    members: &[u32],
+) -> Result<(GroupPublic, Vec<KeyShare>), Error> {
     let need = old_group.config.t as usize + 1;
     if dealings.len() < need {
         return Err(Error::InsufficientShares {
@@ -144,26 +166,24 @@ pub fn finalize_reshare(
             need,
         });
     }
-    for d in dealings {
-        if !verify_reshare_dealing(d, old_group, new_cfg, me) {
-            return Err(Error::InvalidShare {
-                dealer: d.dealer,
-                receiver: me,
-            });
-        }
-    }
     let old_indices: Vec<u32> = dealings.iter().map(|d| d.dealer).collect();
     let lambdas = lagrange_at_zero(&old_indices)?;
-
-    let mut new_share = Fr::zero();
-    for (dealing, lambda) in dealings.iter().zip(&lambdas) {
-        let sub = dealing
-            .share_for(me)
-            .expect("verified dealings carry our share");
-        new_share += sub.value * *lambda;
-    }
+    let shares = members
+        .iter()
+        .map(|&me| {
+            let mut new_share = Fr::zero();
+            for (dealing, lambda) in dealings.iter().zip(&lambdas) {
+                let sub = dealing.share_for(me).ok_or(Error::InvalidShare {
+                    dealer: dealing.dealer,
+                    receiver: me,
+                })?;
+                new_share += sub.value * *lambda;
+            }
+            Ok(KeyShare::new(me, new_share))
+        })
+        .collect::<Result<Vec<_>, Error>>()?;
     // Σ_i λ_i · A_{i,k}: for k = 0 the old group key, since every A_{i,0}
-    // was just checked against old share key i (module doc).
+    // was checked against old share key i (module doc).
     let limbs: Vec<[u64; 4]> = lambdas.iter().map(|l| l.to_raw()).collect();
     let mut points = vec![old_group.commitment.points()[0]];
     points.extend((1..=new_cfg.t as usize).map(|k| {
@@ -179,16 +199,20 @@ pub fn finalize_reshare(
         qualified: old_indices.iter().copied().collect::<BTreeSet<u32>>(),
         config: new_cfg,
     };
-    Ok((KeyShare::new(me, new_share), group))
+    Ok((group, shares))
 }
 
 /// Runs a complete redistribution in memory: the first `old_t + 1`
 /// participants of `old` re-deal to a fresh membership of `new_n` members
-/// with degree `new_t`.
+/// with degree `new_t`. Each dealing is checked once, for all new members
+/// ([`verify_whole_reshare_dealing`]), and the new commitment is built
+/// once.
 ///
 /// # Errors
 ///
-/// As [`finalize_reshare`].
+/// [`Error::InvalidShare`] for the first new member, and then the first
+/// dealing, whose sub-share fails [`verify_reshare_dealing`]; as
+/// [`combine_reshare`] otherwise.
 pub fn run_reshare<R: substrate::rng::Rng + ?Sized>(
     old: &DkgOutput,
     new_cfg: DkgConfig,
@@ -201,14 +225,21 @@ pub fn run_reshare<R: substrate::rng::Rng + ?Sized>(
         .take(quorum)
         .map(|p| deal_reshare(&p.share, new_cfg, rng))
         .collect();
-    let mut participants = Vec::with_capacity(new_cfg.n as usize);
-    let mut group = None;
-    for me in 1..=new_cfg.n {
-        let (share, g) = finalize_reshare(&dealings, &old.group, new_cfg, me)?;
-        participants.push(ParticipantOutput { index: me, share });
-        group = Some(g);
+    let members: Vec<u32> = (1..=new_cfg.n).collect();
+    if !dealings.iter().all(|d| verify_whole_reshare_dealing(d, &old.group, new_cfg, &members)) {
+        let blamed = members.iter().find_map(|&me| {
+            let bad = dealings.iter().find(|d| !verify_reshare_dealing(d, &old.group, new_cfg, me));
+            bad.map(|d| Error::InvalidShare { dealer: d.dealer, receiver: me })
+        });
+        if let Some(err) = blamed {
+            return Err(err);
+        }
     }
-    let group = group.expect("new_n >= 1");
+    let (group, shares) = combine_reshare(&dealings, &old.group, new_cfg, &members)?;
+    let participants = shares
+        .into_iter()
+        .map(|share| ParticipantOutput { index: share.index, share })
+        .collect();
     Ok(DkgOutput {
         group_public_key: group.public_key(),
         group,
@@ -296,8 +327,13 @@ mod tests {
                 }
             })
             .collect();
-        let err = finalize_reshare(&dealings, &old.group, new_cfg, 1);
-        assert!(matches!(err, Err(Error::InvalidShare { dealer: 1, .. })));
+        let members: Vec<u32> = (1..=new_cfg.n).collect();
+        for &me in &members {
+            assert!(!verify_reshare_dealing(&dealings[0], &old.group, new_cfg, me));
+            assert!(verify_reshare_dealing(&dealings[1], &old.group, new_cfg, me));
+        }
+        assert!(!verify_whole_reshare_dealing(&dealings[0], &old.group, new_cfg, &members));
+        assert!(verify_whole_reshare_dealing(&dealings[1], &old.group, new_cfg, &members));
     }
 
     #[test]
@@ -312,7 +348,7 @@ mod tests {
             .map(|p| deal_reshare(&p.share, new_cfg, &mut rng))
             .collect();
         assert!(matches!(
-            finalize_reshare(&dealings, &old.group, new_cfg, 1),
+            combine_reshare(&dealings, &old.group, new_cfg, &[1]),
             Err(Error::InsufficientShares { got: 2, need: 3 })
         ));
     }

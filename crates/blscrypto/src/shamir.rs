@@ -65,6 +65,45 @@ impl Polynomial {
     pub fn eval_at_index(&self, index: u32) -> Fr {
         self.eval(Fr::from_index(index))
     }
+
+    /// The polynomial of degree below `shares.len()` through every share
+    /// (its top coefficients are zero when fewer shares would pin it):
+    /// `Σ_j y_j · Π_{l≠j} (x − x_l) / (x_j − x_l)`, each basis numerator
+    /// divided out of `Π_l (x − x_l)` by synthetic division. Field work
+    /// only, quadratic in the number of shares.
+    ///
+    /// # Errors
+    ///
+    /// As [`lagrange_at_zero`], for the shares' indices.
+    pub fn interpolate(shares: &[Share]) -> Result<Polynomial, Error> {
+        let xs = field_points(shares.iter().map(|s| s.index))?;
+        let n = xs.len();
+        // Π_l (x − x_l), low-degree-first: n + 1 coefficients.
+        let mut master = vec![Fr::one()];
+        for &x in &xs {
+            master.insert(0, Fr::zero());
+            for k in 0..master.len() - 1 {
+                master[k] = master[k] - x * master[k + 1];
+            }
+        }
+        let mut coeffs = vec![Fr::zero(); n];
+        for (j, (&xj, share)) in xs.iter().zip(shares).enumerate() {
+            let den: Fr = xs
+                .iter()
+                .enumerate()
+                .filter(|&(l, _)| l != j)
+                .fold(Fr::one(), |acc, (_, &xl)| acc * (xj - xl));
+            let weight = share.value
+                * den.invert().expect("distinct indices give a non-zero denominator");
+            // The quotient of `master` by (x − x_j), from the top down.
+            let mut carry = Fr::zero();
+            for k in (0..n).rev() {
+                carry = master[k + 1] + xj * carry;
+                coeffs[k] += weight * carry;
+            }
+        }
+        Ok(Polynomial { coeffs })
+    }
 }
 
 /// One participant's share: the evaluation `f(index)`.
@@ -118,19 +157,7 @@ pub fn lagrange_at_zero(indices: &[u32]) -> Result<Vec<Fr>, Error> {
 ///
 /// As [`lagrange_at_zero`].
 pub fn lagrange_at(indices: &[u32], x: Fr) -> Result<Vec<Fr>, Error> {
-    if indices.is_empty() {
-        return Err(Error::InvalidParameters("empty index set".into()));
-    }
-    let mut seen = std::collections::BTreeSet::new();
-    for &i in indices {
-        if i == 0 {
-            return Err(Error::InvalidParameters("index 0 is reserved".into()));
-        }
-        if !seen.insert(i) {
-            return Err(Error::DuplicateIndex(i));
-        }
-    }
-    let points: Vec<Fr> = indices.iter().map(|&i| Fr::from_index(i)).collect();
+    let points = field_points(indices.iter().copied())?;
     let mut coeffs = Vec::with_capacity(indices.len());
     for (j, &xj) in points.iter().enumerate() {
         let mut num = Fr::one();
@@ -148,6 +175,26 @@ pub fn lagrange_at(indices: &[u32], x: Fr) -> Result<Vec<Fr>, Error> {
         coeffs.push(num * den_inv);
     }
     Ok(coeffs)
+}
+
+/// The indices as field points, once they are known to be non-empty,
+/// non-zero and distinct.
+fn field_points(indices: impl Iterator<Item = u32>) -> Result<Vec<Fr>, Error> {
+    let mut seen = std::collections::BTreeSet::new();
+    let mut points = Vec::new();
+    for i in indices {
+        if i == 0 {
+            return Err(Error::InvalidParameters("index 0 is reserved".into()));
+        }
+        if !seen.insert(i) {
+            return Err(Error::DuplicateIndex(i));
+        }
+        points.push(Fr::from_index(i));
+    }
+    if points.is_empty() {
+        return Err(Error::InvalidParameters("empty index set".into()));
+    }
+    Ok(points)
 }
 
 /// Reconstructs the secret from at least `t + 1` shares.
@@ -269,5 +316,26 @@ mod tests {
                 .sum();
             assert_eq!(got, poly.eval(Fr::from_u64(4)));
         });
+    }
+
+    #[test]
+    fn interpolation_recovers_the_dealt_polynomial() {
+        substrate::forall!(cases = 16, |g| {
+            let mut rng = StdRng::seed_from_u64(g.u64());
+            let t = g.usize_in(0..4);
+            let extra = g.usize_in(0..3);
+            let (poly, shares) = share_secret(Fr::random(&mut rng), t, t + 1 + extra, &mut rng);
+            let got = Polynomial::interpolate(&shares).unwrap();
+            let (low, high) = got.coeffs().split_at(t + 1);
+            assert_eq!(low, poly.coeffs());
+            assert!(high.iter().all(Fr::is_zero), "degree {t} came back higher");
+        });
+        let share = |index| Share { index, value: Fr::one() };
+        assert!(Polynomial::interpolate(&[]).is_err());
+        assert!(Polynomial::interpolate(&[share(0)]).is_err());
+        assert!(matches!(
+            Polynomial::interpolate(&[share(2), share(2)]),
+            Err(Error::DuplicateIndex(2))
+        ));
     }
 }

@@ -52,7 +52,7 @@ use crate::runtime::{fake_group, KeyMaterial, Shared};
 use blscrypto::bls::{KeyShare, PartialSignature, PublicKey, SecretKey};
 use blscrypto::dkg::{DkgConfig, GroupPublic};
 use blscrypto::reshare::{
-    deal_reshare_to, finalize_reshare, verify_reshare_dealing, ReshareDealing,
+    combine_reshare, deal_reshare_to, verify_reshare_dealing, ReshareDealing,
 };
 use blscrypto::sha256::hmac_sha256;
 use controller::membership::ControlPlaneView;
@@ -162,12 +162,14 @@ pub struct Authenticator {
     /// The re-key in flight.
     pending: Option<PendingReshare>,
     /// Dealings received per phase: the first of each dealer, over its own
-    /// channel, not yet checked.
-    dealings: BTreeMap<Phase, Vec<ReshareDealing>>,
+    /// channel, with its verdict once the re-key into that phase has
+    /// checked it (a designated dealer's, once).
+    dealings: BTreeMap<Phase, Vec<(ReshareDealing, Option<bool>)>>,
     signs: u64,
     checks: u64,
     tags: u64,
     mac_checks: u64,
+    dealing_checks: u64,
 }
 
 impl Authenticator {
@@ -202,6 +204,7 @@ impl Authenticator {
             checks: 0,
             tags: 0,
             mac_checks: 0,
+            dealing_checks: 0,
         }
     }
 
@@ -237,6 +240,11 @@ impl Authenticator {
     /// Tag checks performed so far.
     pub fn mac_checks(&self) -> u64 {
         self.mac_checks
+    }
+
+    /// Re-key dealings checked so far, one per designated dealing.
+    pub fn dealing_checks(&self) -> u64 {
+        self.dealing_checks
     }
 
     /// The group commitment of this actor's domain in the current phase.
@@ -307,39 +315,50 @@ impl Authenticator {
             return false;
         }
         let filed = self.dealings.entry(phase).or_default();
-        if filed.iter().all(|d| d.dealer != dealing.dealer) {
-            filed.push(dealing);
+        if filed.iter().any(|(d, _)| d.dealer == dealing.dealer) {
+            return false;
         }
+        filed.push((dealing, None));
         self.try_finish_rekey()
     }
 
-    /// Installs the new keys from the first `old t + 1` valid dealings of
-    /// designated dealers, once that many have arrived; an invalid one, or
-    /// one dealt uninvited (it may arrive before the re-key starts), is
-    /// passed over, not fatal.
+    /// Checks each designated dealing of the re-key in flight not checked
+    /// yet — one that just arrived, or at [`Self::start_rekey`] those filed
+    /// before it — and files the verdict. Then installs the new keys from
+    /// the first `old t + 1` valid ones, once that many have arrived,
+    /// without checking them again; an invalid one, or one dealt uninvited
+    /// (it may arrive before the re-key starts), is passed over, not fatal.
     fn try_finish_rekey(&mut self) -> bool {
         let Some(p) = &self.pending else {
             return false;
         };
+        let Some(filed) = self.dealings.get_mut(&p.phase) else {
+            return false;
+        };
+        for (dealing, verdict) in filed.iter_mut() {
+            if verdict.is_none() && p.dealers.contains(&ControllerId(dealing.dealer)) {
+                self.dealing_checks += 1;
+                *verdict = Some(verify_reshare_dealing(dealing, &p.old_group, p.new_cfg, self.origin));
+            }
+        }
         let need = p.old_group.config.t as usize + 1;
-        let filed = self.dealings.get(&p.phase).into_iter().flatten();
         let valid: Vec<ReshareDealing> = filed
-            .filter(|d| p.dealers.contains(&ControllerId(d.dealer)))
-            .filter(|d| verify_reshare_dealing(d, &p.old_group, p.new_cfg, self.origin))
+            .iter()
+            .filter(|(_, verdict)| *verdict == Some(true))
+            .map(|(dealing, _)| dealing.clone())
             .take(need)
-            .cloned()
             .collect();
         if valid.len() < need {
             return false;
         }
-        let Ok((share, group)) = finalize_reshare(&valid, &p.old_group, p.new_cfg, self.origin)
+        let Ok((group, mut share)) = combine_reshare(&valid, &p.old_group, p.new_cfg, &[self.origin])
         else {
             return false;
         };
         let phase = p.phase;
         self.pending = None;
         self.dealings.remove(&phase);
-        self.rekey(phase, Some(share), group);
+        self.rekey(phase, share.pop(), group);
         true
     }
 

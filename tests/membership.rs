@@ -46,16 +46,20 @@ fn adding_a_controller_preserves_the_group_key() {
     assert!(phases.iter().all(|&p| p == 1));
 
     for c in 1..=6u32 {
-        let (pk, view_len, active) = engine.with_controller(domain, ControllerId(c), |ctrl| {
-            (
-                ctrl.group().public_key(),
-                ctrl.view().len(),
-                ctrl.is_active(),
-            )
-        });
+        let (pk, view_len, active, dealing_checks) =
+            engine.with_controller(domain, ControllerId(c), |ctrl| {
+                (
+                    ctrl.group().public_key(),
+                    ctrl.view().len(),
+                    ctrl.is_active(),
+                    ctrl.auth().dealing_checks(),
+                )
+            });
         assert!(active, "controller {c} active");
         assert_eq!(view_len, 6);
         assert_eq!(pk, pk_before, "controller {c} sees the same group key");
+        // Two designated dealers (1 and 2), each dealing checked once.
+        assert_eq!(dealing_checks, 2, "controller {c} checked a dealing twice");
     }
 
     // The enlarged control plane still serves flows.
