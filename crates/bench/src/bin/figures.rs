@@ -20,26 +20,10 @@ fn main() {
         .map(String::as_str)
         .collect();
 
-    let sections: [(&str, Box<dyn Fn() -> String>); 13] = [
-        ("table2", Box::new(bench::table2)),
-        ("calib", Box::new(bench::calibration)),
-        ("ablation", Box::new(bench::ablation)),
-        ("fig11a", Box::new(move || bench::fig11a(scale))),
-        ("fig11b", Box::new(move || bench::fig11b(scale))),
-        ("fig11c", Box::new(move || bench::fig11c(scale))),
-        ("fig11d", Box::new(move || bench::fig11d(scale))),
-        ("fig11dm", Box::new(move || bench::fig11d_measured(scale))),
-        ("fig12a", Box::new(move || bench::fig12a(scale))),
-        ("fig12b", Box::new(move || bench::fig12b(scale))),
-        ("fig12c", Box::new(move || bench::fig12c(scale))),
-        ("fig12d", Box::new(move || bench::fig12d(scale))),
-        ("segway", Box::new(move || bench::fig_segway(scale))),
-    ];
-
-    for (name, run) in sections {
+    for (name, driver) in bench::SECTIONS {
         if wanted.is_empty() || wanted.contains(&name) {
             let t0 = std::time::Instant::now();
-            print!("{}", run());
+            print!("{}", driver(scale));
             eprintln!("[{name} took {:.1?}]", t0.elapsed());
             println!();
         }

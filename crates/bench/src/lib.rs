@@ -5,14 +5,16 @@
 //!   scale (5000 flows) and prints each figure's series;
 //! * `cargo run -p bench --release --bin figures [--quick] [figN…]` — same,
 //!   selectable;
-//! * `cargo bench -p bench --bench crypto|consensus|protocol` — Criterion
-//!   micro-benchmarks used to validate the simulator's cost model.
+//! * `cargo bench -p bench --bench crypto|consensus|protocol` —
+//!   `substrate::benchkit` micro-benchmarks used to validate the
+//!   simulator's cost model.
 
 #![forbid(unsafe_code)]
 
 
 use cicero_core::prelude::*;
 use std::fmt::Write as _;
+use workload::spec::WorkloadSpec;
 
 /// Experiment scale knobs.
 #[derive(Clone, Copy, Debug)]
@@ -68,46 +70,34 @@ fn print_cdf(out: &mut String, label: &str, cdf: &Cdf) {
     let _ = writeln!(out);
 }
 
-/// Fig. 11a — Hadoop flow completion CDF, single domain, rules reused.
-pub fn fig11a(scale: Scale) -> String {
-    let mut out = String::from("Fig 11a — Hadoop flow completion (single domain, 4 ctrl)\n");
-    let mut spec = workload::spec::hadoop();
+/// Fig. 11a–c — flow completion CDFs of `spec` (at `scale.flows`) in
+/// one domain of 4 controllers, with rules reused across flows or set up
+/// and torn down per flow.
+pub fn fig11(scale: Scale, title: &str, mut spec: WorkloadSpec, rule_reuse: bool) -> String {
+    let mut out = format!("{title}\n");
     spec.flows = scale.flows;
-    for run in fig11_flow_completion(&spec, true, scale.seed) {
+    for run in fig11_flow_completion(&spec, rule_reuse, CostModel::default(), scale.seed) {
         print_cdf(&mut out, run.label, &run.cdf);
     }
     out
 }
 
-/// Fig. 11b — web-server flow completion CDF.
-pub fn fig11b(scale: Scale) -> String {
-    let mut out = String::from("Fig 11b — web server flow completion (single domain, 4 ctrl)\n");
-    let mut spec = workload::spec::web_server();
-    spec.flows = scale.flows;
-    for run in fig11_flow_completion(&spec, true, scale.seed) {
-        print_cdf(&mut out, run.label, &run.cdf);
-    }
-    out
-}
-
-/// Fig. 11c — unamortized (setup/teardown) Hadoop flow completion CDF.
-pub fn fig11c(scale: Scale) -> String {
-    let mut out =
-        String::from("Fig 11c — Hadoop flow completion, unamortized setup/teardown\n");
+/// Fig. 11d — mean switch CPU utilization over the Hadoop workload under
+/// `costs`. Under the paper-calibrated [`CostModel::default`] it prints
+/// each mode's per-second series as well; under [`CostModel::measured`]
+/// (the optimized pairing/batch-verify medians from `BENCH_protocol.json`)
+/// only mean and peak, read beside it: how much per-switch CPU the fast
+/// verify path buys.
+pub fn fig11d(scale: Scale, costs: CostModel) -> String {
+    let calibrated = costs == CostModel::default();
+    let mut out = String::from(if calibrated {
+        "Fig 11d — switch CPU utilization (Hadoop workload)\n"
+    } else {
+        "Fig 11d* — switch CPU under measured crypto costs (Hadoop workload)\n"
+    });
     let mut spec = workload::spec::hadoop();
     spec.flows = scale.flows;
-    for run in fig11_flow_completion(&spec, false, scale.seed) {
-        print_cdf(&mut out, run.label, &run.cdf);
-    }
-    out
-}
-
-/// Fig. 11d — mean switch CPU utilization over the workload.
-pub fn fig11d(scale: Scale) -> String {
-    let mut out = String::from("Fig 11d — switch CPU utilization (Hadoop workload)\n");
-    let mut spec = workload::spec::hadoop();
-    spec.flows = scale.flows;
-    for run in fig11_flow_completion(&spec, true, scale.seed) {
+    for run in fig11_flow_completion(&spec, true, costs, scale.seed) {
         let series = &run.mean_switch_cpu;
         let peak = series.iter().cloned().fold(0.0, f64::max);
         let mean = if series.is_empty() {
@@ -117,56 +107,18 @@ pub fn fig11d(scale: Scale) -> String {
         };
         let _ = write!(
             out,
-            "  {:<16} mean={:>6.2}% peak={:>6.2}% | per-second:",
-            run.label,
-            mean * 100.0,
-            peak * 100.0
-        );
-        for v in series.iter().take(30) {
-            let _ = write!(out, " {:.1}", v * 100.0);
-        }
-        let _ = writeln!(out);
-    }
-    out
-}
-
-/// Fig. 11d variant under *measured* crypto costs ([`CostModel::measured`]):
-/// switch CPU with the optimized pairing/batch-verify medians from
-/// `BENCH_protocol.json` instead of the paper-calibrated defaults. Printed
-/// side by side with [`fig11d`], it quantifies how much per-switch CPU the
-/// fast verify path buys.
-pub fn fig11d_measured(scale: Scale) -> String {
-    let mut out =
-        String::from("Fig 11d* — switch CPU under measured crypto costs (Hadoop workload)\n");
-    let mut spec = workload::spec::hadoop();
-    spec.flows = scale.flows;
-    let topo = netmodel::topology::Topology::single_pod(40, 4, 4);
-    for &mode in &ALL_MODES {
-        let cfg = EngineConfig {
-            seed: scale.seed,
-            costs: CostModel::measured(),
-            ..EngineConfig::for_mode(mode)
-        };
-        let run = run_flow_completion(
-            cfg,
-            &topo,
-            controller::policy::DomainMap::single(&topo),
-            &spec,
-        );
-        let series = &run.mean_switch_cpu;
-        let peak = series.iter().cloned().fold(0.0, f64::max);
-        let mean = if series.is_empty() {
-            0.0
-        } else {
-            series.iter().sum::<f64>() / series.len() as f64
-        };
-        let _ = writeln!(
-            out,
             "  {:<16} mean={:>6.2}% peak={:>6.2}%",
             run.label,
             mean * 100.0,
             peak * 100.0
         );
+        if calibrated {
+            let _ = write!(out, " | per-second:");
+            for v in series.iter().take(30) {
+                let _ = write!(out, " {:.1}", v * 100.0);
+            }
+        }
+        let _ = writeln!(out);
     }
     out
 }
@@ -311,11 +263,10 @@ pub fn calibration() -> String {
 ///   Fig. 11c/11d).
 pub fn ablation() -> String {
     use cicero_core::audit::audit_flow;
+    use cicero_core::experiment::run_one_flow;
     use controller::scheduler::UnorderedScheduler;
     use controller::policy::DomainMap;
-    use netmodel::routing::route;
     use netmodel::topology::Topology;
-    use simnet::sim::ENVIRONMENT;
     use southbound::types::*;
 
     let mut out = String::from("Ablation — the latency price of consistency (3-switch route)\n");
@@ -341,24 +292,9 @@ pub fn ablation() -> String {
             .find(|h| h.attached != hosts[0].attached)
             .unwrap()
             .id;
-        let r = route(&topo, src, dst).unwrap();
         let start = SimTime::ZERO + SimDuration::from_millis(1);
-        engine.inject_raw(
-            start,
-            ENVIRONMENT,
-            engine.switch_node(r.path[0]),
-            Net::FlowArrival {
-                flow: FlowId(1),
-                src,
-                dst,
-                bytes: 100,
-                transit: r.latency,
-                start,
-            },
-        );
-        engine.run(start + SimDuration::from_secs(5));
-        let done = engine
-            .observations()
+        let (r, obs) = run_one_flow(&mut engine, FlowId(1), src, dst, 100, start);
+        let done = obs
             .iter()
             .find_map(|o| match o.value {
                 Obs::FlowCompleted { start: s, .. } => Some(o.at.since(s)),
@@ -366,13 +302,7 @@ pub fn ablation() -> String {
             })
             .map(|d| d.as_millis_f64())
             .unwrap_or(f64::NAN);
-        let hazards = audit_flow(
-            engine.observations(),
-            r.path[0],
-            FlowMatch { src, dst },
-            false,
-        )
-        .len();
+        let hazards = audit_flow(obs, r.path[0], FlowMatch { src, dst }, false).len();
         let name = if unordered {
             "unordered (unsafe)"
         } else {
@@ -386,31 +316,39 @@ pub fn ablation() -> String {
     out
 }
 
-/// Every figure, in order.
+/// A section's driver: its printed text at a scale.
+pub type Driver = fn(Scale) -> String;
+
+/// Every section of the evaluation, in print order: its `figures` name and
+/// its driver.
+pub const SECTIONS: [(&str, Driver); 13] = [
+    ("table2", |_| table2()),
+    ("calib", |_| calibration()),
+    ("ablation", |_| ablation()),
+    ("fig11a", |s| {
+        let title = "Fig 11a — Hadoop flow completion (single domain, 4 ctrl)";
+        fig11(s, title, workload::spec::hadoop(), true)
+    }),
+    ("fig11b", |s| {
+        let title = "Fig 11b — web server flow completion (single domain, 4 ctrl)";
+        fig11(s, title, workload::spec::web_server(), true)
+    }),
+    ("fig11c", |s| {
+        let title = "Fig 11c — Hadoop flow completion, unamortized setup/teardown";
+        fig11(s, title, workload::spec::hadoop(), false)
+    }),
+    ("fig11d", |s| fig11d(s, CostModel::default())),
+    ("fig11dm", |s| fig11d(s, CostModel::measured())),
+    ("fig12a", fig12a),
+    ("fig12b", fig12b),
+    ("fig12c", fig12c),
+    ("fig12d", fig12d),
+    ("segway", fig_segway),
+];
+
+/// Every section, in order, each followed by a blank line.
 pub fn run_all(scale: Scale) -> String {
-    let mut out = String::new();
-    out.push_str(&table2());
-    out.push('\n');
-    out.push_str(&calibration());
-    out.push('\n');
-    out.push_str(&ablation());
-    out.push('\n');
-    for part in [
-        fig11a(scale),
-        fig11b(scale),
-        fig11c(scale),
-        fig11d(scale),
-        fig11d_measured(scale),
-        fig12a(scale),
-        fig12b(scale),
-        fig12c(scale),
-        fig12d(scale),
-        fig_segway(scale),
-    ] {
-        out.push_str(&part);
-        out.push('\n');
-    }
-    out
+    SECTIONS.iter().map(|(_, driver)| driver(scale) + "\n").collect()
 }
 
 #[cfg(test)]
@@ -427,11 +365,15 @@ mod tests {
             seed: 3,
         };
         let report = run_all(scale);
-        for needle in [
-            "Fig 11a", "Fig 11b", "Fig 11c", "Fig 11d", "Fig 12a", "Fig 12b", "Fig 12c",
-            "Fig 12d", "Fig S", "Table 2", "Calibration", "Ablation",
-        ] {
-            assert!(report.contains(needle), "missing section {needle}");
+        let sections: Vec<_> = report.split_terminator("\n\n").collect();
+        assert_eq!(sections.len(), SECTIONS.len(), "a section is missing:\n{report}");
+        for section in sections {
+            assert!(section.lines().count() > 1, "a section without rows:\n{section}");
         }
+        // Every figure's numbers, pinned: FNV-1a over the whole report.
+        let hash = report.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(hash, 0xaa56_02ec_0329_38a5, "a figure's bytes moved:\n{report}");
     }
 }

@@ -135,7 +135,7 @@ pub enum CryptoMode {
 /// Defaults are chosen so the four modes land near the paper's measured
 /// anchors on its 2.2 GHz Xeon testbed (flow setup ≈ 2.9 / 4.3 / 8.3 /
 /// 11.6 ms; see DESIGN.md "timing calibration" and EXPERIMENTS.md for the
-/// comparison against this crate's own Criterion measurements).
+/// comparison against this crate's own `substrate::benchkit` measurements).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {
     /// Switch: handling any control-plane message (parse, table access).
@@ -217,7 +217,7 @@ impl CostModel {
     /// not this host.
     ///
     /// Used by the Fig. 11d variant that reports per-switch CPU under
-    /// measured costs (`bench::fig11d_measured`, which prints it). Refresh
+    /// measured costs (`bench::fig11d`, which prints it). Refresh
     /// alongside the baseline (a test fails when a literal drifts more than
     /// 25 % from its median): `update_sign` ≈ `threshold_sign_share`,
     /// `bls_verify` is `bls_verify_prepared` (a node verifies under keys

@@ -14,13 +14,14 @@ use crate::obs::{resolved_flows, retransmit_stats, Obs};
 use crate::runtime::Shared;
 use crate::switch::SwitchActor;
 use controller::policy::DomainMap;
+use netmodel::routing::Route;
 use netmodel::telekom;
 use netmodel::topology::Topology;
 use simnet::latency::LatencyModel;
 use simnet::node::NodeId;
 use simnet::sim::{Observation, Simulation};
 use simnet::time::{SimDuration, SimTime};
-use southbound::types::{ControllerId, DomainId, SwitchId};
+use southbound::types::{ControllerId, DomainId, FlowId, HostId, SwitchId};
 use std::sync::Arc;
 use workload::gen::FlowSpec;
 
@@ -189,11 +190,25 @@ impl Engine {
     /// switch at its start time.
     pub fn inject_flows(&mut self, flows: &[FlowSpec]) {
         for f in flows {
-            if let Some((node, msg)) = self.dep.shared.flow_arrival(f, f.start) {
-                self.sim.inject(f.start, node, msg);
-                self.injected_flows += 1;
-            }
+            self.inject_flow(f.id, f.src, f.dst, f.bytes, f.start);
         }
+    }
+
+    /// Injects one flow of `bytes` from `src` to `dst`, arriving at its
+    /// source's ToR switch at `start`, and returns its route (`None`, and
+    /// nothing injected, for an unroutable flow).
+    pub fn inject_flow(
+        &mut self,
+        flow: FlowId,
+        src: HostId,
+        dst: HostId,
+        bytes: u64,
+        start: SimTime,
+    ) -> Option<Route> {
+        let (r, node, msg) = self.dep.shared.flow_arrival(flow, src, dst, bytes, start)?;
+        self.sim.inject(start, node, msg);
+        self.injected_flows += 1;
+        Some(r)
     }
 
     /// Applies `f` to every controller, now and in every later life (see
@@ -268,9 +283,6 @@ impl Engine {
 
     /// Injects an arbitrary message (tests: rogue controllers, raw events).
     pub fn inject_raw(&mut self, at: SimTime, from: NodeId, to: NodeId, msg: Net) {
-        if matches!(msg, Net::FlowArrival { .. }) {
-            self.injected_flows += 1;
-        }
         self.sim.inject_from(at, from, to, msg);
     }
 
@@ -465,7 +477,6 @@ pub fn default_pod_engine(mode: Mode, crypto: CryptoMode, racks: u16) -> Engine 
 mod tests {
     use super::*;
     use simnet::node::{Actor, Host, TimerToken};
-    use southbound::types::{FlowId, HostId};
 
     /// With no flows and heartbeats off nothing waits on anything, so in
     /// every mode the event queue is empty one tick period after start: no
@@ -498,20 +509,11 @@ mod tests {
         let mut engine = default_pod_engine(Mode::Centralized, CryptoMode::Modeled, 2);
         let spinner = engine.sim.add_node(Spinner);
         let start = SimTime::ZERO + SimDuration::from_millis(1);
-        // A flow nobody will ever resolve keeps the run from completing.
-        engine.inject_raw(
-            start,
-            simnet::sim::ENVIRONMENT,
-            spinner,
-            Net::FlowArrival {
-                flow: FlowId(1),
-                src: HostId(0),
-                dst: HostId(1),
-                bytes: 1,
-                transit: SimDuration::ZERO,
-                start,
-            },
-        );
+        // The spin freezes time at `start`, so the flow arriving then is
+        // never resolved and keeps the run from completing.
+        engine.inject_flow(FlowId(1), HostId(0), HostId(1), 1, start).expect("routable");
+        let poke = Net::LinkDown { a: SwitchId(0), b: SwitchId(1) };
+        engine.inject_raw(start, simnet::sim::ENVIRONMENT, spinner, poke);
         let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(60));
         assert!(report.stalled && !report.completed, "{report}");
         assert_eq!(report.end, start, "time stopped where the spin began");

@@ -2,17 +2,18 @@
 //! (§6). The `bench` crate's `figures` binary and the integration tests are
 //! thin wrappers over these.
 
-use crate::config::{tx_time, Aggregation, CryptoMode, EngineConfig, Mode};
+use crate::config::{tx_time, Aggregation, CostModel, CryptoMode, EngineConfig, Mode};
 use crate::engine::Engine;
-use crate::msg::Net;
 use crate::obs::{events_per_domain, flow_latencies, Cdf, Obs};
 use controller::policy::DomainMap;
+use netmodel::routing::Route;
 use netmodel::telekom;
 use netmodel::topology::Topology;
 use substrate::rng::StdRng;
 use substrate::rng::SeedableRng;
+use simnet::sim::Observation;
 use simnet::time::{SimDuration, SimTime};
-use southbound::types::{DomainId, FlowId};
+use southbound::types::{DomainId, FlowId, HostId};
 use std::collections::BTreeMap;
 use workload::spec::WorkloadSpec;
 
@@ -71,14 +72,22 @@ pub fn run_flow_completion(
     }
 }
 
-/// Fig. 11a/11b/11c: single-pod (40 racks), single domain, 4 controllers.
-pub fn fig11_flow_completion(spec: &WorkloadSpec, rule_reuse: bool, seed: u64) -> Vec<FlowRun> {
+/// Fig. 11: single-pod (40 racks), single domain, 4 controllers, every
+/// mode under `costs` (Fig. 11d prints its switch CPU under the calibrated
+/// and the measured model).
+pub fn fig11_flow_completion(
+    spec: &WorkloadSpec,
+    rule_reuse: bool,
+    costs: CostModel,
+    seed: u64,
+) -> Vec<FlowRun> {
     let topo = Topology::single_pod(40, 4, 4);
     ALL_MODES
         .iter()
         .map(|&mode| {
             let cfg = EngineConfig {
                 rule_reuse,
+                costs,
                 seed,
                 ..EngineConfig::for_mode(mode)
             };
@@ -123,66 +132,60 @@ pub fn single_update_time(mode: Mode, controllers: u32, reps: u32, seed: u64) ->
     let topo = Topology::single_pod(2, 2, 4);
     let dm = DomainMap::single(&topo);
     let mut engine = Engine::build(cfg, topo.clone(), dm, 0);
-
-    let mut total_ms = 0.0;
-    let mut count = 0u32;
     let tors: Vec<_> = topo
         .switches()
         .iter()
         .filter(|s| s.role == netmodel::topology::SwitchRole::TopOfRack)
         .map(|s| s.id)
         .collect();
-    for rep in 0..reps {
-        let tor = tors[(rep as usize) % tors.len()];
-        let hosts = topo.hosts_on(tor);
+    mean((0..reps).filter_map(|rep| {
+        let hosts = topo.hosts_on(tors[(rep as usize) % tors.len()]);
         // Distinct same-rack pair per repetition: one-switch route.
         let (src, dst) = (
             hosts[(2 * rep as usize) % hosts.len()],
             hosts[(2 * rep as usize + 1) % hosts.len()],
         );
         if src == dst {
-            continue;
+            return None;
         }
         let start = engine.now() + SimDuration::from_millis(50);
-        let node = engine.switch_node(tor);
-        let applied_before = count_applied(engine.observations());
-        engine.inject_raw(
-            start,
-            simnet::sim::ENVIRONMENT,
-            node,
-            Net::FlowArrival {
-                flow: FlowId(1000 + rep as u64),
-                src,
-                dst,
-                bytes: 1000,
-                transit: SimDuration::from_micros(20),
-                start,
-            },
-        );
-        engine.run(start + SimDuration::from_secs(5));
-        let obs = engine.observations();
-        if count_applied(obs) > applied_before {
-            if let Some(o) = obs
-                .iter()
-                .rev()
-                .find(|o| matches!(o.value, Obs::UpdateApplied { .. }))
-            {
-                total_ms += o.at.since(start).as_millis_f64();
-                count += 1;
-            }
-        }
-    }
-    if count == 0 {
-        f64::NAN
-    } else {
-        total_ms / count as f64
-    }
+        let flow = FlowId(1000 + rep as u64);
+        let (_, obs) = run_one_flow(&mut engine, flow, src, dst, 1000, start);
+        let applied = obs.iter().rev().find(|o| matches!(o.value, Obs::UpdateApplied { .. }));
+        applied.map(|o| o.at.since(start).as_millis_f64())
+    }))
 }
 
-fn count_applied(obs: &[simnet::sim::Observation<Obs>]) -> usize {
-    obs.iter()
-        .filter(|o| matches!(o.value, Obs::UpdateApplied { .. }))
-        .count()
+/// The step every single-flow measurement repeats: injects one flow of
+/// `bytes` from `src` to `dst` at `start` ([`Engine::inject_flow`]), runs
+/// for up to 5 s of simulated time, and returns the flow's route and the
+/// observations that run added.
+///
+/// # Panics
+///
+/// Panics if the flow has no route.
+pub fn run_one_flow(
+    engine: &mut Engine,
+    flow: FlowId,
+    src: HostId,
+    dst: HostId,
+    bytes: u64,
+    start: SimTime,
+) -> (Route, &[Observation<Obs>]) {
+    let seen = engine.observations().len();
+    let r = engine.inject_flow(flow, src, dst, bytes, start).expect("routable");
+    engine.run(start + SimDuration::from_secs(5));
+    (r, &engine.observations()[seen..])
+}
+
+/// The mean of `samples`, NaN when there are none.
+fn mean(samples: impl Iterator<Item = f64>) -> f64 {
+    let (total, n) = samples.fold((0.0, 0u32), |(t, n), x| (t + x, n + 1));
+    if n == 0 {
+        f64::NAN
+    } else {
+        total / n as f64
+    }
 }
 
 /// Fig. 12b: percentage of total events handled by each control plane when
@@ -351,11 +354,9 @@ pub fn flow_setup_latency_with(mut cfg: EngineConfig, seed: u64) -> f64 {
     cfg.seed = seed;
     let topo = Topology::single_pod(4, 4, 4);
     let dm = DomainMap::single(&topo);
-    let mut engine = Engine::build(cfg.clone(), topo.clone(), dm, 0);
+    let mut engine = Engine::build(cfg, topo.clone(), dm, 0);
     let hosts = topo.hosts();
-    let mut total = 0.0;
-    let mut n = 0;
-    for i in 0..20usize {
+    mean((0..20usize).filter_map(|i| {
         // Cross-rack pair: 3-switch route (ToR -> edge -> ToR).
         let src = hosts[i % hosts.len()].id;
         let dst = hosts
@@ -368,41 +369,15 @@ pub fn flow_setup_latency_with(mut cfg: EngineConfig, seed: u64) -> f64 {
             })
             .unwrap_or(hosts[(i + 1) % hosts.len()].id);
         let start = engine.now() + SimDuration::from_millis(20);
-        let r = netmodel::routing::route(&topo, src, dst).expect("connected");
-        let node = engine.switch_node(r.path[0]);
-        let bytes = 100u64;
-        engine.inject_raw(
-            start,
-            simnet::sim::ENVIRONMENT,
-            node,
-            Net::FlowArrival {
-                flow: FlowId(i as u64 + 1),
-                src,
-                dst,
-                bytes,
-                transit: r.latency,
-                start,
-            },
-        );
-        engine.run(start + SimDuration::from_secs(5));
+        let (flow, bytes) = (FlowId(i as u64 + 1), 100);
+        let (r, obs) = run_one_flow(&mut engine, flow, src, dst, bytes, start);
         // setup = completion latency - data-plane part.
         let data_plane = r.latency + tx_time(bytes);
-        if let Some(o) = engine
-            .observations()
-            .iter()
-            .rev()
-            .find(|o| matches!(o.value, Obs::FlowCompleted { flow, .. } if flow == FlowId(i as u64 + 1)))
-        {
-            if let Obs::FlowCompleted { start: s, .. } = o.value {
-                let lat = o.at.since(s);
-                total += lat.as_millis_f64() - data_plane.as_millis_f64();
-                n += 1;
+        obs.iter().rev().find_map(|o| match o.value {
+            Obs::FlowCompleted { flow: f, start: s, .. } if f == flow => {
+                Some(o.at.since(s).as_millis_f64() - data_plane.as_millis_f64())
             }
-        }
-    }
-    if n == 0 {
-        f64::NAN
-    } else {
-        total / n as f64
-    }
+            _ => None,
+        })
+    }))
 }

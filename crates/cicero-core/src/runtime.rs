@@ -10,13 +10,12 @@ use blscrypto::dkg::{DkgConfig, DkgOutput, GroupPublic};
 use blscrypto::feldman::Commitment;
 use blscrypto::curves::G2Projective;
 use controller::policy::GlobalDomainPolicy;
-use netmodel::routing::route;
+use netmodel::routing::{route, Route};
 use netmodel::topology::Topology;
 use substrate::rng::{SeedableRng, StdRng};
-use workload::gen::FlowSpec;
 use simnet::node::NodeId;
 use simnet::time::SimTime;
-use southbound::types::{ControllerId, DomainId, SwitchId};
+use southbound::types::{ControllerId, DomainId, FlowId, HostId, SwitchId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -159,27 +158,31 @@ pub struct Shared {
 }
 
 impl Shared {
-    /// How a workload flow enters the network: the node of its source's
-    /// ToR switch and the `FlowArrival` to deliver there, stamped `start`.
-    /// The route transit latency is precomputed from the topology
-    /// (data-plane forwarding is not what the protocol measures). `None`
-    /// for an unroutable flow.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the flow's source host is not in the topology.
-    pub fn flow_arrival(&self, f: &FlowSpec, start: SimTime) -> Option<(NodeId, Net)> {
-        let r = route(&self.topo, f.src, f.dst)?;
-        let ingress = self.topo.host(f.src).expect("known host").attached;
+    /// How a flow of `bytes` from `src` to `dst` enters the network at
+    /// `start`: its route, the node of its source's ToR switch and the
+    /// `FlowArrival` to deliver there. The route transit latency is
+    /// precomputed from the topology (data-plane forwarding is not what the
+    /// protocol measures). `None` for an unroutable flow. Every flow of
+    /// either executor enters through here.
+    pub fn flow_arrival(
+        &self,
+        flow: FlowId,
+        src: HostId,
+        dst: HostId,
+        bytes: u64,
+        start: SimTime,
+    ) -> Option<(Route, NodeId, Net)> {
+        let r = route(&self.topo, src, dst)?;
+        let node = self.dir.switch(r.path[0]);
         let msg = Net::FlowArrival {
-            flow: f.id,
-            src: f.src,
-            dst: f.dst,
-            bytes: f.bytes,
+            flow,
+            src,
+            dst,
+            bytes,
             transit: r.latency,
             start,
         };
-        Some((self.dir.switch(ingress), msg))
+        Some((r, node, msg))
     }
 }
 

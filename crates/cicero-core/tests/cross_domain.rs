@@ -11,9 +11,7 @@
 
 use cicero_core::prelude::*;
 use controller::policy::DomainMap;
-use netmodel::routing::route;
 use netmodel::topology::Topology;
-use simnet::sim::ENVIRONMENT;
 use southbound::types::{FlowId, FlowMatch, HostId, SwitchId};
 
 fn engine(domains: u16, racks: u16, seed: u64) -> (Engine, Topology) {
@@ -26,26 +24,6 @@ fn engine(domains: u16, racks: u16, seed: u64) -> (Engine, Topology) {
     let dm = DomainMap::split_racks(&topo, domains);
     let engine = Engine::build(cfg, topo.clone(), dm, 0);
     (engine, topo)
-}
-
-fn inject_flow(engine: &mut Engine, topo: &Topology, src: HostId, dst: HostId, id: u64) {
-    let r = route(topo, src, dst).expect("connected");
-    let ingress = topo.host(src).unwrap().attached;
-    let node = engine.switch_node(ingress);
-    let start = engine.now() + SimDuration::from_millis(1 + id);
-    engine.inject_raw(
-        start,
-        ENVIRONMENT,
-        node,
-        Net::FlowArrival {
-            flow: FlowId(id),
-            src,
-            dst,
-            bytes: 10_000,
-            transit: r.latency,
-            start,
-        },
-    );
 }
 
 fn completed(engine: &Engine, flow: FlowId) -> bool {
@@ -74,7 +52,8 @@ fn apply_times(engine: &Engine, path: &[SwitchId]) -> Vec<(u32, SimTime)> {
 /// across every boundary.
 fn run_chain(domains: u16, racks: u16, src: HostId, dst: HostId, seed: u64) {
     let (mut engine, topo) = engine(domains, racks, seed);
-    let r = route(&topo, src, dst).expect("connected");
+    let start = engine.now() + SimDuration::from_millis(2);
+    let r = engine.inject_flow(FlowId(1), src, dst, 10_000, start).expect("connected");
     let crossings = r
         .path
         .windows(2)
@@ -85,7 +64,6 @@ fn run_chain(domains: u16, racks: u16, src: HostId, dst: HostId, seed: u64) {
         "test flow must cross at least one domain boundary (path {:?})",
         r.path
     );
-    inject_flow(&mut engine, &topo, src, dst, 1);
     engine.run(SimTime::ZERO + SimDuration::from_secs(10));
 
     assert!(completed(&engine, FlowId(1)), "boundary-crossing flow must converge");

@@ -5,28 +5,7 @@ use cicero_core::prelude::*;
 use controller::policy::DomainMap;
 use netmodel::routing::route;
 use netmodel::topology::Topology;
-use simnet::sim::ENVIRONMENT;
 use southbound::types::{FlowId, HostId};
-
-fn inject_one_flow(engine: &mut Engine, topo: &Topology, src: HostId, dst: HostId, id: u64) {
-    let r = route(topo, src, dst).expect("connected");
-    let ingress = topo.host(src).unwrap().attached;
-    let node = engine.switch_node(ingress);
-    let start = engine.now() + SimDuration::from_millis(1);
-    engine.inject_raw(
-        start,
-        ENVIRONMENT,
-        node,
-        Net::FlowArrival {
-            flow: FlowId(id),
-            src,
-            dst,
-            bytes: 1_000,
-            transit: r.latency,
-            start,
-        },
-    );
-}
 
 fn completed_flows(engine: &Engine) -> Vec<FlowId> {
     engine
@@ -57,7 +36,7 @@ fn run_mode_to_completion(mode: Mode, crypto: CryptoMode) -> (Engine, Topology) 
     let dm = DomainMap::single(&topo);
     let mut engine = Engine::build(cfg, topo.clone(), dm, 0);
     let (src, dst) = cross_rack_pair(&topo);
-    inject_one_flow(&mut engine, &topo, src, dst, 1);
+    engine.inject_flow(FlowId(1), src, dst, 1_000, engine.now() + SimDuration::from_millis(1));
     engine.run(SimTime::ZERO + SimDuration::from_secs(10));
     (engine, topo)
 }
@@ -152,14 +131,14 @@ fn rules_are_reused_for_subsequent_flows() {
     let dm = DomainMap::single(&topo);
     let mut engine = Engine::build(cfg, topo.clone(), dm, 0);
     let (src, dst) = cross_rack_pair(&topo);
-    inject_one_flow(&mut engine, &topo, src, dst, 1);
+    engine.inject_flow(FlowId(1), src, dst, 1_000, engine.now() + SimDuration::from_millis(1));
     engine.run(SimTime::ZERO + SimDuration::from_secs(5));
     let events_after_first = engine
         .observations()
         .iter()
         .filter(|o| matches!(o.value, Obs::EventProcessed { .. }))
         .count();
-    inject_one_flow(&mut engine, &topo, src, dst, 2);
+    engine.inject_flow(FlowId(2), src, dst, 1_000, engine.now() + SimDuration::from_millis(1));
     engine.run(SimTime::ZERO + SimDuration::from_secs(10));
     assert_eq!(completed_flows(&engine), vec![FlowId(1), FlowId(2)]);
     let events_after_second = engine
@@ -184,9 +163,9 @@ fn teardown_mode_generates_fresh_setup_per_flow() {
     let dm = DomainMap::single(&topo);
     let mut engine = Engine::build(cfg, topo.clone(), dm, 0);
     let (src, dst) = cross_rack_pair(&topo);
-    inject_one_flow(&mut engine, &topo, src, dst, 1);
+    engine.inject_flow(FlowId(1), src, dst, 1_000, engine.now() + SimDuration::from_millis(1));
     engine.run(SimTime::ZERO + SimDuration::from_secs(5));
-    inject_one_flow(&mut engine, &topo, src, dst, 2);
+    engine.inject_flow(FlowId(2), src, dst, 1_000, engine.now() + SimDuration::from_millis(1));
     engine.run(SimTime::ZERO + SimDuration::from_secs(15));
     assert_eq!(completed_flows(&engine).len(), 2);
     // Each flow raised its own PacketIn (plus teardowns): >= 2 PacketIn
@@ -297,7 +276,7 @@ fn multi_domain_cross_pod_flow_completes() {
         .find(|h| h.loc.pod != hosts[0].loc.pod)
         .expect("two pods")
         .id;
-    inject_one_flow(&mut engine, &topo, src, dst, 7);
+    engine.inject_flow(FlowId(7), src, dst, 1_000, engine.now() + SimDuration::from_millis(1));
     engine.run(SimTime::ZERO + SimDuration::from_secs(20));
     assert_eq!(completed_flows(&engine), vec![FlowId(7)]);
     // At least two domains processed the event (origin + forwarded).
@@ -326,7 +305,7 @@ fn protocol_tolerates_message_loss() {
     engine.set_faults(simnet::fault::FaultPlan::none().with_drop_probability(0.05));
     let (src, dst) = cross_rack_pair(&topo);
     for id in 1..=5u64 {
-        inject_one_flow(&mut engine, &topo, src, dst, id);
+        engine.inject_flow(FlowId(id), src, dst, 1_000, engine.now() + SimDuration::from_millis(1));
     }
     engine.run(SimTime::ZERO + SimDuration::from_secs(60));
     assert_eq!(completed_flows(&engine).len(), 5, "all flows complete despite loss");
@@ -344,7 +323,7 @@ fn protocol_tolerates_duplicated_messages() {
     let mut engine = Engine::build(cfg, topo.clone(), dm, 0);
     engine.set_faults(simnet::fault::FaultPlan::none().with_duplicate_probability(0.2));
     let (src, dst) = cross_rack_pair(&topo);
-    inject_one_flow(&mut engine, &topo, src, dst, 1);
+    engine.inject_flow(FlowId(1), src, dst, 1_000, engine.now() + SimDuration::from_millis(1));
     engine.run(SimTime::ZERO + SimDuration::from_secs(30));
     assert_eq!(completed_flows(&engine), vec![FlowId(1)]);
     // Updates were applied exactly once per switch despite duplicates.
@@ -370,7 +349,7 @@ fn crashed_controller_does_not_block_cicero() {
     let victim = engine.controller_node(southbound::types::DomainId(0), southbound::types::ControllerId(4));
     engine.set_faults(simnet::fault::FaultPlan::none().with_crash(SimTime::ZERO, victim));
     let (src, dst) = cross_rack_pair(&topo);
-    inject_one_flow(&mut engine, &topo, src, dst, 1);
+    engine.inject_flow(FlowId(1), src, dst, 1_000, engine.now() + SimDuration::from_millis(1));
     engine.run(SimTime::ZERO + SimDuration::from_secs(30));
     assert_eq!(completed_flows(&engine), vec![FlowId(1)]);
 }
@@ -389,7 +368,7 @@ fn crashed_primary_controller_recovers_via_view_change() {
     let primary = engine.controller_node(southbound::types::DomainId(0), southbound::types::ControllerId(1));
     engine.set_faults(simnet::fault::FaultPlan::none().with_crash(SimTime::ZERO, primary));
     let (src, dst) = cross_rack_pair(&topo);
-    inject_one_flow(&mut engine, &topo, src, dst, 1);
+    engine.inject_flow(FlowId(1), src, dst, 1_000, engine.now() + SimDuration::from_millis(1));
     engine.run(SimTime::ZERO + SimDuration::from_secs(60));
     assert_eq!(completed_flows(&engine), vec![FlowId(1)]);
 }
@@ -412,7 +391,8 @@ fn event_linearizability_holds_across_controllers() {
         let src = hosts[(i as usize) % hosts.len()].id;
         let dst = hosts[(i as usize + 5) % hosts.len()].id;
         if src != dst {
-            inject_one_flow(&mut engine, &topo, src, dst, 100 + i);
+            let start = engine.now() + SimDuration::from_millis(1);
+            engine.inject_flow(FlowId(100 + i), src, dst, 1_000, start);
         }
     }
     engine.run(SimTime::ZERO + SimDuration::from_secs(30));
@@ -439,7 +419,8 @@ fn event_linearizability_holds_under_message_loss() {
         let src = hosts[(i as usize) % hosts.len()].id;
         let dst = hosts[(i as usize + 7) % hosts.len()].id;
         if src != dst {
-            inject_one_flow(&mut engine, &topo, src, dst, 200 + i);
+            let start = engine.now() + SimDuration::from_millis(1);
+            engine.inject_flow(FlowId(200 + i), src, dst, 1_000, start);
         }
     }
     engine.run(SimTime::ZERO + SimDuration::from_secs(60));

@@ -5,9 +5,7 @@
 use cicero_core::audit::audit_flow;
 use cicero_core::prelude::*;
 use controller::policy::DomainMap;
-use netmodel::routing::route;
 use netmodel::topology::Topology;
-use simnet::sim::ENVIRONMENT;
 use southbound::types::{FlowId, FlowMatch};
 use std::collections::BTreeSet;
 
@@ -42,21 +40,8 @@ fn random_workloads_complete_and_stay_consistent() {
             if src == dst {
                 continue;
             }
-            let r = route(&topo, src, dst).unwrap();
             let start = SimTime::ZERO + SimDuration::from_millis(1 + i as u64);
-            engine.inject_raw(
-                start,
-                ENVIRONMENT,
-                engine.switch_node(r.path[0]),
-                Net::FlowArrival {
-                    flow: FlowId(i as u64 + 1),
-                    src,
-                    dst,
-                    bytes: 500,
-                    transit: r.latency,
-                    start,
-                },
-            );
+            let r = engine.inject_flow(FlowId(i as u64 + 1), src, dst, 500, start).unwrap();
             pairs.push((FlowId(i as u64 + 1), r.path[0], FlowMatch { src, dst }));
         }
         engine.run(SimTime::ZERO + SimDuration::from_secs(60));

@@ -4,42 +4,14 @@
 
 use cicero_core::prelude::*;
 use controller::policy::DomainMap;
-use netmodel::routing::route;
 use netmodel::topology::Topology;
 use simnet::fault::FaultPlan;
-use simnet::sim::ENVIRONMENT;
 use southbound::envelope::{MsgId, Tagged};
 use southbound::types::{
     ControllerId, DomainId, Event, EventId, EventKind, FlowId, HostId, Phase, SwitchId,
     UpdateId,
 };
 use std::collections::BTreeSet;
-
-fn inject_flow_at(
-    engine: &mut Engine,
-    topo: &Topology,
-    src: HostId,
-    dst: HostId,
-    id: u64,
-    at: SimTime,
-) {
-    let r = route(topo, src, dst).expect("connected");
-    let ingress = topo.host(src).unwrap().attached;
-    let node = engine.switch_node(ingress);
-    engine.inject_raw(
-        at,
-        ENVIRONMENT,
-        node,
-        Net::FlowArrival {
-            flow: FlowId(id),
-            src,
-            dst,
-            bytes: 1_000,
-            transit: r.latency,
-            start: at,
-        },
-    );
-}
 
 /// Distinct cross-rack host pairs, cycled to make every flow raise events.
 fn cross_rack_pairs(topo: &Topology, n: usize) -> Vec<(HostId, HostId)> {
@@ -108,7 +80,7 @@ fn run_crash_recover(disk_lost: bool) {
     let pairs = cross_rack_pairs(&topo, 8);
     for (i, &(src, dst)) in pairs.iter().enumerate() {
         let at = SimTime::ZERO + SimDuration::from_millis(1 + 20 * i as u64);
-        inject_flow_at(&mut engine, &topo, src, dst, i as u64 + 1, at);
+        engine.inject_flow(FlowId(i as u64 + 1), src, dst, 1_000, at);
     }
     let victim = (DomainId(0), ControllerId(2));
     let node = engine.controller_node(victim.0, victim.1);
@@ -156,7 +128,7 @@ fn quiescent_controllers_compact_their_wal_into_snapshots() {
     let pairs = cross_rack_pairs(&topo, 20);
     for (i, &(src, dst)) in pairs.iter().enumerate() {
         let at = SimTime::ZERO + SimDuration::from_millis(1 + 25 * i as u64);
-        inject_flow_at(&mut engine, &topo, src, dst, i as u64 + 1, at);
+        engine.inject_flow(FlowId(i as u64 + 1), src, dst, 1_000, at);
     }
     let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(20));
     assert!(report.completed, "snapshot run did not converge: {report}");
@@ -177,14 +149,8 @@ fn quiescent_controllers_compact_their_wal_into_snapshots() {
     let extra = cross_rack_pairs(&topo, 4);
     for (i, &(src, dst)) in extra.iter().enumerate() {
         // Re-used pairs raise no fresh events; flows still must complete.
-        inject_flow_at(
-            &mut engine,
-            &topo,
-            src,
-            dst,
-            100 + i as u64,
-            now + SimDuration::from_millis(10 + 10 * i as u64),
-        );
+        let at = now + SimDuration::from_millis(10 + 10 * i as u64);
+        engine.inject_flow(FlowId(100 + i as u64), src, dst, 1_000, at);
     }
     engine.schedule_restart(now + SimDuration::from_millis(120), node, false);
     let report = engine.run_reporting(engine.now() + SimDuration::from_secs(20));
@@ -247,7 +213,7 @@ fn crash_between_report_arrival_and_quorum_releases_exactly_once_after_restart()
         }
         engine.set_faults(plan);
         engine.schedule_restart(ms(300), victim_node, false);
-        inject_flow_at(&mut engine, &topo, src, dst, 1, ms(1));
+        engine.inject_flow(FlowId(1), src, dst, 1_000, ms(1));
 
         engine.run(ms(59));
         let segment_reported = engine
@@ -329,7 +295,7 @@ fn restarted_reporter_rebuilds_its_kept_report_and_answers_queries() {
         let up = engine.shared().dir.domain_of_switch[&topo.host(src).unwrap().attached];
         let down = engine.shared().dir.domain_of_switch[&topo.host(dst).unwrap().attached];
         let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
-        inject_flow_at(&mut engine, &topo, src, dst, 1, ms(1));
+        engine.inject_flow(FlowId(1), src, dst, 1_000, ms(1));
         let reporter = ControllerId(3);
         let node = engine.controller_node(down, reporter);
         engine.set_faults(FaultPlan::none().with_crash(ms(100), node));
@@ -415,9 +381,9 @@ fn state_sync_and_local_recovery_converge() {
             .filter(|h| h.attached != hosts[0].attached)
             .map(|h| h.id)
             .collect();
-        inject_flow_at(&mut engine, &topo, a, far[0], 1, ms(1));
-        inject_flow_at(&mut engine, &topo, far[1], b, 2, ms(5));
-        inject_flow_at(&mut engine, &topo, b, far[1], 3, ms(40));
+        engine.inject_flow(FlowId(1), a, far[0], 1_000, ms(1));
+        engine.inject_flow(FlowId(2), far[1], b, 1_000, ms(5));
+        engine.inject_flow(FlowId(3), b, far[1], 1_000, ms(40));
         let domain = engine.shared().dir.domain_of_switch[&topo.host(a).unwrap().attached];
         let victim = ControllerId(2);
         let node = engine.controller_node(domain, victim);

@@ -9,28 +9,7 @@ use controller::policy::DomainMap;
 use netmodel::routing::route;
 use netmodel::topology::Topology;
 use simnet::fault::FaultPlan;
-use simnet::sim::ENVIRONMENT;
 use southbound::types::{ControllerId, DomainId, FlowId, HostId, NetworkUpdate, SwitchId};
-
-fn inject_one_flow(engine: &mut Engine, topo: &Topology, src: HostId, dst: HostId, id: u64) {
-    let r = route(topo, src, dst).expect("connected");
-    let ingress = topo.host(src).unwrap().attached;
-    let node = engine.switch_node(ingress);
-    let start = engine.now() + SimDuration::from_millis(id);
-    engine.inject_raw(
-        start,
-        ENVIRONMENT,
-        node,
-        Net::FlowArrival {
-            flow: FlowId(id),
-            src,
-            dst,
-            bytes: 1_000,
-            transit: r.latency,
-            start,
-        },
-    );
-}
 
 fn cross_rack_pairs(topo: &Topology, n: usize) -> Vec<(HostId, HostId)> {
     let hosts = topo.hosts();
@@ -98,7 +77,8 @@ fn lossy_sweep_completes_with_retransmission() {
         let (mut engine, topo) = lossy_engine(mode, seed);
         engine.set_faults(FaultPlan::none().with_drop_probability(drop));
         for (i, (src, dst)) in cross_rack_pairs(&topo, 3).into_iter().enumerate() {
-            inject_one_flow(&mut engine, &topo, src, dst, i as u64 + 1);
+            let start = engine.now() + SimDuration::from_millis(i as u64 + 1);
+            engine.inject_flow(FlowId(i as u64 + 1), src, dst, 1_000, start);
         }
         let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(120));
         assert!(
@@ -122,7 +102,8 @@ fn controller_aggregation_tolerates_loss() {
     let (mut engine, topo) = lossy_engine(mode, 7);
     engine.set_faults(FaultPlan::none().with_drop_probability(0.15));
     for (i, (src, dst)) in cross_rack_pairs(&topo, 2).into_iter().enumerate() {
-        inject_one_flow(&mut engine, &topo, src, dst, i as u64 + 1);
+        let start = engine.now() + SimDuration::from_millis(i as u64 + 1);
+        engine.inject_flow(FlowId(i as u64 + 1), src, dst, 1_000, start);
     }
     let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(120));
     assert!(report.completed, "controller agg under loss: {report}");
@@ -145,7 +126,7 @@ fn transient_partition_heals_and_flows_complete() {
         let (src, dst) = cross_rack_pairs(&topo, 1)[0];
         let plan = partition_plan(&engine, &topo, src, until, drop);
         engine.set_faults(plan);
-        inject_one_flow(&mut engine, &topo, src, dst, 1);
+        engine.inject_flow(FlowId(1), src, dst, 1_000, engine.now() + SimDuration::from_millis(1));
         let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(120));
         assert!(
             report.completed,
@@ -176,7 +157,8 @@ fn healed_partition_with_heavy_loss_is_deterministic() {
         let plan = partition_plan(&engine, &topo, pairs[0].0, until, 0.20);
         engine.set_faults(plan);
         for (i, (src, dst)) in pairs.into_iter().enumerate() {
-            inject_one_flow(&mut engine, &topo, src, dst, i as u64 + 1);
+            let start = engine.now() + SimDuration::from_millis(i as u64 + 1);
+            engine.inject_flow(FlowId(i as u64 + 1), src, dst, 1_000, start);
         }
         let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(180));
         let trace = engine.observations().to_vec();
@@ -225,7 +207,7 @@ fn exhausted_retry_budget_reports_stall_not_hang() {
         plan.link_drop.insert((cn, sw), 1.0);
     }
     engine.set_faults(plan);
-    inject_one_flow(&mut engine, &topo, src, dst, 1);
+    engine.inject_flow(FlowId(1), src, dst, 1_000, engine.now() + SimDuration::from_millis(1));
     let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(60));
     assert!(report.stalled, "expected a stall report: {report}");
     assert!(!report.completed);
@@ -252,7 +234,7 @@ fn watchdog_reports_clean_completion() {
     };
     let (mut engine, topo) = lossy_engine(mode, 5);
     let (src, dst) = cross_rack_pairs(&topo, 1)[0];
-    inject_one_flow(&mut engine, &topo, src, dst, 1);
+    engine.inject_flow(FlowId(1), src, dst, 1_000, engine.now() + SimDuration::from_millis(1));
     let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(30));
     assert!(report.completed && !report.stalled, "{report}");
     assert_eq!(report.resolved_flows, 1);
@@ -303,7 +285,7 @@ fn an_ack_that_overtook_its_updates_admission_retires_it_there() {
     };
     let early = SimTime::ZERO + SimDuration::from_micros(10);
     engine.inject_raw(early, engine.switch_node(egress), slow, Net::AckMsg(ack));
-    inject_one_flow(&mut engine, &topo, src, dst, 1);
+    engine.inject_flow(FlowId(1), src, dst, 1_000, engine.now() + SimDuration::from_millis(1));
     let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(30));
     assert!(report.completed && !report.stalled, "{report}");
     assert_eq!(report.resolved_flows, 1);
@@ -371,7 +353,7 @@ fn handshake_survives_segment_ack_loss() {
         }
         engine.set_faults(plan);
         let (src, dst) = (HostId(2), HostId(0));
-        inject_one_flow(&mut engine, &topo, src, dst, 1);
+        engine.inject_flow(FlowId(1), src, dst, 1_000, engine.now() + SimDuration::from_millis(1));
         let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(120));
         assert!(report.completed, "seed={seed:#x}: {report}");
         assert_eq!(report.resolved_flows, 1, "seed={seed:#x}");
@@ -415,7 +397,7 @@ fn shares_lost_to_three_of_four_upstream_controllers_are_fetched_within_one_retr
     }
     engine.set_faults(plan);
     let (src, dst) = (HostId(2), HostId(0));
-    inject_one_flow(&mut engine, &topo, src, dst, 1);
+    engine.inject_flow(FlowId(1), src, dst, 1_000, engine.now() + SimDuration::from_millis(1));
     let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(10));
     assert!(report.completed, "{report}");
     assert_audit_clean(&engine, &topo, src, dst);
@@ -480,7 +462,7 @@ fn retransmissions_resend_the_kept_share_and_sign_nothing() {
         plan = plan.with_severed_window(engine.switch_node(egress), c, SimTime::ZERO, healed);
     }
     engine.set_faults(plan);
-    inject_one_flow(&mut engine, &topo, src, dst, 1);
+    engine.inject_flow(FlowId(1), src, dst, 1_000, engine.now() + SimDuration::from_millis(1));
     let signs = |engine: &mut Engine| -> Vec<u64> {
         (1..=4)
             .map(|c| engine.with_controller(DomainId(0), ControllerId(c), |a| a.auth().signs()))
@@ -555,7 +537,8 @@ fn segway_ready_loss_and_duplication_recovers() {
         }
         engine.set_faults(plan);
         for (i, (src, dst)) in cross_rack_pairs(&topo, 3).into_iter().enumerate() {
-            inject_one_flow(&mut engine, &topo, src, dst, i as u64 + 1);
+            let start = engine.now() + SimDuration::from_millis(i as u64 + 1);
+            engine.inject_flow(FlowId(i as u64 + 1), src, dst, 1_000, start);
         }
         let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(120));
         assert!(report.completed, "seed={seed:#x}: {report}");
@@ -599,7 +582,7 @@ fn segway_switch_restart_mid_update_releases_exactly_once() {
         let at = SimTime::ZERO + SimDuration::from_millis(crash_ms);
         engine.set_faults(FaultPlan::none().with_crash(at, node));
         engine.schedule_restart(at + SimDuration::from_millis(5), node, false);
-        inject_one_flow(&mut engine, &topo, src, dst, 1);
+        engine.inject_flow(FlowId(1), src, dst, 1_000, engine.now() + SimDuration::from_millis(1));
         let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(120));
         assert!(
             report.completed,
@@ -679,7 +662,7 @@ fn ready_lost_on_a_severed_switch_link_is_fetched_within_one_retry_of_parking() 
     let cut = (engine.switch_node(releaser), engine.switch_node(target));
     engine.set_faults(FaultPlan::none().with_severed_window(cut.0, cut.1, SimTime::ZERO, healed));
     let (src, dst) = cross_rack_pairs(&topo, 1)[0];
-    inject_one_flow(&mut engine, &topo, src, dst, 1);
+    engine.inject_flow(FlowId(1), src, dst, 1_000, engine.now() + SimDuration::from_millis(1));
     let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(10));
     assert!(report.completed, "{report}");
     assert_audit_clean(&engine, &topo, src, dst);
@@ -721,7 +704,7 @@ fn releaser_crashed_for_good_after_acking_is_reported_not_silently_converged() {
         .with_crash(SimTime::ZERO + SimDuration::from_millis(20), r);
     engine.set_faults(plan);
     let (src, dst) = cross_rack_pairs(&topo, 1)[0];
-    inject_one_flow(&mut engine, &topo, src, dst, 1);
+    engine.inject_flow(FlowId(1), src, dst, 1_000, engine.now() + SimDuration::from_millis(1));
     let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(5) + budget_spent_within());
     let obs = engine.observations();
     assert!(
@@ -808,7 +791,7 @@ fn downstream_primary_crash_mid_handshake_converges() {
         let at = SimTime::ZERO + SimDuration::from_millis(crash_ms);
         engine.set_faults(FaultPlan::none().with_crash(at, victim));
         let (src, dst) = (HostId(2), HostId(0));
-        inject_one_flow(&mut engine, &topo, src, dst, 1);
+        engine.inject_flow(FlowId(1), src, dst, 1_000, engine.now() + SimDuration::from_millis(1));
         let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(120));
         assert!(
             report.completed && !report.stalled,
@@ -841,7 +824,8 @@ fn spent_reforward_budget_goes_quiet_instead_of_spinning() {
         }
     }
     engine.set_faults(plan);
-    inject_one_flow(&mut engine, &topo, HostId(2), HostId(0), 1);
+    let start = engine.now() + SimDuration::from_millis(1);
+    engine.inject_flow(FlowId(1), HostId(2), HostId(0), 1_000, start);
     // Past the last re-forward there is room for the exhausting backoff
     // (at most `EXHAUSTS_WITHIN`) and the watchdog's 3 s quiet window.
     let horizon = SimTime::ZERO + budget_spent_within() + SimDuration::from_secs(8);
@@ -937,7 +921,7 @@ fn lowest_upstream_cut_off(mode: Mode) {
     let (down, up) = (DomainId(0), DomainId(1));
     engine.set_faults(cut_off(&engine, up, &[1], down));
     let (src, dst) = (HostId(2), HostId(0));
-    inject_one_flow(&mut engine, &topo, src, dst, 1);
+    engine.inject_flow(FlowId(1), src, dst, 1_000, engine.now() + SimDuration::from_millis(1));
     let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(60));
     assert!(report.completed, "{report}");
     assert_eq!(report.resolved_flows, 1);
@@ -973,7 +957,7 @@ fn the_far_domain_accepts_the_middle_domains_reforward_under_real_crypto() {
     let (origin, middle, far) = (DomainId(1), DomainId(0), DomainId(2));
     engine.set_faults(cut_off(&engine, origin, &[1, 2, 3, 4], far));
     let (src, dst) = (HostId(2), HostId(4));
-    inject_one_flow(&mut engine, &topo, src, dst, 1);
+    engine.inject_flow(FlowId(1), src, dst, 1_000, engine.now() + SimDuration::from_millis(1));
     let report = engine.run_reporting(SimTime::ZERO + SimDuration::from_secs(60));
     assert!(report.completed, "{report}");
     assert_audit_clean(&engine, &topo, src, dst);
@@ -1002,7 +986,8 @@ fn reforwards_resend_the_kept_forward_and_sign_nothing() {
     let mut engine = Engine::build(cfg, topo.clone(), DomainMap::split_racks(&topo, 2), 0);
     let (down, up) = (DomainId(0), DomainId(1));
     engine.set_faults(cut_off(&engine, up, &[1, 2, 3, 4], down));
-    inject_one_flow(&mut engine, &topo, HostId(2), HostId(0), 1);
+    let start = engine.now() + SimDuration::from_millis(1);
+    engine.inject_flow(FlowId(1), HostId(2), HostId(0), 1_000, start);
     engine.run(SimTime::ZERO + SimDuration::from_secs(5) + budget_spent_within());
     let made: Vec<(u64, u64)> = (1..=4)
         .map(|c| engine.with_controller(up, ControllerId(c), |a| (a.auth().signs(), a.auth().tags())))

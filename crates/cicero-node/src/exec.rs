@@ -368,7 +368,8 @@ impl ThreadedDeployment {
     /// switch-local event ids equal to a simulated run of the same flows.
     pub fn inject_flows(&mut self, flows: &[FlowSpec]) {
         for f in flows {
-            let Some((node, msg)) = self.dep.shared.flow_arrival(f, self.clock.now()) else {
+            let arrival = self.dep.shared.flow_arrival(f.id, f.src, f.dst, f.bytes, self.clock.now());
+            let Some((_, node, msg)) = arrival else {
                 continue;
             };
             // Blocking send: injection is not a lossy link, and a fresh

@@ -8,10 +8,8 @@
 use cicero_core::prelude::*;
 use controller::policy::DomainMap;
 use controller::scheduler::UpdateScheduler;
-use netmodel::routing::{route, Route};
 use netmodel::topology::{Location, SwitchRole, Topology};
-use simnet::sim::ENVIRONMENT;
-use southbound::types::{FlowId, FlowMatch, HostId, SwitchId};
+use southbound::types::{FlowMatch, HostId, SwitchId};
 use substrate::rng::{SeedableRng, StdRng};
 use workload::gen::generate;
 use workload::spec::hadoop;
@@ -70,35 +68,6 @@ pub fn deny_pair(engine: &mut Engine, m: FlowMatch) {
     engine.customize_controllers(move |ctrl| {
         ctrl.app_mut().firewall.deny(m);
     });
-}
-
-/// Injects one flow at `start` as a raw `FlowArrival` at its ingress
-/// switch, returning the route it will take (`None` if unroutable, in
-/// which case nothing is injected).
-pub fn inject_flow(
-    engine: &mut Engine,
-    topo: &Topology,
-    flow: FlowId,
-    src: HostId,
-    dst: HostId,
-    bytes: u64,
-    start: SimTime,
-) -> Option<Route> {
-    let r = route(topo, src, dst)?;
-    engine.inject_raw(
-        start,
-        ENVIRONMENT,
-        engine.switch_node(r.path[0]),
-        Net::FlowArrival {
-            flow,
-            src,
-            dst,
-            bytes,
-            transit: r.latency,
-            start,
-        },
-    );
-    Some(r)
 }
 
 /// Injects `n` Poisson-arrival hadoop-mix flows starting 100 ms from the

@@ -17,7 +17,6 @@ use cicero::prelude::*;
 use cicero_core::audit::{audit_flow, WalkOutcome};
 use netmodel::linkload::LinkLoad;
 use netmodel::topology::{Location, SwitchRole};
-use simnet::sim::ENVIRONMENT;
 
 /// The five-switch topology of the paper's Figs. 1–3:
 /// s1, s2 on the left, s3 in the middle, s4, s5 on the right.
@@ -61,20 +60,7 @@ fn run_one(unordered: bool) -> (Vec<cicero_core::audit::Hazard>, usize) {
     }
     let (src, dst) = (HostId(1), HostId(5));
     let start = SimTime::ZERO + SimDuration::from_millis(1);
-    let r = route(&topo, src, dst).expect("connected");
-    engine.inject_raw(
-        start,
-        ENVIRONMENT,
-        engine.switch_node(r.path[0]),
-        Net::FlowArrival {
-            flow: FlowId(1),
-            src,
-            dst,
-            bytes: 1000,
-            transit: r.latency,
-            start,
-        },
-    );
+    let r = engine.inject_flow(FlowId(1), src, dst, 1000, start).expect("connected");
     engine.run(start + SimDuration::from_secs(10));
     let hazards = audit_flow(
         engine.observations(),
@@ -130,20 +116,7 @@ fn main() {
         });
     }
     let start = SimTime::ZERO + SimDuration::from_millis(1);
-    let r = route(&topo, denied_pair.src, denied_pair.dst).unwrap();
-    engine.inject_raw(
-        start,
-        ENVIRONMENT,
-        engine.switch_node(r.path[0]),
-        Net::FlowArrival {
-            flow: FlowId(2),
-            src: denied_pair.src,
-            dst: denied_pair.dst,
-            bytes: 1000,
-            transit: r.latency,
-            start,
-        },
-    );
+    let r = engine.inject_flow(FlowId(2), denied_pair.src, denied_pair.dst, 1000, start).unwrap();
     engine.run(start + SimDuration::from_secs(10));
     let denied = engine
         .observations()

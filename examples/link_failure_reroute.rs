@@ -10,7 +10,6 @@
 use cicero::prelude::*;
 use cicero_core::audit::{audit_flow, ReplayState, WalkOutcome};
 use netmodel::topology::{Location, SwitchRole};
-use simnet::sim::ENVIRONMENT;
 
 fn main() {
     // The paper's five-switch fabric (Fig. 2): two paths into s5.
@@ -42,22 +41,9 @@ fn main() {
     // 1. Establish the flow h1 → h5 (shortest path s1-s3-s5).
     let (src, dst) = (HostId(1), HostId(5));
     let m = FlowMatch { src, dst };
-    let r = route(&topo, src, dst).unwrap();
-    println!("initial route: {:?}", r.path);
     let start = SimTime::ZERO + SimDuration::from_millis(1);
-    engine.inject_raw(
-        start,
-        ENVIRONMENT,
-        engine.switch_node(r.path[0]),
-        Net::FlowArrival {
-            flow: FlowId(1),
-            src,
-            dst,
-            bytes: 1000,
-            transit: r.latency,
-            start,
-        },
-    );
+    let r = engine.inject_flow(FlowId(1), src, dst, 1000, start).unwrap();
+    println!("initial route: {:?}", r.path);
     engine.run(start + SimDuration::from_secs(10));
 
     // 2. The s3-s5 link dies; s3 raises a tagged LinkFailure event.

@@ -10,7 +10,6 @@
 
 use cicero::prelude::*;
 use simnet::fault::FaultPlan;
-use simnet::sim::ENVIRONMENT;
 
 const DROP: f64 = 0.20;
 const PARTITION_SECS: u64 = 2;
@@ -50,21 +49,8 @@ fn inject_faults_and_flows(engine: &mut Engine, topo: &Topology) {
             continue;
         }
         id += 1;
-        let r = route(topo, src, h.id).unwrap();
         let start = SimTime::ZERO + SimDuration::from_millis(id);
-        engine.inject_raw(
-            start,
-            ENVIRONMENT,
-            sw,
-            Net::FlowArrival {
-                flow: FlowId(id),
-                src,
-                dst: h.id,
-                bytes: 1_000,
-                transit: r.latency,
-                start,
-            },
-        );
+        engine.inject_flow(FlowId(id), src, h.id, 1_000, start);
         if id == 3 {
             break;
         }

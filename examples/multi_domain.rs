@@ -10,26 +10,7 @@
 //! Run with: `cargo run --example multi_domain`
 
 use cicero::prelude::*;
-use simnet::sim::ENVIRONMENT;
 use std::collections::BTreeSet;
-
-fn inject(engine: &mut Engine, topo: &Topology, src: HostId, dst: HostId, id: u64) {
-    let r = route(topo, src, dst).expect("connected");
-    let start = engine.now() + SimDuration::from_millis(1);
-    engine.inject_raw(
-        start,
-        ENVIRONMENT,
-        engine.switch_node(r.path[0]),
-        Net::FlowArrival {
-            flow: FlowId(id),
-            src,
-            dst,
-            bytes: 2_000,
-            transit: r.latency,
-            start,
-        },
-    );
-}
 
 fn domains_that_processed(engine: &Engine) -> BTreeSet<DomainId> {
     engine
@@ -63,7 +44,8 @@ fn main() {
         .find(|h| h.id != local_src && h.attached == hosts[0].attached)
         .expect("multi-host rack")
         .id;
-    inject(&mut engine, &topo, local_src, local_dst, 1);
+    let start = engine.now() + SimDuration::from_millis(1);
+    engine.inject_flow(FlowId(1), local_src, local_dst, 2_000, start);
     engine.run(engine.now() + SimDuration::from_secs(10));
     let after_local = domains_that_processed(&engine);
     println!("local flow processed by domains {after_local:?}");
@@ -76,7 +58,8 @@ fn main() {
         .find(|h| h.loc.pod != hosts[0].loc.pod)
         .expect("two pods")
         .id;
-    inject(&mut engine, &topo, local_src, remote_dst, 2);
+    let start = engine.now() + SimDuration::from_millis(1);
+    engine.inject_flow(FlowId(2), local_src, remote_dst, 2_000, start);
     engine.run(engine.now() + SimDuration::from_secs(10));
     let after_remote = domains_that_processed(&engine);
     println!("cross-pod flow processed by domains {after_remote:?}");

@@ -317,6 +317,23 @@ if [ "$initial_sites" != "$expected_initial_sites" ]; then
     exit 1
 fi
 
+echo "== a flow enters a run one way =="
+# Shared::flow_arrival (runtime.rs) builds every flow's arrival: its route,
+# its ingress switch's node and its transit time. msg.rs declares the
+# variant and switch.rs and ctrl/mod.rs match on it. Everyone else — the
+# experiment drivers, tests and examples included — injects a flow through
+# Engine::inject_flow(s) or ThreadedDeployment::inject_flows, never by hand.
+arrival_sites=$(grep -rlw "FlowArrival" crates src tests examples --include=*.rs | grep -v "^crates/bench/e2e/" | sort)
+expected_arrival_sites="crates/cicero-core/src/ctrl/mod.rs
+crates/cicero-core/src/msg.rs
+crates/cicero-core/src/runtime.rs
+crates/cicero-core/src/switch.rs"
+if [ "$arrival_sites" != "$expected_arrival_sites" ]; then
+    diff <(printf '%s\n' "$expected_arrival_sites") <(printf '%s\n' "$arrival_sites") >&2 || true
+    echo "verify.sh: FlowArrival named outside its constructor and handlers (> is new); inject a flow with Engine::inject_flow, which goes through Shared::flow_arrival" >&2
+    exit 1
+fi
+
 echo "== perf regression gate (benchkit compare vs BENCH_protocol.json) =="
 # Re-measure the crypto, protocol and consensus suites and diff the medians
 # against the recorded baseline: fail on any entry regressing past the

@@ -32,8 +32,7 @@ fn run_with_scheduler(sched: Sched) -> Vec<cicero_core::audit::Hazard> {
     });
     let (src, dst) = (HostId(1), HostId(5));
     let start = SimTime::ZERO + SimDuration::from_millis(1);
-    let r = harness::inject_flow(&mut engine, &topo, FlowId(1), src, dst, 500, start)
-        .expect("connected");
+    let r = engine.inject_flow(FlowId(1), src, dst, 500, start).expect("connected");
     engine.run(start + SimDuration::from_secs(10));
     // The flow must complete under every scheduler (liveness)...
     assert!(harness::completed_count(&engine) > 0);
@@ -78,16 +77,7 @@ fn firewall_policy_is_never_transiently_bypassed() {
     };
     harness::deny_pair(&mut engine, denied_pair);
     let start = SimTime::ZERO + SimDuration::from_millis(1);
-    let r = harness::inject_flow(
-        &mut engine,
-        &topo,
-        FlowId(9),
-        denied_pair.src,
-        denied_pair.dst,
-        500,
-        start,
-    )
-    .unwrap();
+    let r = engine.inject_flow(FlowId(9), denied_pair.src, denied_pair.dst, 500, start).unwrap();
     engine.run(start + SimDuration::from_secs(10));
     assert!(harness::denied_count(&engine) > 0);
     assert_eq!(harness::completed_count(&engine), 0);
@@ -102,8 +92,7 @@ fn all_modes_complete_flows_identically() {
         let mut engine = harness::build_engine(mode, CryptoMode::Modeled, &topo);
         let (src, dst) = (HostId(1), HostId(5));
         let start = SimTime::ZERO + SimDuration::from_millis(1);
-        let r = harness::inject_flow(&mut engine, &topo, FlowId(1), src, dst, 500, start)
-            .unwrap();
+        let r = engine.inject_flow(FlowId(1), src, dst, 500, start).unwrap();
         engine.run(start + SimDuration::from_secs(10));
         assert!(
             harness::completed_count(&engine) > 0,
@@ -137,8 +126,7 @@ fn link_failure_reroutes_without_hazards() {
     let (src, dst) = (HostId(1), HostId(5));
     let m = FlowMatch { src, dst };
     let start = SimTime::ZERO + SimDuration::from_millis(1);
-    let r = harness::inject_flow(&mut engine, &topo, FlowId(1), src, dst, 500, start)
-        .unwrap();
+    let r = engine.inject_flow(FlowId(1), src, dst, 500, start).unwrap();
     assert_eq!(r.path, vec![SwitchId(1), SwitchId(3), SwitchId(5)]);
     engine.run(start + SimDuration::from_secs(5));
     assert!(harness::completed_count(&engine) > 0);

@@ -186,7 +186,7 @@ fn fig11a_mode_overhead_is_amortized_with_rule_reuse() {
     // centralized stays under ~25% (the paper calls it "negligible").
     let mut spec = workload::spec::hadoop();
     spec.flows = 800;
-    let runs = fig11_flow_completion(&spec, true, 11);
+    let runs = fig11_flow_completion(&spec, true, CostModel::default(), 11);
     let central = runs[0].cdf.mean();
     let cicero = runs[2].cdf.mean();
     assert!(runs[0].label == "Centralized" && runs[2].label == "Cicero");
@@ -204,7 +204,7 @@ fn fig11c_unamortized_overhead_matches_paper_band() {
     // short-lived setup/teardown flows.
     let mut spec = workload::spec::hadoop();
     spec.flows = 500;
-    let runs = fig11_flow_completion(&spec, false, 13);
+    let runs = fig11_flow_completion(&spec, false, CostModel::default(), 13);
     let central = runs[0].cdf.mean();
     let cicero = (runs[2].cdf.mean() - central) / central;
     let agg = (runs[3].cdf.mean() - central) / central;

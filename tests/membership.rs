@@ -302,7 +302,7 @@ fn a_controller_added_after_a_removal_activates_and_its_shares_certify() {
     let tor = topo.switches().iter().find(|s| topo.hosts_on(s.id).len() >= 2).expect("a rack");
     let hosts = topo.hosts_on(tor.id);
     let start = engine.now() + SimDuration::from_millis(10);
-    harness::inject_flow(&mut engine, &topo, FlowId(1), hosts[0], hosts[1], 500, start).expect("routable");
+    engine.inject_flow(FlowId(1), hosts[0], hosts[1], 500, start).expect("routable");
     engine.run(start + SimDuration::from_secs(5));
     let signers = engine.observations().iter().find_map(|o| match o.value {
         Obs::UpdateApplied { switch, signers, .. } if switch == tor.id => Some(signers),
@@ -420,7 +420,7 @@ fn held_updates_apply_after_bootstrap_members_are_replaced() {
     let racks: Vec<_> = topo.switches().iter().filter(|s| topo.hosts_on(s.id).len() >= 2).collect();
     let (src, dst) = (topo.hosts_on(racks[0].id)[0], topo.hosts_on(racks[1].id)[0]);
     let start = engine.now() + SimDuration::from_millis(10);
-    harness::inject_flow(&mut engine, &topo, FlowId(1), src, dst, 500, start).expect("routable");
+    engine.inject_flow(FlowId(1), src, dst, 500, start).expect("routable");
     engine.run(start + SimDuration::from_secs(30));
     let applied = engine.observations().iter().filter(|o| matches!(o.value, Obs::UpdateApplied { .. })).count();
     assert!(applied >= 3, "the held updates went in ({applied} applied)");

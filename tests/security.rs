@@ -415,10 +415,9 @@ fn forged_acks_cannot_accelerate_the_reverse_path_pipeline() {
             .find(|h| h.attached != hosts[0].attached)
             .unwrap()
             .id;
-        let r = route(&topo, src, dst).unwrap();
-        assert_eq!(r.path.len(), 3);
         let start = SimTime::ZERO + SimDuration::from_millis(1);
-        harness::inject_flow(&mut engine, &topo, FlowId(1), src, dst, 500, start).unwrap();
+        let r = engine.inject_flow(FlowId(1), src, dst, 500, start).unwrap();
+        assert_eq!(r.path.len(), 3);
         // PacketIn event ids are (switch << 32 | 1); forge acks for all
         // three updates of that event, addressed to all controllers.
         let event = EventId(((r.path[0].0 as u64) << 32) | 1);
@@ -521,7 +520,7 @@ fn segway_flow_completes_under_real_crypto() {
         .unwrap()
         .id;
     let start = SimTime::ZERO + SimDuration::from_millis(1);
-    harness::inject_flow(&mut engine, &topo, FlowId(1), src, dst, 500, start).unwrap();
+    engine.inject_flow(FlowId(1), src, dst, 500, start).unwrap();
     engine.run(start + SimDuration::from_secs(10));
     let obs = engine.observations();
     assert!(
@@ -555,10 +554,9 @@ fn forged_readies_cannot_release_gated_segments_early() {
             .find(|h| h.attached != hosts[0].attached)
             .unwrap()
             .id;
-        let r = route(&topo, src, dst).unwrap();
-        assert_eq!(r.path.len(), 3);
         let start = SimTime::ZERO + SimDuration::from_millis(1);
-        harness::inject_flow(&mut engine, &topo, FlowId(1), src, dst, 500, start).unwrap();
+        let r = engine.inject_flow(FlowId(1), src, dst, 500, start).unwrap();
+        assert_eq!(r.path.len(), 3);
         if with_forged_readies {
             // PacketIn event ids are (switch << 32 | 1); under the
             // reverse-path schedule, update seq i targets r.path[i] and is
@@ -676,7 +674,7 @@ mod segway_release {
         };
         let dst = hosts.iter().find(five_hops).expect("a cross-pod pair").id;
         let start = SimTime::ZERO + SimDuration::from_millis(1);
-        harness::inject_flow(&mut engine, &topo, FlowId(1), src, dst, 500, start).expect("routable");
+        engine.inject_flow(FlowId(1), src, dst, 500, start).expect("routable");
         let report = engine.run_reporting(start + SimDuration::from_secs(5));
         assert!(report.completed, "{report}");
         assert_eq!(report.stats.total_recoveries(), 0, "a loss-free run asks for nothing");
@@ -884,8 +882,7 @@ mod segway_release {
         let never = SimTime::ZERO + SimDuration::from_secs(3600);
         engine.set_faults(FaultPlan::none().with_severed_window(a, b, SimTime::ZERO, never));
         let start = SimTime::ZERO + SimDuration::from_millis(1);
-        harness::inject_flow(&mut engine, &topo, FlowId(1), src, dst, 500, start)
-            .expect("routable");
+        engine.inject_flow(FlowId(1), src, dst, 500, start).expect("routable");
         engine.run(start + SimDuration::from_secs(1));
         let applied_at = |s: SwitchId| {
             let obs = engine.observations();
@@ -1099,7 +1096,7 @@ mod sets {
             };
             let dst = topo.hosts().iter().find(five_hops).expect("a cross-pod pair").id;
             let start = SimTime::ZERO + SimDuration::from_millis(1);
-            harness::inject_flow(&mut engine, &topo, FlowId(1), src, dst, 500, start).expect("routable");
+            engine.inject_flow(FlowId(1), src, dst, 500, start).expect("routable");
             let report = engine.run_reporting(start + SimDuration::from_secs(5));
             assert!(report.completed, "{report}");
             assert_eq!(report.stats.total_recoveries(), 0, "a loss-free run asks for nothing");
@@ -1621,7 +1618,7 @@ fn cross_rack(topo: &Topology) -> (HostId, HostId) {
 fn inject_cross_rack(engine: &mut Engine, topo: &Topology) {
     let (src, dst) = cross_rack(topo);
     let start = SimTime::ZERO + SimDuration::from_millis(1);
-    harness::inject_flow(engine, topo, FlowId(1), src, dst, 500, start).expect("routable");
+    engine.inject_flow(FlowId(1), src, dst, 500, start).expect("routable");
 }
 
 mod handshake {
@@ -2066,7 +2063,7 @@ mod handshake {
         engine.set_faults(plan);
         let (src, dst) = cross_rack(&topo);
         let flow_at = start + SimDuration::from_millis(1);
-        harness::inject_flow(&mut engine, &topo, FlowId(1), src, dst, 500, flow_at).expect("routable");
+        engine.inject_flow(FlowId(1), src, dst, 500, flow_at).expect("routable");
         engine.run(start + SimDuration::from_secs(3));
         assert!(completed(&engine));
         let seen = |pred: &dyn Fn(&Obs) -> bool| engine.observations().iter().any(|o| pred(&o.value));
@@ -2914,9 +2911,7 @@ mod held_release {
         let (mut probe, topo) = build();
         let (src, dst) = cross_rack(&topo);
         let start = ms(1);
-        let path = harness::inject_flow(&mut probe, &topo, FlowId(1), src, dst, 500, start)
-            .expect("routable")
-            .path;
+        let path = probe.inject_flow(FlowId(1), src, dst, 500, start).expect("routable").path;
         assert_eq!(path.len(), 3, "ToR, aggregation, ToR");
         probe.run(ms(1000));
         let applied_at = |s: SwitchId| {
@@ -2934,7 +2929,7 @@ mod held_release {
             cut = cut.with_severed_window(egress, ctrl(&engine, c), ms(0), ms(HEAL_MS));
         }
         engine.set_faults(cut);
-        harness::inject_flow(&mut engine, &topo, FlowId(1), src, dst, 500, start);
+        engine.inject_flow(FlowId(1), src, dst, 500, start);
         engine.run(ms(100));
         let certified = engine.with_switch(path[1], |a| a.auth().checks());
         assert_eq!(certified, 1, "the held body is verified on arrival");
