@@ -195,7 +195,7 @@ pub fn fig_segway(scale: Scale) -> String {
     let mut spec = workload::spec::web_server_multi_dc();
     spec.flows = scale.flows;
     for run in segway_vs_cicero_md(&spec, scale.dcs, scale.seed) {
-        print_cdf(&mut out, &run.label, &run.cdf);
+        print_cdf(&mut out, run.label, &run.cdf);
         let _ = writeln!(
             out,
             "  {:<40} messages delivered = {}",

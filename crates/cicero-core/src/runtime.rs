@@ -231,7 +231,7 @@ pub fn bootstrap_keys(
         let n = members.len() as u32;
         let t = (n.saturating_sub(1)) / 3;
         if real && n >= 1 {
-            let dkg = blscrypto::dkg::run_trusted_dealer_free(n, t.max(0), &mut rng)
+            let dkg = blscrypto::dkg::run_trusted_dealer_free(n, t, &mut rng)
                 .expect("bootstrap DKG");
             material.domains.insert(
                 d,

@@ -167,7 +167,7 @@ mod tests {
     #[should_panic(expected = "invalid durable file name")]
     fn path_escape_is_rejected() {
         let dir = scratch("escape");
-        let mut disk = FsDisk::open(&dir).expect("open");
+        let disk = FsDisk::open(&dir).expect("open");
         disk.read("../etc/passwd");
     }
 }

@@ -164,7 +164,7 @@ fn segway_beats_cicero_md_at_equal_consistency() {
     let cicero = get("Cicero MD");
     let segway = get("Segway MD");
     assert!(
-        segway.cdf.len() > 0 && cicero.cdf.len() > 0,
+        !segway.cdf.is_empty() && !cicero.cdf.is_empty(),
         "both series must complete flows"
     );
     assert!(
