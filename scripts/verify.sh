@@ -397,38 +397,38 @@ else
     echo "  skipped (SKIP_BENCH_GATE set)"
 fi
 
-echo "== secure-mode fuzzer sweep (256 seeds, threshold-signed modes) =="
-# All 256 seeds forced into the Cicero-family modes so every scenario
+echo "== secure-mode fuzzer sweep (2048 seeds, threshold-signed modes) =="
+# All 2,048 seeds forced into the Cicero-family modes so every scenario
 # exercises threshold signing, quorum checks, and the aggregator's batched
 # verification — the paths the crypto fast path rewired.
-cargo run -q --offline --release -p bench --bin simcheck -- secure 256
+cargo run -q --offline --release -p bench --bin simcheck -- secure 2048
 
-echo "== secure-mode crash-recovery sweep (256 seeds) =="
-# generate_recovery already forces Cicero-family modes; 256 seeds of
+echo "== secure-mode crash-recovery sweep (2048 seeds) =="
+# generate_recovery already forces Cicero-family modes; 2,048 seeds of
 # crash-and-restart on top of the secure update path: every scenario
 # carries exactly one crash-recover fault (a controller killed mid-update
 # and restarted, half the seeds with its disk wiped), and the recovery
 # oracle demands exactly-once update application and a completed state
 # sync per restart on top of the standard invariants.
-cargo run -q --offline --release -p bench --bin simcheck -- recover 256
+cargo run -q --offline --release -p bench --bin simcheck -- recover 2048
 
-echo "== segway-mode fuzzer sweep (256 seeds, decentralized execution) =="
-# All 256 seeds forced into Mode::Segway so every scenario exercises the
+echo "== segway-mode fuzzer sweep (2048 seeds, decentralized execution) =="
+# All 2,048 seeds forced into Mode::Segway so every scenario exercises the
 # switch-to-switch release path: threshold-signed gate/notify metadata,
 # tagged readies sent once and kept, the parked switch's queries for the
 # ones it misses, ready loss/duplication, rogue and replayed readies, and
 # (every fourth seed) a switch crashed and restarted from its WAL
 # mid-release.
-cargo run -q --offline --release -p bench --bin simcheck -- segway 256
+cargo run -q --offline --release -p bench --bin simcheck -- segway 2048
 
-echo "== simulation fuzzer smoke (bounded seed sweep) =="
+echo "== simulation fuzzer sweep (2048 seeds) =="
 # A bounded exploration of fresh seeds beyond the fixed forall! sweep the
 # test suite already ran; failures are shrunk and written as replayable
 # artifacts, and the run prints the exact replay command. The generator
-# biases every fourth seed (seed % 4 == 3, i.e. a quarter of this sweep)
+# biases every fourth seed (seed % 4 == 3, i.e. 512 of these 2,048)
 # toward multi-domain scenarios with a boundary-crossing flow, so the
 # cross-domain ordering handshake is exercised on every invocation.
-cargo run -q --offline --release -p bench --bin simcheck -- run 64
+cargo run -q --offline --release -p bench --bin simcheck -- run 2048
 
 echo "== reliability smoke (scripts/soak.sh quick) =="
 SOAK_QUICK=1 "$(dirname "$0")/soak.sh"
