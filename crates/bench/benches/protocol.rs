@@ -68,7 +68,7 @@ fn bench_segway_codec(c: &mut Harness) {
     // fails on a vanished entry, so they stay.)
     let updates = sample_updates(9);
     let body = UpdateBody {
-        update: updates[4].clone(),
+        update: updates[4],
         gates: updates[..4]
             .iter()
             .map(|u| (u.id, u.switch))

@@ -29,13 +29,14 @@
 
 #![forbid(unsafe_code)]
 
-
 pub mod message;
 pub mod replica;
 
 /// Commonly used items.
 pub mod prelude {
-    pub use crate::message::{BftMessage, BftPayload, Digest, Prepared, ReplicaId, Seq, Slot, View};
+    pub use crate::message::{
+        BftMessage, BftPayload, Digest, Prepared, ReplicaId, Seq, Slot, View,
+    };
     pub use crate::replica::{BftConfig, Output, Replica};
 }
 
@@ -47,7 +48,14 @@ mod tests {
 
     #[test]
     fn config_quorums() {
-        for (n, f, q) in [(4, 1, 3), (5, 1, 4), (6, 1, 4), (7, 2, 5), (10, 3, 7), (1, 0, 1)] {
+        for (n, f, q) in [
+            (4, 1, 3),
+            (5, 1, 4),
+            (6, 1, 4),
+            (7, 2, 5),
+            (10, 3, 7),
+            (1, 0, 1),
+        ] {
             let cfg = BftConfig::new(n);
             assert_eq!(cfg.f(), f);
             assert_eq!(cfg.quorum(), q);
@@ -63,7 +71,10 @@ mod tests {
         for n in 4..=7u32 {
             let cfg = BftConfig::new(n);
             let (q, f) = (cfg.quorum() as u32, cfg.f());
-            assert!(q <= n - f, "n={n}: the correct replicas alone must reach quorum");
+            assert!(
+                q <= n - f,
+                "n={n}: the correct replicas alone must reach quorum"
+            );
             let quorums: Vec<u32> = (0..1u32 << n).filter(|s| s.count_ones() == q).collect();
             for a in &quorums {
                 for b in &quorums {

@@ -1,10 +1,7 @@
 //! PBFT protocol messages.
 
-
 /// A replica index within the consensus group (`0..n`).
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ReplicaId(pub u32);
 
 /// A view number; the primary of view `v` is replica `v mod n`.
@@ -18,7 +15,9 @@ pub type Digest = [u8; 32];
 
 /// Payloads must provide a collision-resistant digest so Byzantine
 /// equivocation (same sequence number, different payloads) is detectable.
-pub trait BftPayload: Clone + std::fmt::Debug {
+/// Equal payloads (`==`) must have equal digests: a replica hashes a payload
+/// once and reuses that digest for every equal payload it is sent.
+pub trait BftPayload: Clone + std::fmt::Debug + PartialEq {
     /// Collision-resistant digest of the payload.
     fn digest(&self) -> Digest;
 }

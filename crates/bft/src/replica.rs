@@ -35,6 +35,12 @@ pub struct BftConfig {
 /// request-timeout analogue; doubled per consecutive failed view).
 const VIEW_TIMEOUT_TICKS: u32 = 8;
 
+/// How many of its latest deliveries a replica searches for a payload equal
+/// to one it is sent again ([`Replica::digest_of`]). A `Forward` that crossed
+/// the delivery arrives within a few slots of it; a payload delivered
+/// earlier than that is hashed again, which decides the same.
+const RECENT_DELIVERIES: Seq = 8;
+
 impl BftConfig {
     /// Creates a config; any `n >= 1` is accepted (an `n < 4` group
     /// tolerates zero faults).
@@ -68,9 +74,10 @@ pub enum Output<P> {
     Send(ReplicaId, BftMessage<P>),
     /// Send to every *other* replica.
     Broadcast(BftMessage<P>),
-    /// The payload is totally ordered: hand it to the application. Delivery
-    /// order (by `Seq`) is identical at all correct replicas.
-    Deliver(Seq, P),
+    /// The payload is totally ordered: hand it to the application, with
+    /// the digest this replica computed for it. Delivery order (by `Seq`) is
+    /// identical at all correct replicas.
+    Deliver(Seq, (Digest, P)),
 }
 
 /// A durable consensus fact, appended to [`Replica::take_journal`] at the
@@ -106,16 +113,19 @@ pub enum JournalRecord<P> {
 #[derive(Clone, Debug)]
 struct Entry<P> {
     view: View,
+    /// The digest of `slot`, computed by this replica (never read off the
+    /// wire), or reused from an equal payload it computed one for.
     digest: Option<Digest>,
     slot: Option<Slot<P>>,
     prepare_votes: BTreeMap<(View, Digest), BTreeSet<ReplicaId>>,
     commit_votes: BTreeMap<(View, Digest), BTreeSet<ReplicaId>>,
     prepared: bool,
     /// The highest-view prepared certificate this replica holds for the
-    /// slot. It belongs to `(view, seq, digest)`, not to the binding: a
-    /// re-proposal in a later view that fails to prepare there does not
-    /// erase it, and every view-change vote reports it.
-    certificate: Option<(View, Slot<P>)>,
+    /// slot, as `(view, digest, slot)`. It belongs to `(view, seq, digest)`,
+    /// not to the binding: a re-proposal in a later view that fails to
+    /// prepare there does not erase it, and every view-change vote reports
+    /// it.
+    certificate: Option<(View, Digest, Slot<P>)>,
     committed: bool,
     delivered: bool,
 }
@@ -135,6 +145,10 @@ impl<P> Default for Entry<P> {
         }
     }
 }
+
+/// A view-change vote as counted: the voter's delivery frontier and the
+/// prepared certificates it reported.
+type ViewChangeVote<P> = (Seq, Vec<Prepared<P>>);
 
 /// A PBFT replica.
 pub struct Replica<P> {
@@ -159,7 +173,7 @@ pub struct Replica<P> {
     /// Consecutive view timeouts without delivery progress; exponent of
     /// the current timeout backoff.
     timeout_shift: u32,
-    view_change_votes: BTreeMap<View, BTreeMap<ReplicaId, (Seq, Vec<Prepared<P>>)>>,
+    view_change_votes: BTreeMap<View, BTreeMap<ReplicaId, ViewChangeVote<P>>>,
     /// Durable facts since the last [`Replica::take_journal`] drain.
     journal: Vec<JournalRecord<P>>,
 }
@@ -214,11 +228,12 @@ impl<P: BftPayload> Replica<P> {
     /// the replica cannot equivocate against its own earlier prepare vote.
     /// No votes are re-broadcast; live traffic re-accumulates them.
     pub fn restore_accepted(&mut self, view: View, seq: Seq, slot: Slot<P>) {
-        let digest = slot.digest();
         let e = self.entry(seq);
         if e.digest.is_some() && e.view >= view {
             return;
         }
+        let digest = self.slot_digest(seq, &slot);
+        let e = self.entry(seq);
         e.view = view;
         e.digest = Some(digest);
         e.slot = Some(slot);
@@ -233,7 +248,7 @@ impl<P: BftPayload> Replica<P> {
         let e = self.entry(seq);
         if e.digest == Some(digest) && e.view == view {
             e.prepared = true;
-            e.certificate = e.slot.clone().map(|slot| (view, slot));
+            e.certificate = e.slot.clone().map(|slot| (view, digest, slot));
             e.commit_votes.entry((view, digest)).or_default().insert(me);
         }
     }
@@ -245,10 +260,11 @@ impl<P: BftPayload> Replica<P> {
     /// contiguous.
     pub fn fast_forward<I: IntoIterator<Item = (Seq, P)>>(&mut self, delivered: I) {
         for (seq, payload) in delivered {
-            let digest = payload.digest();
+            let slot = Slot::Payload(payload);
+            let digest = self.slot_digest(seq, &slot);
             let e = self.entry(seq);
             e.digest = Some(digest);
-            e.slot = Some(Slot::Payload(payload));
+            e.slot = Some(slot);
             e.prepared = true;
             e.committed = true;
             e.delivered = true;
@@ -287,8 +303,10 @@ impl<P: BftPayload> Replica<P> {
             };
             // A certificate older than the binding replays first, as it
             // was journaled: its binding, then the certificate.
-            if let Some((view, slot)) = e.certificate.as_ref().filter(|(v, _)| *v != e.view) {
-                let (view, slot, digest) = (*view, slot.clone(), slot.digest());
+            if let Some((view, digest, slot)) =
+                e.certificate.as_ref().filter(|(v, ..)| *v != e.view)
+            {
+                let (view, digest, slot) = (*view, *digest, slot.clone());
                 out.push(JournalRecord::Accepted { view, seq, slot });
                 out.push(JournalRecord::Prepared { view, seq, digest });
             }
@@ -328,6 +346,45 @@ impl<P: BftPayload> Replica<P> {
         self.pending.len()
     }
 
+    /// The digest of `payload`. A replica computes it once per payload it
+    /// holds: an equal payload waiting in its pending set, or bound to a
+    /// slot it has not delivered or delivered among its last
+    /// `RECENT_DELIVERIES`, lends the digest stored beside it (every stored
+    /// digest was computed here from a payload, never read off the wire);
+    /// any other payload is hashed.
+    pub fn digest_of(&self, payload: &P) -> Digest {
+        if let Some((d, _)) = self.pending.iter().find(|(_, q)| q == payload) {
+            return *d;
+        }
+        self.entries
+            .range(self.last_delivered.saturating_sub(RECENT_DELIVERIES) + 1..)
+            .find_map(|(_, e)| match (&e.slot, e.digest) {
+                (Some(Slot::Payload(q)), Some(d)) if q == payload => Some(d),
+                _ => None,
+            })
+            .unwrap_or_else(|| payload.digest())
+    }
+
+    /// The digest of `slot` proposed at `seq`: the binding's own when `seq`
+    /// already holds an equal slot (a duplicate or re-proposed pre-prepare),
+    /// else [`Replica::digest_of`] its payload. A `Noop`'s is a constant.
+    fn slot_digest(&self, seq: Seq, slot: &Slot<P>) -> Digest {
+        let Slot::Payload(p) = slot else {
+            return Slot::<P>::Noop.digest();
+        };
+        if let Some(Entry {
+            digest: Some(d),
+            slot: Some(held),
+            ..
+        }) = self.entries.get(&seq)
+        {
+            if held == slot {
+                return *d;
+            }
+        }
+        self.digest_of(p)
+    }
+
     /// Submits a payload for total ordering (replicas are their own
     /// clients in the Cicero control plane).
     ///
@@ -343,7 +400,7 @@ impl<P: BftPayload> Replica<P> {
     /// A request first heard of in another replica's `Forward` is that
     /// replica's to re-send.
     pub fn submit(&mut self, payload: P) -> Vec<Output<P>> {
-        let digest = payload.digest();
+        let digest = self.digest_of(&payload);
         if self.delivered_digests.contains(&digest) {
             return Vec::new();
         }
@@ -359,13 +416,13 @@ impl<P: BftPayload> Replica<P> {
             payload: payload.clone(),
         })];
         if self.is_primary() {
-            out.extend(self.propose(payload));
+            out.extend(self.propose(digest, payload));
         }
         out
     }
 
-    fn propose(&mut self, payload: P) -> Vec<Output<P>> {
-        let digest = payload.digest();
+    /// Proposes `payload`, whose digest the caller holds.
+    fn propose(&mut self, digest: Digest, payload: P) -> Vec<Output<P>> {
         if self.delivered_digests.contains(&digest) {
             return Vec::new();
         }
@@ -396,7 +453,7 @@ impl<P: BftPayload> Replica<P> {
             seq,
             slot: slot.clone(),
         })];
-        out.extend(self.accept_preprepare(view, seq, slot));
+        out.extend(self.accept_preprepare(view, seq, digest, slot));
         out
     }
 
@@ -405,9 +462,15 @@ impl<P: BftPayload> Replica<P> {
     }
 
     /// Registers the pre-prepare locally (both at the primary and at
-    /// backups) and casts the implicit/explicit prepare votes.
-    fn accept_preprepare(&mut self, view: View, seq: Seq, slot: Slot<P>) -> Vec<Output<P>> {
-        let digest = slot.digest();
+    /// backups) and casts the implicit/explicit prepare votes. `digest` is
+    /// this replica's digest of `slot`.
+    fn accept_preprepare(
+        &mut self,
+        view: View,
+        seq: Seq,
+        digest: Digest,
+        slot: Slot<P>,
+    ) -> Vec<Output<P>> {
         let primary = self.cfg.primary(view);
         let me = self.id;
         let mut bound = false;
@@ -423,11 +486,7 @@ impl<P: BftPayload> Replica<P> {
                 if e.digest == Some(digest) {
                     let mut out = Vec::new();
                     if me != primary {
-                        out.push(Output::Broadcast(BftMessage::Prepare {
-                            view,
-                            seq,
-                            digest,
-                        }));
+                        out.push(Output::Broadcast(BftMessage::Prepare { view, seq, digest }));
                     }
                     out.push(Output::Broadcast(BftMessage::Commit { view, seq, digest }));
                     return out;
@@ -458,9 +517,9 @@ impl<P: BftPayload> Replica<P> {
                 slot: self.entries[&seq].slot.clone().expect("just bound"),
             });
         }
-        if let Slot::Payload(p) = self.entries[&seq].slot.as_ref().expect("just set") {
-            let d = p.digest();
-            self.proposed_this_view.insert(d, seq);
+        // The slot held at `seq` now is bound to `digest`, new or not.
+        if let Some(Slot::Payload(_)) = self.entries[&seq].slot {
+            self.proposed_this_view.insert(digest, seq);
         }
         let mut out = Vec::new();
         if me != primary {
@@ -490,11 +549,12 @@ impl<P: BftPayload> Replica<P> {
                 return Vec::new();
             }
             e.prepared = true;
-            e.certificate = e.slot.clone().map(|slot| (view, slot));
+            e.certificate = e.slot.clone().map(|slot| (view, digest, slot));
             e.commit_votes.entry((view, digest)).or_default().insert(me);
             (view, digest)
         };
-        self.journal.push(JournalRecord::Prepared { view, seq, digest });
+        self.journal
+            .push(JournalRecord::Prepared { view, seq, digest });
         let mut out = vec![Output::Broadcast(BftMessage::Commit { view, seq, digest })];
         out.extend(self.check_committed(seq));
         out
@@ -544,18 +604,18 @@ impl<P: BftPayload> Replica<P> {
             }
             e.delivered = true;
             let slot = e.slot.clone().expect("committed entries carry slots");
+            let digest = e.digest.expect("committed entries carry digests");
             self.last_delivered = next;
             self.ticks_waiting = 0;
             self.timeout_shift = 0;
             if let Slot::Payload(payload) = slot {
-                let digest = payload.digest();
                 self.pending.retain(|(d, _)| *d != digest);
                 self.submitted.remove(&digest);
                 // Execution-layer dedup (as in PBFT): a request re-proposed
                 // across views may commit at two sequence numbers; only its
                 // first occurrence is delivered.
                 if self.delivered_digests.insert(digest) {
-                    out.push(Output::Deliver(next, payload));
+                    out.push(Output::Deliver(next, (digest, payload)));
                 }
             }
         }
@@ -566,14 +626,14 @@ impl<P: BftPayload> Replica<P> {
     pub fn handle(&mut self, from: ReplicaId, msg: BftMessage<P>) -> Vec<Output<P>> {
         match msg {
             BftMessage::Forward { payload } => {
-                let digest = payload.digest();
+                let digest = self.digest_of(&payload);
                 if !self.delivered_digests.contains(&digest)
                     && !self.pending.iter().any(|(d, _)| *d == digest)
                 {
                     self.pending.push_back((digest, payload.clone()));
                 }
                 if self.is_primary() {
-                    self.propose(payload)
+                    self.propose(digest, payload)
                 } else {
                     Vec::new()
                 }
@@ -582,7 +642,8 @@ impl<P: BftPayload> Replica<P> {
                 if view != self.view || self.in_view_change || from != self.cfg.primary(view) {
                     return Vec::new();
                 }
-                self.accept_preprepare(view, seq, slot)
+                let digest = self.slot_digest(seq, &slot);
+                self.accept_preprepare(view, seq, digest, slot)
             }
             BftMessage::Prepare { view, seq, digest } => {
                 if view != self.view || self.in_view_change {
@@ -666,11 +727,11 @@ impl<P: BftPayload> Replica<P> {
             .iter()
             .filter(|(_, e)| !e.delivered)
             .filter_map(|(&seq, e)| {
-                let (view, slot) = e.certificate.clone()?;
+                let (view, digest, slot) = e.certificate.clone()?;
                 Some(Prepared {
                     view,
                     seq,
-                    digest: slot.digest(),
+                    digest,
                     slot,
                 })
             })
@@ -805,12 +866,12 @@ impl<P: BftPayload> Replica<P> {
             reproposals: reproposals.clone(),
         })];
         for (seq, slot) in reproposals {
-            out.extend(self.accept_preprepare(new_view, seq, slot));
+            let digest = self.slot_digest(seq, &slot);
+            out.extend(self.accept_preprepare(new_view, seq, digest, slot));
         }
         // Re-propose our own pending requests in the new view.
-        let pending: Vec<P> = self.pending.iter().map(|(_, p)| p.clone()).collect();
-        for p in pending {
-            out.extend(self.propose(p));
+        for (digest, p) in self.pending.clone() {
+            out.extend(self.propose(digest, p));
         }
         out
     }
@@ -831,7 +892,8 @@ impl<P: BftPayload> Replica<P> {
         self.enter_view(view);
         let mut out = Vec::new();
         for (seq, slot) in reproposals {
-            out.extend(self.accept_preprepare(view, seq, slot));
+            let digest = self.slot_digest(seq, &slot);
+            out.extend(self.accept_preprepare(view, seq, digest, slot));
         }
         // Re-forward pending requests to the new primary (it de-duplicates
         // against its own re-proposals by digest).

@@ -41,7 +41,7 @@ impl TestNet {
                         }
                     }
                 }
-                Output::Deliver(seq, p) => self.delivered[at.0 as usize].push((seq, p)),
+                Output::Deliver(seq, (_, p)) => self.delivered[at.0 as usize].push((seq, p)),
             }
         }
     }
@@ -157,11 +157,17 @@ fn a_resubmission_re_forwards_a_request_whose_forward_was_lost() {
     };
     net.queue.retain(|m| !to_primary(m));
     net.flush();
-    assert!(net.delivered.iter().all(Vec::is_empty), "nobody has proposed it");
+    assert!(
+        net.delivered.iter().all(Vec::is_empty),
+        "nobody has proposed it"
+    );
     net.submit(1, 9);
     net.flush();
     assert_eq!(net.assert_agreement(), vec![9]);
-    assert!(net.delivered.iter().all(|log| log.len() == 1), "every replica delivers it");
+    assert!(
+        net.delivered.iter().all(|log| log.len() == 1),
+        "every replica delivers it"
+    );
     // Delivered, a further submission sends nothing.
     net.submit(1, 9);
     assert!(net.queue.is_empty());
@@ -232,34 +238,77 @@ fn a_reproposal_that_fails_to_prepare_keeps_the_older_certificate() {
     // Its own pending request keeps the progress clock running.
     r.submit(payload);
     // View 0: pre-prepare (primary's vote + ours) and one more prepare.
-    r.handle(ReplicaId(0), BftMessage::PrePrepare { view: 0, seq, slot: slot.clone() });
-    let outs = r.handle(ReplicaId(1), BftMessage::Prepare { view: 0, seq, digest });
+    r.handle(
+        ReplicaId(0),
+        BftMessage::PrePrepare {
+            view: 0,
+            seq,
+            slot: slot.clone(),
+        },
+    );
+    let outs = r.handle(
+        ReplicaId(1),
+        BftMessage::Prepare {
+            view: 0,
+            seq,
+            digest,
+        },
+    );
     assert!(
-        outs.contains(&Output::Broadcast(BftMessage::Commit { view: 0, seq, digest })),
+        outs.contains(&Output::Broadcast(BftMessage::Commit {
+            view: 0,
+            seq,
+            digest
+        })),
         "prepared in view 0"
     );
     // View 1 re-proposes the slot; nobody else prepares it there.
     let voters = vec![ReplicaId(0), ReplicaId(1), ReplicaId(2)];
     let reproposals = vec![(seq, slot.clone())];
-    r.handle(ReplicaId(1), BftMessage::NewView { view: 1, voters, reproposals });
+    r.handle(
+        ReplicaId(1),
+        BftMessage::NewView {
+            view: 1,
+            voters,
+            reproposals,
+        },
+    );
     assert_eq!(r.view(), 1);
     // So does a replica restored from this one's compacted journal.
     let mut restored = Replica::<u64>::new(ReplicaId(3), BftConfig::new(4));
     for record in r.journal_snapshot() {
         match record {
             JournalRecord::View(view) => restored.restore_view(view),
-            JournalRecord::Accepted { view, seq, slot } => restored.restore_accepted(view, seq, slot),
-            JournalRecord::Prepared { view, seq, digest } => restored.restore_prepared(view, seq, digest),
+            JournalRecord::Accepted { view, seq, slot } => {
+                restored.restore_accepted(view, seq, slot)
+            }
+            JournalRecord::Prepared { view, seq, digest } => {
+                restored.restore_prepared(view, seq, digest)
+            }
         }
     }
     restored.submit(payload);
     // The view times out: the vote for view 2 carries the view-0 certificate.
     for mut r in [r, restored] {
-        let vote = (0..1000).flat_map(|_| r.on_tick()).find_map(|out| match out {
-            Output::Broadcast(BftMessage::ViewChange { new_view: 2, prepared, .. }) => Some(prepared),
-            _ => None,
-        });
-        assert_eq!(vote, Some(vec![Prepared { view: 0, seq, digest, slot: slot.clone() }]));
+        let vote = (0..1000)
+            .flat_map(|_| r.on_tick())
+            .find_map(|out| match out {
+                Output::Broadcast(BftMessage::ViewChange {
+                    new_view: 2,
+                    prepared,
+                    ..
+                }) => Some(prepared),
+                _ => None,
+            });
+        assert_eq!(
+            vote,
+            Some(vec![Prepared {
+                view: 0,
+                seq,
+                digest,
+                slot: slot.clone()
+            }])
+        );
     }
 }
 
@@ -356,18 +405,36 @@ fn a_replica_alone_in_a_view_change_still_delivers_what_the_others_commit() {
             break outs;
         }
     };
-    assert!(matches!(vote[..], [Output::Broadcast(BftMessage::ViewChange { new_view: 1, .. })]));
+    assert!(matches!(
+        vote[..],
+        [Output::Broadcast(BftMessage::ViewChange {
+            new_view: 1,
+            ..
+        })]
+    ));
     net.apply(ReplicaId(0), vote);
     let cast = |o: &Output<u64>| {
-        matches!(o, Output::Broadcast(BftMessage::Prepare { .. } | BftMessage::Commit { .. }))
+        matches!(
+            o,
+            Output::Broadcast(BftMessage::Prepare { .. } | BftMessage::Commit { .. })
+        )
     };
     while !net.queue.is_empty() {
         let (from, to, msg) = net.queue.remove(0);
         let outs = net.replicas[to.0 as usize].handle(from, msg);
-        assert!(to != ReplicaId(0) || !outs.iter().any(cast), "no vote in the view it left");
+        assert!(
+            to != ReplicaId(0) || !outs.iter().any(cast),
+            "no vote in the view it left"
+        );
         net.apply(to, outs);
     }
     assert_eq!(net.assert_agreement(), vec![9]);
-    assert!(net.delivered.iter().all(|log| log.len() == 1), "every replica delivers it");
-    assert!(net.replicas.iter().all(|r| r.view() == 0), "nobody joined the view change");
+    assert!(
+        net.delivered.iter().all(|log| log.len() == 1),
+        "every replica delivers it"
+    );
+    assert!(
+        net.replicas.iter().all(|r| r.view() == 0),
+        "nobody joined the view change"
+    );
 }

@@ -53,8 +53,9 @@ impl ControllerActor {
                         );
                     }
                 }
-                Output::Deliver(seq, op) => {
+                Output::Deliver(seq, (digest, op)) => {
                     self.record_delivery(seq, &op);
+                    self.unprocessed.remove(&digest);
                     self.on_deliver(ctx, op);
                 }
             }
@@ -75,16 +76,19 @@ impl ControllerActor {
             self.on_deliver(ctx, op);
             return;
         }
-        self.unprocessed.insert(op.digest(), op.clone());
         let Some(replica) = self.replica.as_mut() else {
+            self.unprocessed.insert(op.digest(), op);
             return;
         };
-        let outs = replica.submit(op);
+        let outs = replica.submit(op.clone());
+        // `submit` has stored the replica's digest of `op` beside it.
+        self.unprocessed.insert(replica.digest_of(&op), op);
         self.route_outputs(ctx, outs);
     }
 
+    /// Acts on an ordered op; a consensus delivery has taken it out of
+    /// `unprocessed` first.
     pub(super) fn on_deliver(&mut self, ctx: &mut dyn Host<Net, Obs>, op: OrderedOp) {
-        self.unprocessed.remove(&op.digest());
         match op {
             OrderedOp::Event(event) => self.process_event(ctx, event),
             OrderedOp::AddController(c) => self.start_phase_change(ctx, true, c),

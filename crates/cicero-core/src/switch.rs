@@ -353,7 +353,7 @@ impl SwitchActor {
             return false;
         }
         // A parked body's quorum is already proven; it waits on its gates.
-        if phase != self.phase_info.phase || self.parked.get(&update.id).is_some() {
+        if phase != self.phase_info.phase || self.parked.contains_key(&update.id) {
             return false;
         }
         if !self.nacks.contains(&update.id) {

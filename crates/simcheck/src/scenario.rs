@@ -424,7 +424,7 @@ impl Scenario {
     pub fn generate_recovery(seed: u64) -> Scenario {
         let mut s = Scenario::generate(seed);
         if !matches!(s.mode, Mode::Cicero { .. }) {
-            s.mode = if seed % 2 == 0 {
+            s.mode = if seed.is_multiple_of(2) {
                 Mode::CICERO
             } else {
                 Mode::CICERO_AGG
@@ -441,7 +441,7 @@ impl Scenario {
             controller: (seed >> 16) as u32,
             at_ms: 1 + seed % 800,
             after_ms: 100 + (seed >> 4) % 600,
-            disk_lost: seed % 3 == 0,
+            disk_lost: seed.is_multiple_of(3),
         });
         s
     }
@@ -455,7 +455,7 @@ impl Scenario {
     pub fn generate_secure(seed: u64) -> Scenario {
         let mut s = Scenario::generate(seed);
         if !matches!(s.mode, Mode::Cicero { .. }) {
-            s.mode = if seed % 2 == 0 {
+            s.mode = if seed.is_multiple_of(2) {
                 Mode::CICERO
             } else {
                 Mode::CICERO_AGG
@@ -474,7 +474,7 @@ impl Scenario {
         let mut s = Scenario::generate(seed);
         s.mode = Mode::Segway;
         s.controllers_per_domain = s.controllers_per_domain.max(4);
-        if seed % 4 == 0 {
+        if seed.is_multiple_of(4) {
             s.faults.push(Fault::RogueReady {
                 switch: (seed >> 12) as u32,
                 victim: (seed >> 20) as u32,

@@ -19,7 +19,7 @@ fn multi_domain_scenario(i: u64) -> Scenario {
     // generator biases a quarter of all seeds into) orders boundaries with
     // switch-to-switch readies instead and never emits BoundaryReleased.
     if s.mode == Mode::Centralized || s.mode == Mode::Segway {
-        s.mode = if i % 2 == 0 { Mode::CICERO } else { Mode::CICERO_AGG };
+        s.mode = if i.is_multiple_of(2) { Mode::CICERO } else { Mode::CICERO_AGG };
         s.controllers_per_domain = s.controllers_per_domain.max(4);
     }
     s.domains = 2 + (i % 2) as u16;

@@ -93,18 +93,34 @@ impl Disk for MemDisk {
     }
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, bitwise — no table, no dependencies).
+/// CRC-32 (IEEE 802.3 polynomial, reflected; one table lookup per byte).
 #[must_use]
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in data {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        crc = (crc >> 8) ^ CRC32_TABLE[usize::from(crc as u8 ^ b)];
     }
     !crc
+}
+
+const CRC32_TABLE: [u32; 256] = crc32_table();
+
+/// Entry `i` is the register after shifting byte `i` through it bit by bit.
+const fn crc32_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
 }
 
 fn frame(payload: &[u8]) -> Vec<u8> {
@@ -343,5 +359,15 @@ mod tests {
             disk.lock().write_atomic("snap", &g.bytes(60));
             let _ = read_snapshot(&disk, "snap");
         });
+    }
+
+    /// The standard check value of CRC-32/ISO-HDLC (the IEEE 802.3 CRC).
+    #[test]
+    fn crc32_known_answers() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(&[0u8; 32]), 0x190A_55AD);
+        let fox = b"The quick brown fox jumps over the lazy dog";
+        assert_eq!(crc32(fox), 0x414F_A339);
     }
 }

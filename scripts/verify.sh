@@ -74,6 +74,9 @@ echo "== clippy: determinism, durable I/O, panic policy and lint hygiene =="
 # protocol hot-path roots deny unwrap/todo!/unimplemented!. Clippy's other
 # warnings are printed, not gated.
 cargo clippy -q --offline --workspace --all-targets
+# rustfmt holds the crates that are clean under it; a crate joins the list
+# once `cargo fmt -p <crate>` has been run on it.
+cargo fmt --check -p bft
 # The benchmark package is outside the workspace and sets no lints: hold it
 # to the ban list it finds by clippy's upward search, crates/bench/clippy.toml
 # (the root list without the wall-clock entries).
