@@ -372,17 +372,14 @@ impl<P: BftPayload> Replica<P> {
         let Slot::Payload(p) = slot else {
             return Slot::<P>::Noop.digest();
         };
-        if let Some(Entry {
-            digest: Some(d),
-            slot: Some(held),
-            ..
-        }) = self.entries.get(&seq)
-        {
-            if held == slot {
-                return *d;
-            }
+        match self.entries.get(&seq) {
+            Some(Entry {
+                digest: Some(d),
+                slot: Some(held),
+                ..
+            }) if held == slot => *d,
+            _ => self.digest_of(p),
         }
-        self.digest_of(p)
     }
 
     /// Submits a payload for total ordering (replicas are their own
